@@ -9,7 +9,7 @@ import (
 	"strings"
 )
 
-// baselineSchema versions the BENCH_6.json format.
+// baselineSchema versions the BENCH_9.json format.
 const baselineSchema = "mmconf-bench-baseline/v1"
 
 // Baseline is the committed benchmark baseline: the regression gate

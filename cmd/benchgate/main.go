@@ -1,5 +1,5 @@
 // Command benchgate maintains the repository's benchmark baseline
-// (BENCH_7.json) and gates CI on performance regressions against it.
+// (BENCH_9.json) and gates CI on performance regressions against it.
 //
 // The baseline is a JSON document holding the key `go test -bench`
 // results (ns/op, B/op, allocs/op — medians across -count repeats) plus
@@ -12,9 +12,9 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench ... -count=5 | benchgate update -o BENCH_7.json -experiments exp.json
-//	go test -run '^$' -bench ... -count=5 | benchgate check -baseline BENCH_7.json -max-regress 25 -max-regress-bytes 20 -max-regress-allocs 20
-//	benchgate fmt -baseline BENCH_7.json > baseline.txt   # feed benchstat
+//	go test -run '^$' -bench ... -count=5 | benchgate update -o BENCH_9.json -experiments exp.json
+//	go test -run '^$' -bench ... -count=5 | benchgate check -baseline BENCH_9.json -max-regress 25 -max-regress-bytes 20 -max-regress-allocs 20
+//	benchgate fmt -baseline BENCH_9.json > baseline.txt   # feed benchstat
 package main
 
 import (
@@ -75,7 +75,7 @@ func readBench(args []string) ([]Benchmark, error) {
 
 func cmdUpdate(args []string) error {
 	fs := flag.NewFlagSet("update", flag.ExitOnError)
-	out := fs.String("o", "BENCH_7.json", "baseline file to write")
+	out := fs.String("o", "BENCH_9.json", "baseline file to write")
 	expFile := fs.String("experiments", "", "mmbench -json output to embed (optional)")
 	note := fs.String("note", "", "free-form note recorded in the baseline (e.g. benchtime)")
 	fs.Parse(args)
@@ -107,7 +107,7 @@ func cmdUpdate(args []string) error {
 
 func cmdCheck(args []string) error {
 	fs := flag.NewFlagSet("check", flag.ExitOnError)
-	baseFile := fs.String("baseline", "BENCH_7.json", "baseline file to compare against")
+	baseFile := fs.String("baseline", "BENCH_9.json", "baseline file to compare against")
 	maxRegress := fs.Float64("max-regress", 25, "fail when ns/op regresses more than this percentage")
 	maxBytes := fs.Float64("max-regress-bytes", 20, "fail when B/op regresses more than this percentage (negative: report only)")
 	maxAllocs := fs.Float64("max-regress-allocs", 20, "fail when allocs/op regresses more than this percentage (negative: report only)")
@@ -133,7 +133,7 @@ func cmdCheck(args []string) error {
 
 func cmdFmt(args []string) error {
 	fs := flag.NewFlagSet("fmt", flag.ExitOnError)
-	baseFile := fs.String("baseline", "BENCH_7.json", "baseline file to render")
+	baseFile := fs.String("baseline", "BENCH_9.json", "baseline file to render")
 	fs.Parse(args)
 	base, err := LoadBaseline(*baseFile)
 	if err != nil {

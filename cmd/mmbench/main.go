@@ -64,7 +64,7 @@ func main() {
 			experiments.E12Overload},
 		{"E13", "content-addressed blob store: dedup, hole reuse, compaction",
 			experiments.E13Blob},
-		{"E14", "wire protocol v2 vs gob: codec cost on the RPC hot path",
+		{"E14", "wire protocol v2: codec cost on the RPC hot path",
 			experiments.E14Wire},
 		{"E15", "adaptive QoS: bandwidth-tuned degradation vs static-high (§4.4)",
 			func(string) (*experiments.Table, error) { return experiments.E15QoS() }},

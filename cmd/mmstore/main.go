@@ -130,9 +130,6 @@ func run(data string, args []string) error {
 		if bs.RebuiltFromScan {
 			fmt.Println("note: blob index was rebuilt by segment scan on this open")
 		}
-		if migrated := db.MigratedBlobs(); migrated > 0 {
-			fmt.Printf("note: %d payloads migrated from the legacy heap on this open\n", migrated)
-		}
 	case "fsck":
 		rep, err := db.FsckBlobs()
 		if err != nil {

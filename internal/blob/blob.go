@@ -76,29 +76,19 @@ func (d Digest) String() string { return hex.EncodeToString(d[:]) }
 
 // Handle identifies a stored payload by content: its SHA-256 digest and
 // length. The zero Handle means "no blob" and Get returns ErrNoBlob for
-// it. Offset is only meaningful on handles decoded from a pre-CAS
-// database (the offset-addressed heap generation); store.Open migrates
-// those in place, so a live system never sees one.
+// it.
 type Handle struct {
 	Digest Digest
 	Length uint32
-	Offset int64 // legacy heap offset; zero on content-addressed handles
 }
 
 // IsZero reports whether h is the zero handle (no blob stored).
-func (h Handle) IsZero() bool { return h.Digest == (Digest{}) && h.Length == 0 && h.Offset == 0 }
-
-// Legacy reports whether h was minted by the pre-CAS offset-addressed
-// heap: no digest, but a nonzero offset or length.
-func (h Handle) Legacy() bool { return h.Digest == (Digest{}) && !h.IsZero() }
+func (h Handle) IsZero() bool { return h == Handle{} }
 
 // String renders the handle as a short digest prefix plus length.
 func (h Handle) String() string {
 	if h.IsZero() {
 		return "blob:zero"
-	}
-	if h.Legacy() {
-		return fmt.Sprintf("blob:legacy@%d+%d", h.Offset, h.Length)
 	}
 	return fmt.Sprintf("blob:%x+%d", h.Digest[:8], h.Length)
 }
@@ -111,9 +101,6 @@ var (
 	// ErrNotFound is returned when a well-formed handle has no object
 	// behind it (already released, or from a foreign store).
 	ErrNotFound = errors.New("blob: object not found")
-	// ErrLegacyHandle is returned when a pre-CAS offset handle reaches
-	// the content-addressed store; store.Open migrates these away.
-	ErrLegacyHandle = errors.New("blob: legacy heap handle not migrated")
 )
 
 // Options tune the store geometry. The zero value selects the defaults.
@@ -391,9 +378,6 @@ func (s *Store) Get(h Handle) ([]byte, error) {
 	if h.IsZero() {
 		return nil, ErrNoBlob
 	}
-	if h.Legacy() {
-		return nil, fmt.Errorf("%w: %s", ErrLegacyHandle, h)
-	}
 	data, err := s.tryGet(h)
 	if err != nil && !errors.Is(err, ErrNotFound) {
 		data, err = s.tryGet(h)
@@ -485,13 +469,10 @@ func (s *Store) Contains(h Handle) bool {
 // Release decrements the object's reference count. At zero the manifest
 // and any chunks no other object shares go to the free lists, and their
 // blocks become reusable by later writes. Releasing the zero handle
-// returns ErrNoBlob; a legacy or unknown handle returns a typed error.
+// returns ErrNoBlob; an unknown handle returns ErrNotFound.
 func (s *Store) Release(h Handle) error {
 	if h.IsZero() {
 		return ErrNoBlob
-	}
-	if h.Legacy() {
-		return fmt.Errorf("%w: %s", ErrLegacyHandle, h)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

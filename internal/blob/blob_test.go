@@ -87,8 +87,9 @@ func TestZeroAndBadHandles(t *testing.T) {
 	if err := s.Release(Handle{}); !errors.Is(err, ErrNoBlob) {
 		t.Errorf("Release(zero) = %v, want ErrNoBlob", err)
 	}
-	if _, err := s.Get(Handle{Offset: 12, Length: 4}); !errors.Is(err, ErrLegacyHandle) {
-		t.Errorf("Get(legacy) = %v, want ErrLegacyHandle", err)
+	// A handle with a length but no digest names nothing.
+	if _, err := s.Get(Handle{Length: 4}); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Get(digestless) = %v, want ErrNotFound", err)
 	}
 	unknown := Handle{Digest: Sum([]byte("never stored")), Length: 12}
 	if _, err := s.Get(unknown); !errors.Is(err, ErrNotFound) {
@@ -873,29 +874,6 @@ func TestGetRacingReleaseFailsClean(t *testing.T) {
 	}
 }
 
-func TestLegacyHeapRead(t *testing.T) {
-	// Write one record in the old heap format by hand and read it back.
-	path := filepath.Join(t.TempDir(), "heap.blob")
-	payload := []byte("old-world payload")
-	rec := make([]byte, legacyHdrSize+len(payload))
-	putLegacyRecord(rec, payload)
-	if err := os.WriteFile(path, rec, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	lh, err := OpenLegacyHeap(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lh.Close()
-	got, err := lh.Get(Handle{Offset: 0, Length: uint32(len(payload))})
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("legacy read: %q %v", got, err)
-	}
-	if _, err := lh.Get(Handle{Offset: 4, Length: uint32(len(payload))}); err == nil {
-		t.Error("misaligned legacy handle accepted")
-	}
-}
-
 func TestOversizeRejected(t *testing.T) {
 	if MaxBlobSize != 4<<30 {
 		t.Errorf("MaxBlobSize = %d, want 4GB", int64(MaxBlobSize))
@@ -906,15 +884,10 @@ func TestHandlePredicates(t *testing.T) {
 	if !(Handle{}).IsZero() {
 		t.Error("zero handle not IsZero")
 	}
-	if (Handle{}).Legacy() {
-		t.Error("zero handle claims Legacy")
+	if (Handle{Length: 7}).IsZero() {
+		t.Error("handle with a length claims IsZero")
 	}
-	leg := Handle{Offset: 42, Length: 7}
-	if !leg.Legacy() || leg.IsZero() {
-		t.Error("offset handle not detected as legacy")
-	}
-	cas := Handle{Digest: Sum([]byte("x")), Length: 1}
-	if cas.Legacy() || cas.IsZero() {
-		t.Error("digest handle misclassified")
+	if (Handle{Digest: Sum([]byte("x")), Length: 1}).IsZero() {
+		t.Error("digest handle claims IsZero")
 	}
 }

@@ -22,9 +22,6 @@ func (s *Store) Manifest(h Handle) ([]Digest, error) {
 	if h.IsZero() {
 		return nil, ErrNoBlob
 	}
-	if h.Legacy() {
-		return nil, fmt.Errorf("%w: %s", ErrLegacyHandle, h)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	me := s.manifests[h.Digest]

@@ -74,9 +74,6 @@ func TestManifestAndMissingChunks(t *testing.T) {
 	if _, err := src.Manifest(Handle{}); !errors.Is(err, ErrNoBlob) {
 		t.Errorf("Manifest(zero) = %v, want ErrNoBlob", err)
 	}
-	if _, err := src.Manifest(Handle{Offset: 7, Length: 1}); !errors.Is(err, ErrLegacyHandle) {
-		t.Errorf("Manifest(legacy) = %v, want ErrLegacyHandle", err)
-	}
 	if _, err := src.Manifest(Handle{Digest: Sum([]byte("absent")), Length: 6}); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Manifest(absent) = %v, want ErrNotFound", err)
 	}

@@ -109,7 +109,7 @@ func NewOverDialer(dial DialFunc, user string, opts Options) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.attach(opts.newWireClient(conn))
+	c.attach(wire.NewClient(conn))
 	return c, nil
 }
 
@@ -123,7 +123,7 @@ func NewOverConn(conn net.Conn, user string) (*Client, error) {
 	opts := Options{}
 	opts.normalize()
 	c := newClient(user, nil, opts)
-	c.attach(opts.newWireClient(conn))
+	c.attach(wire.NewClient(conn))
 	return c, nil
 }
 
@@ -270,7 +270,7 @@ func (c *Client) Stats() (*proto.StatsResp, error) {
 // StatsCtx is Stats bounded by ctx.
 func (c *Client) StatsCtx(ctx context.Context) (*proto.StatsResp, error) {
 	var resp proto.StatsResp
-	if err := c.call(ctx, proto.MStats, proto.StatsReq{}, &resp); err != nil {
+	if err := c.call(ctx, proto.MStats, &proto.StatsReq{}, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -286,7 +286,7 @@ func (c *Client) Traces(id uint64, limit int) ([]proto.TraceInfo, error) {
 // TracesCtx is Traces bounded by ctx.
 func (c *Client) TracesCtx(ctx context.Context, id uint64, limit int) ([]proto.TraceInfo, error) {
 	var resp proto.TracesResp
-	if err := c.call(ctx, proto.MTraces, proto.TracesReq{ID: id, Limit: limit}, &resp); err != nil {
+	if err := c.call(ctx, proto.MTraces, &proto.TracesReq{ID: id, Limit: limit}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Traces, nil
@@ -671,7 +671,7 @@ func (s *Session) Operation(component, op, activeWhen string, private bool) (str
 // OperationCtx is Operation bounded by ctx.
 func (s *Session) OperationCtx(ctx context.Context, component, op, activeWhen string, private bool) (string, error) {
 	var resp proto.OperationResp
-	err := s.client.call(ctx, proto.MOperation, proto.OperationReq{
+	err := s.client.call(ctx, proto.MOperation, &proto.OperationReq{
 		Room: s.Room, User: s.client.user,
 		Component: component, Op: op, ActiveWhen: activeWhen, Private: private,
 	}, &resp)
@@ -681,7 +681,7 @@ func (s *Session) OperationCtx(ctx context.Context, component, op, activeWhen st
 // AnnotateText writes a text element on an image object.
 func (s *Session) AnnotateText(objectID uint64, x, y int, text string, intensity float64) (int, error) {
 	var resp proto.AnnotateResp
-	err := s.client.call(context.Background(), proto.MAnnotate, proto.AnnotateReq{
+	err := s.client.call(context.Background(), proto.MAnnotate, &proto.AnnotateReq{
 		Room: s.Room, User: s.client.user, ObjectID: objectID,
 		Kind: int(image.TextElement), X1: x, Y1: y, Text: text, Intensity: intensity,
 	}, &resp)
@@ -691,7 +691,7 @@ func (s *Session) AnnotateText(objectID uint64, x, y int, text string, intensity
 // AnnotateLine writes a line element on an image object.
 func (s *Session) AnnotateLine(objectID uint64, x1, y1, x2, y2 int, intensity float64) (int, error) {
 	var resp proto.AnnotateResp
-	err := s.client.call(context.Background(), proto.MAnnotate, proto.AnnotateReq{
+	err := s.client.call(context.Background(), proto.MAnnotate, &proto.AnnotateReq{
 		Room: s.Room, User: s.client.user, ObjectID: objectID,
 		Kind: int(image.LineElement), X1: x1, Y1: y1, X2: x2, Y2: y2, Intensity: intensity,
 	}, &resp)
@@ -700,28 +700,28 @@ func (s *Session) AnnotateLine(objectID uint64, x1, y1, x2, y2 int, intensity fl
 
 // DeleteAnnotation removes an overlay element.
 func (s *Session) DeleteAnnotation(objectID uint64, annotationID int) error {
-	return s.client.call(context.Background(), proto.MDeleteAnnotation, proto.DeleteAnnotationReq{
+	return s.client.call(context.Background(), proto.MDeleteAnnotation, &proto.DeleteAnnotationReq{
 		Room: s.Room, User: s.client.user, ObjectID: objectID, AnnotationID: annotationID,
 	}, nil)
 }
 
 // Freeze locks an object against edits by other partners.
 func (s *Session) Freeze(objectID uint64) error {
-	return s.client.call(context.Background(), proto.MFreeze, proto.FreezeReq{
+	return s.client.call(context.Background(), proto.MFreeze, &proto.FreezeReq{
 		Room: s.Room, User: s.client.user, ObjectID: objectID,
 	}, nil)
 }
 
 // Release lifts a freeze this user holds.
 func (s *Session) Release(objectID uint64) error {
-	return s.client.call(context.Background(), proto.MRelease, proto.ReleaseReq{
+	return s.client.call(context.Background(), proto.MRelease, &proto.ReleaseReq{
 		Room: s.Room, User: s.client.user, ObjectID: objectID,
 	}, nil)
 }
 
 // ShareSearch publishes voice-search results to the room.
 func (s *Session) ShareSearch(speaker bool, keyword string, hits []voice.Hit) error {
-	return s.client.call(context.Background(), proto.MShareSearch, proto.ShareSearchReq{
+	return s.client.call(context.Background(), proto.MShareSearch, &proto.ShareSearchReq{
 		Room: s.Room, User: s.client.user, Speaker: speaker, Keyword: keyword, Hits: hits,
 	}, nil)
 }
@@ -741,14 +741,14 @@ func (s *Session) ChatCtx(ctx context.Context, text string) error {
 // StartBroadcast takes the floor: every member mirrors this user's
 // presentation until StopBroadcast.
 func (s *Session) StartBroadcast() error {
-	return s.client.call(context.Background(), proto.MBroadcastStart, proto.BroadcastReq{
+	return s.client.call(context.Background(), proto.MBroadcastStart, &proto.BroadcastReq{
 		Room: s.Room, User: s.client.user,
 	}, nil)
 }
 
 // StopBroadcast releases the floor (presenter only).
 func (s *Session) StopBroadcast() error {
-	return s.client.call(context.Background(), proto.MBroadcastStop, proto.BroadcastReq{
+	return s.client.call(context.Background(), proto.MBroadcastStop, &proto.BroadcastReq{
 		Room: s.Room, User: s.client.user,
 	}, nil)
 }
@@ -758,7 +758,7 @@ func (s *Session) StopBroadcast() error {
 // new minutes component's name.
 func (s *Session) SaveMinutes() (string, error) {
 	var resp proto.SaveMinutesResp
-	err := s.client.call(context.Background(), proto.MSaveMinutes, proto.SaveMinutesReq{
+	err := s.client.call(context.Background(), proto.MSaveMinutes, &proto.SaveMinutesReq{
 		Room: s.Room, User: s.client.user,
 	}, &resp)
 	return resp.Component, err

@@ -87,24 +87,11 @@ type Options struct {
 	// hint between attempts (default 0: overload errors surface to the
 	// caller immediately; negative is treated as 0).
 	RetryOverloaded int
-	// GobOnly skips wire-protocol negotiation and speaks the legacy gob
-	// protocol, byte-for-byte what a pre-v2 client sends — the
-	// mixed-version interop knob (and an escape hatch against a codec
-	// bug in production).
-	GobOnly bool
 	// DigestCacheBytes bounds the client's digest-keyed media cache
 	// (default 0: disabled). With it on, repeat fetches of an unchanged
 	// object send its known digest and the server elides the payload —
 	// see digestcache.go.
 	DigestCacheBytes int64
-}
-
-// newWireClient wraps conn honoring the negotiation knob.
-func (o *Options) newWireClient(conn net.Conn) *wire.Client {
-	if o.GobOnly {
-		return wire.NewClientVersion(conn, wire.ProtoGob)
-	}
-	return wire.NewClient(conn)
 }
 
 // normalize fills defaulted fields in place.
@@ -166,7 +153,7 @@ func (c *Client) ReconnectStats() ReconnectStats {
 // connection to the owning node, and (with Options.RetryOverloaded)
 // backs off per the server's retry-after hint when a request is shed
 // by admission control, then retries.
-func (c *Client) call(ctx context.Context, method string, req, resp any) error {
+func (c *Client) call(ctx context.Context, method string, req wire.BodyEncoder, resp wire.BodyDecoder) error {
 	hops := 0
 	for retried := 0; ; {
 		c.mu.Lock()
@@ -209,7 +196,7 @@ func (c *Client) waitRetry(ctx context.Context, d time.Duration) error {
 }
 
 // callOnce issues one RPC attempt against the current connection.
-func (c *Client) callOnce(ctx context.Context, method string, req, resp any) error {
+func (c *Client) callOnce(ctx context.Context, method string, req wire.BodyEncoder, resp wire.BodyDecoder) error {
 	c.mu.Lock()
 	rpc := c.rpc
 	state := c.state
@@ -291,7 +278,7 @@ func (c *Client) reconnectLoop(sessions []*Session) {
 			c.failures.Add(1)
 			continue
 		}
-		rpc := c.opts.newWireClient(conn)
+		rpc := wire.NewClient(conn)
 		rpc.OnPush(c.onPush)
 		if c.opts.CallTimeout > 0 {
 			rpc.SetCallTimeout(c.opts.CallTimeout)

@@ -113,7 +113,7 @@ func NewOverResolver(dial AddrDialFunc, addrs []string, user string, opts Option
 			lastErr = err
 			continue
 		}
-		c.attach(opts.newWireClient(conn))
+		c.attach(wire.NewClient(conn))
 		return c, nil
 	}
 	return nil, fmt.Errorf("client: no endpoint reachable: %w", lastErr)
@@ -159,7 +159,7 @@ func (c *Client) followRedirect(ctx context.Context, genBefore uint64, addr stri
 	if err != nil {
 		return err
 	}
-	rpc := c.opts.newWireClient(conn)
+	rpc := wire.NewClient(conn)
 	rpc.OnPush(c.onPush)
 	if c.opts.CallTimeout > 0 {
 		rpc.SetCallTimeout(c.opts.CallTimeout)

@@ -283,10 +283,9 @@ func TestOwnerRoutingUnderRedirects(t *testing.T) {
 	}
 }
 
-// TestForwardingServesThroughWrongNode: with Forward on, v2 clients
-// pinned to a non-owner are relayed transparently — the conversation
-// flows (pushes included) while the room lives only on its owner, and
-// a legacy gob client on the same node still gets a redirect.
+// TestForwardingServesThroughWrongNode: with Forward on, clients pinned
+// to a non-owner are relayed transparently — the conversation flows
+// (pushes included) while the room lives only on its owner.
 func TestForwardingServesThroughWrongNode(t *testing.T) {
 	h := newHarness(t, 3, true)
 	owner := h.Nodes[1] // n2
@@ -323,26 +322,7 @@ func TestForwardingServesThroughWrongNode(t *testing.T) {
 		t.Errorf("relay forwards = %d, want >= 4 (two joins + two chats)", f)
 	}
 	if alice.ReconnectStats().Redirects != 0 {
-		t.Errorf("v2 client followed redirects in forward mode")
-	}
-
-	// A gob client cannot be relayed (its frames don't carry encodings
-	// end-to-end), so the same node redirects it to the owner.
-	gobOpts := fastFailover()
-	gobOpts.GobOnly = true
-	legacy, err := client.NewOverResolver(h.ClientFaults.DialContext, h.Addrs(), "legacy", gobOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { legacy.Close() })
-	sl, _, err := legacy.Join(roomName, "p1", 0)
-	if err != nil {
-		t.Fatalf("legacy join: %v", err)
-	}
-	mustChat(t, sl, "legacy-note")
-	colB.waitChats(t, "legacy-note")
-	if legacy.ReconnectStats().Redirects == 0 {
-		t.Errorf("gob client was not redirected to the owner")
+		t.Errorf("client followed redirects in forward mode")
 	}
 }
 

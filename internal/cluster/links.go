@@ -145,13 +145,12 @@ func (n *Node) handleIngress(ctx context.Context, p *wire.Peer, req *proto.NodeI
 // transport failures surface as cluster-unavailable, and the dead link
 // is dropped so the next request redials.
 func (n *Node) forward(ctx context.Context, p *wire.Peer, owner, method string, payload []byte) (any, error) {
-	enc := wire.ContextPayloadEnc(ctx)
 	rpc, err := n.ingressLinkFor(ctx, p, owner)
 	if err != nil {
 		n.forwardErrs.Add(1)
 		return nil, &wire.UnavailableError{Node: n.id, Reason: "relay to " + owner + " failed"}
 	}
-	body, err := rpc.CallRaw(ctx, method, enc, payload)
+	body, err := rpc.CallRaw(ctx, method, payload)
 	if err != nil {
 		if re, ok := err.(*wire.RemoteError); ok {
 			// The relay worked; the owner's handler said no. Pass its
@@ -164,7 +163,7 @@ func (n *Node) forward(ctx context.Context, p *wire.Peer, owner, method string, 
 		return nil, &wire.UnavailableError{Node: n.id, Reason: "relay to " + owner + " failed"}
 	}
 	n.forwards.Add(1)
-	return wire.RawResult{Enc: body.Enc, Payload: body.Data}, nil
+	return wire.RawResult(body), nil
 }
 
 // ingressLinkFor returns (dialing on demand) the origin peer's relay
@@ -282,7 +281,7 @@ func (n *Node) dialIngress(ctx context.Context, p *wire.Peer, owner string) (*wi
 		return nil, err
 	}
 	rpc.OnPush(func(method string, body wire.Body) {
-		_ = p.PushRaw(method, body.Enc, body.Data)
+		_ = p.PushRaw(method, wire.EncBinary, body.Data)
 	})
 	n.wg.Add(1)
 	go func() {

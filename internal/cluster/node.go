@@ -30,12 +30,10 @@ type Config struct {
 	// passes a netsim-faulted dialer here so node links partition and
 	// die with their node.
 	Dial func(ctx context.Context, addr string) (net.Conn, error)
-	// Forward makes this node relay wrong-node requests from protocol-v2
-	// clients transparently to the owner instead of redirecting (gob
-	// clients always get redirects — a relay must preserve payload
-	// encodings end-to-end, which only v2 frames carry). Joins and
-	// mid-session operations forward alike; pushed events relay back
-	// over the same per-client link.
+	// Forward makes this node relay wrong-node requests transparently to
+	// the owner instead of redirecting. Joins and mid-session operations
+	// forward alike; pushed events relay back over the same per-client
+	// link.
 	Forward bool
 	// HeartbeatInterval paces node pings (default 500ms); SuspectAfter
 	// is how stale a peer's last pong may be before it is presumed dead
@@ -506,8 +504,7 @@ const (
 // intercept is the routing tier, inserted between tracing and admission
 // (a redirected or forwarded request never consumes an admission slot).
 // Room-scoped requests are steered to the room's owner: served here,
-// redirected, or — for v2 clients on a forwarding node — relayed
-// transparently. Requests with no room scope (object fetches, stats)
+// redirected, or — on a forwarding node — relayed transparently. Requests with no room scope (object fetches, stats)
 // serve anywhere.
 func (n *Node) intercept(next wire.Handler) wire.Handler {
 	return func(ctx context.Context, p *wire.Peer, payload []byte) (any, error) {
@@ -515,7 +512,7 @@ func (n *Node) intercept(next wire.Handler) wire.Handler {
 		if !proto.RoomScoped(method) {
 			return next(ctx, p, payload)
 		}
-		roomName, ok := proto.RoomOf(method, wire.ContextPayloadEnc(ctx), payload)
+		roomName, ok := proto.RoomOf(method, payload)
 		if !ok {
 			// Undecodable: let the handler produce the real error.
 			return next(ctx, p, payload)
@@ -547,7 +544,7 @@ func (n *Node) intercept(next wire.Handler) wire.Handler {
 			n.redirects.Add(1)
 			return nil, n.redirectTo(owner)
 		}
-		if n.cfg.Forward && p.ProtoVersion() >= wire.ProtoV2 {
+		if n.cfg.Forward {
 			return n.forward(ctx, p, owner, method, payload)
 		}
 		n.redirects.Add(1)

@@ -393,7 +393,7 @@ func (p *e12Pool) cmpOp(cmpID uint64, slo time.Duration) workload.Op {
 		ctx, cancel := context.WithTimeout(ctx, slo)
 		defer cancel()
 		var resp proto.GetCmpResp
-		return c.CallCtx(ctx, proto.MGetCmp, proto.GetCmpReq{ID: cmpID, MaxLayers: 2}, &resp)
+		return c.CallCtx(ctx, proto.MGetCmp, &proto.GetCmpReq{ID: cmpID, MaxLayers: 2}, &resp)
 	}
 }
 
@@ -451,13 +451,13 @@ func (p *e12Probe) once(h *obs.Histogram) error {
 	user := fmt.Sprintf("probe-%d", p.seq.Add(1))
 	var jr proto.JoinRoomResp
 	start = time.Now()
-	err = c.CallCtx(ctx, proto.MJoinRoom, proto.JoinRoomReq{Room: p.room, User: user, DocID: p.docID}, &jr)
+	err = c.CallCtx(ctx, proto.MJoinRoom, &proto.JoinRoomReq{Room: p.room, User: user, DocID: p.docID}, &jr)
 	h.Observe(time.Since(start))
 	if err != nil {
 		return e12Observed(err)
 	}
 	start = time.Now()
-	err = c.CallCtx(ctx, proto.MLeaveRoom, proto.LeaveRoomReq{Room: p.room, User: user}, nil)
+	err = c.CallCtx(ctx, proto.MLeaveRoom, &proto.LeaveRoomReq{Room: p.room, User: user}, nil)
 	h.Observe(time.Since(start))
 	return e12Observed(err)
 }

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"time"
@@ -82,11 +80,8 @@ func diffVsWholeDocument() (diffBytes, docBytes int, mediaBytes int64, err error
 		select {
 		case ev := <-m.Events():
 			if ev.Kind == room.EvChoice || ev.Kind == room.EvPresentation {
-				var buf bytes.Buffer
-				if err := gob.NewEncoder(&buf).Encode(ev); err != nil {
-					return 0, 0, 0, err
-				}
-				diffBytes += buf.Len()
+				payload, _ := ev.EncodeShared() // the bytes the push carries
+				diffBytes += len(payload)
 				got++
 			}
 		case <-deadline:

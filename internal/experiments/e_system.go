@@ -133,6 +133,6 @@ func E1Retrieve(workdir string) (*Table, error) {
 	row("join room + default presentation", docBytes, joinLat)
 
 	t.Notes = append(t.Notes,
-		"LAN-latency measured over loopback TCP with gob serialization; WAN columns are modeled link costs for the same payloads")
+		"LAN-latency measured over loopback TCP with the binary wire codec; WAN columns are modeled link costs for the same payloads")
 	return t, nil
 }

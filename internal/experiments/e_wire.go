@@ -15,20 +15,19 @@ import (
 	"mmconf/internal/workload"
 )
 
-// E14Wire measures what wire protocol v2 buys over the legacy gob
-// stream on the two RPC shapes that dominate a conference: the small
-// control-plane call (ListDocuments — the E12 admission path) and the
-// bulk media fetch (GetCmp, whose payload rides the zero-copy span
-// path from the blob store to writev). For each protocol it reports
-// mean latency, server->client wire bytes per op (from the writer's
-// byte counter), and client-side heap allocations per op. The
-// bytes/alloc collapse from the gob rows to the v2 rows is the PR 7
-// tentpole; BenchmarkE14WireRPC gates it in BENCH_7.json.
+// E14Wire measures the wire codec's cost on the two RPC shapes that
+// dominate a conference: the small control-plane call (ListDocuments —
+// the E12 admission path) and the bulk media fetch (GetCmp, whose
+// payload rides the zero-copy span path from the blob store to writev).
+// It reports mean latency, server->client wire bytes per op (from the
+// writer's byte counter), and client-side heap allocations per op.
+// EXPERIMENTS.md keeps the PR 7 table that set these numbers beside the
+// gob stream v2 replaced; BenchmarkE14WireRPC gates them in BENCH_9.json.
 func E14Wire(workdir string) (*Table, error) {
 	t := &Table{
 		ID:      "E14",
-		Title:   "wire protocol v2 vs gob: codec cost on the RPC hot path",
-		Columns: []string{"proto", "rpc", "mean", "wire-B/op", "client-allocs/op"},
+		Title:   "wire protocol v2: codec cost on the RPC hot path",
+		Columns: []string{"rpc", "mean", "wire-B/op", "client-allocs/op"},
 	}
 
 	db, err := store.Open(workdir+"/e14", store.Options{Sync: store.SyncNever})
@@ -57,63 +56,51 @@ func E14Wire(workdir string) (*Table, error) {
 		ops    = 400
 	)
 	ctx := context.Background()
-	for _, mode := range []struct {
+	c, err := wire.Dial(l.Addr().String())
+	if err != nil {
+		return nil, err
+	}
+	defer c.Close()
+	calls := []struct {
 		name string
-		ver  uint8
+		do   func() error
 	}{
-		{"gob", wire.ProtoGob},
-		{"v2", wire.ProtoV2},
-	} {
-		conn, err := net.Dial("tcp", l.Addr().String())
-		if err != nil {
-			return nil, err
-		}
-		c := wire.NewClientVersion(conn, mode.ver)
-		calls := []struct {
-			name string
-			do   func() error
-		}{
-			{"ListDocuments", func() error {
-				var resp proto.ListDocumentsResp
-				return c.CallCtx(ctx, proto.MListDocuments, &proto.ListDocumentsReq{}, &resp)
-			}},
-			{"GetCmp", func() error {
-				var resp proto.GetCmpResp
-				return c.CallCtx(ctx, proto.MGetCmp, &proto.GetCmpReq{ID: rec.CmpID, MaxLayers: 2}, &resp)
-			}},
-		}
-		for _, call := range calls {
-			for i := 0; i < warmup; i++ {
-				if err := call.do(); err != nil {
-					c.Close()
-					return nil, fmt.Errorf("E14 %s/%s warmup: %w", mode.name, call.name, err)
-				}
+		{"ListDocuments", func() error {
+			var resp proto.ListDocumentsResp
+			return c.CallCtx(ctx, proto.MListDocuments, &proto.ListDocumentsReq{}, &resp)
+		}},
+		{"GetCmp", func() error {
+			var resp proto.GetCmpResp
+			return c.CallCtx(ctx, proto.MGetCmp, &proto.GetCmpReq{ID: rec.CmpID, MaxLayers: 2}, &resp)
+		}},
+	}
+	for _, call := range calls {
+		for i := 0; i < warmup; i++ {
+			if err := call.do(); err != nil {
+				return nil, fmt.Errorf("E14 %s warmup: %w", call.name, err)
 			}
-			bytesBefore := srv.MetricsSnapshot().Counters[wire.CounterWriterBytes]
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			mallocsBefore := ms.Mallocs
-			start := time.Now()
-			for i := 0; i < ops; i++ {
-				if err := call.do(); err != nil {
-					c.Close()
-					return nil, fmt.Errorf("E14 %s/%s: %w", mode.name, call.name, err)
-				}
-			}
-			mean := time.Since(start) / ops
-			runtime.ReadMemStats(&ms)
-			// One flush per response on an idle connection, so the byte
-			// counter delta is this client's response traffic.
-			bytesAfter := srv.MetricsSnapshot().Counters[wire.CounterWriterBytes]
-			t.Rows = append(t.Rows, []string{
-				mode.name,
-				call.name,
-				fmtDur(mean),
-				fmt.Sprint((bytesAfter - bytesBefore) / ops),
-				fmt.Sprint((ms.Mallocs - mallocsBefore) / ops),
-			})
 		}
-		c.Close()
+		bytesBefore := srv.MetricsSnapshot().Counters[wire.CounterWriterBytes]
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		mallocsBefore := ms.Mallocs
+		start := time.Now()
+		for i := 0; i < ops; i++ {
+			if err := call.do(); err != nil {
+				return nil, fmt.Errorf("E14 %s: %w", call.name, err)
+			}
+		}
+		mean := time.Since(start) / ops
+		runtime.ReadMemStats(&ms)
+		// One flush per response on an idle connection, so the byte
+		// counter delta is this client's response traffic.
+		bytesAfter := srv.MetricsSnapshot().Counters[wire.CounterWriterBytes]
+		t.Rows = append(t.Rows, []string{
+			call.name,
+			fmtDur(mean),
+			fmt.Sprint((bytesAfter - bytesBefore) / ops),
+			fmt.Sprint((ms.Mallocs - mallocsBefore) / ops),
+		})
 	}
 	gets, misses := wire.PoolStats()
 	if gets > 0 {
@@ -123,6 +110,6 @@ func E14Wire(workdir string) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"wire-B/op counts server->client bytes (responses incl. framing); client-allocs/op is process-wide Mallocs delta / ops",
-		"v2 GetCmp payload bytes travel blob->writev unre-encoded (zero-copy spans); gob re-encodes them per response")
+		"GetCmp payload bytes travel blob->writev unre-encoded (zero-copy spans)")
 	return t, nil
 }

@@ -60,7 +60,7 @@ func (ds *Dataset) Handles() []blob.Handle {
 	seen := make(map[blob.Digest]bool)
 	var out []blob.Handle
 	add := func(h blob.Handle) {
-		if h.IsZero() || h.Legacy() || seen[h.Digest] {
+		if h.IsZero() || seen[h.Digest] {
 			return
 		}
 		seen[h.Digest] = true

@@ -31,13 +31,15 @@ const (
 
 // Method codes for v2 framing, continuing the append-only space started
 // in codec2.go (1–24).
+var nodeMethodCodes = map[uint16]string{
+	25: MNodeHello,
+	26: MNodePing,
+	27: MNodeIngress,
+	28: MNodeReplicate,
+}
+
 func init() {
-	for code, method := range map[uint16]string{
-		25: MNodeHello,
-		26: MNodePing,
-		27: MNodeIngress,
-		28: MNodeReplicate,
-	} {
+	for code, method := range nodeMethodCodes {
 		wire.RegisterMethodCode(code, method)
 	}
 }

@@ -1,50 +1,56 @@
-// Binary (wire v2) codecs for the high-traffic request/response bodies:
-// media fetches (GetDocument/GetImage/GetAudio/GetCmp), presentation
-// choices, join/resume, history replay, chat, and the catalog listing
-// the benchmarks hammer. Each codec writes fields in declaration order
-// with the wire.BodyEnc primitives; large payloads go through RawBytes,
-// so a blob chunk read from the CAS is referenced — never copied — all
-// the way to the socket's writev. Bodies without a codec here (admin
-// and observability methods) keep traveling as gob inside v2 frames.
+// Binary (wire v2) codecs for the client-plane request/response bodies.
+// Each codec writes fields in declaration order with the wire.BodyEnc
+// primitives; large payloads go through RawBytes, so a blob chunk read
+// from the CAS is referenced — never copied — all the way to the
+// socket's writev. Every room-scoped request encodes Room first, which
+// is what lets a routing tier read the room name without decoding the
+// body (route.go). The operator-facing sys.stats and sys.traces
+// responses are cold and map-heavy: they carry their body as one JSON
+// blob.
 //
 // Every method also gets a stable u16 code so v2 frames carry 2 bytes
 // instead of the method-name string.
 package proto
 
 import (
+	"encoding/json"
+	"fmt"
+
 	"mmconf/internal/room"
 	"mmconf/internal/wire"
 )
 
 // Method codes for v2 framing. Append-only: codes are protocol surface
 // shared by every binary speaking v2, so renumbering is a wire break.
+var clientMethodCodes = map[uint16]string{
+	1:  MListDocuments,
+	2:  MGetDocument,
+	3:  MGetImage,
+	4:  MGetAudio,
+	5:  MGetCmp,
+	6:  MPutImageTexts,
+	7:  MJoinRoom,
+	8:  MLeaveRoom,
+	9:  MChoice,
+	10: MOperation,
+	11: MAnnotate,
+	12: MDeleteAnnotation,
+	13: MFreeze,
+	14: MRelease,
+	15: MShareSearch,
+	16: MChat,
+	17: MHistory,
+	18: MBroadcastStart,
+	19: MBroadcastStop,
+	20: MSaveMinutes,
+	21: MStats,
+	22: MTraces,
+	23: MEvent,
+	24: MPrefetchPush,
+}
+
 func init() {
-	for code, method := range map[uint16]string{
-		1:  MListDocuments,
-		2:  MGetDocument,
-		3:  MGetImage,
-		4:  MGetAudio,
-		5:  MGetCmp,
-		6:  MPutImageTexts,
-		7:  MJoinRoom,
-		8:  MLeaveRoom,
-		9:  MChoice,
-		10: MOperation,
-		11: MAnnotate,
-		12: MDeleteAnnotation,
-		13: MFreeze,
-		14: MRelease,
-		15: MShareSearch,
-		16: MChat,
-		17: MHistory,
-		18: MBroadcastStart,
-		19: MBroadcastStop,
-		20: MSaveMinutes,
-		21: MStats,
-		22: MTraces,
-		23: MEvent,
-		24: MPrefetchPush,
-	} {
+	for code, method := range clientMethodCodes {
 		wire.RegisterMethodCode(code, method)
 	}
 }
@@ -187,6 +193,19 @@ func (r *GetCmpResp) DecodeBody(d *wire.Dec) error {
 	r.Header = d.Bytes()
 	r.Data = d.Bytes()
 	r.NotModified = d.Bool()
+	return d.Err()
+}
+
+// AppendBody implements wire.BodyEncoder.
+func (r *PutImageTextsReq) AppendBody(e *wire.BodyEnc) {
+	e.Uvarint(r.ID)
+	e.String(r.Texts)
+}
+
+// DecodeBody implements wire.BodyDecoder.
+func (r *PutImageTextsReq) DecodeBody(d *wire.Dec) error {
+	r.ID = d.Uvarint()
+	r.Texts = d.String()
 	return d.Err()
 }
 
@@ -333,6 +352,193 @@ func (r *HistoryResp) DecodeBody(d *wire.Dec) error {
 	return d.Err()
 }
 
+// AppendBody implements wire.BodyEncoder.
+func (r *OperationReq) AppendBody(e *wire.BodyEnc) {
+	e.String(r.Room)
+	e.String(r.User)
+	e.String(r.Component)
+	e.String(r.Op)
+	e.String(r.ActiveWhen)
+	e.Bool(r.Private)
+}
+
+// DecodeBody implements wire.BodyDecoder.
+func (r *OperationReq) DecodeBody(d *wire.Dec) error {
+	r.Room = d.String()
+	r.User = d.String()
+	r.Component = d.String()
+	r.Op = d.String()
+	r.ActiveWhen = d.String()
+	r.Private = d.Bool()
+	return d.Err()
+}
+
+// AppendBody implements wire.BodyEncoder.
+func (r *OperationResp) AppendBody(e *wire.BodyEnc) { e.String(r.DerivedVar) }
+
+// DecodeBody implements wire.BodyDecoder.
+func (r *OperationResp) DecodeBody(d *wire.Dec) error {
+	r.DerivedVar = d.String()
+	return d.Err()
+}
+
+// AppendBody implements wire.BodyEncoder.
+func (r *AnnotateReq) AppendBody(e *wire.BodyEnc) {
+	e.String(r.Room)
+	e.String(r.User)
+	e.Uvarint(r.ObjectID)
+	e.Varint(int64(r.Kind))
+	e.Varint(int64(r.X1))
+	e.Varint(int64(r.Y1))
+	e.Varint(int64(r.X2))
+	e.Varint(int64(r.Y2))
+	e.String(r.Text)
+	e.F64(r.Intensity)
+}
+
+// DecodeBody implements wire.BodyDecoder.
+func (r *AnnotateReq) DecodeBody(d *wire.Dec) error {
+	r.Room = d.String()
+	r.User = d.String()
+	r.ObjectID = d.Uvarint()
+	r.Kind = int(d.Varint())
+	r.X1 = int(d.Varint())
+	r.Y1 = int(d.Varint())
+	r.X2 = int(d.Varint())
+	r.Y2 = int(d.Varint())
+	r.Text = d.String()
+	r.Intensity = d.F64()
+	return d.Err()
+}
+
+// AppendBody implements wire.BodyEncoder.
+func (r *AnnotateResp) AppendBody(e *wire.BodyEnc) { e.Varint(int64(r.AnnotationID)) }
+
+// DecodeBody implements wire.BodyDecoder.
+func (r *AnnotateResp) DecodeBody(d *wire.Dec) error {
+	r.AnnotationID = int(d.Varint())
+	return d.Err()
+}
+
+// AppendBody implements wire.BodyEncoder.
+func (r *DeleteAnnotationReq) AppendBody(e *wire.BodyEnc) {
+	e.String(r.Room)
+	e.String(r.User)
+	e.Uvarint(r.ObjectID)
+	e.Varint(int64(r.AnnotationID))
+}
+
+// DecodeBody implements wire.BodyDecoder.
+func (r *DeleteAnnotationReq) DecodeBody(d *wire.Dec) error {
+	r.Room = d.String()
+	r.User = d.String()
+	r.ObjectID = d.Uvarint()
+	r.AnnotationID = int(d.Varint())
+	return d.Err()
+}
+
+// AppendBody implements wire.BodyEncoder (ReleaseReq aliases FreezeReq).
+func (r *FreezeReq) AppendBody(e *wire.BodyEnc) {
+	e.String(r.Room)
+	e.String(r.User)
+	e.Uvarint(r.ObjectID)
+}
+
+// DecodeBody implements wire.BodyDecoder.
+func (r *FreezeReq) DecodeBody(d *wire.Dec) error {
+	r.Room = d.String()
+	r.User = d.String()
+	r.ObjectID = d.Uvarint()
+	return d.Err()
+}
+
+// AppendBody implements wire.BodyEncoder.
+func (r *ShareSearchReq) AppendBody(e *wire.BodyEnc) {
+	e.String(r.Room)
+	e.String(r.User)
+	e.Bool(r.Speaker)
+	e.String(r.Keyword)
+	room.AppendHits(e, r.Hits)
+}
+
+// DecodeBody implements wire.BodyDecoder.
+func (r *ShareSearchReq) DecodeBody(d *wire.Dec) error {
+	r.Room = d.String()
+	r.User = d.String()
+	r.Speaker = d.Bool()
+	r.Keyword = d.String()
+	r.Hits = room.DecodeHits(d)
+	return d.Err()
+}
+
+// AppendBody implements wire.BodyEncoder.
+func (r *BroadcastReq) AppendBody(e *wire.BodyEnc) {
+	e.String(r.Room)
+	e.String(r.User)
+}
+
+// DecodeBody implements wire.BodyDecoder.
+func (r *BroadcastReq) DecodeBody(d *wire.Dec) error {
+	r.Room = d.String()
+	r.User = d.String()
+	return d.Err()
+}
+
+// AppendBody implements wire.BodyEncoder.
+func (r *SaveMinutesReq) AppendBody(e *wire.BodyEnc) {
+	e.String(r.Room)
+	e.String(r.User)
+}
+
+// DecodeBody implements wire.BodyDecoder.
+func (r *SaveMinutesReq) DecodeBody(d *wire.Dec) error {
+	r.Room = d.String()
+	r.User = d.String()
+	return d.Err()
+}
+
+// AppendBody implements wire.BodyEncoder.
+func (r *SaveMinutesResp) AppendBody(e *wire.BodyEnc) { e.String(r.Component) }
+
+// DecodeBody implements wire.BodyDecoder.
+func (r *SaveMinutesResp) DecodeBody(d *wire.Dec) error {
+	r.Component = d.String()
+	return d.Err()
+}
+
+// --- observability --------------------------------------------------------
+
+// AppendBody implements wire.BodyEncoder.
+func (*StatsReq) AppendBody(*wire.BodyEnc) {}
+
+// DecodeBody implements wire.BodyDecoder.
+func (*StatsReq) DecodeBody(d *wire.Dec) error { return d.Err() }
+
+// AppendBody implements wire.BodyEncoder.
+func (r *StatsResp) AppendBody(e *wire.BodyEnc) { appendJSON(e, r) }
+
+// DecodeBody implements wire.BodyDecoder.
+func (r *StatsResp) DecodeBody(d *wire.Dec) error { return decodeJSON(d, r) }
+
+// AppendBody implements wire.BodyEncoder.
+func (r *TracesReq) AppendBody(e *wire.BodyEnc) {
+	e.Uvarint(r.ID)
+	e.Varint(int64(r.Limit))
+}
+
+// DecodeBody implements wire.BodyDecoder.
+func (r *TracesReq) DecodeBody(d *wire.Dec) error {
+	r.ID = d.Uvarint()
+	r.Limit = int(d.Varint())
+	return d.Err()
+}
+
+// AppendBody implements wire.BodyEncoder.
+func (r *TracesResp) AppendBody(e *wire.BodyEnc) { appendJSON(e, r) }
+
+// DecodeBody implements wire.BodyDecoder.
+func (r *TracesResp) DecodeBody(d *wire.Dec) error { return decodeJSON(d, r) }
+
 // --- push-prefetch --------------------------------------------------------
 
 // AppendBody implements wire.BodyEncoder.
@@ -353,6 +559,26 @@ func (r *PrefetchPush) DecodeBody(d *wire.Dec) error {
 }
 
 // --- shared helpers -------------------------------------------------------
+
+// appendJSON writes v as one length-prefixed JSON blob. The bodies that
+// use it hold only strings, integers, durations and times, which
+// encoding/json cannot fail on.
+func appendJSON(e *wire.BodyEnc, v any) {
+	data, err := json.Marshal(v)
+	if err != nil {
+		panic(fmt.Sprintf("proto: json encode %T: %v", v, err))
+	}
+	e.RawBytes(data)
+}
+
+// decodeJSON reads the blob appendJSON wrote into v.
+func decodeJSON(d *wire.Dec, v any) error {
+	data := d.Bytes()
+	if err := d.Err(); err != nil {
+		return err
+	}
+	return json.Unmarshal(data, v)
+}
 
 func appendStrings(e *wire.BodyEnc, ss []string) {
 	e.Uvarint(uint64(len(ss)))

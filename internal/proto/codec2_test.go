@@ -1,8 +1,11 @@
 package proto
 
 import (
+	"bytes"
+	"encoding/gob"
 	"reflect"
 	"testing"
+	"time"
 
 	"mmconf/internal/media/image"
 	"mmconf/internal/media/voice"
@@ -128,6 +131,60 @@ func codecCases() []codecCase {
 		{"HistoryReq", &HistoryReq{Room: "consult", Since: 12}, &HistoryReq{}},
 		{"HistoryResp", &HistoryResp{Events: sampleEvents()}, &HistoryResp{}},
 		{"HistoryResp/empty", &HistoryResp{}, &HistoryResp{}},
+		{"PutImageTextsReq", &PutImageTextsReq{ID: 45, Texts: "lesion, upper-left"}, &PutImageTextsReq{}},
+		{"OperationReq", &OperationReq{
+			Room: "consult", User: "alice", Component: "ct", Op: "zoom",
+			ActiveWhen: "always", Private: true,
+		}, &OperationReq{}},
+		{"OperationResp", &OperationResp{DerivedVar: "ct.zoom"}, &OperationResp{}},
+		{"AnnotateReq", &AnnotateReq{
+			Room: "consult", User: "bob", ObjectID: 9, Kind: 1,
+			X1: 1, Y1: -2, X2: 300, Y2: 4, Text: "note", Intensity: 0.5,
+		}, &AnnotateReq{}},
+		{"AnnotateResp", &AnnotateResp{AnnotationID: -7}, &AnnotateResp{}},
+		{"DeleteAnnotationReq", &DeleteAnnotationReq{
+			Room: "consult", User: "bob", ObjectID: 9, AnnotationID: 2,
+		}, &DeleteAnnotationReq{}},
+		{"FreezeReq", &FreezeReq{Room: "consult", User: "bob", ObjectID: 9}, &FreezeReq{}},
+		{"ReleaseReq", &ReleaseReq{Room: "consult", User: "alice", ObjectID: 9}, &ReleaseReq{}},
+		{"ShareSearchReq", &ShareSearchReq{
+			Room: "consult", User: "alice", Speaker: true, Keyword: "tumor",
+			Hits: []voice.Hit{{Word: "tumor", Start: 100, End: 250, Score: -1.25}},
+		}, &ShareSearchReq{}},
+		{"ShareSearchReq/nohits", &ShareSearchReq{Room: "consult", User: "alice", Keyword: "x"}, &ShareSearchReq{}},
+		{"BroadcastReq", &BroadcastReq{Room: "consult", User: "alice"}, &BroadcastReq{}},
+		{"SaveMinutesReq", &SaveMinutesReq{Room: "consult", User: "alice"}, &SaveMinutesReq{}},
+		{"SaveMinutesResp", &SaveMinutesResp{Component: "minutes"}, &SaveMinutesResp{}},
+		{"StatsReq", &StatsReq{}, &StatsReq{}},
+		{"StatsResp", &StatsResp{
+			Methods: map[string]MethodSummary{
+				MChoice: {Requests: 100, Errors: 1, Mean: time.Millisecond,
+					Max: 20 * time.Millisecond, P50: time.Millisecond,
+					P90: 3 * time.Millisecond, P99: 15 * time.Millisecond},
+			},
+			Counters: map[string]uint64{"push.events": 400, "wire.writer_bytes": 1<<63 + 5},
+			Gauges:   map[string]int64{"wire.peers": 4, "cache.obj.bytes": -1 << 40},
+			Rooms: []RoomStatus{{
+				Name: "consult", Members: 4, Detached: 1, QueuedEvents: 2,
+				QueuedBytes: 1 << 33, MaxQueueDepth: 256, BufferedEvents: 64,
+			}},
+		}, &StatsResp{}},
+		{"StatsResp/empty", &StatsResp{}, &StatsResp{}},
+		{"TracesReq", &TracesReq{ID: 0xdeadbeef, Limit: 5}, &TracesReq{}},
+		{"TracesResp", &TracesResp{Traces: []TraceInfo{{
+			ID: 1<<63 + 77, Method: MChoice, Peer: 3,
+			Start: time.Unix(1700000000, 123456789).UTC(),
+			Total: 300 * time.Millisecond, Err: "deadline exceeded",
+			Spans: []TraceSpan{
+				{Name: "decode", Start: 0, Dur: time.Millisecond},
+				{Name: "handle", Start: time.Millisecond, Dur: 299 * time.Millisecond},
+			},
+		}}}, &TracesResp{}},
+		{"TracesResp/empty", &TracesResp{}, &TracesResp{}},
+		{"PrefetchPush", &PrefetchPush{
+			Room: "consult", ObjectID: 12, Digest: []byte{1, 2, 3}, Data: big,
+		}, &PrefetchPush{}},
+		{"None", &wire.None{}, &wire.None{}},
 		{"SyncManifestReq", &SyncManifestReq{
 			Room: "consult", Node: "n1", DocID: "p1", Title: "Case 1",
 			DocBlob: BlobRef{Digest: []byte{1, 1, 1}, Length: 256},
@@ -163,10 +220,30 @@ func codecCases() []codecCase {
 	}
 }
 
-// TestBinaryCodecsMatchGob checks, for every body with a binary codec,
-// that the binary round trip reproduces exactly the struct gob would:
-// the two encodings must be interchangeable because a mixed-version
-// room serves the same body over both.
+// gobRoundTrip copies v (a pointer to a body) through encoding/gob into
+// a fresh value of the same type — the reference the hand-written
+// codecs are checked against: reflection-driven, so it cannot share a
+// field-order or omission mistake with them. A fieldless body, which
+// gob refuses to encode, is its own reference.
+func gobRoundTrip(t *testing.T, v any) any {
+	t.Helper()
+	out := reflect.New(reflect.TypeOf(v).Elem()).Interface()
+	if reflect.TypeOf(v).Elem().NumField() == 0 {
+		return out
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatalf("gob encode %T: %v", v, err)
+	}
+	if err := gob.NewDecoder(&buf).Decode(out); err != nil {
+		t.Fatalf("gob decode %T: %v", v, err)
+	}
+	return out
+}
+
+// TestBinaryCodecsMatchGob checks, for every body, that the binary
+// round trip reproduces the source struct, and exactly the struct a gob
+// round trip (the reference) would.
 func TestBinaryCodecsMatchGob(t *testing.T) {
 	for _, tc := range codecCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -177,16 +254,7 @@ func TestBinaryCodecsMatchGob(t *testing.T) {
 			if !reflect.DeepEqual(tc.in, tc.out) {
 				t.Errorf("binary round trip:\n in: %+v\nout: %+v", tc.in, tc.out)
 			}
-			// Cross-check against gob: same source struct, same result.
-			gobBytes, err := wire.Marshal(tc.in)
-			if err != nil {
-				t.Fatalf("gob encode: %v", err)
-			}
-			viaGob := reflect.New(reflect.TypeOf(tc.in).Elem()).Interface()
-			if err := wire.Unmarshal(gobBytes, viaGob); err != nil {
-				t.Fatalf("gob decode: %v", err)
-			}
-			if !reflect.DeepEqual(viaGob, tc.out) {
+			if viaGob := gobRoundTrip(t, tc.in); !reflect.DeepEqual(viaGob, tc.out) {
 				t.Errorf("binary and gob round trips disagree:\ngob: %+v\nbin: %+v", viaGob, tc.out)
 			}
 		})
@@ -194,39 +262,42 @@ func TestBinaryCodecsMatchGob(t *testing.T) {
 }
 
 // TestBinaryCodecRejectsTrailingBytes checks the strict-consumption
-// guard: a payload with junk after the body must not decode silently.
+// guard on every body: a payload with junk after it must not decode
+// silently.
 func TestBinaryCodecRejectsTrailingBytes(t *testing.T) {
-	data := wire.MarshalBody(&ChatReq{Room: "r", User: "u", Text: "t"})
-	data = append(data, 0xFF)
-	if err := wire.DecodeBodyBytes(data, &ChatReq{}); err == nil {
-		t.Fatal("trailing bytes accepted")
-	}
-}
-
-// TestBinaryCodecTruncation checks every prefix of a complex encoded
-// body fails cleanly (error, not panic or false success).
-func TestBinaryCodecTruncation(t *testing.T) {
-	full := wire.MarshalBody(&JoinRoomResp{
-		DocData: []byte("doc"), History: sampleEvents(),
-		Outcome: map[string]string{"ct": "raw"},
-		Visible: map[string]bool{"img.1": true},
-		Resumed: true, LastSeq: 7,
-	})
-	for n := 0; n < len(full); n++ {
-		if err := wire.DecodeBodyBytes(full[:n], &JoinRoomResp{}); err == nil {
-			t.Fatalf("truncation at %d/%d bytes decoded successfully", n, len(full))
+	for _, tc := range codecCases() {
+		data := append(wire.MarshalBody(tc.in), 0xFF)
+		if err := wire.DecodeBodyBytes(data, tc.out); err == nil {
+			t.Errorf("%s: trailing byte accepted", tc.name)
 		}
 	}
 }
 
-// TestEventCodecSharedEncoding checks room.MarshalEventBinary (the
-// fan-out path's FormatBinary marshal) agrees with the event's own
-// codec and decodes back to the source event.
+// TestBinaryCodecTruncation checks every proper prefix of every encoded
+// body fails cleanly (error, not panic or false success).
+func TestBinaryCodecTruncation(t *testing.T) {
+	for _, tc := range codecCases() {
+		full := wire.MarshalBody(tc.in)
+		for n := 0; n < len(full); n++ {
+			fresh := reflect.New(reflect.TypeOf(tc.out).Elem()).Interface().(wire.BodyDecoder)
+			if err := wire.DecodeBodyBytes(full[:n], fresh); err == nil {
+				t.Fatalf("%s: truncation at %d/%d bytes decoded successfully", tc.name, n, len(full))
+			}
+		}
+	}
+}
+
+// TestEventCodecSharedEncoding checks room.MarshalEventBinary and the
+// fan-out path's EncodeShared agree with the event's own codec and
+// decode back to the source event.
 func TestEventCodecSharedEncoding(t *testing.T) {
 	for _, ev := range sampleEvents() {
 		data, err := room.MarshalEventBinary(ev)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if shared, _ := ev.EncodeShared(); !bytes.Equal(shared, data) {
+			t.Errorf("EncodeShared and MarshalEventBinary disagree on event %d", ev.Seq)
 		}
 		var out room.Event
 		if err := wire.DecodeBodyBytes(data, &out); err != nil {

@@ -3,16 +3,19 @@ package proto
 import (
 	"testing"
 
+	"mmconf/internal/media/voice"
 	"mmconf/internal/room"
 	"mmconf/internal/wire"
 )
 
-// FuzzRouteFrame throws arbitrary payload bytes at the cluster-plane
-// body codecs (node hello/ping, forwarded ingress, event-log
-// replication) and the routing error parsers. Decoders must never
-// panic, whatever lengths or truncations arrive; any accepted body must
-// re-encode and re-decode identically (the codec is its own inverse);
-// any accepted routing error string must round-trip through Error().
+// FuzzRouteFrame throws arbitrary payload bytes at what a routing node
+// reads first: the cluster-plane body codecs (node hello/ping,
+// forwarded ingress, event-log replication), the room-scoped client
+// requests it steers by their leading Room field, and the routing error
+// parsers. Decoders and RoomOf must never panic, whatever lengths or
+// truncations arrive; any accepted body must re-encode and re-decode
+// identically (the codec is its own inverse); any accepted routing
+// error string must round-trip through Error().
 func FuzzRouteFrame(f *testing.F) {
 	seeds := []wire.BodyEncoder{
 		&NodeHelloReq{Node: "n1", Addr: "127.0.0.1:7070", Epoch: 3},
@@ -29,6 +32,14 @@ func FuzzRouteFrame(f *testing.F) {
 			},
 		},
 		&ReplicateResp{Seq: 19},
+		&OperationReq{Room: "tumor-board", User: "alice", Component: "ct", Op: "zoom", ActiveWhen: "always", Private: true},
+		&AnnotateReq{Room: "tumor-board", User: "bob", ObjectID: 9, Kind: 1, X1: 1, Y1: -2, X2: 3, Y2: 4, Text: "note", Intensity: 0.5},
+		&DeleteAnnotationReq{Room: "tumor-board", User: "bob", ObjectID: 9, AnnotationID: 2},
+		&FreezeReq{Room: "tumor-board", User: "bob", ObjectID: 9},
+		&ShareSearchReq{Room: "tumor-board", User: "alice", Speaker: true, Keyword: "tumor",
+			Hits: []voice.Hit{{Word: "tumor", Start: 100, End: 250, Score: -1.25}}},
+		&BroadcastReq{Room: "tumor-board", User: "alice"},
+		&SaveMinutesReq{Room: "tumor-board", User: "alice"},
 	}
 	for _, b := range seeds {
 		data := wire.MarshalBody(b)
@@ -51,6 +62,13 @@ func FuzzRouteFrame(f *testing.F) {
 		func() wire.BodyDecoder { return new(NodeIngressResp) },
 		func() wire.BodyDecoder { return new(ReplicateReq) },
 		func() wire.BodyDecoder { return new(ReplicateResp) },
+		func() wire.BodyDecoder { return new(OperationReq) },
+		func() wire.BodyDecoder { return new(AnnotateReq) },
+		func() wire.BodyDecoder { return new(DeleteAnnotationReq) },
+		func() wire.BodyDecoder { return new(FreezeReq) },
+		func() wire.BodyDecoder { return new(ShareSearchReq) },
+		func() wire.BodyDecoder { return new(BroadcastReq) },
+		func() wire.BodyDecoder { return new(SaveMinutesReq) },
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, mk := range fresh {
@@ -69,6 +87,14 @@ func FuzzRouteFrame(f *testing.F) {
 			}
 			if len(wire.MarshalBody(v2.(wire.BodyEncoder))) != len(out) {
 				t.Fatalf("%T: re-encode not a fixed point", v)
+			}
+		}
+		// The router reads the room name off the front of whatever
+		// arrives: it must agree with a full decode whenever one succeeds.
+		if name, ok := RoomOf(MFreeze, data); ok {
+			var req FreezeReq
+			if err := wire.DecodeBodyBytes(data, &req); err == nil && req.Room != name {
+				t.Fatalf("RoomOf = %q but the body decodes to room %q", name, req.Room)
 			}
 		}
 		// The routing errors cross the wire as strings (twice, through a

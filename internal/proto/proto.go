@@ -1,7 +1,8 @@
 // Package proto defines the request/response bodies exchanged between the
 // client module and the interaction server — the remote interface that
-// RMI exposes in the paper's implementation (§5.3). Both sides gob-encode
-// these through package wire.
+// RMI exposes in the paper's implementation (§5.3). Every body has a
+// hand-written binary codec (codec2.go, cluster.go, sync.go) and crosses
+// the network through package wire.
 package proto
 
 import (

@@ -11,55 +11,129 @@ import (
 	"mmconf/internal/wire"
 )
 
-// roundTrip gob-encodes v through the wire codec into a fresh value of
-// the same type and returns it for comparison. Every body the protocol
-// defines must survive this unchanged — it is exactly what happens to a
-// request between client and server.
-func roundTrip(t *testing.T, v any) any {
+// body is what every protocol body must be: encodable and decodable by
+// its own hand-written codec.
+type body interface {
+	wire.BodyEncoder
+	wire.BodyDecoder
+}
+
+// roundTrip encodes v with its codec and decodes the bytes into a fresh
+// value of the same type — exactly what happens to a body between
+// client and server.
+func roundTrip[T any, P interface {
+	*T
+	body
+}](t *testing.T, v P) P {
 	t.Helper()
-	data, err := wire.Marshal(v)
-	if err != nil {
-		t.Fatalf("marshal %T: %v", v, err)
+	out := P(new(T))
+	if err := wire.DecodeBodyBytes(wire.MarshalBody(v), out); err != nil {
+		t.Fatalf("round trip %T: %v", v, err)
 	}
-	out := reflect.New(reflect.TypeOf(v))
-	if err := wire.Unmarshal(data, out.Interface()); err != nil {
-		t.Fatalf("unmarshal %T: %v", v, err)
-	}
-	return out.Elem().Interface()
+	return out
 }
 
 // check round-trips v and requires deep equality.
-func check(t *testing.T, v any) {
+func check[T any, P interface {
+	*T
+	body
+}](t *testing.T, v P) {
 	t.Helper()
-	if got := roundTrip(t, v); !reflect.DeepEqual(got, v) {
+	if got := roundTrip[T](t, v); !reflect.DeepEqual(got, v) {
 		t.Errorf("%T round-trip mismatch:\n got  %+v\n want %+v", v, got, v)
 	}
 }
 
+// TestEveryMethodHasCodecs pairs every registered method with its
+// request and response type: each must carry a codec (the compiler
+// checks that — the table would not build otherwise) whose empty value
+// round-trips, and no registered method may be missing from the table.
+func TestEveryMethodHasCodecs(t *testing.T) {
+	type pair struct{ req, resp body }
+	none := func() body { return &wire.None{} }
+	methods := map[string]pair{
+		MListDocuments:    {&ListDocumentsReq{}, &ListDocumentsResp{}},
+		MGetDocument:      {&GetDocumentReq{}, &GetDocumentResp{}},
+		MGetImage:         {&GetImageReq{}, &GetImageResp{}},
+		MGetAudio:         {&GetAudioReq{}, &GetAudioResp{}},
+		MGetCmp:           {&GetCmpReq{}, &GetCmpResp{}},
+		MPutImageTexts:    {&PutImageTextsReq{}, none()},
+		MJoinRoom:         {&JoinRoomReq{}, &JoinRoomResp{}},
+		MLeaveRoom:        {&LeaveRoomReq{}, none()},
+		MChoice:           {&ChoiceReq{}, none()},
+		MOperation:        {&OperationReq{}, &OperationResp{}},
+		MAnnotate:         {&AnnotateReq{}, &AnnotateResp{}},
+		MDeleteAnnotation: {&DeleteAnnotationReq{}, none()},
+		MFreeze:           {&FreezeReq{}, none()},
+		MRelease:          {&ReleaseReq{}, none()},
+		MShareSearch:      {&ShareSearchReq{}, none()},
+		MChat:             {&ChatReq{}, none()},
+		MHistory:          {&HistoryReq{}, &HistoryResp{}},
+		MBroadcastStart:   {&BroadcastReq{}, none()},
+		MBroadcastStop:    {&BroadcastReq{}, none()},
+		MSaveMinutes:      {&SaveMinutesReq{}, &SaveMinutesResp{}},
+		MStats:            {&StatsReq{}, &StatsResp{}},
+		MTraces:           {&TracesReq{}, &TracesResp{}},
+		MEvent:            {&room.Event{}, none()},   // push: the body travels server → client
+		MPrefetchPush:     {&PrefetchPush{}, none()}, // push
+		MNodeHello:        {&NodeHelloReq{}, &NodeHelloResp{}},
+		MNodePing:         {&NodePingReq{}, &NodePingResp{}},
+		MNodeIngress:      {&NodeIngressReq{}, &NodeIngressResp{}},
+		MNodeReplicate:    {&ReplicateReq{}, &ReplicateResp{}},
+		MNodeSyncManifest: {&SyncManifestReq{}, &SyncManifestResp{}},
+		MNodeFetchChunks:  {&FetchChunksReq{}, &FetchChunksResp{}},
+	}
+	for _, codes := range []map[uint16]string{clientMethodCodes, nodeMethodCodes, syncMethodCodes} {
+		for code, m := range codes {
+			if _, ok := methods[m]; !ok {
+				t.Errorf("method %s (code %d) is registered but missing from the table", m, code)
+			}
+		}
+	}
+	for m, p := range methods {
+		for _, b := range []body{p.req, p.resp} {
+			fresh := reflect.New(reflect.TypeOf(b).Elem()).Interface().(body)
+			if err := wire.DecodeBodyBytes(wire.MarshalBody(b), fresh); err != nil {
+				t.Errorf("%s: %T: %v", m, b, err)
+			}
+		}
+		// Every room-scoped request leads with Room, so the routing tier
+		// can read it without knowing the body.
+		if RoomScoped(m) {
+			v := reflect.New(reflect.TypeOf(p.req).Elem())
+			v.Elem().FieldByName("Room").SetString("tumor-board")
+			got, ok := RoomOf(m, wire.MarshalBody(v.Interface().(body)))
+			if !ok || got != "tumor-board" {
+				t.Errorf("%s: RoomOf = %q, %v", m, got, ok)
+			}
+		}
+	}
+}
+
 func TestRequestRoundTrips(t *testing.T) {
-	check(t, ListDocumentsReq{})
-	check(t, GetDocumentReq{DocID: "patient-001"})
-	check(t, GetImageReq{ID: 42})
-	check(t, GetAudioReq{ID: 43})
-	check(t, GetCmpReq{ID: 44, MaxLayers: 3})
-	check(t, PutImageTextsReq{ID: 45, Texts: "lesion, upper-left"})
-	check(t, LeaveRoomReq{Room: "r", User: "alice"})
-	check(t, ChoiceReq{Room: "r", User: "alice", Variable: "ct", Value: "hi-res"})
-	check(t, OperationReq{Room: "r", User: "alice", Component: "ct", Op: "zoom", ActiveWhen: "always", Private: true})
-	check(t, AnnotateReq{Room: "r", User: "a", ObjectID: 9, Kind: 1, X1: 1, Y1: 2, X2: 3, Y2: 4, Text: "note", Intensity: 0.5})
-	check(t, DeleteAnnotationReq{Room: "r", User: "a", ObjectID: 9, AnnotationID: 2})
-	check(t, FreezeReq{Room: "r", User: "a", ObjectID: 9})
-	check(t, ReleaseReq{Room: "r", User: "b", ObjectID: 9})
-	check(t, ShareSearchReq{
+	check(t, &ListDocumentsReq{})
+	check(t, &GetDocumentReq{DocID: "patient-001"})
+	check(t, &GetImageReq{ID: 42})
+	check(t, &GetAudioReq{ID: 43})
+	check(t, &GetCmpReq{ID: 44, MaxLayers: 3})
+	check(t, &PutImageTextsReq{ID: 45, Texts: "lesion, upper-left"})
+	check(t, &LeaveRoomReq{Room: "r", User: "alice"})
+	check(t, &ChoiceReq{Room: "r", User: "alice", Variable: "ct", Value: "hi-res"})
+	check(t, &OperationReq{Room: "r", User: "alice", Component: "ct", Op: "zoom", ActiveWhen: "always", Private: true})
+	check(t, &AnnotateReq{Room: "r", User: "a", ObjectID: 9, Kind: 1, X1: 1, Y1: 2, X2: 3, Y2: 4, Text: "note", Intensity: 0.5})
+	check(t, &DeleteAnnotationReq{Room: "r", User: "a", ObjectID: 9, AnnotationID: 2})
+	check(t, &FreezeReq{Room: "r", User: "a", ObjectID: 9})
+	check(t, &ReleaseReq{Room: "r", User: "b", ObjectID: 9})
+	check(t, &ShareSearchReq{
 		Room: "r", User: "a", Speaker: true, Keyword: "tumor",
 		Hits: []voice.Hit{{Word: "tumor", Start: 100, End: 250, Score: -1.25}},
 	})
-	check(t, ChatReq{Room: "r", User: "a", Text: "look at frame 3"})
-	check(t, HistoryReq{Room: "r", Since: 17})
-	check(t, BroadcastReq{Room: "r", User: "a"})
-	check(t, SaveMinutesReq{Room: "r", User: "a"})
-	check(t, StatsReq{})
-	check(t, TracesReq{ID: 0xdeadbeef, Limit: 5})
+	check(t, &ChatReq{Room: "r", User: "a", Text: "look at frame 3"})
+	check(t, &HistoryReq{Room: "r", Since: 17})
+	check(t, &BroadcastReq{Room: "r", User: "a"})
+	check(t, &SaveMinutesReq{Room: "r", User: "a"})
+	check(t, &StatsReq{})
+	check(t, &TracesReq{ID: 0xdeadbeef, Limit: 5})
 }
 
 // TestJoinRoomRoundTripsResumeFields pins the session-resume protocol:
@@ -71,11 +145,11 @@ func TestJoinRoomRoundTripsResumeFields(t *testing.T) {
 		Room: "consult", DocID: "patient-001", User: "alice",
 		Resume: true, SinceSeq: 123,
 	}
-	got := roundTrip(t, req).(JoinRoomReq)
+	got := roundTrip(t, &req)
 	if !got.Resume || got.SinceSeq != 123 {
 		t.Fatalf("resume fields lost: %+v", got)
 	}
-	check(t, req)
+	check(t, &req)
 
 	resp := JoinRoomResp{
 		DocData: []byte{1, 2, 3},
@@ -84,23 +158,23 @@ func TestJoinRoomRoundTripsResumeFields(t *testing.T) {
 		Visible: map[string]bool{"ct": true},
 		Resumed: true, Complete: true, LastSeq: 9,
 	}
-	got2 := roundTrip(t, resp).(JoinRoomResp)
+	got2 := roundTrip(t, &resp)
 	if !got2.Resumed || !got2.Complete || got2.LastSeq != 9 {
 		t.Fatalf("resume fields lost: %+v", got2)
 	}
-	check(t, resp)
+	check(t, &resp)
 }
 
 func TestResponseRoundTrips(t *testing.T) {
-	check(t, ListDocumentsResp{IDs: []string{"a", "b"}, Titles: []string{"A", "B"}})
-	check(t, GetDocumentResp{DocData: []byte{9, 8, 7}})
-	check(t, GetImageResp{Quality: 2, Texts: "t", CM: 1.5, Data: []byte{1}})
-	check(t, GetAudioResp{Filename: "v.au", Sectors: []byte{1, 2}, Data: []byte{3}})
-	check(t, GetCmpResp{Filename: "c.cmp", Header: []byte{1}, Data: []byte{2, 3}})
-	check(t, OperationResp{DerivedVar: "ct.zoom"})
-	check(t, AnnotateResp{AnnotationID: 7})
-	check(t, HistoryResp{Events: []room.Event{{Seq: 1, Room: "r", Actor: "a", Keyword: "k"}}})
-	check(t, SaveMinutesResp{Component: "minutes"})
+	check(t, &ListDocumentsResp{IDs: []string{"a", "b"}, Titles: []string{"A", "B"}})
+	check(t, &GetDocumentResp{DocData: []byte{9, 8, 7}})
+	check(t, &GetImageResp{Quality: 2, Texts: "t", CM: 1.5, Data: []byte{1}})
+	check(t, &GetAudioResp{Filename: "v.au", Sectors: []byte{1, 2}, Data: []byte{3}})
+	check(t, &GetCmpResp{Filename: "c.cmp", Header: []byte{1}, Data: []byte{2, 3}})
+	check(t, &OperationResp{DerivedVar: "ct.zoom"})
+	check(t, &AnnotateResp{AnnotationID: 7})
+	check(t, &HistoryResp{Events: []room.Event{{Seq: 1, Room: "r", Actor: "a", Keyword: "k"}}})
+	check(t, &SaveMinutesResp{Component: "minutes"})
 }
 
 func TestStatsRoundTrips(t *testing.T) {
@@ -117,7 +191,7 @@ func TestStatsRoundTrips(t *testing.T) {
 			QueuedEvents: 2, MaxQueueDepth: 256, BufferedEvents: 64,
 		}},
 	}
-	check(t, resp)
+	check(t, &resp)
 }
 
 func TestTracesRoundTrips(t *testing.T) {
@@ -130,5 +204,5 @@ func TestTracesRoundTrips(t *testing.T) {
 			{Name: "handle", Start: time.Millisecond, Dur: 299 * time.Millisecond},
 		},
 	}}}
-	check(t, resp)
+	check(t, &resp)
 }

@@ -5,73 +5,44 @@ import "mmconf/internal/wire"
 // This file is the routing tier's view of the client protocol: which
 // methods are scoped to a room (and therefore to the cluster node that
 // owns the room), and how to recover the room name from a request
-// payload without decoding the full body. Every binary-coded
-// room-scoped request deliberately encodes Room as its first string
-// field (see codec2.go), so a router reads one length-prefixed string;
-// gob payloads fall back to a full decode into the right request type.
+// payload without decoding the full body. Every room-scoped request
+// encodes Room as its first string field (see codec2.go), so a router
+// reads one length-prefixed string.
 
-// roomReqs maps each room-scoped method to a constructor for its
-// request body — the gob fallback RoomOf decodes into.
-var roomReqs = map[string]func() interface{ roomName() string }{
-	MJoinRoom:         func() interface{ roomName() string } { return new(JoinRoomReq) },
-	MLeaveRoom:        func() interface{ roomName() string } { return new(LeaveRoomReq) },
-	MChoice:           func() interface{ roomName() string } { return new(ChoiceReq) },
-	MOperation:        func() interface{ roomName() string } { return new(OperationReq) },
-	MAnnotate:         func() interface{ roomName() string } { return new(AnnotateReq) },
-	MDeleteAnnotation: func() interface{ roomName() string } { return new(DeleteAnnotationReq) },
-	MFreeze:           func() interface{ roomName() string } { return new(FreezeReq) },
-	MRelease:          func() interface{ roomName() string } { return new(ReleaseReq) },
-	MShareSearch:      func() interface{ roomName() string } { return new(ShareSearchReq) },
-	MChat:             func() interface{ roomName() string } { return new(ChatReq) },
-	MHistory:          func() interface{ roomName() string } { return new(HistoryReq) },
-	MBroadcastStart:   func() interface{ roomName() string } { return new(BroadcastReq) },
-	MBroadcastStop:    func() interface{ roomName() string } { return new(BroadcastReq) },
-	MSaveMinutes:      func() interface{ roomName() string } { return new(SaveMinutesReq) },
+// roomScoped is the set of methods that address a specific room.
+var roomScoped = map[string]bool{
+	MJoinRoom:         true,
+	MLeaveRoom:        true,
+	MChoice:           true,
+	MOperation:        true,
+	MAnnotate:         true,
+	MDeleteAnnotation: true,
+	MFreeze:           true,
+	MRelease:          true,
+	MShareSearch:      true,
+	MChat:             true,
+	MHistory:          true,
+	MBroadcastStart:   true,
+	MBroadcastStop:    true,
+	MSaveMinutes:      true,
 }
-
-func (r *JoinRoomReq) roomName() string         { return r.Room }
-func (r *LeaveRoomReq) roomName() string        { return r.Room }
-func (r *ChoiceReq) roomName() string           { return r.Room }
-func (r *OperationReq) roomName() string        { return r.Room }
-func (r *AnnotateReq) roomName() string         { return r.Room }
-func (r *DeleteAnnotationReq) roomName() string { return r.Room }
-func (r *FreezeReq) roomName() string           { return r.Room } // ReleaseReq aliases FreezeReq
-func (r *ShareSearchReq) roomName() string      { return r.Room }
-func (r *ChatReq) roomName() string             { return r.Room }
-func (r *BroadcastReq) roomName() string        { return r.Room }
-func (r *SaveMinutesReq) roomName() string      { return r.Room }
-func (r *HistoryReq) roomName() string          { return r.Room }
 
 // RoomScoped reports whether method addresses a specific room — the
 // requests a cluster routing tier must steer to the room's owner.
-func RoomScoped(method string) bool {
-	_, ok := roomReqs[method]
-	return ok
-}
+func RoomScoped(method string) bool { return roomScoped[method] }
 
-// RoomOf extracts the room name from a room-scoped request payload.
-// Binary payloads read only the leading length-prefixed string (every
-// room-scoped binary codec puts Room first); gob payloads decode the
-// full request. ok is false for non-room methods and undecodable
-// payloads — the router should pass those through and let the handler
-// produce the real error.
-func RoomOf(method string, enc uint8, payload []byte) (room string, ok bool) {
-	mk, scoped := roomReqs[method]
-	if !scoped {
+// RoomOf extracts the room name from a room-scoped request payload by
+// reading its leading length-prefixed string. ok is false for non-room
+// methods and undecodable payloads — the router should pass those
+// through and let the handler produce the real error.
+func RoomOf(method string, payload []byte) (room string, ok bool) {
+	if !roomScoped[method] {
 		return "", false
 	}
-	if enc == wire.EncBinary {
-		d := wire.NewDec(payload)
-		name := d.String()
-		if d.Err() != nil {
-			return "", false
-		}
-		return name, name != ""
-	}
-	req := mk()
-	if err := wire.Unmarshal(payload, req); err != nil {
+	d := wire.NewDec(payload)
+	name := d.String()
+	if d.Err() != nil {
 		return "", false
 	}
-	name := req.roomName()
 	return name, name != ""
 }

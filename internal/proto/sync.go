@@ -22,11 +22,13 @@ const (
 )
 
 // Method codes continue the node-link space (25–28 in cluster.go).
+var syncMethodCodes = map[uint16]string{
+	29: MNodeSyncManifest,
+	30: MNodeFetchChunks,
+}
+
 func init() {
-	for code, method := range map[uint16]string{
-		29: MNodeSyncManifest,
-		30: MNodeFetchChunks,
-	} {
+	for code, method := range syncMethodCodes {
 		wire.RegisterMethodCode(code, method)
 	}
 }

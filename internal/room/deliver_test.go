@@ -95,10 +95,6 @@ func TestEncodeSharedOncePerBroadcast(t *testing.T) {
 		t.Fatal(err)
 	}
 	var encodes atomic.Uint64
-	counting := func(v any) ([]byte, error) {
-		encodes.Add(1)
-		return wire.Marshal(v)
-	}
 	payloads := make([][]byte, n)
 	var wg sync.WaitGroup
 	for i, m := range members {
@@ -109,10 +105,9 @@ func TestEncodeSharedOncePerBroadcast(t *testing.T) {
 		wg.Add(1)
 		go func(i int, ev Event) {
 			defer wg.Done()
-			data, _, err := ev.EncodeShared(FormatGob, counting)
-			if err != nil {
-				t.Errorf("EncodeShared: %v", err)
-				return
+			data, encoded := ev.EncodeShared()
+			if encoded {
+				encodes.Add(1)
 			}
 			payloads[i] = data
 		}(i, ev)
@@ -128,7 +123,7 @@ func TestEncodeSharedOncePerBroadcast(t *testing.T) {
 	}
 	// The shared payload decodes back to the same event.
 	var dec Event
-	if err := wire.Unmarshal(payloads[0], &dec); err != nil {
+	if err := wire.DecodeBodyBytes(payloads[0], &dec); err != nil {
 		t.Fatal(err)
 	}
 	if dec.Kind != EvChat || dec.Text != "one encode, please" || dec.Actor != "a" {
@@ -159,8 +154,11 @@ func TestEncodeSharedPerMemberEvents(t *testing.T) {
 			if ev.shared != nil {
 				t.Error("presentation event carries a shared encoding")
 			}
-			if _, encoded, err := ev.EncodeShared(FormatGob, wire.Marshal); err != nil || !encoded {
-				t.Errorf("presentation event encode: encoded=%v err=%v", encoded, err)
+			// No shared slot: every call encodes.
+			for i := 0; i < 2; i++ {
+				if _, encoded := ev.EncodeShared(); !encoded {
+					t.Errorf("presentation event encode %d reused a shared encoding", i)
+				}
 			}
 		}
 	}

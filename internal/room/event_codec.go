@@ -10,31 +10,13 @@ import (
 // Binary codec for Event — the single hottest payload on the wire: every
 // propagated room change crosses as one of these, fanned out to every
 // member. Fields encode in declaration order; zero-length maps and
-// slices decode as nil, matching gob's zero-value omission so either
-// encoding round-trips to the same value.
+// slices decode as nil.
 
-// Format indexes for EncodeShared's per-connection-protocol slots.
-const (
-	// FormatGob is the gob encoding slot (legacy and fallback peers).
-	FormatGob = iota
-	// FormatBinary is the wire-v2 binary codec slot.
-	FormatBinary
-	formatCount
-)
-
-// MarshalEventBinary is the marshal func for the FormatBinary slot of
-// EncodeShared (mirrors wire.Marshal's signature for the gob slot).
-func MarshalEventBinary(v any) ([]byte, error) {
-	ev, ok := v.(Event)
-	if !ok {
-		return nil, &wrongTypeError{}
-	}
+// MarshalEventBinary encodes one event as a flat wire payload. The error
+// is always nil; the signature is the one benchmark/ compiles against.
+func MarshalEventBinary(ev Event) ([]byte, error) {
 	return wire.MarshalBody(&ev), nil
 }
-
-type wrongTypeError struct{}
-
-func (*wrongTypeError) Error() string { return "room: MarshalEventBinary wants a room.Event" }
 
 // AppendBody implements wire.BodyEncoder.
 func (ev *Event) AppendBody(e *wire.BodyEnc) {
@@ -63,14 +45,7 @@ func (ev *Event) AppendBody(e *wire.BodyEnc) {
 		e.Bool(v)
 	}
 	e.String(ev.Keyword)
-	e.Uvarint(uint64(len(ev.Hits)))
-	for i := range ev.Hits {
-		h := &ev.Hits[i]
-		e.String(h.Word)
-		e.Varint(int64(h.Start))
-		e.Varint(int64(h.End))
-		e.F64(h.Score)
-	}
+	AppendHits(e, ev.Hits)
 	e.String(ev.Text)
 	e.Bool(ev.Resync)
 }
@@ -110,23 +85,43 @@ func (ev *Event) DecodeBody(d *wire.Dec) error {
 		ev.Visible = nil
 	}
 	ev.Keyword = d.String()
-	if n := d.Uvarint(); n > 0 && d.Err() == nil {
-		ev.Hits = make([]voice.Hit, 0, int(min(n, 4096)))
-		for i := uint64(0); i < n && d.Err() == nil; i++ {
-			var h voice.Hit
-			h.Word = d.String()
-			h.Start = int(d.Varint())
-			h.End = int(d.Varint())
-			h.Score = d.F64()
-			ev.Hits = append(ev.Hits, h)
-		}
-	} else {
-		ev.Hits = nil
-	}
+	ev.Hits = DecodeHits(d)
 	ev.Text = d.String()
 	ev.Resync = d.Bool()
 	ev.shared = nil
 	return d.Err()
+}
+
+// AppendHits writes a count-prefixed run of search hits (shared with
+// proto.ShareSearchReq, which carries the same slice).
+func AppendHits(e *wire.BodyEnc, hits []voice.Hit) {
+	e.Uvarint(uint64(len(hits)))
+	for i := range hits {
+		h := &hits[i]
+		e.String(h.Word)
+		e.Varint(int64(h.Start))
+		e.Varint(int64(h.End))
+		e.F64(h.Score)
+	}
+}
+
+// DecodeHits reads what AppendHits wrote; an empty run decodes as nil.
+// A failure latches in d.
+func DecodeHits(d *wire.Dec) []voice.Hit {
+	n := d.Uvarint()
+	if n == 0 || d.Err() != nil {
+		return nil
+	}
+	hits := make([]voice.Hit, 0, int(min(n, 4096)))
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
+		var h voice.Hit
+		h.Word = d.String()
+		h.Start = int(d.Varint())
+		h.End = int(d.Varint())
+		h.Score = d.F64()
+		hits = append(hits, h)
+	}
+	return hits
 }
 
 func appendAnnotation(e *wire.BodyEnc, a *image.Annotation) {

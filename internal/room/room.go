@@ -24,6 +24,7 @@ import (
 	"mmconf/internal/media/image"
 	"mmconf/internal/media/voice"
 	"mmconf/internal/obs"
+	"mmconf/internal/wire"
 )
 
 // EventKind classifies room events.
@@ -88,43 +89,33 @@ type Event struct {
 	// replay from History instead of trusting its local stream.
 	Resync bool
 
-	// shared memoizes the event's wire encodings across an N-member
+	// shared memoizes the event's wire encoding across an N-member
 	// fan-out (set by fanOutLocked; nil for per-member events, which
-	// encode individually). Unexported, so gob never sees it.
+	// encode individually).
 	shared *sharedEnc
 }
 
-// sharedEnc holds the once-computed wire payloads of a fanned-out
-// event, one slot per wire format (FormatGob, FormatBinary) — a room
-// whose members negotiated different protocol versions encodes each
-// broadcast event at most once per format, not once per member.
+// sharedEnc holds the once-computed wire payload of a fanned-out event:
+// a broadcast encodes once per event, not once per member.
 type sharedEnc struct {
-	slots [formatCount]encSlot
-}
-
-// encSlot is one format's memoized encoding.
-type encSlot struct {
 	once sync.Once
 	data []byte
-	err  error
 }
 
-// EncodeShared returns the event's wire payload in the given format
-// (FormatGob or FormatBinary) via marshal, computing it at most once
-// per format across every copy of a fanned-out event. encoded reports
-// whether this call ran marshal (false = a shared encoding was reused).
+// EncodeShared returns the event's wire payload, computing it at most
+// once across every copy of a fanned-out event. encoded reports whether
+// this call ran the encode (false = the shared encoding was reused).
 // Callers must not modify the returned bytes.
-func (ev *Event) EncodeShared(format int, marshal func(any) ([]byte, error)) (data []byte, encoded bool, err error) {
+func (ev *Event) EncodeShared() (data []byte, encoded bool) {
 	if ev.shared == nil {
-		data, err = marshal(*ev)
-		return data, true, err
+		return wire.MarshalBody(ev), true
 	}
-	s := &ev.shared.slots[format]
+	s := ev.shared
 	s.once.Do(func() {
 		encoded = true
-		s.data, s.err = marshal(*ev)
+		s.data = wire.MarshalBody(ev)
 	})
-	return s.data, encoded, s.err
+	return s.data, encoded
 }
 
 // memberQueueSize bounds each member's event queue; a member that stops
@@ -689,7 +680,7 @@ func (r *Room) broadcastLocked(ev Event, reconfigure bool) {
 
 // fanOutLocked delivers one event to every member. With more than one
 // member the copies share a memoized wire encoding (EncodeShared), so
-// the push path gob-encodes the event once for the whole room.
+// the push path encodes the event once for the whole room.
 func (r *Room) fanOutLocked(ev Event) {
 	if len(r.members) > 1 {
 		ev.shared = &sharedEnc{}

@@ -14,8 +14,8 @@ const (
 	// CounterFanoutEvents counts room events handed to member
 	// forwarders for push delivery.
 	CounterFanoutEvents = "push.events"
-	// CounterFanoutEncodes counts actual gob encodes of pushed events;
-	// with encode-once fan-out this is ~1 per broadcast event.
+	// CounterFanoutEncodes counts actual encodes of pushed events; with
+	// encode-once fan-out this is ~1 per broadcast event.
 	CounterFanoutEncodes = "push.encodes"
 	// CounterEncodesSaved counts fan-out deliveries served from a
 	// shared encoding (fanned events minus encodes).

@@ -37,13 +37,9 @@ func (s *Server) MetricsSnapshot() *proto.StatsResp {
 	resp.Gauges["wire.peers"] = int64(peers)
 	resp.Gauges["wire.write_backlog"] = int64(backlog)
 
-	// Wire protocol v2 rollout health: the ceiling this server speaks,
-	// the live peer split by negotiated version, and codec scratch-pool
+	// The protocol version this server speaks, and codec scratch-pool
 	// effectiveness (gets vs misses = hit rate).
-	resp.Gauges["wire.proto_version"] = int64(s.rpc.MaxProtoVersion())
-	v2, gob := s.rpc.PeerVersions()
-	resp.Gauges["wire.peers_v2"] = int64(v2)
-	resp.Gauges["wire.peers_gob"] = int64(gob)
+	resp.Gauges["wire.proto_version"] = wire.ProtoV2
 	gets, misses := wire.PoolStats()
 	resp.Counters["wire.pool_gets"] = gets
 	resp.Counters["wire.pool_misses"] = misses

@@ -96,6 +96,15 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 	if len(infos[0].Spans) != len(rec.Spans) {
 		t.Fatalf("RPC spans = %d, in-process = %d", len(infos[0].Spans), len(rec.Spans))
 	}
+	// Times and durations cross the wire intact.
+	if infos[0].Total != rec.Total || !infos[0].Start.Equal(rec.Start) {
+		t.Errorf("RPC trace timing = %v at %v, in-process = %v at %v", infos[0].Total, infos[0].Start, rec.Total, rec.Start)
+	}
+	for i, sp := range rec.Spans {
+		if got := infos[0].Spans[i]; got.Name != sp.Name || got.Start != sp.Start || got.Dur != sp.Dur {
+			t.Errorf("RPC span %d = %+v, in-process = %+v", i, got, sp)
+		}
+	}
 }
 
 // TestTraceIDMintedWhenUnpinned checks that a plain call (no pinned id)
@@ -191,6 +200,9 @@ func TestStatsRPCAndMetricsSnapshot(t *testing.T) {
 	}
 	if stats.Counters["push.events"] == 0 {
 		t.Fatalf("push.events counter missing: %+v", stats.Counters)
+	}
+	if got := stats.Gauges["wire.proto_version"]; got != wire.ProtoV2 {
+		t.Fatalf("wire.proto_version = %d", got)
 	}
 
 	// The in-process snapshot behind -debug-addr agrees on structure.

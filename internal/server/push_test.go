@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"sync/atomic"
@@ -15,7 +16,7 @@ import (
 
 // TestEncodeOnceFanOut joins k clients to one room and checks the
 // encode-once contract end to end with the push-path counters: one
-// broadcast event costs exactly one gob encode, the other k-1
+// broadcast event costs exactly one encode, the other k-1
 // deliveries reuse the shared bytes.
 func TestEncodeOnceFanOut(t *testing.T) {
 	srv, addr, _ := testSystem(t)
@@ -80,6 +81,12 @@ func TestGetCmpCacheHitsAcrossClients(t *testing.T) {
 		t.Errorf("cached response differs: %dx%d/%d vs %dx%d/%d",
 			imgA.W, imgA.H, layersA, imgB.W, imgB.H, layersB)
 	}
+	for i := range imgA.Pix {
+		if imgA.Pix[i] != imgB.Pix[i] {
+			t.Errorf("pixel %d differs between the cache fill and the cache hit", i)
+			break
+		}
+	}
 	if hits := srv.Stats().Counter(CounterObjCacheHits); hits == 0 {
 		t.Error("second client's GetCmp missed the cache")
 	}
@@ -92,6 +99,21 @@ func TestGetCmpCacheHitsAcrossClients(t *testing.T) {
 	}
 	if misses := srv.Stats().Counter(CounterObjCacheMisses); misses != 2 {
 		t.Errorf("cache misses after new prefix = %d, want 2", misses)
+	}
+	// The payload reaches every client byte-identical to what the store
+	// holds, whether it filled the cache or hit it.
+	stored, err := srv.db.GetImage(rec.CTID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*client.Client{a, b} {
+		got, err := c.GetImageBytes(rec.CTID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, stored.Data) {
+			t.Errorf("image payload differs from the stored bytes: %d vs %d bytes", len(got), len(stored.Data))
+		}
 	}
 }
 
@@ -111,7 +133,7 @@ func TestPutImageTextsInvalidatesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	if err := raw.Call(proto.MPutImageTexts, proto.PutImageTextsReq{ID: rec.CTID, Texts: "updated findings"}, nil); err != nil {
+	if err := raw.Call(proto.MPutImageTexts, &proto.PutImageTextsReq{ID: rec.CTID, Texts: "updated findings"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, texts, err := c.GetImage(rec.CTID); err != nil || texts != "updated findings" {
@@ -235,7 +257,7 @@ func TestForwarderPushFailureLeavesRoom(t *testing.T) {
 	defer mallory.Close()
 	mallory.OnPush(func(string, wire.Body) {})
 	var joinResp proto.JoinRoomResp
-	if err := mallory.Call(proto.MJoinRoom, proto.JoinRoomReq{Room: "consult", User: "mallory"}, &joinResp); err != nil {
+	if err := mallory.Call(proto.MJoinRoom, &proto.JoinRoomReq{Room: "consult", User: "mallory"}, &joinResp); err != nil {
 		t.Fatal(err)
 	}
 	waitEvent(t, bob, func(ev room.Event) bool {

@@ -115,7 +115,9 @@ func TestReconnectResumesAndReplaysExactlyMissedEvents(t *testing.T) {
 	})
 
 	// Outage: the transport dies mid-session and the next two redial
-	// attempts fail too, so bob's chatter lands while alice is away.
+	// attempts fail too, so bob's chatter lands while alice is away; the
+	// link she comes back over is slower than the one she left.
+	faults.SetLatency(2 * time.Millisecond)
 	faults.FailDials(2)
 	faults.KillAll()
 	const missed = 5
@@ -445,7 +447,7 @@ func BenchmarkE10ResumeVsRejoin(b *testing.B) {
 		}
 		seed.OnPush(func(string, wire.Body) {})
 		var resp proto.JoinRoomResp
-		if err := seed.Call(proto.MJoinRoom, proto.JoinRoomReq{Room: "consult", DocID: "p1", User: "alice"}, &resp); err != nil {
+		if err := seed.Call(proto.MJoinRoom, &proto.JoinRoomReq{Room: "consult", DocID: "p1", User: "alice"}, &resp); err != nil {
 			b.Fatal(err)
 		}
 		seed.Close()
@@ -467,7 +469,7 @@ func BenchmarkE10ResumeVsRejoin(b *testing.B) {
 				req.User = fmt.Sprintf("alice-%d", i)
 			}
 			var r proto.JoinRoomResp
-			if err := c.Call(proto.MJoinRoom, req, &r); err != nil {
+			if err := c.Call(proto.MJoinRoom, &req, &r); err != nil {
 				b.Fatal(err)
 			}
 			if resume && len(r.DocData) != 0 {

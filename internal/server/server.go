@@ -912,19 +912,13 @@ func (s *Server) handleJoinRoom(ctx context.Context, p *wire.Peer, req *proto.Jo
 }
 
 // startForwarder pumps the member's event stream to the client as pushes.
-// Room broadcast events carry a shared memoized encoding per wire
-// format, so an N-member fan-out encodes each event at most once per
-// negotiated protocol — v2 peers share one binary encoding, gob peers
-// share one gob encoding — and every other forwarder pushes the same
-// bytes (per-member presentation/resync events still encode
-// individually). On v2 connections the shared payload rides the writev
-// batch by reference: zero copies between the encode and the socket.
+// Room broadcast events carry a shared memoized encoding, so an
+// N-member fan-out encodes each event once and every other forwarder
+// pushes the same bytes (per-member presentation/resync events still
+// encode individually). The shared payload rides the writev batch by
+// reference: zero copies between the encode and the socket.
 func (s *Server) startForwarder(p *wire.Peer, sessions *peerSessions, rs *roomState, roomName, user string, member *room.Member) {
 	s.forwarders.Add(1)
-	format, marshal, enc := room.FormatGob, wire.Marshal, wire.EncGob
-	if p.ProtoVersion() >= wire.ProtoV2 {
-		format, marshal, enc = room.FormatBinary, room.MarshalEventBinary, wire.EncBinary
-	}
 	if s.qos != nil {
 		s.qos.register(p, rs, roomName, user, member)
 	}
@@ -937,17 +931,14 @@ func (s *Server) startForwarder(p *wire.Peer, sessions *peerSessions, rs *roomSt
 			// Refund the event's push-budget charge: once it is off the
 			// queue the room no longer holds it for this member.
 			member.Consumed(ev)
-			payload, encoded, err := ev.EncodeShared(format, marshal)
-			if err == nil {
-				s.stats.Add(CounterFanoutEvents, 1)
-				if encoded {
-					s.stats.Add(CounterFanoutEncodes, 1)
-				} else {
-					s.stats.Add(CounterEncodesSaved, 1)
-				}
-				err = p.PushRaw(proto.MEvent, enc, payload)
+			payload, encoded := ev.EncodeShared()
+			s.stats.Add(CounterFanoutEvents, 1)
+			if encoded {
+				s.stats.Add(CounterFanoutEncodes, 1)
+			} else {
+				s.stats.Add(CounterEncodesSaved, 1)
 			}
-			if err != nil {
+			if err := p.PushRaw(proto.MEvent, wire.EncBinary, payload); err != nil {
 				// The client is unreachable: detach the session so a
 				// reconnecting client can resume it within the grace
 				// period (after which it expires into a real leave).

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -118,106 +117,6 @@ func TestGetBlobZeroHandle(t *testing.T) {
 	}
 	if err := db.ReleaseBlob(blob.Handle{}); !errors.Is(err, blob.ErrNoBlob) {
 		t.Errorf("ReleaseBlob(zero) = %v, want ErrNoBlob", err)
-	}
-}
-
-// writeLegacyHeap fabricates a pre-CAS heap.blob holding the given
-// payloads back to back, returning their offset handles. The record
-// format (magic | length | crc | payload, little-endian) is frozen — it
-// must match what the first-generation blob package wrote.
-func writeLegacyHeap(t *testing.T, dir string, payloads [][]byte) []blob.Handle {
-	t.Helper()
-	var buf bytes.Buffer
-	var handles []blob.Handle
-	for _, p := range payloads {
-		off := int64(buf.Len())
-		var hdr [12]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], 0xB10BB10B)
-		binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(p)))
-		binary.LittleEndian.PutUint32(hdr[8:12], crc32.ChecksumIEEE(p))
-		buf.Write(hdr[:])
-		buf.Write(p)
-		handles = append(handles, blob.Handle{Offset: off, Length: uint32(len(p))})
-	}
-	if err := os.WriteFile(filepath.Join(dir, legacyHeapFile), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return handles
-}
-
-// TestLegacyHeapMigration opens a database whose rows still hold
-// offset-addressed heap handles next to a legacy heap.blob, and checks
-// Open migrates every payload into the content-addressed store, rewrites
-// the handles, dedups identical payloads, and retires the heap file.
-func TestLegacyHeapMigration(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(dir, Options{Sync: SyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, _ := db.CreateTable("t", blobSchema)
-	pay1 := bytes.Repeat([]byte{0xA1}, 5_000)
-	pay2 := []byte("second, smaller payload")
-	handles := writeLegacyHeap(t, dir, [][]byte{pay1, pay2})
-	// Three rows: two sharing the first record (the pre-CAS store let
-	// callers reuse a handle), one with the second.
-	for _, h := range []blob.Handle{handles[0], handles[0], handles[1]} {
-		if _, err := tbl.Insert(Row{h}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Crash-close so only the WAL (with legacy handles) survives.
-	db.wal.close()
-	db.blobs.Close()
-
-	db2, err := Open(dir, Options{Sync: SyncAlways})
-	if err != nil {
-		t.Fatalf("reopen with legacy heap: %v", err)
-	}
-	if n := db2.MigratedBlobs(); n != 3 {
-		t.Errorf("MigratedBlobs = %d, want 3", n)
-	}
-	tbl2, _ := db2.Table("t")
-	want := [][]byte{pay1, pay1, pay2}
-	for i := uint64(1); i <= 3; i++ {
-		row, ok, err := tbl2.Get(i)
-		if err != nil || !ok {
-			t.Fatalf("row %d after migration: %v %v", i, ok, err)
-		}
-		h := row[0].(blob.Handle)
-		if h.Legacy() {
-			t.Fatalf("row %d still holds a legacy handle %v", i, h)
-		}
-		data, err := db2.GetBlob(h)
-		if err != nil || !bytes.Equal(data, want[i-1]) {
-			t.Fatalf("payload of row %d after migration: %v", i, err)
-		}
-	}
-	// The shared payload collapsed to one object.
-	st, _ := db2.BlobStats()
-	if st.Manifests != 2 {
-		t.Errorf("objects after migration = %d, want 2 (dedup)", st.Manifests)
-	}
-	// The heap was retired and stays retired across clean reopens.
-	if _, err := os.Stat(filepath.Join(dir, legacyHeapFile)); !os.IsNotExist(err) {
-		t.Errorf("heap.blob still present after migration: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, legacyHeapFile+".migrated")); err != nil {
-		t.Errorf("retired heap missing: %v", err)
-	}
-	db2.Close()
-	db3, err := Open(dir, Options{Sync: SyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db3.Close()
-	if n := db3.MigratedBlobs(); n != 0 {
-		t.Errorf("second open migrated %d blobs, want 0", n)
-	}
-	tbl3, _ := db3.Table("t")
-	row, _, _ := tbl3.Get(1)
-	if data, err := db3.GetBlob(row[0].(blob.Handle)); err != nil || !bytes.Equal(data, pay1) {
-		t.Errorf("payload after post-migration reopen: %v", err)
 	}
 }
 

@@ -48,9 +48,6 @@ type DB struct {
 	// only by OS writeback) or torn segment writes. Reads of those
 	// cells fail loudly; fsck reports them.
 	blobMissing []blob.Digest
-	// migratedBlobs counts payloads moved out of a pre-CAS heap.blob by
-	// this Open.
-	migratedBlobs int
 
 	// relMu guards pendingRel: blob releases queued until the WAL
 	// records that justify them (row deletes/updates) are fsynced.
@@ -64,16 +61,10 @@ type DB struct {
 const (
 	snapshotFile = "snapshot.gob"
 	walFile      = "wal.log"
-	// legacyHeapFile is the first-generation offset-addressed heap. Open
-	// migrates it into casDir and renames it away.
-	legacyHeapFile = "heap.blob"
-	casDir         = "cas"
+	casDir       = "cas"
 )
 
-// Open opens (or creates) a database in dir. If the directory holds a
-// pre-CAS heap.blob, its payloads are migrated into the content-addressed
-// store one-shot, the handles in every TBlob cell are rewritten, and the
-// old heap is renamed to heap.blob.migrated.
+// Open opens (or creates) a database in dir.
 func Open(dir string, opts Options) (*DB, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: mkdir %s: %w", dir, err)
@@ -103,11 +94,6 @@ func Open(dir string, opts Options) (*DB, error) {
 	// dirty blob segments before every WAL fsync, so a record carrying a
 	// new handle only becomes durable after its payload bytes are.
 	w.onBeforeSync = bs.Sync
-	if err := db.migrateLegacyHeap(); err != nil {
-		db.wal.close()
-		db.blobs.Close()
-		return nil, err
-	}
 	// Refcounts are not journaled: recompute them from the rows that
 	// actually survived recovery. Orphans (payloads put by operations
 	// whose rows never became durable) are freed here.
@@ -125,7 +111,7 @@ func (db *DB) blobRefCountsLocked() map[blob.Digest]int64 {
 				continue
 			}
 			for _, vals := range tb.rows {
-				if h := vals[ci].H; !h.IsZero() && !h.Legacy() {
+				if h := vals[ci].H; !h.IsZero() {
 					counts[h.Digest]++
 				}
 			}
@@ -416,15 +402,6 @@ func (db *DB) BlobStats() (blob.Stats, int) {
 	missing := len(db.blobMissing)
 	db.mu.RUnlock()
 	return db.blobs.Stats(), missing
-}
-
-// MigratedBlobs reports how many payloads this Open moved out of a
-// pre-CAS heap.blob file. Zero unless the database predates the
-// content-addressed store.
-func (db *DB) MigratedBlobs() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.migratedBlobs
 }
 
 // WALStats reports cumulative WAL appends and fsyncs (for the E4 group-

@@ -2,66 +2,9 @@ package store
 
 import (
 	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
 
 	"mmconf/internal/blob"
 )
-
-// migrateLegacyHeap moves every payload out of a pre-CAS heap.blob into
-// the content-addressed store, rewriting the legacy offset handles held
-// in TBlob cells, checkpointing the rewritten state, and renaming the
-// heap to heap.blob.migrated. It is a no-op when no legacy heap exists.
-// Called once from Open, before refcounts are recomputed; identical
-// payloads stored N times in the heap collapse to one object with N
-// references.
-func (db *DB) migrateLegacyHeap() error {
-	heapPath := filepath.Join(db.dir, legacyHeapFile)
-	lh, err := blob.OpenLegacyHeap(heapPath)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("store: open legacy heap: %w", err)
-	}
-	defer lh.Close()
-
-	for name, tb := range db.state {
-		for ci, col := range tb.schema {
-			if col.Type != TBlob {
-				continue
-			}
-			for id, vals := range tb.rows {
-				h := vals[ci].H
-				if !h.Legacy() {
-					continue
-				}
-				data, err := lh.Get(h)
-				if err != nil {
-					return fmt.Errorf("store: migrate table %q row %d: %w", name, id, err)
-				}
-				nh, err := db.blobs.Put(data)
-				if err != nil {
-					return fmt.Errorf("store: migrate table %q row %d: %w", name, id, err)
-				}
-				vals[ci].H = nh
-				db.migratedBlobs++
-			}
-		}
-	}
-	// Persist the rewritten handles before retiring the heap: the
-	// checkpoint's snapshot is the only durable record of the new
-	// digests. A crash before the rename replays the migration from the
-	// still-present heap (Puts dedup to no-ops).
-	if err := db.checkpointLocked(); err != nil {
-		return fmt.Errorf("store: migrate checkpoint: %w", err)
-	}
-	if err := os.Rename(heapPath, heapPath+".migrated"); err != nil {
-		return fmt.Errorf("store: retire legacy heap: %w", err)
-	}
-	return syncDir(db.dir)
-}
 
 // FsckReport is the result of a blob-store consistency check.
 type FsckReport struct {
@@ -127,7 +70,7 @@ func (db *DB) FsckBlobs() (FsckReport, error) {
 			}
 			for _, vals := range tb.rows {
 				h := vals[ci].H
-				if h.IsZero() || h.Legacy() || verified[h.Digest] {
+				if h.IsZero() || verified[h.Digest] {
 					continue
 				}
 				verified[h.Digest] = true

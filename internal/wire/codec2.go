@@ -1,21 +1,21 @@
-// Wire protocol v2: a hand-rolled length-prefixed binary framing that
-// replaces gob on the hot path. Every frame is
+// Wire protocol v2: a hand-rolled length-prefixed binary framing. Every
+// frame is
 //
 //	u32be body length | body
 //	body := kind u8 | enc u8 | id uvarint | trace uvarint
 //	        | method u16be code (0xFFFF → uvarint len + name bytes)
 //	        | err uvarint len + bytes | payload (rest of frame)
 //
-// enc names the payload encoding: EncGob (the fallback — any body
-// without a binary codec still travels as gob bytes inside a v2 frame)
-// or EncBinary (a BodyEncoder/BodyDecoder codec from internal/proto).
+// enc tags the payload format and has exactly one value, EncBinary (a
+// BodyEncoder/BodyDecoder codec from internal/proto); any other value
+// is a protocol error.
 //
-// Version negotiation rides a connection preamble: a v2 client opens
-// with [0x00 'M' 'M' '2' maxVer]. The leading zero byte is unambiguous
-// against gob — a gob stream starts with a nonzero uvarint byte count —
-// so a server peeking one byte routes legacy clients to the gob loops
-// untouched. The server replies with the same shape carrying the chosen
-// version (min of the two maxima; below 2 means "speak gob").
+// A connection opens with a version preamble: the client sends
+// [0x00 'M' 'M' '2' maxVer], the server replies with the same shape
+// carrying the chosen version. Version 2 is the only one spoken: a
+// client that opens with anything else, or offers less, is disconnected,
+// and a client whose server chooses less fails its calls with
+// ErrProtoVersion.
 //
 // Zero-copy: the encoder builds frames as segments — pooled scratch
 // ranges for headers and small fields, plus direct references to large
@@ -36,18 +36,15 @@ import (
 	"sync/atomic"
 )
 
-// Protocol versions. Version 0 is the legacy length-free gob stream;
-// version 2 is the binary framing above. (1 was never shipped.)
-const (
-	ProtoGob = 0
-	ProtoV2  = 2
-)
+// ProtoV2 is the protocol version this package speaks — the binary
+// framing above. (0 was a gob stream, retired; 1 was never shipped.)
+const ProtoV2 = 2
 
-// Payload encodings carried in a frame's enc byte.
-const (
-	EncGob    uint8 = 0
-	EncBinary uint8 = 1
-)
+// EncBinary is the one payload format a frame's enc byte may name.
+const EncBinary uint8 = 1
+
+// ErrProtoVersion reports a handshake that could not agree on ProtoV2.
+var ErrProtoVersion = errors.New("wire: peer does not speak protocol v2")
 
 // preambleLen is the size of the negotiation preamble and its reply.
 const preambleLen = 5
@@ -137,22 +134,15 @@ func parsePreamble(b []byte) (ver uint8, ok bool) {
 	return b[4], true
 }
 
-// negotiate picks the connection version from the two maxima: the
-// highest version both sides speak, with anything below ProtoV2
-// collapsing to the gob fallback (there is no protocol 1 to fall into).
-func negotiate(clientMax, serverMax uint8) uint8 {
-	v := clientMax
-	if serverMax < v {
-		v = serverMax
+// negotiate picks the connection version given the version the other
+// side offered (server: the client's maximum; client: the server's
+// choice). A peer from the future degrades to ProtoV2; one that cannot
+// reach it is refused.
+func negotiate(peer uint8) (ver uint8, ok bool) {
+	if peer < ProtoV2 {
+		return 0, false
 	}
-	if v < ProtoV2 {
-		return ProtoGob
-	}
-	// Future versions degrade to the highest we implement.
-	if v > ProtoV2 {
-		return ProtoV2
-	}
-	return v
+	return ProtoV2, true
 }
 
 // --- pooled-buffer metrics ------------------------------------------------
@@ -281,6 +271,12 @@ func (e *BodyEnc) Bytes(b []byte) {
 // must not mutate b until the message is written.
 func (e *BodyEnc) RawBytes(b []byte) {
 	e.Uvarint(uint64(len(b)))
+	e.raw(b)
+}
+
+// raw appends b with no length prefix, by reference when it is large
+// (the same contract as RawBytes).
+func (e *BodyEnc) raw(b []byte) {
 	if len(b) == 0 {
 		return
 	}
@@ -320,9 +316,7 @@ func (e *BodyEnc) segments() [][]byte {
 }
 
 // Flatten copies the encoding into one newly-owned []byte — the shape a
-// shared push encoding needs (long-lived, fanned out to N peers) — and
-// is also the gob-connection fallback for a body encoded before the
-// peer's version was known.
+// shared push encoding needs (long-lived, fanned out to N peers).
 func (e *BodyEnc) Flatten() []byte {
 	out := make([]byte, 0, e.size())
 	for _, s := range e.spans {
@@ -473,33 +467,20 @@ func DecodeBodyBytes(data []byte, v BodyDecoder) error {
 	return nil
 }
 
-// Body is one received push payload with its encoding — what a
-// PushHandler gets. Decode dispatches on the encoding: binary payloads
-// need v to implement BodyDecoder, gob payloads take any gob-decodable
-// pointer.
+// Body is one received push payload — what a PushHandler gets.
 type Body struct {
-	Enc  uint8
 	Data []byte
 }
 
-// Decode unmarshals the payload into v (a pointer).
-func (b Body) Decode(v any) error {
-	if b.Enc == EncBinary {
-		bd, ok := v.(BodyDecoder)
-		if !ok {
-			return fmt.Errorf("wire: binary payload but %T implements no BodyDecoder", v)
-		}
-		return DecodeBodyBytes(b.Data, bd)
-	}
-	return Unmarshal(b.Data, v)
-}
+// Decode unmarshals the payload into v.
+func (b Body) Decode(v BodyDecoder) error { return DecodeBodyBytes(b.Data, v) }
 
 // --- frame encode/parse ---------------------------------------------------
 
 // appendFrameHeader renders the frame body header (everything before
 // the payload) for env into dst.
 func appendFrameHeader(dst []byte, env *envelope) []byte {
-	dst = append(dst, byte(env.Kind), env.Enc)
+	dst = append(dst, byte(env.Kind), EncBinary)
 	dst = binary.AppendUvarint(dst, env.ID)
 	dst = binary.AppendUvarint(dst, env.Trace)
 	if code, ok := methodCode(env.Method); ok {
@@ -521,7 +502,7 @@ func parseFrame(buf []byte) (envelope, error) {
 	var env envelope
 	d := NewDec(buf)
 	env.Kind = msgKind(d.Byte())
-	env.Enc = d.Byte()
+	enc := d.Byte()
 	env.ID = d.Uvarint()
 	env.Trace = d.Uvarint()
 	hi, lo := d.Byte(), d.Byte()
@@ -542,8 +523,8 @@ func parseFrame(buf []byte) (envelope, error) {
 	if env.Kind > kindPush {
 		return env, fmt.Errorf("wire: bad frame kind %d", env.Kind)
 	}
-	if env.Enc > EncBinary {
-		return env, fmt.Errorf("wire: bad payload encoding %d", env.Enc)
+	if enc != EncBinary {
+		return env, fmt.Errorf("wire: bad payload encoding %d", enc)
 	}
 	env.Payload = buf[len(buf)-d.Len():]
 	return env, nil

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"io"
 	"net"
@@ -25,13 +24,13 @@ func (*fakeConn) SetReadDeadline(time.Time) error  { return nil }
 func (*fakeConn) SetWriteDeadline(time.Time) error { return nil }
 
 func TestPreambleRoundTrip(t *testing.T) {
-	for _, ver := range []uint8{ProtoGob, ProtoV2, 7} {
+	for _, ver := range []uint8{0, ProtoV2, 7} {
 		b := appendPreamble(nil, ver)
 		if len(b) != preambleLen {
 			t.Fatalf("preamble length %d, want %d", len(b), preambleLen)
 		}
 		if b[0] != 0 {
-			t.Fatal("preamble must open with 0x00 to stay unambiguous against gob")
+			t.Fatal("preamble must open with 0x00")
 		}
 		got, ok := parsePreamble(b)
 		if !ok || got != ver {
@@ -54,19 +53,18 @@ func TestPreambleRoundTrip(t *testing.T) {
 }
 
 func TestNegotiate(t *testing.T) {
-	cases := []struct{ client, server, want uint8 }{
-		{ProtoV2, ProtoV2, ProtoV2},
-		{ProtoGob, ProtoV2, ProtoGob},
-		{ProtoV2, ProtoGob, ProtoGob},
-		{1, ProtoV2, ProtoGob}, // 1 never shipped: below v2 means gob
-		{ProtoV2, 1, ProtoGob},
-		{3, ProtoV2, ProtoV2}, // future client degrades to our best
-		{ProtoV2, 3, ProtoV2}, // future server offers, we cap at v2
-		{9, 7, ProtoV2},       // both from the future: still v2
-	}
-	for _, c := range cases {
-		if got := negotiate(c.client, c.server); got != c.want {
-			t.Errorf("negotiate(%d, %d) = %d, want %d", c.client, c.server, got, c.want)
+	for peer := 0; peer <= 255; peer++ {
+		ver, ok := negotiate(uint8(peer))
+		if peer < ProtoV2 {
+			// 0 was the gob stream, 1 never shipped: both are refused.
+			if ok {
+				t.Errorf("negotiate(%d) accepted version %d", peer, ver)
+			}
+			continue
+		}
+		// A peer from the future degrades to the version we implement.
+		if !ok || ver != ProtoV2 {
+			t.Errorf("negotiate(%d) = %d, %v, want %d", peer, ver, ok, ProtoV2)
 		}
 	}
 }
@@ -210,15 +208,15 @@ func TestFrameRoundTrip(t *testing.T) {
 	RegisterMethodCode(900, "codec2test.coded")
 	big := bytes.Repeat([]byte{0xCD}, externThreshold*2)
 	cases := []envelope{
-		{Kind: kindRequest, ID: 1, Method: "codec2test.coded", Enc: EncGob, Payload: []byte("small")},
+		{Kind: kindRequest, ID: 1, Method: "codec2test.coded", Payload: []byte("small")},
 		{Kind: kindResponse, ID: 1 << 40, Trace: 77, Method: "codec2test.coded", Err: "boom", Payload: nil},
-		{Kind: kindPush, Method: "no.such.code", Enc: EncBinary, Payload: big},
+		{Kind: kindPush, Method: "no.such.code", Payload: big},
 		{Kind: kindRequest, ID: 3, Method: "", Payload: []byte{0}},
 	}
 	for i, env := range cases {
 		got := roundTripFrame(t, env)
 		if got.Kind != env.Kind || got.ID != env.ID || got.Trace != env.Trace ||
-			got.Method != env.Method || got.Err != env.Err || got.Enc != env.Enc {
+			got.Method != env.Method || got.Err != env.Err {
 			t.Errorf("case %d: %+v -> %+v", i, env, got)
 		}
 		if !bytes.Equal(got.Payload, env.Payload) {
@@ -281,63 +279,109 @@ func TestParseFrameRejectsGarbage(t *testing.T) {
 	if _, err := parseFrame([]byte{200, 0, 0, 0, 0, 0}); err == nil {
 		t.Error("bad kind accepted")
 	}
-	if _, err := parseFrame([]byte{0, 9, 0, 0, 0, 0}); err == nil {
-		t.Error("bad encoding accepted")
+	// The enc byte has one legal value; 0 was the retired gob escape.
+	for _, enc := range []byte{0, 2, 9} {
+		if _, err := parseFrame([]byte{0, enc, 0, 0, 0xFF, 0xFF, 0, 0}); err == nil {
+			t.Errorf("payload encoding %d accepted", enc)
+		}
+	}
+	if _, err := parseFrame([]byte{0, EncBinary, 0, 0, 0xFF, 0xFF, 0, 0}); err != nil {
+		t.Errorf("well-formed frame rejected: %v", err)
 	}
 	// Unknown method code.
-	if _, err := parseFrame([]byte{0, 0, 0, 0, 0xEE, 0xEE, 0}); err == nil {
+	if _, err := parseFrame([]byte{0, EncBinary, 0, 0, 0xEE, 0xEE, 0}); err == nil {
 		t.Error("unknown method code accepted")
 	}
 }
 
-// TestVersionNegotiationEndToEnd covers the live handshake matrix over
-// real connections: both v2 (binary framing), a capped server (falls
-// back to gob), and a legacy gob client against a v2 server.
+// TestVersionNegotiationEndToEnd covers the live handshake over real
+// connections: the one agreement (v2, also for a client from the
+// future) and the two refusals — a client that opens without the
+// preamble or offers less than v2 is disconnected, and a client whose
+// server chooses less than v2 fails its calls with ErrProtoVersion.
 func TestVersionNegotiationEndToEnd(t *testing.T) {
-	cases := []struct {
-		name      string
-		serverMax uint8
-		clientMax uint8
-		want      uint8
-	}{
-		{"v2-v2", ProtoV2, ProtoV2, ProtoV2},
-		{"gob-server", ProtoGob, ProtoV2, ProtoGob},
-		{"gob-client", ProtoV2, ProtoGob, ProtoGob},
-		{"future-client", ProtoV2, 9, ProtoV2},
+	_, addr := startServer(t)
+	dial := func(t *testing.T) net.Conn {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		return conn
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			s := NewServer()
-			s.SetMaxProtoVersion(tc.serverMax)
-			s.Register("echo", func(ctx context.Context, p *Peer, payload []byte) (any, error) {
-				var a echoArgs
-				if err := Unmarshal(payload, &a); err != nil {
-					return nil, err
+	// expectClosed requires the server to hang up without sending a byte.
+	expectClosed := func(t *testing.T, conn net.Conn) {
+		t.Helper()
+		if n, err := conn.Read(make([]byte, 1)); n != 0 || !errors.Is(err, io.EOF) {
+			t.Fatalf("server answered a refused handshake: %d bytes, %v", n, err)
+		}
+	}
+
+	t.Run("v2-v2", func(t *testing.T) {
+		c := NewClient(dial(t))
+		if got := c.ProtoVersion(); got != ProtoV2 {
+			t.Fatalf("negotiated version = %d, want %d", got, ProtoV2)
+		}
+		var r echoReply
+		if err := c.Call("echo", &echoArgs{Text: "ping", N: 3}, &r); err != nil || r.Text != "ping" || r.N != 6 {
+			t.Fatalf("echo = %+v, %v", r, err)
+		}
+	})
+	t.Run("future-client", func(t *testing.T) {
+		conn := dial(t)
+		if _, err := conn.Write(appendPreamble(nil, 9)); err != nil {
+			t.Fatal(err)
+		}
+		var rep [preambleLen]byte
+		if _, err := io.ReadFull(conn, rep[:]); err != nil {
+			t.Fatal(err)
+		}
+		if ver, ok := parsePreamble(rep[:]); !ok || ver != ProtoV2 {
+			t.Fatalf("reply = %v (%d, %v), want version %d", rep, ver, ok, ProtoV2)
+		}
+	})
+	t.Run("gob-client", func(t *testing.T) {
+		// No preamble: the first bytes of what used to be a gob stream.
+		conn := dial(t)
+		if _, err := conn.Write([]byte{0x2a, 0xff, 0x81, 0x03, 0x01}); err != nil {
+			t.Fatal(err)
+		}
+		expectClosed(t, conn)
+		// A preamble offering less than v2 is refused the same way.
+		for _, ver := range []uint8{0, 1} {
+			conn := dial(t)
+			if _, err := conn.Write(appendPreamble(nil, ver)); err != nil {
+				t.Fatal(err)
+			}
+			expectClosed(t, conn)
+		}
+	})
+	t.Run("gob-server", func(t *testing.T) {
+		// A server that answers the preamble with a version below 2.
+		for _, ver := range []uint8{0, 1} {
+			sc, cc := net.Pipe()
+			go func() {
+				defer sc.Close()
+				var pre [preambleLen]byte
+				if _, err := io.ReadFull(sc, pre[:]); err != nil {
+					return
 				}
-				return echoReply{Text: a.Text, N: a.N}, nil
-			})
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
+				_, _ = sc.Write(appendPreamble(nil, ver))
+				_, _ = io.Copy(io.Discard, sc)
+			}()
+			c := NewClient(cc)
+			err := c.CallTimeout(5*time.Second, "echo", &echoArgs{}, nil)
+			if !errors.Is(err, ErrProtoVersion) || !errors.Is(err, ErrClosed) {
+				t.Errorf("server chose %d: call error = %v, want ErrProtoVersion and ErrClosed", ver, err)
 			}
-			go s.Serve(l)
-			defer s.Close()
-			conn, err := net.Dial("tcp", l.Addr().String())
-			if err != nil {
-				t.Fatal(err)
+			if got := c.ProtoVersion(); got != 0 {
+				t.Errorf("server chose %d: ProtoVersion = %d, want 0", ver, got)
 			}
-			c := NewClientVersion(conn, tc.clientMax)
-			defer c.Close()
-			if got := c.ProtoVersion(); got != tc.want {
-				t.Fatalf("negotiated version = %d, want %d", got, tc.want)
+			if !errors.Is(c.Err(), ErrProtoVersion) {
+				t.Errorf("server chose %d: Err = %v", ver, c.Err())
 			}
-			var r echoReply
-			if err := c.Call("echo", echoArgs{Text: "ping", N: 3}, &r); err != nil {
-				t.Fatal(err)
-			}
-			if r.Text != "ping" || r.N != 3 {
-				t.Errorf("echo = %+v", r)
-			}
-		})
-	}
+			c.Close()
+		}
+	})
 }

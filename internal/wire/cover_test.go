@@ -68,77 +68,47 @@ func TestPoolStatsCounts(t *testing.T) {
 	}
 }
 
-func TestBodyDecodeBothEncodings(t *testing.T) {
-	bin := Body{Enc: EncBinary, Data: MarshalBody(&coverBody{A: 5, S: "b"})}
+func TestBodyDecode(t *testing.T) {
+	body := Body{Data: MarshalBody(&coverBody{A: 5, S: "b"})}
 	var out coverBody
-	if err := bin.Decode(&out); err != nil || out.A != 5 || out.S != "b" {
-		t.Errorf("binary decode: %v %+v", err, out)
+	if err := body.Decode(&out); err != nil || out.A != 5 || out.S != "b" {
+		t.Errorf("decode: %v %+v", err, out)
 	}
-	// A binary payload into a type with no BodyDecoder is a typed error.
-	var plain struct{ X int }
-	if err := bin.Decode(&plain); err == nil {
-		t.Error("binary payload into gob-only type accepted")
-	}
-	// Gob payloads dispatch through Unmarshal.
-	gobData, err := Marshal(echoArgs{Text: "g", N: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ga echoArgs
-	if err := (Body{Enc: EncGob, Data: gobData}).Decode(&ga); err != nil || ga.N != 3 {
-		t.Errorf("gob decode: %v %+v", err, ga)
+	// A payload that is some other body's encoding is an error, not a
+	// silently wrong value.
+	var wrong echoArgs
+	if err := body.Decode(&wrong); err == nil {
+		t.Error("coverBody payload decoded as echoArgs")
 	}
 }
 
 func TestServerVersionSurface(t *testing.T) {
 	s, addr := startServer(t)
-	if got := s.MaxProtoVersion(); got != ProtoV2 {
-		t.Fatalf("MaxProtoVersion = %d, want %d", got, ProtoV2)
-	}
+	st := NewStats()
+	s.SetStats(st)
 
-	conn, err := net.Dial("tcp", addr)
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2c := NewClient(conn)
-	defer v2c.Close()
-	if got := v2c.ProtoVersion(); got != ProtoV2 {
+	defer c.Close()
+	if got := c.ProtoVersion(); got != ProtoV2 {
 		t.Fatalf("client ProtoVersion = %d, want %d", got, ProtoV2)
 	}
-	if err := v2c.Err(); err != nil {
+	if err := c.Err(); err != nil {
 		t.Fatalf("live client Err = %v", err)
 	}
-
-	conn2, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gobc := NewClientVersion(conn2, ProtoGob)
-	defer gobc.Close()
-	if got := gobc.ProtoVersion(); got != ProtoGob {
-		t.Fatalf("gob client ProtoVersion = %d, want %d", got, ProtoGob)
-	}
-	// A gob client announces itself only with its first request bytes.
 	var rep echoReply
-	if err := gobc.CallTimeout(5*time.Second, "echo", echoArgs{Text: "t", N: 2}, &rep); err != nil {
+	if err := c.CallTimeout(5*time.Second, "echo", &echoArgs{Text: "t", N: 2}, &rep); err != nil {
 		t.Fatal(err)
 	}
 	if rep.N != 4 {
 		t.Fatalf("echo reply N = %d", rep.N)
 	}
-
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		v2, gob := s.PeerVersions()
-		if v2 == 1 && gob == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("PeerVersions = %d/%d, want 1/1", v2, gob)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if got := st.Counter(CounterConnsV2); got != 1 {
+		t.Errorf("%s = %d, want 1", CounterConnsV2, got)
 	}
-	if peers, queued := s.WriteBacklog(); peers != 2 || queued != 0 {
+	if peers, queued := s.WriteBacklog(); peers != 1 || queued != 0 {
 		t.Errorf("WriteBacklog = %d peers, %d queued", peers, queued)
 	}
 }
@@ -146,7 +116,7 @@ func TestServerVersionSurface(t *testing.T) {
 func TestTraceIDRoundTrip(t *testing.T) {
 	s := NewServer()
 	s.Register("trace", func(ctx context.Context, p *Peer, payload []byte) (any, error) {
-		return echoReply{N: int(ContextTraceID(ctx))}, nil
+		return &echoReply{N: int(ContextTraceID(ctx))}, nil
 	})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -162,7 +132,7 @@ func TestTraceIDRoundTrip(t *testing.T) {
 	defer c.Close()
 	ctx := WithTraceID(context.Background(), 424242)
 	var rep echoReply
-	if err := c.CallCtx(ctx, "trace", echoArgs{}, &rep); err != nil {
+	if err := c.CallCtx(ctx, "trace", &echoArgs{}, &rep); err != nil {
 		t.Fatal(err)
 	}
 	if rep.N != 424242 {

@@ -45,7 +45,7 @@ func TestClientDoneSignalsTransportDeath(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Done never fired after Close")
 	}
-	if err := c.Call("echo", echoArgs{Text: "x"}, nil); !errors.Is(err, ErrClosed) {
+	if err := c.Call("echo", &echoArgs{Text: "x"}, nil); !errors.Is(err, ErrClosed) {
 		t.Errorf("call after death = %v, want ErrClosed", err)
 	}
 }
@@ -77,7 +77,7 @@ func TestDefaultCallTimeout(t *testing.T) {
 	defer c.Close()
 	c.SetCallTimeout(150 * time.Millisecond)
 	start := time.Now()
-	err = c.Call("hang", echoArgs{}, nil)
+	err = c.Call("hang", &echoArgs{}, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("hung call returned %v, want deadline exceeded", err)
 	}
@@ -88,10 +88,40 @@ func TestDefaultCallTimeout(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start = time.Now()
-	if err := c.CallCtx(ctx, "hang", echoArgs{}, nil); !errors.Is(err, context.DeadlineExceeded) {
+	if err := c.CallCtx(ctx, "hang", &echoArgs{}, nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("call with caller deadline = %v", err)
 	}
 	if d := time.Since(start); d > time.Second {
 		t.Errorf("caller deadline took %v", d)
+	}
+}
+
+// TestCallTimeoutCoversHandshake pins the default deadline to the whole
+// call, handshake wait included: a peer that accepts the connection but
+// never reads (a net.Pipe end nobody serves) must fail Call and CallRaw
+// with DeadlineExceeded instead of wedging them.
+func TestCallTimeoutCoversHandshake(t *testing.T) {
+	far, near := net.Pipe()
+	defer far.Close()
+	c := NewClient(near)
+	defer c.Close()
+	c.SetCallTimeout(100 * time.Millisecond)
+	for name, call := range map[string]func() error{
+		"Call": func() error { return c.Call("echo", &echoArgs{}, nil) },
+		"CallRaw": func() error {
+			_, err := c.CallRaw(context.Background(), "echo", nil)
+			return err
+		},
+	} {
+		done := make(chan error, 1)
+		go func() { done <- call() }()
+		select {
+		case err := <-done:
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("%s against a silent peer = %v, want deadline exceeded", name, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s still blocked 5s after a 100ms call timeout", name)
+		}
 	}
 }

@@ -15,7 +15,7 @@ func FuzzParseFrame(f *testing.F) {
 	for _, env := range []envelope{
 		{Kind: kindRequest, ID: 1, Method: "fuzz.coded", Payload: []byte("hi")},
 		{Kind: kindResponse, ID: 9, Trace: 4, Method: "fuzz.coded", Err: "nope"},
-		{Kind: kindPush, Method: "inline.name", Enc: EncBinary, Payload: bytes.Repeat([]byte{3}, 600)},
+		{Kind: kindPush, Method: "inline.name", Payload: bytes.Repeat([]byte{3}, 600)},
 	} {
 		buf := appendFrameHeader(nil, &env)
 		buf = append(buf, env.Payload...)
@@ -25,9 +25,10 @@ func FuzzParseFrame(f *testing.F) {
 			f.Add(buf[:len(buf)-1])
 		}
 	}
-	f.Add([]byte{0, 0, 0xEE, 0xEE}) // unknown method code
-	f.Add([]byte{200, 0, 0, 0})     // bad kind
-	f.Add([]byte{0, 9, 0, 0})       // bad encoding
+	f.Add([]byte{0, 0, 0xEE, 0xEE})             // unknown method code
+	f.Add([]byte{200, 0, 0, 0})                 // bad kind
+	f.Add([]byte{0, 9, 0, 0})                   // bad encoding
+	f.Add([]byte{0, 0, 0, 0, 0xFF, 0xFF, 0, 0}) // the retired gob encoding byte
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := parseFrame(data)
 		if err != nil {
@@ -36,8 +37,8 @@ func FuzzParseFrame(f *testing.F) {
 		if env.Kind > kindPush {
 			t.Fatalf("accepted frame with kind %d", env.Kind)
 		}
-		if env.Enc > EncBinary {
-			t.Fatalf("accepted frame with encoding %d", env.Enc)
+		if data[1] != EncBinary {
+			t.Fatalf("accepted frame with encoding %d", data[1])
 		}
 		if len(env.Payload) > len(data) {
 			t.Fatalf("payload %d bytes from a %d-byte frame", len(env.Payload), len(data))
@@ -73,29 +74,41 @@ func FuzzReadFrame(f *testing.F) {
 
 // FuzzHandshake exercises the negotiation preamble parser and version
 // pick under arbitrary bytes and version skew: parsing must never
-// panic, and any negotiated version must be one the server implements.
+// panic, and negotiation can only yield ProtoV2 or a refusal — on the
+// server (fed the client's offer) and on the client (fed the server's
+// reply) alike. The second argument is the version a skewed server
+// answers with.
 func FuzzHandshake(f *testing.F) {
 	f.Add(appendPreamble(nil, ProtoV2), uint8(ProtoV2))
-	f.Add(appendPreamble(nil, ProtoGob), uint8(ProtoV2))
-	f.Add(appendPreamble(nil, 9), uint8(ProtoGob))
+	f.Add(appendPreamble(nil, 0), uint8(ProtoV2))
+	f.Add(appendPreamble(nil, 9), uint8(0))
 	f.Add([]byte{0x00, 'M', 'M', '3', 2}, uint8(ProtoV2))
 	f.Add([]byte("gob..."), uint8(ProtoV2))
-	f.Fuzz(func(t *testing.T, preamble []byte, serverMax uint8) {
+	f.Add(appendPreamble(nil, 1), uint8(1))
+	f.Fuzz(func(t *testing.T, preamble []byte, serverReply uint8) {
+		check := func(side string, offered uint8) {
+			got, ok := negotiate(offered)
+			switch {
+			case ok && got != ProtoV2:
+				t.Fatalf("%s: negotiate(%d) = %d: not the version we implement", side, offered, got)
+			case ok && offered < ProtoV2:
+				t.Fatalf("%s: negotiate(%d) agreed above the peer's maximum", side, offered)
+			case !ok && offered >= ProtoV2:
+				t.Fatalf("%s: negotiate(%d) refused a capable peer", side, offered)
+			}
+		}
+		check("client", serverReply)
 		clientMax, ok := parsePreamble(preamble)
 		if !ok {
 			return
 		}
-		got := negotiate(clientMax, serverMax)
-		if got != ProtoGob && got != ProtoV2 {
-			t.Fatalf("negotiate(%d, %d) = %d: not a version we implement", clientMax, serverMax, got)
-		}
-		if got > clientMax || got > serverMax {
-			t.Fatalf("negotiate(%d, %d) = %d: above a side's maximum", clientMax, serverMax, got)
-		}
+		check("server", clientMax)
 		// The reply must parse back to the chosen version.
-		rv, ok := parsePreamble(appendPreamble(nil, got))
-		if !ok || rv != got {
-			t.Fatalf("reply preamble round trip: %d, %v", rv, ok)
+		if got, ok := negotiate(clientMax); ok {
+			rv, okp := parsePreamble(appendPreamble(nil, got))
+			if !okp || rv != got {
+				t.Fatalf("reply preamble round trip: %d, %v", rv, okp)
+			}
 		}
 	})
 }

@@ -49,13 +49,13 @@ func TestTypedHandlerRoundTrip(t *testing.T) {
 	}
 	defer c.Close()
 	var reply echoReply
-	if err := c.Call("double", echoArgs{Text: "hi", N: 21}, &reply); err != nil {
+	if err := c.Call("double", &echoArgs{Text: "hi", N: 21}, &reply); err != nil {
 		t.Fatalf("Call: %v", err)
 	}
 	if reply.Text != "hi" || reply.N != 42 {
 		t.Errorf("reply = %+v", reply)
 	}
-	if err := c.Call("void", echoArgs{}, nil); err != nil {
+	if err := c.Call("void", &echoArgs{}, nil); err != nil {
 		t.Fatalf("void: %v", err)
 	}
 	// Garbage payload fails cleanly in the adapter.
@@ -74,13 +74,13 @@ func TestRecoveryInterceptorCatchesPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	err = c.Call("boom", echoArgs{}, nil)
+	err = c.Call("boom", &echoArgs{}, nil)
 	if err == nil || !strings.Contains(err.Error(), "internal error in boom") {
 		t.Fatalf("panic not converted to error: %v", err)
 	}
 	// The connection survives the panic.
 	var reply echoReply
-	if err := c.Call("double", echoArgs{N: 1}, &reply); err != nil || reply.N != 2 {
+	if err := c.Call("double", &echoArgs{N: 1}, &reply); err != nil || reply.N != 2 {
 		t.Fatalf("connection dead after panic: %+v, %v", reply, err)
 	}
 }
@@ -93,7 +93,7 @@ func TestTimeoutInterceptorAbortsSlowHandler(t *testing.T) {
 	}
 	defer c.Close()
 	start := time.Now()
-	err = c.Call("slow", echoArgs{N: 5000}, nil)
+	err = c.Call("slow", &echoArgs{N: 5000}, nil)
 	if err == nil || !strings.Contains(err.Error(), context.DeadlineExceeded.Error()) {
 		t.Fatalf("slow handler not cancelled: %v", err)
 	}
@@ -108,7 +108,7 @@ func TestTimeoutInterceptorAbortsSlowHandler(t *testing.T) {
 	}
 	defer c2.Close()
 	var reply echoReply
-	if err := c2.Call("slow", echoArgs{N: 40}, &reply); err != nil || reply.Text != "finished" {
+	if err := c2.Call("slow", &echoArgs{N: 40}, &reply); err != nil || reply.Text != "finished" {
 		t.Fatalf("per-method override: %+v, %v", reply, err)
 	}
 }
@@ -126,7 +126,7 @@ func TestCallCtxCancellationAbandonsWait(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	err = c.CallCtx(ctx, "slow", echoArgs{N: 5000}, nil)
+	err = c.CallCtx(ctx, "slow", &echoArgs{N: 5000}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled call returned %v", err)
 	}
@@ -135,7 +135,7 @@ func TestCallCtxCancellationAbandonsWait(t *testing.T) {
 	}
 	// The connection is still usable for new calls.
 	var reply echoReply
-	if err := c.Call("double", echoArgs{N: 3}, &reply); err != nil || reply.N != 6 {
+	if err := c.Call("double", &echoArgs{N: 3}, &reply); err != nil || reply.N != 6 {
 		t.Fatalf("connection unusable after abandoned call: %+v, %v", reply, err)
 	}
 }
@@ -163,8 +163,8 @@ func TestPeerDisconnectCancelsHandlerContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go c.Call("hang", echoArgs{}, nil) // will fail when we close the conn
-	time.Sleep(50 * time.Millisecond)  // let the request reach the handler
+	go c.Call("hang", &echoArgs{}, nil) // will fail when we close the conn
+	time.Sleep(50 * time.Millisecond)   // let the request reach the handler
 	c.Close()
 	select {
 	case err := <-handlerDone:
@@ -186,11 +186,11 @@ func TestStatsCountersObservable(t *testing.T) {
 	}
 	defer c.Close()
 	for i := 0; i < 5; i++ {
-		if err := c.Call("double", echoArgs{N: i}, nil); err != nil {
+		if err := c.Call("double", &echoArgs{N: i}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_ = c.Call("boom", echoArgs{}, nil) // recovered panic counts as an error
+	_ = c.Call("boom", &echoArgs{}, nil) // recovered panic counts as an error
 	ms := st.Method("double")
 	if ms.Requests != 5 || ms.Errors != 0 {
 		t.Errorf("double stats = %+v", ms)
@@ -226,7 +226,7 @@ func TestContextCarriesPeerAndMethod(t *testing.T) {
 	c := NewClient(cc)
 	defer c.Close()
 	var reply echoReply
-	if err := c.Call("who", echoArgs{}, &reply); err != nil || reply.Text != "who" {
+	if err := c.Call("who", &echoArgs{}, &reply); err != nil || reply.Text != "who" {
 		t.Fatalf("context introspection: %+v, %v", reply, err)
 	}
 }
@@ -245,7 +245,7 @@ func TestSlowLogReportsOverThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Call("slow", echoArgs{N: 20}, nil); err != nil {
+	if err := c.Call("slow", &echoArgs{N: 20}, nil); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -268,7 +268,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	result := make(chan error, 1)
 	go func() {
 		var reply echoReply
-		err := c.Call("slow", echoArgs{N: 80}, &reply)
+		err := c.Call("slow", &echoArgs{N: 80}, &reply)
 		if err == nil && reply.Text != "finished" {
 			err = errors.New("wrong reply: " + reply.Text)
 		}
@@ -289,7 +289,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 		t.Fatal("in-flight call never completed")
 	}
 	// New requests are rejected after drain.
-	if err := c.Call("double", echoArgs{}, nil); err == nil {
+	if err := c.Call("double", &echoArgs{}, nil); err == nil {
 		t.Error("call accepted after shutdown")
 	}
 }
@@ -301,11 +301,11 @@ func TestDrainRejectsNewRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Call("double", echoArgs{N: 1}, nil); err != nil {
+	if err := c.Call("double", &echoArgs{N: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.Drain()
-	err = c.Call("double", echoArgs{N: 1}, nil)
+	err = c.Call("double", &echoArgs{N: 1}, nil)
 	if err == nil || !strings.Contains(err.Error(), "draining") {
 		t.Fatalf("request during drain: %v", err)
 	}

@@ -3,11 +3,7 @@ package wire
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
-	"sync/atomic"
-
-	"mmconf/internal/obs"
 )
 
 // This file is the cluster-routing surface of the wire layer: the typed
@@ -123,16 +119,15 @@ func retypeError(msg string) error {
 	return errors.New(msg)
 }
 
-// RawResult is a handler result whose payload is already encoded: the
-// dispatch loop writes Payload with the Enc flag as the response body,
-// bypassing the marshal step. It is how a forwarding node relays an
-// owner node's response to the origin client byte-for-byte — the bytes
-// were encoded once, on the owner, for the client's negotiated
-// encoding.
-type RawResult struct {
-	Enc     uint8
-	Payload []byte
-}
+// RawResult is a handler result that is already encoded: its bytes
+// become the response payload as they are. It is how a forwarding node
+// relays an owner node's response to the origin client byte-for-byte —
+// the bytes were encoded once, on the owner.
+type RawResult []byte
+
+// AppendBody implements BodyEncoder by passing the bytes through (by
+// reference when large, like any other payload).
+func (r RawResult) AppendBody(e *BodyEnc) { e.raw(r) }
 
 // RemoteError is a call failure reported by the far server (as opposed
 // to a transport failure). Its message is the server's error string
@@ -149,66 +144,13 @@ func (e *RemoteError) Error() string { return e.Msg }
 // untouched. A non-nil error is either a *RemoteError (the far
 // handler failed; relay its Msg verbatim) or a transport error
 // (errors.Is ErrClosed / context errors — the relay link itself died).
-func (c *Client) CallRaw(ctx context.Context, method string, enc uint8, payload []byte) (Body, error) {
-	select {
-	case <-c.ready:
-	case <-c.done:
-		return Body{}, fmt.Errorf("wire: call %s: %w", method, ErrClosed)
-	case <-ctx.Done():
-		return Body{}, fmt.Errorf("wire: call %s: %w", method, ctx.Err())
-	}
-	id := atomic.AddUint64(&c.nextID, 1)
-	ch := make(chan envelope, 1)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return Body{}, fmt.Errorf("wire: call %s: %w", method, ErrClosed)
-	}
-	if c.callTimeout > 0 {
-		if _, bounded := ctx.Deadline(); !bounded {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, c.callTimeout)
-			defer cancel()
-		}
-	}
-	c.pending[id] = ch
-	c.mu.Unlock()
-
-	tid, hasTID := obs.IDFrom(ctx)
-	if !hasTID {
-		tid = obs.MintID()
-	}
-	env := envelope{Kind: kindRequest, ID: id, Method: method, Payload: payload, Trace: tid, Enc: enc}
-	c.wmu.Lock()
-	var err error
-	if c.ver >= ProtoV2 {
-		c.fw.encodeFrame(&env)
-		err = c.fw.flush()
-	} else {
-		err = c.enc.Encode(env)
-	}
-	c.wmu.Unlock()
+func (c *Client) CallRaw(ctx context.Context, method string, payload []byte) ([]byte, error) {
+	resp, err := c.roundTrip(ctx, method, payload, nil)
 	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return Body{}, fmt.Errorf("wire: call %s: %w", method, err)
-	}
-	var resp envelope
-	var ok bool
-	select {
-	case resp, ok = <-ch:
-	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return Body{}, fmt.Errorf("wire: call %s: %w", method, ctx.Err())
-	}
-	if !ok {
-		return Body{}, fmt.Errorf("wire: %w during %s", ErrClosed, method)
+		return nil, err
 	}
 	if resp.Err != "" {
-		return Body{}, &RemoteError{Msg: resp.Err}
+		return nil, &RemoteError{Msg: resp.Err}
 	}
-	return Body{Enc: resp.Enc, Data: resp.Payload}, nil
+	return resp.Payload, nil
 }

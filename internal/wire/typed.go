@@ -2,45 +2,45 @@ package wire
 
 import (
 	"context"
-	"fmt"
 
 	"mmconf/internal/obs"
 )
 
-// None is the response type of methods that return no body. A typed
-// handler with Resp = None returns nil and the client sees an empty
-// payload (gob cannot encode a fieldless struct, so None values are
-// never marshaled — the adapter drops nil responses).
+// None is the body of methods that carry nothing in one direction: its
+// codec is empty. A typed handler with Resp = None returns nil and the
+// client sees an empty payload.
 type None struct{}
 
+// AppendBody implements BodyEncoder.
+func (*None) AppendBody(*BodyEnc) {}
+
+// DecodeBody implements BodyDecoder.
+func (*None) DecodeBody(d *Dec) error { return d.Err() }
+
 // Typed adapts a strongly-typed handler to the wire Handler shape,
-// owning the gob unmarshal of the request and the marshal of the
-// response. A nil *Resp (the only option when Resp is None) produces an
-// empty response payload. When the request carries a live trace (the
-// Tracing interceptor), the adapter times the decode and the handler
-// body as "decode" and "handle" spans.
+// owning the decode of the request. The constraints make "this body has
+// no codec" a compile error: *Req must decode and *Resp must encode. A
+// nil *Resp (the only option when Resp is None) produces an empty
+// response payload. When the request carries a live trace (the Tracing
+// interceptor), the adapter times the decode and the handler body as
+// "decode" and "handle" spans.
 //
 // This is the seam every interaction-server method registers through:
 //
 //	s.Register(proto.MChat, wire.Typed(func(ctx context.Context, p *wire.Peer, req *proto.ChatReq) (*wire.None, error) {
 //		...
 //	}))
-func Typed[Req any, Resp any](h func(ctx context.Context, p *Peer, req *Req) (*Resp, error)) Handler {
+func Typed[Req, Resp any, PReq interface {
+	*Req
+	BodyDecoder
+}, PResp interface {
+	*Resp
+	BodyEncoder
+}](h func(ctx context.Context, p *Peer, req *Req) (*Resp, error)) Handler {
 	return func(ctx context.Context, p *Peer, payload []byte) (any, error) {
 		req := new(Req)
 		endDecode := obs.StartSpan(ctx, "decode")
-		var err error
-		if ContextPayloadEnc(ctx) == EncBinary {
-			// A binary payload only arrives for bodies with a codec; a
-			// request whose type lost its codec is a protocol error.
-			if bd, okDec := any(req).(BodyDecoder); okDec {
-				err = DecodeBodyBytes(payload, bd)
-			} else {
-				err = fmt.Errorf("wire: binary request but %T implements no BodyDecoder", req)
-			}
-		} else {
-			err = Unmarshal(payload, req)
-		}
+		err := DecodeBodyBytes(payload, PReq(req))
 		endDecode()
 		if err != nil {
 			return nil, err
@@ -51,6 +51,6 @@ func Typed[Req any, Resp any](h func(ctx context.Context, p *Peer, req *Req) (*R
 		if err != nil || resp == nil {
 			return nil, err
 		}
-		return resp, nil
+		return PResp(resp), nil
 	}
 }

@@ -1,10 +1,11 @@
 // Package wire is the remote-invocation layer of the system — the role
 // Java RMI and JDBC play in the paper (§5.3): clients invoke interaction-
-// server methods across the network with language-native serialization,
-// and the server pushes room events back over the same connection. The
-// protocol is length-free gob framing over any net.Conn: every message is
-// a gob-encoded envelope carrying a method name, a correlation id, and an
-// opaque gob payload.
+// server methods across the network, and the server pushes room events
+// back over the same connection. There is one protocol: after a 5-byte
+// version preamble, every message is a length-prefixed binary frame
+// (codec2.go) carrying a kind, a correlation id, a trace id, a method
+// code, an error string and a payload encoded by the body's hand-written
+// BodyEncoder/BodyDecoder codec.
 //
 // Requests dispatch through a typed pipeline: a per-request
 // context.Context (carrying the peer, the method name, and any deadline
@@ -16,9 +17,7 @@ package wire
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -40,79 +39,29 @@ const (
 	kindPush
 )
 
-// envelope is the on-wire message. On a gob connection the exported
-// fields gob-encode exactly as before (Enc is always zero there, so gob
-// omits it); on a v2 connection the same fields map onto the binary
-// frame layout in codec2.go.
+// envelope is one message; its fields map onto the frame layout in
+// codec2.go.
 type envelope struct {
 	Kind    msgKind
 	ID      uint64 // request/response correlation
 	Method  string
-	Payload []byte // encoded body (gob, or binary per Enc)
+	Payload []byte // encoded body, already flat (received frames, PushRaw, CallRaw)
 	Err     string // response only
 	// Trace carries the request's trace id (requests only; minted by the
 	// client, or at ingress when a foreign client sends none), so one id
 	// follows the call from client log to server trace ring.
 	Trace uint64
-	// Enc names Payload's encoding (EncGob or EncBinary). Gob peers only
-	// ever see EncGob.
-	Enc uint8
 
-	// body is the segmented zero-copy form of a binary payload (v2
-	// connections only, exclusive with Payload); unexported so gob never
-	// sees it. Consumed — and returned to the pool — by the frame writer.
+	// body is the segmented zero-copy form of an outgoing payload
+	// (exclusive with Payload). Consumed — and returned to the pool — by
+	// the frame writer.
 	body *BodyEnc
 }
 
-// gobBufPool recycles the scratch buffers behind Marshal so the gob
-// fallback path stops allocating a fresh bytes.Buffer (and its grown
-// backing array) per message. The gob.Encoder itself must stay
-// per-call: it writes each type's descriptor once per encoder, so a
-// reused encoder would emit payloads a fresh decoder cannot read.
-var gobBufPool = sync.Pool{New: func() any {
-	poolMisses.Add(1)
-	return new(bytes.Buffer)
-}}
-
-// gobReaderPool recycles the bytes.Reader fronting Unmarshal.
-var gobReaderPool = sync.Pool{New: func() any {
-	poolMisses.Add(1)
-	return bytes.NewReader(nil)
-}}
-
-// Marshal gob-encodes a body for use as an envelope payload.
-func Marshal(v any) ([]byte, error) {
-	poolGets.Add(1)
-	buf := gobBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		gobBufPool.Put(buf)
-		return nil, fmt.Errorf("wire: marshal %T: %w", v, err)
-	}
-	out := append([]byte(nil), buf.Bytes()...)
-	if buf.Cap() <= 1<<20 { // one huge body must not pin pool memory
-		gobBufPool.Put(buf)
-	}
-	return out, nil
-}
-
-// Unmarshal decodes an envelope payload into v (a pointer).
-func Unmarshal(data []byte, v any) error {
-	poolGets.Add(1)
-	r := gobReaderPool.Get().(*bytes.Reader)
-	r.Reset(data)
-	err := gob.NewDecoder(r).Decode(v)
-	r.Reset(nil)
-	gobReaderPool.Put(r)
-	if err != nil {
-		return fmt.Errorf("wire: unmarshal %T: %w", v, err)
-	}
-	return nil
-}
-
-// Handler processes one request on the server; the returned value is gob-
-// encoded as the response payload. Most handlers are built with Typed,
-// which owns the unmarshal/marshal boilerplate.
+// Handler processes one request on the server. payload is the request
+// body's binary encoding; a non-nil result must implement BodyEncoder
+// and becomes the response payload. Most handlers are built with Typed,
+// which owns the decode and pins both codecs at compile time.
 type Handler func(ctx context.Context, p *Peer, payload []byte) (any, error)
 
 // ctxKey keys the request-scoped values the dispatcher installs.
@@ -126,7 +75,6 @@ type reqInfo struct {
 	peer   *Peer
 	method string
 	trace  uint64
-	enc    uint8 // request payload encoding
 }
 
 func contextReq(ctx context.Context) (*reqInfo, bool) {
@@ -162,16 +110,6 @@ func ContextTraceID(ctx context.Context) uint64 {
 	return ri.trace
 }
 
-// ContextPayloadEnc returns the encoding of the request payload the
-// context belongs to (EncGob outside a dispatch).
-func ContextPayloadEnc(ctx context.Context) uint8 {
-	ri, ok := contextReq(ctx)
-	if !ok {
-		return EncGob
-	}
-	return ri.enc
-}
-
 // WithTraceID pins the trace id an outgoing call will carry (an alias
 // for obs.ContextWithID, re-exported so callers of the wire client need
 // not import obs directly).
@@ -194,7 +132,6 @@ type Server struct {
 	peers        map[uint64]*Peer
 	draining     bool
 	stats        *Stats // optional counter sink handed to every peer writer
-	maxProto     uint8  // highest protocol version offered (default ProtoV2)
 
 	inflight sync.WaitGroup
 	baseCtx  context.Context
@@ -209,41 +146,7 @@ func NewServer() *Server {
 		peers:    make(map[uint64]*Peer),
 		baseCtx:  ctx,
 		cancel:   cancel,
-		maxProto: ProtoV2,
 	}
-}
-
-// SetMaxProtoVersion caps the protocol version the server offers during
-// negotiation: ProtoV2 (the default) serves binary framing to capable
-// clients, ProtoGob forces every connection — even one that asks for v2
-// — down to the gob fallback. Install before serving.
-func (s *Server) SetMaxProtoVersion(v uint8) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.maxProto = v
-}
-
-// MaxProtoVersion reports the highest protocol version this server
-// offers during negotiation.
-func (s *Server) MaxProtoVersion() uint8 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.maxProto
-}
-
-// PeerVersions counts live peers by negotiated protocol — the
-// observability split behind the wire.peers_v2/wire.peers_gob gauges.
-func (s *Server) PeerVersions() (v2, gob int) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, p := range s.peers {
-		if p.proto >= ProtoV2 {
-			v2++
-		} else {
-			gob++
-		}
-	}
-	return v2, gob
 }
 
 // Register installs a handler for a method name.
@@ -410,15 +313,16 @@ func (s *Server) Close() error {
 	return first
 }
 
-// Writer tuning: writeBufferSize is the bufio buffer in front of the
-// socket; writeQueueSize bounds the envelopes waiting for the writer
-// goroutine (senders block beyond it — natural backpressure);
-// writeBatchMax caps how many envelopes one batch encodes before the
-// coalesced flush, bounding the latency of the batch's first message.
+// Connection tuning: readBufferSize is the bufio buffer behind each
+// side's frame reader; writeQueueSize bounds the envelopes waiting for
+// the writer goroutine (senders block beyond it — natural
+// backpressure); writeBatchMax caps how many envelopes one batch
+// encodes before the coalesced flush, bounding the latency of the
+// batch's first message.
 const (
-	writeBufferSize = 32 << 10
-	writeQueueSize  = 256
-	writeBatchMax   = 256
+	readBufferSize = 32 << 10
+	writeQueueSize = 256
+	writeBatchMax  = 256
 )
 
 // Counter names the peer writer records into the server's Stats sink.
@@ -434,14 +338,9 @@ const (
 	CounterWriterWrites = "wire.writer_writes"
 	// CounterWriterBytes totals bytes written to sockets.
 	CounterWriterBytes = "wire.writer_bytes"
-	// CounterFramesV2 / CounterFramesGob count messages written by
-	// encoding — the negotiated mix, observable in production.
-	CounterFramesV2  = "wire.frames_v2"
-	CounterFramesGob = "wire.frames_gob"
-	// CounterConnsV2 / CounterConnsGob count accepted connections by
-	// negotiated protocol version.
-	CounterConnsV2  = "wire.conns_v2"
-	CounterConnsGob = "wire.conns_gob"
+	// CounterConnsV2 counts accepted connections that completed the
+	// version handshake.
+	CounterConnsV2 = "wire.conns_v2"
 )
 
 // errPeerClosed reports a send on a peer whose connection ended.
@@ -451,18 +350,17 @@ var errPeerClosed = errors.New("wire: peer connection closed")
 // PushRaw methods are how the interaction server propagates room events.
 //
 // Writes are batched: senders enqueue envelopes to a per-peer writer
-// goroutine that gob-encodes them through a bufio.Writer and flushes
+// goroutine that assembles frames into one pending batch and flushes
 // when the queue goes momentarily idle (or after writeBatchMax
 // envelopes). A burst of pushes and responses therefore costs one
-// syscall instead of one per envelope, while a lone message still
+// writev instead of one syscall per envelope, while a lone message still
 // flushes immediately — the added latency is one channel hop. Per-peer
 // FIFO order is preserved: envelopes reach the socket in the order
 // send accepted them. Flush is the explicit barrier the drain path
 // uses to guarantee queued pushes hit the OS before close.
 type Peer struct {
-	ID    uint64
-	conn  net.Conn
-	proto uint8 // negotiated protocol version (ProtoGob or ProtoV2)
+	ID   uint64
+	conn net.Conn
 
 	writeQ chan writeItem
 	stop   chan struct{} // closed by ServeConn teardown
@@ -474,11 +372,6 @@ type Peer struct {
 	mu   sync.Mutex
 	meta map[string]any // per-connection session state (user, rooms)
 }
-
-// ProtoVersion reports the connection's negotiated protocol version —
-// what the interaction server's fan-out consults to pick the shared
-// push encoding.
-func (p *Peer) ProtoVersion() uint8 { return p.proto }
 
 // Meter exposes the connection's write-throughput estimator: every
 // socket write the writer goroutine performs feeds it (bytes, duration)
@@ -528,33 +421,24 @@ func (p *Peer) Meta(key string) (any, bool) {
 	return v, ok
 }
 
-// Push sends an unsolicited message to the client, marshaling body with
-// the connection's best encoding (binary when the peer speaks v2 and
-// the body has a codec, gob otherwise). For room fan-out prefer PushRaw
-// with a shared pre-encoded payload.
-func (p *Peer) Push(method string, body any) error {
-	if p.proto >= ProtoV2 {
-		if be, ok := body.(BodyEncoder); ok {
-			e := getBodyEnc()
-			be.AppendBody(e)
-			return p.send(envelope{Kind: kindPush, Method: method, Enc: EncBinary, body: e})
-		}
-	}
-	payload, err := Marshal(body)
-	if err != nil {
-		return err
-	}
-	return p.send(envelope{Kind: kindPush, Method: method, Payload: payload})
+// Push sends an unsolicited message to the client. For room fan-out
+// prefer PushRaw with a shared pre-encoded payload.
+func (p *Peer) Push(method string, body BodyEncoder) error {
+	e := getBodyEnc()
+	body.AppendBody(e)
+	return p.send(envelope{Kind: kindPush, Method: method, body: e})
 }
 
 // PushRaw sends an unsolicited message whose payload is already encoded
-// with enc — the encode-once fan-out path: the interaction server
-// encodes one room event once per format and hands every member's peer
-// the same bytes. On a v2 connection the shared payload rides the
-// frame's writev batch by reference, so the fan-out never copies it.
-// The caller must not modify payload afterwards.
-func (p *Peer) PushRaw(method string, enc uint8, payload []byte) error {
-	return p.send(envelope{Kind: kindPush, Method: method, Enc: enc, Payload: payload})
+// — the encode-once fan-out path: the interaction server encodes one
+// room event once and hands every member's peer the same bytes, which
+// ride the frame's writev batch by reference, so the fan-out never
+// copies them. The caller must not modify payload afterwards. The
+// second parameter once named the payload encoding; there is only
+// EncBinary now and the value is ignored (kept for benchmark/, which
+// this signature is source-compatible with).
+func (p *Peer) PushRaw(method string, _ uint8, payload []byte) error {
+	return p.send(envelope{Kind: kindPush, Method: method, Payload: payload})
 }
 
 // Flush blocks until every message enqueued before the call has been
@@ -602,108 +486,14 @@ func (p *Peer) deadErr() error {
 	return errPeerClosed
 }
 
-// meteredWriter counts socket writes and bytes into a Stats sink and
-// feeds the peer's QoS throughput meter.
-type meteredWriter struct {
-	w     io.Writer
-	stats *Stats
-	meter *qos.Meter
-}
-
-func (m meteredWriter) Write(b []byte) (int, error) {
-	start := time.Now()
-	n, err := m.w.Write(b)
-	if m.meter != nil && err == nil {
-		m.meter.Observe(n, time.Since(start))
-	}
-	if m.stats != nil {
-		m.stats.Add(CounterWriterWrites, 1)
-		m.stats.Add(CounterWriterBytes, uint64(n))
-	}
-	return n, err
-}
-
 // writeLoop is the peer's single writer goroutine: it drains writeQ,
-// gob-encoding envelopes into a buffered writer, and flushes when the
-// queue goes idle or a batch reaches writeBatchMax — so bursts coalesce
-// into few syscalls while a lone message flushes immediately.
+// assembling frames as scratch + zero-copy segments, and flushes when
+// the queue goes idle or a batch reaches writeBatchMax — so bursts
+// coalesce into one net.Buffers write (writev on TCP) while a lone
+// message flushes immediately. Oversized batches flush early by byte
+// count so a run of media frames cannot pin unbounded payload memory
+// behind the segment list.
 func (p *Peer) writeLoop() {
-	defer close(p.dead)
-	bw := bufio.NewWriterSize(meteredWriter{w: p.conn, stats: p.stats, meter: p.qmeter}, writeBufferSize)
-	enc := gob.NewEncoder(bw)
-	fail := func(err error) {
-		p.werr = fmt.Errorf("wire: send: %w", err)
-		// A connection we cannot write is useless: close it so the read
-		// loop ends and the peer is evicted.
-		p.conn.Close()
-	}
-	flush := func() error {
-		if bw.Buffered() == 0 {
-			return nil
-		}
-		if p.stats != nil {
-			p.stats.Add(CounterWriterFlushes, 1)
-		}
-		return bw.Flush()
-	}
-	for {
-		var it writeItem
-		select {
-		case <-p.stop:
-			_ = flush() // best effort on teardown
-			return
-		case it = <-p.writeQ:
-		}
-		for n := 0; ; n++ {
-			if it.flush != nil {
-				err := flush()
-				it.flush <- err
-				if err != nil {
-					fail(err)
-					return
-				}
-			} else {
-				if it.env.body != nil {
-					// Defensive: a segmented binary payload on a gob
-					// connection (dispatch never builds one) flattens.
-					it.env.Payload = it.env.body.Flatten()
-					putBodyEnc(it.env.body)
-					it.env.body = nil
-				}
-				if err := enc.Encode(it.env); err != nil {
-					fail(err)
-					return
-				}
-				if p.stats != nil {
-					p.stats.Add(CounterWriterMessages, 1)
-					p.stats.Add(CounterFramesGob, 1)
-				}
-			}
-			if n >= writeBatchMax {
-				break
-			}
-			// Coalesce whatever is queued right now; stop at idle.
-			select {
-			case it = <-p.writeQ:
-				continue
-			default:
-			}
-			break
-		}
-		if err := flush(); err != nil {
-			fail(err)
-			return
-		}
-	}
-}
-
-// writeLoopV2 is the peer writer for v2 connections: the same
-// drain/batch/flush-on-idle discipline as writeLoop, but frames are
-// assembled as scratch + zero-copy segments and each flush is one
-// net.Buffers write (writev on TCP). Oversized batches flush early by
-// byte count so a run of media frames cannot pin unbounded payload
-// memory behind the segment list.
-func (p *Peer) writeLoopV2() {
 	defer close(p.dead)
 	w := newVecWriter(p.conn, p.stats)
 	w.meter = p.qmeter
@@ -731,7 +521,6 @@ func (p *Peer) writeLoopV2() {
 				w.encodeFrame(&it.env)
 				if p.stats != nil {
 					p.stats.Add(CounterWriterMessages, 1)
-					p.stats.Add(CounterFramesV2, 1)
 				}
 				if w.pending() >= writeFlushBytes {
 					if err := w.flush(); err != nil {
@@ -763,48 +552,38 @@ func (p *Peer) writeLoopV2() {
 func (s *Server) ServeConn(conn net.Conn) {
 	s.mu.Lock()
 	st := s.stats
-	maxProto := s.maxProto
 	s.mu.Unlock()
-	// Version negotiation: a v2 client opens with a preamble whose first
-	// byte is 0x00 — unambiguous against gob, whose stream starts with a
-	// nonzero uvarint byte count. Legacy clients are served untouched.
-	br := bufio.NewReaderSize(conn, writeBufferSize)
-	proto := uint8(ProtoGob)
-	first, err := br.Peek(1)
-	if err != nil {
+	// Version handshake: the client opens with a preamble carrying the
+	// highest version it speaks. Anything else — no preamble, or a client
+	// that cannot speak v2 — is refused by closing the connection.
+	br := bufio.NewReaderSize(conn, readBufferSize)
+	var pre [preambleLen]byte
+	if _, err := io.ReadFull(br, pre[:]); err != nil {
 		conn.Close()
 		return
 	}
-	if first[0] == 0x00 {
-		var pre [preambleLen]byte
-		if _, err := io.ReadFull(br, pre[:]); err != nil {
-			conn.Close()
-			return
-		}
-		clientMax, ok := parsePreamble(pre[:])
-		if !ok {
-			conn.Close() // a zero first byte that is not our preamble is garbage
-			return
-		}
-		proto = negotiate(clientMax, maxProto)
-		// Reply before the writer goroutine exists: nothing else can be
-		// writing this connection yet.
-		if _, err := conn.Write(appendPreamble(nil, proto)); err != nil {
-			conn.Close()
-			return
-		}
+	clientMax, ok := parsePreamble(pre[:])
+	if !ok {
+		conn.Close()
+		return
+	}
+	ver, ok := negotiate(clientMax)
+	if !ok {
+		conn.Close()
+		return
+	}
+	// Reply before the writer goroutine exists: nothing else can be
+	// writing this connection yet.
+	if _, err := conn.Write(appendPreamble(nil, ver)); err != nil {
+		conn.Close()
+		return
 	}
 	if st != nil {
-		if proto >= ProtoV2 {
-			st.Add(CounterConnsV2, 1)
-		} else {
-			st.Add(CounterConnsGob, 1)
-		}
+		st.Add(CounterConnsV2, 1)
 	}
 	peer := &Peer{
 		ID:     atomic.AddUint64(&s.nextPeer, 1),
 		conn:   conn,
-		proto:  proto,
 		writeQ: make(chan writeItem, writeQueueSize),
 		stop:   make(chan struct{}),
 		dead:   make(chan struct{}),
@@ -812,11 +591,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 		qmeter: qos.NewMeter(0),
 		meta:   make(map[string]any),
 	}
-	if proto >= ProtoV2 {
-		go peer.writeLoopV2()
-	} else {
-		go peer.writeLoop()
-	}
+	go peer.writeLoop()
 	// connCtx is the parent of every request context on this connection;
 	// it dies with the connection, so a dead client cancels its own
 	// in-flight handlers.
@@ -824,15 +599,6 @@ func (s *Server) ServeConn(conn net.Conn) {
 	s.mu.Lock()
 	s.peers[peer.ID] = peer
 	s.mu.Unlock()
-	next := func() (envelope, error) { return readFrame(br) }
-	if proto < ProtoV2 {
-		dec := gob.NewDecoder(br)
-		next = func() (envelope, error) {
-			var env envelope
-			err := dec.Decode(&env)
-			return env, err
-		}
-	}
 	defer func() {
 		connCancel()
 		close(peer.stop) // stop the writer (it flushes best-effort first)
@@ -846,7 +612,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 		}
 	}()
 	for {
-		env, err := next()
+		env, err := readFrame(br)
 		if err != nil {
 			return // EOF or broken peer: drop the connection
 		}
@@ -879,33 +645,15 @@ func (s *Server) ServeConn(conn net.Conn) {
 					tid = obs.MintID() // foreign client sent no id: mint at ingress
 				}
 				ctx := context.WithValue(connCtx, reqInfoKey,
-					&reqInfo{peer: peer, method: env.Method, trace: tid, enc: env.Enc})
+					&reqInfo{peer: peer, method: env.Method, trace: tid})
 				result, err := Chain(h, ics...)(ctx, peer, env.Payload)
 				if err != nil {
 					resp.Err = err.Error()
+				} else if be, hasCodec := result.(BodyEncoder); hasCodec {
+					resp.body = getBodyEnc()
+					be.AppendBody(resp.body)
 				} else if result != nil {
-					// A relay hands back pre-encoded bytes: pass them
-					// through with their encoding flag untouched.
-					if raw, isRaw := result.(RawResult); isRaw {
-						resp.Enc = raw.Enc
-						resp.Payload = raw.Payload
-					} else
-					// A v2 peer gets the binary codec when the body has
-					// one; everything else falls back to gob (inside a v2
-					// frame for v2 peers — enc byte EncGob).
-					if be, isBin := result.(BodyEncoder); isBin && peer.proto >= ProtoV2 {
-						e := getBodyEnc()
-						be.AppendBody(e)
-						resp.Enc = EncBinary
-						resp.body = e
-					} else {
-						payload, err := Marshal(result)
-						if err != nil {
-							resp.Err = err.Error()
-						} else {
-							resp.Payload = payload
-						}
-					}
+					resp.Err = fmt.Sprintf("wire: %s: result %T implements no BodyEncoder", env.Method, result)
 				}
 			}
 			_ = peer.send(resp)
@@ -913,9 +661,8 @@ func (s *Server) ServeConn(conn net.Conn) {
 	}
 }
 
-// PushHandler receives server pushes on the client. The body carries
-// the payload bytes plus their encoding; Body.Decode dispatches to the
-// right unmarshal.
+// PushHandler receives server pushes on the client; Body.Decode
+// unmarshals the payload.
 type PushHandler func(method string, body Body)
 
 // ErrClosed reports an operation on a client whose connection has ended.
@@ -930,15 +677,13 @@ const DefaultDialTimeout = 10 * time.Second
 // Client is the caller side of the protocol.
 type Client struct {
 	conn   net.Conn
-	wmu    sync.Mutex // guards enc/fw and the negotiated write path
-	enc    *gob.Encoder
+	wmu    sync.Mutex // guards fw
 	fw     *vecWriter
 	nextID uint64
 
-	maxVer uint8
-	ver    uint8         // negotiated version; valid once ready is closed
-	ready  chan struct{} // closed when the handshake settles
-	done   chan struct{} // closed when the read loop exits
+	ver   uint8         // negotiated version; valid once ready is closed
+	ready chan struct{} // closed when the handshake settles
+	done  chan struct{} // closed when the read loop exits
 
 	mu          sync.Mutex
 	pending     map[uint64]chan envelope
@@ -970,37 +715,24 @@ func DialContext(ctx context.Context, addr string) (*Client, error) {
 }
 
 // NewClient wraps an established connection (e.g. a net.Pipe end or a
-// netsim.ThrottledConn), negotiating protocol v2 with a gob fallback.
-func NewClient(conn net.Conn) *Client {
-	return NewClientVersion(conn, ProtoV2)
-}
-
-// NewClientVersion wraps an established connection offering at most
-// maxVer during negotiation. maxVer below ProtoV2 skips the handshake
-// entirely and speaks the legacy gob protocol — byte-for-byte what a
-// pre-v2 client sends, which is what the mixed-version interop tests
-// exercise. The handshake (when any) runs asynchronously in the read
-// loop so wrapping a synchronous transport like net.Pipe cannot
+// netsim.ThrottledConn). The version handshake runs asynchronously in
+// the read loop so wrapping a synchronous transport like net.Pipe cannot
 // deadlock; calls block until it settles.
-func NewClientVersion(conn net.Conn, maxVer uint8) *Client {
+func NewClient(conn net.Conn) *Client {
 	c := &Client{
 		conn:    conn,
-		maxVer:  maxVer,
+		fw:      newVecWriter(conn, nil),
 		pending: make(map[uint64]chan envelope),
 		ready:   make(chan struct{}),
 		done:    make(chan struct{}),
-	}
-	if maxVer < ProtoV2 {
-		c.enc = gob.NewEncoder(conn)
-		close(c.ready)
 	}
 	go c.readLoop()
 	return c
 }
 
 // ProtoVersion reports the negotiated protocol version, blocking until
-// the handshake settles (0 both for legacy mode and for a connection
-// that died mid-handshake).
+// the handshake settles (0 for a connection that died or was refused
+// mid-handshake).
 func (c *Client) ProtoVersion() uint8 {
 	select {
 	case <-c.ready:
@@ -1042,7 +774,7 @@ func (c *Client) OnPush(h PushHandler) {
 
 func (c *Client) readLoop() {
 	defer close(c.done)
-	br := bufio.NewReaderSize(c.conn, writeBufferSize)
+	br := bufio.NewReaderSize(c.conn, readBufferSize)
 	fail := func(err error) {
 		c.mu.Lock()
 		c.closed = true
@@ -1055,48 +787,31 @@ func (c *Client) readLoop() {
 		}
 		c.mu.Unlock()
 	}
-	if c.maxVer >= ProtoV2 {
-		// The negotiation handshake runs here, not in NewClientVersion, so
-		// wrapping a synchronous transport (net.Pipe) cannot deadlock the
-		// constructor; CallCtx blocks on c.ready until it settles. No
-		// other goroutine writes before ready closes, so the preamble
-		// write needs no lock.
-		if _, err := c.conn.Write(appendPreamble(nil, c.maxVer)); err != nil {
-			fail(err)
-			return
-		}
-		var rep [preambleLen]byte
-		if _, err := io.ReadFull(br, rep[:]); err != nil {
-			fail(err)
-			return
-		}
-		server, okPre := parsePreamble(rep[:])
-		if !okPre {
-			fail(errors.New("wire: bad negotiation reply"))
-			return
-		}
-		c.wmu.Lock()
-		if v := negotiate(c.maxVer, server); v >= ProtoV2 {
-			c.ver = v
-			c.fw = newVecWriter(c.conn, nil)
-		} else {
-			c.ver = ProtoGob
-			c.enc = gob.NewEncoder(c.conn)
-		}
-		c.wmu.Unlock()
-		close(c.ready)
+	// The handshake runs here, not in NewClient, so wrapping a synchronous
+	// transport (net.Pipe) cannot deadlock the constructor; calls block on
+	// c.ready until it settles. No other goroutine writes before ready
+	// closes, so the preamble write needs no lock.
+	if _, err := c.conn.Write(appendPreamble(nil, ProtoV2)); err != nil {
+		fail(err)
+		return
 	}
-	next := func() (envelope, error) { return readFrame(br) }
-	if c.ver < ProtoV2 {
-		dec := gob.NewDecoder(br)
-		next = func() (envelope, error) {
-			var env envelope
-			err := dec.Decode(&env)
-			return env, err
-		}
+	var rep [preambleLen]byte
+	if _, err := io.ReadFull(br, rep[:]); err != nil {
+		fail(err)
+		return
 	}
+	chosen, ok := parsePreamble(rep[:])
+	if !ok {
+		fail(errors.New("wire: bad negotiation reply"))
+		return
+	}
+	if c.ver, ok = negotiate(chosen); !ok {
+		fail(fmt.Errorf("%w: server chose version %d", ErrProtoVersion, chosen))
+		return
+	}
+	close(c.ready)
 	for {
-		env, err := next()
+		env, err := readFrame(br)
 		if err != nil {
 			fail(err)
 			return
@@ -1115,47 +830,48 @@ func (c *Client) readLoop() {
 			h := c.onPush
 			c.mu.Unlock()
 			if h != nil {
-				h(env.Method, Body{Enc: env.Enc, Data: env.Payload})
+				h(env.Method, Body{Data: env.Payload})
 			}
 		}
 	}
 }
 
-// Call invokes a server method, decoding the response into reply (pass
-// nil to discard the result).
-func (c *Client) Call(method string, args, reply any) error {
-	return c.CallCtx(context.Background(), method, args, reply)
+// closedErr is what a call on a dead connection reports: ErrClosed,
+// joined with the reason the read loop recorded — so a refused
+// handshake also matches ErrProtoVersion.
+func (c *Client) closedErr() error {
+	if err := c.Err(); err != nil {
+		return fmt.Errorf("%w: %w", ErrClosed, err)
+	}
+	return ErrClosed
 }
 
-// CallCtx invokes a server method, abandoning the wait when ctx ends.
-// An abandoned call's response is discarded if it arrives later; the
-// server side may still run to completion unless its own timeout or the
-// connection's death cancels it.
-func (c *Client) CallCtx(ctx context.Context, method string, args, reply any) error {
+// roundTrip sends one request — payload if already encoded, body
+// otherwise — and waits for its response envelope. It owns body: every
+// path that does not reach the frame writer returns it to the pool.
+func (c *Client) roundTrip(ctx context.Context, method string, payload []byte, body *BodyEnc) (envelope, error) {
+	// The default deadline covers the handshake wait too: a peer that
+	// accepts the connection but never answers the preamble must fail the
+	// call, not wedge it.
+	c.mu.Lock()
+	timeout := c.callTimeout
+	c.mu.Unlock()
+	if timeout > 0 {
+		if _, bounded := ctx.Deadline(); !bounded {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, timeout)
+			defer cancel()
+		}
+	}
 	// The handshake settles before the first byte of any call goes out.
 	select {
 	case <-c.ready:
 	case <-c.done:
-		return fmt.Errorf("wire: call %s: %w", method, ErrClosed)
+		putBodyEnc(body)
+		return envelope{}, fmt.Errorf("wire: call %s: %w", method, c.closedErr())
 	case <-ctx.Done():
-		return fmt.Errorf("wire: call %s: %w", method, ctx.Err())
-	}
-	var payload []byte
-	var body *BodyEnc
-	var encFlag uint8
-	var err error
-	if c.ver >= ProtoV2 {
-		if be, ok := args.(BodyEncoder); ok {
-			body = getBodyEnc()
-			be.AppendBody(body)
-			encFlag = EncBinary
-		}
-	}
-	if body == nil {
-		payload, err = Marshal(args)
-		if err != nil {
-			return err
-		}
+		putBodyEnc(body)
+		return envelope{}, fmt.Errorf("wire: call %s: %w", method, ctx.Err())
 	}
 	id := atomic.AddUint64(&c.nextID, 1)
 	ch := make(chan envelope, 1)
@@ -1163,14 +879,7 @@ func (c *Client) CallCtx(ctx context.Context, method string, args, reply any) er
 	if c.closed {
 		c.mu.Unlock()
 		putBodyEnc(body)
-		return fmt.Errorf("wire: call %s: %w", method, ErrClosed)
-	}
-	if c.callTimeout > 0 {
-		if _, bounded := ctx.Deadline(); !bounded {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, c.callTimeout)
-			defer cancel()
-		}
+		return envelope{}, fmt.Errorf("wire: call %s: %w", method, c.closedErr())
 	}
 	c.pending[id] = ch
 	c.mu.Unlock()
@@ -1181,14 +890,10 @@ func (c *Client) CallCtx(ctx context.Context, method string, args, reply any) er
 	if !hasTID {
 		tid = obs.MintID()
 	}
-	env := envelope{Kind: kindRequest, ID: id, Method: method, Payload: payload, Trace: tid, Enc: encFlag, body: body}
+	env := envelope{Kind: kindRequest, ID: id, Method: method, Payload: payload, Trace: tid, body: body}
 	c.wmu.Lock()
-	if c.ver >= ProtoV2 {
-		c.fw.encodeFrame(&env)
-		err = c.fw.flush()
-	} else {
-		err = c.enc.Encode(env)
-	}
+	c.fw.encodeFrame(&env)
+	err := c.fw.flush()
 	c.wmu.Unlock()
 	if err != nil {
 		c.mu.Lock()
@@ -1196,22 +901,52 @@ func (c *Client) CallCtx(ctx context.Context, method string, args, reply any) er
 		delete(c.pending, id)
 		c.mu.Unlock()
 		if closed {
-			return fmt.Errorf("wire: call %s: %w: %v", method, ErrClosed, err)
+			return envelope{}, fmt.Errorf("wire: call %s: %w: %v", method, ErrClosed, err)
 		}
-		return fmt.Errorf("wire: call %s: %w", method, err)
+		return envelope{}, fmt.Errorf("wire: call %s: %w", method, err)
 	}
-	var resp envelope
-	var ok bool
 	select {
-	case resp, ok = <-ch:
+	case resp, ok := <-ch:
+		if !ok {
+			return envelope{}, fmt.Errorf("wire: %w during %s", c.closedErr(), method)
+		}
+		return resp, nil
 	case <-ctx.Done():
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
-		return fmt.Errorf("wire: call %s: %w", method, ctx.Err())
+		return envelope{}, fmt.Errorf("wire: call %s: %w", method, ctx.Err())
 	}
+}
+
+// Call invokes a server method, decoding the response into reply (pass
+// nil to discard the result).
+func (c *Client) Call(method string, args, reply any) error {
+	return c.CallCtx(context.Background(), method, args, reply)
+}
+
+// CallCtx invokes a server method, abandoning the wait when ctx ends.
+// args must implement BodyEncoder and a non-nil reply BodyDecoder (the
+// parameters are typed any only because benchmark/ compiles against this
+// signature). An abandoned call's response is discarded if it arrives
+// later; the server side may still run to completion unless its own
+// timeout or the connection's death cancels it.
+func (c *Client) CallCtx(ctx context.Context, method string, args, reply any) error {
+	be, ok := args.(BodyEncoder)
 	if !ok {
-		return fmt.Errorf("wire: %w during %s", ErrClosed, method)
+		return fmt.Errorf("wire: call %s: args %T implements no BodyEncoder", method, args)
+	}
+	var bd BodyDecoder
+	if reply != nil {
+		if bd, ok = reply.(BodyDecoder); !ok {
+			return fmt.Errorf("wire: call %s: reply %T implements no BodyDecoder", method, reply)
+		}
+	}
+	body := getBodyEnc()
+	be.AppendBody(body)
+	resp, err := c.roundTrip(ctx, method, nil, body)
+	if err != nil {
+		return err
 	}
 	if resp.Err != "" {
 		// Errors cross the wire as strings; re-type the ones callers
@@ -1220,15 +955,8 @@ func (c *Client) CallCtx(ctx context.Context, method string, args, reply any) er
 		// (target node intact), quorum refusals as *UnavailableError.
 		return retypeError(resp.Err)
 	}
-	if reply != nil {
-		if resp.Enc == EncBinary {
-			bd, okDec := reply.(BodyDecoder)
-			if !okDec {
-				return fmt.Errorf("wire: call %s: binary response but %T implements no BodyDecoder", method, reply)
-			}
-			return DecodeBodyBytes(resp.Payload, bd)
-		}
-		return Unmarshal(resp.Payload, reply)
+	if bd != nil {
+		return DecodeBodyBytes(resp.Payload, bd)
 	}
 	return nil
 }

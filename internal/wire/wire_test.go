@@ -10,24 +10,37 @@ import (
 	"time"
 )
 
+// echoArgs and echoReply are the test bodies: the same two fields, the
+// same hand-written codec.
 type echoArgs struct {
 	Text string
 	N    int
 }
-type echoReply struct {
-	Text string
-	N    int
+type echoReply echoArgs
+
+func (a *echoArgs) AppendBody(e *BodyEnc) {
+	e.String(a.Text)
+	e.Varint(int64(a.N))
 }
+
+func (a *echoArgs) DecodeBody(d *Dec) error {
+	a.Text = d.String()
+	a.N = int(d.Varint())
+	return d.Err()
+}
+
+func (r *echoReply) AppendBody(e *BodyEnc)   { (*echoArgs)(r).AppendBody(e) }
+func (r *echoReply) DecodeBody(d *Dec) error { return (*echoArgs)(r).DecodeBody(d) }
 
 func startServer(t *testing.T) (*Server, string) {
 	t.Helper()
 	s := NewServer()
 	s.Register("echo", func(ctx context.Context, p *Peer, payload []byte) (any, error) {
 		var a echoArgs
-		if err := Unmarshal(payload, &a); err != nil {
+		if err := DecodeBodyBytes(payload, &a); err != nil {
 			return nil, err
 		}
-		return echoReply{Text: a.Text, N: a.N * 2}, nil
+		return &echoReply{Text: a.Text, N: a.N * 2}, nil
 	})
 	s.Register("fail", func(ctx context.Context, p *Peer, payload []byte) (any, error) {
 		return nil, fmt.Errorf("deliberate failure")
@@ -52,18 +65,18 @@ func TestCallRoundTrip(t *testing.T) {
 	}
 	defer c.Close()
 	var reply echoReply
-	if err := c.Call("echo", echoArgs{Text: "hi", N: 21}, &reply); err != nil {
+	if err := c.Call("echo", &echoArgs{Text: "hi", N: 21}, &reply); err != nil {
 		t.Fatalf("Call: %v", err)
 	}
 	if reply.Text != "hi" || reply.N != 42 {
 		t.Errorf("reply = %+v", reply)
 	}
 	// nil reply discards.
-	if err := c.Call("echo", echoArgs{Text: "x"}, nil); err != nil {
+	if err := c.Call("echo", &echoArgs{Text: "x"}, nil); err != nil {
 		t.Fatalf("Call with nil reply: %v", err)
 	}
 	// void handler.
-	if err := c.Call("void", echoArgs{}, nil); err != nil {
+	if err := c.Call("void", &echoArgs{}, nil); err != nil {
 		t.Fatalf("void: %v", err)
 	}
 }
@@ -75,10 +88,10 @@ func TestCallErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Call("fail", echoArgs{}, nil); err == nil || err.Error() != "deliberate failure" {
+	if err := c.Call("fail", &echoArgs{}, nil); err == nil || err.Error() != "deliberate failure" {
 		t.Errorf("fail call: %v", err)
 	}
-	if err := c.Call("nosuch", echoArgs{}, nil); err == nil {
+	if err := c.Call("nosuch", &echoArgs{}, nil); err == nil {
 		t.Error("unknown method accepted")
 	}
 }
@@ -97,7 +110,7 @@ func TestConcurrentCalls(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			var reply echoReply
-			if err := c.Call("echo", echoArgs{N: i}, &reply); err != nil {
+			if err := c.Call("echo", &echoArgs{N: i}, &reply); err != nil {
 				errs <- err
 				return
 			}
@@ -118,7 +131,7 @@ func TestServerPush(t *testing.T) {
 	s.Register("subscribe", func(ctx context.Context, p *Peer, payload []byte) (any, error) {
 		go func() {
 			for i := 0; i < 3; i++ {
-				p.Push("tick", echoReply{N: i})
+				p.Push("tick", &echoReply{N: i})
 			}
 		}()
 		return nil, nil
@@ -148,7 +161,7 @@ func TestServerPush(t *testing.T) {
 		}
 		got <- r.N
 	})
-	if err := c.Call("subscribe", echoArgs{}, nil); err != nil {
+	if err := c.Call("subscribe", &echoArgs{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	seen := map[int]bool{}
@@ -169,7 +182,7 @@ func TestPeerMetaAndCloseCallback(t *testing.T) {
 	s := NewServer()
 	s.Register("login", func(ctx context.Context, p *Peer, payload []byte) (any, error) {
 		var a echoArgs
-		if err := Unmarshal(payload, &a); err != nil {
+		if err := DecodeBodyBytes(payload, &a); err != nil {
 			return nil, err
 		}
 		p.SetMeta("user", a.Text)
@@ -180,7 +193,7 @@ func TestPeerMetaAndCloseCallback(t *testing.T) {
 		if !ok {
 			return nil, fmt.Errorf("not logged in")
 		}
-		return echoReply{Text: u.(string)}, nil
+		return &echoReply{Text: u.(string)}, nil
 	})
 	var closedUser atomic.Value
 	done := make(chan struct{})
@@ -202,13 +215,13 @@ func TestPeerMetaAndCloseCallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	var r echoReply
-	if err := c.Call("whoami", echoArgs{}, &r); err == nil {
+	if err := c.Call("whoami", &echoArgs{}, &r); err == nil {
 		t.Error("whoami before login succeeded")
 	}
-	if err := c.Call("login", echoArgs{Text: "dr-adams"}, nil); err != nil {
+	if err := c.Call("login", &echoArgs{Text: "dr-adams"}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Call("whoami", echoArgs{}, &r); err != nil || r.Text != "dr-adams" {
+	if err := c.Call("whoami", &echoArgs{}, &r); err != nil || r.Text != "dr-adams" {
 		t.Errorf("whoami = %+v, %v", r, err)
 	}
 	c.Close()
@@ -230,7 +243,7 @@ func TestCallAfterClose(t *testing.T) {
 	}
 	c.Close()
 	time.Sleep(50 * time.Millisecond) // let the read loop observe the close
-	if err := c.Call("echo", echoArgs{}, nil); err == nil {
+	if err := c.Call("echo", &echoArgs{}, nil); err == nil {
 		t.Error("call on closed connection succeeded")
 	}
 }
@@ -240,27 +253,50 @@ func TestInProcessPipe(t *testing.T) {
 	s := NewServer()
 	s.Register("echo", func(ctx context.Context, p *Peer, payload []byte) (any, error) {
 		var a echoArgs
-		if err := Unmarshal(payload, &a); err != nil {
+		if err := DecodeBodyBytes(payload, &a); err != nil {
 			return nil, err
 		}
-		return echoReply{Text: a.Text}, nil
+		return &echoReply{Text: a.Text}, nil
 	})
 	sc, cc := net.Pipe()
 	go s.ServeConn(sc)
 	c := NewClient(cc)
 	defer c.Close()
 	var r echoReply
-	if err := c.Call("echo", echoArgs{Text: "pipe"}, &r); err != nil || r.Text != "pipe" {
+	if err := c.Call("echo", &echoArgs{Text: "pipe"}, &r); err != nil || r.Text != "pipe" {
 		t.Fatalf("pipe call: %+v, %v", r, err)
 	}
 }
 
+// TestMarshalUnmarshalErrors covers the codec failures a caller can
+// provoke: bodies without a codec are refused before anything is sent,
+// a handler result without one comes back as an error, and a payload
+// that is not the body's encoding does not decode.
 func TestMarshalUnmarshalErrors(t *testing.T) {
-	if _, err := Marshal(make(chan int)); err == nil {
-		t.Error("channel marshaled")
+	s, addr := startServer(t)
+	s.Register("nocodec", func(context.Context, *Peer, []byte) (any, error) {
+		return struct{ X int }{1}, nil
+	})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Call("echo", struct{ X int }{1}, nil); err == nil {
+		t.Error("args without a BodyEncoder accepted")
+	}
+	var plain struct{ X int }
+	if err := c.Call("echo", &echoArgs{}, &plain); err == nil {
+		t.Error("reply without a BodyDecoder accepted")
+	}
+	if err := c.Call("nocodec", &echoArgs{}, nil); err == nil {
+		t.Error("handler result without a BodyEncoder reached the client as success")
 	}
 	var x echoArgs
-	if err := Unmarshal([]byte("junk"), &x); err == nil {
-		t.Error("garbage unmarshaled")
+	if err := DecodeBodyBytes([]byte("junk"), &x); err == nil {
+		t.Error("garbage decoded")
+	}
+	if err := DecodeBodyBytes(append(MarshalBody(&echoArgs{Text: "t"}), 0xFF), &x); err == nil {
+		t.Error("trailing bytes accepted")
 	}
 }

@@ -1,9 +1,10 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"context"
-	"encoding/gob"
+	"io"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -13,13 +14,10 @@ import (
 // TestPushRawRoundTrip checks a pre-marshaled payload pushed with
 // PushRaw arrives byte-identical to a regular Push of the same body.
 func TestPushRawRoundTrip(t *testing.T) {
-	payload, err := Marshal(echoReply{Text: "shared", N: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := MarshalBody(&echoReply{Text: "shared", N: 7})
 	s := NewServer()
 	s.Register("kick", func(ctx context.Context, p *Peer, payload_ []byte) (any, error) {
-		if err := p.PushRaw("raw", EncGob, payload); err != nil {
+		if err := p.PushRaw("raw", EncBinary, payload); err != nil {
 			return nil, err
 		}
 		return nil, nil
@@ -42,7 +40,7 @@ func TestPushRawRoundTrip(t *testing.T) {
 			got <- body.Data
 		}
 	})
-	if err := c.Call("kick", echoArgs{}, nil); err != nil {
+	if err := c.Call("kick", &echoArgs{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -51,7 +49,7 @@ func TestPushRawRoundTrip(t *testing.T) {
 			t.Error("PushRaw payload bytes differ from the pre-marshaled input")
 		}
 		var r echoReply
-		if err := Unmarshal(p, &r); err != nil || r.Text != "shared" || r.N != 7 {
+		if err := DecodeBodyBytes(p, &r); err != nil || r.Text != "shared" || r.N != 7 {
 			t.Errorf("decoded %+v, %v", r, err)
 		}
 	case <-time.After(2 * time.Second):
@@ -69,11 +67,11 @@ func TestPushResponseFIFO(t *testing.T) {
 	s := NewServer()
 	s.Register("burst", func(ctx context.Context, p *Peer, payload []byte) (any, error) {
 		for i := 0; i < k; i++ {
-			if err := p.Push("seq", echoReply{N: i}); err != nil {
+			if err := p.Push("seq", &echoReply{N: i}); err != nil {
 				return nil, err
 			}
 		}
-		return echoReply{Text: "done"}, nil
+		return &echoReply{Text: "done"}, nil
 	})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -103,7 +101,7 @@ func TestPushResponseFIFO(t *testing.T) {
 	for round := 0; round < 8; round++ {
 		seen.Store(0)
 		var r echoReply
-		if err := c.Call("burst", echoArgs{}, &r); err != nil {
+		if err := c.Call("burst", &echoArgs{}, &r); err != nil {
 			t.Fatal(err)
 		}
 		if got := seen.Load(); got != k {
@@ -140,12 +138,12 @@ func TestFlushDrainsQueuedPushes(t *testing.T) {
 	defer c.Close()
 	var got atomic.Int64
 	c.OnPush(func(method string, body Body) { got.Add(1) })
-	if err := c.Call("hello", echoArgs{}, nil); err != nil {
+	if err := c.Call("hello", &echoArgs{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	peer := <-peerCh
 	for i := 0; i < k; i++ {
-		if err := peer.Push("tick", echoReply{N: i}); err != nil {
+		if err := peer.Push("tick", &echoReply{N: i}); err != nil {
 			t.Fatalf("push %d: %v", i, err)
 		}
 	}
@@ -175,7 +173,7 @@ func TestWriterCounters(t *testing.T) {
 	s.SetStats(st)
 	s.Register("burst", func(ctx context.Context, p *Peer, payload []byte) (any, error) {
 		for i := 0; i < k; i++ {
-			if err := p.Push("seq", echoReply{N: i}); err != nil {
+			if err := p.Push("seq", &echoReply{N: i}); err != nil {
 				return nil, err
 			}
 		}
@@ -195,7 +193,7 @@ func TestWriterCounters(t *testing.T) {
 	defer c.Close()
 	var got atomic.Int64
 	c.OnPush(func(method string, body Body) { got.Add(1) })
-	if err := c.Call("burst", echoArgs{}, nil); err != nil {
+	if err := c.Call("burst", &echoArgs{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// k pushes + 1 response.
@@ -233,33 +231,37 @@ func TestWriterCoalescesBursts(t *testing.T) {
 	defer cc.Close()
 
 	// Drive the client end by hand so reads can be withheld.
-	enc := gob.NewEncoder(cc)
-	dec := gob.NewDecoder(cc)
-	if err := enc.Encode(envelope{Kind: kindRequest, ID: 1, Method: "hello"}); err != nil {
+	br := bufio.NewReader(cc)
+	var rep [preambleLen]byte
+	if _, err := cc.Write(appendPreamble(nil, ProtoV2)); err != nil {
 		t.Fatal(err)
 	}
-	var resp envelope
-	if err := dec.Decode(&resp); err != nil || resp.Err != "" {
+	if _, err := io.ReadFull(br, rep[:]); err != nil {
+		t.Fatal(err)
+	}
+	fw := newVecWriter(cc, nil)
+	fw.encodeFrame(&envelope{Kind: kindRequest, ID: 1, Method: "hello"})
+	if err := fw.flush(); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := readFrame(br); err != nil || resp.Err != "" {
 		t.Fatalf("hello response: %+v, %v", resp, err)
 	}
 	peer := <-peerCh
 
 	// With no reader, the writer's first flush wedges on the pipe while
 	// every subsequent push queues behind it (queue cap 256 > k).
-	payload, err := Marshal(echoReply{Text: "burst"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := MarshalBody(&echoReply{Text: "burst"})
 	base := st.Counter(CounterWriterFlushes)
 	for i := 0; i < k; i++ {
-		if err := peer.PushRaw("tick", EncGob, payload); err != nil {
+		if err := peer.PushRaw("tick", EncBinary, payload); err != nil {
 			t.Fatalf("push %d: %v", i, err)
 		}
 	}
 	// Resume reading: the queued burst must drain in few flushes.
 	for got := 0; got < k; {
-		var env envelope
-		if err := dec.Decode(&env); err != nil {
+		env, err := readFrame(br)
+		if err != nil {
 			t.Fatalf("after %d pushes: %v", got, err)
 		}
 		if env.Kind == kindPush {
