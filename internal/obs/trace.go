@@ -21,7 +21,7 @@ func MintID() uint64 {
 	return traceBase + traceCounter.Add(1)
 }
 
-// Span is one timed section of a request: the gob decode, the handler
+// Span is one timed section of a request: the body decode, the handler
 // body, the room push fan-out. Start is the offset from the trace start.
 type Span struct {
 	Name  string

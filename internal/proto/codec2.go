@@ -58,12 +58,6 @@ func init() {
 // --- catalog --------------------------------------------------------------
 
 // AppendBody implements wire.BodyEncoder.
-func (*ListDocumentsReq) AppendBody(*wire.BodyEnc) {}
-
-// DecodeBody implements wire.BodyDecoder.
-func (*ListDocumentsReq) DecodeBody(*wire.Dec) error { return nil }
-
-// AppendBody implements wire.BodyEncoder.
 func (r *ListDocumentsResp) AppendBody(e *wire.BodyEnc) {
 	appendStrings(e, r.IDs)
 	appendStrings(e, r.Titles)
@@ -237,16 +231,7 @@ func (r *JoinRoomResp) AppendBody(e *wire.BodyEnc) {
 	for i := range r.History {
 		r.History[i].AppendBody(e)
 	}
-	e.Uvarint(uint64(len(r.Outcome)))
-	for k, v := range r.Outcome {
-		e.String(k)
-		e.String(v)
-	}
-	e.Uvarint(uint64(len(r.Visible)))
-	for k, v := range r.Visible {
-		e.String(k)
-		e.Bool(v)
-	}
+	room.AppendView(e, r.Outcome, r.Visible)
 	e.Bool(r.Resumed)
 	e.Bool(r.Complete)
 	e.Uvarint(r.LastSeq)
@@ -256,38 +241,22 @@ func (r *JoinRoomResp) AppendBody(e *wire.BodyEnc) {
 func (r *JoinRoomResp) DecodeBody(d *wire.Dec) error {
 	r.DocData = d.Bytes()
 	r.History = decodeEvents(d)
-	if n := d.Uvarint(); n > 0 && d.Err() == nil {
-		r.Outcome = make(map[string]string, n)
-		for i := uint64(0); i < n && d.Err() == nil; i++ {
-			k := d.String()
-			r.Outcome[k] = d.String()
-		}
-	} else {
-		r.Outcome = nil
-	}
-	if n := d.Uvarint(); n > 0 && d.Err() == nil {
-		r.Visible = make(map[string]bool, n)
-		for i := uint64(0); i < n && d.Err() == nil; i++ {
-			k := d.String()
-			r.Visible[k] = d.Bool()
-		}
-	} else {
-		r.Visible = nil
-	}
+	r.Outcome, r.Visible = room.DecodeView(d)
 	r.Resumed = d.Bool()
 	r.Complete = d.Bool()
 	r.LastSeq = d.Uvarint()
 	return d.Err()
 }
 
-// AppendBody implements wire.BodyEncoder.
-func (r *LeaveRoomReq) AppendBody(e *wire.BodyEnc) {
+// AppendBody implements wire.BodyEncoder (LeaveRoomReq, BroadcastReq and
+// SaveMinutesReq alias MemberReq).
+func (r *MemberReq) AppendBody(e *wire.BodyEnc) {
 	e.String(r.Room)
 	e.String(r.User)
 }
 
 // DecodeBody implements wire.BodyDecoder.
-func (r *LeaveRoomReq) DecodeBody(d *wire.Dec) error {
+func (r *MemberReq) DecodeBody(d *wire.Dec) error {
 	r.Room = d.String()
 	r.User = d.String()
 	return d.Err()
@@ -472,32 +441,6 @@ func (r *ShareSearchReq) DecodeBody(d *wire.Dec) error {
 }
 
 // AppendBody implements wire.BodyEncoder.
-func (r *BroadcastReq) AppendBody(e *wire.BodyEnc) {
-	e.String(r.Room)
-	e.String(r.User)
-}
-
-// DecodeBody implements wire.BodyDecoder.
-func (r *BroadcastReq) DecodeBody(d *wire.Dec) error {
-	r.Room = d.String()
-	r.User = d.String()
-	return d.Err()
-}
-
-// AppendBody implements wire.BodyEncoder.
-func (r *SaveMinutesReq) AppendBody(e *wire.BodyEnc) {
-	e.String(r.Room)
-	e.String(r.User)
-}
-
-// DecodeBody implements wire.BodyDecoder.
-func (r *SaveMinutesReq) DecodeBody(d *wire.Dec) error {
-	r.Room = d.String()
-	r.User = d.String()
-	return d.Err()
-}
-
-// AppendBody implements wire.BodyEncoder.
 func (r *SaveMinutesResp) AppendBody(e *wire.BodyEnc) { e.String(r.Component) }
 
 // DecodeBody implements wire.BodyDecoder.
@@ -507,12 +450,6 @@ func (r *SaveMinutesResp) DecodeBody(d *wire.Dec) error {
 }
 
 // --- observability --------------------------------------------------------
-
-// AppendBody implements wire.BodyEncoder.
-func (*StatsReq) AppendBody(*wire.BodyEnc) {}
-
-// DecodeBody implements wire.BodyDecoder.
-func (*StatsReq) DecodeBody(d *wire.Dec) error { return d.Err() }
 
 // AppendBody implements wire.BodyEncoder.
 func (r *StatsResp) AppendBody(e *wire.BodyEnc) { appendJSON(e, r) }

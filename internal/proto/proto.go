@@ -60,7 +60,7 @@ const (
 )
 
 // ListDocumentsReq asks for the stored document catalog.
-type ListDocumentsReq struct{}
+type ListDocumentsReq = wire.None
 
 // ListDocumentsResp lists document ids and titles, aligned by index.
 type ListDocumentsResp struct {
@@ -179,11 +179,15 @@ type JoinRoomResp struct {
 	LastSeq  uint64
 }
 
-// LeaveRoomReq exits a room.
-type LeaveRoomReq struct {
+// MemberReq is the body of the requests that name only the room and the
+// acting member.
+type MemberReq struct {
 	Room string
 	User string
 }
+
+// LeaveRoomReq exits a room.
+type LeaveRoomReq = MemberReq
 
 // ChoiceReq records a presentation choice (empty Value retracts).
 type ChoiceReq struct {
@@ -264,24 +268,18 @@ type HistoryReq struct {
 type HistoryResp struct{ Events []room.Event }
 
 // BroadcastReq starts or stops a broadcast by the named member.
-type BroadcastReq struct {
-	Room string
-	User string
-}
+type BroadcastReq = MemberReq
 
 // SaveMinutesReq persists the room's discussion results into the document
 // and the image objects (the paper's "results of the discussions ... may
 // be stored in the file").
-type SaveMinutesReq struct {
-	Room string
-	User string
-}
+type SaveMinutesReq = MemberReq
 
 // SaveMinutesResp names the new minutes component.
 type SaveMinutesResp struct{ Component string }
 
 // StatsReq asks for the server's live metrics snapshot.
-type StatsReq struct{}
+type StatsReq = wire.None
 
 // MethodSummary is one method's request statistics: counters plus the
 // latency distribution (mean and log-bucketed tail percentiles).

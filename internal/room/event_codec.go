@@ -34,16 +34,7 @@ func (ev *Event) AppendBody(e *wire.BodyEnc) {
 	e.Uvarint(ev.ObjectID)
 	appendAnnotation(e, &ev.Annotation)
 	e.Varint(int64(ev.AnnotationID))
-	e.Uvarint(uint64(len(ev.Outcome)))
-	for k, v := range ev.Outcome {
-		e.String(k)
-		e.String(v)
-	}
-	e.Uvarint(uint64(len(ev.Visible)))
-	for k, v := range ev.Visible {
-		e.String(k)
-		e.Bool(v)
-	}
+	AppendView(e, ev.Outcome, ev.Visible)
 	e.String(ev.Keyword)
 	AppendHits(e, ev.Hits)
 	e.String(ev.Text)
@@ -66,30 +57,49 @@ func (ev *Event) DecodeBody(d *wire.Dec) error {
 	ev.ObjectID = d.Uvarint()
 	decodeAnnotation(d, &ev.Annotation)
 	ev.AnnotationID = int(d.Varint())
-	if n := d.Uvarint(); n > 0 && d.Err() == nil {
-		ev.Outcome = make(cpnet.Outcome, n)
-		for i := uint64(0); i < n && d.Err() == nil; i++ {
-			k := d.String()
-			ev.Outcome[k] = d.String()
-		}
-	} else {
-		ev.Outcome = nil
-	}
-	if n := d.Uvarint(); n > 0 && d.Err() == nil {
-		ev.Visible = make(map[string]bool, n)
-		for i := uint64(0); i < n && d.Err() == nil; i++ {
-			k := d.String()
-			ev.Visible[k] = d.Bool()
-		}
-	} else {
-		ev.Visible = nil
-	}
+	ev.Outcome, ev.Visible = DecodeView(d)
 	ev.Keyword = d.String()
 	ev.Hits = DecodeHits(d)
 	ev.Text = d.String()
 	ev.Resync = d.Bool()
 	ev.shared = nil
 	return d.Err()
+}
+
+// AppendView writes a member's presentation — the CP-net outcome and the
+// component visibility map — as two count-prefixed key/value runs
+// (shared with proto.JoinRoomResp, which carries the same pair).
+func AppendView(e *wire.BodyEnc, outcome cpnet.Outcome, visible map[string]bool) {
+	e.Uvarint(uint64(len(outcome)))
+	for k, v := range outcome {
+		e.String(k)
+		e.String(v)
+	}
+	e.Uvarint(uint64(len(visible)))
+	for k, v := range visible {
+		e.String(k)
+		e.Bool(v)
+	}
+}
+
+// DecodeView reads what AppendView wrote; empty maps decode as nil. A
+// failure latches in d.
+func DecodeView(d *wire.Dec) (outcome cpnet.Outcome, visible map[string]bool) {
+	if n := d.Uvarint(); n > 0 && d.Err() == nil {
+		outcome = make(cpnet.Outcome, min(n, 4096))
+		for i := uint64(0); i < n && d.Err() == nil; i++ {
+			k := d.String()
+			outcome[k] = d.String()
+		}
+	}
+	if n := d.Uvarint(); n > 0 && d.Err() == nil {
+		visible = make(map[string]bool, min(n, 4096))
+		for i := uint64(0); i < n && d.Err() == nil; i++ {
+			k := d.String()
+			visible[k] = d.Bool()
+		}
+	}
+	return outcome, visible
 }
 
 // AppendHits writes a count-prefixed run of search hits (shared with

@@ -34,16 +34,16 @@ type Client struct {
 	fw     *vecWriter
 	nextID uint64
 
-	ver   uint8         // negotiated version; valid once ready is closed
 	ready chan struct{} // closed when the handshake settles
 	done  chan struct{} // closed when the read loop exits
 
-	mu          sync.Mutex
-	pending     map[uint64]chan envelope
-	onPush      PushHandler
-	closed      bool
-	readErr     error
-	callTimeout time.Duration // default per-call deadline (0 = none)
+	callTimeout atomic.Int64 // default per-call deadline in ns (0 = none)
+
+	mu      sync.Mutex
+	pending map[uint64]chan envelope
+	onPush  PushHandler
+	closed  bool
+	readErr error
 }
 
 // Dial connects to a server address over TCP, bounded by
@@ -83,18 +83,6 @@ func NewClient(conn net.Conn) *Client {
 	return c
 }
 
-// ProtoVersion reports the negotiated protocol version, blocking until
-// the handshake settles (0 for a connection that died or was refused
-// mid-handshake).
-func (c *Client) ProtoVersion() uint8 {
-	select {
-	case <-c.ready:
-		return c.ver
-	case <-c.done:
-		return 0
-	}
-}
-
 // Done returns a channel closed when the connection ends (EOF, reset, or
 // Close). A reconnecting wrapper watches it to trigger redial.
 func (c *Client) Done() <-chan struct{} { return c.done }
@@ -111,11 +99,7 @@ func (c *Client) Err() error {
 // Call/CallCtx whose context carries no deadline of its own — so a hung
 // server or a silent partition fails the call instead of wedging the
 // caller forever. Zero disables the default.
-func (c *Client) SetCallTimeout(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.callTimeout = d
-}
+func (c *Client) SetCallTimeout(d time.Duration) { c.callTimeout.Store(int64(d)) }
 
 // OnPush installs the push handler. Install it before triggering any
 // server activity that may push.
@@ -158,7 +142,7 @@ func (c *Client) readLoop() {
 		fail(errors.New("wire: bad negotiation reply"))
 		return
 	}
-	if c.ver, ok = negotiate(chosen); !ok {
+	if _, ok = negotiate(chosen); !ok {
 		fail(fmt.Errorf("%w: server chose version %d", ErrProtoVersion, chosen))
 		return
 	}
@@ -199,17 +183,18 @@ func (c *Client) closedErr() error {
 	return ErrClosed
 }
 
-// roundTrip sends one request — payload if already encoded, body
-// otherwise — and waits for its response envelope. It owns body: every
-// path that does not reach the frame writer returns it to the pool.
-func (c *Client) roundTrip(ctx context.Context, method string, payload []byte, body *BodyEnc) (envelope, error) {
+// roundTrip sends one request — payload if already encoded, args
+// otherwise — and waits for the reply payload. A non-nil error is either
+// a *RemoteError (the far handler failed) or a transport error
+// (errors.Is ErrClosed / context errors). The results are exactly
+// CallRaw's so that it inlines: a forwarding node runs this frame at the
+// bottom of its interceptor chain, and one more frame there cost the
+// forwarded choice 5% in goroutine stack growth.
+func (c *Client) roundTrip(ctx context.Context, method string, payload []byte, args BodyEncoder) (reply []byte, err error) {
 	// The default deadline covers the handshake wait too: a peer that
 	// accepts the connection but never answers the preamble must fail the
 	// call, not wedge it.
-	c.mu.Lock()
-	timeout := c.callTimeout
-	c.mu.Unlock()
-	if timeout > 0 {
+	if timeout := time.Duration(c.callTimeout.Load()); timeout > 0 {
 		if _, bounded := ctx.Deadline(); !bounded {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, timeout)
@@ -220,19 +205,16 @@ func (c *Client) roundTrip(ctx context.Context, method string, payload []byte, b
 	select {
 	case <-c.ready:
 	case <-c.done:
-		putBodyEnc(body)
-		return envelope{}, fmt.Errorf("wire: call %s: %w", method, c.closedErr())
+		return nil, fmt.Errorf("wire: call %s: %w", method, c.closedErr())
 	case <-ctx.Done():
-		putBodyEnc(body)
-		return envelope{}, fmt.Errorf("wire: call %s: %w", method, ctx.Err())
+		return nil, fmt.Errorf("wire: call %s: %w", method, ctx.Err())
 	}
 	id := atomic.AddUint64(&c.nextID, 1)
 	ch := make(chan envelope, 1)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		putBodyEnc(body)
-		return envelope{}, fmt.Errorf("wire: call %s: %w", method, c.closedErr())
+		return nil, fmt.Errorf("wire: call %s: %w", method, c.closedErr())
 	}
 	c.pending[id] = ch
 	c.mu.Unlock()
@@ -243,10 +225,14 @@ func (c *Client) roundTrip(ctx context.Context, method string, payload []byte, b
 	if !hasTID {
 		tid = obs.MintID()
 	}
-	env := envelope{Kind: kindRequest, ID: id, Method: method, Payload: payload, Trace: tid, body: body}
+	env := envelope{Kind: kindRequest, ID: id, Method: method, Payload: payload, Trace: tid}
+	if args != nil {
+		env.body = getBodyEnc() // the frame writer returns it to the pool
+		args.AppendBody(env.body)
+	}
 	c.wmu.Lock()
 	c.fw.encodeFrame(&env)
-	err := c.fw.flush()
+	err = c.fw.flush()
 	c.wmu.Unlock()
 	if err != nil {
 		c.mu.Lock()
@@ -254,62 +240,56 @@ func (c *Client) roundTrip(ctx context.Context, method string, payload []byte, b
 		delete(c.pending, id)
 		c.mu.Unlock()
 		if closed {
-			return envelope{}, fmt.Errorf("wire: call %s: %w: %v", method, ErrClosed, err)
+			return nil, fmt.Errorf("wire: call %s: %w: %v", method, ErrClosed, err)
 		}
-		return envelope{}, fmt.Errorf("wire: call %s: %w", method, err)
+		return nil, fmt.Errorf("wire: call %s: %w", method, err)
 	}
 	select {
 	case resp, ok := <-ch:
 		if !ok {
-			return envelope{}, fmt.Errorf("wire: %w during %s", c.closedErr(), method)
+			return nil, fmt.Errorf("wire: %w during %s", c.closedErr(), method)
 		}
-		return resp, nil
+		if resp.Err != "" {
+			return nil, &RemoteError{Msg: resp.Err}
+		}
+		return resp.Payload, nil
 	case <-ctx.Done():
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
-		return envelope{}, fmt.Errorf("wire: call %s: %w", method, ctx.Err())
+		return nil, fmt.Errorf("wire: call %s: %w", method, ctx.Err())
 	}
 }
 
 // Call invokes a server method, decoding the response into reply (pass
 // nil to discard the result).
-func (c *Client) Call(method string, args, reply any) error {
+func (c *Client) Call(method string, args BodyEncoder, reply any) error {
 	return c.CallCtx(context.Background(), method, args, reply)
 }
 
-// CallCtx invokes a server method, abandoning the wait when ctx ends.
-// args must implement BodyEncoder and a non-nil reply BodyDecoder (the
-// parameters are typed any only because benchmark/ compiles against this
-// signature). An abandoned call's response is discarded if it arrives
-// later; the server side may still run to completion unless its own
-// timeout or the connection's death cancels it.
-func (c *Client) CallCtx(ctx context.Context, method string, args, reply any) error {
-	be, ok := args.(BodyEncoder)
-	if !ok {
-		return fmt.Errorf("wire: call %s: args %T implements no BodyEncoder", method, args)
+// CallCtx invokes a server method, abandoning the wait when ctx ends. A
+// non-nil reply must implement BodyDecoder (it is typed any only because
+// benchmark/ hands one through an any). An abandoned call's response is
+// discarded if it arrives later; the server side may still run to
+// completion unless its own timeout or the connection's death cancels it.
+func (c *Client) CallCtx(ctx context.Context, method string, args BodyEncoder, reply any) error {
+	bd, ok := reply.(BodyDecoder)
+	if reply != nil && !ok {
+		return fmt.Errorf("wire: call %s: reply %T implements no BodyDecoder", method, reply)
 	}
-	var bd BodyDecoder
-	if reply != nil {
-		if bd, ok = reply.(BodyDecoder); !ok {
-			return fmt.Errorf("wire: call %s: reply %T implements no BodyDecoder", method, reply)
-		}
-	}
-	body := getBodyEnc()
-	be.AppendBody(body)
-	resp, err := c.roundTrip(ctx, method, nil, body)
-	if err != nil {
-		return err
-	}
-	if resp.Err != "" {
+	payload, err := c.roundTrip(ctx, method, nil, args)
+	if re, remote := err.(*RemoteError); remote {
 		// Errors cross the wire as strings; re-type the ones callers
 		// dispatch on: overload rejections come back as *OverloadError
 		// (retry-after hint intact), routing redirects as *RedirectError
 		// (target node intact), quorum refusals as *UnavailableError.
-		return retypeError(resp.Err)
+		return retypeError(re.Msg)
+	}
+	if err != nil {
+		return err
 	}
 	if bd != nil {
-		return DecodeBodyBytes(resp.Payload, bd)
+		return DecodeBodyBytes(payload, bd)
 	}
 	return nil
 }
@@ -318,7 +298,7 @@ func (c *Client) CallCtx(ctx context.Context, method string, args, reply any) er
 func (c *Client) Close() error { return c.conn.Close() }
 
 // CallTimeout is a convenience CallCtx with a fresh deadline.
-func (c *Client) CallTimeout(d time.Duration, method string, args, reply any) error {
+func (c *Client) CallTimeout(d time.Duration, method string, args BodyEncoder, reply any) error {
 	ctx, cancel := context.WithTimeout(context.Background(), d)
 	defer cancel()
 	return c.CallCtx(ctx, method, args, reply)

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"context"
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -92,15 +93,12 @@ func TestServerVersionSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if got := c.ProtoVersion(); got != ProtoV2 {
-		t.Fatalf("client ProtoVersion = %d, want %d", got, ProtoV2)
-	}
-	if err := c.Err(); err != nil {
-		t.Fatalf("live client Err = %v", err)
-	}
 	var rep echoReply
 	if err := c.CallTimeout(5*time.Second, "echo", &echoArgs{Text: "t", N: 2}, &rep); err != nil {
 		t.Fatal(err)
+	}
+	if err := c.Err(); err != nil {
+		t.Fatalf("live client Err = %v", err)
 	}
 	if rep.N != 4 {
 		t.Fatalf("echo reply N = %d", rep.N)
@@ -197,8 +195,8 @@ func TestClientProtoVersionDeadConn(t *testing.T) {
 	server.Close() // handshake can never complete
 	c := NewClient(client)
 	defer c.Close()
-	if got := c.ProtoVersion(); got != 0 {
-		t.Errorf("ProtoVersion on dead conn = %d, want 0", got)
+	if err := c.CallTimeout(5*time.Second, "echo", &echoArgs{}, nil); !errors.Is(err, ErrClosed) {
+		t.Errorf("call on a conn that died mid-handshake = %v, want ErrClosed", err)
 	}
 }
 

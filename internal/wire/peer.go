@@ -29,8 +29,8 @@ const (
 	// messages coalesces into one flush, so flushes ≪ messages under
 	// load).
 	CounterWriterFlushes = "wire.writer_flushes"
-	// CounterWriterWrites counts actual socket writes (flushes plus
-	// bufio spills of oversized batches).
+	// CounterWriterWrites counts actual socket writes (one net.Buffers
+	// write per flush).
 	CounterWriterWrites = "wire.writer_writes"
 	// CounterWriterBytes totals bytes written to sockets.
 	CounterWriterBytes = "wire.writer_bytes"

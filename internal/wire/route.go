@@ -145,12 +145,5 @@ func (e *RemoteError) Error() string { return e.Msg }
 // handler failed; relay its Msg verbatim) or a transport error
 // (errors.Is ErrClosed / context errors — the relay link itself died).
 func (c *Client) CallRaw(ctx context.Context, method string, payload []byte) ([]byte, error) {
-	resp, err := c.roundTrip(ctx, method, payload, nil)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, &RemoteError{Msg: resp.Err}
-	}
-	return resp.Payload, nil
+	return c.roundTrip(ctx, method, payload, nil)
 }

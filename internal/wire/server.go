@@ -225,13 +225,9 @@ func (s *Server) ServeConn(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	clientMax, ok := parsePreamble(pre[:])
-	if !ok {
-		conn.Close()
-		return
-	}
-	ver, ok := negotiate(clientMax)
-	if !ok {
+	clientMax, okPre := parsePreamble(pre[:])
+	ver, okVer := negotiate(clientMax)
+	if !okPre || !okVer {
 		conn.Close()
 		return
 	}

@@ -196,6 +196,9 @@ func TestWriterCounters(t *testing.T) {
 	if err := c.Call("burst", &echoArgs{}, nil); err != nil {
 		t.Fatal(err)
 	}
+	// The writer counts a flush after the socket write returns, so the
+	// response can reach the client a moment before its flush is counted.
+	waitFor(t, func() bool { return st.Counter(CounterWriterBytes) > 0 })
 	// k pushes + 1 response.
 	if msgs := st.Counter(CounterWriterMessages); msgs < k+1 {
 		t.Errorf("writer messages = %d, want >= %d", msgs, k+1)
