@@ -332,7 +332,7 @@ func (c *Client) GetImageBytes(id uint64) ([]byte, error) {
 // getImageResp is the shared image fetch, conditional when the digest
 // cache knows the object.
 func (c *Client) getImageResp(id uint64) (*proto.GetImageResp, error) {
-	key := fmt.Sprintf("img:%d", id)
+	key := objectKey{'i', id}
 	known, cached, _ := c.cacheLookup(key)
 	var resp proto.GetImageResp
 	if err := c.call(context.Background(), proto.MGetImage, &proto.GetImageReq{ID: id, IfDigestAbsent: known}, &resp); err != nil {
@@ -352,7 +352,7 @@ func (c *Client) getImageResp(id uint64) (*proto.GetImageResp, error) {
 
 // GetAudio fetches an audio object: PCM bytes plus segmentation metadata.
 func (c *Client) GetAudio(id uint64) (pcm, sectors []byte, filename string, err error) {
-	key := fmt.Sprintf("aud:%d", id)
+	key := objectKey{'a', id}
 	known, cached, _ := c.cacheLookup(key)
 	var resp proto.GetAudioResp
 	if err := c.call(context.Background(), proto.MGetAudio, &proto.GetAudioReq{ID: id, IfDigestAbsent: known}, &resp); err != nil {
@@ -374,9 +374,8 @@ func (c *Client) GetAudio(id uint64) (pcm, sectors []byte, filename string, err 
 // conditional — the digest addresses the full stream.
 func (c *Client) GetCmp(id uint64, maxLayers int) (*image.Gray, int, error) {
 	var known, cached []byte
-	var key string
+	key := objectKey{'c', id}
 	if maxLayers == 0 {
-		key = fmt.Sprintf("cmp:%d", id)
 		known, cached, _ = c.cacheLookup(key)
 	}
 	var resp proto.GetCmpResp
@@ -389,7 +388,7 @@ func (c *Client) GetCmp(id uint64, maxLayers int) (*image.Gray, int, error) {
 		}
 		c.digests.hits.Add(1)
 		resp.Data = cached
-	} else if key != "" {
+	} else if maxLayers == 0 {
 		c.cacheStore(key, resp.Digest, resp.Data)
 	}
 	stream, err := compress.Unmarshal(resp.Header, resp.Data)
@@ -404,7 +403,7 @@ func (c *Client) GetCmp(id uint64, maxLayers int) (*image.Gray, int, error) {
 }
 
 // cacheLookup consults the digest cache when enabled.
-func (c *Client) cacheLookup(key string) (digest, data []byte, ok bool) {
+func (c *Client) cacheLookup(key objectKey) (digest, data []byte, ok bool) {
 	if c.digests == nil {
 		return nil, nil, false
 	}
@@ -413,7 +412,7 @@ func (c *Client) cacheLookup(key string) (digest, data []byte, ok bool) {
 
 // cacheStore records a fetched payload in the digest cache (a miss, by
 // definition — the payload crossed the wire).
-func (c *Client) cacheStore(key string, digest, data []byte) {
+func (c *Client) cacheStore(key objectKey, digest, data []byte) {
 	if c.digests == nil {
 		return
 	}

@@ -1,9 +1,11 @@
 package client
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
+
+	"mmconf/internal/blob"
+	"mmconf/internal/bytecache"
 )
 
 // The client-side digest cache (§4.4 extended): media payloads keyed by
@@ -15,91 +17,58 @@ import (
 // bytes share one entry, and an object whose payload reverts to one
 // seen earlier is a hit too.
 
-// digestCache is a byte-bounded LRU over payloads keyed by digest, with
-// an object-id index on top ("img:5" → last seen digest).
+// objectKey names a media object: its table and its id within it.
+type objectKey struct {
+	kind byte // 'i'mage, 'a'udio, 'c'ompressed stream
+	id   uint64
+}
+
+// digestCache is an object → last-seen-digest map over the byte-bounded
+// payload cache. An object whose payload the LRU has since evicted
+// drops out of the map on its next lookup.
 type digestCache struct {
-	mu      sync.Mutex
-	max     int64
-	size    int64
-	lru     *list.List               // *digestEntry; front = most recent
-	entries map[string]*list.Element // digest → element
-	byID    map[string]string        // object key → digest
+	payloads *bytecache.Cache[blob.Digest]
+
+	mu   sync.Mutex
+	byID map[objectKey]blob.Digest
 
 	hits, misses atomic.Uint64
 }
 
-type digestEntry struct {
-	digest string
-	data   []byte
-	ids    map[string]struct{} // object keys mapping here, for eviction
-}
-
 func newDigestCache(maxBytes int64) *digestCache {
 	return &digestCache{
-		max:     maxBytes,
-		lru:     list.New(),
-		entries: make(map[string]*list.Element),
-		byID:    make(map[string]string),
+		payloads: bytecache.New[blob.Digest](maxBytes),
+		byID:     make(map[objectKey]blob.Digest),
 	}
 }
 
-// lookup returns the digest and payload last seen for the object key.
+// lookup returns the digest and payload last seen for the object.
 // Returning both together keeps the conditional round trip race-free:
 // the bytes backing a NotModified answer are already in hand.
-func (dc *digestCache) lookup(id string) (digest, data []byte, ok bool) {
+func (dc *digestCache) lookup(id objectKey) (digest, data []byte, ok bool) {
 	dc.mu.Lock()
 	defer dc.mu.Unlock()
-	key, ok := dc.byID[id]
+	d, ok := dc.byID[id]
 	if !ok {
 		return nil, nil, false
 	}
-	el := dc.entries[key]
-	if el == nil {
+	if data, ok = dc.payloads.Get(d); !ok {
 		delete(dc.byID, id)
 		return nil, nil, false
 	}
-	dc.lru.MoveToFront(el)
-	e := el.Value.(*digestEntry)
-	return []byte(e.digest), e.data, true
+	return d[:], data, true
 }
 
 // store records the payload the server just returned for the object.
-func (dc *digestCache) store(id string, digest, data []byte) {
-	if len(digest) == 0 || int64(len(data)) > dc.max {
+func (dc *digestCache) store(id objectKey, digest, data []byte) {
+	if len(digest) != len(blob.Digest{}) {
 		return
 	}
-	key := string(digest)
+	d := blob.Digest(digest)
 	dc.mu.Lock()
 	defer dc.mu.Unlock()
-	if old, ok := dc.byID[id]; ok && old != key {
-		if el := dc.entries[old]; el != nil {
-			delete(el.Value.(*digestEntry).ids, id)
-		}
-	}
-	dc.byID[id] = key
-	if el := dc.entries[key]; el != nil {
-		el.Value.(*digestEntry).ids[id] = struct{}{}
-		dc.lru.MoveToFront(el)
-		return
-	}
-	e := &digestEntry{digest: key, data: data, ids: map[string]struct{}{id: {}}}
-	dc.entries[key] = dc.lru.PushFront(e)
-	dc.size += int64(len(data))
-	for dc.size > dc.max {
-		back := dc.lru.Back()
-		if back == nil {
-			break
-		}
-		dc.lru.Remove(back)
-		ev := back.Value.(*digestEntry)
-		delete(dc.entries, ev.digest)
-		dc.size -= int64(len(ev.data))
-		for oid := range ev.ids {
-			if dc.byID[oid] == ev.digest {
-				delete(dc.byID, oid)
-			}
-		}
-	}
+	dc.payloads.Put(d, data)
+	dc.byID[id] = d
 }
 
 // DigestCacheStats counts the client's conditional-fetch outcomes.
@@ -118,12 +87,9 @@ func (c *Client) DigestCacheStats() DigestCacheStats {
 	if c.digests == nil {
 		return DigestCacheStats{}
 	}
-	c.digests.mu.Lock()
-	bytes := c.digests.size
-	c.digests.mu.Unlock()
 	return DigestCacheStats{
 		Hits:   c.digests.hits.Load(),
 		Misses: c.digests.misses.Load(),
-		Bytes:  bytes,
+		Bytes:  c.digests.payloads.Stats().Bytes,
 	}
 }

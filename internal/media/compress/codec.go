@@ -376,7 +376,7 @@ func (s *Stream) Marshal() (header, body []byte, err error) {
 			err = binary.Write(&hb, binary.LittleEndian, v)
 		}
 	}
-	w(uint32(0x4D4D4C59)) // "MMLY"
+	w(uint32(headerMagic))
 	w(uint32(s.W))
 	w(uint32(s.H))
 	w(uint32(s.Levels))
@@ -395,44 +395,85 @@ func (s *Stream) Marshal() (header, body []byte, err error) {
 	return hb.Bytes(), db.Bytes(), nil
 }
 
+// MMLY header layout: six little-endian uint32s (magic, W, H, Levels,
+// Block, layer count), then one directory entry per layer (kind uint8,
+// step float64, size uint64).
+const (
+	headerMagic    = 0x4D4D4C59 // "MMLY"
+	headerFixedLen = 6 * 4
+	dirEntryLen    = 1 + 8 + 8
+)
+
+// parseHeader checks an MMLY header without touching the body and
+// returns the stream geometry plus the layer directory: one
+// dirEntryLen-byte entry per layer, all present.
+func parseHeader(header []byte) (*Stream, []byte, error) {
+	le := binary.LittleEndian
+	if len(header) < 4 || le.Uint32(header) != headerMagic {
+		return nil, nil, fmt.Errorf("compress: not an MMLY header")
+	}
+	if len(header) < headerFixedLen {
+		return nil, nil, fmt.Errorf("compress: truncated header")
+	}
+	w32, h32, count := le.Uint32(header[4:]), le.Uint32(header[8:]), le.Uint32(header[20:])
+	if w32 == 0 || h32 == 0 || count == 0 || count > 64 {
+		return nil, nil, fmt.Errorf("compress: implausible header (%dx%d, %d layers)", w32, h32, count)
+	}
+	dir := header[headerFixedLen:]
+	if len(dir) < int(count)*dirEntryLen {
+		return nil, nil, fmt.Errorf("compress: truncated layer directory")
+	}
+	s := &Stream{W: int(w32), H: int(h32), Levels: int(le.Uint32(header[12:])), Block: int(le.Uint32(header[16:]))}
+	return s, dir[:int(count)*dirEntryLen], nil
+}
+
 // Unmarshal reassembles a stream from its header and body. A truncated
 // body is accepted as long as it covers whole layers — that is the
 // partial-transfer path: a client that received only k layers decodes
 // what it has.
 func Unmarshal(header, body []byte) (*Stream, error) {
-	r := bytes.NewReader(header)
-	var magic, w32, h32, levels, block, count uint32
-	rd := func(v any) error { return binary.Read(r, binary.LittleEndian, v) }
-	if err := rd(&magic); err != nil || magic != 0x4D4D4C59 {
-		return nil, fmt.Errorf("compress: not an MMLY header")
+	s, dir, err := parseHeader(header)
+	if err != nil {
+		return nil, err
 	}
-	if rd(&w32) != nil || rd(&h32) != nil || rd(&levels) != nil || rd(&block) != nil || rd(&count) != nil {
-		return nil, fmt.Errorf("compress: truncated header")
-	}
-	if w32 == 0 || h32 == 0 || count == 0 || count > 64 {
-		return nil, fmt.Errorf("compress: implausible header (%dx%d, %d layers)", w32, h32, count)
-	}
-	s := &Stream{W: int(w32), H: int(h32), Levels: int(levels), Block: int(block)}
-	offset := 0
-	for i := uint32(0); i < count; i++ {
-		var kind uint8
-		var step float64
-		var size uint64
-		if rd(&kind) != nil || rd(&step) != nil || rd(&size) != nil {
-			return nil, fmt.Errorf("compress: truncated layer directory")
-		}
-		if offset+int(size) > len(body) {
+	for ; len(dir) > 0; dir = dir[dirEntryLen:] {
+		size := binary.LittleEndian.Uint64(dir[9:])
+		if size > uint64(len(body)) {
 			break // partial transfer: stop at the last complete layer
 		}
 		s.Layers = append(s.Layers, Layer{
-			Kind: LayerKind(kind),
-			Step: step,
-			Data: append([]byte(nil), body[offset:offset+int(size)]...),
+			Kind: LayerKind(dir[0]),
+			Step: math.Float64frombits(binary.LittleEndian.Uint64(dir[1:])),
+			Data: append([]byte(nil), body[:size]...),
 		})
-		offset += int(size)
+		body = body[size:]
 	}
 	if len(s.Layers) == 0 {
 		return nil, fmt.Errorf("compress: body contains no complete layer")
 	}
 	return s, nil
+}
+
+// PrefixLen returns how many body bytes the first k layers (k ≥ 1)
+// occupy, reading only the layer directory: what a server needs to
+// slice a stored stream for a k-layer transfer, without Unmarshal's
+// copy of every layer. It equals Unmarshal(header, body).PrefixBytes(k)
+// for a complete body; k beyond the directory is an error.
+func PrefixLen(header []byte, k int) (int, error) {
+	_, dir, err := parseHeader(header)
+	if err != nil {
+		return 0, err
+	}
+	if layers := len(dir) / dirEntryLen; k > layers {
+		return 0, fmt.Errorf("compress: stream has %d layers, not %d", layers, k)
+	}
+	var n uint64
+	for i := 0; i < k; i++ {
+		size := binary.LittleEndian.Uint64(dir[i*dirEntryLen+9:])
+		if size > math.MaxUint32 { // no blob is that long; keeps n from wrapping
+			return 0, fmt.Errorf("compress: implausible layer size %d", size)
+		}
+		n += size
+	}
+	return int(n), nil
 }

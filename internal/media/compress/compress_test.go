@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -271,6 +272,54 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Unmarshal(header, body[:3]); err == nil {
 		t.Error("body with no complete layer accepted")
+	}
+}
+
+// PrefixLen reads only the layer directory; it must agree with the
+// full parse on every prefix and reject what the full parse rejects,
+// with the same errors.
+func TestPrefixLenMatchesUnmarshal(t *testing.T) {
+	img, _ := image.Phantom(96, 80, 5)
+	st, _ := Encode(img, Options{})
+	header, body, err := st.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := Unmarshal(header, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k <= len(full.Layers); k++ {
+		n, err := PrefixLen(header, k)
+		if err != nil || n != full.PrefixBytes(k) {
+			t.Errorf("PrefixLen(%d) = %d, %v; Unmarshal gives %d", k, n, err, full.PrefixBytes(k))
+		}
+	}
+	if n, err := PrefixLen(header, len(full.Layers)); n != len(body) {
+		t.Errorf("all-layer prefix = %d, %v; body is %d bytes", n, err, len(body))
+	}
+	if _, err := PrefixLen(header, len(full.Layers)+1); err == nil {
+		t.Error("prefix beyond the directory accepted")
+	}
+	implausible := append([]byte(nil), header...)
+	binary.LittleEndian.PutUint32(implausible[20:], 65) // layer count
+	zeroWidth := append([]byte(nil), header...)
+	binary.LittleEndian.PutUint32(zeroWidth[4:], 0)
+	for name, h := range map[string][]byte{
+		"empty":               nil,
+		"bad magic":           []byte("bogus header bytes, long enough"),
+		"magic only":          header[:4],
+		"truncated fixed":     header[:20],
+		"no directory":        header[:24],
+		"truncated directory": header[:len(header)-1],
+		"implausible count":   implausible,
+		"zero width":          zeroWidth,
+	} {
+		_, wantErr := Unmarshal(h, body)
+		_, gotErr := PrefixLen(h, 1)
+		if wantErr == nil || gotErr == nil || gotErr.Error() != wantErr.Error() {
+			t.Errorf("%s: PrefixLen err = %v, Unmarshal err = %v", name, gotErr, wantErr)
+		}
 	}
 }
 

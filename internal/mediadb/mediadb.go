@@ -12,6 +12,7 @@
 package mediadb
 
 import (
+	"errors"
 	"fmt"
 
 	"mmconf/internal/blob"
@@ -27,6 +28,10 @@ const (
 	CmpTable      = "CMP_OBJECTS_TABLE"
 	DocumentTable = "DOCUMENT_OBJECTS_TABLE"
 )
+
+// ErrNoObject is wrapped by every "no image/audio/compressed object N"
+// error, so callers can tell a missing row from a store failure.
+var ErrNoObject = errors.New("no such object")
 
 // TypeInfo is one catalog row: a supported multimedia type and the object
 // table that stores it.
@@ -253,26 +258,18 @@ func (m *MediaDB) PutImage(quality int64, texts string, cm float64, data []byte)
 	return id, nil
 }
 
-// GetImage fetches an image object by id.
-func (m *MediaDB) GetImage(id uint64) (ImageObject, error) {
-	tbl, err := m.db.Table(ImageTable)
+// ImageRow reads an image object's row without its payload: the
+// mutable columns, and the handle of the immutable raster for the
+// caller to resolve (Data is nil). Callers that cache payloads by
+// digest read the row on every request and the payload only on a miss.
+func (m *MediaDB) ImageRow(id uint64) (ImageObject, blob.Handle, error) {
+	row, err := m.objectRow(ImageTable, "image", id)
 	if err != nil {
-		return ImageObject{}, err
-	}
-	row, ok, err := tbl.Get(id)
-	if err != nil {
-		return ImageObject{}, err
-	}
-	if !ok {
-		return ImageObject{}, fmt.Errorf("mediadb: no image object %d", id)
+		return ImageObject{}, blob.Handle{}, err
 	}
 	h, err := blobHandleAt(row, 3)
 	if err != nil {
-		return ImageObject{}, err
-	}
-	data, err := m.db.GetBlob(h)
-	if err != nil {
-		return ImageObject{}, err
+		return ImageObject{}, blob.Handle{}, err
 	}
 	return ImageObject{
 		ID:      id,
@@ -280,8 +277,19 @@ func (m *MediaDB) GetImage(id uint64) (ImageObject, error) {
 		Texts:   row[1].(string),
 		CM:      row[2].(float64),
 		Digest:  h.Digest,
-		Data:    data,
-	}, nil
+	}, h, nil
+}
+
+// GetImage fetches an image object by id: row, then payload.
+func (m *MediaDB) GetImage(id uint64) (ImageObject, error) {
+	img, h, err := m.ImageRow(id)
+	if err != nil {
+		return ImageObject{}, err
+	}
+	if img.Data, err = m.db.GetBlob(h); err != nil {
+		return ImageObject{}, err
+	}
+	return img, nil
 }
 
 // UpdateImageTexts replaces the text annotations of an image object (used
@@ -296,7 +304,7 @@ func (m *MediaDB) UpdateImageTexts(id uint64, texts string) error {
 		return err
 	}
 	if !ok {
-		return fmt.Errorf("mediadb: no image object %d", id)
+		return fmt.Errorf("mediadb: no image object %d: %w", id, ErrNoObject)
 	}
 	row[1] = texts
 	return tbl.Update(id, row)
@@ -331,28 +339,30 @@ func (m *MediaDB) PutAudio(filename string, sectors, data []byte) (uint64, error
 	return id, nil
 }
 
-// GetAudio fetches an audio object by id.
-func (m *MediaDB) GetAudio(id uint64) (AudioObject, error) {
-	tbl, err := m.db.Table(AudioTable)
+// AudioRow reads an audio object's row without its payload (see
+// ImageRow).
+func (m *MediaDB) AudioRow(id uint64) (AudioObject, blob.Handle, error) {
+	row, err := m.objectRow(AudioTable, "audio", id)
 	if err != nil {
-		return AudioObject{}, err
-	}
-	row, ok, err := tbl.Get(id)
-	if err != nil {
-		return AudioObject{}, err
-	}
-	if !ok {
-		return AudioObject{}, fmt.Errorf("mediadb: no audio object %d", id)
+		return AudioObject{}, blob.Handle{}, err
 	}
 	h, err := blobHandleAt(row, 2)
 	if err != nil {
-		return AudioObject{}, err
+		return AudioObject{}, blob.Handle{}, err
 	}
-	data, err := m.db.GetBlob(h)
+	return AudioObject{ID: id, Filename: row[0].(string), Sectors: row[1].([]byte), Digest: h.Digest}, h, nil
+}
+
+// GetAudio fetches an audio object by id: row, then payload.
+func (m *MediaDB) GetAudio(id uint64) (AudioObject, error) {
+	a, h, err := m.AudioRow(id)
 	if err != nil {
 		return AudioObject{}, err
 	}
-	return AudioObject{ID: id, Filename: row[0].(string), Sectors: row[1].([]byte), Digest: h.Digest, Data: data}, nil
+	if a.Data, err = m.db.GetBlob(h); err != nil {
+		return AudioObject{}, err
+	}
+	return a, nil
 }
 
 // CmpObject is one row of CMP_OBJECTS_TABLE: a multi-layer compressed
@@ -398,45 +408,60 @@ func (m *MediaDB) PutCmp(filename string, header, data []byte) (uint64, error) {
 	return id, nil
 }
 
-// GetCmp fetches a compressed stream by id.
-func (m *MediaDB) GetCmp(id uint64) (CmpObject, error) {
-	tbl, err := m.db.Table(CmpTable)
+// CmpRow reads a compressed stream's row without its two payloads (see
+// ImageRow): the handles of the layer directory and of the bitstream
+// come back for the caller to resolve (Header and Data are nil).
+func (m *MediaDB) CmpRow(id uint64) (c CmpObject, header, data blob.Handle, err error) {
+	row, err := m.objectRow(CmpTable, "compressed", id)
 	if err != nil {
-		return CmpObject{}, err
+		return CmpObject{}, blob.Handle{}, blob.Handle{}, err
 	}
-	row, ok, err := tbl.Get(id)
-	if err != nil {
-		return CmpObject{}, err
+	if header, err = blobHandleAt(row, 3); err != nil {
+		return CmpObject{}, blob.Handle{}, blob.Handle{}, err
 	}
-	if !ok {
-		return CmpObject{}, fmt.Errorf("mediadb: no compressed object %d", id)
-	}
-	hh, err := blobHandleAt(row, 3)
-	if err != nil {
-		return CmpObject{}, err
-	}
-	dh, err := blobHandleAt(row, 4)
-	if err != nil {
-		return CmpObject{}, err
-	}
-	header, err := m.db.GetBlob(hh)
-	if err != nil {
-		return CmpObject{}, err
-	}
-	data, err := m.db.GetBlob(dh)
-	if err != nil {
-		return CmpObject{}, err
+	if data, err = blobHandleAt(row, 4); err != nil {
+		return CmpObject{}, blob.Handle{}, blob.Handle{}, err
 	}
 	return CmpObject{
 		ID:           id,
 		Filename:     row[0].(string),
 		FileSize:     row[1].(int64),
 		Position:     row[2].(int64),
-		HeaderDigest: hh.Digest,
-		DataDigest:   dh.Digest,
-		Header:       header,
-		Data:         data,
-	}, nil
+		HeaderDigest: header.Digest,
+		DataDigest:   data.Digest,
+	}, header, data, nil
+}
+
+// GetCmp fetches a compressed stream by id: row, then both payloads.
+func (m *MediaDB) GetCmp(id uint64) (CmpObject, error) {
+	c, hh, dh, err := m.CmpRow(id)
+	if err != nil {
+		return CmpObject{}, err
+	}
+	if c.Header, err = m.db.GetBlob(hh); err != nil {
+		return CmpObject{}, err
+	}
+	if c.Data, err = m.db.GetBlob(dh); err != nil {
+		return CmpObject{}, err
+	}
+	return c, nil
+}
+
+// objectRow reads row id of an object table; kind names the object in
+// the ErrNoObject error.
+func (m *MediaDB) objectRow(table, kind string, id uint64) (store.Row, error) {
+	tbl, err := m.db.Table(table)
+	if err != nil {
+		return nil, err
+	}
+	row, ok, err := tbl.Get(id)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		return nil, fmt.Errorf("mediadb: no %s object %d: %w", kind, id, ErrNoObject)
+	}
+	return row, nil
 }
 
 // deleteRow deletes one row of tableName and releases the blob handles

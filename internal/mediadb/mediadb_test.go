@@ -2,6 +2,7 @@ package mediadb
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -113,11 +114,16 @@ func TestImageObjects(t *testing.T) {
 	if img.Texts != "axial slice 12 [annotated]" {
 		t.Errorf("texts = %q", img.Texts)
 	}
-	if _, err := m.GetImage(9999); err == nil {
-		t.Error("missing image accepted")
+	if _, err := m.GetImage(9999); !errors.Is(err, ErrNoObject) {
+		t.Errorf("missing image: err = %v, want ErrNoObject", err)
 	}
-	if err := m.UpdateImageTexts(9999, "x"); err == nil {
-		t.Error("update of missing image accepted")
+	if err := m.UpdateImageTexts(9999, "x"); !errors.Is(err, ErrNoObject) {
+		t.Errorf("update of missing image: err = %v, want ErrNoObject", err)
+	}
+	// The row alone: mutable columns and the raster's handle, no payload.
+	row, h, err := m.ImageRow(id)
+	if err != nil || row.Data != nil || row.Texts != img.Texts || h.Digest != img.Digest || int(h.Length) != len(data) {
+		t.Errorf("ImageRow = %+v, %+v, %v", row, h, err)
 	}
 }
 
@@ -136,8 +142,8 @@ func TestAudioObjects(t *testing.T) {
 	if a.Filename != "consult-2026-07-06.pcm" || !bytes.Equal(a.Sectors, sectors) || !bytes.Equal(a.Data, wave) {
 		t.Error("audio round trip drift")
 	}
-	if _, err := m.GetAudio(777); err == nil {
-		t.Error("missing audio accepted")
+	if _, err := m.GetAudio(777); !errors.Is(err, ErrNoObject) {
+		t.Errorf("missing audio: err = %v, want ErrNoObject", err)
 	}
 }
 
@@ -157,8 +163,8 @@ func TestCmpObjects(t *testing.T) {
 		!bytes.Equal(c.Header, header) || !bytes.Equal(c.Data, data) {
 		t.Errorf("cmp round trip drift: %+v", c)
 	}
-	if _, err := m.GetCmp(12345); err == nil {
-		t.Error("missing cmp accepted")
+	if _, err := m.GetCmp(12345); !errors.Is(err, ErrNoObject) {
+		t.Errorf("missing cmp: err = %v, want ErrNoObject", err)
 	}
 }
 

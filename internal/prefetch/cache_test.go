@@ -1,77 +1,10 @@
 package prefetch
 
-import (
-	"bytes"
-	"sync"
-	"testing"
-)
+import "testing"
 
-// The cache is shared between the viewer's Demand path and the server's
-// push-prefetch path; every public method must be safe under -race.
-func TestCacheConcurrentAccess(t *testing.T) {
-	c, err := NewCache(16 << 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	const workers = 8
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(seed uint64) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				id := seed*1000 + uint64(i%37)
-				switch i % 5 {
-				case 0:
-					c.Put(id, make([]byte, 128+i%512))
-				case 1:
-					c.PutDigest(id, "sha256:deadbeef", make([]byte, 64))
-				case 2:
-					c.Get(id)
-				case 3:
-					c.Contains(id)
-				default:
-					c.Stats()
-					c.Used()
-					c.Digest(id)
-				}
-			}
-		}(uint64(w))
-	}
-	wg.Wait()
-	if c.Used() > c.Capacity() {
-		t.Fatalf("used %d exceeds capacity %d after concurrent churn", c.Used(), c.Capacity())
-	}
-}
-
-// Regression: Put of an existing id whose new payload exceeds the whole
-// capacity used to return early and keep serving the stale old bytes.
-// The stale entry must be evicted instead.
-func TestCachePutOversizedEvictsStale(t *testing.T) {
-	c, err := NewCache(1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := []byte("version-1")
-	c.Put(7, old)
-	if got, ok := c.Get(7); !ok || !bytes.Equal(got, old) {
-		t.Fatalf("seed entry missing: ok=%v got=%q", ok, got)
-	}
-	// The object grew past the buffer: the update cannot be cached, and
-	// the old bytes no longer describe the object.
-	c.Put(7, make([]byte, 4096))
-	if _, ok := c.Get(7); ok {
-		t.Fatal("stale entry survived an oversized Put of the same id")
-	}
-	if c.Used() != 0 {
-		t.Fatalf("used = %d after evicting the only entry, want 0", c.Used())
-	}
-	_, _, evictions := c.Stats()
-	if evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", evictions)
-	}
-}
-
+// The byte bound, LRU order, Offer's no-evict rule and concurrent
+// safety are bytecache's (and tested there); what Cache adds on top is
+// the digest tag a pushed payload carries.
 func TestCacheDigestTag(t *testing.T) {
 	c, err := NewCache(1024)
 	if err != nil {
@@ -92,5 +25,18 @@ func TestCacheDigestTag(t *testing.T) {
 	}
 	if got, ok := c.Get(1); !ok || string(got) != "fetched" {
 		t.Fatalf("payload = %q ok=%v", got, ok)
+	}
+	// A refused Offer keeps the resident payload and its tag; an evicted
+	// payload takes its tag with it.
+	c.PutDigest(2, "sha256:bb", make([]byte, 1000))
+	if c.Offer(2, "sha256:cc", make([]byte, 1100)) {
+		t.Fatal("Offer beyond the free space accepted")
+	}
+	if d, _ := c.Digest(2); d != "sha256:bb" {
+		t.Fatalf("digest after a refused Offer = %q, want sha256:bb", d)
+	}
+	c.Put(3, make([]byte, 1000)) // evicts 2
+	if _, ok := c.Digest(2); ok {
+		t.Fatal("digest tag outlived its evicted payload")
 	}
 }

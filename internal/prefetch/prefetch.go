@@ -17,6 +17,7 @@ import (
 	"sort"
 	"sync"
 
+	"mmconf/internal/bytecache"
 	"mmconf/internal/cpnet"
 	"mmconf/internal/document"
 )
@@ -102,26 +103,18 @@ func Rank(doc *document.Document, choices cpnet.Outcome) ([]Candidate, error) {
 	return out, nil
 }
 
-// Cache is a byte-budgeted LRU buffer of fetched payloads — the "user's
-// buffer as a cache" of §4.4. It is safe for concurrent use: the server
-// push-prefetch path fills it while the viewer's Demand path reads it.
+// Cache is a byte-budgeted LRU buffer of fetched payloads keyed by
+// object id — the "user's buffer as a cache" of §4.4. It is safe for
+// concurrent use: the server push-prefetch path fills it while the
+// viewer's Demand path reads it.
 type Cache struct {
-	mu       sync.Mutex
 	capacity int64
-	used     int64
-	entries  map[uint64]*entry
-	// LRU list: head = most recent.
-	head, tail *entry
-	hits       int64
-	misses     int64
-	evictions  int64
-}
-
-type entry struct {
-	id         uint64
-	data       []byte
-	digest     string
-	prev, next *entry
+	lru      *bytecache.Cache[uint64]
+	// tags holds the content digest a pushed payload arrived with. mu
+	// makes a payload and its tag change together; an entry the LRU has
+	// since evicted loses its tag on the next Digest call.
+	mu   sync.Mutex
+	tags map[uint64]string
 }
 
 // NewCache returns a cache with the given byte capacity.
@@ -129,43 +122,27 @@ func NewCache(capacity int64) (*Cache, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("prefetch: capacity %d must be positive", capacity)
 	}
-	return &Cache{capacity: capacity, entries: make(map[uint64]*entry)}, nil
+	return &Cache{capacity: capacity, lru: bytecache.New[uint64](capacity), tags: make(map[uint64]string)}, nil
 }
 
 // Get returns the cached payload and records a hit or miss.
-func (c *Cache) Get(id uint64) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[id]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	c.touch(e)
-	return e.data, true
-}
+func (c *Cache) Get(id uint64) ([]byte, bool) { return c.lru.Get(id) }
 
 // Digest returns the digest tag stored alongside a cached payload, if
 // any, without touching LRU order or hit statistics.
 func (c *Cache) Digest(id uint64) (string, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[id]
-	if !ok || e.digest == "" {
-		return "", false
+	if !c.lru.Contains(id) {
+		delete(c.tags, id)
 	}
-	return e.digest, true
+	digest, ok := c.tags[id]
+	return digest, ok
 }
 
 // Contains reports presence without recording a hit or miss (used by the
 // prefetcher to avoid distorting statistics).
-func (c *Cache) Contains(id uint64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries[id]
-	return ok
-}
+func (c *Cache) Contains(id uint64) bool { return c.lru.Contains(id) }
 
 // Offer inserts a speculative payload only if it fits without evicting
 // anything — the acceptance rule for server push-prefetch: an unasked-for
@@ -176,25 +153,10 @@ func (c *Cache) Contains(id uint64) bool {
 func (c *Cache) Offer(id uint64, digest string, data []byte) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	need := int64(len(data))
-	avail := c.capacity - c.used
-	if e, ok := c.entries[id]; ok {
-		if need > avail+int64(len(e.data)) {
-			return false // keep the resident bytes
-		}
-		c.used += need - int64(len(e.data))
-		e.data = data
-		e.digest = digest
-		c.touch(e)
-		return true
+	if !c.lru.Offer(id, data) {
+		return false // keep the resident bytes and their tag
 	}
-	if need > avail {
-		return false
-	}
-	e := &entry{id: id, data: data, digest: digest}
-	c.entries[id] = e
-	c.used += need
-	c.pushFront(e)
+	c.tag(id, digest)
 	return true
 }
 
@@ -212,81 +174,29 @@ func (c *Cache) Put(id uint64, data []byte) {
 func (c *Cache) PutDigest(id uint64, digest string, data []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if int64(len(data)) > c.capacity {
-		if e, ok := c.entries[id]; ok {
-			c.evict(e)
-		}
-		return
-	}
-	if e, ok := c.entries[id]; ok {
-		c.used += int64(len(data)) - int64(len(e.data))
-		e.data = data
-		e.digest = digest
-		c.touch(e)
+	c.lru.Put(id, data)
+	c.tag(id, digest)
+}
+
+// tag records (or, for "", clears) id's digest tag under c.mu.
+func (c *Cache) tag(id uint64, digest string) {
+	if digest == "" {
+		delete(c.tags, id)
 	} else {
-		e := &entry{id: id, data: data, digest: digest}
-		c.entries[id] = e
-		c.used += int64(len(data))
-		c.pushFront(e)
+		c.tags[id] = digest
 	}
-	for c.used > c.capacity && c.tail != nil {
-		c.evict(c.tail)
-	}
-}
-
-func (c *Cache) touch(e *entry) {
-	c.unlink(e)
-	c.pushFront(e)
-}
-
-func (c *Cache) pushFront(e *entry) {
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *Cache) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else if c.head == e {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else if c.tail == e {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (c *Cache) evict(e *entry) {
-	c.unlink(e)
-	delete(c.entries, e.id)
-	c.used -= int64(len(e.data))
-	c.evictions++
 }
 
 // Used returns the occupied bytes.
-func (c *Cache) Used() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.used
-}
+func (c *Cache) Used() int64 { return c.lru.Stats().Bytes }
 
 // Capacity returns the configured byte capacity.
 func (c *Cache) Capacity() int64 { return c.capacity }
 
 // Stats returns cumulative hit/miss/eviction counts.
 func (c *Cache) Stats() (hits, misses, evictions int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions
+	st := c.lru.Stats()
+	return int64(st.Hits), int64(st.Misses), int64(st.Evictions)
 }
 
 // FetchFunc retrieves a payload from the database server by object id.

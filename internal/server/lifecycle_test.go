@@ -4,46 +4,21 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"mmconf/internal/client"
-	"mmconf/internal/mediadb"
 	"mmconf/internal/proto"
 	"mmconf/internal/room"
-	"mmconf/internal/store"
-	"mmconf/internal/workload"
 )
 
 // testSystemWith is testSystem with explicit pipeline options.
 func testSystemWith(t *testing.T, o Options) (*Server, string) {
 	t.Helper()
-	db, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db.Close() })
-	m, err := mediadb.Open(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := workload.Populate(m, "p1", 1); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewWith(m, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(l)
-	t.Cleanup(func() { srv.Close() })
-	return srv, l.Addr().String()
+	srv, addr, _ := testSystemOpts(t, o)
+	return srv, addr
 }
 
 // TestConcurrentRoomLifecycle churns many peers through many rooms at

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sort"
 
+	"mmconf/internal/bytecache"
 	"mmconf/internal/obs"
 	"mmconf/internal/proto"
 	"mmconf/internal/wire"
@@ -62,9 +63,12 @@ func (s *Server) MetricsSnapshot() *proto.StatsResp {
 	resp.Gauges["blob.total_bytes"] = bs.TotalBytes
 	resp.Gauges["blob.segments"] = bs.Segments
 	resp.Gauges["blob.missing_refs"] = int64(missing)
-	bytes, entries := s.objects.gauges()
-	resp.Gauges["cache.obj.bytes"] = bytes
-	resp.Gauges["cache.obj.entries"] = int64(entries)
+	var cache bytecache.Stats // zero when caching is off
+	if s.objects != nil {
+		cache = s.objects.Stats()
+	}
+	resp.Gauges["cache.obj.bytes"] = cache.Bytes
+	resp.Gauges["cache.obj.entries"] = int64(cache.Entries)
 	resp.Gauges["go.goroutines"] = int64(runtime.NumGoroutine())
 	// Adaptive QoS loop: members under control and their level split.
 	if s.qos != nil {

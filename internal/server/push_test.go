@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -64,7 +65,8 @@ func TestEncodeOnceFanOut(t *testing.T) {
 
 // TestGetCmpCacheHitsAcrossClients has two clients pull the same
 // compression-layer prefix: the second request (and every repeat) must
-// be served from the object cache without a store fetch.
+// be served from the payload cache without a store fetch, and so must
+// any other prefix of the same stream.
 func TestGetCmpCacheHitsAcrossClients(t *testing.T) {
 	srv, addr, rec := testSystem(t)
 	a := dial(t, addr, "alice")
@@ -90,15 +92,21 @@ func TestGetCmpCacheHitsAcrossClients(t *testing.T) {
 	if hits := srv.Stats().Counter(CounterObjCacheHits); hits == 0 {
 		t.Error("second client's GetCmp missed the cache")
 	}
-	if misses := srv.Stats().Counter(CounterObjCacheMisses); misses != 1 {
-		t.Errorf("cache misses = %d, want 1 (one store fetch for both clients)", misses)
+	// A stream is two payloads: its layer directory and its bitstream.
+	if misses := srv.Stats().Counter(CounterObjCacheMisses); misses != 2 {
+		t.Errorf("cache misses = %d, want 2 (one store read per payload for both clients)", misses)
 	}
-	// A different layer prefix is a different cache entry.
-	if _, _, err := a.GetCmp(rec.CmpID, 2); err != nil {
+	// A different layer prefix is a slice of the same cached stream.
+	if _, layers2, err := a.GetCmp(rec.CmpID, 2); err != nil {
 		t.Fatal(err)
+	} else if layers2 <= layersA {
+		t.Errorf("2-layer prefix is %d bytes, 1-layer prefix %d", layers2, layersA)
 	}
 	if misses := srv.Stats().Counter(CounterObjCacheMisses); misses != 2 {
-		t.Errorf("cache misses after new prefix = %d, want 2", misses)
+		t.Errorf("cache misses after new prefix = %d, want still 2", misses)
+	}
+	if entries := srv.MetricsSnapshot().Gauges["cache.obj.entries"]; entries != 2 {
+		t.Errorf("cache entries = %d, want 2 (one resident copy of the stream whatever the prefix)", entries)
 	}
 	// The payload reaches every client byte-identical to what the store
 	// holds, whether it filled the cache or hit it.
@@ -117,27 +125,64 @@ func TestGetCmpCacheHitsAcrossClients(t *testing.T) {
 	}
 }
 
-// TestPutImageTextsInvalidatesCache checks the cache serves updated
-// image texts after a mutation, not the stale cached response.
-func TestPutImageTextsInvalidatesCache(t *testing.T) {
-	_, addr, rec := testSystem(t)
-	c := dial(t, addr, "alice")
-	if _, _, err := c.GetImage(rec.CTID); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.GetImage(rec.CTID); err != nil { // now cached
-		t.Fatal(err)
-	}
-	raw, err := wire.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	if err := raw.Call(proto.MPutImageTexts, &proto.PutImageTextsReq{ID: rec.CTID, Texts: "updated findings"}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, texts, err := c.GetImage(rec.CTID); err != nil || texts != "updated findings" {
-		t.Errorf("texts after invalidation = %q, %v; want the updated value", texts, err)
+// TestGetImageReadsItsWrites is the coherence property the digest-keyed
+// cache gives by construction: a GetImage issued after an acknowledged
+// PutImageTexts returns those texts, however many readers are filling
+// or hitting the cache for the same object at the time. (When responses
+// were cached by object id, a reader could join a fill that the write
+// had already marked stale and be served the old texts.)
+func TestGetImageReadsItsWrites(t *testing.T) {
+	// The tiny cache holds no raster, so every GetImage is a store read
+	// other requests can join — the path the old race lived on.
+	for name, cacheBytes := range map[string]int64{"default-cache": 0, "tiny-cache": 1} {
+		t.Run(name, func(t *testing.T) {
+			_, addr, rec := testSystemOpts(t, Options{CacheBytes: cacheBytes})
+			getImage := func(c *wire.Client) (string, error) {
+				var resp proto.GetImageResp
+				err := c.Call(proto.MGetImage, &proto.GetImageReq{ID: rec.CTID}, &resp)
+				return resp.Texts, err
+			}
+			dialRaw := func() *wire.Client {
+				c, err := wire.Dial(addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { c.Close() })
+				return c
+			}
+			const readers, writes = 4, 300
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			defer func() { close(stop); wg.Wait() }()
+			for r := 0; r < readers; r++ {
+				c := dialRaw()
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if _, err := getImage(c); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			w := dialRaw()
+			for i := 0; i < writes; i++ {
+				want := fmt.Sprintf("findings %d", i)
+				if err := w.Call(proto.MPutImageTexts, &proto.PutImageTextsReq{ID: rec.CTID, Texts: want}, nil); err != nil {
+					t.Fatal(err)
+				}
+				if got, err := getImage(w); err != nil || got != want {
+					t.Fatalf("GetImage after acknowledged PutImageTexts(%q) returned texts %q, %v", want, got, err)
+				}
+			}
+		})
 	}
 }
 

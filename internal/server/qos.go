@@ -176,7 +176,7 @@ func (q *qosController) prefetch(c *qosClient) {
 		if c.pushed[cand.ObjectID] || !imageBacked(cand.Kind) {
 			continue
 		}
-		resp, err := q.s.getImageCached(cand.ObjectID)
+		resp, err := q.s.getImage(cand.ObjectID, nil)
 		if err != nil {
 			continue
 		}

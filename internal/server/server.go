@@ -23,6 +23,8 @@ import (
 	"sync"
 	"time"
 
+	"mmconf/internal/blob"
+	"mmconf/internal/bytecache"
 	"mmconf/internal/core"
 	"mmconf/internal/document"
 	"mmconf/internal/media/compress"
@@ -49,8 +51,8 @@ type Options struct {
 	Logf func(format string, args ...any)
 	// RegistryShards sizes the room table (default 32).
 	RegistryShards int
-	// CacheBytes bounds the store-backed object response cache
-	// (default 64 MiB; negative disables caching).
+	// CacheBytes bounds the cache of store-backed media payloads, keyed
+	// by content digest (default 64 MiB; negative disables caching).
 	CacheBytes int64
 	// SessionGrace is how long a dropped client's room sessions stay
 	// resumable before they expire into a real leave (default 30s;
@@ -148,7 +150,7 @@ type Server struct {
 	reg     *registry
 	stats   *wire.Stats
 	tracer  *obs.Recorder
-	objects *objectCache
+	objects *bytecache.Cache[blob.Digest] // nil when caching is off
 	grace   time.Duration
 	// limiter is the admission-control concurrency limiter (nil when
 	// MaxInflight is negative); pushBudget is the per-member event-queue
@@ -214,7 +216,7 @@ func (o *Options) normalize() {
 		o.CacheBytes = 64 << 20
 	}
 	if o.CacheBytes < 0 {
-		o.CacheBytes = 0 // objectCache treats 0 as disabled
+		o.CacheBytes = 0 // NewWith builds no cache for 0
 	}
 	if o.SessionGrace == 0 {
 		o.SessionGrace = 30 * time.Second
@@ -316,7 +318,12 @@ func NewWith(db *mediadb.MediaDB, o Options) (*Server, error) {
 		roomSeed:    o.RoomSeed,
 		roomTap:     o.RoomTap,
 	}
-	s.objects = newObjectCache(o.CacheBytes, s.stats)
+	if o.CacheBytes > 0 {
+		s.objects = bytecache.New[blob.Digest](o.CacheBytes)
+		s.stats.Bind(CounterObjCacheHits, &s.objects.Hits)
+		s.stats.Bind(CounterObjCacheMisses, &s.objects.Misses)
+		s.stats.Bind(CounterObjCacheEvictions, &s.objects.Evictions)
+	}
 	s.rpc.SetStats(s.stats) // peer writers count flushes/bytes here
 	if o.MaxInflight > 0 {
 		s.limiter = wire.NewLimiter(o.MaxInflight, o.QueueDepth, o.ShedPolicy)
@@ -580,19 +587,7 @@ func (s *Server) handleGetDocument(ctx context.Context, p *wire.Peer, req *proto
 }
 
 func (s *Server) handleGetImage(ctx context.Context, p *wire.Peer, req *proto.GetImageReq) (*proto.GetImageResp, error) {
-	resp, err := s.getImageCached(req.ID)
-	if err != nil {
-		return nil, err
-	}
-	if digestMatches(req.IfDigestAbsent, resp.Digest) {
-		// Shallow copy, never a mutation: the cached resp is shared with
-		// every other reader of the object cache.
-		cp := *resp
-		cp.Data = nil
-		cp.NotModified = true
-		return &cp, nil
-	}
-	return resp, nil
+	return s.getImage(req.ID, req.IfDigestAbsent)
 }
 
 // digestMatches reports whether a conditional request's known digest
@@ -601,108 +596,95 @@ func digestMatches(cond, digest []byte) bool {
 	return len(cond) > 0 && bytes.Equal(cond, digest)
 }
 
-// getImageCached serves an image object through the response cache; the
-// demand path (GetImage RPC) and the QoS loop's push-prefetch share the
-// cache, so a pre-push never doubles the store fetch the first demand
-// would have done.
-func (s *Server) getImageCached(id uint64) (*proto.GetImageResp, error) {
-	v, err := s.objects.get(imgKey(id), func() (any, int64, error) {
-		img, err := s.db.GetImage(id)
-		if err != nil {
-			return nil, 0, err
-		}
-		resp := &proto.GetImageResp{Quality: img.Quality, Texts: img.Texts, CM: img.CM, Digest: img.Digest[:], Data: img.Data}
-		return resp, int64(len(img.Data) + len(img.Texts) + 64), nil
-	})
+// payload resolves an immutable blob through the digest-keyed payload
+// cache (straight from the store when caching is off). Under content
+// addressing a cached payload stays valid for as long as it is
+// resident, so nothing ever invalidates one; whatever can change about
+// an object lives in its row, which every handler reads afresh.
+func (s *Server) payload(h blob.Handle) ([]byte, error) {
+	if s.objects == nil {
+		return s.db.DB().GetBlob(h)
+	}
+	return s.objects.Fill(h.Digest, func() ([]byte, error) { return s.db.DB().GetBlob(h) })
+}
+
+// getImage answers a GetImage for cond (a conditional request's digest,
+// nil for none): row first, and the raster only if cond does not
+// already name it. The demand path and the QoS loop's push-prefetch
+// share it and the cache under it, so a pre-push never doubles the
+// store read the first demand would have done.
+func (s *Server) getImage(id uint64, cond []byte) (*proto.GetImageResp, error) {
+	img, h, err := s.db.ImageRow(id)
 	if err != nil {
 		return nil, err
 	}
-	return v.(*proto.GetImageResp), nil
+	resp := &proto.GetImageResp{Quality: img.Quality, Texts: img.Texts, CM: img.CM, Digest: h.Digest[:]}
+	if digestMatches(cond, resp.Digest) {
+		resp.NotModified = true
+		return resp, nil
+	}
+	if resp.Data, err = s.payload(h); err != nil {
+		return nil, err
+	}
+	return resp, nil
 }
 
 func (s *Server) handleGetAudio(ctx context.Context, p *wire.Peer, req *proto.GetAudioReq) (*proto.GetAudioResp, error) {
-	v, err := s.objects.get(audKey(req.ID), func() (any, int64, error) {
-		a, err := s.db.GetAudio(req.ID)
-		if err != nil {
-			return nil, 0, err
-		}
-		resp := &proto.GetAudioResp{Filename: a.Filename, Sectors: a.Sectors, Digest: a.Digest[:], Data: a.Data}
-		return resp, int64(len(a.Data) + len(a.Sectors) + len(a.Filename) + 64), nil
-	})
+	a, h, err := s.db.AudioRow(req.ID)
 	if err != nil {
 		return nil, err
 	}
-	resp := v.(*proto.GetAudioResp)
+	resp := &proto.GetAudioResp{Filename: a.Filename, Sectors: a.Sectors, Digest: h.Digest[:]}
 	if digestMatches(req.IfDigestAbsent, resp.Digest) {
-		cp := *resp
-		cp.Data = nil
-		cp.NotModified = true
-		return &cp, nil
+		resp.NotModified = true
+		return resp, nil
+	}
+	if resp.Data, err = s.payload(h); err != nil {
+		return nil, err
 	}
 	return resp, nil
 }
 
 // handleGetCmp serves a compressed stream, truncating the body to the
-// requested layer count so low-bandwidth clients transfer less. The
-// (id, layers) result is cached: every viewer of a room pulling the
-// same layer prefix does one store fetch + header parse, not N.
+// requested layer count so low-bandwidth clients transfer less. Every
+// prefix is a slice of the one cached full stream: viewers at different
+// resolutions share a single store read and a single resident copy.
 func (s *Server) handleGetCmp(ctx context.Context, p *wire.Peer, req *proto.GetCmpReq) (*proto.GetCmpResp, error) {
-	v, err := s.objects.get(cmpKey(req.ID, req.MaxLayers), func() (any, int64, error) {
-		resp, err := s.fetchCmp(req)
-		if err != nil {
-			return nil, 0, err
-		}
-		return resp, int64(len(resp.Data) + len(resp.Header) + len(resp.Filename) + 64), nil
-	})
+	c, hh, dh, err := s.db.CmpRow(req.ID)
 	if err != nil {
 		return nil, err
 	}
-	resp := v.(*proto.GetCmpResp)
+	resp := &proto.GetCmpResp{Filename: c.Filename, Digest: dh.Digest[:]}
+	// The header stays in the reply even when the body is elided — it is
+	// tiny and the layer map may be what the client is after.
+	if resp.Header, err = s.payload(hh); err != nil {
+		return nil, err
+	}
 	// The digest addresses the full stream, so only an untruncated
-	// response (MaxLayers == 0) can match a conditional request. The
-	// header stays in the reply either way — it is tiny and the layer
-	// map may be what the client is after.
+	// response (MaxLayers == 0) can match a conditional request.
 	if req.MaxLayers == 0 && digestMatches(req.IfDigestAbsent, resp.Digest) {
-		cp := *resp
-		cp.Data = nil
-		cp.NotModified = true
-		return &cp, nil
+		resp.NotModified = true
+		return resp, nil
+	}
+	if resp.Data, err = s.payload(dh); err != nil {
+		return nil, err
+	}
+	if req.MaxLayers > 0 {
+		n, err := compress.PrefixLen(resp.Header, req.MaxLayers)
+		if err != nil {
+			return nil, fmt.Errorf("server: stream %d: %w", req.ID, err)
+		}
+		if n > len(resp.Data) {
+			return nil, fmt.Errorf("server: stream %d is corrupt: %d-layer prefix (%d bytes) exceeds body (%d bytes)",
+				req.ID, req.MaxLayers, n, len(resp.Data))
+		}
+		resp.Data = resp.Data[:n]
 	}
 	return resp, nil
 }
 
-// fetchCmp is the uncached GetCmp body: store fetch, layer-header
-// parse, prefix truncation.
-func (s *Server) fetchCmp(req *proto.GetCmpReq) (*proto.GetCmpResp, error) {
-	c, err := s.db.GetCmp(req.ID)
-	if err != nil {
-		return nil, err
-	}
-	body := c.Data
-	if req.MaxLayers > 0 {
-		stream, err := compress.Unmarshal(c.Header, c.Data)
-		if err != nil {
-			return nil, err
-		}
-		if req.MaxLayers > len(stream.Layers) {
-			return nil, fmt.Errorf("server: stream %d has %d layers, not %d", req.ID, len(stream.Layers), req.MaxLayers)
-		}
-		n := stream.PrefixBytes(req.MaxLayers)
-		if n > len(c.Data) {
-			return nil, fmt.Errorf("server: stream %d is corrupt: %d-layer prefix (%d bytes) exceeds body (%d bytes)",
-				req.ID, req.MaxLayers, n, len(c.Data))
-		}
-		body = c.Data[:n]
-	}
-	return &proto.GetCmpResp{Filename: c.Filename, Digest: c.DataDigest[:], Header: c.Header, Data: body}, nil
-}
-
 func (s *Server) handlePutImageTexts(ctx context.Context, p *wire.Peer, req *proto.PutImageTextsReq) (*wire.None, error) {
-	if err := s.db.UpdateImageTexts(req.ID, req.Texts); err != nil {
-		return nil, err
-	}
-	s.objects.invalidate(imgKey(req.ID))
-	return nil, nil
+	return nil, s.db.UpdateImageTexts(req.ID, req.Texts)
 }
 
 // --- room lookup and membership ---
@@ -1109,12 +1091,12 @@ func (s *Server) handleSaveMinutes(ctx context.Context, p *wire.Peer, req *proto
 			if err != nil {
 				return err
 			}
-			// Only image objects carry a FLD_TEXTS column; other object
-			// kinds simply skip persistence of marks.
-			if err := s.db.UpdateImageTexts(objectID, string(data)); err != nil {
-				continue
+			// Only image objects carry a FLD_TEXTS column: marks on any
+			// other kind of object are not persisted. A failed write is
+			// not that case and must not read as a successful save.
+			if err := s.db.UpdateImageTexts(objectID, string(data)); err != nil && !errors.Is(err, mediadb.ErrNoObject) {
+				return err
 			}
-			s.objects.invalidate(imgKey(objectID))
 		}
 		return nil
 	})

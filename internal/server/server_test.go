@@ -22,6 +22,12 @@ import (
 // EvLeave well inside waitEvent's deadline.
 func testSystem(t *testing.T) (*Server, string, *workload.PopulatedRecord) {
 	t.Helper()
+	return testSystemOpts(t, Options{SessionGrace: 75 * time.Millisecond})
+}
+
+// testSystemOpts is testSystem with the caller's server options.
+func testSystemOpts(t *testing.T, o Options) (*Server, string, *workload.PopulatedRecord) {
+	t.Helper()
 	db, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncNever})
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +41,7 @@ func testSystem(t *testing.T) (*Server, string, *workload.PopulatedRecord) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewWith(m, Options{SessionGrace: 75 * time.Millisecond})
+	srv, err := NewWith(m, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,6 +448,43 @@ func TestSaveMinutesPersists(t *testing.T) {
 	if err != nil || len(anns) != 1 || anns[0].Text != "lesion 8mm" {
 		t.Errorf("persisted annotations: %v, %v", anns, err)
 	}
+}
+
+// TestSaveMinutesAnnotationErrors covers the two ways persisting an
+// annotation overlay can fail: marks on an object with no image row
+// are skipped and the save succeeds; any other failure (here the image
+// table itself is gone, while the document write still works) fails
+// the save instead of reading as one.
+func TestSaveMinutesAnnotationErrors(t *testing.T) {
+	t.Run("no-image-row", func(t *testing.T) {
+		_, addr, rec := testSystem(t)
+		sa, _, err := dial(t, addr, "alice").Join("consult", "p1", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sa.AnnotateText(rec.CTID+1000, 1, 1, "on nothing", 1); err != nil {
+			t.Fatal(err)
+		}
+		if comp, err := sa.SaveMinutes(); err != nil || comp == "" {
+			t.Fatalf("SaveMinutes = %q, %v; want marks on a non-image object skipped", comp, err)
+		}
+	})
+	t.Run("store-failure", func(t *testing.T) {
+		srv, addr, rec := testSystem(t)
+		sa, _, err := dial(t, addr, "alice").Join("consult", "p1", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sa.AnnotateText(rec.CTID, 12, 12, "lesion 8mm", 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.db.DB().DropTable(mediadb.ImageTable); err != nil {
+			t.Fatal(err)
+		}
+		if comp, err := sa.SaveMinutes(); err == nil {
+			t.Fatalf("SaveMinutes = %q, nil although the annotations could not be written", comp)
+		}
+	})
 }
 
 func contains(s, sub string) bool { return strings.Contains(s, sub) }

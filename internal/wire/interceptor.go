@@ -158,6 +158,12 @@ func (st *Stats) Add(name string, delta uint64) {
 	c.(*atomic.Uint64).Add(delta)
 }
 
+// Bind publishes a counter its owner increments itself under name, so
+// a component that already counts (the payload cache) is read live
+// without a second tally. Bind before serving; it replaces any counter
+// already stored under name.
+func (st *Stats) Bind(name string, c *atomic.Uint64) { st.counters.Store(name, c) }
+
 // Counter returns the named counter's value (0 if never incremented).
 func (st *Stats) Counter(name string) uint64 {
 	if c, ok := st.counters.Load(name); ok {
