@@ -91,25 +91,7 @@ func (c *Cache[K]) Contains(k K) bool {
 func (c *Cache[K]) Put(k K, data []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.putLocked(k, data)
-}
-
-func (c *Cache[K]) putLocked(k K, data []byte) {
-	el, ok := c.items[k]
-	switch {
-	case int64(len(data)) > c.cap:
-		if ok {
-			c.evict(el)
-		}
-		return
-	case ok:
-		c.replace(el, data)
-	default:
-		c.insert(k, data)
-	}
-	for c.size > c.cap {
-		c.evict(c.ll.Back())
-	}
+	c.store(k, data, true)
 }
 
 // Offer caches data under k only if it fits without evicting anything —
@@ -119,18 +101,35 @@ func (c *Cache[K]) putLocked(k K, data []byte) {
 func (c *Cache[K]) Offer(k K, data []byte) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	avail := c.cap - c.size
-	el, ok := c.items[k]
-	if ok {
-		avail += int64(len(el.Value.(*entry[K]).data))
+	return c.store(k, data, false)
+}
+
+// store is Put (mayEvict) or Offer (!mayEvict) under c.mu.
+func (c *Cache[K]) store(k K, data []byte, mayEvict bool) bool {
+	need := int64(len(data))
+	el, resident := c.items[k]
+	var old int64
+	if resident {
+		old = int64(len(el.Value.(*entry[K]).data))
 	}
-	if int64(len(data)) > avail {
+	if !mayEvict && need > c.cap-c.size+old {
 		return false
 	}
-	if ok {
-		c.replace(el, data)
+	if need > c.cap {
+		if resident {
+			c.evict(el)
+		}
+		return false
+	}
+	if resident {
+		el.Value.(*entry[K]).data = data
+		c.ll.MoveToFront(el)
 	} else {
-		c.insert(k, data)
+		c.items[k] = c.ll.PushFront(&entry[K]{key: k, data: data})
+	}
+	c.size += need - old
+	for c.size > c.cap {
+		c.evict(c.ll.Back())
 	}
 	return true
 }
@@ -166,7 +165,7 @@ func (c *Cache[K]) Fill(k K, load func() ([]byte, error)) ([]byte, error) {
 	c.mu.Lock()
 	delete(c.fills, k)
 	if f.err == nil {
-		c.putLocked(k, f.data)
+		c.store(k, f.data, true)
 	}
 	c.mu.Unlock()
 	return f.data, f.err
@@ -190,18 +189,6 @@ func (c *Cache[K]) Stats() Stats {
 		Bytes:     c.size,
 		Entries:   len(c.items),
 	}
-}
-
-func (c *Cache[K]) insert(k K, data []byte) {
-	c.items[k] = c.ll.PushFront(&entry[K]{key: k, data: data})
-	c.size += int64(len(data))
-}
-
-func (c *Cache[K]) replace(el *list.Element, data []byte) {
-	e := el.Value.(*entry[K])
-	c.size += int64(len(data)) - int64(len(e.data))
-	e.data = data
-	c.ll.MoveToFront(el)
 }
 
 func (c *Cache[K]) evict(el *list.Element) {

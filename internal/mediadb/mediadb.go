@@ -258,38 +258,33 @@ func (m *MediaDB) PutImage(quality int64, texts string, cm float64, data []byte)
 	return id, nil
 }
 
-// ImageRow reads an image object's row without its payload: the
-// mutable columns, and the handle of the immutable raster for the
-// caller to resolve (Data is nil). Callers that cache payloads by
-// digest read the row on every request and the payload only on a miss.
-func (m *MediaDB) ImageRow(id uint64) (ImageObject, blob.Handle, error) {
+// GetImageRow reads an image object's row by reference: the mutable
+// columns, and the handle of the immutable raster for the caller to
+// resolve. Callers that cache payloads by digest read the row on every
+// request and the payload only on a miss.
+func (m *MediaDB) GetImageRow(id uint64) (ImageRow, error) {
 	row, err := m.objectRow(ImageTable, "image", id)
 	if err != nil {
-		return ImageObject{}, blob.Handle{}, err
+		return ImageRow{}, err
 	}
 	h, err := blobHandleAt(row, 3)
 	if err != nil {
-		return ImageObject{}, blob.Handle{}, err
+		return ImageRow{}, err
 	}
-	return ImageObject{
-		ID:      id,
-		Quality: row[0].(int64),
-		Texts:   row[1].(string),
-		CM:      row[2].(float64),
-		Digest:  h.Digest,
-	}, h, nil
+	return ImageRow{ID: id, Quality: row[0].(int64), Texts: row[1].(string), CM: row[2].(float64), Data: h}, nil
 }
 
 // GetImage fetches an image object by id: row, then payload.
 func (m *MediaDB) GetImage(id uint64) (ImageObject, error) {
-	img, h, err := m.ImageRow(id)
+	r, err := m.GetImageRow(id)
 	if err != nil {
 		return ImageObject{}, err
 	}
-	if img.Data, err = m.db.GetBlob(h); err != nil {
+	data, err := m.db.GetBlob(r.Data)
+	if err != nil {
 		return ImageObject{}, err
 	}
-	return img, nil
+	return ImageObject{ID: id, Quality: r.Quality, Texts: r.Texts, CM: r.CM, Digest: r.Data.Digest, Data: data}, nil
 }
 
 // UpdateImageTexts replaces the text annotations of an image object (used
@@ -339,30 +334,31 @@ func (m *MediaDB) PutAudio(filename string, sectors, data []byte) (uint64, error
 	return id, nil
 }
 
-// AudioRow reads an audio object's row without its payload (see
-// ImageRow).
-func (m *MediaDB) AudioRow(id uint64) (AudioObject, blob.Handle, error) {
+// GetAudioRow reads an audio object's row by reference (see
+// GetImageRow).
+func (m *MediaDB) GetAudioRow(id uint64) (AudioRow, error) {
 	row, err := m.objectRow(AudioTable, "audio", id)
 	if err != nil {
-		return AudioObject{}, blob.Handle{}, err
+		return AudioRow{}, err
 	}
 	h, err := blobHandleAt(row, 2)
 	if err != nil {
-		return AudioObject{}, blob.Handle{}, err
+		return AudioRow{}, err
 	}
-	return AudioObject{ID: id, Filename: row[0].(string), Sectors: row[1].([]byte), Digest: h.Digest}, h, nil
+	return AudioRow{ID: id, Filename: row[0].(string), Sectors: row[1].([]byte), Data: h}, nil
 }
 
 // GetAudio fetches an audio object by id: row, then payload.
 func (m *MediaDB) GetAudio(id uint64) (AudioObject, error) {
-	a, h, err := m.AudioRow(id)
+	r, err := m.GetAudioRow(id)
 	if err != nil {
 		return AudioObject{}, err
 	}
-	if a.Data, err = m.db.GetBlob(h); err != nil {
+	data, err := m.db.GetBlob(r.Data)
+	if err != nil {
 		return AudioObject{}, err
 	}
-	return a, nil
+	return AudioObject{ID: id, Filename: r.Filename, Sectors: r.Sectors, Digest: r.Data.Digest, Data: data}, nil
 }
 
 // CmpObject is one row of CMP_OBJECTS_TABLE: a multi-layer compressed
@@ -408,43 +404,48 @@ func (m *MediaDB) PutCmp(filename string, header, data []byte) (uint64, error) {
 	return id, nil
 }
 
-// CmpRow reads a compressed stream's row without its two payloads (see
-// ImageRow): the handles of the layer directory and of the bitstream
-// come back for the caller to resolve (Header and Data are nil).
-func (m *MediaDB) CmpRow(id uint64) (c CmpObject, header, data blob.Handle, err error) {
+// GetCmpRow reads a compressed stream's row by reference (see
+// GetImageRow): the layer directory and the bitstream are two payloads.
+func (m *MediaDB) GetCmpRow(id uint64) (CmpRow, error) {
 	row, err := m.objectRow(CmpTable, "compressed", id)
 	if err != nil {
-		return CmpObject{}, blob.Handle{}, blob.Handle{}, err
+		return CmpRow{}, err
 	}
-	if header, err = blobHandleAt(row, 3); err != nil {
-		return CmpObject{}, blob.Handle{}, blob.Handle{}, err
+	hh, err := blobHandleAt(row, 3)
+	if err != nil {
+		return CmpRow{}, err
 	}
-	if data, err = blobHandleAt(row, 4); err != nil {
-		return CmpObject{}, blob.Handle{}, blob.Handle{}, err
+	dh, err := blobHandleAt(row, 4)
+	if err != nil {
+		return CmpRow{}, err
 	}
-	return CmpObject{
-		ID:           id,
-		Filename:     row[0].(string),
-		FileSize:     row[1].(int64),
-		Position:     row[2].(int64),
-		HeaderDigest: header.Digest,
-		DataDigest:   data.Digest,
-	}, header, data, nil
+	return CmpRow{ID: id, Filename: row[0].(string), FileSize: row[1].(int64), Position: row[2].(int64), Header: hh, Data: dh}, nil
 }
 
 // GetCmp fetches a compressed stream by id: row, then both payloads.
 func (m *MediaDB) GetCmp(id uint64) (CmpObject, error) {
-	c, hh, dh, err := m.CmpRow(id)
+	r, err := m.GetCmpRow(id)
 	if err != nil {
 		return CmpObject{}, err
 	}
-	if c.Header, err = m.db.GetBlob(hh); err != nil {
+	header, err := m.db.GetBlob(r.Header)
+	if err != nil {
 		return CmpObject{}, err
 	}
-	if c.Data, err = m.db.GetBlob(dh); err != nil {
+	data, err := m.db.GetBlob(r.Data)
+	if err != nil {
 		return CmpObject{}, err
 	}
-	return c, nil
+	return CmpObject{
+		ID:           id,
+		Filename:     r.Filename,
+		FileSize:     r.FileSize,
+		Position:     r.Position,
+		HeaderDigest: r.Header.Digest,
+		DataDigest:   r.Data.Digest,
+		Header:       header,
+		Data:         data,
+	}, nil
 }
 
 // objectRow reads row id of an object table; kind names the object in

@@ -120,10 +120,10 @@ func TestImageObjects(t *testing.T) {
 	if err := m.UpdateImageTexts(9999, "x"); !errors.Is(err, ErrNoObject) {
 		t.Errorf("update of missing image: err = %v, want ErrNoObject", err)
 	}
-	// The row alone: mutable columns and the raster's handle, no payload.
-	row, h, err := m.ImageRow(id)
-	if err != nil || row.Data != nil || row.Texts != img.Texts || h.Digest != img.Digest || int(h.Length) != len(data) {
-		t.Errorf("ImageRow = %+v, %+v, %v", row, h, err)
+	// The row by reference: mutable columns and the raster's handle.
+	row, err := m.GetImageRow(id)
+	if err != nil || row.Texts != img.Texts || row.Data.Digest != img.Digest || int(row.Data.Length) != len(data) {
+		t.Errorf("GetImageRow = %+v, %v", row, err)
 	}
 }
 

@@ -8,6 +8,7 @@
 package mediadb
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -149,71 +150,31 @@ func (m *MediaDB) ExportDataset(docID string) (*Dataset, error) {
 		slices.Sort(ids)
 		return ids
 	}
+	// A presentation may reference an object that is gone; there is
+	// nothing to ship for it.
 	for _, id := range sorted(want[ImageTable]) {
-		tbl, err := m.db.Table(ImageTable)
-		if err != nil {
+		r, err := m.GetImageRow(id)
+		if err == nil {
+			ds.Images = append(ds.Images, r)
+		} else if !errors.Is(err, ErrNoObject) {
 			return nil, err
 		}
-		row, ok, err := tbl.Get(id)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue // dangling presentation reference; nothing to ship
-		}
-		dh, err := blobHandleAt(row, 3)
-		if err != nil {
-			return nil, err
-		}
-		ds.Images = append(ds.Images, ImageRow{
-			ID: id, Quality: row[0].(int64), Texts: row[1].(string),
-			CM: row[2].(float64), Data: dh,
-		})
 	}
 	for _, id := range sorted(want[AudioTable]) {
-		tbl, err := m.db.Table(AudioTable)
-		if err != nil {
+		r, err := m.GetAudioRow(id)
+		if err == nil {
+			ds.Audios = append(ds.Audios, r)
+		} else if !errors.Is(err, ErrNoObject) {
 			return nil, err
 		}
-		row, ok, err := tbl.Get(id)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		dh, err := blobHandleAt(row, 2)
-		if err != nil {
-			return nil, err
-		}
-		ds.Audios = append(ds.Audios, AudioRow{
-			ID: id, Filename: row[0].(string), Sectors: row[1].([]byte), Data: dh,
-		})
 	}
 	for _, id := range sorted(want[CmpTable]) {
-		tbl, err := m.db.Table(CmpTable)
-		if err != nil {
+		r, err := m.GetCmpRow(id)
+		if err == nil {
+			ds.Cmps = append(ds.Cmps, r)
+		} else if !errors.Is(err, ErrNoObject) {
 			return nil, err
 		}
-		row, ok, err := tbl.Get(id)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		hh, err := blobHandleAt(row, 3)
-		if err != nil {
-			return nil, err
-		}
-		dh, err := blobHandleAt(row, 4)
-		if err != nil {
-			return nil, err
-		}
-		ds.Cmps = append(ds.Cmps, CmpRow{
-			ID: id, Filename: row[0].(string), FileSize: row[1].(int64),
-			Position: row[2].(int64), Header: hh, Data: dh,
-		})
 	}
 	return ds, nil
 }

@@ -61,32 +61,32 @@ func (s *Server) payload(h blob.Handle) ([]byte, error) {
 // share it and the cache under it, so a pre-push never doubles the
 // store read the first demand would have done.
 func (s *Server) getImage(id uint64, cond []byte) (*proto.GetImageResp, error) {
-	img, h, err := s.db.ImageRow(id)
+	r, err := s.db.GetImageRow(id)
 	if err != nil {
 		return nil, err
 	}
-	resp := &proto.GetImageResp{Quality: img.Quality, Texts: img.Texts, CM: img.CM, Digest: h.Digest[:]}
+	resp := &proto.GetImageResp{Quality: r.Quality, Texts: r.Texts, CM: r.CM, Digest: r.Data.Digest[:]}
 	if digestMatches(cond, resp.Digest) {
 		resp.NotModified = true
 		return resp, nil
 	}
-	if resp.Data, err = s.payload(h); err != nil {
+	if resp.Data, err = s.payload(r.Data); err != nil {
 		return nil, err
 	}
 	return resp, nil
 }
 
 func (s *Server) handleGetAudio(ctx context.Context, p *wire.Peer, req *proto.GetAudioReq) (*proto.GetAudioResp, error) {
-	a, h, err := s.db.AudioRow(req.ID)
+	r, err := s.db.GetAudioRow(req.ID)
 	if err != nil {
 		return nil, err
 	}
-	resp := &proto.GetAudioResp{Filename: a.Filename, Sectors: a.Sectors, Digest: h.Digest[:]}
+	resp := &proto.GetAudioResp{Filename: r.Filename, Sectors: r.Sectors, Digest: r.Data.Digest[:]}
 	if digestMatches(req.IfDigestAbsent, resp.Digest) {
 		resp.NotModified = true
 		return resp, nil
 	}
-	if resp.Data, err = s.payload(h); err != nil {
+	if resp.Data, err = s.payload(r.Data); err != nil {
 		return nil, err
 	}
 	return resp, nil
@@ -97,14 +97,14 @@ func (s *Server) handleGetAudio(ctx context.Context, p *wire.Peer, req *proto.Ge
 // prefix is a slice of the one cached full stream: viewers at different
 // resolutions share a single store read and a single resident copy.
 func (s *Server) handleGetCmp(ctx context.Context, p *wire.Peer, req *proto.GetCmpReq) (*proto.GetCmpResp, error) {
-	c, hh, dh, err := s.db.CmpRow(req.ID)
+	r, err := s.db.GetCmpRow(req.ID)
 	if err != nil {
 		return nil, err
 	}
-	resp := &proto.GetCmpResp{Filename: c.Filename, Digest: dh.Digest[:]}
+	resp := &proto.GetCmpResp{Filename: r.Filename, Digest: r.Data.Digest[:]}
 	// The header stays in the reply even when the body is elided — it is
 	// tiny and the layer map may be what the client is after.
-	if resp.Header, err = s.payload(hh); err != nil {
+	if resp.Header, err = s.payload(r.Header); err != nil {
 		return nil, err
 	}
 	// The digest addresses the full stream, so only an untruncated
@@ -113,7 +113,7 @@ func (s *Server) handleGetCmp(ctx context.Context, p *wire.Peer, req *proto.GetC
 		resp.NotModified = true
 		return resp, nil
 	}
-	if resp.Data, err = s.payload(dh); err != nil {
+	if resp.Data, err = s.payload(r.Data); err != nil {
 		return nil, err
 	}
 	if req.MaxLayers > 0 {

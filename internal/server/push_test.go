@@ -128,12 +128,12 @@ func TestGetCmpCacheHitsAcrossClients(t *testing.T) {
 // TestGetImageReadsItsWrites is the coherence property the digest-keyed
 // cache gives by construction: a GetImage issued after an acknowledged
 // PutImageTexts returns those texts, however many readers are filling
-// or hitting the cache for the same object at the time. (When responses
-// were cached by object id, a reader could join a fill that the write
-// had already marked stale and be served the old texts.)
+// or hitting the cache for the same object at the time. A cache that
+// held anything mutable could serve the writer a response assembled
+// before its write, by letting it join a reader's in-flight fill.
 func TestGetImageReadsItsWrites(t *testing.T) {
 	// The tiny cache holds no raster, so every GetImage is a store read
-	// other requests can join — the path the old race lived on.
+	// other requests can join.
 	for name, cacheBytes := range map[string]int64{"default-cache": 0, "tiny-cache": 1} {
 		t.Run(name, func(t *testing.T) {
 			_, addr, rec := testSystemOpts(t, Options{CacheBytes: cacheBytes})
@@ -150,7 +150,7 @@ func TestGetImageReadsItsWrites(t *testing.T) {
 				t.Cleanup(func() { c.Close() })
 				return c
 			}
-			const readers, writes = 4, 300
+			const readers, writes = 4, 200
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
 			defer func() { close(stop); wg.Wait() }()
