@@ -86,13 +86,37 @@ func (o *Options) defaults() {
 	}
 }
 
+// maxPixels bounds W·H of a stream at 4096×4096, a full-size radiograph:
+// decoding works on two or three float64 planes, 128 MiB each at the
+// bound, and no header may size an allocation beyond that.
+const maxPixels = 1 << 24
+
+// maxBlock bounds the local-cosine block size, far above the default 16:
+// a tile transform holds two block×block cosine tables (1 MiB at the
+// bound) and costs block multiply-adds per pixel.
+const maxBlock = 256
+
+// checkGeometry reports whether the stream's dimensions, depth and block
+// size describe something the transforms can run on: what Encode demands
+// of its options, Unmarshal of a header off the network, and Decode of a
+// Stream built by hand.
+func (s *Stream) checkGeometry() error {
+	if s.W < 1 || s.H < 1 || uint64(s.W)*uint64(s.H) > maxPixels {
+		return fmt.Errorf("compress: %dx%d outside 1..%d pixels", s.W, s.H, maxPixels)
+	}
+	if s.Block < 2 || s.Block > maxBlock {
+		return fmt.Errorf("compress: block size %d must be in 2..%d", s.Block, maxBlock)
+	}
+	return checkLevels(s.W, s.H, s.Levels)
+}
+
 // Encode compresses img into a multi-layer stream: one coarsely quantized
 // wavelet base layer plus one local-cosine layer per residual step, each
 // coding what all previous layers failed to represent.
 func Encode(img *image.Gray, opts Options) (*Stream, error) {
 	opts.defaults()
-	if opts.Levels < 1 || opts.BaseStep <= 0 || opts.Block < 2 {
-		return nil, fmt.Errorf("compress: invalid options %+v", opts)
+	if opts.BaseStep <= 0 {
+		return nil, fmt.Errorf("compress: base step %v must be positive", opts.BaseStep)
 	}
 	for _, s := range opts.ResidualSteps {
 		if s <= 0 {
@@ -100,72 +124,110 @@ func Encode(img *image.Gray, opts Options) (*Stream, error) {
 		}
 	}
 	st := &Stream{W: img.W, H: img.H, Levels: opts.Levels, Block: opts.Block}
-
-	// Base layer: wavelet transform, quantize, code.
-	coeffs := append([]float64(nil), img.Pix...)
-	if err := waveletForward2D(coeffs, img.W, img.H, opts.Levels); err != nil {
-		return nil, err
-	}
-	q := quantize(coeffs, opts.BaseStep)
-	st.Layers = append(st.Layers, Layer{Kind: WaveletLayer, Step: opts.BaseStep, Data: entropyEncode(q)})
-
-	// Track the running reconstruction to derive residuals.
-	recon, err := st.decodeBase()
-	if err != nil {
+	if err := st.checkGeometry(); err != nil {
 		return nil, err
 	}
 	kind := CosineLayer
 	if opts.Basis == PacketBasis {
 		kind = PacketLayer
-		if img.W%(1<<packetDepth) != 0 || img.H%(1<<packetDepth) != 0 {
-			return nil, fmt.Errorf("compress: %dx%d not divisible by %d for the packet basis",
-				img.W, img.H, 1<<packetDepth)
+		if err := checkPacket(st.W, st.H, packetDepth); err != nil {
+			return nil, err
 		}
 	}
-	for _, step := range opts.ResidualSteps {
-		residual := make([]float64, len(img.Pix))
-		for i := range residual {
-			residual[i] = img.Pix[i] - recon[i]
+
+	// The running reconstruction is folded together by the code Decode
+	// runs, so each layer codes exactly what a decoder of the layers
+	// before it is missing.
+	d := st.newDecoder(make([]float64, len(img.Pix)))
+	residual := make([]float64, len(img.Pix))
+	for li, step := range append([]float64{opts.BaseStep}, opts.ResidualSteps...) {
+		for i, v := range img.Pix {
+			residual[i] = v - d.recon[i]
 		}
-		if kind == PacketLayer {
-			if err := packetForward2D(residual, img.W, img.H, packetDepth); err != nil {
-				return nil, err
-			}
-		} else {
-			cosineForward(residual, img.W, img.H, opts.Block)
+		l := Layer{Kind: kind, Step: step}
+		var err error
+		switch {
+		case li == 0:
+			l.Kind = WaveletLayer
+			err = waveletForward2D(residual, d.plane(), st.W, st.H, st.Levels)
+		case kind == PacketLayer:
+			err = packetForward2D(residual, d.plane(), st.W, st.H, packetDepth)
+		default:
+			d.cosine().transform(residual, residual, false)
 		}
-		qr := quantize(residual, step)
-		st.Layers = append(st.Layers, Layer{Kind: kind, Step: step, Data: entropyEncode(qr)})
-		// Fold the coded residual into the running reconstruction.
-		deq := dequantize(qr, step)
-		if kind == PacketLayer {
-			if err := packetInverse2D(deq, img.W, img.H, packetDepth); err != nil {
-				return nil, err
-			}
-		} else {
-			cosineInverse(deq, img.W, img.H, opts.Block)
+		if err != nil {
+			return nil, err
 		}
-		for i := range recon {
-			recon[i] += deq[i]
+		l.Data = entropyEncode(residual, step)
+		st.Layers = append(st.Layers, l)
+		if err := d.addLayer(li); err != nil {
+			return nil, err
 		}
 	}
 	return st, nil
 }
 
-// decodeBase reconstructs the wavelet base layer only.
-func (s *Stream) decodeBase() ([]float64, error) {
-	if len(s.Layers) == 0 || s.Layers[0].Kind != WaveletLayer {
-		return nil, fmt.Errorf("compress: stream lacks a wavelet base layer")
+// decoder sums a stream's layers into recon, in the memory one Encode or
+// Decode call works in.
+type decoder struct {
+	s     *Stream
+	recon []float64 // the layers added so far; all zero before the first
+	coef  []float64 // plane(): a residual layer's coefficients; lifting scratch otherwise
+	lift  []float64 // lifting scratch while coef holds packet coefficients
+	dct   *blockDCT // made by the first cosine layer
+}
+
+func (s *Stream) newDecoder(recon []float64) *decoder { return &decoder{s: s, recon: recon} }
+
+// plane returns the second plane, made on first use: a header off the
+// network sizes it (128 MiB at maxPixels), so a stream whose base layer
+// does not entropy-decode is refused after one such plane, not two.
+func (d *decoder) plane() []float64 {
+	if d.coef == nil {
+		d.coef = make([]float64, len(d.recon))
 	}
-	q, err := entropyDecode(s.Layers[0].Data, s.W*s.H)
-	if err != nil {
-		return nil, err
+	return d.coef
+}
+
+func (d *decoder) cosine() *blockDCT {
+	if d.dct == nil {
+		d.dct = newBlockDCT(d.s.W, d.s.H, d.s.Block)
 	}
-	coeffs := dequantize(q, s.Layers[0].Step)
-	if err := waveletInverse2D(coeffs, s.W, s.H, s.Levels); err != nil {
-		return nil, err
+	return d.dct
+}
+
+// addLayer folds layer li into recon: the payload is entropy-decoded and
+// dequantized straight into a plane, inverse-transformed, and added.
+func (d *decoder) addLayer(li int) error {
+	s, l := d.s, d.s.Layers[li]
+	if li == 0 {
+		if err := entropyDecode(l.Data, l.Step, d.recon); err != nil {
+			return err
+		}
+		return waveletInverse2D(d.recon, d.plane(), s.W, s.H, s.Levels)
 	}
-	return coeffs, nil
+	coef := d.plane()
+	clear(coef)
+	if err := entropyDecode(l.Data, l.Step, coef); err != nil {
+		return err
+	}
+	switch l.Kind {
+	case CosineLayer:
+		d.cosine().transform(d.recon, coef, true)
+	case PacketLayer:
+		if d.lift == nil {
+			d.lift = make([]float64, len(coef))
+		}
+		if err := packetInverse2D(coef, d.lift, s.W, s.H, packetDepth); err != nil {
+			return err
+		}
+		for i, v := range coef {
+			d.recon[i] += v
+		}
+	default:
+		return fmt.Errorf("compress: layer %d has unexpected kind %d", li, l.Kind)
+	}
+	return nil
 }
 
 // Decode reconstructs the image using the first k layers (k=0 or
@@ -174,42 +236,28 @@ func (s *Stream) Decode(k int) (*image.Gray, error) {
 	if k <= 0 || k > len(s.Layers) {
 		k = len(s.Layers)
 	}
-	recon, err := s.decodeBase()
-	if err != nil {
-		return nil, err
+	if k == 0 || s.Layers[0].Kind != WaveletLayer {
+		return nil, fmt.Errorf("compress: stream lacks a wavelet base layer")
 	}
-	for li := 1; li < k; li++ {
-		l := s.Layers[li]
-		q, err := entropyDecode(l.Data, s.W*s.H)
-		if err != nil {
-			return nil, err
-		}
-		deq := dequantize(q, l.Step)
-		switch l.Kind {
-		case CosineLayer:
-			cosineInverse(deq, s.W, s.H, s.Block)
-		case PacketLayer:
-			if err := packetInverse2D(deq, s.W, s.H, packetDepth); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("compress: layer %d has unexpected kind %d", li, l.Kind)
-		}
-		for i := range recon {
-			recon[i] += deq[i]
-		}
+	if err := s.checkGeometry(); err != nil {
+		return nil, err
 	}
 	out, err := image.New(s.W, s.H)
 	if err != nil {
 		return nil, err
 	}
-	for i, v := range recon {
-		if v < 0 {
-			v = 0
-		} else if v > 1 {
-			v = 1
+	d := s.newDecoder(out.Pix)
+	for li := 0; li < k; li++ {
+		if err := d.addLayer(li); err != nil {
+			return nil, err
 		}
-		out.Pix[i] = v
+	}
+	for i, v := range out.Pix {
+		if v < 0 {
+			out.Pix[i] = 0
+		} else if v > 1 {
+			out.Pix[i] = 1
+		}
 	}
 	return out, nil
 }
@@ -230,132 +278,169 @@ func (s *Stream) PrefixBytes(k int) int {
 	return total
 }
 
-// quantize rounds coefficients to integer multiples of step.
-func quantize(coeffs []float64, step float64) []int32 {
-	q := make([]int32, len(coeffs))
-	for i, c := range coeffs {
-		q[i] = int32(math.Round(c / step))
-	}
-	return q
+// blockDCT is the blocked local-cosine transform of one plane geometry:
+// a separable orthonormal DCT-II over block×block tiles, edge tiles at
+// their actual smaller size. The cosines are evaluated once per plane, for
+// the three tile sides there can be; a transform is two passes of
+// multiply-adds against them, both running along rows so that every inner
+// loop is contiguous.
+type blockDCT struct {
+	w, h, block        int
+	full, edgeW, edgeH *dctBasis // sides block, w%block and h%block
+	scratch            []float64 // one tile between the two passes
+	live               []bool    // which scratch rows the first pass wrote
 }
 
-// dequantize reverses quantize.
-func dequantize(q []int32, step float64) []float64 {
-	out := make([]float64, len(q))
-	for i, v := range q {
-		out[i] = float64(v) * step
-	}
-	return out
+// dctBasis is the n×n orthonormal DCT-II matrix both ways round:
+// vec[k*n+i] = at[i*n+k] = basis vector k at sample i.
+type dctBasis struct{ vec, at []float64 }
+
+func newBlockDCT(w, h, block int) *blockDCT {
+	bw, bh := min(block, w), min(block, h)
+	return &blockDCT{w: w, h: h, block: block,
+		full: newDCTBasis(block), edgeW: newDCTBasis(w % block), edgeH: newDCTBasis(h % block),
+		scratch: make([]float64, bw*bh), live: make([]bool, bh)}
 }
 
-// cosineForward applies a blocked separable DCT-II in place over the
-// plane, block by block (edge blocks use their actual smaller size).
-func cosineForward(pix []float64, w, h, block int) []float64 {
-	forEachBlock(w, h, block, func(x0, y0, bw, bh int) {
-		applyBlock(pix, w, x0, y0, bw, bh, dsp.DCT2)
-	})
-	return pix
-}
-
-// cosineInverse inverts cosineForward.
-func cosineInverse(pix []float64, w, h, block int) {
-	forEachBlock(w, h, block, func(x0, y0, bw, bh int) {
-		applyBlock(pix, w, x0, y0, bw, bh, dsp.IDCT2)
-	})
-}
-
-func forEachBlock(w, h, block int, fn func(x0, y0, bw, bh int)) {
-	for y0 := 0; y0 < h; y0 += block {
-		bh := block
-		if y0+bh > h {
-			bh = h - y0
+// newDCTBasis borrows the cosines from dsp: basis vector k is the inverse
+// transform of the k-th unit vector, which costs dsp.IDCT2 one row of
+// them, n² for the matrix.
+func newDCTBasis(n int) *dctBasis {
+	b := &dctBasis{vec: make([]float64, n*n), at: make([]float64, n*n)}
+	unit := make([]float64, n)
+	for k := 0; k < n; k++ {
+		unit[k] = 1
+		copy(b.vec[k*n:], dsp.IDCT2(unit))
+		unit[k] = 0
+		for i := 0; i < n; i++ {
+			b.at[i*n+k] = b.vec[k*n+i]
 		}
-		for x0 := 0; x0 < w; x0 += block {
-			bw := block
-			if x0+bw > w {
-				bw = w - x0
+	}
+	return b
+}
+
+// bases returns the bases of the two sides of a bw×bh tile.
+func (t *blockDCT) bases(bw, bh int) (bx, by *dctBasis) {
+	bx, by = t.full, t.full
+	if bw < t.block {
+		bx = t.edgeW
+	}
+	if bh < t.block {
+		by = t.edgeH
+	}
+	return bx, by
+}
+
+// transform runs the forward transform of every tile of src into dst
+// (which may be src itself), or with inverse set adds the inverse
+// transform of every tile of src onto dst. Terms with a zero factor are
+// skipped — all of them in an all-zero tile, most of them in a quantized
+// residual — which leaves every sum what it would have been.
+func (t *blockDCT) transform(dst, src []float64, inverse bool) {
+	for y0 := 0; y0 < t.h; y0 += t.block {
+		bh := min(t.block, t.h-y0)
+		for x0 := 0; x0 < t.w; x0 += t.block {
+			bw := min(t.block, t.w-x0)
+			// along maps a tile row to its transform by row-vector × matrix;
+			// down holds the weights of the column pass.
+			bx, by := t.bases(bw, bh)
+			along, down := bx.at, by.vec
+			if inverse {
+				along, down = bx.vec, by.at
 			}
-			fn(x0, y0, bw, bh)
-		}
-	}
-}
-
-// applyBlock runs a 1-D transform over the rows then columns of a block.
-func applyBlock(pix []float64, stride, x0, y0, bw, bh int, transform func([]float64) []float64) {
-	row := make([]float64, bw)
-	for y := y0; y < y0+bh; y++ {
-		copy(row, pix[y*stride+x0:y*stride+x0+bw])
-		out := transform(row)
-		copy(pix[y*stride+x0:y*stride+x0+bw], out)
-	}
-	col := make([]float64, bh)
-	for x := x0; x < x0+bw; x++ {
-		for y := 0; y < bh; y++ {
-			col[y] = pix[(y0+y)*stride+x]
-		}
-		out := transform(col)
-		for y := 0; y < bh; y++ {
-			pix[(y0+y)*stride+x] = out[y]
-		}
-	}
-}
-
-// entropyEncode codes quantized coefficients with zero-run/varint coding:
-// runs of zeros become (0, runLength); non-zero values become
-// zigzag(v)+1. All tokens are unsigned varints.
-func entropyEncode(q []int32) []byte {
-	var buf bytes.Buffer
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(u uint64) {
-		n := binary.PutUvarint(tmp[:], u)
-		buf.Write(tmp[:n])
-	}
-	i := 0
-	for i < len(q) {
-		if q[i] == 0 {
-			run := 0
-			for i < len(q) && q[i] == 0 {
-				run++
-				i++
+			for y := 0; y < bh; y++ {
+				out := t.scratch[y*bw : (y+1)*bw]
+				t.live[y] = false
+				for i, c := range src[(y0+y)*t.w+x0:][:bw] {
+					if c == 0 {
+						continue
+					}
+					if !t.live[y] {
+						t.live[y] = true
+						clear(out)
+					}
+					axpy(out, c, along[i*bw:])
+				}
 			}
-			put(0)
-			put(uint64(run))
+			for y := 0; y < bh; y++ {
+				out := dst[(y0+y)*t.w+x0:][:bw]
+				if !inverse {
+					clear(out)
+				}
+				for k, m := range down[y*bh:][:bh] {
+					if !t.live[k] {
+						continue
+					}
+					axpy(out, m, t.scratch[k*bw:])
+				}
+			}
+		}
+	}
+}
+
+// axpy adds a·x[i] to every y[i]; x must be at least as long as y.
+func axpy(y []float64, a float64, x []float64) {
+	x = x[:len(y)]
+	for i := range y {
+		y[i] += a * x[i]
+	}
+}
+
+// entropyEncode quantizes coefficients to integer multiples of step and
+// codes them with zero-run/varint coding: runs of zeros become
+// (0, runLength); non-zero values become zigzag(v)+1. All tokens are
+// unsigned varints.
+func entropyEncode(coeffs []float64, step float64) []byte {
+	var buf []byte
+	var run uint64
+	flush := func() {
+		if run > 0 {
+			buf = binary.AppendUvarint(append(buf, 0), run)
+			run = 0
+		}
+	}
+	for _, c := range coeffs {
+		q := int32(math.Round(c / step))
+		if q == 0 {
+			run++
 			continue
 		}
-		put(zigzag(q[i]) + 1)
-		i++
+		flush()
+		buf = binary.AppendUvarint(buf, zigzag(q)+1)
 	}
-	return buf.Bytes()
+	flush()
+	return buf
 }
 
-// entropyDecode reverses entropyEncode, producing exactly n coefficients.
-func entropyDecode(data []byte, n int) ([]int32, error) {
-	out := make([]int32, 0, n)
-	r := bytes.NewReader(data)
-	for len(out) < n {
-		u, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, fmt.Errorf("compress: truncated layer payload: %w", err)
+// entropyDecode reverses entropyEncode into dst, which must be all zero:
+// exactly len(dst) coefficients, each dequantized as it is read, a zero
+// run being a skip.
+func entropyDecode(data []byte, step float64, dst []float64) error {
+	for i := 0; i < len(dst); {
+		u, n := binary.Uvarint(data)
+		if n <= 0 {
+			return fmt.Errorf("compress: truncated layer payload at %d/%d", i, len(dst))
 		}
-		if u == 0 {
-			run, err := binary.ReadUvarint(r)
-			if err != nil {
-				return nil, fmt.Errorf("compress: truncated zero run: %w", err)
-			}
-			if run == 0 || uint64(len(out))+run > uint64(n) {
-				return nil, fmt.Errorf("compress: corrupt zero run of %d at %d/%d", run, len(out), n)
-			}
-			for j := uint64(0); j < run; j++ {
-				out = append(out, 0)
-			}
+		data = data[n:]
+		if u != 0 {
+			dst[i] = float64(unzigzag(u-1)) * step
+			i++
 			continue
 		}
-		out = append(out, unzigzag(u-1))
+		run, n := binary.Uvarint(data)
+		if n <= 0 {
+			return fmt.Errorf("compress: truncated zero run at %d/%d", i, len(dst))
+		}
+		data = data[n:]
+		if run == 0 || run > uint64(len(dst)-i) {
+			return fmt.Errorf("compress: corrupt zero run of %d at %d/%d", run, i, len(dst))
+		}
+		i += int(run)
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("compress: %d trailing bytes in layer payload", r.Len())
+	if len(data) != 0 {
+		return fmt.Errorf("compress: %d trailing bytes in layer payload", len(data))
 	}
-	return out, nil
+	return nil
 }
 
 func zigzag(v int32) uint64 {
@@ -405,8 +490,9 @@ const (
 )
 
 // parseHeader checks an MMLY header without touching the body and
-// returns the stream geometry plus the layer directory: one
-// dirEntryLen-byte entry per layer, all present.
+// returns the stream geometry — checked: these bytes come off the network,
+// and Decode sizes its planes and loops by them — plus the layer
+// directory: one dirEntryLen-byte entry per layer, all present.
 func parseHeader(header []byte) (*Stream, []byte, error) {
 	le := binary.LittleEndian
 	if len(header) < 4 || le.Uint32(header) != headerMagic {
@@ -415,15 +501,19 @@ func parseHeader(header []byte) (*Stream, []byte, error) {
 	if len(header) < headerFixedLen {
 		return nil, nil, fmt.Errorf("compress: truncated header")
 	}
-	w32, h32, count := le.Uint32(header[4:]), le.Uint32(header[8:]), le.Uint32(header[20:])
-	if w32 == 0 || h32 == 0 || count == 0 || count > 64 {
-		return nil, nil, fmt.Errorf("compress: implausible header (%dx%d, %d layers)", w32, h32, count)
+	s := &Stream{W: int(le.Uint32(header[4:])), H: int(le.Uint32(header[8:])),
+		Levels: int(le.Uint32(header[12:])), Block: int(le.Uint32(header[16:]))}
+	if err := s.checkGeometry(); err != nil {
+		return nil, nil, err
+	}
+	count := le.Uint32(header[20:])
+	if count == 0 || count > 64 {
+		return nil, nil, fmt.Errorf("compress: implausible header (%d layers)", count)
 	}
 	dir := header[headerFixedLen:]
 	if len(dir) < int(count)*dirEntryLen {
 		return nil, nil, fmt.Errorf("compress: truncated layer directory")
 	}
-	s := &Stream{W: int(w32), H: int(h32), Levels: int(le.Uint32(header[12:])), Block: int(le.Uint32(header[16:]))}
 	return s, dir[:int(count)*dirEntryLen], nil
 }
 

@@ -42,10 +42,11 @@ func TestWavelet2DRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		coeffs := append([]float64(nil), img.Pix...)
-		if err := waveletForward2D(coeffs, w, h, 3); err != nil {
+		scratch := make([]float64, w*h)
+		if err := waveletForward2D(coeffs, scratch, w, h, 3); err != nil {
 			t.Fatalf("%dx%d forward: %v", w, h, err)
 		}
-		if err := waveletInverse2D(coeffs, w, h, 3); err != nil {
+		if err := waveletInverse2D(coeffs, scratch, w, h, 3); err != nil {
 			t.Fatalf("%dx%d inverse: %v", w, h, err)
 		}
 		for i := range coeffs {
@@ -57,22 +58,25 @@ func TestWavelet2DRoundTrip(t *testing.T) {
 }
 
 func TestWaveletDepthValidation(t *testing.T) {
-	pix := make([]float64, 8*8)
-	if err := waveletForward2D(pix, 8, 8, 0); err == nil {
+	pix, scratch := make([]float64, 8*8), make([]float64, 8*8)
+	if err := waveletForward2D(pix, scratch, 8, 8, 0); err == nil {
 		t.Error("zero levels accepted")
 	}
-	if err := waveletForward2D(pix, 8, 8, 10); err == nil {
+	if err := waveletForward2D(pix, scratch, 8, 8, 10); err == nil {
 		t.Error("overdeep transform accepted")
 	}
-	if err := waveletInverse2D(pix, 8, 8, 10); err == nil {
+	if err := waveletInverse2D(pix, scratch, 8, 8, 10); err == nil {
 		t.Error("overdeep inverse accepted")
+	}
+	if err := waveletInverse2D(pix, scratch, 8, 8, 0x7FFFFFF0); err == nil {
+		t.Error("absurd depth accepted")
 	}
 }
 
 func TestWaveletCompactsEnergy(t *testing.T) {
 	img, _ := image.Phantom(128, 128, 2)
 	coeffs := append([]float64(nil), img.Pix...)
-	if err := waveletForward2D(coeffs, 128, 128, 4); err != nil {
+	if err := waveletForward2D(coeffs, make([]float64, len(coeffs)), 128, 128, 4); err != nil {
 		t.Fatal(err)
 	}
 	// The 8x8 LL corner must hold most of the signal's weight per
@@ -100,21 +104,23 @@ func TestEntropyRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(2000)
-		q := make([]int32, n)
-		for i := range q {
+		step := 0.001 + rng.Float64()
+		want := make([]float64, n) // whole multiples of step
+		noisy := make([]float64, n)
+		for i := range want {
 			switch rng.Intn(4) {
 			case 0:
-				q[i] = int32(rng.Intn(201) - 100)
+				want[i] = float64(rng.Intn(201)-100) * step
 			default: // mostly zeros, like real quantized transforms
 			}
+			noisy[i] = want[i] + (rng.Float64()-0.5)*0.9*step // rounds back to want
 		}
-		data := entropyEncode(q)
-		back, err := entropyDecode(data, n)
-		if err != nil {
+		back := make([]float64, n)
+		if err := entropyDecode(entropyEncode(noisy, step), step, back); err != nil {
 			return false
 		}
-		for i := range q {
-			if q[i] != back[i] {
+		for i := range want {
+			if want[i] != back[i] {
 				return false
 			}
 		}
@@ -126,16 +132,25 @@ func TestEntropyRoundTrip(t *testing.T) {
 }
 
 func TestEntropyDecodeRejectsCorrupt(t *testing.T) {
-	q := []int32{1, 0, 0, 5}
-	data := entropyEncode(q)
-	if _, err := entropyDecode(data[:1], 4); err == nil {
-		t.Error("truncated payload accepted")
+	data := entropyEncode([]float64{1, 0, 0, 5}, 1)
+	if err := entropyDecode(data, 1, make([]float64, 4)); err != nil {
+		t.Fatalf("intact payload: %v", err)
 	}
-	if _, err := entropyDecode(data, 3); err == nil {
-		t.Error("wrong count accepted")
-	}
-	if _, err := entropyDecode(append(data, 0x05), 4); err == nil {
-		t.Error("trailing bytes accepted")
+	for name, c := range map[string]struct {
+		data []byte
+		n    int
+	}{
+		"truncated payload":  {data[:1], 4},
+		"truncated zero run": {data[:2], 4},
+		"wrong count":        {data, 3},
+		"trailing bytes":     {append(data[:len(data):len(data)], 0x05), 4},
+		"zero run of 0":      {[]byte{0, 0, 2, 2, 2, 2}, 4},
+		"run past the plane": {[]byte{2, 0, 4}, 4},
+		"overlong varint":    {[]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, 4},
+	} {
+		if err := entropyDecode(c.data, 1, make([]float64, c.n)); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
@@ -208,6 +223,14 @@ func TestEncodeOptionValidation(t *testing.T) {
 	}
 	if _, err := Encode(img, Options{Levels: 20}); err == nil {
 		t.Error("overdeep levels accepted")
+	}
+	for _, block := range []int{1, -16, maxBlock + 1} {
+		if _, err := Encode(img, Options{Block: block}); err == nil {
+			t.Errorf("block size %d accepted", block)
+		}
+	}
+	if _, err := Encode(img, Options{Block: maxBlock}); err != nil {
+		t.Errorf("block size %d refused: %v", maxBlock, err)
 	}
 }
 
@@ -357,10 +380,11 @@ func TestHybridBeatsWaveletOnlyAtBase(t *testing.T) {
 func TestPacketTransformRoundTrip(t *testing.T) {
 	img, _ := image.Phantom(64, 64, 9)
 	coeffs := append([]float64(nil), img.Pix...)
-	if err := packetForward2D(coeffs, 64, 64, 2); err != nil {
+	scratch := make([]float64, len(coeffs))
+	if err := packetForward2D(coeffs, scratch, 64, 64, 2); err != nil {
 		t.Fatalf("forward: %v", err)
 	}
-	if err := packetInverse2D(coeffs, 64, 64, 2); err != nil {
+	if err := packetInverse2D(coeffs, scratch, 64, 64, 2); err != nil {
 		t.Fatalf("inverse: %v", err)
 	}
 	for i := range coeffs {
@@ -370,13 +394,13 @@ func TestPacketTransformRoundTrip(t *testing.T) {
 	}
 	// Dimension validation.
 	bad := make([]float64, 30*30)
-	if err := packetForward2D(bad, 30, 30, 2); err == nil {
+	if err := packetForward2D(bad, scratch, 30, 30, 2); err == nil {
 		t.Error("non-divisible size accepted")
 	}
-	if err := packetInverse2D(bad, 30, 30, 2); err == nil {
+	if err := packetInverse2D(bad, scratch, 30, 30, 2); err == nil {
 		t.Error("non-divisible size accepted by inverse")
 	}
-	if err := packetForward2D(coeffs, 64, 64, 0); err == nil {
+	if err := packetForward2D(coeffs, scratch, 64, 64, 0); err == nil {
 		t.Error("zero depth accepted")
 	}
 }

@@ -73,84 +73,122 @@ func inv53(src, dst []float64, n int) {
 	}
 }
 
+// rowOf returns the w values of row y of a plane whose rows are stride
+// apart.
+func rowOf(p []float64, stride, y, w int) []float64 { return p[y*stride : y*stride+w] }
+
+// fwd53Rows is fwd53 down the columns of a plane, a whole row at a time:
+// n source rows of width w, ss apart in src, become approximation rows
+// [0, (n+1)/2) and detail rows [(n+1)/2, n) of dst, ds apart. Every
+// column gets exactly fwd53's arithmetic; the inner loops are contiguous.
+func fwd53Rows(src []float64, ss int, dst []float64, ds, w, n int) {
+	half := (n + 1) / 2
+	for i := 0; i < n/2; i++ {
+		left := rowOf(src, ss, 2*i, w)
+		right := left
+		if 2*i+2 < n {
+			right = rowOf(src, ss, 2*i+2, w)
+		}
+		odd, d := rowOf(src, ss, 2*i+1, w), rowOf(dst, ds, half+i, w)
+		for x := range d {
+			d[x] = odd[x] - 0.5*(left[x]+right[x])
+		}
+	}
+	for i := 0; i < half; i++ {
+		dl := rowOf(dst, ds, half+max(i-1, 0), w)
+		dr := rowOf(dst, ds, half+min(i, n/2-1), w)
+		even, s := rowOf(src, ss, 2*i, w), rowOf(dst, ds, i, w)
+		for x := range s {
+			s[x] = even[x] + 0.25*(dl[x]+dr[x])
+		}
+	}
+}
+
+// inv53Rows inverts fwd53Rows, likewise inv53 down every column.
+func inv53Rows(src []float64, ss int, dst []float64, ds, w, n int) {
+	half := (n + 1) / 2
+	for i := 0; i < half; i++ {
+		dl := rowOf(src, ss, half+max(i-1, 0), w)
+		dr := rowOf(src, ss, half+min(i, n/2-1), w)
+		s, even := rowOf(src, ss, i, w), rowOf(dst, ds, 2*i, w)
+		for x := range even {
+			even[x] = s[x] - 0.25*(dl[x]+dr[x])
+		}
+	}
+	for i := 0; i < n/2; i++ {
+		left := rowOf(dst, ds, 2*i, w)
+		right := left
+		if 2*i+2 < n {
+			right = rowOf(dst, ds, 2*i+2, w)
+		}
+		d, odd := rowOf(src, ss, half+i, w), rowOf(dst, ds, 2*i+1, w)
+		for x := range odd {
+			odd[x] = d[x] + 0.5*(left[x]+right[x])
+		}
+	}
+}
+
+// analyze2D runs one separable 5/3 analysis level over the cw×ch
+// rectangle at the head of pix (rows stride apart): rows into scratch,
+// which must hold cw*ch values, then columns back into pix. Neither pass
+// copies or gathers: each reads its input where it lies and writes its
+// output where it belongs.
+func analyze2D(pix []float64, stride, cw, ch int, scratch []float64) {
+	for y := 0; y < ch; y++ {
+		fwd53(rowOf(pix, stride, y, cw), rowOf(scratch, cw, y, cw), cw)
+	}
+	fwd53Rows(scratch, cw, pix, stride, cw, ch)
+}
+
+// synthesize2D inverts analyze2D: columns first, then rows.
+func synthesize2D(pix []float64, stride, cw, ch int, scratch []float64) {
+	inv53Rows(pix, stride, scratch, cw, cw, ch)
+	for y := 0; y < ch; y++ {
+		inv53(rowOf(scratch, cw, y, cw), rowOf(pix, stride, y, cw), cw)
+	}
+}
+
+// maxLevels bounds the decomposition depth: beyond it no plane that fits
+// in memory has a 2×2 subband left to split.
+const maxLevels = 31
+
+// subband returns the side of the level-l approximation subband of a
+// plane side n: n halved, rounding up, l times.
+func subband(n, l int) int { return (n + 1<<l - 1) >> l }
+
+// checkLevels reports whether a w×h plane can be decomposed levels deep:
+// every level must still find at least 2×2 to split.
+func checkLevels(w, h, levels int) error {
+	if levels < 1 || levels > maxLevels {
+		return fmt.Errorf("compress: levels %d must be in 1..%d", levels, maxLevels)
+	}
+	if subband(min(w, h), levels-1) < 2 {
+		return fmt.Errorf("compress: %d levels too deep for %dx%d", levels, w, h)
+	}
+	return nil
+}
+
 // waveletForward2D applies `levels` levels of the separable 2-D transform
-// in place on a w×h plane stored row-major.
-func waveletForward2D(pix []float64, w, h, levels int) error {
-	if levels < 1 {
-		return fmt.Errorf("compress: levels %d must be ≥ 1", levels)
+// in place on a w×h plane stored row-major; scratch must hold w*h values.
+func waveletForward2D(pix, scratch []float64, w, h, levels int) error {
+	if err := checkLevels(w, h, levels); err != nil {
+		return err
 	}
-	cw, ch := w, h
-	row := make([]float64, w)
-	col := make([]float64, h)
-	tmp := make([]float64, max(w, h))
 	for l := 0; l < levels; l++ {
-		if cw < 2 || ch < 2 {
-			return fmt.Errorf("compress: %d levels too deep for %dx%d", levels, w, h)
-		}
-		for y := 0; y < ch; y++ {
-			copy(row[:cw], pix[y*w:y*w+cw])
-			fwd53(row[:cw], tmp[:cw], cw)
-			copy(pix[y*w:y*w+cw], tmp[:cw])
-		}
-		for x := 0; x < cw; x++ {
-			for y := 0; y < ch; y++ {
-				col[y] = pix[y*w+x]
-			}
-			fwd53(col[:ch], tmp[:ch], ch)
-			for y := 0; y < ch; y++ {
-				pix[y*w+x] = tmp[y]
-			}
-		}
-		cw = (cw + 1) / 2
-		ch = (ch + 1) / 2
+		analyze2D(pix, w, subband(w, l), subband(h, l), scratch)
 	}
 	return nil
 }
 
-// waveletInverse2D inverts waveletForward2D.
-func waveletInverse2D(pix []float64, w, h, levels int) error {
-	if levels < 1 {
-		return fmt.Errorf("compress: levels %d must be ≥ 1", levels)
+// waveletInverse2D inverts waveletForward2D, deepest level first.
+func waveletInverse2D(pix, scratch []float64, w, h, levels int) error {
+	if err := checkLevels(w, h, levels); err != nil {
+		return err
 	}
-	// Recompute the subband sizes top-down, then invert bottom-up.
-	ws := make([]int, levels+1)
-	hs := make([]int, levels+1)
-	ws[0], hs[0] = w, h
-	for l := 1; l <= levels; l++ {
-		ws[l] = (ws[l-1] + 1) / 2
-		hs[l] = (hs[l-1] + 1) / 2
-		if ws[l-1] < 2 || hs[l-1] < 2 {
-			return fmt.Errorf("compress: %d levels too deep for %dx%d", levels, w, h)
-		}
-	}
-	row := make([]float64, w)
-	col := make([]float64, h)
-	tmp := make([]float64, max(w, h))
 	for l := levels - 1; l >= 0; l-- {
-		cw, ch := ws[l], hs[l]
-		for x := 0; x < cw; x++ {
-			for y := 0; y < ch; y++ {
-				col[y] = pix[y*w+x]
-			}
-			inv53(col[:ch], tmp[:ch], ch)
-			for y := 0; y < ch; y++ {
-				pix[y*w+x] = tmp[y]
-			}
-		}
-		for y := 0; y < ch; y++ {
-			copy(row[:cw], pix[y*w:y*w+cw])
-			inv53(row[:cw], tmp[:cw], cw)
-			copy(pix[y*w:y*w+cw], tmp[:cw])
-		}
+		synthesize2D(pix, w, subband(w, l), subband(h, l), scratch)
 	}
 	return nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // packetForward2D applies a full wavelet-packet decomposition: unlike the
@@ -159,98 +197,50 @@ func max(a, b int) int {
 // a uniform tiling of the frequency plane — the "wavelet packet"
 // alternative basis the paper's compression module ([20]) offers for
 // coding residuals. The transform recurses levels deep; w and h must be
-// divisible by 2^levels for the subband grid to tile exactly.
-func packetForward2D(pix []float64, w, h, levels int) error {
-	if levels < 1 {
-		return fmt.Errorf("compress: levels %d must be ≥ 1", levels)
+// divisible by 2^levels for the subband grid to tile exactly, and scratch
+// must hold w*h values.
+func packetForward2D(pix, scratch []float64, w, h, levels int) error {
+	if err := checkPacket(w, h, levels); err != nil {
+		return err
 	}
-	step := 1 << levels
-	if w%step != 0 || h%step != 0 {
-		return fmt.Errorf("compress: %dx%d not divisible by 2^%d for packet transform", w, h, levels)
-	}
-	var rec func(x0, y0, cw, ch, depth int) error
-	rec = func(x0, y0, cw, ch, depth int) error {
-		if depth == 0 {
-			return nil
-		}
-		if err := transformBlock2D(pix, w, x0, y0, cw, ch, false); err != nil {
-			return err
-		}
-		hw, hh := cw/2, ch/2
-		for _, q := range [4][2]int{{x0, y0}, {x0 + hw, y0}, {x0, y0 + hh}, {x0 + hw, y0 + hh}} {
-			if err := rec(q[0], q[1], hw, hh, depth-1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return rec(0, 0, w, h, levels)
+	packet2D(pix, scratch, w, w, h, levels, false)
+	return nil
 }
 
 // packetInverse2D inverts packetForward2D.
-func packetInverse2D(pix []float64, w, h, levels int) error {
-	if levels < 1 {
-		return fmt.Errorf("compress: levels %d must be ≥ 1", levels)
+func packetInverse2D(pix, scratch []float64, w, h, levels int) error {
+	if err := checkPacket(w, h, levels); err != nil {
+		return err
 	}
-	step := 1 << levels
-	if w%step != 0 || h%step != 0 {
-		return fmt.Errorf("compress: %dx%d not divisible by 2^%d for packet transform", w, h, levels)
-	}
-	var rec func(x0, y0, cw, ch, depth int) error
-	rec = func(x0, y0, cw, ch, depth int) error {
-		if depth == 0 {
-			return nil
-		}
-		hw, hh := cw/2, ch/2
-		for _, q := range [4][2]int{{x0, y0}, {x0 + hw, y0}, {x0, y0 + hh}, {x0 + hw, y0 + hh}} {
-			if err := rec(q[0], q[1], hw, hh, depth-1); err != nil {
-				return err
-			}
-		}
-		return transformBlock2D(pix, w, x0, y0, cw, ch, true)
-	}
-	return rec(0, 0, w, h, levels)
+	packet2D(pix, scratch, w, w, h, levels, true)
+	return nil
 }
 
-// transformBlock2D runs one separable 5/3 analysis (or synthesis) pass on
-// the sub-rectangle [x0,x0+cw) x [y0,y0+ch) of a row-major plane.
-func transformBlock2D(pix []float64, stride, x0, y0, cw, ch int, inverse bool) error {
-	if cw < 2 || ch < 2 {
-		return fmt.Errorf("compress: packet block %dx%d too small", cw, ch)
+func checkPacket(w, h, levels int) error {
+	if levels < 1 || levels > maxLevels {
+		return fmt.Errorf("compress: levels %d must be in 1..%d", levels, maxLevels)
 	}
-	row := make([]float64, cw)
-	col := make([]float64, ch)
-	tmp := make([]float64, max(cw, ch))
-	if !inverse {
-		for y := y0; y < y0+ch; y++ {
-			copy(row, pix[y*stride+x0:y*stride+x0+cw])
-			fwd53(row, tmp[:cw], cw)
-			copy(pix[y*stride+x0:y*stride+x0+cw], tmp[:cw])
-		}
-		for x := x0; x < x0+cw; x++ {
-			for y := 0; y < ch; y++ {
-				col[y] = pix[(y0+y)*stride+x]
-			}
-			fwd53(col, tmp[:ch], ch)
-			for y := 0; y < ch; y++ {
-				pix[(y0+y)*stride+x] = tmp[y]
-			}
-		}
-		return nil
-	}
-	for x := x0; x < x0+cw; x++ {
-		for y := 0; y < ch; y++ {
-			col[y] = pix[(y0+y)*stride+x]
-		}
-		inv53(col, tmp[:ch], ch)
-		for y := 0; y < ch; y++ {
-			pix[(y0+y)*stride+x] = tmp[y]
-		}
-	}
-	for y := y0; y < y0+ch; y++ {
-		copy(row, pix[y*stride+x0:y*stride+x0+cw])
-		inv53(row, tmp[:cw], cw)
-		copy(pix[y*stride+x0:y*stride+x0+cw], tmp[:cw])
+	if step := 1 << levels; w%step != 0 || h%step != 0 {
+		return fmt.Errorf("compress: %dx%d not divisible by 2^%d for packet transform", w, h, levels)
 	}
 	return nil
+}
+
+// packet2D transforms the cw×ch rectangle at the head of pix and recurses
+// into its four quadrants (analysis: parent first; synthesis: quadrants
+// first). checkPacket has made every rectangle on the way at least 2×2.
+func packet2D(pix, scratch []float64, stride, cw, ch, depth int, inverse bool) {
+	if depth == 0 {
+		return
+	}
+	if !inverse {
+		analyze2D(pix, stride, cw, ch, scratch)
+	}
+	hw, hh := cw/2, ch/2
+	for _, off := range [4]int{0, hw, hh * stride, hh*stride + hw} {
+		packet2D(pix[off:], scratch, stride, hw, hh, depth-1, inverse)
+	}
+	if inverse {
+		synthesize2D(pix, stride, cw, ch, scratch)
+	}
 }

@@ -154,6 +154,58 @@ func TestDCTOrthonormal(t *testing.T) {
 	if out := DCT2(nil); len(out) != 0 {
 		t.Error("DCT2(nil) not empty")
 	}
+	if out := IDCT2(nil); len(out) != 0 {
+		t.Error("IDCT2(nil) not empty")
+	}
+}
+
+// The table-driven transforms against the definition, one cosine per
+// term, for every length up to 40: the two agree to rounding.
+func TestDCTMatchesDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for n := 1; n <= 40; n++ {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = rng.Float64()*2 - 1
+		}
+		scale := func(k int) float64 {
+			if k == 0 {
+				return math.Sqrt(1 / float64(n))
+			}
+			return math.Sqrt(2 / float64(n))
+		}
+		fwd, inv := DCT2(x), IDCT2(x)
+		for k := 0; k < n; k++ {
+			var want2, want3 float64 // DCT-II coefficient k, DCT-III sample k
+			for i := 0; i < n; i++ {
+				want2 += x[i] * scale(k) * math.Cos(math.Pi*float64(k)*(float64(i)+0.5)/float64(n))
+				want3 += x[i] * scale(i) * math.Cos(math.Pi*float64(i)*(float64(k)+0.5)/float64(n))
+			}
+			if math.Abs(fwd[k]-want2) > 1e-12 || math.Abs(inv[k]-want3) > 1e-12 {
+				t.Fatalf("n=%d k=%d: DCT2 %v want %v, IDCT2 %v want %v", n, k, fwd[k], want2, inv[k], want3)
+			}
+		}
+	}
+}
+
+// The extractor's cepstra are the leading DCT-II coefficients of the log
+// mel energies, from the basis it built once.
+func TestExtractorCepstraAreDCTPrefix(t *testing.T) {
+	e, err := NewExtractor(8000, 256, 128, 20, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logMel := make([]float64, e.NumFilters)
+	for i := range logMel {
+		logMel[i] = math.Sin(float64(i)) - 3
+	}
+	got := make([]float64, e.NumCoeffs)
+	dctInto(got, e.dct, logMel)
+	for k, want := range DCT2(logMel)[:e.NumCoeffs] {
+		if got[k] != want {
+			t.Errorf("cepstrum %d = %v, DCT2 gives %v", k, got[k], want)
+		}
+	}
 }
 
 func TestFrame(t *testing.T) {

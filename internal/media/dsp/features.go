@@ -89,6 +89,7 @@ type Extractor struct {
 
 	window  []float64
 	filters [][]float64 // mel triangular filters over power-spectrum bins
+	dct     []float64   // DCT-II basis over the NumFilters log energies
 }
 
 // NewExtractor returns an extractor with validated configuration.
@@ -110,6 +111,7 @@ func NewExtractor(sampleRate float64, frameLen, hop, numFilters, numCoeffs int) 
 		NumCoeffs:  numCoeffs,
 		PreEmph:    0.97,
 		window:     HammingWindow(frameLen),
+		dct:        dctBasis(numFilters),
 	}
 	e.filters = melFilterbank(numFilters, NextPow2(frameLen)/2+1, sampleRate)
 	return e, nil
@@ -180,9 +182,8 @@ func (e *Extractor) Features(signal []float64) ([][]float64, error) {
 			}
 			logMel[m] = math.Log(sum + 1e-10)
 		}
-		cep := DCT2(logMel)
 		vec := make([]float64, e.NumCoeffs+1)
-		copy(vec, cep[:e.NumCoeffs])
+		dctInto(vec[:e.NumCoeffs], e.dct, logMel)
 		vec[e.NumCoeffs] = Energy(frame)
 		feats[i] = vec
 	}

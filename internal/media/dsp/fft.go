@@ -104,42 +104,67 @@ func HammingWindow(n int) []float64 {
 	return w
 }
 
-// DCT2 computes the orthonormal DCT-II of x (used to decorrelate log
-// filterbank energies into cepstral coefficients, and by the compression
-// module's local-cosine residual coder).
-func DCT2(x []float64) []float64 {
-	n := len(x)
-	out := make([]float64, n)
-	if n == 0 {
-		return out
+// dctRow fills row with DCT-II basis vector k of length n = len(row):
+// row[i] = s_k·cos(π·k·(i+½)/n), s_0 = √(1/n), s_k = √(2/n). Every
+// transcendental call of a DCT is in here; the transforms below are
+// multiply-adds against the rows.
+func dctRow(row []float64, k int) {
+	n := float64(len(row))
+	scale := math.Sqrt(2 / n)
+	if k == 0 {
+		scale = math.Sqrt(1 / n)
 	}
+	for i := range row {
+		row[i] = scale * math.Cos(math.Pi*float64(k)*(float64(i)+0.5)/n)
+	}
+}
+
+// dctBasis returns the n×n orthonormal DCT-II matrix, row k holding
+// basis vector k.
+func dctBasis(n int) []float64 {
+	b := make([]float64, n*n)
 	for k := 0; k < n; k++ {
-		var sum float64
-		for i := 0; i < n; i++ {
-			sum += x[i] * math.Cos(math.Pi*float64(k)*(float64(i)+0.5)/float64(n))
-		}
-		scale := math.Sqrt(2 / float64(n))
-		if k == 0 {
-			scale = math.Sqrt(1 / float64(n))
-		}
-		out[k] = sum * scale
+		dctRow(b[k*n:(k+1)*n], k)
 	}
+	return b
+}
+
+// dctInto writes the first len(out) DCT-II coefficients of x against
+// basis, the dctBasis of len(x).
+func dctInto(out, basis, x []float64) {
+	n := len(x)
+	for k := range out {
+		var sum float64
+		for i, b := range basis[k*n : (k+1)*n] {
+			sum += b * x[i]
+		}
+		out[k] = sum
+	}
+}
+
+// DCT2 computes the orthonormal DCT-II of x (used to decorrelate log
+// filterbank energies into cepstral coefficients).
+func DCT2(x []float64) []float64 {
+	out := make([]float64, len(x))
+	dctInto(out, dctBasis(len(x)), x)
 	return out
 }
 
-// IDCT2 inverts DCT2 (orthonormal DCT-III).
+// IDCT2 inverts DCT2 (orthonormal DCT-III): the basis vectors summed with
+// the weights in x, zero weights skipped — so the inverse of a unit vector
+// costs one row of cosines, which is how the compression module builds
+// the basis of its local-cosine blocks.
 func IDCT2(x []float64) []float64 {
-	n := len(x)
-	out := make([]float64, n)
-	if n == 0 {
-		return out
-	}
-	for i := 0; i < n; i++ {
-		sum := x[0] * math.Sqrt(1/float64(n))
-		for k := 1; k < n; k++ {
-			sum += x[k] * math.Sqrt(2/float64(n)) * math.Cos(math.Pi*float64(k)*(float64(i)+0.5)/float64(n))
+	out := make([]float64, len(x))
+	row := make([]float64, len(x))
+	for k, c := range x {
+		if c == 0 {
+			continue
 		}
-		out[i] = sum
+		dctRow(row, k)
+		for i, b := range row {
+			out[i] += c * b
+		}
 	}
 	return out
 }
