@@ -46,7 +46,6 @@ type Client struct {
 	state    connState
 	gen      uint64 // bumped per (re)connect; stale supervisors stand down
 	sessions map[string]*Session
-	events   chan room.Event
 	// Prefetch pushes that raced a Join: the server's QoS loop can push
 	// before the Join response is processed and the session installed.
 	// Stashed (bounded) until JoinCtx drains them into the new session's
@@ -57,6 +56,14 @@ type Client struct {
 
 	closeCh   chan struct{}
 	closeOnce sync.Once
+
+	// The pushed-event stream: a small channel and, behind it, the
+	// backlog a slow consumer builds up (see emit). evMu guards backlog
+	// and draining, and orders concurrent emits.
+	events   chan room.Event
+	evMu     sync.Mutex
+	backlog  []room.Event
+	draining bool // drainBacklog is running; emits queue behind it
 
 	// resolver is the cluster-endpoint picker (nil outside
 	// NewOverResolver); migrateMu serializes redirect-following
@@ -72,8 +79,15 @@ type Client struct {
 	digests *digestCache
 }
 
-// eventQueueSize bounds the locally buffered pushed events.
+// eventQueueSize bounds the locally buffered pushed events: channel,
+// backlog and the one event drainBacklog holds.
 const eventQueueSize = 1024
+
+// eventChanSize is the part of that bound allocated up front (a
+// room.Event is 328 bytes): enough that a consumer keeping up with a
+// burst of fan-out never sees the backlog path, small enough that an idle
+// client does not pin a third of a megabyte.
+const eventChanSize = 32
 
 // maxPendingPrefetch bounds the bytes stashed for prefetch pushes whose
 // Join is still in flight; pushes beyond it are dropped.
@@ -133,7 +147,7 @@ func newClient(user string, dial DialFunc, opts Options) *Client {
 		dial:     dial,
 		opts:     opts,
 		sessions: make(map[string]*Session),
-		events:   make(chan room.Event, eventQueueSize),
+		events:   make(chan room.Event, eventChanSize),
 		closeCh:  make(chan struct{}),
 	}
 	if opts.DigestCacheBytes > 0 {
@@ -206,19 +220,63 @@ func (c *Client) onPush(method string, body wire.Body) {
 	c.emit(ev)
 }
 
-// emit hands an event to the local stream, shedding the oldest buffered
-// event when full; History resynchronizes.
+// emit hands an event to the local stream without ever blocking. While
+// the consumer keeps up that is one send on the channel. When the channel
+// is full the event joins the backlog, which drainBacklog feeds into the
+// channel in order; with eventQueueSize events buffered the oldest is
+// shed (History resynchronizes).
 func (c *Client) emit(ev room.Event) {
-	select {
-	case c.events <- ev:
-	default:
-		select {
-		case <-c.events:
-		default:
-		}
+	c.evMu.Lock()
+	defer c.evMu.Unlock()
+	if !c.draining {
 		select {
 		case c.events <- ev:
+			return
 		default:
+		}
+		c.draining = true
+		go c.drainBacklog()
+	}
+	// One slot of the bound stays reserved for the event in drainBacklog's
+	// hands, which neither length below counts.
+	if len(c.events)+len(c.backlog) >= eventQueueSize-1 {
+		select {
+		case <-c.events: // the oldest there is
+		default: // the consumer just emptied the channel
+			c.popBacklog()
+		}
+	}
+	c.backlog = append(c.backlog, ev)
+}
+
+func (c *Client) popBacklog() room.Event {
+	ev := c.backlog[0]
+	c.backlog[0] = room.Event{} // the array outlives the slot
+	c.backlog = c.backlog[1:]
+	return ev
+}
+
+// drainBacklog moves the backlog into the channel, oldest first, and
+// exits once it is empty or the client closes; a closed client drops
+// what is still spilled.
+func (c *Client) drainBacklog() {
+	for {
+		c.evMu.Lock()
+		select {
+		case <-c.closeCh:
+			c.backlog = nil
+		default:
+		}
+		if len(c.backlog) == 0 {
+			c.backlog, c.draining = nil, false
+			c.evMu.Unlock()
+			return
+		}
+		ev := c.popBacklog()
+		c.evMu.Unlock()
+		select {
+		case c.events <- ev:
+		case <-c.closeCh:
 		}
 	}
 }

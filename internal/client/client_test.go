@@ -2,6 +2,7 @@ package client
 
 import (
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -210,8 +211,17 @@ func TestSessionBuffer(t *testing.T) {
 	}
 }
 
+// waitFor polls cond until it holds or the test has waited too long.
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("condition not reached")
+		}
+	}
+}
+
 func TestEventOverflowShedsOldest(t *testing.T) {
-	// Fill the local event queue directly through the push path.
 	_, cc := net.Pipe()
 	defer cc.Close()
 	c, err := NewOverConn(cc, "u")
@@ -219,26 +229,85 @@ func TestEventOverflowShedsOldest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// Bypass the wire: feed events into the internal channel by invoking
-	// the push handler logic via a session apply loop is not possible
-	// from outside; instead verify capacity behaviour on the channel.
-	for i := 0; i < eventQueueSize+10; i++ {
-		ev := room.Event{Seq: uint64(i + 1), Kind: room.EvChat}
-		select {
-		case c.events <- ev:
-		default:
-			select {
-			case <-c.events:
-			default:
-			}
-			c.events <- ev
+	// Nobody reads Events(): the channel fills, the backlog takes the
+	// rest, and past the bound each emit sheds the oldest event held.
+	const extra = 10
+	for i := 1; i <= eventQueueSize+extra; i++ {
+		c.emit(room.Event{Seq: uint64(i), Kind: room.EvChat})
+		if i == eventChanSize+1 {
+			// The first spilled event starts the drain goroutine; let it
+			// take that event in hand, so the count of events kept is exact however
+			// the two goroutines are scheduled.
+			waitFor(t, func() bool {
+				c.evMu.Lock()
+				defer c.evMu.Unlock()
+				return c.draining && len(c.backlog) == 0
+			})
 		}
 	}
-	if len(c.events) != eventQueueSize {
-		t.Fatalf("queue length = %d", len(c.events))
+	// What is left comes out in order, gap-free after the shed prefix,
+	// and is exactly the bound.
+	for want := uint64(extra + 1); want <= eventQueueSize+extra; want++ {
+		select {
+		case ev := <-c.Events():
+			if ev.Seq != want {
+				t.Fatalf("got event %d, want %d (the oldest %d shed, the rest in order)", ev.Seq, want, extra)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("stream dried up before event %d", want)
+		}
 	}
-	first := <-c.events
-	if first.Seq == 1 {
-		t.Error("oldest event not shed")
+	// Drained: the backlog and its goroutine are gone, and the next event
+	// takes the direct path again.
+	waitFor(t, func() bool {
+		c.evMu.Lock()
+		defer c.evMu.Unlock()
+		return !c.draining && c.backlog == nil
+	})
+	select {
+	case ev := <-c.Events():
+		t.Fatalf("event %d beyond the bound", ev.Seq)
+	default:
 	}
+	c.emit(room.Event{Seq: 5000})
+	if len(c.events) != 1 {
+		t.Error("emit on an idle stream did not go straight to the channel")
+	}
+}
+
+// Emits from several goroutines against a slow consumer and a Close in
+// the middle: the stream stays ordered per emitter and nothing blocks.
+func TestEventBacklogConcurrentEmitAndClose(t *testing.T) {
+	_, cc := net.Pipe()
+	defer cc.Close()
+	c, err := NewOverConn(cc, "u")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const emitters, each = 4, 600
+	var wg sync.WaitGroup
+	for e := 0; e < emitters; e++ {
+		wg.Add(1)
+		go func(e int) {
+			defer wg.Done()
+			for i := 1; i <= each; i++ {
+				c.emit(room.Event{Actor: string(rune('a' + e)), Seq: uint64(i)})
+			}
+		}(e)
+	}
+	last := map[string]uint64{}
+	for n := 0; n < 500; n++ {
+		ev := <-c.Events()
+		if ev.Seq <= last[ev.Actor] {
+			t.Fatalf("emitter %s: event %d after %d", ev.Actor, ev.Seq, last[ev.Actor])
+		}
+		last[ev.Actor] = ev.Seq
+	}
+	c.Close()
+	wg.Wait()
+	waitFor(t, func() bool {
+		c.evMu.Lock()
+		defer c.evMu.Unlock()
+		return !c.draining
+	})
 }
