@@ -344,7 +344,11 @@ func (r *replica) apply(req *proto.ReplicateReq) {
 		if cut := r.events[drop-1].Seq; cut > r.trimmed {
 			r.trimmed = cut
 		}
-		r.events = append([]room.Event(nil), r.events[drop:]...)
+		// Reslice rather than copy: append moves the live tail to a new
+		// array when this one runs out, so a full buffer costs a few
+		// events of copying per request, not all replicaBuffer of them.
+		clear(r.events[:drop]) // the array outlives the slots
+		r.events = r.events[drop:]
 	}
 }
 
