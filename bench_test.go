@@ -17,6 +17,7 @@ import (
 
 	"mmconf/internal/blob"
 	"mmconf/internal/client"
+	"mmconf/internal/cluster"
 	"mmconf/internal/core"
 	"mmconf/internal/cpnet"
 	"mmconf/internal/document"
@@ -1299,5 +1300,43 @@ func BenchmarkE17RepeatSync(b *testing.B) {
 		if err := dst.Release(h); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkE17UnchangedFlush measures what a replication flush of a room
+// whose dataset did not change pays for the dataset half: one unforced
+// sync on the owner after the standby has converged. Before the position
+// gate this was a full export (document blob read and decode, four table
+// walks, frame marshal, SHA-256) that the fingerprint then discarded.
+func BenchmarkE17UnchangedFlush(b *testing.B) {
+	h, err := cluster.NewHarness(cluster.HarnessOptions{Nodes: 3, Dir: b.TempDir(), Seed: 17})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(h.Close)
+	if err := h.WaitConverged(5 * time.Second); err != nil {
+		b.Fatal(err)
+	}
+	const roomName = "e17-unchanged"
+	owner := h.Owner(roomName)
+	standby := cluster.NewPlacement(owner.Node.Live()).Standby(roomName)
+	c, err := client.NewOverResolver(h.ClientFaults.DialContext, []string{owner.Addr}, "bench", client.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { c.Close() })
+	if _, _, err := c.Join(roomName, h.Record.Doc.ID, 0); err != nil {
+		b.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); owner.Node.Metrics().ManifestSyncs == 0; {
+		if time.Now().After(deadline) {
+			b.Fatal("the room's dataset never synced to its standby")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		owner.SyncDataset(roomName, h.Record.Doc.ID, standby)
 	}
 }

@@ -428,16 +428,23 @@ func (s *Store) tryGet(h Handle) ([]byte, error) {
 	}
 	s.mu.Unlock()
 
-	buf := make([]byte, 0, length)
+	// Each chunk is read straight into its place in the result; a chunk
+	// list that would run past the manifest's length stops the read.
+	buf := make([]byte, length)
+	filled := 0
 	var readErr error
 	for _, r := range reads {
-		data, err := readBlockPayload(r.f, r.off, r.dataLen)
-		if err != nil {
-			readErr = err
+		end := filled + int(r.dataLen)
+		if end < filled || end > len(buf) {
+			readErr = fmt.Errorf("chunks run past the manifest's %d bytes", length)
 			break
 		}
-		buf = append(buf, data...)
+		if readErr = readBlockInto(r.f, r.off, buf[filled:end]); readErr != nil {
+			break
+		}
+		filled = end
 	}
+	buf = buf[:filled]
 
 	s.mu.Lock()
 	for _, sg := range pinned {

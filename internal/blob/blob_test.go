@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -512,6 +513,50 @@ func TestCorruptionDetectedOnGet(t *testing.T) {
 	f.Close()
 	if _, err := s.Get(h); err == nil {
 		t.Error("corrupted payload passed checksum")
+	}
+}
+
+// TestGetChecksEveryChunkInPlace covers Get's read of each chunk straight
+// into the result: a flipped byte in a middle chunk, a chunk list longer
+// than the manifest's length and one shorter than it must each fail, and
+// the untouched object must still read back whole.
+func TestGetChecksEveryChunkInPlace(t *testing.T) {
+	s, _ := openTemp(t)
+	data := make([]byte, 3*testOpts.ChunkSize+100) // four chunks
+	rand.New(rand.NewSource(7)).Read(data)
+	h, err := s.Put(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Get(h); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("clean Get: %d bytes, %v", len(got), err)
+	}
+
+	s.mu.Lock()
+	me := s.manifests[h.Digest]
+	length := me.length
+	me.length = length - 1 // the last chunk now runs one byte past it
+	s.mu.Unlock()
+	if _, err := s.Get(h); err == nil || !strings.Contains(err.Error(), "run past") {
+		t.Errorf("over-long chunk list: err = %v", err)
+	}
+	s.mu.Lock()
+	me.length = length + 1
+	s.mu.Unlock()
+	if _, err := s.Get(h); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
+		t.Errorf("short chunk list: err = %v", err)
+	}
+
+	s.mu.Lock()
+	me.length = length
+	ce := s.chunks[me.chunks[2]]
+	f := s.segs[ce.seg].f
+	s.mu.Unlock()
+	if _, err := f.WriteAt([]byte{^data[2*testOpts.ChunkSize+9]}, ce.off+hdrSize+9); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Get(h); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Errorf("corrupted middle chunk: err = %v", err)
 	}
 }
 

@@ -239,24 +239,34 @@ func (s *Store) restoreFreeLocked(locs []loc) {
 // readBlockPayload reads dataLen payload bytes of the block at off and
 // verifies them against the header's CRC.
 func readBlockPayload(f *os.File, off int64, dataLen uint32) ([]byte, error) {
-	var hdr [hdrSize]byte
-	if _, err := f.ReadAt(hdr[:], off); err != nil {
-		return nil, fmt.Errorf("read header at %d: %w", off, err)
-	}
-	if binary.LittleEndian.Uint32(hdr[0:4]) != liveMagic {
-		return nil, fmt.Errorf("no live block at %d", off)
-	}
-	if got := binary.LittleEndian.Uint32(hdr[12:16]); got != dataLen {
-		return nil, fmt.Errorf("block at %d holds %d bytes, want %d", off, got, dataLen)
-	}
 	data := make([]byte, dataLen)
-	if _, err := io.ReadFull(io.NewSectionReader(f, off+hdrSize, int64(dataLen)), data); err != nil {
-		return nil, fmt.Errorf("read payload at %d: %w", off, err)
-	}
-	if crc32.ChecksumIEEE(data) != binary.LittleEndian.Uint32(hdr[48:52]) {
-		return nil, fmt.Errorf("checksum mismatch at %d", off)
+	if err := readBlockInto(f, off, data); err != nil {
+		return nil, err
 	}
 	return data, nil
+}
+
+// readBlockInto is readBlockPayload into the caller's buffer: the block
+// at off must hold exactly len(dst) payload bytes. On error dst's
+// contents are unspecified.
+func readBlockInto(f *os.File, off int64, dst []byte) error {
+	var hdr [hdrSize]byte
+	if _, err := f.ReadAt(hdr[:], off); err != nil {
+		return fmt.Errorf("read header at %d: %w", off, err)
+	}
+	if binary.LittleEndian.Uint32(hdr[0:4]) != liveMagic {
+		return fmt.Errorf("no live block at %d", off)
+	}
+	if got := binary.LittleEndian.Uint32(hdr[12:16]); uint64(got) != uint64(len(dst)) {
+		return fmt.Errorf("block at %d holds %d bytes, want %d", off, got, len(dst))
+	}
+	if _, err := io.ReadFull(io.NewSectionReader(f, off+hdrSize, int64(len(dst))), dst); err != nil {
+		return fmt.Errorf("read payload at %d: %w", off, err)
+	}
+	if crc32.ChecksumIEEE(dst) != binary.LittleEndian.Uint32(hdr[48:52]) {
+		return fmt.Errorf("checksum mismatch at %d", off)
+	}
+	return nil
 }
 
 // encodeManifest serializes an object's chunk list:

@@ -23,14 +23,19 @@ const harnessSeed = 7
 
 func newHarness(t *testing.T, nodes int, forward bool) *Harness {
 	t.Helper()
-	h, err := NewHarness(HarnessOptions{
-		Nodes:   nodes,
-		Dir:     t.TempDir(),
-		Seed:    harnessSeed,
-		Forward: forward,
-		Server:  server.Options{SessionGrace: 5 * time.Second},
-		Logf:    t.Logf,
-	})
+	return startHarness(t, HarnessOptions{Nodes: nodes, Forward: forward})
+}
+
+// startHarness starts a cluster under the suite's common settings (temp
+// dir, harnessSeed, a 5 s session grace, logs to t) plus whatever o sets,
+// waits for its views to converge and closes it with the test.
+func startHarness(t *testing.T, o HarnessOptions) *Harness {
+	t.Helper()
+	o.Dir = t.TempDir()
+	o.Seed = harnessSeed
+	o.Server = server.Options{SessionGrace: 5 * time.Second}
+	o.Logf = t.Logf
+	h, err := NewHarness(o)
 	if err != nil {
 		t.Fatal(err)
 	}

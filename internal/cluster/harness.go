@@ -213,6 +213,13 @@ func (h *Harness) startNode(ids, addrs []string, listeners []net.Listener, i int
 // replication transfer against its blob statistics.
 func (hn *HarnessNode) Media() *mediadb.MediaDB { return hn.media }
 
+// SyncDataset runs the unforced dataset sync every replication flush of
+// room ends in, toward the given standby, without waiting for a room
+// event — the call BenchmarkE17UnchangedFlush times.
+func (hn *HarnessNode) SyncDataset(room, docID, standby string) {
+	hn.Node.syncDataset(room, docID, standby, false)
+}
+
 // Addrs lists every node's client address in node order — the endpoint
 // set for client.NewOverResolver.
 func (h *Harness) Addrs() []string {

@@ -384,11 +384,15 @@ type repEvent struct {
 type repState struct {
 	standby string // node the log last streamed to
 	dirty   bool   // lost updates or failed send: re-snapshot
-	// dataStandby/dataFP are the dataset-sync cursor: the node the
-	// room's media manifest last shipped to and the fingerprint of what
-	// it saw. Matching both skips the resend entirely (sync.go).
+	// dataStandby/dataFP/dataPos are the dataset-sync cursor: the node
+	// the room's media manifest last shipped to (empty: never, which no
+	// standby matches), the fingerprint of what it saw, and the store
+	// position read before the last export that was shipped or found
+	// identical to it. Standby and position matching skips the export;
+	// standby and fingerprint matching skips the resend (sync.go).
 	dataStandby string
 	dataFP      [32]byte
+	dataPos     uint64
 }
 
 // roomTap observes every local room event-log advance (called under the

@@ -66,6 +66,13 @@ func (c *Config) normalize() error {
 	return nil
 }
 
+// Names under which the node publishes its dataset-sync counters in its
+// server's wire.Stats (sys.stats, /debug/metrics).
+const (
+	CounterDatasetExports   = "cluster.dataset.exports"
+	CounterDatasetUnchanged = "cluster.dataset.unchanged"
+)
+
 // Metrics counts the node's routing and replication activity.
 type Metrics struct {
 	// Redirects counts requests answered with a redirect to the owner;
@@ -85,6 +92,12 @@ type Metrics struct {
 	// its CAS lacked them. An unchanged resend moves none of the three.
 	ManifestSyncs                                           int64
 	SyncRowsAdopted, SyncChunksPulled, SyncChunkBytesPulled int64
+	// DatasetExports counts replication flushes that exported the room's
+	// dataset to compare or ship it; DatasetUnchanged counts those that
+	// returned before the export because the store's change position had
+	// not moved. The server's stats carry both, as cluster.dataset.exports
+	// and cluster.dataset.unchanged.
+	DatasetExports, DatasetUnchanged int64
 }
 
 // Node is one cluster member: an interaction server plus the routing
@@ -130,6 +143,8 @@ type Node struct {
 	evictions, manifestSyncs          atomic.Int64
 	syncRowsAdopted, syncChunksPulled atomic.Int64
 	syncChunkBytes                    atomic.Int64
+	// Unsigned because wire.Stats binds them (New).
+	datasetExports, datasetUnchanged atomic.Uint64
 }
 
 // peerState is this node's view of one configured peer.
@@ -188,6 +203,8 @@ func New(db *mediadb.MediaDB, opts server.Options, cfg Config) (*Node, error) {
 		return nil, err
 	}
 	n.srv = srv
+	srv.Stats().Bind(CounterDatasetExports, &n.datasetExports)
+	srv.Stats().Bind(CounterDatasetUnchanged, &n.datasetUnchanged)
 	srv.Register(proto.MNodeHello, wire.Typed(n.handleHello))
 	srv.Register(proto.MNodePing, wire.Typed(n.handlePing))
 	srv.Register(proto.MNodeIngress, wire.Typed(n.handleIngress))
@@ -225,6 +242,9 @@ func (n *Node) Metrics() Metrics {
 		SyncRowsAdopted:      n.syncRowsAdopted.Load(),
 		SyncChunksPulled:     n.syncChunksPulled.Load(),
 		SyncChunkBytesPulled: n.syncChunkBytes.Load(),
+
+		DatasetExports:   int64(n.datasetExports.Load()),
+		DatasetUnchanged: int64(n.datasetUnchanged.Load()),
 	}
 }
 

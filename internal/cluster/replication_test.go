@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"mmconf/internal/client"
-	"mmconf/internal/server"
 )
 
 // The partial-dataset replication suite: nodes no longer need
@@ -20,22 +19,7 @@ import (
 // newReplHarness is newHarness with the listed nodes left unseeded.
 func newReplHarness(t *testing.T, nodes int, unseeded ...string) *Harness {
 	t.Helper()
-	h, err := NewHarness(HarnessOptions{
-		Nodes:    nodes,
-		Dir:      t.TempDir(),
-		Seed:     harnessSeed,
-		Unseeded: unseeded,
-		Server:   server.Options{SessionGrace: 5 * time.Second},
-		Logf:     t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(h.Close)
-	if err := h.WaitConverged(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	return h
+	return startHarness(t, HarnessOptions{Nodes: nodes, Unseeded: unseeded})
 }
 
 // roomPlacedOn derives a room name (from prefix) that the full cluster

@@ -25,15 +25,45 @@ import (
 // most 64 KiB stay far inside the 64 MiB frame cap.
 const fetchChunkBatch = 256
 
-// syncDataset exports the room's document dataset and ships it to the
-// standby when it changed since the last successful sync to that node
-// (or when force re-sends after a dirty/standby-change full sync). The
-// frame carries rows and manifests only — never payload bytes — so an
-// unchanged-room resend costs one manifest-sized frame and zero chunks.
+// syncDataset ships the room's document dataset to the standby when it
+// changed since the last sync to that node. Three checks, cheapest
+// first: the store's change position (unmoved since the last export that
+// was shipped or found identical means the export would be byte-identical,
+// so return before making it), then the fingerprint of the exported frame
+// (the position is store-wide; a write to some other document moves it),
+// then the send. force — a dirty room, a standby change, ForceResync —
+// bypasses both comparisons and always ships.
 func (n *Node) syncDataset(roomName, docID, standby string, force bool) {
 	if docID == "" || n.db == nil {
 		return
 	}
+	// The position is read here, BEFORE the export, and handed down: a
+	// write landing while the export runs is then counted past the cursor
+	// and the next flush exports again. Read after the export, it could
+	// be counted without having been seen.
+	pos := n.db.DB().Position()
+	if !force {
+		n.repMu.Lock()
+		st := n.rep[roomName]
+		unchanged := st != nil && st.dataStandby == standby && st.dataPos == pos
+		n.repMu.Unlock()
+		if unchanged {
+			n.datasetUnchanged.Add(1)
+			return
+		}
+	}
+	n.exportAndShip(roomName, docID, standby, force, pos)
+}
+
+// exportAndShip exports the dataset, fingerprints the frame and sends it
+// unless (not forced) the standby already saw that exact frame. pos is
+// the store position the caller read before calling; it becomes the
+// cursor when the export ships or proves identical, and stays where it
+// was when the send fails. The frame carries rows and manifests only —
+// never payload bytes — so a forced resend of an unchanged room costs one
+// manifest-sized frame and zero chunks.
+func (n *Node) exportAndShip(roomName, docID, standby string, force bool, pos uint64) {
+	n.datasetExports.Add(1)
 	ds, err := n.db.ExportDataset(docID)
 	if err != nil {
 		n.logf("cluster %s: export dataset for room %q: %v", n.id, roomName, err)
@@ -52,6 +82,7 @@ func (n *Node) syncDataset(roomName, docID, standby string, force bool) {
 		n.rep[roomName] = st
 	}
 	if !force && st.dataStandby == standby && st.dataFP == fp {
+		st.dataPos = pos
 		n.repMu.Unlock()
 		return
 	}
@@ -65,6 +96,7 @@ func (n *Node) syncDataset(roomName, docID, standby string, force bool) {
 	n.repMu.Lock()
 	st.dataStandby = standby
 	st.dataFP = fp
+	st.dataPos = pos
 	n.repMu.Unlock()
 }
 

@@ -85,11 +85,22 @@ func Decode(data []byte) (*Gray, error) {
 		return nil, fmt.Errorf("image: corrupt GRAY stream (%dx%d, %d bytes)", w, h, len(data))
 	}
 	g, _ := New(w, h)
-	for i := range g.Pix {
-		g.Pix[i] = float64(data[12+i]) / 255
+	pix := g.Pix[:len(data)-12] // same length as the payload: no bounds check per pixel
+	for i, b := range data[12:] {
+		pix[i] = unit[b]
 	}
 	return g, nil
 }
+
+// unit maps a stored byte to its intensity in [0,1]. Decode looks the
+// value up instead of dividing once per pixel; the entries are that
+// division's results, so decoded rasters are bit-identical.
+var unit = func() (t [256]float64) {
+	for b := range t {
+		t[b] = float64(b) / 255
+	}
+	return t
+}()
 
 func clamp01(v float64) float64 {
 	if v < 0 {

@@ -1,6 +1,7 @@
 package image
 
 import (
+	"bytes"
 	"math"
 	"testing"
 )
@@ -70,6 +71,34 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if _, err := Decode(data[:len(data)-3]); err == nil {
 		t.Error("short pixel payload accepted")
+	}
+}
+
+// TestDecodeTableIsTheDivision pins Decode's lookup table to the
+// expression it replaced, entry by entry, and checks that a payload
+// holding every byte value survives Decode then Encode byte for byte.
+func TestDecodeTableIsTheDivision(t *testing.T) {
+	for b := 0; b < 256; b++ {
+		if got, want := unit[b], float64(b)/255; got != want {
+			t.Errorf("unit[%d] = %v, want %v", b, got, want)
+		}
+	}
+	g, _ := New(32, 16)
+	p := g.Encode()
+	for i := range p[12:] {
+		p[12+i] = byte(i) // 512 pixels: every value twice
+	}
+	back, err := Decode(p)
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	for i, v := range back.Pix {
+		if want := float64(p[12+i]) / 255; v != want {
+			t.Fatalf("pixel %d = %v, want %v", i, v, want)
+		}
+	}
+	if !bytes.Equal(back.Encode(), p) {
+		t.Error("Decode then Encode changed the payload")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"mmconf/internal/blob"
 )
@@ -37,6 +38,9 @@ type DB struct {
 	wal   *wal
 	blobs *blob.Store
 	state map[string]*table
+	// pos is the change position: how many records logAndApply has
+	// applied since Open. Written under mu, read without it (Position).
+	pos atomic.Uint64
 	// replaySkipped counts WAL records recovery could not apply and
 	// skipped (poisoned legacy records, or records a checkpoint already
 	// covers after a crash between snapshot rename and WAL truncation).
@@ -184,8 +188,25 @@ func (db *DB) logAndApply(rec walRecord) error {
 	if err := db.wal.append(rec); err != nil {
 		return err
 	}
-	return db.apply(rec)
+	if err := db.apply(rec); err != nil {
+		return err
+	}
+	db.pos.Add(1)
+	return nil
 }
+
+// Position returns the store's change position: a counter that rises by
+// one with every record applied to the relational state (row insert,
+// update and delete, table create and drop, index create) and by nothing
+// else — a rejected operation, a read, a blob put and a Checkpoint all
+// leave it alone. It counts from zero at every Open, so it orders changes
+// within one process lifetime only. Two reads returning the same value
+// bracket an interval in which no table changed: a reader that notes the
+// position BEFORE reading rows may reuse what it derived from them for
+// as long as Position still returns that value. (Noting it after the read
+// would be unsound — a write landing mid-read would already be counted.)
+// Unlike WALStats this is a cursor, not a statistic: it is never reset.
+func (db *DB) Position() uint64 { return db.pos.Load() }
 
 // validateLocked checks that apply(rec) will succeed against the current
 // state, mutating nothing. It mirrors apply's error paths exactly (plus
