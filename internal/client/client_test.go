@@ -2,10 +2,12 @@ package client
 
 import (
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"mmconf/internal/blob"
 	"mmconf/internal/cpnet"
 	"mmconf/internal/mediadb"
 	"mmconf/internal/room"
@@ -93,6 +95,37 @@ func TestGetters(t *testing.T) {
 	low, lowN, err := c.GetCmp(rec.CmpID, 1)
 	if err != nil || low.W != 256 || lowN >= fullN {
 		t.Fatalf("GetCmp(1): %v bytes=%d/%d %v", low, lowN, fullN, err)
+	}
+}
+
+// The stream GetCmp decodes is made of slices of the payload it fetched,
+// and with the digest cache on that payload is the cache entry: a decode
+// that wrote to its input would corrupt every later NotModified answer.
+func TestGetCmpLeavesCachedStreamIntact(t *testing.T) {
+	c, rec := pipeSystem(t)
+	c.digests = newDigestCache(8 << 20)
+	intact := func(when string) {
+		t.Helper()
+		digest, cached, ok := c.digests.lookup(objectKey{'c', rec.CmpID})
+		if !ok || blob.Sum(cached) != blob.Digest(digest) {
+			t.Fatalf("%s: cached stream present=%v no longer matches its digest", when, ok)
+		}
+	}
+	first, _, err := c.GetCmp(rec.CmpID, 0) // a miss: decodes the bytes it has just cached
+	if err != nil {
+		t.Fatal(err)
+	}
+	intact("after the miss")
+	second, _, err := c.GetCmp(rec.CmpID, 0) // a hit: decodes the cache entry itself
+	if err != nil {
+		t.Fatal(err)
+	}
+	intact("after the hit")
+	if st := c.DigestCacheStats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("stats %+v, want 1 hit / 1 miss", st)
+	}
+	if !slices.Equal(first.Pix, second.Pix) {
+		t.Error("the cached stream decodes differently")
 	}
 }
 

@@ -87,8 +87,9 @@ func (o *Options) defaults() {
 }
 
 // maxPixels bounds W·H of a stream at 4096×4096, a full-size radiograph:
-// decoding works on two or three float64 planes, 128 MiB each at the
-// bound, and no header may size an allocation beyond that.
+// decoding works in the one float64 plane it returns, 128 MiB at the bound
+// (a packet layer adds a second), and no header may size an allocation
+// beyond that.
 const maxPixels = 1 << 24
 
 // maxBlock bounds the local-cosine block size, far above the default 16:
@@ -137,9 +138,10 @@ func Encode(img *image.Gray, opts Options) (*Stream, error) {
 
 	// The running reconstruction is folded together by the code Decode
 	// runs, so each layer codes exactly what a decoder of the layers
-	// before it is missing.
-	d := st.newDecoder(make([]float64, len(img.Pix)))
+	// before it is missing; the residual plane, free meanwhile, is lent to
+	// it for a packet layer's coefficients.
 	residual := make([]float64, len(img.Pix))
+	d := &decoder{s: st, recon: make([]float64, len(img.Pix)), coef: residual}
 	for li, step := range append([]float64{opts.BaseStep}, opts.ResidualSteps...) {
 		for i, v := range img.Pix {
 			residual[i] = v - d.recon[i]
@@ -149,9 +151,9 @@ func Encode(img *image.Gray, opts Options) (*Stream, error) {
 		switch {
 		case li == 0:
 			l.Kind = WaveletLayer
-			err = waveletForward2D(residual, d.plane(), st.W, st.H, st.Levels)
+			err = waveletForward2D(residual, st.W, st.H, st.Levels)
 		case kind == PacketLayer:
-			err = packetForward2D(residual, d.plane(), st.W, st.H, packetDepth)
+			err = packetForward2D(residual, st.W, st.H, packetDepth)
 		default:
 			d.cosine().transform(residual, residual, false)
 		}
@@ -168,66 +170,62 @@ func Encode(img *image.Gray, opts Options) (*Stream, error) {
 }
 
 // decoder sums a stream's layers into recon, in the memory one Encode or
-// Decode call works in.
+// Decode call works in: recon and a strip of cosine coefficients, or for
+// packet layers, whose synthesis needs every coefficient, a plane of them.
 type decoder struct {
 	s     *Stream
 	recon []float64 // the layers added so far; all zero before the first
-	coef  []float64 // plane(): a residual layer's coefficients; lifting scratch otherwise
-	lift  []float64 // lifting scratch while coef holds packet coefficients
-	dct   *blockDCT // made by the first cosine layer
-}
-
-func (s *Stream) newDecoder(recon []float64) *decoder { return &decoder{s: s, recon: recon} }
-
-// plane returns the second plane, made on first use: a header off the
-// network sizes it (128 MiB at maxPixels), so a stream whose base layer
-// does not entropy-decode is refused after one such plane, not two.
-func (d *decoder) plane() []float64 {
-	if d.coef == nil {
-		d.coef = make([]float64, len(d.recon))
-	}
-	return d.coef
+	coef  []float64 // a packet layer's coefficients, made by the first one
+	strip []float64 // Block rows of a cosine layer's coefficients
+	dct   *blockDCT // made with strip by the first cosine layer
 }
 
 func (d *decoder) cosine() *blockDCT {
 	if d.dct == nil {
 		d.dct = newBlockDCT(d.s.W, d.s.H, d.s.Block)
+		d.strip = make([]float64, d.s.W*min(d.s.Block, d.s.H))
 	}
 	return d.dct
 }
 
 // addLayer folds layer li into recon: the payload is entropy-decoded and
-// dequantized straight into a plane, inverse-transformed, and added.
+// dequantized straight into what is inverse-transformed — recon itself for
+// the base layer, a strip of tiles at a time for a cosine layer.
 func (d *decoder) addLayer(li int) error {
 	s, l := d.s, d.s.Layers[li]
-	if li == 0 {
-		if err := entropyDecode(l.Data, l.Step, d.recon); err != nil {
+	rd := entropyReader{data: l.Data, step: l.Step, total: len(d.recon)}
+	switch {
+	case li == 0:
+		if err := rd.all(d.recon); err != nil {
 			return err
 		}
-		return waveletInverse2D(d.recon, d.plane(), s.W, s.H, s.Levels)
-	}
-	coef := d.plane()
-	clear(coef)
-	if err := entropyDecode(l.Data, l.Step, coef); err != nil {
-		return err
-	}
-	switch l.Kind {
-	case CosineLayer:
-		d.cosine().transform(d.recon, coef, true)
-	case PacketLayer:
-		if d.lift == nil {
-			d.lift = make([]float64, len(coef))
+		return waveletInverse2D(d.recon, s.W, s.H, s.Levels)
+	case l.Kind == CosineLayer:
+		dct := d.cosine()
+		for y0 := 0; y0 < s.H; y0 += s.Block {
+			bh := min(s.Block, s.H-y0)
+			if err := rd.next(d.strip[:bh*s.W]); err != nil {
+				return err
+			}
+			dct.band(d.recon[y0*s.W:], d.strip, bh, true)
 		}
-		if err := packetInverse2D(coef, d.lift, s.W, s.H, packetDepth); err != nil {
+		return rd.finish()
+	case l.Kind == PacketLayer:
+		if d.coef == nil {
+			d.coef = make([]float64, len(d.recon))
+		}
+		if err := rd.all(d.coef); err != nil {
 			return err
 		}
-		for i, v := range coef {
+		if err := packetInverse2D(d.coef, s.W, s.H, packetDepth); err != nil {
+			return err
+		}
+		for i, v := range d.coef {
 			d.recon[i] += v
 		}
-	default:
-		return fmt.Errorf("compress: layer %d has unexpected kind %d", li, l.Kind)
+		return nil
 	}
-	return nil
+	return fmt.Errorf("compress: layer %d has unexpected kind %d", li, l.Kind)
 }
 
 // Decode reconstructs the image using the first k layers (k=0 or
@@ -246,7 +244,7 @@ func (s *Stream) Decode(k int) (*image.Gray, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := s.newDecoder(out.Pix)
+	d := &decoder{s: s, recon: out.Pix}
 	for li := 0; li < k; li++ {
 		if err := d.addLayer(li); err != nil {
 			return nil, err
@@ -338,41 +336,46 @@ func (t *blockDCT) bases(bw, bh int) (bx, by *dctBasis) {
 // residual — which leaves every sum what it would have been.
 func (t *blockDCT) transform(dst, src []float64, inverse bool) {
 	for y0 := 0; y0 < t.h; y0 += t.block {
-		bh := min(t.block, t.h-y0)
-		for x0 := 0; x0 < t.w; x0 += t.block {
-			bw := min(t.block, t.w-x0)
-			// along maps a tile row to its transform by row-vector × matrix;
-			// down holds the weights of the column pass.
-			bx, by := t.bases(bw, bh)
-			along, down := bx.at, by.vec
-			if inverse {
-				along, down = bx.vec, by.at
-			}
-			for y := 0; y < bh; y++ {
-				out := t.scratch[y*bw : (y+1)*bw]
-				t.live[y] = false
-				for i, c := range src[(y0+y)*t.w+x0:][:bw] {
-					if c == 0 {
-						continue
-					}
-					if !t.live[y] {
-						t.live[y] = true
-						clear(out)
-					}
-					axpy(out, c, along[i*bw:])
+		t.band(dst[y0*t.w:], src[y0*t.w:], min(t.block, t.h-y0), inverse)
+	}
+}
+
+// band is transform over one row of tiles, bh high: the w-wide rows of
+// src and dst that hold it, starting at its first.
+func (t *blockDCT) band(dst, src []float64, bh int, inverse bool) {
+	for x0 := 0; x0 < t.w; x0 += t.block {
+		bw := min(t.block, t.w-x0)
+		// along maps a tile row to its transform by row-vector × matrix;
+		// down holds the weights of the column pass.
+		bx, by := t.bases(bw, bh)
+		along, down := bx.at, by.vec
+		if inverse {
+			along, down = bx.vec, by.at
+		}
+		for y := 0; y < bh; y++ {
+			out := t.scratch[y*bw : (y+1)*bw]
+			t.live[y] = false
+			for i, c := range src[y*t.w+x0:][:bw] {
+				if c == 0 {
+					continue
 				}
-			}
-			for y := 0; y < bh; y++ {
-				out := dst[(y0+y)*t.w+x0:][:bw]
-				if !inverse {
+				if !t.live[y] {
+					t.live[y] = true
 					clear(out)
 				}
-				for k, m := range down[y*bh:][:bh] {
-					if !t.live[k] {
-						continue
-					}
-					axpy(out, m, t.scratch[k*bw:])
+				axpy(out, c, along[i*bw:])
+			}
+		}
+		for y := 0; y < bh; y++ {
+			out := dst[y*t.w+x0:][:bw]
+			if !inverse {
+				clear(out)
+			}
+			for k, m := range down[y*bh:][:bh] {
+				if !t.live[k] {
+					continue
 				}
+				axpy(out, m, t.scratch[k*bw:])
 			}
 		}
 	}
@@ -412,35 +415,68 @@ func entropyEncode(coeffs []float64, step float64) []byte {
 	return buf
 }
 
-// entropyDecode reverses entropyEncode into dst, which must be all zero:
-// exactly len(dst) coefficients, each dequantized as it is read, a zero
-// run being a skip.
-func entropyDecode(data []byte, step float64, dst []float64) error {
-	for i := 0; i < len(dst); {
+// entropyReader reverses entropyEncode a stretch at a time: the total
+// coefficients of one plane, read in order into whatever pieces the caller
+// takes them in, each dequantized as it is read.
+type entropyReader struct {
+	data       []byte
+	step       float64
+	pos, total int // coefficients delivered so far, and in the plane
+	run        int // zeros of the run being read that are still owed
+}
+
+// next fills dst with the next len(dst) coefficients. A zero run that
+// reaches past dst carries over to the next call; one that reaches past
+// the plane is corrupt wherever the pieces are cut.
+func (r *entropyReader) next(dst []float64) error {
+	data, i := r.data, min(r.run, len(dst))
+	r.run -= i
+	clear(dst[:i])
+	for i < len(dst) {
 		u, n := binary.Uvarint(data)
 		if n <= 0 {
-			return fmt.Errorf("compress: truncated layer payload at %d/%d", i, len(dst))
+			return fmt.Errorf("compress: truncated layer payload at %d/%d", r.pos+i, r.total)
 		}
 		data = data[n:]
 		if u != 0 {
-			dst[i] = float64(unzigzag(u-1)) * step
+			dst[i] = float64(unzigzag(u-1)) * r.step
 			i++
 			continue
 		}
 		run, n := binary.Uvarint(data)
 		if n <= 0 {
-			return fmt.Errorf("compress: truncated zero run at %d/%d", i, len(dst))
+			return fmt.Errorf("compress: truncated zero run at %d/%d", r.pos+i, r.total)
 		}
 		data = data[n:]
-		if run == 0 || run > uint64(len(dst)-i) {
-			return fmt.Errorf("compress: corrupt zero run of %d at %d/%d", run, i, len(dst))
+		if run == 0 || run > uint64(r.total-r.pos-i) {
+			return fmt.Errorf("compress: corrupt zero run of %d at %d/%d", run, r.pos+i, r.total)
 		}
-		i += int(run)
+		here := min(int(run), len(dst)-i)
+		clear(dst[i : i+here])
+		r.run, i = int(run)-here, i+here
 	}
-	if len(data) != 0 {
-		return fmt.Errorf("compress: %d trailing bytes in layer payload", len(data))
+	r.data, r.pos = data, r.pos+len(dst)
+	return nil
+}
+
+// finish reports whether the payload held exactly the plane: every
+// coefficient delivered, no byte left over.
+func (r *entropyReader) finish() error {
+	if r.pos != r.total {
+		return fmt.Errorf("compress: %d of %d coefficients read", r.pos, r.total)
+	}
+	if len(r.data) != 0 {
+		return fmt.Errorf("compress: %d trailing bytes in layer payload", len(r.data))
 	}
 	return nil
+}
+
+// all reads the whole plane in one piece.
+func (r *entropyReader) all(dst []float64) error {
+	if err := r.next(dst); err != nil {
+		return err
+	}
+	return r.finish()
 }
 
 func zigzag(v int32) uint64 {
@@ -520,7 +556,8 @@ func parseHeader(header []byte) (*Stream, []byte, error) {
 // Unmarshal reassembles a stream from its header and body. A truncated
 // body is accepted as long as it covers whole layers — that is the
 // partial-transfer path: a client that received only k layers decodes
-// what it has.
+// what it has. The stream aliases body: every Layer.Data is a slice of
+// it, capped at its own end, and neither Unmarshal nor Decode writes there.
 func Unmarshal(header, body []byte) (*Stream, error) {
 	s, dir, err := parseHeader(header)
 	if err != nil {
@@ -534,7 +571,7 @@ func Unmarshal(header, body []byte) (*Stream, error) {
 		s.Layers = append(s.Layers, Layer{
 			Kind: LayerKind(dir[0]),
 			Step: math.Float64frombits(binary.LittleEndian.Uint64(dir[1:])),
-			Data: append([]byte(nil), body[:size]...),
+			Data: body[:size:size],
 		})
 		body = body[size:]
 	}
@@ -544,18 +581,18 @@ func Unmarshal(header, body []byte) (*Stream, error) {
 	return s, nil
 }
 
-// PrefixLen returns how many body bytes the first k layers (k ≥ 1)
-// occupy, reading only the layer directory: what a server needs to
-// slice a stored stream for a k-layer transfer, without Unmarshal's
-// copy of every layer. It equals Unmarshal(header, body).PrefixBytes(k)
-// for a complete body; k beyond the directory is an error.
+// PrefixLen returns how many body bytes the first k layers occupy,
+// reading only the layer directory: what a server needs to slice a stored
+// stream for a k-layer transfer. It equals
+// Unmarshal(header, body).PrefixBytes(k) for a complete body, k ≤ 0 and k
+// beyond the directory meaning every layer there as well.
 func PrefixLen(header []byte, k int) (int, error) {
 	_, dir, err := parseHeader(header)
 	if err != nil {
 		return 0, err
 	}
-	if layers := len(dir) / dirEntryLen; k > layers {
-		return 0, fmt.Errorf("compress: stream has %d layers, not %d", layers, k)
+	if layers := len(dir) / dirEntryLen; k <= 0 || k > layers {
+		k = layers
 	}
 	var n uint64
 	for i := 0; i < k; i++ {

@@ -42,11 +42,10 @@ func TestWavelet2DRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		coeffs := append([]float64(nil), img.Pix...)
-		scratch := make([]float64, w*h)
-		if err := waveletForward2D(coeffs, scratch, w, h, 3); err != nil {
+		if err := waveletForward2D(coeffs, w, h, 3); err != nil {
 			t.Fatalf("%dx%d forward: %v", w, h, err)
 		}
-		if err := waveletInverse2D(coeffs, scratch, w, h, 3); err != nil {
+		if err := waveletInverse2D(coeffs, w, h, 3); err != nil {
 			t.Fatalf("%dx%d inverse: %v", w, h, err)
 		}
 		for i := range coeffs {
@@ -58,17 +57,17 @@ func TestWavelet2DRoundTrip(t *testing.T) {
 }
 
 func TestWaveletDepthValidation(t *testing.T) {
-	pix, scratch := make([]float64, 8*8), make([]float64, 8*8)
-	if err := waveletForward2D(pix, scratch, 8, 8, 0); err == nil {
+	pix := make([]float64, 8*8)
+	if err := waveletForward2D(pix, 8, 8, 0); err == nil {
 		t.Error("zero levels accepted")
 	}
-	if err := waveletForward2D(pix, scratch, 8, 8, 10); err == nil {
+	if err := waveletForward2D(pix, 8, 8, 10); err == nil {
 		t.Error("overdeep transform accepted")
 	}
-	if err := waveletInverse2D(pix, scratch, 8, 8, 10); err == nil {
+	if err := waveletInverse2D(pix, 8, 8, 10); err == nil {
 		t.Error("overdeep inverse accepted")
 	}
-	if err := waveletInverse2D(pix, scratch, 8, 8, 0x7FFFFFF0); err == nil {
+	if err := waveletInverse2D(pix, 8, 8, 0x7FFFFFF0); err == nil {
 		t.Error("absurd depth accepted")
 	}
 }
@@ -76,7 +75,7 @@ func TestWaveletDepthValidation(t *testing.T) {
 func TestWaveletCompactsEnergy(t *testing.T) {
 	img, _ := image.Phantom(128, 128, 2)
 	coeffs := append([]float64(nil), img.Pix...)
-	if err := waveletForward2D(coeffs, make([]float64, len(coeffs)), 128, 128, 4); err != nil {
+	if err := waveletForward2D(coeffs, 128, 128, 4); err != nil {
 		t.Fatal(err)
 	}
 	// The 8x8 LL corner must hold most of the signal's weight per
@@ -116,7 +115,8 @@ func TestEntropyRoundTrip(t *testing.T) {
 			noisy[i] = want[i] + (rng.Float64()-0.5)*0.9*step // rounds back to want
 		}
 		back := make([]float64, n)
-		if err := entropyDecode(entropyEncode(noisy, step), step, back); err != nil {
+		rd := entropyReader{data: entropyEncode(noisy, step), step: step, total: n}
+		if err := rd.all(back); err != nil {
 			return false
 		}
 		for i := range want {
@@ -133,7 +133,11 @@ func TestEntropyRoundTrip(t *testing.T) {
 
 func TestEntropyDecodeRejectsCorrupt(t *testing.T) {
 	data := entropyEncode([]float64{1, 0, 0, 5}, 1)
-	if err := entropyDecode(data, 1, make([]float64, 4)); err != nil {
+	decode := func(data []byte, n int) error {
+		rd := entropyReader{data: data, step: 1, total: n}
+		return rd.all(make([]float64, n))
+	}
+	if err := decode(data, 4); err != nil {
 		t.Fatalf("intact payload: %v", err)
 	}
 	for name, c := range map[string]struct {
@@ -148,7 +152,7 @@ func TestEntropyDecodeRejectsCorrupt(t *testing.T) {
 		"run past the plane": {[]byte{2, 0, 4}, 4},
 		"overlong varint":    {[]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, 4},
 	} {
-		if err := entropyDecode(c.data, 1, make([]float64, c.n)); err == nil {
+		if err := decode(c.data, c.n); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
@@ -321,8 +325,12 @@ func TestPrefixLenMatchesUnmarshal(t *testing.T) {
 	if n, err := PrefixLen(header, len(full.Layers)); n != len(body) {
 		t.Errorf("all-layer prefix = %d, %v; body is %d bytes", n, err, len(body))
 	}
-	if _, err := PrefixLen(header, len(full.Layers)+1); err == nil {
-		t.Error("prefix beyond the directory accepted")
+	// Zero and a k beyond the directory mean every layer, as they do to
+	// PrefixBytes and Decode.
+	for _, k := range []int{0, -1, len(full.Layers) + 1, 99} {
+		if n, err := PrefixLen(header, k); err != nil || n != full.PrefixBytes(k) || n != len(body) {
+			t.Errorf("PrefixLen(%d) = %d, %v; PrefixBytes gives %d of a %d-byte body", k, n, err, full.PrefixBytes(k), len(body))
+		}
 	}
 	implausible := append([]byte(nil), header...)
 	binary.LittleEndian.PutUint32(implausible[20:], 65) // layer count
@@ -380,11 +388,10 @@ func TestHybridBeatsWaveletOnlyAtBase(t *testing.T) {
 func TestPacketTransformRoundTrip(t *testing.T) {
 	img, _ := image.Phantom(64, 64, 9)
 	coeffs := append([]float64(nil), img.Pix...)
-	scratch := make([]float64, len(coeffs))
-	if err := packetForward2D(coeffs, scratch, 64, 64, 2); err != nil {
+	if err := packetForward2D(coeffs, 64, 64, 2); err != nil {
 		t.Fatalf("forward: %v", err)
 	}
-	if err := packetInverse2D(coeffs, scratch, 64, 64, 2); err != nil {
+	if err := packetInverse2D(coeffs, 64, 64, 2); err != nil {
 		t.Fatalf("inverse: %v", err)
 	}
 	for i := range coeffs {
@@ -394,13 +401,13 @@ func TestPacketTransformRoundTrip(t *testing.T) {
 	}
 	// Dimension validation.
 	bad := make([]float64, 30*30)
-	if err := packetForward2D(bad, scratch, 30, 30, 2); err == nil {
+	if err := packetForward2D(bad, 30, 30, 2); err == nil {
 		t.Error("non-divisible size accepted")
 	}
-	if err := packetInverse2D(bad, scratch, 30, 30, 2); err == nil {
+	if err := packetInverse2D(bad, 30, 30, 2); err == nil {
 		t.Error("non-divisible size accepted by inverse")
 	}
-	if err := packetForward2D(coeffs, scratch, 64, 64, 0); err == nil {
+	if err := packetForward2D(coeffs, 64, 64, 0); err == nil {
 		t.Error("zero depth accepted")
 	}
 }

@@ -3,8 +3,10 @@ package compress
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -65,6 +67,275 @@ func refBlocks(pix []float64, w, h, block int, transform func([]float64) []float
 			}
 		}
 	}
+}
+
+// What follows down to refEncode is the codec as it ran before it lifted in
+// place and read residual layers a strip at a time, kept as the reference
+// the one-plane kernels are compared with bit for bit: mirrored edges
+// tested inside the 1-D loops, every 2-D level out of place between the
+// plane and a scratch plane, a layer entropy-decoded whole into a plane of
+// its own.
+func refFwd53(src, dst []float64, n int) {
+	half := (n + 1) / 2
+	for i := 0; i < n/2; i++ {
+		left := src[2*i]
+		right := left
+		if 2*i+2 < n {
+			right = src[2*i+2]
+		}
+		dst[half+i] = src[2*i+1] - 0.5*(left+right)
+	}
+	for i := 0; i < half; i++ {
+		var dl, dr float64
+		if i > 0 {
+			dl = dst[half+i-1]
+		} else if n/2 > 0 {
+			dl = dst[half]
+		}
+		if i < n/2 {
+			dr = dst[half+i]
+		} else if n/2 > 0 {
+			dr = dst[half+n/2-1]
+		}
+		dst[i] = src[2*i] + 0.25*(dl+dr)
+	}
+}
+
+func refInv53(src, dst []float64, n int) {
+	half := (n + 1) / 2
+	for i := 0; i < half; i++ {
+		var dl, dr float64
+		if i > 0 {
+			dl = src[half+i-1]
+		} else if n/2 > 0 {
+			dl = src[half]
+		}
+		if i < n/2 {
+			dr = src[half+i]
+		} else if n/2 > 0 {
+			dr = src[half+n/2-1]
+		}
+		dst[2*i] = src[i] - 0.25*(dl+dr)
+	}
+	for i := 0; i < n/2; i++ {
+		left := dst[2*i]
+		right := left
+		if 2*i+2 < n {
+			right = dst[2*i+2]
+		}
+		dst[2*i+1] = src[half+i] + 0.5*(left+right)
+	}
+}
+
+func refFwd53Rows(src []float64, ss int, dst []float64, ds, w, n int) {
+	half := (n + 1) / 2
+	for i := 0; i < n/2; i++ {
+		left := rowOf(src, ss, 2*i, w)
+		right := left
+		if 2*i+2 < n {
+			right = rowOf(src, ss, 2*i+2, w)
+		}
+		odd, d := rowOf(src, ss, 2*i+1, w), rowOf(dst, ds, half+i, w)
+		for x := range d {
+			d[x] = odd[x] - 0.5*(left[x]+right[x])
+		}
+	}
+	for i := 0; i < half; i++ {
+		dl := rowOf(dst, ds, half+max(i-1, 0), w)
+		dr := rowOf(dst, ds, half+min(i, n/2-1), w)
+		even, s := rowOf(src, ss, 2*i, w), rowOf(dst, ds, i, w)
+		for x := range s {
+			s[x] = even[x] + 0.25*(dl[x]+dr[x])
+		}
+	}
+}
+
+func refInv53Rows(src []float64, ss int, dst []float64, ds, w, n int) {
+	half := (n + 1) / 2
+	for i := 0; i < half; i++ {
+		dl := rowOf(src, ss, half+max(i-1, 0), w)
+		dr := rowOf(src, ss, half+min(i, n/2-1), w)
+		s, even := rowOf(src, ss, i, w), rowOf(dst, ds, 2*i, w)
+		for x := range even {
+			even[x] = s[x] - 0.25*(dl[x]+dr[x])
+		}
+	}
+	for i := 0; i < n/2; i++ {
+		left := rowOf(dst, ds, 2*i, w)
+		right := left
+		if 2*i+2 < n {
+			right = rowOf(dst, ds, 2*i+2, w)
+		}
+		d, odd := rowOf(src, ss, half+i, w), rowOf(dst, ds, 2*i+1, w)
+		for x := range odd {
+			odd[x] = d[x] + 0.5*(left[x]+right[x])
+		}
+	}
+}
+
+func refAnalyze2D(pix []float64, stride, cw, ch int, scratch []float64) {
+	for y := 0; y < ch; y++ {
+		refFwd53(rowOf(pix, stride, y, cw), rowOf(scratch, cw, y, cw), cw)
+	}
+	refFwd53Rows(scratch, cw, pix, stride, cw, ch)
+}
+
+func refSynthesize2D(pix []float64, stride, cw, ch int, scratch []float64) {
+	refInv53Rows(pix, stride, scratch, cw, cw, ch)
+	for y := 0; y < ch; y++ {
+		refInv53(rowOf(scratch, cw, y, cw), rowOf(pix, stride, y, cw), cw)
+	}
+}
+
+// refWavelet2D is waveletForward2D or, inverse set, waveletInverse2D.
+func refWavelet2D(pix, scratch []float64, w, h, levels int, inverse bool) {
+	for l := 0; l < levels && !inverse; l++ {
+		refAnalyze2D(pix, w, subband(w, l), subband(h, l), scratch)
+	}
+	for l := levels - 1; l >= 0 && inverse; l-- {
+		refSynthesize2D(pix, w, subband(w, l), subband(h, l), scratch)
+	}
+}
+
+func refPacket2D(pix, scratch []float64, stride, cw, ch, depth int, inverse bool) {
+	if depth == 0 {
+		return
+	}
+	if !inverse {
+		refAnalyze2D(pix, stride, cw, ch, scratch)
+	}
+	hw, hh := cw/2, ch/2
+	for _, off := range [4]int{0, hw, hh * stride, hh*stride + hw} {
+		refPacket2D(pix[off:], scratch, stride, hw, hh, depth-1, inverse)
+	}
+	if inverse {
+		refSynthesize2D(pix, stride, cw, ch, scratch)
+	}
+}
+
+// refEntropyDecode reverses entropyEncode into dst, which must be all
+// zero: exactly len(dst) coefficients, a zero run being a skip.
+func refEntropyDecode(data []byte, step float64, dst []float64) error {
+	for i := 0; i < len(dst); {
+		u, n := binary.Uvarint(data)
+		if n <= 0 {
+			return fmt.Errorf("compress: truncated layer payload at %d/%d", i, len(dst))
+		}
+		data = data[n:]
+		if u != 0 {
+			dst[i] = float64(unzigzag(u-1)) * step
+			i++
+			continue
+		}
+		run, n := binary.Uvarint(data)
+		if n <= 0 {
+			return fmt.Errorf("compress: truncated zero run at %d/%d", i, len(dst))
+		}
+		data = data[n:]
+		if run == 0 || run > uint64(len(dst)-i) {
+			return fmt.Errorf("compress: corrupt zero run of %d at %d/%d", run, i, len(dst))
+		}
+		i += int(run)
+	}
+	if len(data) != 0 {
+		return fmt.Errorf("compress: %d trailing bytes in layer payload", len(data))
+	}
+	return nil
+}
+
+// refDecoder is the three-plane decoder: the running sum, a layer's
+// coefficients, and the lifting scratch.
+type refDecoder struct {
+	s                    *Stream
+	recon, coef, scratch []float64
+}
+
+func newRefDecoder(s *Stream) *refDecoder {
+	n := s.W * s.H
+	return &refDecoder{s, make([]float64, n), make([]float64, n), make([]float64, n)}
+}
+
+func (d *refDecoder) addLayer(li int) error {
+	s, l := d.s, d.s.Layers[li]
+	if li == 0 {
+		if err := refEntropyDecode(l.Data, l.Step, d.recon); err != nil {
+			return err
+		}
+		refWavelet2D(d.recon, d.scratch, s.W, s.H, s.Levels, true)
+		return nil
+	}
+	clear(d.coef)
+	if err := refEntropyDecode(l.Data, l.Step, d.coef); err != nil {
+		return err
+	}
+	switch l.Kind {
+	case CosineLayer:
+		newBlockDCT(s.W, s.H, s.Block).transform(d.recon, d.coef, true)
+	case PacketLayer:
+		if err := checkPacket(s.W, s.H, packetDepth); err != nil {
+			return err
+		}
+		refPacket2D(d.coef, d.scratch, s.W, s.W, s.H, packetDepth, true)
+		for i, v := range d.coef {
+			d.recon[i] += v
+		}
+	default:
+		return fmt.Errorf("compress: layer %d has unexpected kind %d", li, l.Kind)
+	}
+	return nil
+}
+
+// refDecode is Stream.Decode on the reference kernels.
+func refDecode(s *Stream, k int) ([]float64, error) {
+	if k <= 0 || k > len(s.Layers) {
+		k = len(s.Layers)
+	}
+	if k == 0 || s.Layers[0].Kind != WaveletLayer {
+		return nil, fmt.Errorf("compress: stream lacks a wavelet base layer")
+	}
+	if err := s.checkGeometry(); err != nil {
+		return nil, err
+	}
+	d := newRefDecoder(s)
+	for li := 0; li < k; li++ {
+		if err := d.addLayer(li); err != nil {
+			return nil, err
+		}
+	}
+	for i, v := range d.recon {
+		d.recon[i] = math.Min(math.Max(v, 0), 1)
+	}
+	return d.recon, nil
+}
+
+// refEncode is Encode on the reference kernels, for options Encode accepts.
+func refEncode(img *image.Gray, opts Options) *Stream {
+	opts.defaults()
+	st := &Stream{W: img.W, H: img.H, Levels: opts.Levels, Block: opts.Block}
+	d := newRefDecoder(st)
+	residual := make([]float64, len(img.Pix))
+	for li, step := range append([]float64{opts.BaseStep}, opts.ResidualSteps...) {
+		for i, v := range img.Pix {
+			residual[i] = v - d.recon[i]
+		}
+		l := Layer{Kind: CosineLayer, Step: step}
+		switch {
+		case li == 0:
+			l.Kind = WaveletLayer
+			refWavelet2D(residual, d.scratch, st.W, st.H, st.Levels, false)
+		case opts.Basis == PacketBasis:
+			l.Kind = PacketLayer
+			refPacket2D(residual, d.scratch, st.W, st.W, st.H, packetDepth, false)
+		default:
+			newBlockDCT(st.W, st.H, st.Block).transform(residual, residual, false)
+		}
+		l.Data = entropyEncode(residual, step)
+		st.Layers = append(st.Layers, l)
+		if err := d.addLayer(li); err != nil {
+			panic(err) // its own payload
+		}
+	}
+	return st
 }
 
 func randomPlane(rng *rand.Rand, n int, zeroShare float64) []float64 {
@@ -176,34 +447,49 @@ func TestBlockDCTZeroSkipIsExact(t *testing.T) {
 }
 
 // The row-wise vertical lifting must give every column exactly what the
-// 1-D kernels give it, for odd and even heights, inside a wider plane.
+// 1-D kernels give it, for odd and even heights, inside a wider plane: it
+// works where the rows lie, the even samples of a column above its odd
+// ones, so a column is split on the way in (analysis) or out (synthesis).
 func TestLiftingRowsMatchColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	// at is where sample y of an n-long column lies once split.
+	at := func(y, n int) int { return (y&1)*((n+1)/2) + y/2 }
 	for n := 2; n <= 19; n++ {
-		const w, ss, ds = 7, 11, 9
-		src := randomPlane(rng, n*ss, 0)
+		const w, stride = 7, 11
+		src := randomPlane(rng, n*stride, 0)
 		for _, k := range []struct {
-			name string
-			rows func(src []float64, ss int, dst []float64, ds, w, n int)
-			line func(src, dst []float64, n int)
-		}{{"fwd53", fwd53Rows, fwd53}, {"inv53", inv53Rows, inv53}} {
-			got := make([]float64, n*ds)
-			for i := range got {
-				got[i] = -7 // sentinel: columns ≥ w stay untouched
-			}
-			k.rows(src, ss, got, ds, w, n)
-			col, want := make([]float64, n), make([]float64, n)
-			for x := 0; x < ds; x++ {
-				for y := range col {
-					col[y] = src[y*ss+x]
-					want[y] = -7
+			name    string
+			rows    func(p []float64, stride, w, n int)
+			line    func(src, dst []float64, n int)
+			splitIn bool
+		}{{"fwd53", fwd53Rows, fwd53, true}, {"inv53", inv53Rows, inv53, false}} {
+			got := append([]float64(nil), src...)
+			k.rows(got, stride, w, n)
+			in, out, want := make([]float64, n), make([]float64, n), make([]float64, n)
+			for x := 0; x < stride; x++ {
+				for y := range in {
+					switch {
+					case x >= w: // outside the rectangle: untouched
+						want[y] = src[y*stride+x]
+					case k.splitIn:
+						in[y] = src[at(y, n)*stride+x]
+					default:
+						in[y] = src[y*stride+x]
+					}
 				}
 				if x < w {
-					k.line(col, want, n)
+					k.line(in, out, n)
+					for y, v := range out {
+						if k.splitIn {
+							want[y] = v
+						} else {
+							want[at(y, n)] = v
+						}
+					}
 				}
 				for y := range want {
-					if got[y*ds+x] != want[y] {
-						t.Fatalf("%s n=%d: column %d row %d is %v, want %v", k.name, n, x, y, got[y*ds+x], want[y])
+					if got[y*stride+x] != want[y] {
+						t.Fatalf("%s n=%d: column %d row %d is %v, want %v", k.name, n, x, y, got[y*stride+x], want[y])
 					}
 				}
 			}
@@ -218,8 +504,8 @@ func TestLevelStaysInsideItsRectangle(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	plane := randomPlane(rng, stride*rows, 0)
 	orig := append([]float64(nil), plane...)
-	scratch := make([]float64, cw*ch)
-	analyze2D(plane[y0*stride+x0:], stride, cw, ch, scratch)
+	sc := newLiftScratch(cw, ch)
+	analyze2D(plane[y0*stride+x0:], stride, cw, ch, sc)
 	changed := false
 	for i := range plane {
 		x, y := i%stride, i/stride
@@ -232,7 +518,7 @@ func TestLevelStaysInsideItsRectangle(t *testing.T) {
 	if !changed {
 		t.Fatal("analysis changed nothing")
 	}
-	synthesize2D(plane[y0*stride+x0:], stride, cw, ch, scratch)
+	synthesize2D(plane[y0*stride+x0:], stride, cw, ch, sc)
 	if d := maxAbsDiff(plane, orig); d > 1e-12 {
 		t.Errorf("round trip drifted by %g", d)
 	}
@@ -259,7 +545,7 @@ func TestLayersCodeWhatTheDecoderMisses(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Encode: %v", name, err)
 		}
-		d := st.newDecoder(make([]float64, c.w*c.h))
+		d := &decoder{s: st, recon: make([]float64, c.w*c.h)}
 		for k := 1; k < len(st.Layers); k++ {
 			if err := d.addLayer(k - 1); err != nil {
 				t.Fatalf("%s: layer %d: %v", name, k-1, err)
@@ -277,7 +563,7 @@ func TestLayersCodeWhatTheDecoderMisses(t *testing.T) {
 			}
 			next := st.Layers[k]
 			if next.Kind == PacketLayer {
-				err = packetForward2D(residual, make([]float64, len(residual)), c.w, c.h, packetDepth)
+				err = packetForward2D(residual, c.w, c.h, packetDepth)
 			} else {
 				newBlockDCT(c.w, c.h, st.Block).transform(residual, residual, false)
 			}
@@ -286,6 +572,302 @@ func TestLayersCodeWhatTheDecoderMisses(t *testing.T) {
 			}
 			if !bytes.Equal(entropyEncode(residual, next.Step), next.Data) {
 				t.Errorf("%s: layer %d does not code image − Decode(%d)", name, k, k)
+			}
+		}
+	}
+}
+
+func sameBits(a, b []float64) int {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// Peeling the mirrored edges out of the 1-D loops changes no operand and
+// no order: every length gives the bits the in-loop tests gave.
+func TestLifting1DMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for n := 2; n <= 70; n++ {
+		src := randomPlane(rng, n, 0.2)
+		got, want := make([]float64, n), make([]float64, n)
+		fwd53(src, got, n)
+		refFwd53(src, want, n)
+		if i := sameBits(got, want); i >= 0 {
+			t.Fatalf("fwd53 n=%d: sample %d is %v, reference %v", n, i, got[i], want[i])
+		}
+		inv53(src, got, n)
+		refInv53(src, want, n)
+		if i := sameBits(got, want); i >= 0 {
+			t.Fatalf("inv53 n=%d: sample %d is %v, reference %v", n, i, got[i], want[i])
+		}
+	}
+}
+
+// The codec that works in one plane must produce what the two-plane codec
+// produced, to the bit: the layer payloads of Encode and the pixels of
+// every Decode(k), on both residual bases, over geometries that put an odd
+// subband at every level, a plane narrower than a tile, a last strip
+// shorter than the others, and a plane two rows high.
+func TestCodecMatchesTwoPlaneReference(t *testing.T) {
+	steps := []float64{0.04, 0.015, 0.005}
+	type geom struct {
+		w, h int
+		opts Options
+	}
+	cases := []geom{
+		{256, 256, Options{}},
+		{100, 75, Options{}},
+		{33, 65, Options{}},         // sides 33/17/9/5 and 65/33/17/9
+		{33, 47, Options{Block: 8}}, // 47 % 8 = 7
+		{17, 16, Options{Levels: 3}},
+		{9, 40, Options{Levels: 2}},  // W < Block
+		{64, 2, Options{Levels: 1}},  // H = 2 < Block
+		{40, 37, Options{Block: 5}},  // a 2-row last strip
+		{23, 31, Options{Block: 32}}, // one tile, smaller than the block both ways
+		{64, 64, Options{Basis: PacketBasis}},
+		{128, 96, Options{Basis: PacketBasis, Levels: 3}},
+		{100, 76, Options{Basis: PacketBasis, Levels: 2}}, // packet quadrants 25×19: odd inside the recursion
+		{4, 4, Options{Basis: PacketBasis, Levels: 1}},
+	}
+	for _, c := range cases {
+		c.opts.ResidualSteps = steps
+		img, err := image.Phantom(c.w, c.h, int64(c.w*c.h))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Texture on top of the phantom's flat regions, so that every layer
+		// has coefficients in every tile.
+		rng := rand.New(rand.NewSource(int64(c.w)))
+		for i := range img.Pix {
+			img.Pix[i] = math.Min(math.Max(img.Pix[i]+0.1*rng.NormFloat64(), 0), 1)
+		}
+		st, err := Encode(img, c.opts)
+		if err != nil {
+			t.Fatalf("%dx%d %+v: Encode: %v", c.w, c.h, c.opts, err)
+		}
+		ref := refEncode(img, c.opts)
+		if len(st.Layers) != len(ref.Layers) {
+			t.Fatalf("%dx%d: %d layers, reference %d", c.w, c.h, len(st.Layers), len(ref.Layers))
+		}
+		for li, l := range st.Layers {
+			if r := ref.Layers[li]; l.Kind != r.Kind || l.Step != r.Step || !bytes.Equal(l.Data, r.Data) {
+				t.Errorf("%dx%d %+v: layer %d differs from the reference's (%d bytes, reference %d)", c.w, c.h, c.opts, li, len(l.Data), len(r.Data))
+			}
+		}
+		for k := 1; k <= len(st.Layers); k++ {
+			got, err := st.Decode(k)
+			if err != nil {
+				t.Fatalf("%dx%d: Decode(%d): %v", c.w, c.h, k, err)
+			}
+			want, err := refDecode(ref, k)
+			if err != nil {
+				t.Fatalf("%dx%d: reference Decode(%d): %v", c.w, c.h, k, err)
+			}
+			if i := sameBits(got.Pix, want); i >= 0 {
+				t.Errorf("%dx%d %+v: Decode(%d) pixel %d is %v, reference %v", c.w, c.h, c.opts, k, i, got.Pix[i], want[i])
+			}
+		}
+	}
+}
+
+// readPieces reads a plane of total coefficients through one entropyReader
+// in pieces of the given lengths, into memory that starts out as garbage.
+func readPieces(data []byte, step float64, total int, pieces []int) ([]float64, error) {
+	out := make([]float64, total)
+	for i := range out {
+		out[i] = math.NaN()
+	}
+	rd := entropyReader{data: data, step: step, total: total}
+	rest := out
+	for _, n := range pieces {
+		if err := rd.next(rest[:n]); err != nil {
+			return nil, err
+		}
+		rest = rest[n:]
+	}
+	return out, rd.finish()
+}
+
+// checkPieces requires of one way to cut the plane what the whole-plane
+// reference decoder gives: the same coefficients, or the same error.
+func checkPieces(t *testing.T, name string, data []byte, step float64, pieces []int) {
+	t.Helper()
+	total := 0
+	for _, n := range pieces {
+		total += n
+	}
+	got, err := readPieces(data, step, total, pieces)
+	want := make([]float64, total)
+	wantErr := refEntropyDecode(data, step, want)
+	switch {
+	case (err == nil) != (wantErr == nil), err != nil && err.Error() != wantErr.Error():
+		t.Fatalf("%s cut %v: %v, whole plane: %v", name, pieces, err, wantErr)
+	case err == nil && sameBits(got, want) >= 0:
+		t.Fatalf("%s cut %v: read %v, whole plane %v", name, pieces, got, want)
+	}
+}
+
+// However a plane is cut into strips, the reader must deliver the
+// coefficients and refuse the payloads the whole-plane decoder did, with
+// the same words: every cut of a 9-coefficient plane, so every defect —
+// the truncation, the over-long run, the trailing byte — falls before,
+// on and after a strip boundary, and every run is carried across one.
+func TestEntropyReaderEveryCut(t *testing.T) {
+	const n = 9
+	plane := []float64{3, 0, 0, 0, 0, -2, 0, 0, 0} // runs of 4 and 3, the last to the end
+	intact := entropyEncode(plane, 1)
+	payloads := map[string][]byte{
+		"intact":             intact,
+		"all zero":           entropyEncode(make([]float64, n), 1),
+		"no zero":            entropyEncode([]float64{1, -1, 2, -2, 3, -3, 4, -4, 5}, 1),
+		"empty":              nil,
+		"truncated payload":  intact[:3], // ends after the first run
+		"truncated zero run": intact[:2], // ends inside it
+		"trailing bytes":     append(intact[:len(intact):len(intact)], 0x05),
+		"short by one":       entropyEncode(plane[:n-1], 1),
+		"long by one":        entropyEncode(append(plane[:n:n], 0), 1),
+		"zero run of 0":      {8, 0, 0, 2, 2, 2, 2, 2, 2, 2, 2},
+		"run past the plane": {2, 2, 0, 8},
+		"run of 2^63":        {2, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01},
+		"overlong varint":    {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01},
+	}
+	for cut := 0; cut < 1<<(n-1); cut++ { // bit i set: a boundary after coefficient i
+		var pieces []int
+		last := 0
+		for i := 1; i <= n; i++ {
+			if i == n || cut&(1<<(i-1)) != 0 {
+				pieces = append(pieces, i-last)
+				last = i
+			}
+		}
+		for name, data := range payloads {
+			checkPieces(t, name, data, 1, pieces)
+		}
+	}
+	if _, err := readPieces(intact, 1, n, []int{n}); err != nil {
+		t.Fatalf("intact payload: %v", err)
+	}
+	// Reading less than the plane is a caller's mistake finish reports.
+	rd := entropyReader{data: intact, step: 1, total: n}
+	if err := rd.next(make([]float64, n-1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := rd.finish(); err == nil {
+		t.Error("finish accepted a plane one coefficient short")
+	}
+}
+
+// FuzzEntropyStrips is the differential test above on bytes and cuts the
+// engine chooses.
+func FuzzEntropyStrips(f *testing.F) {
+	f.Add(entropyEncode([]float64{3, 0, 0, 0, 0, -2, 0, 0, 0}, 1), []byte{2, 3, 4})
+	f.Add(entropyEncode([]float64{0, 0, 0, 0, 0, 0, 1}, 1), []byte{1, 1, 5})
+	f.Add([]byte{2, 2, 0, 8}, []byte{4, 4})
+	f.Add([]byte{0, 200, 1, 7}, []byte{16, 16, 16, 16})
+	f.Fuzz(func(t *testing.T, data, cuts []byte) {
+		if len(cuts) > 64 {
+			cuts = cuts[:64]
+		}
+		pieces := make([]int, len(cuts)) // a zero-length piece is legal
+		for i, c := range cuts {
+			pieces[i] = int(c)
+		}
+		checkPieces(t, "fuzz", data, 0.5, pieces)
+	})
+}
+
+// bytesAllocated is what f allocates, the least of three runs.
+func bytesAllocated(f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// A decode works in the plane it returns: that plane, one strip of cosine
+// coefficients and small change, whatever the layer count — a second W×H
+// plane, from anywhere, fails this. An encode works in two: the running
+// reconstruction and the residual.
+func TestDecodeAllocatesOnePlane(t *testing.T) {
+	const w, h = 256, 256
+	img, _ := image.Phantom(w, h, 15)
+	st, err := Encode(img, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const plane = 8 * w * h
+	for k := 1; k <= len(st.Layers); k++ {
+		got := bytesAllocated(func() {
+			if _, err := st.Decode(k); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if limit := uint64(plane + 8*w*st.Block + 16<<10); got > limit {
+			t.Errorf("Decode(%d) allocated %d bytes, more than one plane and a strip (%d)", k, got, limit)
+		}
+	}
+	// Coarse steps keep the payloads, and the slices they grew in, well
+	// under a plane: append may have allocated five times what it kept.
+	for _, basis := range []ResidualBasis{CosineBasis, PacketBasis} {
+		var enc *Stream
+		got := bytesAllocated(func() {
+			if enc, err = Encode(img, Options{ResidualSteps: []float64{0.04}, Basis: basis}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		limit := uint64(2*plane + 6*enc.PrefixBytes(0) + 8*w*enc.Block + 16<<10)
+		if limit >= 3*plane {
+			t.Fatalf("basis %d: payloads of %d bytes leave the bound unable to tell two planes from three", basis, enc.PrefixBytes(0))
+		}
+		if got > limit {
+			t.Errorf("Encode (basis %d) allocated %d bytes, more than two planes and its payloads (%d)", basis, got, limit)
+		}
+	}
+}
+
+// Unmarshal hands out slices of the body it was given, so nothing that
+// follows may write through them: not Decode at any layer count, and not
+// an append to one layer running on into the next.
+func TestUnmarshalAliasesBodyReadOnly(t *testing.T) {
+	img, _ := image.Phantom(64, 48, 16)
+	for _, basis := range []ResidualBasis{CosineBasis, PacketBasis} {
+		st, err := Encode(img, Options{Basis: basis})
+		if err != nil {
+			t.Fatal(err)
+		}
+		header, body, err := st.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pristine := append([]byte(nil), body...)
+		back, err := Unmarshal(header, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off := 0
+		for li, l := range back.Layers {
+			if len(l.Data) == 0 || &l.Data[0] != &body[off] {
+				t.Fatalf("layer %d is not the body's bytes at %d", li, off)
+			}
+			if cap(l.Data) != len(l.Data) {
+				t.Errorf("layer %d: %d bytes with room for %d: an append would write into the next layer", li, len(l.Data), cap(l.Data))
+			}
+			off += len(l.Data)
+		}
+		for k := 0; k <= len(back.Layers); k++ {
+			if _, err := back.Decode(k); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(body, pristine) {
+				t.Fatalf("basis %d: Decode(%d) wrote to the body it was unmarshalled from", basis, k)
 			}
 		}
 	}
@@ -350,7 +932,8 @@ func TestHostileHeadersFailFast(t *testing.T) {
 
 // FuzzUnmarshalDecode feeds Unmarshal and Decode what client.GetCmp feeds
 // them — bytes off the network. Whatever they are: no panic, no hang, and
-// either an error or an image of the size the header states.
+// at every layer count either the error or the image, of the size the
+// header states, that the two-plane reference decoder gives.
 func FuzzUnmarshalDecode(f *testing.F) {
 	img, _ := image.Phantom(24, 20, 14) // small: the engine minimizes what it keeps, byte by byte
 	for _, opts := range []Options{{}, {Basis: PacketBasis, Levels: 2}} {
@@ -377,13 +960,22 @@ func FuzzUnmarshalDecode(f *testing.F) {
 		if s.W*s.H > 1<<12 {
 			return // legal, but too slow to decode a million times
 		}
-		dec, err := s.Decode(0)
-		if err != nil {
-			return
-		}
 		w, h := int(binary.LittleEndian.Uint32(header[4:])), int(binary.LittleEndian.Uint32(header[8:]))
-		if dec.W != w || dec.H != h || len(dec.Pix) != w*h {
-			t.Fatalf("decoded %dx%d (%d pixels) from a %dx%d header", dec.W, dec.H, len(dec.Pix), w, h)
+		for k := 0; k <= len(s.Layers); k++ {
+			dec, err := s.Decode(k)
+			want, wantErr := refDecode(s, k)
+			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+				t.Fatalf("Decode(%d): %v; the two-plane reference: %v", k, err, wantErr)
+			}
+			if err != nil {
+				continue
+			}
+			if dec.W != w || dec.H != h || len(dec.Pix) != w*h {
+				t.Fatalf("decoded %dx%d (%d pixels) from a %dx%d header", dec.W, dec.H, len(dec.Pix), w, h)
+			}
+			if i := sameBits(dec.Pix, want); i >= 0 {
+				t.Fatalf("Decode(%d) pixel %d is %v, the two-plane reference %v", k, i, dec.Pix[i], want[i])
+			}
 		}
 	})
 }

@@ -15,61 +15,47 @@ import "fmt"
 
 // fwd53 performs one level of the CDF 5/3 lifting transform on a signal,
 // writing approximation coefficients to the first half (rounded up) and
-// detail coefficients to the second half of dst. n ≥ 2.
+// detail coefficients to the second half of dst, which must not overlap
+// src. n ≥ 2. The mirrored edges stand outside the loops: where a sample
+// has one neighbour, that neighbour counts twice.
 func fwd53(src, dst []float64, n int) {
-	half := (n + 1) / 2
-	// Predict: d[i] = odd[i] - (even[i] + even[i+1])/2, mirrored at edges.
-	for i := 0; i < n/2; i++ {
-		left := src[2*i]
-		right := left
-		if 2*i+2 < n {
-			right = src[2*i+2]
-		}
-		dst[half+i] = src[2*i+1] - 0.5*(left+right)
+	half, inner := (n+1)/2, (n-1)/2 // inner: odd samples with a right neighbour
+	src, s, d := src[:n], dst[:half], dst[half:n]
+	// Predict: d[i] = odd[i] - (even[i] + even[i+1])/2.
+	for i := 0; i < inner; i++ {
+		d[i] = src[2*i+1] - 0.5*(src[2*i]+src[2*i+2])
 	}
-	// Update: s[i] = even[i] + (d[i-1] + d[i])/4, mirrored at edges.
-	for i := 0; i < half; i++ {
-		var dl, dr float64
-		if i > 0 {
-			dl = dst[half+i-1]
-		} else if n/2 > 0 {
-			dl = dst[half]
-		}
-		if i < n/2 {
-			dr = dst[half+i]
-		} else if n/2 > 0 {
-			dr = dst[half+n/2-1]
-		}
-		dst[i] = src[2*i] + 0.25*(dl+dr)
+	if inner < len(d) {
+		d[inner] = src[n-1] - 0.5*(src[n-2]+src[n-2])
+	}
+	// Update: s[i] = even[i] + (d[i-1] + d[i])/4.
+	s[0] = src[0] + 0.25*(d[0]+d[0])
+	for i := 1; i < len(d); i++ {
+		s[i] = src[2*i] + 0.25*(d[i-1]+d[i])
+	}
+	if len(d) < half {
+		s[half-1] = src[n-1] + 0.25*(d[len(d)-1]+d[len(d)-1])
 	}
 }
 
-// inv53 inverts fwd53.
+// inv53 inverts fwd53, src and dst likewise distinct.
 func inv53(src, dst []float64, n int) {
-	half := (n + 1) / 2
+	half, inner := (n+1)/2, (n-1)/2
+	s, d, dst := src[:half], src[half:n], dst[:n]
 	// Un-update: even[i] = s[i] - (d[i-1] + d[i])/4.
-	for i := 0; i < half; i++ {
-		var dl, dr float64
-		if i > 0 {
-			dl = src[half+i-1]
-		} else if n/2 > 0 {
-			dl = src[half]
-		}
-		if i < n/2 {
-			dr = src[half+i]
-		} else if n/2 > 0 {
-			dr = src[half+n/2-1]
-		}
-		dst[2*i] = src[i] - 0.25*(dl+dr)
+	dst[0] = s[0] - 0.25*(d[0]+d[0])
+	for i := 1; i < len(d); i++ {
+		dst[2*i] = s[i] - 0.25*(d[i-1]+d[i])
+	}
+	if len(d) < half {
+		dst[n-1] = s[half-1] - 0.25*(d[len(d)-1]+d[len(d)-1])
 	}
 	// Un-predict: odd[i] = d[i] + (even[i] + even[i+1])/2.
-	for i := 0; i < n/2; i++ {
-		left := dst[2*i]
-		right := left
-		if 2*i+2 < n {
-			right = dst[2*i+2]
-		}
-		dst[2*i+1] = src[half+i] + 0.5*(left+right)
+	for i := 0; i < inner; i++ {
+		dst[2*i+1] = d[i] + 0.5*(dst[2*i]+dst[2*i+2])
+	}
+	if inner < len(d) {
+		dst[n-1] = d[inner] + 0.5*(dst[n-2]+dst[n-2])
 	}
 }
 
@@ -77,75 +63,108 @@ func inv53(src, dst []float64, n int) {
 // apart.
 func rowOf(p []float64, stride, y, w int) []float64 { return p[y*stride : y*stride+w] }
 
-// fwd53Rows is fwd53 down the columns of a plane, a whole row at a time:
-// n source rows of width w, ss apart in src, become approximation rows
-// [0, (n+1)/2) and detail rows [(n+1)/2, n) of dst, ds apart. Every
-// column gets exactly fwd53's arithmetic; the inner loops are contiguous.
-func fwd53Rows(src []float64, ss int, dst []float64, ds, w, n int) {
+// fwd53Rows is fwd53 down the columns of the w×n rectangle at the head of
+// p (rows stride apart), a whole row at a time and in place: the signal's
+// even rows lie in rows [0, (n+1)/2) of p and become the approximation, its
+// odd rows in the rest and become the detail. Every column gets exactly
+// fwd53's arithmetic; the inner loops are contiguous.
+func fwd53Rows(p []float64, stride, w, n int) {
 	half := (n + 1) / 2
 	for i := 0; i < n/2; i++ {
-		left := rowOf(src, ss, 2*i, w)
+		left := rowOf(p, stride, i, w)
 		right := left
 		if 2*i+2 < n {
-			right = rowOf(src, ss, 2*i+2, w)
+			right = rowOf(p, stride, i+1, w)
 		}
-		odd, d := rowOf(src, ss, 2*i+1, w), rowOf(dst, ds, half+i, w)
+		d := rowOf(p, stride, half+i, w)
 		for x := range d {
-			d[x] = odd[x] - 0.5*(left[x]+right[x])
+			d[x] -= 0.5 * (left[x] + right[x])
 		}
 	}
 	for i := 0; i < half; i++ {
-		dl := rowOf(dst, ds, half+max(i-1, 0), w)
-		dr := rowOf(dst, ds, half+min(i, n/2-1), w)
-		even, s := rowOf(src, ss, 2*i, w), rowOf(dst, ds, i, w)
+		dl := rowOf(p, stride, half+max(i-1, 0), w)
+		dr := rowOf(p, stride, half+min(i, n/2-1), w)
+		s := rowOf(p, stride, i, w)
 		for x := range s {
-			s[x] = even[x] + 0.25*(dl[x]+dr[x])
+			s[x] += 0.25 * (dl[x] + dr[x])
 		}
 	}
 }
 
 // inv53Rows inverts fwd53Rows, likewise inv53 down every column.
-func inv53Rows(src []float64, ss int, dst []float64, ds, w, n int) {
+func inv53Rows(p []float64, stride, w, n int) {
 	half := (n + 1) / 2
 	for i := 0; i < half; i++ {
-		dl := rowOf(src, ss, half+max(i-1, 0), w)
-		dr := rowOf(src, ss, half+min(i, n/2-1), w)
-		s, even := rowOf(src, ss, i, w), rowOf(dst, ds, 2*i, w)
+		dl := rowOf(p, stride, half+max(i-1, 0), w)
+		dr := rowOf(p, stride, half+min(i, n/2-1), w)
+		even := rowOf(p, stride, i, w)
 		for x := range even {
-			even[x] = s[x] - 0.25*(dl[x]+dr[x])
+			even[x] -= 0.25 * (dl[x] + dr[x])
 		}
 	}
 	for i := 0; i < n/2; i++ {
-		left := rowOf(dst, ds, 2*i, w)
+		left := rowOf(p, stride, i, w)
 		right := left
 		if 2*i+2 < n {
-			right = rowOf(dst, ds, 2*i+2, w)
+			right = rowOf(p, stride, i+1, w)
 		}
-		d, odd := rowOf(src, ss, half+i, w), rowOf(dst, ds, 2*i+1, w)
+		odd := rowOf(p, stride, half+i, w)
 		for x := range odd {
-			odd[x] = d[x] + 0.5*(left[x]+right[x])
+			odd[x] += 0.5 * (left[x] + right[x])
 		}
 	}
 }
 
-// analyze2D runs one separable 5/3 analysis level over the cw×ch
-// rectangle at the head of pix (rows stride apart): rows into scratch,
-// which must hold cw*ch values, then columns back into pix. Neither pass
-// copies or gathers: each reads its input where it lies and writes its
-// output where it belongs.
-func analyze2D(pix []float64, stride, cw, ch int, scratch []float64) {
-	for y := 0; y < ch; y++ {
-		fwd53(rowOf(pix, stride, y, cw), rowOf(scratch, cw, y, cw), cw)
-	}
-	fwd53Rows(scratch, cw, pix, stride, cw, ch)
+// liftScratch is all the 2-D transforms need beside the plane they work
+// in: one row, and one mark per row.
+type liftScratch struct {
+	row  []float64
+	seen []bool
 }
 
-// synthesize2D inverts analyze2D: columns first, then rows.
-func synthesize2D(pix []float64, stride, cw, ch int, scratch []float64) {
-	inv53Rows(pix, stride, scratch, cw, cw, ch)
-	for y := 0; y < ch; y++ {
-		inv53(rowOf(scratch, cw, y, cw), rowOf(pix, stride, y, cw), cw)
+func newLiftScratch(w, h int) *liftScratch {
+	return &liftScratch{row: make([]float64, w), seen: make([]bool, h)}
+}
+
+// liftRows replaces every row y of the cw×ch rectangle at the head of pix
+// with lift of row from(y), from being a permutation of [0, ch): it walks
+// each cycle backwards from a saved copy of its first row, so every other
+// row is lifted from where it lies into the row just vacated.
+func (sc *liftScratch) liftRows(pix []float64, stride, cw, ch int, lift func(src, dst []float64, n int), from func(y int) int) {
+	saved, seen := sc.row[:cw], sc.seen[:ch]
+	clear(seen)
+	for y0 := range seen {
+		if seen[y0] {
+			continue
+		}
+		copy(saved, rowOf(pix, stride, y0, cw))
+		for y, src := y0, from(y0); ; y, src = src, from(src) {
+			seen[y] = true
+			if src == y0 {
+				lift(saved, rowOf(pix, stride, y, cw), cw)
+				break
+			}
+			lift(rowOf(pix, stride, src, cw), rowOf(pix, stride, y, cw), cw)
+		}
 	}
+}
+
+// analyze2D runs one separable 5/3 analysis level in place over the cw×ch
+// rectangle at the head of pix (rows stride apart): every row is lifted
+// into the place its parity gives it — even rows to the top half, odd rows
+// to the bottom — and the columns are then lifted where they lie.
+func analyze2D(pix []float64, stride, cw, ch int, sc *liftScratch) {
+	half := (ch + 1) / 2
+	sc.liftRows(pix, stride, cw, ch, fwd53, func(y int) int { return 2*(y%half) + y/half })
+	fwd53Rows(pix, stride, cw, ch)
+}
+
+// synthesize2D inverts analyze2D: columns first, then every row into the
+// place it interleaves to.
+func synthesize2D(pix []float64, stride, cw, ch int, sc *liftScratch) {
+	inv53Rows(pix, stride, cw, ch)
+	half := (ch + 1) / 2
+	sc.liftRows(pix, stride, cw, ch, inv53, func(y int) int { return (y&1)*half + y/2 })
 }
 
 // maxLevels bounds the decomposition depth: beyond it no plane that fits
@@ -169,24 +188,26 @@ func checkLevels(w, h, levels int) error {
 }
 
 // waveletForward2D applies `levels` levels of the separable 2-D transform
-// in place on a w×h plane stored row-major; scratch must hold w*h values.
-func waveletForward2D(pix, scratch []float64, w, h, levels int) error {
+// in place on a w×h plane stored row-major.
+func waveletForward2D(pix []float64, w, h, levels int) error {
 	if err := checkLevels(w, h, levels); err != nil {
 		return err
 	}
+	sc := newLiftScratch(w, h)
 	for l := 0; l < levels; l++ {
-		analyze2D(pix, w, subband(w, l), subband(h, l), scratch)
+		analyze2D(pix, w, subband(w, l), subband(h, l), sc)
 	}
 	return nil
 }
 
 // waveletInverse2D inverts waveletForward2D, deepest level first.
-func waveletInverse2D(pix, scratch []float64, w, h, levels int) error {
+func waveletInverse2D(pix []float64, w, h, levels int) error {
 	if err := checkLevels(w, h, levels); err != nil {
 		return err
 	}
+	sc := newLiftScratch(w, h)
 	for l := levels - 1; l >= 0; l-- {
-		synthesize2D(pix, w, subband(w, l), subband(h, l), scratch)
+		synthesize2D(pix, w, subband(w, l), subband(h, l), sc)
 	}
 	return nil
 }
@@ -197,22 +218,21 @@ func waveletInverse2D(pix, scratch []float64, w, h, levels int) error {
 // a uniform tiling of the frequency plane — the "wavelet packet"
 // alternative basis the paper's compression module ([20]) offers for
 // coding residuals. The transform recurses levels deep; w and h must be
-// divisible by 2^levels for the subband grid to tile exactly, and scratch
-// must hold w*h values.
-func packetForward2D(pix, scratch []float64, w, h, levels int) error {
+// divisible by 2^levels for the subband grid to tile exactly.
+func packetForward2D(pix []float64, w, h, levels int) error {
 	if err := checkPacket(w, h, levels); err != nil {
 		return err
 	}
-	packet2D(pix, scratch, w, w, h, levels, false)
+	packet2D(pix, newLiftScratch(w, h), w, w, h, levels, false)
 	return nil
 }
 
 // packetInverse2D inverts packetForward2D.
-func packetInverse2D(pix, scratch []float64, w, h, levels int) error {
+func packetInverse2D(pix []float64, w, h, levels int) error {
 	if err := checkPacket(w, h, levels); err != nil {
 		return err
 	}
-	packet2D(pix, scratch, w, w, h, levels, true)
+	packet2D(pix, newLiftScratch(w, h), w, w, h, levels, true)
 	return nil
 }
 
@@ -229,18 +249,18 @@ func checkPacket(w, h, levels int) error {
 // packet2D transforms the cw×ch rectangle at the head of pix and recurses
 // into its four quadrants (analysis: parent first; synthesis: quadrants
 // first). checkPacket has made every rectangle on the way at least 2×2.
-func packet2D(pix, scratch []float64, stride, cw, ch, depth int, inverse bool) {
+func packet2D(pix []float64, sc *liftScratch, stride, cw, ch, depth int, inverse bool) {
 	if depth == 0 {
 		return
 	}
 	if !inverse {
-		analyze2D(pix, stride, cw, ch, scratch)
+		analyze2D(pix, stride, cw, ch, sc)
 	}
 	hw, hh := cw/2, ch/2
 	for _, off := range [4]int{0, hw, hh * stride, hh*stride + hw} {
-		packet2D(pix[off:], scratch, stride, hw, hh, depth-1, inverse)
+		packet2D(pix[off:], sc, stride, hw, hh, depth-1, inverse)
 	}
 	if inverse {
-		synthesize2D(pix, stride, cw, ch, scratch)
+		synthesize2D(pix, stride, cw, ch, sc)
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -129,6 +130,24 @@ func TestMultiResolutionTransfer(t *testing.T) {
 	}
 	t.Logf("full=%d bytes, base-layer=%d bytes (%.1fx saving)",
 		fullBytes, lowBytes, float64(fullBytes)/float64(lowBytes))
+
+	// The record's stream has four layers (workload.Populate encodes with
+	// the default options). Asking for all four, or for more than there
+	// are, is asking for the whole stream, as it is to Decode.
+	prev := lowBytes
+	for k := 2; k <= 6; k++ {
+		g, n, err := c.GetCmp(rec.CmpID, k)
+		if err != nil {
+			t.Fatalf("GetCmp(%d layers): %v", k, err)
+		}
+		switch {
+		case k < 4 && (n <= prev || n >= fullBytes):
+			t.Errorf("%d layers = %d bytes, after %d and below the full %d", k, n, prev, fullBytes)
+		case k >= 4 && (n != fullBytes || !slices.Equal(g.Pix, full.Pix)):
+			t.Errorf("%d layers = %d bytes, want the full stream (%d) and its pixels", k, n, fullBytes)
+		}
+		prev = n
+	}
 }
 
 func TestRoomJoinChoicePropagation(t *testing.T) {
