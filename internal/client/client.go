@@ -207,8 +207,13 @@ func (c *Client) onPush(method string, body wire.Body) {
 	if method != proto.MEvent {
 		return
 	}
+	// Decoded through the concrete method over a decoder that never
+	// leaves this frame, not body.Decode: behind the BodyDecoder
+	// interface the event would move to the heap, one more allocation
+	// per push. From here it travels by value.
 	var ev room.Event
-	if err := body.Decode(&ev); err != nil {
+	d := wire.NewDec(body.Data)
+	if err := ev.DecodeBody(d); err != nil || d.Len() != 0 {
 		return
 	}
 	c.mu.Lock()

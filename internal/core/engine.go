@@ -14,6 +14,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 
@@ -40,6 +41,24 @@ type Engine struct {
 	// one viewer's situation (e.g. the QoS loop's bandwidth level) that
 	// condition only that viewer's view, unlike the shared choices.
 	env map[string]cpnet.Outcome
+
+	// gen counts mutations: every method that changes the document, the
+	// evidence, the viewer set, an overlay or an environment bumps it.
+	// memo holds the views solved at generation memoGen for the viewers
+	// with an empty overlay, one per distinct environment; a bump drops
+	// it on the next lookup.
+	gen, memoGen uint64
+	memo         []classView
+}
+
+// classView is the solved view of one evidence class: the viewers whose
+// overlay is empty and whose environment equals env. Their evidence is
+// the same, so is the base completion, and an empty overlay adds nothing
+// to it (§4.2: "the base outcome is exactly what every other viewer
+// would compute").
+type classView struct {
+	env  cpnet.Outcome
+	view document.View
 }
 
 // NewEngine wraps a document for cooperative presentation.
@@ -59,8 +78,21 @@ func NewEngine(doc *document.Document) (*Engine, error) {
 	}, nil
 }
 
-// Document returns the engine's document.
+// Document returns the engine's document, for reading. Edits go through
+// EditDocument: the engine's lock is what keeps a solve from seeing a
+// half-added component, and its solved views are kept until it is told
+// the document changed.
 func (e *Engine) Document() *document.Document { return e.doc }
+
+// EditDocument runs edit on the document under the engine's lock and
+// drops the solved views, whatever edit returns. edit must not call back
+// into the engine.
+func (e *Engine) EditDocument(edit func(*document.Document) error) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.gen++
+	return edit(e.doc)
+}
 
 // Join registers a viewer, creating their private overlay, and returns
 // their initial view.
@@ -74,6 +106,7 @@ func (e *Engine) Join(viewer string) (document.View, error) {
 		return document.View{}, fmt.Errorf("core: viewer %q already joined", viewer)
 	}
 	e.overlays[viewer] = e.doc.NewOverlay()
+	e.gen++
 	return e.viewForLocked(viewer)
 }
 
@@ -88,6 +121,7 @@ func (e *Engine) Leave(viewer string) (bool, error) {
 	}
 	delete(e.overlays, viewer)
 	delete(e.env, viewer)
+	e.gen++
 	changed := false
 	for variable, by := range e.choiceBy {
 		if by == viewer {
@@ -126,6 +160,7 @@ func (e *Engine) Choice(viewer, variable, value string) (document.View, error) {
 		if e.choiceBy[variable] != "" {
 			delete(e.choices, variable)
 			delete(e.choiceBy, variable)
+			e.gen++
 		}
 		return e.viewForViewerLocked(viewer, ov)
 	}
@@ -140,23 +175,18 @@ func (e *Engine) Choice(viewer, variable, value string) (document.View, error) {
 		}
 		e.choices[variable] = value
 		e.choiceBy[variable] = viewer
+		e.gen++
 		return e.viewForViewerLocked(viewer, ov)
 	}
 	// Private extension variable: pin it in the viewer's own evidence by
 	// treating it as a per-view choice (stored in choices but scoped by
-	// the overlay resolution in viewForViewerLocked).
-	owned := false
-	for _, name := range ov.ExtensionNames() {
-		if name == variable {
-			owned = true
-			break
-		}
-	}
-	if !owned {
+	// the overlay resolution in solveLocked).
+	if !ov.Owns(variable) {
 		return document.View{}, fmt.Errorf("core: unknown variable %q", variable)
 	}
 	e.choices[variable] = value
 	e.choiceBy[variable] = viewer
+	e.gen++
 	return e.viewForViewerLocked(viewer, ov)
 }
 
@@ -180,6 +210,7 @@ func (e *Engine) Operation(viewer, component, op, activeWhen string, private boo
 	if !ok {
 		return "", fmt.Errorf("core: viewer %q not joined", viewer)
 	}
+	e.gen++
 	if private {
 		return e.doc.ApplyOperationPrivate(ov, component, op, activeWhen)
 	}
@@ -203,22 +234,45 @@ func (e *Engine) viewForLocked(viewer string) (document.View, error) {
 	return e.viewForViewerLocked(viewer, ov)
 }
 
-// viewForViewerLocked resolves the viewer's view: shared choices that name
-// base variables apply to everyone; choices naming overlay extension
-// variables apply only when this viewer owns them.
+// viewForViewerLocked returns the viewer's view, solving once per
+// evidence class: a viewer with an empty overlay takes the view already
+// solved at this generation for their environment, if there is one — the
+// same View value, maps included, which is why a View is read-only. A
+// viewer with a private overlay is solved alone.
 func (e *Engine) viewForViewerLocked(viewer string, ov *cpnet.Overlay) (document.View, error) {
-	ev := cpnet.Outcome{}
-	owned := make(map[string]bool)
-	for _, name := range ov.ExtensionNames() {
-		owned[name] = true
+	if !ov.Empty() {
+		return e.solveLocked(viewer, ov)
 	}
+	if e.memoGen != e.gen {
+		clear(e.memo) // drop the stale views with their slots
+		e.memo, e.memoGen = e.memo[:0], e.gen
+	}
+	env := e.env[viewer]
+	for i := range e.memo {
+		if maps.Equal(e.memo[i].env, env) {
+			return e.memo[i].view, nil
+		}
+	}
+	v, err := e.solveLocked(viewer, ov)
+	if err != nil {
+		return document.View{}, err
+	}
+	e.memo = append(e.memo, classView{env: env, view: v})
+	return v, nil
+}
+
+// solveLocked resolves the viewer's view: shared choices that name base
+// variables apply to everyone; choices naming overlay extension
+// variables apply only when this viewer owns them.
+func (e *Engine) solveLocked(viewer string, ov *cpnet.Overlay) (document.View, error) {
+	ev := cpnet.Outcome{}
 	for variable, value := range e.env[viewer] {
 		if e.doc.Prefs.HasVariable(variable) {
 			ev[variable] = value
 		}
 	}
 	for variable, value := range e.choices {
-		if e.doc.Prefs.HasVariable(variable) || owned[variable] {
+		if e.doc.Prefs.HasVariable(variable) || ov.Owns(variable) {
 			if _, measured := e.env[viewer][variable]; measured && e.choiceBy[variable] == "" {
 				// A per-viewer measurement beats the global environment
 				// pin; an explicit viewer choice still wins below.
@@ -231,7 +285,8 @@ func (e *Engine) viewForViewerLocked(viewer string, ov *cpnet.Overlay) (document
 }
 
 // Views computes the current view of every joined viewer — what the
-// interaction server broadcasts after a change.
+// interaction server broadcasts after a change. Viewers of one evidence
+// class get the same View value.
 func (e *Engine) Views() (map[string]document.View, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

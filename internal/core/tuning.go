@@ -279,6 +279,7 @@ func (e *Engine) SetEnvironment(variable, value string) error {
 	if value == "" {
 		delete(e.choices, variable)
 		delete(e.choiceBy, variable)
+		e.gen++
 		return nil
 	}
 	if !contains(dom, value) {
@@ -286,6 +287,7 @@ func (e *Engine) SetEnvironment(variable, value string) error {
 	}
 	e.choices[variable] = value
 	e.choiceBy[variable] = "" // owned by the environment, not a viewer
+	e.gen++
 	return nil
 }
 
@@ -310,6 +312,7 @@ func (e *Engine) SetViewerEnvironment(viewer, variable, value string) (bool, err
 			return false, nil
 		}
 		delete(e.env[viewer], variable)
+		e.gen++
 		return true, nil
 	}
 	dom, err := e.doc.Prefs.Domain(variable)
@@ -326,6 +329,7 @@ func (e *Engine) SetViewerEnvironment(viewer, variable, value string) (bool, err
 		return false, nil
 	}
 	e.env[viewer][variable] = value
+	e.gen++
 	return true, nil
 }
 

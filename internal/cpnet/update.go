@@ -235,17 +235,13 @@ func NewOverlay(base *Network) *Overlay {
 // Base returns the shared network underlying the overlay.
 func (ov *Overlay) Base() *Network { return ov.base }
 
-// ExtensionNames returns the names of the viewer-private variables, in
-// creation order.
-func (ov *Overlay) ExtensionNames() []string {
-	var names []string
-	for _, v := range ov.ext.Variables() {
-		if ov.own[v.Name] {
-			names = append(names, v.Name)
-		}
-	}
-	return names
-}
+// Empty reports whether the overlay extends nothing: no private
+// variable and no anchor. An empty overlay's completion is the base
+// network's, the same for every viewer who has one.
+func (ov *Overlay) Empty() bool { return ov.ext.Len() == 0 }
+
+// Owns reports whether name is one of the viewer-private variables.
+func (ov *Overlay) Owns(name string) bool { return ov.own[name] }
 
 // anchor ensures a base variable is mirrored into the extension graph so
 // extension variables can name it as a parent. Anchors carry the base
@@ -323,6 +319,9 @@ func (ov *Overlay) domainOf(name string) ([]string, error) {
 // variables pin them directly). The base outcome is exactly what every
 // other viewer would compute; only the extension differs per viewer.
 func (ov *Overlay) OptimalCompletion(evidence Outcome) (Outcome, error) {
+	if ov.Empty() {
+		return ov.base.OptimalCompletion(evidence)
+	}
 	baseEv := make(Outcome)
 	extEv := make(Outcome)
 	for k, v := range evidence {
@@ -342,14 +341,12 @@ func (ov *Overlay) OptimalCompletion(evidence Outcome) (Outcome, error) {
 			extEv[v.Name] = out[v.Name]
 		}
 	}
-	if ov.ext.Len() > 0 {
-		extOut, err := ov.ext.OptimalCompletion(extEv)
-		if err != nil {
-			return nil, err
-		}
-		for _, name := range ov.ExtensionNames() {
-			out[name] = extOut[name]
-		}
+	extOut, err := ov.ext.OptimalCompletion(extEv)
+	if err != nil {
+		return nil, err
+	}
+	for name := range ov.own {
+		out[name] = extOut[name]
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package cpnet
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -178,6 +179,13 @@ func TestOverlayIsolation(t *testing.T) {
 	if base.HasVariable(segName) {
 		t.Fatal("operation variable leaked into the base")
 	}
+	if alice.Empty() || !alice.Owns(segName) || alice.Owns("c3") {
+		t.Errorf("alice: Empty %v, owns %s %v, owns the anchor c3 %v",
+			alice.Empty(), segName, alice.Owns(segName), alice.Owns("c3"))
+	}
+	if !bob.Empty() || bob.Owns(segName) {
+		t.Errorf("bob: Empty %v, owns %s %v", bob.Empty(), segName, bob.Owns(segName))
+	}
 
 	aliceOut, err := alice.OptimalCompletion(nil)
 	if err != nil {
@@ -192,6 +200,19 @@ func TestOverlayIsolation(t *testing.T) {
 	}
 	if _, leaked := bobOut[segName]; leaked {
 		t.Error("bob sees alice's private extension variable")
+	}
+	// An empty overlay completes exactly as the base does, evidence and
+	// refusals included.
+	ev := Outcome{"c3": "c13"}
+	want, err := base.OptimalCompletion(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := bob.OptimalCompletion(ev); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("empty overlay under %v: %v, %v; the base gives %v", ev, got, err, want)
+	}
+	if _, err := bob.OptimalCompletion(Outcome{segName: OpFlat}); err == nil {
+		t.Error("bob's completion accepted evidence on alice's private variable")
 	}
 	// Base projection of alice's completion equals bob's completion.
 	for _, v := range base.Variables() {
@@ -256,9 +277,8 @@ func TestOverlayStacking(t *testing.T) {
 	if out[zoom] != OpFlat {
 		t.Errorf("stacked variable under flat parent = %q, want flat", out[zoom])
 	}
-	names := ov.ExtensionNames()
-	if len(names) != 2 {
-		t.Errorf("ExtensionNames = %v, want 2 entries", names)
+	if !ov.Owns(seg) || !ov.Owns(zoom) {
+		t.Errorf("overlay owns %s: %v, %s: %v; want both", seg, ov.Owns(seg), zoom, ov.Owns(zoom))
 	}
 }
 
@@ -273,5 +293,8 @@ func TestOverlayErrors(t *testing.T) {
 	}
 	if ov.Base() != base {
 		t.Error("Base accessor broken")
+	}
+	if !ov.Empty() {
+		t.Error("refused operations left something in the overlay")
 	}
 }

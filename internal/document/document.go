@@ -297,6 +297,11 @@ func (d *Document) parentOf(name string) *Component {
 // View is a concrete presentation configuration of a document: the chosen
 // presentation value for every network variable, plus the effective
 // visibility once composite hiding cascades down the hierarchy.
+//
+// A View's maps are read-only once it is returned: core.Engine hands the
+// same View to every viewer whose evidence is the same, and the room
+// fans it out to their event queues, so several goroutines read one map.
+// No code outside tests writes one; copy (Outcome.Clone) before changing.
 type View struct {
 	// Outcome is the CP-net outcome the view realizes.
 	Outcome cpnet.Outcome

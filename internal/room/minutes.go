@@ -34,12 +34,12 @@ func (r *Room) Minutes() Minutes {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	m := Minutes{Room: r.Name, Annotations: make(map[uint64][]image.Annotation)}
-	for _, ev := range r.buf {
-		switch ev.Kind {
+	for i := 0; i < r.buf.len(); i++ {
+		switch ev := r.buf.at(i); ev.Kind {
 		case EvChat:
-			m.Chat = append(m.Chat, ev)
+			m.Chat = append(m.Chat, *ev)
 		case EvWordSearch, EvSpeakerSearch:
-			m.Searches = append(m.Searches, ev)
+			m.Searches = append(m.Searches, *ev)
 		}
 	}
 	for id, ann := range r.anns {
@@ -86,25 +86,28 @@ func (r *Room) AddMinutesComponent(actor, transcript string) (string, error) {
 	if _, ok := r.members[actor]; !ok {
 		return "", fmt.Errorf("room %s: no member %q", r.Name, actor)
 	}
-	doc := r.engine.Document()
-	// Find a free minutes-N name.
-	name := ""
-	for i := 1; ; i++ {
-		candidate := fmt.Sprintf("minutes-%d", i)
-		if _, err := doc.Component(candidate); err != nil {
-			name = candidate
-			break
+	// The engine's lock, not the room's, is what prefetch ranking and
+	// view solves hold while they read the document: edit under it.
+	var name string
+	err := r.engine.EditDocument(func(doc *document.Document) error {
+		// Find a free minutes-N name.
+		for i := 1; ; i++ {
+			name = fmt.Sprintf("minutes-%d", i)
+			if _, err := doc.Component(name); err != nil {
+				break
+			}
 		}
-	}
-	comp := &document.Component{
-		Name:  name,
-		Label: fmt.Sprintf("Discussion minutes (%s)", r.Name),
-		Presentations: []document.Presentation{
-			{Name: "text", Kind: document.KindText, Inline: []byte(transcript), Bytes: int64(len(transcript))},
-			{Name: "hidden", Kind: document.KindHidden},
-		},
-	}
-	if err := doc.AddComponent(doc.Root.Name, comp, nil, []string{"text", "hidden"}); err != nil {
+		comp := &document.Component{
+			Name:  name,
+			Label: fmt.Sprintf("Discussion minutes (%s)", r.Name),
+			Presentations: []document.Presentation{
+				{Name: "text", Kind: document.KindText, Inline: []byte(transcript), Bytes: int64(len(transcript))},
+				{Name: "hidden", Kind: document.KindHidden},
+			},
+		}
+		return doc.AddComponent(doc.Root.Name, comp, nil, []string{"text", "hidden"})
+	})
+	if err != nil {
 		return "", err
 	}
 	r.bumpDocLocked() // the document grew a component: drop the cached snapshot

@@ -145,11 +145,6 @@ func (ev *Event) approxSize() int64 {
 	return n
 }
 
-// changeBufferSize bounds the room's change buffer (oldest entries are
-// discarded first — "the changed objects are saved and discarded from the
-// room as soon as they are not needed").
-const changeBufferSize = 1024
-
 // Member is one participant's session in a room.
 type Member struct {
 	Name string
@@ -220,7 +215,7 @@ type Room struct {
 	frozen  map[uint64]string // object id -> holder
 	anns    map[uint64]*image.Annotated
 	rasters map[uint64]*image.Gray // base rasters for annotation rendering
-	buf     []Event
+	buf     changeBuffer
 	seq     uint64
 	// trimmed is the highest Seq ever discarded from the change buffer;
 	// a resume from at-or-after it can be replayed exactly, one from
@@ -396,7 +391,7 @@ func (r *Room) Join(ctx context.Context, name string) (*Member, []Event, documen
 	}
 	m := &Member{Name: name, room: r, ch: make(chan Event, memberQueueSize)}
 	r.members[name] = m
-	history := append([]Event(nil), r.buf...)
+	history := r.buf.since(0)
 	endPush := obs.StartSpan(ctx, "push")
 	r.broadcastLocked(Event{Room: r.Name, Actor: name, Kind: EvJoin}, true)
 	endPush()
@@ -538,14 +533,8 @@ func (r *Room) Resume(ctx context.Context, name string, since uint64) (*Member, 
 	}
 	m := &Member{Name: name, room: r, ch: make(chan Event, memberQueueSize)}
 	r.members[name] = m
-	var missed []Event
-	for _, ev := range r.buf {
-		if ev.Seq > since {
-			missed = append(missed, ev)
-		}
-	}
 	complete := since >= r.trimmed && since <= r.seq
-	return m, missed, view, complete, nil
+	return m, r.buf.since(since), view, complete, nil
 }
 
 // Detached lists the names of currently detached sessions, sorted.
@@ -591,7 +580,7 @@ func (r *Room) Gauges() Gauges {
 	g := Gauges{
 		Members:        len(r.members),
 		Detached:       len(r.detached),
-		BufferedEvents: len(r.buf),
+		BufferedEvents: r.buf.len(),
 	}
 	for _, m := range r.members {
 		d := len(m.ch)
@@ -632,11 +621,8 @@ func (r *Room) broadcastLocked(ev Event, reconfigure bool) {
 	r.seq++
 	ev.Seq = r.seq
 	ev.Room = r.Name
-	r.buf = append(r.buf, ev)
-	if len(r.buf) > changeBufferSize {
-		cut := len(r.buf) - changeBufferSize
-		r.trimmed = r.buf[cut-1].Seq
-		r.buf = r.buf[cut:]
+	if displaced := r.buf.push(ev); displaced != 0 {
+		r.trimmed = displaced
 	}
 	if !r.closed {
 		select {
@@ -645,13 +631,14 @@ func (r *Room) broadcastLocked(ev Event, reconfigure bool) {
 		}
 	}
 	r.fanOutLocked(ev)
-	defer func() {
+	if r.replicator != nil {
 		// Tap after the reconfigure loop below so the replicated Seq
 		// high-water mark includes the per-member presentation bumps.
-		if r.replicator != nil {
-			r.replicator(&ev, r.seq, r.trimmed)
-		}
-	}()
+		// The tap takes the event's address, which puts it on the heap:
+		// a copy made here, so a room nobody taps does not pay for one.
+		tapped := ev
+		defer func() { r.replicator(&tapped, r.seq, r.trimmed) }()
+	}
 	if reconfigure {
 		views, err := r.engine.Views()
 		if err != nil {
@@ -1046,7 +1033,7 @@ func (r *Room) SetReplicator(fn func(ev *Event, seq, trimmed uint64)) {
 func (r *Room) Restore(events []Event, seq, trimmed uint64) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.seq != 0 || len(r.buf) != 0 || len(r.members) != 0 {
+	if r.seq != 0 || r.buf.len() != 0 || len(r.members) != 0 {
 		return fmt.Errorf("room %s: restore into a live room", r.Name)
 	}
 	for i, ev := range events {
@@ -1054,11 +1041,10 @@ func (r *Room) Restore(events []Event, seq, trimmed uint64) error {
 			return fmt.Errorf("room %s: restore: event log not ascending within (%d, %d]", r.Name, trimmed, seq)
 		}
 	}
-	r.buf = append(r.buf[:0], events...)
-	if len(r.buf) > changeBufferSize {
-		cut := len(r.buf) - changeBufferSize
-		trimmed = r.buf[cut-1].Seq
-		r.buf = r.buf[cut:]
+	for _, ev := range events {
+		if displaced := r.buf.push(ev); displaced != 0 {
+			trimmed = displaced
+		}
 	}
 	r.seq = seq
 	r.trimmed = trimmed
@@ -1084,11 +1070,5 @@ func (r *Room) Trimmed() uint64 {
 func (r *Room) History(since uint64) []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var out []Event
-	for _, ev := range r.buf {
-		if ev.Seq > since {
-			out = append(out, ev)
-		}
-	}
-	return out
+	return r.buf.since(since)
 }

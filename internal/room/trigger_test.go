@@ -318,3 +318,55 @@ func TestMinutesSnapshotAndComponent(t *testing.T) {
 		t.Error("non-member save accepted")
 	}
 }
+
+// TestSaveMinutesWhileRankingPrefetch saves minutes — a document edit —
+// while another goroutine does what the QoS loop does between events:
+// rank prefetch candidates and solve views, holding the engine's lock and
+// not the room's. Under -race it fails if the edit runs outside that
+// lock; without it, if a view solved before a save is served after it.
+func TestSaveMinutesWhileRankingPrefetch(t *testing.T) {
+	r := newRoom(t)
+	ctx := context.Background()
+	if _, _, _, err := r.Join(ctx, "alice"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := r.Join(ctx, "bob"); err != nil {
+		t.Fatal(err)
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := r.Engine().PrefetchRank("bob"); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := r.Engine().ViewFor("bob"); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 25; i++ {
+		name, err := r.AddMinutesComponent("alice", fmt.Sprint("minutes of sitting ", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, viewer := range []string{"alice", "bob"} {
+			v, err := r.Engine().ViewFor(viewer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.Outcome[name] != "text" || !v.Visible[name] {
+				t.Fatalf("%s's view after saving %s presents it as %q", viewer, name, v.Outcome[name])
+			}
+		}
+	}
+	close(stop)
+	<-done
+}

@@ -235,12 +235,8 @@ func (s *Server) handleJoinRoom(ctx context.Context, p *wire.Peer, req *proto.Jo
 	return resp, nil
 }
 
-// startForwarder pumps the member's event stream to the client as pushes.
-// Room broadcast events carry a shared memoized encoding, so an
-// N-member fan-out encodes each event once and every other forwarder
-// pushes the same bytes (per-member presentation/resync events still
-// encode individually). The shared payload rides the writev batch by
-// reference: zero copies between the encode and the socket.
+// startForwarder pumps the member's event stream to the client as pushes
+// until the stream closes or the client stops taking them.
 func (s *Server) startForwarder(p *wire.Peer, sessions *peerSessions, rs *roomState, roomName, user string, member *room.Member) {
 	s.forwarders.Add(1)
 	if s.qos != nil {
@@ -251,35 +247,62 @@ func (s *Server) startForwarder(p *wire.Peer, sessions *peerSessions, rs *roomSt
 		if s.qos != nil {
 			defer s.qos.unregister(member)
 		}
-		for ev := range member.Events() {
-			// Refund the event's push-budget charge: once it is off the
-			// queue the room no longer holds it for this member.
-			member.Consumed(ev)
-			payload, encoded := ev.EncodeShared()
-			s.stats.Add(CounterFanoutEvents, 1)
-			if encoded {
-				s.stats.Add(CounterFanoutEncodes, 1)
-			} else {
-				s.stats.Add(CounterEncodesSaved, 1)
+		if err := s.forwardEvents(p, member); err != nil {
+			// The client is unreachable: detach the session so a
+			// reconnecting client can resume it within the grace
+			// period (after which it expires into a real leave).
+			sessions.drop(roomName)
+			if rs.room.Detach(member) {
+				s.stats.Add(CounterSessionDetached, 1)
 			}
-			if err := p.PushRaw(proto.MEvent, wire.EncBinary, payload); err != nil {
-				// The client is unreachable: detach the session so a
-				// reconnecting client can resume it within the grace
-				// period (after which it expires into a real leave).
-				// Detach closes the event channel, ending this range.
-				sessions.drop(roomName)
-				if rs.room.Detach(member) {
-					s.stats.Add(CounterSessionDetached, 1)
-				}
-				// Detach closed the channel with events possibly still
-				// queued; drain them so their push-budget charges are
-				// refunded — otherwise the abandoned member reads as
-				// phantom queue pressure to the QoS loop and the gauges.
-				member.DrainRefund()
-				return
-			}
+			// Detach closed the channel with events possibly still
+			// queued; drain them so their push-budget charges are
+			// refunded — otherwise the abandoned member reads as
+			// phantom queue pressure to the QoS loop and the gauges.
+			member.DrainRefund()
 		}
 	}()
+}
+
+// pusher is what the forwarder needs of a *wire.Peer; the counted test
+// of forwardEvents puts a sink behind it.
+type pusher interface {
+	PushRaw(method string, enc uint8, payload []byte) error
+}
+
+// forwardEvents pushes each event of the member's stream to p, returning
+// nil when the stream closes and the push's error when one fails.
+// Room broadcast events carry a shared memoized encoding, so an
+// N-member fan-out encodes each event once and every other forwarder
+// pushes the same bytes (per-member presentation/resync events still
+// encode individually). The shared payload rides the writev batch by
+// reference: zero copies between the encode and the socket.
+func (s *Server) forwardEvents(p pusher, member *room.Member) error {
+	// One Event for the forwarder's lifetime, received into again and
+	// again. EncodeShared hands its address to an interface, which puts
+	// it on the heap: declared inside the loop (or as a range variable,
+	// which is per iteration) that is one 328-byte allocation per event.
+	var ev room.Event
+	events := member.Events()
+	for {
+		var open bool
+		if ev, open = <-events; !open {
+			return nil
+		}
+		// Refund the event's push-budget charge: once it is off the
+		// queue the room no longer holds it for this member.
+		member.Consumed(ev)
+		payload, encoded := ev.EncodeShared()
+		s.stats.Add(CounterFanoutEvents, 1)
+		if encoded {
+			s.stats.Add(CounterFanoutEncodes, 1)
+		} else {
+			s.stats.Add(CounterEncodesSaved, 1)
+		}
+		if err := p.PushRaw(proto.MEvent, wire.EncBinary, payload); err != nil {
+			return err
+		}
+	}
 }
 
 func (s *Server) handleLeaveRoom(ctx context.Context, p *wire.Peer, req *proto.LeaveRoomReq) (*wire.None, error) {
