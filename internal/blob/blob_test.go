@@ -145,6 +145,29 @@ func TestDedupIdenticalPayloads(t *testing.T) {
 	}
 }
 
+// TestDedupHitPutAllocatesNothing pins what storing a payload the store
+// already holds costs: one SHA-256 pass over the caller's bytes and a
+// reference count under the lock — no chunking, no manifest, no copy.
+func TestDedupHitPutAllocatesNothing(t *testing.T) {
+	s, _ := openTemp(t)
+	payload := bytes.Repeat([]byte("layer..."), 8<<10) // 64 KiB
+	if _, err := s.Put(payload); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats().DedupHits
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := s.Put(payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations per dedup-hit Put of %d bytes, want 0", allocs, len(payload))
+	}
+	if hits := s.Stats().DedupHits - before; hits != 101 {
+		t.Errorf("%d of 101 repeat puts were dedup hits", hits)
+	}
+}
+
 func TestChunkLevelDedup(t *testing.T) {
 	s, _ := openTemp(t)
 	// Two distinct payloads sharing their first chunks: a re-encoded

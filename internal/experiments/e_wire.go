@@ -21,8 +21,8 @@ import (
 // payload rides the zero-copy span path from the blob store to writev).
 // It reports mean latency, server->client wire bytes per op (from the
 // writer's byte counter), and client-side heap allocations per op.
-// EXPERIMENTS.md keeps the PR 7 table that set these numbers beside the
-// gob stream v2 replaced; BenchmarkE14WireRPC gates them in BENCH_9.json.
+// EXPERIMENTS.md keeps the PR 7 table that set these numbers beside gob's;
+// internal/server's TestListDocumentsRoundTripAllocations pins the first.
 func E14Wire(workdir string) (*Table, error) {
 	t := &Table{
 		ID:      "E14",

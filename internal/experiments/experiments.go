@@ -2,9 +2,9 @@
 // description as a measurable experiment (the paper, a prototype
 // description, publishes screenshots; we publish the numbers behind the
 // behaviour each screenshot demonstrates). DESIGN.md §4 maps experiment
-// ids E1–E9 to paper figures; cmd/mmbench prints every table, and
-// bench_test.go exposes testing.B counterparts. EXPERIMENTS.md records
-// representative output.
+// ids E1–E9 to paper figures; cmd/mmbench prints every table (-only En
+// for one), and EXPERIMENTS.md records representative output. Performance
+// is measured and gated by benchmark/, not here.
 package experiments
 
 import (

@@ -203,6 +203,20 @@ func TestE7Smoke(t *testing.T) {
 	}
 }
 
+func TestE11Smoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	tb, err := E11TailLatency(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The client's view of a choice, the server's, and the server's joins.
+	if len(tb.Rows) != 3 || tb.Rows[0][1] != "240" || tb.Rows[1][1] != "240" || tb.Rows[2][1] != "4" {
+		t.Fatalf("rows = %d:\n%s", len(tb.Rows), tb)
+	}
+}
+
 func TestE12Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -239,6 +253,27 @@ func TestE12Smoke(t *testing.T) {
 	shed := tb.Rows[4][3]
 	if shed == "0" || shed == "-" {
 		t.Errorf("protected 3x shed nothing:\n%s", tb)
+	}
+}
+
+// E13's claims are counts, so the smoke test can hold it to them: every
+// repeat of the identical payload is a dedup hit, and each scenario ends
+// with on-disk bytes within half a percent of the unique live bytes.
+func TestE13Smoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	tb, err := E13Blob(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tb.Rows) != 3 || tb.Rows[0][5] != "49 dedup hits" {
+		t.Fatalf("rows = %d:\n%s", len(tb.Rows), tb)
+	}
+	for _, row := range tb.Rows {
+		if row[4] != "1.00" {
+			t.Errorf("%s: on-disk/unique ratio %s, want 1.00", row[0], row[4])
+		}
 	}
 }
 
@@ -303,5 +338,25 @@ func TestE16Smoke(t *testing.T) {
 	}
 	if ratio <= 0 || ratio > 2.0 {
 		t.Errorf("forward/direct P50 ratio = %.2fx, want (0, 2.0]:\n%s", ratio, tb)
+	}
+}
+
+// E17's claims worth guarding (the experiment itself refuses a repeat
+// sync that moves chunks): the first sync moves exactly the full copy's
+// bytes, and a record sharing its media moves a small fraction of them.
+func TestE17Smoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	tb, err := E17Replication(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tb.Rows) != 4 {
+		t.Fatalf("rows = %d:\n%s", len(tb.Rows), tb)
+	}
+	if tb.Rows[1][3] != tb.Rows[0][3] || tb.Rows[2][3] != "0" || tb.Rows[3][2] != "1" {
+		t.Errorf("bytes moved: full %s, first sync %s, repeat %s; second record pulled %s chunks:\n%s",
+			tb.Rows[0][3], tb.Rows[1][3], tb.Rows[2][3], tb.Rows[3][2], tb)
 	}
 }
