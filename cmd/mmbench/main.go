@@ -54,20 +54,10 @@ var all = []experiment{
 		func(string) (*experiments.Table, error) { return experiments.E8Prefetch() }},
 	{"E9", "online CP-net update cost (§4.2)",
 		func(string) (*experiments.Table, error) { return experiments.E9Update() }},
-	{"E11", "tail latency under concurrent conferencing",
-		experiments.E11TailLatency},
 	{"E12", "goodput under overload: admission control vs unprotected",
 		experiments.E12Overload},
-	{"E13", "content-addressed blob store: dedup, hole reuse, compaction",
-		experiments.E13Blob},
-	{"E14", "wire protocol v2: codec cost on the RPC hot path",
-		experiments.E14Wire},
 	{"E15", "adaptive QoS: bandwidth-tuned degradation vs static-high (§4.4)",
 		func(string) (*experiments.Table, error) { return experiments.E15QoS() }},
-	{"E16", "cluster routing: cross-node forward overhead vs direct serve",
-		experiments.E16Cluster},
-	{"E17", "digest-driven replication: chunk transfer vs full copy",
-		experiments.E17Replication},
 }
 
 func main() {

@@ -30,7 +30,7 @@ func runIn(t *testing.T, args ...string) (code int, stdout, stderr string, left 
 func TestList(t *testing.T) {
 	code, stdout, _, _ := runIn(t, "-list")
 	lines := strings.Split(strings.TrimSpace(stdout), "\n")
-	if code != 0 || len(lines) != 16 || !strings.HasPrefix(lines[0], "E1 ") || !strings.HasPrefix(lines[15], "E17 ") {
+	if code != 0 || len(lines) != 11 || !strings.HasPrefix(lines[0], "E1 ") || !strings.HasPrefix(lines[10], "E15 ") {
 		t.Errorf("-list exits %d with %d lines:\n%s", code, len(lines), stdout)
 	}
 }
@@ -56,12 +56,12 @@ func TestOnlyJSON(t *testing.T) {
 	}
 }
 
-// An id the table does not have is a refused command line, not an empty
-// run that exits 0.
+// An id the table does not have (the index is E1–E9, E12 and E15: no E13)
+// is a refused command line, not an empty run that exits 0.
 func TestUnknownID(t *testing.T) {
-	for _, only := range []string{"E99", "E2,E10", "E2,"} {
+	for _, only := range []string{"E99", "E13", "E2,E10", "E2,"} {
 		code, stdout, stderr, left := runIn(t, "-only", only)
-		if code != 2 || stdout != "" || !strings.Contains(stderr, "E1, E2,") || !strings.Contains(stderr, "E17") {
+		if code != 2 || stdout != "" || !strings.Contains(stderr, "the ids are E1, E2, E3, E4, E5, E6, E7, E8, E9, E12, E15\n") {
 			t.Errorf("-only %s exits %d, stdout %q, stderr %q", only, code, stdout, stderr)
 		}
 		if len(left) != 0 {

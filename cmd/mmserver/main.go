@@ -41,7 +41,6 @@ import (
 	"mmconf/internal/obs"
 	"mmconf/internal/server"
 	"mmconf/internal/store"
-	"mmconf/internal/wire"
 	"mmconf/internal/workload"
 )
 
@@ -54,7 +53,6 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 0, "admission control: concurrent request cap (0: default 1024, negative: disabled)")
 	queueDepth := flag.Int("queue-depth", 0, "admission control: wait-queue bound once the cap is reached (0: default 128)")
 	queueTimeout := flag.Duration("queue-timeout", 0, "admission control: max time a request waits for a slot before being shed (0: default 1s, negative: wait as long as the request allows)")
-	shedPolicy := flag.String("shed-policy", "priority", "admission control: queue-full shedding policy: priority | fifo")
 	peerRate := flag.Float64("peer-rate", 0, "per-connection sustained request rate limit in req/s (0: unlimited)")
 	peerBurst := flag.Int("peer-burst", 0, "per-connection burst allowance on top of -peer-rate (0: derived from the rate)")
 	pushBudget := flag.Int64("push-budget", 0, "per-member event-queue byte budget; slow consumers over it get a Resync hint (0: default 1MiB, negative: unbounded)")
@@ -65,20 +63,10 @@ func main() {
 	forward := flag.Bool("forward", false, "cluster: relay wrong-node requests to the owner instead of redirecting (protocol-v2 clients)")
 	flag.Parse()
 
-	var policy wire.ShedPolicy
-	switch *shedPolicy {
-	case "priority":
-		policy = wire.ShedByPriority
-	case "fifo":
-		policy = wire.ShedFIFO
-	default:
-		log.Fatalf("mmserver: unknown -shed-policy %q (want priority or fifo)", *shedPolicy)
-	}
 	opts := server.Options{
 		MaxInflight:      *maxInflight,
 		QueueDepth:       *queueDepth,
 		QueueTimeout:     *queueTimeout,
-		ShedPolicy:       policy,
 		PerPeerRate:      *peerRate,
 		PerPeerBurst:     *peerBurst,
 		MemberPushBudget: *pushBudget,

@@ -19,8 +19,8 @@ import (
 // with its own populated store, its own netsim fault domain (listener +
 // node-link dials), plus a separate client fault domain. Everything
 // runs in one process under the race detector; partitions, crashes and
-// drains are injected per node. Experiments use it too (E16), so it
-// carries no testing.T — errors return normally.
+// drains are injected per node. benchmark/ builds its cluster_choice
+// workload on it too, so it carries no testing.T — errors return normally.
 
 // HarnessOptions configures NewHarness.
 type HarnessOptions struct {
@@ -207,17 +207,6 @@ func (h *Harness) startNode(ids, addrs []string, listeners []net.Listener, i int
 		_ = node.Serve(hn.listener)
 	}()
 	return hn, nil
-}
-
-// Media exposes the node's media database — experiments measure
-// replication transfer against its blob statistics.
-func (hn *HarnessNode) Media() *mediadb.MediaDB { return hn.media }
-
-// SyncDataset runs the unforced dataset sync every replication flush of
-// room ends in, toward the given standby, without waiting for a room
-// event — the call BenchmarkE17UnchangedFlush times.
-func (hn *HarnessNode) SyncDataset(room, docID, standby string) {
-	hn.Node.syncDataset(room, docID, standby, false)
 }
 
 // Addrs lists every node's client address in node order — the endpoint

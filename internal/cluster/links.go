@@ -422,12 +422,6 @@ func (n *Node) markDirty(roomName string) {
 	n.repMu.Unlock()
 }
 
-// ForceResync marks every replicated room dirty: the next replication
-// round re-sends full snapshots and dataset manifests even if nothing
-// changed. Tests and experiments use it to measure the cost of a
-// no-op re-sync (manifest frame, zero chunks).
-func (n *Node) ForceResync() { n.markAllDirty() }
-
 // markAllDirty forces a re-snapshot of every replicated room — the
 // placement changed, so standbys may have too.
 func (n *Node) markAllDirty() {

@@ -225,7 +225,7 @@ func TestReplicationWriteDuringExportIsNotLost(t *testing.T) {
 	f.assertStandbyMatches(t)
 }
 
-// TestReplicationGateBypasses: ForceResync, a failed send and a standby
+// TestReplicationGateBypasses: a forced resend, a failed send and a standby
 // change each export again although the position has not moved, and a
 // failed send leaves the cursor exactly where it was.
 func TestReplicationGateBypasses(t *testing.T) {
@@ -237,10 +237,10 @@ func TestReplicationGateBypasses(t *testing.T) {
 		t.Fatalf("converged room: %d exports, %d syncs, want 1 and 1", m.DatasetExports, m.ManifestSyncs)
 	}
 
-	n.ForceResync()
+	n.markAllDirty()
 	f.waitSyncs(t, 2)
 	if m := n.Metrics(); m.DatasetExports != 2 {
-		t.Errorf("ForceResync: %d exports, want 2", m.DatasetExports)
+		t.Errorf("forced resend: %d exports, want 2", m.DatasetExports)
 	}
 	if got := f.cursor(); got.dataStandby != synced.dataStandby || got.dataFP != synced.dataFP || got.dataPos != synced.dataPos {
 		t.Errorf("forced resend of an unchanged room moved the cursor: %+v -> %+v", synced, got)

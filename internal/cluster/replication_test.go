@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mmconf/internal/client"
+	"mmconf/internal/workload"
 )
 
 // The partial-dataset replication suite: nodes no longer need
@@ -107,6 +108,51 @@ func TestReplicationSyncsDatasetToEmptyStandby(t *testing.T) {
 	}
 	if m := owner.Node.Metrics(); m.ManifestSyncs == 0 {
 		t.Errorf("owner sent no manifest syncs: %+v", m)
+	}
+	// No amplification: an empty store pulls exactly the payload bytes a
+	// full copy of the record would move.
+	ds, err := owner.media.ExportDataset("p1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fullCopy int64
+	for _, bh := range ds.Handles() {
+		fullCopy += int64(bh.Length)
+	}
+	if got := standby.Node.Metrics().SyncChunkBytesPulled; got != fullCopy {
+		t.Errorf("first sync pulled %d chunk bytes, want the full copy's %d", got, fullCopy)
+	}
+}
+
+// TestReplicationSecondRecordPullsOnlyItsDocument: the CAS is shared
+// across rooms, so a second record populated from the same seed — the
+// same media payloads under a document blob of its own — costs its
+// standby one chunk.
+func TestReplicationSecondRecordPullsOnlyItsDocument(t *testing.T) {
+	h := newReplHarness(t, 3, "n3")
+	owner, standby := h.ByID("n1"), h.ByID("n3")
+	if _, err := workload.Populate(owner.media, "p2", harnessSeed); err != nil {
+		t.Fatal(err)
+	}
+	alice := clusterClient(t, h, "alice")
+	// syncRoom joins a room n1 replicates to n3 around doc and returns
+	// the standby's counters once they moved past since.
+	syncRoom := func(prefix, doc string, since Metrics) Metrics {
+		s, _, err := alice.Join(h.roomPlacedOn("n1", "n3", prefix), doc, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustChat(t, s, "hello")
+		waitMetric(t, standby, doc+" adoption", func(m Metrics) bool {
+			return m.SyncRowsAdopted > since.SyncRowsAdopted && m.SyncChunkBytesPulled > since.SyncChunkBytesPulled
+		})
+		return standby.Node.Metrics()
+	}
+	first := syncRoom("board", "p1", Metrics{})
+	second := syncRoom("annex", "p2", first)
+	if got := second.SyncChunksPulled - first.SyncChunksPulled; got != 1 {
+		t.Errorf("second record pulled %d chunks (%d bytes), want 1: only its document blob is new",
+			got, second.SyncChunkBytesPulled-first.SyncChunkBytesPulled)
 	}
 }
 

@@ -31,8 +31,8 @@ const fetchChunkBatch = 256
 // was shipped or found identical means the export would be byte-identical,
 // so return before making it), then the fingerprint of the exported frame
 // (the position is store-wide; a write to some other document moves it),
-// then the send. force — a dirty room, a standby change, ForceResync —
-// bypasses both comparisons and always ships.
+// then the send. force — a dirty room, a standby change — bypasses both
+// comparisons and always ships.
 func (n *Node) syncDataset(roomName, docID, standby string, force bool) {
 	if docID == "" || n.db == nil {
 		return

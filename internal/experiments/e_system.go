@@ -66,54 +66,53 @@ func E1Retrieve(workdir string) (*Table, error) {
 		})
 	}
 
+	// Each fetch is timed over reps round trips and reports its payload
+	// size; the first failed call is the experiment's error.
 	const reps = 20
-	lat := timeIt(reps, func() {
-		if _, _, err := c.ListDocuments(); err != nil {
-			panic(err)
-		}
-	})
-	row("list documents", 64, lat)
-
 	var docBytes int
-	lat = timeIt(reps, func() {
-		doc, err := c.GetDocument("p1")
+	for _, fetch := range []struct {
+		op   string
+		call func() (payload int, err error)
+	}{
+		{"list documents", func() (int, error) {
+			_, _, err := c.ListDocuments()
+			return 64, err
+		}},
+		{"get document + CP-net", func() (int, error) {
+			doc, err := c.GetDocument("p1")
+			if err != nil {
+				return 0, err
+			}
+			data, _ := doc.MarshalBinary()
+			docBytes = len(data)
+			return docBytes, nil
+		}},
+		{"get CT image (flat)", func() (int, error) {
+			img, _, err := c.GetImage(rec.CTID)
+			if err != nil {
+				return 0, err
+			}
+			return len(img.Encode()), nil
+		}},
+		{"get CT base layer", func() (int, error) {
+			_, n, err := c.GetCmp(rec.CmpID, 1)
+			return n, err
+		}},
+		{"get voice fragment", func() (int, error) {
+			pcm, _, _, err := c.GetAudio(rec.VoiceID)
+			return len(pcm), err
+		}},
+	} {
+		var payload int
+		lat, err := timeIt(reps, func() (err error) {
+			payload, err = fetch.call()
+			return err
+		})
 		if err != nil {
-			panic(err)
+			return nil, fmt.Errorf("%s: %w", fetch.op, err)
 		}
-		data, _ := doc.MarshalBinary()
-		docBytes = len(data)
-	})
-	row("get document + CP-net", docBytes, lat)
-
-	var imgBytes int
-	lat = timeIt(reps, func() {
-		img, _, err := c.GetImage(rec.CTID)
-		if err != nil {
-			panic(err)
-		}
-		imgBytes = len(img.Encode())
-	})
-	row("get CT image (flat)", imgBytes, lat)
-
-	var cmpBase int
-	lat = timeIt(reps, func() {
-		_, n, err := c.GetCmp(rec.CmpID, 1)
-		if err != nil {
-			panic(err)
-		}
-		cmpBase = n
-	})
-	row("get CT base layer", cmpBase, lat)
-
-	var audioBytes int
-	lat = timeIt(reps, func() {
-		pcm, _, _, err := c.GetAudio(rec.VoiceID)
-		if err != nil {
-			panic(err)
-		}
-		audioBytes = len(pcm)
-	})
-	row("get voice fragment", audioBytes, lat)
+		row(fetch.op, payload, lat)
+	}
 
 	// Join + initial optimal presentation (use case of Fig. 4a).
 	joiner, err := client.Dial(l.Addr().String(), "joiner")

@@ -61,16 +61,19 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// timeIt runs fn n times and returns the mean duration.
-func timeIt(n int, fn func()) time.Duration {
+// timeIt runs fn n times and returns the mean duration; the first error
+// fn returns ends the loop and is the experiment's.
+func timeIt(n int, fn func() error) (time.Duration, error) {
 	if n < 1 {
 		n = 1
 	}
 	start := time.Now()
 	for i := 0; i < n; i++ {
-		fn()
+		if err := fn(); err != nil {
+			return 0, err
+		}
 	}
-	return time.Since(start) / time.Duration(n)
+	return time.Since(start) / time.Duration(n), nil
 }
 
 // fmtDur renders a duration compactly with µs precision.
@@ -113,23 +116,27 @@ func E2OptimalOutcome() (*Table, error) {
 	t.Notes = append(t.Notes, fmt.Sprintf("Fig. 2 network verified: optimum is %v", opt))
 
 	for _, n := range []int{5, 10, 20, 50, 100, 200} {
-		doc, err := workload.WideRecord(fmt.Sprintf("w%d", n), n, int64(n))
+		doc, err := wideDoc(n)
 		if err != nil {
 			return nil, err
 		}
 		net := doc.Prefs
-		sweep := timeIt(200, func() {
-			if _, err := net.OptimalOutcome(); err != nil {
-				panic(err)
-			}
+		sweep, err := timeIt(200, func() error {
+			_, err := net.OptimalOutcome()
+			return err
 		})
+		if err != nil {
+			return nil, err
+		}
 		bruteCell, speedCell := "-", "-"
 		if n <= 10 {
-			brute := timeIt(3, func() {
-				if _, err := bruteForceOptimum(net); err != nil {
-					panic(err)
-				}
+			brute, err := timeIt(3, func() error {
+				_, err := bruteForceOptimum(net)
+				return err
 			})
+			if err != nil {
+				return nil, err
+			}
 			bruteCell = fmtDur(brute)
 			speedCell = fmt.Sprintf("%.0fx", float64(brute)/float64(sweep))
 		}
@@ -250,18 +257,22 @@ func E3Reconfig() (*Table, error) {
 			dom := c.Domain()
 			choices[c.Name] = dom[rng.Intn(len(dom))]
 		}
-		sweep := timeIt(100, func() {
-			if _, err := doc.ReconfigPresentation(choices); err != nil {
-				panic(err)
-			}
+		sweep, err := timeIt(100, func() error {
+			_, err := doc.ReconfigPresentation(choices)
+			return err
 		})
+		if err != nil {
+			return nil, err
+		}
 		bruteCell, speedCell := "-", "-"
 		if n <= 10 {
-			brute := timeIt(3, func() {
-				if _, err := bruteForceCompletion(doc.Prefs, choices); err != nil {
-					panic(err)
-				}
+			brute, err := timeIt(3, func() error {
+				_, err := bruteForceCompletion(doc.Prefs, choices)
+				return err
 			})
+			if err != nil {
+				return nil, err
+			}
 			bruteCell = fmtDur(brute)
 			speedCell = fmt.Sprintf("%.0fx", float64(brute)/float64(sweep))
 		}
@@ -327,64 +338,73 @@ func E9Update() (*Table, error) {
 		Columns: []string{"components", "add-component", "add-operation", "remove-component", "overlay-op", "overlay-solve"},
 	}
 	for _, n := range []int{10, 50, 100, 200} {
-		// Pre-build fresh documents so construction stays out of the
-		// timed sections (each mutating op consumes one document).
+		// Each mutating op consumes one document, so it is timed over
+		// fresh ones built outside the timed section.
 		const reps = 30
-		fresh := func() []*document.Document {
+		perFreshDoc := func(op func(*document.Document) error) (time.Duration, error) {
 			docs := make([]*document.Document, reps)
 			for i := range docs {
-				docs[i] = mustWide(n)
+				doc, err := wideDoc(n)
+				if err != nil {
+					return 0, err
+				}
+				docs[i] = doc
 			}
-			return docs
+			i := 0
+			return timeIt(reps, func() error {
+				doc := docs[i]
+				i++
+				return op(doc)
+			})
 		}
-		docs := fresh()
-		i := 0
-		addComp := timeIt(reps, func() {
-			doc := docs[i]
-			i++
-			if err := doc.AddComponent("record", &document.Component{
+		addComp, err := perFreshDoc(func(doc *document.Document) error {
+			return doc.AddComponent("record", &document.Component{
 				Name: "extra",
 				Presentations: []document.Presentation{
 					{Name: "full", Kind: document.KindImage},
 					{Name: "hidden", Kind: document.KindHidden},
 				},
-			}, []string{"img000"}, []string{"full", "hidden"}); err != nil {
-				panic(err)
-			}
+			}, []string{"img000"}, []string{"full", "hidden"})
 		})
-		docs, i = fresh(), 0
-		addOp := timeIt(reps, func() {
-			doc := docs[i]
-			i++
-			if _, err := doc.ApplyOperation("img000", "zoom", "full"); err != nil {
-				panic(err)
-			}
+		if err != nil {
+			return nil, err
+		}
+		addOp, err := perFreshDoc(func(doc *document.Document) error {
+			_, err := doc.ApplyOperation("img000", "zoom", "full")
+			return err
 		})
-		docs, i = fresh(), 0
-		remove := timeIt(reps, func() {
-			doc := docs[i]
-			i++
-			if err := doc.RemoveComponent(fmt.Sprintf("img%03d", n-1)); err != nil {
-				panic(err)
-			}
+		if err != nil {
+			return nil, err
+		}
+		remove, err := perFreshDoc(func(doc *document.Document) error {
+			return doc.RemoveComponent(fmt.Sprintf("img%03d", n-1))
 		})
+		if err != nil {
+			return nil, err
+		}
 		// Overlay operations measured on one persistent document.
-		doc := mustWide(n)
-		ovOp := timeIt(50, func() {
-			ov := doc.NewOverlay()
-			if _, err := doc.ApplyOperationPrivate(ov, "img000", "zoom", "full"); err != nil {
-				panic(err)
-			}
+		doc, err := wideDoc(n)
+		if err != nil {
+			return nil, err
+		}
+		ovOp, err := timeIt(50, func() error {
+			_, err := doc.ApplyOperationPrivate(doc.NewOverlay(), "img000", "zoom", "full")
+			return err
 		})
+		if err != nil {
+			return nil, err
+		}
 		ov := doc.NewOverlay()
 		if _, err := doc.ApplyOperationPrivate(ov, "img000", "zoom", "full"); err != nil {
 			return nil, err
 		}
-		ovSolve := timeIt(100, func() {
-			if _, err := doc.ReconfigPresentationFor(ov, nil); err != nil {
-				panic(err)
-			}
+		ovSolve, err := timeIt(100, func() error {
+			_, err := doc.ReconfigPresentationFor(ov, nil)
+			return err
 		})
+		if err != nil {
+			return nil, err
+		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n), fmtDur(addComp), fmtDur(addOp), fmtDur(remove), fmtDur(ovOp), fmtDur(ovSolve),
 		})
@@ -394,12 +414,7 @@ func E9Update() (*Table, error) {
 	return t, nil
 }
 
-// mustWide builds a WideRecord or panics (timing-loop helper; the
-// construction cost is excluded from measured sections where it matters).
-func mustWide(n int) *document.Document {
-	doc, err := workload.WideRecord(fmt.Sprintf("w%d", n), n, int64(n))
-	if err != nil {
-		panic(err)
-	}
-	return doc
+// wideDoc builds the n-component WideRecord E2 solves and E9 mutates.
+func wideDoc(n int) (*document.Document, error) {
+	return workload.WideRecord(fmt.Sprintf("w%d", n), n, int64(n))
 }

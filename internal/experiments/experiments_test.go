@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"fmt"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -68,6 +68,25 @@ func TestFmtDur(t *testing.T) {
 		if got := fmtDur(in); got != want {
 			t.Errorf("fmtDur(%v) = %s, want %s", in, got, want)
 		}
+	}
+}
+
+// A failing body ends the timed loop and its error comes back: one failed
+// RPC is the experiment's error, not a panic that takes mmbench with it.
+func TestTimeItReturnsBodyError(t *testing.T) {
+	boom := errors.New("boom")
+	calls := 0
+	d, err := timeIt(5, func() error {
+		if calls++; calls == 3 {
+			return boom
+		}
+		return nil
+	})
+	if !errors.Is(err, boom) || calls != 3 || d != 0 {
+		t.Errorf("timeIt = %v, %v after %d calls; want 0, boom after 3", d, err, calls)
+	}
+	if _, err := timeIt(5, func() error { return nil }); err != nil {
+		t.Errorf("timeIt of a clean body = %v", err)
 	}
 }
 
@@ -203,20 +222,6 @@ func TestE7Smoke(t *testing.T) {
 	}
 }
 
-func TestE11Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	tb, err := E11TailLatency(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The client's view of a choice, the server's, and the server's joins.
-	if len(tb.Rows) != 3 || tb.Rows[0][1] != "240" || tb.Rows[1][1] != "240" || tb.Rows[2][1] != "4" {
-		t.Fatalf("rows = %d:\n%s", len(tb.Rows), tb)
-	}
-}
-
 func TestE12Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -256,41 +261,6 @@ func TestE12Smoke(t *testing.T) {
 	}
 }
 
-// E13's claims are counts, so the smoke test can hold it to them: every
-// repeat of the identical payload is a dedup hit, and each scenario ends
-// with on-disk bytes within half a percent of the unique live bytes.
-func TestE13Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	tb, err := E13Blob(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 3 || tb.Rows[0][5] != "49 dedup hits" {
-		t.Fatalf("rows = %d:\n%s", len(tb.Rows), tb)
-	}
-	for _, row := range tb.Rows {
-		if row[4] != "1.00" {
-			t.Errorf("%s: on-disk/unique ratio %s, want 1.00", row[0], row[4])
-		}
-	}
-}
-
-func TestE14Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	tb, err := E14Wire(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One row for each of the two RPC shapes.
-	if len(tb.Rows) != 2 || tb.Rows[0][0] != "ListDocuments" || tb.Rows[1][0] != "GetCmp" {
-		t.Fatalf("rows = %d:\n%s", len(tb.Rows), tb)
-	}
-}
-
 // E15's claim worth guarding: on the slowest profile, the adaptive mode
 // must beat static-high on time-to-presentable, and on the fastest the
 // two modes must coincide (level=high changes nothing).
@@ -312,51 +282,5 @@ func TestE15Smoke(t *testing.T) {
 	}
 	if tb.Rows[4][3] != tb.Rows[5][3] {
 		t.Errorf("lan modes diverged: %v vs %v", tb.Rows[4], tb.Rows[5])
-	}
-}
-
-// E16's claim worth guarding: serving a room through a forwarding
-// non-owner node costs at most 2x the direct-serve P50 — the routing
-// tier's relay must stay cheap next to the client's own link latency.
-func TestE16Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	tb, err := E16Cluster(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 2 {
-		t.Fatalf("rows = %d:\n%s", len(tb.Rows), tb)
-	}
-	var ratio float64
-	if len(tb.Notes) == 0 {
-		t.Fatalf("no notes:\n%s", tb)
-	}
-	if _, err := fmt.Sscanf(tb.Notes[0], "forward/direct P50 ratio = %fx", &ratio); err != nil {
-		t.Fatalf("cannot parse ratio from note %q: %v", tb.Notes[0], err)
-	}
-	if ratio <= 0 || ratio > 2.0 {
-		t.Errorf("forward/direct P50 ratio = %.2fx, want (0, 2.0]:\n%s", ratio, tb)
-	}
-}
-
-// E17's claims worth guarding (the experiment itself refuses a repeat
-// sync that moves chunks): the first sync moves exactly the full copy's
-// bytes, and a record sharing its media moves a small fraction of them.
-func TestE17Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	tb, err := E17Replication(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 4 {
-		t.Fatalf("rows = %d:\n%s", len(tb.Rows), tb)
-	}
-	if tb.Rows[1][3] != tb.Rows[0][3] || tb.Rows[2][3] != "0" || tb.Rows[3][2] != "1" {
-		t.Errorf("bytes moved: full %s, first sync %s, repeat %s; second record pulled %s chunks:\n%s",
-			tb.Rows[0][3], tb.Rows[1][3], tb.Rows[2][3], tb.Rows[3][2], tb)
 	}
 }

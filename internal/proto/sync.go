@@ -97,7 +97,7 @@ type SyncManifestReq struct {
 }
 
 // SyncManifestResp acknowledges adoption with transfer accounting —
-// the numbers E17 and the acceptance tests assert on.
+// the numbers the replication tests assert on.
 type SyncManifestResp struct {
 	Node             string
 	RowsAdopted      uint32

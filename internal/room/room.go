@@ -11,9 +11,7 @@ package room
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -303,39 +301,6 @@ func (r *Room) triggerLoop() {
 // Engine exposes the room's presentation engine.
 func (r *Room) Engine() *core.Engine { return r.engine }
 
-// OnQueueDrop installs a hook observing every discarded member-queue
-// event. The hook runs under the room lock — keep it cheap.
-func (r *Room) OnQueueDrop(fn func(member string)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.dropHook = fn
-}
-
-// SetPushBudget caps the estimated bytes of undrained events queued per
-// member (<= 0: disabled). Only enable it when the consumer refunds
-// delivered events via Member.Consumed — the server's forwarder does.
-func (r *Room) SetPushBudget(n int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.pushBudget = n
-}
-
-// SetGrace sets how long a detached session survives before expiring
-// into a full leave. With d <= 0, Detach degrades to an immediate leave.
-func (r *Room) SetGrace(d time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.grace = d
-}
-
-// OnSessionExpire installs a hook observing detached sessions that ran
-// out their grace period. The hook runs outside the room lock.
-func (r *Room) OnSessionExpire(fn func(user string)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.expireHook = fn
-}
-
 // bumpDocLocked invalidates the cached document snapshot; call after
 // any shared document mutation. Callers hold r.mu.
 func (r *Room) bumpDocLocked() { r.docVer++ }
@@ -356,209 +321,6 @@ func (r *Room) DocSnapshot() (data []byte, hit bool, err error) {
 	}
 	r.docSnap, r.docSnapVer = data, r.docVer
 	return data, false, nil
-}
-
-// Join adds a member, replays the change buffer to them as a catch-up
-// snapshot, and announces the join to everyone. A cancelled ctx aborts
-// before any state changes — the request's client is already gone, so
-// admitting it would strand a membership nobody drains.
-func (r *Room) Join(ctx context.Context, name string) (*Member, []Event, document.View, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return nil, nil, document.View{}, fmt.Errorf("room %s: join %s: %w", r.Name, name, err)
-	}
-	if r.closed {
-		return nil, nil, document.View{}, fmt.Errorf("room %s: closed", r.Name)
-	}
-	if _, dup := r.members[name]; dup {
-		return nil, nil, document.View{}, fmt.Errorf("room %s: member %q already present", r.Name, name)
-	}
-	// A fresh join supersedes any detached session under the same name:
-	// the old session leaves for real (its engine state and freezes are
-	// retracted) before the new one enters, so a client that gave up on
-	// resuming is never blocked by its own ghost.
-	if t, ok := r.detached[name]; ok {
-		t.Stop()
-		delete(r.detached, name)
-		if err := r.removeLocked(name); err != nil {
-			return nil, nil, document.View{}, err
-		}
-	}
-	view, err := r.engine.Join(name)
-	if err != nil {
-		return nil, nil, document.View{}, err
-	}
-	m := &Member{Name: name, room: r, ch: make(chan Event, memberQueueSize)}
-	r.members[name] = m
-	history := r.buf.since(0)
-	endPush := obs.StartSpan(ctx, "push")
-	r.broadcastLocked(Event{Room: r.Name, Actor: name, Kind: EvJoin}, true)
-	endPush()
-	return m, history, view, nil
-}
-
-// Leave removes a member, retracts their choices, and reconfigures the
-// remaining members' presentations if needed. A detached session may
-// also Leave, ending its grace period early.
-func (r *Room) Leave(name string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if t, ok := r.detached[name]; ok {
-		t.Stop()
-		delete(r.detached, name)
-		return r.removeLocked(name)
-	}
-	m, ok := r.members[name]
-	if !ok {
-		return fmt.Errorf("room %s: no member %q", r.Name, name)
-	}
-	delete(r.members, name)
-	close(m.ch)
-	return r.removeLocked(name)
-}
-
-// removeLocked finishes a departure for a name already out of the member
-// map (left, evicted, or expired from detachment): broadcaster handoff,
-// engine retraction, freeze release, and the EvLeave announcement.
-// Callers hold r.mu.
-func (r *Room) removeLocked(name string) error {
-	if r.broadcaster == name {
-		r.broadcaster = ""
-		r.broadcastLocked(Event{Room: r.Name, Actor: name, Kind: EvBroadcastStop}, false)
-	}
-	changed, err := r.engine.Leave(name)
-	if err != nil {
-		return err
-	}
-	// Release any freezes the departing member held.
-	for id, holder := range r.frozen {
-		if holder == name {
-			delete(r.frozen, id)
-			r.broadcastLocked(Event{Room: r.Name, Actor: name, Kind: EvRelease, ObjectID: id}, false)
-		}
-	}
-	r.broadcastLocked(Event{Room: r.Name, Actor: name, Kind: EvLeave}, changed)
-	return nil
-}
-
-// ErrNoSession reports a Resume for a (user, room) pair with no live
-// detached session — it expired, never existed, or already resumed.
-var ErrNoSession = errors.New("room: no detached session")
-
-// Detach converts a live membership into a detached session: the member
-// channel closes (its forwarder unblocks) but the engine membership,
-// choices, and freezes stay in place for a grace period so the same user
-// can Resume without the room observing a leave. The member handle
-// identifies the session: if the name's live membership is a different
-// handle (the user already resumed on a new connection and this is a
-// stale eviction of the old one), Detach is a no-op. It reports whether
-// a detached session is now pending; false means nothing was detached or
-// the grace period is disabled and the membership was fully removed.
-func (r *Room) Detach(m *Member) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	name := m.Name
-	cur, ok := r.members[name]
-	if !ok || cur != m {
-		return false
-	}
-	delete(r.members, name)
-	close(m.ch)
-	if r.grace <= 0 || r.closed {
-		r.removeLocked(name)
-		return false
-	}
-	r.detached[name] = time.AfterFunc(r.grace, func() { r.expireSession(name) })
-	return true
-}
-
-// expireSession runs when a detached session's grace timer fires: if the
-// session is still detached (not resumed, not superseded) it becomes a
-// full leave, and the expire hook is told.
-func (r *Room) expireSession(name string) {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
-	if _, ok := r.detached[name]; !ok {
-		r.mu.Unlock()
-		return // resumed, superseded, or left while the timer fired
-	}
-	delete(r.detached, name)
-	r.removeLocked(name)
-	hook := r.expireHook
-	r.mu.Unlock()
-	if hook != nil {
-		hook(name)
-	}
-}
-
-// Resume revives a detached session: the member re-enters under its
-// retained engine state (choices, freezes, broadcast role untouched) and
-// receives exactly the buffered events with Seq greater than since.
-// complete reports whether that replay covers everything the member
-// missed — false when the change buffer was trimmed past since (or since
-// is from another room incarnation), in which case the client must treat
-// its local state as stale and do a full catch-up.
-func (r *Room) Resume(ctx context.Context, name string, since uint64) (*Member, []Event, document.View, bool, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return nil, nil, document.View{}, false, fmt.Errorf("room %s: resume %s: %w", r.Name, name, err)
-	}
-	if r.closed {
-		return nil, nil, document.View{}, false, fmt.Errorf("room %s: closed", r.Name)
-	}
-	t, wasDetached := r.detached[name]
-	old, wasLive := r.members[name]
-	if !wasDetached && !wasLive {
-		return nil, nil, document.View{}, false, fmt.Errorf("room %s: resume %s: %w", r.Name, name, ErrNoSession)
-	}
-	view, err := r.engine.ViewFor(name)
-	if err != nil {
-		return nil, nil, document.View{}, false, err
-	}
-	if wasDetached {
-		t.Stop()
-		delete(r.detached, name)
-	} else {
-		// Take over a live membership under the same name: the old
-		// connection is dying (the reconnect raced the server noticing)
-		// and its stream ends here; Detach/eviction of the old handle
-		// later is a no-op.
-		delete(r.members, name)
-		close(old.ch)
-	}
-	m := &Member{Name: name, room: r, ch: make(chan Event, memberQueueSize)}
-	r.members[name] = m
-	complete := since >= r.trimmed && since <= r.seq
-	return m, r.buf.since(since), view, complete, nil
-}
-
-// Detached lists the names of currently detached sessions, sorted.
-func (r *Room) Detached() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.detached))
-	for n := range r.detached {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Members lists current member names, sorted.
-func (r *Room) Members() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.members))
-	for n := range r.members {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Gauges is a point-in-time reading of a room's live load: how many
@@ -612,123 +374,6 @@ func (r *Room) Close() {
 	r.mu.Unlock()
 	close(r.triggerCh)
 	<-r.triggerWG
-}
-
-// broadcastLocked stamps, buffers and fans an event out, then (when
-// reconfigure is set) pushes each member their updated presentation.
-// Callers hold r.mu.
-func (r *Room) broadcastLocked(ev Event, reconfigure bool) {
-	r.seq++
-	ev.Seq = r.seq
-	ev.Room = r.Name
-	if displaced := r.buf.push(ev); displaced != 0 {
-		r.trimmed = displaced
-	}
-	if !r.closed {
-		select {
-		case r.triggerCh <- ev: // async trigger evaluation
-		default: // trigger backlog full: shed rather than stall the room
-		}
-	}
-	r.fanOutLocked(ev)
-	if r.replicator != nil {
-		// Tap after the reconfigure loop below so the replicated Seq
-		// high-water mark includes the per-member presentation bumps.
-		// The tap takes the event's address, which puts it on the heap:
-		// a copy made here, so a room nobody taps does not pay for one.
-		tapped := ev
-		defer func() { r.replicator(&tapped, r.seq, r.trimmed) }()
-	}
-	if reconfigure {
-		views, err := r.engine.Views()
-		if err != nil {
-			return
-		}
-		for name, m := range r.members {
-			v, ok := views[name]
-			if !ok {
-				continue
-			}
-			// During a broadcast everyone mirrors the presenter's view.
-			if r.broadcaster != "" {
-				if pv, ok := views[r.broadcaster]; ok {
-					v = pv
-				}
-			}
-			r.seq++
-			pe := Event{
-				Seq: r.seq, Room: r.Name, Actor: name, Kind: EvPresentation,
-				Outcome: v.Outcome, Visible: v.Visible,
-			}
-			r.deliverLocked(m, pe)
-		}
-	}
-}
-
-// fanOutLocked delivers one event to every member. With more than one
-// member the copies share a memoized wire encoding (EncodeShared), so
-// the push path encodes the event once for the whole room.
-func (r *Room) fanOutLocked(ev Event) {
-	if len(r.members) > 1 {
-		ev.shared = &sharedEnc{}
-	}
-	for _, m := range r.members {
-		r.deliverLocked(m, ev)
-	}
-}
-
-// deliverLocked enqueues an event; when a member's queue is full the
-// oldest queued event is discarded to make room, so a stalled client
-// never blocks the room and, once it resumes draining, can resynchronize
-// from History (mirroring the paper's buffer, which discards changes "as
-// soon as they are not needed by the clients"). Drops are counted per
-// member and reported to the drop hook, and the first event delivered
-// after a drop carries the Resync hint so the client knows its stream
-// has a gap.
-// A byte-bounded push budget (SetPushBudget) applies the same policy to
-// memory: when a member's undrained queue is over budget, its oldest
-// queued events are shed first, so one slow consumer in a room pushing
-// large events cannot grow the server heap without bound.
-func (r *Room) deliverLocked(m *Member, ev Event) {
-	sz := ev.approxSize()
-	// Shed oldest while over the byte budget (but never the event being
-	// delivered itself — an oversized single event still goes through,
-	// alone in the queue).
-	for r.pushBudget > 0 && m.queuedBytes.Load()+sz > r.pushBudget && len(m.ch) > 0 {
-		r.dropOldestLocked(m)
-	}
-	for {
-		if m.needResync {
-			// This copy is member-specific now: detach it from the
-			// shared encoding so the hint is not broadcast to everyone.
-			ev.Resync = true
-			ev.shared = nil
-		}
-		select {
-		case m.ch <- ev:
-			m.queuedBytes.Add(sz)
-			m.needResync = false
-			return
-		default:
-			r.dropOldestLocked(m)
-		}
-	}
-}
-
-// dropOldestLocked discards the member's oldest queued event (if any),
-// refunding its budget charge and flagging the resync hint. Callers
-// hold r.mu.
-func (r *Room) dropOldestLocked(m *Member) {
-	select {
-	case old := <-m.ch:
-		m.queuedBytes.Add(-old.approxSize())
-		m.drops.Add(1)
-		m.needResync = true
-		if r.dropHook != nil {
-			r.dropHook(m.Name)
-		}
-	default:
-	}
 }
 
 // SetMemberEnvironment pins a measured per-member environment variable
@@ -843,148 +488,6 @@ func (r *Room) frozenHolderForComponentLocked(component string) string {
 	return ""
 }
 
-// RegisterRaster provides the base raster of an image object so that
-// annotation rendering (Rendered) works server-side.
-func (r *Room) RegisterRaster(objectID uint64, g *image.Gray) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.rasters[objectID] = g
-}
-
-// Annotate writes a text or line element on an image object and
-// propagates it — "when one user writes some text on an image, the others
-// can see the text".
-func (r *Room) Annotate(actor string, objectID uint64, kind image.AnnotationKind,
-	x1, y1, x2, y2 int, text string, intensity float64) (int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.members[actor]; !ok {
-		return 0, fmt.Errorf("room %s: no member %q", r.Name, actor)
-	}
-	if holder, ok := r.frozen[objectID]; ok && holder != actor {
-		return 0, fmt.Errorf("room %s: object %d is frozen by %s", r.Name, objectID, holder)
-	}
-	ann := r.annotatedLocked(objectID)
-	var id int
-	var err error
-	switch kind {
-	case image.TextElement:
-		id, err = ann.AddText(x1, y1, text, intensity)
-	case image.LineElement:
-		id = ann.AddLine(x1, y1, x2, y2, intensity)
-	default:
-		return 0, fmt.Errorf("room %s: unknown annotation kind %d", r.Name, kind)
-	}
-	if err != nil {
-		return 0, err
-	}
-	stored := ann.Annotations[len(ann.Annotations)-1]
-	r.broadcastLocked(Event{
-		Actor: actor, Kind: EvAnnotate, ObjectID: objectID,
-		Annotation: stored, AnnotationID: id,
-	}, false)
-	return id, nil
-}
-
-// annotatedLocked returns (creating if needed) the annotation overlay of
-// an object.
-func (r *Room) annotatedLocked(objectID uint64) *image.Annotated {
-	ann, ok := r.anns[objectID]
-	if !ok {
-		base := r.rasters[objectID]
-		if base == nil {
-			base, _ = image.New(1, 1) // annotations can exist before the raster is registered
-		}
-		ann = image.NewAnnotated(base)
-		r.anns[objectID] = ann
-	}
-	return ann
-}
-
-// DeleteAnnotation removes an overlay element and propagates the removal.
-func (r *Room) DeleteAnnotation(actor string, objectID uint64, annotationID int) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.members[actor]; !ok {
-		return fmt.Errorf("room %s: no member %q", r.Name, actor)
-	}
-	if holder, ok := r.frozen[objectID]; ok && holder != actor {
-		return fmt.Errorf("room %s: object %d is frozen by %s", r.Name, objectID, holder)
-	}
-	ann, ok := r.anns[objectID]
-	if !ok {
-		return fmt.Errorf("room %s: object %d has no annotations", r.Name, objectID)
-	}
-	if err := ann.Delete(annotationID); err != nil {
-		return err
-	}
-	r.broadcastLocked(Event{
-		Actor: actor, Kind: EvDeleteAnnotation,
-		ObjectID: objectID, AnnotationID: annotationID,
-	}, false)
-	return nil
-}
-
-// Annotations returns a copy of an object's current overlay.
-func (r *Room) Annotations(objectID uint64) []image.Annotation {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ann, ok := r.anns[objectID]
-	if !ok {
-		return nil
-	}
-	return append([]image.Annotation(nil), ann.Annotations...)
-}
-
-// Rendered returns the object's raster with annotations burned in, if its
-// base raster was registered.
-func (r *Room) Rendered(objectID uint64) (*image.Gray, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.rasters[objectID] == nil {
-		return nil, fmt.Errorf("room %s: no raster registered for object %d", r.Name, objectID)
-	}
-	return r.annotatedLocked(objectID).Render(), nil
-}
-
-// Freeze locks an object against changes by other partners.
-func (r *Room) Freeze(actor string, objectID uint64) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.members[actor]; !ok {
-		return fmt.Errorf("room %s: no member %q", r.Name, actor)
-	}
-	if holder, ok := r.frozen[objectID]; ok {
-		return fmt.Errorf("room %s: object %d already frozen by %s", r.Name, objectID, holder)
-	}
-	r.frozen[objectID] = actor
-	r.broadcastLocked(Event{Actor: actor, Kind: EvFreeze, ObjectID: objectID}, false)
-	return nil
-}
-
-// Release lifts a freeze; only the holder may release.
-func (r *Room) Release(actor string, objectID uint64) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	holder, ok := r.frozen[objectID]
-	if !ok {
-		return fmt.Errorf("room %s: object %d is not frozen", r.Name, objectID)
-	}
-	if holder != actor {
-		return fmt.Errorf("room %s: object %d is frozen by %s, not %s", r.Name, objectID, holder, actor)
-	}
-	delete(r.frozen, objectID)
-	r.broadcastLocked(Event{Actor: actor, Kind: EvRelease, ObjectID: objectID}, false)
-	return nil
-}
-
-// FrozenBy reports who holds the freeze on an object ("" if unfrozen).
-func (r *Room) FrozenBy(objectID uint64) string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.frozen[objectID]
-}
-
 // ShareSearch propagates the results of a voice search (word or speaker
 // spotting) to all partners — the cooperative integration of §3.2: "if
 // one does keyword searches, the results will be visible and usable to
@@ -1011,64 +514,4 @@ func (r *Room) Chat(actor, text string) error {
 	}
 	r.broadcastLocked(Event{Actor: actor, Kind: EvChat, Text: text}, false)
 	return nil
-}
-
-// SetReplicator installs the event-log tap a cluster node replicates
-// from: fn observes every buffered event (ev non-nil) and every Seq
-// advance (ev nil) together with the room's current Seq high-water and
-// trim marks. fn runs under the room lock — it must be cheap, must not
-// block, and must not call back into the room.
-func (r *Room) SetReplicator(fn func(ev *Event, seq, trimmed uint64)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.replicator = fn
-}
-
-// Restore seeds a freshly built room with a replicated event log: the
-// change buffer, the Seq high-water mark, and the trim watermark a
-// failover standby accumulated from the old owner. Resume(since) on the
-// restored room then replays exactly the events the old owner would
-// have — the handover substrate of the cluster tier. It refuses on a
-// room that has already issued events or admitted members.
-func (r *Room) Restore(events []Event, seq, trimmed uint64) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.seq != 0 || r.buf.len() != 0 || len(r.members) != 0 {
-		return fmt.Errorf("room %s: restore into a live room", r.Name)
-	}
-	for i, ev := range events {
-		if ev.Seq <= trimmed || ev.Seq > seq || (i > 0 && ev.Seq <= events[i-1].Seq) {
-			return fmt.Errorf("room %s: restore: event log not ascending within (%d, %d]", r.Name, trimmed, seq)
-		}
-	}
-	for _, ev := range events {
-		if displaced := r.buf.push(ev); displaced != 0 {
-			trimmed = displaced
-		}
-	}
-	r.seq = seq
-	r.trimmed = trimmed
-	return nil
-}
-
-// Seq returns the latest issued event sequence number.
-func (r *Room) Seq() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq
-}
-
-// Trimmed returns the highest Seq ever discarded from the change
-// buffer — the replay floor: a resume from at-or-after it is exact.
-func (r *Room) Trimmed() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.trimmed
-}
-
-// History returns buffered events with Seq greater than since.
-func (r *Room) History(since uint64) []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.buf.since(since)
 }

@@ -65,7 +65,6 @@ func TestOptionsValidation(t *testing.T) {
 		{"negative queue depth", Options{QueueDepth: -1}, false},
 		{"negative per-peer rate", Options{PerPeerRate: -1}, false},
 		{"negative per-peer burst", Options{PerPeerBurst: -1}, false},
-		{"unknown shed policy", Options{ShedPolicy: wire.ShedPolicy(99)}, false},
 		{"timeout for known method", Options{MethodTimeouts: map[string]time.Duration{proto.MGetCmp: time.Second}}, true},
 		{"timeout for unknown method", Options{MethodTimeouts: map[string]time.Duration{"db.nope": time.Second}}, false},
 	}

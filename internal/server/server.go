@@ -77,10 +77,6 @@ type Options struct {
 	// rounded up, minimum 1).
 	PerPeerRate  float64
 	PerPeerBurst int
-	// ShedPolicy selects queue-full behavior: wire.ShedByPriority (the
-	// default) sheds bulk media fetches first and control RPCs last;
-	// wire.ShedFIFO sheds strictly by arrival order.
-	ShedPolicy wire.ShedPolicy
 	// MemberPushBudget caps the estimated bytes of undrained events
 	// queued per room member (default 1 MiB; negative disables). Slow
 	// consumers over budget lose their oldest queued events and get a
@@ -262,9 +258,6 @@ func (o *Options) validate() error {
 	if o.PerPeerBurst < 0 {
 		return fmt.Errorf("server: PerPeerBurst must be >= 0 (0 derives from the rate), got %d", o.PerPeerBurst)
 	}
-	if o.ShedPolicy != wire.ShedByPriority && o.ShedPolicy != wire.ShedFIFO {
-		return fmt.Errorf("server: unknown ShedPolicy %d", o.ShedPolicy)
-	}
 	for m := range o.MethodTimeouts {
 		if _, ok := methodClasses[m]; !ok {
 			return fmt.Errorf("server: MethodTimeouts names unknown method %q", m)
@@ -306,7 +299,7 @@ func NewWith(db *mediadb.MediaDB, o Options) (*Server, error) {
 	}
 	s.rpc.SetStats(s.stats) // peer writers count flushes/bytes here
 	if o.MaxInflight > 0 {
-		s.limiter = wire.NewLimiter(o.MaxInflight, o.QueueDepth, o.ShedPolicy)
+		s.limiter = wire.NewLimiter(o.MaxInflight, o.QueueDepth)
 	}
 	// Stats sits outermost so even recovered panics count as errors;
 	// recovery wraps the timeout so a panic in a deadline-bound handler

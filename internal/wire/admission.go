@@ -52,21 +52,6 @@ func (p Priority) String() string {
 	return fmt.Sprintf("Priority(%d)", int(p))
 }
 
-// ShedPolicy selects how the limiter picks victims when its wait queue
-// is full.
-type ShedPolicy int
-
-const (
-	// ShedByPriority (the default) keeps per-class queues: freed slots go
-	// to the highest-priority waiter, and an arriving higher-priority
-	// request displaces the newest lower-priority waiter when the queue
-	// is full.
-	ShedByPriority ShedPolicy = iota
-	// ShedFIFO ignores classes: one queue, arrivals beyond QueueDepth
-	// are shed regardless of priority.
-	ShedFIFO
-)
-
 // Shed reasons carried by OverloadError.Reason.
 const (
 	ShedReasonQueueFull = "queue full"
@@ -131,20 +116,19 @@ type waiter struct {
 
 // Limiter is a global concurrency limiter with a bounded wait queue:
 // at most maxInflight requests execute at once, at most maxQueue wait,
-// and everything beyond that is shed immediately. Under ShedByPriority
-// the queue is segmented by class — freed slots go to control traffic
-// first, and when the queue is full an arriving control request
-// displaces the newest bulk waiter rather than being shed itself. A
-// small reserve above maxInflight is held for control traffic so a
-// join or stats call never waits behind a full complement of bulk
-// transfers (the reserve is meaningful because control handlers are
-// orders of magnitude cheaper than the bulk work the cap is sized for).
+// and everything beyond that is shed immediately. The queue is segmented
+// by class — freed slots go to control traffic first, and when the queue
+// is full an arriving control request displaces the newest bulk waiter
+// rather than being shed itself. A small reserve above maxInflight is
+// held for control traffic so a join or stats call never waits behind a
+// full complement of bulk transfers (the reserve is meaningful because
+// control handlers are orders of magnitude cheaper than the bulk work
+// the cap is sized for).
 type Limiter struct {
 	mu          sync.Mutex
 	maxInflight int
 	maxQueue    int
 	reserve     int // extra slots only PriorityControl may occupy
-	policy      ShedPolicy
 	inflight    int
 	queued      int
 	queues      [numPriorities][]*waiter
@@ -156,7 +140,7 @@ type Limiter struct {
 // NewLimiter builds a limiter admitting maxInflight concurrent requests
 // with a wait queue of queueDepth. maxInflight < 1 is clamped to 1;
 // queueDepth < 0 to 0 (no queue: saturation sheds immediately).
-func NewLimiter(maxInflight, queueDepth int, policy ShedPolicy) *Limiter {
+func NewLimiter(maxInflight, queueDepth int) *Limiter {
 	if maxInflight < 1 {
 		maxInflight = 1
 	}
@@ -167,7 +151,6 @@ func NewLimiter(maxInflight, queueDepth int, policy ShedPolicy) *Limiter {
 		maxInflight: maxInflight,
 		maxQueue:    queueDepth,
 		reserve:     max(1, maxInflight/4),
-		policy:      policy,
 	}
 }
 
@@ -180,22 +163,8 @@ func (l *Limiter) capFor(class Priority) int {
 	return l.maxInflight
 }
 
-// capForIndex is capFor keyed by wait-queue index. Under ShedFIFO the
-// single shared queue mixes classes, so the reserve is not extended to
-// queued waiters (Acquire's fast path still honors it per-class).
-func (l *Limiter) capForIndex(i int) int {
-	if l.policy != ShedFIFO && i == int(PriorityControl) {
-		return l.maxInflight + l.reserve
-	}
-	return l.maxInflight
-}
-
-// classIndex maps a priority to its wait queue (one shared queue under
-// ShedFIFO).
+// classIndex maps a priority to its wait queue.
 func (l *Limiter) classIndex(class Priority) int {
-	if l.policy == ShedFIFO {
-		return 0
-	}
 	if class < 0 || class >= numPriorities {
 		return int(PriorityInteractive)
 	}
@@ -286,9 +255,6 @@ func (l *Limiter) abandon(w *waiter, ci int, shedReason string) (err error, gran
 // nonempty class strictly below ci, making queue room for a
 // higher-priority arrival. Callers hold l.mu.
 func (l *Limiter) displaceLocked(ci int) bool {
-	if l.policy != ShedByPriority {
-		return false
-	}
 	for j := numPriorities - 1; j > ci; j-- {
 		q := l.queues[j]
 		if len(q) == 0 {
@@ -322,7 +288,7 @@ func (l *Limiter) Release(d time.Duration) {
 	l.inflight--
 	var grants []*waiter
 	for i := range l.queues {
-		for len(l.queues[i]) > 0 && l.inflight < l.capForIndex(i) {
+		for len(l.queues[i]) > 0 && l.inflight < l.capFor(Priority(i)) {
 			w := l.queues[i][0]
 			l.queues[i] = l.queues[i][1:]
 			l.queued--

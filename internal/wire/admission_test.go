@@ -116,7 +116,7 @@ func TestTokenBucketConcurrent(t *testing.T) {
 }
 
 func TestLimiterFastPath(t *testing.T) {
-	l := NewLimiter(2, 4, ShedByPriority)
+	l := NewLimiter(2, 4)
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
 		if err := l.Acquire(ctx, PriorityBulk, 0); err != nil {
@@ -134,7 +134,7 @@ func TestLimiterFastPath(t *testing.T) {
 }
 
 func TestLimiterQueueFullSheds(t *testing.T) {
-	l := NewLimiter(1, 1, ShedByPriority)
+	l := NewLimiter(1, 1)
 	ctx := context.Background()
 	if err := l.Acquire(ctx, PriorityBulk, 0); err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestLimiterQueueFullSheds(t *testing.T) {
 }
 
 func TestLimiterQueueDeadline(t *testing.T) {
-	l := NewLimiter(1, 4, ShedByPriority)
+	l := NewLimiter(1, 4)
 	ctx := context.Background()
 	if err := l.Acquire(ctx, PriorityBulk, 0); err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestLimiterQueueDeadline(t *testing.T) {
 }
 
 func TestLimiterContextCancel(t *testing.T) {
-	l := NewLimiter(1, 4, ShedByPriority)
+	l := NewLimiter(1, 4)
 	if err := l.Acquire(context.Background(), PriorityBulk, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestLimiterContextCancel(t *testing.T) {
 // back in the limiter instead of leaking (a leak here ratchets capacity
 // down permanently under overload with client cancellations).
 func TestLimiterCancelConcurrentGrantNoLeak(t *testing.T) {
-	l := NewLimiter(1, 4, ShedByPriority)
+	l := NewLimiter(1, 4)
 	if err := l.Acquire(context.Background(), PriorityBulk, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestLimiterCancelConcurrentGrantNoLeak(t *testing.T) {
 }
 
 func TestLimiterPriorityDisplacement(t *testing.T) {
-	l := NewLimiter(1, 1, ShedByPriority)
+	l := NewLimiter(1, 1)
 	ctx := context.Background()
 	if err := l.Acquire(ctx, PriorityControl, 0); err != nil {
 		t.Fatal(err)
@@ -276,36 +276,8 @@ func TestLimiterPriorityDisplacement(t *testing.T) {
 	l.Release(time.Millisecond)
 }
 
-func TestLimiterShedFIFONoDisplacement(t *testing.T) {
-	l := NewLimiter(1, 1, ShedFIFO)
-	ctx := context.Background()
-	if err := l.Acquire(ctx, PriorityBulk, 0); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- l.Acquire(ctx, PriorityBulk, time.Second) }()
-	waitFor(t, func() bool { return l.Queued() == 1 })
-	// Under FIFO, control past its reserve sheds rather than displacing.
-	if err := l.Acquire(ctx, PriorityControl, 0); err != nil {
-		t.Fatalf("control acquire into reserve: %v", err)
-	}
-	err := l.Acquire(ctx, PriorityControl, 0)
-	var oe *OverloadError
-	if !errors.As(err, &oe) || oe.Reason != ShedReasonQueueFull {
-		t.Fatalf("err = %v, want queue-full overload", err)
-	}
-	// Both holders (the bulk slot and the control reserve) must release
-	// before inflight drops below the main cap and the waiter is granted.
-	l.Release(time.Millisecond)
-	l.Release(time.Millisecond)
-	if err := <-done; err != nil {
-		t.Fatalf("queued acquire: %v", err)
-	}
-	l.Release(time.Millisecond)
-}
-
 func TestLimiterControlReserve(t *testing.T) {
-	l := NewLimiter(4, 8, ShedByPriority) // reserve = 1
+	l := NewLimiter(4, 8) // reserve = 1
 	ctx := context.Background()
 	for i := 0; i < 4; i++ {
 		if err := l.Acquire(ctx, PriorityBulk, 0); err != nil {
@@ -342,7 +314,7 @@ func TestLimiterControlReserve(t *testing.T) {
 }
 
 func TestLimiterConcurrent(t *testing.T) {
-	l := NewLimiter(4, 16, ShedByPriority)
+	l := NewLimiter(4, 16)
 	var wg sync.WaitGroup
 	var held sync.Map
 	for i := 0; i < 64; i++ {
@@ -452,7 +424,7 @@ func TestAdmissionInterceptorRateLimit(t *testing.T) {
 func TestAdmissionInterceptorLimiterCounters(t *testing.T) {
 	st := NewStats()
 	cfg := AdmissionConfig{
-		Limiter:      NewLimiter(1, 0, ShedByPriority),
+		Limiter:      NewLimiter(1, 0),
 		QueueTimeout: 10 * time.Millisecond,
 		Classes:      map[string]Priority{"db.get": PriorityBulk},
 		Stats:        st,
@@ -490,7 +462,7 @@ func TestAdmissionInterceptorLimiterCounters(t *testing.T) {
 
 func TestAdmissionInterceptorShedRefundsToken(t *testing.T) {
 	cfg := AdmissionConfig{
-		Limiter:      NewLimiter(1, 0, ShedByPriority),
+		Limiter:      NewLimiter(1, 0),
 		QueueTimeout: 10 * time.Millisecond,
 		Classes:      map[string]Priority{"db.get": PriorityBulk},
 		PerPeerRate:  0.001, // negligible refill over the test's lifetime

@@ -13,8 +13,8 @@ import (
 
 // This file is the overload driver: an open-loop load generator whose
 // offered rate is independent of how fast the server answers. Closed
-// loops (like Replay) self-throttle when the server slows down and so
-// can never push it past saturation; an open loop keeps offering work
+// loops self-throttle when the server slows down and so can never push
+// it past saturation; an open loop keeps offering work
 // at the configured rate, which is exactly the regime admission control
 // exists for (experiment E12).
 
