@@ -230,7 +230,7 @@ func (h *Harness) waitReplicated(t *testing.T, name string, minSeq uint64) {
 		r := standby.replicas[name]
 		var seq uint64
 		if r != nil {
-			seq = r.seq
+			seq = r.Seq
 		}
 		standby.replMu.Unlock()
 		if seq >= minSeq {
@@ -246,7 +246,7 @@ func (h *Harness) waitReplicated(t *testing.T, name string, minSeq uint64) {
 // ownerSeq reads the owner's current log head for the room.
 func (h *Harness) ownerSeq(t *testing.T, name string) uint64 {
 	t.Helper()
-	snap, ok := h.Owner(name).Node.srv.SnapshotRoom(name)
+	snap, ok := h.Owner(name).Node.srv.SnapshotRoom(name, 0)
 	if !ok {
 		t.Fatalf("owner of %q holds no live room", name)
 	}

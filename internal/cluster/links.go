@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"mmconf/internal/proto"
-	"mmconf/internal/room"
-	"mmconf/internal/server"
 	"mmconf/internal/wire"
 )
 
@@ -305,50 +303,46 @@ func (n *Node) dialIngress(ctx context.Context, p *wire.Peer, owner string) (*wi
 // change buffer: a standby holds at most this many trailing events.
 const replicaBuffer = 1024
 
-// replica is a standby's copy of one room's event log.
-type replica struct {
-	docID   string
-	events  []room.Event
-	seq     uint64 // log high-water (includes event-free seq advances)
-	trimmed uint64 // highest sequence dropped from events
-}
+// replica is a standby's copy of one room's event log, kept in the frame
+// that fills it and that seeds the room on takeover.
+type replica proto.ReplicateReq
 
-// apply folds one replication request in. Events merge by sequence
-// (snapshot retransmits overlap incremental batches), the high-waters
+// apply folds one replication request in. Events merge by sequence (a
+// full resend overlaps what incremental sends delivered), the high-waters
 // only move forward, and the buffer cap trims from the front.
 func (r *replica) apply(req *proto.ReplicateReq) {
 	var last uint64
-	if len(r.events) > 0 {
-		last = r.events[len(r.events)-1].Seq
+	if len(r.Events) > 0 {
+		last = r.Events[len(r.Events)-1].Seq
 	}
 	for _, ev := range req.Events {
 		if ev.Seq > last {
-			r.events = append(r.events, ev)
+			r.Events = append(r.Events, ev)
 			last = ev.Seq
 		}
 	}
-	if req.Seq > r.seq {
-		r.seq = req.Seq
+	if req.Seq > r.Seq {
+		r.Seq = req.Seq
 	}
-	if req.Trimmed > r.trimmed {
-		r.trimmed = req.Trimmed
+	if req.Trimmed > r.Trimmed {
+		r.Trimmed = req.Trimmed
 	}
 	drop := 0
-	for drop < len(r.events) && r.events[drop].Seq <= r.trimmed {
+	for drop < len(r.Events) && r.Events[drop].Seq <= r.Trimmed {
 		drop++
 	}
-	if over := len(r.events) - drop - replicaBuffer; over > 0 {
+	if over := len(r.Events) - drop - replicaBuffer; over > 0 {
 		drop += over
 	}
 	if drop > 0 {
-		if cut := r.events[drop-1].Seq; cut > r.trimmed {
-			r.trimmed = cut
+		if cut := r.Events[drop-1].Seq; cut > r.Trimmed {
+			r.Trimmed = cut
 		}
 		// Reslice rather than copy: append moves the live tail to a new
 		// array when this one runs out, so a full buffer costs a few
 		// events of copying per request, not all replicaBuffer of them.
-		clear(r.events[:drop]) // the array outlives the slots
-		r.events = r.events[drop:]
+		clear(r.Events[:drop]) // the array outlives the slots
+		r.Events = r.Events[drop:]
 	}
 }
 
@@ -358,32 +352,32 @@ func (r *replica) apply(req *proto.ReplicateReq) {
 // while partitioned away or before a handoff — so the local room is
 // evicted rather than ever shadowing the authoritative log.
 func (n *Node) handleReplicate(ctx context.Context, p *wire.Peer, req *proto.ReplicateReq) (*proto.ReplicateResp, error) {
-	if snap, ok := n.srv.SnapshotRoom(req.Room); ok && req.Seq > snap.Seq {
+	if local, ok := n.srv.SnapshotRoom(req.Room, req.Seq); ok && req.Seq > local.Seq {
 		n.evictRoom(req.Room, "newer replicated log")
 	}
 	n.replMu.Lock()
 	r := n.replicas[req.Room]
 	if r == nil {
-		r = &replica{docID: req.DocID}
+		r = &replica{Room: req.Room, DocID: req.DocID}
 		n.replicas[req.Room] = r
 	}
 	r.apply(req)
-	seq := r.seq
+	seq := r.Seq
 	n.replMu.Unlock()
 	return &proto.ReplicateResp{Seq: seq}, nil
 }
 
-// repEvent is one tap observation in flight to the replication loop.
-type repEvent struct {
-	room, docID  string
-	ev           *room.Event
-	seq, trimmed uint64
-}
-
 // repState is the owner-side replication cursor for one room.
 type repState struct {
-	standby string // node the log last streamed to
-	dirty   bool   // lost updates or failed send: re-snapshot
+	// pending: the log advanced past sent (the tap said so), or the last
+	// send failed; the next wake-up of replLoop flushes the room.
+	pending bool
+	// standby is the node the log last streamed to and sent the Seq it
+	// then held: the next flush ships LogSince(sent). sent 0 ships the
+	// whole log and forces the dataset with it — a first flush, a failed
+	// send, a standby or placement change.
+	standby string
+	sent    uint64
 	// dataStandby/dataFP/dataPos are the dataset-sync cursor: the node
 	// the room's media manifest last shipped to (empty: never, which no
 	// standby matches), the fingerprint of what it saw, and the store
@@ -395,106 +389,85 @@ type repState struct {
 	dataPos     uint64
 }
 
-// roomTap observes every local room event-log advance (called under the
-// room lock — it must not block): queue the update for the replication
-// loop, or mark the room for a full re-snapshot when the queue is full.
-func (n *Node) roomTap(roomName, docID string, ev *room.Event, seq, trimmed uint64) {
-	re := repEvent{room: roomName, docID: docID, seq: seq, trimmed: trimmed}
-	if ev != nil {
-		cp := *ev
-		re.ev = &cp
-	}
-	select {
-	case n.repCh <- re:
-	default:
-		n.markDirty(roomName)
-	}
-}
-
-func (n *Node) markDirty(roomName string) {
-	n.repMu.Lock()
+// repStateLocked returns the room's cursor, creating it. Callers hold
+// n.repMu.
+func (n *Node) repStateLocked(roomName string) *repState {
 	st := n.rep[roomName]
 	if st == nil {
 		st = &repState{}
 		n.rep[roomName] = st
 	}
-	st.dirty = true
+	return st
+}
+
+// roomTap is told of every local room event-log advance (under the room
+// lock — it must not block): mark the room and wake the loop, which
+// reads the log itself.
+func (n *Node) roomTap(roomName string) {
+	n.repMu.Lock()
+	n.repStateLocked(roomName).pending = true
+	n.repMu.Unlock()
+	select {
+	case n.repWake <- struct{}{}:
+	default: // a wake-up is already due, and it will see the mark
+	}
+}
+
+// markDirty makes the room's next flush a full one: the whole log, and
+// the dataset whether or not it changed.
+func (n *Node) markDirty(roomName string) {
+	n.repMu.Lock()
+	st := n.repStateLocked(roomName)
+	st.pending, st.sent = true, 0
 	n.repMu.Unlock()
 }
 
-// markAllDirty forces a re-snapshot of every replicated room — the
+// markAllDirty forces a full resend of every replicated room — the
 // placement changed, so standbys may have too.
 func (n *Node) markAllDirty() {
 	n.repMu.Lock()
 	for _, st := range n.rep {
-		st.dirty = true
+		st.pending, st.sent = true, 0
 	}
 	n.repMu.Unlock()
 }
 
-// replLoop streams the node's room event logs to each room's standby:
-// incremental batches on the hot path, full snapshots after a standby
-// change, a lost update, or a failed send.
+// replLoop streams the node's room event logs to each room's standby. A
+// tap wakes it at once; the heartbeat tick retries what a failed send or
+// a lost quorum left pending. Either way it walks the cursors once and
+// flushes the rooms that are marked.
 func (n *Node) replLoop() {
 	defer n.wg.Done()
 	t := time.NewTicker(n.cfg.HeartbeatInterval)
 	defer t.Stop()
-	pending := make(map[string]*pendingRep)
-	flush := func() {
-		for name, pr := range pending {
-			n.flushRoom(name, pr)
-			delete(pending, name)
-		}
-	}
+	var names []string
 	for {
 		select {
 		case <-n.closed:
 			return
-		case re := <-n.repCh:
-			foldRep(pending, re)
-		drain:
-			for i := 0; i < 1024; i++ {
-				select {
-				case re := <-n.repCh:
-					foldRep(pending, re)
-				default:
-					break drain
-				}
-			}
-			flush()
+		case <-n.repWake:
 		case <-t.C:
-			flush()
-			n.retryDirty()
+		}
+		names = names[:0]
+		n.repMu.Lock()
+		for name, st := range n.rep {
+			if st.pending {
+				st.pending = false
+				names = append(names, name)
+			}
+		}
+		n.repMu.Unlock()
+		for _, name := range names {
+			n.flushRoom(name)
 		}
 	}
 }
 
-// pendingRep is a batched set of untransmitted advances for one room.
-type pendingRep struct {
-	docID        string
-	events       []room.Event
-	seq, trimmed uint64
-}
-
-func foldRep(pending map[string]*pendingRep, re repEvent) {
-	pr := pending[re.room]
-	if pr == nil {
-		pr = &pendingRep{docID: re.docID}
-		pending[re.room] = pr
-	}
-	if re.ev != nil {
-		pr.events = append(pr.events, *re.ev)
-	}
-	if re.seq > pr.seq {
-		pr.seq = re.seq
-	}
-	if re.trimmed > pr.trimmed {
-		pr.trimmed = re.trimmed
-	}
-}
-
-// flushRoom transmits one room's pending advances to its standby.
-func (n *Node) flushRoom(name string, pr *pendingRep) {
+// flushRoom sends the room's standby what it lacks of the log: the
+// events past the cursor, read from the room's own change buffer with
+// the marks they were read under. The cursor moves only when the send
+// landed, so a lost send is read again, not remembered.
+func (n *Node) flushRoom(name string) {
 	place, quorum := n.view()
 	if !quorum {
 		// A minority node must not replicate: its log may be the stale
@@ -507,24 +480,19 @@ func (n *Node) flushRoom(name string, pr *pendingRep) {
 		return
 	}
 	n.repMu.Lock()
-	st := n.rep[name]
-	if st == nil {
-		st = &repState{}
-		n.rep[name] = st
+	st := n.repStateLocked(name)
+	if st.standby != standby {
+		st.sent = 0
 	}
-	full := st.dirty || st.standby != standby
+	since := st.sent
 	n.repMu.Unlock()
-	req := &proto.ReplicateReq{Room: name, DocID: pr.docID, Seq: pr.seq, Trimmed: pr.trimmed, Events: pr.events}
-	if full {
-		snap, ok := n.srv.SnapshotRoom(name)
-		if !ok {
-			// The room is gone (evicted or closed): nothing to stream.
-			n.repMu.Lock()
-			delete(n.rep, name)
-			n.repMu.Unlock()
-			return
-		}
-		req = &proto.ReplicateReq{Room: snap.Room, DocID: snap.DocID, Seq: snap.Seq, Trimmed: snap.Trimmed, Events: snap.Events}
+	req, ok := n.srv.SnapshotRoom(name, since)
+	if !ok {
+		// The room is gone (evicted or closed): nothing to stream.
+		n.repMu.Lock()
+		delete(n.rep, name)
+		n.repMu.Unlock()
+		return
 	}
 	if err := n.sendReplicate(standby, req); err != nil {
 		n.markDirty(name)
@@ -532,58 +500,47 @@ func (n *Node) flushRoom(name string, pr *pendingRep) {
 	}
 	n.repMu.Lock()
 	st.standby = standby
-	if full {
-		st.dirty = false
+	if st.sent == since { // else marked dirty meanwhile: stay at 0
+		st.sent = req.Seq
 	}
 	n.repMu.Unlock()
 	// The log landed; make sure the standby can also materialize the
 	// room's media. Manifests only — the standby pulls what it lacks.
-	n.syncDataset(name, req.DocID, standby, full)
+	n.syncDataset(name, req.DocID, standby, since == 0)
 }
 
-// retryDirty re-flushes rooms whose replication fell behind.
-func (n *Node) retryDirty() {
-	n.repMu.Lock()
-	var names []string
-	for name, st := range n.rep {
-		if st.dirty {
-			names = append(names, name)
-		}
-	}
-	n.repMu.Unlock()
-	for _, name := range names {
-		n.flushRoom(name, &pendingRep{})
-	}
-}
-
-// sendReplicate ships one replication request over the control link.
-func (n *Node) sendReplicate(target string, req *proto.ReplicateReq) error {
+// callPeer makes one call on the control link to a configured peer,
+// dialing it if need be, within twice the suspicion timeout.
+func (n *Node) callPeer(ctx context.Context, target, method string, req wire.BodyEncoder, resp any) error {
 	n.mu.Lock()
 	ps := n.peers[target]
 	n.mu.Unlock()
 	if ps == nil {
-		return fmt.Errorf("cluster: unknown replication target %s", target)
+		return fmt.Errorf("cluster: %s: unknown peer %s", method, target)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*n.cfg.SuspectAfter)
+	ctx, cancel := context.WithTimeout(ctx, 2*n.cfg.SuspectAfter)
 	defer cancel()
 	rpc, err := ps.link.get(ctx, n)
 	if err != nil {
 		return err
 	}
+	return rpc.CallCtx(ctx, method, req, resp)
+}
+
+// sendReplicate ships one replication request to target.
+func (n *Node) sendReplicate(target string, req *proto.ReplicateReq) error {
 	var resp proto.ReplicateResp
-	if err := rpc.CallCtx(ctx, proto.MNodeReplicate, req, &resp); err != nil {
+	if err := n.callPeer(context.Background(), target, proto.MNodeReplicate, req, &resp); err != nil {
 		return err
 	}
 	n.replicated.Add(1)
 	return nil
 }
 
-// sendSnapshot best-effort ships a full room snapshot to target (the
+// sendSnapshot best-effort ships a room's whole log to target (the
 // drain/handoff path).
-func (n *Node) sendSnapshot(target string, snap server.RoomSnapshot) {
-	if err := n.sendReplicate(target, &proto.ReplicateReq{
-		Room: snap.Room, DocID: snap.DocID, Seq: snap.Seq, Trimmed: snap.Trimmed, Events: snap.Events,
-	}); err != nil {
+func (n *Node) sendSnapshot(target string, snap *proto.ReplicateReq) {
+	if err := n.sendReplicate(target, snap); err != nil {
 		n.logf("cluster %s: snapshot of %q to %s failed: %v", n.id, snap.Room, target, err)
 	}
 }

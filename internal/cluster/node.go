@@ -127,11 +127,11 @@ type Node struct {
 	replMu   sync.Mutex
 	replicas map[string]*replica
 
-	// repCh carries owner-side event-log advances to the replication
-	// loop; rep tracks per-room replication state.
-	repCh chan repEvent
-	repMu sync.Mutex
-	rep   map[string]*repState
+	// rep holds the owner-side replication cursor of each room; a tap
+	// marks the room's and sends on repWake to start the loop at once.
+	repWake chan struct{}
+	repMu   sync.Mutex
+	rep     map[string]*repState
 
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -185,7 +185,7 @@ func New(db *mediadb.MediaDB, opts server.Options, cfg Config) (*Node, error) {
 		peers:     make(map[string]*peerState, len(cfg.Peers)),
 		roomPeers: make(map[string]map[*wire.Peer]struct{}),
 		replicas:  make(map[string]*replica),
-		repCh:     make(chan repEvent, 4096),
+		repWake:   make(chan struct{}, 1),
 		rep:       make(map[string]*repState),
 		closed:    make(chan struct{}),
 		recNotify: make(chan struct{}, 1),
@@ -294,8 +294,12 @@ func (n *Node) Drain(ctx context.Context) error {
 	}
 	// Final flush: the post-drain placement excludes this node.
 	after := n.placementWithout(n.id)
-	for _, snap := range n.srv.SnapshotRooms() {
-		for _, target := range []string{after.Owner(snap.Room), after.Standby(snap.Room)} {
+	for _, name := range n.srv.Rooms() {
+		snap, ok := n.srv.SnapshotRoom(name, 0)
+		if !ok {
+			continue
+		}
+		for _, target := range []string{after.Owner(name), after.Standby(name)} {
 			if target == "" || target == n.id {
 				continue
 			}
@@ -454,14 +458,14 @@ func (n *Node) reconcile() {
 			continue
 		}
 		if quorum {
-			if snap, ok := n.srv.SnapshotRoom(name); ok {
+			if snap, ok := n.srv.SnapshotRoom(name, 0); ok {
 				n.sendSnapshot(owner, snap)
 			}
 		}
 		n.evictRoom(name, "ownership moved to "+owner)
 	}
 	// Standbys may have changed: force the next replication round to
-	// re-snapshot every room this node still owns.
+	// resend every room this node still owns in full.
 	n.markAllDirty()
 }
 
@@ -581,21 +585,12 @@ func (n *Node) redirectTo(owner string) error {
 // here that has a replicated log (this node was its standby, or
 // received a handoff snapshot) restores that log first, so resuming
 // clients replay their outage exactly — same sequences, no duplicates.
-func (n *Node) roomSeed(roomName string) (server.RoomSnapshot, bool) {
+func (n *Node) roomSeed(roomName string) (*proto.ReplicateReq, bool) {
 	n.replMu.Lock()
 	defer n.replMu.Unlock()
 	r := n.replicas[roomName]
-	if r == nil {
-		return server.RoomSnapshot{}, false
-	}
 	// The live room becomes the authority; the replica entry would only
 	// go stale under it.
 	delete(n.replicas, roomName)
-	return server.RoomSnapshot{
-		Room:    roomName,
-		DocID:   r.docID,
-		Seq:     r.seq,
-		Trimmed: r.trimmed,
-		Events:  r.events,
-	}, true
+	return (*proto.ReplicateReq)(r), r != nil
 }

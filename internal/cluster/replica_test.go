@@ -23,10 +23,10 @@ func TestReplicaApplyTrimsWithoutCopyingTheBuffer(t *testing.T) {
 	}
 	check := func() {
 		t.Helper()
-		if len(r.events) != replicaBuffer || r.seq != seq || r.trimmed != seq-replicaBuffer {
-			t.Fatalf("after %d events: %d held, seq %d, trimmed %d", seq, len(r.events), r.seq, r.trimmed)
+		if len(r.Events) != replicaBuffer || r.Seq != seq || r.Trimmed != seq-replicaBuffer {
+			t.Fatalf("after %d events: %d held, seq %d, trimmed %d", seq, len(r.Events), r.Seq, r.Trimmed)
 		}
-		for i, ev := range r.events {
+		for i, ev := range r.Events {
 			if want := seq - replicaBuffer + 1 + uint64(i); ev.Seq != want {
 				t.Fatalf("slot %d holds event %d, want %d", i, ev.Seq, want)
 			}
@@ -38,12 +38,12 @@ func TestReplicaApplyTrimsWithoutCopyingTheBuffer(t *testing.T) {
 	if perApply > 1 {
 		t.Errorf("%.2f allocations per request on a full buffer", perApply)
 	}
-	if c := cap(r.events); c > 3*replicaBuffer {
+	if c := cap(r.Events); c > 3*replicaBuffer {
 		t.Errorf("backing array grew to %d events for a bound of %d", c, replicaBuffer)
 	}
 	// An owner that trimmed further ahead drops the standby's prefix too.
 	r.apply(&proto.ReplicateReq{Seq: seq, Trimmed: seq - 10})
-	if len(r.events) != 10 || r.events[0].Seq != seq-9 || r.trimmed != seq-10 {
-		t.Errorf("after the owner trimmed to %d: %d held from %d, trimmed %d", seq-10, len(r.events), r.events[0].Seq, r.trimmed)
+	if len(r.Events) != 10 || r.Events[0].Seq != seq-9 || r.Trimmed != seq-10 {
+		t.Errorf("after the owner trimmed to %d: %d held from %d, trimmed %d", seq-10, len(r.Events), r.Events[0].Seq, r.Trimmed)
 	}
 }

@@ -101,7 +101,7 @@ func (f *gateFixture) putTexts(t *testing.T, id uint64, texts string) {
 // the replicated event log and the dataset rows — with the owner's.
 func (f *gateFixture) assertStandbyMatches(t *testing.T) {
 	t.Helper()
-	snap, ok := f.owner.Node.srv.SnapshotRoom(f.room)
+	snap, ok := f.owner.Node.srv.SnapshotRoom(f.room, 0)
 	if !ok {
 		t.Fatalf("owner lost room %q", f.room)
 	}
@@ -111,7 +111,7 @@ func (f *gateFixture) assertStandbyMatches(t *testing.T) {
 	var seq uint64
 	var events int
 	if r != nil {
-		seq, events = r.seq, len(r.events)
+		seq, events = r.Seq, len(r.Events)
 	}
 	sn.replMu.Unlock()
 	if seq != snap.Seq || events != len(snap.Events) {

@@ -13,7 +13,7 @@ import (
 // The partial-dataset replication suite: nodes no longer need
 // identically seeded databases. A node that starts with an empty CAS
 // receives each standby room's dataset by manifest diff — rows plus
-// chunk digests per heartbeat, payload bytes only for chunks it lacks
+// chunk digests when they changed, payload bytes only for chunks it lacks
 // — and converges to serving those rooms, media included, after
 // failover.
 

@@ -31,8 +31,8 @@ const fetchChunkBatch = 256
 // was shipped or found identical means the export would be byte-identical,
 // so return before making it), then the fingerprint of the exported frame
 // (the position is store-wide; a write to some other document moves it),
-// then the send. force — a dirty room, a standby change — bypasses both
-// comparisons and always ships.
+// then the send. force — the flush sent the whole log: a first one, a
+// retry, a standby change — bypasses both comparisons and always ships.
 func (n *Node) syncDataset(roomName, docID, standby string, force bool) {
 	if docID == "" || n.db == nil {
 		return
@@ -76,18 +76,15 @@ func (n *Node) exportAndShip(roomName, docID, standby string, force bool, pos ui
 	}
 	fp := sha256.Sum256(wire.MarshalBody(req))
 	n.repMu.Lock()
-	st := n.rep[roomName]
-	if st == nil {
-		st = &repState{}
-		n.rep[roomName] = st
-	}
+	st := n.repStateLocked(roomName)
 	if !force && st.dataStandby == standby && st.dataFP == fp {
 		st.dataPos = pos
 		n.repMu.Unlock()
 		return
 	}
 	n.repMu.Unlock()
-	if err := n.sendSyncManifest(standby, req); err != nil {
+	var resp proto.SyncManifestResp
+	if err := n.callPeer(context.Background(), standby, proto.MNodeSyncManifest, req, &resp); err != nil {
 		n.logf("cluster %s: dataset sync of %q to %s failed: %v", n.id, roomName, standby, err)
 		n.markDirty(roomName)
 		return
@@ -100,89 +97,21 @@ func (n *Node) exportAndShip(roomName, docID, standby string, force bool, pos ui
 	n.repMu.Unlock()
 }
 
-// buildSyncReq flattens a dataset and its blob manifests into the wire
-// frame.
+// buildSyncReq puts a dataset's rows, as exported, and the manifest of
+// every blob they name into the wire frame.
 func (n *Node) buildSyncReq(roomName string, ds *mediadb.Dataset) (*proto.SyncManifestReq, error) {
-	req := &proto.SyncManifestReq{
-		Room: roomName, Node: n.id, DocID: ds.DocID, Title: ds.Title,
-		DocBlob: refOf(ds.DocBlob),
-	}
-	for _, r := range ds.Images {
-		req.Images = append(req.Images, proto.SyncImageRow{
-			ID: r.ID, Quality: r.Quality, Texts: r.Texts, CM: r.CM, Data: refOf(r.Data),
-		})
-	}
-	for _, r := range ds.Audios {
-		req.Audios = append(req.Audios, proto.SyncAudioRow{
-			ID: r.ID, Filename: r.Filename, Sectors: r.Sectors, Data: refOf(r.Data),
-		})
-	}
-	for _, r := range ds.Cmps {
-		req.Cmps = append(req.Cmps, proto.SyncCmpRow{
-			ID: r.ID, Filename: r.Filename, FileSize: r.FileSize, Position: r.Position,
-			Header: refOf(r.Header), Data: refOf(r.Data),
-		})
+	req := &proto.SyncManifestReq{Room: roomName, Node: n.id, DocID: ds.DocID, Rows: make([]proto.SyncRow, len(ds.Rows))}
+	for i, r := range ds.Rows {
+		req.Rows[i] = proto.SyncRow{Table: r.Table, ID: r.ID, Cells: r.Row}
 	}
 	for _, h := range ds.Handles() {
 		chunks, err := n.db.DB().BlobManifest(h)
 		if err != nil {
 			return nil, err
 		}
-		m := proto.BlobManifest{Digest: append([]byte(nil), h.Digest[:]...), Length: h.Length}
-		for _, cd := range chunks {
-			m.Chunks = append(m.Chunks, append([]byte(nil), cd[:]...))
-		}
-		req.Manifests = append(req.Manifests, m)
+		req.Manifests = append(req.Manifests, proto.BlobManifest{Digest: h.Digest, Length: h.Length, Chunks: chunks})
 	}
 	return req, nil
-}
-
-// refOf flattens a handle for the wire; the zero handle stays zero.
-func refOf(h blob.Handle) proto.BlobRef {
-	if h.IsZero() {
-		return proto.BlobRef{}
-	}
-	return proto.BlobRef{Digest: append([]byte(nil), h.Digest[:]...), Length: h.Length}
-}
-
-// handleOf rebuilds a blob handle from its wire form.
-func handleOf(r proto.BlobRef) (blob.Handle, error) {
-	if len(r.Digest) == 0 && r.Length == 0 {
-		return blob.Handle{}, nil
-	}
-	d, err := digestOf(r.Digest)
-	if err != nil {
-		return blob.Handle{}, err
-	}
-	return blob.Handle{Digest: d, Length: r.Length}, nil
-}
-
-func digestOf(b []byte) (blob.Digest, error) {
-	var d blob.Digest
-	if len(b) != len(d) {
-		return d, fmt.Errorf("cluster: digest is %d bytes, want %d", len(b), len(d))
-	}
-	copy(d[:], b)
-	return d, nil
-}
-
-// sendSyncManifest ships one dataset sync over the control link to the
-// standby.
-func (n *Node) sendSyncManifest(target string, req *proto.SyncManifestReq) error {
-	n.mu.Lock()
-	ps := n.peers[target]
-	n.mu.Unlock()
-	if ps == nil {
-		return fmt.Errorf("cluster: unknown sync target %s", target)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*n.cfg.SuspectAfter)
-	defer cancel()
-	rpc, err := ps.link.get(ctx, n)
-	if err != nil {
-		return err
-	}
-	var resp proto.SyncManifestResp
-	return rpc.CallCtx(ctx, proto.MNodeSyncManifest, req, &resp)
 }
 
 // handleSyncManifest is the standby side: adopt the shipped rows,
@@ -193,29 +122,13 @@ func (n *Node) handleSyncManifest(ctx context.Context, p *wire.Peer, req *proto.
 	if n.db == nil {
 		return nil, fmt.Errorf("cluster %s: no database to sync into", n.id)
 	}
-	type manifestInfo struct {
-		length uint32
-		chunks []blob.Digest
+	manifests := make(map[blob.Digest]*proto.BlobManifest, len(req.Manifests))
+	for i := range req.Manifests {
+		manifests[req.Manifests[i].Digest] = &req.Manifests[i]
 	}
-	manifests := make(map[blob.Digest]manifestInfo, len(req.Manifests))
-	for _, m := range req.Manifests {
-		d, err := digestOf(m.Digest)
-		if err != nil {
-			return nil, err
-		}
-		mi := manifestInfo{length: m.Length, chunks: make([]blob.Digest, 0, len(m.Chunks))}
-		for _, cb := range m.Chunks {
-			cd, err := digestOf(cb)
-			if err != nil {
-				return nil, err
-			}
-			mi.chunks = append(mi.chunks, cd)
-		}
-		manifests[d] = mi
-	}
-	ds, err := datasetOf(req)
-	if err != nil {
-		return nil, err
+	ds := &mediadb.Dataset{DocID: req.DocID, Rows: make([]mediadb.DatasetRow, len(req.Rows))}
+	for i, r := range req.Rows {
+		ds.Rows[i] = mediadb.DatasetRow{Table: r.Table, ID: r.ID, Row: r.Cells}
 	}
 
 	var chunksPulled uint32
@@ -225,7 +138,7 @@ func (n *Node) handleSyncManifest(ctx context.Context, p *wire.Peer, req *proto.
 		if !ok {
 			return fmt.Errorf("cluster: sync of %q ships no manifest for %s", req.Room, h)
 		}
-		missing := n.db.DB().MissingBlobChunks(mi.chunks)
+		missing := n.db.DB().MissingBlobChunks(mi.Chunks)
 		data := make(map[blob.Digest][]byte, len(missing))
 		for len(missing) > 0 {
 			batch := missing
@@ -246,7 +159,7 @@ func (n *Node) handleSyncManifest(ctx context.Context, p *wire.Peer, req *proto.
 				bytesPulled += uint64(len(chunks[i]))
 			}
 		}
-		_, err := n.db.DB().PutBlobFromChunks(h.Digest, mi.length, mi.chunks, data)
+		_, err := n.db.DB().PutBlobFromChunks(h.Digest, mi.Length, mi.Chunks, data)
 		return err
 	}
 	adopted, err := n.db.AdoptDataset(ds, ensure)
@@ -266,69 +179,11 @@ func (n *Node) handleSyncManifest(ctx context.Context, p *wire.Peer, req *proto.
 	}, nil
 }
 
-// datasetOf rebuilds the mediadb dataset from its wire form.
-func datasetOf(req *proto.SyncManifestReq) (*mediadb.Dataset, error) {
-	docBlob, err := handleOf(req.DocBlob)
-	if err != nil {
-		return nil, err
-	}
-	ds := &mediadb.Dataset{DocID: req.DocID, Title: req.Title, DocBlob: docBlob}
-	for _, r := range req.Images {
-		h, err := handleOf(r.Data)
-		if err != nil {
-			return nil, err
-		}
-		ds.Images = append(ds.Images, mediadb.ImageRow{
-			ID: r.ID, Quality: r.Quality, Texts: r.Texts, CM: r.CM, Data: h,
-		})
-	}
-	for _, r := range req.Audios {
-		h, err := handleOf(r.Data)
-		if err != nil {
-			return nil, err
-		}
-		ds.Audios = append(ds.Audios, mediadb.AudioRow{
-			ID: r.ID, Filename: r.Filename, Sectors: r.Sectors, Data: h,
-		})
-	}
-	for _, r := range req.Cmps {
-		hh, err := handleOf(r.Header)
-		if err != nil {
-			return nil, err
-		}
-		dh, err := handleOf(r.Data)
-		if err != nil {
-			return nil, err
-		}
-		ds.Cmps = append(ds.Cmps, mediadb.CmpRow{
-			ID: r.ID, Filename: r.Filename, FileSize: r.FileSize, Position: r.Position,
-			Header: hh, Data: dh,
-		})
-	}
-	return ds, nil
-}
-
 // fetchChunks pulls one batch of chunks from the named peer over the
 // control link.
 func (n *Node) fetchChunks(ctx context.Context, from string, digests []blob.Digest) ([][]byte, error) {
-	n.mu.Lock()
-	ps := n.peers[from]
-	n.mu.Unlock()
-	if ps == nil {
-		return nil, fmt.Errorf("cluster: unknown chunk source %s", from)
-	}
-	cctx, cancel := context.WithTimeout(ctx, 2*n.cfg.SuspectAfter)
-	defer cancel()
-	rpc, err := ps.link.get(cctx, n)
-	if err != nil {
-		return nil, err
-	}
-	req := &proto.FetchChunksReq{Node: n.id, Digests: make([][]byte, 0, len(digests))}
-	for _, cd := range digests {
-		req.Digests = append(req.Digests, append([]byte(nil), cd[:]...))
-	}
 	var resp proto.FetchChunksResp
-	if err := rpc.CallCtx(cctx, proto.MNodeFetchChunks, req, &resp); err != nil {
+	if err := n.callPeer(ctx, from, proto.MNodeFetchChunks, &proto.FetchChunksReq{Node: n.id, Digests: digests}, &resp); err != nil {
 		return nil, err
 	}
 	if len(resp.Chunks) != len(digests) {
@@ -348,11 +203,7 @@ func (n *Node) handleFetchChunks(ctx context.Context, p *wire.Peer, req *proto.F
 		return nil, fmt.Errorf("cluster: chunk batch of %d exceeds the %d limit", len(req.Digests), 4*fetchChunkBatch)
 	}
 	resp := &proto.FetchChunksResp{Chunks: make([][]byte, len(req.Digests))}
-	for i, db := range req.Digests {
-		cd, err := digestOf(db)
-		if err != nil {
-			continue // malformed digest: empty entry, same as unknown
-		}
+	for i, cd := range req.Digests {
 		if chunk, err := n.db.DB().GetBlobChunk(cd); err == nil {
 			resp.Chunks[i] = chunk
 		}

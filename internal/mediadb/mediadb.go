@@ -29,8 +29,25 @@ const (
 	DocumentTable = "DOCUMENT_OBJECTS_TABLE"
 )
 
+// KindTable maps a presentation kind to the object table its ObjectID
+// indexes (the inverse of the assignment workload.Populate performs):
+// ids are per table, so an ObjectID means nothing without this. Kinds
+// with no stored object (hidden, text, composite, ...) map to "".
+func KindTable(k document.MediaKind) string {
+	switch k {
+	case document.KindImage, document.KindSegmentedImage, document.KindIcon:
+		return ImageTable
+	case document.KindImageLowRes, document.KindImageMedRes, document.KindImageHighRes:
+		return CmpTable
+	case document.KindAudio, document.KindAudioTranscript:
+		return AudioTable
+	}
+	return ""
+}
+
 // ErrNoObject is wrapped by every "no image/audio/compressed object N"
-// error, so callers can tell a missing row from a store failure.
+// and "no document D" error, so callers can tell a missing row from a
+// store failure.
 var ErrNoObject = errors.New("no such object")
 
 // TypeInfo is one catalog row: a supported multimedia type and the object
@@ -137,20 +154,17 @@ func blobHandleAt(row store.Row, i int) (blob.Handle, error) {
 }
 
 // releaseRowBlobs drops the references held by the blob cells of a row
-// that was just deleted or overwritten. A zero handle (cell never
-// populated) is skipped; other release errors are returned so callers
-// can surface refcount drift, though the row change itself stands.
-func (m *MediaDB) releaseRowBlobs(row store.Row, cols ...int) error {
+// that was just deleted or overwritten: every cell that holds a handle,
+// whatever its column. A zero handle (cell never populated) is skipped,
+// and so is one the same cell of keep still holds — keep is the row that
+// replaced this one where a kept payload carries its reference over, nil
+// otherwise. The first release error is returned so callers can surface
+// refcount drift, though the row change itself stands.
+func (m *MediaDB) releaseRowBlobs(row, keep store.Row) error {
 	var first error
-	for _, ci := range cols {
-		h, err := blobHandleAt(row, ci)
-		if err != nil {
-			if first == nil {
-				first = err
-			}
-			continue
-		}
-		if h.IsZero() {
+	for i, c := range row {
+		h, ok := c.(blob.Handle)
+		if !ok || h.IsZero() || (i < len(keep) && keep[i] == c) {
 			continue
 		}
 		if err := m.db.ReleaseBlob(h); err != nil && first == nil {
@@ -258,6 +272,15 @@ func (m *MediaDB) PutImage(quality int64, texts string, cm float64, data []byte)
 	return id, nil
 }
 
+// ImageRow is one IMAGE_OBJECTS_TABLE row by reference.
+type ImageRow struct {
+	ID      uint64
+	Quality int64
+	Texts   string
+	CM      float64
+	Data    blob.Handle
+}
+
 // GetImageRow reads an image object's row by reference: the mutable
 // columns, and the handle of the immutable raster for the caller to
 // resolve. Callers that cache payloads by digest read the row on every
@@ -334,6 +357,14 @@ func (m *MediaDB) PutAudio(filename string, sectors, data []byte) (uint64, error
 	return id, nil
 }
 
+// AudioRow is one AUDIO_OBJECTS_TABLE row by reference.
+type AudioRow struct {
+	ID       uint64
+	Filename string
+	Sectors  []byte
+	Data     blob.Handle
+}
+
 // GetAudioRow reads an audio object's row by reference (see
 // GetImageRow).
 func (m *MediaDB) GetAudioRow(id uint64) (AudioRow, error) {
@@ -404,6 +435,16 @@ func (m *MediaDB) PutCmp(filename string, header, data []byte) (uint64, error) {
 	return id, nil
 }
 
+// CmpRow is one CMP_OBJECTS_TABLE row by reference.
+type CmpRow struct {
+	ID       uint64
+	Filename string
+	FileSize int64
+	Position int64
+	Header   blob.Handle
+	Data     blob.Handle
+}
+
 // GetCmpRow reads a compressed stream's row by reference (see
 // GetImageRow): the layer directory and the bitstream are two payloads.
 func (m *MediaDB) GetCmpRow(id uint64) (CmpRow, error) {
@@ -466,10 +507,10 @@ func (m *MediaDB) objectRow(table, kind string, id uint64) (store.Row, error) {
 }
 
 // deleteRow deletes one row of tableName and releases the blob handles
-// in the given columns. The release happens after the delete is logged,
-// and the blob store defers the actual free until that record is
-// durable, so a crash can never free a payload a surviving row needs.
-func (m *MediaDB) deleteRow(tableName string, id uint64, blobCols ...int) error {
+// it held. The release happens after the delete is logged, and the blob
+// store defers the actual free until that record is durable, so a crash
+// can never free a payload a surviving row needs.
+func (m *MediaDB) deleteRow(tableName string, id uint64) error {
 	tbl, err := m.db.Table(tableName)
 	if err != nil {
 		return err
@@ -481,41 +522,57 @@ func (m *MediaDB) deleteRow(tableName string, id uint64, blobCols ...int) error 
 	if err != nil {
 		return err
 	}
-	return m.releaseRowBlobs(row, blobCols...)
+	return m.releaseRowBlobs(row, nil)
 }
 
 // DeleteImage removes an image object's row and drops its payload
 // reference; unshared payload bytes become reusable free space at once.
 func (m *MediaDB) DeleteImage(id uint64) error {
-	return m.deleteRow(ImageTable, id, 3)
+	return m.deleteRow(ImageTable, id)
 }
 
 // DeleteAudio removes an audio object's row and its payload reference.
 func (m *MediaDB) DeleteAudio(id uint64) error {
-	return m.deleteRow(AudioTable, id, 2)
+	return m.deleteRow(AudioTable, id)
 }
 
 // DeleteCmp removes a compressed stream's row and both payload
 // references (header and bitstream).
 func (m *MediaDB) DeleteCmp(id uint64) error {
-	return m.deleteRow(CmpTable, id, 3, 4)
+	return m.deleteRow(CmpTable, id)
+}
+
+// documentRow finds docID's row of DOCUMENT_OBJECTS_TABLE, which is keyed
+// by FLD_DOCID: the row's id in the table and its cells. A document that
+// is not stored is an ErrNoObject error; the table comes back with it,
+// for the callers that then insert.
+func (m *MediaDB) documentRow(docID string) (*store.Table, uint64, store.Row, error) {
+	tbl, err := m.db.Table(DocumentTable)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	ids, err := tbl.LookupString("FLD_DOCID", docID)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	if len(ids) == 0 {
+		return tbl, 0, nil, fmt.Errorf("mediadb: no document %q: %w", docID, ErrNoObject)
+	}
+	row, ok, err := tbl.Get(ids[0])
+	if err != nil || !ok {
+		return nil, 0, nil, fmt.Errorf("mediadb: document row vanished: %v", err)
+	}
+	return tbl, ids[0], row, nil
 }
 
 // DeleteDocument removes a stored document by document id, dropping its
 // payload reference.
 func (m *MediaDB) DeleteDocument(docID string) error {
-	tbl, err := m.db.Table(DocumentTable)
+	_, id, _, err := m.documentRow(docID)
 	if err != nil {
 		return err
 	}
-	ids, err := tbl.LookupString("FLD_DOCID", docID)
-	if err != nil {
-		return err
-	}
-	if len(ids) == 0 {
-		return fmt.Errorf("mediadb: no document %q", docID)
-	}
-	return m.deleteRow(DocumentTable, ids[0], 2)
+	return m.deleteRow(DocumentTable, id)
 }
 
 // PutDocument stores (or replaces) a multimedia document. Replacing a
@@ -531,29 +588,24 @@ func (m *MediaDB) PutDocument(d *document.Document) error {
 	if err != nil {
 		return err
 	}
-	tbl, err := m.db.Table(DocumentTable)
-	if err != nil {
-		m.db.ReleaseBlob(h)
-		return err
-	}
-	ids, err := tbl.LookupString("FLD_DOCID", d.ID)
-	if err != nil {
+	tbl, id, old, err := m.documentRow(d.ID)
+	if err != nil && !errors.Is(err, ErrNoObject) {
 		m.db.ReleaseBlob(h)
 		return err
 	}
 	row := store.Row{d.ID, d.Title, h}
-	if len(ids) > 0 {
+	if old != nil {
 		// Swap-and-read-old atomically: two concurrent saves of the same
 		// docID each see a distinct predecessor row, so every displaced
 		// handle is released exactly once (a Get-then-Update pair would
 		// let both racers release the same old handle, corrupting the
 		// refcount of a possibly dedup-shared payload).
-		old, err := tbl.UpdateReturningOld(ids[0], row)
+		old, err = tbl.UpdateReturningOld(id, row)
 		if err != nil {
 			m.db.ReleaseBlob(h)
 			return err
 		}
-		return m.releaseRowBlobs(old, 2)
+		return m.releaseRowBlobs(old, nil)
 	}
 	if _, err := tbl.Insert(row); err != nil {
 		m.db.ReleaseBlob(h)
@@ -564,20 +616,9 @@ func (m *MediaDB) PutDocument(d *document.Document) error {
 
 // GetDocument fetches a document by its document id.
 func (m *MediaDB) GetDocument(docID string) (*document.Document, error) {
-	tbl, err := m.db.Table(DocumentTable)
+	_, _, row, err := m.documentRow(docID)
 	if err != nil {
 		return nil, err
-	}
-	ids, err := tbl.LookupString("FLD_DOCID", docID)
-	if err != nil {
-		return nil, err
-	}
-	if len(ids) == 0 {
-		return nil, fmt.Errorf("mediadb: no document %q", docID)
-	}
-	row, ok, err := tbl.Get(ids[0])
-	if err != nil || !ok {
-		return nil, fmt.Errorf("mediadb: document row vanished: %v", err)
 	}
 	h, err := blobHandleAt(row, 2)
 	if err != nil {

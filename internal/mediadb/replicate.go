@@ -2,12 +2,16 @@
 // owner exports the rows a document's components reference — handles
 // only, never payload bytes — and a standby adopts them under the same
 // ids, materializing each payload through a caller-supplied ensure hook
-// (which, in the cluster, runs the manifest-diff chunk pull). Adoption
-// is idempotent: an unchanged row is skipped outright, so repeated syncs
-// touch neither tables nor refcounts.
+// (which, in the cluster, runs the manifest-diff chunk pull). Rows travel
+// as the store keeps them, a table name beside a store.Row: what Fig. 7's
+// catalog indirection makes of every type, so neither end spells a
+// table's columns, and a payload cell is one that holds a blob.Handle.
+// Adoption is idempotent: an unchanged row is skipped outright, so
+// repeated syncs touch neither tables nor refcounts.
 package mediadb
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -17,42 +21,20 @@ import (
 	"mmconf/internal/store"
 )
 
-// ImageRow is one IMAGE_OBJECTS_TABLE row by reference.
-type ImageRow struct {
-	ID      uint64
-	Quality int64
-	Texts   string
-	CM      float64
-	Data    blob.Handle
+// DatasetRow is one replicated row: its table, its id there, its cells.
+type DatasetRow struct {
+	Table string
+	ID    uint64
+	Row   store.Row
 }
 
-// AudioRow is one AUDIO_OBJECTS_TABLE row by reference.
-type AudioRow struct {
-	ID       uint64
-	Filename string
-	Sectors  []byte
-	Data     blob.Handle
-}
-
-// CmpRow is one CMP_OBJECTS_TABLE row by reference.
-type CmpRow struct {
-	ID       uint64
-	Filename string
-	FileSize int64
-	Position int64
-	Header   blob.Handle
-	Data     blob.Handle
-}
-
-// Dataset is the replicable closure of one document: its own row plus
-// every media row its components present, all payloads by handle.
+// Dataset is the replicable closure of one document: every media row its
+// components present, in table then id order, and its own row last. The
+// document row is keyed by FLD_DOCID, not by id — a standby that stored
+// the document itself numbered it differently — so its ID is 0.
 type Dataset struct {
-	DocID   string
-	Title   string
-	DocBlob blob.Handle
-	Images  []ImageRow
-	Audios  []AudioRow
-	Cmps    []CmpRow
+	DocID string
+	Rows  []DatasetRow
 }
 
 // Handles returns the distinct non-zero blob handles the dataset
@@ -60,69 +42,31 @@ type Dataset struct {
 func (ds *Dataset) Handles() []blob.Handle {
 	seen := make(map[blob.Digest]bool)
 	var out []blob.Handle
-	add := func(h blob.Handle) {
-		if h.IsZero() || seen[h.Digest] {
-			return
+	for _, r := range ds.Rows {
+		for _, c := range r.Row {
+			if h, ok := c.(blob.Handle); ok && !h.IsZero() && !seen[h.Digest] {
+				seen[h.Digest] = true
+				out = append(out, h)
+			}
 		}
-		seen[h.Digest] = true
-		out = append(out, h)
-	}
-	add(ds.DocBlob)
-	for _, r := range ds.Images {
-		add(r.Data)
-	}
-	for _, r := range ds.Audios {
-		add(r.Data)
-	}
-	for _, r := range ds.Cmps {
-		add(r.Header)
-		add(r.Data)
 	}
 	return out
 }
 
-// kindTable maps a presentation kind to the object table its ObjectID
-// indexes (the inverse of the assignment workload.Populate performs).
-// Kinds with no stored object (hidden, text, composite, ...) map to "".
-func kindTable(k document.MediaKind) string {
-	switch k {
-	case document.KindImage, document.KindSegmentedImage, document.KindIcon:
-		return ImageTable
-	case document.KindImageLowRes, document.KindImageMedRes, document.KindImageHighRes:
-		return CmpTable
-	case document.KindAudio, document.KindAudioTranscript:
-		return AudioTable
-	}
-	return ""
-}
-
-// ExportDataset collects the replicable closure of docID: the document
-// row and, for every presentation of every component, the media row it
-// references. Payload bytes stay in the blob store — the export carries
+// ExportDataset collects the replicable closure of docID: for every
+// presentation of every component the media row it references, then the
+// document row. Payload bytes stay in the blob store — the export carries
 // handles only, so its size is proportional to row count, not media
 // volume.
 func (m *MediaDB) ExportDataset(docID string) (*Dataset, error) {
-	docs, err := m.db.Table(DocumentTable)
+	_, _, docRow, err := m.documentRow(docID)
 	if err != nil {
 		return nil, err
 	}
-	ids, err := docs.LookupString("FLD_DOCID", docID)
+	h, err := blobHandleAt(docRow, 2)
 	if err != nil {
 		return nil, err
 	}
-	if len(ids) == 0 {
-		return nil, fmt.Errorf("mediadb: no document %q", docID)
-	}
-	row, ok, err := docs.Get(ids[0])
-	if err != nil || !ok {
-		return nil, fmt.Errorf("mediadb: document row vanished: %v", err)
-	}
-	h, err := blobHandleAt(row, 2)
-	if err != nil {
-		return nil, err
-	}
-	ds := &Dataset{DocID: docID, Title: row[1].(string), DocBlob: h}
-
 	data, err := m.db.GetBlob(h)
 	if err != nil {
 		return nil, err
@@ -137,260 +81,161 @@ func (m *MediaDB) ExportDataset(docID string) (*Dataset, error) {
 	want := map[string]map[uint64]bool{ImageTable: {}, AudioTable: {}, CmpTable: {}}
 	for _, c := range doc.Components() {
 		for _, p := range c.Presentations {
-			if t := kindTable(p.Kind); t != "" && p.ObjectID != 0 {
+			if t := KindTable(p.Kind); t != "" && p.ObjectID != 0 {
 				want[t][p.ObjectID] = true
 			}
 		}
 	}
-	sorted := func(set map[uint64]bool) []uint64 {
-		ids := make([]uint64, 0, len(set))
-		for id := range set {
+	ds := &Dataset{DocID: docID}
+	for _, name := range []string{ImageTable, AudioTable, CmpTable} {
+		tbl, err := m.db.Table(name)
+		if err != nil {
+			return nil, err
+		}
+		ids := make([]uint64, 0, len(want[name]))
+		for id := range want[name] {
 			ids = append(ids, id)
 		}
 		slices.Sort(ids)
-		return ids
-	}
-	// A presentation may reference an object that is gone; there is
-	// nothing to ship for it.
-	for _, id := range sorted(want[ImageTable]) {
-		r, err := m.GetImageRow(id)
-		if err == nil {
-			ds.Images = append(ds.Images, r)
-		} else if !errors.Is(err, ErrNoObject) {
-			return nil, err
+		for _, id := range ids {
+			row, ok, err := tbl.Get(id)
+			if err != nil {
+				return nil, err
+			}
+			// A presentation may reference an object that is gone; there
+			// is nothing to ship for it.
+			if ok {
+				ds.Rows = append(ds.Rows, DatasetRow{Table: name, ID: id, Row: row})
+			}
 		}
 	}
-	for _, id := range sorted(want[AudioTable]) {
-		r, err := m.GetAudioRow(id)
-		if err == nil {
-			ds.Audios = append(ds.Audios, r)
-		} else if !errors.Is(err, ErrNoObject) {
-			return nil, err
-		}
-	}
-	for _, id := range sorted(want[CmpTable]) {
-		r, err := m.GetCmpRow(id)
-		if err == nil {
-			ds.Cmps = append(ds.Cmps, r)
-		} else if !errors.Is(err, ErrNoObject) {
-			return nil, err
-		}
-	}
+	ds.Rows = append(ds.Rows, DatasetRow{Table: DocumentTable, Row: docRow})
 	return ds, nil
 }
 
-// AdoptDataset merges an exported dataset into this database under the
-// sender's row ids. ensure is called once per blob cell being written
-// whose handle differs from what the cell held before (for the cluster,
-// ensure runs PutBlobFromChunks, which ingests missing payloads and
-// reference-bumps present ones — either way the new cell owns exactly
-// one reference). Unchanged rows are skipped entirely; changed rows
-// release their displaced handles. It returns how many rows were
-// inserted or updated.
-func (m *MediaDB) AdoptDataset(ds *Dataset, ensure func(h blob.Handle) error) (int, error) {
-	adopted := 0
-	// adoptRow upserts one row of tbl: old == nil inserts under id,
-	// otherwise updates. blobCols names the row's blob columns;
-	// oldHandles/newHandles align with them.
-	adoptRow := func(tbl *store.Table, id uint64, old store.Row, row store.Row, blobCols []int, oldHandles, newHandles []blob.Handle) error {
-		var ensured []blob.Handle
-		unwind := func() {
-			for _, h := range ensured {
-				m.db.ReleaseBlob(h)
+// checkDataset refuses, before anything is written or pulled, a dataset
+// this database cannot hold as sent. Rows arrive untyped off a node
+// link: each must belong to a table replication owns, fit that table's
+// schema cell for cell, and only the last may be a document row — the
+// dataset's own.
+func (m *MediaDB) checkDataset(ds *Dataset) error {
+	for i, r := range ds.Rows {
+		switch r.Table {
+		case ImageTable, AudioTable, CmpTable:
+		case DocumentTable:
+			if i != len(ds.Rows)-1 {
+				return fmt.Errorf("mediadb: dataset %q: document row is not last", ds.DocID)
 			}
+		default:
+			return fmt.Errorf("mediadb: dataset %q: table %q is not replicated", ds.DocID, r.Table)
 		}
-		for i, nh := range newHandles {
-			if nh.IsZero() || (old != nil && nh == oldHandles[i]) {
-				continue // NULL cell, or the cell already owns this payload
-			}
-			if err := ensure(nh); err != nil {
-				unwind()
-				return err
-			}
-			ensured = append(ensured, nh)
-		}
-		if old == nil {
-			if err := tbl.InsertWithID(id, row); err != nil {
-				unwind()
-				return err
-			}
-			adopted++
-			return nil
-		}
-		// Swap-and-read-old atomically (PutDocument's discipline), then
-		// release only the handles the update actually displaced; a cell
-		// keeping its digest carries its reference through the update.
-		displaced, err := tbl.UpdateReturningOld(id, row)
+		tbl, err := m.db.Table(r.Table)
 		if err != nil {
-			unwind()
 			return err
 		}
+		if err := tbl.Check(r.Row); err != nil {
+			return fmt.Errorf("mediadb: dataset %q: %s row %d: %w", ds.DocID, r.Table, r.ID, err)
+		}
+		if r.Table == DocumentTable && r.Row[0] != ds.DocID {
+			return fmt.Errorf("mediadb: dataset %q carries the row of document %q", ds.DocID, r.Row[0])
+		}
+	}
+	return nil
+}
+
+// AdoptDataset merges an exported dataset into this database, media rows
+// under the sender's row ids and the document row — last, so that once
+// it lands a takeover can rebuild the room and every object reference
+// already resolves — under its FLD_DOCID. ensure is called once per blob
+// cell being written whose handle differs from what the cell held before
+// (for the cluster, ensure runs PutBlobFromChunks, which ingests missing
+// payloads and reference-bumps present ones — either way the new cell
+// owns exactly one reference). Unchanged rows are skipped entirely;
+// changed rows release their displaced handles. It returns how many rows
+// were inserted or updated.
+func (m *MediaDB) AdoptDataset(ds *Dataset, ensure func(h blob.Handle) error) (int, error) {
+	if err := m.checkDataset(ds); err != nil {
+		return 0, err
+	}
+	adopted := 0
+	for _, r := range ds.Rows {
+		tbl, err := m.db.Table(r.Table)
+		if err != nil {
+			return adopted, err
+		}
+		id, old := r.ID, store.Row(nil)
+		if r.Table == DocumentTable {
+			if _, id, old, err = m.documentRow(ds.DocID); errors.Is(err, ErrNoObject) {
+				err = nil
+			}
+		} else {
+			old, _, err = tbl.Get(id)
+		}
+		if err != nil {
+			return adopted, err
+		}
+		if old != nil && slices.EqualFunc(old, r.Row, cellsEqual) {
+			continue
+		}
+		if err := m.adoptRow(tbl, id, old, r.Row, ensure); err != nil {
+			return adopted, err
+		}
 		adopted++
-		var first error
-		for i, ci := range blobCols {
-			oh, err := blobHandleAt(displaced, ci)
-			if err != nil {
-				if first == nil {
-					first = err
-				}
-				continue
-			}
-			if oh.IsZero() || oh == newHandles[i] {
-				continue
-			}
-			if err := m.db.ReleaseBlob(oh); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
 	}
-
-	imgs, err := m.db.Table(ImageTable)
-	if err != nil {
-		return adopted, err
-	}
-	for _, r := range ds.Images {
-		old, ok, err := imgs.Get(r.ID)
-		if err != nil {
-			return adopted, err
-		}
-		row := store.Row{r.Quality, r.Texts, r.CM, r.Data}
-		if ok {
-			oh, err := blobHandleAt(old, 3)
-			if err != nil {
-				return adopted, err
-			}
-			if old[0] == r.Quality && old[1] == r.Texts && old[2] == r.CM && oh == r.Data {
-				continue
-			}
-			if err := adoptRow(imgs, r.ID, old, row, []int{3}, []blob.Handle{oh}, []blob.Handle{r.Data}); err != nil {
-				return adopted, err
-			}
-			continue
-		}
-		if err := adoptRow(imgs, r.ID, nil, row, []int{3}, nil, []blob.Handle{r.Data}); err != nil {
-			return adopted, err
-		}
-	}
-
-	auds, err := m.db.Table(AudioTable)
-	if err != nil {
-		return adopted, err
-	}
-	for _, r := range ds.Audios {
-		old, ok, err := auds.Get(r.ID)
-		if err != nil {
-			return adopted, err
-		}
-		row := store.Row{r.Filename, r.Sectors, r.Data}
-		if ok {
-			oh, err := blobHandleAt(old, 2)
-			if err != nil {
-				return adopted, err
-			}
-			if old[0] == r.Filename && bytesEqual(old[1], r.Sectors) && oh == r.Data {
-				continue
-			}
-			if err := adoptRow(auds, r.ID, old, row, []int{2}, []blob.Handle{oh}, []blob.Handle{r.Data}); err != nil {
-				return adopted, err
-			}
-			continue
-		}
-		if err := adoptRow(auds, r.ID, nil, row, []int{2}, nil, []blob.Handle{r.Data}); err != nil {
-			return adopted, err
-		}
-	}
-
-	cmps, err := m.db.Table(CmpTable)
-	if err != nil {
-		return adopted, err
-	}
-	for _, r := range ds.Cmps {
-		old, ok, err := cmps.Get(r.ID)
-		if err != nil {
-			return adopted, err
-		}
-		row := store.Row{r.Filename, r.FileSize, r.Position, r.Header, r.Data}
-		if ok {
-			ohh, err := blobHandleAt(old, 3)
-			if err != nil {
-				return adopted, err
-			}
-			odh, err := blobHandleAt(old, 4)
-			if err != nil {
-				return adopted, err
-			}
-			if old[0] == r.Filename && old[1] == r.FileSize && old[2] == r.Position && ohh == r.Header && odh == r.Data {
-				continue
-			}
-			if err := adoptRow(cmps, r.ID, old, row, []int{3, 4}, []blob.Handle{ohh, odh}, []blob.Handle{r.Header, r.Data}); err != nil {
-				return adopted, err
-			}
-			continue
-		}
-		if err := adoptRow(cmps, r.ID, nil, row, []int{3, 4}, nil, []blob.Handle{r.Header, r.Data}); err != nil {
-			return adopted, err
-		}
-	}
-
-	// Document row last: once it lands, a takeover can rebuild the room
-	// and every object reference above already resolves.
-	docs, err := m.db.Table(DocumentTable)
-	if err != nil {
-		return adopted, err
-	}
-	ids, err := docs.LookupString("FLD_DOCID", ds.DocID)
-	if err != nil {
-		return adopted, err
-	}
-	row := store.Row{ds.DocID, ds.Title, ds.DocBlob}
-	if len(ids) > 0 {
-		old, ok, err := docs.Get(ids[0])
-		if err != nil || !ok {
-			return adopted, fmt.Errorf("mediadb: document row vanished: %v", err)
-		}
-		oh, err := blobHandleAt(old, 2)
-		if err != nil {
-			return adopted, err
-		}
-		if old[1] == ds.Title && oh == ds.DocBlob {
-			return adopted, nil
-		}
-		if err := adoptRow(docs, ids[0], old, row, []int{2}, []blob.Handle{oh}, []blob.Handle{ds.DocBlob}); err != nil {
-			return adopted, err
-		}
-		return adopted, nil
-	}
-	var ensured bool
-	if !ds.DocBlob.IsZero() {
-		if err := ensure(ds.DocBlob); err != nil {
-			return adopted, err
-		}
-		ensured = true
-	}
-	if _, err := docs.Insert(row); err != nil {
-		if ensured {
-			m.db.ReleaseBlob(ds.DocBlob)
-		}
-		return adopted, err
-	}
-	adopted++
 	return adopted, nil
 }
 
-// bytesEqual compares a decoded TBytes cell against a replica value.
-func bytesEqual(cell any, b []byte) bool {
-	a, ok := cell.([]byte)
-	if !ok {
-		return false
-	}
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// adoptRow writes one row: an insert when old is nil — under id, or for
+// the document table under an id of this store's choosing — otherwise an
+// update of row id. Each blob cell whose handle the old row did not
+// already hold in that column is ensured first, and released again if
+// the write fails.
+func (m *MediaDB) adoptRow(tbl *store.Table, id uint64, old, row store.Row, ensure func(blob.Handle) error) error {
+	var ensured []blob.Handle
+	unwind := func(err error) error {
+		for _, h := range ensured {
+			m.db.ReleaseBlob(h)
 		}
+		return err
 	}
-	return true
+	for i, c := range row {
+		h, ok := c.(blob.Handle)
+		if !ok || h.IsZero() || (old != nil && old[i] == c) {
+			continue // not a payload, NULL, or the cell already owns it
+		}
+		if err := ensure(h); err != nil {
+			return unwind(err)
+		}
+		ensured = append(ensured, h)
+	}
+	if old == nil {
+		var err error
+		if tbl.Name() == DocumentTable {
+			_, err = tbl.Insert(row)
+		} else {
+			err = tbl.InsertWithID(id, row)
+		}
+		if err != nil {
+			return unwind(err)
+		}
+		return nil
+	}
+	// Swap-and-read-old atomically (PutDocument's discipline), then
+	// release only the handles the update actually displaced; a cell
+	// keeping its digest carries its reference through the update.
+	displaced, err := tbl.UpdateReturningOld(id, row)
+	if err != nil {
+		return unwind(err)
+	}
+	return m.releaseRowBlobs(displaced, row)
+}
+
+// cellsEqual compares two cells of one column; []byte is the one cell
+// type == cannot.
+func cellsEqual(a, b any) bool {
+	if x, ok := a.([]byte); ok {
+		y, ok := b.([]byte)
+		return ok && bytes.Equal(x, y)
+	}
+	return a == b
 }

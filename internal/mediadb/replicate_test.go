@@ -7,6 +7,7 @@ import (
 
 	"mmconf/internal/blob"
 	"mmconf/internal/document"
+	"mmconf/internal/store"
 )
 
 // populateRecord seeds one document whose components reference an image,
@@ -83,17 +84,27 @@ func TestExportDataset(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ExportDataset: %v", err)
 	}
-	if ds.DocID != "p1" || ds.Title != "Record p1" || ds.DocBlob.IsZero() {
-		t.Errorf("document fields: %+v", ds)
+	// One row per referenced object (full and icon share the image), in
+	// table then id order, the document row last and unnumbered.
+	want := []struct {
+		table string
+		id    uint64
+		cell  int
+		value any
+	}{
+		{ImageTable, imgID, 1, "axial"},
+		{AudioTable, audID, 0, "note.wav"},
+		{CmpTable, cmpID, 0, "scan.cmp"},
+		{DocumentTable, 0, 1, "Record p1"},
 	}
-	if len(ds.Images) != 1 || ds.Images[0].ID != imgID || ds.Images[0].Texts != "axial" {
-		t.Errorf("images: %+v", ds.Images)
+	if ds.DocID != "p1" || len(ds.Rows) != len(want) {
+		t.Fatalf("dataset: %+v", ds)
 	}
-	if len(ds.Audios) != 1 || ds.Audios[0].ID != audID || ds.Audios[0].Filename != "note.wav" {
-		t.Errorf("audios: %+v", ds.Audios)
-	}
-	if len(ds.Cmps) != 1 || ds.Cmps[0].ID != cmpID || ds.Cmps[0].Header.IsZero() || ds.Cmps[0].Data.IsZero() {
-		t.Errorf("cmps: %+v", ds.Cmps)
+	for i, w := range want {
+		r := ds.Rows[i]
+		if r.Table != w.table || r.ID != w.id || r.Row[w.cell] != w.value {
+			t.Errorf("row %d: %+v, want %s/%d with cell %d = %v", i, r, w.table, w.id, w.cell, w.value)
+		}
 	}
 	// 5 distinct payloads: doc, image, audio, cmp header, cmp stream.
 	if hs := ds.Handles(); len(hs) != 5 {
@@ -267,5 +278,55 @@ func TestAdoptDatasetEnsureFailure(t *testing.T) {
 	// A failed adopt leaves no dangling references behind.
 	if _, missing := dst.DB().BlobStats(); missing != 0 {
 		t.Errorf("failed adopt left %d dangling references", missing)
+	}
+}
+
+// TestAdoptDatasetRefusals: rows arrive untyped off a node link, so a
+// dataset this database cannot hold as sent is refused whole — before the
+// first payload is pulled and with nothing written.
+func TestAdoptDatasetRefusals(t *testing.T) {
+	src := openMedia(t)
+	populateRecord(t, src, "p1", 0x61)
+	// Each case spoils a fresh export; rows are image, audio, cmp, document.
+	cases := []struct {
+		name  string
+		spoil func(ds *Dataset)
+	}{
+		{"a row for the catalog table", func(ds *Dataset) {
+			ds.Rows[0] = DatasetRow{Table: CatalogTable, ID: 9, Row: store.Row{"Image", "x", "rw", ImageTable, "again"}}
+		}},
+		{"a short row", func(ds *Dataset) { ds.Rows[1].Row = ds.Rows[1].Row[:2] }},
+		{"an int64 in a blob column", func(ds *Dataset) { ds.Rows[2].Row[3] = int64(7) }},
+		{"a document row of another document", func(ds *Dataset) { ds.Rows[3].Row[0] = "p2" }},
+		{"a document row before a media row", func(ds *Dataset) { ds.Rows[0], ds.Rows[3] = ds.Rows[3], ds.Rows[0] }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ds, err := src.ExportDataset("p1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.spoil(ds)
+			dst := openMedia(t)
+			adopted, err := dst.AdoptDataset(ds, func(h blob.Handle) error {
+				t.Errorf("ensure(%s) called for a dataset that must be refused", h)
+				return nil
+			})
+			if err == nil || adopted != 0 {
+				t.Errorf("adopted %d rows, error %v; want a refusal", adopted, err)
+			}
+			for _, name := range []string{ImageTable, AudioTable, CmpTable, DocumentTable} {
+				tbl, err := dst.DB().Table(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n, _ := tbl.Len(); n != 0 {
+					t.Errorf("%s holds %d rows after the refusal", name, n)
+				}
+			}
+			if rep, err := dst.DB().FsckBlobs(); err != nil || !rep.Clean() || rep.Objects != 0 {
+				t.Errorf("fsck after the refusal: %+v, %v", rep, err)
+			}
+		})
 	}
 }

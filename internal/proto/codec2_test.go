@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mmconf/internal/blob"
 	"mmconf/internal/media/image"
 	"mmconf/internal/media/voice"
 	"mmconf/internal/room"
@@ -186,23 +187,19 @@ func codecCases() []codecCase {
 		}, &PrefetchPush{}},
 		{"None", &wire.None{}, &wire.None{}},
 		{"SyncManifestReq", &SyncManifestReq{
-			Room: "consult", Node: "n1", DocID: "p1", Title: "Case 1",
-			DocBlob: BlobRef{Digest: []byte{1, 1, 1}, Length: 256},
-			Images: []SyncImageRow{
-				{ID: 3, Quality: 2, Texts: "axial", CM: 0.5,
-					Data: BlobRef{Digest: []byte{2, 2}, Length: 4096}},
-			},
-			Audios: []SyncAudioRow{
-				{ID: 7, Filename: "v.au", Sectors: []byte{1, 2, 3},
-					Data: BlobRef{Digest: []byte{3, 3}, Length: 900}},
-			},
-			Cmps: []SyncCmpRow{
-				{ID: 9, Filename: "s.cmp", FileSize: 65536, Position: 12,
-					Header: BlobRef{Digest: []byte{4}, Length: 64},
-					Data:   BlobRef{Digest: []byte{5}, Length: 65536}},
+			Room: "consult", Node: "n1", DocID: "p1",
+			Rows: []SyncRow{
+				{Table: "IMAGE_OBJECTS_TABLE", ID: 3, Cells: []any{
+					int64(2), "axial", 0.5, blob.Handle{Digest: blob.Digest{2, 2}, Length: 4096}}},
+				{Table: "AUDIO_OBJECTS_TABLE", ID: 7, Cells: []any{
+					"v.au", []byte{1, 2, 3}, blob.Handle{Digest: blob.Digest{3, 3}, Length: 900}}},
+				{Table: "CMP_OBJECTS_TABLE", ID: 9, Cells: []any{
+					"s.cmp", int64(65536), int64(-12), blob.Handle{}, blob.Handle{Digest: blob.Digest{5}, Length: 65536}}},
+				{Table: "DOCUMENT_OBJECTS_TABLE", Cells: []any{
+					"p1", "Case 1", blob.Handle{Digest: blob.Digest{1, 1, 1}, Length: 256}}},
 			},
 			Manifests: []BlobManifest{
-				{Digest: []byte{5}, Length: 65536, Chunks: [][]byte{{6}, {7}}},
+				{Digest: blob.Digest{5}, Length: 65536, Chunks: []blob.Digest{{6}, {7}}},
 			},
 		}, &SyncManifestReq{}},
 		{"SyncManifestReq/empty", &SyncManifestReq{
@@ -212,7 +209,7 @@ func codecCases() []codecCase {
 			Node: "n2", RowsAdopted: 4, ChunksPulled: 17, ChunkBytesPulled: 1 << 20,
 		}, &SyncManifestResp{}},
 		{"FetchChunksReq", &FetchChunksReq{
-			Node: "n2", Digests: [][]byte{{1, 2}, {3, 4}},
+			Node: "n2", Digests: []blob.Digest{{1, 2}, {3, 4}},
 		}, &FetchChunksReq{}},
 		{"FetchChunksResp", &FetchChunksResp{
 			Chunks: [][]byte{big, {9}},
@@ -227,6 +224,9 @@ func codecCases() []codecCase {
 // gob refuses to encode, is its own reference.
 func gobRoundTrip(t *testing.T, v any) any {
 	t.Helper()
+	// A SyncRow cell is an interface value; the other four cell types are
+	// gob built-ins.
+	gob.Register(blob.Handle{})
 	out := reflect.New(reflect.TypeOf(v).Elem()).Interface()
 	if reflect.TypeOf(v).Elem().NumField() == 0 {
 		return out

@@ -2,10 +2,68 @@ package proto
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
+	"mmconf/internal/blob"
 	"mmconf/internal/wire"
 )
+
+// bodyFunc writes a body field by field, for frames no encoder of this
+// package would produce.
+type bodyFunc func(e *wire.BodyEnc)
+
+func (f bodyFunc) AppendBody(e *wire.BodyEnc) { f(e) }
+
+type hostileFrame struct {
+	name, reason string
+	data         []byte
+}
+
+// hostileSyncFrames are SyncManifestReq bodies a skewed or hostile peer
+// could send: one row announcing `cells` cells, followed by the given
+// bytes where the first cell should be. Each is a fuzz seed, and
+// TestSyncFrameRefusals holds the decoder to refusing it for the reason
+// named.
+func hostileSyncFrames() []hostileFrame {
+	frame := func(cells uint64, cell ...byte) []byte {
+		return wire.MarshalBody(bodyFunc(func(e *wire.BodyEnc) {
+			e.String("room")
+			e.String("n1")
+			e.String("p1")
+			e.Uvarint(1) // rows
+			e.String("IMAGE_OBJECTS_TABLE")
+			e.Uvarint(3)
+			e.Uvarint(cells)
+			e.Fixed(cell)
+		}))
+	}
+	return []hostileFrame{
+		{"unknown tag", "unknown tag 5", frame(1, 5)},
+		{"invalid tag", "unknown tag 255", frame(1, cellInvalid)},
+		{"truncated digest", "truncated", frame(1, append([]byte{cellBlob}, make([]byte, len(blob.Digest{})-1)...)...)},
+		{"cell count beyond input", "truncated", frame(1<<40, cellInt, 2)},
+	}
+}
+
+func TestSyncFrameRefusals(t *testing.T) {
+	for _, hf := range hostileSyncFrames() {
+		var req SyncManifestReq
+		err := wire.DecodeBodyBytes(hf.data, &req)
+		if err == nil || !strings.Contains(err.Error(), hf.reason) {
+			t.Errorf("%s: decoded to %+v, error %v; want one naming %q", hf.name, req, err, hf.reason)
+		}
+		if len(req.Rows) > 0 && cap(req.Rows[0].Cells) > 64 {
+			t.Errorf("%s: %d cell slots allocated on the frame's say-so", hf.name, cap(req.Rows[0].Cells))
+		}
+	}
+	// A cell that is none of the store's five types has no tag: what the
+	// encoder writes for it, no decoder accepts.
+	data := wire.MarshalBody(&SyncManifestReq{Rows: []SyncRow{{Table: "t", ID: 1, Cells: []any{int32(7)}}}})
+	if err := wire.DecodeBodyBytes(data, new(SyncManifestReq)); err == nil {
+		t.Errorf("a frame carrying an int32 cell decoded")
+	}
+}
 
 // FuzzReplicationFrame throws arbitrary payload bytes at the dataset
 // replication codecs (manifest sync, chunk batch fetch). These frames
@@ -14,32 +72,34 @@ import (
 // allocations whatever counts the input claims; any accepted body must
 // re-encode and re-decode to a fixed point.
 func FuzzReplicationFrame(f *testing.F) {
-	d1 := bytes.Repeat([]byte{0xAA}, 32)
-	d2 := bytes.Repeat([]byte{0xBB}, 32)
-	d3 := bytes.Repeat([]byte{0xCC}, 32)
+	d1, d2, d3 := blob.Digest{0xAA, 1}, blob.Digest{0xBB, 2}, blob.Digest{0xCC, 3}
 	seeds := []wire.BodyEncoder{
+		// A row of each replicated table, so of each cell tag, a zero
+		// handle included.
 		&SyncManifestReq{
-			Room: "tumor-board", Node: "n1", DocID: "patient-001", Title: "CT study",
-			DocBlob: BlobRef{Digest: d1, Length: 512},
-			Images: []SyncImageRow{
-				{ID: 3, Quality: 2, Texts: "lesion at L4", CM: 0.5, Data: BlobRef{Digest: d2, Length: 4096}},
-			},
-			Audios: []SyncAudioRow{
-				{ID: 7, Filename: "note.wav", Sectors: []byte{1, 2, 3}, Data: BlobRef{Digest: d3, Length: 9000}},
-			},
-			Cmps: []SyncCmpRow{
-				{ID: 9, Filename: "scan.cmp", FileSize: 65536, Position: 12,
-					Header: BlobRef{Digest: d1, Length: 64}, Data: BlobRef{Digest: d2, Length: 65536}},
+			Room: "tumor-board", Node: "n1", DocID: "patient-001",
+			Rows: []SyncRow{
+				{Table: "IMAGE_OBJECTS_TABLE", ID: 3, Cells: []any{
+					int64(2), "lesion at L4", 0.5, blob.Handle{Digest: d2, Length: 65536}}},
+				{Table: "AUDIO_OBJECTS_TABLE", ID: 7, Cells: []any{
+					"note.wav", []byte{1, 2, 3}, blob.Handle{Digest: d3, Length: 9000}}},
+				{Table: "CMP_OBJECTS_TABLE", ID: 9, Cells: []any{
+					"scan.cmp", int64(65536), int64(-12), blob.Handle{}, blob.Handle{Digest: d2, Length: 65536}}},
+				{Table: "DOCUMENT_OBJECTS_TABLE", Cells: []any{
+					"patient-001", "CT study", blob.Handle{Digest: d1, Length: 512}}},
 			},
 			Manifests: []BlobManifest{
-				{Digest: d2, Length: 65536, Chunks: [][]byte{d1, d3}},
-				{Digest: d3, Length: 9000, Chunks: [][]byte{d3}},
+				{Digest: d2, Length: 65536, Chunks: []blob.Digest{d1, d3}},
+				{Digest: d1, Length: 512, Chunks: []blob.Digest{d1}},
 			},
 		},
 		&SyncManifestReq{Room: "empty", Node: "n2", DocID: "p2"},
 		&SyncManifestResp{Node: "n2", RowsAdopted: 4, ChunksPulled: 17, ChunkBytesPulled: 1 << 20},
-		&FetchChunksReq{Node: "n2", Digests: [][]byte{d1, d2, d3}},
+		&FetchChunksReq{Node: "n2", Digests: []blob.Digest{d1, d2, d3}},
 		&FetchChunksResp{Chunks: [][]byte{bytes.Repeat([]byte{0x11}, 600), nil, {0x22}}},
+	}
+	for _, hf := range hostileSyncFrames() {
+		f.Add(hf.data)
 	}
 	for _, b := range seeds {
 		data := wire.MarshalBody(b)

@@ -1,13 +1,20 @@
 // Dataset replication plane: the frames a room owner and its standby
 // speak to converge media datasets by digest instead of by copy. The
-// owner ships a room's table rows with blob *references* plus the chunk
-// manifests behind them (MNodeSyncManifest); the standby diffs the
-// manifests against its own CAS and pulls only the chunks it lacks
-// (MNodeFetchChunks). Both ride the node-link plane established in
-// cluster.go — binary codecs, stable method codes, node-to-node only.
+// owner ships a room's table rows, payload cells as blob handles, plus
+// the chunk manifests behind them (MNodeSyncManifest); the standby diffs
+// the manifests against its own CAS and pulls only the chunks it lacks
+// (MNodeFetchChunks). Rows cross untyped: which cells a table's rows
+// take is its schema's to say, and that is spelled in internal/mediadb
+// alone. Both methods ride the node-link plane established in cluster.go
+// — binary codecs, stable method codes, node-to-node only.
 package proto
 
-import "mmconf/internal/wire"
+import (
+	"fmt"
+
+	"mmconf/internal/blob"
+	"mmconf/internal/wire"
+)
 
 // Node-link method names (dataset replication).
 const (
@@ -33,66 +40,35 @@ func init() {
 	}
 }
 
-// BlobRef names a stored payload without carrying it: content digest
-// plus length — exactly a blob.Handle flattened for the wire. A zero-
-// length ref with no digest means "no blob" (NULL cell).
-type BlobRef struct {
-	Digest []byte
-	Length uint32
-}
-
-// SyncImageRow is one IMAGE_OBJECTS_TABLE row with its payload by
-// reference.
-type SyncImageRow struct {
-	ID      uint64
-	Quality int64
-	Texts   string
-	CM      float64
-	Data    BlobRef
-}
-
-// SyncAudioRow is one AUDIO_OBJECTS_TABLE row with its payload by
-// reference. Sectors is small enough to ship inline.
-type SyncAudioRow struct {
-	ID       uint64
-	Filename string
-	Sectors  []byte
-	Data     BlobRef
-}
-
-// SyncCmpRow is one CMP_OBJECTS_TABLE row with header and stream by
-// reference.
-type SyncCmpRow struct {
-	ID       uint64
-	Filename string
-	FileSize int64
-	Position int64
-	Header   BlobRef
-	Data     BlobRef
+// SyncRow is one table row of a replicated dataset: the table it lives
+// in, its id there, and its cells in column order. A cell is an int64, a
+// float64, a string, a []byte or a blob.Handle — the store's five column
+// types. A payload travels as its handle, never as bytes.
+type SyncRow struct {
+	Table string
+	ID    uint64
+	Cells []any
 }
 
 // BlobManifest is one object's chunk recipe: the ordered chunk digests
 // whose concatenation hashes to Digest. The receiver diffs Chunks
 // against its CAS to compute the (possibly empty) transfer set.
 type BlobManifest struct {
-	Digest []byte
+	Digest blob.Digest
 	Length uint32
-	Chunks [][]byte
+	Chunks []blob.Digest
 }
 
 // SyncManifestReq replicates one room's dataset to its standby: the
-// document row, the media rows its components reference, and a manifest
-// for every distinct blob those rows name. No payload bytes ride in
-// this frame — the standby pulls exactly the chunks it is missing.
+// media rows its document's components reference, the document row last,
+// and a manifest for every distinct blob those rows name. No payload
+// bytes ride in this frame — the standby pulls exactly the chunks it is
+// missing.
 type SyncManifestReq struct {
 	Room      string
 	Node      string // sending node id — the standby pulls chunks back from it
 	DocID     string
-	Title     string
-	DocBlob   BlobRef
-	Images    []SyncImageRow
-	Audios    []SyncAudioRow
-	Cmps      []SyncCmpRow
+	Rows      []SyncRow
 	Manifests []BlobManifest
 }
 
@@ -108,7 +84,7 @@ type SyncManifestResp struct {
 // FetchChunksReq pulls a batch of chunks by digest.
 type FetchChunksReq struct {
 	Node    string // requesting node id
-	Digests [][]byte
+	Digests []blob.Digest
 }
 
 // FetchChunksResp returns the chunk payloads aligned by index with the
@@ -119,30 +95,79 @@ type FetchChunksResp struct {
 
 // --- binary codecs ---------------------------------------------------------
 
-func appendBlobRef(e *wire.BodyEnc, r BlobRef) {
-	e.Bytes(r.Digest)
-	e.Uvarint(uint64(r.Length))
-}
+// Cell tags: the dynamic type of one SyncRow cell. cellInvalid is what a
+// value of any other type encodes as; no decoder accepts it.
+const (
+	cellInt byte = iota
+	cellFloat
+	cellString
+	cellBytes
+	cellBlob
+	cellInvalid byte = 0xFF
+)
 
-func decodeBlobRef(d *wire.Dec) BlobRef {
-	return BlobRef{Digest: d.Bytes(), Length: uint32(d.Uvarint())}
-}
-
-func appendByteSlices(e *wire.BodyEnc, bs [][]byte) {
-	e.Uvarint(uint64(len(bs)))
-	for _, b := range bs {
-		e.Bytes(b)
+func appendCell(e *wire.BodyEnc, c any) {
+	switch v := c.(type) {
+	case int64:
+		e.Byte(cellInt)
+		e.Varint(v)
+	case float64:
+		e.Byte(cellFloat)
+		e.F64(v)
+	case string:
+		e.Byte(cellString)
+		e.String(v)
+	case []byte:
+		e.Byte(cellBytes)
+		e.Bytes(v)
+	case blob.Handle:
+		e.Byte(cellBlob)
+		e.Fixed(v.Digest[:])
+		e.Uvarint(uint64(v.Length))
+	default:
+		e.Byte(cellInvalid)
 	}
 }
 
-func decodeByteSlices(d *wire.Dec) [][]byte {
+func decodeCell(d *wire.Dec) (any, error) {
+	switch tag := d.Byte(); tag {
+	case cellInt:
+		return d.Varint(), nil
+	case cellFloat:
+		return d.F64(), nil
+	case cellString:
+		return d.String(), nil
+	case cellBytes:
+		return d.Bytes(), nil
+	case cellBlob:
+		var h blob.Handle
+		d.Fixed(h.Digest[:])
+		h.Length = uint32(d.Uvarint())
+		return h, nil
+	default:
+		return nil, fmt.Errorf("proto: sync row cell has unknown tag %d", tag)
+	}
+}
+
+// appendDigests writes a count and that many fixed-width digests: a
+// digest of any other length cannot be framed, so none is ever decoded.
+func appendDigests(e *wire.BodyEnc, ds []blob.Digest) {
+	e.Uvarint(uint64(len(ds)))
+	for i := range ds {
+		e.Fixed(ds[i][:])
+	}
+}
+
+func decodeDigests(d *wire.Dec) []blob.Digest {
 	n := d.Uvarint()
 	if n == 0 || d.Err() != nil {
 		return nil
 	}
-	out := make([][]byte, 0, min(n, 4096))
+	out := make([]blob.Digest, 0, min(n, 4096))
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		out = append(out, d.Bytes())
+		var dg blob.Digest
+		d.Fixed(dg[:])
+		out = append(out, dg)
 	}
 	return out
 }
@@ -152,41 +177,22 @@ func (r *SyncManifestReq) AppendBody(e *wire.BodyEnc) {
 	e.String(r.Room)
 	e.String(r.Node)
 	e.String(r.DocID)
-	e.String(r.Title)
-	appendBlobRef(e, r.DocBlob)
-	e.Uvarint(uint64(len(r.Images)))
-	for i := range r.Images {
-		im := &r.Images[i]
-		e.Uvarint(im.ID)
-		e.Varint(im.Quality)
-		e.String(im.Texts)
-		e.F64(im.CM)
-		appendBlobRef(e, im.Data)
-	}
-	e.Uvarint(uint64(len(r.Audios)))
-	for i := range r.Audios {
-		au := &r.Audios[i]
-		e.Uvarint(au.ID)
-		e.String(au.Filename)
-		e.Bytes(au.Sectors)
-		appendBlobRef(e, au.Data)
-	}
-	e.Uvarint(uint64(len(r.Cmps)))
-	for i := range r.Cmps {
-		cm := &r.Cmps[i]
-		e.Uvarint(cm.ID)
-		e.String(cm.Filename)
-		e.Varint(cm.FileSize)
-		e.Varint(cm.Position)
-		appendBlobRef(e, cm.Header)
-		appendBlobRef(e, cm.Data)
+	e.Uvarint(uint64(len(r.Rows)))
+	for i := range r.Rows {
+		row := &r.Rows[i]
+		e.String(row.Table)
+		e.Uvarint(row.ID)
+		e.Uvarint(uint64(len(row.Cells)))
+		for _, c := range row.Cells {
+			appendCell(e, c)
+		}
 	}
 	e.Uvarint(uint64(len(r.Manifests)))
 	for i := range r.Manifests {
 		m := &r.Manifests[i]
-		e.Bytes(m.Digest)
+		e.Fixed(m.Digest[:])
 		e.Uvarint(uint64(m.Length))
-		appendByteSlices(e, m.Chunks)
+		appendDigests(e, m.Chunks)
 	}
 }
 
@@ -195,42 +201,31 @@ func (r *SyncManifestReq) DecodeBody(d *wire.Dec) error {
 	r.Room = d.String()
 	r.Node = d.String()
 	r.DocID = d.String()
-	r.Title = d.String()
-	r.DocBlob = decodeBlobRef(d)
 	if n := d.Uvarint(); n > 0 && d.Err() == nil {
-		r.Images = make([]SyncImageRow, 0, min(n, 4096))
+		r.Rows = make([]SyncRow, 0, min(n, 4096))
 		for i := uint64(0); i < n && d.Err() == nil; i++ {
-			r.Images = append(r.Images, SyncImageRow{
-				ID: d.Uvarint(), Quality: d.Varint(), Texts: d.String(),
-				CM: d.F64(), Data: decodeBlobRef(d),
-			})
-		}
-	}
-	if n := d.Uvarint(); n > 0 && d.Err() == nil {
-		r.Audios = make([]SyncAudioRow, 0, min(n, 4096))
-		for i := uint64(0); i < n && d.Err() == nil; i++ {
-			r.Audios = append(r.Audios, SyncAudioRow{
-				ID: d.Uvarint(), Filename: d.String(), Sectors: d.Bytes(),
-				Data: decodeBlobRef(d),
-			})
-		}
-	}
-	if n := d.Uvarint(); n > 0 && d.Err() == nil {
-		r.Cmps = make([]SyncCmpRow, 0, min(n, 4096))
-		for i := uint64(0); i < n && d.Err() == nil; i++ {
-			r.Cmps = append(r.Cmps, SyncCmpRow{
-				ID: d.Uvarint(), Filename: d.String(), FileSize: d.Varint(),
-				Position: d.Varint(), Header: decodeBlobRef(d), Data: decodeBlobRef(d),
-			})
+			row := SyncRow{Table: d.String(), ID: d.Uvarint()}
+			if k := d.Uvarint(); k > 0 && d.Err() == nil {
+				row.Cells = make([]any, 0, min(k, 64))
+				for j := uint64(0); j < k && d.Err() == nil; j++ {
+					c, err := decodeCell(d)
+					if err != nil {
+						return err
+					}
+					row.Cells = append(row.Cells, c)
+				}
+			}
+			r.Rows = append(r.Rows, row)
 		}
 	}
 	if n := d.Uvarint(); n > 0 && d.Err() == nil {
 		r.Manifests = make([]BlobManifest, 0, min(n, 4096))
 		for i := uint64(0); i < n && d.Err() == nil; i++ {
-			r.Manifests = append(r.Manifests, BlobManifest{
-				Digest: d.Bytes(), Length: uint32(d.Uvarint()),
-				Chunks: decodeByteSlices(d),
-			})
+			var m BlobManifest
+			d.Fixed(m.Digest[:])
+			m.Length = uint32(d.Uvarint())
+			m.Chunks = decodeDigests(d)
+			r.Manifests = append(r.Manifests, m)
 		}
 	}
 	return d.Err()
@@ -256,13 +251,13 @@ func (r *SyncManifestResp) DecodeBody(d *wire.Dec) error {
 // AppendBody implements wire.BodyEncoder.
 func (r *FetchChunksReq) AppendBody(e *wire.BodyEnc) {
 	e.String(r.Node)
-	appendByteSlices(e, r.Digests)
+	appendDigests(e, r.Digests)
 }
 
 // DecodeBody implements wire.BodyDecoder.
 func (r *FetchChunksReq) DecodeBody(d *wire.Dec) error {
 	r.Node = d.String()
-	r.Digests = decodeByteSlices(d)
+	r.Digests = decodeDigests(d)
 	return d.Err()
 }
 
@@ -276,6 +271,11 @@ func (r *FetchChunksResp) AppendBody(e *wire.BodyEnc) {
 
 // DecodeBody implements wire.BodyDecoder.
 func (r *FetchChunksResp) DecodeBody(d *wire.Dec) error {
-	r.Chunks = decodeByteSlices(d)
+	if n := d.Uvarint(); n > 0 && d.Err() == nil {
+		r.Chunks = make([][]byte, 0, min(n, 4096))
+		for i := uint64(0); i < n && d.Err() == nil; i++ {
+			r.Chunks = append(r.Chunks, d.Bytes())
+		}
+	}
 	return d.Err()
 }

@@ -261,16 +261,18 @@ func TestChangeBufferRingAgainstSlice(t *testing.T) {
 	log.compare(t, short, "short restore, filled and turned")
 }
 
-// TestChoiceAllocations pins what one choice costs a four-member room
-// whose members keep up: one solve for the four of them — the evidence,
-// the completion's vectors, one Outcome, one Visible — and the fan-out's
-// shared encoding slot, nothing per member. Measured 11 allocations; each
-// further solve is 6 more, and the five solves this replaces made it 35.
-func TestChoiceAllocations(t *testing.T) {
+// choiceAllocations measures the allocations of one choice in a
+// four-member room whose members keep up, its change buffer already full;
+// tap, when non-nil, is installed as the room's replicator first.
+func choiceAllocations(t *testing.T, tap func()) float64 {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation counts are measured without the race detector")
 	}
 	r := newRoom(t)
+	if tap != nil {
+		r.SetReplicator(tap)
+	}
 	ctx := context.Background()
 	var members []*Member
 	for _, name := range []string{"a", "b", "c", "d"} {
@@ -295,7 +297,32 @@ func TestChoiceAllocations(t *testing.T) {
 	for r.buf.len() < changeBufferSize {
 		step() // fill the ring first: growing it is not the choice's cost
 	}
-	if got := testing.AllocsPerRun(500, step); got > 14 {
+	return testing.AllocsPerRun(500, step)
+}
+
+// TestChoiceAllocations pins what one choice costs a four-member room
+// whose members keep up: one solve for the four of them — the evidence,
+// the completion's vectors, one Outcome, one Visible — and the fan-out's
+// shared encoding slot, nothing per member. Measured 11 allocations; each
+// further solve is 6 more, and the five solves this replaces made it 35.
+func TestChoiceAllocations(t *testing.T) {
+	if got := choiceAllocations(t, nil); got > 14 {
 		t.Errorf("%v allocations per choice in a four-member room, want at most 14", got)
+	}
+}
+
+// TestTappedChoiceAllocations: being replicated costs the room nothing
+// per choice. The tap is told that the log moved and carries no event, so
+// none is copied for it; when it took the event's address, each broadcast
+// put one more copy on the heap (352 B).
+func TestTappedChoiceAllocations(t *testing.T) {
+	taps := 0
+	untapped := choiceAllocations(t, nil)
+	tapped := choiceAllocations(t, func() { taps++ })
+	if tapped != untapped {
+		t.Errorf("%v allocations per choice with a replicator installed, %v without", tapped, untapped)
+	}
+	if taps == 0 {
+		t.Errorf("the replicator was never told of a choice")
 	}
 }

@@ -39,12 +39,9 @@ func (r *Room) broadcastLocked(ev Event, reconfigure bool) {
 	}
 	r.fanOutLocked(ev)
 	if r.replicator != nil {
-		// Tap after the reconfigure loop below so the replicated Seq
-		// high-water mark includes the per-member presentation bumps.
-		// The tap takes the event's address, which puts it on the heap:
-		// a copy made here, so a room nobody taps does not pay for one.
-		tapped := ev
-		defer func() { r.replicator(&tapped, r.seq, r.trimmed) }()
+		// Whoever the tap wakes reads the log under r.mu, so it sees the
+		// presentation bumps below whenever in this section it is told.
+		r.replicator()
 	}
 	if reconfigure {
 		views, err := r.engine.Views()

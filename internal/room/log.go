@@ -6,14 +6,25 @@ import "fmt"
 // standby's restore, and the sequence window late joiners catch up from.
 
 // SetReplicator installs the event-log tap a cluster node replicates
-// from: fn observes every buffered event (ev non-nil) and every Seq
-// advance (ev nil) together with the room's current Seq high-water and
-// trim marks. fn runs under the room lock — it must be cheap, must not
+// from: fn is called on every advance of the log, buffered event or bare
+// Seq bump alike, and the node then reads what its standby lacks with
+// LogSince. fn runs under the room lock — it must be cheap, must not
 // block, and must not call back into the room.
-func (r *Room) SetReplicator(fn func(ev *Event, seq, trimmed uint64)) {
+func (r *Room) SetReplicator(fn func()) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.replicator = fn
+}
+
+// LogSince reads the log past a replication cursor: the buffered events
+// with Seq greater than since, and the Seq high-water and trim marks
+// they were read under — one critical section, so no event is past seq
+// and none at or below trimmed. LogSince(0) is the whole log, in the
+// shape Restore takes.
+func (r *Room) LogSince(since uint64) (events []Event, seq, trimmed uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.buf.since(since), r.seq, r.trimmed
 }
 
 // Restore seeds a freshly built room with a replicated event log: the

@@ -243,13 +243,12 @@ type Room struct {
 	// instead of buffering unboundedly.
 	pushBudget int64
 
-	// replicator, when set, observes every buffered event (ev non-nil)
-	// and every sequence advance (ev nil for per-member presentation
-	// bumps that consume a Seq without entering the change buffer),
-	// carrying the room's current Seq high-water and trim marks. Called
-	// under r.mu — it must not block or call back into the room; a
-	// cluster node hands the event to an async replication queue here.
-	replicator func(ev *Event, seq, trimmed uint64)
+	// replicator, when set, is told that the log advanced: an event was
+	// buffered, or a per-member presentation consumed a Seq without
+	// entering the change buffer. It carries nothing — the replicating
+	// node reads what it lacks with LogSince. Called under r.mu — it must
+	// not block or call back into the room.
+	replicator func()
 
 	// docVer counts shared document mutations; docSnap caches the
 	// document's serialized form at docSnapVer so joins stop
@@ -406,7 +405,7 @@ func (r *Room) SetMemberEnvironment(name, variable, value string) (bool, error) 
 		Outcome: v.Outcome, Visible: v.Visible,
 	})
 	if r.replicator != nil {
-		r.replicator(nil, r.seq, r.trimmed) // seq-only advance: nothing buffered
+		r.replicator() // seq-only advance: nothing buffered
 	}
 	return true, nil
 }

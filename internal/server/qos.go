@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"mmconf/internal/core"
-	"mmconf/internal/document"
+	"mmconf/internal/mediadb"
 	"mmconf/internal/proto"
 	"mmconf/internal/qos"
 	"mmconf/internal/room"
@@ -142,25 +142,13 @@ func (q *qosController) tick() {
 	}
 }
 
-// imageBacked reports whether a presentation kind is served from an
-// image object — one stored payload backs every rendering of it (full,
-// lowres, segmented, icon), so pushing that object satisfies any of
-// them.
-func imageBacked(k document.MediaKind) bool {
-	switch k {
-	case document.KindImage, document.KindSegmentedImage, document.KindImageLowRes,
-		document.KindImageMedRes, document.KindImageHighRes, document.KindIcon:
-		return true
-	}
-	return false
-}
-
 // prefetch pre-pushes the member's likeliest next payloads, best-ranked
 // first, within two budgets: the per-session prefetch allowance and the
 // member's live push-budget headroom (speculative bytes must never
-// starve real event delivery). Only image-backed payloads are pushed —
-// they dominate §4.4's transfer cost and map directly onto the client
-// buffer's demand path.
+// starve real event delivery). Only candidates whose ObjectID indexes
+// IMAGE_OBJECTS_TABLE are pushed — object ids are per table, and a
+// PrefetchPush carries one image, which is what the client buffer's
+// demand path asks for by that id.
 func (q *qosController) prefetch(c *qosClient) {
 	if q.prefetchBudget <= 0 || c.pushedBytes >= q.prefetchBudget {
 		return
@@ -173,7 +161,7 @@ func (q *qosController) prefetch(c *qosClient) {
 		if c.pushedBytes >= q.prefetchBudget {
 			return
 		}
-		if c.pushed[cand.ObjectID] || !imageBacked(cand.Kind) {
+		if c.pushed[cand.ObjectID] || mediadb.KindTable(cand.Kind) != mediadb.ImageTable {
 			continue
 		}
 		resp, err := q.s.getImage(cand.ObjectID, nil)

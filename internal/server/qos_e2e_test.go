@@ -1,39 +1,47 @@
 package server
 
 import (
+	"bytes"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
+	"mmconf/internal/blob"
 	"mmconf/internal/client"
 	"mmconf/internal/core"
 	"mmconf/internal/mediadb"
+	"mmconf/internal/proto"
 	"mmconf/internal/qos"
 	"mmconf/internal/room"
 	"mmconf/internal/store"
+	"mmconf/internal/wire"
 	"mmconf/internal/workload"
 )
 
-// qosSystem boots a server over net.Pipe with a fast adaptive-QoS loop
-// whose band edges sit far above anything a pipe can carry, so the
-// measured rate deterministically classifies every connection as low —
-// the degradation path without real network shaping.
-func qosSystem(t *testing.T) (*Server, *client.Client, *workload.PopulatedRecord) {
+// qosServer boots a server with a fast adaptive-QoS loop whose band
+// edges sit far above anything a pipe can carry, so the measured rate
+// deterministically classifies every connection as low — the degradation
+// path without real network shaping. Its store holds one populated
+// record per name in docs; conn is the client end of a net.Pipe to it.
+func qosServer(t *testing.T, docs ...string) (srv *Server, m *mediadb.MediaDB, conn net.Conn, recs []*workload.PopulatedRecord) {
 	t.Helper()
 	db, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	m, err := mediadb.Open(db)
-	if err != nil {
+	if m, err = mediadb.Open(db); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := workload.Populate(m, "p1", 1)
-	if err != nil {
-		t.Fatal(err)
+	for i, id := range docs {
+		rec, err := workload.Populate(m, id, int64(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
 	}
-	srv, err := NewWith(m, Options{
+	srv, err = NewWith(m, Options{
 		QoSInterval: 10 * time.Millisecond,
 		QoSBands:    qos.Bands{LowMedium: 1 << 40, MediumHigh: 1 << 41, Hysteresis: 0.25},
 	})
@@ -43,12 +51,23 @@ func qosSystem(t *testing.T) (*Server, *client.Client, *workload.PopulatedRecord
 	t.Cleanup(func() { srv.Close() })
 	sc, cc := net.Pipe()
 	go srv.ServeConn(sc)
+	return srv, m, cc, recs
+}
+
+// qosSystem is qosServer with a client on the pipe, and p1 the second of
+// two records. Object ids are per table and prefetch.Rank keeps one
+// candidate per bare id (DESIGN §11): in a one-record store stream 1, the
+// degraded view's ct=lowres, would hide image 1, the CT a next click
+// needs. As the second record p1 has images 3 and 4 and stream 2.
+func qosSystem(t *testing.T) (*Server, *client.Client, *workload.PopulatedRecord) {
+	t.Helper()
+	srv, _, cc, recs := qosServer(t, "p0", "p1")
 	c, err := client.NewOverConn(cc, "alice")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return srv, c, rec
+	return srv, c, recs[1]
 }
 
 // The full adaptive loop, end to end: the server measures the member's
@@ -188,4 +207,73 @@ func gaugesFor(t *testing.T, addr, roomName string) room.Gauges {
 	}
 	t.Fatalf("room %q not in stats", roomName)
 	return room.Gauges{}
+}
+
+// Object ids are per table. In a store holding two records, patient
+// two's ct=lowres presentation names stream 2 of CMP_OBJECTS_TABLE, and
+// image 2 is patient one's X-ray: a prefetch that reads every candidate's
+// id as an image id pushes another patient's picture. Every payload
+// pushed to a throttled member of patient two's room must be one of that
+// record's own images, under that row's digest.
+func TestQoSPrefetchPushesOnlyTheRecordsOwnImages(t *testing.T) {
+	_, m, cc, recs := qosServer(t, "p1", "p2")
+	rec := recs[1]
+	rpc := wire.NewClient(cc)
+	t.Cleanup(func() { rpc.Close() })
+
+	want := make(map[uint64]blob.Digest)
+	for _, id := range []uint64{rec.CTID, rec.XrayID} {
+		row, err := m.GetImageRow(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[id] = row.Data.Digest
+	}
+	var mu sync.Mutex
+	pushed := make(map[uint64]bool)
+	rpc.OnPush(func(method string, body wire.Body) {
+		if method != proto.MPrefetchPush {
+			return
+		}
+		var pp proto.PrefetchPush
+		if err := body.Decode(&pp); err != nil {
+			t.Errorf("prefetch push: %v", err)
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		pushed[pp.ObjectID] = true
+		if d, ok := want[pp.ObjectID]; !ok {
+			t.Errorf("pushed object %d (%d bytes): not an image of this record (ct %d, xray %d)",
+				pp.ObjectID, len(pp.Data), rec.CTID, rec.XrayID)
+		} else if !bytes.Equal(pp.Digest, d[:]) || blob.Sum(pp.Data) != d {
+			t.Errorf("pushed image %d under digest %x, its row holds %x", pp.ObjectID, pp.Digest, d[:])
+		}
+	})
+	var join proto.JoinRoomResp
+	if err := rpc.Call(proto.MJoinRoom, &proto.JoinRoomReq{Room: "consult", DocID: "p2", User: "alice"}, &join); err != nil {
+		t.Fatal(err)
+	}
+	// Enough response writes for the meter's confidence gate; the member
+	// then degrades to ct=lowres and the loop ranks its candidates.
+	for i := 0; i < 6; i++ {
+		if err := rpc.Call(proto.MListDocuments, &proto.ListDocumentsReq{}, &proto.ListDocumentsResp{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		mu.Lock()
+		done := pushed[rec.CTID] && pushed[rec.XrayID]
+		mu.Unlock()
+		if done {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("pushed %v, want both of the record's images", pushed)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	// Let the ticks that follow rank again: nothing else may arrive.
+	time.Sleep(100 * time.Millisecond)
 }

@@ -27,7 +27,6 @@ import (
 	"mmconf/internal/obs"
 	"mmconf/internal/proto"
 	"mmconf/internal/qos"
-	"mmconf/internal/room"
 	"mmconf/internal/wire"
 )
 
@@ -115,22 +114,12 @@ type Options struct {
 	// event log (Seq high-water mark, trim watermark, buffered events)
 	// before the first member joins, so Resume replays exactly what the
 	// old owner would have.
-	RoomSeed func(roomName string) (RoomSnapshot, bool)
-	// RoomTap, when non-nil, observes every room event-log advance —
-	// the replication source. Called under the room lock: it must be
-	// cheap, must not block, and must not call back into the server.
-	RoomTap func(roomName, docID string, ev *room.Event, seq, trimmed uint64)
-}
-
-// RoomSnapshot is one room's replicable event-log state: what a
-// standby accumulates from ReplicateReq streams and what SnapshotRooms
-// exports on drain.
-type RoomSnapshot struct {
-	Room    string
-	DocID   string
-	Seq     uint64
-	Trimmed uint64
-	Events  []room.Event
+	RoomSeed func(roomName string) (*proto.ReplicateReq, bool)
+	// RoomTap, when non-nil, is told of every room event-log advance;
+	// the replicating node then reads the log with SnapshotRoom. Called
+	// under the room lock: it must be cheap, must not block, and must
+	// not call back into the server.
+	RoomTap func(roomName string)
 }
 
 // Server is the interaction server.
@@ -158,8 +147,8 @@ type Server struct {
 	// Cluster-tier hooks (see the Options fields of the same names).
 	nodeID      string
 	onPeerClose func(*wire.Peer)
-	roomSeed    func(string) (RoomSnapshot, bool)
-	roomTap     func(string, string, *room.Event, uint64, uint64)
+	roomSeed    func(string) (*proto.ReplicateReq, bool)
+	roomTap     func(string)
 }
 
 // New builds a server over an opened multimedia database with default
@@ -398,24 +387,6 @@ func (s *Server) NodeID() string { return s.nodeID }
 // before Serve.
 func (s *Server) Register(method string, h wire.Handler) { s.rpc.Register(method, h) }
 
-// SnapshotRooms exports every live room's replicable event-log state —
-// the drain path's final flush: before shutting down, a draining node
-// pushes these snapshots to each room's standby so takeover loses
-// nothing.
-func (s *Server) SnapshotRooms() []RoomSnapshot {
-	var out []RoomSnapshot
-	s.reg.forEach(func(name string, rs *roomState) {
-		out = append(out, RoomSnapshot{
-			Room:    name,
-			DocID:   rs.docID,
-			Seq:     rs.room.Seq(),
-			Trimmed: rs.room.Trimmed(),
-			Events:  rs.room.History(0),
-		})
-	})
-	return out
-}
-
 // Rooms lists the names of every live room — the cluster tier's cheap
 // reconciliation view (no event logs are copied).
 func (s *Server) Rooms() []string {
@@ -424,19 +395,17 @@ func (s *Server) Rooms() []string {
 	return out
 }
 
-// SnapshotRoom exports one live room's replicable event-log state.
-func (s *Server) SnapshotRoom(name string) (RoomSnapshot, bool) {
+// SnapshotRoom reads one live room's event log past since in the frame
+// that replicates it: since is the standby's cursor, 0 for the whole log
+// (handoff, drain, a first or failed send). The events and both marks
+// come from one Room.LogSince, so the frame always restores.
+func (s *Server) SnapshotRoom(name string, since uint64) (*proto.ReplicateReq, bool) {
 	rs, ok := s.reg.get(name)
 	if !ok {
-		return RoomSnapshot{}, false
+		return nil, false
 	}
-	return RoomSnapshot{
-		Room:    name,
-		DocID:   rs.docID,
-		Seq:     rs.room.Seq(),
-		Trimmed: rs.room.Trimmed(),
-		Events:  rs.room.History(0),
-	}, true
+	events, seq, trimmed := rs.room.LogSince(since)
+	return &proto.ReplicateReq{Room: name, DocID: rs.docID, Seq: seq, Trimmed: trimmed, Events: events}, true
 }
 
 // DropRoom closes the named room and removes it from the registry —

@@ -82,8 +82,8 @@ func (s *Server) buildRoom(name, docID string) (*roomState, error) {
 	r.OnQueueDrop(func(string) { s.stats.Add(CounterQueueDrops, 1) })
 	r.SetGrace(s.grace)
 	// Cluster wiring: a room moving here after failover restores the
-	// replicated log before any member joins; the tap streams every
-	// subsequent advance back out to the room's standby.
+	// replicated log before any member joins; the tap reports every
+	// subsequent advance, which the node streams to the room's standby.
 	if s.roomSeed != nil {
 		if snap, ok := s.roomSeed(name); ok {
 			if err := r.Restore(snap.Events, snap.Seq, snap.Trimmed); err != nil {
@@ -92,9 +92,7 @@ func (s *Server) buildRoom(name, docID string) (*roomState, error) {
 		}
 	}
 	if s.roomTap != nil {
-		r.SetReplicator(func(ev *room.Event, seq, trimmed uint64) {
-			s.roomTap(name, docID, ev, seq, trimmed)
-		})
+		r.SetReplicator(func() { s.roomTap(name) })
 	}
 	// Safe to enable: the forwarder refunds every delivered event via
 	// member.Consumed.

@@ -197,6 +197,21 @@ func (t *Table) Schema() ([]Column, error) {
 	return append([]Column(nil), tb.schema...), nil
 }
 
+// Check reports whether row fits the table's schema — arity and every
+// cell's dynamic type — by the rule Insert and Update apply, writing
+// nothing: for rows that arrive from outside and must be refused whole
+// before the first of them is stored.
+func (t *Table) Check(row Row) error {
+	t.db.mu.RLock()
+	defer t.db.mu.RUnlock()
+	tb, err := t.db.tableLocked(t.name)
+	if err != nil {
+		return err
+	}
+	_, err = encodeRow(tb.schema, row)
+	return err
+}
+
 // Insert appends a row, returning its assigned id.
 func (t *Table) Insert(row Row) (uint64, error) {
 	t.db.mu.Lock()

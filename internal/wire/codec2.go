@@ -274,6 +274,10 @@ func (e *BodyEnc) RawBytes(b []byte) {
 	e.raw(b)
 }
 
+// Fixed appends b with no length prefix: a field whose width both ends
+// know, such as a content digest.
+func (e *BodyEnc) Fixed(b []byte) { copy(e.grow(len(b)), b) }
+
 // raw appends b with no length prefix, by reference when it is large
 // (the same contract as RawBytes).
 func (e *BodyEnc) raw(b []byte) {
@@ -442,6 +446,15 @@ func (d *Dec) Bytes() []byte {
 	v := d.b[d.off : d.off+int(n) : d.off+int(n)]
 	d.off += int(n)
 	return v
+}
+
+// Fixed fills out with the next len(out) bytes (see BodyEnc.Fixed).
+func (d *Dec) Fixed(out []byte) {
+	if d.err != nil || len(out) > len(d.b)-d.off {
+		d.fail()
+		return
+	}
+	d.off += copy(out, d.b[d.off:])
 }
 
 // String reads a length-prefixed string (a copy, by string semantics).
