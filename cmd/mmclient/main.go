@@ -88,14 +88,13 @@ func run(addr, user, roomName, docID string, buffer int64, opts client.Options) 
 	fmt.Printf("joined room %q as %s — document %q (%d components)\n",
 		roomName, user, session.Doc.ID, len(session.Doc.Components()))
 	for _, ev := range history {
-		printEvent(user, ev)
+		printEvent(ev)
 	}
 	printView(session.View())
 
 	go func() {
 		for ev := range c.Events() {
-			session.ApplyEvent(ev)
-			printEvent(user, ev)
+			printEvent(ev)
 			if ev.Kind == room.EvShutdown {
 				fmt.Println("server is shutting down; session over")
 				stop()
@@ -237,7 +236,7 @@ func execute(ctx context.Context, c *client.Client, s *client.Session, line stri
 			return err
 		}
 		for _, ev := range evs {
-			printEvent("", ev)
+			printEvent(ev)
 		}
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
@@ -297,12 +296,12 @@ func printTree(c *document.Component, depth int) {
 	fmt.Printf("%s%s (%s) — %s\n", indent, c.Name, c.Label, strings.Join(alts, " | "))
 }
 
-func printEvent(self string, ev room.Event) {
+func printEvent(ev room.Event) {
 	switch ev.Kind {
 	case room.EvPresentation:
-		if ev.Actor == self {
-			fmt.Printf("[%d] presentation updated\n", ev.Seq)
-		}
+		// Every presentation received is this member's own: Actor names
+		// whose event caused the re-solve, not whom it was pushed to.
+		fmt.Printf("[%d] presentation updated\n", ev.Seq)
 	case room.EvChoice:
 		fmt.Printf("[%d] %s chose %s = %s\n", ev.Seq, ev.Actor, ev.Variable, ev.Value)
 	case room.EvOperation:

@@ -88,13 +88,15 @@ func run() error {
 	go func() {
 		defer close(done)
 		for ev := range baker.Events() {
-			sb.ApplyEvent(ev)
 			switch ev.Kind {
 			case room.EvChoice:
 				fmt.Printf("  [baker's screen] %s chose %s=%s\n", ev.Actor, ev.Variable, ev.Value)
 			case room.EvPresentation:
+				// The push carries what changed; the session, which took it in
+				// when it arrived, holds the view.
+				o := sb.View().Outcome
 				fmt.Printf("  [baker's screen] presentation -> ct=%s xray=%s voice=%s\n",
-					ev.Outcome["ct"], ev.Outcome["xray"], ev.Outcome["voice"])
+					o["ct"], o["xray"], o["voice"])
 			case room.EvOperation:
 				fmt.Printf("  [baker's screen] %s applied %s on %s -> %s\n",
 					ev.Actor, ev.Op, ev.Component, ev.DerivedVar)

@@ -46,13 +46,14 @@ type Client struct {
 	state    connState
 	gen      uint64 // bumped per (re)connect; stale supervisors stand down
 	sessions map[string]*Session
-	// Prefetch pushes that raced a Join: the server's QoS loop can push
-	// before the Join response is processed and the session installed.
-	// Stashed (bounded) until JoinCtx drains them into the new session's
-	// buffer — dropping them would lose the payload for good, since the
-	// server marks each object as pushed exactly once.
-	pendingPrefetch      map[string][]proto.PrefetchPush
-	pendingPrefetchBytes int64
+	// joining holds, per room, the session of a Join still in flight. The
+	// server pushes to a new member before the Join response is processed
+	// — the join's own announcement and first presentation, a QoS
+	// prefetch — and those pushes need the session's gate, view and buffer
+	// as much as any later one: a presentation that bypassed the session
+	// would break the chain of changes, and a prefetch payload dropped is
+	// lost for good, since the server pushes each object exactly once.
+	joining map[string]*Session
 
 	closeCh   chan struct{}
 	closeOnce sync.Once
@@ -84,14 +85,10 @@ type Client struct {
 const eventQueueSize = 1024
 
 // eventChanSize is the part of that bound allocated up front (a
-// room.Event is 328 bytes): enough that a consumer keeping up with a
+// room.Event is 384 bytes): enough that a consumer keeping up with a
 // burst of fan-out never sees the backlog path, small enough that an idle
 // client does not pin a third of a megabyte.
 const eventChanSize = 32
-
-// maxPendingPrefetch bounds the bytes stashed for prefetch pushes whose
-// Join is still in flight; pushes beyond it are dropped.
-const maxPendingPrefetch = 8 << 20
 
 // Dial connects to the interaction server at addr as the given user.
 // The connection does not auto-reconnect; use DialWith for that.
@@ -147,6 +144,7 @@ func newClient(user string, dial DialFunc, opts Options) *Client {
 		dial:     dial,
 		opts:     opts,
 		sessions: make(map[string]*Session),
+		joining:  make(map[string]*Session),
 		events:   make(chan room.Event, eventChanSize),
 		closeCh:  make(chan struct{}),
 	}
@@ -173,33 +171,29 @@ func (c *Client) attach(rpc *wire.Client) {
 	go c.supervise(rpc, gen)
 }
 
-// onPush routes a pushed room event: events for a joined room pass the
-// session's delivery gate (exactly-once across reconnects), everything
-// else flows straight through. Prefetch pushes land in the session's
-// buffer without surfacing on the event stream.
+// sessionFor returns the session a push for the room belongs to: the one
+// whose Join is in flight (it is about to replace any other), or the
+// joined one.
+func (c *Client) sessionFor(roomName string) *Session {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if s := c.joining[roomName]; s != nil {
+		return s
+	}
+	return c.sessions[roomName]
+}
+
+// onPush routes a pushed room event: events for a joined room are folded
+// into the session and pass its delivery gate (exactly-once across
+// reconnects), everything else flows straight through. Prefetch pushes
+// land in the session's buffer without surfacing on the event stream.
 func (c *Client) onPush(method string, body wire.Body) {
 	if method == proto.MPrefetchPush {
 		var pp proto.PrefetchPush
 		if err := body.Decode(&pp); err != nil {
 			return
 		}
-		c.mu.Lock()
-		s := c.sessions[pp.Room]
-		if s == nil {
-			// The Join for this room may still be in flight; stash the
-			// payload for JoinCtx to drain into the session buffer.
-			if c.pendingPrefetchBytes+int64(len(pp.Data)) <= maxPendingPrefetch {
-				if c.pendingPrefetch == nil {
-					c.pendingPrefetch = make(map[string][]proto.PrefetchPush)
-				}
-				c.pendingPrefetch[pp.Room] = append(c.pendingPrefetch[pp.Room], pp)
-				c.pendingPrefetchBytes += int64(len(pp.Data))
-			}
-			c.mu.Unlock()
-			return
-		}
-		c.mu.Unlock()
-		if s.Buffer != nil {
+		if s := c.sessionFor(pp.Room); s != nil && s.Buffer != nil {
 			s.Buffer.Inject(pp.ObjectID, string(pp.Digest), pp.Data)
 		}
 		return
@@ -216,10 +210,7 @@ func (c *Client) onPush(method string, body wire.Body) {
 	if err := ev.DecodeBody(d); err != nil || d.Len() != 0 {
 		return
 	}
-	c.mu.Lock()
-	s := c.sessions[ev.Room]
-	c.mu.Unlock()
-	if s != nil && !s.admit(ev) {
+	if s := c.sessionFor(ev.Room); s != nil && !s.admit(ev) {
 		return
 	}
 	c.emit(ev)
@@ -490,17 +481,27 @@ type Session struct {
 	docID  string // for resume: rebind the room if it must be recreated
 	// Doc is the session's local copy of the document.
 	Doc *document.Document
-	// View is the latest presentation pushed or computed for this user.
-	mu   sync.Mutex
-	view document.View
+	// view is the latest presentation pushed or computed for this user,
+	// in maps the session owns: a pushed presentation is applied to them
+	// in place under mu, when it arrives (see view.go). viewID is the id the
+	// server gave that view — 0 for the one a join or resume response
+	// carried, which has none. whole says a whole presentation arrived
+	// since the last join or resume request went out, so the view held is
+	// newer than the one the response will carry.
+	mu     sync.Mutex
+	view   document.View
+	viewID uint64
+	whole  bool
 	// resync is set when a pushed event carries the server's queue-
 	// overflow hint (events were dropped; replay from History), and when
 	// a reconnect could not replay the outage exactly.
 	resync bool
-	// lastSeq gates pushed-event delivery: events at or below it already
-	// reached the stream, so replays across reconnects drop out. resuming
-	// parks live pushes in pending while a reconnect replays the outage,
-	// preserving order.
+	// arrived is the highest sequence pushed to this session, all of it
+	// folded. lastSeq gates pushed-event delivery: events at or below it
+	// already reached the stream, so replays across reconnects drop out.
+	// resuming parks live pushes in pending while a reconnect replays the
+	// outage, preserving order.
+	arrived  uint64
 	lastSeq  uint64
 	resuming bool
 	pending  []room.Event
@@ -508,13 +509,16 @@ type Session struct {
 	Buffer *prefetch.Prefetcher
 }
 
-// admit decides whether a pushed event reaches the client's stream.
-// During a resume the event parks in pending (delivered, gated, after
-// the replay); otherwise duplicates at or below lastSeq drop out.
+// admit folds a pushed event into the session and decides whether it
+// reaches the client's stream. During a resume the event parks in pending
+// (delivered, gated, after the replay); otherwise duplicates at or below
+// lastSeq drop out. The fold comes first: what pending or the stream
+// sheds, the view already has.
 func (s *Session) admit(ev room.Event) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.resuming {
+		s.takeLocked(&ev)
 		if len(s.pending) < eventQueueSize {
 			s.pending = append(s.pending, ev)
 		}
@@ -524,6 +528,7 @@ func (s *Session) admit(ev room.Event) bool {
 }
 
 func (s *Session) admitLocked(ev room.Event) bool {
+	s.takeLocked(&ev)
 	if ev.Seq != 0 && ev.Seq <= s.lastSeq {
 		return false
 	}
@@ -531,6 +536,18 @@ func (s *Session) admitLocked(ev room.Event) bool {
 		s.lastSeq = ev.Seq
 	}
 	return true
+}
+
+// takeLocked folds an event that is newer than everything folded before
+// it. One that is not has been folded already (a parked push, on its way
+// out of pending), or is a straggler from a connection this one replaced
+// (a migration keeps the old one open until the new one has resumed) and
+// what it carries is superseded.
+func (s *Session) takeLocked(ev *room.Event) {
+	if ev.Seq > s.arrived {
+		s.arrived = ev.Seq
+		s.foldLocked(ev)
+	}
 }
 
 // beginResume parks the session for replay: live pushes buffer in
@@ -541,6 +558,7 @@ func (s *Session) beginResume() (since uint64) {
 	defer s.mu.Unlock()
 	s.resuming = true
 	s.pending = nil
+	s.whole = false
 	return s.lastSeq
 }
 
@@ -577,15 +595,18 @@ func (s *Session) finishResume(resp *proto.JoinRoomResp) {
 	if !resp.Resumed && resp.LastSeq < s.lastSeq {
 		// Fresh join into a room younger than our gate: the room was
 		// recreated and sequences restarted. Reset or we would swallow
-		// every new event.
-		s.lastSeq = 0
+		// every new event. Pushes from the new room that are parked were
+		// taken for stragglers; the flush below folds them.
+		s.lastSeq, s.arrived = 0, 0
 	}
 	if len(resp.DocData) > 0 {
 		if doc, err := document.Unmarshal(resp.DocData); err == nil {
 			s.Doc = doc
 		}
 	}
-	s.view = document.View{Outcome: resp.Outcome, Visible: resp.Visible}
+	// The server made a new member for this connection, which holds
+	// nothing: the next presentation pushed is whole.
+	s.adoptViewLocked(resp.Outcome, resp.Visible)
 	// Emit under the lock: once resuming clears, a racing push may pass
 	// admit and emit — it must not overtake the replay (emit is
 	// non-blocking, so holding s.mu here cannot deadlock).
@@ -620,32 +641,7 @@ func (c *Client) Join(roomName, docID string, bufferBytes int64) (*Session, []ro
 
 // JoinCtx is Join bounded by ctx.
 func (c *Client) JoinCtx(ctx context.Context, roomName, docID string, bufferBytes int64) (*Session, []room.Event, error) {
-	var resp proto.JoinRoomResp
-	err := c.call(ctx, proto.MJoinRoom, &proto.JoinRoomReq{
-		Room: roomName, DocID: docID, User: c.user,
-	}, &resp)
-	if err != nil {
-		return nil, nil, err
-	}
-	doc, err := document.Unmarshal(resp.DocData)
-	if err != nil {
-		return nil, nil, err
-	}
-	s := &Session{
-		client: c,
-		Room:   roomName,
-		docID:  docID,
-		Doc:    doc,
-		view:   document.View{Outcome: resp.Outcome, Visible: resp.Visible},
-	}
-	// Seed the delivery gate from the catch-up history: everything in it
-	// is already known, while our own join announcement (and all later
-	// events) carries a higher sequence and must still flow through.
-	for _, ev := range resp.History {
-		if ev.Seq > s.lastSeq {
-			s.lastSeq = ev.Seq
-		}
-	}
+	s := &Session{client: c, Room: roomName, docID: docID}
 	if bufferBytes > 0 {
 		cache, err := prefetch.NewCache(bufferBytes)
 		if err != nil {
@@ -656,61 +652,48 @@ func (c *Client) JoinCtx(ctx context.Context, roomName, docID string, bufferByte
 			return nil, nil, err
 		}
 	}
+	// The session takes pushes from here on (see Client.joining); the
+	// reconnect supervisor does not know it until it is joined.
 	c.mu.Lock()
-	c.sessions[roomName] = s
-	pending := c.pendingPrefetch[roomName]
-	delete(c.pendingPrefetch, roomName)
-	for _, pp := range pending {
-		c.pendingPrefetchBytes -= int64(len(pp.Data))
+	c.joining[roomName] = s
+	c.mu.Unlock()
+	var resp proto.JoinRoomResp
+	err := c.call(ctx, proto.MJoinRoom, &proto.JoinRoomReq{
+		Room: roomName, DocID: docID, User: c.user,
+	}, &resp)
+	var doc *document.Document
+	if err == nil {
+		doc, err = document.Unmarshal(resp.DocData)
+	}
+	if err == nil {
+		s.mu.Lock()
+		s.Doc = doc
+		s.adoptViewLocked(resp.Outcome, resp.Visible)
+		// Seed the delivery gate from the catch-up history: everything in
+		// it is already known, while our own join announcement (and all
+		// later events) carries a higher sequence and must still flow
+		// through — or already has.
+		for _, ev := range resp.History {
+			s.lastSeq = max(s.lastSeq, ev.Seq)
+		}
+		s.mu.Unlock()
+	}
+	c.mu.Lock()
+	if c.joining[roomName] == s {
+		delete(c.joining, roomName)
+	}
+	if err == nil {
+		c.sessions[roomName] = s
 	}
 	c.mu.Unlock()
-	// Prefetch pushes that raced this join land in the buffer now (or are
-	// discarded if this session runs without one).
-	if s.Buffer != nil {
-		for _, pp := range pending {
-			s.Buffer.Inject(pp.ObjectID, string(pp.Digest), pp.Data)
-		}
+	if err != nil {
+		return nil, nil, err
 	}
 	return s, resp.History, nil
 }
 
 // User returns the user this session belongs to.
 func (s *Session) User() string { return s.client.user }
-
-// View returns the latest presentation for this user.
-func (s *Session) View() document.View {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.view
-}
-
-// ApplyEvent folds a pushed event into the session (clients call this for
-// each event from Events()); EvPresentation events update the view, and
-// an event carrying the Resync hint flags the session (NeedsResync) —
-// the server dropped older events from this member's queue, so the
-// local stream has a gap to fill from History.
-func (s *Session) ApplyEvent(ev room.Event) {
-	if ev.Room != s.Room {
-		return
-	}
-	s.mu.Lock()
-	if ev.Kind == room.EvPresentation {
-		s.view = document.View{Outcome: ev.Outcome, Visible: ev.Visible}
-	}
-	if ev.Resync {
-		s.resync = true
-	}
-	s.mu.Unlock()
-}
-
-// NeedsResync reports whether the server signalled that this session's
-// event stream has a gap (its member queue overflowed and events were
-// dropped). Replaying History clears the flag.
-func (s *Session) NeedsResync() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.resync
-}
 
 // Choice sends a presentation selection for this user.
 func (s *Session) Choice(variable, value string) error {

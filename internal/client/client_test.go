@@ -2,14 +2,19 @@ package client
 
 import (
 	"net"
+	"reflect"
 	"slices"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"mmconf/internal/blob"
+	"mmconf/internal/core"
 	"mmconf/internal/cpnet"
+	"mmconf/internal/document"
 	"mmconf/internal/mediadb"
+	"mmconf/internal/proto"
 	"mmconf/internal/room"
 	"mmconf/internal/server"
 	"mmconf/internal/store"
@@ -160,6 +165,210 @@ func TestSessionViewAndApplyEvent(t *testing.T) {
 	}
 }
 
+// TestApplyPresentationChange: a pushed presentation is a change against
+// the view the session holds. The session applies it to its own maps,
+// follows the chain of view ids, takes a change made against the empty
+// view as the whole view, and refuses — flagging NeedsResync — one made
+// against a view it does not hold. View hands out copies, and maps that
+// came in an event made in-process are copied, never adopted.
+func TestApplyPresentationChange(t *testing.T) {
+	s := &Session{Room: "r"}
+	sent := cpnet.Outcome{"ct": "full", "xray": "icon"}
+	s.ApplyEvent(room.Event{Kind: room.EvPresentation, Room: "r", View: 4,
+		Outcome: sent, Visible: map[string]bool{"ct": true, "xray": true}})
+	sent["ct"] = "mutated by the sender"
+	got := s.View()
+	if got.Outcome["ct"] != "full" {
+		t.Errorf("the session adopted the sender's map: %v", got.Outcome)
+	}
+	got.Outcome["ct"] = "mutated by the reader"
+	if s.View().Outcome["ct"] != "full" {
+		t.Error("View handed out the session's own map")
+	}
+
+	s.ApplyEvent(room.Event{Kind: room.EvPresentation, Room: "r", Base: 4, View: 5, Changes: []room.ViewChange{
+		{Tag: room.ChangeSet, Name: "ct", Value: "segmented"},
+		{Tag: room.ChangeHide, Name: "xray"},
+		{Tag: room.ChangeSet, Name: "ct.zoom", Value: "applied"},
+		{Tag: room.ChangeShow, Name: "minutes-1"},
+	}})
+	want := document.View{
+		Outcome: cpnet.Outcome{"ct": "segmented", "xray": "icon", "ct.zoom": "applied"},
+		Visible: map[string]bool{"ct": true, "xray": false, "minutes-1": true},
+	}
+	if got := s.View(); !reflect.DeepEqual(got, want) {
+		t.Errorf("after the change: %v, want %v", got, want)
+	}
+	// An empty change still moves the id the next one is checked against.
+	s.ApplyEvent(room.Event{Kind: room.EvPresentation, Room: "r", Base: 5, View: 6})
+	s.ApplyEvent(room.Event{Kind: room.EvPresentation, Room: "r", Base: 6, View: 7, Changes: []room.ViewChange{
+		{Tag: room.ChangeDropVariable, Name: "ct.zoom"},
+		{Tag: room.ChangeDropComponent, Name: "minutes-1"},
+	}})
+	delete(want.Outcome, "ct.zoom")
+	delete(want.Visible, "minutes-1")
+	if got := s.View(); !reflect.DeepEqual(got, want) || s.NeedsResync() {
+		t.Errorf("after the removals: %v (resync %v), want %v", got, s.NeedsResync(), want)
+	}
+
+	// Made against a view this session never held: refused and flagged.
+	s.ApplyEvent(room.Event{Kind: room.EvPresentation, Room: "r", Base: 5, View: 9, Changes: []room.ViewChange{
+		{Tag: room.ChangeSet, Name: "ct", Value: "hidden"},
+	}})
+	if got := s.View(); !reflect.DeepEqual(got, want) {
+		t.Errorf("a change against another view was applied: %v", got)
+	}
+	if !s.NeedsResync() {
+		t.Error("a refused change did not flag the session")
+	}
+	// The whole view (base 0) is accepted whatever the session holds, and
+	// what follows it chains from its id.
+	s.ApplyEvent(room.Event{Kind: room.EvPresentation, Room: "r", Base: 0, View: 10, Changes: []room.ViewChange{
+		{Tag: room.ChangeSet, Name: "ct", Value: "lowres"},
+		{Tag: room.ChangeShow, Name: "ct"},
+	}})
+	s.ApplyEvent(room.Event{Kind: room.EvPresentation, Room: "r", Base: 10, View: 11, Changes: []room.ViewChange{
+		{Tag: room.ChangeHide, Name: "ct"},
+	}})
+	want = document.View{Outcome: cpnet.Outcome{"ct": "lowres"}, Visible: map[string]bool{"ct": false}}
+	if got := s.View(); !reflect.DeepEqual(got, want) {
+		t.Errorf("after a whole view and a change: %v, want %v", got, want)
+	}
+}
+
+// TestViewSurvivesLocalShedding: the client sheds too — the local stream
+// drops its oldest event once eventQueueSize are held — and a presentation
+// is a change against the one before it. A consumer that reads nothing
+// while its own choices push well past the bound loses presentations off
+// the stream; when the room goes quiet the session's view is the engine's
+// all the same, because every push was folded before it was queued.
+func TestViewSurvivesLocalShedding(t *testing.T) {
+	c, _ := pipeSystem(t)
+	s, _, err := c.Join("r", "p1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := c.GetDocument("p1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.NewEngine(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Join("alice"); err != nil {
+		t.Fatal(err)
+	}
+	// Each choice pushes two events. The last is one the cycle before it
+	// never makes, so the view it leads to is not reached earlier.
+	script := [][2]string{{"ct", "segmented"}, {"xray", "full"}, {"ct", "full"}, {"xray", ""}, {"ct", "lowres"}}
+	const choices = eventQueueSize * 3 / 4
+	for i := 0; i < choices; i++ {
+		ch := script[i%len(script)]
+		if i == choices-1 {
+			ch = [2]string{"ct", "hidden"}
+		}
+		if err := s.Choice(ch[0], ch[1]); err != nil {
+			t.Fatalf("choice %d: %v", i, err)
+		}
+		if _, err := eng.Choice("alice", ch[0], ch[1]); err != nil {
+			t.Fatalf("local choice %d: %v", i, err)
+		}
+	}
+	want, err := eng.ViewFor("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got document.View
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		got = s.View()
+		delete(got.Outcome, core.BandwidthVariable) // the server's measurement, not the script's
+		if reflect.DeepEqual(got.Outcome, want.Outcome) && reflect.DeepEqual(got.Visible, want.Visible) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("quiet room, and the session shows\n%v %v\nwhere the engine solves\n%v %v", got.Outcome, got.Visible, want.Outcome, want.Visible)
+		}
+	}
+	// The stream did shed, presentations among the rest.
+	held, presentations := 0, 0
+	for drained := false; !drained; {
+		select {
+		case ev := <-c.Events():
+			held++
+			if ev.Kind == room.EvPresentation {
+				presentations++
+			}
+			s.ApplyEvent(ev) // what a consumer does with each; all folded already
+		case <-time.After(50 * time.Millisecond):
+			drained = true
+		}
+	}
+	if held > eventQueueSize || presentations >= choices {
+		t.Fatalf("the stream held %d events, %d of them presentations, after %d choices: nothing was shed", held, presentations, choices)
+	}
+	if got := s.View(); !reflect.DeepEqual(got.Visible, want.Visible) {
+		t.Errorf("applying the stream's events again moved the view to %v", got.Visible)
+	}
+}
+
+// TestParkedPresentationsAreFolded: the pushes parked while a resume is
+// in flight are bounded, and those past the bound are dropped. Their
+// presentations are in the view all the same, and the view the response
+// carries — older than any of them — does not replace it. With none
+// parked the response's view is the session's, under no id: a change that
+// straggles in from the member this connection was before is passed over
+// without a flag, and the whole presentation the new member is due starts
+// the chain.
+func TestParkedPresentationsAreFolded(t *testing.T) {
+	opts := Options{}
+	opts.normalize()
+	c := newClient("alice", nil, opts)
+	s := &Session{client: c, Room: "r"}
+	c.sessions["r"] = s
+	push := func(ev room.Event) {
+		ev.Room, ev.Kind = "r", room.EvPresentation
+		if s.admit(ev) {
+			c.emit(ev)
+		}
+	}
+	set := func(v string) []room.ViewChange {
+		return []room.ViewChange{{Tag: room.ChangeSet, Name: "ct", Value: v}}
+	}
+
+	s.beginResume()
+	const parked = eventQueueSize + 50
+	push(room.Event{Seq: 1, Base: 0, View: 1, Changes: append(set("whole"), room.ViewChange{Tag: room.ChangeShow, Name: "ct"})})
+	for i := uint64(2); i <= parked; i++ {
+		push(room.Event{Seq: i, Base: i - 1, View: i, Changes: set(strconv.FormatUint(i, 10))})
+	}
+	s.finishResume(&proto.JoinRoomResp{Resumed: true, Complete: true, Outcome: cpnet.Outcome{"ct": "the response's"}})
+	want := document.View{Outcome: cpnet.Outcome{"ct": strconv.Itoa(parked)}, Visible: map[string]bool{"ct": true}}
+	if got := s.View(); !reflect.DeepEqual(got, want) || s.NeedsResync() {
+		t.Fatalf("after a resume that parked %d presentations: %v (resync %v), want %v", parked, got, s.NeedsResync(), want)
+	}
+	if s.LastSeq() != eventQueueSize {
+		t.Errorf("the stream's gate stands at %d: pending holds %d", s.LastSeq(), eventQueueSize)
+	}
+	push(room.Event{Seq: parked + 1, Base: parked, View: parked + 1, Changes: set("next")})
+	if got := s.View(); got.Outcome["ct"] != "next" || s.NeedsResync() {
+		t.Fatalf("the change after the resume: %v (resync %v)", got, s.NeedsResync())
+	}
+
+	s.beginResume()
+	s.finishResume(&proto.JoinRoomResp{Resumed: true, Complete: true, Outcome: cpnet.Outcome{"ct": "the response's"}, Visible: map[string]bool{}})
+	push(room.Event{Seq: parked + 2, Base: parked + 1, View: parked + 2, Changes: set("a straggler's")})
+	if got := s.View(); got.Outcome["ct"] != "the response's" || s.NeedsResync() {
+		t.Fatalf("a quiet resume and a straggler: %v (resync %v)", got, s.NeedsResync())
+	}
+	push(room.Event{Seq: parked + 3, Base: 0, View: parked + 3, Changes: set("whole again")})
+	push(room.Event{Seq: parked + 4, Base: parked + 3, View: parked + 4, Changes: []room.ViewChange{{Tag: room.ChangeHide, Name: "ct"}}})
+	want = document.View{Outcome: cpnet.Outcome{"ct": "whole again"}, Visible: map[string]bool{"ct": false}}
+	if got := s.View(); !reflect.DeepEqual(got, want) || s.NeedsResync() {
+		t.Fatalf("the new member's first presentations: %v (resync %v), want %v", got, s.NeedsResync(), want)
+	}
+}
+
 func TestSessionRoundTripOverPipe(t *testing.T) {
 	c, rec := pipeSystem(t)
 	s, _, err := c.Join("r", "p1", 0)
@@ -174,8 +383,9 @@ func TestSessionRoundTripOverPipe(t *testing.T) {
 	for {
 		select {
 		case ev := <-c.Events():
+			// The push carries what changed; the session holds the view.
 			s.ApplyEvent(ev)
-			if ev.Kind == room.EvPresentation && ev.Outcome["ct"] == "segmented" {
+			if ev.Kind == room.EvPresentation && s.View().Outcome["ct"] == "segmented" {
 				goto updated
 			}
 		case <-deadline:

@@ -162,6 +162,9 @@ func propagationRun(n int) (choiceLat, chatLat time.Duration, eventsPerSec float
 		val := values[i%len(values)]
 		d, err := await(
 			func(ev room.Event) bool {
+				// Read off the member's queue in-process, a presentation
+				// still points at the whole new view's maps; the run of
+				// changed entries exists only once it is encoded.
 				return ev.Kind == room.EvPresentation && ev.Outcome["ct"] == val
 			},
 			func() error { return r.Choice(context.Background(), "m00", "ct", val) },

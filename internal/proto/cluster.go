@@ -204,8 +204,9 @@ func (r *ReplicateReq) DecodeBody(d *wire.Dec) error {
 	r.DocID = d.String()
 	r.Seq = d.Uvarint()
 	r.Trimmed = d.Uvarint()
-	r.Events = decodeEvents(d)
-	return d.Err()
+	var err error
+	r.Events, err = decodeEvents(d)
+	return err
 }
 
 // AppendBody implements wire.BodyEncoder.

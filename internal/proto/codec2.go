@@ -240,7 +240,10 @@ func (r *JoinRoomResp) AppendBody(e *wire.BodyEnc) {
 // DecodeBody implements wire.BodyDecoder.
 func (r *JoinRoomResp) DecodeBody(d *wire.Dec) error {
 	r.DocData = d.Bytes()
-	r.History = decodeEvents(d)
+	var err error
+	if r.History, err = decodeEvents(d); err != nil {
+		return err
+	}
 	r.Outcome, r.Visible = room.DecodeView(d)
 	r.Resumed = d.Bool()
 	r.Complete = d.Bool()
@@ -317,8 +320,9 @@ func (r *HistoryResp) AppendBody(e *wire.BodyEnc) {
 
 // DecodeBody implements wire.BodyDecoder.
 func (r *HistoryResp) DecodeBody(d *wire.Dec) error {
-	r.Events = decodeEvents(d)
-	return d.Err()
+	var err error
+	r.Events, err = decodeEvents(d)
+	return err
 }
 
 // AppendBody implements wire.BodyEncoder.
@@ -525,7 +529,7 @@ func appendStrings(e *wire.BodyEnc, ss []string) {
 }
 
 func decodeStrings(d *wire.Dec) []string {
-	n := d.Uvarint()
+	n := d.Count()
 	if n == 0 || d.Err() != nil {
 		return nil
 	}
@@ -537,17 +541,20 @@ func decodeStrings(d *wire.Dec) []string {
 }
 
 // decodeEvents reads a count-prefixed run of Event bodies (the Event
-// codec is self-delimiting, so no per-event length prefix is needed).
-func decodeEvents(d *wire.Dec) []room.Event {
-	n := d.Uvarint()
+// codec is self-delimiting, so no per-event length prefix is needed). The
+// error is d's, or the first event's own refusal.
+func decodeEvents(d *wire.Dec) ([]room.Event, error) {
+	n := d.Count()
 	if n == 0 || d.Err() != nil {
-		return nil
+		return nil, d.Err()
 	}
 	out := make([]room.Event, 0, min(n, 4096))
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
+	for i := uint64(0); i < n; i++ {
 		var ev room.Event
-		_ = ev.DecodeBody(d) // latched in d
+		if err := ev.DecodeBody(d); err != nil {
+			return nil, err
+		}
 		out = append(out, ev)
 	}
-	return out
+	return out, nil
 }

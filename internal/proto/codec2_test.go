@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -53,9 +54,15 @@ func sampleEvents() []room.Event {
 		{
 			Seq: 6, Room: "consult", Actor: "sys", Kind: room.EvPresentation,
 			Variable: "ct", Value: "segmented",
-			Outcome: map[string]string{"ct": "segmented", "audio": "on"},
-			Visible: map[string]bool{"img.1": true, "img.2": false},
-			Resync:  true,
+			Base: 11, View: 12,
+			Changes: []room.ViewChange{
+				{Tag: room.ChangeSet, Name: "ct", Value: "segmented"},
+				{Tag: room.ChangeShow, Name: "img.1"},
+				{Tag: room.ChangeHide, Name: "img.2"},
+				{Tag: room.ChangeDropVariable, Name: "ct.zoom"},
+				{Tag: room.ChangeDropComponent, Name: "minutes-1"},
+			},
+			Resync: true,
 		},
 		{
 			Seq: 7, Room: "consult", Actor: "bob", Kind: room.EvOperation,
@@ -307,6 +314,73 @@ func TestEventCodecSharedEncoding(t *testing.T) {
 			if !reflect.DeepEqual(ev, out) {
 				t.Errorf("event round trip:\n in: %+v\nout: %+v", ev, out)
 			}
+		}
+	}
+}
+
+// claim is a body whose last field is a run's count with nothing behind
+// it: the fields before the run, then the count.
+type claim struct {
+	before func(e *wire.BodyEnc)
+	count  uint64
+}
+
+func (c claim) AppendBody(e *wire.BodyEnc) {
+	c.before(e)
+	e.Uvarint(c.count)
+}
+
+// TestClaimedCountAllocatesNothing: a count read off the wire is not a
+// reason to allocate. Every count-prefixed run a peer can send — ten
+// sites, one body each — is handed a claim of 4 096 elements with no byte
+// behind it: the decode fails, and before it does it has allocated the
+// strings in front of the run and nothing sized by the claim (the
+// ShareSearchReq case cost 164 002 B when the count was only capped).
+func TestClaimedCountAllocatesNothing(t *testing.T) {
+	zeros := func(n int) func(*wire.BodyEnc) {
+		return func(e *wire.BodyEnc) {
+			for i := 0; i < n; i++ {
+				e.Byte(0)
+			}
+		}
+	}
+	eventFront := func(e *wire.BodyEnc) { // an Event up to its change run
+		ev := room.Event{Seq: 9, Room: "r", Kind: room.EvPresentation}
+		full := wire.MarshalBody(&ev)
+		e.Fixed(full[:len(full)-5]) // less the run's count and the four fields after it
+	}
+	for _, tc := range []struct {
+		site   string
+		before func(*wire.BodyEnc)
+		into   func() wire.BodyDecoder
+	}{
+		{"room.DecodeView outcome", zeros(2), func() wire.BodyDecoder { return new(JoinRoomResp) }},
+		{"room.DecodeView visible", zeros(3), func() wire.BodyDecoder { return new(JoinRoomResp) }},
+		{"room.DecodeHits", zeros(4), func() wire.BodyDecoder { return new(ShareSearchReq) }},
+		{"room.Event change run", eventFront, func() wire.BodyDecoder { return new(room.Event) }},
+		{"decodeStrings", zeros(0), func() wire.BodyDecoder { return new(ListDocumentsResp) }},
+		{"decodeEvents", zeros(0), func() wire.BodyDecoder { return new(HistoryResp) }},
+		{"decodeDigests", zeros(1), func() wire.BodyDecoder { return new(FetchChunksReq) }},
+		{"SyncManifestReq rows", zeros(3), func() wire.BodyDecoder { return new(SyncManifestReq) }},
+		{"SyncManifestReq manifests", zeros(4), func() wire.BodyDecoder { return new(SyncManifestReq) }},
+		{"FetchChunksResp chunks", zeros(0), func() wire.BodyDecoder { return new(FetchChunksResp) }},
+	} {
+		body := wire.MarshalBody(claim{tc.before, 4096})
+		// A modest claim with nothing behind it is refused just the same.
+		if err := wire.DecodeBodyBytes(wire.MarshalBody(claim{tc.before, 1}), tc.into()); err == nil {
+			t.Errorf("%s: a run of one element with nothing behind it decodes without error", tc.site)
+		}
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if err := wire.DecodeBodyBytes(body, tc.into()); err == nil {
+				t.Fatalf("%s: a claim of 4 096 elements in %d bytes decodes without error", tc.site, len(body))
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1024 {
+			t.Errorf("%s: refusing the claim allocates %d B, want under 1 KiB", tc.site, per)
 		}
 	}
 }

@@ -159,7 +159,7 @@ func appendDigests(e *wire.BodyEnc, ds []blob.Digest) {
 }
 
 func decodeDigests(d *wire.Dec) []blob.Digest {
-	n := d.Uvarint()
+	n := d.Count()
 	if n == 0 || d.Err() != nil {
 		return nil
 	}
@@ -201,11 +201,11 @@ func (r *SyncManifestReq) DecodeBody(d *wire.Dec) error {
 	r.Room = d.String()
 	r.Node = d.String()
 	r.DocID = d.String()
-	if n := d.Uvarint(); n > 0 && d.Err() == nil {
+	if n := d.Count(); n > 0 && d.Err() == nil {
 		r.Rows = make([]SyncRow, 0, min(n, 4096))
 		for i := uint64(0); i < n && d.Err() == nil; i++ {
 			row := SyncRow{Table: d.String(), ID: d.Uvarint()}
-			if k := d.Uvarint(); k > 0 && d.Err() == nil {
+			if k := d.Count(); k > 0 && d.Err() == nil {
 				row.Cells = make([]any, 0, min(k, 64))
 				for j := uint64(0); j < k && d.Err() == nil; j++ {
 					c, err := decodeCell(d)
@@ -218,7 +218,7 @@ func (r *SyncManifestReq) DecodeBody(d *wire.Dec) error {
 			r.Rows = append(r.Rows, row)
 		}
 	}
-	if n := d.Uvarint(); n > 0 && d.Err() == nil {
+	if n := d.Count(); n > 0 && d.Err() == nil {
 		r.Manifests = make([]BlobManifest, 0, min(n, 4096))
 		for i := uint64(0); i < n && d.Err() == nil; i++ {
 			var m BlobManifest
@@ -271,7 +271,7 @@ func (r *FetchChunksResp) AppendBody(e *wire.BodyEnc) {
 
 // DecodeBody implements wire.BodyDecoder.
 func (r *FetchChunksResp) DecodeBody(d *wire.Dec) error {
-	if n := d.Uvarint(); n > 0 && d.Err() == nil {
+	if n := d.Count(); n > 0 && d.Err() == nil {
 		r.Chunks = make([][]byte, 0, min(n, 4096))
 		for i := uint64(0); i < n && d.Err() == nil; i++ {
 			r.Chunks = append(r.Chunks, d.Bytes())

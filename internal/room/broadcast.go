@@ -73,6 +73,15 @@ func (r *Room) Broadcaster() string {
 	return r.broadcaster
 }
 
+// viewerLocked names whose view a member is shown: the presenter's while
+// a broadcast runs, its own otherwise. Caller holds r.mu.
+func (r *Room) viewerLocked(member string) string {
+	if r.broadcaster != "" {
+		return r.broadcaster
+	}
+	return member
+}
+
 // checkFloorLocked rejects presentation changes by non-presenters while a
 // broadcast is running. Caller holds r.mu.
 func (r *Room) checkFloorLocked(actor string) error {

@@ -302,9 +302,12 @@ func choiceAllocations(t *testing.T, tap func()) float64 {
 
 // TestChoiceAllocations pins what one choice costs a four-member room
 // whose members keep up: one solve for the four of them — the evidence,
-// the completion's vectors, one Outcome, one Visible — and the fan-out's
-// shared encoding slot, nothing per member. Measured 11 allocations; each
-// further solve is 6 more, and the five solves this replaces made it 35.
+// the completion's vectors, one Outcome, one Visible — and a shared
+// encoding slot for the choice's fan-out and one for the presentation
+// the four share, nothing per member: what differs between the view they
+// hold and the new one is found when the presentation is encoded, not
+// here. Measured 11 allocations; each further solve is 6 more, and the
+// five solves this replaces made it 35.
 func TestChoiceAllocations(t *testing.T) {
 	if got := choiceAllocations(t, nil); got > 14 {
 		t.Errorf("%v allocations per choice in a four-member room, want at most 14", got)

@@ -22,7 +22,7 @@ func (r *Room) SetPushBudget(n int64) {
 }
 
 // broadcastLocked stamps, buffers and fans an event out, then (when
-// reconfigure is set) pushes each member their updated presentation.
+// reconfigure is set) pushes the members their updated presentations.
 // Callers hold r.mu.
 func (r *Room) broadcastLocked(ev Event, reconfigure bool) {
 	r.seq++
@@ -37,47 +37,82 @@ func (r *Room) broadcastLocked(ev Event, reconfigure bool) {
 		default: // trigger backlog full: shed rather than stall the room
 		}
 	}
-	r.fanOutLocked(ev)
+	r.fanOutLocked(ev, !reconfigure)
 	if r.replicator != nil {
 		// Whoever the tap wakes reads the log under r.mu, so it sees the
 		// presentation bumps below whenever in this section it is told.
 		r.replicator()
 	}
 	if reconfigure {
-		views, err := r.engine.Views()
-		if err != nil {
-			return
+		r.reconfigureLocked(ev.Actor)
+	}
+}
+
+// reconfigureLocked pushes every member the presentation that takes it
+// from the view it holds to the one it is due. Members due the same view
+// (one evidence class: the engine hands them one solved View, and during
+// a broadcast everyone is due the presenter's) and holding the same view
+// get one event — one Seq, one shared encoding — so the push path encodes
+// once per class, and what differs is found at encode time, outside the
+// lock. Each distinct new view gets one id, whichever views its members
+// come from. actor is whose event caused the re-solve: a shared
+// presentation cannot name its receiver. Callers hold r.mu.
+func (r *Room) reconfigureLocked(actor string) {
+	views, err := r.engine.Views()
+	if err != nil {
+		return
+	}
+	var made [4]Event // the presentations made so far; more than four spill to the heap
+	classes := made[:0]
+	for name, m := range r.members {
+		v, ok := views[r.viewerLocked(name)]
+		if !ok {
+			continue
 		}
-		for name, m := range r.members {
-			v, ok := views[name]
-			if !ok {
+		var pe *Event
+		to := viewRef{0, v.Outcome, v.Visible}
+		for i := range classes {
+			if !sameView(classes[i].Outcome, v.Outcome, classes[i].Visible, v.Visible) {
 				continue
 			}
-			// During a broadcast everyone mirrors the presenter's view.
-			if r.broadcaster != "" {
-				if pv, ok := views[r.broadcaster]; ok {
-					v = pv
-				}
+			to.id = classes[i].View
+			if classes[i].Base == m.held.id {
+				pe = &classes[i]
+				break
+			}
+		}
+		if pe == nil {
+			if to.id == 0 {
+				r.viewSeq++
+				to.id = r.viewSeq
 			}
 			r.seq++
-			pe := Event{
-				Seq: r.seq, Room: r.Name, Actor: name, Kind: EvPresentation,
-				Outcome: v.Outcome, Visible: v.Visible,
+			classes = append(classes, Event{Seq: r.seq, Room: r.Name, Actor: actor, Kind: EvPresentation})
+			pe = &classes[len(classes)-1]
+			pe.setView(m.held, to)
+			if len(r.members) > 1 {
+				pe.shared = &sharedEnc{}
 			}
-			r.deliverLocked(m, pe)
 		}
+		r.deliverLocked(m, *pe)
 	}
 }
 
 // fanOutLocked delivers one event to every member. With more than one
 // member the copies share a memoized wire encoding (EncodeShared), so
-// the push path encodes the event once for the whole room.
-func (r *Room) fanOutLocked(ev Event) {
+// the push path encodes the event once for the whole room. A member that
+// shed a presentation to take the event holds no view the room can name;
+// makeUp says no reconfiguration follows to give it one, so it is
+// presented here, whole, and a room that then goes quiet still leaves it
+// at its current view.
+func (r *Room) fanOutLocked(ev Event, makeUp bool) {
 	if len(r.members) > 1 {
 		ev.shared = &sharedEnc{}
 	}
 	for _, m := range r.members {
-		r.deliverLocked(m, ev)
+		if r.deliverLocked(m, ev) && makeUp {
+			_ = r.presentLocked(m) // no view to give: the next presentation is whole
+		}
 	}
 }
 
@@ -93,15 +128,29 @@ func (r *Room) fanOutLocked(ev Event) {
 // memory: when a member's undrained queue is over budget, its oldest
 // queued events are shed first, so one slow consumer in a room pushing
 // large events cannot grow the server heap without bound.
-func (r *Room) deliverLocked(m *Member, ev Event) {
+// A presentation is a change against the one before it, so shedding one
+// breaks the chain: the member then holds nothing the room can name
+// (dropOldestLocked zeroes m.held) and the presentations still queued
+// behind the shed one are refused by its client. The next presentation it
+// is delivered is therefore whole and its own, like the Resync copy.
+// deliverLocked reports whether that presentation is still owed: one was
+// shed and ev is not one.
+func (r *Room) deliverLocked(m *Member, ev Event) (owed bool) {
 	sz := ev.approxSize()
+	shedView := false // a presentation was shed to make room for ev
 	// Shed oldest while over the byte budget (but never the event being
 	// delivered itself — an oversized single event still goes through,
 	// alone in the queue).
 	for r.pushBudget > 0 && m.queuedBytes.Load()+sz > r.pushBudget && len(m.ch) > 0 {
-		r.dropOldestLocked(m)
+		shedView = r.dropOldestLocked(m) || shedView
 	}
 	for {
+		if ev.Kind == EvPresentation && ev.Base != m.held.id {
+			// Made against a view this member no longer holds.
+			ev.setView(m.held, viewRef{ev.View, ev.Outcome, ev.Visible})
+			ev.shared = nil
+			sz = ev.approxSize()
+		}
 		if m.needResync {
 			// This copy is member-specific now: detach it from the
 			// shared encoding so the hint is not broadcast to everyone.
@@ -112,25 +161,34 @@ func (r *Room) deliverLocked(m *Member, ev Event) {
 		case m.ch <- ev:
 			m.queuedBytes.Add(sz)
 			m.needResync = false
-			return
+			if ev.Kind == EvPresentation {
+				m.held = viewRef{ev.View, ev.Outcome, ev.Visible}
+				return false
+			}
+			return shedView
 		default:
-			r.dropOldestLocked(m)
+			shedView = r.dropOldestLocked(m) || shedView
 		}
 	}
 }
 
 // dropOldestLocked discards the member's oldest queued event (if any),
-// refunding its budget charge and flagging the resync hint. Callers
-// hold r.mu.
-func (r *Room) dropOldestLocked(m *Member) {
+// refunding its budget charge and flagging the resync hint; it reports
+// whether that event was a presentation, which leaves the member holding
+// no view the room can name. Callers hold r.mu.
+func (r *Room) dropOldestLocked(m *Member) (shedView bool) {
 	select {
 	case old := <-m.ch:
 		m.queuedBytes.Add(-old.approxSize())
 		m.drops.Add(1)
 		m.needResync = true
+		if old.Kind == EvPresentation {
+			m.held, shedView = viewRef{}, true
+		}
 		if r.dropHook != nil {
 			r.dropHook(m.Name)
 		}
 	default:
 	}
+	return shedView
 }

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"mmconf/internal/core"
+	"mmconf/internal/cpnet"
 	"mmconf/internal/wire"
 )
 
@@ -131,39 +133,180 @@ func TestEncodeSharedOncePerBroadcast(t *testing.T) {
 	}
 }
 
-// TestEncodeSharedSingleMemberAndPresentation checks the events that
-// must NOT share an encoding: a single-member fan-out and per-member
-// presentation events each encode individually.
+// TestEncodeSharedPerMemberEvents checks which presentations share an
+// encoding: members of one evidence class that hold the same view get one
+// event — one Seq, one encode, the same bytes — while a member that holds
+// another view, or is presented alone, gets its own.
 func TestEncodeSharedPerMemberEvents(t *testing.T) {
-	r := newRoom(t)
-	a, _, _, _ := r.Join(context.Background(), "alice")
-	b, _, _, _ := r.Join(context.Background(), "bob")
-	drain(a)
-	drain(b)
-	// A choice reconfigures: each member gets a per-member EvPresentation.
-	if err := r.Choice(context.Background(), "alice", "ct", "segmented"); err != nil {
-		t.Fatal(err)
-	}
-	sawPresentation := false
-	for _, m := range []*Member{a, b} {
+	r := newTunedRoom(t)
+	ctx := context.Background()
+	a, _, _, _ := r.Join(ctx, "alice")
+	b, _, _, _ := r.Join(ctx, "bob")
+	presentation := func(m *Member) Event {
+		t.Helper()
+		var found *Event
 		for _, ev := range drain(m) {
-			if ev.Kind != EvPresentation {
-				continue
-			}
-			sawPresentation = true
-			if ev.shared != nil {
-				t.Error("presentation event carries a shared encoding")
-			}
-			// No shared slot: every call encodes.
-			for i := 0; i < 2; i++ {
-				if _, encoded := ev.EncodeShared(); !encoded {
-					t.Errorf("presentation event encode %d reused a shared encoding", i)
+			if ev.Kind == EvPresentation {
+				if found != nil {
+					t.Fatalf("%s got two presentations", m.Name)
 				}
+				found = &ev
 			}
 		}
+		if found == nil {
+			t.Fatalf("%s got no presentation", m.Name)
+		}
+		return *found
 	}
-	if !sawPresentation {
-		t.Error("no presentation event observed")
+	drain(a)
+	drain(b)
+
+	// A choice reconfigures: both hold the same view and are due the same.
+	if err := r.Choice(ctx, "alice", "ct", "segmented"); err != nil {
+		t.Fatal(err)
+	}
+	pa, pb := presentation(a), presentation(b)
+	if pa.shared == nil || pa.shared != pb.shared {
+		t.Fatal("two members of one class holding one view do not share an encoding")
+	}
+	if pa.Seq != pb.Seq || pa.Base != pb.Base || pa.View != pb.View || pa.Base == 0 {
+		t.Errorf("shared presentations differ: seq %d/%d, base %d/%d, view %d/%d", pa.Seq, pb.Seq, pa.Base, pb.Base, pa.View, pb.View)
+	}
+	if pa.Actor != "alice" || pb.Actor != "alice" {
+		t.Errorf("shared presentation names %q and %q, want the choice's actor", pa.Actor, pb.Actor)
+	}
+	da, first := pa.EncodeShared()
+	db, second := pb.EncodeShared()
+	if !first || second {
+		t.Errorf("encoded = %v then %v, want one encode and one reuse", first, second)
+	}
+	if !bytes.Equal(da, db) {
+		t.Error("the two members' payloads differ")
+	}
+
+	// A joiner holds nothing: it is due the same view as the others (one
+	// id) but from the empty one, so its whole view is its own event.
+	c, _, _, err := r.Join(ctx, "carol")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa, pb, pc := presentation(a), presentation(b), presentation(c)
+	if pa.shared != pb.shared || pa.Seq != pb.Seq {
+		t.Error("the two standing members stopped sharing when a third joined")
+	}
+	if pc.Base != 0 || pc.Seq == pa.Seq || pc.shared == pa.shared {
+		t.Errorf("the joiner's presentation: base %d, seq %d (others %d)", pc.Base, pc.Seq, pa.Seq)
+	}
+	if pc.View != pa.View {
+		t.Errorf("one view under two ids: %d for the joiner, %d for the others", pc.View, pa.View)
+	}
+	// Having reached one view by different events, all three share next.
+	if err := r.Choice(ctx, "alice", "ct", "full"); err != nil {
+		t.Fatal(err)
+	}
+	pa, pb, pc = presentation(a), presentation(b), presentation(c)
+	if pa.shared != pc.shared || pb.shared != pc.shared || pc.shared == nil {
+		t.Error("a member that reached the view by a whole presentation does not share the next change")
+	}
+
+	// A presentation for one member alone has no shared slot: every
+	// call encodes.
+	if changed, err := r.SetMemberEnvironment("bob", core.BandwidthVariable, core.BandwidthLow); err != nil || !changed {
+		t.Fatalf("pin bob's bandwidth: changed=%v err=%v", changed, err)
+	}
+	pb = presentation(b)
+	if pb.shared != nil {
+		t.Error("a presentation for one member carries a shared encoding")
+	}
+	for i := 0; i < 2; i++ {
+		if _, encoded := pb.EncodeShared(); !encoded {
+			t.Errorf("single-member presentation encode %d reused a shared encoding", i)
+		}
+	}
+	if len(drain(a)) != 0 || len(drain(c)) != 0 {
+		t.Error("one member's environment pin reached another's queue")
+	}
+}
+
+// TestShedPresentationIsMadeUpOnce: a member that sheds a presentation to
+// take another event is owed a whole one. When nothing reconfigures the
+// room it follows the event at once; when the event's own reconfiguration
+// is about to present everyone, that presentation is the whole one and no
+// second is queued before it.
+func TestShedPresentationIsMadeUpOnce(t *testing.T) {
+	r := newRoom(t)
+	ctx := context.Background()
+	a, _, _, _ := r.Join(ctx, "alice")
+	b, _, _, _ := r.Join(ctx, "bob")
+	drain(b)
+	// Bob stalls. Each choice queues him a choice and a presentation; a
+	// chat more than fills the queue and leaves a presentation its oldest.
+	for i := 0; i < memberQueueSize/2; i++ {
+		if err := r.Choice(ctx, "alice", "ct", []string{"segmented", "full"}[i%2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Chat("alice", "sheds a choice"); err != nil {
+		t.Fatal(err)
+	}
+	drain(a)
+	newest := func() Event {
+		t.Helper()
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		evs := make([]Event, 0, len(b.ch))
+		for len(b.ch) > 0 {
+			evs = append(evs, <-b.ch)
+		}
+		for _, ev := range evs {
+			b.ch <- ev
+		}
+		if len(evs) != memberQueueSize {
+			t.Fatalf("bob's queue holds %d events, want it full", len(evs))
+		}
+		if evs[0].Kind != EvPresentation {
+			t.Fatalf("bob's oldest event is a %v: the next delivery sheds no presentation", evs[0].Kind)
+		}
+		return evs[len(evs)-1]
+	}
+	newest()
+
+	before := r.Seq()
+	if err := r.Chat("alice", "sheds a presentation"); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Seq() - before; got != 2 {
+		t.Errorf("a chat that shed a presentation took %d sequence numbers, want 2: the chat and the whole presentation made up", got)
+	}
+	// The make-up shed the choice behind the presentation: a presentation
+	// is bob's oldest event again.
+	if last := newest(); last.Kind != EvPresentation || last.Base != 0 {
+		t.Fatalf("bob's newest event: %v made against view %d, want the whole presentation made up", last.Kind, last.Base)
+	}
+
+	before = r.Seq()
+	if err := r.Choice(ctx, "alice", "ct", "lowres"); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Seq() - before; got != 3 {
+		t.Errorf("a choice that shed a presentation took %d sequence numbers, want 3: the choice, alice's change and bob's whole view", got)
+	}
+	if last := newest(); last.Kind != EvPresentation || last.Base != 0 || last.shared != nil {
+		t.Errorf("bob's newest event: %v made against view %d (shared: %v), want his own whole presentation", last.Kind, last.Base, last.shared != nil)
+	}
+}
+
+// TestSameViewComparesBothMaps: a document with no variables solves every
+// class to a nil Outcome, and two classes of it still differ in what they
+// show.
+func TestSameViewComparesBothMaps(t *testing.T) {
+	shown, hidden := map[string]bool{"ct": true}, map[string]bool{"ct": false}
+	if sameView(nil, nil, shown, hidden) {
+		t.Error("two views with no outcome and different visible maps are one view")
+	}
+	o := cpnet.Outcome{"ct": "full"}
+	if !sameView(o, o, shown, shown) || sameView(o, cpnet.Outcome{"ct": "full"}, shown, shown) {
+		t.Error("sameView is identity of both maps, not equality")
 	}
 }
 

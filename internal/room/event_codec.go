@@ -34,7 +34,7 @@ func (ev *Event) AppendBody(e *wire.BodyEnc) {
 	e.Uvarint(ev.ObjectID)
 	appendAnnotation(e, &ev.Annotation)
 	e.Varint(int64(ev.AnnotationID))
-	AppendView(e, ev.Outcome, ev.Visible)
+	ev.appendChange(e)
 	e.String(ev.Keyword)
 	AppendHits(e, ev.Hits)
 	e.String(ev.Text)
@@ -57,18 +57,21 @@ func (ev *Event) DecodeBody(d *wire.Dec) error {
 	ev.ObjectID = d.Uvarint()
 	decodeAnnotation(d, &ev.Annotation)
 	ev.AnnotationID = int(d.Varint())
-	ev.Outcome, ev.Visible = DecodeView(d)
+	if err := ev.decodeChange(d); err != nil {
+		return err
+	}
 	ev.Keyword = d.String()
 	ev.Hits = DecodeHits(d)
 	ev.Text = d.String()
 	ev.Resync = d.Bool()
-	ev.shared = nil
+	ev.shared, ev.heldOutcome, ev.heldVisible, ev.changeBytes = nil, nil, nil, 0
 	return d.Err()
 }
 
-// AppendView writes a member's presentation — the CP-net outcome and the
-// component visibility map — as two count-prefixed key/value runs
-// (shared with proto.JoinRoomResp, which carries the same pair).
+// AppendView writes a whole view — the CP-net outcome and the component
+// visibility map — as two count-prefixed key/value runs. Its one caller
+// is proto.JoinRoomResp, which hands a joiner the view it starts from; a
+// pushed presentation is a change (viewchange.go).
 func AppendView(e *wire.BodyEnc, outcome cpnet.Outcome, visible map[string]bool) {
 	e.Uvarint(uint64(len(outcome)))
 	for k, v := range outcome {
@@ -85,14 +88,14 @@ func AppendView(e *wire.BodyEnc, outcome cpnet.Outcome, visible map[string]bool)
 // DecodeView reads what AppendView wrote; empty maps decode as nil. A
 // failure latches in d.
 func DecodeView(d *wire.Dec) (outcome cpnet.Outcome, visible map[string]bool) {
-	if n := d.Uvarint(); n > 0 && d.Err() == nil {
+	if n := d.Count(); n > 0 && d.Err() == nil {
 		outcome = make(cpnet.Outcome, min(n, 4096))
 		for i := uint64(0); i < n && d.Err() == nil; i++ {
 			k := d.String()
 			outcome[k] = d.String()
 		}
 	}
-	if n := d.Uvarint(); n > 0 && d.Err() == nil {
+	if n := d.Count(); n > 0 && d.Err() == nil {
 		visible = make(map[string]bool, min(n, 4096))
 		for i := uint64(0); i < n && d.Err() == nil; i++ {
 			k := d.String()
@@ -118,7 +121,7 @@ func AppendHits(e *wire.BodyEnc, hits []voice.Hit) {
 // DecodeHits reads what AppendHits wrote; an empty run decodes as nil.
 // A failure latches in d.
 func DecodeHits(d *wire.Dec) []voice.Hit {
-	n := d.Uvarint()
+	n := d.Count()
 	if n == 0 || d.Err() != nil {
 		return nil
 	}

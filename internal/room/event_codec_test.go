@@ -1,6 +1,7 @@
 package room
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -25,8 +26,13 @@ func codecEvents() []Event {
 		{Kind: EvFreeze, Actor: "dr-adams", ObjectID: 1 << 40},
 		{Kind: EvRelease, Actor: "dr-adams", ObjectID: 1 << 40},
 		{Kind: EvPresentation, Actor: "dr-adams", Variable: "ct", Value: "segmented", Resync: true,
-			Outcome: cpnet.Outcome{"ct": "segmented", "xray": "icon"},
-			Visible: map[string]bool{"ct": true, "xray": false}},
+			Base: 7, View: 9, Changes: []ViewChange{
+				{Tag: ChangeSet, Name: "ct", Value: "segmented"},
+				{Tag: ChangeShow, Name: "ct"},
+				{Tag: ChangeHide, Name: "xray"},
+				{Tag: ChangeDropVariable, Name: "ct.zoom"},
+				{Tag: ChangeDropComponent, Name: "minutes-1"},
+			}},
 		{Kind: EvWordSearch, Actor: "dr-baker", Keyword: "tumor", Hits: hits},
 		{Kind: EvSpeakerSearch, Actor: "dr-baker", Keyword: "dr-chen", Hits: hits[:1]},
 		{Kind: EvChat, Actor: "dr-adams", Text: "look at layer two"},
@@ -68,13 +74,66 @@ func TestEventCodec(t *testing.T) {
 	}
 }
 
+// TestPresentationEncodesWhatDiffers: a presentation made in the room
+// points at two views' maps, and what crosses is the run that turns the
+// held one into the new one — every kind of entry — whatever either map
+// holds; made against the empty view the run is the whole view. The event
+// as decoded carries no map, and re-encodes to the same bytes.
+func TestPresentationEncodesWhatDiffers(t *testing.T) {
+	held := viewRef{7, cpnet.Outcome{"ct": "full", "xray": "icon", "voice": "audio", "ct.zoom": "applied"},
+		map[string]bool{"ct": true, "xray": true, "voice": true, "minutes-1": true}}
+	next := viewRef{9, cpnet.Outcome{"ct": "segmented", "xray": "hidden", "voice": "audio", "notes": "text"},
+		map[string]bool{"ct": true, "xray": false, "voice": true, "notes": true}}
+	for _, tc := range []struct {
+		name    string
+		from    viewRef
+		entries int
+	}{
+		{"change", held, 7}, // ct, xray, +notes, -ct.zoom; xray hidden, +notes, -minutes-1
+		{"whole", viewRef{}, 8},
+		{"nothing", viewRef{7, next.outcome, next.visible}, 0},
+	} {
+		ev := Event{Seq: 41, Room: "consult", Actor: "dr-adams", Kind: EvPresentation}
+		ev.setView(tc.from, next)
+		data := wire.MarshalBody(&ev)
+		var out Event
+		if err := wire.DecodeBodyBytes(data, &out); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if out.Base != tc.from.id || out.View != 9 || len(out.Changes) != tc.entries || out.Outcome != nil || out.Visible != nil {
+			t.Errorf("%s: decoded base %d view %d with %d entries (want %d) and maps %v %v",
+				tc.name, out.Base, out.View, len(out.Changes), tc.entries, out.Outcome, out.Visible)
+		}
+		outcome, visible := cpnet.Outcome{}, map[string]bool{}
+		for k, v := range tc.from.outcome {
+			outcome[k] = v
+		}
+		for k, v := range tc.from.visible {
+			visible[k] = v
+		}
+		for _, c := range out.Changes {
+			c.Apply(outcome, visible)
+		}
+		if !reflect.DeepEqual(outcome, next.outcome) || !reflect.DeepEqual(visible, next.visible) {
+			t.Errorf("%s: applied to the held view the run gives %v %v", tc.name, outcome, visible)
+		}
+		if again := wire.MarshalBody(&out); len(again) != len(data) {
+			t.Errorf("%s: the decoded event re-encodes to %d bytes, read %d", tc.name, len(again), len(data))
+		}
+		if (ev.changeBytes == 0) != (tc.entries == 0) {
+			t.Errorf("%s: the push budget is charged %d bytes for %d entries", tc.name, ev.changeBytes, tc.entries)
+		}
+	}
+}
+
 // TestChoiceEventBytes pins the size of the event every choice fans out:
 // each field the codec carries costs every member of every room a byte or
-// more per event, whether the kind uses it or not.
+// more per event, whether the kind uses it or not. 61 since a
+// presentation's part became two view ids and a count (it was two counts).
 func TestChoiceEventBytes(t *testing.T) {
 	ev := Event{Seq: 41, Room: "consult", Actor: "dr-adams", Kind: EvChoice, Variable: "ct", Value: "segmented"}
-	if got := len(wire.MarshalBody(&ev)); got != 60 {
-		t.Errorf("the EvChoice encodes to %d bytes, want 60: Event.AppendBody gained or lost a field", got)
+	if got := len(wire.MarshalBody(&ev)); got != 61 {
+		t.Errorf("the EvChoice encodes to %d bytes, want 61: Event.AppendBody gained or lost a field", got)
 	}
 }
 
@@ -88,6 +147,21 @@ func FuzzEventDecode(f *testing.F) {
 	// Hostile lengths: uvarints claiming far more than the input holds.
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
 	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
+	// The change run: one entry of each tag alone, an unknown tag, a base
+	// with an empty run, and a count beyond the input.
+	pres := Event{Seq: 9, Room: "r", Kind: EvPresentation, Base: 3, View: 4}
+	for tag := ChangeSet; tag <= ChangeDropComponent+1; tag++ {
+		pres.Changes = []ViewChange{{Tag: tag, Name: "ct", Value: "full"}}
+		f.Add(wire.MarshalBody(&pres))
+	}
+	pres.Changes = nil
+	empty := wire.MarshalBody(&pres)
+	f.Add(empty)
+	// The run's count is the byte after the two ids; everything after it
+	// is zero fields, so raising it claims entries the input cannot hold.
+	claim := append([]byte(nil), empty...)
+	claim[bytes.LastIndex(claim, []byte{3, 4, 0})+2] = 0x7F
+	f.Add(claim)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ev Event
 		if err := wire.DecodeBodyBytes(data, &ev); err != nil {
@@ -98,8 +172,27 @@ func FuzzEventDecode(f *testing.F) {
 		if err := wire.DecodeBodyBytes(out, &again); err != nil {
 			t.Fatalf("accepted %d bytes but the re-encoded form fails: %v", len(data), err)
 		}
-		if len(wire.MarshalBody(&again)) != len(out) {
-			t.Fatal("re-encoding is not a fixed point")
+		// A decoded event holds no map, so its encoding is one byte string
+		// (compared as bytes: a NaN intensity is not DeepEqual to itself).
+		if !bytes.Equal(wire.MarshalBody(&again), out) {
+			t.Fatalf("decode, encode, decode is not a fixed point:\n 1st: %+v\n 2nd: %+v", ev, again)
 		}
 	})
+}
+
+// TestChangeRunRefusals: what FuzzEventDecode's hostile seeds must do —
+// an unknown tag and a count beyond the input are refused (what the
+// refusal allocates is TestClaimedCountAllocatesNothing's, in proto).
+func TestChangeRunRefusals(t *testing.T) {
+	pres := Event{Seq: 9, Room: "r", Kind: EvPresentation, Base: 3, View: 4,
+		Changes: []ViewChange{{Tag: ChangeDropComponent + 1, Name: "ct"}}}
+	if err := wire.DecodeBodyBytes(wire.MarshalBody(&pres), new(Event)); err == nil {
+		t.Error("a change with an unknown tag decodes without error")
+	}
+	pres.Changes = nil
+	claim := wire.MarshalBody(&pres)
+	claim[bytes.LastIndex(claim, []byte{3, 4, 0})+2] = 0x7F
+	if err := wire.DecodeBodyBytes(claim, new(Event)); err == nil {
+		t.Error("a run claiming 127 entries in 4 bytes decodes without error")
+	}
 }

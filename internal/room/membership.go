@@ -95,7 +95,8 @@ func (r *Room) Leave(name string) error {
 // engine retraction, freeze release, and the EvLeave announcement.
 // Callers hold r.mu.
 func (r *Room) removeLocked(name string) error {
-	if r.broadcaster == name {
+	presenting := r.broadcaster == name
+	if presenting {
 		r.broadcaster = ""
 		r.broadcastLocked(Event{Room: r.Name, Actor: name, Kind: EvBroadcastStop}, false)
 	}
@@ -103,6 +104,9 @@ func (r *Room) removeLocked(name string) error {
 	if err != nil {
 		return err
 	}
+	// The members mirrored the presenter's view: with the broadcast over
+	// they are due their own, whether or not the leave retracted a choice.
+	changed = changed || presenting
 	// Release any freezes the departing member held.
 	for id, holder := range r.frozen {
 		if holder == name {
@@ -188,7 +192,8 @@ func (r *Room) Resume(ctx context.Context, name string, since uint64) (*Member, 
 	if !wasDetached && !wasLive {
 		return nil, nil, document.View{}, false, fmt.Errorf("room %s: resume %s: %w", r.Name, name, ErrNoSession)
 	}
-	view, err := r.engine.ViewFor(name)
+	// During a broadcast the member mirrors the presenter, like everyone.
+	view, err := r.engine.ViewFor(r.viewerLocked(name))
 	if err != nil {
 		return nil, nil, document.View{}, false, err
 	}

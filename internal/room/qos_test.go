@@ -117,3 +117,79 @@ func TestDrainRefundClearsAbandonedCharges(t *testing.T) {
 		t.Fatalf("second DrainRefund drained %d", n)
 	}
 }
+
+// TestPresentationChargeMatchesRefund: the push budget charges a
+// presentation its changed entries — the whole view for a joiner, a few
+// entries for a choice, nothing for a re-solve that moved nothing — and
+// whatever it charged on the way in it refunds on the way out, through
+// Consumed and through a shed alike, including the copy a shed turns into
+// a whole view after the charge was first computed.
+func TestPresentationChargeMatchesRefund(t *testing.T) {
+	r := newRoom(t)
+	r.SetPushBudget(1 << 20)
+	ctx := context.Background()
+	a, _, _, err := r.Join(ctx, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, _, _ := r.Join(ctx, "bob")
+	// take drains a member with the forwarder's refund and returns what
+	// its one presentation was charged.
+	take := func(m *Member) (charged int64) {
+		t.Helper()
+		for len(m.Events()) > 0 {
+			ev := <-m.Events()
+			if ev.Kind == EvPresentation {
+				charged = ev.approxSize()
+			}
+			m.Consumed(ev)
+		}
+		if got := m.QueuedBytes(); got != 0 {
+			t.Fatalf("%s: %d bytes still charged to an empty queue", m.Name, got)
+		}
+		return charged
+	}
+	take(a)
+	whole := take(b) // bob's join: made against the empty view
+
+	if err := r.Choice(ctx, "alice", "ct", "segmented"); err != nil {
+		t.Fatal(err)
+	}
+	take(a)
+	changed := take(b)
+	if err := r.Choice(ctx, "alice", "labs", ""); err != nil { // retracts nothing: re-solved, unmoved
+		t.Fatal(err)
+	}
+	take(a)
+	empty := take(b)
+	bare := (&Event{Room: r.Name, Actor: "alice"}).approxSize()
+	if !(whole > changed && changed > empty && empty == bare) {
+		t.Errorf("charges: whole view %d, a choice's change %d, an empty change %d (a bare event is %d)", whole, changed, empty, bare)
+	}
+
+	// Bob stops draining under a budget that holds a handful of events:
+	// presentations are shed, the one delivered next turns whole, and the
+	// refunds still return the charge to zero.
+	r.SetPushBudget(1500)
+	for i := 0; i < 30; i++ {
+		if err := r.Choice(ctx, "alice", "ct", []string{"full", "segmented"}[i%2]); err != nil {
+			t.Fatal(err)
+		}
+		take(a)
+	}
+	if b.Drops() == 0 {
+		t.Fatal("nothing was shed from bob's queue — test premise broken")
+	}
+	wholeAgain := false
+	for len(b.Events()) > 0 {
+		ev := <-b.Events()
+		wholeAgain = wholeAgain || (ev.Kind == EvPresentation && ev.Base == 0)
+		b.Consumed(ev)
+	}
+	if !wholeAgain {
+		t.Error("no whole presentation followed the shed ones")
+	}
+	if got := b.QueuedBytes(); got != 0 {
+		t.Errorf("%d bytes still charged to bob's empty queue after sheds", got)
+	}
+}

@@ -73,9 +73,21 @@ type Event struct {
 	ObjectID     uint64
 	Annotation   image.Annotation
 	AnnotationID int
-	// EvPresentation: the receiving member's own updated view.
-	Outcome cpnet.Outcome
-	Visible map[string]bool
+	// EvPresentation: the change against the view the receiving member
+	// holds. Base is the id of the view the change is made against (0: the
+	// empty view, so the change is the whole view) and View the id of the
+	// view it leaves the member at. The change itself has one of two forms.
+	// Decoded, it is Changes, the run that crossed, and the maps are nil.
+	// Made and not yet encoded, Changes is nil and Outcome and Visible are
+	// the new view's maps — the engine's own, read-only; the run is what
+	// AppendBody finds different from the maps of Base, which only the room
+	// can attach. So outside the room only a whole view (Base 0) can be
+	// made: the benchmark's probe makes one, and client.Session.ApplyEvent
+	// takes the maps of a Base 0 event for that reason and no other.
+	Base, View uint64
+	Changes    []ViewChange
+	Outcome    cpnet.Outcome
+	Visible    map[string]bool
 	// EvWordSearch / EvSpeakerSearch: cooperative search results.
 	Keyword string
 	Hits    []voice.Hit
@@ -86,11 +98,21 @@ type Event struct {
 	// delivered event: older events were dropped, so the client should
 	// replay from History instead of trusting its local stream.
 	Resync bool
+	// changeBytes is what approxSize charges for a presentation's entries
+	// that differ, counted once when it is made (it shares Resync's word:
+	// an Event sits in every queue slot of every member).
+	changeBytes int32
 
-	// shared memoizes the event's wire encoding across an N-member
-	// fan-out (set by fanOutLocked; nil for per-member events, which
-	// encode individually).
+	// shared memoizes the event's wire encoding across the members it is
+	// fanned out to: every member for a broadcast event, the members of
+	// one evidence class that hold the same view for a presentation (nil
+	// for an event only one member gets, which encodes individually).
 	shared *sharedEnc
+
+	// heldOutcome and heldVisible are the maps of the view Base names,
+	// nil when Base is 0.
+	heldOutcome cpnet.Outcome
+	heldVisible map[string]bool
 }
 
 // sharedEnc holds the once-computed wire payload of a fanned-out event:
@@ -128,7 +150,10 @@ const eventBaseSize = 160
 // approxSize estimates the event's memory footprint for the per-member
 // push budget. It is deterministic over the payload fields only —
 // delivery-side mutations (Resync, shared) don't change it, so the
-// enqueue-side charge and the Consumed-side refund always match.
+// enqueue-side charge and the Consumed-side refund always match. A
+// presentation is charged its changed entries (changeBytes, set with the
+// maps it is counted from): the maps themselves are the engine's, held
+// once however many events point at them.
 func (ev *Event) approxSize() int64 {
 	n := int64(eventBaseSize)
 	n += int64(len(ev.Room) + len(ev.Actor) + len(ev.Variable) + len(ev.Value))
@@ -137,10 +162,7 @@ func (ev *Event) approxSize() int64 {
 	for i := range ev.Hits {
 		n += 48 + int64(len(ev.Hits[i].Word))
 	}
-	for k := range ev.Visible {
-		n += 24 + int64(len(k))
-	}
-	return n
+	return n + int64(ev.changeBytes)
 }
 
 // Member is one participant's session in a room.
@@ -158,6 +180,13 @@ type Member struct {
 	// or on drop (room side). Atomic because the consumer refunds
 	// outside the room lock.
 	queuedBytes atomic.Int64
+	// held (guarded by room.mu) is the view this member holds once it has
+	// applied everything queued for it — what its next presentation is
+	// made against. Zero for a new member (a join, a resume and a live
+	// takeover each make one: the view they start from came in the
+	// JoinRoomResp, under no id) and after a presentation was shed from
+	// its queue, so the next one is whole.
+	held viewRef
 }
 
 // Events returns the member's event stream. The channel closes when the
@@ -220,6 +249,10 @@ type Room struct {
 	// before it has an unrecoverable gap.
 	trimmed uint64
 	closed  bool
+	// viewSeq is the last view id issued: one per distinct solved view
+	// per reconfiguration, so an id names a view, not the event or the
+	// member that carried it.
+	viewSeq uint64
 
 	// grace is how long a detached session may linger before it is
 	// expired into a full leave (<= 0: detach degrades to leave).
@@ -378,8 +411,10 @@ func (r *Room) Close() {
 // SetMemberEnvironment pins a measured per-member environment variable
 // (the QoS loop's bandwidth level) and, when the pin changes the
 // member's effective evidence, pushes them their re-solved presentation
-// as a per-member EvPresentation event — nobody else's view or queue is
-// touched. It reports whether the evidence changed.
+// as an EvPresentation of their own — nobody else's view or queue is
+// touched, unless the member is presenting a broadcast, when everyone
+// mirrors the view the pin changed. It reports whether the evidence
+// changed.
 func (r *Room) SetMemberEnvironment(name, variable, value string) (bool, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -391,23 +426,31 @@ func (r *Room) SetMemberEnvironment(name, variable, value string) (bool, error) 
 	if err != nil || !changed {
 		return changed, err
 	}
-	viewer := name
-	if r.broadcaster != "" {
-		viewer = r.broadcaster // during a broadcast everyone mirrors the presenter
+	if name == r.broadcaster {
+		r.reconfigureLocked(name) // everyone mirrors the presenter, whose view this changed
+	} else {
+		err = r.presentLocked(m)
 	}
-	v, err := r.engine.ViewFor(viewer)
-	if err != nil {
-		return true, err
-	}
-	r.seq++
-	r.deliverLocked(m, Event{
-		Seq: r.seq, Room: r.Name, Actor: name, Kind: EvPresentation,
-		Outcome: v.Outcome, Visible: v.Visible,
-	})
 	if r.replicator != nil {
 		r.replicator() // seq-only advance: nothing buffered
 	}
-	return true, nil
+	return true, err
+}
+
+// presentLocked pushes one member the presentation that takes it from the
+// view it holds to its current one, under a view id of its own. Callers
+// hold r.mu and tell the replicator.
+func (r *Room) presentLocked(m *Member) error {
+	v, err := r.engine.ViewFor(r.viewerLocked(m.Name))
+	if err != nil {
+		return err
+	}
+	r.seq++
+	r.viewSeq++
+	pe := Event{Seq: r.seq, Room: r.Name, Actor: m.Name, Kind: EvPresentation}
+	pe.setView(m.held, viewRef{r.viewSeq, v.Outcome, v.Visible})
+	r.deliverLocked(m, pe)
+	return nil
 }
 
 // Choice records a presentation choice and propagates it. A cancelled

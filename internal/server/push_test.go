@@ -17,11 +17,13 @@ import (
 
 // TestEncodeOnceFanOut joins k clients to one room and checks the
 // encode-once contract end to end with the push-path counters: a
-// broadcast event costs exactly one encode, the other k-1 deliveries
-// reuse the shared bytes, and only what is a member's own — the
-// presentation a choice re-solves for each of them — encodes per member.
-// One choice in a four-member room is 5 encodes for 8 pushed events, the
-// 0.625 the benchmark reports as server.push_encodes_per_event.
+// broadcast event costs exactly one encode and the other k-1 deliveries
+// reuse the shared bytes, and so does the presentation a choice re-solves
+// — the k members are one evidence class holding one view, so they are
+// pushed one change, encoded once. One choice in a four-member room is 2
+// encodes for 8 pushed events, the 0.25 the benchmark reports as
+// server.push_encodes_per_event (5 and 0.625 while every member was
+// encoded its own whole view).
 func TestEncodeOnceFanOut(t *testing.T) {
 	srv, addr, _ := testSystem(t)
 	const k = 4
@@ -56,24 +58,27 @@ func TestEncodeOnceFanOut(t *testing.T) {
 		name                   string
 		act                    func() error
 		kinds                  []room.EventKind
-		check                  func(room.Event) bool
+		check                  func(int, room.Event) bool
 		events, encodes, saved uint64
 	}{
 		{"chat", func() error { return sessions[0].Chat("fan out once") },
 			[]room.EventKind{room.EvChat},
-			func(ev room.Event) bool { return ev.Text == "fan out once" },
+			func(_ int, ev room.Event) bool { return ev.Text == "fan out once" },
 			k, 1, k - 1},
 		{"choice", func() error { return sessions[0].Choice("ct", "segmented") },
 			[]room.EventKind{room.EvChoice, room.EvPresentation},
-			func(ev room.Event) bool { return ev.Outcome["ct"] == "segmented" },
-			2 * k, k + 1, k - 1},
+			func(i int, ev room.Event) bool {
+				v := sessions[i].View().Outcome
+				return ev.Base != 0 && len(ev.Changes) == 3 && v["ct"] == "segmented" && v["xray"] == "hidden" && !sessions[i].NeedsResync()
+			},
+			2 * k, 2, 2 * (k - 1)},
 	} {
 		before := srv.Stats().Counters()
 		if err := step.act(); err != nil {
 			t.Fatal(err)
 		}
 		for i, ev := range settled("u0", step.kinds...) {
-			if !step.check(ev) {
+			if !step.check(i, ev) {
 				t.Errorf("%s: client %d ends on %+v", step.name, i, ev)
 			}
 		}

@@ -87,13 +87,14 @@ func TestQoSAdaptiveDegradationEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ev := waitEvent(t, c, func(ev room.Event) bool {
-		return ev.Kind == room.EvPresentation && ev.Outcome[core.BandwidthVariable] == core.BandwidthLow
+	waitEvent(t, c, func(ev room.Event) bool {
+		return ev.Kind == room.EvPresentation && s.View().Outcome[core.BandwidthVariable] == core.BandwidthLow
 	})
-	if got := ev.Outcome["ct"]; got != "lowres" {
+	view := s.View()
+	if got := view.Outcome["ct"]; got != "lowres" {
 		t.Errorf("degraded ct = %s, want lowres", got)
 	}
-	if !ev.Visible["ct"] {
+	if !view.Visible["ct"] {
 		t.Error("degradation hid the ct instead of lowering resolution — resolution-before-components violated")
 	}
 

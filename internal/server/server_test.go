@@ -176,12 +176,14 @@ func TestRoomJoinChoicePropagation(t *testing.T) {
 	if err := sa.Choice("ct", "segmented"); err != nil {
 		t.Fatalf("choice: %v", err)
 	}
-	// Skip the presentation push from bob's own join; wait for the one
+	// Past the whole view pushed by bob's own join, to the presentation
 	// that reflects alice's choice.
-	ev := waitEvent(t, bob, func(ev room.Event) bool {
-		return ev.Kind == room.EvPresentation && ev.Outcome["ct"] == "segmented"
+	waitEvent(t, bob, func(ev room.Event) bool {
+		return ev.Kind == room.EvPresentation && sb.View().Outcome["ct"] == "segmented"
 	})
-	sb.ApplyEvent(ev)
+	if sb.NeedsResync() {
+		t.Error("bob's session refused a presentation of the chain")
+	}
 	if sb.View().Outcome["ct"] != "segmented" || sb.View().Outcome["xray"] != "hidden" {
 		t.Errorf("bob view after alice's choice: %v", sb.View().Outcome)
 	}
@@ -404,11 +406,10 @@ func TestBroadcastOverWire(t *testing.T) {
 	if err := sa.Choice("ct", "lowres"); err != nil {
 		t.Fatal(err)
 	}
-	ev := waitEvent(t, bob, func(ev room.Event) bool {
-		return ev.Kind == room.EvPresentation && ev.Outcome["ct"] == "lowres"
+	waitEvent(t, bob, func(ev room.Event) bool {
+		return ev.Kind == room.EvPresentation && sb.View().Outcome["ct"] == "lowres"
 	})
-	sb.ApplyEvent(ev)
-	if sb.View().Outcome["ct"] != "lowres" {
+	if sb.View().Outcome["ct"] != "lowres" || sb.NeedsResync() {
 		t.Errorf("bob not mirroring presenter: %v", sb.View().Outcome)
 	}
 	if err := sb.StopBroadcast(); err == nil {

@@ -272,14 +272,16 @@ type pusher interface {
 // nil when the stream closes and the push's error when one fails.
 // Room broadcast events carry a shared memoized encoding, so an
 // N-member fan-out encodes each event once and every other forwarder
-// pushes the same bytes (per-member presentation/resync events still
-// encode individually). The shared payload rides the writev batch by
-// reference: zero copies between the encode and the socket.
+// pushes the same bytes; so does a presentation, across the members of
+// one evidence class that hold the same view (a member's own whole view
+// or resync copy still encodes individually). The shared payload rides
+// the writev batch by reference: zero copies between the encode and the
+// socket.
 func (s *Server) forwardEvents(p pusher, member *room.Member) error {
 	// One Event for the forwarder's lifetime, received into again and
 	// again. EncodeShared hands its address to an interface, which puts
 	// it on the heap: declared inside the loop (or as a range variable,
-	// which is per iteration) that is one 328-byte allocation per event.
+	// which is per iteration) that is one 384-byte allocation per event.
 	var ev room.Event
 	events := member.Events()
 	for {

@@ -401,6 +401,18 @@ func (d *Dec) Uvarint() uint64 {
 	return v
 }
 
+// Count reads the element count of a count-prefixed run. Every element
+// of every run takes at least one byte, so a count beyond the unread
+// bytes fails the decode here, before the caller sizes anything by it.
+func (d *Dec) Count() uint64 {
+	n := d.Uvarint()
+	if n > uint64(d.Len()) {
+		d.fail()
+		return 0
+	}
+	return n
+}
+
 // Varint reads a zigzag signed varint.
 func (d *Dec) Varint() int64 {
 	if d.err != nil {
