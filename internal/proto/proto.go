@@ -306,7 +306,9 @@ type RoomStatus struct {
 
 // StatsResp is the metrics snapshot: per-method latency summaries, the
 // named monotonic counters (push.*, cache.*, session.*, wire.*), live
-// gauges (wire.peers, wire.write_backlog, cache.obj.bytes, rooms.*,
+// gauges (wire.peers, wire.write_backlog — responses and prefetch pushes
+// waiting for a connection's writer; queued room events are each room's
+// QueuedEvents/QueuedBytes/MaxQueueDepth — cache.obj.bytes, rooms.*,
 // go.goroutines), and per-room status.
 type StatsResp struct {
 	Methods  map[string]MethodSummary

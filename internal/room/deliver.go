@@ -14,7 +14,7 @@ func (r *Room) OnQueueDrop(fn func(member string)) {
 
 // SetPushBudget caps the estimated bytes of undrained events queued per
 // member (<= 0: disabled). Only enable it when the consumer refunds
-// delivered events via Member.Consumed — the server's forwarder does.
+// delivered events via Member.Consumed — the server's push path does.
 func (r *Room) SetPushBudget(n int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -161,6 +161,9 @@ func (r *Room) deliverLocked(m *Member, ev Event) (owed bool) {
 		case m.ch <- ev:
 			m.queuedBytes.Add(sz)
 			m.needResync = false
+			if m.notify != nil {
+				m.notify()
+			}
 			if ev.Kind == EvPresentation {
 				m.held = viewRef{ev.View, ev.Outcome, ev.Visible}
 				return false

@@ -86,7 +86,7 @@ func (r *Room) Leave(name string) error {
 		return fmt.Errorf("room %s: no member %q", r.Name, name)
 	}
 	delete(r.members, name)
-	close(m.ch)
+	m.endLocked()
 	return r.removeLocked(name)
 }
 
@@ -123,7 +123,7 @@ func (r *Room) removeLocked(name string) error {
 var ErrNoSession = errors.New("room: no detached session")
 
 // Detach converts a live membership into a detached session: the member
-// channel closes (its forwarder unblocks) but the engine membership,
+// channel closes (its consumer is told) but the engine membership,
 // choices, and freezes stay in place for a grace period so the same user
 // can Resume without the room observing a leave. The member handle
 // identifies the session: if the name's live membership is a different
@@ -140,7 +140,7 @@ func (r *Room) Detach(m *Member) bool {
 		return false
 	}
 	delete(r.members, name)
-	close(m.ch)
+	m.endLocked()
 	if r.grace <= 0 || r.closed {
 		r.removeLocked(name)
 		return false
@@ -206,7 +206,7 @@ func (r *Room) Resume(ctx context.Context, name string, since uint64) (*Member, 
 		// and its stream ends here; Detach/eviction of the old handle
 		// later is a no-op.
 		delete(r.members, name)
-		close(old.ch)
+		old.endLocked()
 	}
 	m := &Member{Name: name, room: r, ch: make(chan Event, memberQueueSize)}
 	r.members[name] = m

@@ -76,8 +76,8 @@ func TestSetMemberEnvironmentPushesOnlyToThatMember(t *testing.T) {
 	}
 }
 
-// Regression for the forwarder-refund audit: a consumer that abandons a
-// member channel with undrained events (the forwarder's push-error exit)
+// Regression for the refund audit: a consumer that abandons a
+// member channel with undrained events (the server's failed-writer exit)
 // leaves queuedBytes charged; DrainRefund must return the budget to
 // exactly zero.
 func TestDrainRefundClearsAbandonedCharges(t *testing.T) {
@@ -100,7 +100,7 @@ func TestDrainRefundClearsAbandonedCharges(t *testing.T) {
 	if m.QueuedBytes() == 0 {
 		t.Fatal("no budget charged — test premise broken")
 	}
-	// The forwarder dies without draining; the room detaches the member,
+	// The consumer dies without draining; the room detaches the member,
 	// closing the channel with events still queued.
 	if !r.Detach(m) {
 		// grace disabled: detach degraded to leave; channel still closed.
@@ -133,7 +133,7 @@ func TestPresentationChargeMatchesRefund(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, _, _, _ := r.Join(ctx, "bob")
-	// take drains a member with the forwarder's refund and returns what
+	// take drains a member with the push path's refund and returns what
 	// its one presentation was charged.
 	take := func(m *Member) (charged int64) {
 		t.Helper()

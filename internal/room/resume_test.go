@@ -203,7 +203,7 @@ func TestResumeTakesOverLiveMember(t *testing.T) {
 	if !complete {
 		t.Error("takeover resume incomplete with intact buffer")
 	}
-	// The old handle's channel closed; the old forwarder's late Detach
+	// The old handle's channel closed; the old connection's late Detach
 	// must not touch the new session.
 	if _, ok := <-alice.Events(); ok {
 		t.Error("old member channel still open after takeover")

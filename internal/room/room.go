@@ -187,11 +187,36 @@ type Member struct {
 	// JoinRoomResp, under no id) and after a presentation was shed from
 	// its queue, so the next one is whole.
 	held viewRef
+	// notify (guarded by room.mu), when set, is told that Events has
+	// something new for its consumer: an event was enqueued, or the
+	// stream closed.
+	notify func()
 }
 
 // Events returns the member's event stream. The channel closes when the
 // member leaves or is evicted.
 func (m *Member) Events() <-chan Event { return m.ch }
+
+// SetNotify installs the hook a consumer that polls Events (the server's
+// push path: a connection's writer drains its members' queues itself)
+// is woken by. The room calls it after every event it enqueues for this
+// member and once when it closes the stream — under the room lock, so fn
+// must not block or call back into the room. What was enqueued before
+// the hook was set is not reported: poll once after setting it.
+func (m *Member) SetNotify(fn func()) {
+	m.room.mu.Lock()
+	defer m.room.mu.Unlock()
+	m.notify = fn
+}
+
+// endLocked closes the member's stream and tells its consumer. Callers
+// hold r.mu and have taken m out of r.members.
+func (m *Member) endLocked() {
+	close(m.ch)
+	if m.notify != nil {
+		m.notify()
+	}
+}
 
 // Drops reports how many queued events were discarded for this member
 // because its queue overflowed. A client seeing Event.Resync (set on
@@ -211,7 +236,7 @@ func (m *Member) QueuedBytes() int64 { return m.queuedBytes.Load() }
 
 // DrainRefund empties whatever events remain queued on this member's
 // channel and refunds their push-budget charges, returning how many it
-// drained. A forwarder that exits before draining its channel (push
+// drained. A consumer that gives up before draining its channel (push
 // error, eviction) must call this after the channel closes: abandoned
 // events would otherwise keep their queuedBytes charged forever, and
 // anything reading the member's pressure — the QoS controller does —
@@ -395,8 +420,8 @@ func (r *Room) Close() {
 		return
 	}
 	for name, m := range r.members {
-		close(m.ch)
 		delete(r.members, name)
+		m.endLocked()
 	}
 	for name, t := range r.detached {
 		t.Stop()

@@ -18,7 +18,7 @@ import (
 )
 
 // Follower is the client half of one membership: what the server's
-// forwarder and the client's push handler do between a member's queue
+// push path and the client's push handler do between a member's queue
 // and a session's view, without the connection between them.
 type Follower struct {
 	Member  *room.Member
@@ -74,10 +74,10 @@ func (e *Encodes) note(ev *room.Event, encoded bool) error {
 	return nil
 }
 
-// Drain takes every event queued for the member, as the forwarder does
-// (refund, shared encode), decodes it as the client's push handler does
-// (exact consumption) and applies it to the session. It returns how many
-// events it took. enc may be nil.
+// Drain takes every event queued for the member, as the server's push
+// path does (refund, shared encode), decodes it as the client's push
+// handler does (exact consumption) and applies it to the session. It
+// returns how many events it took. enc may be nil.
 func (f *Follower) Drain(enc *Encodes) (int, error) {
 	n := 0
 	for {

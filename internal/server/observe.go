@@ -14,8 +14,8 @@ import (
 // Counter names for the server's content caches and push path, surfaced
 // through Server.Stats() (wire.Stats named counters).
 const (
-	// CounterFanoutEvents counts room events handed to member
-	// forwarders for push delivery.
+	// CounterFanoutEvents counts room events taken off member queues by
+	// connection writers for push delivery.
 	CounterFanoutEvents = "push.events"
 	// CounterFanoutEncodes counts actual encodes of pushed events; with
 	// encode-once fan-out this is ~1 per broadcast event.
@@ -76,6 +76,9 @@ func (s *Server) MetricsSnapshot() *proto.StatsResp {
 		}
 	}
 
+	// The backlog is responses and prefetch pushes waiting for a writer;
+	// queued room events wait in member queues and read as each room's
+	// QueuedEvents / QueuedBytes / MaxQueueDepth below.
 	peers, backlog := s.rpc.WriteBacklog()
 	resp.Gauges["wire.peers"] = int64(peers)
 	resp.Gauges["wire.write_backlog"] = int64(backlog)

@@ -301,8 +301,8 @@ func TestPushResponseOrderUnderLoad(t *testing.T) {
 
 // failConn wraps a net.Conn so writes can be made to fail on demand
 // while Close is a no-op: the read loop stays alive, so only the
-// forwarder's push-failure path — not disconnect eviction — can remove
-// the member from its room.
+// writer's failure path (memberSource.Abandon) — not disconnect
+// eviction — can remove the member from its room.
 type failConn struct {
 	net.Conn
 	fail *atomic.Bool
@@ -317,11 +317,11 @@ func (f *failConn) Write(b []byte) (int, error) {
 
 func (f *failConn) Close() error { return nil }
 
-// TestForwarderPushFailureLeavesRoom breaks one member's push channel
-// and checks the forwarder detaches the stranded membership, which then
+// TestPushFailureLeavesRoom breaks one member's push channel and checks
+// the failed writer's exit detaches the stranded membership, which then
 // expires past the test grace into a real leave (the other member sees
 // EvLeave) instead of keeping a ghost member until disconnect.
-func TestForwarderPushFailureLeavesRoom(t *testing.T) {
+func TestPushFailureLeavesRoom(t *testing.T) {
 	srv, addr, _ := testSystem(t)
 	bob := dial(t, addr, "bob")
 	sb, _, err := bob.Join("consult", "p1", 0)
@@ -344,9 +344,9 @@ func TestForwarderPushFailureLeavesRoom(t *testing.T) {
 		return ev.Kind == room.EvJoin && ev.Actor == "mallory"
 	})
 	fail.Store(true)
-	// Each chat is a broadcast reaching mallory's dead writer: the first
-	// surfaces the write error, a later push fails fast and makes the
-	// forwarder leave the room on mallory's behalf.
+	// Each chat is a broadcast kicking mallory's writer: the first one it
+	// tries to write fails, and on its way out it abandons her membership,
+	// which leaves the room on her behalf.
 	deadline := time.After(5 * time.Second)
 	left := make(chan room.Event, 1)
 	go func() {

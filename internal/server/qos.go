@@ -109,7 +109,7 @@ func (q *qosController) register(p *wire.Peer, rs *roomState, roomName, user str
 	q.mu.Unlock()
 }
 
-// unregister drops a membership when its forwarder exits.
+// unregister drops a membership when its event stream ends.
 func (q *qosController) unregister(member *room.Member) {
 	q.mu.Lock()
 	delete(q.clients, member)
@@ -180,7 +180,7 @@ func (q *qosController) prefetch(c *qosClient) {
 			Digest: resp.Digest, Data: resp.Data,
 		})
 		if err != nil {
-			return // connection is going away; the forwarder unregisters us
+			return // connection is going away; its writer's exit unregisters us
 		}
 		c.pushed[cand.ObjectID] = true
 		c.pushedBytes += n

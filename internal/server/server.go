@@ -136,10 +136,10 @@ type Server struct {
 	// byte cap handed to every room.
 	limiter    *wire.Limiter
 	pushBudget int64
-	// forwarders counts the event-forwarding goroutines (one per room
-	// membership) so Shutdown can flush queued pushes before closing
-	// connections.
-	forwarders sync.WaitGroup
+	// sources counts the member event streams attached to connection
+	// writers (one per room membership) so Shutdown can wait for the
+	// writers to take what the rooms queued before it closes connections.
+	sources sync.WaitGroup
 	// qos is the adaptive bandwidth-estimation loop (nil when disabled):
 	// per-member throughput drives the CP-net tuning level and spends
 	// idle push budget on prefetch pushes.
@@ -448,13 +448,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.reg.forEach(func(name string, rs *roomState) { rs.room.AnnounceShutdown() })
 	err := s.rpc.AwaitIdle(ctx)
 	s.reg.closeAll()
-	// Closing the rooms ended every member event stream; wait (bounded
-	// by ctx) for the forwarding goroutines to flush their queued
-	// pushes — the shutdown announcement among them — while the
+	// Closing the rooms ended every member event stream and kicked its
+	// connection's writer; wait (bounded by ctx) for the writers to take
+	// what is queued — the shutdown announcement among it — while the
 	// connections are still up.
 	flushed := make(chan struct{})
 	go func() {
-		s.forwarders.Wait()
+		s.sources.Wait()
 		close(flushed)
 	}()
 	select {
@@ -464,8 +464,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			err = ctx.Err()
 		}
 	}
-	// Forwarders only enqueue pushes; force the batched peer writers to
-	// hand everything to the OS before the connections close.
+	// A source is done once its last event is in the writer's batch;
+	// force the batched peer writers to hand everything to the OS before
+	// the connections close.
 	_ = s.rpc.FlushPeers(ctx)
 	if cerr := s.rpc.Close(); err == nil {
 		err = cerr

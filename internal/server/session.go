@@ -94,8 +94,8 @@ func (s *Server) buildRoom(name, docID string) (*roomState, error) {
 	if s.roomTap != nil {
 		r.SetReplicator(func() { s.roomTap(name) })
 	}
-	// Safe to enable: the forwarder refunds every delivered event via
-	// member.Consumed.
+	// Safe to enable: memberSource.Drain refunds every delivered event
+	// via member.Consumed.
 	r.SetPushBudget(s.pushBudget)
 	r.OnSessionExpire(func(string) { s.stats.Add(CounterSessionExpired, 1) })
 	// Register base rasters for annotation rendering where available.
@@ -204,7 +204,7 @@ func (s *Server) handleJoinRoom(ctx context.Context, p *wire.Peer, req *proto.Jo
 		_ = rs.room.Leave(req.User)
 		return nil, fmt.Errorf("server: this connection already joined room %q", req.Room)
 	}
-	s.startForwarder(p, sessions, rs, req.Room, req.User, member)
+	s.attachMember(p, sessions, rs, member)
 	resp := &proto.JoinRoomResp{
 		History: history,
 		Outcome: view.Outcome, Visible: view.Visible,
@@ -217,8 +217,8 @@ func (s *Server) handleJoinRoom(ctx context.Context, p *wire.Peer, req *proto.Jo
 	if !resumed || !complete {
 		docData, hit, err := rs.room.DocSnapshot()
 		if err != nil {
-			// Unwind the join: without this the member and its forwarding
-			// goroutine would leak on the marshal error path.
+			// Unwind the join: without this the member would stay in the
+			// room, and its source on the writer, on the marshal error path.
 			sessions.drop(req.Room)
 			_ = rs.room.Leave(req.User)
 			return nil, err
@@ -233,76 +233,98 @@ func (s *Server) handleJoinRoom(ctx context.Context, p *wire.Peer, req *proto.Jo
 	return resp, nil
 }
 
-// startForwarder pumps the member's event stream to the client as pushes
-// until the stream closes or the client stops taking them.
-func (s *Server) startForwarder(p *wire.Peer, sessions *peerSessions, rs *roomState, roomName, user string, member *room.Member) {
-	s.forwarders.Add(1)
+// memberSource is one membership on its connection's writer: the queue
+// the writer drains (wire.Source) when the room kicks it. A membership
+// owns no goroutine — an event goes from the member's queue to the
+// socket's batch on the writer's — and the member queue is the one place
+// its backlog sits: a writer blocked in a socket write stops draining,
+// the queue fills, and the room sheds its oldest and flags Resync.
+type memberSource struct {
+	s        *Server
+	peer     *wire.Peer
+	sessions *peerSessions
+	rs       *roomState
+	member   *room.Member
+	// ev is received into again and again. EncodeShared hands its address
+	// to an interface, which puts it on the heap: here that is once per
+	// membership, as a local of Drain it would be once per wake-up.
+	ev room.Event
+}
+
+// attachMember puts the member's event stream on p's writer, which
+// pushes it to the client until the stream closes or the connection
+// stops taking it.
+func (s *Server) attachMember(p *wire.Peer, sessions *peerSessions, rs *roomState, member *room.Member) {
+	s.sources.Add(1)
 	if s.qos != nil {
-		s.qos.register(p, rs, roomName, user, member)
+		s.qos.register(p, rs, rs.room.Name, member.Name, member)
 	}
-	go func() {
-		defer s.forwarders.Done()
-		if s.qos != nil {
-			defer s.qos.unregister(member)
-		}
-		if err := s.forwardEvents(p, member); err != nil {
-			// The client is unreachable: detach the session so a
-			// reconnecting client can resume it within the grace
-			// period (after which it expires into a real leave).
-			sessions.drop(roomName)
-			if rs.room.Detach(member) {
-				s.stats.Add(CounterSessionDetached, 1)
-			}
-			// Detach closed the channel with events possibly still
-			// queued; drain them so their push-budget charges are
-			// refunded — otherwise the abandoned member reads as
-			// phantom queue pressure to the QoS loop and the gauges.
-			member.DrainRefund()
-		}
-	}()
+	member.SetNotify(p.Kick)
+	p.Attach(&memberSource{s: s, peer: p, sessions: sessions, rs: rs, member: member})
+	p.Kick() // the join's own events were queued before the hook was set
 }
 
-// pusher is what the forwarder needs of a *wire.Peer; the counted test
-// of forwardEvents puts a sink behind it.
-type pusher interface {
-	PushRaw(method string, enc uint8, payload []byte) error
-}
-
-// forwardEvents pushes each event of the member's stream to p, returning
-// nil when the stream closes and the push's error when one fails.
-// Room broadcast events carry a shared memoized encoding, so an
-// N-member fan-out encodes each event once and every other forwarder
-// pushes the same bytes; so does a presentation, across the members of
-// one evidence class that hold the same view (a member's own whole view
-// or resync copy still encodes individually). The shared payload rides
-// the writev batch by reference: zero copies between the encode and the
-// socket.
-func (s *Server) forwardEvents(p pusher, member *room.Member) error {
-	// One Event for the forwarder's lifetime, received into again and
-	// again. EncodeShared hands its address to an interface, which puts
-	// it on the heap: declared inside the loop (or as a range variable,
-	// which is per iteration) that is one 384-byte allocation per event.
-	var ev room.Event
-	events := member.Events()
-	for {
-		var open bool
-		if ev, open = <-events; !open {
-			return nil
+// Drain pushes what the member's queue holds, at most one queue's worth
+// a call so a room producing as fast as the writer drains cannot keep the
+// batch from its flush. Room broadcast events carry a shared memoized
+// encoding, so an N-member fan-out encodes each event once and every
+// other member's drain pushes the same bytes; so does a presentation,
+// across the members of one evidence class that hold the same view (a
+// member's own whole view or resync copy still encodes individually).
+// The shared payload rides the writev batch by reference: zero copies
+// between the encode and the socket.
+func (src *memberSource) Drain(push func(method string, payload []byte)) (open bool) {
+	events := src.member.Events()
+	for n := cap(events); n > 0; n-- {
+		select {
+		case src.ev, open = <-events:
+		default:
+			return true
+		}
+		if !open {
+			src.detach()
+			return false
 		}
 		// Refund the event's push-budget charge: once it is off the
 		// queue the room no longer holds it for this member.
-		member.Consumed(ev)
-		payload, encoded := ev.EncodeShared()
-		s.stats.Add(CounterFanoutEvents, 1)
+		src.member.Consumed(src.ev)
+		payload, encoded := src.ev.EncodeShared()
+		src.s.stats.Add(CounterFanoutEvents, 1)
 		if encoded {
-			s.stats.Add(CounterFanoutEncodes, 1)
+			src.s.stats.Add(CounterFanoutEncodes, 1)
 		} else {
-			s.stats.Add(CounterEncodesSaved, 1)
+			src.s.stats.Add(CounterEncodesSaved, 1)
 		}
-		if err := p.PushRaw(proto.MEvent, wire.EncBinary, payload); err != nil {
-			return err
-		}
+		push(proto.MEvent, payload)
 	}
+	src.peer.Kick() // stopped at the bound, not at an empty queue
+	return true
+}
+
+// Abandon runs when the writer is gone with the stream still open: the
+// client is unreachable, so detach the session — a reconnecting client
+// can resume it within the grace period, after which it expires into a
+// real leave.
+func (src *memberSource) Abandon() {
+	src.sessions.drop(src.rs.room.Name)
+	if src.rs.room.Detach(src.member) {
+		src.s.stats.Add(CounterSessionDetached, 1)
+	}
+	// Detach closed the channel with events possibly still queued; drain
+	// them so their push-budget charges are refunded — otherwise the
+	// abandoned member reads as phantom queue pressure to the QoS loop
+	// and the gauges.
+	src.member.DrainRefund()
+	src.detach()
+}
+
+// detach ends the source's accounting; it runs once, from whichever of
+// Drain and Abandon ended it.
+func (src *memberSource) detach() {
+	if src.s.qos != nil {
+		src.s.qos.unregister(src.member)
+	}
+	src.s.sources.Done()
 }
 
 func (s *Server) handleLeaveRoom(ctx context.Context, p *wire.Peer, req *proto.LeaveRoomReq) (*wire.None, error) {

@@ -42,8 +42,7 @@ const (
 // errPeerClosed reports a send on a peer whose connection ended.
 var errPeerClosed = errors.New("wire: peer connection closed")
 
-// Peer is the server-side view of one client connection. Its Push and
-// PushRaw methods are how the interaction server propagates room events.
+// Peer is the server-side view of one client connection.
 //
 // Writes are batched: senders enqueue envelopes to a per-peer writer
 // goroutine that assembles frames into one pending batch and flushes
@@ -54,19 +53,108 @@ var errPeerClosed = errors.New("wire: peer connection closed")
 // FIFO order is preserved: envelopes reach the socket in the order
 // send accepted them. Flush is the explicit barrier the drain path
 // uses to guarantee queued pushes hit the OS before close.
+//
+// Room events do not pass through writeQ: the interaction server
+// attaches each membership's queue as a Source and the writer pulls
+// from it (Attach, Kick), so an event crosses one goroutine between the
+// room and the socket. writeQ carries responses, Push and PushRaw.
 type Peer struct {
 	ID   uint64
 	conn net.Conn
 
 	writeQ chan writeItem
+	kick   chan struct{} // capacity 1: an attached source has something queued
 	stop   chan struct{} // closed by ServeConn teardown
 	dead   chan struct{} // closed when the writer exits; werr is valid after
 	werr   error
 	stats  *Stats     // optional counter sink
 	qmeter *qos.Meter // per-connection write-throughput estimator
 
+	srcMu   sync.Mutex
+	sources []Source // appended to or replaced, never edited in place: the writer ranges over a snapshot
+	srcGone bool     // the writer has exited; Attach abandons what it is given
+
 	mu   sync.Mutex
 	meta map[string]any // per-connection session state (user, rooms)
+}
+
+// Source is a queue of pushes the peer's writer drains itself, on its
+// own goroutine, straight into the batch it is assembling. Whoever fills
+// the queue calls Kick; the backlog stays in the source, which sheds by
+// its own policy when the writer (blocked in a socket write) stops
+// draining.
+type Source interface {
+	// Drain hands what is queued to push, in order and without blocking,
+	// at most a bounded number of messages a call (a source that stops at
+	// its bound kicks the peer again), and reports whether the source is
+	// still open. After false the peer forgets the source. push must not
+	// be kept or called after Drain returns, and the payloads must not be
+	// modified afterwards: they ride the batch by reference.
+	Drain(push func(method string, payload []byte)) (open bool)
+	// Abandon tells a source still attached that the writer is gone —
+	// the connection failed or closed — and nothing will drain it again.
+	// Called once, on no lock of the peer's, never after Drain said
+	// false.
+	Abandon()
+}
+
+// Attach adds src to the queues the writer drains. A source attached
+// after the writer exited is abandoned on the spot. The caller kicks the
+// peer if the source may already hold something.
+func (p *Peer) Attach(src Source) {
+	p.srcMu.Lock()
+	gone := p.srcGone
+	if !gone {
+		p.sources = append(p.sources, src)
+	}
+	p.srcMu.Unlock()
+	if gone {
+		src.Abandon()
+	}
+}
+
+// Kick tells the writer an attached source has something queued. It
+// never blocks (a kick already pending covers this one), so a room may
+// call it under its lock.
+func (p *Peer) Kick() {
+	select {
+	case p.kick <- struct{}{}:
+	default:
+	}
+}
+
+// drainSources runs one Drain over every attached source and forgets
+// the ones that ended. Writer goroutine only.
+func (p *Peer) drainSources(push func(method string, payload []byte)) {
+	p.srcMu.Lock()
+	srcs := p.sources
+	p.srcMu.Unlock()
+	for _, src := range srcs {
+		if src.Drain(push) {
+			continue
+		}
+		p.srcMu.Lock()
+		kept := make([]Source, 0, len(p.sources))
+		for _, s := range p.sources {
+			if s != src {
+				kept = append(kept, s)
+			}
+		}
+		p.sources = kept
+		p.srcMu.Unlock()
+	}
+}
+
+// abandonSources ends source draining for good: what is attached now,
+// and whatever Attach is handed later, is abandoned.
+func (p *Peer) abandonSources() {
+	p.srcMu.Lock()
+	srcs := p.sources
+	p.sources, p.srcGone = nil, true
+	p.srcMu.Unlock()
+	for _, src := range srcs {
+		src.Abandon()
+	}
 }
 
 // Meter exposes the connection's write-throughput estimator: every
@@ -74,13 +162,6 @@ type Peer struct {
 // observations, so under backpressure its rate tracks the client's
 // effective downlink. The QoS control loop reads it.
 func (p *Peer) Meter() *qos.Meter { return p.qmeter }
-
-// QueueDepth reports how many envelopes are waiting for the writer
-// goroutine right now — the drain-rate pressure companion to Meter.
-func (p *Peer) QueueDepth() int { return len(p.writeQ) }
-
-// QueueCapacity reports the writer queue bound (senders block beyond it).
-func (p *Peer) QueueCapacity() int { return cap(p.writeQ) }
 
 // writeItem is one unit of writer work: an envelope to encode, or (when
 // flush is non-nil) a flush barrier to acknowledge.
@@ -117,8 +198,7 @@ func (p *Peer) Meta(key string) (any, bool) {
 	return v, ok
 }
 
-// Push sends an unsolicited message to the client. For room fan-out
-// prefer PushRaw with a shared pre-encoded payload.
+// Push sends an unsolicited message to the client.
 func (p *Peer) Push(method string, body BodyEncoder) error {
 	e := getBodyEnc()
 	body.AppendBody(e)
@@ -126,10 +206,9 @@ func (p *Peer) Push(method string, body BodyEncoder) error {
 }
 
 // PushRaw sends an unsolicited message whose payload is already encoded
-// — the encode-once fan-out path: the interaction server encodes one
-// room event once and hands every member's peer the same bytes, which
-// ride the frame's writev batch by reference, so the fan-out never
-// copies them. The caller must not modify payload afterwards. The
+// (the cluster's ingress relay hands on the owner's bytes); it rides
+// the frame's writev batch by reference, so the caller must not modify
+// payload afterwards. The
 // second parameter once named the payload encoding; there is only
 // EncBinary now and the value is ignored (kept for benchmark/, which
 // this signature is source-compatible with).
@@ -137,8 +216,9 @@ func (p *Peer) PushRaw(method string, _ uint8, payload []byte) error {
 	return p.send(envelope{Kind: kindPush, Method: method, Payload: payload})
 }
 
-// Flush blocks until every message enqueued before the call has been
-// handed to the operating system — the drain path's ordering guarantee.
+// Flush blocks until every message enqueued before the call — in writeQ
+// or in an attached source — has been handed to the operating system:
+// the drain path's ordering guarantee.
 func (p *Peer) Flush() error {
 	ch := make(chan error, 1)
 	select {
@@ -182,63 +262,85 @@ func (p *Peer) deadErr() error {
 	return errPeerClosed
 }
 
-// writeLoop is the peer's single writer goroutine: it drains writeQ,
+// writeLoop is the peer's single writer goroutine: it takes envelopes
+// off writeQ and, when kicked, events off the attached sources,
 // assembling frames as scratch + zero-copy segments, and flushes when
-// the queue goes idle or a batch reaches writeBatchMax — so bursts
+// both go idle or a batch reaches writeBatchMax rounds — so bursts
 // coalesce into one net.Buffers write (writev on TCP) while a lone
 // message flushes immediately. Oversized batches flush early by byte
 // count so a run of media frames cannot pin unbounded payload memory
 // behind the segment list.
 func (p *Peer) writeLoop() {
+	// Last, with the peer marked dead: an abandoned source detaches its
+	// session, and nothing it does may wait on this writer.
+	defer p.abandonSources()
 	defer close(p.dead)
 	w := newVecWriter(p.conn, p.stats)
 	w.meter = p.qmeter
-	fail := func(err error) {
-		p.werr = fmt.Errorf("wire: send: %w", err)
-		p.conn.Close()
+	var werr error // the first failed socket write; the loop ends on it
+	encode := func(env *envelope) {
+		w.encodeFrame(env)
+		if p.stats != nil {
+			p.stats.Add(CounterWriterMessages, 1)
+		}
+		if w.pending() >= writeFlushBytes {
+			werr = w.flush()
+		}
 	}
-	for {
+	// The sources' sink, made once: a closure per drain would be an
+	// allocation per wake-up. After a failed write it discards — the
+	// connection is lost and so is what was queued for it.
+	push := func(method string, payload []byte) {
+		if werr == nil {
+			encode(&envelope{Kind: kindPush, Method: method, Payload: payload})
+		}
+	}
+	for werr == nil {
 		var it writeItem
+		kicked := false
 		select {
 		case <-p.stop:
 			_ = w.flush() // best effort on teardown
 			return
+		case <-p.kick:
+			kicked = true
 		case it = <-p.writeQ:
 		}
-		for n := 0; ; n++ {
-			if it.flush != nil {
-				err := w.flush()
-				it.flush <- err
-				if err != nil {
-					fail(err)
-					return
+		// Take everything there is right now — envelopes and the sources'
+		// events alike — into one batch, and flush when both go idle. A
+		// source bounds its own drain, so writeBatchMax rounds bound the
+		// batch whatever the rooms produce meanwhile.
+		for n := 0; werr == nil; n++ {
+			switch {
+			case kicked:
+				p.drainSources(push)
+			case it.flush != nil:
+				p.drainSources(push)
+				if werr == nil {
+					werr = w.flush()
 				}
-			} else {
-				w.encodeFrame(&it.env)
-				if p.stats != nil {
-					p.stats.Add(CounterWriterMessages, 1)
-				}
-				if w.pending() >= writeFlushBytes {
-					if err := w.flush(); err != nil {
-						fail(err)
-						return
-					}
-				}
+				it.flush <- werr
+			default:
+				encode(&it.env)
 			}
 			if n >= writeBatchMax {
 				break
 			}
-			// Coalesce whatever is queued right now; stop at idle.
+			kicked = false
 			select {
 			case it = <-p.writeQ:
+				continue
+			case <-p.kick:
+				kicked = true
 				continue
 			default:
 			}
 			break
 		}
-		if err := w.flush(); err != nil {
-			fail(err)
-			return
+		if werr == nil {
+			werr = w.flush()
 		}
 	}
+	p.werr = fmt.Errorf("wire: send: %w", werr)
+	p.conn.Close()
 }

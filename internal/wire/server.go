@@ -9,6 +9,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"mmconf/internal/obs"
 	"mmconf/internal/qos"
@@ -23,16 +24,36 @@ type Server struct {
 	mu           sync.RWMutex
 	handlers     map[string]Handler
 	interceptors []Interceptor
-	onClose      func(*Peer)
-	nextPeer     uint64
-	listeners    []net.Listener
-	peers        map[uint64]*Peer
-	draining     bool
-	stats        *Stats // optional counter sink handed to every peer writer
+	// chained is handlers with the interceptors composed around each:
+	// what a request is dispatched through. Register and Use rebuild it,
+	// so a request costs no composition of its own.
+	chained   map[string]Handler
+	onClose   func(*Peer)
+	nextPeer  uint64
+	listeners []net.Listener
+	peers     map[uint64]*Peer
+	draining  bool
+	stats     *Stats // optional counter sink handed to every peer writer
 
 	inflight sync.WaitGroup
 	baseCtx  context.Context
 	cancel   context.CancelFunc
+	// work hands a request to a parked worker. Unbuffered: a send succeeds
+	// only into a worker already waiting, and ServeConn starts a new one
+	// otherwise, so a request never waits behind a busy worker.
+	work chan job
+}
+
+// workerIdle is how long a request worker stays parked with nothing to
+// run before it exits.
+const workerIdle = time.Second
+
+// job is one request on its way to a worker.
+type job struct {
+	peer *Peer
+	ctx  context.Context // the connection's: parent of the request context
+	env  envelope
+	h    Handler // the method's composed handler; nil for an unknown method
 }
 
 // NewServer returns an empty server.
@@ -40,9 +61,11 @@ func NewServer() *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
 		handlers: make(map[string]Handler),
+		chained:  make(map[string]Handler),
 		peers:    make(map[uint64]*Peer),
 		baseCtx:  ctx,
 		cancel:   cancel,
+		work:     make(chan job),
 	}
 }
 
@@ -51,6 +74,7 @@ func (s *Server) Register(method string, h Handler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.handlers[method] = h
+	s.chained[method] = Chain(h, s.interceptors...)
 }
 
 // Use appends interceptors to the dispatch chain. The first interceptor
@@ -61,6 +85,9 @@ func (s *Server) Use(ics ...Interceptor) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.interceptors = append(s.interceptors, ics...)
+	for method, h := range s.handlers {
+		s.chained[method] = Chain(h, s.interceptors...)
+	}
 }
 
 // OnPeerClose installs a callback invoked when a peer's connection ends
@@ -140,10 +167,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // FlushPeers blocks (bounded by ctx) until every live peer's queued
-// writes have been handed to the operating system — the graceful-drain
-// step that keeps batched pushes from dying in a buffer when the
-// connections close. Per-peer flush errors are ignored (a broken peer
-// is already lost); only ctx expiry is reported.
+// writes, its attached sources' included, have been handed to the
+// operating system — the graceful-drain step that keeps batched pushes
+// from dying in a buffer when the connections close. Per-peer flush
+// errors are ignored (a broken peer is already lost); only ctx expiry
+// is reported.
 func (s *Server) FlushPeers(ctx context.Context) error {
 	s.mu.RLock()
 	peers := make([]*Peer, 0, len(s.peers))
@@ -172,10 +200,12 @@ func (s *Server) FlushPeers(ctx context.Context) error {
 	}
 }
 
-// WriteBacklog reports the live peer count and how many envelopes are
-// queued across their batched writers — the flush-backlog gauge of the
-// metrics surface (a growing backlog means clients are not draining as
-// fast as rooms produce).
+// WriteBacklog reports the live peer count and how many envelopes —
+// responses, Push and PushRaw — are queued across their batched writers.
+// Room events never wait here: a writer pulls them from its members'
+// queues (Peer.Attach), so a client that is not draining as fast as its
+// rooms produce shows in the rooms' gauges (room.Gauges QueuedBytes,
+// MaxQueueDepth), not in this one.
 func (s *Server) WriteBacklog() (peers, queued int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -244,6 +274,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 		ID:     atomic.AddUint64(&s.nextPeer, 1),
 		conn:   conn,
 		writeQ: make(chan writeItem, writeQueueSize),
+		kick:   make(chan struct{}, 1),
 		stop:   make(chan struct{}),
 		dead:   make(chan struct{}),
 		stats:  st,
@@ -279,8 +310,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 			continue // clients must not send responses/pushes
 		}
 		s.mu.RLock()
-		h, ok := s.handlers[env.Method]
-		ics := s.interceptors
+		h := s.chained[env.Method]
 		draining := s.draining
 		if !draining {
 			// Count in-flight work while holding the read lock: Drain sets
@@ -293,29 +323,69 @@ func (s *Server) ServeConn(conn net.Conn) {
 			_ = peer.send(envelope{Kind: kindResponse, ID: env.ID, Method: env.Method, Err: ErrDraining.Error()})
 			continue
 		}
-		go func(env envelope) {
-			defer s.inflight.Done()
-			resp := envelope{Kind: kindResponse, ID: env.ID, Method: env.Method}
-			if !ok {
-				resp.Err = fmt.Sprintf("wire: unknown method %q", env.Method)
-			} else {
-				tid := env.Trace
-				if tid == 0 {
-					tid = obs.MintID() // foreign client sent no id: mint at ingress
-				}
-				ctx := context.WithValue(connCtx, reqInfoKey,
-					&reqInfo{peer: peer, method: env.Method, trace: tid})
-				result, err := Chain(h, ics...)(ctx, peer, env.Payload)
-				if err != nil {
-					resp.Err = err.Error()
-				} else if be, hasCodec := result.(BodyEncoder); hasCodec {
-					resp.body = getBodyEnc()
-					be.AppendBody(resp.body)
-				} else if result != nil {
-					resp.Err = fmt.Sprintf("wire: %s: result %T implements no BodyEncoder", env.Method, result)
-				}
-			}
-			_ = peer.send(resp)
-		}(env)
+		j := job{peer: peer, ctx: connCtx, env: env, h: h}
+		select {
+		case s.work <- j:
+		default:
+			go s.worker(j)
+		}
 	}
+}
+
+// worker runs j, then every request handed to it while it is parked on
+// s.work, and exits after workerIdle with none or when the server's base
+// context ends. It outlives the request so the stack the handler grew
+// (interceptors, the room, the engine's solve) is still there for the
+// next one: a goroutine per request starts on 2 KiB and copies its stack
+// several times over on the way down, the deepest of them under the room
+// lock. A worker leaves only from the select below, where it holds no
+// request — one that decided to leave after taking a job would lose it.
+func (s *Server) worker(j job) {
+	idle := time.NewTimer(workerIdle)
+	defer idle.Stop()
+	for {
+		s.run(j)
+		if !idle.Stop() {
+			select {
+			case <-idle.C:
+			default:
+			}
+		}
+		idle.Reset(workerIdle)
+		select {
+		case j = <-s.work:
+		case <-idle.C:
+			return
+		case <-s.baseCtx.Done():
+			return
+		}
+	}
+}
+
+// run dispatches one request through its method's composed handler and
+// queues the response.
+func (s *Server) run(j job) {
+	defer s.inflight.Done()
+	env, peer := &j.env, j.peer
+	resp := envelope{Kind: kindResponse, ID: env.ID, Method: env.Method}
+	if j.h == nil {
+		resp.Err = fmt.Sprintf("wire: unknown method %q", env.Method)
+	} else {
+		tid := env.Trace
+		if tid == 0 {
+			tid = obs.MintID() // foreign client sent no id: mint at ingress
+		}
+		ctx := context.WithValue(j.ctx, reqInfoKey,
+			&reqInfo{peer: peer, method: env.Method, trace: tid})
+		result, err := j.h(ctx, peer, env.Payload)
+		if err != nil {
+			resp.Err = err.Error()
+		} else if be, hasCodec := result.(BodyEncoder); hasCodec {
+			resp.body = getBodyEnc()
+			be.AppendBody(resp.body)
+		} else if result != nil {
+			resp.Err = fmt.Sprintf("wire: %s: result %T implements no BodyEncoder", env.Method, result)
+		}
+	}
+	_ = peer.send(resp)
 }
