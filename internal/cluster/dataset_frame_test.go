@@ -98,9 +98,9 @@ func randomRecord(t *testing.T, rng *rand.Rand, m *mediadb.MediaDB, docID string
 
 // TestDatasetFrameRoundTrip: rows cross as the store keeps them, so for
 // any record the schema allows, what the owner exports is what the
-// standby exports once the frame has crossed the wire and been adopted
-// into an empty store — and adopting the same frame again writes nothing
-// and pulls nothing.
+// standby exports once the dataset part of a replication frame has
+// crossed the wire and been adopted into an empty store — and adopting
+// the same frame again writes nothing and pulls nothing.
 func TestDatasetFrameRoundTrip(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -116,11 +116,11 @@ func TestDatasetFrameRoundTrip(t *testing.T) {
 		if len(want.Rows) != named { // every object but the one that is gone, and the document
 			t.Fatalf("seed %d: exported %d rows for %d named objects", seed, len(want.Rows), named)
 		}
-		sent, err := (&Node{id: "n1", db: src}).buildSyncReq("room", want)
+		sent, err := (&Node{id: "n1", db: src}).datasetFrame(want)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var req proto.SyncManifestReq
+		var req proto.ReplicateReq
 		if err := wire.DecodeBodyBytes(wire.MarshalBody(sent), &req); err != nil {
 			t.Fatalf("seed %d: frame does not decode: %v", seed, err)
 		}

@@ -11,15 +11,15 @@ import (
 )
 
 // This file is the node-link half of the cluster: the control links
-// (hello + heartbeat pings + event-log replication) every node keeps to
-// every peer, and the per-client ingress links a forwarding node opens
-// to relay a wrong-node client's requests — and the owner's pushes —
-// byte-for-byte.
+// (heartbeat pings + replication) every node keeps to every peer, and
+// the per-client ingress links a forwarding node opens to relay a
+// wrong-node client's requests — and the owner's pushes — byte-for-byte.
 
 // --- control links and liveness ---
 
-// get returns the live control link to this peer, dialing (and
-// identifying with a hello) when absent or dead.
+// get returns the live control link to this peer, dialing when absent
+// or dead. A fresh link's first ping is its handshake: the answer must
+// come from the node the link is for, or the link is refused.
 func (l *peerLink) get(ctx context.Context, n *Node) (*wire.Client, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -37,8 +37,8 @@ func (l *peerLink) get(ctx context.Context, n *Node) (*wire.Client, error) {
 	}
 	rpc := wire.NewClient(conn)
 	rpc.SetCallTimeout(2 * n.cfg.SuspectAfter)
-	var resp proto.NodeHelloResp
-	if err := rpc.CallCtx(ctx, proto.MNodeHello, &proto.NodeHelloReq{Node: n.id, Addr: n.cfg.Addr, Epoch: n.epoch}, &resp); err != nil {
+	var resp proto.NodePingResp
+	if err := rpc.CallCtx(ctx, proto.MNodePing, &proto.NodePingReq{Node: n.id, Draining: n.isDraining()}, &resp); err != nil {
 		rpc.Close()
 		return nil, err
 	}
@@ -88,7 +88,7 @@ func (n *Node) pingOnce(ps *peerState) {
 		return
 	}
 	var resp proto.NodePingResp
-	if err := rpc.CallCtx(ctx, proto.MNodePing, &proto.NodePingReq{Node: n.id, Epoch: n.epoch, Draining: n.isDraining()}, &resp); err != nil {
+	if err := rpc.CallCtx(ctx, proto.MNodePing, &proto.NodePingReq{Node: n.id, Draining: n.isDraining()}, &resp); err != nil {
 		ps.link.close()
 		n.markDead(ps.id, false)
 		return
@@ -96,23 +96,15 @@ func (n *Node) pingOnce(ps *peerState) {
 	n.markLive(ps.id)
 }
 
-// handleHello identifies a dialing peer and marks it live.
-func (n *Node) handleHello(ctx context.Context, p *wire.Peer, req *proto.NodeHelloReq) (*proto.NodeHelloResp, error) {
-	n.markLive(req.Node)
-	return &proto.NodeHelloResp{Node: n.id, Epoch: n.epoch}, nil
-}
-
-// handlePing answers a heartbeat: record the sender's liveness (or its
-// drain announcement) and report this node's current live view — the
-// convergence hint the ping protocol carries.
+// handlePing answers a heartbeat with this node's id, recording the
+// sender's liveness (or its drain announcement).
 func (n *Node) handlePing(ctx context.Context, p *wire.Peer, req *proto.NodePingReq) (*proto.NodePingResp, error) {
 	if req.Draining {
 		n.markDead(req.Node, true)
 	} else {
 		n.markLive(req.Node)
 	}
-	place, _ := n.view()
-	return &proto.NodePingResp{Node: n.id, Epoch: n.epoch, Live: place.Nodes()}, nil
+	return &proto.NodePingResp{Node: n.id}, nil
 }
 
 // --- ingress forwarding ---
@@ -131,9 +123,9 @@ type ingressSet struct {
 // requests relayed on it were originated by a client of req.Node, and
 // this node must never re-forward them (one hop only — if placement
 // moved again, the origin gets a redirect instead).
-func (n *Node) handleIngress(ctx context.Context, p *wire.Peer, req *proto.NodeIngressReq) (*proto.NodeIngressResp, error) {
+func (n *Node) handleIngress(ctx context.Context, p *wire.Peer, req *proto.NodeIngressReq) (*wire.None, error) {
 	p.SetMeta(metaIngress, req.Node)
-	return &proto.NodeIngressResp{Node: n.id}, nil
+	return &wire.None{}, nil
 }
 
 // forward relays a room-scoped request to its owner over the origin
@@ -273,8 +265,7 @@ func (n *Node) dialIngress(ctx context.Context, p *wire.Peer, owner string) (*wi
 	}
 	rpc := wire.NewClient(conn)
 	rpc.SetCallTimeout(2 * n.cfg.SuspectAfter)
-	var resp proto.NodeIngressResp
-	if err := rpc.CallCtx(dctx, proto.MNodeIngress, &proto.NodeIngressReq{Node: n.id, PeerID: p.ID}, &resp); err != nil {
+	if err := rpc.CallCtx(dctx, proto.MNodeIngress, &proto.NodeIngressReq{Node: n.id}, nil); err != nil {
 		rpc.Close()
 		return nil, err
 	}
@@ -297,19 +288,21 @@ func (n *Node) dialIngress(ctx context.Context, p *wire.Peer, owner string) (*wi
 	return rpc, nil
 }
 
-// --- event-log replication ---
+// --- replication ---
 
 // replicaBuffer bounds a replicated room log, mirroring the room's own
 // change buffer: a standby holds at most this many trailing events.
 const replicaBuffer = 1024
 
 // replica is a standby's copy of one room's event log, kept in the frame
-// that fills it and that seeds the room on takeover.
+// that fills it and that seeds the room on takeover. Its dataset fields
+// stay empty: shipped rows go to the store, not here.
 type replica proto.ReplicateReq
 
-// apply folds one replication request in. Events merge by sequence (a
-// full resend overlaps what incremental sends delivered), the high-waters
-// only move forward, and the buffer cap trims from the front.
+// apply folds one replication request's events and marks in. Events
+// merge by sequence (a full resend overlaps what incremental sends
+// delivered), the high-waters only move forward, and the buffer cap
+// trims from the front.
 func (r *replica) apply(req *proto.ReplicateReq) {
 	var last uint64
 	if len(r.Events) > 0 {
@@ -346,11 +339,14 @@ func (r *replica) apply(req *proto.ReplicateReq) {
 	}
 }
 
-// handleReplicate accepts an owner's event-log stream for a room this
-// node stands by for. A replicated log strictly ahead of a live local
-// room exposes the local copy as stale — this node served the room
-// while partitioned away or before a handoff — so the local room is
-// evicted rather than ever shadowing the authoritative log.
+// handleReplicate accepts an owner's replication frame for a room this
+// node stands by for (or is taking over). A replicated log strictly
+// ahead of a live local room exposes the local copy as stale — this node
+// served the room while partitioned away or before a handoff — so the
+// local room is evicted rather than ever shadowing the authoritative
+// log. The log goes to the replica; a dataset riding the frame is
+// adopted into the store (sync.go), and if that fails the call fails,
+// so the owner resends in full.
 func (n *Node) handleReplicate(ctx context.Context, p *wire.Peer, req *proto.ReplicateReq) (*proto.ReplicateResp, error) {
 	if local, ok := n.srv.SnapshotRoom(req.Room, req.Seq); ok && req.Seq > local.Seq {
 		n.evictRoom(req.Room, "newer replicated log")
@@ -364,6 +360,11 @@ func (n *Node) handleReplicate(ctx context.Context, p *wire.Peer, req *proto.Rep
 	r.apply(req)
 	seq := r.Seq
 	n.replMu.Unlock()
+	if len(req.Rows) > 0 {
+		if err := n.adoptDataset(ctx, req); err != nil {
+			return nil, err
+		}
+	}
 	return &proto.ReplicateResp{Seq: seq}, nil
 }
 
@@ -372,21 +373,19 @@ type repState struct {
 	// pending: the log advanced past sent (the tap said so), or the last
 	// send failed; the next wake-up of replLoop flushes the room.
 	pending bool
-	// standby is the node the log last streamed to and sent the Seq it
-	// then held: the next flush ships LogSince(sent). sent 0 ships the
-	// whole log and forces the dataset with it — a first flush, a failed
-	// send, a standby or placement change.
+	// standby is the node the last frame landed on and sent the Seq that
+	// frame carried: the next flush ships LogSince(sent). sent 0 ships
+	// the whole log and forces the dataset with it — a first flush, a
+	// failed send, a standby or placement change.
 	standby string
 	sent    uint64
-	// dataStandby/dataFP/dataPos are the dataset-sync cursor: the node
-	// the room's media manifest last shipped to (empty: never, which no
-	// standby matches), the fingerprint of what it saw, and the store
-	// position read before the last export that was shipped or found
-	// identical to it. Standby and position matching skips the export;
-	// standby and fingerprint matching skips the resend (sync.go).
-	dataStandby string
-	dataFP      [32]byte
-	dataPos     uint64
+	// dataFP/dataPos are the dataset half of the cursor: the fingerprint
+	// of the dataset the standby last saw, and the store position read
+	// before the last export that was shipped or found identical to it.
+	// A matching position skips the export; a matching fingerprint skips
+	// the attach (sync.go).
+	dataFP  [32]byte
+	dataPos uint64
 }
 
 // repStateLocked returns the room's cursor, creating it. Callers hold
@@ -463,10 +462,7 @@ func (n *Node) replLoop() {
 	}
 }
 
-// flushRoom sends the room's standby what it lacks of the log: the
-// events past the cursor, read from the room's own change buffer with
-// the marks they were read under. The cursor moves only when the send
-// landed, so a lost send is read again, not remembered.
+// flushRoom sends the room's standby what it lacks.
 func (n *Node) flushRoom(name string) {
 	place, quorum := n.view()
 	if !quorum {
@@ -481,32 +477,67 @@ func (n *Node) flushRoom(name string) {
 	}
 	n.repMu.Lock()
 	st := n.repStateLocked(name)
-	if st.standby != standby {
-		st.sent = 0
-	}
-	since := st.sent
 	n.repMu.Unlock()
+	n.replicate(name, standby, st, n.position())
+}
+
+// replicate sends target one node.replicate frame for the room: the
+// log past since, read from the room's own change buffer with the marks
+// it was read under, and the room's dataset unless the cursor shows
+// target already holds it (attachDataset). It is the one way a room
+// leaves this node, for a flush and a hand-off alike.
+//
+// A flush passes the room's cursor st and pos, the store position read
+// before the call. since is st.sent (0 when target is not the cursor's
+// standby), and the cursor moves only when the frame landed, so a lost
+// frame is read again, not remembered; a failed send marks the room for
+// a full resend. A hand-off (drain, reconcile) passes no cursor: since
+// is 0, which ships the whole log and forces the dataset.
+func (n *Node) replicate(name, target string, st *repState, pos uint64) {
+	var since uint64
+	if st != nil {
+		n.repMu.Lock()
+		if st.standby != target {
+			st.sent = 0
+		}
+		since = st.sent
+		n.repMu.Unlock()
+	}
 	req, ok := n.srv.SnapshotRoom(name, since)
 	if !ok {
 		// The room is gone (evicted or closed): nothing to stream.
-		n.repMu.Lock()
-		delete(n.rep, name)
-		n.repMu.Unlock()
+		if st != nil {
+			n.repMu.Lock()
+			delete(n.rep, name)
+			n.repMu.Unlock()
+		}
 		return
 	}
-	if err := n.sendReplicate(standby, req); err != nil {
-		n.markDirty(name)
+	fp, attached := n.attachDataset(req, st, since == 0, pos)
+	var resp proto.ReplicateResp
+	if err := n.callPeer(context.Background(), target, proto.MNodeReplicate, req, &resp); err != nil {
+		n.logf("cluster %s: replicating %q to %s failed: %v", n.id, name, target, err)
+		if st != nil {
+			n.markDirty(name)
+		}
+		return
+	}
+	n.replicated.Add(1)
+	if attached {
+		n.manifestSyncs.Add(1)
+	}
+	if st == nil {
 		return
 	}
 	n.repMu.Lock()
-	st.standby = standby
+	st.standby = target
 	if st.sent == since { // else marked dirty meanwhile: stay at 0
 		st.sent = req.Seq
 	}
+	if attached {
+		st.dataFP, st.dataPos = fp, pos
+	}
 	n.repMu.Unlock()
-	// The log landed; make sure the standby can also materialize the
-	// room's media. Manifests only — the standby pulls what it lacks.
-	n.syncDataset(name, req.DocID, standby, since == 0)
 }
 
 // callPeer makes one call on the control link to a configured peer,
@@ -525,22 +556,4 @@ func (n *Node) callPeer(ctx context.Context, target, method string, req wire.Bod
 		return err
 	}
 	return rpc.CallCtx(ctx, method, req, resp)
-}
-
-// sendReplicate ships one replication request to target.
-func (n *Node) sendReplicate(target string, req *proto.ReplicateReq) error {
-	var resp proto.ReplicateResp
-	if err := n.callPeer(context.Background(), target, proto.MNodeReplicate, req, &resp); err != nil {
-		return err
-	}
-	n.replicated.Add(1)
-	return nil
-}
-
-// sendSnapshot best-effort ships a room's whole log to target (the
-// drain/handoff path).
-func (n *Node) sendSnapshot(target string, snap *proto.ReplicateReq) {
-	if err := n.sendReplicate(target, snap); err != nil {
-		n.logf("cluster %s: snapshot of %q to %s failed: %v", n.id, snap.Room, target, err)
-	}
 }

@@ -86,7 +86,7 @@ type Metrics struct {
 	// Replicated counts replication RPCs sent; Evictions counts local
 	// rooms dropped because placement moved them to another node.
 	Replicated, Evictions int64
-	// ManifestSyncs counts dataset manifest frames sent to standbys;
+	// ManifestSyncs counts replication frames that carried a dataset;
 	// the Sync* counters aggregate what this node adopted as a standby:
 	// rows applied, and chunks (with their payload bytes) pulled because
 	// its CAS lacked them. An unchanged resend moves none of the three.
@@ -105,11 +105,10 @@ type Metrics struct {
 // that gates serving on a majority, and the event-log replication that
 // makes failover resume exact. Build with New, serve with Serve.
 type Node struct {
-	cfg   Config
-	id    string
-	epoch uint64
-	srv   *server.Server
-	db    *mediadb.MediaDB
+	cfg Config
+	id  string
+	srv *server.Server
+	db  *mediadb.MediaDB
 
 	mu       sync.Mutex
 	peers    map[string]*peerState
@@ -181,7 +180,6 @@ func New(db *mediadb.MediaDB, opts server.Options, cfg Config) (*Node, error) {
 		cfg:       cfg,
 		id:        cfg.ID,
 		db:        db,
-		epoch:     uint64(time.Now().UnixNano()),
 		peers:     make(map[string]*peerState, len(cfg.Peers)),
 		roomPeers: make(map[string]map[*wire.Peer]struct{}),
 		replicas:  make(map[string]*replica),
@@ -205,11 +203,9 @@ func New(db *mediadb.MediaDB, opts server.Options, cfg Config) (*Node, error) {
 	n.srv = srv
 	srv.Stats().Bind(CounterDatasetExports, &n.datasetExports)
 	srv.Stats().Bind(CounterDatasetUnchanged, &n.datasetUnchanged)
-	srv.Register(proto.MNodeHello, wire.Typed(n.handleHello))
 	srv.Register(proto.MNodePing, wire.Typed(n.handlePing))
 	srv.Register(proto.MNodeIngress, wire.Typed(n.handleIngress))
 	srv.Register(proto.MNodeReplicate, wire.Typed(n.handleReplicate))
-	srv.Register(proto.MNodeSyncManifest, wire.Typed(n.handleSyncManifest))
 	srv.Register(proto.MNodeFetchChunks, wire.Typed(n.handleFetchChunks))
 	for _, ps := range n.peers {
 		n.wg.Add(1)
@@ -271,10 +267,10 @@ func (n *Node) Close() error {
 
 // Drain hands the node's rooms off and shuts down: peers learn the node
 // is leaving (so placement moves before clients reconnect), every local
-// room's event log is pushed to its post-drain owner and standby, then
-// the server shuts down gracefully — members get the shutdown
-// announcement, reconnect, follow the redirect, and resume on the new
-// owner from the replicated log.
+// room's whole log and dataset are pushed to its post-drain owner and
+// standby, then the server shuts down gracefully — members get the
+// shutdown announcement, reconnect, follow the redirect, and resume on
+// the new owner from the replicated log.
 func (n *Node) Drain(ctx context.Context) error {
 	n.mu.Lock()
 	n.draining = true
@@ -288,22 +284,17 @@ func (n *Node) Drain(ctx context.Context) error {
 		pctx, cancel := context.WithTimeout(ctx, n.cfg.SuspectAfter)
 		if rpc, err := ps.link.get(pctx, n); err == nil {
 			var resp proto.NodePingResp
-			_ = rpc.CallCtx(pctx, proto.MNodePing, &proto.NodePingReq{Node: n.id, Epoch: n.epoch, Draining: true}, &resp)
+			_ = rpc.CallCtx(pctx, proto.MNodePing, &proto.NodePingReq{Node: n.id, Draining: true}, &resp)
 		}
 		cancel()
 	}
 	// Final flush: the post-drain placement excludes this node.
 	after := n.placementWithout(n.id)
 	for _, name := range n.srv.Rooms() {
-		snap, ok := n.srv.SnapshotRoom(name, 0)
-		if !ok {
-			continue
-		}
 		for _, target := range []string{after.Owner(name), after.Standby(name)} {
-			if target == "" || target == n.id {
-				continue
+			if target != "" && target != n.id {
+				n.replicate(name, target, nil, 0)
 			}
-			n.sendSnapshot(target, snap)
 		}
 	}
 	n.closeOnce.Do(func() { close(n.closed) })
@@ -409,7 +400,7 @@ func (n *Node) markDead(id string, draining bool) {
 }
 
 // kickReconcile schedules a reconciliation pass without blocking the
-// caller (ping handlers and pingers call it; the reconciler's snapshot
+// caller (ping handlers and pingers call it; the reconciler's hand-off
 // sends must never delay a heartbeat).
 func (n *Node) kickReconcile() {
 	select {
@@ -437,7 +428,7 @@ func (n *Node) reconciler() {
 }
 
 // reconcile reacts to a placement change: rooms this node no longer
-// owns are handed off (final snapshot to the new owner), dropped
+// owns are handed off (whole log and dataset to the new owner), dropped
 // locally, and their member connections closed so clients reconnect to
 // the right node. Single-ownership rests on this: a placement-moved
 // room never keeps serving from its old node.
@@ -458,9 +449,7 @@ func (n *Node) reconcile() {
 			continue
 		}
 		if quorum {
-			if snap, ok := n.srv.SnapshotRoom(name, 0); ok {
-				n.sendSnapshot(owner, snap)
-			}
+			n.replicate(name, owner, nil, 0)
 		}
 		n.evictRoom(name, "ownership moved to "+owner)
 	}
@@ -583,7 +572,7 @@ func (n *Node) redirectTo(owner string) error {
 
 // roomSeed is the server's room-construction hook: a room being built
 // here that has a replicated log (this node was its standby, or
-// received a handoff snapshot) restores that log first, so resuming
+// received a hand-off) restores that log first, so resuming
 // clients replay their outage exactly — same sequences, no duplicates.
 func (n *Node) roomSeed(roomName string) (*proto.ReplicateReq, bool) {
 	n.replMu.Lock()

@@ -49,7 +49,7 @@ func newGateFixture(t *testing.T) *gateFixture {
 // the counter), so callers may rely on both.
 func (f *gateFixture) waitSyncs(t *testing.T, n int64) {
 	t.Helper()
-	waitMetric(t, f.owner, fmt.Sprintf("%d manifest syncs", n), func(m Metrics) bool { return m.ManifestSyncs >= n })
+	waitMetric(t, f.owner, fmt.Sprintf("%d dataset frames", n), func(m Metrics) bool { return m.ManifestSyncs >= n })
 	deadline := time.Now().Add(5 * time.Second)
 	for f.cursor().dataPos != f.owner.db.Position() {
 		if time.Now().After(deadline) {
@@ -59,7 +59,15 @@ func (f *gateFixture) waitSyncs(t *testing.T, n int64) {
 	}
 }
 
-// cursor copies the owner's dataset-sync cursor for the room.
+// state returns the owner's live replication cursor for the room.
+func (f *gateFixture) state() *repState {
+	n := f.owner.Node
+	n.repMu.Lock()
+	defer n.repMu.Unlock()
+	return n.repStateLocked(f.room)
+}
+
+// cursor copies the owner's replication cursor for the room.
 func (f *gateFixture) cursor() repState {
 	n := f.owner.Node
 	n.repMu.Lock()
@@ -149,7 +157,7 @@ func TestReplicationUnchangedRoomExportsOnce(t *testing.T) {
 
 	m := f.owner.Node.Metrics()
 	if m.DatasetExports != 2 || m.ManifestSyncs != 2 {
-		t.Errorf("two unchanged rooms: %d exports, %d manifest syncs, want 2 and 2", m.DatasetExports, m.ManifestSyncs)
+		t.Errorf("two unchanged rooms: %d exports, %d dataset frames, want 2 and 2", m.DatasetExports, m.ManifestSyncs)
 	}
 	if m.DatasetUnchanged == 0 {
 		t.Errorf("no flush returned at the position check: %+v", m)
@@ -186,7 +194,7 @@ func TestReplicationRowWriteReexportsOnce(t *testing.T) {
 
 	f.drive(t, 20)
 	if m := f.owner.Node.Metrics(); m.DatasetExports != 2 || m.ManifestSyncs != 2 {
-		t.Errorf("one row write: %d exports, %d manifest syncs, want 2 and 2", m.DatasetExports, m.ManifestSyncs)
+		t.Errorf("one row write: %d exports, %d dataset frames, want 2 and 2", m.DatasetExports, m.ManifestSyncs)
 	}
 	f.assertStandbyMatches(t)
 }
@@ -200,25 +208,30 @@ func TestReplicationWriteDuringExportIsNotLost(t *testing.T) {
 	f := newGateFixture(t)
 	n := f.owner.Node
 	exports := func() int64 { return n.Metrics().DatasetExports }
-
-	pos := f.owner.db.Position()
-	if err := f.owner.media.UpdateImageTexts(f.h.Record.CTID, "written after the position read"); err != nil {
-		t.Fatal(err)
+	flush := func(pos uint64) { n.replicate(f.room, f.standby.ID, f.state(), pos) }
+	write := func(texts string) {
+		if err := f.owner.media.UpdateImageTexts(f.h.Record.CTID, texts); err != nil {
+			t.Fatal(err)
+		}
 	}
-	n.exportAndShip(f.room, "p1", f.standby.ID, false, pos)
+
+	write("written before the position read") // moves it, so the flush exports
+	pos := f.owner.db.Position()
+	write("written after the position read")
+	flush(pos)
 	if got := f.cursor().dataPos; got != pos {
 		t.Fatalf("cursor at %d after the export, want the position read before it (%d)", got, pos)
 	}
 
 	before := exports()
-	n.syncDataset(f.room, "p1", f.standby.ID, false)
+	flush(f.owner.db.Position())
 	if exports() != before+1 {
 		t.Fatalf("the flush after a write during the export did not export again")
 	}
 	if got, want := f.cursor().dataPos, f.owner.db.Position(); got != want {
 		t.Fatalf("cursor at %d after the catch-up export, store at %d", got, want)
 	}
-	n.syncDataset(f.room, "p1", f.standby.ID, false)
+	flush(f.owner.db.Position())
 	if exports() != before+1 {
 		t.Errorf("a flush with the position unmoved exported again")
 	}
@@ -242,17 +255,17 @@ func TestReplicationGateBypasses(t *testing.T) {
 	if m := n.Metrics(); m.DatasetExports != 2 {
 		t.Errorf("forced resend: %d exports, want 2", m.DatasetExports)
 	}
-	if got := f.cursor(); got.dataStandby != synced.dataStandby || got.dataFP != synced.dataFP || got.dataPos != synced.dataPos {
+	if got := f.cursor(); got.standby != synced.standby || got.dataFP != synced.dataFP || got.dataPos != synced.dataPos {
 		t.Errorf("forced resend of an unchanged room moved the cursor: %+v -> %+v", synced, got)
 	}
 
-	// A node this one has no link to: the standby differs from the
-	// cursor's, so the gate lets the export through, and the send fails.
-	n.syncDataset(f.room, "p1", "ghost", false)
+	// A node this one has no link to: it is not the cursor's standby, so
+	// the frame is a full one and exports, and the send fails.
+	n.replicate(f.room, "ghost", f.state(), f.owner.db.Position())
 	if m := n.Metrics(); m.DatasetExports != 3 || m.ManifestSyncs != 2 {
 		t.Errorf("failed send: %d exports, %d syncs, want 3 and 2", m.DatasetExports, m.ManifestSyncs)
 	}
-	if got := f.cursor(); got.dataStandby != synced.dataStandby || got.dataFP != synced.dataFP || got.dataPos != synced.dataPos {
+	if got := f.cursor(); got.standby != synced.standby || got.dataFP != synced.dataFP || got.dataPos != synced.dataPos {
 		t.Errorf("failed send moved the cursor: %+v -> %+v", synced, got)
 	}
 	// The failure marked the room dirty; the retry re-sends in full.
@@ -267,7 +280,7 @@ func TestReplicationGateBypasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for f.cursor().dataStandby != "n2" {
+	for f.cursor().standby != "n2" {
 		if time.Now().After(deadline) {
 			t.Fatalf("dataset never synced to the new standby; cursor %+v, metrics %+v", f.cursor(), n.Metrics())
 		}
@@ -278,17 +291,25 @@ func TestReplicationGateBypasses(t *testing.T) {
 	}
 }
 
-// TestReplicationUnchangedFlushAllocatesNothing: the gated call is one
+// TestReplicationUnchangedFlushAllocatesNothing: the gated check is one
 // atomic load and one short critical section.
 func TestReplicationUnchangedFlushAllocatesNothing(t *testing.T) {
 	f := newGateFixture(t)
 	n := f.owner.Node
+	req, ok := n.srv.SnapshotRoom(f.room, f.cursor().sent)
+	if !ok {
+		t.Fatalf("owner lost room %q", f.room)
+	}
+	st := f.state()
 	before := n.Metrics()
 	// Averaged over enough runs that a heartbeat allocating on another
 	// goroutine meanwhile rounds away.
-	allocs := testing.AllocsPerRun(2000, func() { n.syncDataset(f.room, "p1", f.standby.ID, false) })
+	allocs := testing.AllocsPerRun(2000, func() { n.attachDataset(req, st, false, n.position()) })
 	if allocs != 0 {
-		t.Errorf("unchanged syncDataset allocates %v times per call", allocs)
+		t.Errorf("the unchanged dataset check allocates %v times per call", allocs)
+	}
+	if len(req.Rows) != 0 {
+		t.Errorf("an unchanged dataset was attached: %d rows", len(req.Rows))
 	}
 	after := n.Metrics()
 	if after.DatasetExports != before.DatasetExports || after.DatasetUnchanged < before.DatasetUnchanged+2000 {

@@ -106,9 +106,9 @@ func TestReplicationSyncsDatasetToEmptyStandby(t *testing.T) {
 	if _, missing := standby.db.BlobStats(); missing != 0 {
 		t.Errorf("standby has %d dangling blob references", missing)
 	}
-	if m := owner.Node.Metrics(); m.ManifestSyncs == 0 {
-		t.Errorf("owner sent no manifest syncs: %+v", m)
-	}
+	// The owner counts the frame only once its call returned, which may
+	// be after the standby's counters moved.
+	waitMetric(t, owner, "a frame carrying the dataset", func(m Metrics) bool { return m.ManifestSyncs > 0 })
 	// No amplification: an empty store pulls exactly the payload bytes a
 	// full copy of the record would move.
 	ds, err := owner.media.ExportDataset("p1")
@@ -174,6 +174,7 @@ func TestReplicationRepeatSyncMovesNoChunks(t *testing.T) {
 		return m.SyncRowsAdopted > 0 && m.SyncChunkBytesPulled > 0
 	})
 
+	waitMetric(t, owner, "a frame carrying the dataset", func(m Metrics) bool { return m.ManifestSyncs > 0 })
 	before := standby.Node.Metrics()
 	syncs := owner.Node.Metrics().ManifestSyncs
 	// A placement wobble or lost tap marks every room dirty; the next
@@ -259,5 +260,65 @@ func TestReplicationFailoverServesFromEmptyNode(t *testing.T) {
 	}
 	if !bytes.Equal(got, want.Data) {
 		t.Errorf("promoted node served %d bytes differing from the owner's image", len(got))
+	}
+}
+
+// TestReplicationHandOffCarriesDataset: a reconcile hand-off ships the
+// room's dataset with its whole log. The unseeded n3 is partitioned away
+// before a room it will own is built on n1; when it heals, n1 hands the
+// room off and evicts it, and n3 then serves the room, media included,
+// from what the hand-off carried — nothing else replicates the room to it.
+func TestReplicationHandOffCarriesDataset(t *testing.T) {
+	h := newReplHarness(t, 3, "n3")
+	owner, heir := h.ByID("n1"), h.ByID("n3")
+	full, pair := NewPlacement([]string{"n1", "n2", "n3"}), NewPlacement([]string{"n1", "n2"})
+	roomName := ""
+	for i := 0; roomName == ""; i++ {
+		if name := fmt.Sprintf("handoff-%d", i); full.Owner(name) == heir.ID && pair.Owner(name) == owner.ID {
+			roomName = name
+		}
+	}
+	want, err := owner.media.GetImage(h.Record.CTID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := func(hn *HarnessNode, user string) *client.Client {
+		c, err := client.NewOverResolver(h.ClientFaults.DialContext, []string{hn.Addr}, user, fastFailover())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+
+	heir.Partition()
+	if err := h.WaitConverged(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	alice := pinned(owner, "alice")
+	sa, _, err := alice.Join(roomName, "p1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustChat(t, sa, "before the heal")
+	alice.Close() // the room stays on n1, empty, until the hand-off
+
+	heir.Heal()
+	if err := h.WaitConverged(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	waitMetric(t, heir, "dataset adoption from the hand-off", func(m Metrics) bool {
+		return m.SyncRowsAdopted > 0 && m.SyncChunkBytesPulled > 0
+	})
+	bob := pinned(heir, "bob")
+	if _, _, err := bob.Join(roomName, "p1", 0); err != nil {
+		t.Fatalf("join on the new owner: %v", err)
+	}
+	got, err := bob.GetImageBytes(h.Record.CTID)
+	if err != nil {
+		t.Fatalf("GetImageBytes from the new owner: %v", err)
+	}
+	if !bytes.Equal(got, want.Data) {
+		t.Errorf("new owner served %d bytes differing from the old owner's image", len(got))
 	}
 }

@@ -11,116 +11,111 @@ import (
 	"mmconf/internal/wire"
 )
 
-// This file is the dataset half of standby replication: alongside each
-// room's event log (links.go), the owner ships the room's media dataset
-// — table rows with payloads by digest, plus the chunk manifests behind
-// them. The standby adopts the rows and pulls only the chunks its own
-// CAS is missing, so a node can join with an empty store and converge
-// by transferring exactly the bytes it lacks; payloads shared across
-// rooms or already present from any earlier sync cost nothing. This is
-// what removed the "equivalently seeded databases" restriction the
-// cluster launched with.
+// This file is the dataset half of standby replication: beside each
+// room's event log, its replication frame (links.go) carries the room's
+// media dataset — table rows with payloads by digest, plus the chunk
+// manifests behind them — whenever it may have changed. The receiver
+// adopts the rows and pulls only the chunks its own CAS is missing, so a
+// node can join with an empty store and converge by transferring
+// exactly the bytes it lacks; payloads shared across rooms or already
+// present from any earlier sync cost nothing. This is what removed the
+// "equivalently seeded databases" restriction the cluster launched with.
 
 // fetchChunkBatch bounds one MNodeFetchChunks request: 256 chunks of at
 // most 64 KiB stay far inside the 64 MiB frame cap.
 const fetchChunkBatch = 256
 
-// syncDataset ships the room's document dataset to the standby when it
-// changed since the last sync to that node. Three checks, cheapest
-// first: the store's change position (unmoved since the last export that
-// was shipped or found identical means the export would be byte-identical,
-// so return before making it), then the fingerprint of the exported frame
-// (the position is store-wide; a write to some other document moves it),
-// then the send. force — the flush sent the whole log: a first one, a
-// retry, a standby change — bypasses both comparisons and always ships.
-func (n *Node) syncDataset(roomName, docID, standby string, force bool) {
-	if docID == "" || n.db == nil {
-		return
+// position is the store's change position, read before a frame is built
+// (0 without a store).
+func (n *Node) position() uint64 {
+	if n.db == nil {
+		return 0
 	}
-	// The position is read here, BEFORE the export, and handed down: a
-	// write landing while the export runs is then counted past the cursor
-	// and the next flush exports again. Read after the export, it could
-	// be counted without having been seen.
-	pos := n.db.DB().Position()
+	return n.db.DB().Position()
+}
+
+// attachDataset puts the room's dataset into req unless the cursor st
+// shows its standby already holds it, and reports whether it did and the
+// fingerprint of what it attached. Three checks, cheapest first: the
+// store's change position (unmoved since the last export that was
+// shipped or found identical means the export would be byte-identical,
+// so return before making it), then the fingerprint of the exported
+// dataset (the position is store-wide; a write to some other document
+// moves it), then the attach. force — the frame carries the whole log: a
+// first flush, a retry, a standby change, a hand-off (st nil) — bypasses
+// both comparisons and always attaches.
+//
+// pos is the position the caller read BEFORE the frame was built, so a
+// write landing while the export runs is counted past the cursor and
+// the next flush exports again. Read after the export, it could be
+// counted without having been seen. A fingerprint match records pos at
+// once; an attached dataset's pos is recorded when the frame lands.
+func (n *Node) attachDataset(req *proto.ReplicateReq, st *repState, force bool, pos uint64) (fp [32]byte, attached bool) {
+	if req.DocID == "" || n.db == nil {
+		return fp, false
+	}
 	if !force {
 		n.repMu.Lock()
-		st := n.rep[roomName]
-		unchanged := st != nil && st.dataStandby == standby && st.dataPos == pos
+		unchanged := st.dataPos == pos
 		n.repMu.Unlock()
 		if unchanged {
 			n.datasetUnchanged.Add(1)
-			return
+			return fp, false
 		}
 	}
-	n.exportAndShip(roomName, docID, standby, force, pos)
-}
-
-// exportAndShip exports the dataset, fingerprints the frame and sends it
-// unless (not forced) the standby already saw that exact frame. pos is
-// the store position the caller read before calling; it becomes the
-// cursor when the export ships or proves identical, and stays where it
-// was when the send fails. The frame carries rows and manifests only —
-// never payload bytes — so a forced resend of an unchanged room costs one
-// manifest-sized frame and zero chunks.
-func (n *Node) exportAndShip(roomName, docID, standby string, force bool, pos uint64) {
 	n.datasetExports.Add(1)
-	ds, err := n.db.ExportDataset(docID)
+	ds, err := n.db.ExportDataset(req.DocID)
 	if err != nil {
-		n.logf("cluster %s: export dataset for room %q: %v", n.id, roomName, err)
-		return
+		n.logf("cluster %s: export dataset for room %q: %v", n.id, req.Room, err)
+		return fp, false
 	}
-	req, err := n.buildSyncReq(roomName, ds)
+	data, err := n.datasetFrame(ds)
 	if err != nil {
-		n.logf("cluster %s: manifest build for room %q: %v", n.id, roomName, err)
-		return
+		n.logf("cluster %s: manifest build for room %q: %v", n.id, req.Room, err)
+		return fp, false
 	}
-	fp := sha256.Sum256(wire.MarshalBody(req))
-	n.repMu.Lock()
-	st := n.repStateLocked(roomName)
-	if !force && st.dataStandby == standby && st.dataFP == fp {
-		st.dataPos = pos
+	fp = sha256.Sum256(wire.MarshalBody(data))
+	if !force {
+		n.repMu.Lock()
+		same := st.dataFP == fp
+		if same {
+			st.dataPos = pos
+		}
 		n.repMu.Unlock()
-		return
+		if same {
+			return fp, false
+		}
 	}
-	n.repMu.Unlock()
-	var resp proto.SyncManifestResp
-	if err := n.callPeer(context.Background(), standby, proto.MNodeSyncManifest, req, &resp); err != nil {
-		n.logf("cluster %s: dataset sync of %q to %s failed: %v", n.id, roomName, standby, err)
-		n.markDirty(roomName)
-		return
-	}
-	n.manifestSyncs.Add(1)
-	n.repMu.Lock()
-	st.dataStandby = standby
-	st.dataFP = fp
-	st.dataPos = pos
-	n.repMu.Unlock()
+	req.Node, req.Rows, req.Manifests = data.Node, data.Rows, data.Manifests
+	return fp, true
 }
 
-// buildSyncReq puts a dataset's rows, as exported, and the manifest of
-// every blob they name into the wire frame.
-func (n *Node) buildSyncReq(roomName string, ds *mediadb.Dataset) (*proto.SyncManifestReq, error) {
-	req := &proto.SyncManifestReq{Room: roomName, Node: n.id, DocID: ds.DocID, Rows: make([]proto.SyncRow, len(ds.Rows))}
+// datasetFrame puts a dataset's rows, as exported, and the manifest of
+// every blob they name into the dataset part of a replication frame —
+// rows and manifests only, never payload bytes, so a forced resend of an
+// unchanged room costs one manifest-sized frame and zero chunks.
+func (n *Node) datasetFrame(ds *mediadb.Dataset) (*proto.ReplicateReq, error) {
+	f := &proto.ReplicateReq{DocID: ds.DocID, Node: n.id, Rows: make([]proto.SyncRow, len(ds.Rows))}
 	for i, r := range ds.Rows {
-		req.Rows[i] = proto.SyncRow{Table: r.Table, ID: r.ID, Cells: r.Row}
+		f.Rows[i] = proto.SyncRow{Table: r.Table, ID: r.ID, Cells: r.Row}
 	}
 	for _, h := range ds.Handles() {
 		chunks, err := n.db.DB().BlobManifest(h)
 		if err != nil {
 			return nil, err
 		}
-		req.Manifests = append(req.Manifests, proto.BlobManifest{Digest: h.Digest, Length: h.Length, Chunks: chunks})
+		f.Manifests = append(f.Manifests, proto.BlobManifest{Digest: h.Digest, Length: h.Length, Chunks: chunks})
 	}
-	return req, nil
+	return f, nil
 }
 
-// handleSyncManifest is the standby side: adopt the shipped rows,
-// pulling each payload this node's CAS cannot assemble locally back
-// from the sender by chunk digest. Adoption is idempotent — a resend of
-// an unchanged dataset touches no rows and pulls no chunks.
-func (n *Node) handleSyncManifest(ctx context.Context, p *wire.Peer, req *proto.SyncManifestReq) (*proto.SyncManifestResp, error) {
+// adoptDataset is the receiving side: adopt the frame's rows, pulling
+// each payload this node's CAS cannot assemble locally back from the
+// sender by chunk digest. Adoption is idempotent — a resend of an
+// unchanged dataset touches no rows and pulls no chunks.
+func (n *Node) adoptDataset(ctx context.Context, req *proto.ReplicateReq) error {
 	if n.db == nil {
-		return nil, fmt.Errorf("cluster %s: no database to sync into", n.id)
+		return fmt.Errorf("cluster %s: no database to sync into", n.id)
 	}
 	manifests := make(map[blob.Digest]*proto.BlobManifest, len(req.Manifests))
 	for i := range req.Manifests {
@@ -131,8 +126,7 @@ func (n *Node) handleSyncManifest(ctx context.Context, p *wire.Peer, req *proto.
 		ds.Rows[i] = mediadb.DatasetRow{Table: r.Table, ID: r.ID, Row: r.Cells}
 	}
 
-	var chunksPulled uint32
-	var bytesPulled uint64
+	var chunksPulled, bytesPulled int64
 	ensure := func(h blob.Handle) error {
 		mi, ok := manifests[h.Digest]
 		if !ok {
@@ -156,7 +150,7 @@ func (n *Node) handleSyncManifest(ctx context.Context, p *wire.Peer, req *proto.
 				}
 				data[cd] = chunks[i]
 				chunksPulled++
-				bytesPulled += uint64(len(chunks[i]))
+				bytesPulled += int64(len(chunks[i]))
 			}
 		}
 		_, err := n.db.DB().PutBlobFromChunks(h.Digest, mi.Length, mi.Chunks, data)
@@ -164,19 +158,16 @@ func (n *Node) handleSyncManifest(ctx context.Context, p *wire.Peer, req *proto.
 	}
 	adopted, err := n.db.AdoptDataset(ds, ensure)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if adopted > 0 || chunksPulled > 0 {
 		n.logf("cluster %s: adopted %d rows of %q from %s (%d chunks, %d bytes pulled)",
 			n.id, adopted, req.Room, req.Node, chunksPulled, bytesPulled)
 	}
 	n.syncRowsAdopted.Add(int64(adopted))
-	n.syncChunksPulled.Add(int64(chunksPulled))
-	n.syncChunkBytes.Add(int64(bytesPulled))
-	return &proto.SyncManifestResp{
-		Node: n.id, RowsAdopted: uint32(adopted),
-		ChunksPulled: chunksPulled, ChunkBytesPulled: bytesPulled,
-	}, nil
+	n.syncChunksPulled.Add(chunksPulled)
+	n.syncChunkBytes.Add(bytesPulled)
+	return nil
 }
 
 // fetchChunks pulls one batch of chunks from the named peer over the

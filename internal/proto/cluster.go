@@ -1,41 +1,44 @@
 // Cluster node-link plane: the methods two mmconf nodes speak to each
-// other over an ordinary wire-v2 connection — membership handshake and
-// liveness (hello/ping), forwarded-client ingress marking, and room
-// event-log replication to the failover standby. These ride the same
-// frame format as client traffic, with hand-written binary codecs and
-// stable method codes (25+; the client plane owns 1–24).
+// other over an ordinary wire-v2 connection — liveness (ping, which also
+// identifies a fresh link), forwarded-client ingress marking, room
+// replication to the failover standby, and the chunk pull behind it
+// (sync.go). These ride the same frame format as client traffic, with
+// hand-written binary codecs and stable method codes (25+; the client
+// plane owns 1–24).
 package proto
 
 import (
+	"maps"
+
 	"mmconf/internal/room"
 	"mmconf/internal/wire"
 )
 
 // Node-link method names.
 const (
-	// MNodeHello opens a node-to-node link: the caller introduces its
-	// node id, advertised client address and membership epoch.
-	MNodeHello = "node.hello"
-	// MNodePing is the recurring liveness heartbeat between nodes; the
-	// response carries the responder's current live-set so views
-	// converge without a separate gossip method.
+	// MNodePing is the recurring liveness heartbeat between nodes. The
+	// first ping on a freshly dialed link doubles as its handshake: the
+	// response names the node that answered.
 	MNodePing = "node.ping"
 	// MNodeIngress marks a connection as a forwarded-client ingress: the
 	// requests that follow on this connection belong to one client of
 	// the origin node, relayed verbatim.
 	MNodeIngress = "node.ingress"
 	// MNodeReplicate streams a slice of a room's event log (plus the Seq
-	// high-water and trim marks) to the room's standby node.
+	// high-water and trim marks) to the room's standby node, and with it,
+	// when it may have changed, the room's dataset.
 	MNodeReplicate = "node.replicate"
 )
 
 // Method codes for v2 framing, continuing the append-only space started
-// in codec2.go (1–24).
+// in codec2.go (1–24). Retired codes stay holes, never reused: 25 was
+// node.hello (the first ping identifies a link now) and 29
+// node.syncmanifest (the dataset rides ReplicateReq).
 var nodeMethodCodes = map[uint16]string{
-	25: MNodeHello,
 	26: MNodePing,
 	27: MNodeIngress,
 	28: MNodeReplicate,
+	30: MNodeFetchChunks,
 }
 
 func init() {
@@ -44,44 +47,24 @@ func init() {
 	}
 }
 
-// NodeHelloReq introduces the dialing node on a fresh node link.
-type NodeHelloReq struct {
-	Node  string // caller's node id
-	Addr  string // caller's advertised client address
-	Epoch uint64 // caller's membership epoch (incarnation counter)
-}
-
-// NodeHelloResp acknowledges the link with the responder's identity.
-type NodeHelloResp struct {
-	Node  string
-	Epoch uint64
-}
+// NodeMethods returns every node-link method keyed by its method code:
+// all a cluster node serves its peers.
+func NodeMethods() map[uint16]string { return maps.Clone(nodeMethodCodes) }
 
 // NodePingReq is one liveness heartbeat.
 type NodePingReq struct {
 	Node     string
-	Epoch    uint64
 	Draining bool // caller is handing off and should be excluded from placement
 }
 
-// NodePingResp acknowledges a heartbeat; Live is the responder's current
-// view of live node ids (itself included).
+// NodePingResp acknowledges a heartbeat with the responder's identity.
 type NodePingResp struct {
-	Node  string
-	Epoch uint64
-	Live  []string
+	Node string
 }
 
 // NodeIngressReq marks the calling connection as a forwarded-client
-// ingress from Node. PeerID is the origin node's connection id for the
-// client — a correlation handle for logs and stats, not a routing key.
+// ingress from Node; the response is empty.
 type NodeIngressReq struct {
-	Node   string
-	PeerID uint64
-}
-
-// NodeIngressResp acknowledges the ingress marking.
-type NodeIngressResp struct {
 	Node string
 }
 
@@ -91,12 +74,22 @@ type NodeIngressResp struct {
 // numbers without entering the change buffer) and trim watermark.
 // DocID lets the standby rebuild the room around the right document on
 // takeover.
+//
+// Node, Rows and Manifests are the room's dataset, empty when the frame
+// does not carry it: the media rows its document's components
+// reference, the document row last, and a manifest for every distinct
+// blob those rows name. No payload bytes ride in the frame — the
+// receiver pulls exactly the chunks it is missing from Node.
 type ReplicateReq struct {
 	Room    string
 	DocID   string
 	Seq     uint64
 	Trimmed uint64
 	Events  []room.Event
+
+	Node      string
+	Rows      []SyncRow
+	Manifests []BlobManifest
 }
 
 // ReplicateResp acknowledges replication up to Seq.
@@ -107,81 +100,32 @@ type ReplicateResp struct {
 // --- binary codecs ---------------------------------------------------------
 
 // AppendBody implements wire.BodyEncoder.
-func (r *NodeHelloReq) AppendBody(e *wire.BodyEnc) {
-	e.String(r.Node)
-	e.String(r.Addr)
-	e.Uvarint(r.Epoch)
-}
-
-// DecodeBody implements wire.BodyDecoder.
-func (r *NodeHelloReq) DecodeBody(d *wire.Dec) error {
-	r.Node = d.String()
-	r.Addr = d.String()
-	r.Epoch = d.Uvarint()
-	return d.Err()
-}
-
-// AppendBody implements wire.BodyEncoder.
-func (r *NodeHelloResp) AppendBody(e *wire.BodyEnc) {
-	e.String(r.Node)
-	e.Uvarint(r.Epoch)
-}
-
-// DecodeBody implements wire.BodyDecoder.
-func (r *NodeHelloResp) DecodeBody(d *wire.Dec) error {
-	r.Node = d.String()
-	r.Epoch = d.Uvarint()
-	return d.Err()
-}
-
-// AppendBody implements wire.BodyEncoder.
 func (r *NodePingReq) AppendBody(e *wire.BodyEnc) {
 	e.String(r.Node)
-	e.Uvarint(r.Epoch)
 	e.Bool(r.Draining)
 }
 
 // DecodeBody implements wire.BodyDecoder.
 func (r *NodePingReq) DecodeBody(d *wire.Dec) error {
 	r.Node = d.String()
-	r.Epoch = d.Uvarint()
 	r.Draining = d.Bool()
 	return d.Err()
 }
 
 // AppendBody implements wire.BodyEncoder.
-func (r *NodePingResp) AppendBody(e *wire.BodyEnc) {
-	e.String(r.Node)
-	e.Uvarint(r.Epoch)
-	appendStrings(e, r.Live)
-}
+func (r *NodePingResp) AppendBody(e *wire.BodyEnc) { e.String(r.Node) }
 
 // DecodeBody implements wire.BodyDecoder.
 func (r *NodePingResp) DecodeBody(d *wire.Dec) error {
 	r.Node = d.String()
-	r.Epoch = d.Uvarint()
-	r.Live = decodeStrings(d)
 	return d.Err()
 }
 
 // AppendBody implements wire.BodyEncoder.
-func (r *NodeIngressReq) AppendBody(e *wire.BodyEnc) {
-	e.String(r.Node)
-	e.Uvarint(r.PeerID)
-}
+func (r *NodeIngressReq) AppendBody(e *wire.BodyEnc) { e.String(r.Node) }
 
 // DecodeBody implements wire.BodyDecoder.
 func (r *NodeIngressReq) DecodeBody(d *wire.Dec) error {
-	r.Node = d.String()
-	r.PeerID = d.Uvarint()
-	return d.Err()
-}
-
-// AppendBody implements wire.BodyEncoder.
-func (r *NodeIngressResp) AppendBody(e *wire.BodyEnc) { e.String(r.Node) }
-
-// DecodeBody implements wire.BodyDecoder.
-func (r *NodeIngressResp) DecodeBody(d *wire.Dec) error {
 	r.Node = d.String()
 	return d.Err()
 }
@@ -196,6 +140,9 @@ func (r *ReplicateReq) AppendBody(e *wire.BodyEnc) {
 	for i := range r.Events {
 		r.Events[i].AppendBody(e)
 	}
+	e.String(r.Node)
+	appendRows(e, r.Rows)
+	appendManifests(e, r.Manifests)
 }
 
 // DecodeBody implements wire.BodyDecoder.
@@ -205,8 +152,15 @@ func (r *ReplicateReq) DecodeBody(d *wire.Dec) error {
 	r.Seq = d.Uvarint()
 	r.Trimmed = d.Uvarint()
 	var err error
-	r.Events, err = decodeEvents(d)
-	return err
+	if r.Events, err = decodeEvents(d); err != nil {
+		return err
+	}
+	r.Node = d.String()
+	if r.Rows, err = decodeRows(d); err != nil {
+		return err
+	}
+	r.Manifests = decodeManifests(d)
+	return d.Err()
 }
 
 // AppendBody implements wire.BodyEncoder.

@@ -193,8 +193,8 @@ func codecCases() []codecCase {
 			Room: "consult", ObjectID: 12, Digest: []byte{1, 2, 3}, Data: big,
 		}, &PrefetchPush{}},
 		{"None", &wire.None{}, &wire.None{}},
-		{"SyncManifestReq", &SyncManifestReq{
-			Room: "consult", Node: "n1", DocID: "p1",
+		{"ReplicateReq/dataset", &ReplicateReq{
+			Room: "consult", DocID: "p1", Seq: 19, Trimmed: 2, Node: "n1",
 			Rows: []SyncRow{
 				{Table: "IMAGE_OBJECTS_TABLE", ID: 3, Cells: []any{
 					int64(2), "axial", 0.5, blob.Handle{Digest: blob.Digest{2, 2}, Length: 4096}}},
@@ -208,13 +208,11 @@ func codecCases() []codecCase {
 			Manifests: []BlobManifest{
 				{Digest: blob.Digest{5}, Length: 65536, Chunks: []blob.Digest{{6}, {7}}},
 			},
-		}, &SyncManifestReq{}},
-		{"SyncManifestReq/empty", &SyncManifestReq{
-			Room: "consult", Node: "n1", DocID: "p1",
-		}, &SyncManifestReq{}},
-		{"SyncManifestResp", &SyncManifestResp{
-			Node: "n2", RowsAdopted: 4, ChunksPulled: 17, ChunkBytesPulled: 1 << 20,
-		}, &SyncManifestResp{}},
+		}, &ReplicateReq{}},
+		{"ReplicateReq/nodataset", &ReplicateReq{
+			Room: "consult", DocID: "p1", Seq: 19, Trimmed: 2,
+		}, &ReplicateReq{}},
+		{"ReplicateResp", &ReplicateResp{Seq: 19}, &ReplicateResp{}},
 		{"FetchChunksReq", &FetchChunksReq{
 			Node: "n2", Digests: []blob.Digest{{1, 2}, {3, 4}},
 		}, &FetchChunksReq{}},
@@ -361,8 +359,8 @@ func TestClaimedCountAllocatesNothing(t *testing.T) {
 		{"decodeStrings", zeros(0), func() wire.BodyDecoder { return new(ListDocumentsResp) }},
 		{"decodeEvents", zeros(0), func() wire.BodyDecoder { return new(HistoryResp) }},
 		{"decodeDigests", zeros(1), func() wire.BodyDecoder { return new(FetchChunksReq) }},
-		{"SyncManifestReq rows", zeros(3), func() wire.BodyDecoder { return new(SyncManifestReq) }},
-		{"SyncManifestReq manifests", zeros(4), func() wire.BodyDecoder { return new(SyncManifestReq) }},
+		{"ReplicateReq rows", zeros(6), func() wire.BodyDecoder { return new(ReplicateReq) }},
+		{"ReplicateReq manifests", zeros(7), func() wire.BodyDecoder { return new(ReplicateReq) }},
 		{"FetchChunksResp chunks", zeros(0), func() wire.BodyDecoder { return new(FetchChunksResp) }},
 	} {
 		body := wire.MarshalBody(claim{tc.before, 4096})

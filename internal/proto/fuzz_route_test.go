@@ -3,14 +3,15 @@ package proto
 import (
 	"testing"
 
+	"mmconf/internal/blob"
 	"mmconf/internal/media/voice"
 	"mmconf/internal/room"
 	"mmconf/internal/wire"
 )
 
 // FuzzRouteFrame throws arbitrary payload bytes at what a routing node
-// reads first: the cluster-plane body codecs (node hello/ping,
-// forwarded ingress, event-log replication), the room-scoped client
+// reads first: the cluster-plane body codecs (node ping, forwarded
+// ingress, event-log replication), the room-scoped client
 // requests it steers by their leading Room field, and the routing error
 // parsers. Decoders and RoomOf must never panic, whatever lengths or
 // truncations arrive; any accepted body must re-encode and re-decode
@@ -18,18 +19,22 @@ import (
 // error string must round-trip through Error().
 func FuzzRouteFrame(f *testing.F) {
 	seeds := []wire.BodyEncoder{
-		&NodeHelloReq{Node: "n1", Addr: "127.0.0.1:7070", Epoch: 3},
-		&NodeHelloResp{Node: "n2", Epoch: 7},
-		&NodePingReq{Node: "n1", Epoch: 3, Draining: true},
-		&NodePingResp{Node: "n2", Epoch: 7, Live: []string{"n1", "n2", "n3"}},
-		&NodeIngressReq{Node: "n1", PeerID: 42},
-		&NodeIngressResp{Node: "n2"},
+		&NodePingReq{Node: "n1", Draining: true},
+		&NodePingResp{Node: "n2"},
+		&NodeIngressReq{Node: "n1"},
 		&ReplicateReq{
 			Room: "tumor-board", DocID: "patient-001", Seq: 19, Trimmed: 2,
 			Events: []room.Event{
 				{Seq: 18, Room: "tumor-board", Actor: "alice", Kind: room.EvChat, Text: "hello"},
 				{Seq: 19, Room: "tumor-board", Actor: "bob", Kind: room.EvChoice, Variable: "modality", Value: "xray"},
 			},
+		},
+		// A frame carrying a dataset: the document row and its manifest.
+		&ReplicateReq{
+			Room: "tumor-board", DocID: "patient-001", Seq: 20, Trimmed: 2, Node: "n1",
+			Rows: []SyncRow{{Table: "DOCUMENT_OBJECTS_TABLE", Cells: []any{
+				"patient-001", "CT study", blob.Handle{Digest: blob.Digest{0xAA}, Length: 512}}}},
+			Manifests: []BlobManifest{{Digest: blob.Digest{0xAA}, Length: 512, Chunks: []blob.Digest{{0xAA}}}},
 		},
 		&ReplicateResp{Seq: 19},
 		&OperationReq{Room: "tumor-board", User: "alice", Component: "ct", Op: "zoom", ActiveWhen: "always", Private: true},
@@ -54,12 +59,9 @@ func FuzzRouteFrame(f *testing.F) {
 	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
 
 	fresh := []func() wire.BodyDecoder{
-		func() wire.BodyDecoder { return new(NodeHelloReq) },
-		func() wire.BodyDecoder { return new(NodeHelloResp) },
 		func() wire.BodyDecoder { return new(NodePingReq) },
 		func() wire.BodyDecoder { return new(NodePingResp) },
 		func() wire.BodyDecoder { return new(NodeIngressReq) },
-		func() wire.BodyDecoder { return new(NodeIngressResp) },
 		func() wire.BodyDecoder { return new(ReplicateReq) },
 		func() wire.BodyDecoder { return new(ReplicateResp) },
 		func() wire.BodyDecoder { return new(OperationReq) },

@@ -20,17 +20,20 @@ type hostileFrame struct {
 	data         []byte
 }
 
-// hostileSyncFrames are SyncManifestReq bodies a skewed or hostile peer
-// could send: one row announcing `cells` cells, followed by the given
-// bytes where the first cell should be. Each is a fuzz seed, and
-// TestSyncFrameRefusals holds the decoder to refusing it for the reason
-// named.
+// hostileSyncFrames are ReplicateReq bodies a skewed or hostile peer
+// could send: no events, and a dataset of one row announcing `cells`
+// cells, followed by the given bytes where the first cell should be.
+// Each is a fuzz seed, and TestSyncFrameRefusals holds the decoder to
+// refusing it for the reason named.
 func hostileSyncFrames() []hostileFrame {
 	frame := func(cells uint64, cell ...byte) []byte {
 		return wire.MarshalBody(bodyFunc(func(e *wire.BodyEnc) {
 			e.String("room")
-			e.String("n1")
 			e.String("p1")
+			e.Uvarint(9) // seq
+			e.Uvarint(0) // trimmed
+			e.Uvarint(0) // events
+			e.String("n1")
 			e.Uvarint(1) // rows
 			e.String("IMAGE_OBJECTS_TABLE")
 			e.Uvarint(3)
@@ -48,7 +51,7 @@ func hostileSyncFrames() []hostileFrame {
 
 func TestSyncFrameRefusals(t *testing.T) {
 	for _, hf := range hostileSyncFrames() {
-		var req SyncManifestReq
+		var req ReplicateReq
 		err := wire.DecodeBodyBytes(hf.data, &req)
 		if err == nil || !strings.Contains(err.Error(), hf.reason) {
 			t.Errorf("%s: decoded to %+v, error %v; want one naming %q", hf.name, req, err, hf.reason)
@@ -59,25 +62,25 @@ func TestSyncFrameRefusals(t *testing.T) {
 	}
 	// A cell that is none of the store's five types has no tag: what the
 	// encoder writes for it, no decoder accepts.
-	data := wire.MarshalBody(&SyncManifestReq{Rows: []SyncRow{{Table: "t", ID: 1, Cells: []any{int32(7)}}}})
-	if err := wire.DecodeBodyBytes(data, new(SyncManifestReq)); err == nil {
+	data := wire.MarshalBody(&ReplicateReq{Rows: []SyncRow{{Table: "t", ID: 1, Cells: []any{int32(7)}}}})
+	if err := wire.DecodeBodyBytes(data, new(ReplicateReq)); err == nil {
 		t.Errorf("a frame carrying an int32 cell decoded")
 	}
 }
 
 // FuzzReplicationFrame throws arbitrary payload bytes at the dataset
-// replication codecs (manifest sync, chunk batch fetch). These frames
-// arrive over node links from peers that may be skewed, truncated or
-// hostile, so the decoders must never panic and must bound their
-// allocations whatever counts the input claims; any accepted body must
-// re-encode and re-decode to a fixed point.
+// replication codecs (a replication frame carrying a dataset, chunk batch
+// fetch). These frames arrive over node links from peers that may be
+// skewed, truncated or hostile, so the decoders must never panic and
+// must bound their allocations whatever counts the input claims; any
+// accepted body must re-encode and re-decode to a fixed point.
 func FuzzReplicationFrame(f *testing.F) {
 	d1, d2, d3 := blob.Digest{0xAA, 1}, blob.Digest{0xBB, 2}, blob.Digest{0xCC, 3}
 	seeds := []wire.BodyEncoder{
 		// A row of each replicated table, so of each cell tag, a zero
 		// handle included.
-		&SyncManifestReq{
-			Room: "tumor-board", Node: "n1", DocID: "patient-001",
+		&ReplicateReq{
+			Room: "tumor-board", DocID: "patient-001", Seq: 19, Trimmed: 2, Node: "n1",
 			Rows: []SyncRow{
 				{Table: "IMAGE_OBJECTS_TABLE", ID: 3, Cells: []any{
 					int64(2), "lesion at L4", 0.5, blob.Handle{Digest: d2, Length: 65536}}},
@@ -93,8 +96,8 @@ func FuzzReplicationFrame(f *testing.F) {
 				{Digest: d1, Length: 512, Chunks: []blob.Digest{d1}},
 			},
 		},
-		&SyncManifestReq{Room: "empty", Node: "n2", DocID: "p2"},
-		&SyncManifestResp{Node: "n2", RowsAdopted: 4, ChunksPulled: 17, ChunkBytesPulled: 1 << 20},
+		&ReplicateReq{Room: "empty", DocID: "p2", Node: "n2"},
+		&ReplicateResp{Seq: 1 << 20},
 		&FetchChunksReq{Node: "n2", Digests: []blob.Digest{d1, d2, d3}},
 		&FetchChunksResp{Chunks: [][]byte{bytes.Repeat([]byte{0x11}, 600), nil, {0x22}}},
 	}
@@ -115,8 +118,8 @@ func FuzzReplicationFrame(f *testing.F) {
 	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
 
 	fresh := []func() wire.BodyDecoder{
-		func() wire.BodyDecoder { return new(SyncManifestReq) },
-		func() wire.BodyDecoder { return new(SyncManifestResp) },
+		func() wire.BodyDecoder { return new(ReplicateReq) },
+		func() wire.BodyDecoder { return new(ReplicateResp) },
 		func() wire.BodyDecoder { return new(FetchChunksReq) },
 		func() wire.BodyDecoder { return new(FetchChunksResp) },
 	}

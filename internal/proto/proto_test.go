@@ -76,14 +76,12 @@ func TestEveryMethodHasCodecs(t *testing.T) {
 		MTraces:           {&TracesReq{}, &TracesResp{}},
 		MEvent:            {&room.Event{}, none()},   // push: the body travels server → client
 		MPrefetchPush:     {&PrefetchPush{}, none()}, // push
-		MNodeHello:        {&NodeHelloReq{}, &NodeHelloResp{}},
 		MNodePing:         {&NodePingReq{}, &NodePingResp{}},
-		MNodeIngress:      {&NodeIngressReq{}, &NodeIngressResp{}},
+		MNodeIngress:      {&NodeIngressReq{}, none()},
 		MNodeReplicate:    {&ReplicateReq{}, &ReplicateResp{}},
-		MNodeSyncManifest: {&SyncManifestReq{}, &SyncManifestResp{}},
 		MNodeFetchChunks:  {&FetchChunksReq{}, &FetchChunksResp{}},
 	}
-	for _, codes := range []map[uint16]string{clientMethodCodes, nodeMethodCodes, syncMethodCodes} {
+	for _, codes := range []map[uint16]string{clientMethodCodes, nodeMethodCodes} {
 		for code, m := range codes {
 			if _, ok := methods[m]; !ok {
 				t.Errorf("method %s (code %d) is registered but missing from the table", m, code)

@@ -1,12 +1,11 @@
-// Dataset replication plane: the frames a room owner and its standby
-// speak to converge media datasets by digest instead of by copy. The
-// owner ships a room's table rows, payload cells as blob handles, plus
-// the chunk manifests behind them (MNodeSyncManifest); the standby diffs
-// the manifests against its own CAS and pulls only the chunks it lacks
-// (MNodeFetchChunks). Rows cross untyped: which cells a table's rows
-// take is its schema's to say, and that is spelled in internal/mediadb
-// alone. Both methods ride the node-link plane established in cluster.go
-// — binary codecs, stable method codes, node-to-node only.
+// Dataset replication plane: how a room owner and its standby converge
+// media datasets by digest instead of by copy. The owner ships a room's
+// table rows, payload cells as blob handles, plus the chunk manifests
+// behind them in the room's replication frame (ReplicateReq, cluster.go);
+// the standby diffs the manifests against its own CAS and pulls only the
+// chunks it lacks (MNodeFetchChunks). Rows cross untyped: which cells a
+// table's rows take is its schema's to say, and that is spelled in
+// internal/mediadb alone.
 package proto
 
 import (
@@ -16,29 +15,9 @@ import (
 	"mmconf/internal/wire"
 )
 
-// Node-link method names (dataset replication).
-const (
-	// MNodeSyncManifest ships a room's dataset rows and blob manifests
-	// from the owner to the room's standby. The standby adopts rows,
-	// pulls missing chunks back over MNodeFetchChunks, and acknowledges
-	// with its transfer accounting.
-	MNodeSyncManifest = "node.syncmanifest"
-	// MNodeFetchChunks pulls a batch of CAS chunks by digest from the
-	// node that advertised them.
-	MNodeFetchChunks = "node.fetchchunks"
-)
-
-// Method codes continue the node-link space (25–28 in cluster.go).
-var syncMethodCodes = map[uint16]string{
-	29: MNodeSyncManifest,
-	30: MNodeFetchChunks,
-}
-
-func init() {
-	for code, method := range syncMethodCodes {
-		wire.RegisterMethodCode(code, method)
-	}
-}
+// MNodeFetchChunks pulls a batch of CAS chunks by digest from the node
+// that advertised them (code 30, cluster.go).
+const MNodeFetchChunks = "node.fetchchunks"
 
 // SyncRow is one table row of a replicated dataset: the table it lives
 // in, its id there, and its cells in column order. A cell is an int64, a
@@ -57,28 +36,6 @@ type BlobManifest struct {
 	Digest blob.Digest
 	Length uint32
 	Chunks []blob.Digest
-}
-
-// SyncManifestReq replicates one room's dataset to its standby: the
-// media rows its document's components reference, the document row last,
-// and a manifest for every distinct blob those rows name. No payload
-// bytes ride in this frame — the standby pulls exactly the chunks it is
-// missing.
-type SyncManifestReq struct {
-	Room      string
-	Node      string // sending node id — the standby pulls chunks back from it
-	DocID     string
-	Rows      []SyncRow
-	Manifests []BlobManifest
-}
-
-// SyncManifestResp acknowledges adoption with transfer accounting —
-// the numbers the replication tests assert on.
-type SyncManifestResp struct {
-	Node             string
-	RowsAdopted      uint32
-	ChunksPulled     uint32
-	ChunkBytesPulled uint64
 }
 
 // FetchChunksReq pulls a batch of chunks by digest.
@@ -172,14 +129,12 @@ func decodeDigests(d *wire.Dec) []blob.Digest {
 	return out
 }
 
-// AppendBody implements wire.BodyEncoder.
-func (r *SyncManifestReq) AppendBody(e *wire.BodyEnc) {
-	e.String(r.Room)
-	e.String(r.Node)
-	e.String(r.DocID)
-	e.Uvarint(uint64(len(r.Rows)))
-	for i := range r.Rows {
-		row := &r.Rows[i]
+// appendRows writes a dataset's rows: a count, then each row's table,
+// id and tagged cells.
+func appendRows(e *wire.BodyEnc, rows []SyncRow) {
+	e.Uvarint(uint64(len(rows)))
+	for i := range rows {
+		row := &rows[i]
 		e.String(row.Table)
 		e.Uvarint(row.ID)
 		e.Uvarint(uint64(len(row.Cells)))
@@ -187,65 +142,57 @@ func (r *SyncManifestReq) AppendBody(e *wire.BodyEnc) {
 			appendCell(e, c)
 		}
 	}
-	e.Uvarint(uint64(len(r.Manifests)))
-	for i := range r.Manifests {
-		m := &r.Manifests[i]
+}
+
+func decodeRows(d *wire.Dec) ([]SyncRow, error) {
+	n := d.Count()
+	if n == 0 || d.Err() != nil {
+		return nil, d.Err()
+	}
+	rows := make([]SyncRow, 0, min(n, 4096))
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
+		row := SyncRow{Table: d.String(), ID: d.Uvarint()}
+		if k := d.Count(); k > 0 && d.Err() == nil {
+			row.Cells = make([]any, 0, min(k, 64))
+			for j := uint64(0); j < k && d.Err() == nil; j++ {
+				c, err := decodeCell(d)
+				if err != nil {
+					return nil, err
+				}
+				row.Cells = append(row.Cells, c)
+			}
+		}
+		rows = append(rows, row)
+	}
+	return rows, d.Err()
+}
+
+// appendManifests writes a count, then each manifest's digest, length
+// and chunk digests.
+func appendManifests(e *wire.BodyEnc, ms []BlobManifest) {
+	e.Uvarint(uint64(len(ms)))
+	for i := range ms {
+		m := &ms[i]
 		e.Fixed(m.Digest[:])
 		e.Uvarint(uint64(m.Length))
 		appendDigests(e, m.Chunks)
 	}
 }
 
-// DecodeBody implements wire.BodyDecoder.
-func (r *SyncManifestReq) DecodeBody(d *wire.Dec) error {
-	r.Room = d.String()
-	r.Node = d.String()
-	r.DocID = d.String()
-	if n := d.Count(); n > 0 && d.Err() == nil {
-		r.Rows = make([]SyncRow, 0, min(n, 4096))
-		for i := uint64(0); i < n && d.Err() == nil; i++ {
-			row := SyncRow{Table: d.String(), ID: d.Uvarint()}
-			if k := d.Count(); k > 0 && d.Err() == nil {
-				row.Cells = make([]any, 0, min(k, 64))
-				for j := uint64(0); j < k && d.Err() == nil; j++ {
-					c, err := decodeCell(d)
-					if err != nil {
-						return err
-					}
-					row.Cells = append(row.Cells, c)
-				}
-			}
-			r.Rows = append(r.Rows, row)
-		}
+func decodeManifests(d *wire.Dec) []BlobManifest {
+	n := d.Count()
+	if n == 0 || d.Err() != nil {
+		return nil
 	}
-	if n := d.Count(); n > 0 && d.Err() == nil {
-		r.Manifests = make([]BlobManifest, 0, min(n, 4096))
-		for i := uint64(0); i < n && d.Err() == nil; i++ {
-			var m BlobManifest
-			d.Fixed(m.Digest[:])
-			m.Length = uint32(d.Uvarint())
-			m.Chunks = decodeDigests(d)
-			r.Manifests = append(r.Manifests, m)
-		}
+	ms := make([]BlobManifest, 0, min(n, 4096))
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
+		var m BlobManifest
+		d.Fixed(m.Digest[:])
+		m.Length = uint32(d.Uvarint())
+		m.Chunks = decodeDigests(d)
+		ms = append(ms, m)
 	}
-	return d.Err()
-}
-
-// AppendBody implements wire.BodyEncoder.
-func (r *SyncManifestResp) AppendBody(e *wire.BodyEnc) {
-	e.String(r.Node)
-	e.Uvarint(uint64(r.RowsAdopted))
-	e.Uvarint(uint64(r.ChunksPulled))
-	e.Uvarint(r.ChunkBytesPulled)
-}
-
-// DecodeBody implements wire.BodyDecoder.
-func (r *SyncManifestResp) DecodeBody(d *wire.Dec) error {
-	r.Node = d.String()
-	r.RowsAdopted = uint32(d.Uvarint())
-	r.ChunksPulled = uint32(d.Uvarint())
-	r.ChunkBytesPulled = d.Uvarint()
-	return d.Err()
+	return ms
 }
 
 // AppendBody implements wire.BodyEncoder.

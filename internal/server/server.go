@@ -365,12 +365,10 @@ var methodClasses = map[string]wire.Priority{
 
 	// Node-link plane: liveness and replication keep the cluster
 	// coherent and must survive overload like session control does.
-	proto.MNodeHello:        wire.PriorityControl,
-	proto.MNodePing:         wire.PriorityControl,
-	proto.MNodeIngress:      wire.PriorityControl,
-	proto.MNodeReplicate:    wire.PriorityControl,
-	proto.MNodeSyncManifest: wire.PriorityControl,
-	proto.MNodeFetchChunks:  wire.PriorityControl,
+	proto.MNodePing:        wire.PriorityControl,
+	proto.MNodeIngress:     wire.PriorityControl,
+	proto.MNodeReplicate:   wire.PriorityControl,
+	proto.MNodeFetchChunks: wire.PriorityControl,
 }
 
 // Stats exposes the pipeline's per-method request counters plus the
@@ -386,6 +384,9 @@ func (s *Server) NodeID() string { return s.nodeID }
 // replicate) on the same dispatch pipeline as client traffic. Call
 // before Serve.
 func (s *Server) Register(method string, h wire.Handler) { s.rpc.Register(method, h) }
+
+// Methods lists the methods the server answers, sorted.
+func (s *Server) Methods() []string { return s.rpc.Methods() }
 
 // Rooms lists the names of every live room — the cluster tier's cheap
 // reconciliation view (no event logs are copied).

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,6 +76,18 @@ func (s *Server) Register(method string, h Handler) {
 	defer s.mu.Unlock()
 	s.handlers[method] = h
 	s.chained[method] = Chain(h, s.interceptors...)
+}
+
+// Methods returns the names of the registered methods, sorted.
+func (s *Server) Methods() []string {
+	s.mu.Lock()
+	names := make([]string, 0, len(s.handlers))
+	for m := range s.handlers {
+		names = append(names, m)
+	}
+	s.mu.Unlock()
+	slices.Sort(names)
+	return names
 }
 
 // Use appends interceptors to the dispatch chain. The first interceptor
