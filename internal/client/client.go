@@ -48,11 +48,12 @@ type Client struct {
 	sessions map[string]*Session
 	// joining holds, per room, the session of a Join still in flight. The
 	// server pushes to a new member before the Join response is processed
-	// — the join's own announcement and first presentation, a QoS
-	// prefetch — and those pushes need the session's gate, view and buffer
-	// as much as any later one: a presentation that bypassed the session
-	// would break the chain of changes, and a prefetch payload dropped is
-	// lost for good, since the server pushes each object exactly once.
+	// — the join's own announcement and the change its reconfiguration
+	// makes, a QoS prefetch — and those pushes need the session's park,
+	// view and buffer as much as any later one: a presentation that
+	// bypassed the session would break the chain of changes, and a
+	// prefetch payload dropped is lost for good, since the server pushes
+	// each object exactly once.
 	joining map[string]*Session
 
 	closeCh   chan struct{}
@@ -484,14 +485,10 @@ type Session struct {
 	// view is the latest presentation pushed or computed for this user,
 	// in maps the session owns: a pushed presentation is applied to them
 	// in place under mu, when it arrives (see view.go). viewID is the id the
-	// server gave that view — 0 for the one a join or resume response
-	// carried, which has none. whole says a whole presentation arrived
-	// since the last join or resume request went out, so the view held is
-	// newer than the one the response will carry.
+	// server gave that view, which the next presentation is made against.
 	mu     sync.Mutex
 	view   document.View
 	viewID uint64
-	whole  bool
 	// resync is set when a pushed event carries the server's queue-
 	// overflow hint (events were dropped; replay from History), and when
 	// a reconnect could not replay the outage exactly.
@@ -499,8 +496,8 @@ type Session struct {
 	// arrived is the highest sequence pushed to this session, all of it
 	// folded. lastSeq gates pushed-event delivery: events at or below it
 	// already reached the stream, so replays across reconnects drop out.
-	// resuming parks live pushes in pending while a reconnect replays the
-	// outage, preserving order.
+	// resuming parks live pushes in pending while a join or resume is in
+	// flight: they are made against the view its response carries.
 	arrived  uint64
 	lastSeq  uint64
 	resuming bool
@@ -510,16 +507,16 @@ type Session struct {
 }
 
 // admit folds a pushed event into the session and decides whether it
-// reaches the client's stream. During a resume the event parks in pending
-// (delivered, gated, after the replay); otherwise duplicates at or below
-// lastSeq drop out. The fold comes first: what pending or the stream
-// sheds, the view already has.
+// reaches the client's stream. The fold comes first: what the stream
+// sheds, the view already has. While a join or resume is in flight the
+// event parks in pending instead, unfolded, until the response brings the
+// view it is made against (settleLocked). Past eventQueueSize parked
+// events only presentations still park: the view cannot skip one.
 func (s *Session) admit(ev room.Event) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.resuming {
-		s.takeLocked(&ev)
-		if len(s.pending) < eventQueueSize {
+		if len(s.pending) < eventQueueSize || ev.Kind == room.EvPresentation {
 			s.pending = append(s.pending, ev)
 		}
 		return false
@@ -528,7 +525,10 @@ func (s *Session) admit(ev room.Event) bool {
 }
 
 func (s *Session) admitLocked(ev room.Event) bool {
-	s.takeLocked(&ev)
+	if ev.Seq > s.arrived {
+		s.arrived = ev.Seq
+		s.foldLocked(&ev)
+	}
 	if ev.Seq != 0 && ev.Seq <= s.lastSeq {
 		return false
 	}
@@ -538,65 +538,67 @@ func (s *Session) admitLocked(ev room.Event) bool {
 	return true
 }
 
-// takeLocked folds an event that is newer than everything folded before
-// it. One that is not has been folded already (a parked push, on its way
-// out of pending), or is a straggler from a connection this one replaced
-// (a migration keeps the old one open until the new one has resumed) and
-// what it carries is superseded.
-func (s *Session) takeLocked(ev *room.Event) {
-	if ev.Seq > s.arrived {
-		s.arrived = ev.Seq
-		s.foldLocked(ev)
+// releaseLocked passes events to the stream through admitLocked, in order.
+// It emits under s.mu: a push racing the release must not overtake it
+// (emit is non-blocking, so holding s.mu cannot deadlock).
+func (s *Session) releaseLocked(evs ...room.Event) {
+	for _, ev := range evs {
+		if s.admitLocked(ev) {
+			s.client.emit(ev)
+		}
 	}
 }
 
-// beginResume parks the session for replay: live pushes buffer in
-// pending until finishResume, and the returned sequence is the replay
-// cursor for the Resume request.
+// beginResume parks the session for a join or resume: live pushes buffer
+// in pending until its response is folded, and the returned sequence is
+// the replay cursor for a Resume request.
 func (s *Session) beginResume() (since uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.resuming = true
 	s.pending = nil
-	s.whole = false
 	return s.lastSeq
 }
 
 // abortResume re-opens the delivery gate after a failed resume (budget
 // exhausted or client closed), flushing parked events so the stream
-// does not silently stall.
+// does not silently stall. A parked presentation made against the view a
+// lost response carried does not fold, and flags the session.
 func (s *Session) abortResume() {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	pending := s.pending
 	s.pending = nil
 	s.resuming = false
-	// Emit under the lock: a racing push must not overtake the flush
-	// (emit is non-blocking, so holding s.mu here cannot deadlock).
-	for _, ev := range pending {
-		if s.admitLocked(ev) {
-			s.client.emit(ev)
-		}
-	}
-	s.mu.Unlock()
+	s.releaseLocked(pending...)
 }
 
-// finishResume folds a reconnect's JoinRoom response into the session:
-// refresh view/document, emit the replayed outage events then any
-// pushes that raced in, all through the sequence gate so nothing is
-// delivered twice.
-func (s *Session) finishResume(resp *proto.JoinRoomResp) {
+// resume parks the session, asks the server over call to revive its
+// member from the last event the stream delivered, and folds the answer
+// in: the document if one came, the gap if the outage cannot be replayed,
+// then settleLocked. On an error the session stays parked: what follows
+// is the caller's policy.
+func (s *Session) resume(ctx context.Context, call func(context.Context, string, wire.BodyEncoder, any) error) error {
+	var resp proto.JoinRoomResp
+	if err := call(ctx, proto.MJoinRoom, &proto.JoinRoomReq{
+		Room: s.Room, DocID: s.docID, User: s.client.user,
+		Resume: true, SinceSeq: s.beginResume(),
+	}, &resp); err != nil {
+		return err
+	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if !resp.Resumed || !resp.Complete {
 		// The outage cannot be replayed exactly (session expired into a
 		// fresh join, or the change buffer was trimmed): local state is
 		// suspect, make the gap visible exactly like a queue overflow.
 		s.resync = true
 	}
-	if !resp.Resumed && resp.LastSeq < s.lastSeq {
-		// Fresh join into a room younger than our gate: the room was
+	if !resp.Resumed && resp.View.Seq < s.lastSeq {
+		// Fresh join into a room younger than our gate (a join's view is
+		// newer than anything its room sent before): the room was
 		// recreated and sequences restarted. Reset or we would swallow
-		// every new event. Pushes from the new room that are parked were
-		// taken for stragglers; the flush below folds them.
+		// every new event.
 		s.lastSeq, s.arrived = 0, 0
 	}
 	if len(resp.DocData) > 0 {
@@ -604,25 +606,24 @@ func (s *Session) finishResume(resp *proto.JoinRoomResp) {
 			s.Doc = doc
 		}
 	}
-	// The server made a new member for this connection, which holds
-	// nothing: the next presentation pushed is whole.
-	s.adoptViewLocked(resp.Outcome, resp.Visible)
-	// Emit under the lock: once resuming clears, a racing push may pass
-	// admit and emit — it must not overtake the replay (emit is
-	// non-blocking, so holding s.mu here cannot deadlock).
-	for _, ev := range resp.History {
-		if s.admitLocked(ev) {
-			s.client.emit(ev)
-		}
-	}
-	for _, ev := range s.pending {
-		if s.admitLocked(ev) {
-			s.client.emit(ev)
-		}
-	}
-	s.pending = nil
-	s.resuming = false
-	s.mu.Unlock()
+	s.settleLocked(&resp)
+	return nil
+}
+
+// settleLocked folds a join or resume response into the session parked
+// for it, and lets the stream have, through its gate, the history, the
+// response's presentation and the parked pushes, in that order. The
+// presentation is the whole view the member the server made for this
+// connection holds, stamped after anything the member this connection
+// replaced was sent: it folds after the history and sets arrived, so a
+// straggler from before falls to that gate, and the parked pushes —
+// changes against it, and what follows — fold in turn. Callers hold s.mu.
+func (s *Session) settleLocked(resp *proto.JoinRoomResp) {
+	s.releaseLocked(resp.History...)
+	s.releaseLocked(resp.View)
+	pending := s.pending
+	s.pending, s.resuming = nil, false
+	s.releaseLocked(pending...)
 }
 
 // LastSeq reports the highest event sequence delivered to this session's
@@ -652,8 +653,10 @@ func (c *Client) JoinCtx(ctx context.Context, roomName, docID string, bufferByte
 			return nil, nil, err
 		}
 	}
-	// The session takes pushes from here on (see Client.joining); the
-	// reconnect supervisor does not know it until it is joined.
+	// The session takes pushes from here on (see Client.joining), parked
+	// until the response is folded; the reconnect supervisor does not know
+	// it until it is joined.
+	s.beginResume()
 	c.mu.Lock()
 	c.joining[roomName] = s
 	c.mu.Unlock()
@@ -668,14 +671,12 @@ func (c *Client) JoinCtx(ctx context.Context, roomName, docID string, bufferByte
 	if err == nil {
 		s.mu.Lock()
 		s.Doc = doc
-		s.adoptViewLocked(resp.Outcome, resp.Visible)
-		// Seed the delivery gate from the catch-up history: everything in
-		// it is already known, while our own join announcement (and all
-		// later events) carries a higher sequence and must still flow
-		// through — or already has.
+		// The history goes back to the caller, not down the stream: seed
+		// the gate past it.
 		for _, ev := range resp.History {
 			s.lastSeq = max(s.lastSeq, ev.Seq)
 		}
+		s.settleLocked(&resp)
 		s.mu.Unlock()
 	}
 	c.mu.Lock()

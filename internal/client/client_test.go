@@ -1,6 +1,7 @@
 package client
 
 import (
+	"context"
 	"net"
 	"reflect"
 	"slices"
@@ -18,6 +19,7 @@ import (
 	"mmconf/internal/room"
 	"mmconf/internal/server"
 	"mmconf/internal/store"
+	"mmconf/internal/wire"
 	"mmconf/internal/workload"
 )
 
@@ -312,14 +314,12 @@ func TestViewSurvivesLocalShedding(t *testing.T) {
 	}
 }
 
-// TestParkedPresentationsAreFolded: the pushes parked while a resume is
-// in flight are bounded, and those past the bound are dropped. Their
-// presentations are in the view all the same, and the view the response
-// carries — older than any of them — does not replace it. With none
-// parked the response's view is the session's, under no id: a change that
-// straggles in from the member this connection was before is passed over
-// without a flag, and the whole presentation the new member is due starts
-// the chain.
+// TestParkedPresentationsAreFolded: the pushes parked while a join or
+// resume is in flight are changes against the view its response carries,
+// so they fold after it, in order — every presentation among them, even
+// past the park's bound. A straggler from the member this connection was
+// before is older than the response's view and is passed over without a
+// flag; a change against a view the session never held flags it.
 func TestParkedPresentationsAreFolded(t *testing.T) {
 	opts := Options{}
 	opts.normalize()
@@ -335,37 +335,61 @@ func TestParkedPresentationsAreFolded(t *testing.T) {
 	set := func(v string) []room.ViewChange {
 		return []room.ViewChange{{Tag: room.ChangeSet, Name: "ct", Value: v}}
 	}
-
-	s.beginResume()
-	const parked = eventQueueSize + 50
-	push(room.Event{Seq: 1, Base: 0, View: 1, Changes: append(set("whole"), room.ViewChange{Tag: room.ChangeShow, Name: "ct"})})
-	for i := uint64(2); i <= parked; i++ {
-		push(room.Event{Seq: i, Base: i - 1, View: i, Changes: set(strconv.FormatUint(i, 10))})
+	wholeView := func(seq, id uint64, v string) room.Event {
+		return room.Event{Seq: seq, Room: "r", Kind: room.EvPresentation, View: id,
+			Changes: append(set(v), room.ViewChange{Tag: room.ChangeShow, Name: "ct"})}
 	}
-	s.finishResume(&proto.JoinRoomResp{Resumed: true, Complete: true, Outcome: cpnet.Outcome{"ct": "the response's"}})
+
+	// answer is a server that pushes while the request is out, then
+	// answers with the view.
+	answer := func(view room.Event, pushes func()) func(context.Context, string, wire.BodyEncoder, any) error {
+		return func(_ context.Context, _ string, _ wire.BodyEncoder, resp any) error {
+			pushes()
+			*resp.(*proto.JoinRoomResp) = proto.JoinRoomResp{Resumed: true, Complete: true, View: view}
+			return nil
+		}
+	}
+
+	// The response's view is Seq 10, id 100; what parks behind it chains
+	// from there.
+	const parked = eventQueueSize + 50
+	err := s.resume(context.Background(), answer(wholeView(10, 100, "the response's"), func() {
+		for i := uint64(1); i <= parked; i++ {
+			push(room.Event{Seq: 10 + i, Base: 99 + i, View: 100 + i, Changes: set(strconv.FormatUint(i, 10))})
+		}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := document.View{Outcome: cpnet.Outcome{"ct": strconv.Itoa(parked)}, Visible: map[string]bool{"ct": true}}
 	if got := s.View(); !reflect.DeepEqual(got, want) || s.NeedsResync() {
 		t.Fatalf("after a resume that parked %d presentations: %v (resync %v), want %v", parked, got, s.NeedsResync(), want)
 	}
-	if s.LastSeq() != eventQueueSize {
-		t.Errorf("the stream's gate stands at %d: pending holds %d", s.LastSeq(), eventQueueSize)
+	if s.LastSeq() != 10+parked {
+		t.Errorf("the stream's gate stands at %d, want %d", s.LastSeq(), 10+parked)
 	}
-	push(room.Event{Seq: parked + 1, Base: parked, View: parked + 1, Changes: set("next")})
+	push(room.Event{Seq: 11 + parked, Base: 100 + parked, View: 101 + parked, Changes: set("next")})
 	if got := s.View(); got.Outcome["ct"] != "next" || s.NeedsResync() {
 		t.Fatalf("the change after the resume: %v (resync %v)", got, s.NeedsResync())
 	}
 
-	s.beginResume()
-	s.finishResume(&proto.JoinRoomResp{Resumed: true, Complete: true, Outcome: cpnet.Outcome{"ct": "the response's"}, Visible: map[string]bool{}})
-	push(room.Event{Seq: parked + 2, Base: parked + 1, View: parked + 2, Changes: set("a straggler's")})
-	if got := s.View(); got.Outcome["ct"] != "the response's" || s.NeedsResync() {
+	// A quiet resume: the new member's view is stamped after anything the
+	// old one was sent, so a late push from the old one is passed over.
+	if err := s.resume(context.Background(), answer(wholeView(20+parked, 500, "resumed"), func() {})); err != nil {
+		t.Fatal(err)
+	}
+	push(room.Event{Seq: 12 + parked, Base: 101 + parked, View: 102 + parked, Changes: set("a straggler's")})
+	if got := s.View(); got.Outcome["ct"] != "resumed" || s.NeedsResync() {
 		t.Fatalf("a quiet resume and a straggler: %v (resync %v)", got, s.NeedsResync())
 	}
-	push(room.Event{Seq: parked + 3, Base: 0, View: parked + 3, Changes: set("whole again")})
-	push(room.Event{Seq: parked + 4, Base: parked + 3, View: parked + 4, Changes: []room.ViewChange{{Tag: room.ChangeHide, Name: "ct"}}})
-	want = document.View{Outcome: cpnet.Outcome{"ct": "whole again"}, Visible: map[string]bool{"ct": false}}
+	push(room.Event{Seq: 21 + parked, Base: 500, View: 501, Changes: []room.ViewChange{{Tag: room.ChangeHide, Name: "ct"}}})
+	want = document.View{Outcome: cpnet.Outcome{"ct": "resumed"}, Visible: map[string]bool{"ct": false}}
 	if got := s.View(); !reflect.DeepEqual(got, want) || s.NeedsResync() {
-		t.Fatalf("the new member's first presentations: %v (resync %v), want %v", got, s.NeedsResync(), want)
+		t.Fatalf("the new member's first change: %v (resync %v), want %v", got, s.NeedsResync(), want)
+	}
+	push(room.Event{Seq: 22 + parked, Base: 999, View: 1000, Changes: set("from nowhere")})
+	if got := s.View(); !reflect.DeepEqual(got, want) || !s.NeedsResync() {
+		t.Fatalf("a change against a view never held: %v (resync %v)", got, s.NeedsResync())
 	}
 }
 

@@ -127,15 +127,15 @@ func TestPushDecodeAllocations(t *testing.T) {
 
 	// The exact-consumption check: a payload with a byte to spare, or one
 	// short, never reaches the stream.
-	whole, _ := room.MarshalEventBinary(room.Event{Seq: seq + 1, Room: "consult", Kind: room.EvChat, Text: "x"})
-	c.onPush(proto.MEvent, wire.Body{Data: append(append([]byte(nil), whole...), 0)})
-	c.onPush(proto.MEvent, wire.Body{Data: whole[:len(whole)-1]})
+	full, _ := room.MarshalEventBinary(room.Event{Seq: seq + 1, Room: "consult", Kind: room.EvChat, Text: "x"})
+	c.onPush(proto.MEvent, wire.Body{Data: append(append([]byte(nil), full...), 0)})
+	c.onPush(proto.MEvent, wire.Body{Data: full[:len(full)-1]})
 	select {
 	case ev := <-c.Events():
 		t.Errorf("a malformed push reached the stream as %+v", ev)
 	default:
 	}
-	c.onPush(proto.MEvent, wire.Body{Data: whole})
+	c.onPush(proto.MEvent, wire.Body{Data: full})
 	if ev := <-c.Events(); ev.Text != "x" {
 		t.Errorf("the well-formed push arrived as %+v", ev)
 	}

@@ -9,7 +9,6 @@ import (
 	"net"
 	"time"
 
-	"mmconf/internal/proto"
 	"mmconf/internal/wire"
 )
 
@@ -153,7 +152,7 @@ func (c *Client) ReconnectStats() ReconnectStats {
 // connection to the owning node, and (with Options.RetryOverloaded)
 // backs off per the server's retry-after hint when a request is shed
 // by admission control, then retries.
-func (c *Client) call(ctx context.Context, method string, req wire.BodyEncoder, resp wire.BodyDecoder) error {
+func (c *Client) call(ctx context.Context, method string, req wire.BodyEncoder, resp any) error {
 	hops := 0
 	for retried := 0; ; {
 		c.mu.Lock()
@@ -196,7 +195,7 @@ func (c *Client) waitRetry(ctx context.Context, d time.Duration) error {
 }
 
 // callOnce issues one RPC attempt against the current connection.
-func (c *Client) callOnce(ctx context.Context, method string, req wire.BodyEncoder, resp wire.BodyDecoder) error {
+func (c *Client) callOnce(ctx context.Context, method string, req wire.BodyEncoder, resp any) error {
 	c.mu.Lock()
 	rpc := c.rpc
 	state := c.state
@@ -334,21 +333,15 @@ func (c *Client) resumeSessions(rpc *wire.Client, sessions []*Session) error {
 		timeout = 10 * time.Second
 	}
 	for _, s := range sessions {
-		// Re-park the session for this attempt: a session restored by a
-		// previous attempt whose connection then died mid-resume must
+		// resume re-parks the session for this attempt: a session restored
+		// by a previous attempt whose connection then died mid-resume must
 		// gate pushes again while its replay is re-fetched.
-		since := s.beginResume()
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
-		var resp proto.JoinRoomResp
-		err := rpc.CallCtx(ctx, proto.MJoinRoom, &proto.JoinRoomReq{
-			Room: s.Room, DocID: s.docID, User: c.user,
-			Resume: true, SinceSeq: since,
-		}, &resp)
+		err := s.resume(ctx, rpc.CallCtx)
 		cancel()
 		var re *wire.RedirectError
 		switch {
 		case err == nil:
-			s.finishResume(&resp)
 		case errors.Is(err, wire.ErrClosed), errors.Is(err, context.DeadlineExceeded):
 			// With a resolver, a resume that timed out silently is a
 			// black-holed endpoint (partitioned node): rotate so the next

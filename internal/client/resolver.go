@@ -7,7 +7,6 @@ import (
 	"net"
 	"sync"
 
-	"mmconf/internal/proto"
 	"mmconf/internal/wire"
 )
 
@@ -211,16 +210,9 @@ func (c *Client) handleRouting(ctx context.Context, genBefore uint64, err error,
 // exposed for tests that drive resumes explicitly; normal resumes run
 // inside the reconnect supervisor.
 func (c *Client) ResumeSession(ctx context.Context, s *Session) error {
-	since := s.beginResume()
-	var resp proto.JoinRoomResp
-	err := c.call(ctx, proto.MJoinRoom, &proto.JoinRoomReq{
-		Room: s.Room, DocID: s.docID, User: c.user,
-		Resume: true, SinceSeq: since,
-	}, &resp)
-	if err != nil {
+	if err := s.resume(ctx, c.call); err != nil {
 		s.abortResume()
 		return err
 	}
-	s.finishResume(&resp)
 	return nil
 }

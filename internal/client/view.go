@@ -13,11 +13,12 @@ import (
 //
 // A presentation is a change against the one before it, so the session
 // must see every one, in order — and the client sheds: the local stream
-// drops its oldest event when the consumer falls 1024 behind, and the
-// pushes parked during a resume are bounded too. The session therefore
-// folds each pushed event the moment it arrives (admit, on the
+// drops its oldest event when the consumer falls 1024 behind. The session
+// therefore folds each pushed event the moment it arrives (admit, on the
 // connection's read loop), before anything that can drop it. What the
-// consumer later takes off Events() is already in the view.
+// consumer later takes off Events() is already in the view. The pushes
+// that race a join's or resume's response wait for it, parked: they are
+// changes against the presentation it carries (settleLocked).
 
 // View returns a copy of the latest presentation for this user: the
 // session's own maps change in place with every pushed presentation.
@@ -50,21 +51,20 @@ func (s *Session) ApplyEvent(ev room.Event) {
 // stream has a gap to fill from History — and, for a presentation, its
 // change, applied to the session's maps in place.
 //
-// A change made against the empty view (Base 0) is the whole view. It
-// crosses the wire as a run like any other; an event that never did (the
-// only in-process caller left is the benchmark's probe, besides tests)
-// carries it as the new view's maps, the sender's own, which are copied
-// in. A change with a Base has no such form: made in the room, it must go
-// through the codec to get its run.
+// A change made against the empty view (Base 0) is the whole view: a
+// member's first presentation, which its join or resume response carries,
+// or the one the server makes when it shed a presentation from the
+// member's queue. It crosses the wire as a run like any other; an event
+// that never did (the only in-process caller left is the benchmark's
+// probe, besides tests) carries it as the new view's maps, the sender's
+// own, which are copied in. A change with a Base has no such form: made in
+// the room, it must go through the codec to get its run.
 //
-// A change made against a view the session does not hold is refused. The
-// session holds a view under no id after a join or a resume, whose
-// response carries one; the member the server made for it holds nothing,
-// so a whole presentation is on its way and a change that arrives before
-// it is a straggler from the member this connection was before. Otherwise
-// a presentation went missing between the room's queue and this session,
-// which flags it: the server sheds only with a whole presentation to
-// follow, and nothing here sheds before folding.
+// A change made against a view the session does not hold is refused and
+// flags the session: a presentation went missing between the room's queue
+// and this session. Stragglers from a connection this one replaced never
+// get here — they are older than the presentation the new connection's
+// response carried, and the arrived gate passes them over.
 func (s *Session) foldLocked(ev *room.Event) {
 	if ev.Resync {
 		s.resync = true
@@ -73,9 +73,7 @@ func (s *Session) foldLocked(ev *room.Event) {
 		return
 	}
 	if ev.Base != 0 && ev.Base != s.viewID {
-		if s.viewID != 0 {
-			s.resync = true
-		}
+		s.resync = true
 		return
 	}
 	if s.view.Outcome == nil {
@@ -89,23 +87,11 @@ func (s *Session) foldLocked(ev *room.Event) {
 		clear(s.view.Visible)
 		maps.Copy(s.view.Outcome, ev.Outcome)
 		maps.Copy(s.view.Visible, ev.Visible)
-		s.whole = true
 	}
 	s.viewID = ev.View
 	for _, c := range ev.Changes {
 		c.Apply(s.view.Outcome, s.view.Visible)
 	}
-}
-
-// adoptViewLocked installs the view a join or resume response carried,
-// under no id — unless a whole presentation arrived since the request went
-// out: the server pushes to the member it made before it answers, so that
-// presentation is the newer of the two.
-func (s *Session) adoptViewLocked(outcome cpnet.Outcome, visible map[string]bool) {
-	if s.whole {
-		return
-	}
-	s.view, s.viewID = document.View{Outcome: outcome, Visible: visible}, 0
 }
 
 // NeedsResync reports whether the server signalled that this session's

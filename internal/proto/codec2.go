@@ -231,10 +231,9 @@ func (r *JoinRoomResp) AppendBody(e *wire.BodyEnc) {
 	for i := range r.History {
 		r.History[i].AppendBody(e)
 	}
-	room.AppendView(e, r.Outcome, r.Visible)
+	r.View.AppendBody(e)
 	e.Bool(r.Resumed)
 	e.Bool(r.Complete)
-	e.Uvarint(r.LastSeq)
 }
 
 // DecodeBody implements wire.BodyDecoder.
@@ -244,10 +243,11 @@ func (r *JoinRoomResp) DecodeBody(d *wire.Dec) error {
 	if r.History, err = decodeEvents(d); err != nil {
 		return err
 	}
-	r.Outcome, r.Visible = room.DecodeView(d)
+	if err := r.View.DecodeBody(d); err != nil {
+		return err
+	}
 	r.Resumed = d.Bool()
 	r.Complete = d.Bool()
-	r.LastSeq = d.Uvarint()
 	return d.Err()
 }
 

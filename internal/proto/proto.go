@@ -8,7 +8,6 @@ package proto
 import (
 	"time"
 
-	"mmconf/internal/cpnet"
 	"mmconf/internal/media/voice"
 	"mmconf/internal/room"
 	"mmconf/internal/wire"
@@ -162,21 +161,20 @@ type JoinRoomReq struct {
 }
 
 // JoinRoomResp carries the document, the catch-up history, and the
-// member's initial presentation. Resumed reports that a detached session
-// was revived (History then holds only the missed events, and DocData is
-// empty unless the replay is incomplete); Complete reports that History
-// covers everything after SinceSeq. LastSeq is the room's current event
-// sequence, letting a client that fell back to a fresh join reset its
-// delivery gate.
+// member's first presentation: View is an EvPresentation made against the
+// empty view, under the id the member then holds, so every presentation
+// pushed to it afterwards is a change against that id. Its Seq is newer
+// than any the room issued before it. Resumed reports that a detached
+// session was revived (History then holds only the missed events, and
+// DocData is empty unless the replay is incomplete); Complete reports that
+// History covers everything after SinceSeq.
 type JoinRoomResp struct {
 	DocData []byte
 	History []room.Event
-	Outcome cpnet.Outcome
-	Visible map[string]bool
+	View    room.Event
 
 	Resumed  bool
 	Complete bool
-	LastSeq  uint64
 }
 
 // MemberReq is the body of the requests that name only the room and the

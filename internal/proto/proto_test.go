@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"mmconf/internal/cpnet"
 	"mmconf/internal/media/voice"
 	"mmconf/internal/room"
 	"mmconf/internal/wire"
@@ -44,43 +43,53 @@ func check[T any, P interface {
 	}
 }
 
-// TestEveryMethodHasCodecs pairs every registered method with its
-// request and response type: each must carry a codec (the compiler
-// checks that — the table would not build otherwise) whose empty value
-// round-trips, and no registered method may be missing from the table.
+// bodyPair is one method's request and response body, as empty values.
+type bodyPair struct{ req, resp body }
+
+// methodBodies pairs every registered method with its request and
+// response type (the compiler checks each carries a codec — the table
+// would not build otherwise). TestEveryMethodHasCodecs holds it against
+// the registry and FuzzBodyCodecs feeds every body in it.
+var methodBodies = map[string]bodyPair{
+	MListDocuments:    {&ListDocumentsReq{}, &ListDocumentsResp{}},
+	MGetDocument:      {&GetDocumentReq{}, &GetDocumentResp{}},
+	MGetImage:         {&GetImageReq{}, &GetImageResp{}},
+	MGetAudio:         {&GetAudioReq{}, &GetAudioResp{}},
+	MGetCmp:           {&GetCmpReq{}, &GetCmpResp{}},
+	MPutImageTexts:    {&PutImageTextsReq{}, &wire.None{}},
+	MJoinRoom:         {&JoinRoomReq{}, &JoinRoomResp{}},
+	MLeaveRoom:        {&LeaveRoomReq{}, &wire.None{}},
+	MChoice:           {&ChoiceReq{}, &wire.None{}},
+	MOperation:        {&OperationReq{}, &OperationResp{}},
+	MAnnotate:         {&AnnotateReq{}, &AnnotateResp{}},
+	MDeleteAnnotation: {&DeleteAnnotationReq{}, &wire.None{}},
+	MFreeze:           {&FreezeReq{}, &wire.None{}},
+	MRelease:          {&ReleaseReq{}, &wire.None{}},
+	MShareSearch:      {&ShareSearchReq{}, &wire.None{}},
+	MChat:             {&ChatReq{}, &wire.None{}},
+	MHistory:          {&HistoryReq{}, &HistoryResp{}},
+	MBroadcastStart:   {&BroadcastReq{}, &wire.None{}},
+	MBroadcastStop:    {&BroadcastReq{}, &wire.None{}},
+	MSaveMinutes:      {&SaveMinutesReq{}, &SaveMinutesResp{}},
+	MStats:            {&StatsReq{}, &StatsResp{}},
+	MTraces:           {&TracesReq{}, &TracesResp{}},
+	MEvent:            {&room.Event{}, &wire.None{}},   // push: the body travels server → client
+	MPrefetchPush:     {&PrefetchPush{}, &wire.None{}}, // push
+	MNodePing:         {&NodePingReq{}, &NodePingResp{}},
+	MNodeIngress:      {&NodeIngressReq{}, &wire.None{}},
+	MNodeReplicate:    {&ReplicateReq{}, &ReplicateResp{}},
+	MNodeFetchChunks:  {&FetchChunksReq{}, &FetchChunksResp{}},
+}
+
+// freshBody returns a new empty value of b's type.
+func freshBody(b body) body {
+	return reflect.New(reflect.TypeOf(b).Elem()).Interface().(body)
+}
+
+// TestEveryMethodHasCodecs: every body of methodBodies round-trips its
+// empty value, and no registered method may be missing from the table.
 func TestEveryMethodHasCodecs(t *testing.T) {
-	type pair struct{ req, resp body }
-	none := func() body { return &wire.None{} }
-	methods := map[string]pair{
-		MListDocuments:    {&ListDocumentsReq{}, &ListDocumentsResp{}},
-		MGetDocument:      {&GetDocumentReq{}, &GetDocumentResp{}},
-		MGetImage:         {&GetImageReq{}, &GetImageResp{}},
-		MGetAudio:         {&GetAudioReq{}, &GetAudioResp{}},
-		MGetCmp:           {&GetCmpReq{}, &GetCmpResp{}},
-		MPutImageTexts:    {&PutImageTextsReq{}, none()},
-		MJoinRoom:         {&JoinRoomReq{}, &JoinRoomResp{}},
-		MLeaveRoom:        {&LeaveRoomReq{}, none()},
-		MChoice:           {&ChoiceReq{}, none()},
-		MOperation:        {&OperationReq{}, &OperationResp{}},
-		MAnnotate:         {&AnnotateReq{}, &AnnotateResp{}},
-		MDeleteAnnotation: {&DeleteAnnotationReq{}, none()},
-		MFreeze:           {&FreezeReq{}, none()},
-		MRelease:          {&ReleaseReq{}, none()},
-		MShareSearch:      {&ShareSearchReq{}, none()},
-		MChat:             {&ChatReq{}, none()},
-		MHistory:          {&HistoryReq{}, &HistoryResp{}},
-		MBroadcastStart:   {&BroadcastReq{}, none()},
-		MBroadcastStop:    {&BroadcastReq{}, none()},
-		MSaveMinutes:      {&SaveMinutesReq{}, &SaveMinutesResp{}},
-		MStats:            {&StatsReq{}, &StatsResp{}},
-		MTraces:           {&TracesReq{}, &TracesResp{}},
-		MEvent:            {&room.Event{}, none()},   // push: the body travels server → client
-		MPrefetchPush:     {&PrefetchPush{}, none()}, // push
-		MNodePing:         {&NodePingReq{}, &NodePingResp{}},
-		MNodeIngress:      {&NodeIngressReq{}, none()},
-		MNodeReplicate:    {&ReplicateReq{}, &ReplicateResp{}},
-		MNodeFetchChunks:  {&FetchChunksReq{}, &FetchChunksResp{}},
-	}
+	methods := methodBodies
 	for _, codes := range []map[uint16]string{clientMethodCodes, nodeMethodCodes} {
 		for code, m := range codes {
 			if _, ok := methods[m]; !ok {
@@ -90,8 +99,7 @@ func TestEveryMethodHasCodecs(t *testing.T) {
 	}
 	for m, p := range methods {
 		for _, b := range []body{p.req, p.resp} {
-			fresh := reflect.New(reflect.TypeOf(b).Elem()).Interface().(body)
-			if err := wire.DecodeBodyBytes(wire.MarshalBody(b), fresh); err != nil {
+			if err := wire.DecodeBodyBytes(wire.MarshalBody(b), freshBody(b)); err != nil {
 				t.Errorf("%s: %T: %v", m, b, err)
 			}
 		}
@@ -135,9 +143,9 @@ func TestRequestRoundTrips(t *testing.T) {
 }
 
 // TestJoinRoomRoundTripsResumeFields pins the session-resume protocol:
-// the request's Resume/SinceSeq and the response's
-// Resumed/Complete/LastSeq must survive the wire exactly — a silently
-// dropped Resume flag would turn every reconnect into a fresh join.
+// the request's Resume/SinceSeq and the response's Resumed/Complete and
+// first presentation must survive the wire exactly — a silently dropped
+// Resume flag would turn every reconnect into a fresh join.
 func TestJoinRoomRoundTripsResumeFields(t *testing.T) {
 	req := JoinRoomReq{
 		Room: "consult", DocID: "patient-001", User: "alice",
@@ -152,13 +160,16 @@ func TestJoinRoomRoundTripsResumeFields(t *testing.T) {
 	resp := JoinRoomResp{
 		DocData: []byte{1, 2, 3},
 		History: []room.Event{{Seq: 5, Room: "consult", Actor: "bob", Variable: "ct", Value: "lo"}},
-		Outcome: cpnet.Outcome{"ct": "hi"},
-		Visible: map[string]bool{"ct": true},
-		Resumed: true, Complete: true, LastSeq: 9,
+		View: room.Event{Seq: 9, Room: "consult", Actor: "alice", Kind: room.EvPresentation, View: 4,
+			Changes: []room.ViewChange{{Tag: room.ChangeSet, Name: "ct", Value: "hi"}, {Tag: room.ChangeShow, Name: "ct"}}},
+		Resumed: true, Complete: true,
 	}
 	got2 := roundTrip(t, &resp)
-	if !got2.Resumed || !got2.Complete || got2.LastSeq != 9 {
+	if !got2.Resumed || !got2.Complete {
 		t.Fatalf("resume fields lost: %+v", got2)
+	}
+	if got2.View.Seq != 9 || got2.View.View != 4 || len(got2.View.Changes) != 2 {
+		t.Fatalf("the first presentation lost: %+v", got2.View)
 	}
 	check(t, &resp)
 }

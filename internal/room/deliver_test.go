@@ -184,18 +184,22 @@ func TestEncodeSharedPerMemberEvents(t *testing.T) {
 		t.Error("the two members' payloads differ")
 	}
 
-	// A joiner holds nothing: it is due the same view as the others (one
-	// id) but from the empty one, so its whole view is its own event.
-	c, _, _, err := r.Join(ctx, "carol")
+	// A joiner holds the whole view its join returned: it is due the same
+	// view as the others (one id) but from another, so its change against
+	// the returned view is its own event.
+	c, _, joined, err := r.Join(ctx, "carol")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if joined.Kind != EvPresentation || joined.Base != 0 || joined.View == 0 {
+		t.Fatalf("the join returned %v, base %d, view %d: not a whole view under an id", joined.Kind, joined.Base, joined.View)
 	}
 	pa, pb, pc := presentation(a), presentation(b), presentation(c)
 	if pa.shared != pb.shared || pa.Seq != pb.Seq {
 		t.Error("the two standing members stopped sharing when a third joined")
 	}
-	if pc.Base != 0 || pc.Seq == pa.Seq || pc.shared == pa.shared {
-		t.Errorf("the joiner's presentation: base %d, seq %d (others %d)", pc.Base, pc.Seq, pa.Seq)
+	if pc.Base != joined.View || pc.Seq == pa.Seq || pc.shared == pa.shared {
+		t.Errorf("the joiner's presentation: base %d (the join returned view %d), seq %d (others %d)", pc.Base, joined.View, pc.Seq, pa.Seq)
 	}
 	if pc.View != pa.View {
 		t.Errorf("one view under two ids: %d for the joiner, %d for the others", pc.View, pa.View)
@@ -206,7 +210,7 @@ func TestEncodeSharedPerMemberEvents(t *testing.T) {
 	}
 	pa, pb, pc = presentation(a), presentation(b), presentation(c)
 	if pa.shared != pc.shared || pb.shared != pc.shared || pc.shared == nil {
-		t.Error("a member that reached the view by a whole presentation does not share the next change")
+		t.Error("a member that reached the view by its join's does not share the next change")
 	}
 
 	// A presentation for one member alone has no shared slot: every

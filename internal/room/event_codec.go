@@ -1,7 +1,6 @@
 package room
 
 import (
-	"mmconf/internal/cpnet"
 	"mmconf/internal/media/image"
 	"mmconf/internal/media/voice"
 	"mmconf/internal/wire"
@@ -66,43 +65,6 @@ func (ev *Event) DecodeBody(d *wire.Dec) error {
 	ev.Resync = d.Bool()
 	ev.shared, ev.heldOutcome, ev.heldVisible, ev.changeBytes = nil, nil, nil, 0
 	return d.Err()
-}
-
-// AppendView writes a whole view — the CP-net outcome and the component
-// visibility map — as two count-prefixed key/value runs. Its one caller
-// is proto.JoinRoomResp, which hands a joiner the view it starts from; a
-// pushed presentation is a change (viewchange.go).
-func AppendView(e *wire.BodyEnc, outcome cpnet.Outcome, visible map[string]bool) {
-	e.Uvarint(uint64(len(outcome)))
-	for k, v := range outcome {
-		e.String(k)
-		e.String(v)
-	}
-	e.Uvarint(uint64(len(visible)))
-	for k, v := range visible {
-		e.String(k)
-		e.Bool(v)
-	}
-}
-
-// DecodeView reads what AppendView wrote; empty maps decode as nil. A
-// failure latches in d.
-func DecodeView(d *wire.Dec) (outcome cpnet.Outcome, visible map[string]bool) {
-	if n := d.Count(); n > 0 && d.Err() == nil {
-		outcome = make(cpnet.Outcome, min(n, 4096))
-		for i := uint64(0); i < n && d.Err() == nil; i++ {
-			k := d.String()
-			outcome[k] = d.String()
-		}
-	}
-	if n := d.Count(); n > 0 && d.Err() == nil {
-		visible = make(map[string]bool, min(n, 4096))
-		for i := uint64(0); i < n && d.Err() == nil; i++ {
-			k := d.String()
-			visible[k] = d.Bool()
-		}
-	}
-	return outcome, visible
 }
 
 // AppendHits writes a count-prefixed run of search hits (shared with

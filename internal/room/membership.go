@@ -7,7 +7,6 @@ import (
 	"sort"
 	"time"
 
-	"mmconf/internal/document"
 	"mmconf/internal/obs"
 )
 
@@ -31,20 +30,23 @@ func (r *Room) OnSessionExpire(fn func(user string)) {
 }
 
 // Join adds a member, replays the change buffer to them as a catch-up
-// snapshot, and announces the join to everyone. A cancelled ctx aborts
-// before any state changes — the request's client is already gone, so
-// admitting it would strand a membership nobody drains.
-func (r *Room) Join(ctx context.Context, name string) (*Member, []Event, document.View, error) {
+// snapshot, and announces the join to everyone. The member's first
+// presentation — its whole view, under an id it then holds — is returned,
+// not queued: the join's response carries it, and what is pushed next,
+// from the join's own reconfiguration on, is a change against it. A
+// cancelled ctx aborts before any state changes — the request's client is
+// already gone, so admitting it would strand a membership nobody drains.
+func (r *Room) Join(ctx context.Context, name string) (*Member, []Event, Event, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err := ctx.Err(); err != nil {
-		return nil, nil, document.View{}, fmt.Errorf("room %s: join %s: %w", r.Name, name, err)
+		return nil, nil, Event{}, fmt.Errorf("room %s: join %s: %w", r.Name, name, err)
 	}
 	if r.closed {
-		return nil, nil, document.View{}, fmt.Errorf("room %s: closed", r.Name)
+		return nil, nil, Event{}, fmt.Errorf("room %s: closed", r.Name)
 	}
 	if _, dup := r.members[name]; dup {
-		return nil, nil, document.View{}, fmt.Errorf("room %s: member %q already present", r.Name, name)
+		return nil, nil, Event{}, fmt.Errorf("room %s: member %q already present", r.Name, name)
 	}
 	// A fresh join supersedes any detached session under the same name:
 	// the old session leaves for real (its engine state and freezes are
@@ -54,20 +56,24 @@ func (r *Room) Join(ctx context.Context, name string) (*Member, []Event, documen
 		t.Stop()
 		delete(r.detached, name)
 		if err := r.removeLocked(name); err != nil {
-			return nil, nil, document.View{}, err
+			return nil, nil, Event{}, err
 		}
 	}
+	// During a broadcast this is the joiner's own view; the join's
+	// reconfiguration brings it to the presenter's.
 	view, err := r.engine.Join(name)
 	if err != nil {
-		return nil, nil, document.View{}, err
+		return nil, nil, Event{}, err
 	}
 	m := &Member{Name: name, room: r, ch: make(chan Event, memberQueueSize)}
 	r.members[name] = m
 	history := r.buf.since(0)
+	first := r.stampLocked(m, view)
+	m.held = viewRef{first.View, first.Outcome, first.Visible}
 	endPush := obs.StartSpan(ctx, "push")
 	r.broadcastLocked(Event{Room: r.Name, Actor: name, Kind: EvJoin}, true)
 	endPush()
-	return m, history, view, nil
+	return m, history, first, nil
 }
 
 // Leave removes a member, retracts their choices, and reconfigures the
@@ -173,29 +179,30 @@ func (r *Room) expireSession(name string) {
 
 // Resume revives a detached session: the member re-enters under its
 // retained engine state (choices, freezes, broadcast role untouched) and
-// receives exactly the buffered events with Seq greater than since.
-// complete reports whether that replay covers everything the member
-// missed — false when the change buffer was trimmed past since (or since
-// is from another room incarnation), in which case the client must treat
-// its local state as stale and do a full catch-up.
-func (r *Room) Resume(ctx context.Context, name string, since uint64) (*Member, []Event, document.View, bool, error) {
+// receives exactly the buffered events with Seq greater than since, and,
+// as Join does, its first presentation. complete reports whether that
+// replay covers everything the member missed — false when the change
+// buffer was trimmed past since (or since is from another room
+// incarnation), in which case the client must treat its local state as
+// stale and do a full catch-up.
+func (r *Room) Resume(ctx context.Context, name string, since uint64) (*Member, []Event, Event, bool, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err := ctx.Err(); err != nil {
-		return nil, nil, document.View{}, false, fmt.Errorf("room %s: resume %s: %w", r.Name, name, err)
+		return nil, nil, Event{}, false, fmt.Errorf("room %s: resume %s: %w", r.Name, name, err)
 	}
 	if r.closed {
-		return nil, nil, document.View{}, false, fmt.Errorf("room %s: closed", r.Name)
+		return nil, nil, Event{}, false, fmt.Errorf("room %s: closed", r.Name)
 	}
 	t, wasDetached := r.detached[name]
 	old, wasLive := r.members[name]
 	if !wasDetached && !wasLive {
-		return nil, nil, document.View{}, false, fmt.Errorf("room %s: resume %s: %w", r.Name, name, ErrNoSession)
+		return nil, nil, Event{}, false, fmt.Errorf("room %s: resume %s: %w", r.Name, name, ErrNoSession)
 	}
 	// During a broadcast the member mirrors the presenter, like everyone.
 	view, err := r.engine.ViewFor(r.viewerLocked(name))
 	if err != nil {
-		return nil, nil, document.View{}, false, err
+		return nil, nil, Event{}, false, err
 	}
 	if wasDetached {
 		t.Stop()
@@ -211,7 +218,14 @@ func (r *Room) Resume(ctx context.Context, name string, since uint64) (*Member, 
 	m := &Member{Name: name, room: r, ch: make(chan Event, memberQueueSize)}
 	r.members[name] = m
 	complete := since >= r.trimmed && since <= r.seq
-	return m, r.buf.since(since), view, complete, nil
+	// Stamped after the old stream ended: whatever it still had queued is
+	// older than the view the new member starts from.
+	first := r.stampLocked(m, view)
+	m.held = viewRef{first.View, first.Outcome, first.Visible}
+	if r.replicator != nil {
+		r.replicator() // seq-only advance: nothing buffered
+	}
+	return m, r.buf.since(since), first, complete, nil
 }
 
 // Detached lists the names of currently detached sessions, sorted.

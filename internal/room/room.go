@@ -76,7 +76,10 @@ type Event struct {
 	// EvPresentation: the change against the view the receiving member
 	// holds. Base is the id of the view the change is made against (0: the
 	// empty view, so the change is the whole view) and View the id of the
-	// view it leaves the member at. The change itself has one of two forms.
+	// view it leaves the member at. A member's first presentation is whole
+	// and crosses in the join or resume response, not its queue; every
+	// later one is made against the view it left. The change itself has one
+	// of two forms.
 	// Decoded, it is Changes, the run that crossed, and the maps are nil.
 	// Made and not yet encoded, Changes is nil and Outcome and Visible are
 	// the new view's maps — the engine's own, read-only; the run is what
@@ -182,10 +185,10 @@ type Member struct {
 	queuedBytes atomic.Int64
 	// held (guarded by room.mu) is the view this member holds once it has
 	// applied everything queued for it — what its next presentation is
-	// made against. Zero for a new member (a join, a resume and a live
-	// takeover each make one: the view they start from came in the
-	// JoinRoomResp, under no id) and after a presentation was shed from
-	// its queue, so the next one is whole.
+	// made against. A new member (a join, a resume and a live takeover
+	// each make one) holds the first presentation its response carried.
+	// Zero after a presentation was shed from its queue, so the next one
+	// is whole.
 	held viewRef
 	// notify (guarded by room.mu), when set, is told that Events has
 	// something new for its consumer: an event was enqueued, or the
@@ -463,19 +466,27 @@ func (r *Room) SetMemberEnvironment(name, variable, value string) (bool, error) 
 }
 
 // presentLocked pushes one member the presentation that takes it from the
-// view it holds to its current one, under a view id of its own. Callers
-// hold r.mu and tell the replicator.
+// view it holds to its current one. Callers hold r.mu and tell the
+// replicator.
 func (r *Room) presentLocked(m *Member) error {
 	v, err := r.engine.ViewFor(r.viewerLocked(m.Name))
 	if err != nil {
 		return err
 	}
+	r.deliverLocked(m, r.stampLocked(m, v))
+	return nil
+}
+
+// stampLocked makes the presentation that takes m from the view it holds
+// to v, under a Seq and a view id of its own. Callers hold r.mu. A join
+// or resume makes a new member's first this way and returns it for the
+// response to carry, not queued; held is set to it by hand.
+func (r *Room) stampLocked(m *Member, v document.View) Event {
 	r.seq++
 	r.viewSeq++
 	pe := Event{Seq: r.seq, Room: r.Name, Actor: m.Name, Kind: EvPresentation}
 	pe.setView(m.held, viewRef{r.viewSeq, v.Outcome, v.Visible})
-	r.deliverLocked(m, pe)
-	return nil
+	return pe
 }
 
 // Choice records a presentation choice and propagates it. A cancelled

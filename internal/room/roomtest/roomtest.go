@@ -12,7 +12,6 @@ import (
 
 	"mmconf/internal/client"
 	"mmconf/internal/core"
-	"mmconf/internal/document"
 	"mmconf/internal/room"
 	"mmconf/internal/wire"
 )
@@ -27,15 +26,24 @@ type Follower struct {
 	// Resync hints seen.
 	LastSeq uint64
 	Dropped int
+	// first is the id of the view the join or resume response carried,
+	// until the first presentation pushed after it is checked against it.
+	first uint64
 }
 
-// Follow starts following a member from the view its join or resume
-// returned, which the session takes over as a JoinRoomResp hands it: whole
-// and under no view id.
-func Follow(roomName string, m *room.Member, view document.View) *Follower {
+// Follow starts following a member from the first presentation its join
+// or resume returned, folded through the codec like any push.
+func Follow(roomName string, m *room.Member, first room.Event) (*Follower, error) {
 	f := &Follower{Member: m, Session: &client.Session{Room: roomName}}
-	f.Session.ApplyEvent(room.Event{Room: roomName, Kind: room.EvPresentation, Outcome: view.Outcome, Visible: view.Visible})
-	return f
+	if first.Kind != room.EvPresentation || first.Base != 0 || first.View == 0 {
+		return nil, fmt.Errorf("%s: a join or resume returned %v with base %d and view %d, not a whole view under an id", m.Name, first.Kind, first.Base, first.View)
+	}
+	data, _ := first.EncodeShared()
+	if err := f.take(data); err != nil {
+		return nil, err
+	}
+	f.first = first.View
+	return f, nil
 }
 
 // Encodes tells whether the push path encoded each presentation once per
@@ -89,28 +97,47 @@ func (f *Follower) Drain(enc *Encodes) (int, error) {
 			n++
 			f.Member.Consumed(ev)
 			data, encoded := ev.EncodeShared()
-			var out room.Event
-			d := wire.NewDec(data)
-			if err := out.DecodeBody(d); err != nil || d.Len() != 0 {
-				return n, fmt.Errorf("%s: event seq %d does not decode exactly: %v (%d bytes left)", f.Member.Name, ev.Seq, err, d.Len())
+			if err := f.take(data); err != nil {
+				return n, err
 			}
-			if out.Seq <= f.LastSeq {
-				return n, fmt.Errorf("%s: seq %d after seq %d", f.Member.Name, out.Seq, f.LastSeq)
+			if ev.Kind != room.EvPresentation {
+				continue
 			}
-			f.LastSeq = out.Seq
-			if out.Resync {
-				f.Dropped++
+			// The view the response carried is what the member holds: the
+			// first presentation after it is a change against it, not a
+			// second whole view — unless the queue shed it.
+			if f.first != 0 && f.Member.Drops() == 0 && ev.Base != f.first {
+				return n, fmt.Errorf("%s: first presentation after the join's (view %d) is made against view %d", f.Member.Name, f.first, ev.Base)
 			}
-			if out.Kind == room.EvPresentation && enc != nil {
-				if err := enc.note(&out, encoded); err != nil {
+			f.first = 0
+			if enc != nil {
+				if err := enc.note(&ev, encoded); err != nil {
 					return n, fmt.Errorf("%s: %w", f.Member.Name, err)
 				}
 			}
-			f.Session.ApplyEvent(out)
 		default:
 			return n, nil
 		}
 	}
+}
+
+// take decodes one event as the client's push handler does (exact
+// consumption, ascending Seq) and applies it to the session.
+func (f *Follower) take(data []byte) error {
+	var out room.Event
+	d := wire.NewDec(data)
+	if err := out.DecodeBody(d); err != nil || d.Len() != 0 {
+		return fmt.Errorf("%s: an event does not decode exactly: %v (%d bytes left)", f.Member.Name, err, d.Len())
+	}
+	if out.Seq <= f.LastSeq {
+		return fmt.Errorf("%s: seq %d after seq %d", f.Member.Name, out.Seq, f.LastSeq)
+	}
+	f.LastSeq = out.Seq
+	if out.Resync {
+		f.Dropped++
+	}
+	f.Session.ApplyEvent(out)
+	return nil
 }
 
 // CheckView holds a session's view against a fresh read of the engine

@@ -26,8 +26,11 @@ const walkSeeds = 40
 // budget). After every step every draining member's session — fed by its
 // queue through the real codec — equals engine.ViewFor (the presenter's
 // during a broadcast), and every presentation was encoded once per
-// (view held, new view) class. A member that shed presentations equals it
-// again once it drains, with the room quiet.
+// (view held, new view) class. A member that joins or resumes starts from
+// the whole view its response carried, and the first presentation pushed
+// to it after that is a change against that view's id, never whole again
+// unless its queue shed it. A member that shed presentations equals the
+// engine again once it drains, with the room quiet.
 //
 // A failure names its seed. FuzzPushedViews walks any other seed: the
 // nightly fuzz job gives it a minute, and
@@ -107,12 +110,24 @@ func (w *walker) settle() {
 // resume drains nothing: it makes the follower a resumed connection
 // would be, from the view Resume returned.
 func (w *walker) resume(name string) {
-	m, _, view, _, err := w.r.Resume(context.Background(), name, 0)
+	m, _, first, _, err := w.r.Resume(context.Background(), name, 0)
 	if err != nil {
 		w.fatalf("resume %s: %v", name, err)
 	}
-	w.live[name] = roomtest.Follow(w.r.Name, m, view)
+	w.follow(m, first)
 	delete(w.stalled, name)
+}
+
+// follow makes the follower a connection would be, from the first
+// presentation a join or resume returned. Its drains then check that the
+// first presentation pushed after it is made against it.
+func (w *walker) follow(m *room.Member, first room.Event) {
+	w.t.Helper()
+	f, err := roomtest.Follow(w.r.Name, m, first)
+	if err != nil {
+		w.fatalf("%v", err)
+	}
+	w.live[m.Name] = f
 }
 
 // walk runs one seed and returns how many Resync hints members that had
@@ -165,11 +180,11 @@ func walk(t *testing.T, seed int64) (shed int) {
 			if w.live[name] != nil {
 				continue
 			}
-			m, _, view, err := r.Join(ctx, name)
+			m, _, first, err := r.Join(ctx, name)
 			if err != nil {
 				w.fatalf("%v", err)
 			}
-			w.live[name] = roomtest.Follow(r.Name, m, view) // supersedes a detached session of that name
+			w.follow(m, first) // supersedes a detached session of that name
 			delete(w.private, name)
 		case k == 1: // leave
 			name := w.pick(in)

@@ -451,7 +451,7 @@ func BenchmarkE10ResumeVsRejoin(b *testing.B) {
 			b.Fatal(err)
 		}
 		seed.Close()
-		since := resp.LastSeq
+		since := resp.View.Seq
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			c, err := wire.Dial(addr)

@@ -127,14 +127,25 @@ func sessionsOf(p *wire.Peer) *peerSessions {
 	return p.MetaSetDefault("sessions", &peerSessions{rooms: make(map[string]*membership)}).(*peerSessions)
 }
 
-func (ps *peerSessions) add(mb *membership) (dup bool) {
+// reserve takes the connection's slot for a room before the room is
+// touched, so a connection that already holds it is refused (nil) with the
+// room unchanged. The slot carries no member until bind.
+func (ps *peerSessions) reserve(room, user string) *membership {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	if _, dup := ps.rooms[mb.room]; dup {
-		return true
+	if _, dup := ps.rooms[room]; dup {
+		return nil
 	}
-	ps.rooms[mb.room] = mb
-	return false
+	mb := &membership{room: room, user: user}
+	ps.rooms[room] = mb
+	return mb
+}
+
+// bind fills a reserved slot with the member the room admitted.
+func (ps *peerSessions) bind(mb *membership, member *room.Member) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	mb.member = member
 }
 
 func (ps *peerSessions) lookup(room string) (*membership, bool) {
@@ -150,12 +161,16 @@ func (ps *peerSessions) drop(room string) {
 	delete(ps.rooms, room)
 }
 
-func (ps *peerSessions) snapshot() []*membership {
+// snapshot copies the bound memberships; a slot whose join is still in
+// flight has no member yet and is left out.
+func (ps *peerSessions) snapshot() []membership {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	out := make([]*membership, 0, len(ps.rooms))
+	out := make([]membership, 0, len(ps.rooms))
 	for _, mb := range ps.rooms {
-		out = append(out, mb)
+		if mb.member != nil {
+			out = append(out, *mb)
+		}
 	}
 	return out
 }
@@ -168,10 +183,15 @@ func (s *Server) handleJoinRoom(ctx context.Context, p *wire.Peer, req *proto.Jo
 	if err != nil {
 		return nil, err
 	}
+	sessions := sessionsOf(p)
+	mb := sessions.reserve(req.Room, req.User)
+	if mb == nil {
+		return nil, fmt.Errorf("server: this connection already joined room %q", req.Room)
+	}
 	var (
 		member   *room.Member
 		history  []room.Event
-		view     document.View
+		view     room.Event
 		resumed  bool
 		complete = true
 	)
@@ -189,28 +209,20 @@ func (s *Server) handleJoinRoom(ctx context.Context, p *wire.Peer, req *proto.Jo
 			// the room, just without replay continuity.
 			s.stats.Add(CounterReconnectRejoins, 1)
 		default:
+			sessions.drop(req.Room)
 			return nil, rerr
 		}
 	}
 	if member == nil {
 		member, history, view, err = rs.room.Join(ctx, req.User)
 		if err != nil {
+			sessions.drop(req.Room)
 			return nil, err
 		}
 	}
-	sessions := sessionsOf(p)
-	mb := &membership{room: req.Room, user: req.User, member: member}
-	if sessions.add(mb) {
-		_ = rs.room.Leave(req.User)
-		return nil, fmt.Errorf("server: this connection already joined room %q", req.Room)
-	}
+	sessions.bind(mb, member)
 	s.attachMember(p, sessions, rs, member)
-	resp := &proto.JoinRoomResp{
-		History: history,
-		Outcome: view.Outcome, Visible: view.Visible,
-		Resumed: resumed, Complete: complete,
-		LastSeq: rs.room.Seq(),
-	}
+	resp := &proto.JoinRoomResp{History: history, View: view, Resumed: resumed, Complete: complete}
 	// A complete resume needs no document: the client's copy is still
 	// current and the missed events carry every change. Fresh joins and
 	// gappy resumes get the full snapshot.
