@@ -124,10 +124,7 @@ func TestDatasetFrameRoundTrip(t *testing.T) {
 		if err := wire.DecodeBodyBytes(wire.MarshalBody(sent), &req); err != nil {
 			t.Fatalf("seed %d: frame does not decode: %v", seed, err)
 		}
-		ds := &mediadb.Dataset{DocID: req.DocID}
-		for _, r := range req.Rows {
-			ds.Rows = append(ds.Rows, mediadb.DatasetRow{Table: r.Table, ID: r.ID, Row: r.Cells})
-		}
+		ds := &mediadb.Dataset{DocID: req.DocID, Rows: req.Rows}
 		ensures := 0
 		ensure := func(h blob.Handle) error {
 			ensures++

@@ -95,10 +95,7 @@ func (n *Node) attachDataset(req *proto.ReplicateReq, st *repState, force bool, 
 // rows and manifests only, never payload bytes, so a forced resend of an
 // unchanged room costs one manifest-sized frame and zero chunks.
 func (n *Node) datasetFrame(ds *mediadb.Dataset) (*proto.ReplicateReq, error) {
-	f := &proto.ReplicateReq{DocID: ds.DocID, Node: n.id, Rows: make([]proto.SyncRow, len(ds.Rows))}
-	for i, r := range ds.Rows {
-		f.Rows[i] = proto.SyncRow{Table: r.Table, ID: r.ID, Cells: r.Row}
-	}
+	f := &proto.ReplicateReq{DocID: ds.DocID, Node: n.id, Rows: ds.Rows}
 	for _, h := range ds.Handles() {
 		chunks, err := n.db.DB().BlobManifest(h)
 		if err != nil {
@@ -121,10 +118,7 @@ func (n *Node) adoptDataset(ctx context.Context, req *proto.ReplicateReq) error 
 	for i := range req.Manifests {
 		manifests[req.Manifests[i].Digest] = &req.Manifests[i]
 	}
-	ds := &mediadb.Dataset{DocID: req.DocID, Rows: make([]mediadb.DatasetRow, len(req.Rows))}
-	for i, r := range req.Rows {
-		ds.Rows[i] = mediadb.DatasetRow{Table: r.Table, ID: r.ID, Row: r.Cells}
-	}
+	ds := &mediadb.Dataset{DocID: req.DocID, Rows: req.Rows}
 
 	var chunksPulled, bytesPulled int64
 	ensure := func(h blob.Handle) error {

@@ -22,11 +22,13 @@
 // The package also provides the online-update operations of §4.2 of the
 // paper (adding/removing components, deriving operation variables such as
 // "segmented view of image ci"), per-viewer overlay networks, dominance
-// testing through improving-flip search, and text/gob serialization.
+// testing through improving-flip search, and text/binary serialization.
 package cpnet
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -287,17 +289,23 @@ func (n *Network) ctxKeyFromAssign(nd *node, assign []uint8) uint64 {
 }
 
 // rowCount returns the number of CPT rows variable i must define: the
-// product of its parents' domain sizes.
+// product of its parents' domain sizes, or MaxUint64 when that product
+// does not fit (no CPT can be that complete).
 func (n *Network) rowCount(i int) uint64 {
 	count := uint64(1)
 	for _, pi := range n.nodes[i].parents {
-		count *= uint64(len(n.nodes[pi].v.Domain))
+		hi, lo := bits.Mul64(count, uint64(len(n.nodes[pi].v.Domain)))
+		if hi != 0 {
+			return math.MaxUint64
+		}
+		count = lo
 	}
 	return count
 }
 
 // Validate checks that the network is a DAG and that every variable has a
-// complete CPT: one total order per parent assignment.
+// complete CPT: one total order per parent assignment, keyed inside the
+// parents' assignment space.
 func (n *Network) Validate() error {
 	if len(n.nodes) == 0 {
 		return fmt.Errorf("cpnet: empty network")
@@ -309,6 +317,11 @@ func (n *Network) Validate() error {
 		want := n.rowCount(i)
 		if got := uint64(len(nd.cpt)); got != want {
 			return fmt.Errorf("cpnet: variable %q has %d of %d CPT rows", nd.v.Name, got, want)
+		}
+		for k := range nd.cpt {
+			if k >= want {
+				return fmt.Errorf("cpnet: variable %q has a CPT row for key %d of %d", nd.v.Name, k, want)
+			}
 		}
 	}
 	return nil

@@ -3,17 +3,19 @@ package cpnet
 import (
 	"bufio"
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
+
+	"mmconf/internal/wire"
 )
 
 // The on-disk / on-wire forms of a network. The text form is the authoring
-// format (what the document author writes); the gob form is what the store
-// persists alongside the multimedia components and what the interaction
-// server ships to clients.
+// format (what the document author writes); the binary form is what the
+// store persists inside a document and what the interaction server ships
+// to clients.
 //
 // Text grammar, one statement per line ('#' starts a comment):
 //
@@ -23,99 +25,124 @@ import (
 //
 // The context bracket is omitted for parentless variables.
 
-// snapshot is the gob-serializable flattened form of a Network.
-type snapshot struct {
-	Vars    []Variable
-	Parents [][]int
-	CPTKeys [][]uint64
-	CPTRows [][][]uint8
-}
-
-func (n *Network) snapshot() snapshot {
-	s := snapshot{
-		Vars:    n.Variables(),
-		Parents: make([][]int, len(n.nodes)),
-		CPTKeys: make([][]uint64, len(n.nodes)),
-		CPTRows: make([][][]uint8, len(n.nodes)),
+// AppendBody writes the network's binary form: a variable count, then
+// per variable its name, domain and parent indices, then per variable
+// its CPT as (parent-assignment key, preference order) rows in key order.
+func (n *Network) AppendBody(e *wire.BodyEnc) {
+	e.Uvarint(uint64(len(n.nodes)))
+	for _, nd := range n.nodes {
+		e.String(nd.v.Name)
+		e.Uvarint(uint64(len(nd.v.Domain)))
+		for _, val := range nd.v.Domain {
+			e.String(val)
+		}
+		e.Uvarint(uint64(len(nd.parents)))
+		for _, p := range nd.parents {
+			e.Uvarint(uint64(p))
+		}
 	}
-	for i, nd := range n.nodes {
-		s.Parents[i] = append([]int(nil), nd.parents...)
+	for _, nd := range n.nodes {
 		keys := make([]uint64, 0, len(nd.cpt))
 		for k := range nd.cpt {
 			keys = append(keys, k)
 		}
-		sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-		s.CPTKeys[i] = keys
-		rows := make([][]uint8, len(keys))
-		for j, k := range keys {
-			rows[j] = append([]uint8(nil), nd.cpt[k]...)
+		slices.Sort(keys)
+		e.Uvarint(uint64(len(keys)))
+		for _, k := range keys {
+			e.Uvarint(k)
+			e.Bytes(nd.cpt[k])
 		}
-		s.CPTRows[i] = rows
 	}
-	return s
 }
 
-func fromSnapshot(s snapshot) (*Network, error) {
-	n := New()
-	for _, v := range s.Vars {
-		if err := n.AddVariable(v.Name, v.Domain); err != nil {
-			return nil, err
+// DecodeBody reads a network AppendBody wrote into n, which must be
+// empty (fresh from New). It refuses what the constructors would: a bad
+// variable or domain, a parent out of range, repeated, or closing a
+// cycle, a CPT key outside the parents' assignment space, a repeated
+// key, or a row that is not a permutation of the domain. A CPT may be
+// incomplete; Validate says whether it is.
+func (n *Network) DecodeBody(d *wire.Dec) error {
+	nv := d.Count()
+	for i := uint64(0); i < nv && d.Err() == nil; i++ {
+		name, size := d.String(), d.Count()
+		if size > MaxDomainSize {
+			return fmt.Errorf("cpnet: variable %q domain size %d exceeds %d", name, size, MaxDomainSize)
 		}
-	}
-	if len(s.Parents) != len(s.Vars) || len(s.CPTKeys) != len(s.Vars) || len(s.CPTRows) != len(s.Vars) {
-		return nil, fmt.Errorf("cpnet: malformed snapshot")
-	}
-	for i := range s.Vars {
-		for _, p := range s.Parents[i] {
-			if p < 0 || p >= len(s.Vars) {
-				return nil, fmt.Errorf("cpnet: snapshot parent index %d out of range", p)
+		domain := make([]string, 0, size)
+		for j := uint64(0); j < size && d.Err() == nil; j++ {
+			domain = append(domain, d.String())
+		}
+		if d.Err() != nil {
+			break
+		}
+		if err := n.AddVariable(name, domain); err != nil {
+			return err
+		}
+		nd := n.nodes[i]
+		for j := d.Count(); j > 0 && d.Err() == nil; j-- {
+			p := d.Uvarint()
+			if p >= nv || slices.Contains(nd.parents, int(p)) {
+				return fmt.Errorf("cpnet: %q names parent %d of %d variables twice or out of range", name, p, nv)
 			}
+			nd.parents = append(nd.parents, int(p))
 		}
-		n.nodes[i].parents = append([]int(nil), s.Parents[i]...)
+	}
+	if d.Err() != nil {
+		return d.Err()
 	}
 	n.invalidate()
 	if _, err := n.topoOrder(); err != nil {
-		return nil, err
+		return err
 	}
-	for i := range s.Vars {
-		if len(s.CPTKeys[i]) != len(s.CPTRows[i]) {
-			return nil, fmt.Errorf("cpnet: snapshot CPT shape mismatch for %q", s.Vars[i].Name)
-		}
-		nd := n.nodes[i]
-		for j, k := range s.CPTKeys[i] {
-			row := s.CPTRows[i][j]
-			if len(row) != len(nd.v.Domain) {
-				return nil, fmt.Errorf("cpnet: snapshot CPT row size mismatch for %q", nd.v.Name)
+	for i, nd := range n.nodes {
+		rows := n.rowCount(i)
+		for j := d.Count(); j > 0 && d.Err() == nil; j-- {
+			k, row := d.Uvarint(), d.Bytes()
+			if d.Err() != nil {
+				break
 			}
-			seen := make(map[uint8]bool)
-			for _, v := range row {
-				if int(v) >= len(nd.v.Domain) || seen[v] {
-					return nil, fmt.Errorf("cpnet: snapshot CPT row for %q is not a permutation", nd.v.Name)
-				}
-				seen[v] = true
+			if k >= rows {
+				return fmt.Errorf("cpnet: CPT key %d of %q is outside its %d parent assignments", k, nd.v.Name, rows)
 			}
-			nd.cpt[k] = append([]uint8(nil), row...)
+			if _, dup := nd.cpt[k]; dup {
+				return fmt.Errorf("cpnet: CPT of %q repeats key %d", nd.v.Name, k)
+			}
+			if !isPermutation(row, len(nd.v.Domain)) {
+				return fmt.Errorf("cpnet: CPT row for %q is not a permutation of its domain", nd.v.Name)
+			}
+			nd.cpt[k] = bytes.Clone(row)
 		}
 	}
-	return n, nil
+	return d.Err()
 }
 
-// MarshalBinary encodes the network with encoding/gob.
-func (n *Network) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(n.snapshot()); err != nil {
-		return nil, fmt.Errorf("cpnet: encode: %w", err)
+// isPermutation reports whether row orders all of 0..size-1, each once.
+func isPermutation(row []uint8, size int) bool {
+	if len(row) != size {
+		return false
 	}
-	return buf.Bytes(), nil
+	var seen [MaxDomainSize]bool
+	for _, v := range row {
+		if int(v) >= size || seen[v] {
+			return false
+		}
+		seen[v] = true
+	}
+	return true
+}
+
+// MarshalBinary encodes the network in its binary form (AppendBody).
+func (n *Network) MarshalBinary() ([]byte, error) {
+	return wire.MarshalBody(n), nil
 }
 
 // UnmarshalNetwork decodes a network previously encoded by MarshalBinary.
 func UnmarshalNetwork(data []byte) (*Network, error) {
-	var s snapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&s); err != nil {
+	n := New()
+	if err := wire.DecodeBodyBytes(data, n); err != nil {
 		return nil, fmt.Errorf("cpnet: decode: %w", err)
 	}
-	return fromSnapshot(s)
+	return n, nil
 }
 
 // WriteText renders the network in the authoring text format.

@@ -1,11 +1,12 @@
 package cpnet
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
 
-func TestGobRoundTrip(t *testing.T) {
+func TestBinaryRoundTrip(t *testing.T) {
 	n := fig2Network(t)
 	data, err := n.MarshalBinary()
 	if err != nil {
@@ -29,12 +30,79 @@ func TestGobRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalGarbage(t *testing.T) {
-	if _, err := UnmarshalNetwork([]byte("not gob at all")); err == nil {
+	if _, err := UnmarshalNetwork([]byte("not a network at all")); err == nil {
 		t.Fatal("garbage accepted")
 	}
 	if _, err := UnmarshalNetwork(nil); err == nil {
 		t.Fatal("empty input accepted")
 	}
+}
+
+// TestCPTKeyOutsideAssignmentSpace: a CPT row keyed past the product of
+// its parents' domains answers no parent assignment. Neither the decoder
+// nor Validate may accept it — every solve in the context it should
+// cover would fail with a missing row.
+func TestCPTKeyOutsideAssignmentSpace(t *testing.T) {
+	n := New()
+	for _, name := range []string{"a", "b"} {
+		if err := n.AddVariable(name, []string{"x", "y"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustSetParents(t, n, "b", "a")
+	mustPref(t, n, "a", nil, "x", "y")
+	mustPref(t, n, "b", Outcome{"a": "x"}, "x", "y")
+	mustPref(t, n, "b", Outcome{"a": "y"}, "y", "x")
+	if err := n.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	b := n.nodes[n.index["b"]]
+	b.cpt[7] = b.cpt[1]
+	delete(b.cpt, 1)
+	if err := n.Validate(); err == nil {
+		t.Error("Validate accepted a CPT keyed outside its parents' assignments")
+	}
+	data, err := n.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back, err := UnmarshalNetwork(data); err == nil {
+		t.Errorf("decoder accepted a CPT keyed outside its parents' assignments:\n%s", back.Text())
+	}
+}
+
+// FuzzNetworkDecode throws arbitrary bytes at the network decoder,
+// which reads every document the store or the server hands over. A body
+// that decodes must re-encode to bytes that decode to the same network;
+// one that also validates must solve.
+func FuzzNetworkDecode(f *testing.F) {
+	for _, n := range []*Network{fig2Network(f), New()} {
+		data, _ := n.MarshalBinary()
+		f.Add(data)
+	}
+	f.Add([]byte{1, 1, 'a', 1, 1, 'x', 1, 0, 1, 0, 1, 0})         // its own parent
+	f.Add([]byte{1, 1, 'a', 1, 1, 'x', 0, 1, 7, 1, 0})            // a key outside the space
+	f.Add([]byte{1, 1, 'a', 2, 1, 'x', 1, 'y', 0, 1, 0, 2, 0, 0}) // not a permutation
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, err := UnmarshalNetwork(data)
+		if err != nil {
+			return
+		}
+		out, _ := n.MarshalBinary()
+		back, err := UnmarshalNetwork(out)
+		if err != nil {
+			t.Fatalf("re-encoded network does not decode: %v", err)
+		}
+		if again, _ := back.MarshalBinary(); !bytes.Equal(again, out) {
+			t.Fatalf("re-encode is not a fixed point:\n%s\nvs\n%s", n.Text(), back.Text())
+		}
+		if n.Validate() == nil {
+			if _, err := n.OptimalOutcome(); err != nil {
+				t.Fatalf("a valid network does not solve: %v\n%s", err, n.Text())
+			}
+		}
+	})
 }
 
 func TestTextRoundTrip(t *testing.T) {

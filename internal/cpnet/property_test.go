@@ -254,7 +254,7 @@ func TestQuickEncodeRoundTrips(t *testing.T) {
 			return false
 		}
 		if back.Text() != n.Text() {
-			t.Logf("seed %d: gob round trip drift", seed)
+			t.Logf("seed %d: binary round trip drift", seed)
 			return false
 		}
 		parsed, err := ParseText(strings.NewReader(n.Text()))

@@ -14,12 +14,12 @@ package document
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 	"strings"
 
 	"mmconf/internal/cpnet"
+	"mmconf/internal/wire"
 )
 
 // MediaKind classifies how a presentation alternative renders. These are
@@ -384,49 +384,96 @@ func (d *Document) TransferBytes(v View) int64 {
 	return total
 }
 
-// gobDocument is the serializable form (cpnet.Network is flattened).
-type gobDocument struct {
-	ID    string
-	Title string
-	Root  *Component
-	Prefs []byte
+// AppendBody writes the document's binary form — what the store persists
+// and the interaction server ships at every join: ID, title, the
+// component tree in pre-order, then the preference network.
+func (d *Document) AppendBody(e *wire.BodyEnc) {
+	e.String(d.ID)
+	e.String(d.Title)
+	appendComponent(e, d.Root)
+	d.Prefs.AppendBody(e)
+}
+
+func appendComponent(e *wire.BodyEnc, c *Component) {
+	e.String(c.Name)
+	e.String(c.Label)
+	e.Uvarint(uint64(len(c.Presentations)))
+	for _, p := range c.Presentations {
+		e.String(p.Name)
+		e.Varint(int64(p.Kind))
+		e.Uvarint(p.ObjectID)
+		e.Bytes(p.Inline)
+		e.Varint(p.Bytes)
+	}
+	e.Uvarint(uint64(len(c.Children)))
+	for _, ch := range c.Children {
+		appendComponent(e, ch)
+	}
+}
+
+// maxDepth bounds the component tree a decoder reads, far past any
+// authored document: the decoder recurses once per level, and a stack
+// overflow kills the process where no recover can catch it.
+const maxDepth = 256
+
+func decodeComponent(d *wire.Dec, depth int) (*Component, error) {
+	if depth > maxDepth {
+		return nil, fmt.Errorf("document: component tree deeper than %d", maxDepth)
+	}
+	c := &Component{Name: d.String(), Label: d.String()}
+	if n := d.Count(); n > 0 {
+		c.Presentations = make([]Presentation, 0, min(n, 64))
+		for i := uint64(0); i < n && d.Err() == nil; i++ {
+			c.Presentations = append(c.Presentations, Presentation{
+				Name:     d.String(),
+				Kind:     MediaKind(d.Varint()),
+				ObjectID: d.Uvarint(),
+				Inline:   bytes.Clone(d.Bytes()),
+				Bytes:    d.Varint(),
+			})
+		}
+	}
+	if n := d.Count(); n > 0 {
+		c.Children = make([]*Component, 0, min(n, 64))
+		for i := uint64(0); i < n && d.Err() == nil; i++ {
+			ch, err := decodeComponent(d, depth+1)
+			if err != nil {
+				return nil, err
+			}
+			c.Children = append(c.Children, ch)
+		}
+	}
+	return c, d.Err()
 }
 
 // MarshalBinary encodes the document (structure + preference network).
 func (d *Document) MarshalBinary() ([]byte, error) {
-	prefs, err := d.Prefs.MarshalBinary()
-	if err != nil {
-		return nil, fmt.Errorf("document %s: %w", d.ID, err)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(gobDocument{d.ID, d.Title, d.Root, prefs}); err != nil {
-		return nil, fmt.Errorf("document %s: encode: %w", d.ID, err)
-	}
-	return buf.Bytes(), nil
+	return wire.MarshalBody(d), nil
 }
 
-// Unmarshal decodes a document previously encoded with MarshalBinary.
+// Unmarshal decodes a document previously encoded with MarshalBinary and
+// holds it to New's structural checks and SetNetwork's agreement with
+// the network.
 func Unmarshal(data []byte) (*Document, error) {
-	var g gobDocument
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&g); err != nil {
+	d := wire.NewDec(data)
+	id, title := d.String(), d.String()
+	root, err := decodeComponent(d, 1)
+	if err != nil {
 		return nil, fmt.Errorf("document: decode: %w", err)
 	}
-	prefs, err := cpnet.UnmarshalNetwork(g.Prefs)
-	if err != nil {
-		return nil, fmt.Errorf("document %s: %w", g.ID, err)
+	prefs := cpnet.New()
+	if err := prefs.DecodeBody(d); err != nil {
+		return nil, fmt.Errorf("document: decode: %w", err)
 	}
-	d := &Document{ID: g.ID, Title: g.Title, Root: g.Root, Prefs: cpnet.New()}
-	if g.Root == nil {
-		return nil, fmt.Errorf("document %s: nil root", g.ID)
+	if d.Len() != 0 {
+		return nil, fmt.Errorf("document: decode: %d trailing bytes", d.Len())
 	}
-	d.Prefs = prefs
-	// Re-run the structural checks New performs plus network agreement.
-	tmp, err := New(g.ID, g.Title, g.Root)
+	doc, err := New(id, title, root)
 	if err != nil {
 		return nil, err
 	}
-	if err := tmp.SetNetwork(prefs); err != nil {
+	if err := doc.SetNetwork(prefs); err != nil {
 		return nil, err
 	}
-	return tmp, nil
+	return doc, nil
 }

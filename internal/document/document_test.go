@@ -1,10 +1,14 @@
 package document
 
 import (
+	"bytes"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"mmconf/internal/cpnet"
+	"mmconf/internal/wire"
 )
 
 // medicalRecord builds the running example of the paper: a patient file
@@ -321,6 +325,86 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if _, err := Unmarshal([]byte("junk")); err == nil {
 		t.Error("garbage accepted")
 	}
+	if !reflect.DeepEqual(back.Root, d.Root) {
+		t.Error("component tree drift")
+	}
+}
+
+// TestUnmarshalOwnsInline: a decoded document shares no memory with the
+// bytes it came from — the caller's buffer may be a pooled frame or a
+// cache entry that is reused.
+func TestUnmarshalOwnsInline(t *testing.T) {
+	data, _ := medicalRecord(t).MarshalBinary()
+	back, err := Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		data[i] = 0
+	}
+	labs, _ := back.Component("labs")
+	if p, _ := labs.Presentation("table"); string(p.Inline) != "WBC 7.2\nHGB 13.9" {
+		t.Errorf("inline payload follows the input buffer: %q", p.Inline)
+	}
+}
+
+// TestUnmarshalBoundsDepth: a component tree nested past maxDepth is
+// refused before the decoder's recursion can exhaust the stack.
+func TestUnmarshalBoundsDepth(t *testing.T) {
+	deep := func(levels int) []byte {
+		c := &Component{Name: "leaf", Presentations: []Presentation{{Name: "hidden"}}}
+		for i := 1; i < levels; i++ {
+			c = &Component{Name: "c" + strconv.Itoa(i), Children: []*Component{c}}
+		}
+		return wire.MarshalBody(bodyFunc(func(e *wire.BodyEnc) { appendComponent(e, c) }))
+	}
+	for _, tc := range []struct {
+		levels int
+		ok     bool
+	}{{maxDepth, true}, {maxDepth + 1, false}} {
+		_, err := decodeComponent(wire.NewDec(deep(tc.levels)), 1)
+		if (err == nil) != tc.ok {
+			t.Errorf("%d levels: err = %v, want ok=%v", tc.levels, err, tc.ok)
+		}
+	}
+}
+
+// bodyFunc writes a body field by field.
+type bodyFunc func(e *wire.BodyEnc)
+
+func (f bodyFunc) AppendBody(e *wire.BodyEnc) { f(e) }
+
+// FuzzDocumentDecode throws arbitrary bytes at the document decoder: a
+// client decodes the document a join hands it, and the store decodes the
+// ones it holds. A body that decodes must re-encode to bytes that decode
+// to the same document, and its default view must solve.
+func FuzzDocumentDecode(f *testing.F) {
+	data, _ := medicalRecord(f).MarshalBinary()
+	f.Add(data)
+	small, err := New("d", "", &Component{Name: "c", Presentations: []Presentation{{Name: "text", Kind: KindText, Inline: []byte("x")}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	data, _ = small.MarshalBinary()
+	f.Add(data)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := Unmarshal(data)
+		if err != nil {
+			return
+		}
+		out, _ := d.MarshalBinary()
+		back, err := Unmarshal(out)
+		if err != nil {
+			t.Fatalf("re-encoded document does not decode: %v", err)
+		}
+		if again, _ := back.MarshalBinary(); !bytes.Equal(again, out) {
+			t.Fatal("re-encode is not a fixed point")
+		}
+		if _, err := d.DefaultPresentation(); err != nil {
+			t.Fatalf("a decoded document has no default view: %v", err)
+		}
+	})
 }
 
 func TestMediaKindString(t *testing.T) {

@@ -10,6 +10,7 @@ package proto
 import (
 	"maps"
 
+	"mmconf/internal/mediadb"
 	"mmconf/internal/room"
 	"mmconf/internal/wire"
 )
@@ -88,7 +89,7 @@ type ReplicateReq struct {
 	Events  []room.Event
 
 	Node      string
-	Rows      []SyncRow
+	Rows      []mediadb.DatasetRow
 	Manifests []BlobManifest
 }
 

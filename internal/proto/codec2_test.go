@@ -11,7 +11,9 @@ import (
 	"mmconf/internal/blob"
 	"mmconf/internal/media/image"
 	"mmconf/internal/media/voice"
+	"mmconf/internal/mediadb"
 	"mmconf/internal/room"
+	"mmconf/internal/store"
 	"mmconf/internal/wire"
 )
 
@@ -200,14 +202,14 @@ func codecCases() []codecCase {
 		{"None", &wire.None{}, &wire.None{}},
 		{"ReplicateReq/dataset", &ReplicateReq{
 			Room: "consult", DocID: "p1", Seq: 19, Trimmed: 2, Node: "n1",
-			Rows: []SyncRow{
-				{Table: "IMAGE_OBJECTS_TABLE", ID: 3, Cells: []any{
+			Rows: []mediadb.DatasetRow{
+				{Table: "IMAGE_OBJECTS_TABLE", ID: 3, Row: store.Row{
 					int64(2), "axial", 0.5, blob.Handle{Digest: blob.Digest{2, 2}, Length: 4096}}},
-				{Table: "AUDIO_OBJECTS_TABLE", ID: 7, Cells: []any{
+				{Table: "AUDIO_OBJECTS_TABLE", ID: 7, Row: store.Row{
 					"v.au", []byte{1, 2, 3}, blob.Handle{Digest: blob.Digest{3, 3}, Length: 900}}},
-				{Table: "CMP_OBJECTS_TABLE", ID: 9, Cells: []any{
+				{Table: "CMP_OBJECTS_TABLE", ID: 9, Row: store.Row{
 					"s.cmp", int64(65536), int64(-12), blob.Handle{}, blob.Handle{Digest: blob.Digest{5}, Length: 65536}}},
-				{Table: "DOCUMENT_OBJECTS_TABLE", Cells: []any{
+				{Table: "DOCUMENT_OBJECTS_TABLE", Row: store.Row{
 					"p1", "Case 1", blob.Handle{Digest: blob.Digest{1, 1, 1}, Length: 256}}},
 			},
 			Manifests: []BlobManifest{
@@ -234,7 +236,7 @@ func codecCases() []codecCase {
 // gob refuses to encode, is its own reference.
 func gobRoundTrip(t *testing.T, v any) any {
 	t.Helper()
-	// A SyncRow cell is an interface value; the other four cell types are
+	// A replicated row's cell is an interface value; the other four cell types are
 	// gob built-ins.
 	gob.Register(blob.Handle{})
 	out := reflect.New(reflect.TypeOf(v).Elem()).Interface()

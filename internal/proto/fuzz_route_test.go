@@ -5,7 +5,9 @@ import (
 
 	"mmconf/internal/blob"
 	"mmconf/internal/media/voice"
+	"mmconf/internal/mediadb"
 	"mmconf/internal/room"
+	"mmconf/internal/store"
 	"mmconf/internal/wire"
 )
 
@@ -32,7 +34,7 @@ func FuzzRouteFrame(f *testing.F) {
 		// A frame carrying a dataset: the document row and its manifest.
 		&ReplicateReq{
 			Room: "tumor-board", DocID: "patient-001", Seq: 20, Trimmed: 2, Node: "n1",
-			Rows: []SyncRow{{Table: "DOCUMENT_OBJECTS_TABLE", Cells: []any{
+			Rows: []mediadb.DatasetRow{{Table: "DOCUMENT_OBJECTS_TABLE", Row: store.Row{
 				"patient-001", "CT study", blob.Handle{Digest: blob.Digest{0xAA}, Length: 512}}}},
 			Manifests: []BlobManifest{{Digest: blob.Digest{0xAA}, Length: 512, Chunks: []blob.Digest{{0xAA}}}},
 		},

@@ -6,7 +6,17 @@ import (
 	"testing"
 
 	"mmconf/internal/blob"
+	"mmconf/internal/mediadb"
+	"mmconf/internal/store"
 	"mmconf/internal/wire"
+)
+
+// Cell tags as store.AppendRow writes them: an int64, a blob handle, and
+// what a cell of no store type becomes.
+const (
+	cellInt     byte = 0
+	cellBlob    byte = 4
+	cellInvalid byte = 0xFF
 )
 
 // bodyFunc writes a body field by field, for frames no encoder of this
@@ -56,13 +66,13 @@ func TestSyncFrameRefusals(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), hf.reason) {
 			t.Errorf("%s: decoded to %+v, error %v; want one naming %q", hf.name, req, err, hf.reason)
 		}
-		if len(req.Rows) > 0 && cap(req.Rows[0].Cells) > 64 {
-			t.Errorf("%s: %d cell slots allocated on the frame's say-so", hf.name, cap(req.Rows[0].Cells))
+		if len(req.Rows) > 0 && cap(req.Rows[0].Row) > 64 {
+			t.Errorf("%s: %d cell slots allocated on the frame's say-so", hf.name, cap(req.Rows[0].Row))
 		}
 	}
 	// A cell that is none of the store's five types has no tag: what the
 	// encoder writes for it, no decoder accepts.
-	data := wire.MarshalBody(&ReplicateReq{Rows: []SyncRow{{Table: "t", ID: 1, Cells: []any{int32(7)}}}})
+	data := wire.MarshalBody(&ReplicateReq{Rows: []mediadb.DatasetRow{{Table: "t", ID: 1, Row: store.Row{int32(7)}}}})
 	if err := wire.DecodeBodyBytes(data, new(ReplicateReq)); err == nil {
 		t.Errorf("a frame carrying an int32 cell decoded")
 	}
@@ -81,14 +91,14 @@ func FuzzReplicationFrame(f *testing.F) {
 		// handle included.
 		&ReplicateReq{
 			Room: "tumor-board", DocID: "patient-001", Seq: 19, Trimmed: 2, Node: "n1",
-			Rows: []SyncRow{
-				{Table: "IMAGE_OBJECTS_TABLE", ID: 3, Cells: []any{
+			Rows: []mediadb.DatasetRow{
+				{Table: "IMAGE_OBJECTS_TABLE", ID: 3, Row: store.Row{
 					int64(2), "lesion at L4", 0.5, blob.Handle{Digest: d2, Length: 65536}}},
-				{Table: "AUDIO_OBJECTS_TABLE", ID: 7, Cells: []any{
+				{Table: "AUDIO_OBJECTS_TABLE", ID: 7, Row: store.Row{
 					"note.wav", []byte{1, 2, 3}, blob.Handle{Digest: d3, Length: 9000}}},
-				{Table: "CMP_OBJECTS_TABLE", ID: 9, Cells: []any{
+				{Table: "CMP_OBJECTS_TABLE", ID: 9, Row: store.Row{
 					"scan.cmp", int64(65536), int64(-12), blob.Handle{}, blob.Handle{Digest: d2, Length: 65536}}},
-				{Table: "DOCUMENT_OBJECTS_TABLE", Cells: []any{
+				{Table: "DOCUMENT_OBJECTS_TABLE", Row: store.Row{
 					"patient-001", "CT study", blob.Handle{Digest: d1, Length: 512}}},
 			},
 			Manifests: []BlobManifest{

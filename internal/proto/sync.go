@@ -3,31 +3,22 @@
 // table rows, payload cells as blob handles, plus the chunk manifests
 // behind them in the room's replication frame (ReplicateReq, cluster.go);
 // the standby diffs the manifests against its own CAS and pulls only the
-// chunks it lacks (MNodeFetchChunks). Rows cross untyped: which cells a
-// table's rows take is its schema's to say, and that is spelled in
-// internal/mediadb alone.
+// chunks it lacks (MNodeFetchChunks). Rows cross as the store keeps them,
+// a mediadb.DatasetRow whose cells store.AppendRow writes — a payload as
+// its handle, never as bytes: which cells a table's rows take is its
+// schema's to say, and that is spelled in internal/mediadb alone.
 package proto
 
 import (
-	"fmt"
-
 	"mmconf/internal/blob"
+	"mmconf/internal/mediadb"
+	"mmconf/internal/store"
 	"mmconf/internal/wire"
 )
 
 // MNodeFetchChunks pulls a batch of CAS chunks by digest from the node
 // that advertised them (code 30, cluster.go).
 const MNodeFetchChunks = "node.fetchchunks"
-
-// SyncRow is one table row of a replicated dataset: the table it lives
-// in, its id there, and its cells in column order. A cell is an int64, a
-// float64, a string, a []byte or a blob.Handle — the store's five column
-// types. A payload travels as its handle, never as bytes.
-type SyncRow struct {
-	Table string
-	ID    uint64
-	Cells []any
-}
 
 // BlobManifest is one object's chunk recipe: the ordered chunk digests
 // whose concatenation hashes to Digest. The receiver diffs Chunks
@@ -51,60 +42,6 @@ type FetchChunksResp struct {
 }
 
 // --- binary codecs ---------------------------------------------------------
-
-// Cell tags: the dynamic type of one SyncRow cell. cellInvalid is what a
-// value of any other type encodes as; no decoder accepts it.
-const (
-	cellInt byte = iota
-	cellFloat
-	cellString
-	cellBytes
-	cellBlob
-	cellInvalid byte = 0xFF
-)
-
-func appendCell(e *wire.BodyEnc, c any) {
-	switch v := c.(type) {
-	case int64:
-		e.Byte(cellInt)
-		e.Varint(v)
-	case float64:
-		e.Byte(cellFloat)
-		e.F64(v)
-	case string:
-		e.Byte(cellString)
-		e.String(v)
-	case []byte:
-		e.Byte(cellBytes)
-		e.Bytes(v)
-	case blob.Handle:
-		e.Byte(cellBlob)
-		e.Fixed(v.Digest[:])
-		e.Uvarint(uint64(v.Length))
-	default:
-		e.Byte(cellInvalid)
-	}
-}
-
-func decodeCell(d *wire.Dec) (any, error) {
-	switch tag := d.Byte(); tag {
-	case cellInt:
-		return d.Varint(), nil
-	case cellFloat:
-		return d.F64(), nil
-	case cellString:
-		return d.String(), nil
-	case cellBytes:
-		return d.Bytes(), nil
-	case cellBlob:
-		var h blob.Handle
-		d.Fixed(h.Digest[:])
-		h.Length = uint32(d.Uvarint())
-		return h, nil
-	default:
-		return nil, fmt.Errorf("proto: sync row cell has unknown tag %d", tag)
-	}
-}
 
 // appendDigests writes a count and that many fixed-width digests: a
 // digest of any other length cannot be framed, so none is ever decoded.
@@ -130,37 +67,27 @@ func decodeDigests(d *wire.Dec) []blob.Digest {
 }
 
 // appendRows writes a dataset's rows: a count, then each row's table,
-// id and tagged cells.
-func appendRows(e *wire.BodyEnc, rows []SyncRow) {
+// id and cells.
+func appendRows(e *wire.BodyEnc, rows []mediadb.DatasetRow) {
 	e.Uvarint(uint64(len(rows)))
 	for i := range rows {
-		row := &rows[i]
-		e.String(row.Table)
-		e.Uvarint(row.ID)
-		e.Uvarint(uint64(len(row.Cells)))
-		for _, c := range row.Cells {
-			appendCell(e, c)
-		}
+		e.String(rows[i].Table)
+		e.Uvarint(rows[i].ID)
+		store.AppendRow(e, rows[i].Row)
 	}
 }
 
-func decodeRows(d *wire.Dec) ([]SyncRow, error) {
+func decodeRows(d *wire.Dec) ([]mediadb.DatasetRow, error) {
 	n := d.Count()
 	if n == 0 || d.Err() != nil {
 		return nil, d.Err()
 	}
-	rows := make([]SyncRow, 0, min(n, 4096))
+	rows := make([]mediadb.DatasetRow, 0, min(n, 4096))
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		row := SyncRow{Table: d.String(), ID: d.Uvarint()}
-		if k := d.Count(); k > 0 && d.Err() == nil {
-			row.Cells = make([]any, 0, min(k, 64))
-			for j := uint64(0); j < k && d.Err() == nil; j++ {
-				c, err := decodeCell(d)
-				if err != nil {
-					return nil, err
-				}
-				row.Cells = append(row.Cells, c)
-			}
+		row := mediadb.DatasetRow{Table: d.String(), ID: d.Uvarint()}
+		var err error
+		if row.Row, err = store.DecodeRow(d); err != nil {
+			return nil, err
 		}
 		rows = append(rows, row)
 	}

@@ -1,13 +1,13 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"mmconf/internal/wire"
 )
 
 // appendRawRecord writes one CRC-framed walRecord straight to the log
@@ -16,22 +16,22 @@ import (
 // made durable.
 func appendRawRecord(t *testing.T, dir string, rec walRecord) {
 	t.Helper()
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(rec); err != nil {
-		t.Fatal(err)
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(body.Len()))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(body.Bytes()))
-	f, err := os.OpenFile(filepath.Join(dir, walFile), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	appendRawFrame(t, dir, wire.MarshalBody(&rec))
+}
+
+// appendRawFrame writes body to the log file behind a valid frame
+// header, whatever body holds.
+func appendRawFrame(t *testing.T, dir string, body []byte) {
+	t.Helper()
+	var hdr [frameHeader]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(body))
+	f, err := os.OpenFile(filepath.Join(dir, walFile), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if _, err := f.Write(hdr[:]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(body.Bytes()); err != nil {
+	if _, err := f.Write(append(hdr[:], body...)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -59,9 +59,10 @@ func TestFailedApplyNeverReachesWAL(t *testing.T) {
 	// Each must fail validation and leave the WAL untouched.
 	db.mu.Lock()
 	doomed := []walRecord{
-		{Op: opInsert, Table: "t", ID: 1, Vals: []value{{Kind: TInt, I: 9}}},       // duplicate row id
+		{Op: opInsert, Table: "t", ID: 1, Vals: Row{int64(9)}},                     // duplicate row id
+		{Op: opInsert, Table: "t", ID: 2, Vals: Row{"nine"}},                       // cell of the wrong type
 		{Op: opInsert, Table: "missing", ID: 1},                                    // no such table
-		{Op: opUpdate, Table: "t", ID: 99, Vals: []value{{Kind: TInt}}},            // no such row
+		{Op: opUpdate, Table: "t", ID: 99, Vals: Row{int64(0)}},                    // no such row
 		{Op: opDelete, Table: "t", ID: 99},                                         // no such row
 		{Op: opCreateTable, Table: "t", Schema: []Column{{Name: "v", Type: TInt}}}, // duplicate table
 		{Op: opCreateIndex, Table: "t", Col: "nope"},                               // no such column
@@ -116,8 +117,8 @@ func TestPoisonedWALRecordSkippedOnOpen(t *testing.T) {
 
 	// A poisoned record (insert clashing with row id 1) followed by a
 	// perfectly good one.
-	appendRawRecord(t, dir, walRecord{Op: opInsert, Table: "t", ID: 1, Vals: []value{{Kind: TInt, I: 666}}})
-	appendRawRecord(t, dir, walRecord{Op: opInsert, Table: "t", ID: 2, Vals: []value{{Kind: TInt, I: 8}}})
+	appendRawRecord(t, dir, walRecord{Op: opInsert, Table: "t", ID: 1, Vals: Row{int64(666)}})
+	appendRawRecord(t, dir, walRecord{Op: opInsert, Table: "t", ID: 2, Vals: Row{int64(8)}})
 
 	db2, err := Open(dir, Options{Sync: SyncAlways})
 	if err != nil {

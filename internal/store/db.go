@@ -2,15 +2,15 @@ package store
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"mmconf/internal/blob"
+	"mmconf/internal/wire"
 )
 
 // Options configure a DB.
@@ -63,29 +63,37 @@ type DB struct {
 }
 
 const (
-	snapshotFile = "snapshot.gob"
+	snapshotFile = "snapshot"
 	walFile      = "wal.log"
 	casDir       = "cas"
+	// gobSnapshotFile is where the gob-era format kept its snapshot.
+	gobSnapshotFile = "snapshot.gob"
 )
 
-// Open opens (or creates) a database in dir.
+// snapshotHeader opens every snapshot: the file's magic and format
+// version (see walHeader).
+const snapshotHeader = "mmconf snapshot 2\n"
+
+// Open opens (or creates) a database in dir. It refuses a directory
+// holding files of an older format — the gob-era snapshot.gob, or a WAL
+// without its header — naming the file and leaving it untouched.
 func Open(dir string, opts Options) (*DB, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: mkdir %s: %w", dir, err)
+	}
+	old := filepath.Join(dir, gobSnapshotFile)
+	if _, err := os.Stat(old); err == nil {
+		return nil, fmt.Errorf("store: %s is a gob-era snapshot; this release does not read it and leaves it untouched", old)
 	}
 	db := &DB{dir: dir, opts: opts, state: make(map[string]*table)}
 	if err := db.loadSnapshot(); err != nil {
 		return nil, err
 	}
-	skipped, err := replayWAL(filepath.Join(dir, walFile), db.apply)
+	w, skipped, err := openWAL(filepath.Join(dir, walFile), opts.Sync, opts.GroupSize, db.apply)
 	if err != nil {
 		return nil, err
 	}
 	db.replaySkipped = skipped
-	w, err := openWAL(filepath.Join(dir, walFile), opts.Sync, opts.GroupSize)
-	if err != nil {
-		return nil, err
-	}
 	db.wal = w
 	bs, err := blob.Open(filepath.Join(dir, casDir), opts.Blob)
 	if err != nil {
@@ -114,8 +122,8 @@ func (db *DB) blobRefCountsLocked() map[blob.Digest]int64 {
 			if col.Type != TBlob {
 				continue
 			}
-			for _, vals := range tb.rows {
-				if h := vals[ci].H; !h.IsZero() {
+			for _, row := range tb.rows {
+				if h := row[ci].(blob.Handle); !h.IsZero() {
 					counts[h.Digest]++
 				}
 			}
@@ -188,9 +196,7 @@ func (db *DB) logAndApply(rec walRecord) error {
 	if err := db.wal.append(rec); err != nil {
 		return err
 	}
-	if err := db.apply(rec); err != nil {
-		return err
-	}
+	db.applyValid(rec)
 	db.pos.Add(1)
 	return nil
 }
@@ -208,39 +214,39 @@ func (db *DB) logAndApply(rec walRecord) error {
 // Unlike WALStats this is a cursor, not a statistic: it is never reset.
 func (db *DB) Position() uint64 { return db.pos.Load() }
 
-// validateLocked checks that apply(rec) will succeed against the current
-// state, mutating nothing. It mirrors apply's error paths exactly (plus
-// a dry run of the index maintenance) so the WAL only ever holds
-// records that fold cleanly. Caller holds db.mu.
+// validateLocked checks that rec applies to the current state, mutating
+// nothing: the table and row it names exist (or, for a create, do not),
+// a schema is well formed, every cell of a row fits its column's type,
+// and an index is on an indexable column it does not already cover. The
+// WAL only ever holds records that pass it, and replay applies no record
+// that fails it. Caller holds db.mu.
 func (db *DB) validateLocked(rec walRecord) error {
-	switch rec.Op {
-	case opCreateTable:
+	if rec.Op == opCreateTable {
 		if _, dup := db.state[rec.Table]; dup {
 			return fmt.Errorf("store: table %q already exists", rec.Table)
 		}
-		_, err := newTable(rec.Table, rec.Schema)
-		return err
-	case opDropTable:
-		_, err := db.tableLocked(rec.Table)
-		return err
+		return checkSchema(rec.Table, rec.Schema)
 	}
 	tb, err := db.tableLocked(rec.Table)
 	if err != nil {
 		return err
 	}
+	_, exists := tb.rows[rec.ID]
 	switch rec.Op {
+	case opDropTable:
+		return nil
 	case opInsert:
-		if _, dup := tb.rows[rec.ID]; dup {
+		if exists {
 			return fmt.Errorf("store: table %q: duplicate row id %d", rec.Table, rec.ID)
 		}
-		return tb.validateRow(rec.Vals)
+		return checkRow(tb.schema, rec.Vals)
 	case opUpdate:
-		if _, ok := tb.rows[rec.ID]; !ok {
+		if !exists {
 			return fmt.Errorf("store: table %q: no row %d", rec.Table, rec.ID)
 		}
-		return tb.validateRow(rec.Vals)
+		return checkRow(tb.schema, rec.Vals)
 	case opDelete:
-		if _, ok := tb.rows[rec.ID]; !ok {
+		if !exists {
 			return fmt.Errorf("store: table %q: no row %d", rec.Table, rec.ID)
 		}
 		return nil
@@ -251,55 +257,41 @@ func (db *DB) validateLocked(rec walRecord) error {
 	}
 }
 
-// apply folds one WAL record into the in-memory state. It must stay a
-// pure function of (state, record) so recovery replays deterministically.
+// apply folds one WAL record into the in-memory state if validateLocked
+// accepts it, and changes nothing otherwise. It must stay a pure
+// function of (state, record) so recovery replays deterministically.
 func (db *DB) apply(rec walRecord) error {
-	switch rec.Op {
-	case opCreateTable:
-		if _, dup := db.state[rec.Table]; dup {
-			return fmt.Errorf("store: table %q already exists", rec.Table)
-		}
-		tb, err := newTable(rec.Table, rec.Schema)
-		if err != nil {
-			return err
-		}
-		db.state[rec.Table] = tb
-		return nil
-	case opDropTable:
-		if _, ok := db.state[rec.Table]; !ok {
-			return fmt.Errorf("store: no table %q", rec.Table)
-		}
-		delete(db.state, rec.Table)
-		return nil
-	}
-	tb, err := db.tableLocked(rec.Table)
-	if err != nil {
+	if err := db.validateLocked(rec); err != nil {
 		return err
 	}
+	db.applyValid(rec)
+	return nil
+}
+
+// applyValid folds a record validateLocked has accepted.
+func (db *DB) applyValid(rec walRecord) {
 	switch rec.Op {
+	case opCreateTable:
+		tb := newTable(rec.Table, rec.Schema)
+		tb.nextID = max(tb.nextID, rec.ID)
+		db.state[rec.Table] = tb
+	case opDropTable:
+		delete(db.state, rec.Table)
 	case opInsert:
-		return tb.insert(rec.ID, rec.Vals)
+		db.state[rec.Table].insert(rec.ID, rec.Vals)
 	case opUpdate:
-		return tb.update(rec.ID, rec.Vals)
+		db.state[rec.Table].update(rec.ID, rec.Vals)
 	case opDelete:
-		return tb.delete(rec.ID)
+		db.state[rec.Table].delete(rec.ID)
 	case opCreateIndex:
-		return tb.createIndex(rec.Col)
-	default:
-		return fmt.Errorf("store: unknown wal op %d", rec.Op)
+		db.state[rec.Table].createIndex(rec.Col)
 	}
 }
 
 // CreateTable creates a new relation.
 func (db *DB) CreateTable(name string, schema []Column) (*Table, error) {
-	if _, err := newTable(name, schema); err != nil {
-		return nil, err // validate before logging
-	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if _, dup := db.state[name]; dup {
-		return nil, fmt.Errorf("store: table %q already exists", name)
-	}
 	if err := db.logAndApply(walRecord{Op: opCreateTable, Table: name, Schema: schema}); err != nil {
 		return nil, err
 	}
@@ -312,9 +304,6 @@ func (db *DB) CreateTable(name string, schema []Column) (*Table, error) {
 func (db *DB) DropTable(name string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if _, ok := db.state[name]; !ok {
-		return fmt.Errorf("store: no table %q", name)
-	}
 	return db.logAndApply(walRecord{Op: opDropTable, Table: name})
 }
 
@@ -340,12 +329,17 @@ func (db *DB) HasTable(name string) bool {
 func (db *DB) Tables() []string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	names := make([]string, 0, len(db.state))
-	for n := range db.state {
-		names = append(names, n)
+	return sortedKeys(db.state)
+}
+
+// sortedKeys lists a map's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Strings(names)
-	return names
+	slices.Sort(keys)
+	return keys
 }
 
 // PutBlob stores a payload in the content-addressed store and returns
@@ -432,31 +426,21 @@ func (db *DB) WALStats() (appends, syncs int64) {
 }
 
 // ReplaySkipped reports how many WAL records the last Open skipped
-// because they no longer applied (see replayWAL). Zero in normal
-// operation.
+// because they did not decode or no longer applied (see replay). Zero
+// in normal operation.
 func (db *DB) ReplaySkipped() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.replaySkipped
 }
 
-// snapshot is the gob form of the full relational state.
-type dbSnapshot struct {
-	Tables []tableSnapshot
-}
-
-type tableSnapshot struct {
-	Name    string
-	Schema  []Column
-	NextID  uint64
-	IDs     []uint64
-	Rows    [][]value
-	Indexes []string
-}
-
 // Checkpoint writes the current state as a snapshot and truncates the WAL.
 // The snapshot goes through a temp file and atomic rename, so a crash
 // mid-checkpoint recovers from the previous snapshot plus the intact WAL.
+//
+// A snapshot is snapshotHeader, then the WAL records (unframed) that
+// rebuild the state: per table in name order, its creation carrying its
+// next id, its rows in id order, then its indexes.
 func (db *DB) Checkpoint() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -464,36 +448,20 @@ func (db *DB) Checkpoint() error {
 }
 
 func (db *DB) checkpointLocked() error {
-	var snap dbSnapshot
-	names := make([]string, 0, len(db.state))
-	for n := range db.state {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		tb := db.state[n]
-		ts := tableSnapshot{Name: n, Schema: tb.schema, NextID: tb.nextID}
-		ids := make([]uint64, 0, len(tb.rows))
-		for id := range tb.rows {
-			ids = append(ids, id)
+	var e wire.BodyEnc
+	e.Fixed([]byte(snapshotHeader))
+	for _, name := range sortedKeys(db.state) {
+		tb := db.state[name]
+		(&walRecord{Op: opCreateTable, Table: name, Schema: tb.schema, ID: tb.nextID}).AppendBody(&e)
+		for _, id := range tb.sortedIDs() {
+			(&walRecord{Op: opInsert, Table: name, ID: id, Vals: tb.rows[id]}).AppendBody(&e)
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			ts.IDs = append(ts.IDs, id)
-			ts.Rows = append(ts.Rows, tb.rows[id])
+		for _, col := range sortedKeys(tb.indexes) {
+			(&walRecord{Op: opCreateIndex, Table: name, Col: col}).AppendBody(&e)
 		}
-		for col := range tb.indexes {
-			ts.Indexes = append(ts.Indexes, col)
-		}
-		sort.Strings(ts.Indexes)
-		snap.Tables = append(snap.Tables, ts)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		return fmt.Errorf("store: snapshot encode: %w", err)
 	}
 	tmp := filepath.Join(db.dir, snapshotFile+".tmp")
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(tmp, e.Flatten(), 0o644); err != nil {
 		return fmt.Errorf("store: snapshot write: %w", err)
 	}
 	f, err := os.Open(tmp)
@@ -556,39 +524,30 @@ func (db *DB) CompactBlobs() (reclaimed int64, err error) {
 	return db.blobs.Compact()
 }
 
-// loadSnapshot restores state from the snapshot file, if present.
+// loadSnapshot restores state from the snapshot file, if present. Its
+// records go through apply, so a snapshot is held to the checks a WAL
+// record is; unlike a WAL record, one that fails them fails the Open.
 func (db *DB) loadSnapshot() error {
-	data, err := os.ReadFile(filepath.Join(db.dir, snapshotFile))
+	path := filepath.Join(db.dir, snapshotFile)
+	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("store: read snapshot: %w", err)
 	}
-	var snap dbSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return fmt.Errorf("store: decode snapshot: %w", err)
+	if !bytes.HasPrefix(data, []byte(snapshotHeader)) {
+		return fmt.Errorf("store: %s is not a version-2 snapshot; this release does not read it and leaves it untouched", path)
 	}
-	for _, ts := range snap.Tables {
-		tb, err := newTable(ts.Name, ts.Schema)
+	for d := wire.NewDec(data[len(snapshotHeader):]); d.Len() > 0; {
+		var rec walRecord
+		err := rec.DecodeBody(d)
+		if err == nil {
+			err = db.apply(rec)
+		}
 		if err != nil {
-			return err
+			return fmt.Errorf("store: snapshot %s: %w", path, err)
 		}
-		if len(ts.IDs) != len(ts.Rows) {
-			return fmt.Errorf("store: snapshot table %q shape mismatch", ts.Name)
-		}
-		for i, id := range ts.IDs {
-			if err := tb.insert(id, ts.Rows[i]); err != nil {
-				return err
-			}
-		}
-		tb.nextID = ts.NextID
-		for _, col := range ts.Indexes {
-			if err := tb.createIndex(col); err != nil {
-				return err
-			}
-		}
-		db.state[ts.Name] = tb
 	}
 	return nil
 }

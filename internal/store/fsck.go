@@ -68,8 +68,8 @@ func (db *DB) FsckBlobs() (FsckReport, error) {
 			if col.Type != TBlob {
 				continue
 			}
-			for _, vals := range tb.rows {
-				h := vals[ci].H
+			for _, row := range tb.rows {
+				h := row[ci].(blob.Handle)
 				if h.IsZero() || verified[h.Digest] {
 					continue
 				}

@@ -122,9 +122,9 @@ func TestPositionIgnoresRejectedRecords(t *testing.T) {
 	}
 	db.mu.Lock()
 	for _, rec := range []walRecord{
-		{Op: opInsert, Table: "t", ID: 1, Vals: []value{{Kind: TInt, I: 9}}},
+		{Op: opInsert, Table: "t", ID: 1, Vals: Row{int64(9)}},
 		{Op: opInsert, Table: "missing", ID: 1},
-		{Op: opUpdate, Table: "t", ID: 99, Vals: []value{{Kind: TInt}}},
+		{Op: opUpdate, Table: "t", ID: 99, Vals: Row{int64(0)}},
 		{Op: opDelete, Table: "t", ID: 99},
 		{Op: opCreateTable, Table: "t", Schema: []Column{{Name: "v", Type: TInt}}},
 		{Op: opCreateIndex, Table: "t", Col: "nope"},

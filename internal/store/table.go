@@ -2,129 +2,115 @@ package store
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // table is the in-memory state of one relation. All access is mediated by
-// the owning DB's lock.
+// the owning DB's lock. A stored row is never written to again: an update
+// replaces it whole, so a displaced row belongs to whoever took it out.
 type table struct {
 	name    string
 	schema  []Column
 	colIdx  map[string]int
 	nextID  uint64
-	rows    map[uint64][]value
+	rows    map[uint64]Row
 	indexes map[string]map[string][]uint64 // column -> key -> sorted row ids
 }
 
-func newTable(name string, schema []Column) (*table, error) {
+// checkSchema reports whether a table named name may have schema.
+func checkSchema(name string, schema []Column) error {
 	if name == "" {
-		return nil, fmt.Errorf("store: empty table name")
+		return fmt.Errorf("store: empty table name")
 	}
 	if len(schema) == 0 {
-		return nil, fmt.Errorf("store: table %q has no columns", name)
+		return fmt.Errorf("store: table %q has no columns", name)
 	}
+	seen := make(map[string]bool, len(schema))
+	for _, c := range schema {
+		if c.Name == "" {
+			return fmt.Errorf("store: table %q has a column with empty name", name)
+		}
+		if seen[c.Name] {
+			return fmt.Errorf("store: table %q repeats column %q", name, c.Name)
+		}
+		if c.Type > TBlob {
+			return fmt.Errorf("store: table %q column %q has unknown type %v", name, c.Name, c.Type)
+		}
+		seen[c.Name] = true
+	}
+	return nil
+}
+
+// newTable builds an empty relation over a schema checkSchema accepted.
+func newTable(name string, schema []Column) *table {
 	ci := make(map[string]int, len(schema))
 	for i, c := range schema {
-		if c.Name == "" {
-			return nil, fmt.Errorf("store: table %q has a column with empty name", name)
-		}
-		if _, dup := ci[c.Name]; dup {
-			return nil, fmt.Errorf("store: table %q repeats column %q", name, c.Name)
-		}
 		ci[c.Name] = i
 	}
 	return &table{
 		name:    name,
-		schema:  schema,
+		schema:  slices.Clone(schema),
 		colIdx:  ci,
 		nextID:  1,
-		rows:    make(map[uint64][]value),
+		rows:    make(map[uint64]Row),
 		indexes: make(map[string]map[string][]uint64),
-	}, nil
+	}
 }
 
-// insert places vals under id, maintaining indexes. Caller assigns id.
-func (t *table) insert(id uint64, vals []value) error {
-	if _, dup := t.rows[id]; dup {
-		return fmt.Errorf("store: table %q: duplicate row id %d", t.name, id)
-	}
-	t.rows[id] = vals
+// The mutators below apply a change DB.validateLocked has accepted and
+// cannot fail.
+
+// insert places a copy of row under id, maintaining indexes.
+func (t *table) insert(id uint64, row Row) {
+	row = ownRow(row)
+	t.rows[id] = row
 	if id >= t.nextID {
 		t.nextID = id + 1
 	}
-	return t.indexRow(id, vals, true)
+	t.indexRow(id, row, true)
 }
 
-func (t *table) update(id uint64, vals []value) error {
-	old, ok := t.rows[id]
-	if !ok {
-		return fmt.Errorf("store: table %q: no row %d", t.name, id)
-	}
-	if err := t.indexRow(id, old, false); err != nil {
-		return err
-	}
-	t.rows[id] = vals
-	return t.indexRow(id, vals, true)
+func (t *table) update(id uint64, row Row) {
+	t.indexRow(id, t.rows[id], false)
+	row = ownRow(row)
+	t.rows[id] = row
+	t.indexRow(id, row, true)
 }
 
-func (t *table) delete(id uint64) error {
-	old, ok := t.rows[id]
-	if !ok {
-		return fmt.Errorf("store: table %q: no row %d", t.name, id)
-	}
-	if err := t.indexRow(id, old, false); err != nil {
-		return err
-	}
+func (t *table) delete(id uint64) {
+	t.indexRow(id, t.rows[id], false)
 	delete(t.rows, id)
-	return nil
 }
 
 // indexRow adds or removes one row from every secondary index.
-func (t *table) indexRow(id uint64, vals []value, add bool) error {
+func (t *table) indexRow(id uint64, row Row, add bool) {
 	for col, idx := range t.indexes {
-		ci := t.colIdx[col]
-		key, err := indexKey(vals[ci])
-		if err != nil {
-			return err
-		}
+		key := indexKey(row[t.colIdx[col]])
 		if add {
-			ids := idx[key]
-			pos := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-			ids = append(ids, 0)
-			copy(ids[pos+1:], ids[pos:])
-			ids[pos] = id
-			idx[key] = ids
-		} else {
-			ids := idx[key]
-			pos := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-			if pos < len(ids) && ids[pos] == id {
-				idx[key] = append(ids[:pos], ids[pos+1:]...)
-				if len(idx[key]) == 0 {
-					delete(idx, key)
-				}
+			addToIndex(idx, key, id)
+			continue
+		}
+		ids := idx[key]
+		if pos, ok := slices.BinarySearch(ids, id); ok {
+			if ids = slices.Delete(ids, pos, pos+1); len(ids) == 0 {
+				delete(idx, key)
+			} else {
+				idx[key] = ids
 			}
 		}
 	}
-	return nil
 }
 
-// validateRow dry-runs the index maintenance an insert/update of vals
-// would do, mutating nothing (see DB.validateLocked).
-func (t *table) validateRow(vals []value) error {
-	if len(vals) != len(t.schema) {
-		return fmt.Errorf("store: table %q: row has %d values, schema has %d columns",
-			t.name, len(vals), len(t.schema))
-	}
-	for col := range t.indexes {
-		if _, err := indexKey(vals[t.colIdx[col]]); err != nil {
-			return err
-		}
-	}
-	return nil
+// addToIndex files id under key, keeping the id list sorted.
+func addToIndex(idx map[string][]uint64, key string, id uint64) {
+	ids := idx[key]
+	pos, _ := slices.BinarySearch(ids, id)
+	idx[key] = slices.Insert(ids, pos, id)
 }
 
-// validateIndex checks that createIndex(col) would succeed, mutating
-// nothing (see DB.validateLocked).
+// validateIndex checks that createIndex(col) may run, mutating nothing
+// (see DB.validateLocked). Every stored row fits the schema, so an int
+// or string column yields a key for each of them.
 func (t *table) validateIndex(col string) error {
 	ci, ok := t.colIdx[col]
 	if !ok {
@@ -138,43 +124,17 @@ func (t *table) validateIndex(col string) error {
 	if _, dup := t.indexes[col]; dup {
 		return fmt.Errorf("store: table %q already has an index on %q", t.name, col)
 	}
-	for _, vals := range t.rows {
-		if _, err := indexKey(vals[ci]); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
 // createIndex builds a secondary hash index over col from current rows.
-func (t *table) createIndex(col string) error {
-	ci, ok := t.colIdx[col]
-	if !ok {
-		return fmt.Errorf("store: table %q has no column %q", t.name, col)
-	}
-	switch t.schema[ci].Type {
-	case TInt, TString:
-	default:
-		return fmt.Errorf("store: table %q column %q (%s) is not indexable", t.name, col, t.schema[ci].Type)
-	}
-	if _, dup := t.indexes[col]; dup {
-		return fmt.Errorf("store: table %q already has an index on %q", t.name, col)
-	}
+func (t *table) createIndex(col string) {
+	ci := t.colIdx[col]
 	idx := make(map[string][]uint64)
-	for id, vals := range t.rows {
-		key, err := indexKey(vals[ci])
-		if err != nil {
-			return err
-		}
-		ids := idx[key]
-		pos := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-		ids = append(ids, 0)
-		copy(ids[pos+1:], ids[pos:])
-		ids[pos] = id
-		idx[key] = ids
+	for id, row := range t.rows {
+		addToIndex(idx, indexKey(row[ci]), id)
 	}
 	t.indexes[col] = idx
-	return nil
 }
 
 // Table is the public handle to one relation of a DB.
@@ -208,8 +168,7 @@ func (t *Table) Check(row Row) error {
 	if err != nil {
 		return err
 	}
-	_, err = encodeRow(tb.schema, row)
-	return err
+	return checkRow(tb.schema, row)
 }
 
 // Insert appends a row, returning its assigned id.
@@ -220,13 +179,8 @@ func (t *Table) Insert(row Row) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	vals, err := encodeRow(tb.schema, row)
-	if err != nil {
-		return 0, err
-	}
 	id := tb.nextID
-	rec := walRecord{Op: opInsert, Table: t.name, ID: id, Vals: vals}
-	if err := t.db.logAndApply(rec); err != nil {
+	if err := t.db.logAndApply(walRecord{Op: opInsert, Table: t.name, ID: id, Vals: row}); err != nil {
 		return 0, err
 	}
 	return id, nil
@@ -241,15 +195,7 @@ func (t *Table) Insert(row Row) (uint64, error) {
 func (t *Table) InsertWithID(id uint64, row Row) error {
 	t.db.mu.Lock()
 	defer t.db.mu.Unlock()
-	tb, err := t.db.tableLocked(t.name)
-	if err != nil {
-		return err
-	}
-	vals, err := encodeRow(tb.schema, row)
-	if err != nil {
-		return err
-	}
-	return t.db.logAndApply(walRecord{Op: opInsert, Table: t.name, ID: id, Vals: vals})
+	return t.db.logAndApply(walRecord{Op: opInsert, Table: t.name, ID: id, Vals: row})
 }
 
 // Get fetches the row with the given id; ok is false if it does not exist.
@@ -260,29 +206,18 @@ func (t *Table) Get(id uint64) (Row, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	vals, ok := tb.rows[id]
+	row, ok := tb.rows[id]
 	if !ok {
 		return nil, false, nil
 	}
-	return decodeRow(vals), true, nil
+	return ownRow(row), true, nil
 }
 
 // Update replaces the row with the given id.
 func (t *Table) Update(id uint64, row Row) error {
 	t.db.mu.Lock()
 	defer t.db.mu.Unlock()
-	tb, err := t.db.tableLocked(t.name)
-	if err != nil {
-		return err
-	}
-	if _, ok := tb.rows[id]; !ok {
-		return fmt.Errorf("store: table %q: no row %d", t.name, id)
-	}
-	vals, err := encodeRow(tb.schema, row)
-	if err != nil {
-		return err
-	}
-	return t.db.logAndApply(walRecord{Op: opUpdate, Table: t.name, ID: id, Vals: vals})
+	return t.db.logAndApply(walRecord{Op: opUpdate, Table: t.name, ID: id, Vals: row})
 }
 
 // UpdateReturningOld replaces the row with the given id and returns the
@@ -298,16 +233,8 @@ func (t *Table) UpdateReturningOld(id uint64, row Row) (Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	oldVals, ok := tb.rows[id]
-	if !ok {
-		return nil, fmt.Errorf("store: table %q: no row %d", t.name, id)
-	}
-	old := decodeRow(oldVals)
-	vals, err := encodeRow(tb.schema, row)
-	if err != nil {
-		return nil, err
-	}
-	if err := t.db.logAndApply(walRecord{Op: opUpdate, Table: t.name, ID: id, Vals: vals}); err != nil {
+	old := tb.rows[id]
+	if err := t.db.logAndApply(walRecord{Op: opUpdate, Table: t.name, ID: id, Vals: row}); err != nil {
 		return nil, err
 	}
 	return old, nil
@@ -317,13 +244,6 @@ func (t *Table) UpdateReturningOld(id uint64, row Row) (Row, error) {
 func (t *Table) Delete(id uint64) error {
 	t.db.mu.Lock()
 	defer t.db.mu.Unlock()
-	tb, err := t.db.tableLocked(t.name)
-	if err != nil {
-		return err
-	}
-	if _, ok := tb.rows[id]; !ok {
-		return fmt.Errorf("store: table %q: no row %d", t.name, id)
-	}
 	return t.db.logAndApply(walRecord{Op: opDelete, Table: t.name, ID: id})
 }
 
@@ -338,11 +258,7 @@ func (t *Table) DeleteReturningOld(id uint64) (Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	oldVals, ok := tb.rows[id]
-	if !ok {
-		return nil, fmt.Errorf("store: table %q: no row %d", t.name, id)
-	}
-	old := decodeRow(oldVals)
+	old := tb.rows[id]
 	if err := t.db.logAndApply(walRecord{Op: opDelete, Table: t.name, ID: id}); err != nil {
 		return nil, err
 	}
@@ -369,17 +285,22 @@ func (t *Table) Scan(fn func(id uint64, row Row) bool) error {
 	if err != nil {
 		return err
 	}
-	ids := make([]uint64, 0, len(tb.rows))
-	for id := range tb.rows {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if !fn(id, decodeRow(tb.rows[id])) {
+	for _, id := range tb.sortedIDs() {
+		if !fn(id, ownRow(tb.rows[id])) {
 			return nil
 		}
 	}
 	return nil
+}
+
+// sortedIDs lists the table's row ids in ascending order.
+func (t *table) sortedIDs() []uint64 {
+	ids := make([]uint64, 0, len(t.rows))
+	for id := range t.rows {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // CreateIndex builds (and logs) a secondary index over an int or string
@@ -387,36 +308,20 @@ func (t *Table) Scan(fn func(id uint64, row Row) bool) error {
 func (t *Table) CreateIndex(col string) error {
 	t.db.mu.Lock()
 	defer t.db.mu.Unlock()
-	tb, err := t.db.tableLocked(t.name)
-	if err != nil {
-		return err
-	}
-	ci, ok := tb.colIdx[col]
-	if !ok {
-		return fmt.Errorf("store: table %q has no column %q", t.name, col)
-	}
-	switch tb.schema[ci].Type {
-	case TInt, TString:
-	default:
-		return fmt.Errorf("store: table %q column %q (%s) is not indexable", t.name, col, tb.schema[ci].Type)
-	}
-	if _, dup := tb.indexes[col]; dup {
-		return fmt.Errorf("store: table %q already has an index on %q", t.name, col)
-	}
 	return t.db.logAndApply(walRecord{Op: opCreateIndex, Table: t.name, Col: col})
 }
 
 // LookupInt returns the ids of rows whose indexed int column equals v.
 func (t *Table) LookupInt(col string, v int64) ([]uint64, error) {
-	return t.lookup(col, value{Kind: TInt, I: v})
+	return t.lookup(col, v)
 }
 
 // LookupString returns the ids of rows whose indexed string column equals v.
 func (t *Table) LookupString(col string, v string) ([]uint64, error) {
-	return t.lookup(col, value{Kind: TString, S: v})
+	return t.lookup(col, v)
 }
 
-func (t *Table) lookup(col string, v value) ([]uint64, error) {
+func (t *Table) lookup(col string, v any) ([]uint64, error) {
 	t.db.mu.RLock()
 	defer t.db.mu.RUnlock()
 	tb, err := t.db.tableLocked(t.name)
@@ -427,9 +332,5 @@ func (t *Table) lookup(col string, v value) ([]uint64, error) {
 	if !ok {
 		return nil, fmt.Errorf("store: table %q has no index on %q", t.name, col)
 	}
-	key, err := indexKey(v)
-	if err != nil {
-		return nil, err
-	}
-	return append([]uint64(nil), idx[key]...), nil
+	return append([]uint64(nil), idx[indexKey(v)]...), nil
 }

@@ -9,8 +9,10 @@ package store
 
 import (
 	"fmt"
+	"strconv"
 
 	"mmconf/internal/blob"
+	"mmconf/internal/wire"
 )
 
 // ColumnType enumerates the value types a column may hold.
@@ -52,100 +54,132 @@ type Column struct {
 
 // Row is an ordered tuple of column values. Legal dynamic types per
 // column type: TInt→int64, TFloat→float64, TString→string, TBytes→[]byte,
-// TBlob→blob.Handle.
+// TBlob→blob.Handle. Tables hold rows in this form, and AppendRow is
+// how every byte path — the WAL, the snapshot, the replication frame —
+// writes one.
 type Row []any
 
-// value is the gob-friendly tagged union used in the WAL and snapshots
-// (gob cannot round-trip bare interface values without global type
-// registration, and a closed union keeps the on-disk format explicit).
-type value struct {
-	Kind ColumnType
-	I    int64
-	F    float64
-	S    string
-	B    []byte
-	H    blob.Handle
-}
-
-// encodeRow validates row against schema and converts it to the tagged form.
-func encodeRow(schema []Column, row Row) ([]value, error) {
+// checkRow reports whether row fits schema: its arity and every cell's
+// dynamic type.
+func checkRow(schema []Column, row Row) error {
 	if len(row) != len(schema) {
-		return nil, fmt.Errorf("store: row has %d values, schema has %d columns", len(row), len(schema))
+		return fmt.Errorf("store: row has %d values, schema has %d columns", len(row), len(schema))
 	}
-	out := make([]value, len(row))
 	for i, v := range row {
-		col := schema[i]
-		switch col.Type {
+		var ok bool
+		switch schema[i].Type {
 		case TInt:
-			x, ok := v.(int64)
-			if !ok {
-				return nil, typeErr(col, v)
-			}
-			out[i] = value{Kind: TInt, I: x}
+			_, ok = v.(int64)
 		case TFloat:
-			x, ok := v.(float64)
-			if !ok {
-				return nil, typeErr(col, v)
-			}
-			out[i] = value{Kind: TFloat, F: x}
+			_, ok = v.(float64)
 		case TString:
-			x, ok := v.(string)
-			if !ok {
-				return nil, typeErr(col, v)
-			}
-			out[i] = value{Kind: TString, S: x}
+			_, ok = v.(string)
 		case TBytes:
-			x, ok := v.([]byte)
-			if !ok {
-				return nil, typeErr(col, v)
-			}
-			out[i] = value{Kind: TBytes, B: append([]byte(nil), x...)}
+			_, ok = v.([]byte)
 		case TBlob:
-			x, ok := v.(blob.Handle)
-			if !ok {
-				return nil, typeErr(col, v)
-			}
-			out[i] = value{Kind: TBlob, H: x}
+			_, ok = v.(blob.Handle)
+		}
+		if !ok {
+			return fmt.Errorf("store: column %q (%s) cannot hold %T", schema[i].Name, schema[i].Type, v)
+		}
+	}
+	return nil
+}
+
+// ownRow copies row and its []byte cells: what a table keeps shares no
+// memory with a caller's row or a decoder's buffer, and what it hands
+// out shares none with the table. An empty []byte cell comes out nil,
+// as DecodeRow reads it.
+func ownRow(row Row) Row {
+	out := make(Row, len(row))
+	for i, v := range row {
+		if b, ok := v.([]byte); ok {
+			v = append([]byte(nil), b...)
+		}
+		out[i] = v
+	}
+	return out
+}
+
+// Cell tags: the dynamic type of one encoded cell. cellInvalid is what a
+// value of any other type encodes as; DecodeRow accepts no such cell.
+const (
+	cellInt byte = iota
+	cellFloat
+	cellString
+	cellBytes
+	cellBlob
+	cellInvalid byte = 0xFF
+)
+
+// AppendRow writes row as a cell count and one tagged cell per value. It
+// is the one encoding of a store row: the WAL record, the checkpoint
+// snapshot and the replication frame all carry rows in it.
+func AppendRow(e *wire.BodyEnc, row Row) {
+	e.Uvarint(uint64(len(row)))
+	for _, c := range row {
+		switch v := c.(type) {
+		case int64:
+			e.Byte(cellInt)
+			e.Varint(v)
+		case float64:
+			e.Byte(cellFloat)
+			e.F64(v)
+		case string:
+			e.Byte(cellString)
+			e.String(v)
+		case []byte:
+			e.Byte(cellBytes)
+			e.Bytes(v)
+		case blob.Handle:
+			e.Byte(cellBlob)
+			e.Fixed(v.Digest[:])
+			e.Uvarint(uint64(v.Length))
 		default:
-			return nil, fmt.Errorf("store: column %q has unknown type %v", col.Name, col.Type)
+			e.Byte(cellInvalid)
 		}
 	}
-	return out, nil
 }
 
-func typeErr(col Column, v any) error {
-	return fmt.Errorf("store: column %q (%s) cannot hold %T", col.Name, col.Type, v)
-}
-
-// decodeRow converts the tagged form back to a Row.
-func decodeRow(vals []value) Row {
-	row := make(Row, len(vals))
-	for i, v := range vals {
-		switch v.Kind {
-		case TInt:
-			row[i] = v.I
-		case TFloat:
-			row[i] = v.F
-		case TString:
-			row[i] = v.S
-		case TBytes:
-			row[i] = append([]byte(nil), v.B...)
-		case TBlob:
-			row[i] = v.H
+// DecodeRow reads a row AppendRow wrote. Its []byte cells alias d's input,
+// as every wire.Dec byte read does; a table copies them before it keeps
+// them.
+func DecodeRow(d *wire.Dec) (Row, error) {
+	n := d.Count()
+	if n == 0 || d.Err() != nil {
+		return nil, d.Err()
+	}
+	row := make(Row, 0, min(n, 64))
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
+		var c any
+		switch tag := d.Byte(); tag {
+		case cellInt:
+			c = d.Varint()
+		case cellFloat:
+			c = d.F64()
+		case cellString:
+			c = d.String()
+		case cellBytes:
+			c = d.Bytes()
+		case cellBlob:
+			var h blob.Handle
+			d.Fixed(h.Digest[:])
+			h.Length = uint32(d.Uvarint())
+			c = h
+		default:
+			return nil, fmt.Errorf("store: row cell has unknown tag %d", tag)
 		}
+		row = append(row, c)
 	}
-	return row
+	return row, d.Err()
 }
 
-// indexKey renders a value as a deterministic index key. Only TInt and
-// TString columns are indexable.
-func indexKey(v value) (string, error) {
-	switch v.Kind {
-	case TInt:
-		return fmt.Sprintf("i%d", v.I), nil
-	case TString:
-		return "s" + v.S, nil
-	default:
-		return "", fmt.Errorf("store: %s columns are not indexable", v.Kind)
+// indexKey renders a cell of an indexed column — an int64 or a string,
+// the two indexable types — as a deterministic index key.
+func indexKey(v any) string {
+	if i, ok := v.(int64); ok {
+		return "i" + strconv.FormatInt(i, 10)
 	}
+	s, _ := v.(string)
+	return "s" + s
 }

@@ -1,14 +1,14 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"sync"
+
+	"mmconf/internal/wire"
 )
 
 // opKind enumerates the logical operations the write-ahead log records.
@@ -29,9 +29,69 @@ type walRecord struct {
 	Op     opKind
 	Table  string
 	Schema []Column // opCreateTable
-	ID     uint64   // opInsert (assigned id), opUpdate, opDelete
-	Vals   []value  // opInsert, opUpdate
+	ID     uint64   // opInsert (assigned id), opUpdate, opDelete; a snapshot's opCreateTable: next id
+	Vals   Row      // opInsert, opUpdate
 	Col    string   // opCreateIndex
+}
+
+// AppendBody writes the record: every field in declaration order, an
+// unused one as its empty form.
+func (r *walRecord) AppendBody(e *wire.BodyEnc) {
+	e.Byte(byte(r.Op))
+	e.String(r.Table)
+	appendSchema(e, r.Schema)
+	e.Uvarint(r.ID)
+	AppendRow(e, r.Vals)
+	e.String(r.Col)
+}
+
+// DecodeBody reads a record AppendBody wrote. Whether it applies is
+// DB.validateLocked's to say.
+func (r *walRecord) DecodeBody(d *wire.Dec) error {
+	r.Op = opKind(d.Byte())
+	r.Table = d.String()
+	r.Schema = decodeSchema(d)
+	r.ID = d.Uvarint()
+	var err error
+	if r.Vals, err = DecodeRow(d); err != nil {
+		return err
+	}
+	r.Col = d.String()
+	return d.Err()
+}
+
+func appendSchema(e *wire.BodyEnc, schema []Column) {
+	e.Uvarint(uint64(len(schema)))
+	for _, c := range schema {
+		e.String(c.Name)
+		e.Byte(byte(c.Type))
+	}
+}
+
+func decodeSchema(d *wire.Dec) []Column {
+	n := d.Count()
+	if n == 0 || d.Err() != nil {
+		return nil
+	}
+	schema := make([]Column, 0, min(n, 64))
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
+		schema = append(schema, Column{Name: d.String(), Type: ColumnType(d.Byte())})
+	}
+	return schema
+}
+
+// frameHeader is the size of a record's frame header: body length and
+// body CRC-32, both little-endian uint32.
+const frameHeader = 8
+
+// framedRecord is a record behind room for its frame header, so append
+// encodes both into one buffer and writes it with one write(2).
+type framedRecord walRecord
+
+func (r *framedRecord) AppendBody(e *wire.BodyEnc) {
+	var hdr [frameHeader]byte
+	e.Fixed(hdr[:])
+	(*walRecord)(r).AppendBody(e)
 }
 
 // SyncMode controls when the WAL is flushed to stable storage.
@@ -50,9 +110,13 @@ const (
 	SyncNever
 )
 
-// wal is an append-only log of walRecords with CRC framing:
+// walHeader opens every log: the file's magic and format version. Format
+// 1 was the gob-encoded log, which had no header; Open refuses it.
+const walHeader = "mmconf wal 2\n"
+
+// wal is an append-only log of walRecords behind walHeader, each framed
 //
-//	length uint32 | crc uint32 | gob(walRecord)
+//	length uint32 | crc uint32 | walRecord body
 type wal struct {
 	mu        sync.Mutex
 	f         *os.File
@@ -78,33 +142,33 @@ type wal struct {
 
 const defaultGroupSize = 64
 
-func openWAL(path string, mode SyncMode, groupSize int) (*wal, error) {
+// openWAL opens (or creates) the log at path and folds every record it
+// holds into apply (see replay), leaving it ready for appends.
+func openWAL(path string, mode SyncMode, groupSize int, apply func(walRecord) error) (w *wal, skipped int, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("store: open wal %s: %w", path, err)
+		return nil, 0, fmt.Errorf("store: open wal %s: %w", path, err)
+	}
+	if skipped, err = replay(f, path, apply); err != nil {
+		f.Close()
+		return nil, 0, err
 	}
 	if groupSize <= 0 {
 		groupSize = defaultGroupSize
 	}
-	return &wal{f: f, mode: mode, groupSize: groupSize}, nil
+	return &wal{f: f, mode: mode, groupSize: groupSize}, skipped, nil
 }
 
 // append logs one record, honoring the sync mode.
 func (w *wal) append(rec walRecord) error {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(rec); err != nil {
-		return fmt.Errorf("store: wal encode: %w", err)
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(body.Len()))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(body.Bytes()))
+	buf := wire.MarshalBody((*framedRecord)(&rec))
+	body := buf[frameHeader:]
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(body)))
+	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(body))
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if _, err := w.f.Write(hdr[:]); err != nil {
-		return fmt.Errorf("store: wal write: %w", err)
-	}
-	if _, err := w.f.Write(body.Bytes()); err != nil {
+	if _, err := w.f.Write(buf); err != nil {
 		return fmt.Errorf("store: wal write: %w", err)
 	}
 	w.appends++
@@ -177,15 +241,12 @@ func (w *wal) flush() error {
 	return nil
 }
 
-// truncate resets the log after a checkpoint.
+// truncate empties the log after a checkpoint, keeping its header.
 func (w *wal) truncate() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.f.Truncate(0); err != nil {
+	if err := w.f.Truncate(int64(len(walHeader))); err != nil {
 		return fmt.Errorf("store: wal truncate: %w", err)
-	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("store: wal seek: %w", err)
 	}
 	w.pending = 0
 	w.dirty = false
@@ -207,46 +268,57 @@ func (w *wal) stats() (appends, syncs int64) {
 	return w.appends, w.syncs
 }
 
-// replayWAL folds every intact record of the log at path into apply,
-// stopping silently at the first torn or corrupt record (the tail written
-// during a crash) and truncating it away. A record that fails to apply
-// is skipped, not fatal: it is either a poisoned record from before
-// validation-first logging, or a record the snapshot already contains
-// (crash between checkpoint rename and WAL truncation) — refusing it
-// would brick every future Open over state that is otherwise sound.
-// skipped reports how many records were passed over.
-func replayWAL(path string, apply func(walRecord) error) (skipped int, err error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+// replay checks the header of the log f (at path) and folds every intact
+// record after it into apply. A log shorter than its header whose bytes
+// begin it — empty, or torn while the header was written — is a fresh
+// log and gets the header. Any other header is a format this release
+// does not read: replay refuses it and leaves the file as it is.
+//
+// Replay stops at the first torn record (the tail written during a
+// crash) and truncates it away. A record whose CRC holds but which does
+// not decode or does not apply is skipped, not fatal: it is either a
+// poisoned record from before validation-first logging, or a record the
+// snapshot already contains (crash between checkpoint rename and WAL
+// truncation) — refusing it would brick every future Open over state
+// that is otherwise sound. skipped reports how many records were passed
+// over.
+func replay(f *os.File, path string, apply func(walRecord) error) (skipped int, err error) {
+	data, err := io.ReadAll(f)
 	if err != nil {
-		return 0, fmt.Errorf("store: open wal for replay: %w", err)
+		return 0, fmt.Errorf("store: read wal %s: %w", path, err)
 	}
-	defer f.Close()
-	var off int64
-	var hdr [8]byte
-	for {
-		if _, err := f.ReadAt(hdr[:], off); err != nil {
-			break // clean EOF or short header — stop
+	head := data[:min(len(data), len(walHeader))]
+	if string(head) != walHeader[:len(head)] {
+		return 0, fmt.Errorf("store: %s is not a version-2 log (a gob-era WAL?); this release does not read it and leaves it untouched", path)
+	}
+	if len(head) < len(walHeader) {
+		if err := f.Truncate(0); err != nil {
+			return 0, fmt.Errorf("store: wal truncate %s: %w", path, err)
 		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		want := binary.LittleEndian.Uint32(hdr[4:8])
-		body := make([]byte, length)
-		if _, err := f.ReadAt(body, off+8); err != nil {
+		if _, err := f.Write([]byte(walHeader)); err != nil {
+			return 0, fmt.Errorf("store: wal write %s: %w", path, err)
+		}
+		return 0, nil
+	}
+	off := len(walHeader)
+	for len(data)-off >= frameHeader {
+		length := int(binary.LittleEndian.Uint32(data[off:]))
+		if len(data)-off-frameHeader < length {
+			break // torn: the body never made it to disk
+		}
+		body := data[off+frameHeader : off+frameHeader+length]
+		if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[off+4:]) {
 			break
 		}
-		if crc32.ChecksumIEEE(body) != want {
-			break
-		}
+		// Cells alias data; the table copies what it keeps (ownRow).
 		var rec walRecord
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&rec); err != nil {
-			break
-		}
-		if err := apply(rec); err != nil {
+		if wire.DecodeBodyBytes(body, &rec) != nil || apply(rec) != nil {
 			skipped++
 		}
-		off += 8 + int64(length)
+		off += frameHeader + length
 	}
-	if info, err := f.Stat(); err == nil && info.Size() > off {
-		if err := f.Truncate(off); err != nil {
+	if off < len(data) {
+		if err := f.Truncate(int64(off)); err != nil {
 			return skipped, fmt.Errorf("store: wal truncate torn tail: %w", err)
 		}
 	}
