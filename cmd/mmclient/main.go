@@ -53,7 +53,7 @@ func main() {
 	user := flag.String("user", "viewer", "user name")
 	roomName := flag.String("room", "consult", "shared room to join")
 	docID := flag.String("doc", "", "document id (required for the first joiner)")
-	buffer := flag.Int64("buffer", 4<<20, "client prefetch buffer bytes (0 disables)")
+	buffer := flag.Int64("buffer", 4<<20, "client media buffer bytes (0 disables)")
 	reconnect := flag.Bool("reconnect", true, "redial and resume the session after a dropped connection")
 	retries := flag.Int("retries", 8, "redial attempts per outage (-1: unlimited)")
 	callTimeout := flag.Duration("call-timeout", 30*time.Second, "per-call deadline (0: unbounded)")

@@ -1,8 +1,8 @@
 // Package bytecache is the tree's one byte-bounded LRU: §4.4 of the
 // paper rests on holding payloads in a bounded buffer because transfer
-// cost dominates, and the server's payload cache, the client's digest
-// cache and the session prefetch buffer are all instantiations of the
-// Cache below. Payloads are shared by reference and must be treated as
+// cost dominates, and the server's payload cache, the client's media
+// buffer and the E8/E15 simulation's buffer are all instantiations of
+// the Cache below. Payloads are shared by reference and must be treated as
 // immutable by everyone who holds one.
 package bytecache
 

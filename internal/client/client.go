@@ -1,8 +1,8 @@
 // Package client implements the client module of the paper (§3): it
 // presents documents, forwards the viewer's interactions to the
 // interaction server, and receives both direct responses and pushed room
-// events. It also hosts the §4.4 client-side buffer: a prefetch cache the
-// session warms after every presentation change.
+// events. It also hosts the §4.4 client-side buffer: one media cache that
+// fetches read, server prefetch pushes fill and a session can warm.
 package client
 
 import (
@@ -12,12 +12,11 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mmconf/internal/cpnet"
 	"mmconf/internal/document"
 	"mmconf/internal/media/compress"
 	"mmconf/internal/media/image"
 	"mmconf/internal/media/voice"
-	"mmconf/internal/prefetch"
+	"mmconf/internal/mediadb"
 	"mmconf/internal/proto"
 	"mmconf/internal/room"
 	"mmconf/internal/wire"
@@ -49,11 +48,9 @@ type Client struct {
 	// joining holds, per room, the session of a Join still in flight. The
 	// server pushes to a new member before the Join response is processed
 	// — the join's own announcement and the change its reconfiguration
-	// makes, a QoS prefetch — and those pushes need the session's park,
-	// view and buffer as much as any later one: a presentation that
-	// bypassed the session would break the chain of changes, and a
-	// prefetch payload dropped is lost for good, since the server pushes
-	// each object exactly once.
+	// makes — and those pushes need the session's park and view as much as
+	// any later one: a presentation that bypassed the session would break
+	// the chain of changes.
 	joining map[string]*Session
 
 	closeCh   chan struct{}
@@ -76,9 +73,9 @@ type Client struct {
 	attempts, successes, failures, gaveUp atomic.Uint64
 	redirectsFollowed                     atomic.Uint64
 
-	// digests is the digest-keyed media cache (nil unless
-	// Options.DigestCacheBytes is set).
-	digests *digestCache
+	// buffer is the media buffer (see mediabuffer.go): nil until the first Join
+	// with bufferBytes > 0, then shared by every session and fetch.
+	buffer atomic.Pointer[mediaBuffer]
 }
 
 // eventQueueSize bounds the locally buffered pushed events: channel,
@@ -140,7 +137,7 @@ func NewOverConn(conn net.Conn, user string) (*Client, error) {
 }
 
 func newClient(user string, dial DialFunc, opts Options) *Client {
-	c := &Client{
+	return &Client{
 		user:     user,
 		dial:     dial,
 		opts:     opts,
@@ -149,10 +146,6 @@ func newClient(user string, dial DialFunc, opts Options) *Client {
 		events:   make(chan room.Event, eventChanSize),
 		closeCh:  make(chan struct{}),
 	}
-	if opts.DigestCacheBytes > 0 {
-		c.digests = newDigestCache(opts.DigestCacheBytes)
-	}
-	return c
 }
 
 // attach installs rpc as the live connection: push handler, per-call
@@ -186,17 +179,16 @@ func (c *Client) sessionFor(roomName string) *Session {
 
 // onPush routes a pushed room event: events for a joined room are folded
 // into the session and pass its delivery gate (exactly-once across
-// reconnects), everything else flows straight through. Prefetch pushes
-// land in the session's buffer without surfacing on the event stream.
+// reconnects), everything else flows straight through. A prefetch push
+// carries one image: it is offered to the media buffer, where the next
+// fetch of that image finds it, without surfacing on the event stream.
 func (c *Client) onPush(method string, body wire.Body) {
 	if method == proto.MPrefetchPush {
 		var pp proto.PrefetchPush
 		if err := body.Decode(&pp); err != nil {
 			return
 		}
-		if s := c.sessionFor(pp.Room); s != nil && s.Buffer != nil {
-			s.Buffer.Inject(pp.ObjectID, string(pp.Digest), pp.Data)
-		}
+		c.buffer.Load().file(objectKey{mediadb.ImageTable, pp.ObjectID}, pp.Digest, pp.Data, true)
 		return
 	}
 	if method != proto.MEvent {
@@ -363,7 +355,7 @@ func (c *Client) GetDocumentCtx(ctx context.Context, docID string) (*document.Do
 
 // GetImage fetches an image object and decodes its raster.
 func (c *Client) GetImage(id uint64) (*image.Gray, string, error) {
-	resp, err := c.getImageResp(id)
+	resp, err := c.getImageResp(id, false)
 	if err != nil {
 		return nil, "", err
 	}
@@ -374,77 +366,59 @@ func (c *Client) GetImage(id uint64) (*image.Gray, string, error) {
 	return g, resp.Texts, nil
 }
 
-// GetImageBytes fetches an image object's raw payload (for the prefetch
-// cache, which stores bytes).
+// GetImageBytes fetches an image object's raw payload.
 func (c *Client) GetImageBytes(id uint64) ([]byte, error) {
-	resp, err := c.getImageResp(id)
+	resp, err := c.getImageResp(id, false)
 	if err != nil {
 		return nil, err
 	}
 	return resp.Data, nil
 }
 
-// getImageResp is the shared image fetch, conditional when the digest
-// cache knows the object.
-func (c *Client) getImageResp(id uint64) (*proto.GetImageResp, error) {
-	key := objectKey{'i', id}
-	known, cached, _ := c.cacheLookup(key)
+// getImageResp is the image fetch through the media buffer; a
+// speculative payload (a warm) is offered to it, never put.
+func (c *Client) getImageResp(id uint64, speculative bool) (*proto.GetImageResp, error) {
 	var resp proto.GetImageResp
-	if err := c.call(context.Background(), proto.MGetImage, &proto.GetImageReq{ID: id, IfDigestAbsent: known}, &resp); err != nil {
+	data, err := c.buffer.Load().fetch(objectKey{mediadb.ImageTable, id}, speculative, func(known []byte) (bool, []byte, []byte, error) {
+		err := c.call(context.Background(), proto.MGetImage, &proto.GetImageReq{ID: id, IfDigestAbsent: known}, &resp)
+		return resp.NotModified, resp.Digest, resp.Data, err
+	})
+	if err != nil {
 		return nil, err
 	}
-	if resp.NotModified {
-		if known == nil {
-			return nil, fmt.Errorf("client: server elided image %d without a conditional request", id)
-		}
-		c.digests.hits.Add(1)
-		resp.Data = cached
-		return &resp, nil
-	}
-	c.cacheStore(key, resp.Digest, resp.Data)
+	resp.Data = data
 	return &resp, nil
 }
 
 // GetAudio fetches an audio object: PCM bytes plus segmentation metadata.
 func (c *Client) GetAudio(id uint64) (pcm, sectors []byte, filename string, err error) {
-	key := objectKey{'a', id}
-	known, cached, _ := c.cacheLookup(key)
-	var resp proto.GetAudioResp
-	if err := c.call(context.Background(), proto.MGetAudio, &proto.GetAudioReq{ID: id, IfDigestAbsent: known}, &resp); err != nil {
+	resp, err := c.getAudioResp(id, false)
+	if err != nil {
 		return nil, nil, "", err
 	}
-	if resp.NotModified {
-		if known == nil {
-			return nil, nil, "", fmt.Errorf("client: server elided audio %d without a conditional request", id)
-		}
-		c.digests.hits.Add(1)
-		return cached, resp.Sectors, resp.Filename, nil
-	}
-	c.cacheStore(key, resp.Digest, resp.Data)
 	return resp.Data, resp.Sectors, resp.Filename, nil
 }
 
+// getAudioResp is the audio fetch through the media buffer.
+func (c *Client) getAudioResp(id uint64, speculative bool) (*proto.GetAudioResp, error) {
+	var resp proto.GetAudioResp
+	data, err := c.buffer.Load().fetch(objectKey{mediadb.AudioTable, id}, speculative, func(known []byte) (bool, []byte, []byte, error) {
+		err := c.call(context.Background(), proto.MGetAudio, &proto.GetAudioReq{ID: id, IfDigestAbsent: known}, &resp)
+		return resp.NotModified, resp.Digest, resp.Data, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	resp.Data = data
+	return &resp, nil
+}
+
 // GetCmp fetches a multi-layer stream truncated to maxLayers (0 = all)
-// and decodes it at that fidelity. Only the untruncated fetch can be
-// conditional — the digest addresses the full stream.
+// and decodes it at that fidelity.
 func (c *Client) GetCmp(id uint64, maxLayers int) (*image.Gray, int, error) {
-	var known, cached []byte
-	key := objectKey{'c', id}
-	if maxLayers == 0 {
-		known, cached, _ = c.cacheLookup(key)
-	}
-	var resp proto.GetCmpResp
-	if err := c.call(context.Background(), proto.MGetCmp, &proto.GetCmpReq{ID: id, MaxLayers: maxLayers, IfDigestAbsent: known}, &resp); err != nil {
+	resp, err := c.getCmpResp(id, maxLayers, false)
+	if err != nil {
 		return nil, 0, err
-	}
-	if resp.NotModified {
-		if known == nil {
-			return nil, 0, fmt.Errorf("client: server elided stream %d without a conditional request", id)
-		}
-		c.digests.hits.Add(1)
-		resp.Data = cached
-	} else if maxLayers == 0 {
-		c.cacheStore(key, resp.Digest, resp.Data)
 	}
 	stream, err := compress.Unmarshal(resp.Header, resp.Data)
 	if err != nil {
@@ -457,22 +431,23 @@ func (c *Client) GetCmp(id uint64, maxLayers int) (*image.Gray, int, error) {
 	return g, len(resp.Data), nil
 }
 
-// cacheLookup consults the digest cache when enabled.
-func (c *Client) cacheLookup(key objectKey) (digest, data []byte, ok bool) {
-	if c.digests == nil {
-		return nil, nil, false
+// getCmpResp is the stream fetch. Only the untruncated fetch goes through
+// the media buffer: the digest addresses the full stream.
+func (c *Client) getCmpResp(id uint64, maxLayers int, speculative bool) (*proto.GetCmpResp, error) {
+	var b *mediaBuffer
+	if maxLayers == 0 {
+		b = c.buffer.Load()
 	}
-	return c.digests.lookup(key)
-}
-
-// cacheStore records a fetched payload in the digest cache (a miss, by
-// definition — the payload crossed the wire).
-func (c *Client) cacheStore(key objectKey, digest, data []byte) {
-	if c.digests == nil {
-		return
+	var resp proto.GetCmpResp
+	data, err := b.fetch(objectKey{mediadb.CmpTable, id}, speculative, func(known []byte) (bool, []byte, []byte, error) {
+		err := c.call(context.Background(), proto.MGetCmp, &proto.GetCmpReq{ID: id, MaxLayers: maxLayers, IfDigestAbsent: known}, &resp)
+		return resp.NotModified, resp.Digest, resp.Data, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	c.digests.misses.Add(1)
-	c.digests.store(key, digest, data)
+	resp.Data = data
+	return &resp, nil
 }
 
 // Session is the client's presence in one shared room.
@@ -502,8 +477,6 @@ type Session struct {
 	lastSeq  uint64
 	resuming bool
 	pending  []room.Event
-	// Buffer is the §4.4 prefetch cache (nil if disabled).
-	Buffer *prefetch.Prefetcher
 }
 
 // admit folds a pushed event into the session and decides whether it
@@ -634,25 +607,22 @@ func (s *Session) LastSeq() uint64 {
 	return s.lastSeq
 }
 
-// Join enters a room around a document. bufferBytes > 0 enables the
-// client-side prefetch cache of that size.
+// Join enters a room around a document. The first Join with
+// bufferBytes > 0 gives the client its media buffer of that size (see
+// mediabuffer.go); every later session and fetch of the client shares it, and
+// a later Join's bufferBytes changes nothing.
 func (c *Client) Join(roomName, docID string, bufferBytes int64) (*Session, []room.Event, error) {
 	return c.JoinCtx(context.Background(), roomName, docID, bufferBytes)
 }
 
 // JoinCtx is Join bounded by ctx.
 func (c *Client) JoinCtx(ctx context.Context, roomName, docID string, bufferBytes int64) (*Session, []room.Event, error) {
-	s := &Session{client: c, Room: roomName, docID: docID}
-	if bufferBytes > 0 {
-		cache, err := prefetch.NewCache(bufferBytes)
-		if err != nil {
-			return nil, nil, err
-		}
-		s.Buffer, err = prefetch.NewPrefetcher(cache, c.GetImageBytes)
-		if err != nil {
-			return nil, nil, err
-		}
+	if bufferBytes > 0 && c.buffer.Load() == nil {
+		// Before the call: the server may push a prefetch payload before
+		// the response arrives, and it pushes each object once.
+		c.buffer.CompareAndSwap(nil, newMediaBuffer(bufferBytes))
 	}
+	s := &Session{client: c, Room: roomName, docID: docID}
 	// The session takes pushes from here on (see Client.joining), parked
 	// until the response is folded; the reconnect supervisor does not know
 	// it until it is joined.
@@ -846,13 +816,4 @@ func (s *Session) LeaveCtx(ctx context.Context) error {
 	return c.call(ctx, proto.MLeaveRoom, &proto.LeaveRoomReq{
 		Room: s.Room, User: s.client.user,
 	}, nil)
-}
-
-// WarmBuffer prefetches likely payloads into the session buffer (§4.4),
-// given the current view's choices, up to budget bytes.
-func (s *Session) WarmBuffer(choices cpnet.Outcome, budget int64) (int, error) {
-	if s.Buffer == nil {
-		return 0, fmt.Errorf("client: session has no buffer")
-	}
-	return s.Buffer.Warm(s.Doc, choices, budget)
 }

@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"maps"
 	"net"
 	"reflect"
 	"slices"
@@ -27,6 +28,14 @@ import (
 // — no TCP, so these tests isolate the client-library logic.
 func pipeSystem(t *testing.T) (*Client, *workload.PopulatedRecord) {
 	t.Helper()
+	c, _, recs := pipeStore(t, "p1")
+	return c, recs[0]
+}
+
+// pipeStore is pipeSystem over a store holding one populated record per
+// name in docs.
+func pipeStore(t *testing.T, docs ...string) (*Client, *mediadb.MediaDB, []*workload.PopulatedRecord) {
+	t.Helper()
 	db, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncNever})
 	if err != nil {
 		t.Fatal(err)
@@ -36,9 +45,13 @@ func pipeSystem(t *testing.T) (*Client, *workload.PopulatedRecord) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := workload.Populate(m, "p1", 1)
-	if err != nil {
-		t.Fatal(err)
+	var recs []*workload.PopulatedRecord
+	for i, id := range docs {
+		rec, err := workload.Populate(m, id, int64(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
 	}
 	srv := server.New(m)
 	t.Cleanup(func() { srv.Close() })
@@ -49,7 +62,7 @@ func pipeSystem(t *testing.T) (*Client, *workload.PopulatedRecord) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return c, rec
+	return c, m, recs
 }
 
 func TestNewOverConnValidation(t *testing.T) {
@@ -106,16 +119,16 @@ func TestGetters(t *testing.T) {
 }
 
 // The stream GetCmp decodes is made of slices of the payload it fetched,
-// and with the digest cache on that payload is the cache entry: a decode
+// and with a media buffer that payload is the buffer's entry: a decode
 // that wrote to its input would corrupt every later NotModified answer.
 func TestGetCmpLeavesCachedStreamIntact(t *testing.T) {
 	c, rec := pipeSystem(t)
-	c.digests = newDigestCache(8 << 20)
+	c.buffer.Store(newMediaBuffer(8 << 20))
 	intact := func(when string) {
 		t.Helper()
-		digest, cached, ok := c.digests.lookup(objectKey{'c', rec.CmpID})
-		if !ok || blob.Sum(cached) != blob.Digest(digest) {
-			t.Fatalf("%s: cached stream present=%v no longer matches its digest", when, ok)
+		digest, cached := c.buffer.Load().lookup(objectKey{mediadb.CmpTable, rec.CmpID})
+		if cached == nil || blob.Sum(cached) != blob.Digest(digest) {
+			t.Fatalf("%s: cached stream present=%v no longer matches its digest", when, cached != nil)
 		}
 	}
 	first, _, err := c.GetCmp(rec.CmpID, 0) // a miss: decodes the bytes it has just cached
@@ -128,7 +141,7 @@ func TestGetCmpLeavesCachedStreamIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 	intact("after the hit")
-	if st := c.DigestCacheStats(); st.Hits != 1 || st.Misses != 1 {
+	if st := c.BufferStats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats %+v, want 1 hit / 1 miss", st)
 	}
 	if !slices.Equal(first.Pix, second.Pix) {
@@ -456,25 +469,136 @@ updated:
 	}
 }
 
+// The first Join with a size gives the client its buffer; a warmed
+// object is then a fetch the buffer answers.
 func TestSessionBuffer(t *testing.T) {
 	c, rec := pipeSystem(t)
 	s, _, err := c.Join("r", "p1", 1<<22)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Buffer == nil {
+	b := c.buffer.Load()
+	if b == nil {
 		t.Fatal("buffer not created")
 	}
 	n, err := s.WarmBuffer(nil, 1<<22)
 	if err != nil || n == 0 {
 		t.Fatalf("WarmBuffer: %d %v", n, err)
 	}
-	if _, err := s.Buffer.Demand(rec.CTID); err != nil {
+	warmed := c.BufferStats()
+	if _, _, err := c.GetImage(rec.CTID); err != nil {
 		t.Fatal(err)
 	}
-	hits, _, _ := s.Buffer.Cache.Stats()
-	if hits == 0 {
-		t.Error("warm did not produce a hit")
+	if st := c.BufferStats(); st.Hits != warmed.Hits+1 || st.Misses != warmed.Misses {
+		t.Errorf("fetch of a warmed image: %+v after %+v, want one more hit", st, warmed)
+	}
+	// A later Join shares the buffer, whatever size it names.
+	if _, _, err := c.Join("r2", "p1", 1<<10); err != nil {
+		t.Fatal(err)
+	}
+	if c.buffer.Load() != b {
+		t.Error("a second Join replaced the client's buffer")
+	}
+}
+
+// One buffer serves every goroutine of the client: fetches of the three
+// kinds and a warm running at once each get the object's own bytes.
+func TestBufferSharedByConcurrentFetches(t *testing.T) {
+	c, rec := pipeSystem(t)
+	s, _, err := c.Join("r", "p1", 1<<22)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := c.GetImageBytes(rec.CTID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pcm, _, _, err := c.GetAudio(rec.VoiceID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 5 {
+				if got, err := c.GetImageBytes(rec.CTID); err != nil || !slices.Equal(got, ct) {
+					t.Errorf("image: %d bytes, %v", len(got), err)
+				}
+				if got, _, _, err := c.GetAudio(rec.VoiceID); err != nil || !slices.Equal(got, pcm) {
+					t.Errorf("audio: %d bytes, %v", len(got), err)
+				}
+				if _, _, err := c.GetCmp(rec.CmpID, 0); err != nil {
+					t.Errorf("stream: %v", err)
+				}
+				if _, err := s.WarmBuffer(nil, 1<<22); err != nil {
+					t.Errorf("warm: %v", err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := c.BufferStats(); st.Hits < 4*5*2 {
+		t.Errorf("stats %+v: the held image and audio were transferred again", st)
+	}
+}
+
+// In a two-record store object ids overlap across tables: patient p1's
+// voice recording is audio 2, and image 2 is p0's X-ray. Warming p1's
+// session fetches each candidate from its own table, so the buffer holds
+// only p1's objects, each under its row's digest.
+func TestWarmBufferHoldsOnlyTheRecordsObjects(t *testing.T) {
+	c, m, recs := pipeStore(t, "p0", "p1")
+	rec := recs[1]
+	s, _, err := c.Join("r", "p1", 1<<22)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.WarmBuffer(nil, 1<<22); err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[objectKey]blob.Digest)
+	for _, id := range []uint64{rec.CTID, rec.XrayID} {
+		row, err := m.GetImageRow(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[objectKey{mediadb.ImageTable, id}] = row.Data.Digest
+	}
+	audio, err := m.GetAudioRow(rec.VoiceID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want[objectKey{mediadb.AudioTable, rec.VoiceID}] = audio.Data.Digest
+	stream, err := m.GetCmpRow(rec.CmpID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want[objectKey{mediadb.CmpTable, rec.CmpID}] = stream.Data.Digest
+
+	b := c.buffer.Load()
+	b.mu.Lock()
+	held := maps.Clone(b.byID)
+	b.mu.Unlock()
+	if len(held) == 0 {
+		t.Fatal("warm filed nothing")
+	}
+	for k, d := range held {
+		w, ok := want[k]
+		if !ok {
+			t.Errorf("buffer holds %s object %d, not one of p1's", k.table, k.id)
+			continue
+		}
+		if d != w {
+			t.Errorf("%s object %d held under digest %x, its row holds %x", k.table, k.id, d, w)
+		}
+		if data, ok := b.payloads.Get(d); !ok || blob.Sum(data) != d {
+			t.Errorf("%s object %d: payload resident=%v does not match its digest", k.table, k.id, ok)
+		}
+	}
+	if _, ok := held[objectKey{mediadb.AudioTable, rec.VoiceID}]; !ok {
+		t.Errorf("p1's voice recording (audio %d) was not warmed; held %v", rec.VoiceID, held)
 	}
 }
 

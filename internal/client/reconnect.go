@@ -86,11 +86,6 @@ type Options struct {
 	// hint between attempts (default 0: overload errors surface to the
 	// caller immediately; negative is treated as 0).
 	RetryOverloaded int
-	// DigestCacheBytes bounds the client's digest-keyed media cache
-	// (default 0: disabled). With it on, repeat fetches of an unchanged
-	// object send its known digest and the server elides the payload —
-	// see digestcache.go.
-	DigestCacheBytes int64
 }
 
 // normalize fills defaulted fields in place.

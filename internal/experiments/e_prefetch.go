@@ -32,7 +32,7 @@ func E8Prefetch() (*Table, error) {
 	for _, buffer := range []int64{256 << 10, 512 << 10, 1 << 20, 4 << 20} {
 		for _, pol := range []prefetch.Policy{prefetch.PolicyNone, prefetch.PolicyLRU, prefetch.PolicyPreference} {
 			link.Reset()
-			r, err := prefetch.Simulate(doc, script, pol, buffer, warmBudget, link)
+			r, err := prefetch.Simulate(doc, script, pol, buffer, warmBudget, link, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -47,7 +47,7 @@ func E15QoS() (*Table, error) {
 			{"adaptive", cpnet.Outcome{core.BandwidthVariable: level.String()}},
 		} {
 			link.Reset()
-			r, err := prefetch.SimulateWith(doc, script, prefetch.PolicyPreference,
+			r, err := prefetch.Simulate(doc, script, prefetch.PolicyPreference,
 				1<<20, 512<<10, link, mode.initial)
 			if err != nil {
 				return nil, err

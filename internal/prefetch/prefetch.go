@@ -15,11 +15,10 @@ package prefetch
 import (
 	"fmt"
 	"sort"
-	"sync"
 
-	"mmconf/internal/bytecache"
 	"mmconf/internal/cpnet"
 	"mmconf/internal/document"
+	"mmconf/internal/mediadb"
 )
 
 // Candidate is one payload worth holding in the client buffer.
@@ -43,14 +42,20 @@ type Candidate struct {
 const lookaheadWeight = 0.5
 
 // Rank returns candidate payloads in descending likelihood given the
-// document and the current viewer choices. Payloads with ObjectID 0
-// (inline or hidden forms) are not fetchable and are skipped.
+// document and the current viewer choices, one per stored object: object
+// ids are per table, so a stream and an image that share an id are two
+// candidates. Payloads with ObjectID 0 (inline or hidden forms) or a kind
+// no table stores are not fetchable and are skipped.
 func Rank(doc *document.Document, choices cpnet.Outcome) ([]Candidate, error) {
 	base, err := doc.ReconfigPresentation(choices)
 	if err != nil {
 		return nil, err
 	}
-	best := make(map[uint64]Candidate)
+	type object struct {
+		table string
+		id    uint64
+	}
+	best := make(map[object]Candidate)
 	add := func(v document.View, score float64) {
 		for _, c := range doc.Components() {
 			if c.Composite() || !v.Visible[c.Name] {
@@ -60,12 +65,16 @@ func Rank(doc *document.Document, choices cpnet.Outcome) ([]Candidate, error) {
 			if err != nil || p.ObjectID == 0 {
 				continue
 			}
+			key := object{mediadb.KindTable(p.Kind), p.ObjectID}
+			if key.table == "" {
+				continue
+			}
 			cand := Candidate{
 				Component: c.Name, Value: p.Name,
 				ObjectID: p.ObjectID, Bytes: p.Bytes, Kind: p.Kind, Score: score,
 			}
-			if old, ok := best[p.ObjectID]; !ok || cand.Score > old.Score {
-				best[p.ObjectID] = cand
+			if old, ok := best[key]; !ok || cand.Score > old.Score {
+				best[key] = cand
 			}
 		}
 	}
@@ -98,184 +107,55 @@ func Rank(doc *document.Document, choices cpnet.Outcome) ([]Candidate, error) {
 		if out[i].Score != out[j].Score {
 			return out[i].Score > out[j].Score
 		}
-		return out[i].ObjectID < out[j].ObjectID
+		if out[i].ObjectID != out[j].ObjectID {
+			return out[i].ObjectID < out[j].ObjectID
+		}
+		return mediadb.KindTable(out[i].Kind) < mediadb.KindTable(out[j].Kind)
 	})
 	return out, nil
 }
 
-// Cache is a byte-budgeted LRU buffer of fetched payloads keyed by
-// object id — the "user's buffer as a cache" of §4.4. It is safe for
-// concurrent use: the server push-prefetch path fills it while the
-// viewer's Demand path reads it.
-type Cache struct {
-	capacity int64
-	lru      *bytecache.Cache[uint64]
-	// tags holds the content digest a pushed payload arrived with. mu
-	// makes a payload and its tag change together; an entry the LRU has
-	// since evicted loses its tag on the next Digest call.
-	mu   sync.Mutex
-	tags map[uint64]string
+// Buffer is the client buffer a warm loop fills: a client's media buffer,
+// or the E8/E15 simulation's.
+type Buffer interface {
+	// Holds reports whether the candidate's payload is resident, counting
+	// no lookup.
+	Holds(Candidate) bool
+	// Free is the byte count the buffer takes without evicting.
+	Free() int64
+	// Fetch transfers the candidate's payload and offers it to the
+	// buffer, which keeps it only if it fits without evicting. It returns
+	// the bytes transferred.
+	Fetch(Candidate) (int64, error)
 }
 
-// NewCache returns a cache with the given byte capacity.
-func NewCache(capacity int64) (*Cache, error) {
-	if capacity <= 0 {
-		return nil, fmt.Errorf("prefetch: capacity %d must be positive", capacity)
-	}
-	return &Cache{capacity: capacity, lru: bytecache.New[uint64](capacity), tags: make(map[uint64]string)}, nil
-}
-
-// Get returns the cached payload and records a hit or miss.
-func (c *Cache) Get(id uint64) ([]byte, bool) { return c.lru.Get(id) }
-
-// Digest returns the digest tag stored alongside a cached payload, if
-// any, without touching LRU order or hit statistics.
-func (c *Cache) Digest(id uint64) (string, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.lru.Contains(id) {
-		delete(c.tags, id)
-	}
-	digest, ok := c.tags[id]
-	return digest, ok
-}
-
-// Contains reports presence without recording a hit or miss (used by the
-// prefetcher to avoid distorting statistics).
-func (c *Cache) Contains(id uint64) bool { return c.lru.Contains(id) }
-
-// Offer inserts a speculative payload only if it fits without evicting
-// anything — the acceptance rule for server push-prefetch: an unasked-for
-// payload must never displace content the viewer demanded or a
-// higher-ranked candidate already warmed. Replacing an existing entry for
-// the same id reclaims that entry's bytes first. It reports whether the
-// payload was stored.
-func (c *Cache) Offer(id uint64, digest string, data []byte) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.lru.Offer(id, data) {
-		return false // keep the resident bytes and their tag
-	}
-	c.tag(id, digest)
-	return true
-}
-
-// Put inserts a payload, evicting least-recently-used entries as needed.
-// Payloads larger than the whole capacity are not cached — and if such an
-// oversized payload replaces an existing id, the stale entry is evicted
-// rather than silently kept (the old bytes no longer describe the object).
-func (c *Cache) Put(id uint64, data []byte) {
-	c.PutDigest(id, "", data)
-}
-
-// PutDigest is Put with a content digest tag attached to the entry, so
-// server-pushed payloads can be verified against the digest the demand
-// path would have fetched.
-func (c *Cache) PutDigest(id uint64, digest string, data []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.lru.Put(id, data)
-	c.tag(id, digest)
-}
-
-// tag records (or, for "", clears) id's digest tag under c.mu.
-func (c *Cache) tag(id uint64, digest string) {
-	if digest == "" {
-		delete(c.tags, id)
-	} else {
-		c.tags[id] = digest
-	}
-}
-
-// Used returns the occupied bytes.
-func (c *Cache) Used() int64 { return c.lru.Stats().Bytes }
-
-// Capacity returns the configured byte capacity.
-func (c *Cache) Capacity() int64 { return c.capacity }
-
-// Stats returns cumulative hit/miss/eviction counts.
-func (c *Cache) Stats() (hits, misses, evictions int64) {
-	st := c.lru.Stats()
-	return int64(st.Hits), int64(st.Misses), int64(st.Evictions)
-}
-
-// FetchFunc retrieves a payload from the database server by object id.
-type FetchFunc func(objectID uint64) ([]byte, error)
-
-// Prefetcher couples a cache with a fetch path.
-type Prefetcher struct {
-	Cache *Cache
-	Fetch FetchFunc
-	// PrefetchedBytes counts bytes fetched ahead of demand.
-	PrefetchedBytes int64
-}
-
-// NewPrefetcher wires a cache to a fetch function.
-func NewPrefetcher(cache *Cache, fetch FetchFunc) (*Prefetcher, error) {
-	if cache == nil || fetch == nil {
-		return nil, fmt.Errorf("prefetch: need a cache and a fetch function")
-	}
-	return &Prefetcher{Cache: cache, Fetch: fetch}, nil
-}
-
-// Inject stores a payload the server pushed ahead of demand (the QoS
-// loop's push-prefetch). Unlike Warm it costs the client no fetch, but
-// the same no-eviction rule applies: the payload is dropped if it does
-// not fit in the buffer's free space. It reports whether it was kept.
-func (p *Prefetcher) Inject(id uint64, digest string, data []byte) bool {
-	return p.Cache.Offer(id, digest, data)
-}
-
-// Demand returns the payload for an object the viewer needs right now,
-// through the cache.
-func (p *Prefetcher) Demand(objectID uint64) ([]byte, error) {
-	if data, ok := p.Cache.Get(objectID); ok {
-		return data, nil
-	}
-	data, err := p.Fetch(objectID)
-	if err != nil {
-		return nil, err
-	}
-	p.Cache.Put(objectID, data)
-	return data, nil
-}
-
-// Warm fetches ranked candidates ahead of demand until budget bytes have
-// been prefetched this call or the ranking is exhausted. Already-cached
-// payloads are skipped without touching hit statistics. Warming is
-// speculative, so it never evicts: candidates that do not fit in the
-// buffer's remaining free space are skipped (a lower-ranked candidate
-// must not push out a higher-ranked or recently demanded payload). It
-// returns the number of payloads fetched.
-func (p *Prefetcher) Warm(doc *document.Document, choices cpnet.Outcome, budget int64) (int, error) {
+// Warm is the §4.4 warm loop: it ranks the document's candidates for the
+// viewer's choices and fetches them into buf, best first, until budget
+// bytes have been fetched this call or the ranking is exhausted. Held
+// payloads are skipped. Warming is speculative, so it never evicts: a
+// candidate that does not fit the buffer's free space is skipped (a
+// lower-ranked candidate must not push out a higher-ranked or recently
+// demanded payload) and a smaller one tried. It returns the number of
+// payloads fetched and their bytes.
+func Warm(doc *document.Document, choices cpnet.Outcome, budget int64, buf Buffer) (fetched int, spent int64, err error) {
 	cands, err := Rank(doc, choices)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	fetched := 0
-	var spent int64
 	for _, cand := range cands {
 		if spent >= budget {
 			break
 		}
-		if p.Cache.Contains(cand.ObjectID) {
+		if buf.Holds(cand) || cand.Bytes > buf.Free() {
 			continue
 		}
-		avail := p.Cache.Capacity() - p.Cache.Used()
-		if cand.Bytes > avail {
-			continue // would evict better content; skip, try smaller candidates
-		}
-		data, err := p.Fetch(cand.ObjectID)
+		n, err := buf.Fetch(cand)
 		if err != nil {
-			return fetched, fmt.Errorf("prefetch: warming object %d: %w", cand.ObjectID, err)
+			return fetched, spent, fmt.Errorf("prefetch: warming %s object %d: %w",
+				mediadb.KindTable(cand.Kind), cand.ObjectID, err)
 		}
-		if int64(len(data)) > avail {
-			continue // size estimate was low; still refuse to evict
-		}
-		p.Cache.Put(cand.ObjectID, data)
-		spent += int64(len(data))
-		p.PrefetchedBytes += int64(len(data))
+		spent += n
 		fetched++
 	}
-	return fetched, nil
+	return fetched, spent, nil
 }

@@ -2,11 +2,14 @@ package prefetch
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
+	"mmconf/internal/bytecache"
 	"mmconf/internal/cpnet"
 	"mmconf/internal/document"
+	"mmconf/internal/mediadb"
 	"mmconf/internal/netsim"
 	"mmconf/internal/workload"
 )
@@ -97,129 +100,118 @@ func TestRankRespectsChoices(t *testing.T) {
 	}
 }
 
-func TestCacheLRUSemantics(t *testing.T) {
-	c, err := NewCache(100)
+// A one-record store numbers each table from 1: the CT image, its
+// lowres stream and the voice recording are all object 1, the X-ray is
+// image 2. Each is its own candidate.
+func TestRankKeepsObjectsThatShareAnID(t *testing.T) {
+	d, err := workload.MedicalRecord("p", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewCache(0); err == nil {
-		t.Error("zero capacity accepted")
+	ids := map[string]map[string]uint64{
+		"ct":    {"full": 1, "segmented": 1, "lowres": 1},
+		"xray":  {"full": 2, "icon": 2},
+		"voice": {"audio": 1},
 	}
-	c.Put(1, make([]byte, 40))
-	c.Put(2, make([]byte, 40))
-	if _, ok := c.Get(1); !ok {
-		t.Fatal("entry 1 missing")
+	for comp, vals := range ids {
+		c, err := d.Component(comp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range c.Presentations {
+			c.Presentations[i].ObjectID = vals[c.Presentations[i].Name]
+		}
 	}
-	// Inserting 3 (40 bytes) exceeds 100: evicts LRU = 2 (1 was touched).
-	c.Put(3, make([]byte, 40))
-	if _, ok := c.Get(2); ok {
-		t.Error("LRU entry survived eviction")
+	type object struct {
+		table string
+		id    uint64
 	}
-	if !c.Contains(1) || !c.Contains(3) {
-		t.Error("wrong entries evicted")
+	first, err := Rank(d, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	hits, misses, evictions := c.Stats()
-	if hits != 1 || misses != 1 || evictions != 1 {
-		t.Errorf("stats = %d/%d/%d", hits, misses, evictions)
+	got := make(map[object]int)
+	for _, c := range first {
+		got[object{mediadb.KindTable(c.Kind), c.ObjectID}]++
 	}
-	// Oversized payloads are not cached.
-	c.Put(9, make([]byte, 200))
-	if c.Contains(9) {
-		t.Error("oversized payload cached")
+	for _, want := range []object{
+		{mediadb.ImageTable, 1}, {mediadb.CmpTable, 1}, {mediadb.AudioTable, 1}, {mediadb.ImageTable, 2},
+	} {
+		if got[want] != 1 {
+			t.Errorf("%s object %d ranked %d times, want once (ranking %+v)", want.table, want.id, got[want], first)
+		}
 	}
-	// Replacing an entry adjusts usage.
-	c.Put(1, make([]byte, 10))
-	if c.Used() != 50 {
-		t.Errorf("used = %d, want 50", c.Used())
-	}
-	// Contains does not affect stats.
-	c.Contains(1)
-	h2, m2, _ := c.Stats()
-	if h2 != hits || m2 != misses {
-		t.Error("Contains changed stats")
-	}
-}
-
-func TestCacheEvictionOrderWithTouch(t *testing.T) {
-	c, _ := NewCache(30)
-	c.Put(1, make([]byte, 10))
-	c.Put(2, make([]byte, 10))
-	c.Put(3, make([]byte, 10))
-	c.Get(1) // 1 becomes MRU; order now 1,3,2
-	c.Put(4, make([]byte, 10))
-	if c.Contains(2) {
-		t.Error("2 should be evicted first")
-	}
-	c.Put(5, make([]byte, 10))
-	if c.Contains(3) {
-		t.Error("3 should be evicted second")
-	}
-	if !c.Contains(1) {
-		t.Error("recently used entry evicted")
+	// Ties on score and id are ordered by table, so the ranking does not
+	// depend on map iteration order.
+	for range 20 {
+		again, err := Rank(d, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again, first) {
+			t.Fatalf("ranking changed between calls:\n%+v\n%+v", first, again)
+		}
 	}
 }
 
-func TestPrefetcherDemandAndWarm(t *testing.T) {
+// countingBuffer is the simulation's buffer with its fetches counted, or
+// failed with err.
+type countingBuffer struct {
+	*simBuffer
+	fetched map[uint64]int
+	err     error
+}
+
+func newCountingBuffer(capacity int64) countingBuffer {
+	return countingBuffer{
+		simBuffer: &simBuffer{lru: bytecache.New[uint64](capacity), capacity: capacity},
+		fetched:   make(map[uint64]int),
+	}
+}
+
+func (b countingBuffer) Fetch(c Candidate) (int64, error) {
+	if b.err != nil {
+		return 0, b.err
+	}
+	b.fetched[c.ObjectID]++
+	return b.simBuffer.Fetch(c)
+}
+
+func TestWarm(t *testing.T) {
 	doc := populatedDoc(t)
-	fetched := map[uint64]int{}
-	fetch := func(id uint64) ([]byte, error) {
-		fetched[id]++
-		return make([]byte, 1000), nil
-	}
-	cache, _ := NewCache(1 << 20)
-	pf, err := NewPrefetcher(cache, fetch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewPrefetcher(nil, fetch); err == nil {
-		t.Error("nil cache accepted")
-	}
-	if _, err := NewPrefetcher(cache, nil); err == nil {
-		t.Error("nil fetch accepted")
-	}
-	// Demand twice: second hit avoids the fetch.
-	if _, err := pf.Demand(11); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pf.Demand(11); err != nil {
-		t.Fatal(err)
-	}
-	if fetched[11] != 1 {
-		t.Errorf("object 11 fetched %d times", fetched[11])
-	}
-	// Warm pulls the ranked candidates.
-	n, err := pf.Warm(doc, nil, 1<<20)
+	buf := newCountingBuffer(1 << 30)
+	n, spent, err := Warm(doc, nil, 1<<30, buf)
 	if err != nil {
 		t.Fatalf("Warm: %v", err)
 	}
-	if n == 0 {
-		t.Error("warm fetched nothing")
+	if n == 0 || spent != buf.lru.Stats().Bytes {
+		t.Errorf("warm fetched %d payloads, %d bytes; the buffer holds %d", n, spent, buf.lru.Stats().Bytes)
 	}
-	if pf.PrefetchedBytes == 0 {
-		t.Error("prefetched bytes not accounted")
+	// What is held is not fetched again.
+	if n, _, _ := Warm(doc, nil, 1<<30, buf); n != 0 {
+		t.Errorf("second warm fetched %d held payloads", n)
 	}
-	// A later demand for a warmed object is a pure hit.
-	before := fetched[12]
-	if _, err := pf.Demand(12); err != nil {
+	for id, k := range buf.fetched {
+		if k != 1 {
+			t.Errorf("object %d fetched %d times", id, k)
+		}
+	}
+	// The budget stops the loop once spent.
+	if n, _, _ := Warm(doc, nil, 1, newCountingBuffer(1<<30)); n != 1 {
+		t.Errorf("warm under a 1-byte budget fetched %d payloads, want 1", n)
+	}
+	// A candidate larger than the free space is skipped, not made room for.
+	small := newCountingBuffer(spent / 2)
+	if _, _, err := Warm(doc, nil, 1<<30, small); err != nil {
 		t.Fatal(err)
 	}
-	if fetched[12] != before {
-		t.Error("warmed object fetched again on demand")
-	}
-	// Budget is respected.
-	cache2, _ := NewCache(1 << 20)
-	pf2, _ := NewPrefetcher(cache2, fetch)
-	if _, err := pf2.Warm(doc, nil, 1); err != nil {
-		t.Fatal(err)
-	}
-	if pf2.PrefetchedBytes > 1000 {
-		t.Errorf("warm overshot budget: %d", pf2.PrefetchedBytes)
+	if st := small.lru.Stats(); st.Evictions != 0 || st.Bytes > spent/2 {
+		t.Errorf("warm evicted %d entries, holds %d of %d bytes", st.Evictions, st.Bytes, spent/2)
 	}
 	// Fetch failures surface.
-	bad, _ := NewPrefetcher(cache2, func(id uint64) ([]byte, error) {
-		return nil, fmt.Errorf("db down")
-	})
-	if _, err := bad.Demand(999); err == nil {
+	bad := newCountingBuffer(1 << 30)
+	bad.err = fmt.Errorf("db down")
+	if _, _, err := Warm(doc, nil, 1<<30, bad); err == nil {
 		t.Error("fetch failure swallowed")
 	}
 }
@@ -234,7 +226,7 @@ func TestSimulatePolicyOrdering(t *testing.T) {
 	results := map[Policy]Result{}
 	for _, pol := range []Policy{PolicyNone, PolicyLRU, PolicyPreference} {
 		link.Reset()
-		r, err := Simulate(doc, script, pol, cacheBytes, warm, link)
+		r, err := Simulate(doc, script, pol, cacheBytes, warm, link, nil)
 		if err != nil {
 			t.Fatalf("Simulate(%v): %v", pol, err)
 		}
@@ -263,15 +255,15 @@ func TestSimulatePolicyOrdering(t *testing.T) {
 
 func TestSimulateValidation(t *testing.T) {
 	doc := populatedDoc(t)
-	if _, err := Simulate(doc, nil, PolicyLRU, 1<<20, 0, nil); err == nil {
+	if _, err := Simulate(doc, nil, PolicyLRU, 1<<20, 0, nil, nil); err == nil {
 		t.Error("nil link accepted")
 	}
-	if _, err := Simulate(doc, nil, PolicyLRU, 0, 0, mustLink(t)); err == nil {
+	if _, err := Simulate(doc, nil, PolicyLRU, 0, 0, mustLink(t), nil); err == nil {
 		t.Error("zero cache accepted for caching policy")
 	}
 	// Unknown variables in the script are skipped, not fatal.
 	script := []workload.Choice{{Viewer: "a", Variable: "nosuch", Value: "x"}}
-	if _, err := Simulate(doc, script, PolicyNone, 0, 0, mustLink(t)); err != nil {
+	if _, err := Simulate(doc, script, PolicyNone, 0, 0, mustLink(t), nil); err != nil {
 		t.Errorf("unknown-variable choice not skipped: %v", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"mmconf/internal/bytecache"
 	"mmconf/internal/cpnet"
 	"mmconf/internal/document"
 	"mmconf/internal/netsim"
@@ -53,50 +54,26 @@ type Result struct {
 }
 
 // Simulate replays a scripted session over a document under the given
-// policy, modeling transfers over link. Every step applies one viewer
-// choice, recomputes the optimal view, and "displays" it: each visible
-// stored payload must be present — a cache hit costs nothing, a miss
-// costs the link transfer time. PolicyPreference then warms the buffer
-// with warmBudget bytes of ranked candidates (modeled off the critical
-// path, as background transfer).
+// policy, modeling transfers over link. initial is evidence pinned before
+// the first display (E15 pins the net/bandwidth tuning variable so the
+// solver degrades layered presentations for the simulated link class; E8
+// passes nil). Every step applies one viewer choice, recomputes the
+// optimal view, and "displays" it: each visible stored payload must be
+// present — a cache hit costs nothing, a miss costs the link transfer
+// time. PolicyPreference then warms the buffer with warmBudget bytes of
+// ranked candidates (modeled off the critical path, as background
+// transfer).
 func Simulate(doc *document.Document, script []workload.Choice, policy Policy,
-	cacheBytes, warmBudget int64, link *netsim.Link) (Result, error) {
-	return SimulateWith(doc, script, policy, cacheBytes, warmBudget, link, nil)
-}
-
-// SimulateWith is Simulate with initial evidence pinned before the first
-// display — E15 uses it to pin the net/bandwidth tuning variable so the
-// solver degrades layered presentations for the simulated link class.
-func SimulateWith(doc *document.Document, script []workload.Choice, policy Policy,
 	cacheBytes, warmBudget int64, link *netsim.Link, initial cpnet.Outcome) (Result, error) {
 	if link == nil {
 		return Result{}, fmt.Errorf("prefetch: nil link")
 	}
-	sizeOf := make(map[uint64]int64)
-	for _, c := range doc.Components() {
-		for _, p := range c.Presentations {
-			if p.ObjectID != 0 {
-				sizeOf[p.ObjectID] = p.Bytes
-			}
-		}
-	}
-	fetch := func(id uint64) ([]byte, error) {
-		n, ok := sizeOf[id]
-		if !ok {
-			return nil, fmt.Errorf("prefetch: unknown object %d", id)
-		}
-		return make([]byte, n), nil
-	}
-	var pf *Prefetcher
+	var buf *simBuffer
 	if policy != PolicyNone {
-		cache, err := NewCache(cacheBytes)
-		if err != nil {
-			return Result{}, err
+		if cacheBytes <= 0 {
+			return Result{}, fmt.Errorf("prefetch: capacity %d must be positive", cacheBytes)
 		}
-		pf, err = NewPrefetcher(cache, fetch)
-		if err != nil {
-			return Result{}, err
-		}
+		buf = &simBuffer{lru: bytecache.New[uint64](cacheBytes), capacity: cacheBytes}
 	}
 	res := Result{Policy: policy, Steps: len(script)}
 	choices := cpnet.Outcome{}
@@ -117,35 +94,31 @@ func SimulateWith(doc *document.Document, script []workload.Choice, policy Polic
 				continue
 			}
 			res.Demands++
-			if pf != nil {
-				if _, ok := pf.Cache.Get(p.ObjectID); ok {
+			if buf != nil {
+				if _, ok := buf.lru.Get(p.ObjectID); ok {
 					res.Hits++
 					continue
 				}
-				data, err := fetch(p.ObjectID)
-				if err != nil {
-					return err
-				}
-				pf.Cache.Put(p.ObjectID, data)
+				buf.lru.Put(p.ObjectID, make([]byte, p.Bytes))
 			}
 			res.TotalResponse += link.TransferTime(p.Bytes)
 			res.DemandBytes += p.Bytes
 		}
 		return nil
 	}
+	warm := func() error {
+		if policy != PolicyPreference {
+			return nil
+		}
+		_, n, err := Warm(doc, choices, warmBudget, buf)
+		res.PrefetchedBytes += n
+		return err
+	}
 	// Initial display, then one per scripted choice.
 	if err := display(); err != nil {
 		return Result{}, err
 	}
 	res.FirstDisplay = res.TotalResponse
-	warm := func() error {
-		if policy != PolicyPreference {
-			return nil
-		}
-		n, err := pf.Warm(doc, choices, warmBudget)
-		_ = n
-		return err
-	}
 	if err := warm(); err != nil {
 		return Result{}, err
 	}
@@ -165,8 +138,22 @@ func SimulateWith(doc *document.Document, script []workload.Choice, policy Polic
 		res.HitRate = float64(res.Hits) / float64(res.Demands)
 		res.MeanResponse = res.TotalResponse / time.Duration(res.Demands)
 	}
-	if pf != nil {
-		res.PrefetchedBytes = pf.PrefetchedBytes
-	}
 	return res, nil
+}
+
+// simBuffer is the simulation's client buffer. Its documents' object ids
+// are distinct across tables, so it keys payloads by bare id; a payload
+// is as many zero bytes as the presentation's size estimate.
+type simBuffer struct {
+	lru      *bytecache.Cache[uint64]
+	capacity int64
+}
+
+func (b *simBuffer) Holds(c Candidate) bool { return b.lru.Contains(c.ObjectID) }
+
+func (b *simBuffer) Free() int64 { return b.capacity - b.lru.Stats().Bytes }
+
+func (b *simBuffer) Fetch(c Candidate) (int64, error) {
+	b.lru.Offer(c.ObjectID, make([]byte, c.Bytes))
+	return c.Bytes, nil
 }

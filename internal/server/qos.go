@@ -147,8 +147,8 @@ func (q *qosController) tick() {
 // member's live push-budget headroom (speculative bytes must never
 // starve real event delivery). Only candidates whose ObjectID indexes
 // IMAGE_OBJECTS_TABLE are pushed — object ids are per table, and a
-// PrefetchPush carries one image, which is what the client buffer's
-// demand path asks for by that id.
+// PrefetchPush carries one image, which the client files in its media
+// buffer under that image's id, where its next GetImage finds it.
 func (q *qosController) prefetch(c *qosClient) {
 	if q.prefetchBudget <= 0 || c.pushedBytes >= q.prefetchBudget {
 		return

@@ -3,13 +3,17 @@ package server
 import (
 	"bytes"
 	"net"
+	"reflect"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"mmconf/internal/blob"
 	"mmconf/internal/client"
 	"mmconf/internal/core"
+	"mmconf/internal/media/image"
 	"mmconf/internal/mediadb"
 	"mmconf/internal/proto"
 	"mmconf/internal/qos"
@@ -54,31 +58,33 @@ func qosServer(t *testing.T, docs ...string) (srv *Server, m *mediadb.MediaDB, c
 	return srv, m, cc, recs
 }
 
-// qosSystem is qosServer with a client on the pipe, and p1 the second of
-// two records. Object ids are per table and prefetch.Rank keeps one
-// candidate per bare id (DESIGN §11): in a one-record store stream 1, the
-// degraded view's ct=lowres, would hide image 1, the CT a next click
-// needs. As the second record p1 has images 3 and 4 and stream 2.
-func qosSystem(t *testing.T) (*Server, *client.Client, *workload.PopulatedRecord) {
+// qosRig is qosServer over one record, p0, with a client on the pipe
+// that joins p0's room with a media buffer. Object ids are per table: the
+// record's CT is image 1 and its ct=lowres stream is stream 1.
+type qosRig struct {
+	srv *Server
+	m   *mediadb.MediaDB
+	c   *client.Client
+	s   *client.Session
+	rec *workload.PopulatedRecord
+	// served counts the bytes the server has written to c.
+	served atomic.Int64
+}
+
+func qosSystem(t *testing.T) *qosRig {
 	t.Helper()
-	srv, _, cc, recs := qosServer(t, "p0", "p1")
-	c, err := client.NewOverConn(cc, "alice")
+	r := &qosRig{}
+	var cc net.Conn
+	var recs []*workload.PopulatedRecord
+	r.srv, r.m, cc, recs = qosServer(t, "p0")
+	r.rec = recs[0]
+	c, err := client.NewOverConn(&readCounter{Conn: cc, n: &r.served}, "alice")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return srv, c, recs[1]
-}
-
-// The full adaptive loop, end to end: the server measures the member's
-// connection, demotes its tuning level, re-solves the member's view with
-// resolution degraded (the CT drops to lowres but stays visible), pushes
-// the presentation, pre-pushes likely payloads into the client's buffer,
-// and surfaces qos.* metrics in sys.stats.
-func TestQoSAdaptiveDegradationEndToEnd(t *testing.T) {
-	srv, c, rec := qosSystem(t)
-	s, _, err := c.Join("consult", "p1", 1<<20)
-	if err != nil {
+	r.c = c
+	if r.s, _, err = c.Join("consult", "p0", 1<<20); err != nil {
 		t.Fatal(err)
 	}
 	// Generate enough response writes for the meter's confidence gate.
@@ -87,9 +93,66 @@ func TestQoSAdaptiveDegradationEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitEvent(t, c, func(ev room.Event) bool {
-		return ev.Kind == room.EvPresentation && s.View().Outcome[core.BandwidthVariable] == core.BandwidthLow
+	return r
+}
+
+// pipe is one more connection to the rig's server.
+func (r *qosRig) pipe() net.Conn {
+	sc, cc := net.Pipe()
+	go r.srv.ServeConn(sc)
+	return cc
+}
+
+// imageBytes is the size of an image object's stored payload.
+func (r *qosRig) imageBytes(t *testing.T, id uint64) int64 {
+	t.Helper()
+	img, err := r.m.GetImage(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int64(len(img.Data))
+}
+
+// waitBuffered waits until the client's media buffer holds want bytes.
+func (r *qosRig) waitBuffered(t *testing.T, want int64) {
+	t.Helper()
+	for deadline := time.Now().Add(3 * time.Second); r.c.BufferStats().Bytes < want; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("media buffer holds %d bytes, want %d pushed", r.c.BufferStats().Bytes, want)
+		}
+	}
+}
+
+// waitDegraded waits for the presentation that pins the member's
+// bandwidth level to low; the loop changes the view no further after it.
+func (r *qosRig) waitDegraded(t *testing.T) {
+	t.Helper()
+	waitEvent(t, r.c, func(ev room.Event) bool {
+		return ev.Kind == room.EvPresentation && r.s.View().Outcome[core.BandwidthVariable] == core.BandwidthLow
 	})
+}
+
+// readCounter counts the bytes read through a connection into n.
+type readCounter struct {
+	net.Conn
+	n *atomic.Int64
+}
+
+func (c *readCounter) Read(b []byte) (int, error) {
+	k, err := c.Conn.Read(b)
+	c.n.Add(int64(k))
+	return k, err
+}
+
+// The full adaptive loop, end to end: the server measures the member's
+// connection, demotes its tuning level, re-solves the member's view with
+// resolution degraded (the CT drops to lowres but stays visible), pushes
+// the presentation, pre-pushes likely payloads into the client's buffer,
+// and surfaces qos.* metrics in sys.stats.
+func TestQoSAdaptiveDegradationEndToEnd(t *testing.T) {
+	r := qosSystem(t)
+	c, s, rec := r.c, r.s, r.rec
+	r.waitDegraded(t)
 	view := s.View()
 	if got := view.Outcome["ct"]; got != "lowres" {
 		t.Errorf("degraded ct = %s, want lowres", got)
@@ -98,24 +161,17 @@ func TestQoSAdaptiveDegradationEndToEnd(t *testing.T) {
 		t.Error("degradation hid the ct instead of lowering resolution — resolution-before-components violated")
 	}
 
-	// Push-prefetch lands the likeliest image payload in the session
-	// buffer, digest-tagged, without the client ever fetching it.
-	deadline := time.Now().Add(3 * time.Second)
-	for !s.Buffer.Cache.Contains(rec.CTID) {
-		if time.Now().After(deadline) {
-			t.Fatal("CT payload never push-prefetched into the session buffer")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if _, ok := s.Buffer.Cache.Digest(rec.CTID); !ok {
-		t.Error("pushed payload carries no digest tag")
-	}
+	// Push-prefetch lands the CT in the client's media buffer without the
+	// client ever fetching it, though stream 1, the degraded view's
+	// ct=lowres, shares its id. The loop pushes images only, and the X-ray
+	// is smaller than the CT: a buffer holding the CT's size holds the CT.
+	r.waitBuffered(t, r.imageBytes(t, rec.CTID))
 
 	// The metrics surface reports the loop's work. The tick counts a tune
 	// change after the room has pushed the presentation it caused, and the
 	// payload may have been prefetched on an earlier tick: this client can
 	// be here before the count is.
-	deadline = time.Now().Add(3 * time.Second)
+	deadline := time.Now().Add(3 * time.Second)
 	resp, err := c.Stats()
 	for ; err == nil && resp.Counters["qos.tune_changes"] == 0 && time.Now().Before(deadline); resp, err = c.Stats() {
 		time.Sleep(10 * time.Millisecond)
@@ -141,14 +197,109 @@ func TestQoSAdaptiveDegradationEndToEnd(t *testing.T) {
 		t.Error("qos.prefetch.bytes = 0 after a buffered push")
 	}
 
-	// A demand fetch for the pre-pushed object is now a buffer hit.
-	if _, err := s.Buffer.Demand(rec.CTID); err != nil {
-		t.Fatalf("Demand after prefetch: %v", err)
+	// A fetch of the pre-pushed CT is answered from the buffer.
+	if _, _, err := c.GetImage(rec.CTID); err != nil {
+		t.Fatal(err)
 	}
-	if hits, _, _ := s.Buffer.Cache.Stats(); hits == 0 {
-		t.Error("demand after push-prefetch did not hit the buffer")
+	if st := c.BufferStats(); st.Hits != 1 || st.Misses != 0 {
+		t.Errorf("fetch after push-prefetch: %+v, want 1 hit / 0 misses", st)
 	}
-	_ = srv
+}
+
+// A payload the server pushed is not sent again: the client's next fetch
+// of it is a round trip, and it decodes to the raster a client with no
+// buffer fetches.
+func TestQoSPushedImageIsNotSentAgain(t *testing.T) {
+	r := qosSystem(t)
+	// The loop pushes each object once, and the record's images are the CT
+	// and the X-ray: once the view is degraded and both are held nothing
+	// more arrives.
+	r.waitDegraded(t)
+	r.waitBuffered(t, r.imageBytes(t, r.rec.CTID)+r.imageBytes(t, r.rec.XrayID))
+	before := r.served.Load()
+	got, texts, err := r.c.GetImage(r.rec.CTID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := r.served.Load() - before; n >= 1<<10 {
+		t.Errorf("fetching the pushed CT made the server write %d bytes, want under 1 KiB", n)
+	}
+	plain, err := client.NewOverConn(r.pipe(), "bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { plain.Close() })
+	want, wantTexts, err := plain.GetImage(r.rec.CTID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || texts != wantTexts {
+		t.Error("the pushed CT decodes differently from the fetched one")
+	}
+}
+
+// A pushed image that changes afterwards is fetched afresh: new texts
+// come with the round trip, and a new raster transfers because its digest
+// no longer matches the pushed one.
+func TestQoSChangedPushedImageTransfers(t *testing.T) {
+	r := qosSystem(t)
+	id := r.rec.CTID
+	r.waitBuffered(t, r.imageBytes(t, id))
+
+	rpc := wire.NewClient(r.pipe())
+	t.Cleanup(func() { rpc.Close() })
+	if err := rpc.Call(proto.MPutImageTexts, &proto.PutImageTextsReq{ID: id, Texts: "lesion 8mm"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	pushed, texts, err := r.c.GetImage(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if texts != "lesion 8mm" {
+		t.Errorf("texts after PutImageTexts = %q", texts)
+	}
+
+	// Replace the CT's raster in its row, as a re-acquisition would.
+	next, err := image.Phantom(256, 256, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raster := next.Encode()
+	want, err := image.Decode(raster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := r.m.DB().PutBlob(raster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := r.m.DB().Table(mediadb.ImageTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, _, err := tbl.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row = slices.Clone(row)
+	row[3] = h
+	if err := tbl.Update(id, row); err != nil {
+		t.Fatal(err)
+	}
+	before := r.c.BufferStats()
+	got, texts, err := r.c.GetImage(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || reflect.DeepEqual(got, pushed) {
+		t.Error("GetImage after the raster changed returned the pushed bytes")
+	}
+	if texts != "lesion 8mm" {
+		t.Errorf("texts after the raster changed = %q", texts)
+	}
+	if st := r.c.BufferStats(); st.Misses != before.Misses+1 {
+		t.Errorf("changed raster: %+v after %+v, want one more transfer", st, before)
+	}
 }
 
 // Teardown under flood: killing a member's connection while events are

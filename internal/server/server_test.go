@@ -361,17 +361,16 @@ func TestSessionBufferWarm(t *testing.T) {
 	if n == 0 {
 		t.Error("nothing prefetched")
 	}
-	// The warmed CT image is now a pure cache hit.
+	// The warmed CT image is now a fetch the buffer answers.
 	ct, _ := sa.Doc.Component("ct")
 	full, _ := ct.Presentation("full")
-	if _, err := sa.Buffer.Demand(full.ObjectID); err != nil {
+	if _, _, err := alice.GetImage(full.ObjectID); err != nil {
 		t.Fatal(err)
 	}
-	hits, _, _ := sa.Buffer.Cache.Stats()
-	if hits == 0 {
+	if alice.BufferStats().Hits == 0 {
 		t.Error("warmed payload missed")
 	}
-	// Session without buffer refuses warming.
+	// A client without a buffer refuses warming.
 	bob := dial(t, addr, "bob")
 	sb, _, err := bob.Join("consult", "", 0)
 	if err != nil {
