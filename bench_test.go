@@ -73,73 +73,69 @@ func BenchmarkE5Propagation(b *testing.B) {
 
 // BenchmarkE5MultiRoom measures cross-room choice throughput through the
 // whole pipeline (client → wire → typed handler → room → push fan-out)
-// with one concurrent session per room. The shards axis re-runs the same
-// load against a single-shard registry — the pre-sharding shape, where
-// every room lookup met the same lock — versus the shipped 32-shard
-// table; the isolated lock cost is in BenchmarkRegistryLookup
-// (internal/server).
+// with one concurrent session per room, against the shipped 32-shard room
+// table; the isolated lock cost, one shard against 32, is in
+// BenchmarkRegistryLookup (internal/server).
 func BenchmarkE5MultiRoom(b *testing.B) {
 	const roomN = 8
-	for _, shards := range []int{1, 32} {
-		b.Run(fmt.Sprintf("rooms=%d/shards=%d", roomN, shards), func(b *testing.B) {
-			db, err := store.Open(b.TempDir(), store.Options{Sync: store.SyncNever})
+	b.Run(fmt.Sprintf("rooms=%d", roomN), func(b *testing.B) {
+		db, err := store.Open(b.TempDir(), store.Options{Sync: store.SyncNever})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer db.Close()
+		m, err := mediadb.Open(db)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := workload.Populate(m, "p1", 1); err != nil {
+			b.Fatal(err)
+		}
+		srv, err := server.NewWith(m, server.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer srv.Close()
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		go srv.Serve(l)
+		sessions := make([]*client.Session, roomN)
+		for i := range sessions {
+			cli, err := client.Dial(l.Addr().String(), fmt.Sprintf("bench%02d", i))
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer db.Close()
-			m, err := mediadb.Open(db)
+			defer cli.Close()
+			s, _, err := cli.Join(fmt.Sprintf("ward-%d", i), "p1", 0)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := workload.Populate(m, "p1", 1); err != nil {
-				b.Fatal(err)
+			sessions[i] = s
+		}
+		values := []string{"segmented", "full", "lowres"}
+		b.ReportAllocs()
+		b.ResetTimer()
+		var wg sync.WaitGroup
+		for i, s := range sessions {
+			n := b.N / roomN
+			if i == 0 {
+				n += b.N % roomN
 			}
-			srv, err := server.NewWith(m, server.Options{RegistryShards: shards})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer srv.Close()
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			go srv.Serve(l)
-			sessions := make([]*client.Session, roomN)
-			for i := range sessions {
-				cli, err := client.Dial(l.Addr().String(), fmt.Sprintf("bench%02d", i))
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer cli.Close()
-				s, _, err := cli.Join(fmt.Sprintf("ward-%d", i), "p1", 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sessions[i] = s
-			}
-			values := []string{"segmented", "full", "lowres"}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for i, s := range sessions {
-				n := b.N / roomN
-				if i == 0 {
-					n += b.N % roomN
-				}
-				wg.Add(1)
-				go func(s *client.Session, n int) {
-					defer wg.Done()
-					for j := 0; j < n; j++ {
-						if err := s.Choice("ct", values[j%len(values)]); err != nil {
-							b.Error(err)
-							return
-						}
+			wg.Add(1)
+			go func(s *client.Session, n int) {
+				defer wg.Done()
+				for j := 0; j < n; j++ {
+					if err := s.Choice("ct", values[j%len(values)]); err != nil {
+						b.Error(err)
+						return
 					}
-				}(s, n)
-			}
-			wg.Wait()
-		})
-	}
+				}
+			}(s, n)
+		}
+		wg.Wait()
+	})
 }
 
 // BenchmarkE5FanOut measures push fan-out through the propagation/

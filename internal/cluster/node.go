@@ -115,8 +115,8 @@ type Node struct {
 	place    *Placement
 	placeKey string
 	lastRec  string // live-set key the reconciler last acted on
-	// roomPeers tracks, per locally served room, the connections with a
-	// member in it — the set reconciliation disconnects when ownership
+	// roomPeers tracks, per locally served room, the connections that
+	// joined it here — the set reconciliation disconnects when ownership
 	// moves away.
 	roomPeers map[string]map[*wire.Peer]struct{}
 	draining  bool
@@ -166,14 +166,14 @@ type peerLink struct {
 }
 
 // New builds a cluster node around a server constructed with opts. The
-// cluster installs its routing interceptor, room seed/tap hooks and
+// cluster installs its router, room seed/tap hooks and
 // peer-close hook into opts; the caller's own values for those fields
 // must be nil. Call Serve to accept, Close (or Drain) to stop.
 func New(db *mediadb.MediaDB, opts server.Options, cfg Config) (*Node, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	if opts.Intercept != nil || opts.RoomSeed != nil || opts.RoomTap != nil || opts.OnPeerClose != nil {
+	if opts.Route != nil || opts.RoomSeed != nil || opts.RoomTap != nil || opts.OnPeerClose != nil {
 		return nil, fmt.Errorf("cluster: server options already carry cluster hooks")
 	}
 	n := &Node{
@@ -192,7 +192,7 @@ func New(db *mediadb.MediaDB, opts server.Options, cfg Config) (*Node, error) {
 		n.peers[id] = &peerState{id: id, addr: addr, link: peerLink{id: id, addr: addr}}
 	}
 	opts.NodeID = cfg.ID
-	opts.Intercept = n.intercept
+	opts.Route = n.route
 	opts.RoomSeed = n.roomSeed
 	opts.RoomTap = n.roomTap
 	opts.OnPeerClose = n.peerClosed
@@ -514,55 +514,54 @@ const (
 	metaIngressLinks = "cluster.links"
 )
 
-// intercept is the routing tier, inserted between tracing and admission
-// (a redirected or forwarded request never consumes an admission slot).
-// Room-scoped requests are steered to the room's owner: served here,
-// redirected, or — on a forwarding node — relayed transparently. Requests with no room scope (object fetches, stats)
-// serve anywhere.
-func (n *Node) intercept(next wire.Handler) wire.Handler {
-	return func(ctx context.Context, p *wire.Peer, payload []byte) (any, error) {
-		method, _ := wire.ContextMethod(ctx)
-		if !proto.RoomScoped(method) {
-			return next(ctx, p, payload)
-		}
-		roomName, ok := proto.RoomOf(method, payload)
-		if !ok {
-			// Undecodable: let the handler produce the real error.
-			return next(ctx, p, payload)
-		}
-		if n.isDraining() {
-			n.unavailable.Add(1)
-			return nil, &wire.UnavailableError{Node: n.id, Reason: "draining"}
-		}
-		place, quorum := n.view()
-		if !quorum {
-			// Split-brain rejection: a minority node must not serve (or
-			// relay) room mutations — the majority side may already have
-			// moved the room and be accepting writes.
-			n.unavailable.Add(1)
-			return nil, &wire.UnavailableError{Node: n.id, Reason: "no cluster majority"}
-		}
-		owner := place.Owner(roomName)
-		if owner == n.id || owner == "" {
-			result, err := next(ctx, p, payload)
-			if err == nil && method == proto.MJoinRoom {
-				n.trackRoomPeer(roomName, p)
-			}
-			return result, err
-		}
-		if _, ingress := p.Meta(metaIngress); ingress {
-			// A relayed request landing on a non-owner: placement moved
-			// under the relay. The redirect travels back through the
-			// forwarding node verbatim; the origin client follows it.
-			n.redirects.Add(1)
-			return nil, n.redirectTo(owner)
-		}
-		if n.cfg.Forward {
-			return n.forward(ctx, p, owner, method, payload)
-		}
-		n.redirects.Add(1)
-		return nil, n.redirectTo(owner)
+// route is the routing tier, the server's Route seam: it sees every
+// request before admission, so a redirected or forwarded request never
+// consumes an admission slot. Room-scoped requests are steered to the
+// room's owner: served here, redirected, or — on a forwarding node —
+// relayed transparently. Requests with no room scope (object fetches,
+// stats) serve anywhere. A join served here tracks its peer first, so
+// that the peer is disconnected should the room move away.
+func (n *Node) route(ctx context.Context, p *wire.Peer, method string, payload []byte) (any, bool, error) {
+	if !proto.RoomScoped(method) {
+		return nil, false, nil
 	}
+	roomName, ok := proto.RoomOf(method, payload)
+	if !ok {
+		// Undecodable: let the handler produce the real error.
+		return nil, false, nil
+	}
+	if n.isDraining() {
+		n.unavailable.Add(1)
+		return nil, true, &wire.UnavailableError{Node: n.id, Reason: "draining"}
+	}
+	place, quorum := n.view()
+	if !quorum {
+		// Split-brain rejection: a minority node must not serve (or
+		// relay) room mutations — the majority side may already have
+		// moved the room and be accepting writes.
+		n.unavailable.Add(1)
+		return nil, true, &wire.UnavailableError{Node: n.id, Reason: "no cluster majority"}
+	}
+	owner := place.Owner(roomName)
+	if owner == n.id || owner == "" {
+		if method == proto.MJoinRoom {
+			n.trackRoomPeer(roomName, p)
+		}
+		return nil, false, nil
+	}
+	if _, ingress := p.Meta(metaIngress); ingress {
+		// A relayed request landing on a non-owner: placement moved
+		// under the relay. The redirect travels back through the
+		// forwarding node verbatim; the origin client follows it.
+		n.redirects.Add(1)
+		return nil, true, n.redirectTo(owner)
+	}
+	if n.cfg.Forward {
+		result, err := n.forward(ctx, p, owner, method, payload)
+		return result, true, err
+	}
+	n.redirects.Add(1)
+	return nil, true, n.redirectTo(owner)
 }
 
 // redirectTo builds the typed redirect for the owner node.

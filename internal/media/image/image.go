@@ -79,12 +79,14 @@ func Decode(data []byte) (*Gray, error) {
 	if len(data) < 12 || binary.LittleEndian.Uint32(data[0:4]) != 0x47524159 {
 		return nil, fmt.Errorf("image: not a GRAY stream")
 	}
-	w := int(binary.LittleEndian.Uint32(data[4:8]))
-	h := int(binary.LittleEndian.Uint32(data[8:12]))
-	if w <= 0 || h <= 0 || len(data) != 12+w*h {
+	// The pixel count is taken in 64 bits: in a 32-bit int, 65536×65536
+	// wraps to 0 and would pass for an empty body.
+	w := binary.LittleEndian.Uint32(data[4:8])
+	h := binary.LittleEndian.Uint32(data[8:12])
+	if w == 0 || h == 0 || uint64(w)*uint64(h) != uint64(len(data)-12) {
 		return nil, fmt.Errorf("image: corrupt GRAY stream (%dx%d, %d bytes)", w, h, len(data))
 	}
-	g, _ := New(w, h)
+	g, _ := New(int(w), int(h))
 	pix := g.Pix[:len(data)-12] // same length as the payload: no bounds check per pixel
 	for i, b := range data[12:] {
 		pix[i] = unit[b]

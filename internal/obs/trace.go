@@ -42,9 +42,9 @@ type Trace struct {
 	spans []Span
 }
 
-// NewTrace starts a trace clocked from now.
-func NewTrace(id uint64, method string, peer uint64) *Trace {
-	return &Trace{ID: id, Method: method, Peer: peer, Begin: time.Now()}
+// NewTrace starts a trace clocked from begin.
+func NewTrace(id uint64, method string, peer uint64, begin time.Time) *Trace {
+	return &Trace{ID: id, Method: method, Peer: peer, Begin: begin}
 }
 
 // AddSpan records a completed section.

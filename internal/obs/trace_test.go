@@ -23,7 +23,7 @@ func TestMintIDUnique(t *testing.T) {
 }
 
 func TestTraceSpans(t *testing.T) {
-	tr := NewTrace(42, "room.choice", 7)
+	tr := NewTrace(42, "room.choice", 7, time.Now())
 	end := tr.StartSpan("decode")
 	time.Sleep(time.Millisecond)
 	end()
@@ -53,7 +53,7 @@ func TestContextTraceRoundTrip(t *testing.T) {
 	// StartSpan without a trace is a safe no-op.
 	StartSpan(ctx, "nothing")()
 
-	tr := NewTrace(1, "m", 2)
+	tr := NewTrace(1, "m", 2, time.Now())
 	ctx = ContextWithTrace(ctx, tr)
 	got, ok := TraceFrom(ctx)
 	if !ok || got != tr {
@@ -79,11 +79,11 @@ func TestRecorderThreshold(t *testing.T) {
 		t.Fatalf("Threshold = %v", rec.Threshold())
 	}
 	// Fast and clean: skipped.
-	rec.Observe(NewTrace(1, "fast", 0), time.Millisecond, nil)
+	rec.Observe(NewTrace(1, "fast", 0, time.Now()), time.Millisecond, nil)
 	// Slow: recorded.
-	rec.Observe(NewTrace(2, "slow", 0), 20*time.Millisecond, nil)
+	rec.Observe(NewTrace(2, "slow", 0, time.Now()), 20*time.Millisecond, nil)
 	// Fast but errored: recorded.
-	rec.Observe(NewTrace(3, "bad", 0), time.Millisecond, errors.New("boom"))
+	rec.Observe(NewTrace(3, "bad", 0, time.Now()), time.Millisecond, errors.New("boom"))
 	if got := rec.Recorded(); got != 2 {
 		t.Fatalf("Recorded = %d, want 2", got)
 	}
@@ -102,7 +102,7 @@ func TestRecorderThreshold(t *testing.T) {
 
 func TestRecorderRecordEverything(t *testing.T) {
 	rec := NewRecorder(8, -1)
-	rec.Observe(NewTrace(1, "m", 0), 0, nil)
+	rec.Observe(NewTrace(1, "m", 0, time.Now()), 0, nil)
 	if rec.Recorded() != 1 {
 		t.Fatal("negative threshold did not record a zero-latency request")
 	}
@@ -111,7 +111,7 @@ func TestRecorderRecordEverything(t *testing.T) {
 func TestRecorderRingWrapsAndFinds(t *testing.T) {
 	rec := NewRecorder(4, -1)
 	for i := 1; i <= 10; i++ {
-		rec.Observe(NewTrace(uint64(i), fmt.Sprintf("m%d", i), 0), time.Duration(i), nil)
+		rec.Observe(NewTrace(uint64(i), fmt.Sprintf("m%d", i), 0, time.Now()), time.Duration(i), nil)
 	}
 	recent := rec.Recent(0)
 	if len(recent) != 4 {

@@ -31,7 +31,7 @@ func (r *Room) broadcastLocked(ev Event, reconfigure bool) {
 	if displaced := r.buf.push(ev); displaced != 0 {
 		r.trimmed = displaced
 	}
-	if !r.closed {
+	if len(r.triggers) > 0 && !r.closed {
 		select {
 		case r.triggerCh <- ev: // async trigger evaluation
 		default: // trigger backlog full: shed rather than stall the room

@@ -319,10 +319,12 @@ type Room struct {
 	docSnap    []byte
 
 	// Dynamic event triggers (future work of §6, implemented here).
-	triggers   []*Trigger
-	triggerSeq uint64
-	triggerCh  chan Event
-	triggerWG  chan struct{} // closed when the dispatch goroutine exits
+	// triggerCh and triggerDone are nil until the first AddTrigger starts
+	// the dispatch goroutine: a room with no trigger owns no goroutine.
+	triggers    []*Trigger
+	triggerSeq  uint64
+	triggerCh   chan Event
+	triggerDone chan struct{} // closed when the dispatch goroutine exits
 }
 
 // New creates a room around a document.
@@ -335,27 +337,15 @@ func New(name string, doc *document.Document) (*Room, error) {
 		return nil, err
 	}
 	r := &Room{
-		Name:      name,
-		engine:    engine,
-		members:   make(map[string]*Member),
-		frozen:    make(map[uint64]string),
-		anns:      make(map[uint64]*image.Annotated),
-		rasters:   make(map[uint64]*image.Gray),
-		detached:  make(map[string]*time.Timer),
-		triggerCh: make(chan Event, 256),
-		triggerWG: make(chan struct{}),
+		Name:     name,
+		engine:   engine,
+		members:  make(map[string]*Member),
+		frozen:   make(map[uint64]string),
+		anns:     make(map[uint64]*image.Annotated),
+		rasters:  make(map[uint64]*image.Gray),
+		detached: make(map[string]*time.Timer),
 	}
-	go r.triggerLoop()
 	return r, nil
-}
-
-// triggerLoop dispatches events to installed triggers asynchronously, so
-// trigger bodies can call room methods without deadlocking.
-func (r *Room) triggerLoop() {
-	defer close(r.triggerWG)
-	for ev := range r.triggerCh {
-		r.runTriggers(ev)
-	}
 }
 
 // Engine exposes the room's presentation engine.
@@ -431,9 +421,12 @@ func (r *Room) Close() {
 		delete(r.detached, name)
 	}
 	r.closed = true
+	ch, done := r.triggerCh, r.triggerDone
 	r.mu.Unlock()
-	close(r.triggerCh)
-	<-r.triggerWG
+	if ch != nil {
+		close(ch)
+		<-done
+	}
 }
 
 // SetMemberEnvironment pins a measured per-member environment variable

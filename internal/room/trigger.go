@@ -59,7 +59,22 @@ func (r *Room) AddTrigger(name string, kinds []EventKind, fn TriggerFunc) (*Trig
 	t := &Trigger{ID: r.triggerSeq, Name: name, Kinds: append([]EventKind(nil), kinds...), fn: fn}
 	t.active.Store(true)
 	r.triggers = append(r.triggers, t)
+	if r.triggerCh == nil && !r.closed {
+		r.triggerCh = make(chan Event, 256)
+		r.triggerDone = make(chan struct{})
+		go r.triggerLoop(r.triggerCh, r.triggerDone)
+	}
 	return t, nil
+}
+
+// triggerLoop dispatches events to installed triggers asynchronously, so
+// trigger bodies can call room methods without deadlocking. The first
+// AddTrigger starts it; Close ends it.
+func (r *Room) triggerLoop(ch <-chan Event, done chan<- struct{}) {
+	defer close(done)
+	for ev := range ch {
+		r.runTriggers(ev)
+	}
 }
 
 // RemoveTrigger uninstalls a rule by id.

@@ -1,8 +1,10 @@
 package room
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -22,6 +24,71 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// roomGoroutines counts r's live goroutines off the stack dump: those a
+// function of this package created that run with r among their
+// arguments (other tests' rooms may still be winding theirs down).
+func roomGoroutines(r *Room) int {
+	buf := make([]byte, 1<<20)
+	self := []byte(fmt.Sprintf("(%p", r))
+	n := 0
+	for _, g := range bytes.Split(buf[:runtime.Stack(buf, true)], []byte("\n\n")) {
+		if bytes.Contains(g, []byte("created by mmconf/internal/room.")) && bytes.Contains(g, self) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRoomWithoutTriggerOwnsNoGoroutine pins who starts the trigger
+// dispatch goroutine: not New and not the events of a room with no
+// trigger, but the first AddTrigger — once, however many follow — and
+// Close ends it.
+func TestRoomWithoutTriggerOwnsNoGoroutine(t *testing.T) {
+	r := newRoom(t)
+	alice, _, _, err := r.Join(context.Background(), "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain(alice)
+	if err := r.Chat("alice", "no rule listens"); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Choice(context.Background(), "alice", "ct", "segmented"); err != nil {
+		t.Fatal(err)
+	}
+	if got := roomGoroutines(r); got != 0 {
+		t.Fatalf("a room with no trigger started %d goroutines, want 0", got)
+	}
+	fired := make(chan struct{}, 1)
+	for i := 0; i < 2; i++ {
+		if _, err := r.AddTrigger(fmt.Sprintf("t%d", i), []EventKind{EvChat}, func(*Room, Event) error {
+			select {
+			case fired <- struct{}{}:
+			default:
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Chat("alice", "now one does"); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-fired:
+	case <-time.After(3 * time.Second):
+		t.Fatal("trigger never fired")
+	}
+	// The dispatch goroutine ran the trigger, so it is scheduled and
+	// shows its receiver; it is parked on its channel by the time the
+	// count settles.
+	waitFor(t, "one goroutine for two triggers", func() bool { return roomGoroutines(r) == 1 })
+	r.Close()
+	waitFor(t, "no goroutine after Close", func() bool { return roomGoroutines(r) == 0 })
+	// A closed room that never had a trigger closes too.
+	newRoom(t).Close()
 }
 
 func TestTriggerFiresOnMatchingKind(t *testing.T) {

@@ -60,13 +60,9 @@ func TestOptionsValidation(t *testing.T) {
 	}{
 		{"zero value", Options{}, true},
 		{"admission disabled", Options{MaxInflight: -1}, true},
-		{"negative registry shards", Options{RegistryShards: -1}, false},
-		{"negative trace ring", Options{TraceRing: -1}, false},
 		{"negative queue depth", Options{QueueDepth: -1}, false},
 		{"negative per-peer rate", Options{PerPeerRate: -1}, false},
 		{"negative per-peer burst", Options{PerPeerBurst: -1}, false},
-		{"timeout for known method", Options{MethodTimeouts: map[string]time.Duration{proto.MGetCmp: time.Second}}, true},
-		{"timeout for unknown method", Options{MethodTimeouts: map[string]time.Duration{"db.nope": time.Second}}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

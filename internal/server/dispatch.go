@@ -1,0 +1,169 @@
+package server
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"runtime/debug"
+	"time"
+
+	"mmconf/internal/obs"
+	"mmconf/internal/proto"
+	"mmconf/internal/wire"
+)
+
+// This file is the request path: the one step every RPC takes between
+// the wire layer handing it over and the handler's answer going back.
+// dispatch runs it in a fixed order:
+//
+//  1. clock and trace: one start time, and one obs.Trace under the id
+//     the frame carried, installed in the request context;
+//  2. route: the cluster seam (Options.Route) may answer a room request
+//     here — redirect, relay, refusal — before it takes an admission
+//     slot;
+//  3. admit: the peer's token bucket, then a limiter slot, by the
+//     priority class the method was registered with;
+//  4. run: the handler under the request deadline (admission waits do
+//     not spend it), a panic recovered into an error response;
+//  5. account: one end time, and the one duration from the start to it
+//     is what Stats, the trace ring and the slow log record; the limiter
+//     learns its service time from the same end time.
+
+// method is one registered RPC as dispatch sees it: its name, its
+// admission class (looked up once, at Register) and its handler.
+type method struct {
+	name  string
+	class wire.Priority
+	h     wire.Handler
+}
+
+// peerBucketKey stores a connection's token bucket in its peer meta.
+const peerBucketKey = "admission.bucket"
+
+// dispatch is the request step; see the top of the file for its order.
+func (s *Server) dispatch(ctx context.Context, m *method, p *wire.Peer, payload []byte) (result any, err error) {
+	start := time.Now()
+	tr := obs.NewTrace(wire.ContextTraceID(ctx), m.name, p.ID, start)
+	ctx = obs.ContextWithTrace(ctx, tr)
+	var admitted time.Time // when a limiter slot was granted; zero while none is held
+	defer func() {
+		if r := recover(); r != nil {
+			result, err = nil, fmt.Errorf("server: internal error in %s: %v\n%s", m.name, r, debug.Stack())
+		}
+		end := time.Now()
+		if !admitted.IsZero() {
+			s.limiter.Release(end.Sub(admitted))
+		}
+		d := end.Sub(start)
+		s.stats.Observe(m.name, d, err)
+		s.tracer.Observe(tr, d, err)
+		if d >= s.slow {
+			s.logf("server: slow request %s from peer %d: %v (err=%v)", m.name, p.ID, d, err)
+		}
+	}()
+	if s.route != nil {
+		if result, routed, err := s.route(ctx, p, m.name, payload); routed {
+			return result, err
+		}
+	}
+	if admitted, err = s.admit(ctx, p, m.class, tr); err != nil {
+		return nil, err
+	}
+	if s.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.timeout)
+		defer cancel()
+	}
+	return m.h(ctx, p, payload)
+}
+
+// admit charges the peer's token bucket, then takes a slot from the
+// shared limiter — queueing (bounded, priority-aware, deadline-shed)
+// when the server is saturated. It returns when the slot was granted
+// (zero when admission holds no slot for the request), or an
+// *wire.OverloadError with a retry-after hint when the request is shed.
+// The time from the request's start to its admission is recorded as the
+// trace's "admission" span.
+func (s *Server) admit(ctx context.Context, p *wire.Peer, class wire.Priority, tr *obs.Trace) (time.Time, error) {
+	// Control traffic is exempt from the per-peer bucket: rate limits
+	// exist to stop one peer flooding bulk work, and a rate-limited peer
+	// must still be able to leave cleanly, poll stats, and keep its
+	// session alive.
+	var bucket *wire.TokenBucket
+	if s.perPeerRate > 0 && class != wire.PriorityControl {
+		bucket = s.bucket(p)
+		if ok, ra := bucket.Take(tr.Begin); !ok {
+			s.stats.Add(wire.CounterShedRate, 1)
+			return time.Time{}, &wire.OverloadError{Reason: wire.ShedReasonRate, RetryAfter: ra}
+		}
+	}
+	if s.limiter == nil {
+		return time.Time{}, nil
+	}
+	err := s.limiter.Acquire(ctx, class, s.queueTimeout)
+	now := time.Now()
+	tr.AddSpan("admission", tr.Begin, now.Sub(tr.Begin))
+	if err != nil {
+		// The charged token bought no work: refund it so a shed request
+		// doesn't also burn the peer's rate budget and rate-shed the very
+		// retry the hint asks for.
+		if bucket != nil {
+			bucket.Refund()
+		}
+		var oe *wire.OverloadError
+		if errors.As(err, &oe) {
+			s.stats.Add(oe.Counter(), 1)
+		}
+		return time.Time{}, err
+	}
+	s.stats.Add(wire.CounterAdmitted, 1)
+	return now, nil
+}
+
+// bucket returns the peer's token bucket, making it on the peer's first
+// rate-limited request.
+func (s *Server) bucket(p *wire.Peer) *wire.TokenBucket {
+	if b, ok := p.Meta(peerBucketKey); ok {
+		return b.(*wire.TokenBucket)
+	}
+	return p.MetaSetDefault(peerBucketKey, wire.NewTokenBucket(s.perPeerRate, s.perPeerBurst)).(*wire.TokenBucket)
+}
+
+// methodClasses assigns every RPC an admission priority: control RPCs
+// (join/resume/leave and the metrics surface) keep sessions alive and
+// shed last; bulk media fetches are individually expensive, retryable,
+// and shed first; everything else — the conference hot path — sits in
+// between, as does any method not listed here.
+var methodClasses = map[string]wire.Priority{
+	proto.MJoinRoom:  wire.PriorityControl,
+	proto.MLeaveRoom: wire.PriorityControl,
+	proto.MStats:     wire.PriorityControl,
+	proto.MTraces:    wire.PriorityControl,
+	proto.MHistory:   wire.PriorityControl,
+
+	proto.MChoice:           wire.PriorityInteractive,
+	proto.MOperation:        wire.PriorityInteractive,
+	proto.MAnnotate:         wire.PriorityInteractive,
+	proto.MDeleteAnnotation: wire.PriorityInteractive,
+	proto.MFreeze:           wire.PriorityInteractive,
+	proto.MRelease:          wire.PriorityInteractive,
+	proto.MShareSearch:      wire.PriorityInteractive,
+	proto.MChat:             wire.PriorityInteractive,
+	proto.MBroadcastStart:   wire.PriorityInteractive,
+	proto.MBroadcastStop:    wire.PriorityInteractive,
+
+	proto.MListDocuments: wire.PriorityBulk,
+	proto.MGetDocument:   wire.PriorityBulk,
+	proto.MGetImage:      wire.PriorityBulk,
+	proto.MGetAudio:      wire.PriorityBulk,
+	proto.MGetCmp:        wire.PriorityBulk,
+	proto.MPutImageTexts: wire.PriorityBulk,
+	proto.MSaveMinutes:   wire.PriorityBulk,
+
+	// Node-link plane: liveness and replication keep the cluster
+	// coherent and must survive overload like session control does.
+	proto.MNodePing:        wire.PriorityControl,
+	proto.MNodeIngress:     wire.PriorityControl,
+	proto.MNodeReplicate:   wire.PriorityControl,
+	proto.MNodeFetchChunks: wire.PriorityControl,
+}

@@ -83,7 +83,7 @@ func TestConcurrentRoomLifecycle(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	// The default interceptor chain is live: its stats counted the churn.
+	// The request step is live: its stats counted the churn.
 	if got := srv.Stats().Method(proto.MJoinRoom).Requests; got != roomN*peerN {
 		t.Errorf("join requests counted = %d, want %d", got, roomN*peerN)
 	}
@@ -92,35 +92,35 @@ func TestConcurrentRoomLifecycle(t *testing.T) {
 	}
 }
 
-// TestMethodTimeoutAbortsRoomWork proves the per-request context flows
-// from wire dispatch into the room entry points: with an immediate
-// deadline on MChoice, the room aborts the choice before touching any
-// state, and the client sees the context error over the wire.
+// TestMethodTimeoutAbortsRoomWork proves the request deadline flows
+// from the request step into the room entry points: with an immediate
+// deadline, Room.Join aborts before touching any state, the client sees
+// the context error over the wire, and the room gains no member.
 func TestMethodTimeoutAbortsRoomWork(t *testing.T) {
-	_, addr := testSystemWith(t, Options{
-		MethodTimeouts: map[string]time.Duration{proto.MChoice: time.Nanosecond},
+	srv, addr := testSystemWith(t, Options{
+		RequestTimeout: time.Nanosecond,
 		Logf:           func(string, ...any) {},
 	})
-	c := dial(t, addr, "alice")
-	s, _, err := c.Join("consult", "p1", 0)
+	// The room exists before the join, so an abort inside Room.Join is
+	// what keeps the member out, not a failure to build the room.
+	rs, err := srv.roomFor("consult", "p1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = s.Choice("ct", "segmented")
+	c := dial(t, addr, "alice")
+	_, _, err = c.Join("consult", "p1", 0)
 	if err == nil {
-		t.Fatal("choice with expired deadline succeeded")
+		t.Fatal("join with expired deadline succeeded")
 	}
 	if !strings.Contains(err.Error(), "deadline") {
-		t.Fatalf("choice error = %v, want a deadline error", err)
+		t.Fatalf("join error = %v, want a deadline error", err)
 	}
-	// The abort happened before the engine mutated: nothing propagated.
-	hist, err := s.History(0)
-	if err != nil {
-		t.Fatal(err)
+	if g := rs.room.Gauges(); g.Members != 0 || g.Detached != 0 {
+		t.Fatalf("aborted join left the room with %d members, %d detached", g.Members, g.Detached)
 	}
-	for _, ev := range hist {
-		if ev.Kind == room.EvChoice {
-			t.Fatalf("aborted choice still reached the room log: %+v", ev)
+	for _, ev := range rs.room.History(0) {
+		if ev.Kind == room.EvJoin {
+			t.Fatalf("aborted join still reached the room log: %+v", ev)
 		}
 	}
 }

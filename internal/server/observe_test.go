@@ -13,8 +13,9 @@ import (
 	"mmconf/internal/workload"
 )
 
-// traceSystem is testSystem with the trace recorder set to keep every
-// request, so tests can assert on traces without manufacturing slowness.
+// traceSystem is testSystem with every request counted as slow, so the
+// trace ring keeps them all and tests can assert on traces without
+// manufacturing slowness (the slow log they would all enter is muted).
 func traceSystem(t *testing.T) (*Server, string) {
 	t.Helper()
 	db, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncNever})
@@ -29,7 +30,7 @@ func traceSystem(t *testing.T) (*Server, string) {
 	if _, err := workload.Populate(m, "p1", 1); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewWith(m, Options{TraceThreshold: -1})
+	srv, err := NewWith(m, Options{SlowThreshold: -1, Logf: func(string, ...any) {}})
 	if err != nil {
 		t.Fatal(err)
 	}

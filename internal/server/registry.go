@@ -25,12 +25,10 @@ type registry struct {
 	shards []regShard
 }
 
-// newRegistry builds a registry with the given shard count (<= 0 uses
-// the default).
+// newRegistry builds a registry with the given shard count: the server's
+// is defaultRegistryShards, and BenchmarkRegistryLookup sets one shard
+// against it.
 func newRegistry(shards int) *registry {
-	if shards <= 0 {
-		shards = defaultRegistryShards
-	}
 	g := &registry{shards: make([]regShard, shards)}
 	for i := range g.shards {
 		g.shards[i].rooms = make(map[string]*roomState)

@@ -4,11 +4,12 @@
 // them to the presentation module, and propagates every change to all
 // clients in the room over the wire layer's push channel.
 //
-// Requests flow through the wire package's typed pipeline: every method
-// registers through wire.Typed (which owns unmarshal/marshal), a default
-// interceptor chain provides stats, panic recovery, per-request deadlines
-// and slow-request logging, and the per-request context reaches the room
-// entry points so work for a dead or impatient client is abandoned.
+// Every method registers through wire.Typed (which owns the body codecs)
+// and is dispatched by one request step (dispatch.go): clock and trace,
+// cluster routing, admission, the handler under its deadline with panic
+// recovery, then one end time for stats, the trace ring and the slow
+// log. The per-request context reaches the room entry points so work
+// for a dead or impatient client is abandoned.
 // Rooms live in a sharded registry so traffic in different rooms never
 // contends on a single lock.
 package server
@@ -36,14 +37,13 @@ type Options struct {
 	// RequestTimeout bounds every handler (default 30s; negative
 	// disables the deadline entirely).
 	RequestTimeout time.Duration
-	// MethodTimeouts overrides RequestTimeout per method name.
-	MethodTimeouts map[string]time.Duration
-	// SlowThreshold is the slow-request log bar (default 250ms).
+	// SlowThreshold is the one bar for a slow request (default 250ms): a
+	// request that takes at least this long is logged through Logf and
+	// kept in the trace ring, which also keeps every errored request.
+	// Negative counts every request as slow (tests, live debugging).
 	SlowThreshold time.Duration
 	// Logf receives slow-request reports (default log.Printf).
 	Logf func(format string, args ...any)
-	// RegistryShards sizes the room table (default 32).
-	RegistryShards int
 	// CacheBytes bounds the cache of store-backed media payloads, keyed
 	// by content digest (default 64 MiB; negative disables caching).
 	CacheBytes int64
@@ -51,13 +51,6 @@ type Options struct {
 	// resumable before they expire into a real leave (default 30s;
 	// negative disables resumption — disconnect evicts immediately).
 	SessionGrace time.Duration
-	// TraceThreshold selects which requests enter the slow-trace ring:
-	// total latency >= threshold, or any error (default: SlowThreshold;
-	// negative records every request — tests and live debugging).
-	TraceThreshold time.Duration
-	// TraceRing is how many slow/errored traces are retained (default
-	// obs.DefaultTraceRing).
-	TraceRing int
 	// MaxInflight caps concurrently executing requests across the server
 	// (default 1024; negative disables admission control entirely —
 	// every request is admitted immediately, the pre-PR-5 behavior).
@@ -100,11 +93,12 @@ type Options struct {
 	// — the default — runs standalone). The cluster tier sets it; the
 	// id appears in stats gauges and redirect errors.
 	NodeID string
-	// Intercept, when non-nil, is inserted into the dispatch chain
-	// between tracing and admission — the seam where the cluster
-	// routing tier decides served-here / redirect / forward before the
-	// request consumes an admission slot.
-	Intercept wire.Interceptor
+	// Route, when non-nil, is the cluster seam: the request step hands
+	// it every request after the trace starts and before admission. It
+	// either answers the request (routed true: a redirect, a relay to
+	// the owner, a refusal), which then takes no admission slot, or
+	// leaves it to be served here.
+	Route func(ctx context.Context, p *wire.Peer, method string, payload []byte) (result any, routed bool, err error)
 	// OnPeerClose, when non-nil, observes every disconnected peer after
 	// the server's own session eviction ran (the cluster tier tears
 	// down the peer's forwarding links here).
@@ -131,10 +125,19 @@ type Server struct {
 	tracer  *obs.Recorder
 	objects *bytecache.Cache[blob.Digest] // nil when caching is off
 	grace   time.Duration
-	// limiter is the admission-control concurrency limiter (nil when
-	// MaxInflight is negative); pushBudget is the per-member event-queue
-	// byte cap handed to every room.
-	limiter    *wire.Limiter
+	// The request step's settings (see the Options fields of the same
+	// names): limiter is nil when MaxInflight is negative, timeout 0 when
+	// RequestTimeout is.
+	route        func(context.Context, *wire.Peer, string, []byte) (any, bool, error)
+	limiter      *wire.Limiter
+	queueTimeout time.Duration
+	perPeerRate  float64
+	perPeerBurst int
+	timeout      time.Duration
+	slow         time.Duration
+	logf         func(format string, args ...any)
+	// pushBudget is the per-member event-queue byte cap handed to every
+	// room.
 	pushBudget int64
 	// sources counts the member event streams attached to connection
 	// writers (one per room membership) so Shutdown can wait for the
@@ -169,7 +172,7 @@ func (o *Options) normalize() {
 		o.RequestTimeout = 30 * time.Second
 	}
 	if o.RequestTimeout < 0 {
-		o.RequestTimeout = 0 // wire.Timeout treats 0 as unbounded
+		o.RequestTimeout = 0 // dispatch treats 0 as unbounded
 	}
 	if o.SlowThreshold == 0 {
 		o.SlowThreshold = 250 * time.Millisecond
@@ -188,9 +191,6 @@ func (o *Options) normalize() {
 	}
 	if o.SessionGrace < 0 {
 		o.SessionGrace = 0 // room.SetGrace treats 0 as disabled
-	}
-	if o.TraceThreshold == 0 {
-		o.TraceThreshold = o.SlowThreshold
 	}
 	if o.MaxInflight == 0 {
 		o.MaxInflight = 1024
@@ -232,12 +232,6 @@ func (o *Options) normalize() {
 // CacheBytes, SessionGrace, MaxInflight, QueueTimeout, MemberPushBudget)
 // were already folded by normalize and are not re-checked here.
 func (o *Options) validate() error {
-	if o.RegistryShards < 0 {
-		return fmt.Errorf("server: RegistryShards must be >= 0 (0 selects the default), got %d", o.RegistryShards)
-	}
-	if o.TraceRing < 0 {
-		return fmt.Errorf("server: TraceRing must be >= 0 (0 selects the default), got %d", o.TraceRing)
-	}
 	if o.QueueDepth < 0 {
 		return fmt.Errorf("server: QueueDepth must be >= 0 (0 selects the default), got %d", o.QueueDepth)
 	}
@@ -246,11 +240,6 @@ func (o *Options) validate() error {
 	}
 	if o.PerPeerBurst < 0 {
 		return fmt.Errorf("server: PerPeerBurst must be >= 0 (0 derives from the rate), got %d", o.PerPeerBurst)
-	}
-	for m := range o.MethodTimeouts {
-		if _, ok := methodClasses[m]; !ok {
-			return fmt.Errorf("server: MethodTimeouts names unknown method %q", m)
-		}
 	}
 	if o.QoSInterval > 0 {
 		if err := o.QoSBands.Valid(); err != nil {
@@ -268,17 +257,24 @@ func NewWith(db *mediadb.MediaDB, o Options) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		db:          db,
-		rpc:         wire.NewServer(),
-		reg:         newRegistry(o.RegistryShards),
-		stats:       wire.NewStats(),
-		tracer:      obs.NewRecorder(o.TraceRing, o.TraceThreshold),
-		grace:       o.SessionGrace,
-		pushBudget:  o.MemberPushBudget,
-		nodeID:      o.NodeID,
-		onPeerClose: o.OnPeerClose,
-		roomSeed:    o.RoomSeed,
-		roomTap:     o.RoomTap,
+		db:           db,
+		rpc:          wire.NewServer(),
+		reg:          newRegistry(defaultRegistryShards),
+		stats:        wire.NewStats(),
+		tracer:       obs.NewRecorder(obs.DefaultTraceRing, o.SlowThreshold),
+		grace:        o.SessionGrace,
+		route:        o.Route,
+		queueTimeout: o.QueueTimeout,
+		perPeerRate:  o.PerPeerRate,
+		perPeerBurst: o.PerPeerBurst,
+		timeout:      o.RequestTimeout,
+		slow:         o.SlowThreshold,
+		logf:         o.Logf,
+		pushBudget:   o.MemberPushBudget,
+		nodeID:       o.NodeID,
+		onPeerClose:  o.OnPeerClose,
+		roomSeed:     o.RoomSeed,
+		roomTap:      o.RoomTap,
 	}
 	if o.CacheBytes > 0 {
 		s.objects = bytecache.New[blob.Digest](o.CacheBytes)
@@ -290,39 +286,6 @@ func NewWith(db *mediadb.MediaDB, o Options) (*Server, error) {
 	if o.MaxInflight > 0 {
 		s.limiter = wire.NewLimiter(o.MaxInflight, o.QueueDepth)
 	}
-	// Stats sits outermost so even recovered panics count as errors;
-	// recovery wraps the timeout so a panic in a deadline-bound handler
-	// still converts to a clean response. Tracing sits inside recovery:
-	// its trace context must be live when the typed adapter and the room
-	// record their decode/handle/push spans. Admission sits inside
-	// tracing (shed requests and queue waits show up as traces/spans)
-	// but outside the timeout, so time spent waiting for a slot never
-	// consumes the handler's own deadline.
-	ics := []wire.Interceptor{
-		wire.WithStats(s.stats),
-		wire.Recovery(),
-		wire.Tracing(s.tracer),
-	}
-	if o.Intercept != nil {
-		// The cluster routing tier sits inside tracing (redirects and
-		// forwards appear as traces) but outside admission: a request
-		// this node merely redirects or relays must not consume one of
-		// its execution slots.
-		ics = append(ics, o.Intercept)
-	}
-	ics = append(ics,
-		wire.Admission(wire.AdmissionConfig{
-			Limiter:      s.limiter,
-			QueueTimeout: o.QueueTimeout,
-			Classes:      methodClasses,
-			PerPeerRate:  o.PerPeerRate,
-			PerPeerBurst: o.PerPeerBurst,
-			Stats:        s.stats,
-		}),
-		wire.Timeout(o.RequestTimeout, o.MethodTimeouts),
-		wire.SlowLog(o.SlowThreshold, o.Logf),
-	)
-	s.rpc.Use(ics...)
 	s.register()
 	s.rpc.OnPeerClose(s.evictPeer)
 	if o.QoSInterval > 0 {
@@ -330,45 +293,6 @@ func NewWith(db *mediadb.MediaDB, o Options) (*Server, error) {
 		go s.qos.run()
 	}
 	return s, nil
-}
-
-// methodClasses assigns every RPC an admission priority: control RPCs
-// (join/resume/leave and the metrics surface) keep sessions alive and
-// shed last; bulk media fetches are individually expensive, retryable,
-// and shed first; everything else — the conference hot path — sits in
-// between. Doubling as the known-method set for Options validation.
-var methodClasses = map[string]wire.Priority{
-	proto.MJoinRoom:  wire.PriorityControl,
-	proto.MLeaveRoom: wire.PriorityControl,
-	proto.MStats:     wire.PriorityControl,
-	proto.MTraces:    wire.PriorityControl,
-	proto.MHistory:   wire.PriorityControl,
-
-	proto.MChoice:           wire.PriorityInteractive,
-	proto.MOperation:        wire.PriorityInteractive,
-	proto.MAnnotate:         wire.PriorityInteractive,
-	proto.MDeleteAnnotation: wire.PriorityInteractive,
-	proto.MFreeze:           wire.PriorityInteractive,
-	proto.MRelease:          wire.PriorityInteractive,
-	proto.MShareSearch:      wire.PriorityInteractive,
-	proto.MChat:             wire.PriorityInteractive,
-	proto.MBroadcastStart:   wire.PriorityInteractive,
-	proto.MBroadcastStop:    wire.PriorityInteractive,
-
-	proto.MListDocuments: wire.PriorityBulk,
-	proto.MGetDocument:   wire.PriorityBulk,
-	proto.MGetImage:      wire.PriorityBulk,
-	proto.MGetAudio:      wire.PriorityBulk,
-	proto.MGetCmp:        wire.PriorityBulk,
-	proto.MPutImageTexts: wire.PriorityBulk,
-	proto.MSaveMinutes:   wire.PriorityBulk,
-
-	// Node-link plane: liveness and replication keep the cluster
-	// coherent and must survive overload like session control does.
-	proto.MNodePing:        wire.PriorityControl,
-	proto.MNodeIngress:     wire.PriorityControl,
-	proto.MNodeReplicate:   wire.PriorityControl,
-	proto.MNodeFetchChunks: wire.PriorityControl,
 }
 
 // Stats exposes the pipeline's per-method request counters plus the
@@ -379,11 +303,20 @@ func (s *Server) Stats() *wire.Stats { return s.stats }
 // NodeID reports this server's cluster node id ("" standalone).
 func (s *Server) NodeID() string { return s.nodeID }
 
-// Register installs an additional RPC handler — the seam the cluster
-// tier uses to mount its node-link methods (hello/ping/ingress/
-// replicate) on the same dispatch pipeline as client traffic. Call
-// before Serve.
-func (s *Server) Register(method string, h wire.Handler) { s.rpc.Register(method, h) }
+// Register installs an RPC handler behind the request step, with the
+// admission class methodClasses gives its name — the seam the cluster
+// tier also uses to mount its node-link methods on the same path as
+// client traffic. Call before Serve.
+func (s *Server) Register(name string, h wire.Handler) {
+	class, ok := methodClasses[name]
+	if !ok {
+		class = wire.PriorityInteractive
+	}
+	m := &method{name: name, class: class, h: h}
+	s.rpc.Register(name, func(ctx context.Context, p *wire.Peer, payload []byte) (any, error) {
+		return s.dispatch(ctx, m, p, payload)
+	})
+}
 
 // Methods lists the methods the server answers, sorted.
 func (s *Server) Methods() []string { return s.rpc.Methods() }
@@ -484,26 +417,26 @@ func (s *Server) Close() error {
 
 // register installs all RPC handlers through the typed adapter.
 func (s *Server) register() {
-	s.rpc.Register(proto.MListDocuments, wire.Typed(s.handleListDocuments))
-	s.rpc.Register(proto.MGetDocument, wire.Typed(s.handleGetDocument))
-	s.rpc.Register(proto.MGetImage, wire.Typed(s.handleGetImage))
-	s.rpc.Register(proto.MGetAudio, wire.Typed(s.handleGetAudio))
-	s.rpc.Register(proto.MGetCmp, wire.Typed(s.handleGetCmp))
-	s.rpc.Register(proto.MPutImageTexts, wire.Typed(s.handlePutImageTexts))
-	s.rpc.Register(proto.MJoinRoom, wire.Typed(s.handleJoinRoom))
-	s.rpc.Register(proto.MLeaveRoom, wire.Typed(s.handleLeaveRoom))
-	s.rpc.Register(proto.MChoice, wire.Typed(s.handleChoice))
-	s.rpc.Register(proto.MOperation, wire.Typed(s.handleOperation))
-	s.rpc.Register(proto.MAnnotate, wire.Typed(s.handleAnnotate))
-	s.rpc.Register(proto.MDeleteAnnotation, wire.Typed(s.handleDeleteAnnotation))
-	s.rpc.Register(proto.MFreeze, wire.Typed(s.handleFreeze))
-	s.rpc.Register(proto.MRelease, wire.Typed(s.handleRelease))
-	s.rpc.Register(proto.MShareSearch, wire.Typed(s.handleShareSearch))
-	s.rpc.Register(proto.MChat, wire.Typed(s.handleChat))
-	s.rpc.Register(proto.MHistory, wire.Typed(s.handleHistory))
-	s.rpc.Register(proto.MBroadcastStart, wire.Typed(s.handleBroadcastStart))
-	s.rpc.Register(proto.MBroadcastStop, wire.Typed(s.handleBroadcastStop))
-	s.rpc.Register(proto.MSaveMinutes, wire.Typed(s.handleSaveMinutes))
-	s.rpc.Register(proto.MStats, wire.Typed(s.handleStats))
-	s.rpc.Register(proto.MTraces, wire.Typed(s.handleTraces))
+	s.Register(proto.MListDocuments, wire.Typed(s.handleListDocuments))
+	s.Register(proto.MGetDocument, wire.Typed(s.handleGetDocument))
+	s.Register(proto.MGetImage, wire.Typed(s.handleGetImage))
+	s.Register(proto.MGetAudio, wire.Typed(s.handleGetAudio))
+	s.Register(proto.MGetCmp, wire.Typed(s.handleGetCmp))
+	s.Register(proto.MPutImageTexts, wire.Typed(s.handlePutImageTexts))
+	s.Register(proto.MJoinRoom, wire.Typed(s.handleJoinRoom))
+	s.Register(proto.MLeaveRoom, wire.Typed(s.handleLeaveRoom))
+	s.Register(proto.MChoice, wire.Typed(s.handleChoice))
+	s.Register(proto.MOperation, wire.Typed(s.handleOperation))
+	s.Register(proto.MAnnotate, wire.Typed(s.handleAnnotate))
+	s.Register(proto.MDeleteAnnotation, wire.Typed(s.handleDeleteAnnotation))
+	s.Register(proto.MFreeze, wire.Typed(s.handleFreeze))
+	s.Register(proto.MRelease, wire.Typed(s.handleRelease))
+	s.Register(proto.MShareSearch, wire.Typed(s.handleShareSearch))
+	s.Register(proto.MChat, wire.Typed(s.handleChat))
+	s.Register(proto.MHistory, wire.Typed(s.handleHistory))
+	s.Register(proto.MBroadcastStart, wire.Typed(s.handleBroadcastStart))
+	s.Register(proto.MBroadcastStop, wire.Typed(s.handleBroadcastStop))
+	s.Register(proto.MSaveMinutes, wire.Typed(s.handleSaveMinutes))
+	s.Register(proto.MStats, wire.Typed(s.handleStats))
+	s.Register(proto.MTraces, wire.Typed(s.handleTraces))
 }

@@ -8,16 +8,14 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"mmconf/internal/obs"
 )
 
-// This file is the overload-protection layer of the dispatch pipeline:
-// a global concurrency limiter with a bounded, priority-aware wait queue
-// (Limiter), a per-peer token-bucket rate limit (TokenBucket), and the
-// Admission interceptor that threads both through every request. Past
-// saturation the server sheds excess work quickly — with a typed
-// OverloadError carrying a retry-after hint — instead of queueing
+// This file holds the overload-protection primitives: a global
+// concurrency limiter with a bounded, priority-aware wait queue
+// (Limiter) and a per-peer token-bucket rate limit (TokenBucket). The
+// interaction server's request step charges both for every request it
+// admits. Past saturation the server sheds excess work quickly — with a
+// typed OverloadError carrying a retry-after hint — instead of queueing
 // unboundedly until every request misses its deadline.
 
 // Priority classes order requests for admission: when the server is
@@ -399,7 +397,7 @@ func (b *TokenBucket) Tokens() float64 {
 	return b.tokens
 }
 
-// Admission counter names recorded into the configured Stats sink.
+// Admission counter names, recorded into Stats by the server's request step.
 const (
 	// CounterAdmitted counts requests that passed admission control.
 	CounterAdmitted = "admission.admitted"
@@ -412,9 +410,9 @@ const (
 	CounterShedRate      = "admission.shed.rate"
 )
 
-// shedCounter maps an OverloadError reason to its counter name.
-func shedCounter(reason string) string {
-	switch reason {
+// Counter names the admission counter this shed is counted under.
+func (e *OverloadError) Counter() string {
+	switch e.Reason {
 	case ShedReasonQueueFull:
 		return CounterShedQueueFull
 	case ShedReasonDeadline:
@@ -425,90 +423,4 @@ func shedCounter(reason string) string {
 		return CounterShedRate
 	}
 	return "admission.shed.other"
-}
-
-// peerBucketKey stores the per-connection token bucket in peer meta.
-const peerBucketKey = "admission.bucket"
-
-// AdmissionConfig tunes the Admission interceptor.
-type AdmissionConfig struct {
-	// Limiter is the shared concurrency limiter (nil: no concurrency
-	// limiting, only per-peer rate limits apply).
-	Limiter *Limiter
-	// QueueTimeout sheds a queued request that cannot get a slot in
-	// time (<= 0: wait as long as the request context allows).
-	QueueTimeout time.Duration
-	// Classes maps method names to priority classes; unmapped methods
-	// are PriorityInteractive.
-	Classes map[string]Priority
-	// PerPeerRate admits a sustained per-connection request rate in
-	// requests/second (<= 0: unlimited); PerPeerBurst is the bucket's
-	// burst allowance.
-	PerPeerRate  float64
-	PerPeerBurst int
-	// Stats receives the admission.* counters (nil: uncounted).
-	Stats *Stats
-}
-
-// count records one admission counter into the configured sink.
-func (cfg *AdmissionConfig) count(name string) {
-	if cfg.Stats != nil {
-		cfg.Stats.Add(name, 1)
-	}
-}
-
-// Admission is the overload-protection interceptor: it charges the
-// peer's token bucket, then takes a slot from the shared limiter —
-// queueing (bounded, priority-aware, deadline-shed) when the server is
-// saturated. Shed requests fail fast with an *OverloadError carrying a
-// retry-after hint; the wait for a slot is recorded as an "admission"
-// span on the request trace.
-func Admission(cfg AdmissionConfig) Interceptor {
-	return func(next Handler) Handler {
-		if cfg.Limiter == nil && cfg.PerPeerRate <= 0 {
-			return next
-		}
-		return func(ctx context.Context, p *Peer, payload []byte) (any, error) {
-			class := PriorityInteractive
-			if method, ok := ContextMethod(ctx); ok {
-				if c, ok := cfg.Classes[method]; ok {
-					class = c
-				}
-			}
-			// Control traffic is exempt from the per-peer bucket: rate
-			// limits exist to stop one peer flooding bulk work, and a
-			// rate-limited peer must still be able to leave cleanly, poll
-			// stats, and keep its session alive.
-			var bucket *TokenBucket
-			if cfg.PerPeerRate > 0 && p != nil && class != PriorityControl {
-				bucket = p.MetaSetDefault(peerBucketKey, NewTokenBucket(cfg.PerPeerRate, cfg.PerPeerBurst)).(*TokenBucket)
-				if ok, ra := bucket.Take(time.Now()); !ok {
-					cfg.count(CounterShedRate)
-					return nil, &OverloadError{Reason: ShedReasonRate, RetryAfter: ra}
-				}
-			}
-			if cfg.Limiter != nil {
-				endWait := obs.StartSpan(ctx, "admission")
-				err := cfg.Limiter.Acquire(ctx, class, cfg.QueueTimeout)
-				endWait()
-				if err != nil {
-					// The charged token bought no work: refund it so a shed
-					// request doesn't also burn the peer's rate budget and
-					// rate-shed the very retry the hint asks for.
-					if bucket != nil {
-						bucket.Refund()
-					}
-					var oe *OverloadError
-					if errors.As(err, &oe) {
-						cfg.count(shedCounter(oe.Reason))
-					}
-					return nil, err
-				}
-				cfg.count(CounterAdmitted)
-				start := time.Now()
-				defer func() { cfg.Limiter.Release(time.Since(start)) }()
-			}
-			return next(ctx, p, payload)
-		}
-	}
 }

@@ -365,140 +365,6 @@ func TestParseOverloadRoundTrip(t *testing.T) {
 	}
 }
 
-// admitCtx builds a dispatch-shaped context carrying a method name.
-func admitCtx(method string) context.Context {
-	return context.WithValue(context.Background(), reqInfoKey, &reqInfo{method: method})
-}
-
-func TestAdmissionInterceptorPassthrough(t *testing.T) {
-	called := false
-	h := Admission(AdmissionConfig{})(func(ctx context.Context, p *Peer, payload []byte) (any, error) {
-		called = true
-		return "ok", nil
-	})
-	if _, err := h(context.Background(), nil, nil); err != nil || !called {
-		t.Fatalf("no-limits admission must pass through (err=%v, called=%v)", err, called)
-	}
-}
-
-func TestAdmissionInterceptorRateLimit(t *testing.T) {
-	st := NewStats()
-	cfg := AdmissionConfig{
-		Classes:      map[string]Priority{"db.get": PriorityBulk, "sys.stats": PriorityControl},
-		PerPeerRate:  1,
-		PerPeerBurst: 2,
-		Stats:        st,
-	}
-	h := Admission(cfg)(func(ctx context.Context, p *Peer, payload []byte) (any, error) {
-		return "ok", nil
-	})
-	peer := &Peer{meta: map[string]any{}}
-	for i := 0; i < 2; i++ {
-		if _, err := h(admitCtx("db.get"), peer, nil); err != nil {
-			t.Fatalf("burst call %d: %v", i, err)
-		}
-	}
-	_, err := h(admitCtx("db.get"), peer, nil)
-	var oe *OverloadError
-	if !errors.As(err, &oe) || oe.Reason != ShedReasonRate {
-		t.Fatalf("err = %v, want rate overload", err)
-	}
-	if oe.RetryAfter <= 0 {
-		t.Fatalf("retry-after %v, want positive", oe.RetryAfter)
-	}
-	if got := st.Counter(CounterShedRate); got != 1 {
-		t.Fatalf("shed.rate counter %d, want 1", got)
-	}
-	// Control traffic bypasses the bucket even when it is empty.
-	for i := 0; i < 5; i++ {
-		if _, err := h(admitCtx("sys.stats"), peer, nil); err != nil {
-			t.Fatalf("control call %d through empty bucket: %v", i, err)
-		}
-	}
-	// A second peer has its own bucket.
-	if _, err := h(admitCtx("db.get"), &Peer{meta: map[string]any{}}, nil); err != nil {
-		t.Fatalf("fresh peer sheds: %v", err)
-	}
-}
-
-func TestAdmissionInterceptorLimiterCounters(t *testing.T) {
-	st := NewStats()
-	cfg := AdmissionConfig{
-		Limiter:      NewLimiter(1, 0),
-		QueueTimeout: 10 * time.Millisecond,
-		Classes:      map[string]Priority{"db.get": PriorityBulk},
-		Stats:        st,
-	}
-	block := make(chan struct{})
-	h := Admission(cfg)(func(ctx context.Context, p *Peer, payload []byte) (any, error) {
-		<-block
-		return "ok", nil
-	})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if _, err := h(admitCtx("db.get"), nil, nil); err != nil {
-			t.Errorf("admitted call: %v", err)
-		}
-	}()
-	waitFor(t, func() bool { return cfg.Limiter.Inflight() == 1 })
-	// Bulk reserve does not apply: the second call sheds (queue depth 0).
-	_, err := h(admitCtx("db.get"), nil, nil)
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("err = %v, want overload", err)
-	}
-	close(block)
-	<-done
-	if got := st.Counter(CounterAdmitted); got != 1 {
-		t.Fatalf("admitted counter %d, want 1", got)
-	}
-	if got := st.Counter(CounterShedQueueFull); got != 1 {
-		t.Fatalf("shed.queue_full counter %d, want 1", got)
-	}
-	if got := cfg.Limiter.Inflight(); got != 0 {
-		t.Fatalf("inflight %d after handler returned, want 0", got)
-	}
-}
-
-func TestAdmissionInterceptorShedRefundsToken(t *testing.T) {
-	cfg := AdmissionConfig{
-		Limiter:      NewLimiter(1, 0),
-		QueueTimeout: 10 * time.Millisecond,
-		Classes:      map[string]Priority{"db.get": PriorityBulk},
-		PerPeerRate:  0.001, // negligible refill over the test's lifetime
-		PerPeerBurst: 2,
-	}
-	block := make(chan struct{})
-	h := Admission(cfg)(func(ctx context.Context, p *Peer, payload []byte) (any, error) {
-		<-block
-		return "ok", nil
-	})
-	peer := &Peer{meta: map[string]any{}}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if _, err := h(admitCtx("db.get"), peer, nil); err != nil {
-			t.Errorf("admitted call: %v", err)
-		}
-	}()
-	waitFor(t, func() bool { return cfg.Limiter.Inflight() == 1 })
-	// Queue depth 0: the second call is charged a token, then shed by the
-	// limiter. The token must come back — otherwise a shed peer is
-	// double-penalized and its hinted retry may be rate-shed in turn.
-	if _, err := h(admitCtx("db.get"), peer, nil); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("err = %v, want overload", err)
-	}
-	v, ok := peer.Meta(peerBucketKey)
-	if !ok {
-		t.Fatal("peer bucket not created")
-	}
-	if got := v.(*TokenBucket).Tokens(); got < 1 {
-		t.Fatalf("tokens %v after limiter shed, want charged token refunded", got)
-	}
-	close(block)
-	<-done
-}
-
 // waitFor polls cond for up to a second — cheap synchronization with
 // goroutines that enter a queue at an unknown moment.
 func waitFor(t *testing.T, cond func() bool) {

@@ -188,8 +188,8 @@ func (c *Client) closedErr() error {
 // a *RemoteError (the far handler failed) or a transport error
 // (errors.Is ErrClosed / context errors). The results are exactly
 // CallRaw's so that it inlines: a forwarding node runs this frame at the
-// bottom of its interceptor chain, and one more frame there cost the
-// forwarded choice 5% in goroutine stack growth.
+// bottom of its request step's routing, and one more frame there cost
+// the forwarded choice 5% in goroutine stack growth.
 func (c *Client) roundTrip(ctx context.Context, method string, payload []byte, args BodyEncoder) (reply []byte, err error) {
 	// The default deadline covers the handshake wait too: a peer that
 	// accepts the connection but never answers the preamble must fail the

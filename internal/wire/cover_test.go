@@ -6,8 +6,6 @@ import (
 	"net"
 	"testing"
 	"time"
-
-	"mmconf/internal/obs"
 )
 
 // coverBody is a minimal BodyEncoder/BodyDecoder pair for exercising
@@ -202,8 +200,8 @@ func TestClientProtoVersionDeadConn(t *testing.T) {
 
 func TestStatsSurface(t *testing.T) {
 	st := NewStats()
-	st.observe("m", 10*time.Millisecond, nil)
-	st.observe("m", 30*time.Millisecond, ErrDraining)
+	st.Observe("m", 10*time.Millisecond, nil)
+	st.Observe("m", 30*time.Millisecond, ErrDraining)
 	ms := st.Method("m")
 	if ms.Requests != 2 || ms.Errors != 1 {
 		t.Fatalf("Method = %+v", ms)
@@ -221,23 +219,6 @@ func TestStatsSurface(t *testing.T) {
 	st.Add("c", 3)
 	if all := st.Counters(); all["c"] != 5 {
 		t.Errorf("Counters = %v", all)
-	}
-}
-
-func TestTracingInterceptor(t *testing.T) {
-	rec := obs.NewRecorder(4, -1)
-	var sawTrace bool
-	h := Tracing(rec)(func(ctx context.Context, p *Peer, payload []byte) (any, error) {
-		tr, ok := obs.TraceFrom(ctx)
-		sawTrace = ok && tr != nil
-		return nil, nil
-	})
-	ctx := context.WithValue(context.Background(), reqInfoKey, &reqInfo{method: "m", trace: 7})
-	if _, err := h(ctx, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !sawTrace {
-		t.Error("handler saw no trace in context")
 	}
 }
 

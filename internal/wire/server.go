@@ -22,13 +22,8 @@ var ErrDraining = errors.New("wire: server draining")
 
 // Server dispatches requests to registered handlers.
 type Server struct {
-	mu           sync.RWMutex
-	handlers     map[string]Handler
-	interceptors []Interceptor
-	// chained is handlers with the interceptors composed around each:
-	// what a request is dispatched through. Register and Use rebuild it,
-	// so a request costs no composition of its own.
-	chained   map[string]Handler
+	mu        sync.RWMutex
+	handlers  map[string]Handler
 	onClose   func(*Peer)
 	nextPeer  uint64
 	listeners []net.Listener
@@ -54,7 +49,7 @@ type job struct {
 	peer *Peer
 	ctx  context.Context // the connection's: parent of the request context
 	env  envelope
-	h    Handler // the method's composed handler; nil for an unknown method
+	h    Handler // the method's handler; nil for an unknown method
 }
 
 // NewServer returns an empty server.
@@ -62,7 +57,6 @@ func NewServer() *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
 		handlers: make(map[string]Handler),
-		chained:  make(map[string]Handler),
 		peers:    make(map[uint64]*Peer),
 		baseCtx:  ctx,
 		cancel:   cancel,
@@ -75,7 +69,6 @@ func (s *Server) Register(method string, h Handler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.handlers[method] = h
-	s.chained[method] = Chain(h, s.interceptors...)
 }
 
 // Methods returns the names of the registered methods, sorted.
@@ -88,19 +81,6 @@ func (s *Server) Methods() []string {
 	s.mu.Unlock()
 	slices.Sort(names)
 	return names
-}
-
-// Use appends interceptors to the dispatch chain. The first interceptor
-// installed is the outermost wrapper. Install interceptors before
-// serving; installation is not synchronized with in-flight dispatches
-// beyond the registration lock.
-func (s *Server) Use(ics ...Interceptor) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.interceptors = append(s.interceptors, ics...)
-	for method, h := range s.handlers {
-		s.chained[method] = Chain(h, s.interceptors...)
-	}
 }
 
 // OnPeerClose installs a callback invoked when a peer's connection ends
@@ -323,7 +303,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 			continue // clients must not send responses/pushes
 		}
 		s.mu.RLock()
-		h := s.chained[env.Method]
+		h := s.handlers[env.Method]
 		draining := s.draining
 		if !draining {
 			// Count in-flight work while holding the read lock: Drain sets
@@ -348,10 +328,10 @@ func (s *Server) ServeConn(conn net.Conn) {
 // worker runs j, then every request handed to it while it is parked on
 // s.work, and exits after workerIdle with none or when the server's base
 // context ends. It outlives the request so the stack the handler grew
-// (interceptors, the room, the engine's solve) is still there for the
-// next one: a goroutine per request starts on 2 KiB and copies its stack
-// several times over on the way down, the deepest of them under the room
-// lock. A worker leaves only from the select below, where it holds no
+// (the server's request step, the room, the engine's solve) is still
+// there for the next one: a goroutine per request starts on 2 KiB and
+// copies its stack several times over on the way down, the deepest of
+// them under the room lock. A worker leaves only from the select below, where it holds no
 // request — one that decided to leave after taking a job would lose it.
 func (s *Server) worker(j job) {
 	idle := time.NewTimer(workerIdle)
@@ -375,8 +355,8 @@ func (s *Server) worker(j job) {
 	}
 }
 
-// run dispatches one request through its method's composed handler and
-// queues the response.
+// run dispatches one request to its method's handler and queues the
+// response.
 func (s *Server) run(j job) {
 	defer s.inflight.Done()
 	env, peer := &j.env, j.peer

@@ -21,9 +21,9 @@ func (*None) DecodeBody(d *Dec) error { return d.Err() }
 // owning the decode of the request. The constraints make "this body has
 // no codec" a compile error: *Req must decode and *Resp must encode. A
 // nil *Resp (the only option when Resp is None) produces an empty
-// response payload. When the request carries a live trace (the Tracing
-// interceptor), the adapter times the decode and the handler body as
-// "decode" and "handle" spans.
+// response payload. When the request carries a live trace (the server's
+// request step starts one), the adapter times the decode and the handler
+// body as "decode" and "handle" spans.
 //
 // This is the seam every interaction-server method registers through:
 //

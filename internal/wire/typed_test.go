@@ -5,16 +5,14 @@ import (
 	"errors"
 	"net"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
 
 // startTyped boots a server whose handlers exercise the typed pipeline.
-func startTyped(t *testing.T, ics ...Interceptor) (*Server, string) {
+func startTyped(t *testing.T) (*Server, string) {
 	t.Helper()
 	s := NewServer()
-	s.Use(ics...)
 	s.Register("double", Typed(func(ctx context.Context, p *Peer, req *echoArgs) (*echoReply, error) {
 		return &echoReply{Text: req.Text, N: req.N * 2}, nil
 	}))
@@ -65,52 +63,6 @@ func TestTypedHandlerRoundTrip(t *testing.T) {
 		t.Error("typed handler accepted garbage payload")
 	}
 	_ = s
-}
-
-func TestRecoveryInterceptorCatchesPanic(t *testing.T) {
-	_, addr := startTyped(t, Recovery())
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	err = c.Call("boom", &echoArgs{}, nil)
-	if err == nil || !strings.Contains(err.Error(), "internal error in boom") {
-		t.Fatalf("panic not converted to error: %v", err)
-	}
-	// The connection survives the panic.
-	var reply echoReply
-	if err := c.Call("double", &echoArgs{N: 1}, &reply); err != nil || reply.N != 2 {
-		t.Fatalf("connection dead after panic: %+v, %v", reply, err)
-	}
-}
-
-func TestTimeoutInterceptorAbortsSlowHandler(t *testing.T) {
-	_, addr := startTyped(t, Timeout(20*time.Millisecond, nil))
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	start := time.Now()
-	err = c.Call("slow", &echoArgs{N: 5000}, nil)
-	if err == nil || !strings.Contains(err.Error(), context.DeadlineExceeded.Error()) {
-		t.Fatalf("slow handler not cancelled: %v", err)
-	}
-	if d := time.Since(start); d > 2*time.Second {
-		t.Errorf("cancellation took %v", d)
-	}
-	// Per-method override: "slow" gets a long budget and completes.
-	_, addr2 := startTyped(t, Timeout(20*time.Millisecond, map[string]time.Duration{"slow": 5 * time.Second}))
-	c2, err := Dial(addr2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	var reply echoReply
-	if err := c2.Call("slow", &echoArgs{N: 40}, &reply); err != nil || reply.Text != "finished" {
-		t.Fatalf("per-method override: %+v, %v", reply, err)
-	}
 }
 
 func TestCallCtxCancellationAbandonsWait(t *testing.T) {
@@ -176,37 +128,6 @@ func TestPeerDisconnectCancelsHandlerContext(t *testing.T) {
 	}
 }
 
-func TestStatsCountersObservable(t *testing.T) {
-	st := NewStats()
-	// Stats outermost so even recovered panics are counted as errors.
-	_, addr := startTyped(t, WithStats(st), Recovery())
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	for i := 0; i < 5; i++ {
-		if err := c.Call("double", &echoArgs{N: i}, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_ = c.Call("boom", &echoArgs{}, nil) // recovered panic counts as an error
-	ms := st.Method("double")
-	if ms.Requests != 5 || ms.Errors != 0 {
-		t.Errorf("double stats = %+v", ms)
-	}
-	if ms.TotalLatency <= 0 || ms.MaxLatency <= 0 {
-		t.Errorf("latency not recorded: %+v", ms)
-	}
-	if bs := st.Method("boom"); bs.Requests != 1 || bs.Errors != 1 {
-		t.Errorf("boom stats = %+v", bs)
-	}
-	snap := st.Snapshot()
-	if len(snap) != 2 {
-		t.Errorf("snapshot methods = %d", len(snap))
-	}
-}
-
 func TestContextCarriesPeerAndMethod(t *testing.T) {
 	s := NewServer()
 	s.Register("who", Typed(func(ctx context.Context, p *Peer, req *echoArgs) (*echoReply, error) {
@@ -228,31 +149,6 @@ func TestContextCarriesPeerAndMethod(t *testing.T) {
 	var reply echoReply
 	if err := c.Call("who", &echoArgs{}, &reply); err != nil || reply.Text != "who" {
 		t.Fatalf("context introspection: %+v, %v", reply, err)
-	}
-}
-
-func TestSlowLogReportsOverThreshold(t *testing.T) {
-	var mu sync.Mutex
-	var lines []string
-	logf := func(format string, args ...any) {
-		mu.Lock()
-		defer mu.Unlock()
-		lines = append(lines, format)
-	}
-	_, addr := startTyped(t, SlowLog(time.Millisecond, logf))
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Call("slow", &echoArgs{N: 20}, nil); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	n := len(lines)
-	mu.Unlock()
-	if n == 0 {
-		t.Error("slow request not logged")
 	}
 }
 

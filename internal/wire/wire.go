@@ -7,12 +7,12 @@
 // code, an error string and a payload encoded by the body's hand-written
 // BodyEncoder/BodyDecoder codec.
 //
-// Requests dispatch through a typed pipeline: a per-request
-// context.Context (carrying the peer, the method name, and any deadline
-// installed by the Timeout interceptor) flows through the interceptor
-// chain (see interceptor.go) into the handler. The context is cancelled
-// when the peer's connection drops, so a dead client aborts its own
-// in-flight work instead of leaving it running.
+// A request reaches its registered Handler under a per-request
+// context.Context carrying the peer, the method name and the trace id;
+// what happens between the frame and the handler body (admission,
+// deadline, accounting) is the interaction server's request step. The
+// context is cancelled when the peer's connection drops, so a dead
+// client aborts its own in-flight work instead of leaving it running.
 package wire
 
 import (
