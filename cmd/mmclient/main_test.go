@@ -33,7 +33,7 @@ func session(t *testing.T) (*client.Client, *client.Session, *workload.Populated
 	t.Cleanup(func() { srv.Close() })
 	sc, cc := net.Pipe()
 	go srv.ServeConn(sc)
-	c, err := client.NewOverConn(cc, "tester")
+	c, err := client.NewOverDialer(func(context.Context) (net.Conn, error) { return cc, nil }, "tester", client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

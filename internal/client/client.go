@@ -8,7 +8,6 @@ package client
 import (
 	"context"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 
@@ -31,19 +30,19 @@ const (
 	stateClosed
 )
 
-// Client is one user's connection to the interaction server. With
-// reconnection enabled (Options.Reconnect via DialWith/NewOverDialer) a
-// dropped connection is redialed with exponential backoff and every
-// joined room is resumed from its last seen event sequence.
+// Client is one user's connection to the interaction server. Every move
+// of that connection — the first dial, a redial after a drop
+// (Options.Reconnect) and a redirect to a room's owning node — goes
+// through connect, which resumes every joined room on the new connection
+// from its last seen event sequence.
 type Client struct {
 	user string
-	dial DialFunc // nil: connection loss is terminal
 	opts Options
 
 	mu       sync.Mutex
 	rpc      *wire.Client
 	state    connState
-	gen      uint64 // bumped per (re)connect; stale supervisors stand down
+	gen      uint64 // bumped per connect; stale supervisors stand down
 	sessions map[string]*Session
 	// joining holds, per room, the session of a Join still in flight. The
 	// server pushes to a new member before the Join response is processed
@@ -64,9 +63,8 @@ type Client struct {
 	backlog  []room.Event
 	draining bool // drainBacklog is running; emits queue behind it
 
-	// resolver is the cluster-endpoint picker (nil outside
-	// NewOverResolver); migrateMu serializes redirect-following
-	// connection migrations.
+	// resolver is the endpoint set every connect dials through;
+	// migrateMu serializes redirect-following connection migrations.
 	resolver  *resolver
 	migrateMu sync.Mutex
 
@@ -88,81 +86,53 @@ const eventQueueSize = 1024
 // client does not pin a third of a megabyte.
 const eventChanSize = 32
 
-// Dial connects to the interaction server at addr as the given user.
-// The connection does not auto-reconnect; use DialWith for that.
+// Dial connects to the interaction server at addr as the given user,
+// under the zero Options: a dropped connection is not redialed. A
+// redirect moves the connection to the node it names (NewOverResolver).
 func Dial(addr, user string) (*Client, error) {
-	return DialWith(addr, user, Options{})
-}
-
-// DialWith connects to addr with explicit fault-tolerance options.
-func DialWith(addr, user string, opts Options) (*Client, error) {
-	return NewOverDialer(netDialer(addr), user, opts)
+	return NewOverResolver(NetDial, []string{addr}, user, Options{})
 }
 
 // NewOverDialer builds a client over a custom dial function (a
 // netsim-faulted dialer in tests, or any tunneled transport). The
 // initial connect happens synchronously; with opts.Reconnect, later
-// drops redial through the same function.
+// drops redial through the same function. The function reaches one
+// endpoint whatever a redirect names, so a redirect surfaces to the
+// caller as a *wire.RedirectError.
 func NewOverDialer(dial DialFunc, user string, opts Options) (*Client, error) {
-	if user == "" {
-		return nil, fmt.Errorf("client: empty user name")
-	}
 	if dial == nil {
 		return nil, fmt.Errorf("client: nil dial function")
 	}
-	opts.normalize()
-	c := newClient(user, dial, opts)
-	ctx, cancel := context.WithTimeout(context.Background(), opts.ConnectTimeout)
-	defer cancel()
-	conn, err := dial(ctx)
-	if err != nil {
-		return nil, err
-	}
-	c.attach(wire.NewClient(conn))
-	return c, nil
+	return open(user, fixedEndpoint(dial), opts)
 }
 
-// NewOverConn wraps an established connection (in-process tests, or a
-// netsim-throttled conn). Connection loss is terminal: there is nothing
-// to redial.
-func NewOverConn(conn net.Conn, user string) (*Client, error) {
+// open builds a client over the endpoint set r and connects it, trying
+// each endpoint once.
+func open(user string, r *resolver, opts Options) (*Client, error) {
 	if user == "" {
 		return nil, fmt.Errorf("client: empty user name")
 	}
-	opts := Options{}
 	opts.normalize()
-	c := newClient(user, nil, opts)
-	c.attach(wire.NewClient(conn))
-	return c, nil
+	c := newClient(user, r, opts)
+	var err error
+	for range r.addrs {
+		if err = c.connect(context.Background()); err == nil {
+			return c, nil
+		}
+	}
+	return nil, fmt.Errorf("client: no endpoint reachable: %w", err)
 }
 
-func newClient(user string, dial DialFunc, opts Options) *Client {
+func newClient(user string, r *resolver, opts Options) *Client {
 	return &Client{
 		user:     user,
-		dial:     dial,
 		opts:     opts,
+		resolver: r,
 		sessions: make(map[string]*Session),
 		joining:  make(map[string]*Session),
 		events:   make(chan room.Event, eventChanSize),
 		closeCh:  make(chan struct{}),
 	}
-}
-
-// attach installs rpc as the live connection: push handler, per-call
-// deadline, and the supervisor that watches for connection death.
-// Callers must not hold c.mu.
-func (c *Client) attach(rpc *wire.Client) {
-	rpc.OnPush(c.onPush)
-	if c.opts.CallTimeout > 0 {
-		rpc.SetCallTimeout(c.opts.CallTimeout)
-	}
-	c.mu.Lock()
-	c.rpc = rpc
-	c.state = stateActive
-	c.gen++
-	gen := c.gen
-	c.mu.Unlock()
-	go c.supervise(rpc, gen)
 }
 
 // sessionFor returns the session a push for the room belongs to: the one

@@ -36,6 +36,21 @@ func pipeSystem(t *testing.T) (*Client, *workload.PopulatedRecord) {
 // name in docs.
 func pipeStore(t *testing.T, docs ...string) (*Client, *mediadb.MediaDB, []*workload.PopulatedRecord) {
 	t.Helper()
+	srv, m, recs := testServer(t, docs...)
+	sc, cc := net.Pipe()
+	go srv.ServeConn(sc)
+	c, err := overConn(cc, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c, m, recs
+}
+
+// testServer is a server over a store holding one populated record per
+// name in docs, closed with the test.
+func testServer(t *testing.T, docs ...string) (*server.Server, *mediadb.MediaDB, []*workload.PopulatedRecord) {
+	t.Helper()
 	db, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncNever})
 	if err != nil {
 		t.Fatal(err)
@@ -55,21 +70,26 @@ func pipeStore(t *testing.T, docs ...string) (*Client, *mediadb.MediaDB, []*work
 	}
 	srv := server.New(m)
 	t.Cleanup(func() { srv.Close() })
-	sc, cc := net.Pipe()
-	go srv.ServeConn(sc)
-	c, err := NewOverConn(cc, "alice")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return c, m, recs
+	return srv, m, recs
 }
 
-func TestNewOverConnValidation(t *testing.T) {
+// overConn builds a client over an established connection, which its
+// dialer hands out; the client does not redial.
+func overConn(conn net.Conn, user string) (*Client, error) {
+	return NewOverDialer(func(context.Context) (net.Conn, error) { return conn, nil }, user, Options{})
+}
+
+func TestConstructorValidation(t *testing.T) {
 	_, cc := net.Pipe()
 	defer cc.Close()
-	if _, err := NewOverConn(cc, ""); err == nil {
+	if _, err := overConn(cc, ""); err == nil {
 		t.Error("empty user accepted")
+	}
+	if _, err := NewOverDialer(nil, "u", Options{}); err == nil {
+		t.Error("nil dial function accepted")
+	}
+	if _, err := NewOverResolver(nil, nil, "u", Options{}); err == nil {
+		t.Error("empty endpoint set accepted")
 	}
 	if _, err := Dial("127.0.0.1:1", ""); err == nil {
 		t.Error("empty user accepted by Dial")
@@ -615,7 +635,7 @@ func waitFor(t *testing.T, cond func() bool) {
 func TestEventOverflowShedsOldest(t *testing.T) {
 	_, cc := net.Pipe()
 	defer cc.Close()
-	c, err := NewOverConn(cc, "u")
+	c, err := overConn(cc, "u")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -671,7 +691,7 @@ func TestEventOverflowShedsOldest(t *testing.T) {
 func TestEventBacklogConcurrentEmitAndClose(t *testing.T) {
 	_, cc := net.Pipe()
 	defer cc.Close()
-	c, err := NewOverConn(cc, "u")
+	c, err := overConn(cc, "u")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,17 +7,21 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"slices"
 	"time"
 
+	"mmconf/internal/proto"
 	"mmconf/internal/wire"
 )
 
-// This file is the client half of the fault-tolerant session layer: a
-// supervisor watches the wire connection, and when it dies redials with
-// exponential backoff, then resumes every joined room from its last seen
-// event sequence (the server holds dropped sessions for a grace period —
-// see room.Detach/Resume). In-flight and new calls during an outage fail
-// fast with ErrReconnecting instead of hanging.
+// This file is the client half of the fault-tolerant session layer:
+// connect, the one routine that moves the client's connection, and the
+// supervisor that watches the wire connection and, when it dies, redials
+// with exponential backoff through connect, which resumes every joined
+// room from its last seen event sequence (the server holds dropped
+// sessions for a grace period — see room.Detach/Resume). In-flight and
+// new calls during an outage fail fast with ErrReconnecting instead of
+// hanging.
 
 // ErrReconnecting reports a call attempted while the connection is down
 // and being redialed. The call was not sent; retry after the stream
@@ -30,14 +34,6 @@ var ErrClosed = errors.New("client: closed")
 
 // DialFunc establishes the client's transport. ctx bounds the attempt.
 type DialFunc func(ctx context.Context) (net.Conn, error)
-
-// netDialer is the default TCP DialFunc for an address.
-func netDialer(addr string) DialFunc {
-	return func(ctx context.Context) (net.Conn, error) {
-		var d net.Dialer
-		return d.DialContext(ctx, "tcp", addr)
-	}
-}
 
 // Backoff shapes the redial schedule: attempt n sleeps
 // Base·Factor^(n-1), capped at Max, with ±Jitter fraction of noise so a
@@ -62,9 +58,8 @@ func (b Backoff) delay(attempt int) time.Duration {
 	return time.Duration(d)
 }
 
-// Options tunes the client's fault tolerance. The zero value keeps the
-// historical behavior: no reconnection, 5s connect timeout, unbounded
-// calls.
+// Options tunes the client's fault tolerance. The zero value makes a drop
+// terminal (no redial), with a 5s connect timeout and unbounded calls.
 type Options struct {
 	// Reconnect enables automatic redial + session resume after the
 	// connection drops.
@@ -126,7 +121,8 @@ type ReconnectStats struct {
 	// client.
 	GaveUp uint64
 	// Redirects counts cluster redirects followed: connection
-	// migrations to a room's owning node (resolver clients only).
+	// migrations to a room's owning node (never for a NewOverDialer
+	// client, whose one endpoint has no address to move to).
 	Redirects uint64
 }
 
@@ -157,7 +153,7 @@ func (c *Client) call(ctx context.Context, method string, req wire.BodyEncoder, 
 		if err == nil {
 			return nil
 		}
-		if c.handleRouting(ctx, gen, err, &hops) {
+		if c.followRedirect(ctx, gen, err, &hops) {
 			continue
 		}
 		var oe *wire.OverloadError
@@ -202,7 +198,7 @@ func (c *Client) callOnce(ctx context.Context, method string, req wire.BodyEncod
 		return fmt.Errorf("client: call %s: %w", method, ErrReconnecting)
 	}
 	err := rpc.CallCtx(ctx, method, req, resp)
-	if err != nil && errors.Is(err, wire.ErrClosed) && c.opts.Reconnect && c.dial != nil {
+	if err != nil && errors.Is(err, wire.ErrClosed) && c.opts.Reconnect {
 		// The transport died under the call; the supervisor is (or will
 		// shortly be) redialing. Surface the typed state, not the raw
 		// wire error.
@@ -211,9 +207,72 @@ func (c *Client) callOnce(ctx context.Context, method string, req wire.BodyEncod
 	return err
 }
 
+// connect moves the client onto a new connection: it dials through the
+// endpoint set, resumes every session the client holds at this moment
+// over the new connection, and installs it in place of the current one
+// (refused with ErrClosed once the client is closed), with a supervisor
+// that watches it. It is the one way a connection is made: the
+// constructors, each attempt of the redial loop and a redirect differ
+// only in the policy around the call. A session left while its resume
+// was in flight is left again on the new connection, so a room the user
+// left does not come back.
+func (c *Client) connect(ctx context.Context) error {
+	dctx, cancel := context.WithTimeout(ctx, c.opts.ConnectTimeout)
+	conn, err := c.resolver.dial(dctx)
+	cancel()
+	if err != nil {
+		return err
+	}
+	rpc := wire.NewClient(conn)
+	rpc.OnPush(c.onPush)
+	if c.opts.CallTimeout > 0 {
+		rpc.SetCallTimeout(c.opts.CallTimeout)
+	}
+	held := c.held()
+	if err := c.resumeSessions(rpc, held); err != nil {
+		rpc.Close()
+		return err
+	}
+	c.mu.Lock()
+	if c.state == stateClosed {
+		c.mu.Unlock()
+		rpc.Close()
+		return ErrClosed
+	}
+	old := c.rpc
+	c.rpc, c.state = rpc, stateActive
+	c.gen++
+	gen := c.gen
+	left := slices.DeleteFunc(held, func(s *Session) bool { return c.sessions[s.Room] != nil })
+	c.mu.Unlock()
+	go c.supervise(rpc, gen)
+	if old != nil {
+		old.Close() // its supervisor sees a stale generation and stands down
+	}
+	for _, s := range left {
+		// Best effort, as the user's own leave was: a leave lost with this
+		// connection leaves a detached member the server expires.
+		lctx, cancel := c.sessionCtx()
+		_ = rpc.CallCtx(lctx, proto.MLeaveRoom, &proto.LeaveRoomReq{Room: s.Room, User: c.user}, nil)
+		cancel()
+	}
+	return nil
+}
+
+// sessionCtx bounds one resume or leave that connect sends: CallTimeout,
+// or 10s when calls are unbounded.
+func (c *Client) sessionCtx() (context.Context, context.CancelFunc) {
+	timeout := c.opts.CallTimeout
+	if timeout <= 0 {
+		timeout = 10 * time.Second
+	}
+	return context.WithTimeout(context.Background(), timeout)
+}
+
 // supervise waits for the given connection to die and, if it is still
-// the client's current one, starts the reconnect loop (or stands down:
-// closed client, superseded connection, or reconnection disabled).
+// the client's current one and reconnection is on, starts the redial
+// loop; otherwise it stands down (closed client, superseded connection,
+// or a drop that is terminal).
 func (c *Client) supervise(rpc *wire.Client, gen uint64) {
 	select {
 	case <-rpc.Done():
@@ -221,88 +280,49 @@ func (c *Client) supervise(rpc *wire.Client, gen uint64) {
 		return
 	}
 	c.mu.Lock()
-	if c.state != stateActive || c.gen != gen {
-		c.mu.Unlock()
-		return
-	}
-	if !c.opts.Reconnect || c.dial == nil {
-		// Historical behavior: the drop is terminal, calls surface wire
-		// errors directly.
+	if c.state != stateActive || c.gen != gen || !c.opts.Reconnect {
 		c.mu.Unlock()
 		return
 	}
 	c.state = stateReconnecting
-	sessions := make([]*Session, 0, len(c.sessions))
-	for _, s := range c.sessions {
-		sessions = append(sessions, s)
-	}
 	c.mu.Unlock()
-	for _, s := range sessions {
-		s.beginResume()
-	}
-	c.reconnectLoop(sessions)
+	c.reconnectLoop()
 }
 
-// reconnectLoop redials with backoff until the connection and every
-// session are restored, the budget runs out, or the client closes.
-func (c *Client) reconnectLoop(sessions []*Session) {
+// reconnectLoop redials with backoff until connect restores the
+// connection and every session, the budget runs out, or the client
+// closes.
+func (c *Client) reconnectLoop() {
 	// hint carries the server's retry-after from an overloaded resume
 	// attempt: the next redial waits at least that long, so a fleet of
 	// reconnecting clients does not re-stampede a saturated server.
 	var hint time.Duration
 	for attempt := 1; c.opts.MaxAttempts < 0 || attempt <= c.opts.MaxAttempts; attempt++ {
-		delay := c.opts.Backoff.delay(attempt)
-		if hint > delay {
-			delay = hint
-		}
+		delay := max(c.opts.Backoff.delay(attempt), hint)
 		hint = 0
 		select {
 		case <-time.After(delay):
 		case <-c.closeCh:
-			for _, s := range sessions {
-				s.abortResume()
-			}
+			c.abortResumes()
 			return
 		}
 		c.attempts.Add(1)
-		dctx, cancel := context.WithTimeout(context.Background(), c.opts.ConnectTimeout)
-		conn, err := c.dial(dctx)
-		cancel()
-		if err != nil {
-			c.failures.Add(1)
-			continue
-		}
-		rpc := wire.NewClient(conn)
-		rpc.OnPush(c.onPush)
-		if c.opts.CallTimeout > 0 {
-			rpc.SetCallTimeout(c.opts.CallTimeout)
-		}
-		if err := c.resumeSessions(rpc, sessions); err != nil {
-			// The fresh connection died during resume (or the server shed
-			// the resume under overload); close it and pay another
-			// attempt, honoring the server's retry-after if it sent one.
-			var oe *wire.OverloadError
-			if errors.As(err, &oe) {
-				hint = oe.RetryAfter
-			}
-			rpc.Close()
-			c.failures.Add(1)
-			continue
-		}
-		c.mu.Lock()
-		if c.state == stateClosed {
-			c.mu.Unlock()
-			rpc.Close()
+		err := c.connect(context.Background())
+		if err == nil {
+			c.successes.Add(1)
 			return
 		}
-		c.rpc = rpc
-		c.state = stateActive
-		c.gen++
-		gen := c.gen
-		c.mu.Unlock()
-		c.successes.Add(1)
-		go c.supervise(rpc, gen)
-		return
+		if errors.Is(err, ErrClosed) {
+			return
+		}
+		// The dial failed, or the fresh connection died during resume (or
+		// the server shed the resume under overload): pay another
+		// attempt, honoring the server's retry-after if it sent one.
+		var oe *wire.OverloadError
+		if errors.As(err, &oe) {
+			hint = oe.RetryAfter
+		}
+		c.failures.Add(1)
 	}
 	// Budget exhausted: the outage is terminal.
 	c.gaveUp.Add(1)
@@ -312,9 +332,26 @@ func (c *Client) reconnectLoop(sessions []*Session) {
 	}
 	c.mu.Unlock()
 	c.closeOnce.Do(func() { close(c.closeCh) })
-	for _, s := range sessions {
+	c.abortResumes()
+}
+
+// abortResumes re-opens the delivery gate of every session a failed
+// connect left parked.
+func (c *Client) abortResumes() {
+	for _, s := range c.held() {
 		s.abortResume()
 	}
+}
+
+// held lists the sessions the client holds now.
+func (c *Client) held() []*Session {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]*Session, 0, len(c.sessions))
+	for _, s := range c.sessions {
+		out = append(out, s)
+	}
+	return out
 }
 
 // resumeSessions re-enters every joined room over a fresh connection,
@@ -323,25 +360,21 @@ func (c *Client) reconnectLoop(sessions []*Session) {
 // error aborts (the whole attempt retries); a server-side refusal marks
 // just that session out of sync and moves on.
 func (c *Client) resumeSessions(rpc *wire.Client, sessions []*Session) error {
-	timeout := c.opts.CallTimeout
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
 	for _, s := range sessions {
 		// resume re-parks the session for this attempt: a session restored
 		// by a previous attempt whose connection then died mid-resume must
 		// gate pushes again while its replay is re-fetched.
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		ctx, cancel := c.sessionCtx()
 		err := s.resume(ctx, rpc.CallCtx)
 		cancel()
 		var re *wire.RedirectError
 		switch {
 		case err == nil:
 		case errors.Is(err, wire.ErrClosed), errors.Is(err, context.DeadlineExceeded):
-			// With a resolver, a resume that timed out silently is a
-			// black-holed endpoint (partitioned node): rotate so the next
-			// attempt tries somewhere else instead of pinning the loop.
-			if c.resolver != nil && errors.Is(err, context.DeadlineExceeded) {
+			// A resume that timed out silently is a black-holed endpoint
+			// (partitioned node): rotate so the next attempt tries
+			// somewhere else instead of pinning the loop.
+			if errors.Is(err, context.DeadlineExceeded) {
 				c.resolver.rotate()
 			}
 			return err
@@ -350,12 +383,11 @@ func (c *Client) resumeSessions(rpc *wire.Client, sessions []*Session) error {
 			// server-side; retry the whole attempt after the hint rather
 			// than marking this session out of sync.
 			return err
-		case errors.As(err, &re) && c.resolver != nil:
-			// This node no longer owns the session's room: point the
-			// resolver at the owner and retry the whole attempt there.
-			c.resolver.prefer(re.Addr)
+		case errors.As(err, &re) && c.resolver.follow(re.Addr):
+			// This node no longer owns the session's room: the resolver
+			// now points at the owner; retry the whole attempt there.
 			return err
-		case errors.Is(err, wire.ErrUnavailable) && c.resolver != nil:
+		case errors.Is(err, wire.ErrUnavailable) && c.resolver.byAddr:
 			// The node cannot serve safely (minority side of a partition,
 			// draining): rotate to the next endpoint and retry.
 			c.resolver.rotate()

@@ -5,17 +5,19 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 
 	"mmconf/internal/wire"
 )
 
-// This file is the client's cluster awareness: a resolver that dials
-// across a set of node endpoints, and the redirect-following that moves
-// the connection to a room's owning node when the routing tier answers
-// with wire.RedirectError. Together with the reconnect supervisor this
-// closes the failover loop: owner dies → redial (rotating endpoints) →
-// resume is redirected to the new owner → sessions replay there.
+// This file is the client's endpoint set: the resolver every connect
+// dials through (one address, a cluster's node endpoints, or a fixed
+// dial function), and the redirect-following that moves the connection
+// to a room's owning node when the routing tier answers with
+// wire.RedirectError. Together with the reconnect supervisor this closes
+// the failover loop: owner dies → redial (rotating endpoints) → resume is
+// redirected to the new owner → sessions replay there.
 
 // AddrDialFunc dials a specific address — the shape a cluster resolver
 // needs (netsim's Faults.DialContext satisfies it in tests).
@@ -27,12 +29,16 @@ func NetDial(ctx context.Context, addr string) (net.Conn, error) {
 	return d.DialContext(ctx, "tcp", addr)
 }
 
-// resolver picks which endpoint the next dial attempt goes to: the
-// redirect-preferred address when the routing tier named one, otherwise
-// a rotation over the configured endpoints (advanced on dial failure
-// and on cluster-unavailable rejections).
+// resolver is the client's endpoint set: it picks which endpoint the
+// next dial goes to — the redirect-preferred address when the routing
+// tier named one, otherwise a rotation over the configured endpoints
+// (advanced on dial failure and on cluster-unavailable rejections).
 type resolver struct {
 	dialAddr AddrDialFunc
+	// byAddr reports whether dialAddr reaches the address it is given. A
+	// fixed dialer (NewOverDialer) reaches its one endpoint whatever the
+	// address, so it cannot follow a redirect or rotate away.
+	byAddr bool
 
 	mu        sync.Mutex
 	addrs     []string
@@ -40,11 +46,25 @@ type resolver struct {
 	preferred string
 }
 
-// prefer pins the next dials to addr (a redirect target).
-func (r *resolver) prefer(addr string) {
+// fixedEndpoint is the one-endpoint set over a dial function that takes no
+// address.
+func fixedEndpoint(dial DialFunc) *resolver {
+	return &resolver{
+		dialAddr: func(ctx context.Context, _ string) (net.Conn, error) { return dial(ctx) },
+		addrs:    []string{""},
+	}
+}
+
+// follow pins the next dials to addr, a redirect's target, and reports
+// whether the set can reach it; a fixed dialer cannot, and pins nothing.
+func (r *resolver) follow(addr string) bool {
+	if !r.byAddr {
+		return false
+	}
 	r.mu.Lock()
 	r.preferred = addr
 	r.mu.Unlock()
+	return true
 }
 
 // rotate abandons the current endpoint choice (the node refused or
@@ -57,18 +77,15 @@ func (r *resolver) rotate() {
 	r.mu.Unlock()
 }
 
-// dial is the resolver's DialFunc: preferred endpoint first, rotation
-// otherwise, advancing past endpoints that fail.
+// dial connects to the preferred endpoint first, the rotation otherwise,
+// advancing past endpoints that fail.
 func (r *resolver) dial(ctx context.Context) (net.Conn, error) {
 	r.mu.Lock()
 	addr := r.preferred
-	if addr == "" && len(r.addrs) > 0 {
+	if addr == "" {
 		addr = r.addrs[r.next%len(r.addrs)]
 	}
 	r.mu.Unlock()
-	if addr == "" {
-		return nil, fmt.Errorf("client: resolver has no endpoints")
-	}
 	conn, err := r.dialAddr(ctx, addr)
 	if err != nil {
 		r.mu.Lock()
@@ -90,120 +107,49 @@ func (r *resolver) dial(ctx context.Context) (net.Conn, error) {
 // sessions it already holds) and retries the redirected call there.
 // The initial connect tries endpoints in order until one answers.
 func NewOverResolver(dial AddrDialFunc, addrs []string, user string, opts Options) (*Client, error) {
-	if user == "" {
-		return nil, fmt.Errorf("client: empty user name")
-	}
 	if dial == nil {
 		dial = NetDial
 	}
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("client: resolver needs at least one endpoint")
 	}
-	opts.normalize()
-	r := &resolver{dialAddr: dial, addrs: append([]string(nil), addrs...)}
-	c := newClient(user, r.dial, opts)
-	c.resolver = r
-	var lastErr error
-	for range addrs {
-		ctx, cancel := context.WithTimeout(context.Background(), opts.ConnectTimeout)
-		conn, err := r.dial(ctx)
-		cancel()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		c.attach(wire.NewClient(conn))
-		return c, nil
-	}
-	return nil, fmt.Errorf("client: no endpoint reachable: %w", lastErr)
+	return open(user, &resolver{dialAddr: dial, byAddr: true, addrs: slices.Clone(addrs)}, opts)
 }
 
 // maxRedirectHops bounds how many times one call chases ownership
 // moves before surfacing the redirect to the caller.
 const maxRedirectHops = 3
 
-// followRedirect moves the client's connection to the redirect target
-// and resumes its sessions there. genBefore is the connection
-// generation the redirected call ran on: if the connection has already
-// changed (another call migrated first, or the supervisor reconnected),
-// the migration is assumed done and the caller just retries. Returns
-// nil when the caller should retry the call.
-func (c *Client) followRedirect(ctx context.Context, genBefore uint64, addr string) error {
-	c.resolver.prefer(addr)
-	c.migrateMu.Lock()
-	defer c.migrateMu.Unlock()
-	c.mu.Lock()
-	switch {
-	case c.state == stateClosed:
-		c.mu.Unlock()
-		return ErrClosed
-	case c.state == stateReconnecting:
-		c.mu.Unlock()
-		return ErrReconnecting
-	case c.gen != genBefore:
-		// Someone already moved the connection; retry where it is now.
-		c.mu.Unlock()
-		return nil
-	}
-	old := c.rpc
-	sessions := make([]*Session, 0, len(c.sessions))
-	for _, s := range c.sessions {
-		sessions = append(sessions, s)
-	}
-	c.mu.Unlock()
-
-	dctx, cancel := context.WithTimeout(ctx, c.opts.ConnectTimeout)
-	conn, err := c.dial(dctx)
-	cancel()
-	if err != nil {
-		return err
-	}
-	rpc := wire.NewClient(conn)
-	rpc.OnPush(c.onPush)
-	if c.opts.CallTimeout > 0 {
-		rpc.SetCallTimeout(c.opts.CallTimeout)
-	}
-	if err := c.resumeSessions(rpc, sessions); err != nil {
-		rpc.Close()
-		for _, s := range sessions {
-			s.abortResume()
-		}
-		return err
-	}
-	c.mu.Lock()
-	if c.state == stateClosed {
-		c.mu.Unlock()
-		rpc.Close()
-		return ErrClosed
-	}
-	c.rpc = rpc
-	c.state = stateActive
-	c.gen++
-	gen := c.gen
-	c.mu.Unlock()
-	c.redirectsFollowed.Add(1)
-	go c.supervise(rpc, gen)
-	// The old connection's supervisor sees a stale generation and
-	// stands down.
-	if old != nil {
-		old.Close()
-	}
-	return nil
-}
-
-// handleRouting reacts to a routing error from a call: follow redirects
-// by migrating the connection, surface everything else. retry reports
-// whether the caller should re-issue the call.
-func (c *Client) handleRouting(ctx context.Context, genBefore uint64, err error, hops *int) (retry bool) {
-	if c.resolver == nil || err == nil {
-		return false
-	}
+// followRedirect reacts to a call's error: a redirect, within the hop
+// bound and to an address the endpoint set can reach, moves the
+// connection to the room's owner through connect, resuming the client's
+// sessions there. genBefore is the connection generation the call ran
+// on: if the connection has changed since (another call moved it first,
+// or the supervisor reconnected), the move is taken as done. retry
+// reports whether the caller should re-issue the call.
+func (c *Client) followRedirect(ctx context.Context, genBefore uint64, err error, hops *int) (retry bool) {
 	var re *wire.RedirectError
-	if !errors.As(err, &re) || *hops >= maxRedirectHops {
+	if !errors.As(err, &re) || *hops >= maxRedirectHops || !c.resolver.follow(re.Addr) {
 		return false
 	}
 	*hops++
-	return c.followRedirect(ctx, genBefore, re.Addr) == nil
+	c.migrateMu.Lock()
+	defer c.migrateMu.Unlock()
+	c.mu.Lock()
+	state, gen := c.state, c.gen
+	c.mu.Unlock()
+	switch {
+	case state != stateActive:
+		return false // closed, or the supervisor is redialing
+	case gen != genBefore:
+		return true // the connection already moved; retry where it is now
+	}
+	if err := c.connect(ctx); err != nil {
+		c.abortResumes()
+		return false
+	}
+	c.redirectsFollowed.Add(1)
+	return true
 }
 
 // Resume asks the server to re-admit this client's detached sessions —

@@ -119,7 +119,7 @@ func TestShedClientRetriesPerHint(t *testing.T) {
 		PerPeerRate:  4, // empty bucket refills a token in 250ms
 		PerPeerBurst: 1,
 	})
-	c, err := client.DialWith(addr, "alice", client.Options{RetryOverloaded: 3})
+	c, err := client.NewOverResolver(client.NetDial, []string{addr}, "alice", client.Options{RetryOverloaded: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

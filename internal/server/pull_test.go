@@ -76,11 +76,7 @@ func heldMember(t *testing.T) (*Server, *holdConn, *client.Client, *room.Room, *
 	sc, cc := net.Pipe()
 	hc := newHoldConn(sc)
 	go srv.ServeConn(hc)
-	alice, err := client.NewOverConn(cc, "alice")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { alice.Close() })
+	alice := overConn(t, cc, "alice")
 	if _, _, err := alice.Join("consult", "p1", 0); err != nil {
 		t.Fatal(err)
 	}

@@ -78,15 +78,13 @@ func qosSystem(t *testing.T) *qosRig {
 	var recs []*workload.PopulatedRecord
 	r.srv, r.m, cc, recs = qosServer(t, "p0")
 	r.rec = recs[0]
-	c, err := client.NewOverConn(&readCounter{Conn: cc, n: &r.served}, "alice")
+	c := overConn(t, &readCounter{Conn: cc, n: &r.served}, "alice")
+	r.c = c
+	s, _, err := c.Join("consult", "p0", 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { c.Close() })
-	r.c = c
-	if r.s, _, err = c.Join("consult", "p0", 1<<20); err != nil {
-		t.Fatal(err)
-	}
+	r.s = s
 	// Generate enough response writes for the meter's confidence gate.
 	for i := 0; i < 6; i++ {
 		if _, _, err := c.ListDocuments(); err != nil {
@@ -224,11 +222,7 @@ func TestQoSPushedImageIsNotSentAgain(t *testing.T) {
 	if n := r.served.Load() - before; n >= 1<<10 {
 		t.Errorf("fetching the pushed CT made the server write %d bytes, want under 1 KiB", n)
 	}
-	plain, err := client.NewOverConn(r.pipe(), "bob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { plain.Close() })
+	plain := overConn(t, r.pipe(), "bob")
 	want, wantTexts, err := plain.GetImage(r.rec.CTID)
 	if err != nil {
 		t.Fatal(err)

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -563,5 +566,115 @@ func TestReconnectRotatesAcrossClusterEndpoints(t *testing.T) {
 	}
 	if err := sa.Chat("back"); err != nil {
 		t.Fatalf("chat after resume: %v", err)
+	}
+}
+
+// TestLeaveDuringOutageIsNotResumed leaves a room while the connection is
+// down. The leave cannot reach the server, but the room stays left once
+// the client is back: a leave before the redial keeps the room out of the
+// resume, and a leave that lands while the resume request is on its way
+// is sent again over the new connection. The server expires a detached
+// member after its grace period, as for any dropped session.
+func TestLeaveDuringOutageIsNotResumed(t *testing.T) {
+	t.Run("before the redial", func(t *testing.T) { leaveDuringOutage(t, false) })
+	t.Run("during the resume", func(t *testing.T) { leaveDuringOutage(t, true) })
+}
+
+// firstRequest calls onRequest just before the connection's second write:
+// the first is the wire preamble, the second starts the first request.
+type firstRequest struct {
+	net.Conn
+	writes    int
+	onRequest func()
+}
+
+func (c *firstRequest) Write(p []byte) (int, error) {
+	if c.writes++; c.writes == 2 && c.onRequest != nil {
+		c.onRequest()
+	}
+	return c.Conn.Write(p)
+}
+
+func leaveDuringOutage(t *testing.T, duringResume bool) {
+	srv, addr := testSystemWith(t, Options{SessionGrace: 5 * time.Second})
+	faults := netsim.NewFaults()
+	var (
+		sa      *client.Session
+		armed   atomic.Bool
+		leaveCh = make(chan error, 1)
+	)
+	alice, err := client.NewOverDialer(func(ctx context.Context) (net.Conn, error) {
+		conn, err := faults.DialContext(ctx, addr)
+		if err != nil {
+			return nil, err
+		}
+		fr := &firstRequest{Conn: conn}
+		if armed.CompareAndSwap(true, false) {
+			// The redial's first request is the resume.
+			fr.onRequest = func() { leaveCh <- sa.Leave() }
+		}
+		return fr, nil
+	}, "alice", fastRetry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { alice.Close() })
+	if sa, _, err = alice.Join("consult", "p1", 0); err != nil {
+		t.Fatal(err)
+	}
+	bob := dial(t, addr, "bob")
+	sb, _, err := bob.Join("consult", "p1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults.FailDials(-1)
+	faults.KillAll()
+	deadline := time.After(5 * time.Second)
+	for alice.ReconnectStats().Attempts == 0 {
+		select {
+		case <-deadline:
+			t.Fatal("the client never started redialing")
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	if duringResume {
+		armed.Store(true)
+	} else {
+		leaveCh <- sa.Leave()
+	}
+	col := collect(alice)
+	faults.FailDials(0)
+	for alice.ReconnectStats().Successes == 0 {
+		select {
+		case <-deadline:
+			t.Fatal("client never reconnected")
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	if err := <-leaveCh; !errors.Is(err, client.ErrReconnecting) {
+		t.Fatalf("leave during the outage = %v, want ErrReconnecting", err)
+	}
+
+	if err := sb.Chat("after the leave"); err != nil {
+		t.Fatal(err)
+	}
+	waitEvent(t, bob, func(ev room.Event) bool { return ev.Kind == room.EvChat && ev.Text == "after the leave" })
+	rs, ok := srv.reg.get("consult")
+	if !ok {
+		t.Fatal("the room is gone")
+	}
+	if got := rs.room.Members(); slices.Contains(got, "alice") {
+		t.Errorf("members after the reconnect: %v, want alice gone", got)
+	}
+	// A round trip on alice's new connection, and a moment for a push that
+	// would trail it.
+	if _, _, err := alice.ListDocuments(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(100 * time.Millisecond)
+	for _, ev := range col.snapshot() {
+		if ev.Kind == room.EvChat && ev.Text == "after the leave" {
+			t.Errorf("the left room's chat reached alice: %v", ev)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"net"
 	"slices"
 	"strings"
@@ -58,6 +59,18 @@ func testSystemOpts(t *testing.T, o Options) (*Server, string, *workload.Populat
 func dial(t *testing.T, addr, user string) *client.Client {
 	t.Helper()
 	c, err := client.Dial(addr, user)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// overConn builds a client over an established connection, which its
+// dialer hands out; the client does not redial.
+func overConn(t *testing.T, conn net.Conn, user string) *client.Client {
+	t.Helper()
+	c, err := client.NewOverDialer(func(context.Context) (net.Conn, error) { return conn, nil }, user, client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

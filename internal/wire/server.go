@@ -368,8 +368,7 @@ func (s *Server) run(j job) {
 		if tid == 0 {
 			tid = obs.MintID() // foreign client sent no id: mint at ingress
 		}
-		ctx := context.WithValue(j.ctx, reqInfoKey,
-			&reqInfo{peer: peer, method: env.Method, trace: tid})
+		ctx := context.WithValue(j.ctx, reqInfoKey, &reqInfo{trace: tid})
 		result, err := j.h(ctx, peer, env.Payload)
 		if err != nil {
 			resp.Err = err.Error()

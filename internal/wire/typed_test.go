@@ -128,30 +128,6 @@ func TestPeerDisconnectCancelsHandlerContext(t *testing.T) {
 	}
 }
 
-func TestContextCarriesPeerAndMethod(t *testing.T) {
-	s := NewServer()
-	s.Register("who", Typed(func(ctx context.Context, p *Peer, req *echoArgs) (*echoReply, error) {
-		cp, ok := ContextPeer(ctx)
-		if !ok || cp != p {
-			return nil, errors.New("peer missing from context")
-		}
-		m, ok := ContextMethod(ctx)
-		if !ok {
-			return nil, errors.New("method missing from context")
-		}
-		return &echoReply{Text: m}, nil
-	}))
-	sc, cc := net.Pipe()
-	go s.ServeConn(sc)
-	defer s.Close()
-	c := NewClient(cc)
-	defer c.Close()
-	var reply echoReply
-	if err := c.Call("who", &echoArgs{}, &reply); err != nil || reply.Text != "who" {
-		t.Fatalf("context introspection: %+v, %v", reply, err)
-	}
-}
-
 func TestShutdownDrainsInFlight(t *testing.T) {
 	s, addr := startTyped(t)
 	c, err := Dial(addr)

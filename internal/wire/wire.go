@@ -60,45 +60,17 @@ type ctxKey int
 
 const reqInfoKey ctxKey = iota
 
-// reqInfo bundles the per-request values the dispatcher installs — one
-// context allocation per request instead of one per value.
+// reqInfo holds the per-request values the dispatcher installs.
 type reqInfo struct {
-	peer   *Peer
-	method string
-	trace  uint64
-}
-
-func contextReq(ctx context.Context) (*reqInfo, bool) {
-	ri, ok := ctx.Value(reqInfoKey).(*reqInfo)
-	return ri, ok
-}
-
-// ContextPeer returns the peer whose request the context belongs to.
-func ContextPeer(ctx context.Context) (*Peer, bool) {
-	ri, ok := contextReq(ctx)
-	if !ok {
-		return nil, false
-	}
-	return ri.peer, true
-}
-
-// ContextMethod returns the method name of the request the context
-// belongs to.
-func ContextMethod(ctx context.Context) (string, bool) {
-	ri, ok := contextReq(ctx)
-	if !ok {
-		return "", false
-	}
-	return ri.method, true
+	trace uint64
 }
 
 // ContextTraceID returns the request's trace id (0 outside a dispatch).
 func ContextTraceID(ctx context.Context) uint64 {
-	ri, ok := contextReq(ctx)
-	if !ok {
-		return 0
+	if ri, ok := ctx.Value(reqInfoKey).(*reqInfo); ok {
+		return ri.trace
 	}
-	return ri.trace
+	return 0
 }
 
 // WithTraceID pins the trace id an outgoing call will carry (an alias
