@@ -8,7 +8,7 @@
 //	mmstore -data ./mmdata docs              # list stored documents
 //	mmstore -data ./mmdata doc <id>          # dump one document's structure and CP-net
 //	mmstore -data ./mmdata checkpoint        # snapshot state and truncate the WAL
-//	mmstore -data ./mmdata vacuum            # reclaim unreferenced BLOB space
+//	mmstore -data ./mmdata vacuum            # compact blob segments, returning free space to the filesystem
 //	mmstore -data ./mmdata stats             # blob-store and WAL health gauges
 //	mmstore -data ./mmdata fsck              # verify every blob reference and payload checksum
 //	mmstore -data ./mmdata seed <id> [seed]  # populate a synthetic record (fixtures, demos)
@@ -144,7 +144,7 @@ func run(data string, args []string) error {
 			fmt.Printf("CORRUPT  %x\n", d)
 		}
 		if rep.Orphans > 0 {
-			fmt.Printf("orphaned objects: %d (vacuum reclaims them)\n", rep.Orphans)
+			fmt.Printf("orphaned objects: %d (reclaimed at the next open)\n", rep.Orphans)
 		}
 		if rep.RefMismatches > 0 {
 			fmt.Printf("refcount mismatches: %d (healed on next open)\n", rep.RefMismatches)

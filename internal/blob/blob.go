@@ -293,8 +293,9 @@ func (s *Store) maxSegID() int {
 	return max
 }
 
-// Put stores data (deduplicated) and returns its content handle. A
-// payload already present only bumps its reference count. The data is
+// Put stores data (deduplicated) and returns its content handle, which
+// carries one reference of its own: the caller's, until it releases it.
+// A payload already present only bumps its reference count. The data is
 // written but not fsynced; call Sync for durability, or rely on the
 // store layer's checkpoint/WAL discipline.
 func (s *Store) Put(data []byte) (Handle, error) {
@@ -318,11 +319,30 @@ func (s *Store) Put(data []byte) (Handle, error) {
 		return h, nil
 	}
 
-	// Novel payload: store missing chunks, then the manifest.
-	var digests []Digest
-	var added []Digest // chunks increffed by this put, for unwind
-	unwind := func() {
-		for _, cd := range added {
+	// Novel payload: split it into chunks, then commit.
+	n := (len(data) + s.opts.ChunkSize - 1) / s.opts.ChunkSize
+	chunks := make([]Digest, 0, n)
+	parts := make([][]byte, 0, n)
+	for off := 0; off < len(data); off += s.opts.ChunkSize {
+		part := data[off:min(off+s.opts.ChunkSize, len(data))]
+		chunks = append(chunks, Sum(part))
+		parts = append(parts, part)
+	}
+	if err := s.commitLocked(d, h.Length, chunks, parts); err != nil {
+		return Handle{}, err
+	}
+	return h, nil
+}
+
+// commitLocked stores the novel object d of length bytes, whose payload
+// is parts in order, each under its digest in chunks: a chunk the store
+// holds is shared, a new one written, then the manifest goes down under
+// d with one reference. A failed write drops every chunk reference the
+// commit took. The manifest entry keeps chunks. Caller holds s.mu and
+// found no manifest under d.
+func (s *Store) commitLocked(d Digest, length uint32, chunks []Digest, parts [][]byte) error {
+	unwind := func(taken []Digest) {
+		for _, cd := range taken {
 			if ce := s.chunks[cd]; ce != nil {
 				if ce.refs--; ce.refs <= 0 {
 					s.freeBlockLocked(ce.loc)
@@ -331,42 +351,43 @@ func (s *Store) Put(data []byte) (Handle, error) {
 			}
 		}
 	}
-	for off := 0; off < len(data); off += s.opts.ChunkSize {
-		end := off + s.opts.ChunkSize
-		if end > len(data) {
-			end = len(data)
-		}
-		chunk := data[off:end]
-		cd := Sum(chunk)
+	for i, cd := range chunks {
 		if ce := s.chunks[cd]; ce != nil {
 			ce.refs++
 			s.st.ChunkDedupHits++
-		} else {
-			l, err := s.writeBlock(kindChunk, cd, chunk, -1)
-			if err != nil {
-				unwind()
-				return Handle{}, err
-			}
-			s.chunks[cd] = &chunkEntry{loc: l, dataLen: uint32(len(chunk)), refs: 1}
+			continue
 		}
-		added = append(added, cd)
-		digests = append(digests, cd)
+		l, err := s.writeBlock(kindChunk, cd, parts[i], -1)
+		if err != nil {
+			unwind(chunks[:i])
+			return err
+		}
+		s.chunks[cd] = &chunkEntry{loc: l, dataLen: uint32(len(parts[i])), refs: 1}
 	}
-	mb := encodeManifest(uint32(len(data)), digests)
+	mb := encodeManifest(length, chunks)
 	l, err := s.writeBlock(kindManifest, d, mb, -1)
 	if err != nil {
-		unwind()
-		return Handle{}, err
+		unwind(chunks)
+		return err
 	}
 	s.manifests[d] = &manifestEntry{
 		loc: l, dataLen: uint32(len(mb)), refs: 1,
-		length: uint32(len(data)), chunks: digests,
+		length: length, chunks: chunks,
 	}
-	return h, nil
+	return nil
 }
 
 // Get reads the payload behind h, verifying every chunk CRC and the
 // whole-payload digest. The zero handle returns ErrNoBlob.
+func (s *Store) Get(h Handle) ([]byte, error) {
+	if h.IsZero() {
+		return nil, ErrNoBlob
+	}
+	return s.read(h, true)
+}
+
+// read is Get (object set: h names a stored object) and GetChunk (h's
+// digest names one chunk).
 //
 // Segment pins only protect against segment deletion, not block reuse:
 // a read that resolved its chunk locations and dropped the lock can race
@@ -374,57 +395,73 @@ func (s *Store) Put(data []byte) (Handle, error) {
 // hit a freed or reused block. One retry re-resolves the locations, so
 // that race reports a clean ErrNotFound; a failure that persists across
 // both attempts is genuine corruption and stays loud.
-func (s *Store) Get(h Handle) ([]byte, error) {
-	if h.IsZero() {
-		return nil, ErrNoBlob
-	}
-	data, err := s.tryGet(h)
+func (s *Store) read(h Handle, object bool) ([]byte, error) {
+	data, err := s.tryRead(h, object)
 	if err != nil && !errors.Is(err, ErrNotFound) {
-		data, err = s.tryGet(h)
+		data, err = s.tryRead(h, object)
 	}
 	return data, err
 }
 
-// tryGet is one resolve-pin-read-verify attempt of Get.
-func (s *Store) tryGet(h Handle) ([]byte, error) {
-	s.mu.Lock()
-	me := s.manifests[h.Digest]
-	if me == nil {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, h)
+// readTarget names what read reads in its errors.
+func readTarget(h Handle, object bool) string {
+	if object {
+		return h.String()
 	}
-	length := me.length
+	return fmt.Sprintf("chunk %x", h.Digest[:8])
+}
+
+// tryRead is one resolve-pin-read-verify attempt of read.
+func (s *Store) tryRead(h Handle, object bool) ([]byte, error) {
+	s.mu.Lock()
+	var chunks []Digest
+	var length uint32
+	found := false
+	one := [1]Digest{h.Digest}
+	if object {
+		if me := s.manifests[h.Digest]; me != nil {
+			chunks, length, found = me.chunks, me.length, true
+		}
+	} else if ce := s.chunks[h.Digest]; ce != nil {
+		chunks, length, found = one[:], ce.dataLen, true
+	}
+	if !found {
+		s.mu.Unlock()
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, readTarget(h, object))
+	}
 	// Resolve every chunk location and pin the segments involved, so
 	// compaction cannot delete the files while the reads are in flight.
-	type read struct {
+	type block struct {
 		f       *os.File
 		off     int64
 		dataLen uint32
 	}
-	reads := make([]read, len(me.chunks))
+	blocks := make([]block, len(chunks))
 	pinned := make(map[int]*segment)
-	fail := func(err error) ([]byte, error) {
+	unpin := func() {
 		for _, sg := range pinned {
 			sg.refs--
 		}
 		s.cond.Broadcast()
-		s.mu.Unlock()
-		return nil, err
 	}
-	for i, cd := range me.chunks {
+	for i, cd := range chunks {
 		ce := s.chunks[cd]
 		if ce == nil {
-			return fail(fmt.Errorf("blob: %s: missing chunk %x", h, cd[:8]))
+			unpin()
+			s.mu.Unlock()
+			return nil, fmt.Errorf("blob: %s: missing chunk %x", readTarget(h, object), cd[:8])
 		}
 		sg := s.segs[ce.seg]
 		if sg == nil {
-			return fail(fmt.Errorf("blob: %s: chunk %x in missing segment %d", h, cd[:8], ce.seg))
+			unpin()
+			s.mu.Unlock()
+			return nil, fmt.Errorf("blob: %s: chunk %x in missing segment %d", readTarget(h, object), cd[:8], ce.seg)
 		}
 		if pinned[ce.seg] == nil {
 			sg.refs++
 			pinned[ce.seg] = sg
 		}
-		reads[i] = read{f: sg.f, off: ce.off, dataLen: ce.dataLen}
+		blocks[i] = block{f: sg.f, off: ce.off, dataLen: ce.dataLen}
 	}
 	s.mu.Unlock()
 
@@ -433,13 +470,13 @@ func (s *Store) tryGet(h Handle) ([]byte, error) {
 	buf := make([]byte, length)
 	filled := 0
 	var readErr error
-	for _, r := range reads {
-		end := filled + int(r.dataLen)
+	for _, b := range blocks {
+		end := filled + int(b.dataLen)
 		if end < filled || end > len(buf) {
 			readErr = fmt.Errorf("chunks run past the manifest's %d bytes", length)
 			break
 		}
-		if readErr = readBlockInto(r.f, r.off, buf[filled:end]); readErr != nil {
+		if readErr = readBlockInto(b.f, b.off, buf[filled:end]); readErr != nil {
 			break
 		}
 		filled = end
@@ -447,21 +484,20 @@ func (s *Store) tryGet(h Handle) ([]byte, error) {
 	buf = buf[:filled]
 
 	s.mu.Lock()
-	for _, sg := range pinned {
-		sg.refs--
-	}
-	s.cond.Broadcast()
+	unpin()
 	if readErr == nil {
-		s.st.Gets++
+		if object {
+			s.st.Gets++
+		}
 		s.st.BytesOut += int64(len(buf))
 	}
 	s.mu.Unlock()
 
 	if readErr != nil {
-		return nil, fmt.Errorf("blob: %s: %w", h, readErr)
+		return nil, fmt.Errorf("blob: %s: %w", readTarget(h, object), readErr)
 	}
 	if uint32(len(buf)) != length || Sum(buf) != h.Digest {
-		return nil, fmt.Errorf("blob: %s: payload digest mismatch (%d bytes)", h, len(buf))
+		return nil, fmt.Errorf("blob: %s: payload digest mismatch (%d bytes)", readTarget(h, object), len(buf))
 	}
 	return buf, nil
 }
@@ -471,6 +507,24 @@ func (s *Store) Contains(h Handle) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.manifests[h.Digest] != nil
+}
+
+// Retain takes one more reference to the stored object h — for the store
+// layer, the reference a row cell holds. The zero handle returns
+// ErrNoBlob; a handle whose object the store does not hold, or holds at
+// another length, returns ErrNotFound and takes nothing.
+func (s *Store) Retain(h Handle) error {
+	if h.IsZero() {
+		return ErrNoBlob
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	me := s.manifests[h.Digest]
+	if me == nil || me.length != h.Length {
+		return fmt.Errorf("%w: %s", ErrNotFound, h)
+	}
+	me.refs++
+	return nil
 }
 
 // Release decrements the object's reference count. At zero the manifest
@@ -513,9 +567,9 @@ func (s *Store) dropManifestLocked(d Digest, me *manifestEntry) {
 }
 
 // ResetRefs replaces every object's reference count with the caller's
-// authoritative counts (the store layer recomputes them from the
-// surviving table rows at every Open, making refcounts self-healing
-// after any crash). Objects absent from counts are freed; chunk counts
+// authoritative counts: the store layer's crash recovery, which at Open
+// recomputes them from the surviving table rows, so refcounts heal after
+// any crash. Objects absent from counts are freed; chunk counts
 // are recomputed from the surviving manifests. Digests present in
 // counts but missing from the store are returned.
 func (s *Store) ResetRefs(counts map[Digest]int64) (missing []Digest) {

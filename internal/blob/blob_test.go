@@ -811,6 +811,41 @@ func TestAbortedCompactionRestoresFreeList(t *testing.T) {
 	}
 }
 
+// TestRetain: Retain takes one reference to an object the store holds
+// and refuses, taking nothing, a handle it does not hold.
+func TestRetain(t *testing.T) {
+	s, _ := openTemp(t)
+	h, err := s.Put([]byte("retained payload"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Retain(h); err != nil {
+		t.Fatal(err)
+	}
+	if refs := s.Objects()[h.Digest]; refs != 2 {
+		t.Errorf("refs after Put and Retain = %d, want 2", refs)
+	}
+	if err := s.Retain(Handle{}); !errors.Is(err, ErrNoBlob) {
+		t.Errorf("Retain(zero) = %v, want ErrNoBlob", err)
+	}
+	for _, bad := range []Handle{
+		{Digest: Sum([]byte("never stored")), Length: 12},
+		{Digest: h.Digest, Length: h.Length + 1},
+	} {
+		if err := s.Retain(bad); !errors.Is(err, ErrNotFound) {
+			t.Errorf("Retain(%s) = %v, want ErrNotFound", bad, err)
+		}
+	}
+	if refs := s.Objects()[h.Digest]; refs != 2 {
+		t.Errorf("refs after the refusals = %d, want 2", refs)
+	}
+	s.Release(h)
+	s.Release(h)
+	if _, err := s.Get(h); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Get after two releases = %v, want ErrNotFound", err)
+	}
+}
+
 func TestResetRefs(t *testing.T) {
 	s, _ := openTemp(t)
 	a, _ := s.Put([]byte("payload a"))

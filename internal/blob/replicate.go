@@ -5,14 +5,15 @@
 // (GetChunk on the sender), and materializes the object locally
 // (PutFromChunks) — dedup across objects, rooms and nodes falls out of
 // content addressing for free. Everything here reuses the store's
-// existing block and refcount machinery; replication never invents a
-// second write path.
+// existing block and refcount machinery: PutFromChunks commits through
+// Put's commitLocked and GetChunk reads through Get's read, so
+// replication never invents a second write or read path.
 package blob
 
 import (
 	"crypto/sha256"
-	"errors"
 	"fmt"
+	"slices"
 )
 
 // Manifest returns the chunk digest list of the stored object h, in
@@ -55,52 +56,9 @@ func (s *Store) MissingChunks(chunks []Digest) []Digest {
 // GetChunk reads one stored chunk's payload — the sender side of a chunk
 // pull. The block CRC is verified by the read and the payload is checked
 // against the chunk digest, so a replicating node can never ship a
-// corrupt chunk onward.
+// corrupt chunk onward. It shares Get's read, retry included.
 func (s *Store) GetChunk(cd Digest) ([]byte, error) {
-	data, err := s.tryGetChunk(cd)
-	if err != nil && !errors.Is(err, ErrNotFound) {
-		// Same race as Get: a chunk released between resolve and read
-		// reports clean ErrNotFound on the retry instead of a
-		// corruption-shaped error.
-		data, err = s.tryGetChunk(cd)
-	}
-	return data, err
-}
-
-// tryGetChunk is one resolve-pin-read-verify attempt of GetChunk.
-func (s *Store) tryGetChunk(cd Digest) ([]byte, error) {
-	s.mu.Lock()
-	ce := s.chunks[cd]
-	if ce == nil {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: chunk %x", ErrNotFound, cd[:8])
-	}
-	sg := s.segs[ce.seg]
-	if sg == nil {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("blob: chunk %x in missing segment %d", cd[:8], ce.seg)
-	}
-	sg.refs++
-	f, off, dataLen := sg.f, ce.off, ce.dataLen
-	s.mu.Unlock()
-
-	data, err := readBlockPayload(f, off, dataLen)
-
-	s.mu.Lock()
-	sg.refs--
-	s.cond.Broadcast()
-	if err == nil {
-		s.st.BytesOut += int64(len(data))
-	}
-	s.mu.Unlock()
-
-	if err != nil {
-		return nil, fmt.Errorf("blob: chunk %x: %w", cd[:8], err)
-	}
-	if Sum(data) != cd {
-		return nil, fmt.Errorf("blob: chunk %x: payload digest mismatch", cd[:8])
-	}
-	return data, nil
+	return s.read(Handle{Digest: cd}, false)
 }
 
 // PutFromChunks materializes an object from a replicated manifest: the
@@ -110,7 +68,8 @@ func (s *Store) tryGetChunk(cd Digest) ([]byte, error) {
 // a local Put would; an object already present only bumps its refcount
 // and touches no chunk at all. The assembled payload is verified against
 // d before anything is committed, so a lying or corrupted sender cannot
-// plant an object whose content does not match its address.
+// plant an object whose content does not match its address. As with Put,
+// the returned handle carries the caller's own reference.
 func (s *Store) PutFromChunks(d Digest, length uint32, chunks []Digest, data map[Digest][]byte) (Handle, error) {
 	if int64(length) > MaxBlobSize {
 		return Handle{}, fmt.Errorf("blob: %d bytes exceeds the %d-byte BLOB limit", length, int64(MaxBlobSize))
@@ -168,42 +127,8 @@ func (s *Store) PutFromChunks(d Digest, length uint32, chunks []Digest, data map
 	}
 	s.st.BytesIn += int64(length)
 
-	// Commit: share existing chunks, write transferred ones, then the
-	// manifest — with the same unwind discipline as Put.
-	var added []Digest
-	unwind := func() {
-		for _, cd := range added {
-			if ce := s.chunks[cd]; ce != nil {
-				if ce.refs--; ce.refs <= 0 {
-					s.freeBlockLocked(ce.loc)
-					delete(s.chunks, cd)
-				}
-			}
-		}
-	}
-	for i, cd := range chunks {
-		if ce := s.chunks[cd]; ce != nil {
-			ce.refs++
-			s.st.ChunkDedupHits++
-		} else {
-			l, err := s.writeBlock(kindChunk, cd, parts[i], -1)
-			if err != nil {
-				unwind()
-				return Handle{}, err
-			}
-			s.chunks[cd] = &chunkEntry{loc: l, dataLen: uint32(len(parts[i])), refs: 1}
-		}
-		added = append(added, cd)
-	}
-	mb := encodeManifest(length, chunks)
-	l, err := s.writeBlock(kindManifest, d, mb, -1)
-	if err != nil {
-		unwind()
+	if err := s.commitLocked(d, length, slices.Clone(chunks), parts); err != nil {
 		return Handle{}, err
-	}
-	s.manifests[d] = &manifestEntry{
-		loc: l, dataLen: uint32(len(mb)), refs: 1,
-		length: length, chunks: append([]Digest(nil), chunks...),
 	}
 	return h, nil
 }

@@ -147,6 +147,8 @@ func (n *Node) adoptDataset(ctx context.Context, req *proto.ReplicateReq) error 
 				bytesPulled += int64(len(chunks[i]))
 			}
 		}
+		// The reference this put returns is AdoptDataset's: it releases
+		// it once the rows that hold the handle are written.
 		_, err := n.db.DB().PutBlobFromChunks(h.Digest, mi.Length, mi.Chunks, data)
 		return err
 	}

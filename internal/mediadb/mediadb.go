@@ -153,27 +153,6 @@ func blobHandleAt(row store.Row, i int) (blob.Handle, error) {
 	return h, nil
 }
 
-// releaseRowBlobs drops the references held by the blob cells of a row
-// that was just deleted or overwritten: every cell that holds a handle,
-// whatever its column. A zero handle (cell never populated) is skipped,
-// and so is one the same cell of keep still holds — keep is the row that
-// replaced this one where a kept payload carries its reference over, nil
-// otherwise. The first release error is returned so callers can surface
-// refcount drift, though the row change itself stands.
-func (m *MediaDB) releaseRowBlobs(row, keep store.Row) error {
-	var first error
-	for i, c := range row {
-		h, ok := c.(blob.Handle)
-		if !ok || h.IsZero() || (i < len(keep) && keep[i] == c) {
-			continue
-		}
-		if err := m.db.ReleaseBlob(h); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // RegisterType adds a new multimedia type to the catalog, creating its
 // object table if tables' schema is provided elsewhere by the caller. The
 // named object table must already exist.
@@ -259,17 +238,17 @@ func (m *MediaDB) PutImage(quality int64, texts string, cm float64, data []byte)
 	if err != nil {
 		return 0, err
 	}
-	tbl, err := m.db.Table(ImageTable)
+	defer m.db.ReleaseBlob(h) // the row holds its own reference
+	return m.insert(ImageTable, store.Row{quality, texts, cm, h})
+}
+
+// insert adds row to table and returns its id.
+func (m *MediaDB) insert(table string, row store.Row) (uint64, error) {
+	tbl, err := m.db.Table(table)
 	if err != nil {
-		m.db.ReleaseBlob(h)
 		return 0, err
 	}
-	id, err := tbl.Insert(store.Row{quality, texts, cm, h})
-	if err != nil {
-		m.db.ReleaseBlob(h)
-		return 0, err
-	}
-	return id, nil
+	return tbl.Insert(row)
 }
 
 // ImageRow is one IMAGE_OBJECTS_TABLE row by reference.
@@ -344,17 +323,8 @@ func (m *MediaDB) PutAudio(filename string, sectors, data []byte) (uint64, error
 	if err != nil {
 		return 0, err
 	}
-	tbl, err := m.db.Table(AudioTable)
-	if err != nil {
-		m.db.ReleaseBlob(h)
-		return 0, err
-	}
-	id, err := tbl.Insert(store.Row{filename, sectors, h})
-	if err != nil {
-		m.db.ReleaseBlob(h)
-		return 0, err
-	}
-	return id, nil
+	defer m.db.ReleaseBlob(h)
+	return m.insert(AudioTable, store.Row{filename, sectors, h})
 }
 
 // AudioRow is one AUDIO_OBJECTS_TABLE row by reference.
@@ -413,26 +383,13 @@ func (m *MediaDB) PutCmp(filename string, header, data []byte) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer m.db.ReleaseBlob(hh)
 	dh, err := m.db.PutBlob(data)
 	if err != nil {
-		m.db.ReleaseBlob(hh)
 		return 0, err
 	}
-	unwind := func() {
-		m.db.ReleaseBlob(hh)
-		m.db.ReleaseBlob(dh)
-	}
-	tbl, err := m.db.Table(CmpTable)
-	if err != nil {
-		unwind()
-		return 0, err
-	}
-	id, err := tbl.Insert(store.Row{filename, int64(len(data)), int64(0), hh, dh})
-	if err != nil {
-		unwind()
-		return 0, err
-	}
-	return id, nil
+	defer m.db.ReleaseBlob(dh)
+	return m.insert(CmpTable, store.Row{filename, int64(len(data)), int64(0), hh, dh})
 }
 
 // CmpRow is one CMP_OBJECTS_TABLE row by reference.
@@ -506,38 +463,29 @@ func (m *MediaDB) objectRow(table, kind string, id uint64) (store.Row, error) {
 	return row, nil
 }
 
-// deleteRow deletes one row of tableName and releases the blob handles
-// it held. The release happens after the delete is logged, and the blob
-// store defers the actual free until that record is durable, so a crash
-// can never free a payload a surviving row needs.
+// deleteRow deletes one row of tableName. The store releases the blob
+// references the row held once the delete is durable, so a crash can
+// never free a payload a surviving row needs.
 func (m *MediaDB) deleteRow(tableName string, id uint64) error {
 	tbl, err := m.db.Table(tableName)
 	if err != nil {
 		return err
 	}
-	// Delete-and-read-old is one critical section: a racing replacement
-	// of the same row either happens before (we release its handle) or
-	// fails after (row gone), so no handle is ever released twice.
-	row, err := tbl.DeleteReturningOld(id)
-	if err != nil {
-		return err
-	}
-	return m.releaseRowBlobs(row, nil)
+	return tbl.Delete(id)
 }
 
-// DeleteImage removes an image object's row and drops its payload
-// reference; unshared payload bytes become reusable free space at once.
+// DeleteImage removes an image object's row; once the delete is durable
+// unshared payload bytes become reusable free space.
 func (m *MediaDB) DeleteImage(id uint64) error {
 	return m.deleteRow(ImageTable, id)
 }
 
-// DeleteAudio removes an audio object's row and its payload reference.
+// DeleteAudio removes an audio object's row.
 func (m *MediaDB) DeleteAudio(id uint64) error {
 	return m.deleteRow(AudioTable, id)
 }
 
-// DeleteCmp removes a compressed stream's row and both payload
-// references (header and bitstream).
+// DeleteCmp removes a compressed stream's row, header and bitstream.
 func (m *MediaDB) DeleteCmp(id uint64) error {
 	return m.deleteRow(CmpTable, id)
 }
@@ -565,8 +513,7 @@ func (m *MediaDB) documentRow(docID string) (*store.Table, uint64, store.Row, er
 	return tbl, ids[0], row, nil
 }
 
-// DeleteDocument removes a stored document by document id, dropping its
-// payload reference.
+// DeleteDocument removes a stored document by document id.
 func (m *MediaDB) DeleteDocument(docID string) error {
 	_, id, _, err := m.documentRow(docID)
 	if err != nil {
@@ -576,9 +523,9 @@ func (m *MediaDB) DeleteDocument(docID string) error {
 }
 
 // PutDocument stores (or replaces) a multimedia document. Replacing a
-// document releases the previous payload's reference — repeated saves of
-// an evolving document no longer accumulate dead blob versions — and
-// saving an unchanged document dedups to a refcount bump and release.
+// document displaces the previous payload, whose reference the store
+// releases — repeated saves of an evolving document accumulate no dead
+// blob versions — and saving an unchanged document changes no count.
 func (m *MediaDB) PutDocument(d *document.Document) error {
 	data, err := d.MarshalBinary()
 	if err != nil {
@@ -588,30 +535,17 @@ func (m *MediaDB) PutDocument(d *document.Document) error {
 	if err != nil {
 		return err
 	}
+	defer m.db.ReleaseBlob(h) // the row holds its own reference
 	tbl, id, old, err := m.documentRow(d.ID)
 	if err != nil && !errors.Is(err, ErrNoObject) {
-		m.db.ReleaseBlob(h)
 		return err
 	}
 	row := store.Row{d.ID, d.Title, h}
 	if old != nil {
-		// Swap-and-read-old atomically: two concurrent saves of the same
-		// docID each see a distinct predecessor row, so every displaced
-		// handle is released exactly once (a Get-then-Update pair would
-		// let both racers release the same old handle, corrupting the
-		// refcount of a possibly dedup-shared payload).
-		old, err = tbl.UpdateReturningOld(id, row)
-		if err != nil {
-			m.db.ReleaseBlob(h)
-			return err
-		}
-		return m.releaseRowBlobs(old, nil)
+		return tbl.Update(id, row)
 	}
-	if _, err := tbl.Insert(row); err != nil {
-		m.db.ReleaseBlob(h)
-		return err
-	}
-	return nil
+	_, err = tbl.Insert(row)
+	return err
 }
 
 // GetDocument fetches a document by its document id.

@@ -469,4 +469,8 @@ func TestDeleteObjectsAndCompaction(t *testing.T) {
 	if err != nil || img.Texts != "keep" || !bytes.Equal(img.Data, big) {
 		t.Fatalf("surviving image broken: %v", err)
 	}
+	// What is left is the surviving image, counted once, by its row.
+	if rep, err := db.FsckBlobs(); err != nil || !rep.Clean() || rep.Objects != 1 {
+		t.Errorf("fsck after deletes: %+v, %v", rep, err)
+	}
 }

@@ -147,16 +147,24 @@ func (m *MediaDB) checkDataset(ds *Dataset) error {
 // under the sender's row ids and the document row — last, so that once
 // it lands a takeover can rebuild the room and every object reference
 // already resolves — under its FLD_DOCID. ensure is called once per blob
-// cell being written whose handle differs from what the cell held before
-// (for the cluster, ensure runs PutBlobFromChunks, which ingests missing
-// payloads and reference-bumps present ones — either way the new cell
-// owns exactly one reference). Unchanged rows are skipped entirely;
-// changed rows release their displaced handles. It returns how many rows
-// were inserted or updated.
+// cell being written whose handle differs from what the cell held
+// before: it makes the payload present and hands AdoptDataset one
+// reference to it, which AdoptDataset releases when it returns (for the
+// cluster, ensure runs PutBlobFromChunks, which ingests missing payloads
+// and reference-bumps present ones). The rows hold their own references,
+// and the store releases what a changed row displaced. Unchanged rows
+// are skipped entirely. It returns how many rows were inserted or
+// updated.
 func (m *MediaDB) AdoptDataset(ds *Dataset, ensure func(h blob.Handle) error) (int, error) {
 	if err := m.checkDataset(ds); err != nil {
 		return 0, err
 	}
+	var ensured []blob.Handle
+	defer func() {
+		for _, h := range ensured {
+			m.db.ReleaseBlob(h)
+		}
+	}()
 	adopted := 0
 	for _, r := range ds.Rows {
 		tbl, err := m.db.Table(r.Table)
@@ -177,57 +185,30 @@ func (m *MediaDB) AdoptDataset(ds *Dataset, ensure func(h blob.Handle) error) (i
 		if old != nil && slices.EqualFunc(old, r.Row, cellsEqual) {
 			continue
 		}
-		if err := m.adoptRow(tbl, id, old, r.Row, ensure); err != nil {
+		for i, c := range r.Row {
+			h, ok := c.(blob.Handle)
+			if !ok || h.IsZero() || (old != nil && old[i] == c) {
+				continue // not a payload, NULL, or the cell already holds it
+			}
+			if err := ensure(h); err != nil {
+				return adopted, err
+			}
+			ensured = append(ensured, h)
+		}
+		switch {
+		case old != nil:
+			err = tbl.Update(id, r.Row)
+		case r.Table == DocumentTable:
+			_, err = tbl.Insert(r.Row)
+		default:
+			err = tbl.InsertWithID(id, r.Row)
+		}
+		if err != nil {
 			return adopted, err
 		}
 		adopted++
 	}
 	return adopted, nil
-}
-
-// adoptRow writes one row: an insert when old is nil — under id, or for
-// the document table under an id of this store's choosing — otherwise an
-// update of row id. Each blob cell whose handle the old row did not
-// already hold in that column is ensured first, and released again if
-// the write fails.
-func (m *MediaDB) adoptRow(tbl *store.Table, id uint64, old, row store.Row, ensure func(blob.Handle) error) error {
-	var ensured []blob.Handle
-	unwind := func(err error) error {
-		for _, h := range ensured {
-			m.db.ReleaseBlob(h)
-		}
-		return err
-	}
-	for i, c := range row {
-		h, ok := c.(blob.Handle)
-		if !ok || h.IsZero() || (old != nil && old[i] == c) {
-			continue // not a payload, NULL, or the cell already owns it
-		}
-		if err := ensure(h); err != nil {
-			return unwind(err)
-		}
-		ensured = append(ensured, h)
-	}
-	if old == nil {
-		var err error
-		if tbl.Name() == DocumentTable {
-			_, err = tbl.Insert(row)
-		} else {
-			err = tbl.InsertWithID(id, row)
-		}
-		if err != nil {
-			return unwind(err)
-		}
-		return nil
-	}
-	// Swap-and-read-old atomically (PutDocument's discipline), then
-	// release only the handles the update actually displaced; a cell
-	// keeping its digest carries its reference through the update.
-	displaced, err := tbl.UpdateReturningOld(id, row)
-	if err != nil {
-		return unwind(err)
-	}
-	return m.releaseRowBlobs(displaced, row)
 }
 
 // cellsEqual compares two cells of one column; []byte is the one cell

@@ -176,6 +176,11 @@ func TestAdoptDatasetIntoEmptyDB(t *testing.T) {
 	if _, missing := dst.DB().BlobStats(); missing != 0 {
 		t.Errorf("replica has %d dangling blob references", missing)
 	}
+	// Each payload is counted once per cell that names it, and no
+	// reference ensure took outlives the adoption.
+	if rep, err := dst.DB().FsckBlobs(); err != nil || !rep.Clean() {
+		t.Errorf("replica fsck: %+v, %v", rep, err)
+	}
 }
 
 func TestAdoptDatasetUpdatesChangedRows(t *testing.T) {

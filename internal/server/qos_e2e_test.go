@@ -280,6 +280,9 @@ func TestQoSChangedPushedImageTransfers(t *testing.T) {
 	if err := tbl.Update(id, row); err != nil {
 		t.Fatal(err)
 	}
+	if err := r.m.DB().ReleaseBlob(h); err != nil {
+		t.Fatal(err)
+	}
 	before := r.c.BufferStats()
 	got, texts, err := r.c.GetImage(id)
 	if err != nil {

@@ -350,18 +350,26 @@ func TestCrashMidCompaction(t *testing.T) {
 }
 
 // TestFsckBlobs drives the consistency checker through a clean store, a
-// fabricated dangling reference, and an orphan object.
+// dangling reference, and an orphan object.
 func TestFsckBlobs(t *testing.T) {
 	db, _ := openTestDB(t, Options{Sync: SyncNever})
 	tbl, _ := db.CreateTable("t", blobSchema)
-	for i := 0; i < 5; i++ {
-		h, err := db.PutBlob(bytes.Repeat([]byte{byte(i)}, 3_000))
+	insert := func(payload []byte) blob.Handle {
+		t.Helper()
+		h, err := db.PutBlob(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := tbl.Insert(Row{h}); err != nil {
 			t.Fatal(err)
 		}
+		if err := db.ReleaseBlob(h); err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	for i := 0; i < 5; i++ {
+		insert(bytes.Repeat([]byte{byte(i)}, 3_000))
 	}
 	rep, err := db.FsckBlobs()
 	if err != nil {
@@ -374,9 +382,9 @@ func TestFsckBlobs(t *testing.T) {
 		t.Errorf("fsck counts: %+v", rep)
 	}
 
-	// A row pointing at a digest the store never held.
-	ghost := blob.Handle{Digest: blob.Sum([]byte("ghost")), Length: 5}
-	if _, err := tbl.Insert(Row{ghost}); err != nil {
+	// A row whose payload is dropped under the store: its cell's
+	// reference released behind the table's back.
+	if err := db.blobs.Release(insert([]byte("ghost"))); err != nil {
 		t.Fatal(err)
 	}
 	// An object no row references.

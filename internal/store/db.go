@@ -28,9 +28,15 @@ type Options struct {
 // DB is the database server's storage engine: a directory holding a
 // snapshot, a write-ahead log, and a content-addressed blob store. Open
 // replays the WAL over the snapshot, so a crash at any point loses at
-// most the operations the sync mode had not yet flushed. Blob reference
-// counts are derived state: every Open recomputes them from the
-// surviving TBlob cells, so they self-heal after any crash.
+// most the operations the sync mode had not yet flushed.
+//
+// A TBlob cell holding a handle is a reference the store counts: the
+// write that puts the handle into the cell takes it (logAndApply), the
+// write that takes it out releases it, and a handle PutBlob or
+// PutBlobFromChunks returns is the caller's own reference until
+// ReleaseBlob. No caller releases what a row held. The counts are not
+// journaled: every Open recomputes them from the surviving cells, so
+// they heal after any crash.
 type DB struct {
 	mu    sync.RWMutex
 	dir   string
@@ -53,11 +59,11 @@ type DB struct {
 	// cells fail loudly; fsck reports them.
 	blobMissing []blob.Digest
 
-	// relMu guards pendingRel: blob releases queued until the WAL
-	// records that justify them (row deletes/updates) are fsynced.
-	// Releasing earlier could free payload bytes whose delete is lost in
-	// a crash; queued handles lost in a crash merely leak until the next
-	// Open's refcount recompute reclaims them.
+	// relMu guards pendingRel: the references of cells a write emptied
+	// or overwrote, queued until the WAL records of those writes are
+	// fsynced. Releasing earlier could free payload bytes whose delete is
+	// lost in a crash; queued handles lost in a crash merely leak until
+	// the next Open's refcount recompute reclaims them.
 	relMu      sync.Mutex
 	pendingRel []blob.Handle
 }
@@ -106,9 +112,10 @@ func Open(dir string, opts Options) (*DB, error) {
 	// dirty blob segments before every WAL fsync, so a record carrying a
 	// new handle only becomes durable after its payload bytes are.
 	w.onBeforeSync = bs.Sync
-	// Refcounts are not journaled: recompute them from the rows that
-	// actually survived recovery. Orphans (payloads put by operations
-	// whose rows never became durable) are freed here.
+	// Refcounts are not journaled, and replay and snapshot load take
+	// none: recompute them from the rows that actually survived
+	// recovery. Orphans (payloads put by operations whose rows never
+	// became durable) are freed here. This is ResetRefs' only caller.
 	db.blobMissing = db.blobs.ResetRefs(db.blobRefCountsLocked())
 	return db, nil
 }
@@ -139,10 +146,21 @@ func (db *DB) drainBlobReleases() {
 	pending := db.pendingRel
 	db.pendingRel = nil
 	db.relMu.Unlock()
-	for _, h := range pending {
-		// ErrNotFound here means a concurrent recount already dropped
-		// the object; nothing to unwind.
-		_ = db.blobs.Release(h)
+	db.releaseNow(pending)
+}
+
+// releaseDurable releases the references of cells the records just
+// logged emptied or overwrote, once those records are durable: it
+// queues them, and drains the queue at once if the WAL is already
+// clean. Queueing first means a concurrent fsync either drains them or
+// ran before the enqueue, and then the clean check does. Caller holds
+// db.mu, so no record is appended in between.
+func (db *DB) releaseDurable(hs []blob.Handle) {
+	db.relMu.Lock()
+	db.pendingRel = append(db.pendingRel, hs...)
+	db.relMu.Unlock()
+	if db.wal.isClean() {
+		db.drainBlobReleases()
 	}
 }
 
@@ -189,16 +207,77 @@ func (db *DB) tableLocked(name string) (*table, error) {
 // must never reach the WAL — it would be replayed at every future Open,
 // and a hard replay failure would brick the database over one bad
 // operation. Caller holds db.mu.
+//
+// It is the one place blob references are counted (see DB). Per TBlob
+// column, a handle the record puts into a cell is retained before the
+// append — one the blob store does not hold refuses the record, wrapping
+// blob.ErrNotFound — and a handle it takes out of one is released once
+// the record is durable. A cell that keeps its handle costs nothing.
 func (db *DB) logAndApply(rec walRecord) error {
 	if err := db.validateLocked(rec); err != nil {
 		return err
 	}
+	var addBuf, dropBuf [4]blob.Handle
+	added, displaced := addBuf[:0], dropBuf[:0]
+	switch tb := db.state[rec.Table]; rec.Op {
+	case opInsert, opUpdate, opDelete:
+		added, displaced = blobDelta(tb.schema, tb.rows[rec.ID], rec.Vals, added, displaced)
+	case opDropTable:
+		for _, row := range tb.rows {
+			_, displaced = blobDelta(tb.schema, row, nil, nil, displaced)
+		}
+	}
+	for i, h := range added {
+		if err := db.blobs.Retain(h); err != nil {
+			db.releaseNow(added[:i])
+			return fmt.Errorf("store: table %q: %w", rec.Table, err)
+		}
+	}
 	if err := db.wal.append(rec); err != nil {
+		db.releaseNow(added)
 		return err
 	}
 	db.applyValid(rec)
 	db.pos.Add(1)
+	if len(displaced) > 0 {
+		db.releaseDurable(displaced)
+	}
 	return nil
+}
+
+// releaseNow drops references no cell holds.
+func (db *DB) releaseNow(hs []blob.Handle) {
+	for _, h := range hs {
+		_ = db.blobs.Release(h)
+	}
+}
+
+// blobDelta appends to added the handle each TBlob column of row now
+// holds where row was held another, and to displaced the one was held
+// there. A nil row holds no handles; the zero handle is no reference.
+func blobDelta(schema []Column, was, now Row, added, displaced []blob.Handle) ([]blob.Handle, []blob.Handle) {
+	for i, col := range schema {
+		if col.Type != TBlob {
+			continue
+		}
+		var from, to blob.Handle
+		if was != nil {
+			from = was[i].(blob.Handle)
+		}
+		if now != nil {
+			to = now[i].(blob.Handle)
+		}
+		if from == to {
+			continue
+		}
+		if !to.IsZero() {
+			added = append(added, to)
+		}
+		if !from.IsZero() {
+			displaced = append(displaced, from)
+		}
+	}
+	return added, displaced
 }
 
 // Position returns the store's change position: a counter that rises by
@@ -298,9 +377,8 @@ func (db *DB) CreateTable(name string, schema []Column) (*Table, error) {
 	return &Table{db: db, name: name}, nil
 }
 
-// DropTable removes a relation and all its rows. Blob payloads referenced
-// only by the dropped rows remain on disk until CompactBlobs (or the next
-// Open) recomputes reference counts and reclaims them.
+// DropTable removes a relation and all its rows, releasing the blob
+// reference each of their cells held once the drop is durable.
 func (db *DB) DropTable(name string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -343,11 +421,14 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // PutBlob stores a payload in the content-addressed store and returns
-// its handle, to be kept in a TBlob column. Identical payloads share
-// storage: a re-put only bumps the object's reference count. The chunk
-// bytes are not fsynced here; the WAL's pre-sync hook syncs dirty blob
-// segments before any record fsync, so the row that carries the handle
-// cannot become durable ahead of the payload it references.
+// its handle, to be kept in a TBlob column. The handle carries one
+// reference, the caller's: a row written with it takes a reference of
+// its own, so the caller releases its one with ReleaseBlob once the row
+// write returns, whether the write succeeded or not. Identical payloads
+// share storage: a re-put only bumps the object's reference count. The
+// chunk bytes are not fsynced here; the WAL's pre-sync hook syncs dirty
+// blob segments before any record fsync, so the row that carries the
+// handle cannot become durable ahead of the payload it references.
 func (db *DB) PutBlob(data []byte) (blob.Handle, error) {
 	return db.blobs.Put(data)
 }
@@ -358,23 +439,13 @@ func (db *DB) GetBlob(h blob.Handle) ([]byte, error) {
 	return db.blobs.Get(h)
 }
 
-// ReleaseBlob drops one reference to the payload behind h, called when a
-// row that held the handle is deleted or overwritten. The space is not
-// reclaimed before the WAL record of that delete is durable: until the
-// next fsync the release sits in a queue, so a crash can only leak (the
-// next Open recomputes refcounts from rows and reclaims), never free a
-// payload whose delete got lost.
+// ReleaseBlob drops the caller's reference that PutBlob or
+// PutBlobFromChunks returned. No row holds that reference, so it goes at
+// once; a payload some row holds keeps the row's. It is never the way to
+// let go of what a row held: the write that empties the cell does that.
+// The zero handle returns blob.ErrNoBlob.
 func (db *DB) ReleaseBlob(h blob.Handle) error {
-	if h.IsZero() {
-		return blob.ErrNoBlob
-	}
-	if db.wal.isClean() {
-		return db.blobs.Release(h)
-	}
-	db.relMu.Lock()
-	db.pendingRel = append(db.pendingRel, h)
-	db.relMu.Unlock()
-	return nil
+	return db.blobs.Release(h)
 }
 
 // ContainsBlob reports whether the local store already holds the
@@ -403,7 +474,8 @@ func (db *DB) GetBlobChunk(cd blob.Digest) ([]byte, error) {
 
 // PutBlobFromChunks materializes a replicated payload from its manifest
 // plus the transferred chunks (locally held chunks are shared, not
-// rewritten). Durability follows PutBlob: the WAL pre-sync hook syncs
+// rewritten). The handle's reference and durability follow PutBlob: it
+// is the caller's until ReleaseBlob, and the WAL pre-sync hook syncs
 // blob segments before any row referencing the handle becomes durable.
 func (db *DB) PutBlobFromChunks(d blob.Digest, length uint32, chunks []blob.Digest, data map[blob.Digest][]byte) (blob.Handle, error) {
 	return db.blobs.PutFromChunks(d, length, chunks, data)
@@ -502,23 +574,19 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// CompactBlobs reconciles blob reference counts against the TBlob cells
-// and forces a full segment compaction, returning the file bytes
-// reclaimed. Unlike the pre-CAS vacuum this never rewrites a handle —
-// digests are stable across moves — so no checkpoint is required and a
-// crash mid-compaction at worst leaves duplicate blocks the next Open's
-// recovery scan dedups. Day-to-day reclamation does not need this call:
-// deletes feed the free lists and the background compactor directly; it
-// remains the hammer for recounting after bulk table drops.
+// CompactBlobs flushes the WAL, so every release queued behind it
+// drains, and forces a full segment compaction, returning the file bytes
+// reclaimed. It recounts nothing: the counts are exact after every
+// write, and a reference a caller holds from PutBlob survives it. It
+// never rewrites a handle — digests are stable across moves — so no
+// checkpoint is required and a crash mid-compaction at worst leaves
+// duplicate blocks the next Open's recovery scan dedups. Day-to-day
+// reclamation does not need this call: deletes feed the free lists and
+// the background compactor directly.
 func (db *DB) CompactBlobs() (reclaimed int64, err error) {
-	db.mu.Lock()
-	if err := db.wal.flush(); err != nil {
-		db.mu.Unlock()
+	if err := db.Flush(); err != nil {
 		return 0, err
 	}
-	db.drainBlobReleases()
-	db.blobMissing = db.blobs.ResetRefs(db.blobRefCountsLocked())
-	db.mu.Unlock()
 	// The segment moves proceed without db.mu: readers keep reading
 	// (digests never change), writers keep writing into other segments.
 	return db.blobs.Compact()

@@ -61,9 +61,15 @@ func TestImageRowUpdateRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := blob.Handle{Digest: blob.Digest{0xAA, 0xBB}, Length: 256 << 10}
+	h, err := db.PutBlob(make([]byte, 256<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
 	id, err := tbl.Insert(Row{int64(2), "", 0.05, h})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.ReleaseBlob(h); err != nil {
 		t.Fatal(err)
 	}
 	walPath := filepath.Join(dir, walFile)

@@ -75,10 +75,10 @@ func TestPositionCountsAppliedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	step("delete", true)
-	if _, err := tbl.DeleteReturningOld(id + 10); err != nil {
+	if err := tbl.Delete(id + 10); err != nil {
 		t.Fatal(err)
 	}
-	step("delete returning old", true)
+	step("second delete", true)
 	if err := db.DropTable("t"); err != nil {
 		t.Fatal(err)
 	}

@@ -505,15 +505,18 @@ func TestCompactBlobsReclaimsGarbage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := db.ReleaseBlob(h); err != nil {
+			t.Fatal(err)
+		}
 		if i%2 == 0 {
 			keepIDs = append(keepIDs, id)
 		} else if err := tbl.Delete(id); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Rows were deleted through the raw table API (no ReleaseBlob), so
-	// the payloads linger until CompactBlobs recounts references from
-	// the surviving rows and drains the sparse segments.
+	// The deleted rows' references are released once their records are
+	// durable: CompactBlobs flushes the WAL, which frees the payloads,
+	// then drains the sparse segments.
 	reclaimed, err := db.CompactBlobs()
 	if err != nil {
 		t.Fatalf("CompactBlobs: %v", err)

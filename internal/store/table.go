@@ -220,12 +220,10 @@ func (t *Table) Update(id uint64, row Row) error {
 	return t.db.logAndApply(walRecord{Op: opUpdate, Table: t.name, ID: id, Vals: row})
 }
 
-// UpdateReturningOld replaces the row with the given id and returns the
-// version it displaced, in one critical section. Callers that must
-// release resources the old row held (blob references, most notably) use
-// this instead of Get-then-Update: two racing replacements of the same
-// row each observe a distinct predecessor, so each old reference is
-// released exactly once.
+// UpdateReturningOld is Update that also returns the version it
+// displaced, read in the same critical section. The blob references the
+// old row held are the store's to release, as for Update; the returned
+// row is for a caller that wants to see what it replaced.
 func (t *Table) UpdateReturningOld(id uint64, row Row) (Row, error) {
 	t.db.mu.Lock()
 	defer t.db.mu.Unlock()
@@ -245,24 +243,6 @@ func (t *Table) Delete(id uint64) error {
 	t.db.mu.Lock()
 	defer t.db.mu.Unlock()
 	return t.db.logAndApply(walRecord{Op: opDelete, Table: t.name, ID: id})
-}
-
-// DeleteReturningOld removes the row with the given id and returns the
-// deleted version, in one critical section — the delete-side counterpart
-// of UpdateReturningOld, for callers that release the row's blob
-// references afterwards.
-func (t *Table) DeleteReturningOld(id uint64) (Row, error) {
-	t.db.mu.Lock()
-	defer t.db.mu.Unlock()
-	tb, err := t.db.tableLocked(t.name)
-	if err != nil {
-		return nil, err
-	}
-	old := tb.rows[id]
-	if err := t.db.logAndApply(walRecord{Op: opDelete, Table: t.name, ID: id}); err != nil {
-		return nil, err
-	}
-	return old, nil
 }
 
 // Len returns the number of rows.
