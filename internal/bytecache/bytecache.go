@@ -91,7 +91,7 @@ func (c *Cache[K]) Contains(k K) bool {
 func (c *Cache[K]) Put(k K, data []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.store(k, data, true)
+	c.store(k, data, true, false)
 }
 
 // Offer caches data under k only if it fits without evicting anything —
@@ -101,11 +101,21 @@ func (c *Cache[K]) Put(k K, data []byte) {
 func (c *Cache[K]) Offer(k K, data []byte) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.store(k, data, false)
+	return c.store(k, data, false, false)
 }
 
-// store is Put (mayEvict) or Offer (!mayEvict) under c.mu.
-func (c *Cache[K]) store(k K, data []byte, mayEvict bool) bool {
+// OfferCopy is Offer for bytes the caller does not own (a push body the
+// next frame overwrites): the cache keeps a copy, made only when it
+// accepts the payload.
+func (c *Cache[K]) OfferCopy(k K, data []byte) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.store(k, data, false, true)
+}
+
+// store is Put (mayEvict) or Offer (!mayEvict) under c.mu; clone stores
+// a copy of data instead of data.
+func (c *Cache[K]) store(k K, data []byte, mayEvict, clone bool) bool {
 	need := int64(len(data))
 	el, resident := c.items[k]
 	var old int64
@@ -120,6 +130,9 @@ func (c *Cache[K]) store(k K, data []byte, mayEvict bool) bool {
 			c.evict(el)
 		}
 		return false
+	}
+	if clone {
+		data = append(make([]byte, 0, len(data)), data...)
 	}
 	if resident {
 		el.Value.(*entry[K]).data = data
@@ -165,7 +178,7 @@ func (c *Cache[K]) Fill(k K, load func() ([]byte, error)) ([]byte, error) {
 	c.mu.Lock()
 	delete(c.fills, k)
 	if f.err == nil {
-		c.store(k, f.data, true)
+		c.store(k, f.data, true, false)
 	}
 	c.mu.Unlock()
 	return f.data, f.err

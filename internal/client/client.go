@@ -158,7 +158,7 @@ func (c *Client) onPush(method string, body wire.Body) {
 		if err := body.Decode(&pp); err != nil {
 			return
 		}
-		c.buffer.Load().file(objectKey{mediadb.ImageTable, pp.ObjectID}, pp.Digest, pp.Data, true)
+		c.buffer.Load().file(objectKey{mediadb.ImageTable, pp.ObjectID}, pp.Digest, pp.Data, pushed)
 		return
 	}
 	if method != proto.MEvent {

@@ -82,23 +82,41 @@ func (b *mediaBuffer) holds(k objectKey) bool {
 	return ok && b.payloads.Contains(d)
 }
 
-// file records a payload under the object. A speculative payload (a push
-// or a warm) is offered: it is kept only if it fits without evicting
-// anything, because what nobody asked for must never displace what
-// somebody did.
-func (b *mediaBuffer) file(k objectKey, digest, data []byte, speculative bool) {
+// filing is how a payload enters the buffer.
+type filing int
+
+const (
+	// fetched: somebody asked for it, so it is put, evicting as needed.
+	fetched filing = iota
+	// warmed: speculative, so it is offered — kept only if it fits
+	// without evicting anything, because what nobody asked for must
+	// never displace what somebody did.
+	warmed
+	// pushed: offered like a warm, but the bytes are a push body, valid
+	// only during the push handler's call: the buffer keeps a copy, made
+	// only if it accepts the payload.
+	pushed
+)
+
+// file records a payload under the object.
+func (b *mediaBuffer) file(k objectKey, digest, data []byte, how filing) {
 	if b == nil || len(digest) != len(blob.Digest{}) {
 		return
 	}
 	d := blob.Digest(digest)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if speculative {
+	switch how {
+	case fetched:
+		b.payloads.Put(d, data)
+	case warmed:
 		if !b.payloads.Offer(d, data) {
 			return
 		}
-	} else {
-		b.payloads.Put(d, data)
+	case pushed:
+		if !b.payloads.OfferCopy(d, data) {
+			return
+		}
 	}
 	b.byID[k] = d
 }
@@ -123,7 +141,11 @@ func (b *mediaBuffer) fetch(k objectKey, speculative bool, call func(known []byt
 	}
 	if b != nil {
 		b.misses.Add(1)
-		b.file(k, digest, data, speculative)
+		how := fetched
+		if speculative {
+			how = warmed
+		}
+		b.file(k, digest, data, how)
 	}
 	return data, nil
 }

@@ -1,10 +1,18 @@
 package client
 
 import (
+	"bytes"
+	"context"
+	"fmt"
+	"net"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
+	"mmconf/internal/blob"
 	"mmconf/internal/core"
+	"mmconf/internal/mediadb"
 	"mmconf/internal/proto"
 	"mmconf/internal/room"
 	"mmconf/internal/wire"
@@ -138,5 +146,71 @@ func TestPushDecodeAllocations(t *testing.T) {
 	c.onPush(proto.MEvent, wire.Body{Data: full})
 	if ev := <-c.Events(); ev.Text != "x" {
 		t.Errorf("the well-formed push arrived as %+v", ev)
+	}
+}
+
+// TestPushedPayloadOutlivesItsFrame: a push body is valid only during
+// the push handler's call — the frame is read where it lies in the
+// connection's read buffer and the next frame overwrites it — so the
+// media buffer keeps a copy of a prefetch push it accepts. After the
+// next push has been read over it, a fetch of the pushed image is still
+// served from the buffer, byte-identical to what was pushed.
+func TestPushedPayloadOutlivesItsFrame(t *testing.T) {
+	payload := bytes.Repeat([]byte("pushed image bytes "), 4)
+	digest := blob.Sum(payload)
+	peers := make(chan *wire.Peer, 1)
+	srv := wire.NewServer()
+	srv.Register(proto.MListDocuments, wire.Typed(func(_ context.Context, p *wire.Peer, _ *proto.ListDocumentsReq) (*proto.ListDocumentsResp, error) {
+		peers <- p
+		return &proto.ListDocumentsResp{}, nil
+	}))
+	srv.Register(proto.MGetImage, wire.Typed(func(_ context.Context, _ *wire.Peer, req *proto.GetImageReq) (*proto.GetImageResp, error) {
+		if !bytes.Equal(req.IfDigestAbsent, digest[:]) {
+			return nil, fmt.Errorf("fetch of image %d did not name the pushed digest", req.ID)
+		}
+		return &proto.GetImageResp{Digest: digest[:], NotModified: true}, nil
+	}))
+	sc, cc := net.Pipe()
+	go srv.ServeConn(sc)
+	t.Cleanup(func() { srv.Close() })
+	c, err := overConn(cc, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	c.buffer.Store(newMediaBuffer(1 << 20))
+	if _, _, err := c.ListDocuments(); err != nil {
+		t.Fatal(err)
+	}
+	p := <-peers
+
+	const id = 7
+	if err := p.Push(proto.MPrefetchPush, &proto.PrefetchPush{Room: "r", ObjectID: id, Digest: digest[:], Data: payload}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return c.buffer.Load().holds(objectKey{mediadb.ImageTable, id}) })
+	// The next frame arrives in a read of its own and lands where the
+	// prefetch push lay.
+	ev := room.Event{Room: "elsewhere", Actor: "bob", Kind: room.EvChat, Text: strings.Repeat("overwrite ", 40)}
+	if err := p.Push(proto.MEvent, &ev); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case got := <-c.Events():
+		if got.Text != ev.Text {
+			t.Fatalf("event text %q", got.Text)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the event push never arrived")
+	}
+	got, err := c.GetImageBytes(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Fatalf("image served from the buffer reads %q, pushed %q", got, payload)
+	}
+	if st := c.BufferStats(); st.Hits != 1 || st.Misses != 0 {
+		t.Fatalf("buffer stats %+v, want the one fetch a hit", st)
 	}
 }

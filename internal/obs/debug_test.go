@@ -55,7 +55,7 @@ func TestDebugMuxMetrics(t *testing.T) {
 func TestDebugMuxTraces(t *testing.T) {
 	rec := NewRecorder(8, -1)
 	for i := 1; i <= 3; i++ {
-		tr := NewTrace(uint64(i), fmt.Sprintf("m%d", i), 5, time.Now())
+		tr := &Trace{ID: uint64(i), Method: fmt.Sprintf("m%d", i), Peer: 5, Begin: time.Now()}
 		tr.AddSpan("handle", tr.Begin, time.Duration(i)*time.Millisecond)
 		rec.Observe(tr, time.Duration(i)*time.Millisecond, nil)
 	}

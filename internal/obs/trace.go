@@ -29,85 +29,103 @@ type Span struct {
 	Dur   time.Duration
 }
 
+// MaxSpans is how many spans a trace holds. A choice records four
+// (admission, decode, handle, push); a span past the last slot is
+// counted in Dropped, not kept.
+const MaxSpans = 8
+
 // Trace accumulates one request's spans as it flows client → wire →
-// handler → room. It is carried in the request context (ContextWithTrace)
-// so any layer can attach spans without new parameters.
+// handler → room. The server's request context answers TraceKey with
+// it, so any layer can attach spans without new parameters. The spans
+// live in the trace itself: recording one allocates nothing.
 type Trace struct {
 	ID     uint64
 	Method string
 	Peer   uint64
 	Begin  time.Time
 
-	mu    sync.Mutex
-	spans []Span
-}
-
-// NewTrace starts a trace clocked from begin.
-func NewTrace(id uint64, method string, peer uint64, begin time.Time) *Trace {
-	return &Trace{ID: id, Method: method, Peer: peer, Begin: begin}
+	mu      sync.Mutex
+	spans   [MaxSpans]Span
+	n       int
+	dropped int
 }
 
 // AddSpan records a completed section.
 func (t *Trace) AddSpan(name string, start time.Time, dur time.Duration) {
 	t.mu.Lock()
-	t.spans = append(t.spans, Span{Name: name, Start: start.Sub(t.Begin), Dur: dur})
+	if t.n < len(t.spans) {
+		t.spans[t.n] = Span{Name: name, Start: start.Sub(t.Begin), Dur: dur}
+		t.n++
+	} else {
+		t.dropped++
+	}
 	t.mu.Unlock()
-}
-
-// StartSpan opens a section; the returned func closes it. Safe for
-// concurrent use with other spans.
-func (t *Trace) StartSpan(name string) func() {
-	start := time.Now()
-	return func() { t.AddSpan(name, start, time.Since(start)) }
 }
 
 // Spans returns a copy of the recorded sections, in recording order.
 func (t *Trace) Spans() []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]Span(nil), t.spans...)
+	return append([]Span(nil), t.spans[:t.n]...)
 }
 
-// ctxKey keys the obs values carried in request contexts.
-type ctxKey int
-
-const (
-	traceKey ctxKey = iota
-	idKey
-)
-
-// ContextWithTrace installs the live trace recorder into ctx.
-func ContextWithTrace(ctx context.Context, t *Trace) context.Context {
-	return context.WithValue(ctx, traceKey, t)
+// Dropped reports how many spans arrived after the trace was full.
+func (t *Trace) Dropped() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.dropped
 }
+
+// TraceKey is the context key a request context answers with its live
+// *Trace.
+type TraceKey struct{}
 
 // TraceFrom returns the request's live trace, if one is being recorded.
 func TraceFrom(ctx context.Context) (*Trace, bool) {
-	t, ok := ctx.Value(traceKey).(*Trace)
+	t, ok := ctx.Value(TraceKey{}).(*Trace)
 	return t, ok
 }
 
-// StartSpan opens a span on the context's trace; the returned func closes
-// it. Without a trace in ctx both are no-ops, so instrumented code pays
-// one context lookup when tracing is off.
-func StartSpan(ctx context.Context, name string) func() {
+// OpenSpan is a section in progress; End records it. It is a value:
+// opening and closing one allocates nothing.
+type OpenSpan struct {
+	t     *Trace
+	name  string
+	start time.Time
+}
+
+// StartSpan opens a span on the context's trace. Without a trace in ctx
+// End is a no-op and no clock is read, so instrumented code pays one
+// context lookup when tracing is off.
+func StartSpan(ctx context.Context, name string) OpenSpan {
 	t, ok := TraceFrom(ctx)
 	if !ok {
-		return func() {}
+		return OpenSpan{}
 	}
-	return t.StartSpan(name)
+	return OpenSpan{t: t, name: name, start: time.Now()}
 }
+
+// End closes the span, recording it on its trace. Safe for concurrent
+// use with other spans of the same trace.
+func (s OpenSpan) End() {
+	if s.t != nil {
+		s.t.AddSpan(s.name, s.start, time.Since(s.start))
+	}
+}
+
+// idKey keys the caller-pinned trace id in outgoing call contexts.
+type idKey struct{}
 
 // ContextWithID pins the trace id an outgoing call will carry, letting a
 // caller correlate its own logs with the server's trace ring. Without it
 // the wire client mints an id per call.
 func ContextWithID(ctx context.Context, id uint64) context.Context {
-	return context.WithValue(ctx, idKey, id)
+	return context.WithValue(ctx, idKey{}, id)
 }
 
 // IDFrom returns the caller-pinned trace id, if any.
 func IDFrom(ctx context.Context) (uint64, bool) {
-	id, ok := ctx.Value(idKey).(uint64)
+	id, ok := ctx.Value(idKey{}).(uint64)
 	return id, ok
 }
 
@@ -121,6 +139,8 @@ type TraceRecord struct {
 	Total  time.Duration
 	Err    string
 	Spans  []Span
+	// Dropped counts the spans that arrived after the trace was full.
+	Dropped int `json:",omitempty"`
 }
 
 // Recorder keeps a ring of recent slow or errored request traces. Fast
@@ -157,15 +177,16 @@ func (r *Recorder) Threshold() time.Duration { return r.threshold }
 // the ring itself holds only the most recent).
 func (r *Recorder) Recorded() uint64 { return r.recorded.Load() }
 
-// Observe completes a trace: if it qualifies (slow or errored) it enters
-// the ring, overwriting the oldest entry.
+// Observe completes a trace: if it qualifies (slow or errored) its spans
+// are copied into the ring, overwriting the oldest entry; a trace that
+// does not qualify is not copied at all.
 func (r *Recorder) Observe(t *Trace, total time.Duration, err error) {
 	if err == nil && total < r.threshold {
 		return
 	}
 	rec := TraceRecord{
 		ID: t.ID, Method: t.Method, Peer: t.Peer,
-		Start: t.Begin, Total: total, Spans: t.Spans(),
+		Start: t.Begin, Total: total, Spans: t.Spans(), Dropped: t.Dropped(),
 	}
 	if err != nil {
 		rec.Err = err.Error()

@@ -23,10 +23,11 @@ func TestMintIDUnique(t *testing.T) {
 }
 
 func TestTraceSpans(t *testing.T) {
-	tr := NewTrace(42, "room.choice", 7, time.Now())
-	end := tr.StartSpan("decode")
+	tr := &Trace{ID: 42, Method: "room.choice", Peer: 7, Begin: time.Now()}
+	ctx := context.WithValue(context.Background(), TraceKey{}, tr)
+	sp := StartSpan(ctx, "decode")
 	time.Sleep(time.Millisecond)
-	end()
+	sp.End()
 	tr.AddSpan("push", time.Now(), 5*time.Millisecond)
 	spans := tr.Spans()
 	if len(spans) != 2 {
@@ -51,15 +52,15 @@ func TestContextTraceRoundTrip(t *testing.T) {
 		t.Fatal("empty context reported a trace")
 	}
 	// StartSpan without a trace is a safe no-op.
-	StartSpan(ctx, "nothing")()
+	StartSpan(ctx, "nothing").End()
 
-	tr := NewTrace(1, "m", 2, time.Now())
-	ctx = ContextWithTrace(ctx, tr)
+	tr := &Trace{ID: 1, Method: "m", Peer: 2, Begin: time.Now()}
+	ctx = context.WithValue(ctx, TraceKey{}, tr)
 	got, ok := TraceFrom(ctx)
 	if !ok || got != tr {
 		t.Fatal("trace did not round-trip through context")
 	}
-	StartSpan(ctx, "work")()
+	StartSpan(ctx, "work").End()
 	if len(tr.Spans()) != 1 {
 		t.Fatal("context StartSpan did not record on the trace")
 	}
@@ -73,17 +74,56 @@ func TestContextTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// requestCtx answers TraceKey from a field, as the server's request
+// context does: finding the trace allocates nothing.
+type requestCtx struct {
+	context.Context
+	tr Trace
+}
+
+func (c *requestCtx) Value(key any) any {
+	if _, ok := key.(TraceKey); ok {
+		return &c.tr
+	}
+	return c.Context.Value(key)
+}
+
+// TestSpanAllocatesNothing: opening and closing a span allocates nothing,
+// on a request context and on one without a trace, and a span past the
+// trace's inline capacity is counted as dropped, not kept.
+func TestSpanAllocatesNothing(t *testing.T) {
+	req := &requestCtx{Context: context.Background(), tr: Trace{ID: 1, Begin: time.Now()}}
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+	}{{"request", req}, {"no trace", context.Background()}} {
+		if got := testing.AllocsPerRun(100, func() { StartSpan(c.ctx, "span").End() }); got != 0 {
+			t.Errorf("%s context: StartSpan+End allocated %v times, want 0", c.name, got)
+		}
+	}
+	// AllocsPerRun's warm-up run and 100 measured runs went to the trace.
+	spans := req.tr.Spans()
+	if len(spans) != MaxSpans || req.tr.Dropped() != 101-MaxSpans {
+		t.Fatalf("%d spans kept, %d dropped; want %d kept, %d dropped", len(spans), req.tr.Dropped(), MaxSpans, 101-MaxSpans)
+	}
+	rec := NewRecorder(1, -1)
+	rec.Observe(&req.tr, time.Millisecond, nil)
+	if got := rec.Recent(0)[0]; len(got.Spans) != MaxSpans || got.Dropped != 101-MaxSpans {
+		t.Fatalf("recorded %d spans, %d dropped", len(got.Spans), got.Dropped)
+	}
+}
+
 func TestRecorderThreshold(t *testing.T) {
 	rec := NewRecorder(8, 10*time.Millisecond)
 	if rec.Threshold() != 10*time.Millisecond {
 		t.Fatalf("Threshold = %v", rec.Threshold())
 	}
 	// Fast and clean: skipped.
-	rec.Observe(NewTrace(1, "fast", 0, time.Now()), time.Millisecond, nil)
+	rec.Observe(&Trace{ID: 1, Method: "fast", Begin: time.Now()}, time.Millisecond, nil)
 	// Slow: recorded.
-	rec.Observe(NewTrace(2, "slow", 0, time.Now()), 20*time.Millisecond, nil)
+	rec.Observe(&Trace{ID: 2, Method: "slow", Begin: time.Now()}, 20*time.Millisecond, nil)
 	// Fast but errored: recorded.
-	rec.Observe(NewTrace(3, "bad", 0, time.Now()), time.Millisecond, errors.New("boom"))
+	rec.Observe(&Trace{ID: 3, Method: "bad", Begin: time.Now()}, time.Millisecond, errors.New("boom"))
 	if got := rec.Recorded(); got != 2 {
 		t.Fatalf("Recorded = %d, want 2", got)
 	}
@@ -102,7 +142,7 @@ func TestRecorderThreshold(t *testing.T) {
 
 func TestRecorderRecordEverything(t *testing.T) {
 	rec := NewRecorder(8, -1)
-	rec.Observe(NewTrace(1, "m", 0, time.Now()), 0, nil)
+	rec.Observe(&Trace{ID: 1, Method: "m", Begin: time.Now()}, 0, nil)
 	if rec.Recorded() != 1 {
 		t.Fatal("negative threshold did not record a zero-latency request")
 	}
@@ -111,7 +151,7 @@ func TestRecorderRecordEverything(t *testing.T) {
 func TestRecorderRingWrapsAndFinds(t *testing.T) {
 	rec := NewRecorder(4, -1)
 	for i := 1; i <= 10; i++ {
-		rec.Observe(NewTrace(uint64(i), fmt.Sprintf("m%d", i), 0, time.Now()), time.Duration(i), nil)
+		rec.Observe(&Trace{ID: uint64(i), Method: fmt.Sprintf("m%d", i), Begin: time.Now()}, time.Duration(i), nil)
 	}
 	recent := rec.Recent(0)
 	if len(recent) != 4 {

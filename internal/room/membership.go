@@ -70,9 +70,9 @@ func (r *Room) Join(ctx context.Context, name string) (*Member, []Event, Event, 
 	history := r.buf.since(0)
 	first := r.stampLocked(m, view)
 	m.held = viewRef{first.View, first.Outcome, first.Visible}
-	endPush := obs.StartSpan(ctx, "push")
+	push := obs.StartSpan(ctx, "push")
 	r.broadcastLocked(Event{Room: r.Name, Actor: name, Kind: EvJoin}, true)
-	endPush()
+	push.End()
 	return m, history, first, nil
 }
 

@@ -500,9 +500,9 @@ func (r *Room) Choice(ctx context.Context, actor, variable, value string) error 
 	if _, err := r.engine.Choice(actor, variable, value); err != nil {
 		return err
 	}
-	endPush := obs.StartSpan(ctx, "push")
+	push := obs.StartSpan(ctx, "push")
 	r.broadcastLocked(Event{Actor: actor, Kind: EvChoice, Variable: variable, Value: value}, true)
-	endPush()
+	push.End()
 	return nil
 }
 
@@ -532,13 +532,13 @@ func (r *Room) Operation(ctx context.Context, actor, component, op, activeWhen s
 	// invalidate the cached snapshot (private overlays are cheap to
 	// over-invalidate, so bump unconditionally for safety).
 	r.bumpDocLocked()
-	endPush := obs.StartSpan(ctx, "push")
+	push := obs.StartSpan(ctx, "push")
 	r.broadcastLocked(Event{
 		Actor: actor, Kind: EvOperation,
 		Component: component, Op: op, ActiveWhen: activeWhen,
 		DerivedVar: name, Private: private,
 	}, true)
-	endPush()
+	push.End()
 	return name, nil
 }
 

@@ -16,15 +16,18 @@ import (
 // the wire layer handing it over and the handler's answer going back.
 // dispatch runs it in a fixed order:
 //
-//  1. clock and trace: one start time, and one obs.Trace under the id
-//     the frame carried, installed in the request context;
+//  1. clock and trace: one start time, stamped on the obs.Trace the
+//     request carries inline (the *wire.Request the wire layer made is
+//     the request's context, its trace and, after admission, its
+//     deadline — one allocation for all three);
 //  2. route: the cluster seam (Options.Route) may answer a room request
 //     here — redirect, relay, refusal — before it takes an admission
 //     slot;
 //  3. admit: the peer's token bucket, then a limiter slot, by the
 //     priority class the method was registered with;
-//  4. run: the handler under the request deadline (admission waits do
-//     not spend it), a panic recovered into an error response;
+//  4. run: the handler under the request deadline, set on the request
+//     after admission (admission waits do not spend it), a panic
+//     recovered into an error response;
 //  5. account: one end time, and the one duration from the start to it
 //     is what Stats, the trace ring and the slow log record; the limiter
 //     learns its service time from the same end time.
@@ -42,9 +45,13 @@ const peerBucketKey = "admission.bucket"
 
 // dispatch is the request step; see the top of the file for its order.
 func (s *Server) dispatch(ctx context.Context, m *method, p *wire.Peer, payload []byte) (result any, err error) {
+	req, ok := ctx.(*wire.Request)
+	if !ok {
+		return nil, fmt.Errorf("server: %s reached the request step outside a wire request", m.name)
+	}
 	start := time.Now()
-	tr := obs.NewTrace(wire.ContextTraceID(ctx), m.name, p.ID, start)
-	ctx = obs.ContextWithTrace(ctx, tr)
+	tr := req.Trace()
+	tr.Begin = start
 	var admitted time.Time // when a limiter slot was granted; zero while none is held
 	defer func() {
 		if r := recover(); r != nil {
@@ -70,11 +77,13 @@ func (s *Server) dispatch(ctx context.Context, m *method, p *wire.Peer, payload 
 		return nil, err
 	}
 	if s.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.timeout)
-		defer cancel()
+		from := admitted
+		if from.IsZero() {
+			from = start // no slot to wait for: admission took no time
+		}
+		req.SetDeadline(from.Add(s.timeout))
 	}
-	return m.h(ctx, p, payload)
+	return m.h(req, p, payload)
 }
 
 // admit charges the peer's token bucket, then takes a slot from the

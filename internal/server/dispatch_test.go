@@ -250,6 +250,125 @@ func TestHandlerSeesRequestTrace(t *testing.T) {
 	}
 }
 
+// TestDerivedContextEndsAtDeadlineAndOnDrop: a context a handler derives
+// from its request context is cancelled at RequestTimeout and when the
+// connection drops, although the request context makes its timer only
+// when something first asks for Done.
+func TestDerivedContextEndsAtDeadlineAndOnDrop(t *testing.T) {
+	// waiter waits on a context derived from its request's, once it has
+	// said so on waiting, and reports how that ended.
+	waiter := func(waiting chan<- struct{}, ended chan<- error) wire.Handler {
+		return func(ctx context.Context, p *wire.Peer, payload []byte) (any, error) {
+			ctx, cancel := context.WithCancel(ctx)
+			defer cancel()
+			waiting <- struct{}{}
+			select {
+			case <-ctx.Done():
+				ended <- ctx.Err()
+				return nil, ctx.Err()
+			case <-time.After(10 * time.Second):
+				ended <- nil
+				return nil, nil
+			}
+		}
+	}
+	t.Run("deadline", func(t *testing.T) {
+		ended := make(chan error, 1)
+		_, dial := stepSystem(t, Options{RequestTimeout: 100 * time.Millisecond, Logf: func(string, ...any) {}},
+			map[string]wire.Handler{"wait": waiter(make(chan struct{}, 1), ended)})
+		start := time.Now()
+		err := call(context.Background(), dial(), "wait")
+		if err == nil || !strings.Contains(err.Error(), context.DeadlineExceeded.Error()) {
+			t.Fatalf("derived context not ended by the request deadline: %v", err)
+		}
+		if got := <-ended; !errors.Is(got, context.DeadlineExceeded) {
+			t.Fatalf("derived context ended with %v, want DeadlineExceeded", got)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Fatalf("deadline took %v", d)
+		}
+	})
+	t.Run("drop", func(t *testing.T) {
+		waiting, ended := make(chan struct{}, 1), make(chan error, 1)
+		_, dial := stepSystem(t, Options{RequestTimeout: time.Minute}, map[string]wire.Handler{"wait": waiter(waiting, ended)})
+		c := dial()
+		go call(context.Background(), c, "wait")
+		<-waiting
+		start := time.Now()
+		c.Close()
+		select {
+		case got := <-ended:
+			if !errors.Is(got, context.Canceled) {
+				t.Fatalf("derived context ended with %v on a dropped connection, want Canceled", got)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a dropped connection did not end the derived context")
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Fatalf("cancellation took %v", d)
+		}
+	})
+}
+
+// TestErrReportsDeadlineWithoutDone: once the deadline has passed, the
+// request context's Err says so, though nothing ever asked for Done and
+// so no timer ever fired.
+func TestErrReportsDeadlineWithoutDone(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	late := func(ctx context.Context, p *wire.Peer, payload []byte) (any, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("before the deadline: %w", err)
+		}
+		if d, ok := ctx.Deadline(); !ok || time.Until(d) > timeout {
+			return nil, fmt.Errorf("deadline %v (set %v), want within %v", d, ok, timeout)
+		}
+		time.Sleep(2 * timeout)
+		if err := ctx.Err(); !errors.Is(err, context.DeadlineExceeded) {
+			return nil, fmt.Errorf("after the deadline Err = %v, want DeadlineExceeded", err)
+		}
+		return nil, nil
+	}
+	_, dial := stepSystem(t, Options{RequestTimeout: timeout, Logf: func(string, ...any) {}}, map[string]wire.Handler{"late": late})
+	if err := call(context.Background(), dial(), "late"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHandlerThatNeverWaitsMakesNoTimer: the request context makes its
+// deadline timer only when something asks for Done. A round trip to a
+// handler that never waits allocates less than one to a handler that
+// looks at Done once — by the child context, its timer and its channel.
+func TestHandlerThatNeverWaitsMakesNoTimer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are measured without the race detector")
+	}
+	looks := func(ctx context.Context, p *wire.Peer, payload []byte) (any, error) {
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		default:
+			return nil, nil
+		}
+	}
+	_, dial := stepSystem(t, Options{RequestTimeout: time.Minute}, map[string]wire.Handler{"never": answer, "looks": looks})
+	c := dial()
+	count := func(method string) float64 {
+		run := func() {
+			if err := call(context.Background(), c, method); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 100; i++ {
+			run() // fill the codec scratch pools and the writers' buffers
+		}
+		return testing.AllocsPerRun(500, run)
+	}
+	never, waits := count("never"), count("looks")
+	if waits-never < 3 {
+		t.Fatalf("%v allocations per round trip to a handler that never waits, %v to one that looks at Done: want the timer's three (context, timer, channel) only in the second", never, waits)
+	}
+}
+
 func TestAdmissionDisabledPassesThrough(t *testing.T) {
 	var called atomic.Bool
 	h := func(ctx context.Context, p *wire.Peer, payload []byte) (any, error) {

@@ -87,9 +87,12 @@ func TestHoleReuseBoundsChurnFootprint(t *testing.T) {
 }
 
 // TestCompactBlobsFootprint deletes 36 of 40 objects and compacts: what
-// is left on disk is the four survivors, in fewer segments. Rows hold the
-// handles because CompactBlobs recounts references from the tables — a
-// handle no row holds would be reclaimed as well.
+// is left on disk is the four survivors, in fewer segments. Each object
+// is referenced by its row, which the store counts on the row's write,
+// and by its put, which the test releases for the deleted ones; a
+// deleted row releases the row's reference, so the 36 are freed and
+// compaction moves only what the four surviving rows hold. CompactBlobs
+// recounts nothing: it keeps exactly the counted handles.
 func TestCompactBlobsFootprint(t *testing.T) {
 	db, _ := openTestDB(t, footprintOpts)
 	tbl, _ := db.CreateTable("t", blobSchema)

@@ -14,8 +14,10 @@ import (
 	"mmconf/internal/obs"
 )
 
-// PushHandler receives server pushes on the client; Body.Decode
-// unmarshals the payload.
+// PushHandler receives server pushes on the client, one at a time on
+// the connection's read goroutine; Body.Decode unmarshals the payload.
+// The body's Data is valid only during the call: a handler that keeps
+// the bytes, or a decoded field aliasing them, copies them.
 type PushHandler func(method string, body Body)
 
 // ErrClosed reports an operation on a client whose connection has ended.
@@ -148,7 +150,11 @@ func (c *Client) readLoop() {
 	}
 	close(c.ready)
 	for {
-		env, err := readFrame(br)
+		// A frame that fits the reader's buffer is read where it lies
+		// (inPlace > 0): a push body is handed to the handler from there
+		// and dropped after it returns; a response payload, which leaves
+		// this goroutine, is copied out first.
+		env, inPlace, err := peekFrame(br)
 		if err != nil {
 			fail(err)
 			return
@@ -160,6 +166,9 @@ func (c *Client) readLoop() {
 			delete(c.pending, env.ID)
 			c.mu.Unlock()
 			if ch != nil {
+				if inPlace > 0 && len(env.Payload) > 0 {
+					env.Payload = append(make([]byte, 0, len(env.Payload)), env.Payload...)
+				}
 				ch <- env
 			}
 		case kindPush:
@@ -170,8 +179,15 @@ func (c *Client) readLoop() {
 				h(env.Method, Body{Data: env.Payload})
 			}
 		}
+		_, _ = br.Discard(inPlace) // cannot fail: Peek has buffered the frame
 	}
 }
+
+// replyChans recycles the channels calls wait for their response on. A
+// channel goes back only after its response was received: an abandoned
+// call's channel may still be sent to, and a closed one (the connection
+// failed) can never be reused.
+var replyChans = sync.Pool{New: func() any { return make(chan envelope, 1) }}
 
 // closedErr is what a call on a dead connection reports: ErrClosed,
 // joined with the reason the read loop recorded — so a refused
@@ -210,7 +226,7 @@ func (c *Client) roundTrip(ctx context.Context, method string, payload []byte, a
 		return nil, fmt.Errorf("wire: call %s: %w", method, ctx.Err())
 	}
 	id := atomic.AddUint64(&c.nextID, 1)
-	ch := make(chan envelope, 1)
+	ch := replyChans.Get().(chan envelope)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -249,6 +265,7 @@ func (c *Client) roundTrip(ctx context.Context, method string, payload []byte, a
 		if !ok {
 			return nil, fmt.Errorf("wire: %w during %s", c.closedErr(), method)
 		}
+		replyChans.Put(ch)
 		if resp.Err != "" {
 			return nil, &RemoteError{Msg: resp.Err}
 		}

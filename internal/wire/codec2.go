@@ -27,6 +27,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -353,8 +354,10 @@ func MarshalBody(v BodyEncoder) []byte {
 // Dec is the binary decoder over one frame payload. Errors latch: after
 // the first failure every read returns zero values and Err reports the
 // failure, so codecs chain reads without per-field checks. Byte-slice
-// reads alias the input buffer (each received frame owns a fresh
-// exact-size buffer, so aliasing is safe and saves the copy).
+// reads alias the input buffer, which saves the copy: a request and a
+// response payload own an exact-size buffer, and a push body is valid
+// only during the push handler's call (see Body), so whatever aliases
+// it must be copied by whoever keeps it.
 type Dec struct {
 	b   []byte
 	off int
@@ -492,7 +495,11 @@ func DecodeBodyBytes(data []byte, v BodyDecoder) error {
 	return nil
 }
 
-// Body is one received push payload — what a PushHandler gets.
+// Body is one received push payload — what a PushHandler gets. Data is
+// valid only during the handler's call: the client parses a push frame
+// where it lies in the connection's read buffer, and the next frame
+// overwrites it. A handler that keeps the bytes, or anything decoded
+// from them that aliases them (Dec.Bytes), copies them.
 type Body struct {
 	Data []byte
 }
@@ -521,8 +528,8 @@ func appendFrameHeader(dst []byte, env *envelope) []byte {
 }
 
 // parseFrame decodes one frame body (the bytes after the length prefix)
-// into env. The payload aliases buf — the caller must hand over
-// ownership (the read loops allocate one exact-size buffer per frame).
+// into env. The payload aliases buf: readFrame hands over an exact-size
+// buffer it allocated, peekFrame the reader's own buffer.
 func parseFrame(buf []byte) (envelope, error) {
 	var env envelope
 	d := NewDec(buf)
@@ -562,12 +569,9 @@ func readFrame(r io.Reader) (envelope, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return envelope{}, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrameSize {
-		return envelope{}, ErrFrameTooLarge
-	}
-	if n < 2 {
-		return envelope{}, errFrameTruncated
+	n, err := frameLen(hdr[:])
+	if err != nil {
+		return envelope{}, err
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {
@@ -577,4 +581,48 @@ func readFrame(r io.Reader) (envelope, error) {
 		return envelope{}, err
 	}
 	return parseFrame(buf)
+}
+
+// frameLen checks a frame's length prefix.
+func frameLen(hdr []byte) (int, error) {
+	n := binary.BigEndian.Uint32(hdr)
+	if n > maxFrameSize {
+		return 0, ErrFrameTooLarge
+	}
+	if n < 2 {
+		return 0, errFrameTruncated
+	}
+	return int(n), nil
+}
+
+// peekFrame reads the next frame from br. A frame that fits br's buffer
+// is parsed where it lies: the envelope's payload aliases br's buffer,
+// and the caller discards the frame's n bytes once it is done with it. A
+// larger frame takes readFrame's exact-size buffer and comes back with n
+// 0, already consumed.
+func peekFrame(br *bufio.Reader) (env envelope, n int, err error) {
+	hdr, err := br.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return envelope{}, 0, err
+	}
+	size, err := frameLen(hdr)
+	if err != nil {
+		return envelope{}, 0, err
+	}
+	if 4+size > br.Size() {
+		env, err = readFrame(br)
+		return env, 0, err
+	}
+	frame, err := br.Peek(4 + size)
+	if err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return envelope{}, 0, err
+	}
+	env, err = parseFrame(frame[4:])
+	return env, 4 + size, err
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"testing"
@@ -49,28 +50,72 @@ func FuzzParseFrame(f *testing.F) {
 // FuzzReadFrame drives the full framed reader — length prefix included
 // — with arbitrary streams: malformed lengths, truncated bodies, and
 // mutations of valid frames. It must never panic and must reject any
-// length prefix past maxFrameSize before allocating.
+// length prefix past maxFrameSize before allocating. The same stream
+// then goes through the client's reader, peekFrame over a small
+// bufio.Reader, which parses a frame that fits its buffer in place and
+// reads a larger one into an exact buffer: frame by frame, it must
+// decode what readFrame decodes and stop where and how readFrame stops.
 func FuzzReadFrame(f *testing.F) {
-	env := envelope{Kind: kindRequest, ID: 5, Method: "inline.name", Payload: []byte("payload")}
-	body := appendFrameHeader(nil, &env)
-	body = append(body, env.Payload...)
-	valid := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
-	valid = append(valid, body...)
+	frame := func(payload int) []byte {
+		env := envelope{Kind: kindPush, ID: 5, Method: "inline.name", Payload: bytes.Repeat([]byte{7}, payload)}
+		body := appendFrameHeader(nil, &env)
+		body = append(body, env.Payload...)
+		return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+	}
+	valid := frame(7)
 	f.Add(valid)
 	f.Add(valid[:5])
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0}) // hostile length
 	f.Add([]byte{0, 0, 0, 0})                // zero length
 	f.Add(appendPreamble(nil, ProtoV2))      // a preamble is not a frame
+	// Frames on both sides of fuzzReaderSize, back to back, then cut.
+	var stream []byte
+	for _, n := range []int{7, fuzzReaderSize - len(frame(0)), fuzzReaderSize - len(frame(0)) + 1, 3 * fuzzReaderSize, 0} {
+		stream = append(stream, frame(n)...)
+	}
+	f.Add(stream)
+	f.Add(stream[:len(stream)-3])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		env, err := readFrame(bytes.NewReader(data))
-		if err != nil {
-			return
+		var want []envelope
+		var wantErr error
+		r := bytes.NewReader(data)
+		for {
+			env, err := readFrame(r)
+			if err != nil {
+				wantErr = err
+				break
+			}
+			if got := len(env.Payload); got > len(data) {
+				t.Fatalf("payload %d bytes from a %d-byte stream", got, len(data))
+			}
+			want = append(want, env)
 		}
-		if got := len(env.Payload); got > len(data) {
-			t.Fatalf("payload %d bytes from a %d-byte stream", got, len(data))
+		br := bufio.NewReaderSize(bytes.NewReader(data), fuzzReaderSize)
+		for i := 0; ; i++ {
+			env, inPlace, err := peekFrame(br)
+			if err != nil {
+				if i != len(want) || err.Error() != wantErr.Error() {
+					t.Fatalf("in place: frame %d failed with %v; exact buffers: %d frames, then %v", i, err, len(want), wantErr)
+				}
+				return
+			}
+			if i == len(want) {
+				t.Fatalf("in place: frame %d decoded; exact buffers stopped there with %v", i, wantErr)
+			}
+			w := want[i]
+			if env.Kind != w.Kind || env.ID != w.ID || env.Trace != w.Trace || env.Method != w.Method || env.Err != w.Err || !bytes.Equal(env.Payload, w.Payload) {
+				t.Fatalf("frame %d in place %+v, in an exact buffer %+v", i, env, w)
+			}
+			if _, err := br.Discard(inPlace); err != nil {
+				t.Fatalf("discard frame %d: %v", i, err)
+			}
 		}
 	})
 }
+
+// fuzzReaderSize is the buffer of the reader FuzzReadFrame runs
+// peekFrame over: small, so short inputs reach both of its paths.
+const fuzzReaderSize = 64
 
 // FuzzHandshake exercises the negotiation preamble parser and version
 // pick under arbitrary bytes and version skew: parsing must never

@@ -355,8 +355,8 @@ func (s *Server) worker(j job) {
 	}
 }
 
-// run dispatches one request to its method's handler and queues the
-// response.
+// run dispatches one request to its method's handler, under the one
+// Request it makes for it, and queues the response.
 func (s *Server) run(j job) {
 	defer s.inflight.Done()
 	env, peer := &j.env, j.peer
@@ -368,8 +368,9 @@ func (s *Server) run(j job) {
 		if tid == 0 {
 			tid = obs.MintID() // foreign client sent no id: mint at ingress
 		}
-		ctx := context.WithValue(j.ctx, reqInfoKey, &reqInfo{trace: tid})
-		result, err := j.h(ctx, peer, env.Payload)
+		req := &Request{conn: j.ctx, trace: obs.Trace{ID: tid, Method: env.Method, Peer: peer.ID}}
+		result, err := j.h(req, peer, env.Payload)
+		req.end()
 		if err != nil {
 			resp.Err = err.Error()
 		} else if be, hasCodec := result.(BodyEncoder); hasCodec {

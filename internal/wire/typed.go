@@ -21,9 +21,9 @@ func (*None) DecodeBody(d *Dec) error { return d.Err() }
 // owning the decode of the request. The constraints make "this body has
 // no codec" a compile error: *Req must decode and *Resp must encode. A
 // nil *Resp (the only option when Resp is None) produces an empty
-// response payload. When the request carries a live trace (the server's
-// request step starts one), the adapter times the decode and the handler
-// body as "decode" and "handle" spans.
+// response payload. When the request carries a live trace (every
+// Request does), the adapter times the decode and the handler body as
+// "decode" and "handle" spans.
 //
 // This is the seam every interaction-server method registers through:
 //
@@ -39,15 +39,15 @@ func Typed[Req, Resp any, PReq interface {
 }](h func(ctx context.Context, p *Peer, req *Req) (*Resp, error)) Handler {
 	return func(ctx context.Context, p *Peer, payload []byte) (any, error) {
 		req := new(Req)
-		endDecode := obs.StartSpan(ctx, "decode")
+		decode := obs.StartSpan(ctx, "decode")
 		err := DecodeBodyBytes(payload, PReq(req))
-		endDecode()
+		decode.End()
 		if err != nil {
 			return nil, err
 		}
-		endHandle := obs.StartSpan(ctx, "handle")
+		handle := obs.StartSpan(ctx, "handle")
 		resp, err := h(ctx, p, req)
-		endHandle()
+		handle.End()
 		if err != nil || resp == nil {
 			return nil, err
 		}

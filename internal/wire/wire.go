@@ -7,12 +7,13 @@
 // code, an error string and a payload encoded by the body's hand-written
 // BodyEncoder/BodyDecoder codec.
 //
-// A request reaches its registered Handler under a per-request
-// context.Context carrying the peer, the method name and the trace id;
-// what happens between the frame and the handler body (admission,
-// deadline, accounting) is the interaction server's request step. The
-// context is cancelled when the peer's connection drops, so a dead
-// client aborts its own in-flight work instead of leaving it running.
+// A request reaches its registered Handler under one *Request, the
+// request's context: it carries the frame's trace id, the request's
+// obs.Trace and, once the interaction server's request step sets it,
+// the deadline. What happens between the frame and the handler body
+// (admission, deadline, accounting) is that request step. The context
+// is cancelled when the peer's connection drops, so a dead client aborts
+// its own in-flight work instead of leaving it running.
 package wire
 
 import (
@@ -55,20 +56,10 @@ type envelope struct {
 // which owns the decode and pins both codecs at compile time.
 type Handler func(ctx context.Context, p *Peer, payload []byte) (any, error)
 
-// ctxKey keys the request-scoped values the dispatcher installs.
-type ctxKey int
-
-const reqInfoKey ctxKey = iota
-
-// reqInfo holds the per-request values the dispatcher installs.
-type reqInfo struct {
-	trace uint64
-}
-
 // ContextTraceID returns the request's trace id (0 outside a dispatch).
 func ContextTraceID(ctx context.Context) uint64 {
-	if ri, ok := ctx.Value(reqInfoKey).(*reqInfo); ok {
-		return ri.trace
+	if t, ok := obs.TraceFrom(ctx); ok {
+		return t.ID
 	}
 	return 0
 }

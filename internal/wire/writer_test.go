@@ -37,7 +37,7 @@ func TestPushRawRoundTrip(t *testing.T) {
 	got := make(chan []byte, 1)
 	c.OnPush(func(method string, body Body) {
 		if method == "raw" {
-			got <- body.Data
+			got <- append([]byte(nil), body.Data...) // valid only during the call
 		}
 	})
 	if err := c.Call("kick", &echoArgs{}, nil); err != nil {
