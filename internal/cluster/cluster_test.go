@@ -10,7 +10,6 @@ import (
 
 	"mmconf/internal/client"
 	"mmconf/internal/room"
-	"mmconf/internal/server"
 	"mmconf/internal/wire"
 )
 
@@ -33,7 +32,7 @@ func startHarness(t *testing.T, o HarnessOptions) *Harness {
 	t.Helper()
 	o.Dir = t.TempDir()
 	o.Seed = harnessSeed
-	o.Server = server.Options{SessionGrace: 5 * time.Second}
+	o.Server.SessionGrace = 5 * time.Second
 	o.Logf = t.Logf
 	h, err := NewHarness(o)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mmconf/internal/proto"
+	"mmconf/internal/room"
 	"mmconf/internal/wire"
 )
 
@@ -19,7 +20,9 @@ import (
 
 // get returns the live control link to this peer, dialing when absent
 // or dead. A fresh link's first ping is its handshake: the answer must
-// come from the node the link is for, or the link is refused.
+// come from the node the link is for, or the link is refused. Dial and
+// handshake together take at most the suspicion timeout, so a peer that
+// black-holes the dial holds the link's lock no longer than that.
 func (l *peerLink) get(ctx context.Context, n *Node) (*wire.Client, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -31,6 +34,8 @@ func (l *peerLink) get(ctx context.Context, n *Node) (*wire.Client, error) {
 			return l.rpc, nil
 		}
 	}
+	ctx, cancel := context.WithTimeout(ctx, n.cfg.SuspectAfter)
+	defer cancel()
 	conn, err := n.cfg.Dial(ctx, l.addr)
 	if err != nil {
 		return nil, err
@@ -159,7 +164,11 @@ func (n *Node) forward(ctx context.Context, p *wire.Peer, owner, method string, 
 // ingressLinkFor returns (dialing on demand) the origin peer's relay
 // link to owner. A link found dead is dropped and redialed once.
 func (n *Node) ingressLinkFor(ctx context.Context, p *wire.Peer, owner string) (*wire.Client, error) {
-	set := p.MetaSetDefault(metaIngressLinks, newIngressSet()).(*ingressSet)
+	v, ok := p.Meta(metaIngressLinks)
+	if !ok {
+		v = p.MetaSetDefault(metaIngressLinks, newIngressSet())
+	}
+	set := v.(*ingressSet)
 	for attempt := 0; attempt < 2; attempt++ {
 		set.mu.Lock()
 		lk := set.links[owner]
@@ -171,10 +180,16 @@ func (n *Node) ingressLinkFor(ctx context.Context, p *wire.Peer, owner string) (
 			close(lk.ready)
 		} else {
 			set.mu.Unlock()
+			// A settled link is the common case: look before asking ctx
+			// for Done, which may build a context to wait on.
 			select {
 			case <-lk.ready:
-			case <-ctx.Done():
-				return nil, ctx.Err()
+			default:
+				select {
+				case <-lk.ready:
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
 			}
 		}
 		if lk.err != nil {
@@ -296,49 +311,110 @@ func (n *Node) dialIngress(ctx context.Context, p *wire.Peer, owner string) (*wi
 // change buffer: a standby holds at most this many trailing events.
 const replicaBuffer = 1024
 
-// replica is a standby's copy of one room's event log, kept in the frame
-// that fills it and that seeds the room on takeover. Its dataset fields
-// stay empty: shipped rows go to the store, not here.
-type replica proto.ReplicateReq
+// replica is a standby's copy of one room's event log: the room and
+// document it belongs to, the marks the owner last sent, and the events
+// themselves in a ring. Its frame is built only when the room is seeded
+// from it (roomSeed); shipped rows go to the store, not here.
+type replica struct {
+	Room, DocID  string
+	Seq, Trimmed uint64
+	log          eventRing
+}
 
 // apply folds one replication request's events and marks in. Events
 // merge by sequence (a full resend overlaps what incremental sends
-// delivered), the high-waters only move forward, and the buffer cap
-// trims from the front.
+// delivered), the high-waters only move forward, and the owner's trim
+// mark and the buffer cap both drop events from the front.
 func (r *replica) apply(req *proto.ReplicateReq) {
-	var last uint64
-	if len(r.Events) > 0 {
-		last = r.Events[len(r.Events)-1].Seq
-	}
-	for _, ev := range req.Events {
-		if ev.Seq > last {
-			r.Events = append(r.Events, ev)
-			last = ev.Seq
-		}
-	}
 	if req.Seq > r.Seq {
 		r.Seq = req.Seq
 	}
 	if req.Trimmed > r.Trimmed {
 		r.Trimmed = req.Trimmed
+		r.log.dropThrough(r.Trimmed)
 	}
-	drop := 0
-	for drop < len(r.Events) && r.Events[drop].Seq <= r.Trimmed {
-		drop++
-	}
-	if over := len(r.Events) - drop - replicaBuffer; over > 0 {
-		drop += over
-	}
-	if drop > 0 {
-		if cut := r.Events[drop-1].Seq; cut > r.Trimmed {
-			r.Trimmed = cut
+	last := max(r.log.last(), r.Trimmed)
+	for i := range req.Events {
+		if ev := &req.Events[i]; ev.Seq > last {
+			if displaced := r.log.push(ev); displaced > r.Trimmed {
+				r.Trimmed = displaced
+			}
+			last = ev.Seq
 		}
-		// Reslice rather than copy: append moves the live tail to a new
-		// array when this one runs out, so a full buffer costs a few
-		// events of copying per request, not all replicaBuffer of them.
-		clear(r.Events[:drop]) // the array outlives the slots
-		r.Events = r.Events[drop:]
 	}
+}
+
+// frame is the replica as the replication frame room.Restore takes: the
+// ring read out in order, once, when the room is seeded from it.
+func (r *replica) frame() *proto.ReplicateReq {
+	return &proto.ReplicateReq{
+		Room: r.Room, DocID: r.DocID, Seq: r.Seq, Trimmed: r.Trimmed,
+		Events: r.log.appendTo(make([]room.Event, 0, r.log.n)),
+	}
+}
+
+// eventRing holds a replica's newest events, ascending in Seq, in the
+// shape of the room's own change buffer: the array grows by doubling up
+// to exactly replicaBuffer slots and no further, and once full a new
+// event overwrites the oldest in place, so a standby that keeps up
+// allocates nothing per event. Unlike the room's buffer it also drops
+// from the front, when the owner trims past what the standby holds. The
+// zero value is an empty ring.
+type eventRing struct {
+	events []room.Event // len is the slots allocated
+	head   int          // slot of the oldest event
+	n      int          // events held
+}
+
+// at returns the i-th oldest event, 0 <= i < n.
+func (b *eventRing) at(i int) *room.Event {
+	return &b.events[(b.head+i)%len(b.events)]
+}
+
+// last returns the newest event's Seq, 0 when empty.
+func (b *eventRing) last() uint64 {
+	if b.n == 0 {
+		return 0
+	}
+	return b.at(b.n - 1).Seq
+}
+
+// push appends a copy of ev and returns the Seq of the event it
+// overwrote, 0 when the ring had room.
+func (b *eventRing) push(ev *room.Event) (displaced uint64) {
+	if b.n == len(b.events) {
+		if b.n == replicaBuffer {
+			slot := &b.events[b.head]
+			displaced = slot.Seq
+			*slot = *ev
+			b.head = (b.head + 1) % replicaBuffer
+			return displaced
+		}
+		grown := make([]room.Event, min(max(2*b.n, 16), replicaBuffer))
+		b.appendTo(grown[:0]) // in place: grown holds them all
+		b.events, b.head = grown, 0
+	}
+	*b.at(b.n) = *ev
+	b.n++
+	return 0
+}
+
+// dropThrough discards the oldest events up to and including Seq seq.
+func (b *eventRing) dropThrough(seq uint64) {
+	for b.n > 0 && b.events[b.head].Seq <= seq {
+		b.events[b.head] = room.Event{} // the array outlives the slot
+		b.head = (b.head + 1) % len(b.events)
+		b.n--
+	}
+}
+
+// appendTo appends the held events to dst, oldest first: one stretch of
+// the array, or two when the run crosses its end.
+func (b *eventRing) appendTo(dst []room.Event) []room.Event {
+	if end := b.head + b.n; end <= len(b.events) {
+		return append(dst, b.events[b.head:end]...)
+	}
+	return append(append(dst, b.events[b.head:]...), b.events[:b.head+b.n-len(b.events)]...)
 }
 
 // handleReplicate accepts an owner's replication frame for a room this
@@ -350,7 +426,8 @@ func (r *replica) apply(req *proto.ReplicateReq) {
 // adopted into the store (sync.go), and if that fails the call fails,
 // so the owner resends in full.
 func (n *Node) handleReplicate(ctx context.Context, p *wire.Peer, req *proto.ReplicateReq) (*proto.ReplicateResp, error) {
-	if local, ok := n.srv.SnapshotRoom(req.Room, req.Seq); ok && req.Seq > local.Seq {
+	var local proto.ReplicateReq // read for its Seq: no events unless the local room is ahead
+	if n.srv.SnapshotRoomInto(&local, req.Room, req.Seq) && req.Seq > local.Seq {
 		n.evictRoom(req.Room, "newer replicated log")
 	}
 	n.replMu.Lock()
@@ -388,6 +465,9 @@ type repState struct {
 	// the attach (sync.go).
 	dataFP  [32]byte
 	dataPos uint64
+	// frame is the replication frame incremental flushes read the log
+	// into, kept for its event array (replicate).
+	frame *proto.ReplicateReq
 }
 
 // repStateLocked returns the room's cursor, creating it. Callers hold
@@ -493,20 +573,33 @@ func (n *Node) flushRoom(name string) {
 // before the call. since is st.sent (0 when target is not the cursor's
 // standby), and the cursor moves only when the frame landed, so a lost
 // frame is read again, not remembered; a failed send marks the room for
-// a full resend. A hand-off (drain, reconcile) passes no cursor: since
-// is 0, which ships the whole log and forces the dataset.
+// a full resend. An incremental flush reads the log into the frame the
+// cursor keeps (callPeer has encoded it by the time it returns), so it
+// allocates nothing for the events once that frame has grown to a
+// flush's size. A hand-off (drain, reconcile) passes no cursor: since
+// is 0, which ships the whole log and forces the dataset. A whole-log
+// read, with or without a cursor, goes into a fresh frame that is not
+// kept.
 func (n *Node) replicate(name, target string, st *repState, pos uint64) {
 	var since uint64
+	var req *proto.ReplicateReq
 	if st != nil {
 		n.repMu.Lock()
 		if st.standby != target {
 			st.sent = 0
 		}
 		since = st.sent
+		if since != 0 {
+			// Taken, not shared: a flush of the same room running beside
+			// this one reads into a fresh frame instead.
+			req, st.frame = st.frame, nil
+		}
 		n.repMu.Unlock()
 	}
-	req, ok := n.srv.SnapshotRoom(name, since)
-	if !ok {
+	if req == nil {
+		req = new(proto.ReplicateReq)
+	}
+	if !n.srv.SnapshotRoomInto(req, name, since) {
 		// The room is gone (evicted or closed): nothing to stream.
 		if st != nil {
 			n.repMu.Lock()
@@ -517,33 +610,45 @@ func (n *Node) replicate(name, target string, st *repState, pos uint64) {
 	}
 	fp, attached := n.attachDataset(req, st, since == 0, pos)
 	var resp proto.ReplicateResp
-	if err := n.callPeer(context.Background(), target, proto.MNodeReplicate, req, &resp); err != nil {
+	err := n.callPeer(context.Background(), target, proto.MNodeReplicate, req, &resp)
+	if err != nil {
 		n.logf("cluster %s: replicating %q to %s failed: %v", n.id, name, target, err)
 		if st != nil {
 			n.markDirty(name)
 		}
-		return
-	}
-	n.replicated.Add(1)
-	if attached {
-		n.manifestSyncs.Add(1)
+	} else {
+		n.replicated.Add(1)
+		if attached {
+			n.manifestSyncs.Add(1)
+		}
 	}
 	if st == nil {
 		return
 	}
 	n.repMu.Lock()
-	st.standby = target
-	if st.sent == since { // else marked dirty meanwhile: stay at 0
-		st.sent = req.Seq
+	if err == nil {
+		st.standby = target
+		if st.sent == since { // else marked dirty meanwhile: stay at 0
+			st.sent = req.Seq
+		}
+		if attached {
+			st.dataFP, st.dataPos = fp, pos
+		}
 	}
-	if attached {
-		st.dataFP, st.dataPos = fp, pos
+	if since != 0 {
+		// Keep the event array for the next flush; the dataset, if one
+		// rode this frame, is the store's to keep, not the cursor's.
+		req.Node, req.Rows, req.Manifests = "", nil, nil
+		st.frame = req
 	}
 	n.repMu.Unlock()
 }
 
 // callPeer makes one call on the control link to a configured peer,
-// dialing it if need be, within twice the suspicion timeout.
+// dialing it if need be. It makes no deadline of its own: the link's
+// call timeout (twice the suspicion timeout) bounds a call whose ctx
+// has none, and get bounds the dial. The request is encoded before the
+// call returns, so the caller may reuse it at once.
 func (n *Node) callPeer(ctx context.Context, target, method string, req wire.BodyEncoder, resp any) error {
 	n.mu.Lock()
 	ps := n.peers[target]
@@ -551,8 +656,6 @@ func (n *Node) callPeer(ctx context.Context, target, method string, req wire.Bod
 	if ps == nil {
 		return fmt.Errorf("cluster: %s: unknown peer %s", method, target)
 	}
-	ctx, cancel := context.WithTimeout(ctx, 2*n.cfg.SuspectAfter)
-	defer cancel()
 	rpc, err := ps.link.get(ctx, n)
 	if err != nil {
 		return err

@@ -24,7 +24,8 @@ type Config struct {
 	Addr string
 	// Peers maps every other node's id to its client address. The same
 	// address serves clients and node links — node methods ride the
-	// ordinary wire protocol at control priority.
+	// ordinary wire protocol at control priority. A cluster has at most
+	// 64 nodes.
 	Peers map[string]string
 	// Dial opens node-link connections (nil: plain TCP). The harness
 	// passes a netsim-faulted dialer here so node links partition and
@@ -44,12 +45,19 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// maxNodes bounds the cluster size: a live set is one bit per node of a
+// uint64 (Node.view).
+const maxNodes = 64
+
 func (c *Config) normalize() error {
 	if c.ID == "" {
 		return fmt.Errorf("cluster: node needs an ID")
 	}
 	if _, self := c.Peers[c.ID]; self {
 		return fmt.Errorf("cluster: node %s lists itself as a peer", c.ID)
+	}
+	if len(c.Peers) >= maxNodes {
+		return fmt.Errorf("cluster: %d nodes; a live set holds at most %d", len(c.Peers)+1, maxNodes)
 	}
 	if c.Dial == nil {
 		c.Dial = func(ctx context.Context, addr string) (net.Conn, error) {
@@ -110,8 +118,14 @@ type Node struct {
 	srv *server.Server
 	db  *mediadb.MediaDB
 
-	mu       sync.Mutex
-	peers    map[string]*peerState
+	mu    sync.Mutex
+	peers map[string]*peerState
+	// members is every configured node, this one included, sorted by id
+	// once in New: bit i of a live set is members[i]. Its peer is nil at
+	// this node's own slot.
+	members []member
+	// liveMask is the live set place and placeKey were built for.
+	liveMask uint64
 	place    *Placement
 	placeKey string
 	lastRec  string // live-set key the reconciler last acted on
@@ -156,6 +170,12 @@ type peerState struct {
 	draining bool
 }
 
+// member is one configured node in the sorted member list.
+type member struct {
+	id   string
+	peer *peerState // nil for the node itself
+}
+
 // peerLink is the lazily dialed control connection to one peer —
 // heartbeats and replication share it. It carries its own lock so link
 // churn never contends with the liveness view.
@@ -188,9 +208,13 @@ func New(db *mediadb.MediaDB, opts server.Options, cfg Config) (*Node, error) {
 		closed:    make(chan struct{}),
 		recNotify: make(chan struct{}, 1),
 	}
+	n.members = append(n.members, member{id: n.id})
 	for id, addr := range cfg.Peers {
-		n.peers[id] = &peerState{id: id, addr: addr, link: peerLink{id: id, addr: addr}}
+		ps := &peerState{id: id, addr: addr, link: peerLink{id: id, addr: addr}}
+		n.peers[id] = ps
+		n.members = append(n.members, member{id: id, peer: ps})
 	}
+	sort.Slice(n.members, func(i, j int) bool { return n.members[i].id < n.members[j].id })
 	opts.NodeID = cfg.ID
 	opts.Route = n.route
 	opts.RoomSeed = n.roomSeed
@@ -334,25 +358,34 @@ func (n *Node) logf(format string, args ...any) {
 // view computes the node's current placement and whether it holds a
 // cluster majority. Liveness is heartbeat-driven: a peer is live if it
 // answered (or sent) a ping within SuspectAfter and has not announced a
-// drain. The placement is cached per distinct live set.
+// drain. The live set is a bitmask over the sorted members, so at
+// steady membership a call allocates nothing; the placement and its key
+// are rebuilt only when the mask changes.
 func (n *Node) view() (*Placement, bool) {
 	now := time.Now()
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	live := []string{n.id}
-	for id, ps := range n.peers {
-		if !ps.draining && !ps.lastSeen.IsZero() && now.Sub(ps.lastSeen) <= n.cfg.SuspectAfter {
-			live = append(live, id)
+	var live uint64
+	count := 0
+	for i, m := range n.members {
+		ps := m.peer
+		if ps == nil || (!ps.draining && !ps.lastSeen.IsZero() && now.Sub(ps.lastSeen) <= n.cfg.SuspectAfter) {
+			live |= 1 << i
+			count++
 		}
 	}
-	sort.Strings(live)
-	key := strings.Join(live, ",")
-	if key != n.placeKey {
-		n.placeKey = key
-		n.place = NewPlacement(live)
+	if n.place == nil || live != n.liveMask {
+		ids := make([]string, 0, count)
+		for i, m := range n.members {
+			if live&(1<<i) != 0 {
+				ids = append(ids, m.id)
+			}
+		}
+		n.liveMask = live
+		n.place = NewPlacement(ids)
+		n.placeKey = strings.Join(ids, ",")
 	}
-	total := 1 + len(n.peers)
-	return n.place, 2*len(live) > total
+	return n.place, 2*count > len(n.members)
 }
 
 // Live returns the node's current view of the live member set (itself
@@ -575,10 +608,13 @@ func (n *Node) redirectTo(owner string) error {
 // clients replay their outage exactly — same sequences, no duplicates.
 func (n *Node) roomSeed(roomName string) (*proto.ReplicateReq, bool) {
 	n.replMu.Lock()
-	defer n.replMu.Unlock()
 	r := n.replicas[roomName]
 	// The live room becomes the authority; the replica entry would only
 	// go stale under it.
 	delete(n.replicas, roomName)
-	return (*proto.ReplicateReq)(r), r != nil
+	n.replMu.Unlock()
+	if r == nil {
+		return nil, false
+	}
+	return r.frame(), true
 }

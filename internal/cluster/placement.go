@@ -20,7 +20,7 @@ import (
 // Placement maps room names onto a set of node ids with rendezvous
 // (highest-random-weight) hashing: for a room, every node's
 // (node, room) pair is hashed and nodes are ranked by descending
-// weight. The rank-1 node owns the room; the rank-2 node is the
+// weight. The first node owns the room; the second is the
 // natural failover standby — when the owner leaves the set, exactly
 // its rooms move, each to its own standby, and nothing else shifts.
 // A Placement is immutable once built; derive a new one per membership
@@ -30,8 +30,8 @@ type Placement struct {
 }
 
 // NewPlacement builds a placement over the given node ids (order
-// irrelevant, duplicates ignored). An empty set is legal — Owner
-// returns "" and Rank returns nil.
+// irrelevant, duplicates ignored). An empty set is legal — Owner and
+// Standby return "".
 func NewPlacement(nodes []string) *Placement {
 	seen := make(map[string]struct{}, len(nodes))
 	uniq := make([]string, 0, len(nodes))
@@ -87,48 +87,38 @@ func weight(node, room string) uint64 {
 // an empty placement). Every node computes the same answer from the
 // same member set; no coordination, no stored map.
 func (p *Placement) Owner(room string) string {
-	var best string
-	var bw uint64
-	for _, n := range p.nodes {
-		if w := weight(n, room); best == "" || w > bw || (w == bw && n < best) {
-			best, bw = n, w
-		}
-	}
-	return best
+	owner, _ := p.top2(room)
+	return owner
 }
 
-// Rank returns every member ordered by descending preference for room:
-// Rank(room)[0] is the owner, Rank(room)[1] the failover standby. Ties
-// break by node id so the order is total and identical on every node.
-func (p *Placement) Rank(room string) []string {
-	type scored struct {
-		node string
-		w    uint64
-	}
-	ss := make([]scored, len(p.nodes))
-	for i, n := range p.nodes {
-		ss[i] = scored{node: n, w: weight(n, room)}
-	}
-	sort.Slice(ss, func(i, j int) bool {
-		if ss[i].w != ss[j].w {
-			return ss[i].w > ss[j].w
-		}
-		return ss[i].node < ss[j].node
-	})
-	out := make([]string, len(ss))
-	for i, s := range ss {
-		out[i] = s.node
-	}
-	return out
-}
-
-// Standby returns the rank-2 node for room ("" with fewer than two
-// members) — the node event-log replication streams to, and the owner
-// every client lands on after the rank-1 node dies.
+// Standby returns the second-ranked node for room ("" with fewer than
+// two members) — the node event-log replication streams to, and the
+// owner every client lands on after the owner dies.
 func (p *Placement) Standby(room string) string {
-	r := p.Rank(room)
-	if len(r) < 2 {
-		return ""
+	_, standby := p.top2(room)
+	return standby
+}
+
+// top2 ranks the members for room in one pass and returns the first two
+// by descending weight, ties broken by node id, so the order is total
+// and identical on every node.
+func (p *Placement) top2(room string) (first, second string) {
+	var fw, sw uint64
+	for _, n := range p.nodes {
+		w := weight(n, room)
+		switch {
+		case first == "" || outranks(n, w, first, fw):
+			second, sw = first, fw
+			first, fw = n, w
+		case second == "" || outranks(n, w, second, sw):
+			second, sw = n, w
+		}
 	}
-	return r[1]
+	return first, second
+}
+
+// outranks reports whether node a with weight aw comes before node b
+// with weight bw: the heavier one, or on equal weights the lower id.
+func outranks(a string, aw uint64, b string, bw uint64) bool {
+	return aw > bw || (aw == bw && a < b)
 }

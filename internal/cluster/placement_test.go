@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -78,9 +79,25 @@ func TestPlacementStability(t *testing.T) {
 	}
 }
 
+// weightOrder ranks nodes for room the long way: every member sorted by
+// descending weight, ties by ascending id — the order Owner and Standby
+// must agree with.
+func weightOrder(nodes []string, room string) []string {
+	order := append([]string(nil), nodes...)
+	sort.Slice(order, func(i, j int) bool {
+		wi, wj := weight(order[i], room), weight(order[j], room)
+		if wi != wj {
+			return wi > wj
+		}
+		return order[i] < order[j]
+	})
+	return order
+}
+
 // TestPlacementProperties quick-checks the structural invariants on
 // arbitrary member sets and room names: determinism, membership of the
-// result, rank totality, and owner == rank[0].
+// result, and that Owner and Standby are the first two of the full
+// weight order.
 func TestPlacementProperties(t *testing.T) {
 	cfg := &quick.Config{
 		MaxCount: 500,
@@ -92,25 +109,26 @@ func TestPlacementProperties(t *testing.T) {
 			nodes = append(nodes, fmt.Sprintf("node-%d", s%8))
 		}
 		p := NewPlacement(nodes)
-		rank := p.Rank(room)
-		if len(rank) != p.Len() {
-			return false
-		}
+		rank := weightOrder(p.Nodes(), room)
 		seen := make(map[string]struct{}, len(rank))
 		for _, n := range rank {
-			if !p.Has(n) {
-				return false
-			}
 			if _, dup := seen[n]; dup {
 				return false
 			}
 			seen[n] = struct{}{}
 		}
-		owner := p.Owner(room)
-		if p.Len() == 0 {
-			return owner == ""
+		for _, n := range nodes {
+			if _, ok := seen[n]; !ok || !p.Has(n) {
+				return false
+			}
 		}
-		if owner != rank[0] {
+		owner, standby := p.Owner(room), p.Standby(room)
+		switch {
+		case p.Len() == 0:
+			return owner == "" && standby == ""
+		case p.Len() == 1:
+			return owner == rank[0] && standby == ""
+		case owner != rank[0] || standby != rank[1]:
 			return false
 		}
 		// Deterministic under re-construction with shuffled input order.
@@ -153,5 +171,21 @@ func TestPlacementChurnConvergence(t *testing.T) {
 				t.Fatalf("step %d: placements over the same live set %v disagree on %s", step, live, r)
 			}
 		}
+	}
+}
+
+// TestPlacementTieBreak: two members of equal weight rank by id, in
+// either order of comparison, and a heavier one outranks a lower id.
+// Real weights do not collide, so the order is checked where it is
+// decided.
+func TestPlacementTieBreak(t *testing.T) {
+	if !outranks("n1", 7, "n2", 7) || outranks("n2", 7, "n1", 7) {
+		t.Error("equal weights do not rank by ascending id")
+	}
+	if !outranks("n2", 8, "n1", 7) || outranks("n1", 7, "n2", 8) {
+		t.Error("the heavier member does not come first")
+	}
+	if outranks("n1", 7, "n1", 7) {
+		t.Error("a member outranks itself")
 	}
 }

@@ -119,7 +119,7 @@ func (f *gateFixture) assertStandbyMatches(t *testing.T) {
 	var seq uint64
 	var events int
 	if r != nil {
-		seq, events = r.Seq, len(r.Events)
+		seq, events = r.Seq, r.log.n
 	}
 	sn.replMu.Unlock()
 	if seq != snap.Seq || events != len(snap.Events) {

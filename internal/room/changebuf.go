@@ -1,6 +1,9 @@
 package room
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // changeBufferSize bounds the room's change buffer (oldest entries are
 // discarded first — "the changed objects are saved and discarded from the
@@ -47,18 +50,22 @@ func (b *changeBuffer) push(ev Event) (displaced uint64) {
 
 // since copies out the buffered events with Seq greater than seq, oldest
 // first; nil when there are none.
-func (b *changeBuffer) since(seq uint64) []Event {
+func (b *changeBuffer) since(seq uint64) []Event { return b.appendSince(nil, seq) }
+
+// appendSince appends the buffered events with Seq greater than seq to
+// dst, oldest first, growing dst at most once.
+func (b *changeBuffer) appendSince(dst []Event, seq uint64) []Event {
 	n := b.len()
 	first := sort.Search(n, func(i int) bool { return b.at(i).Seq > seq })
 	if first == n {
-		return nil
+		return dst
 	}
 	// The newest event sits just before head, so the run is one stretch
 	// of the array, or two when it crosses the end.
-	out := make([]Event, 0, n-first)
+	dst = slices.Grow(dst, n-first)
 	start := (b.head + first) % n
 	if start < b.head {
-		return append(out, b.events[start:b.head]...)
+		return append(dst, b.events[start:b.head]...)
 	}
-	return append(append(out, b.events[start:]...), b.events[:b.head]...)
+	return append(append(dst, b.events[start:]...), b.events[:b.head]...)
 }

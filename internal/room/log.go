@@ -16,15 +16,17 @@ func (r *Room) SetReplicator(fn func()) {
 	r.replicator = fn
 }
 
-// LogSince reads the log past a replication cursor: the buffered events
-// with Seq greater than since, and the Seq high-water and trim marks
-// they were read under — one critical section, so no event is past seq
-// and none at or below trimmed. LogSince(0) is the whole log, in the
-// shape Restore takes.
-func (r *Room) LogSince(since uint64) (events []Event, seq, trimmed uint64) {
+// LogSince reads the log past a replication cursor: it appends to dst
+// the buffered events with Seq greater than since, and returns them with
+// the Seq high-water and trim marks they were read under — one critical
+// section, so no event is past seq and none at or below trimmed. A
+// cursor that keeps dst reads the log without allocating once dst has
+// grown to what one read carries. LogSince(nil, 0) is the whole log, in
+// the shape Restore takes.
+func (r *Room) LogSince(dst []Event, since uint64) (events []Event, seq, trimmed uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.buf.since(since), r.seq, r.trimmed
+	return r.buf.appendSince(dst, since), r.seq, r.trimmed
 }
 
 // Restore seeds a freshly built room with a replicated event log: the

@@ -334,12 +334,25 @@ func (s *Server) Rooms() []string {
 // (handoff, drain, a first or failed send). The events and both marks
 // come from one Room.LogSince, so the frame always restores.
 func (s *Server) SnapshotRoom(name string, since uint64) (*proto.ReplicateReq, bool) {
-	rs, ok := s.reg.get(name)
-	if !ok {
+	f := new(proto.ReplicateReq)
+	if !s.SnapshotRoomInto(f, name, since) {
 		return nil, false
 	}
-	events, seq, trimmed := rs.room.LogSince(since)
-	return &proto.ReplicateReq{Room: name, DocID: rs.docID, Seq: seq, Trimmed: trimmed, Events: events}, true
+	return f, true
+}
+
+// SnapshotRoomInto is SnapshotRoom into a frame the caller keeps: it sets
+// f's room, document and marks, and appends the events to f.Events[:0],
+// so a replication cursor that reuses its frame reads the log without
+// allocating. f's other fields are left as they are.
+func (s *Server) SnapshotRoomInto(f *proto.ReplicateReq, name string, since uint64) bool {
+	rs, ok := s.reg.get(name)
+	if !ok {
+		return false
+	}
+	f.Room, f.DocID = name, rs.docID
+	f.Events, f.Seq, f.Trimmed = rs.room.LogSince(f.Events[:0], since)
+	return true
 }
 
 // DropRoom closes the named room and removes it from the registry —

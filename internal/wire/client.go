@@ -98,9 +98,11 @@ func (c *Client) Err() error {
 }
 
 // SetCallTimeout installs a default per-call deadline applied to every
-// Call/CallCtx whose context carries no deadline of its own — so a hung
-// server or a silent partition fails the call instead of wedging the
-// caller forever. Zero disables the default.
+// Call/CallCtx/CallRaw whose context carries no deadline of its own — so
+// a hung server or a silent partition fails the call instead of wedging
+// the caller forever. Zero disables the default. The call makes no
+// context for it: it waits on a pooled timer beside the reply, so a
+// bounded call allocates what an unbounded one does.
 func (c *Client) SetCallTimeout(d time.Duration) { c.callTimeout.Store(int64(d)) }
 
 // OnPush installs the push handler. Install it before triggering any
@@ -189,6 +191,64 @@ func (c *Client) readLoop() {
 // failed) can never be reused.
 var replyChans = sync.Pool{New: func() any { return make(chan envelope, 1) }}
 
+// callTimers recycles the timers that bound calls under SetCallTimeout.
+// A timer goes back only when its channel is known empty and stays so:
+// stopped before it fired, or fired and received from. One that fired
+// while the call ended otherwise is dropped — under the asynchronous
+// timer channels of a go 1.22 module, Stop may report the fire before
+// its value reaches the channel, and a late value left in a pooled
+// timer would fail some later call with a deadline it never reached.
+var callTimers = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}}
+
+// callTimer is one call's default deadline; the zero value is none.
+type callTimer struct {
+	t     *time.Timer
+	fired bool // its value was received: the channel is empty
+}
+
+// start arms the timer when ctx has no deadline of its own.
+func (ct *callTimer) start(ctx context.Context, timeout time.Duration) {
+	if timeout <= 0 {
+		return
+	}
+	if _, bounded := ctx.Deadline(); bounded {
+		return
+	}
+	ct.t = callTimers.Get().(*time.Timer)
+	ct.t.Reset(timeout)
+}
+
+// C is the channel the call waits on beside its reply: nil (never
+// ready) without a timer.
+func (ct *callTimer) C() <-chan time.Time {
+	if ct.t == nil {
+		return nil
+	}
+	return ct.t.C
+}
+
+// expired records that the call received the timer's fire and returns
+// the call's error.
+func (ct *callTimer) expired(method string) error {
+	ct.fired = true
+	return fmt.Errorf("wire: call %s: %w", method, context.DeadlineExceeded)
+}
+
+// release stops the timer and pools it if its channel is empty.
+func (ct *callTimer) release() {
+	if ct.t == nil {
+		return
+	}
+	if ct.t.Stop() || ct.fired {
+		callTimers.Put(ct.t)
+	}
+	ct.t = nil
+}
+
 // closedErr is what a call on a dead connection reports: ErrClosed,
 // joined with the reason the read loop recorded — so a refused
 // handshake also matches ErrProtoVersion.
@@ -210,20 +270,24 @@ func (c *Client) roundTrip(ctx context.Context, method string, payload []byte, a
 	// The default deadline covers the handshake wait too: a peer that
 	// accepts the connection but never answers the preamble must fail the
 	// call, not wedge it.
-	if timeout := time.Duration(c.callTimeout.Load()); timeout > 0 {
-		if _, bounded := ctx.Deadline(); !bounded {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, timeout)
-			defer cancel()
-		}
-	}
+	var timer callTimer
+	timer.start(ctx, time.Duration(c.callTimeout.Load()))
+	defer timer.release()
 	// The handshake settles before the first byte of any call goes out.
+	// It has almost always settled already: look before asking ctx for
+	// Done, which may build a context to wait on.
 	select {
 	case <-c.ready:
-	case <-c.done:
-		return nil, fmt.Errorf("wire: call %s: %w", method, c.closedErr())
-	case <-ctx.Done():
-		return nil, fmt.Errorf("wire: call %s: %w", method, ctx.Err())
+	default:
+		select {
+		case <-c.ready:
+		case <-c.done:
+			return nil, fmt.Errorf("wire: call %s: %w", method, c.closedErr())
+		case <-ctx.Done():
+			return nil, fmt.Errorf("wire: call %s: %w", method, ctx.Err())
+		case <-timer.C():
+			return nil, timer.expired(method)
+		}
 	}
 	id := atomic.AddUint64(&c.nextID, 1)
 	ch := replyChans.Get().(chan envelope)
@@ -236,10 +300,16 @@ func (c *Client) roundTrip(ctx context.Context, method string, payload []byte, a
 	c.mu.Unlock()
 
 	// Every call carries a trace id: the caller's (WithTraceID) when it
-	// wants to correlate, a fresh mint otherwise.
+	// wants to correlate, else that of the request it is made for (a
+	// relayed request keeps the ingress request's), a fresh mint
+	// otherwise.
 	tid, hasTID := obs.IDFrom(ctx)
 	if !hasTID {
-		tid = obs.MintID()
+		if tr, ok := obs.TraceFrom(ctx); ok && tr.ID != 0 {
+			tid = tr.ID
+		} else {
+			tid = obs.MintID()
+		}
 	}
 	env := envelope{Kind: kindRequest, ID: id, Method: method, Payload: payload, Trace: tid}
 	if args != nil {
@@ -271,11 +341,20 @@ func (c *Client) roundTrip(ctx context.Context, method string, payload []byte, a
 		}
 		return resp.Payload, nil
 	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
+		c.abandon(id)
 		return nil, fmt.Errorf("wire: call %s: %w", method, ctx.Err())
+	case <-timer.C():
+		c.abandon(id)
+		return nil, timer.expired(method)
 	}
+}
+
+// abandon forgets a call whose caller stopped waiting; a reply arriving
+// later finds no one to hand it to and is dropped.
+func (c *Client) abandon(id uint64) {
+	c.mu.Lock()
+	delete(c.pending, id)
+	c.mu.Unlock()
 }
 
 // Call invokes a server method, decoding the response into reply (pass

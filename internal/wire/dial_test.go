@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -123,5 +124,88 @@ func TestCallTimeoutCoversHandshake(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("%s still blocked 5s after a 100ms call timeout", name)
 		}
+	}
+}
+
+// TestBoundedCallAllocatesNoMore: the default deadline is a pooled timer
+// the call waits on beside its reply, not a context per call, so a call
+// under SetCallTimeout allocates what the same call without one does.
+func TestBoundedCallAllocatesNoMore(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	_, addr := startTyped(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var reply echoReply
+	call := func() {
+		if err := c.Call("double", &echoArgs{Text: "x", N: 1}, &reply); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unbounded := testing.AllocsPerRun(2000, call)
+	c.SetCallTimeout(time.Minute)
+	bounded := testing.AllocsPerRun(2000, call)
+	if bounded > unbounded {
+		t.Errorf("a call under SetCallTimeout allocates %v times, %v without", bounded, unbounded)
+	}
+}
+
+// pausingConn sleeps after each write while pause is set: the request
+// is out, its reply comes back, and the call's timer fires, all before
+// the caller gets to wait for either.
+type pausingConn struct {
+	net.Conn
+	pause atomic.Int64 // ns
+}
+
+func (c *pausingConn) Write(b []byte) (int, error) {
+	n, err := c.Conn.Write(b)
+	time.Sleep(time.Duration(c.pause.Load()))
+	return n, err
+}
+
+// TestTimedOutCallLeavesNoStaleTimer: a call's timer goes back to the
+// pool only with an empty channel. After a call that timed out, and
+// calls that find their reply and their timer's fire both waiting, a
+// thousand fast calls on the same client all succeed — a fire left in a
+// pooled timer would fail one of them with a deadline it never reached.
+func TestTimedOutCallLeavesNoStaleTimer(t *testing.T) {
+	_, addr := startTyped(t)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := &pausingConn{Conn: conn}
+	c := NewClient(pc)
+	defer c.Close()
+	var reply echoReply
+	c.SetCallTimeout(5 * time.Millisecond)
+	if err := c.Call("slow", &echoArgs{N: 500}, &reply); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("a call past its deadline returned %v, want deadline exceeded", err)
+	}
+	// Each racing call is followed by a fast one, which takes the timer
+	// the racing call put back before a later racing call can.
+	fast := func(i int) {
+		t.Helper()
+		pc.pause.Store(0)
+		c.SetCallTimeout(time.Minute)
+		if err := c.Call("double", &echoArgs{N: i}, &reply); err != nil {
+			t.Fatalf("fast call %d after a timeout: %v", i, err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		pc.pause.Store(int64(25 * time.Millisecond))
+		c.SetCallTimeout(5 * time.Millisecond)
+		if err := c.Call("double", &echoArgs{N: i}, &reply); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("call %d with its reply and its deadline both in: %v", i, err)
+		}
+		fast(i)
+	}
+	for i := 0; i < 1000; i++ {
+		fast(i)
 	}
 }
