@@ -130,11 +130,17 @@ func AddBandwidthTuning(doc *document.Document, templates map[string]BandwidthTe
 	if n.HasVariable(BandwidthVariable) {
 		return fmt.Errorf("core: document %s already has bandwidth tuning", doc.ID)
 	}
-	// Validate everything before mutating.
+	// Validate everything before mutating. Components are looked up in
+	// one pass over the tree: a lookup per template would walk it once
+	// for each of a wide document's components.
+	byName := make(map[string]*document.Component)
+	for _, c := range doc.Components() {
+		byName[c.Name] = c
+	}
 	for comp, tpl := range templates {
-		c, err := doc.Component(comp)
-		if err != nil {
-			return err
+		c, ok := byName[comp]
+		if !ok {
+			return fmt.Errorf("document %s: no component %q", doc.ID, comp)
 		}
 		if c.Composite() {
 			return fmt.Errorf("core: cannot condition composite %q on bandwidth", comp)
@@ -175,10 +181,7 @@ func AddBandwidthTuning(doc *document.Document, templates map[string]BandwidthTe
 		}
 		// Author-conditioned component: capture every existing row before
 		// SetParents clears the CPT, then re-rank each per level.
-		c, err := doc.Component(comp)
-		if err != nil {
-			return err
-		}
+		c := byName[comp]
 		sizes := make(map[string]int64, len(c.Presentations))
 		for _, p := range c.Presentations {
 			sizes[p.Name] = p.Bytes
@@ -272,17 +275,13 @@ func (e *Engine) SetEnvironment(variable, value string) error {
 	if !e.doc.Prefs.HasVariable(variable) {
 		return fmt.Errorf("core: unknown environment variable %q", variable)
 	}
-	dom, err := e.doc.Prefs.Domain(variable)
-	if err != nil {
-		return err
-	}
 	if value == "" {
 		delete(e.choices, variable)
 		delete(e.choiceBy, variable)
 		e.gen++
 		return nil
 	}
-	if !contains(dom, value) {
+	if !e.doc.Prefs.HasValue(variable, value) {
 		return fmt.Errorf("core: variable %q has no value %q", variable, value)
 	}
 	e.choices[variable] = value
@@ -315,11 +314,7 @@ func (e *Engine) SetViewerEnvironment(viewer, variable, value string) (bool, err
 		e.gen++
 		return true, nil
 	}
-	dom, err := e.doc.Prefs.Domain(variable)
-	if err != nil {
-		return false, err
-	}
-	if !contains(dom, value) {
+	if !e.doc.Prefs.HasValue(variable, value) {
 		return false, fmt.Errorf("core: variable %q has no value %q", variable, value)
 	}
 	if e.env[viewer] == nil {

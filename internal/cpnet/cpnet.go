@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -87,7 +88,8 @@ type node struct {
 // Network is a CP-network under construction or in use. The zero value is
 // not usable; create networks with New. A Network is not safe for
 // concurrent mutation; concurrent calls to the read-only reasoning methods
-// are safe once construction is complete.
+// are safe once construction is complete and the network is compiled
+// (Compile, or any solve, caches what they read).
 type Network struct {
 	nodes []*node
 	index map[string]int // variable name -> node index
@@ -95,6 +97,9 @@ type Network struct {
 	topo []int
 	// children caches child adjacency; nil when stale.
 	children [][]int
+	// compiled caches the solving form (Compile); nil when stale. Every
+	// mutation drops it, a preference row included.
+	compiled *Compiled
 }
 
 // New returns an empty network.
@@ -117,6 +122,16 @@ func (n *Network) Variables() []Variable {
 // HasVariable reports whether the network contains a variable of that name.
 func (n *Network) HasVariable(name string) bool {
 	_, ok := n.index[name]
+	return ok
+}
+
+// HasValue reports whether the named variable has value in its domain.
+func (n *Network) HasValue(name, value string) bool {
+	i, ok := n.index[name]
+	if !ok {
+		return false
+	}
+	_, ok = n.nodes[i].valIdx[value]
 	return ok
 }
 
@@ -203,16 +218,40 @@ func (n *Network) SetParents(name string, parents []string) error {
 		seen[pi] = true
 		pidx[j] = pi
 	}
-	old := n.nodes[i].parents
+	for _, p := range pidx {
+		if !slices.Contains(n.nodes[i].parents, p) && n.reaches(p, i) {
+			return fmt.Errorf("cpnet: setting parents of %q: cpnet: dependency graph has a cycle", name)
+		}
+	}
 	n.nodes[i].parents = pidx
 	n.invalidate()
-	if _, err := n.topoOrder(); err != nil {
-		n.nodes[i].parents = old // roll back
-		n.invalidate()
-		return fmt.Errorf("cpnet: setting parents of %q: %w", name, err)
-	}
 	n.nodes[i].cpt = make(map[uint64][]uint8)
 	return nil
+}
+
+// reaches reports whether variable to is an ancestor of from, or from
+// itself: whether making from a parent of to would close a cycle. It
+// walks from's ancestors only, so conditioning a variable on a fresh
+// parentless one (the bandwidth tuning of a wide document) costs nothing
+// per variable, where recomputing the order would cost the network.
+func (n *Network) reaches(from, to int) bool {
+	seen := make([]bool, len(n.nodes))
+	seen[from] = true
+	stack := []int{from}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if v == to {
+			return true
+		}
+		for _, p := range n.nodes[v].parents {
+			if !seen[p] {
+				seen[p] = true
+				stack = append(stack, p)
+			}
+		}
+	}
+	return false
 }
 
 // SetPreference records one CPT row: under the parent assignment ctx
@@ -247,6 +286,7 @@ func (n *Network) SetPreference(name string, ctx Outcome, order []string) error 
 		perm[j] = uint8(vi)
 	}
 	nd.cpt[key] = perm
+	n.compiled = nil
 	return nil
 }
 
@@ -331,6 +371,7 @@ func (n *Network) Validate() error {
 func (n *Network) invalidate() {
 	n.topo = nil
 	n.children = nil
+	n.compiled = nil
 }
 
 // topoOrder returns (and caches) a topological order of node indices,

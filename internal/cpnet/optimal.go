@@ -1,7 +1,5 @@
 package cpnet
 
-import "fmt"
-
 // OptimalOutcome returns the unique most-preferred complete assignment of
 // the network: traverse the variables in a topological order and set each
 // to its most preferred value given the (already fixed) values of its
@@ -18,45 +16,19 @@ func (n *Network) OptimalOutcome() (Outcome, error) {
 // the viewers' explicit presentation selections are the evidence, and the
 // completion is the new presentation configuration pushed to all clients.
 func (n *Network) OptimalCompletion(evidence Outcome) (Outcome, error) {
-	assign, err := n.optimalAssign(evidence)
+	c, err := n.Compile()
 	if err != nil {
 		return nil, err
 	}
-	return n.fromAssign(assign), nil
-}
-
-// optimalAssign is OptimalCompletion on internal assignment vectors.
-func (n *Network) optimalAssign(evidence Outcome) ([]uint8, error) {
-	order, err := n.topoOrder()
+	pins, err := c.Evidence(evidence, nil)
 	if err != nil {
 		return nil, err
 	}
-	pinned := make([]bool, len(n.nodes))
-	assign := make([]uint8, len(n.nodes))
-	for name, val := range evidence {
-		i, ok := n.index[name]
-		if !ok {
-			return nil, fmt.Errorf("cpnet: evidence names unknown variable %q", name)
-		}
-		vi, ok := n.nodes[i].valIdx[val]
-		if !ok {
-			return nil, fmt.Errorf("cpnet: evidence assigns %q unknown value %q", name, val)
-		}
-		pinned[i] = true
-		assign[i] = uint8(vi)
+	assign := make([]uint8, c.Len())
+	if err := c.Complete(pins, assign); err != nil {
+		return nil, err
 	}
-	for _, i := range order {
-		if pinned[i] {
-			continue
-		}
-		nd := n.nodes[i]
-		row, ok := nd.cpt[n.ctxKeyFromAssign(nd, assign)]
-		if !ok {
-			return nil, fmt.Errorf("cpnet: variable %q missing CPT row (network not validated?)", nd.v.Name)
-		}
-		assign[i] = row[0]
-	}
-	return assign, nil
+	return c.Outcome(assign), nil
 }
 
 // OutcomeCount returns the size of the configuration space, i.e. the

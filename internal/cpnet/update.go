@@ -243,6 +243,18 @@ func (ov *Overlay) Empty() bool { return ov.ext.Len() == 0 }
 // Owns reports whether name is one of the viewer-private variables.
 func (ov *Overlay) Owns(name string) bool { return ov.own[name] }
 
+// Private returns the viewer-private variables in the order they were
+// added.
+func (ov *Overlay) Private() []Variable {
+	var out []Variable
+	for _, nd := range ov.ext.nodes {
+		if ov.own[nd.v.Name] {
+			out = append(out, nd.v)
+		}
+	}
+	return out
+}
+
 // anchor ensures a base variable is mirrored into the extension graph so
 // extension variables can name it as a parent. Anchors carry the base
 // domain but no CPT; they are pinned from the base completion at solve

@@ -316,30 +316,10 @@ type View struct {
 // name the alternative exactly "hidden".
 const HiddenValue = "hidden"
 
-// resolveView derives effective visibility from an outcome.
-func (d *Document) resolveView(o cpnet.Outcome) View {
-	vis := make(map[string]bool)
-	var walk func(c *Component, ancestorsVisible bool)
-	walk = func(c *Component, ancestorsVisible bool) {
-		own := o[c.Name] != VisHidden && o[c.Name] != HiddenValue
-		v := ancestorsVisible && own
-		vis[c.Name] = v
-		for _, ch := range c.Children {
-			walk(ch, v)
-		}
-	}
-	walk(d.Root, true)
-	return View{Outcome: o, Visible: vis}
-}
-
 // DefaultPresentation returns the optimal view given no viewer choices —
 // the paper's defaultPresentation() method, delegated to the CP-network.
 func (d *Document) DefaultPresentation() (View, error) {
-	o, err := d.Prefs.OptimalOutcome()
-	if err != nil {
-		return View{}, fmt.Errorf("document %s: %w", d.ID, err)
-	}
-	return d.resolveView(o), nil
+	return d.ReconfigPresentation(nil)
 }
 
 // ReconfigPresentation returns the optimal view consistent with the
@@ -347,11 +327,19 @@ func (d *Document) DefaultPresentation() (View, error) {
 // choices maps variable names (components or derived operation variables)
 // to the presentation values the viewers explicitly selected.
 func (d *Document) ReconfigPresentation(choices cpnet.Outcome) (View, error) {
-	o, err := d.Prefs.OptimalCompletion(choices)
+	s, err := d.Schema()
+	if err != nil {
+		return View{}, err
+	}
+	pins, err := s.net.Evidence(choices, nil)
 	if err != nil {
 		return View{}, fmt.Errorf("document %s: %w", d.ID, err)
 	}
-	return d.resolveView(o), nil
+	v, err := s.Solve(pins)
+	if err != nil {
+		return View{}, fmt.Errorf("document %s: %w", d.ID, err)
+	}
+	return v.View(), nil
 }
 
 // VisibleComponents lists the names of effectively visible components of a

@@ -134,9 +134,13 @@ func (d *Document) ReconfigPresentationFor(ov *cpnet.Overlay, choices cpnet.Outc
 	if ov.Base() != d.Prefs {
 		return View{}, fmt.Errorf("document %s: overlay does not extend this document's network", d.ID)
 	}
-	o, err := ov.OptimalCompletion(choices)
+	s, err := d.Schema()
+	if err != nil {
+		return View{}, err
+	}
+	v, err := s.SolveOverlay(ov, choices)
 	if err != nil {
 		return View{}, fmt.Errorf("document %s: %w", d.ID, err)
 	}
-	return d.resolveView(o), nil
+	return v.View(), nil
 }

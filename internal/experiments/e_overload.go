@@ -158,17 +158,11 @@ func e12Overload(workdir string, p e12Params) (*Table, error) {
 	// worse: an ever-growing heap pays for itself in page faults.)
 	defer debug.SetGCPercent(debug.SetGCPercent(1200))
 
-	// Both servers run without the QoS loop. Its tick ranks prefetch
-	// candidates for whichever probe is a member at that moment, and on
-	// the control room's wide record one ranking holds the engine lock
-	// for seconds: joins and leaves stall behind it, occupy every slot
-	// the limiter has, and the table reads the stall, not admission.
 	quiet := func(string, ...any) {}
 	unprotected := server.Options{
 		MaxInflight:  -1, // admission disabled: the pre-PR-5 server
 		CacheBytes:   -1,
 		SessionGrace: -1, // probe churn must not park sessions
-		QoSInterval:  -1,
 		Logf:         quiet,
 	}
 
@@ -214,7 +208,6 @@ func e12Overload(workdir string, p e12Params) (*Table, error) {
 		PerPeerBurst: max(1, int(perPeer/4)),
 		CacheBytes:   -1, // every fetch pays full cost: saturation is the point
 		SessionGrace: -1,
-		QoSInterval:  -1,
 		Logf:         quiet,
 	}
 

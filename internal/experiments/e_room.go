@@ -162,10 +162,11 @@ func propagationRun(n int) (choiceLat, chatLat time.Duration, eventsPerSec float
 		val := values[i%len(values)]
 		d, err := await(
 			func(ev room.Event) bool {
-				// Read off the member's queue in-process, a presentation
-				// still points at the whole new view's maps; the run of
-				// changed entries exists only once it is encoded.
-				return ev.Kind == room.EvPresentation && ev.Outcome["ct"] == val
+				// The join noise is drained, so the one presentation
+				// each round's choice pushes to a member is the first
+				// it sees (read off the queue in-process, it carries
+				// no run until it is encoded).
+				return ev.Kind == room.EvPresentation
 			},
 			func() error { return r.Choice(context.Background(), "m00", "ct", val) },
 		)

@@ -70,15 +70,6 @@ func MarshalSegments(segs []Segment) ([]byte, error) {
 	return json.Marshal(segs)
 }
 
-// UnmarshalSegments decodes segments written by MarshalSegments.
-func UnmarshalSegments(data []byte) ([]Segment, error) {
-	var segs []Segment
-	if err := json.Unmarshal(data, &segs); err != nil {
-		return nil, fmt.Errorf("audio: decode segments: %w", err)
-	}
-	return segs, nil
-}
-
 // Phone is one steady-state speech unit described by its two lowest
 // formant frequencies in Hz.
 type Phone struct {

@@ -102,15 +102,6 @@ func MarshalAnnotations(anns []Annotation) ([]byte, error) {
 	return json.Marshal(anns)
 }
 
-// UnmarshalAnnotations decodes an overlay written by MarshalAnnotations.
-func UnmarshalAnnotations(data []byte) ([]Annotation, error) {
-	var anns []Annotation
-	if err := json.Unmarshal(data, &anns); err != nil {
-		return nil, fmt.Errorf("image: decode annotations: %w", err)
-	}
-	return anns, nil
-}
-
 // drawLine rasterizes a line with Bresenham's algorithm.
 func drawLine(g *Gray, x1, y1, x2, y2 int, v float64) {
 	dx := abs(x2 - x1)

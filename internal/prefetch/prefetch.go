@@ -6,7 +6,7 @@
 // using the buffer as a cache. Likelihood comes from the preference
 // structure itself: the current optimal configuration is needed now, and
 // the configurations reachable by the viewer's single next choice are
-// ranked by how preferred that choice is.
+// ranked by where the author lists that choice in the variable's domain.
 //
 // The package also provides the demand-only LRU and no-cache baselines
 // the E8 experiment compares against.
@@ -14,6 +14,7 @@ package prefetch
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mmconf/internal/cpnet"
@@ -32,8 +33,8 @@ type Candidate struct {
 	// document concurrently with mutating operations.
 	Kind document.MediaKind
 	// Score in (0, 1]: 1 for payloads of the current optimal view,
-	// decaying with the preference rank of the hypothetical next choice
-	// that would require the payload.
+	// decaying with the position, in its variable's declared domain, of
+	// the hypothetical next choice that would require the payload.
 	Score float64
 }
 
@@ -47,7 +48,33 @@ const lookaheadWeight = 0.5
 // candidates. Payloads with ObjectID 0 (inline or hidden forms) or a kind
 // no table stores are not fetchable and are skipped.
 func Rank(doc *document.Document, choices cpnet.Outcome) ([]Candidate, error) {
-	base, err := doc.ReconfigPresentation(choices)
+	s, err := doc.Schema()
+	if err != nil {
+		return nil, err
+	}
+	pins, err := s.Network().Evidence(choices, nil)
+	if err != nil {
+		return nil, fmt.Errorf("document %s: %w", doc.ID, err)
+	}
+	return RankSchema(s, pins)
+}
+
+// RankSchema is Rank over a compiled document and an evidence vector
+// under it; it reads nothing else, so it may run while the document it
+// was compiled from is edited.
+//
+// The payloads of the current optimal view score 1. Then comes a
+// one-step lookahead: the viewer's next click pins one variable to an
+// alternative value, and an alternative at position r of the variable's
+// declared domain scores lookaheadWeight/(2+r) — the author lists the
+// likelier presentations first. (The position is the domain's, not the
+// alternative's rank in the CPT row of the current context.) Each
+// lookahead re-solves the base view by propagation from the flipped
+// variable and scores only the components whose value or visibility
+// differs from the base: any other would offer a base candidate again at
+// a lower score, which the best-score-per-object rule drops.
+func RankSchema(s *document.Schema, pins []uint8) ([]Candidate, error) {
+	base, err := s.Solve(pins)
 	if err != nil {
 		return nil, err
 	}
@@ -56,48 +83,55 @@ func Rank(doc *document.Document, choices cpnet.Outcome) ([]Candidate, error) {
 		id    uint64
 	}
 	best := make(map[object]Candidate)
-	add := func(v document.View, score float64) {
-		for _, c := range doc.Components() {
-			if c.Composite() || !v.Visible[c.Name] {
-				continue
-			}
-			p, err := c.Presentation(v.Outcome[c.Name])
-			if err != nil || p.ObjectID == 0 {
-				continue
-			}
-			key := object{mediadb.KindTable(p.Kind), p.ObjectID}
-			if key.table == "" {
-				continue
-			}
-			cand := Candidate{
-				Component: c.Name, Value: p.Name,
-				ObjectID: p.ObjectID, Bytes: p.Bytes, Kind: p.Kind, Score: score,
-			}
-			if old, ok := best[key]; !ok || cand.Score > old.Score {
-				best[key] = cand
-			}
+	add := func(v *document.Solved, j int, score float64) {
+		if !v.Visible(j) {
+			return
+		}
+		p, ok := v.Presentation(j)
+		if !ok || p.ObjectID == 0 {
+			return
+		}
+		key := object{mediadb.KindTable(p.Kind), p.ObjectID}
+		if key.table == "" {
+			return
+		}
+		cand := Candidate{
+			Component: s.ComponentName(j), Value: p.Name,
+			ObjectID: p.ObjectID, Bytes: p.Bytes, Kind: p.Kind, Score: score,
+		}
+		if old, ok := best[key]; !ok || cand.Score > old.Score {
+			best[key] = cand
 		}
 	}
-	add(base, 1.0)
+	for j := range s.ComponentCount() {
+		add(base, j, 1.0)
+	}
 
-	// One-step lookahead: the viewer's next click pins one variable to an
-	// alternative value. Alternatives that the author ranks higher (given
-	// everything else) are likelier clicks.
-	for _, v := range doc.Prefs.Variables() {
-		current := base.Outcome[v.Name]
-		for rank, alt := range v.Domain {
-			if alt == current {
+	ev := slices.Clone(pins)
+	var (
+		solver  document.Solver
+		scratch *document.Solved
+		flipped = []int{0}
+	)
+	net := s.Network()
+	for i := range net.Len() {
+		current := base.ValueIndex(i)
+		for rank := range net.Variable(i).Domain {
+			if rank == current {
 				continue
 			}
-			ev := choices.Clone()
-			ev[v.Name] = alt
-			view, err := doc.ReconfigPresentation(ev)
+			ev[i], flipped[0] = uint8(rank), i
+			view, diff, err := solver.Resolve(base, ev, flipped, scratch)
 			if err != nil {
 				return nil, err
 			}
+			scratch = view
 			score := lookaheadWeight / float64(2+rank)
-			add(view, score)
+			for _, j := range diff {
+				add(view, j, score)
+			}
 		}
+		ev[i] = pins[i]
 	}
 	out := make([]Candidate, 0, len(best))
 	for _, c := range best {

@@ -301,16 +301,18 @@ func choiceAllocations(t *testing.T, tap func()) float64 {
 }
 
 // TestChoiceAllocations pins what one choice costs a four-member room
-// whose members keep up: one solve for the four of them — the evidence,
-// the completion's vectors, one Outcome, one Visible — and a shared
-// encoding slot for the choice's fan-out and one for the presentation
-// the four share, nothing per member: what differs between the view they
-// hold and the new one is found when the presentation is encoded, not
-// here. Measured 11 allocations; each further solve is 6 more, and the
-// five solves this replaces made it 35.
+// whose members keep up: one solved view for the four of them — the
+// evidence re-pinned in the engine's own vector, the completion re-solved
+// by propagation into one Solved that holds both its vectors, no map —
+// and a shared encoding slot for the choice's fan-out and one for the
+// presentation the four share, nothing per member: what differs between
+// the view they hold and the new one is found when the presentation is
+// encoded, not here. Measured 3 allocations; each further evidence class
+// is one more. It was 11 while a solve swept the whole network into
+// fresh maps, and 35 before one solve served a class.
 func TestChoiceAllocations(t *testing.T) {
-	if got := choiceAllocations(t, nil); got > 14 {
-		t.Errorf("%v allocations per choice in a four-member room, want at most 14", got)
+	if got := choiceAllocations(t, nil); got > 3 {
+		t.Errorf("%v allocations per choice in a four-member room, want at most 3", got)
 	}
 }
 

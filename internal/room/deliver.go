@@ -50,7 +50,7 @@ func (r *Room) broadcastLocked(ev Event, reconfigure bool) {
 
 // reconfigureLocked pushes every member the presentation that takes it
 // from the view it holds to the one it is due. Members due the same view
-// (one evidence class: the engine hands them one solved View, and during
+// (one evidence class: the engine hands them one Solved view, and during
 // a broadcast everyone is due the presenter's) and holding the same view
 // get one event — one Seq, one shared encoding — so the push path encodes
 // once per class, and what differs is found at encode time, outside the
@@ -58,21 +58,17 @@ func (r *Room) broadcastLocked(ev Event, reconfigure bool) {
 // come from. actor is whose event caused the re-solve: a shared
 // presentation cannot name its receiver. Callers hold r.mu.
 func (r *Room) reconfigureLocked(actor string) {
-	views, err := r.engine.Views()
-	if err != nil {
-		return
-	}
 	var made [4]Event // the presentations made so far; more than four spill to the heap
 	classes := made[:0]
 	for name, m := range r.members {
-		v, ok := views[r.viewerLocked(name)]
-		if !ok {
+		v, err := r.engine.Solved(r.viewerLocked(name))
+		if err != nil {
 			continue
 		}
 		var pe *Event
-		to := viewRef{0, v.Outcome, v.Visible}
+		to := viewRef{0, v}
 		for i := range classes {
-			if !sameView(classes[i].Outcome, v.Outcome, classes[i].Visible, v.Visible) {
+			if classes[i].view != v {
 				continue
 			}
 			to.id = classes[i].View
@@ -147,7 +143,7 @@ func (r *Room) deliverLocked(m *Member, ev Event) (owed bool) {
 	for {
 		if ev.Kind == EvPresentation && ev.Base != m.held.id {
 			// Made against a view this member no longer holds.
-			ev.setView(m.held, viewRef{ev.View, ev.Outcome, ev.Visible})
+			ev.setView(m.held, viewRef{ev.View, ev.view})
 			ev.shared = nil
 			sz = ev.approxSize()
 		}
@@ -165,7 +161,7 @@ func (r *Room) deliverLocked(m *Member, ev Event) (owed bool) {
 				m.notify()
 			}
 			if ev.Kind == EvPresentation {
-				m.held = viewRef{ev.View, ev.Outcome, ev.Visible}
+				m.held = viewRef{ev.View, ev.view}
 				return false
 			}
 			return shedView

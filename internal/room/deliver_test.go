@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"mmconf/internal/core"
-	"mmconf/internal/cpnet"
 	"mmconf/internal/wire"
 )
 
@@ -297,20 +296,6 @@ func TestShedPresentationIsMadeUpOnce(t *testing.T) {
 	}
 	if last := newest(); last.Kind != EvPresentation || last.Base != 0 || last.shared != nil {
 		t.Errorf("bob's newest event: %v made against view %d (shared: %v), want his own whole presentation", last.Kind, last.Base, last.shared != nil)
-	}
-}
-
-// TestSameViewComparesBothMaps: a document with no variables solves every
-// class to a nil Outcome, and two classes of it still differ in what they
-// show.
-func TestSameViewComparesBothMaps(t *testing.T) {
-	shown, hidden := map[string]bool{"ct": true}, map[string]bool{"ct": false}
-	if sameView(nil, nil, shown, hidden) {
-		t.Error("two views with no outcome and different visible maps are one view")
-	}
-	o := cpnet.Outcome{"ct": "full"}
-	if !sameView(o, o, shown, shown) || sameView(o, cpnet.Outcome{"ct": "full"}, shown, shown) {
-		t.Error("sameView is identity of both maps, not equality")
 	}
 }
 

@@ -63,7 +63,7 @@ func (ev *Event) DecodeBody(d *wire.Dec) error {
 	ev.Hits = DecodeHits(d)
 	ev.Text = d.String()
 	ev.Resync = d.Bool()
-	ev.shared, ev.heldOutcome, ev.heldVisible, ev.changeBytes = nil, nil, nil, 0
+	ev.shared, ev.held, ev.view, ev.changeBytes = nil, nil, nil, 0
 	return d.Err()
 }
 

@@ -2,10 +2,13 @@ package room
 
 import (
 	"bytes"
+	"cmp"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mmconf/internal/cpnet"
+	"mmconf/internal/document"
 	"mmconf/internal/media/image"
 	"mmconf/internal/media/voice"
 	"mmconf/internal/wire"
@@ -74,24 +77,66 @@ func TestEventCodec(t *testing.T) {
 	}
 }
 
+// solvedView solves a small record — components ct, xray, voice and
+// extra under one composite, with the derived variables ops names added
+// as shared operations on ct — under the evidence.
+func solvedView(t *testing.T, extra string, ops []string, evidence cpnet.Outcome) *document.Solved {
+	t.Helper()
+	leaf := func(name string, values ...string) *document.Component {
+		c := &document.Component{Name: name}
+		for _, v := range values {
+			c.Presentations = append(c.Presentations, document.Presentation{Name: v})
+		}
+		return c
+	}
+	doc, err := document.New("rec", "", &document.Component{Name: "record", Children: []*document.Component{
+		leaf("ct", "full", "segmented", "hidden"), leaf("xray", "full", "icon", "hidden"),
+		leaf("voice", "audio", "hidden"), leaf(extra, "text", "hidden"),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range ops {
+		if _, err := doc.ApplyOperation("ct", op, "full"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := doc.Schema()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pins, err := s.Network().Evidence(evidence, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := s.Solve(pins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 // TestPresentationEncodesWhatDiffers: a presentation made in the room
-// points at two views' maps, and what crosses is the run that turns the
-// held one into the new one — every kind of entry — whatever either map
-// holds; made against the empty view the run is the whole view. The event
-// as decoded carries no map, and re-encodes to the same bytes.
+// points at two solved views, and what crosses is the run that turns the
+// held one into the new one — every kind of entry, by index under one
+// schema and by name across two; made against the empty view the run is
+// the whole view. The event as decoded carries no map, and re-encodes to
+// the same bytes.
 func TestPresentationEncodesWhatDiffers(t *testing.T) {
-	held := viewRef{7, cpnet.Outcome{"ct": "full", "xray": "icon", "voice": "audio", "ct.zoom": "applied"},
-		map[string]bool{"ct": true, "xray": true, "voice": true, "minutes-1": true}}
-	next := viewRef{9, cpnet.Outcome{"ct": "segmented", "xray": "hidden", "voice": "audio", "notes": "text"},
-		map[string]bool{"ct": true, "xray": false, "voice": true, "notes": true}}
+	held := viewRef{7, solvedView(t, "minutes-1", []string{"zoom"},
+		cpnet.Outcome{"ct": "full", "xray": "icon", "ct/zoom": "applied"})}
+	next := viewRef{9, solvedView(t, "notes", nil, cpnet.Outcome{"ct": "segmented", "xray": "hidden"})}
+	sameSchema := viewRef{5, solvedView(t, "notes", nil, cpnet.Outcome{"ct": "hidden", "xray": "hidden"})}
 	for _, tc := range []struct {
 		name    string
 		from    viewRef
 		entries int
 	}{
-		{"change", held, 7}, // ct, xray, +notes, -ct.zoom; xray hidden, +notes, -minutes-1
-		{"whole", viewRef{}, 8},
-		{"nothing", viewRef{7, next.outcome, next.visible}, 0},
+		// ct, xray, +notes, -minutes-1, -ct/zoom; xray hidden, +notes, -minutes-1
+		{"across schemas", held, 8},
+		{"one schema", sameSchema, 2}, // ct; ct shown
+		{"whole", viewRef{}, 10},
+		{"nothing", viewRef{7, next.view}, 0},
 	} {
 		ev := Event{Seq: 41, Room: "consult", Actor: "dr-adams", Kind: EvPresentation}
 		ev.setView(tc.from, next)
@@ -105,17 +150,15 @@ func TestPresentationEncodesWhatDiffers(t *testing.T) {
 				tc.name, out.Base, out.View, len(out.Changes), tc.entries, out.Outcome, out.Visible)
 		}
 		outcome, visible := cpnet.Outcome{}, map[string]bool{}
-		for k, v := range tc.from.outcome {
-			outcome[k] = v
-		}
-		for k, v := range tc.from.visible {
-			visible[k] = v
+		if tc.from.view != nil {
+			from := tc.from.view.View()
+			outcome, visible = from.Outcome, from.Visible
 		}
 		for _, c := range out.Changes {
 			c.Apply(outcome, visible)
 		}
-		if !reflect.DeepEqual(outcome, next.outcome) || !reflect.DeepEqual(visible, next.visible) {
-			t.Errorf("%s: applied to the held view the run gives %v %v", tc.name, outcome, visible)
+		if want := next.view.View(); !reflect.DeepEqual(outcome, want.Outcome) || !reflect.DeepEqual(visible, want.Visible) {
+			t.Errorf("%s: applied to the held view the run gives %v %v, want %v %v", tc.name, outcome, visible, want.Outcome, want.Visible)
 		}
 		if again := wire.MarshalBody(&out); len(again) != len(data) {
 			t.Errorf("%s: the decoded event re-encodes to %d bytes, read %d", tc.name, len(again), len(data))
@@ -123,6 +166,38 @@ func TestPresentationEncodesWhatDiffers(t *testing.T) {
 		if (ev.changeBytes == 0) != (tc.entries == 0) {
 			t.Errorf("%s: the push budget is charged %d bytes for %d entries", tc.name, ev.changeBytes, tc.entries)
 		}
+	}
+}
+
+// TestHandBuiltWholeViewEncodes: an event made outside the room carries
+// a whole view as maps, and encodes to the run the room makes of the same
+// view against the empty one — the same bytes, up to the order of the
+// entries.
+func TestHandBuiltWholeViewEncodes(t *testing.T) {
+	v := solvedView(t, "notes", []string{"zoom"}, cpnet.Outcome{"xray": "icon"})
+	maps := v.View()
+	made := Event{Seq: 41, Room: "consult", Actor: "dr-adams", Kind: EvPresentation}
+	made.setView(viewRef{}, viewRef{3, v})
+	hand := Event{Seq: 41, Room: "consult", Actor: "dr-adams", Kind: EvPresentation, View: 3,
+		Outcome: maps.Outcome, Visible: maps.Visible}
+	a, b := wire.MarshalBody(&made), wire.MarshalBody(&hand)
+	if len(a) != len(b) {
+		t.Fatalf("the hand-built whole view encodes to %d bytes, the room's to %d", len(b), len(a))
+	}
+	var da, db Event
+	if err := wire.DecodeBodyBytes(a, &da); err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.DecodeBodyBytes(b, &db); err != nil {
+		t.Fatal(err)
+	}
+	sortChanges := func(cs []ViewChange) {
+		slices.SortFunc(cs, func(x, y ViewChange) int { return cmp.Or(cmp.Compare(x.Name, y.Name), cmp.Compare(x.Tag, y.Tag)) })
+	}
+	sortChanges(da.Changes)
+	sortChanges(db.Changes)
+	if !reflect.DeepEqual(da, db) {
+		t.Errorf("hand-built and room-made whole views differ:\n%+v\n%+v", db, da)
 	}
 }
 

@@ -61,7 +61,10 @@ func (r *Room) Join(ctx context.Context, name string) (*Member, []Event, Event, 
 	}
 	// During a broadcast this is the joiner's own view; the join's
 	// reconfiguration brings it to the presenter's.
-	view, err := r.engine.Join(name)
+	if err := r.engine.AddViewer(name); err != nil {
+		return nil, nil, Event{}, err
+	}
+	view, err := r.engine.Solved(name)
 	if err != nil {
 		return nil, nil, Event{}, err
 	}
@@ -69,7 +72,7 @@ func (r *Room) Join(ctx context.Context, name string) (*Member, []Event, Event, 
 	r.members[name] = m
 	history := r.buf.since(0)
 	first := r.stampLocked(m, view)
-	m.held = viewRef{first.View, first.Outcome, first.Visible}
+	m.held = viewRef{first.View, first.view}
 	push := obs.StartSpan(ctx, "push")
 	r.broadcastLocked(Event{Room: r.Name, Actor: name, Kind: EvJoin}, true)
 	push.End()
@@ -200,7 +203,7 @@ func (r *Room) Resume(ctx context.Context, name string, since uint64) (*Member, 
 		return nil, nil, Event{}, false, fmt.Errorf("room %s: resume %s: %w", r.Name, name, ErrNoSession)
 	}
 	// During a broadcast the member mirrors the presenter, like everyone.
-	view, err := r.engine.ViewFor(r.viewerLocked(name))
+	view, err := r.engine.Solved(r.viewerLocked(name))
 	if err != nil {
 		return nil, nil, Event{}, false, err
 	}
@@ -221,7 +224,7 @@ func (r *Room) Resume(ctx context.Context, name string, since uint64) (*Member, 
 	// Stamped after the old stream ended: whatever it still had queued is
 	// older than the view the new member starts from.
 	first := r.stampLocked(m, view)
-	m.held = viewRef{first.View, first.Outcome, first.Visible}
+	m.held = viewRef{first.View, first.view}
 	if r.replicator != nil {
 		r.replicator() // seq-only advance: nothing buffered
 	}

@@ -52,10 +52,10 @@ func TestSetMemberEnvironmentPushesOnlyToThatMember(t *testing.T) {
 	if pres == nil {
 		t.Fatal("no presentation event delivered to the degraded member")
 	}
-	if pres.Outcome["ct"] != "lowres" {
-		t.Errorf("degraded ct = %s, want lowres", pres.Outcome["ct"])
+	if shown(*pres).Outcome["ct"] != "lowres" {
+		t.Errorf("degraded ct = %s, want lowres", shown(*pres).Outcome["ct"])
 	}
-	if !pres.Visible["ct"] {
+	if !shown(*pres).Visible["ct"] {
 		t.Error("degradation hid the ct component instead of lowering resolution")
 	}
 	for _, ev := range drain(fast) {

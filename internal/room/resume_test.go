@@ -59,7 +59,7 @@ func TestDetachResumeReplaysMissedEvents(t *testing.T) {
 			t.Errorf("missed[%d].Seq = %d, want %d", i, ev.Seq, seen+uint64(i)+1)
 		}
 	}
-	if len(view.Visible) == 0 {
+	if len(shown(view).Visible) == 0 {
 		t.Error("Resume returned an empty view")
 	}
 	if got := r.Detached(); len(got) != 0 {

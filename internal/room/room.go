@@ -81,12 +81,14 @@ type Event struct {
 	// later one is made against the view it left. The change itself has one
 	// of two forms.
 	// Decoded, it is Changes, the run that crossed, and the maps are nil.
-	// Made and not yet encoded, Changes is nil and Outcome and Visible are
-	// the new view's maps — the engine's own, read-only; the run is what
-	// AppendBody finds different from the maps of Base, which only the room
-	// can attach. So outside the room only a whole view (Base 0) can be
-	// made: the benchmark's probe makes one, and client.Session.ApplyEvent
-	// takes the maps of a Base 0 event for that reason and no other.
+	// Made in the room and not yet encoded, Changes and the maps are nil
+	// and the event points at two solved views, the engine's own and
+	// read-only: the run is what AppendBody finds different between the
+	// view Base names and the new one, and only the room can attach them.
+	// Outside the room only a whole view (Base 0) can be made, as the new
+	// view's Outcome and Visible maps: the benchmark's probe makes one, and
+	// client.Session.ApplyEvent takes the maps of a Base 0 event for that
+	// reason and no other.
 	Base, View uint64
 	Changes    []ViewChange
 	Outcome    cpnet.Outcome
@@ -112,10 +114,9 @@ type Event struct {
 	// for an event only one member gets, which encodes individually).
 	shared *sharedEnc
 
-	// heldOutcome and heldVisible are the maps of the view Base names,
-	// nil when Base is 0.
-	heldOutcome cpnet.Outcome
-	heldVisible map[string]bool
+	// held and view are the solved views Base and View name, for a
+	// presentation made in the room (held is nil when Base is 0).
+	held, view *document.Solved
 }
 
 // sharedEnc holds the once-computed wire payload of a fanned-out event:
@@ -462,7 +463,7 @@ func (r *Room) SetMemberEnvironment(name, variable, value string) (bool, error) 
 // view it holds to its current one. Callers hold r.mu and tell the
 // replicator.
 func (r *Room) presentLocked(m *Member) error {
-	v, err := r.engine.ViewFor(r.viewerLocked(m.Name))
+	v, err := r.engine.Solved(r.viewerLocked(m.Name))
 	if err != nil {
 		return err
 	}
@@ -474,11 +475,11 @@ func (r *Room) presentLocked(m *Member) error {
 // to v, under a Seq and a view id of its own. Callers hold r.mu. A join
 // or resume makes a new member's first this way and returns it for the
 // response to carry, not queued; held is set to it by hand.
-func (r *Room) stampLocked(m *Member, v document.View) Event {
+func (r *Room) stampLocked(m *Member, v *document.Solved) Event {
 	r.seq++
 	r.viewSeq++
 	pe := Event{Seq: r.seq, Room: r.Name, Actor: m.Name, Kind: EvPresentation}
-	pe.setView(m.held, viewRef{r.viewSeq, v.Outcome, v.Visible})
+	pe.setView(m.held, viewRef{r.viewSeq, v})
 	return pe
 }
 
@@ -497,7 +498,7 @@ func (r *Room) Choice(ctx context.Context, actor, variable, value string) error 
 	if err := r.checkFloorLocked(actor); err != nil {
 		return err
 	}
-	if _, err := r.engine.Choice(actor, variable, value); err != nil {
+	if err := r.engine.SetChoice(actor, variable, value); err != nil {
 		return err
 	}
 	push := obs.StartSpan(ctx, "push")

@@ -6,10 +6,15 @@ import (
 	"time"
 
 	"mmconf/internal/cpnet"
+	"mmconf/internal/document"
 	"mmconf/internal/media/image"
 	"mmconf/internal/media/voice"
 	"mmconf/internal/workload"
 )
+
+// shown is the view a presentation made in the room leaves its member
+// at, as maps.
+func shown(ev Event) document.View { return ev.view.View() }
 
 func newRoom(t *testing.T) *Room {
 	t.Helper()
@@ -65,8 +70,8 @@ func TestJoinLeaveAndPropagation(t *testing.T) {
 	if len(hist) != 0 {
 		t.Errorf("first joiner got %d history events", len(hist))
 	}
-	if view.Outcome["ct"] != "full" {
-		t.Errorf("initial view: %v", view.Outcome)
+	if shown(view).Outcome["ct"] != "full" {
+		t.Errorf("initial view: %v", shown(view).Outcome)
 	}
 	if _, _, _, err := r.Join(context.Background(), "alice"); err == nil {
 		t.Error("duplicate join accepted")
@@ -127,10 +132,10 @@ func TestChoicePropagatesPresentation(t *testing.T) {
 	}
 	for _, ev := range bobEvs {
 		if ev.Kind == EvPresentation {
-			if ev.Outcome["ct"] != "segmented" || ev.Outcome["xray"] != "hidden" {
-				t.Errorf("bob presentation = %v", ev.Outcome)
+			if v := shown(ev); v.Outcome["ct"] != "segmented" || v.Outcome["xray"] != "hidden" {
+				t.Errorf("bob presentation = %v", v.Outcome)
 			}
-			if ev.Visible["xray"] {
+			if shown(ev).Visible["xray"] {
 				t.Error("hidden xray still visible")
 			}
 		}
@@ -163,8 +168,8 @@ func TestOperationSharedAndPrivate(t *testing.T) {
 			}
 		}
 		if ev.Kind == EvPresentation {
-			if ev.Outcome[name] != cpnet.OpApplied {
-				t.Errorf("bob's presentation lacks the shared operation: %v", ev.Outcome[name])
+			if shown(ev).Outcome[name] != cpnet.OpApplied {
+				t.Errorf("bob's presentation lacks the shared operation: %v", shown(ev).Outcome[name])
 			}
 		}
 	}
@@ -178,7 +183,7 @@ func TestOperationSharedAndPrivate(t *testing.T) {
 	}
 	for _, ev := range drain(bob) {
 		if ev.Kind == EvPresentation {
-			if _, leaked := ev.Outcome[pname]; leaked {
+			if _, leaked := shown(ev).Outcome[pname]; leaked {
 				t.Error("private operation leaked into bob's outcome")
 			}
 		}

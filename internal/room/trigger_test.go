@@ -274,7 +274,7 @@ func TestBroadcastFloorControl(t *testing.T) {
 	// Bob's pushed presentation mirrors the presenter.
 	sawMirror := false
 	for _, ev := range drain(bob) {
-		if ev.Kind == EvPresentation && ev.Outcome["ct"] == "segmented" {
+		if ev.Kind == EvPresentation && shown(ev).Outcome["ct"] == "segmented" {
 			sawMirror = true
 		}
 	}

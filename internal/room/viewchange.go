@@ -2,9 +2,9 @@ package room
 
 import (
 	"errors"
-	"reflect"
 
 	"mmconf/internal/cpnet"
+	"mmconf/internal/document"
 	"mmconf/internal/wire"
 )
 
@@ -54,77 +54,121 @@ func (c ViewChange) Apply(outcome cpnet.Outcome, visible map[string]bool) {
 
 var errChangeTag = errors.New("room: unknown view change tag")
 
-// eachChange calls fn for every entry by which the held view differs from
-// the new one, in no particular order. It allocates nothing; fn must not
-// retain what it is given beyond the maps' own lifetime.
-func eachChange(heldOutcome, outcome cpnet.Outcome, heldVisible, visible map[string]bool, fn func(ViewChange)) {
-	kept := 0
-	for k, v := range outcome {
-		old, ok := heldOutcome[k]
-		if ok {
-			kept++
+// eachChange calls fn for every entry by which the held view (nil: the
+// empty view) differs from the new one: variables first, then components,
+// each in the new view's schema order. Under one schema it compares by
+// index; across schemas (a shared operation added a variable, an edit
+// added a component, a viewer's overlay has private ones) by name. It
+// allocates nothing; both views are read-only, so it runs outside the
+// room lock.
+func eachChange(held, view *document.Solved, fn func(ViewChange)) {
+	s := view.Schema()
+	if held != nil && held.Schema() == s {
+		for i := range s.Len() {
+			if held.ValueIndex(i) != view.ValueIndex(i) {
+				fn(ViewChange{Tag: ChangeSet, Name: s.Variable(i).Name, Value: view.Value(i)})
+			}
 		}
-		if !ok || old != v {
-			fn(ViewChange{Tag: ChangeSet, Name: k, Value: v})
+		for j := range s.ComponentCount() {
+			if held.Visible(j) != view.Visible(j) {
+				fn(visibility(s.ComponentName(j), view.Visible(j)))
+			}
 		}
+		return
 	}
-	if kept < len(heldOutcome) {
-		for k := range heldOutcome {
-			if _, ok := outcome[k]; !ok {
-				fn(ViewChange{Tag: ChangeDropVariable, Name: k})
+	var hs *document.Schema
+	if held != nil {
+		hs = held.Schema()
+	}
+	for i := range s.Len() {
+		name := s.Variable(i).Name
+		if hs != nil {
+			if hi, ok := hs.VariableIndex(name); ok && held.Value(hi) == view.Value(i) {
+				continue
+			}
+		}
+		fn(ViewChange{Tag: ChangeSet, Name: name, Value: view.Value(i)})
+	}
+	if hs != nil {
+		for i := range hs.Len() {
+			if name := hs.Variable(i).Name; !hasVariable(s, name) {
+				fn(ViewChange{Tag: ChangeDropVariable, Name: name})
 			}
 		}
 	}
-	kept = 0
-	for k, v := range visible {
-		old, ok := heldVisible[k]
-		if ok {
-			kept++
-		}
-		if !ok || old != v {
-			tag := ChangeHide
-			if v {
-				tag = ChangeShow
+	for j := range s.ComponentCount() {
+		name := s.ComponentName(j)
+		if hs != nil {
+			if hj, ok := hs.ComponentIndex(name); ok && held.Visible(hj) == view.Visible(j) {
+				continue
 			}
-			fn(ViewChange{Tag: tag, Name: k})
 		}
+		fn(visibility(name, view.Visible(j)))
 	}
-	if kept < len(heldVisible) {
-		for k := range heldVisible {
-			if _, ok := visible[k]; !ok {
-				fn(ViewChange{Tag: ChangeDropComponent, Name: k})
+	if hs != nil {
+		for j := range hs.ComponentCount() {
+			if name := hs.ComponentName(j); !hasComponent(s, name) {
+				fn(ViewChange{Tag: ChangeDropComponent, Name: name})
 			}
 		}
 	}
 }
 
-// viewRef names one solved view and points at its maps, which are the
-// engine's own and read-only. The zero viewRef is the empty view: what a
-// member holds when it holds nothing the room can name.
+func hasVariable(s *document.Schema, name string) bool {
+	_, ok := s.VariableIndex(name)
+	return ok
+}
+
+func hasComponent(s *document.Schema, name string) bool {
+	_, ok := s.ComponentIndex(name)
+	return ok
+}
+
+func visibility(name string, visible bool) ViewChange {
+	if visible {
+		return ViewChange{Tag: ChangeShow, Name: name}
+	}
+	return ViewChange{Tag: ChangeHide, Name: name}
+}
+
+// eachWholeEntry calls fn for every entry of a whole view given as maps:
+// the form of an event made outside the room (see Event).
+func eachWholeEntry(outcome cpnet.Outcome, visible map[string]bool, fn func(ViewChange)) {
+	for k, v := range outcome {
+		fn(ViewChange{Tag: ChangeSet, Name: k, Value: v})
+	}
+	for k, v := range visible {
+		fn(visibility(k, v))
+	}
+}
+
+// viewRef names one solved view, the engine's own and read-only. The
+// zero viewRef is the empty view: what a member holds when it holds
+// nothing the room can name.
 type viewRef struct {
-	id      uint64
-	outcome cpnet.Outcome
-	visible map[string]bool
+	id   uint64
+	view *document.Solved
 }
 
 // setView makes ev the presentation that takes a member holding the view
-// from to the view to: it points ev at both pairs of maps and counts what
+// from to the view to: it points ev at both views and counts what
 // differs, once, for the push budget.
 func (ev *Event) setView(from, to viewRef) {
-	ev.Base, ev.heldOutcome, ev.heldVisible = from.id, from.outcome, from.visible
-	ev.View, ev.Outcome, ev.Visible = to.id, to.outcome, to.visible
+	ev.Base, ev.held = from.id, from.view
+	ev.View, ev.view = to.id, to.view
 	ev.changeBytes = 0
-	eachChange(from.outcome, to.outcome, from.visible, to.visible, func(c ViewChange) {
+	eachChange(from.view, to.view, func(c ViewChange) {
 		ev.changeBytes += int32(24 + len(c.Name) + len(c.Value))
 	})
 }
 
 // appendChange writes the presentation part of an event: the two view
 // ids and the count-prefixed run. A decoded event writes back the run it
-// read. One not yet encoded has no run (see Event): it is computed here,
-// at encode time and outside the room lock, by comparing the maps — which
-// finds nothing for a decoded event whose run was empty, so the two forms
-// cannot be mistaken for each other.
+// read. One made in the room has no run (see Event): it is computed here,
+// at encode time and outside the room lock, by comparing the two solved
+// views — which finds nothing for a decoded event whose run was empty, so
+// the two forms cannot be mistaken for each other. One made outside the
+// room carries a whole view as maps.
 func (ev *Event) appendChange(e *wire.BodyEnc) {
 	e.Uvarint(ev.Base)
 	e.Uvarint(ev.View)
@@ -136,10 +180,21 @@ func (ev *Event) appendChange(e *wire.BodyEnc) {
 		return
 	}
 	n := uint64(0)
-	eachChange(ev.heldOutcome, ev.Outcome, ev.heldVisible, ev.Visible, func(ViewChange) { n++ })
+	ev.eachEntry(func(ViewChange) { n++ })
 	e.Uvarint(n)
 	if n > 0 {
-		eachChange(ev.heldOutcome, ev.Outcome, ev.heldVisible, ev.Visible, func(c ViewChange) { appendViewChange(e, c) })
+		ev.eachEntry(func(c ViewChange) { appendViewChange(e, c) })
+	}
+}
+
+// eachEntry calls fn for each entry of the run a presentation not yet
+// encoded makes: the change between its two solved views, or the whole
+// view its maps carry.
+func (ev *Event) eachEntry(fn func(ViewChange)) {
+	if ev.view != nil {
+		eachChange(ev.held, ev.view, fn)
+	} else {
+		eachWholeEntry(ev.Outcome, ev.Visible, fn)
 	}
 }
 
@@ -176,15 +231,4 @@ func (ev *Event) decodeChange(d *wire.Dec) error {
 		ev.Changes = append(ev.Changes, c)
 	}
 	return d.Err()
-}
-
-// sameView reports whether two views are one: the same two maps, not
-// equal ones. The engine hands every viewer of an evidence class the same
-// solved View, maps included, so identity is what tells the classes of one
-// reconfiguration apart (TestEncodeOnceFanOut fails if it stops doing so).
-// Both maps count: a document with no variables solves to a nil Outcome
-// for every class.
-func sameView(aOutcome, bOutcome cpnet.Outcome, aVisible, bVisible map[string]bool) bool {
-	return reflect.ValueOf(aOutcome).Pointer() == reflect.ValueOf(bOutcome).Pointer() &&
-		reflect.ValueOf(aVisible).Pointer() == reflect.ValueOf(bVisible).Pointer()
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"net"
 	"slices"
 	"strings"
@@ -476,8 +477,8 @@ func TestSaveMinutesPersists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	anns, err := image.UnmarshalAnnotations([]byte(texts))
-	if err != nil || len(anns) != 1 || anns[0].Text != "lesion 8mm" {
+	var anns []image.Annotation
+	if err := json.Unmarshal([]byte(texts), &anns); err != nil || len(anns) != 1 || anns[0].Text != "lesion 8mm" {
 		t.Errorf("persisted annotations: %v, %v", anns, err)
 	}
 }

@@ -177,6 +177,86 @@ func WideRecord(id string, n int, seed int64) (*document.Document, error) {
 	return d, nil
 }
 
+// randomForms is the pool RandomRecord draws a leaf's presentations
+// from: every media kind a table stores, a text form and a hidden one.
+var randomForms = []document.Presentation{
+	{Name: "full", Kind: document.KindImage},
+	{Name: "segmented", Kind: document.KindSegmentedImage},
+	{Name: "icon", Kind: document.KindIcon},
+	{Name: "lowres", Kind: document.KindImageLowRes},
+	{Name: "audio", Kind: document.KindAudio},
+	{Name: "text", Kind: document.KindText},
+	{Name: document.HiddenValue, Kind: document.KindHidden},
+}
+
+// RandomRecord builds a seeded random document of n components for
+// property tests: a random tree (a component is composite when it has
+// children), leaves with two to four presentations whose object ids are
+// drawn from a small range so components share objects, and a random
+// CP-net in which each variable conditions on up to two earlier ones
+// with a random order in every row.
+func RandomRecord(id string, n int, seed int64) (*document.Document, error) {
+	if n < 2 {
+		return nil, fmt.Errorf("workload: need at least 2 components")
+	}
+	rng := rand.New(rand.NewSource(seed))
+	comps := []*document.Component{{Name: "c0"}}
+	for i := 1; i < n; i++ {
+		c := &document.Component{Name: fmt.Sprintf("c%d", i)}
+		parent := comps[rng.Intn(len(comps))]
+		parent.Children = append(parent.Children, c)
+		comps = append(comps, c)
+	}
+	for _, c := range comps {
+		if c.Composite() {
+			continue
+		}
+		for _, k := range rng.Perm(len(randomForms))[:2+rng.Intn(3)] {
+			p := randomForms[k]
+			if p.Kind != document.KindHidden && rng.Intn(4) > 0 {
+				p.ObjectID = uint64(1 + rng.Intn(6))
+				p.Bytes = int64(1+rng.Intn(64)) << 10
+			}
+			c.Presentations = append(c.Presentations, p)
+		}
+	}
+	d, err := document.New(id, "Random record "+id, comps[0])
+	if err != nil {
+		return nil, err
+	}
+	vars := d.Prefs.Variables()
+	for i, v := range vars {
+		var parents []string
+		for _, j := range rng.Perm(i) {
+			if len(parents) < 2 && rng.Intn(3) == 0 {
+				parents = append(parents, vars[j].Name)
+			}
+		}
+		if err := d.Prefs.SetParents(v.Name, parents); err != nil {
+			return nil, err
+		}
+		var rowErr error
+		err := d.Prefs.ForEachContext(v.Name, func(ctx cpnet.Outcome) bool {
+			order := make([]string, 0, len(v.Domain))
+			for _, k := range rng.Perm(len(v.Domain)) {
+				order = append(order, v.Domain[k])
+			}
+			rowErr = d.Prefs.SetPreference(v.Name, ctx, order)
+			return rowErr == nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		if rowErr != nil {
+			return nil, rowErr
+		}
+	}
+	if err := d.Prefs.Validate(); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
 // PopulatedRecord is the output of Populate: a stored document whose
 // presentations reference real multimedia objects.
 type PopulatedRecord struct {
