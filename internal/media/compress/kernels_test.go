@@ -10,40 +10,53 @@ import (
 	"testing"
 	"time"
 
+	"mmconf/internal/media/dsp"
 	"mmconf/internal/media/image"
 )
 
-// refDCT2 and refIDCT2 are the cosine-per-term orthonormal DCT-II/III the
-// codec ran before its transforms became table-driven: the definition,
-// kept as the reference the kernels are checked against.
-func refDCT2(x []float64) []float64 {
-	n := len(x)
-	out := make([]float64, n)
-	for k := 0; k < n; k++ {
-		var sum float64
-		for i := 0; i < n; i++ {
-			sum += x[i] * math.Cos(math.Pi*float64(k)*(float64(i)+0.5)/float64(n))
+// refDCT returns the cosine-per-term orthonormal DCT-II (or, inverse set,
+// DCT-III) the codec ran before its transforms became table-driven: the
+// definition, kept as the reference the kernels are checked against. Each
+// cosine is the definition's, evaluated once per length, so that blocks
+// of 256 stay quick to check.
+func refDCT(inverse bool) func([]float64) []float64 {
+	cosines := map[int][]float64{} // n → cos(π·k·(i+½)/n) at k*n+i
+	return func(x []float64) []float64 {
+		n := len(x)
+		cos, ok := cosines[n]
+		if !ok {
+			cos = make([]float64, n*n)
+			for k := 0; k < n; k++ {
+				for i := 0; i < n; i++ {
+					cos[k*n+i] = math.Cos(math.Pi * float64(k) * (float64(i) + 0.5) / float64(n))
+				}
+			}
+			cosines[n] = cos
 		}
-		scale := math.Sqrt(2 / float64(n))
-		if k == 0 {
-			scale = math.Sqrt(1 / float64(n))
+		out := make([]float64, n)
+		if inverse {
+			for i := 0; i < n; i++ {
+				sum := x[0] * math.Sqrt(1/float64(n))
+				for k := 1; k < n; k++ {
+					sum += x[k] * math.Sqrt(2/float64(n)) * cos[k*n+i]
+				}
+				out[i] = sum
+			}
+			return out
 		}
-		out[k] = sum * scale
+		for k := 0; k < n; k++ {
+			var sum float64
+			for i := 0; i < n; i++ {
+				sum += x[i] * cos[k*n+i]
+			}
+			scale := math.Sqrt(2 / float64(n))
+			if k == 0 {
+				scale = math.Sqrt(1 / float64(n))
+			}
+			out[k] = sum * scale
+		}
+		return out
 	}
-	return out
-}
-
-func refIDCT2(x []float64) []float64 {
-	n := len(x)
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		sum := x[0] * math.Sqrt(1/float64(n))
-		for k := 1; k < n; k++ {
-			sum += x[k] * math.Sqrt(2/float64(n)) * math.Cos(math.Pi*float64(k)*(float64(i)+0.5)/float64(n))
-		}
-		out[i] = sum
-	}
-	return out
 }
 
 // refBlocks applies a 1-D transform over the rows then the columns of
@@ -244,15 +257,17 @@ func refEntropyDecode(data []byte, step float64, dst []float64) error {
 }
 
 // refDecoder is the three-plane decoder: the running sum, a layer's
-// coefficients, and the lifting scratch.
+// coefficients, and the lifting scratch. With matrix set it runs the
+// cosine layers through matrixDCT instead of the codec's blockDCT.
 type refDecoder struct {
 	s                    *Stream
 	recon, coef, scratch []float64
+	matrix               bool
 }
 
 func newRefDecoder(s *Stream) *refDecoder {
 	n := s.W * s.H
-	return &refDecoder{s, make([]float64, n), make([]float64, n), make([]float64, n)}
+	return &refDecoder{s: s, recon: make([]float64, n), coef: make([]float64, n), scratch: make([]float64, n)}
 }
 
 func (d *refDecoder) addLayer(li int) error {
@@ -268,10 +283,12 @@ func (d *refDecoder) addLayer(li int) error {
 	if err := refEntropyDecode(l.Data, l.Step, d.coef); err != nil {
 		return err
 	}
-	switch l.Kind {
-	case CosineLayer:
+	switch {
+	case l.Kind == CosineLayer && d.matrix:
+		matrixDCT(d.recon, d.coef, s.W, s.H, s.Block, true)
+	case l.Kind == CosineLayer:
 		newBlockDCT(s.W, s.H, s.Block).transform(d.recon, d.coef, true)
-	case PacketLayer:
+	case l.Kind == PacketLayer:
 		if err := checkPacket(s.W, s.H, packetDepth); err != nil {
 			return err
 		}
@@ -286,7 +303,9 @@ func (d *refDecoder) addLayer(li int) error {
 }
 
 // refDecode is Stream.Decode on the reference kernels.
-func refDecode(s *Stream, k int) ([]float64, error) {
+func refDecode(s *Stream, k int) ([]float64, error) { return refDecodeOn(s, k, false) }
+
+func refDecodeOn(s *Stream, k int, matrix bool) ([]float64, error) {
 	if k <= 0 || k > len(s.Layers) {
 		k = len(s.Layers)
 	}
@@ -297,6 +316,7 @@ func refDecode(s *Stream, k int) ([]float64, error) {
 		return nil, err
 	}
 	d := newRefDecoder(s)
+	d.matrix = matrix
 	for li := 0; li < k; li++ {
 		if err := d.addLayer(li); err != nil {
 			return nil, err
@@ -306,6 +326,60 @@ func refDecode(s *Stream, k int) ([]float64, error) {
 		d.recon[i] = math.Min(math.Max(v, 0), 1)
 	}
 	return d.recon, nil
+}
+
+// matrixDCT is blockDCT.transform as it ran before its row pass read
+// nonzero coefficients and its column pass became a butterfly: per tile, a
+// product of every row with the n×n matrix, then of the rows with it down
+// the columns, terms with a zero factor skipped. It is the reference the
+// codec's cosine layers are held to within 1e-12.
+func matrixDCT(dst, src []float64, w, h, block int, inverse bool) {
+	vec, at := map[int][]float64{}, map[int][]float64{} // b_k(i) at k*n+i, i*n+k
+	for _, n := range []int{block, w % block, h % block} {
+		vec[n] = dsp.DCTBasis(n)
+		at[n] = make([]float64, n*n)
+		for k := 0; k < n; k++ {
+			for i := 0; i < n; i++ {
+				at[n][i*n+k] = vec[n][k*n+i]
+			}
+		}
+	}
+	scratch, live := make([]float64, block*block), make([]bool, block)
+	for y0 := 0; y0 < h; y0 += block {
+		bh := min(block, h-y0)
+		for x0 := 0; x0 < w; x0 += block {
+			bw := min(block, w-x0)
+			along, down := at[bw], vec[bh]
+			if inverse {
+				along, down = vec[bw], at[bh]
+			}
+			for y := 0; y < bh; y++ {
+				out := scratch[y*bw : (y+1)*bw]
+				live[y] = false
+				for i, c := range src[(y0+y)*w+x0:][:bw] {
+					if c == 0 {
+						continue
+					}
+					if !live[y] {
+						live[y] = true
+						clear(out)
+					}
+					axpy(out, c, along[i*bw:])
+				}
+			}
+			for y := 0; y < bh; y++ {
+				out := dst[(y0+y)*w+x0:][:bw]
+				if !inverse {
+					clear(out)
+				}
+				for k, m := range down[y*bh:][:bh] {
+					if live[k] {
+						axpy(out, m, scratch[k*bw:])
+					}
+				}
+			}
+		}
+	}
 }
 
 // refEncode is Encode on the reference kernels, for options Encode accepts.
@@ -356,28 +430,79 @@ func maxAbsDiff(a, b []float64) float64 {
 	return worst
 }
 
+// zeroPatterns are the shapes of zeros the transform's skips take, each
+// applied to every tile of a random plane: the dense plane, one nine in
+// ten zero, one coefficient per tile, only the odd rows of a tile or only
+// the even ones (a dead half at the butterfly's first level, and for the
+// column pass a dead row at every level), and an all-zero first strip.
+var zeroPatterns = map[string]func(rng *rand.Rand, p []float64, w, h, block int){
+	"dense": func(*rand.Rand, []float64, int, int, int) {},
+	"nine in ten zero": func(rng *rand.Rand, p []float64, _, _, _ int) {
+		for i := range p {
+			if rng.Intn(10) != 0 {
+				p[i] = 0
+			}
+		}
+	},
+	"one per tile": func(rng *rand.Rand, p []float64, w, h, block int) {
+		for y0 := 0; y0 < h; y0 += block {
+			for x0 := 0; x0 < w; x0 += block {
+				bw, bh := min(block, w-x0), min(block, h-y0)
+				keep := rng.Intn(bw * bh)
+				for y := 0; y < bh; y++ {
+					for x := 0; x < bw; x++ {
+						if y*bw+x != keep {
+							p[(y0+y)*w+x0+x] = 0
+						}
+					}
+				}
+			}
+		}
+	},
+	"odd rows": func(_ *rand.Rand, p []float64, w, h, block int) {
+		for y := 0; y < h; y++ {
+			if (y%block)%2 == 0 {
+				clear(p[y*w : (y+1)*w])
+			}
+		}
+	},
+	"even rows": func(_ *rand.Rand, p []float64, w, h, block int) {
+		for y := 0; y < h; y++ {
+			if (y%block)%2 == 1 {
+				clear(p[y*w : (y+1)*w])
+			}
+		}
+	},
+	"zero strip": func(_ *rand.Rand, p []float64, w, _, block int) {
+		clear(p[:min(block*w, len(p))])
+	},
+}
+
 func TestBlockDCTMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	type geom struct{ w, h, block int }
-	cases := []geom{{250, 130, 16}, {256, 256, 16}, {5, 3, 64}}
+	cases := []geom{{250, 130, 16}, {256, 256, 16}, {5, 3, 64},
+		{130, 70, 64}, {131, 133, 128}, {256, 256, 256}, {270, 9, 256}} // full and edge tiles up to maxBlock
 	for block := 2; block <= 32; block++ {
 		cases = append(cases, geom{37, 29, block}) // odd sides: edge tiles of most sizes
 	}
+	fwd, inv := refDCT(false), refDCT(true)
 	for _, g := range cases {
 		dct := newBlockDCT(g.w, g.h, g.block)
-		for _, zeroShare := range []float64{0, 0.9} {
-			in := randomPlane(rng, g.w*g.h, zeroShare)
+		for name, zero := range zeroPatterns {
+			in := randomPlane(rng, g.w*g.h, 0)
+			zero(rng, in, g.w, g.h, g.block)
 
 			want := append([]float64(nil), in...)
-			refBlocks(want, g.w, g.h, g.block, refDCT2)
+			refBlocks(want, g.w, g.h, g.block, fwd)
 			got := append([]float64(nil), in...)
 			dct.transform(got, got, false)
 			if d := maxAbsDiff(got, want); d > 1e-12 {
-				t.Errorf("%+v forward: off the reference by %g", g, d)
+				t.Errorf("%+v %s forward: off the reference by %g", g, name, d)
 			}
 
 			want = append([]float64(nil), in...)
-			refBlocks(want, g.w, g.h, g.block, refIDCT2)
+			refBlocks(want, g.w, g.h, g.block, inv)
 			base := randomPlane(rng, g.w*g.h, 0)
 			got = append([]float64(nil), base...)
 			dct.transform(got, in, true)
@@ -385,62 +510,154 @@ func TestBlockDCTMatchesReference(t *testing.T) {
 				got[i] -= base[i]
 			}
 			if d := maxAbsDiff(got, want); d > 1e-12 {
-				t.Errorf("%+v inverse: off the reference by %g", g, d)
+				t.Errorf("%+v %s inverse: off the reference by %g", g, name, d)
 			}
 		}
 	}
 }
 
-// Skipping the terms with a zero factor must leave every sum what the
-// dense product gives: the same two passes, no skip, compared with ==.
-func TestBlockDCTZeroSkipIsExact(t *testing.T) {
-	const w, h, block = 40, 24, 16 // tiles 16, 8 wide; 16, 8 high
-	rng := rand.New(rand.NewSource(2))
-	coef := randomPlane(rng, w*h, 0.8)
-	for y := 0; y < 16; y++ { // one tile entirely zero
-		clear(coef[y*w+16 : y*w+32])
+// stripOf lists rows y0 to y0+bh of a w-wide plane of quantized
+// coefficients the way strip.read does, every nonzero one; with dense set
+// it lists the zeros too, so that nothing is skipped.
+func stripOf(q []int32, w, y0, bh int, step float64, dense bool) *strip {
+	s := &strip{from: make([]int, bh), to: make([]int, bh), step: step}
+	for y := 0; y < bh; y++ {
+		s.from[y] = len(s.nz)
+		for x, v := range q[(y0+y)*w:][:w] {
+			if v != 0 || dense {
+				s.nz = append(s.nz, nonzero{int32(x), v})
+			}
+		}
+		s.to[y] = len(s.nz)
 	}
-	clear(coef[3*w : 4*w]) // and a zero row through the others
-	dct := newBlockDCT(w, h, block)
-	for _, inverse := range []bool{false, true} {
-		base := randomPlane(rng, w*h, 0)
-		got := append([]float64(nil), base...)
-		dct.transform(got, coef, inverse)
+	return s
+}
 
-		want := append([]float64(nil), base...)
-		for y0 := 0; y0 < h; y0 += block {
-			bh := min(block, h-y0)
-			for x0 := 0; x0 < w; x0 += block {
-				bw := min(block, w-x0)
-				bx, by := dct.bases(bw, bh)
-				along, down := bx.at, by.vec
-				if inverse {
-					along, down = bx.vec, by.at
-				}
-				mid := make([]float64, bw*bh)
-				for y := 0; y < bh; y++ {
-					for i := 0; i < bw; i++ {
-						for k := 0; k < bw; k++ {
-							mid[y*bw+k] += coef[(y0+y)*w+x0+i] * along[i*bw+k]
-						}
-					}
-				}
-				for y := 0; y < bh; y++ {
-					out := want[(y0+y)*w+x0:][:bw]
-					if !inverse {
-						clear(out)
-					}
-					for k := 0; k < bh; k++ {
-						for x := range out {
-							out[x] += down[y*bh+k] * mid[k*bw+x]
-						}
-					}
+// Skipping what is zero — an absent coefficient in the row pass, a dead
+// row or a dead half of the butterfly in the column pass — must leave
+// every sum what the same kernel makes of the dense input with nothing
+// skipped, bit for bit. The plane's tiles (16 and 13 wide; 16, 16 and 11
+// high) hold every zero pattern the skips take.
+func TestBlockDCTZeroSkipIsExact(t *testing.T) {
+	const w, h, block, step = 45, 43, 16, 0.01
+	rng := rand.New(rand.NewSource(2))
+	q := make([]int32, w*h)
+	for i := range q {
+		q[i] = int32(rng.Intn(41) - 20)
+	}
+	tile := func(tx, ty int, keep func(x, y int) bool) {
+		for y := ty * block; y < min((ty+1)*block, h); y++ {
+			for x := tx * block; x < min((tx+1)*block, w); x++ {
+				if !keep(x-tx*block, y-ty*block) {
+					q[y*w+x] = 0
 				}
 			}
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("inverse=%v: pixel %d is %v with the skip, %v without", inverse, i, got[i], want[i])
+	}
+	tile(0, 0, func(_, y int) bool { return y%4 == 0 })                   // odd half dead at two levels
+	tile(1, 0, func(_, y int) bool { return y%2 == 1 })                   // even half dead
+	tile(2, 0, func(x, y int) bool { return x == 5 && y == 9 })           // one coefficient
+	tile(0, 1, func(_, y int) bool { return y != 3 && rng.Intn(10) < 3 }) // sparse, a dead row
+	tile(1, 1, func(_, _ int) bool { return false })                      // all zero
+	tile(2, 1, func(_, y int) bool { return y%4 == 3 })                   // even half dead, fours part dead, odd width
+	coef := make([]float64, w*h)
+	for i, v := range q {
+		coef[i] = float64(v) * step
+	}
+	dct := newBlockDCT(w, h, block)
+	base := randomPlane(rng, w*h, 0)
+
+	// The inverse: strips of nonzero coefficients, strips listing every
+	// one, and the plane.
+	sparse, dense, plane := append([]float64(nil), base...), append([]float64(nil), base...), append([]float64(nil), base...)
+	for y0 := 0; y0 < h; y0 += block {
+		bh := min(block, h-y0)
+		dct.band(sparse[y0*w:], stripOf(q, w, y0, bh, step, false), bh)
+		dct.band(dense[y0*w:], stripOf(q, w, y0, bh, step, true), bh)
+	}
+	dct.transform(plane, coef, true)
+	for i := range sparse {
+		if sparse[i] != dense[i] || plane[i] != dense[i] {
+			t.Fatalf("inverse: pixel %d is %v from the nonzeros, %v from the plane, %v with no skip", i, sparse[i], plane[i], dense[i])
+		}
+	}
+
+	// The forward pass: transform against the same row and column passes
+	// run over every coefficient, every row live.
+	got := append([]float64(nil), coef...)
+	dct.transform(got, got, false)
+	want := make([]float64, w*h)
+	for y0 := 0; y0 < h; y0 += block {
+		bh := min(block, h-y0)
+		for x0 := 0; x0 < w; x0 += block {
+			bw := min(block, w-x0)
+			bx, by := dct.bases(bw, bh)
+			for y := 0; y < bh; y++ {
+				row := dct.rows[y*bw:][:bw]
+				clear(row)
+				for i, c := range coef[(y0+y)*w+x0:][:bw] {
+					axpy(row, c, bx.at[i*bw:])
+				}
+				dct.live[y] = true
+			}
+			by.analyze(want[y0*w+x0:], w, dct.rows, dct.live, bw, 0, by.cols)
+		}
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("forward: coefficient %d is %v with the skips, %v without", i, got[i], want[i])
+		}
+	}
+}
+
+// Every Decode(k), on the thirteen geometries of
+// TestCodecMatchesTwoPlaneReference, stays within 1e-12 of what the
+// matrix transform the butterfly replaced makes of the same stream.
+func TestDecodeNearMatrixTransform(t *testing.T) {
+	type geom struct {
+		w, h int
+		opts Options
+	}
+	cases := []geom{
+		{256, 256, Options{}},
+		{100, 75, Options{}},
+		{33, 65, Options{}},
+		{33, 47, Options{Block: 8}},
+		{17, 16, Options{Levels: 3}},
+		{9, 40, Options{Levels: 2}},
+		{64, 2, Options{Levels: 1}},
+		{40, 37, Options{Block: 5}},
+		{23, 31, Options{Block: 32}},
+		{64, 64, Options{Basis: PacketBasis}},
+		{128, 96, Options{Basis: PacketBasis, Levels: 3}},
+		{100, 76, Options{Basis: PacketBasis, Levels: 2}},
+		{4, 4, Options{Basis: PacketBasis, Levels: 1}},
+	}
+	for _, c := range cases {
+		c.opts.ResidualSteps = []float64{0.04, 0.015, 0.005}
+		img, err := image.Phantom(c.w, c.h, int64(c.w*c.h))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(c.w)))
+		for i := range img.Pix {
+			img.Pix[i] = math.Min(math.Max(img.Pix[i]+0.1*rng.NormFloat64(), 0), 1)
+		}
+		st, err := Encode(img, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 1; k <= len(st.Layers); k++ {
+			got, err := st.Decode(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := refDecodeOn(st, k, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := maxAbsDiff(got.Pix, want); d > 1e-12 {
+				t.Errorf("%dx%d %+v: Decode(%d) off the matrix transform by %g", c.w, c.h, c.opts, k, d)
 			}
 		}
 	}
@@ -691,8 +908,31 @@ func readPieces(data []byte, step float64, total int, pieces []int) ([]float64, 
 	return out, rd.finish()
 }
 
+// readNonzeros reads the same plane through the nonzero read, in the same
+// pieces, as a list of positions in the plane and dequantized values.
+func readNonzeros(data []byte, step float64, total int, pieces []int) ([]int, []float64, error) {
+	var pos []int
+	var vals []float64
+	rd := entropyReader{data: data, step: step, total: total}
+	at := 0
+	for _, n := range pieces {
+		nz, err := rd.nonzeros(nil, n)
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, c := range nz {
+			pos = append(pos, at+int(c.col))
+			vals = append(vals, float64(c.q)*step)
+		}
+		at += n
+	}
+	return pos, vals, rd.finish()
+}
+
 // checkPieces requires of one way to cut the plane what the whole-plane
-// reference decoder gives: the same coefficients, or the same error.
+// reference decoder gives: from the dense read the same coefficients, from
+// the nonzero read the same nonzero ones as positions and values, or from
+// both the same error.
 func checkPieces(t *testing.T, name string, data []byte, step float64, pieces []int) {
 	t.Helper()
 	total := 0
@@ -708,11 +948,29 @@ func checkPieces(t *testing.T, name string, data []byte, step float64, pieces []
 	case err == nil && sameBits(got, want) >= 0:
 		t.Fatalf("%s cut %v: read %v, whole plane %v", name, pieces, got, want)
 	}
+	pos, vals, err := readNonzeros(data, step, total, pieces)
+	switch {
+	case (err == nil) != (wantErr == nil), err != nil && err.Error() != wantErr.Error():
+		t.Fatalf("%s cut %v: nonzero read: %v, whole plane: %v", name, pieces, err, wantErr)
+	case err != nil:
+		return
+	}
+	var wantPos []int
+	var wantVals []float64
+	for i, v := range want {
+		if v != 0 {
+			wantPos, wantVals = append(wantPos, i), append(wantVals, v)
+		}
+	}
+	if fmt.Sprint(pos) != fmt.Sprint(wantPos) || sameBits(vals, wantVals) >= 0 || len(vals) != len(wantVals) {
+		t.Fatalf("%s cut %v: nonzero read %v at %v, whole plane %v at %v", name, pieces, vals, pos, wantVals, wantPos)
+	}
 }
 
-// However a plane is cut into strips, the reader must deliver the
-// coefficients and refuse the payloads the whole-plane decoder did, with
-// the same words: every cut of a 9-coefficient plane, so every defect —
+// However a plane is cut into strips, the reader — through the dense
+// read and through the nonzero read — must deliver the coefficients and
+// refuse the payloads the whole-plane decoder did, with the same words:
+// every cut of a 9-coefficient plane, so every defect —
 // the truncation, the over-long run, the trailing byte — falls before,
 // on and after a strip boundary, and every run is carried across one.
 func TestEntropyReaderEveryCut(t *testing.T) {
@@ -749,6 +1007,12 @@ func TestEntropyReaderEveryCut(t *testing.T) {
 	}
 	if _, err := readPieces(intact, 1, n, []int{n}); err != nil {
 		t.Fatalf("intact payload: %v", err)
+	}
+	// The dense read works through the nonzero read a bounded piece at a
+	// time: pieces longer than that, with runs across its seams.
+	long := randomPlane(rand.New(rand.NewSource(6)), 1000, 0.7)
+	for _, pieces := range [][]int{{1000}, {255, 745}, {256, 256, 488}, {999, 1}} {
+		checkPieces(t, "long", entropyEncode(long, 0.25), 0.25, pieces)
 	}
 	// Reading less than the plane is a caller's mistake finish reports.
 	rd := entropyReader{data: intact, step: 1, total: n}
@@ -812,6 +1076,17 @@ func TestDecodeAllocatesOnePlane(t *testing.T) {
 		})
 		if limit := uint64(plane + 8*w*st.Block + 16<<10); got > limit {
 			t.Errorf("Decode(%d) allocated %d bytes, more than one plane and a strip (%d)", k, got, limit)
+		}
+		// The image and its plane, the decoder and the lifting scratch;
+		// from the first cosine layer on also the transform, its tile and
+		// row flags, the tables of one basis (dsp's rows among them), and
+		// the strip's three slices.
+		limit := 4.0
+		if k >= 2 {
+			limit = 13
+		}
+		if n := testing.AllocsPerRun(3, func() { st.Decode(k) }); n > limit {
+			t.Errorf("Decode(%d) made %v allocations, more than %v", k, n, limit)
 		}
 	}
 	// Coarse steps keep the payloads, and the slices they grew in, well

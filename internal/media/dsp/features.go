@@ -111,7 +111,7 @@ func NewExtractor(sampleRate float64, frameLen, hop, numFilters, numCoeffs int) 
 		NumCoeffs:  numCoeffs,
 		PreEmph:    0.97,
 		window:     HammingWindow(frameLen),
-		dct:        dctBasis(numFilters),
+		dct:        DCTBasis(numFilters),
 	}
 	e.filters = melFilterbank(numFilters, NextPow2(frameLen)/2+1, sampleRate)
 	return e, nil

@@ -119,9 +119,10 @@ func dctRow(row []float64, k int) {
 	}
 }
 
-// dctBasis returns the n×n orthonormal DCT-II matrix, row k holding
-// basis vector k.
-func dctBasis(n int) []float64 {
+// DCTBasis returns the n×n orthonormal DCT-II matrix, row k holding
+// basis vector k: the one table the cepstra here and the compression
+// module's local-cosine blocks are both computed against.
+func DCTBasis(n int) []float64 {
 	b := make([]float64, n*n)
 	for k := 0; k < n; k++ {
 		dctRow(b[k*n:(k+1)*n], k)
@@ -130,7 +131,7 @@ func dctBasis(n int) []float64 {
 }
 
 // dctInto writes the first len(out) DCT-II coefficients of x against
-// basis, the dctBasis of len(x).
+// basis, the DCTBasis of len(x).
 func dctInto(out, basis, x []float64) {
 	n := len(x)
 	for k := range out {
@@ -146,14 +147,13 @@ func dctInto(out, basis, x []float64) {
 // filterbank energies into cepstral coefficients).
 func DCT2(x []float64) []float64 {
 	out := make([]float64, len(x))
-	dctInto(out, dctBasis(len(x)), x)
+	dctInto(out, DCTBasis(len(x)), x)
 	return out
 }
 
 // IDCT2 inverts DCT2 (orthonormal DCT-III): the basis vectors summed with
-// the weights in x, zero weights skipped — so the inverse of a unit vector
-// costs one row of cosines, which is how the compression module builds
-// the basis of its local-cosine blocks.
+// the weights in x, zero weights skipped, so the inverse of a unit vector
+// costs one row of cosines.
 func IDCT2(x []float64) []float64 {
 	out := make([]float64, len(x))
 	row := make([]float64, len(x))
