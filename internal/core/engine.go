@@ -2,8 +2,9 @@
 // the paper's primary contribution (§4). It orchestrates, for one shared
 // document under concurrent viewing, everything the interaction server
 // needs: the accumulated viewer choices (the evidence of the constrained
-// optimization), per-viewer overlay networks for private operation
-// variables (§4.2), the bandwidth/buffer tuning variables of §4.4, and
+// optimization), per-viewer extensions of the shared network by private
+// operation variables (§4.2), the bandwidth/buffer tuning variables of
+// §4.4, and
 // the recomputation of the optimal presentation after every event.
 //
 // The flow mirrors Fig. 4 of the paper: on document retrieval the engine
@@ -29,25 +30,21 @@ type Engine struct {
 	mu sync.Mutex
 	// doc is the shared document (hierarchy + author network).
 	doc *document.Document
-	// choices is the accumulated evidence: the most recent explicit
-	// presentation selection per variable, across all viewers.
+	// choices is the accumulated shared evidence: the most recent
+	// explicit presentation selection per shared variable, across all
+	// viewers.
 	choices cpnet.Outcome
 	// choiceBy remembers which viewer pinned each variable, so a
 	// viewer's choices can be retracted when they leave.
 	choiceBy map[string]string
-	// overlays holds each viewer's private extension network.
-	overlays map[string]*cpnet.Overlay
-	// env holds per-viewer environment evidence — measured facts about
-	// one viewer's situation (e.g. the QoS loop's bandwidth level) that
-	// condition only that viewer's view, unlike the shared choices.
-	env map[string]cpnet.Outcome
+	// viewers holds each joined viewer's own state.
+	viewers map[string]*viewerState
 
 	// gen counts mutations: every method that changes the document, the
 	// evidence, the viewer set, an overlay or an environment bumps it.
-	// memo holds one solved view per evidence class of the viewers with
-	// an empty overlay; memoGen is the last generation one was looked up
-	// at. An entry not current at gen is brought up to it on its next
-	// lookup (see classLocked).
+	// memo holds one solved view per evidence class; memoGen is the last
+	// generation one was looked up at. An entry not current at gen is
+	// brought up to it on its next lookup (see classLocked).
 	gen, memoGen uint64
 	memo         []classView
 	// schema is the document compiled for solving; nil after the
@@ -62,11 +59,28 @@ type Engine struct {
 	rank func(*document.Schema, []uint8) ([]prefetch.Candidate, error)
 }
 
+// viewerState is one joined viewer's own state: their extension of the
+// shared network and the evidence only it reads.
+type viewerState struct {
+	// env is the viewer's measured environment (e.g. the QoS loop's
+	// bandwidth level), which conditions only their view.
+	env cpnet.Outcome
+	ov  *cpnet.Overlay
+	// pins is the viewer's evidence on their private variables.
+	pins cpnet.Outcome
+	// schema is the document's schema extended by ov, kept until the
+	// document or ov changes; nil when stale.
+	schema *document.Schema
+	// solved is the view of a viewer with private variables, derived from
+	// their class's view from; nil when stale. view is its maps.
+	from, solved *document.Solved
+	view         document.View
+}
+
 // classView is the solved view of one evidence class: the viewers whose
-// overlay is empty and whose environment equals env. Their evidence is
-// the same, so is the base completion, and an empty overlay adds nothing
-// to it (§4.2: "the base outcome is exactly what every other viewer
-// would compute").
+// environment equals env. Their shared evidence is the same, so is the
+// base completion (§4.2: "the base outcome is exactly what every other
+// viewer would compute"); a viewer's private variables extend it.
 type classView struct {
 	env cpnet.Outcome
 	// pins is the evidence solved completes, as a vector under its schema.
@@ -90,8 +104,7 @@ func NewEngine(doc *document.Document) (*Engine, error) {
 		doc:      doc,
 		choices:  cpnet.Outcome{},
 		choiceBy: make(map[string]string),
-		overlays: make(map[string]*cpnet.Overlay),
-		env:      make(map[string]cpnet.Outcome),
+		viewers:  make(map[string]*viewerState),
 		rank:     prefetch.RankSchema,
 	}, nil
 }
@@ -109,8 +122,22 @@ func (e *Engine) EditDocument(edit func(*document.Document) error) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.gen++
-	e.schema = nil
+	defer e.documentChangedLocked()
 	return edit(e.doc)
+}
+
+// documentChangedLocked drops what was compiled from the document before
+// an edit or a shared operation: its schema and every viewer's extension
+// of it. A private variable the change left without support goes, with
+// its pin (see cpnet.Overlay.Prune).
+func (e *Engine) documentChangedLocked() {
+	e.schema = nil
+	for _, vw := range e.viewers {
+		vw.schema = nil
+		for _, name := range vw.ov.Prune() {
+			delete(vw.pins, name)
+		}
+	}
 }
 
 // Join registers a viewer, creating their private overlay, and returns
@@ -136,25 +163,24 @@ func (e *Engine) addViewerLocked(viewer string) error {
 	if viewer == "" {
 		return fmt.Errorf("core: empty viewer name")
 	}
-	if _, dup := e.overlays[viewer]; dup {
+	if _, dup := e.viewers[viewer]; dup {
 		return fmt.Errorf("core: viewer %q already joined", viewer)
 	}
-	e.overlays[viewer] = e.doc.NewOverlay()
+	e.viewers[viewer] = &viewerState{ov: e.doc.NewOverlay(), pins: cpnet.Outcome{}}
 	e.gen++
 	return nil
 }
 
-// Leave retracts the viewer's choices and discards their overlay. It
-// returns true if the shared presentation changed (the server should then
-// push fresh views to the remaining viewers).
+// Leave retracts the viewer's choices and discards their private
+// variables. It returns true if the shared presentation changed (the
+// server should then push fresh views to the remaining viewers).
 func (e *Engine) Leave(viewer string) (bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, ok := e.overlays[viewer]; !ok {
+	if _, ok := e.viewers[viewer]; !ok {
 		return false, fmt.Errorf("core: viewer %q not joined", viewer)
 	}
-	delete(e.overlays, viewer)
-	delete(e.env, viewer)
+	delete(e.viewers, viewer)
 	e.gen++
 	changed := false
 	for variable, by := range e.choiceBy {
@@ -171,8 +197,8 @@ func (e *Engine) Leave(viewer string) (bool, error) {
 func (e *Engine) Viewers() []string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]string, 0, len(e.overlays))
-	for v := range e.overlays {
+	out := make([]string, 0, len(e.viewers))
+	for v := range e.viewers {
 		out = append(out, v)
 	}
 	sort.Strings(out)
@@ -201,9 +227,12 @@ func (e *Engine) SetChoice(viewer, variable, value string) error {
 }
 
 func (e *Engine) setChoiceLocked(viewer, variable, value string) error {
-	ov, ok := e.overlays[viewer]
+	vw, ok := e.viewers[viewer]
 	if !ok {
 		return fmt.Errorf("core: viewer %q not joined", viewer)
+	}
+	if vw.ov.Owns(variable) {
+		return e.pinPrivateLocked(vw, variable, value)
 	}
 	if value == "" {
 		if e.choiceBy[variable] != "" {
@@ -213,19 +242,30 @@ func (e *Engine) setChoiceLocked(viewer, variable, value string) error {
 		}
 		return nil
 	}
-	// Validate against the shared network or the viewer's own overlay. A
-	// private extension variable is pinned in the viewer's own evidence:
-	// it is stored in choices, and only its owner's evidence reads it.
-	switch {
-	case e.doc.Prefs.HasVariable(variable):
-		if !e.doc.Prefs.HasValue(variable, value) {
-			return fmt.Errorf("core: variable %q has no value %q", variable, value)
-		}
-	case !ov.Owns(variable):
+	if !e.doc.Prefs.HasVariable(variable) {
 		return fmt.Errorf("core: unknown variable %q", variable)
+	}
+	if !e.doc.Prefs.HasValue(variable, value) {
+		return fmt.Errorf("core: variable %q has no value %q", variable, value)
 	}
 	e.choices[variable] = value
 	e.choiceBy[variable] = viewer
+	e.gen++
+	return nil
+}
+
+// pinPrivateLocked pins one of the viewer's private variables in their
+// own evidence, or retracts the pin (value ""): no other viewer reads it.
+func (e *Engine) pinPrivateLocked(vw *viewerState, variable, value string) error {
+	switch value {
+	case "":
+		delete(vw.pins, variable)
+	case cpnet.OpApplied, cpnet.OpFlat:
+		vw.pins[variable] = value
+	default:
+		return fmt.Errorf("core: variable %q has no value %q", variable, value)
+	}
+	vw.solved = nil
 	e.gen++
 	return nil
 }
@@ -237,76 +277,83 @@ func (e *Engine) setChoiceLocked(viewer, variable, value string) error {
 func (e *Engine) Operation(viewer, component, op, activeWhen string, private bool) (string, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	ov, ok := e.overlays[viewer]
+	vw, ok := e.viewers[viewer]
 	if !ok {
 		return "", fmt.Errorf("core: viewer %q not joined", viewer)
 	}
 	e.gen++
 	if private {
-		return e.doc.ApplyOperationPrivate(ov, component, op, activeWhen)
+		vw.schema = nil
+		return e.doc.ApplyOperationPrivate(vw.ov, component, op, activeWhen)
 	}
-	e.schema = nil
+	defer e.documentChangedLocked()
 	return e.doc.ApplyOperation(component, op, activeWhen)
 }
 
 // ViewFor computes the current optimal view for one viewer: the shared
 // completion under all accumulated choices, extended by the viewer's
-// private overlay.
+// private variables.
 func (e *Engine) ViewFor(viewer string) (document.View, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.viewForLocked(viewer)
 }
 
+// viewForLocked returns the viewer's view as maps, built once per solved
+// view: the viewers of one evidence class without private variables take
+// the same View value, which is why a View is read-only.
 func (e *Engine) viewForLocked(viewer string) (document.View, error) {
-	ov, ok := e.overlays[viewer]
-	if !ok {
-		return document.View{}, fmt.Errorf("core: viewer %q not joined", viewer)
-	}
-	return e.viewForViewerLocked(viewer, ov)
-}
-
-// viewForViewerLocked returns the viewer's view as maps, solving once
-// per evidence class: a viewer with an empty overlay takes the maps
-// already built at this generation for their class, if there are any —
-// the same View value, which is why a View is read-only. A viewer with a
-// private overlay is solved alone.
-func (e *Engine) viewForViewerLocked(viewer string, ov *cpnet.Overlay) (document.View, error) {
-	if !ov.Empty() {
-		return e.solveLocked(viewer, ov)
-	}
-	c, err := e.classLocked(viewer)
+	v, view, err := e.solvedLocked(viewer)
 	if err != nil {
 		return document.View{}, err
 	}
-	if c.view.Outcome == nil {
-		c.view = c.solved.View()
+	if view.Outcome == nil {
+		*view = v.View()
 	}
-	return c.view, nil
+	return *view, nil
 }
 
 // Solved returns the viewer's solved view: the room's path, which diffs
 // and encodes it and never builds its maps. Viewers of one evidence class
-// get the same *Solved; a viewer with a private overlay gets their own.
+// get the same *Solved, unless they have private variables: each of those
+// gets their class's, extended by their own.
 func (e *Engine) Solved(viewer string) (*document.Solved, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	ov, ok := e.overlays[viewer]
+	v, _, err := e.solvedLocked(viewer)
+	return v, err
+}
+
+// solvedLocked returns the viewer's solved view at this generation and
+// the slot its maps are kept in. Every viewer is served from their
+// evidence class's view; a viewer with private variables gets it
+// extended by their own, derived again only when the class's view, the
+// schema or their private evidence changed.
+func (e *Engine) solvedLocked(viewer string) (*document.Solved, *document.View, error) {
+	vw, ok := e.viewers[viewer]
 	if !ok {
-		return nil, fmt.Errorf("core: viewer %q not joined", viewer)
-	}
-	if !ov.Empty() {
-		schema, err := e.schemaLocked()
-		if err != nil {
-			return nil, err
-		}
-		return e.solveWholeLocked(schema, viewer, ov)
+		return nil, nil, fmt.Errorf("core: viewer %q not joined", viewer)
 	}
 	c, err := e.classLocked(viewer)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return c.solved, nil
+	if vw.ov.Empty() {
+		return c.solved, &c.view, nil
+	}
+	if vw.schema == nil {
+		if vw.schema, err = c.solved.Schema().WithPrivate(vw.ov); err != nil {
+			return nil, nil, fmt.Errorf("document %s: %w", e.doc.ID, err)
+		}
+	}
+	if vw.solved == nil || vw.from != c.solved || vw.solved.Schema() != vw.schema {
+		v, err := vw.schema.Derive(c.solved, vw.pins)
+		if err != nil {
+			return nil, nil, fmt.Errorf("document %s: %w", e.doc.ID, err)
+		}
+		vw.from, vw.solved, vw.view = c.solved, v, document.View{}
+	}
+	return vw.solved, &vw.view, nil
 }
 
 // schemaLocked returns the document compiled for solving, compiling it
@@ -322,14 +369,14 @@ func (e *Engine) schemaLocked() (*document.Schema, error) {
 	return e.schema, nil
 }
 
-// classLocked returns the memo entry of the evidence class of a viewer
-// with an empty overlay, current at this generation. An entry current at
-// an earlier one is brought up to date from its own view when the
-// document has not changed since: kept as it is when the class's evidence
-// did not change (a join, say, or another class's choice), otherwise
-// re-solved by propagation from the variables whose evidence did. After
-// an edit it is solved whole. Entries not looked up at the last
-// generation are dropped at the first lookup of a new one.
+// classLocked returns the memo entry of the viewer's evidence class,
+// current at this generation. An entry current at an earlier one is
+// brought up to date from its own view when the document has not changed
+// since: kept as it is when the class's evidence did not change (a join,
+// say, or another class's choice), otherwise re-solved by propagation
+// from the variables whose evidence did. After an edit it is solved
+// whole. Entries not looked up at the last generation are dropped at the
+// first lookup of a new one.
 func (e *Engine) classLocked(viewer string) (*classView, error) {
 	if e.memoGen != e.gen {
 		kept := e.memo[:0]
@@ -341,7 +388,7 @@ func (e *Engine) classLocked(viewer string) (*classView, error) {
 		clear(e.memo[len(kept):]) // drop the stale views with their slots
 		e.memo, e.memoGen = kept, e.gen
 	}
-	env := e.env[viewer]
+	env := e.viewers[viewer].env
 	var c *classView
 	for i := range e.memo {
 		if maps.Equal(e.memo[i].env, env) {
@@ -393,22 +440,21 @@ func (e *Engine) classLocked(viewer string) (*classView, error) {
 	return c, nil
 }
 
-// evidenceLocked calls pin with each variable the viewer's evidence pins
-// and its value: the viewer's measured environment, then the shared
-// choices that name a base variable or one of the viewer's own private
-// variables (ov nil: base variables only). A room-wide environment pin (a
-// choice no viewer owns) yields to the viewer's own measurement of the
-// same variable; an explicit viewer choice wins over both. Every solve and
-// the prefetch ranking read evidence here, so they cannot disagree.
-func (e *Engine) evidenceLocked(viewer string, ov *cpnet.Overlay, pin func(variable, value string)) {
-	env := e.env[viewer]
+// evidenceLocked calls pin with each variable the viewer's shared
+// evidence pins and its value: the viewer's measured environment, then the
+// shared choices. A room-wide environment pin (a choice no viewer owns)
+// yields to the viewer's own measurement of the same variable; an
+// explicit viewer choice wins over both. Every solve and the prefetch
+// ranking read evidence here, so they cannot disagree.
+func (e *Engine) evidenceLocked(viewer string, pin func(variable, value string)) {
+	env := e.viewers[viewer].env
 	for variable, value := range env {
 		if e.doc.Prefs.HasVariable(variable) {
 			pin(variable, value)
 		}
 	}
 	for variable, value := range e.choices {
-		if !e.doc.Prefs.HasVariable(variable) && (ov == nil || !ov.Owns(variable)) {
+		if !e.doc.Prefs.HasVariable(variable) {
 			continue
 		}
 		if _, measured := env[variable]; measured && e.choiceBy[variable] == "" {
@@ -418,8 +464,8 @@ func (e *Engine) evidenceLocked(viewer string, ov *cpnet.Overlay, pin func(varia
 	}
 }
 
-// pinsLocked writes the evidence of a viewer with an empty overlay into
-// an evidence vector under schema, reusing buf when it fits.
+// pinsLocked writes the viewer's shared evidence into an evidence vector
+// under schema, reusing buf when it fits.
 func (e *Engine) pinsLocked(schema *document.Schema, viewer string, buf []uint8) ([]uint8, error) {
 	net := schema.Network()
 	if len(buf) != net.Len() {
@@ -429,7 +475,7 @@ func (e *Engine) pinsLocked(schema *document.Schema, viewer string, buf []uint8)
 		buf[i] = cpnet.Unpinned
 	}
 	var err error
-	e.evidenceLocked(viewer, nil, func(variable, value string) {
+	e.evidenceLocked(viewer, func(variable, value string) {
 		if perr := net.Pin(buf, variable, value); perr != nil && err == nil {
 			err = fmt.Errorf("document %s: %w", e.doc.ID, perr)
 		}
@@ -437,37 +483,14 @@ func (e *Engine) pinsLocked(schema *document.Schema, viewer string, buf []uint8)
 	return buf, err
 }
 
-// solveWholeLocked solves the view of a viewer with a private overlay
-// afresh under schema, with the overlay's own completion of the viewer's
-// evidence.
-func (e *Engine) solveWholeLocked(schema *document.Schema, viewer string, ov *cpnet.Overlay) (*document.Solved, error) {
-	ev := cpnet.Outcome{}
-	e.evidenceLocked(viewer, ov, func(variable, value string) { ev[variable] = value })
-	v, err := schema.SolveOverlay(ov, ev)
-	if err != nil {
-		return nil, fmt.Errorf("document %s: %w", e.doc.ID, err)
-	}
-	return v, nil
-}
-
-// solveLocked solves the viewer's view afresh, as maps, under the
-// document compiled anew: the view of a viewer with a private overlay,
-// and the reference the memo is held to, which must not trust the
-// engine's cached schema.
-func (e *Engine) solveLocked(viewer string, ov *cpnet.Overlay) (document.View, error) {
-	ev := cpnet.Outcome{}
-	e.evidenceLocked(viewer, ov, func(variable, value string) { ev[variable] = value })
-	return e.doc.ReconfigPresentationFor(ov, ev)
-}
-
 // Views computes the current view of every joined viewer as maps. Viewers
-// of one evidence class get the same View value.
+// who share a solved view get the same View value.
 func (e *Engine) Views() (map[string]document.View, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make(map[string]document.View, len(e.overlays))
-	for viewer, ov := range e.overlays {
-		v, err := e.viewForViewerLocked(viewer, ov)
+	out := make(map[string]document.View, len(e.viewers))
+	for viewer := range e.viewers {
+		v, err := e.viewForLocked(viewer)
 		if err != nil {
 			return nil, err
 		}
@@ -484,7 +507,7 @@ func (e *Engine) Views() (map[string]document.View, error) {
 // concurrent media operation cannot change it mid-rank.
 func (e *Engine) PrefetchRank(viewer string) ([]prefetch.Candidate, error) {
 	e.mu.Lock()
-	if _, ok := e.overlays[viewer]; !ok {
+	if _, ok := e.viewers[viewer]; !ok {
 		e.mu.Unlock()
 		return nil, fmt.Errorf("core: viewer %q not joined", viewer)
 	}

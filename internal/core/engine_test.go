@@ -199,6 +199,173 @@ func TestPrivateOperationIsolation(t *testing.T) {
 	}
 }
 
+// TestPrivateChoiceStaysPrivate: two viewers make the same private
+// operation, so their private variables share a name. A pin or a
+// retraction by one is their own evidence and moves nobody else's view;
+// leaving takes only the leaver's pins.
+func TestPrivateChoiceStaysPrivate(t *testing.T) {
+	e := testEngine(t)
+	for _, v := range []string{"c", "d", "x"} {
+		if _, err := e.Join(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	name, err := e.Operation("c", "ct", "zoom", "full", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := e.Operation("d", "ct", "zoom", "full", true); err != nil || again != name {
+		t.Fatalf("d's private zoom: %q, %v", again, err)
+	}
+	sees := func(viewer string) string {
+		t.Helper()
+		v, err := e.ViewFor(viewer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v.Outcome[name]
+	}
+	if got := sees("c"); got != cpnet.OpApplied {
+		t.Fatalf("c sees %s=%q before any pin, want applied", name, got)
+	}
+	if _, err := e.Choice("d", name, cpnet.OpFlat); err != nil {
+		t.Fatal(err)
+	}
+	if got := sees("c"); got != cpnet.OpApplied {
+		t.Errorf("d's private pin flipped c's view to %q", got)
+	}
+	if got := sees("d"); got != cpnet.OpFlat {
+		t.Errorf("d's own pin is not honoured: %q", got)
+	}
+	if _, ok := e.Choices()[name]; ok {
+		t.Errorf("a private pin entered the shared evidence: %v", e.Choices())
+	}
+	if _, err := e.Choice("c", name, cpnet.OpFlat); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Choice("d", name, ""); err != nil {
+		t.Fatal(err)
+	}
+	if got, gotD := sees("c"), sees("d"); got != cpnet.OpFlat || gotD != cpnet.OpApplied {
+		t.Errorf("after d retracted: c sees %q (pinned flat), d %q (unpinned, applied)", got, gotD)
+	}
+	if _, err := e.Choice("x", name, cpnet.OpFlat); err == nil {
+		t.Error("a viewer without the private variable pinned it")
+	}
+	if _, err := e.Choice("c", name, "half"); err == nil {
+		t.Error("a private pin outside {applied, flat} accepted")
+	}
+	changed, err := e.Leave("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if changed {
+		t.Error("d leaving changed the shared presentation, though d pinned nothing shared")
+	}
+	if got := sees("c"); got != cpnet.OpFlat {
+		t.Errorf("d leaving moved c's private pin: %q", got)
+	}
+}
+
+// TestPrivateOperationOnRemovedComponent: removing a component drops the
+// private variables made on it, their private descendants and their
+// pins, as the document drops its shared operation variables; the viewer
+// keeps being served, and may make the operation again on a component of
+// the same name.
+func TestPrivateOperationOnRemovedComponent(t *testing.T) {
+	e := testEngine(t)
+	for _, v := range []string{"c", "d"} {
+		if _, err := e.Join(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	zoom, err := e.Operation("c", "ct", "zoom", "full", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := e.Operation("c", zoom, "grid", cpnet.OpApplied, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xray, err := e.Operation("c", "xray", "zoom", "full", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Choice("c", zoom, cpnet.OpFlat); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.EditDocument(func(d *document.Document) error { return d.RemoveComponent("ct") }); err != nil {
+		t.Fatal(err)
+	}
+	v, err := e.ViewFor("c")
+	if err != nil {
+		t.Fatalf("c's view after ct was removed: %v", err)
+	}
+	for _, gone := range []string{"ct", zoom, grid} {
+		if _, ok := v.Outcome[gone]; ok {
+			t.Errorf("c still sees %s: %v", gone, v.Outcome)
+		}
+	}
+	if _, ok := v.Outcome[xray]; !ok {
+		t.Errorf("the private variable on xray was dropped too: %v", v.Outcome)
+	}
+	if _, err := e.Solved("c"); err != nil {
+		t.Errorf("c's solved view after ct was removed: %v", err)
+	}
+	if _, err := e.Choice("c", zoom, cpnet.OpFlat); err == nil {
+		t.Error("a pin on a dropped private variable accepted")
+	}
+	// The component comes back; the old pin does not.
+	err = e.EditDocument(func(d *document.Document) error {
+		return d.AddComponent("imaging", &document.Component{
+			Name: "ct",
+			Presentations: []document.Presentation{
+				{Name: "full", Kind: document.KindImage},
+				{Name: "hidden", Kind: document.KindHidden},
+			},
+		}, nil, []string{"full", "hidden"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := e.Operation("c", "ct", "zoom", "full", true); err != nil || again != zoom {
+		t.Fatalf("zoom again: %q, %v", again, err)
+	}
+	if v, err := e.ViewFor("c"); err != nil || v.Outcome[zoom] != cpnet.OpApplied {
+		t.Errorf("c sees %s=%q (%v) after making it again, want applied: the dropped pin came back", zoom, v.Outcome[zoom], err)
+	}
+}
+
+// TestSharedOperationSupersedesPrivate: a shared operation of the name a
+// viewer made privately replaces the private one, pin and all.
+func TestSharedOperationSupersedesPrivate(t *testing.T) {
+	e := testEngine(t)
+	for _, v := range []string{"c", "d"} {
+		if _, err := e.Join(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	name, err := e.Operation("c", "ct", "zoom", "full", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Choice("c", name, cpnet.OpFlat); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Operation("d", "ct", "zoom", "full", false); err != nil {
+		t.Fatal(err)
+	}
+	views, err := e.Views()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{"c", "d"} {
+		if got := views[v].Outcome[name]; got != cpnet.OpApplied {
+			t.Errorf("%s sees the shared %s=%q, want applied", v, name, got)
+		}
+	}
+}
+
 func TestChoicesSnapshot(t *testing.T) {
 	e := testEngine(t)
 	e.Join("alice")

@@ -5,6 +5,8 @@ import (
 	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"mmconf/internal/cpnet"
@@ -26,31 +28,31 @@ func checkMemo(t *testing.T, e *Engine, step string) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(views) != len(e.overlays) {
-		t.Fatalf("%s: %d views for %d viewers", step, len(views), len(e.overlays))
+	if len(views) != len(e.viewers) {
+		t.Fatalf("%s: %d views for %d viewers", step, len(views), len(e.viewers))
 	}
-	for viewer, ov := range e.overlays {
-		want, err := e.solveLocked(viewer, ov)
+	for viewer := range e.viewers {
+		want, err := e.referenceViewLocked(viewer)
 		if err != nil {
 			t.Fatalf("%s: solving %s: %v", step, viewer, err)
 		}
 		if got := views[viewer]; !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: %s is handed\n%v\nand a fresh solve gives\n%v", step, viewer, got, want)
 		}
-		again, err := e.viewForViewerLocked(viewer, ov)
+		again, err := e.viewForLocked(viewer)
 		if err != nil {
 			t.Fatalf("%s: second lookup for %s: %v", step, viewer, err)
 		}
-		if ov.Empty() && mapID(again.Outcome) != mapID(views[viewer].Outcome) {
+		if mapID(again.Outcome) != mapID(views[viewer].Outcome) {
 			t.Fatalf("%s: %s was solved twice in one generation", step, viewer)
 		}
 	}
-	for a, ova := range e.overlays {
-		for b, ovb := range e.overlays {
+	for a, va := range e.viewers {
+		for b, vb := range e.viewers {
 			if a >= b {
 				continue
 			}
-			sameClass := ova.Empty() && ovb.Empty() && maps.Equal(e.env[a], e.env[b])
+			sameClass := va.ov.Empty() && vb.ov.Empty() && maps.Equal(va.env, vb.env)
 			shared := mapID(views[a].Outcome) == mapID(views[b].Outcome)
 			sharedVis := mapID(views[a].Visible) == mapID(views[b].Visible)
 			if shared != sameClass || sharedVis != sameClass {
@@ -63,17 +65,27 @@ func checkMemo(t *testing.T, e *Engine, step string) {
 
 // TestMemoizedViewsEqualFreshSolves walks the engine through every
 // mutator at random and, after each step, holds the views it hands out
-// against unmemoized solves: equal for every viewer, one shared View per
-// evidence class, never shared with a viewer who has a private overlay.
+// against unmemoized solves of the network each viewer would hold if it
+// were duplicated: equal for every viewer, one shared View per evidence
+// class, never shared with a viewer who has private variables. Private
+// operations stack, two viewers make the same one, each pins their own,
+// and components go away under them.
 // A mutator that does not bump the generation fails here twice: the
 // counter check below, and the stale view the next lookup returns.
 func TestMemoizedViewsEqualFreshSolves(t *testing.T) {
+	tried := map[string]int{}
 	for _, seed := range []int64{1, 2, 3} {
-		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { memoWalk(t, seed) })
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { memoWalk(t, seed, tried) })
+	}
+	for _, what := range []string{"removal", "private operation another viewer made", "private variable dropped by a removal"} {
+		if tried[what] == 0 {
+			t.Errorf("no walk tried a %s: %v", what, tried)
+		}
 	}
 }
 
-func memoWalk(t *testing.T, seed int64) {
+// memoWalk walks one seed, counting in tried the rarer steps it took.
+func memoWalk(t *testing.T, seed int64, tried map[string]int) {
 	doc, err := workload.MedicalRecord("rec-memo", seed)
 	if err != nil {
 		t.Fatal(err)
@@ -98,8 +110,33 @@ func memoWalk(t *testing.T, seed int64) {
 	joined := func() []string { return e.Viewers() }
 	// Operations and added components grow the network for good; a few
 	// of each exercise the path without slowing the walk.
-	sharedOps, privateOps, added := 0, 0, 0
-	private := map[string][]string{} // viewer -> their private variables
+	sharedOps, privateOps, added, removed := 0, 0, 0, 0
+	private := func(v string) []string {
+		var names []string
+		for _, pv := range e.viewers[v].ov.Private() {
+			names = append(names, pv.Name)
+		}
+		return names
+	}
+	privateCount := func() (n int) {
+		for _, v := range joined() {
+			n += len(private(v))
+		}
+		return n
+	}
+	// madeOnLeaves lists the private operations joined viewers made
+	// directly on a component.
+	madeOnLeaves := func() []cpnet.PrivateVariable {
+		var out []cpnet.PrivateVariable
+		for _, v := range joined() {
+			for _, pv := range e.viewers[v].ov.Private() {
+				if slices.Contains(leaves, pv.Parent) {
+					out = append(out, pv)
+				}
+			}
+		}
+		return out
+	}
 
 	for i := 0; i < 400; i++ {
 		before := e.gen
@@ -117,7 +154,6 @@ func memoWalk(t *testing.T, seed int64) {
 			step = "leave " + v
 			_, err := e.Leave(v)
 			mutated = err == nil
-			delete(private, v)
 		case k <= 4: // choice or retraction on a shared variable
 			v := pick(in)
 			vars := doc.Prefs.Variables()
@@ -129,38 +165,57 @@ func memoWalk(t *testing.T, seed int64) {
 			mutated = err == nil && (value != "" || held)
 		case k == 5: // choice on a private variable
 			v := pick(in)
-			if len(private[v]) == 0 {
+			if len(private(v)) == 0 {
 				continue
 			}
-			variable := pick(private[v])
+			variable := pick(private(v))
 			value := pick([]string{cpnet.OpApplied, cpnet.OpFlat, ""})
 			step = fmt.Sprintf("private choice %s %s=%q", v, variable, value)
-			held := e.choiceBy[variable] != ""
+			_, held := e.viewers[v].pins[variable]
 			_, err := e.Choice(v, variable, value)
-			mutated = err == nil && (value != "" || held)
+			if err != nil {
+				t.Fatalf("%s: %v", step, err)
+			}
+			mutated = value != "" || held
 		case k == 6: // operation, shared or private
 			v := pick(in)
 			priv := rng.Intn(2) == 0
-			if (priv && privateOps >= 6) || (!priv && sharedOps >= 6) {
+			if (priv && len(private(v)) >= 4) || (!priv && sharedOps >= 6) {
 				continue
 			}
-			comp := pick(leaves)
+			comp, op := pick(leaves), fmt.Sprintf("op%d", i)
 			dom, err := doc.Prefs.Domain(comp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			op := fmt.Sprintf("op%d", i)
+			activeWhen := pick(dom)
+			if priv {
+				op = pick([]string{"zoom", "grid"})
+				if len(private(v)) > 0 && rng.Intn(3) == 0 { // stacked
+					comp, activeWhen = pick(private(v)), pick([]string{cpnet.OpApplied, cpnet.OpFlat})
+				} else if made := madeOnLeaves(); len(made) > 0 && rng.Intn(2) == 0 {
+					pv := made[rng.Intn(len(made))] // someone's, perhaps v's own
+					comp, op, activeWhen = pv.Parent, strings.TrimPrefix(pv.Name, pv.Parent+"/"), pv.ActiveWhen
+				}
+			}
 			step = fmt.Sprintf("operation %s %s/%s private=%v", v, comp, op, priv)
-			name, err := e.Operation(v, comp, op, pick(dom), priv)
+			name, err := e.Operation(v, comp, op, activeWhen, priv)
+			mutated = true // a refused operation bumps the generation too
 			if err != nil {
+				if priv && e.viewers[v].ov.Owns(cpnet.OperationVariableName(comp, op)) {
+					break // the viewer made this one already
+				}
 				t.Fatalf("%s: %v", step, err)
 			}
-			mutated = true
-			if priv {
-				privateOps++
-				private[v] = append(private[v], name)
-			} else {
+			if !priv {
 				sharedOps++
+				break
+			}
+			privateOps++
+			for _, other := range in {
+				if other != v && e.viewers[other].ov.Owns(name) {
+					tried["private operation another viewer made"]++
+				}
 			}
 		case k == 7: // room-wide environment
 			level := pick(levels)
@@ -172,6 +227,21 @@ func memoWalk(t *testing.T, seed int64) {
 			step = fmt.Sprintf("viewer environment %s %q", v, level)
 			changed, err := e.SetViewerEnvironment(v, BandwidthVariable, level)
 			mutated = err == nil && changed
+		case k == 9 && removed < 4 && len(leaves) > 3: // remove a component
+			comp := pick(leaves)
+			if made := madeOnLeaves(); len(made) > 0 && rng.Intn(2) == 0 {
+				comp = made[rng.Intn(len(made))].Parent // one a private operation hangs off
+			}
+			had := privateCount()
+			step = "remove component " + comp
+			if err := e.EditDocument(func(d *document.Document) error { return d.RemoveComponent(comp) }); err != nil {
+				t.Fatalf("%s: %v", step, err)
+			}
+			leaves = slices.DeleteFunc(leaves, func(l string) bool { return l == comp })
+			removed++
+			tried["removal"]++
+			tried["private variable dropped by a removal"] += had - privateCount()
+			mutated = true
 		default: // document edit
 			if added >= 4 {
 				continue
@@ -191,6 +261,7 @@ func memoWalk(t *testing.T, seed int64) {
 			if err != nil {
 				t.Fatalf("%s: %v", step, err)
 			}
+			leaves = append(leaves, name)
 			mutated = true
 		}
 		step = fmt.Sprintf("step %d (%s)", i, step)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"mmconf/internal/cpnet"
@@ -300,30 +301,31 @@ func (e *Engine) SetEnvironment(variable, value string) error {
 func (e *Engine) SetViewerEnvironment(viewer, variable, value string) (bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, ok := e.overlays[viewer]; !ok {
+	vw, ok := e.viewers[viewer]
+	if !ok {
 		return false, fmt.Errorf("core: viewer %q not joined", viewer)
 	}
 	if !e.doc.Prefs.HasVariable(variable) {
 		return false, fmt.Errorf("core: unknown environment variable %q", variable)
 	}
 	if value == "" {
-		if _, ok := e.env[viewer][variable]; !ok {
+		if _, ok := vw.env[variable]; !ok {
 			return false, nil
 		}
-		delete(e.env[viewer], variable)
+		delete(vw.env, variable)
 		e.gen++
 		return true, nil
 	}
 	if !e.doc.Prefs.HasValue(variable, value) {
 		return false, fmt.Errorf("core: variable %q has no value %q", variable, value)
 	}
-	if e.env[viewer] == nil {
-		e.env[viewer] = cpnet.Outcome{}
+	if vw.env == nil {
+		vw.env = cpnet.Outcome{}
 	}
-	if e.env[viewer][variable] == value {
+	if vw.env[variable] == value {
 		return false, nil
 	}
-	e.env[viewer][variable] = value
+	vw.env[variable] = value
 	e.gen++
 	return true, nil
 }
@@ -333,8 +335,8 @@ func (e *Engine) ViewerEnvironment(viewer string) cpnet.Outcome {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	out := cpnet.Outcome{}
-	for v, val := range e.env[viewer] {
-		out[v] = val
+	if vw := e.viewers[viewer]; vw != nil {
+		maps.Copy(out, vw.env)
 	}
 	return out
 }

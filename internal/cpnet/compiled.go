@@ -39,9 +39,12 @@ type Compiled struct {
 }
 
 // Compile returns the network's compiled form. It is built on the first
-// call after a mutation and shared until the next one; the network must
-// not be mutated concurrently with the call.
+// call after a mutation and shared until the next one; concurrent calls
+// build it once. The network must not be mutated concurrently with the
+// call.
 func (n *Network) Compile() (*Compiled, error) {
+	n.compiledMu.Lock()
+	defer n.compiledMu.Unlock()
 	if n.compiled != nil {
 		return n.compiled, nil
 	}

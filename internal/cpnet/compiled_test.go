@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -152,6 +153,53 @@ func TestHasValue(t *testing.T) {
 	}{{"ct", "icon", true}, {"ct", "hidden", false}, {"xray", "icon", false}} {
 		if got := n.HasValue(tc.variable, tc.value); got != tc.want {
 			t.Errorf("HasValue(%q, %q) = %v", tc.variable, tc.value, got)
+		}
+	}
+}
+
+// TestConcurrentCompile reads one freshly built network from many
+// goroutines at once — its compiled form, a validation, a child list and
+// a solve — as two viewers warming one document do. Under -race it fails
+// if the compiled form is cached unguarded; everywhere it checks that
+// they all get one compiled form.
+func TestConcurrentCompile(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		n := fig2Network(t)
+		n.invalidate() // start uncompiled
+		const readers = 8
+		got := make([]*Compiled, readers)
+		errs := make(chan error, 2*readers)
+		var wg sync.WaitGroup
+		for g := range readers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				switch g % 4 {
+				case 1:
+					errs <- n.Validate()
+				case 2:
+					_, err := n.Children("c3")
+					errs <- err
+				case 3:
+					_, err := n.OptimalCompletion(Outcome{"c1": "c21"})
+					errs <- err
+				}
+				c, err := n.Compile()
+				got[g] = c
+				errs <- err
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for g := range got {
+			if got[g] != got[0] {
+				t.Fatalf("round %d: reader %d compiled its own form", round, g)
+			}
 		}
 	}
 }

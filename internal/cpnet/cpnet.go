@@ -21,7 +21,7 @@
 //
 // The package also provides the online-update operations of §4.2 of the
 // paper (adding/removing components, deriving operation variables such as
-// "segmented view of image ci"), per-viewer overlay networks, dominance
+// "segmented view of image ci"), per-viewer overlays, dominance
 // testing through improving-flip search, and text/binary serialization.
 package cpnet
 
@@ -32,6 +32,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // MaxDomainSize bounds the number of values a single variable may take.
@@ -87,19 +88,16 @@ type node struct {
 
 // Network is a CP-network under construction or in use. The zero value is
 // not usable; create networks with New. A Network is not safe for
-// concurrent mutation; concurrent calls to the read-only reasoning methods
-// are safe once construction is complete and the network is compiled
-// (Compile, or any solve, caches what they read).
+// concurrent mutation; its read-only methods are safe for concurrent use
+// once construction is complete.
 type Network struct {
 	nodes []*node
 	index map[string]int // variable name -> node index
-	// topo caches a topological order of node indices; nil when stale.
-	topo []int
-	// children caches child adjacency; nil when stale.
-	children [][]int
 	// compiled caches the solving form (Compile); nil when stale. Every
-	// mutation drops it, a preference row included.
-	compiled *Compiled
+	// mutation drops it, a preference row included. compiledMu guards
+	// it: concurrent reads fill it.
+	compiledMu sync.Mutex
+	compiled   *Compiled
 }
 
 // New returns an empty network.
@@ -286,7 +284,7 @@ func (n *Network) SetPreference(name string, ctx Outcome, order []string) error 
 		perm[j] = uint8(vi)
 	}
 	nd.cpt[key] = perm
-	n.compiled = nil
+	n.invalidate()
 	return nil
 }
 
@@ -367,19 +365,12 @@ func (n *Network) Validate() error {
 	return nil
 }
 
-// invalidate drops cached derived structures after a mutation.
-func (n *Network) invalidate() {
-	n.topo = nil
-	n.children = nil
-	n.compiled = nil
-}
+// invalidate drops the compiled form after a mutation.
+func (n *Network) invalidate() { n.compiled = nil }
 
-// topoOrder returns (and caches) a topological order of node indices,
-// or an error if the parent graph has a cycle.
+// topoOrder returns a topological order of node indices, or an error if
+// the parent graph has a cycle.
 func (n *Network) topoOrder() ([]int, error) {
-	if n.topo != nil {
-		return n.topo, nil
-	}
 	indeg := make([]int, len(n.nodes))
 	ch := n.childAdj()
 	for i := range n.nodes {
@@ -406,22 +397,17 @@ func (n *Network) topoOrder() ([]int, error) {
 	if len(order) != len(n.nodes) {
 		return nil, fmt.Errorf("cpnet: dependency graph has a cycle")
 	}
-	n.topo = order
 	return order, nil
 }
 
-// childAdj returns (and caches) child adjacency lists.
+// childAdj returns child adjacency lists.
 func (n *Network) childAdj() [][]int {
-	if n.children != nil {
-		return n.children
-	}
 	ch := make([][]int, len(n.nodes))
 	for i, nd := range n.nodes {
 		for _, p := range nd.parents {
 			ch[p] = append(ch[p], i)
 		}
 	}
-	n.children = ch
 	return ch
 }
 

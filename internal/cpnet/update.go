@@ -1,6 +1,9 @@
 package cpnet
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file implements the online document-update operations of §4.2 of
 // the paper. A multimedia document may be updated while it is being viewed:
@@ -218,147 +221,92 @@ func (n *Network) AddOperationVariable(comp, op, activeWhen string) (string, err
 // Overlay is a per-viewer extension of a shared base network (§4.2: "this
 // change will be saved as an extension of the CP-network for this
 // particular viewer ... the original CP-network should not be duplicated").
-// The overlay records only the extension variables and their CPTs; reads
-// consult the base for everything else. The base network must not be
-// mutated while overlays that reference it are alive.
+// It records, for each private operation variable, only what
+// Network.AddOperationVariable would write into the network: the
+// variable's name, its one parent (a base variable or an earlier private
+// one) and the parent value under which it prefers applied. Everything
+// else is the base's; document.Schema.WithPrivate resolves the records
+// against the compiled base once, and a view is derived from the base
+// completion in declaration order.
 type Overlay struct {
 	base *Network
-	ext  *Network // holds copies of referenced base vars (CPT-less anchors) plus extension vars
-	own  map[string]bool
+	vars []PrivateVariable
+}
+
+// PrivateVariable is one viewer-private operation variable. Its domain is
+// {applied, flat}, and applied is preferred exactly when Parent takes
+// ActiveWhen.
+type PrivateVariable struct {
+	Name, Parent, ActiveWhen string
 }
 
 // NewOverlay returns an empty overlay over base.
-func NewOverlay(base *Network) *Overlay {
-	return &Overlay{base: base, ext: New(), own: make(map[string]bool)}
-}
+func NewOverlay(base *Network) *Overlay { return &Overlay{base: base} }
 
 // Base returns the shared network underlying the overlay.
 func (ov *Overlay) Base() *Network { return ov.base }
 
-// Empty reports whether the overlay extends nothing: no private
-// variable and no anchor. An empty overlay's completion is the base
-// network's, the same for every viewer who has one.
-func (ov *Overlay) Empty() bool { return ov.ext.Len() == 0 }
+// Empty reports whether the overlay extends nothing: its viewer's
+// completion is the base network's.
+func (ov *Overlay) Empty() bool { return len(ov.vars) == 0 }
 
 // Owns reports whether name is one of the viewer-private variables.
-func (ov *Overlay) Owns(name string) bool { return ov.own[name] }
+func (ov *Overlay) Owns(name string) bool { return named(ov.vars, name) }
 
-// Private returns the viewer-private variables in the order they were
-// added.
-func (ov *Overlay) Private() []Variable {
-	var out []Variable
-	for _, nd := range ov.ext.nodes {
-		if ov.own[nd.v.Name] {
-			out = append(out, nd.v)
-		}
-	}
-	return out
+func named(vars []PrivateVariable, name string) bool {
+	return slices.ContainsFunc(vars, func(pv PrivateVariable) bool { return pv.Name == name })
 }
 
-// anchor ensures a base variable is mirrored into the extension graph so
-// extension variables can name it as a parent. Anchors carry the base
-// domain but no CPT; they are pinned from the base completion at solve
-// time.
-func (ov *Overlay) anchor(name string) error {
-	if ov.ext.HasVariable(name) {
-		return nil
+// Private returns the viewer-private variables in the order they were
+// added. The slice is the overlay's: read it, never write it.
+func (ov *Overlay) Private() []PrivateVariable { return ov.vars }
+
+// supports reports whether a private variable made under parent=activeWhen
+// can hang off the base or off one of the earlier private variables.
+func (ov *Overlay) supports(earlier []PrivateVariable, parent, activeWhen string) bool {
+	if named(earlier, parent) {
+		return activeWhen == OpApplied || activeWhen == OpFlat
 	}
-	dom, err := ov.base.Domain(name)
-	if err != nil {
-		return err
-	}
-	return ov.ext.AddVariable(name, dom)
+	return ov.base.HasValue(parent, activeWhen)
 }
 
 // AddOperationVariable is the per-viewer counterpart of
 // Network.AddOperationVariable: the derived variable lives only in this
-// viewer's overlay.
+// viewer's overlay. comp may be a base variable or one of the overlay's
+// own, so operations stack.
 func (ov *Overlay) AddOperationVariable(comp, op, activeWhen string) (string, error) {
-	if !ov.base.HasVariable(comp) && !ov.ext.HasVariable(comp) {
+	if !ov.base.HasVariable(comp) && !ov.Owns(comp) {
 		return "", fmt.Errorf("cpnet: unknown component %q", comp)
 	}
-	dom, err := ov.domainOf(comp)
-	if err != nil {
-		return "", err
-	}
-	found := false
-	for _, v := range dom {
-		if v == activeWhen {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if !ov.supports(ov.vars, comp, activeWhen) {
 		return "", fmt.Errorf("cpnet: component %q has no presentation %q", comp, activeWhen)
 	}
-	if err := ov.anchor(comp); err != nil {
-		return "", err
-	}
 	name := OperationVariableName(comp, op)
-	if err := ov.ext.AddVariable(name, []string{OpApplied, OpFlat}); err != nil {
-		return "", err
+	if ov.base.HasVariable(name) || ov.Owns(name) {
+		return "", fmt.Errorf("cpnet: variable %q already exists", name)
 	}
-	if err := ov.ext.SetParents(name, []string{comp}); err != nil {
-		ov.ext.removeNode(name)
-		return "", err
-	}
-	for _, val := range dom {
-		order := []string{OpFlat, OpApplied}
-		if val == activeWhen {
-			order = []string{OpApplied, OpFlat}
-		}
-		if err := ov.ext.SetPreference(name, Outcome{comp: val}, order); err != nil {
-			ov.ext.removeNode(name)
-			return "", err
-		}
-	}
-	ov.own[name] = true
+	ov.vars = append(ov.vars, PrivateVariable{Name: name, Parent: comp, ActiveWhen: activeWhen})
 	return name, nil
 }
 
-// domainOf resolves a variable's domain from base or extension.
-func (ov *Overlay) domainOf(name string) ([]string, error) {
-	if ov.base.HasVariable(name) {
-		return ov.base.Domain(name)
-	}
-	return ov.ext.Domain(name)
-}
-
-// OptimalCompletion solves the base network under the evidence, then
-// extends the completion with the overlay's private variables: each
-// extension variable is set to its most preferred value given its parents'
-// values in the combined assignment (evidence entries naming extension
-// variables pin them directly). The base outcome is exactly what every
-// other viewer would compute; only the extension differs per viewer.
-func (ov *Overlay) OptimalCompletion(evidence Outcome) (Outcome, error) {
-	if ov.Empty() {
-		return ov.base.OptimalCompletion(evidence)
-	}
-	baseEv := make(Outcome)
-	extEv := make(Outcome)
-	for k, v := range evidence {
-		if ov.own[k] {
-			extEv[k] = v
-		} else {
-			baseEv[k] = v
+// Prune drops the private variables an edit of the base left without
+// support, as Document.RemoveComponent drops a removed component's shared
+// operation variables: one whose parent is gone (a removed component or
+// shared operation variable, or a private variable dropped before it) or
+// no longer takes ActiveWhen, and one whose name the base now carries
+// itself (the same operation, made shared). It returns the names it
+// dropped, so the caller can drop their pins.
+func (ov *Overlay) Prune() []string {
+	var dropped []string
+	kept := ov.vars[:0]
+	for _, pv := range ov.vars {
+		if ov.base.HasVariable(pv.Name) || !ov.supports(kept, pv.Parent, pv.ActiveWhen) {
+			dropped = append(dropped, pv.Name)
+			continue
 		}
+		kept = append(kept, pv)
 	}
-	out, err := ov.base.OptimalCompletion(baseEv)
-	if err != nil {
-		return nil, err
-	}
-	// Pin every anchor to the base completion, then complete the extension.
-	for _, v := range ov.ext.Variables() {
-		if !ov.own[v.Name] {
-			extEv[v.Name] = out[v.Name]
-		}
-	}
-	extOut, err := ov.ext.OptimalCompletion(extEv)
-	if err != nil {
-		return nil, err
-	}
-	for name := range ov.own {
-		out[name] = extOut[name]
-	}
-	return out, nil
+	clear(ov.vars[len(kept):])
+	ov.vars = kept
+	return dropped
 }

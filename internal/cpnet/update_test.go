@@ -161,6 +161,22 @@ func TestAddOperationVariableErrors(t *testing.T) {
 	}
 }
 
+// extension is the network an overlay stands for: the base duplicated
+// and extended by the overlay's records, each replayed as the shared
+// update would make it. §4.2 forbids building it outside tests; here it
+// is what the records must mean.
+func extension(t *testing.T, ov *Overlay) *Network {
+	t.Helper()
+	n := ov.Base().Clone()
+	for _, pv := range ov.Private() {
+		op := strings.TrimPrefix(pv.Name, pv.Parent+"/")
+		if _, err := n.AddOperationVariable(pv.Parent, op, pv.ActiveWhen); err != nil {
+			t.Fatalf("replaying %+v: %v", pv, err)
+		}
+	}
+	return n
+}
+
 func TestOverlayIsolation(t *testing.T) {
 	base := fig2Network(t)
 	baseText := base.Text()
@@ -180,21 +196,26 @@ func TestOverlayIsolation(t *testing.T) {
 		t.Fatal("operation variable leaked into the base")
 	}
 	if alice.Empty() || !alice.Owns(segName) || alice.Owns("c3") {
-		t.Errorf("alice: Empty %v, owns %s %v, owns the anchor c3 %v",
+		t.Errorf("alice: Empty %v, owns %s %v, owns the base's c3 %v",
 			alice.Empty(), segName, alice.Owns(segName), alice.Owns("c3"))
 	}
 	if !bob.Empty() || bob.Owns(segName) {
 		t.Errorf("bob: Empty %v, owns %s %v", bob.Empty(), segName, bob.Owns(segName))
 	}
+	// The overlay holds the record and nothing of the base.
+	want := []PrivateVariable{{Name: segName, Parent: "c3", ActiveWhen: "c23"}}
+	if got := alice.Private(); !reflect.DeepEqual(got, want) {
+		t.Errorf("alice records %+v, want %+v", got, want)
+	}
 
-	aliceOut, err := alice.OptimalCompletion(nil)
+	aliceOut, err := extension(t, alice).OptimalCompletion(nil)
 	if err != nil {
 		t.Fatalf("alice completion: %v", err)
 	}
 	if aliceOut[segName] != OpApplied {
 		t.Errorf("alice sees %s=%q, want applied", segName, aliceOut[segName])
 	}
-	bobOut, err := bob.OptimalCompletion(nil)
+	bobOut, err := extension(t, bob).OptimalCompletion(nil)
 	if err != nil {
 		t.Fatalf("bob completion: %v", err)
 	}
@@ -204,14 +225,14 @@ func TestOverlayIsolation(t *testing.T) {
 	// An empty overlay completes exactly as the base does, evidence and
 	// refusals included.
 	ev := Outcome{"c3": "c13"}
-	want, err := base.OptimalCompletion(ev)
+	baseOut, err := base.OptimalCompletion(ev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := bob.OptimalCompletion(ev); err != nil || !reflect.DeepEqual(got, want) {
-		t.Errorf("empty overlay under %v: %v, %v; the base gives %v", ev, got, err, want)
+	if got, err := extension(t, bob).OptimalCompletion(ev); err != nil || !reflect.DeepEqual(got, baseOut) {
+		t.Errorf("empty overlay under %v: %v, %v; the base gives %v", ev, got, err, baseOut)
 	}
-	if _, err := bob.OptimalCompletion(Outcome{segName: OpFlat}); err == nil {
+	if _, err := extension(t, bob).OptimalCompletion(Outcome{segName: OpFlat}); err == nil {
 		t.Error("bob's completion accepted evidence on alice's private variable")
 	}
 	// Base projection of alice's completion equals bob's completion.
@@ -230,8 +251,9 @@ func TestOverlayEvidenceRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ext := extension(t, ov)
 	// Pin the private variable to flat even though c3 = c23.
-	out, err := ov.OptimalCompletion(Outcome{segName: OpFlat})
+	out, err := ext.OptimalCompletion(Outcome{segName: OpFlat})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,8 +263,8 @@ func TestOverlayEvidenceRouting(t *testing.T) {
 	if out["c3"] != "c23" {
 		t.Errorf("base variable disturbed by extension evidence: c3=%q", out["c3"])
 	}
-	// Base evidence still routes to the base network.
-	out, err = ov.OptimalCompletion(Outcome{"c3": "c13"})
+	// Base evidence reaches the private variable through its parent.
+	out, err = ext.OptimalCompletion(Outcome{"c3": "c13"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,14 +285,18 @@ func TestOverlayStacking(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stacked operation: %v", err)
 	}
-	out, err := ov.OptimalCompletion(nil)
+	if got := ov.Private()[1]; got != (PrivateVariable{Name: zoom, Parent: seg, ActiveWhen: OpApplied}) {
+		t.Errorf("stacked record %+v", got)
+	}
+	ext := extension(t, ov)
+	out, err := ext.OptimalCompletion(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out[zoom] != OpApplied {
 		t.Errorf("stacked variable = %q, want applied", out[zoom])
 	}
-	out, err = ov.OptimalCompletion(Outcome{seg: OpFlat})
+	out, err = ext.OptimalCompletion(Outcome{seg: OpFlat})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,5 +322,55 @@ func TestOverlayErrors(t *testing.T) {
 	}
 	if !ov.Empty() {
 		t.Error("refused operations left something in the overlay")
+	}
+	seg, err := ov.AddOperationVariable("c3", "segmentation", "c23")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ov.AddOperationVariable("c3", "segmentation", "c13"); err == nil {
+		t.Error("duplicate private variable accepted")
+	}
+	if _, err := ov.AddOperationVariable(seg, "zoom", "c23"); err == nil {
+		t.Error("a private parent's unknown value accepted")
+	}
+	if _, err := base.AddOperationVariable("c4", "zoom", "c14"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ov.AddOperationVariable("c4", "zoom", "c14"); err == nil {
+		t.Error("private variable shadowing a shared one accepted")
+	}
+	if len(ov.Private()) != 1 {
+		t.Errorf("refused operations left %d records, want 1", len(ov.Private()))
+	}
+}
+
+// TestOverlayPrune: an edit of the base drops the private variables it
+// leaves without a parent — their private descendants with them — and
+// those it makes shared, and keeps the rest.
+func TestOverlayPrune(t *testing.T) {
+	base := fig2Network(t)
+	ov := NewOverlay(base)
+	seg, _ := ov.AddOperationVariable("c4", "segmentation", "c14")
+	zoom, _ := ov.AddOperationVariable(seg, "zoom", OpApplied)
+	grid, _ := ov.AddOperationVariable("c5", "grid", "c25")
+	keep, _ := ov.AddOperationVariable("c3", "annotate", "c13")
+	if len(ov.Private()) != 4 {
+		t.Fatalf("set-up made %d private variables", len(ov.Private()))
+	}
+	if dropped := ov.Prune(); dropped != nil {
+		t.Errorf("an unchanged base dropped %v", dropped)
+	}
+	if err := base.RemoveComponentVariable("c4"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := base.AddOperationVariable("c5", "grid", "c15"); err != nil {
+		t.Fatal(err)
+	}
+	if dropped := ov.Prune(); !reflect.DeepEqual(dropped, []string{seg, zoom, grid}) {
+		t.Errorf("pruned %v, want %v", dropped, []string{seg, zoom, grid})
+	}
+	want := []PrivateVariable{{Name: keep, Parent: "c3", ActiveWhen: "c13"}}
+	if got := ov.Private(); !reflect.DeepEqual(got, want) {
+		t.Errorf("kept %+v, want %+v", got, want)
 	}
 }

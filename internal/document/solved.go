@@ -20,15 +20,29 @@ import (
 // It is immutable, so a solve may read it while the document is edited.
 type Schema struct {
 	net *cpnet.Compiled
-	// private lists the viewer-private variables of an overlay's schema;
-	// they follow the network's in its vectors. Nil for a document's own.
-	private []cpnet.Variable
+	// extends is the schema WithPrivate extended, and private the
+	// viewer-private variables it added: they follow the network's in the
+	// schema's vectors. Both nil for a document's own schema.
+	extends *Schema
+	private []privateVariable
 	comps   []schemaComponent
 	compIdx map[string]int
 	// varComp maps a network variable to its component, or -1 for a
 	// derived or tuning variable.
 	varComp []int32
 }
+
+// privateVariable is one of an overlay's records resolved against the
+// schema it extends.
+type privateVariable struct {
+	v      cpnet.Variable
+	parent int32 // the position of its parent in the schema's vectors
+	active uint8 // the parent's value index under which applied is preferred
+}
+
+// privateDomain is every private variable's domain, applied first: a
+// private variable's value index is 0 for applied, 1 for flat.
+var privateDomain = []string{cpnet.OpApplied, cpnet.OpFlat}
 
 type schemaComponent struct {
 	name     string
@@ -83,7 +97,7 @@ func (s *Schema) Variable(i int) cpnet.Variable {
 	if i < s.net.Len() {
 		return s.net.Variable(i)
 	}
-	return s.private[i-s.net.Len()]
+	return s.private[i-s.net.Len()].v
 }
 
 // VariableIndex returns the position of the named variable.
@@ -91,9 +105,9 @@ func (s *Schema) VariableIndex(name string) (int, bool) {
 	if i, ok := s.net.Index(name); ok {
 		return i, true
 	}
-	for i, v := range s.private {
-		if v.Name == name {
-			return s.net.Len() + i, true
+	for k := range s.private {
+		if s.private[k].v.Name == name {
+			return s.net.Len() + k, true
 		}
 	}
 	return 0, false
@@ -111,15 +125,33 @@ func (s *Schema) ComponentIndex(name string) (int, bool) {
 	return j, ok
 }
 
-// withPrivate returns the schema of a viewer whose overlay adds the
-// given private variables.
-func (s *Schema) withPrivate(private []cpnet.Variable) *Schema {
-	if len(private) == 0 {
-		return s
+// WithPrivate resolves a viewer's overlay of the document's network
+// against s, once: each private variable gets its parent's position and
+// the value index it was made under. The result is the schema of that
+// viewer's views, whose vectors carry the private variables after the
+// network's, in declaration order; an empty overlay's is s itself. An
+// overlay record s cannot resolve (an overlay not pruned after an edit)
+// is an error.
+func (s *Schema) WithPrivate(ov *cpnet.Overlay) (*Schema, error) {
+	if ov.Empty() {
+		return s, nil
 	}
 	ext := *s
-	ext.private = private
-	return &ext
+	ext.extends = s
+	ext.private = make([]privateVariable, 0, len(ov.Private()))
+	for _, pv := range ov.Private() {
+		p, ok := ext.VariableIndex(pv.Parent)
+		a := -1
+		if ok {
+			a = slices.Index(ext.Variable(p).Domain, pv.ActiveWhen)
+		}
+		if _, shared := s.net.Index(pv.Name); shared || a < 0 {
+			return nil, fmt.Errorf("document: cannot resolve private variable %q (made under %s=%s)", pv.Name, pv.Parent, pv.ActiveWhen)
+		}
+		ext.private = append(ext.private, privateVariable{
+			v: cpnet.Variable{Name: pv.Name, Domain: privateDomain}, parent: int32(p), active: uint8(a)})
+	}
+	return &ext, nil
 }
 
 // Solved is one solved view: a value index per schema variable and a
@@ -218,25 +250,35 @@ func (s *Schema) Solve(pins []uint8) (*Solved, error) {
 	return v, nil
 }
 
-// SolveOverlay returns the view of a viewer with a private overlay of the
-// document's network, solved the map-based way (the overlay's own
-// completion) and held in vectors of the schema extended by the
-// overlay's private variables.
-func (s *Schema) SolveOverlay(ov *cpnet.Overlay, evidence cpnet.Outcome) (*Solved, error) {
-	o, err := ov.OptimalCompletion(evidence)
-	if err != nil {
-		return nil, err
+// Derive returns the view under s, a schema WithPrivate made, of a viewer
+// whose shared evidence solved to base, a view under the schema s
+// extends, and whose own evidence pins private variables by name. Each
+// private variable, in declaration order, takes its pin or else prefers
+// applied exactly when its parent takes the value it was made under
+// (§4.2). A private variable is no component, so base's visibility
+// stands.
+func (s *Schema) Derive(base *Solved, pins cpnet.Outcome) (*Solved, error) {
+	if s.extends == nil || base.schema != s.extends {
+		return nil, fmt.Errorf("document: deriving a view from one under another schema")
 	}
-	v := s.withPrivate(ov.Private()).newSolved()
-	for i := range v.assign {
-		vr := v.schema.Variable(i)
-		vi := slices.Index(vr.Domain, o[vr.Name])
-		if vi < 0 {
-			return nil, fmt.Errorf("document: overlay completion gives %q the value %q", vr.Name, o[vr.Name])
+	v := s.newSolved()
+	n := copy(v.assign, base.assign)
+	copy(v.vis, base.vis)
+	for k := range s.private {
+		pv := &s.private[k]
+		a := uint8(1) // flat
+		if v.assign[pv.parent] == pv.active {
+			a = 0 // applied
 		}
-		v.assign[i] = uint8(vi)
+		if val, ok := pins[pv.v.Name]; ok {
+			i := slices.Index(privateDomain, val)
+			if i < 0 {
+				return nil, fmt.Errorf("document: evidence assigns %q unknown value %q", pv.v.Name, val)
+			}
+			a = uint8(i)
+		}
+		v.assign[n+k] = a
 	}
-	v.deriveVisibility()
 	return v, nil
 }
 

@@ -124,23 +124,3 @@ func (d *Document) ApplyOperationPrivate(ov *cpnet.Overlay, component, op, activ
 
 // NewOverlay returns a fresh per-viewer overlay of the document's network.
 func (d *Document) NewOverlay() *cpnet.Overlay { return cpnet.NewOverlay(d.Prefs) }
-
-// ReconfigPresentationFor computes the optimal view for one viewer,
-// honoring both the shared network and the viewer's private overlay.
-func (d *Document) ReconfigPresentationFor(ov *cpnet.Overlay, choices cpnet.Outcome) (View, error) {
-	if ov == nil {
-		return d.ReconfigPresentation(choices)
-	}
-	if ov.Base() != d.Prefs {
-		return View{}, fmt.Errorf("document %s: overlay does not extend this document's network", d.ID)
-	}
-	s, err := d.Schema()
-	if err != nil {
-		return View{}, err
-	}
-	v, err := s.SolveOverlay(ov, choices)
-	if err != nil {
-		return View{}, fmt.Errorf("document %s: %w", d.ID, err)
-	}
-	return v.View(), nil
-}

@@ -1,6 +1,7 @@
 package document
 
 import (
+	"reflect"
 	"testing"
 
 	"mmconf/internal/cpnet"
@@ -174,6 +175,39 @@ func TestApplyOperationShared(t *testing.T) {
 	}
 }
 
+// privateView solves d under evidence and extends the view by ov's
+// private variables, pinned by pins: the one path a viewer's view takes.
+func privateView(t *testing.T, d *Document, ov *cpnet.Overlay, evidence, pins cpnet.Outcome) View {
+	t.Helper()
+	s, err := d.Schema()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := s.Network().Evidence(evidence, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := s.Solve(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := s.WithPrivate(ov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ov.Empty() {
+		if ext != s {
+			t.Error("an empty overlay's schema is not the document's")
+		}
+		return base.View()
+	}
+	v, err := ext.Derive(base, pins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v.View()
+}
+
 func TestApplyOperationPrivate(t *testing.T) {
 	d := medicalRecord(t)
 	alice := d.NewOverlay()
@@ -185,34 +219,125 @@ func TestApplyOperationPrivate(t *testing.T) {
 	if d.Prefs.HasVariable(name) {
 		t.Error("private operation leaked into the shared network")
 	}
-	av, err := d.ReconfigPresentationFor(alice, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if av.Outcome[name] != cpnet.OpApplied {
+	if av := privateView(t, d, alice, nil, nil); av.Outcome[name] != cpnet.OpApplied {
 		t.Errorf("alice sees %s=%q", name, av.Outcome[name])
 	}
-	bv, err := d.ReconfigPresentationFor(bob, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, leaked := bv.Outcome[name]; leaked {
+	if _, leaked := privateView(t, d, bob, nil, nil).Outcome[name]; leaked {
 		t.Error("bob sees alice's private operation")
 	}
-	// Nil overlay falls back to the shared reconfiguration.
-	nv, err := d.ReconfigPresentationFor(nil, cpnet.Outcome{"ct": "hidden"})
+	// An empty overlay's view is the shared reconfiguration.
+	nv := privateView(t, d, bob, cpnet.Outcome{"ct": "hidden"}, nil)
+	if nv.Outcome["ct"] != "hidden" {
+		t.Errorf("empty-overlay view ignored choices: %v", nv.Outcome)
+	}
+	// An overlay of a different document is rejected.
+	other := medicalRecord(t)
+	if _, err := d.ApplyOperationPrivate(other.NewOverlay(), "ct", "zoom", "full"); err == nil {
+		t.Error("foreign overlay accepted for private operation")
+	}
+}
+
+// TestPrivateViewIsTheSharedOperations: a viewer's view with a private
+// operation is, under any evidence, the view every viewer would get had
+// the operation been made shared — stacked operations and pins on
+// private variables included — and a view under the extended schema
+// keeps the document's visibility.
+func TestPrivateViewIsTheSharedOperations(t *testing.T) {
+	priv, shared := medicalRecord(t), medicalRecord(t)
+	ov := priv.NewOverlay()
+	seg, err := priv.ApplyOperationPrivate(ov, "ct", "segmentation", "full")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nv.Outcome["ct"] != "hidden" {
-		t.Errorf("nil-overlay reconfig ignored choices: %v", nv.Outcome)
+	zoom, err := priv.ApplyOperationPrivate(ov, seg, "zoom", cpnet.OpApplied)
+	if err != nil {
+		t.Fatalf("stacked private operation: %v", err)
 	}
-	// Overlay of a different document is rejected.
-	other := medicalRecord(t)
-	if _, err := d.ReconfigPresentationFor(other.NewOverlay(), nil); err == nil {
-		t.Error("foreign overlay accepted")
+	if _, err := shared.ApplyOperation("ct", "segmentation", "full"); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := d.ApplyOperationPrivate(other.NewOverlay(), "ct", "zoom", "full"); err == nil {
-		t.Error("foreign overlay accepted for private operation")
+	if _, err := shared.Prefs.AddOperationVariable(seg, "zoom", cpnet.OpApplied); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ evidence, pins cpnet.Outcome }{
+		{nil, nil},
+		{cpnet.Outcome{"ct": "hidden"}, nil},
+		{cpnet.Outcome{"ct": "segmented", "xray": "icon"}, nil},
+		{nil, cpnet.Outcome{seg: cpnet.OpFlat}},
+		{cpnet.Outcome{"ct": "hidden"}, cpnet.Outcome{seg: cpnet.OpApplied}},
+		{nil, cpnet.Outcome{zoom: cpnet.OpFlat}},
+	} {
+		got := privateView(t, priv, ov, tc.evidence, tc.pins)
+		ev := tc.evidence.Clone()
+		for k, v := range tc.pins {
+			ev[k] = v
+		}
+		want, err := shared.ReconfigPresentation(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("under %v and %v the private view is\n%v %v\nthe shared one\n%v %v",
+				tc.evidence, tc.pins, got.Outcome, got.Visible, want.Outcome, want.Visible)
+		}
+	}
+}
+
+// TestDeriveRefusals: a view is derived only from one under the schema
+// the extension was made from, a pin names a value of the domain, and an
+// overlay record the document no longer supports is refused, not
+// resolved to some other variable.
+func TestDeriveRefusals(t *testing.T) {
+	d := medicalRecord(t)
+	ov := d.NewOverlay()
+	name, err := d.ApplyOperationPrivate(ov, "ct", "zoom", "full")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := d.Schema()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := s.WithPrivate(ov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pins, _ := s.Network().Evidence(nil, nil)
+	base, err := s.Solve(pins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := d.Schema()
+	if err != nil {
+		t.Fatal(err)
+	}
+	elsewhere, err := again.Solve(pins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ext.Derive(elsewhere, nil); err == nil {
+		t.Error("derived from a view under another schema")
+	}
+	if _, err := s.Derive(base, nil); err == nil {
+		t.Error("derived under a schema that extends nothing")
+	}
+	if _, err := ext.Derive(base, cpnet.Outcome{name: "half"}); err == nil {
+		t.Error("a pin outside {applied, flat} accepted")
+	}
+	if err := d.RemoveComponent("ct"); err != nil {
+		t.Fatal(err)
+	}
+	s, err = d.Schema()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.WithPrivate(ov); err == nil {
+		t.Error("resolved a private variable whose parent was removed")
+	}
+	if dropped := ov.Prune(); len(dropped) != 1 || dropped[0] != name {
+		t.Errorf("pruned %v, want [%s]", dropped, name)
+	}
+	if ext, err := s.WithPrivate(ov); err != nil || ext != s {
+		t.Errorf("the pruned overlay resolves to %p, %v; the document's schema is %p", ext, err, s)
 	}
 }

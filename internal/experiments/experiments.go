@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"mmconf/internal/core"
 	"mmconf/internal/cpnet"
 	"mmconf/internal/document"
 	"mmconf/internal/workload"
@@ -394,12 +395,21 @@ func E9Update() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ov := doc.NewOverlay()
-		if _, err := doc.ApplyOperationPrivate(ov, "img000", "zoom", "full"); err != nil {
+		// A viewer with a private operation, viewed after each shared choice.
+		e, err := core.NewEngine(doc)
+		if err == nil {
+			err = e.AddViewer("v")
+		}
+		if err == nil {
+			_, err = e.Operation("v", "img000", "zoom", "full", true)
+		}
+		if err != nil {
 			return nil, err
 		}
+		values, choice := []string{"full", "icon", "hidden"}, 0
 		ovSolve, err := timeIt(100, func() error {
-			_, err := doc.ReconfigPresentationFor(ov, nil)
+			choice++
+			_, err := e.Choice("v", "img001", values[choice%len(values)])
 			return err
 		})
 		if err != nil {
@@ -410,7 +420,7 @@ func E9Update() (*Table, error) {
 		})
 	}
 	t.Notes = append(t.Notes,
-		"add/remove/operation include rebuilding derived CPT rows; overlay-solve is a per-viewer completion")
+		"add/remove/operation include rebuilding derived CPT rows; overlay-solve is a shared choice and the view of a viewer with a private operation (their class's view re-solved, then extended)")
 	return t, nil
 }
 

@@ -263,8 +263,10 @@ func TestChangeBufferRingAgainstSlice(t *testing.T) {
 
 // choiceAllocations measures the allocations of one choice in a
 // four-member room whose members keep up, its change buffer already full;
-// tap, when non-nil, is installed as the room's replicator first.
-func choiceAllocations(t *testing.T, tap func()) float64 {
+// tap, when non-nil, is installed as the room's replicator first, and the
+// last private members have each made a private operation on the
+// component the choice moves.
+func choiceAllocations(t *testing.T, tap func(), private int) float64 {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation counts are measured without the race detector")
@@ -281,6 +283,11 @@ func choiceAllocations(t *testing.T, tap func()) float64 {
 			t.Fatal(err)
 		}
 		members = append(members, m)
+	}
+	for _, m := range members[len(members)-private:] {
+		if _, err := r.Operation(ctx, m.Name, "ct", "zoom", "full", true); err != nil {
+			t.Fatal(err)
+		}
 	}
 	i := 0
 	step := func() {
@@ -311,7 +318,7 @@ func choiceAllocations(t *testing.T, tap func()) float64 {
 // is one more. It was 11 while a solve swept the whole network into
 // fresh maps, and 35 before one solve served a class.
 func TestChoiceAllocations(t *testing.T) {
-	if got := choiceAllocations(t, nil); got > 3 {
+	if got := choiceAllocations(t, nil, 0); got > 3 {
 		t.Errorf("%v allocations per choice in a four-member room, want at most 3", got)
 	}
 }
@@ -322,12 +329,26 @@ func TestChoiceAllocations(t *testing.T) {
 // put one more copy on the heap (352 B).
 func TestTappedChoiceAllocations(t *testing.T) {
 	taps := 0
-	untapped := choiceAllocations(t, nil)
-	tapped := choiceAllocations(t, func() { taps++ })
+	untapped := choiceAllocations(t, nil, 0)
+	tapped := choiceAllocations(t, func() { taps++ }, 0)
 	if tapped != untapped {
 		t.Errorf("%v allocations per choice with a replicator installed, %v without", tapped, untapped)
 	}
 	if taps == 0 {
 		t.Errorf("the replicator was never told of a choice")
+	}
+}
+
+// TestPrivateMemberChoiceAllocations pins what a member with a private
+// operation adds to a choice: their class's view extended by their
+// private variable (one Solved) and, as their view is their own, a
+// shared encoding slot for their presentation — at most 2, so 5 with one
+// such member of four and 9 with three. It was 16 and 42 while each of
+// them was solved alone, whole, through maps.
+func TestPrivateMemberChoiceAllocations(t *testing.T) {
+	for _, tc := range []struct{ private, want int }{{1, 5}, {3, 9}} {
+		if got := choiceAllocations(t, nil, tc.private); got > float64(tc.want) {
+			t.Errorf("%v allocations per choice with %d private members of four, want at most %d", got, tc.private, tc.want)
+		}
 	}
 }
