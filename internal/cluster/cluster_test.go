@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mmconf/internal/client"
+	"mmconf/internal/proto"
 	"mmconf/internal/room"
 	"mmconf/internal/wire"
 )
@@ -229,7 +230,7 @@ func (h *Harness) waitReplicated(t *testing.T, name string, minSeq uint64) {
 		r := standby.replicas[name]
 		var seq uint64
 		if r != nil {
-			seq = r.Seq
+			seq = r.log.Seq()
 		}
 		standby.replMu.Unlock()
 		if seq >= minSeq {
@@ -245,8 +246,8 @@ func (h *Harness) waitReplicated(t *testing.T, name string, minSeq uint64) {
 // ownerSeq reads the owner's current log head for the room.
 func (h *Harness) ownerSeq(t *testing.T, name string) uint64 {
 	t.Helper()
-	snap, ok := h.Owner(name).Node.srv.SnapshotRoom(name, 0)
-	if !ok {
+	var snap proto.ReplicateReq
+	if !h.Owner(name).Node.srv.SnapshotRoomInto(&snap, name, 0) {
 		t.Fatalf("owner of %q holds no live room", name)
 	}
 	return snap.Seq

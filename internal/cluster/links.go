@@ -307,138 +307,39 @@ func (n *Node) dialIngress(ctx context.Context, p *wire.Peer, owner string) (*wi
 
 // --- replication ---
 
-// replicaBuffer bounds a replicated room log, mirroring the room's own
-// change buffer: a standby holds at most this many trailing events.
-const replicaBuffer = 1024
-
-// replica is a standby's copy of one room's event log: the room and
-// document it belongs to, the marks the owner last sent, and the events
-// themselves in a ring. Its frame is built only when the room is seeded
-// from it (roomSeed); shipped rows go to the store, not here.
+// replica is a standby's copy of one room's log, and the document the
+// room is built around. Shipped rows go to the store, not here.
 type replica struct {
-	Room, DocID  string
-	Seq, Trimmed uint64
-	log          eventRing
-}
-
-// apply folds one replication request's events and marks in. Events
-// merge by sequence (a full resend overlaps what incremental sends
-// delivered), the high-waters only move forward, and the owner's trim
-// mark and the buffer cap both drop events from the front.
-func (r *replica) apply(req *proto.ReplicateReq) {
-	if req.Seq > r.Seq {
-		r.Seq = req.Seq
-	}
-	if req.Trimmed > r.Trimmed {
-		r.Trimmed = req.Trimmed
-		r.log.dropThrough(r.Trimmed)
-	}
-	last := max(r.log.last(), r.Trimmed)
-	for i := range req.Events {
-		if ev := &req.Events[i]; ev.Seq > last {
-			if displaced := r.log.push(ev); displaced > r.Trimmed {
-				r.Trimmed = displaced
-			}
-			last = ev.Seq
-		}
-	}
-}
-
-// frame is the replica as the replication frame room.Restore takes: the
-// ring read out in order, once, when the room is seeded from it.
-func (r *replica) frame() *proto.ReplicateReq {
-	return &proto.ReplicateReq{
-		Room: r.Room, DocID: r.DocID, Seq: r.Seq, Trimmed: r.Trimmed,
-		Events: r.log.appendTo(make([]room.Event, 0, r.log.n)),
-	}
-}
-
-// eventRing holds a replica's newest events, ascending in Seq, in the
-// shape of the room's own change buffer: the array grows by doubling up
-// to exactly replicaBuffer slots and no further, and once full a new
-// event overwrites the oldest in place, so a standby that keeps up
-// allocates nothing per event. Unlike the room's buffer it also drops
-// from the front, when the owner trims past what the standby holds. The
-// zero value is an empty ring.
-type eventRing struct {
-	events []room.Event // len is the slots allocated
-	head   int          // slot of the oldest event
-	n      int          // events held
-}
-
-// at returns the i-th oldest event, 0 <= i < n.
-func (b *eventRing) at(i int) *room.Event {
-	return &b.events[(b.head+i)%len(b.events)]
-}
-
-// last returns the newest event's Seq, 0 when empty.
-func (b *eventRing) last() uint64 {
-	if b.n == 0 {
-		return 0
-	}
-	return b.at(b.n - 1).Seq
-}
-
-// push appends a copy of ev and returns the Seq of the event it
-// overwrote, 0 when the ring had room.
-func (b *eventRing) push(ev *room.Event) (displaced uint64) {
-	if b.n == len(b.events) {
-		if b.n == replicaBuffer {
-			slot := &b.events[b.head]
-			displaced = slot.Seq
-			*slot = *ev
-			b.head = (b.head + 1) % replicaBuffer
-			return displaced
-		}
-		grown := make([]room.Event, min(max(2*b.n, 16), replicaBuffer))
-		b.appendTo(grown[:0]) // in place: grown holds them all
-		b.events, b.head = grown, 0
-	}
-	*b.at(b.n) = *ev
-	b.n++
-	return 0
-}
-
-// dropThrough discards the oldest events up to and including Seq seq.
-func (b *eventRing) dropThrough(seq uint64) {
-	for b.n > 0 && b.events[b.head].Seq <= seq {
-		b.events[b.head] = room.Event{} // the array outlives the slot
-		b.head = (b.head + 1) % len(b.events)
-		b.n--
-	}
-}
-
-// appendTo appends the held events to dst, oldest first: one stretch of
-// the array, or two when the run crosses its end.
-func (b *eventRing) appendTo(dst []room.Event) []room.Event {
-	if end := b.head + b.n; end <= len(b.events) {
-		return append(dst, b.events[b.head:end]...)
-	}
-	return append(append(dst, b.events[b.head:]...), b.events[:b.head+b.n-len(b.events)]...)
+	DocID string
+	log   room.Log
 }
 
 // handleReplicate accepts an owner's replication frame for a room this
-// node stands by for (or is taking over). A replicated log strictly
-// ahead of a live local room exposes the local copy as stale — this node
-// served the room while partitioned away or before a handoff — so the
-// local room is evicted rather than ever shadowing the authoritative
-// log. The log goes to the replica; a dataset riding the frame is
-// adopted into the store (sync.go), and if that fails the call fails,
-// so the owner resends in full.
+// node stands by for (or is taking over). The log merges into the
+// replica (room.Log.Merge), which refuses a frame no room could serve;
+// the call then fails, and the owner resends the whole log. A replicated
+// log strictly ahead of a live local room exposes the local copy as
+// stale — this node served the room while partitioned away or before a
+// handoff — so the local room is evicted rather than ever shadowing the
+// authoritative log. A dataset riding the frame is adopted into the
+// store (sync.go), and if that fails the call fails too.
 func (n *Node) handleReplicate(ctx context.Context, p *wire.Peer, req *proto.ReplicateReq) (*proto.ReplicateResp, error) {
+	n.replMu.Lock()
+	r := n.replicas[req.Room]
+	if r == nil {
+		r = &replica{DocID: req.DocID}
+		n.replicas[req.Room] = r
+	}
+	err := r.log.Merge(req.Events, req.Seq, req.Trimmed)
+	seq := r.log.Seq()
+	n.replMu.Unlock()
+	if err != nil {
+		return nil, fmt.Errorf("cluster %s: replica of %q: %w", n.id, req.Room, err)
+	}
 	var local proto.ReplicateReq // read for its Seq: no events unless the local room is ahead
 	if n.srv.SnapshotRoomInto(&local, req.Room, req.Seq) && req.Seq > local.Seq {
 		n.evictRoom(req.Room, "newer replicated log")
 	}
-	n.replMu.Lock()
-	r := n.replicas[req.Room]
-	if r == nil {
-		r = &replica{Room: req.Room, DocID: req.DocID}
-		n.replicas[req.Room] = r
-	}
-	r.apply(req)
-	seq := r.Seq
-	n.replMu.Unlock()
 	if len(req.Rows) > 0 {
 		if err := n.adoptDataset(ctx, req); err != nil {
 			return nil, err
@@ -564,8 +465,8 @@ func (n *Node) flushRoom(name string) {
 }
 
 // replicate sends target one node.replicate frame for the room: the
-// log past since, read from the room's own change buffer with the marks
-// it was read under, and the room's dataset unless the cursor shows
+// log past since, read from the room's own log with the marks it was
+// read under, and the room's dataset unless the cursor shows
 // target already holds it (attachDataset). It is the one way a room
 // leaves this node, for a flush and a hand-off alike.
 //

@@ -12,6 +12,7 @@ import (
 
 	"mmconf/internal/mediadb"
 	"mmconf/internal/proto"
+	"mmconf/internal/room"
 	"mmconf/internal/server"
 	"mmconf/internal/wire"
 )
@@ -606,7 +607,7 @@ func (n *Node) redirectTo(owner string) error {
 // here that has a replicated log (this node was its standby, or
 // received a hand-off) restores that log first, so resuming
 // clients replay their outage exactly — same sequences, no duplicates.
-func (n *Node) roomSeed(roomName string) (*proto.ReplicateReq, bool) {
+func (n *Node) roomSeed(roomName string) (room.Log, bool) {
 	n.replMu.Lock()
 	r := n.replicas[roomName]
 	// The live room becomes the authority; the replica entry would only
@@ -614,7 +615,7 @@ func (n *Node) roomSeed(roomName string) (*proto.ReplicateReq, bool) {
 	delete(n.replicas, roomName)
 	n.replMu.Unlock()
 	if r == nil {
-		return nil, false
+		return room.Log{}, false
 	}
-	return r.frame(), true
+	return r.log, true
 }

@@ -1,9 +1,10 @@
 package cluster
 
 import (
+	"context"
 	"math/rand"
-	"runtime"
 	"testing"
+	"time"
 
 	"mmconf/internal/document"
 	"mmconf/internal/proto"
@@ -11,59 +12,113 @@ import (
 	"mmconf/internal/workload"
 )
 
-// A standby's log keeps the newest replicaBuffer events in order, counts
-// what it dropped in trimmed, and — the owner streams a request per
-// event or two — once full takes each request in place: no allocation,
-// and no copy of the buffer amortized over the requests either.
-func TestReplicaApplyTrimsWithoutCopyingTheBuffer(t *testing.T) {
-	r := &replica{}
-	seq := uint64(0)
-	req := &proto.ReplicateReq{Events: make([]room.Event, 2)}
-	step := func() {
-		seq++
-		req.Seq = seq
-		req.Events[0].Seq, req.Events[1].Seq = seq-1, seq // one overlapping, one new
-		r.apply(req)
+// TestReplicationRefusesAnUnservableFrame: a standby merges every frame
+// into its room.Log, which refuses one whose events are not strictly
+// ascending within (trimmed, seq]. Such a frame was once taken and kept,
+// and only the takeover's restore refused the log — after the replica
+// was gone, so the new owner served the room from Seq 0 and resuming
+// clients lost their replay. Here the bad frame is refused on arrival
+// and the call fails, the owner's next whole-log frame lands, and a
+// takeover then carries the old owner's sequence on.
+func TestReplicationRefusesAnUnservableFrame(t *testing.T) {
+	h := newHarness(t, 3, false)
+	roomName := "tumor-board"
+	owner := h.Owner(roomName)
+	standby := h.ByID(NewPlacement(h.aliveIDs()).Standby(roomName))
+
+	alice := clusterClient(t, h, "alice")
+	bob := clusterClient(t, h, "bob")
+	sa, _, err := alice.Join(roomName, "p1", 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for seq < 3*replicaBuffer {
-		step()
+	if _, _, err := bob.Join(roomName, "p1", 0); err != nil {
+		t.Fatal(err)
 	}
-	check := func() {
+	colB := collect(bob)
+	pre := []string{"m0", "m1", "m2"}
+	for _, m := range pre {
+		mustChat(t, sa, m)
+	}
+	colB.waitChats(t, pre...)
+	seq := h.ownerSeq(t, roomName)
+	h.waitReplicated(t, roomName, seq)
+
+	held := func() (uint64, []room.Event) {
+		standby.Node.replMu.Lock()
+		defer standby.Node.replMu.Unlock()
+		r := standby.Node.replicas[roomName]
+		return r.log.Seq(), r.log.AppendSince(nil, 0)
+	}
+	sameLog := func(at string, seq uint64, events []room.Event, wantSeq uint64, want []room.Event) {
 		t.Helper()
-		if r.log.n != replicaBuffer || r.Seq != seq || r.Trimmed != seq-replicaBuffer {
-			t.Fatalf("after %d events: %d held, seq %d, trimmed %d", seq, r.log.n, r.Seq, r.Trimmed)
+		if seq != wantSeq || len(events) != len(want) {
+			t.Fatalf("%s: standby at seq %d with %d events, want %d with %d", at, seq, len(events), wantSeq, len(want))
 		}
-		for i, ev := range r.log.appendTo(nil) {
-			if want := seq - replicaBuffer + 1 + uint64(i); ev.Seq != want {
-				t.Fatalf("slot %d holds event %d, want %d", i, ev.Seq, want)
+		for i := range want {
+			if events[i].Seq != want[i].Seq || events[i].Kind != want[i].Kind || events[i].Text != want[i].Text {
+				t.Fatalf("%s: standby event %d is %d (%v), want %d (%v)", at, i, events[i].Seq, events[i].Kind, want[i].Seq, want[i].Kind)
 			}
 		}
 	}
-	check()
-	if !raceEnabled {
-		const runs = 4 * replicaBuffer
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		perApply := testing.AllocsPerRun(runs, step)
-		runtime.ReadMemStats(&after)
-		if perApply != 0 {
-			t.Errorf("%v allocations per request on a full buffer", perApply)
-		}
-		// AllocsPerRun makes one warm-up call besides the runs.
-		if b := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1); b >= 64 {
-			t.Errorf("%.0f bytes allocated per request on a full buffer, want under 64", b)
-		}
-		check()
+
+	// 1. An event past the frame's own Seq: the standby refuses the frame
+	// over the wire and keeps the log it had.
+	beforeSeq, before := held()
+	bad := &proto.ReplicateReq{Room: roomName, DocID: "p1", Seq: seq, Events: []room.Event{
+		{Seq: seq - 1, Room: roomName, Kind: room.EvChat, Text: "stale"},
+		{Seq: seq + 2, Room: roomName, Kind: room.EvChat, Text: "ahead of its seq"},
+	}}
+	var resp proto.ReplicateResp
+	if err := owner.Node.callPeer(context.Background(), standby.ID, proto.MNodeReplicate, bad, &resp); err == nil {
+		t.Fatal("the standby took a frame holding an event past its seq")
 	}
-	if l := len(r.log.events); l != replicaBuffer {
-		t.Errorf("the ring has %d slots for a bound of %d", l, replicaBuffer)
+	afterSeq, after := held()
+	sameLog("after the refused frame", afterSeq, after, beforeSeq, before)
+
+	// 2. The owner's whole-log frame, which a failed send makes its next
+	// flush, lands.
+	replicated := owner.Node.Metrics().Replicated
+	owner.Node.replicate(roomName, standby.ID, nil, 0)
+	if owner.Node.Metrics().Replicated != replicated+1 {
+		t.Fatal("the owner's whole-log frame did not land")
 	}
-	// An owner that trimmed further ahead drops the standby's prefix too.
-	r.apply(&proto.ReplicateReq{Seq: seq, Trimmed: seq - 10})
-	if held := r.log.appendTo(nil); len(held) != 10 || held[0].Seq != seq-9 || r.Trimmed != seq-10 {
-		t.Errorf("after the owner trimmed to %d: %d held, trimmed %d", seq-10, len(held), r.Trimmed)
+	var whole proto.ReplicateReq
+	if !owner.Node.srv.SnapshotRoomInto(&whole, roomName, 0) {
+		t.Fatal("the owner lost the room")
 	}
+	gotSeq, got := held()
+	sameLog("after the whole log", gotSeq, got, whole.Seq, whole.Events)
+
+	// 3. The takeover seeds the room from that log: the events after it
+	// continue the old owner's sequence, with no gap and no repeat.
+	owner.Kill()
+	if err := h.WaitConverged(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	post := []string{"m3", "m4", "m5"}
+	for _, m := range post {
+		mustChat(t, sa, m)
+	}
+	all := append(append([]string(nil), pre...), post...)
+	colB.waitChats(t, all...)
+	colB.assertExactChats(t, all...)
+	if holder := h.waitSoleHolder(t, roomName); holder != standby.ID {
+		t.Fatalf("room held by %s, want the standby %s", holder, standby.ID)
+	}
+	var taken proto.ReplicateReq
+	if !standby.Node.srv.SnapshotRoomInto(&taken, roomName, 0) {
+		t.Fatal("the new owner holds no room")
+	}
+	if taken.Seq <= whole.Seq || len(taken.Events) < len(whole.Events) {
+		t.Fatalf("the new owner's log is at seq %d with %d events; the old owner's was at %d with %d",
+			taken.Seq, len(taken.Events), whole.Seq, len(whole.Events))
+	}
+	sameLog("the new owner's log", whole.Seq, taken.Events[:len(whole.Events)], whole.Seq, whole.Events)
 }
+
+// standbyLogCap is the room log's bound, the most a replica holds.
+const standbyLogCap = 1024
 
 // sliceReplica is the reference a replica is checked against: the log
 // as a plain slice, merged, trimmed and capped the obvious way.
@@ -89,7 +144,7 @@ func (m *sliceReplica) apply(req *proto.ReplicateReq) {
 	for drop < len(m.events) && m.events[drop].Seq <= m.trimmed {
 		drop++
 	}
-	if over := len(m.events) - drop - replicaBuffer; over > 0 {
+	if over := len(m.events) - drop - standbyLogCap; over > 0 {
 		drop += over
 	}
 	if drop > 0 {
@@ -99,17 +154,17 @@ func (m *sliceReplica) apply(req *proto.ReplicateReq) {
 }
 
 // replicaOwner is the owner side of the property walk: its log, capped
-// above replicaBuffer so that one resend can overflow the standby's ring,
-// with Seqs that skip where a presentation consumed one unbuffered. Its
-// recent history, trimmed events included, makes frames with lagging
-// marks.
+// above the standby's bound so that one resend can overflow the
+// standby's ring, with Seqs that skip where a presentation consumed one
+// unbuffered. Its recent history, trimmed events included, makes frames
+// with lagging marks.
 type replicaOwner struct {
 	events       []room.Event
 	history      []room.Event
 	seq, trimmed uint64
 }
 
-const replicaOwnerCap = replicaBuffer + replicaBuffer/2
+const replicaOwnerCap = standbyLogCap + standbyLogCap/2
 
 func (o *replicaOwner) advance(rng *rand.Rand) {
 	for k := 1 + rng.Intn(6); k > 0; k-- {
@@ -144,7 +199,7 @@ func (o *replicaOwner) trimTo(seq uint64) {
 // carrying the events past that mark: what a new owner restored from an
 // older replica may send.
 func (o *replicaOwner) lagging(standbyTrimmed, lag uint64) *proto.ReplicateReq {
-	f := &proto.ReplicateReq{Seq: o.seq, Trimmed: standbyTrimmed - min(standbyTrimmed, lag)}
+	f := &proto.ReplicateReq{Room: "walk", DocID: "rec-replica", Seq: o.seq, Trimmed: standbyTrimmed - min(standbyTrimmed, lag)}
 	for _, ev := range o.history {
 		if ev.Seq > f.Trimmed {
 			f.Events = append(f.Events, ev)
@@ -155,7 +210,7 @@ func (o *replicaOwner) lagging(standbyTrimmed, lag uint64) *proto.ReplicateReq {
 
 // frame is what the owner sends a cursor at since.
 func (o *replicaOwner) frame(since uint64) *proto.ReplicateReq {
-	f := &proto.ReplicateReq{Seq: o.seq, Trimmed: o.trimmed}
+	f := &proto.ReplicateReq{Room: "walk", DocID: "rec-replica", Seq: o.seq, Trimmed: o.trimmed}
 	for _, ev := range o.events {
 		if ev.Seq > since {
 			f.Events = append(f.Events, ev)
@@ -166,20 +221,34 @@ func (o *replicaOwner) frame(since uint64) *proto.ReplicateReq {
 
 // TestReplicaMatchesSliceModel walks seeded mixes of full resends,
 // incremental frames that overlap what the standby holds, owner trims,
-// and frames whose trim mark lags the standby's, and holds the ring to the slice model after every frame: the
-// same events in the same order, the same Seq and trim mark. Now and then
-// the replica seeds a room, which must accept it.
+// and frames whose trim mark lags the standby's, hands each to a node's
+// replication handler as a peer's call would, and holds the node's
+// replica to the slice model after every frame: the same events in the
+// same order, the same Seq and trim mark. Now and then a frame is sent
+// with an event that breaks its ascent; the handler refuses it and the
+// replica is unchanged. Now and then the replica seeds a room, which must
+// accept it.
 func TestReplicaMatchesSliceModel(t *testing.T) {
 	doc, err := workload.MedicalRecord("rec-replica", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := newHarness(t, 1, false).Nodes[0].Node
+	ctx := context.Background()
+	held := func() (r replica, events []room.Event) {
+		n.replMu.Lock()
+		defer n.replMu.Unlock()
+		if p := n.replicas["walk"]; p != nil {
+			r = *p
+		}
+		return r, r.log.AppendSince(nil, 0)
+	}
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var (
-			owner replicaOwner
-			model sliceReplica
-			r     = &replica{Room: "walk", DocID: "rec-replica"}
+			owner   replicaOwner
+			model   sliceReplica
+			refused int
 		)
 		for step := 0; step < 2500; step++ {
 			owner.advance(rng)
@@ -195,48 +264,87 @@ func TestReplicaMatchesSliceModel(t *testing.T) {
 				}
 			case op == 2:
 				f = owner.lagging(model.trimmed, uint64(rng.Intn(60)))
+			case op == 3 && len(owner.events) > 1:
+				// An event out of order: no room could serve the log.
+				bad := owner.frame(0)
+				i := 1 + rng.Intn(len(bad.Events)-1)
+				bad.Events[i-1], bad.Events[i] = bad.Events[i], bad.Events[i-1]
+				before, beforeEvents := held()
+				if _, err := n.handleReplicate(ctx, nil, bad); err == nil {
+					t.Fatalf("seed %d step %d: a frame with event %d before %d was taken",
+						seed, step, bad.Events[i-1].Seq, bad.Events[i].Seq)
+				}
+				after, afterEvents := held()
+				if after.log.Seq() != before.log.Seq() || after.log.Trimmed() != before.log.Trimmed() || len(afterEvents) != len(beforeEvents) {
+					t.Fatalf("seed %d step %d: the refused frame changed the replica", seed, step)
+				}
+				refused++
+				f = owner.frame(model.seq) // the owner's next flush
 			default: // incremental, from a cursor at or a little behind the standby
 				f = owner.frame(model.seq - min(model.seq, uint64(rng.Intn(40))))
 			}
-			r.apply(f)
-			model.apply(f)
-			held := r.log.appendTo(nil)
-			if r.Seq != model.seq || r.Trimmed != model.trimmed || len(held) != len(model.events) {
-				t.Fatalf("seed %d step %d: ring at seq %d trimmed %d with %d events, model at %d, %d with %d",
-					seed, step, r.Seq, r.Trimmed, len(held), model.seq, model.trimmed, len(model.events))
+			resp, err := n.handleReplicate(ctx, nil, f)
+			if err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
-			for i := range held {
-				if held[i].Seq != model.events[i].Seq || held[i].ObjectID != model.events[i].ObjectID {
+			model.apply(f)
+			r, events := held()
+			if resp.Seq != model.seq || r.DocID != "rec-replica" || r.log.Seq() != model.seq || r.log.Trimmed() != model.trimmed || len(events) != len(model.events) {
+				t.Fatalf("seed %d step %d: replica of %q at seq %d (acked %d) trimmed %d with %d events, model at %d, %d with %d",
+					seed, step, r.DocID, r.log.Seq(), resp.Seq, r.log.Trimmed(), len(events), model.seq, model.trimmed, len(model.events))
+			}
+			for i := range events {
+				if events[i].Seq != model.events[i].Seq || events[i].ObjectID != model.events[i].ObjectID {
 					t.Fatalf("seed %d step %d: event %d is %d (object %d), model has %d (object %d)",
-						seed, step, i, held[i].Seq, held[i].ObjectID, model.events[i].Seq, model.events[i].ObjectID)
+						seed, step, i, events[i].Seq, events[i].ObjectID, model.events[i].Seq, model.events[i].ObjectID)
 				}
 			}
 			if step%500 == 499 {
-				seedRoom(t, r, doc, seed, step)
+				seedRoom(t, n, doc, &model, seed, step)
 			}
 		}
+		if refused == 0 {
+			t.Fatalf("seed %d: no frame was refused", seed)
+		}
+		// The next seed's walk starts from an empty replica.
+		n.replMu.Lock()
+		delete(n.replicas, "walk")
+		n.replMu.Unlock()
 	}
 }
 
 // seedRoom hands the replica to a room the way a new owner's first build
-// does, through roomSeed, and checks that room.Restore takes it.
-func seedRoom(t *testing.T, r *replica, doc *document.Document, seed int64, step int) {
+// does, through roomSeed, checks that room.Restore takes it and serves the
+// model's log, and puts the replica back for the walk to go on.
+func seedRoom(t *testing.T, n *Node, doc *document.Document, model *sliceReplica, seed int64, step int) {
 	t.Helper()
-	n := &Node{replicas: map[string]*replica{r.Room: r}}
-	f, ok := n.roomSeed(r.Room)
+	l, ok := n.roomSeed("walk")
 	if !ok {
 		t.Fatalf("seed %d step %d: roomSeed found no replica", seed, step)
 	}
-	if f.Room != r.Room || f.DocID != r.DocID || f.Seq != r.Seq || f.Trimmed != r.Trimmed || len(f.Events) != r.log.n {
-		t.Fatalf("seed %d step %d: seeded frame %q/%q seq %d trimmed %d with %d events; replica at seq %d trimmed %d with %d",
-			seed, step, f.Room, f.DocID, f.Seq, f.Trimmed, len(f.Events), r.Seq, r.Trimmed, r.log.n)
+	n.replMu.Lock()
+	_, stays := n.replicas["walk"]
+	n.replicas["walk"] = &replica{DocID: doc.ID, log: l}
+	n.replMu.Unlock()
+	if stays {
+		t.Fatalf("seed %d step %d: roomSeed left the replica behind a live room", seed, step)
 	}
-	fresh, err := room.New(r.Room, doc)
+	fresh, err := room.New("walk", doc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	if err := fresh.Restore(f.Events, f.Seq, f.Trimmed); err != nil {
+	if err := fresh.Restore(l); err != nil {
 		t.Fatalf("seed %d step %d: %v", seed, step, err)
+	}
+	events, seq, trimmed := fresh.LogSince(nil, 0)
+	if seq != model.seq || trimmed != model.trimmed || len(events) != len(model.events) {
+		t.Fatalf("seed %d step %d: seeded room at seq %d trimmed %d with %d events, model at %d, %d with %d",
+			seed, step, seq, trimmed, len(events), model.seq, model.trimmed, len(model.events))
+	}
+	for i := range events {
+		if events[i].Seq != model.events[i].Seq {
+			t.Fatalf("seed %d step %d: seeded room's event %d is %d, model has %d", seed, step, i, events[i].Seq, model.events[i].Seq)
+		}
 	}
 }

@@ -109,8 +109,8 @@ func (f *gateFixture) putTexts(t *testing.T, id uint64, texts string) {
 // the replicated event log and the dataset rows — with the owner's.
 func (f *gateFixture) assertStandbyMatches(t *testing.T) {
 	t.Helper()
-	snap, ok := f.owner.Node.srv.SnapshotRoom(f.room, 0)
-	if !ok {
+	var snap proto.ReplicateReq
+	if !f.owner.Node.srv.SnapshotRoomInto(&snap, f.room, 0) {
 		t.Fatalf("owner lost room %q", f.room)
 	}
 	sn := f.standby.Node
@@ -119,7 +119,7 @@ func (f *gateFixture) assertStandbyMatches(t *testing.T) {
 	var seq uint64
 	var events int
 	if r != nil {
-		seq, events = r.Seq, r.log.n
+		seq, events = r.log.Seq(), len(r.log.AppendSince(nil, 0))
 	}
 	sn.replMu.Unlock()
 	if seq != snap.Seq || events != len(snap.Events) {
@@ -296,8 +296,8 @@ func TestReplicationGateBypasses(t *testing.T) {
 func TestReplicationUnchangedFlushAllocatesNothing(t *testing.T) {
 	f := newGateFixture(t)
 	n := f.owner.Node
-	req, ok := n.srv.SnapshotRoom(f.room, f.cursor().sent)
-	if !ok {
+	req := new(proto.ReplicateReq)
+	if !n.srv.SnapshotRoomInto(req, f.room, f.cursor().sent) {
 		t.Fatalf("owner lost room %q", f.room)
 	}
 	st := f.state()

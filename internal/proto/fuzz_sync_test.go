@@ -7,6 +7,7 @@ import (
 
 	"mmconf/internal/blob"
 	"mmconf/internal/mediadb"
+	"mmconf/internal/room"
 	"mmconf/internal/store"
 	"mmconf/internal/wire"
 )
@@ -150,6 +151,21 @@ func FuzzReplicationFrame(f *testing.F) {
 			}
 			if len(wire.MarshalBody(v2.(wire.BodyEncoder))) != len(out) {
 				t.Fatalf("%T: re-encode not a fixed point", v)
+			}
+			// A standby merges a decoded frame into its log, which either
+			// refuses it or holds only events it could serve.
+			if req, ok := v.(*ReplicateReq); ok {
+				var l room.Log
+				if l.Merge(req.Events, req.Seq, req.Trimmed) != nil {
+					continue
+				}
+				last := l.Trimmed()
+				for _, ev := range l.AppendSince(nil, 0) {
+					if ev.Seq <= last || ev.Seq > l.Seq() {
+						t.Fatalf("merged log holds event %d outside (%d, %d] or out of order", ev.Seq, l.Trimmed(), l.Seq())
+					}
+					last = ev.Seq
+				}
 			}
 		}
 	})

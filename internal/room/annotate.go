@@ -7,16 +7,8 @@ import (
 )
 
 // This file is shared annotation and the freeze/release discipline: the
-// rasters partners draw on, and one partner holding an object from the
-// rest while they do.
-
-// RegisterRaster provides the base raster of an image object so that
-// annotation rendering (Rendered) works server-side.
-func (r *Room) RegisterRaster(objectID uint64, g *image.Gray) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.rasters[objectID] = g
-}
+// overlays partners draw on images, and one partner holding an object
+// from the rest while they do.
 
 // Annotate writes a text or line element on an image object and
 // propagates it — "when one user writes some text on an image, the others
@@ -54,15 +46,12 @@ func (r *Room) Annotate(actor string, objectID uint64, kind image.AnnotationKind
 }
 
 // annotatedLocked returns (creating if needed) the annotation overlay of
-// an object.
+// an object. The room keeps the overlay, not the raster under it: the
+// clients that display the image draw the overlay on it.
 func (r *Room) annotatedLocked(objectID uint64) *image.Annotated {
 	ann, ok := r.anns[objectID]
 	if !ok {
-		base := r.rasters[objectID]
-		if base == nil {
-			base, _ = image.New(1, 1) // annotations can exist before the raster is registered
-		}
-		ann = image.NewAnnotated(base)
+		ann = image.NewAnnotated(nil)
 		r.anns[objectID] = ann
 	}
 	return ann
@@ -101,17 +90,6 @@ func (r *Room) Annotations(objectID uint64) []image.Annotation {
 		return nil
 	}
 	return append([]image.Annotation(nil), ann.Annotations...)
-}
-
-// Rendered returns the object's raster with annotations burned in, if its
-// base raster was registered.
-func (r *Room) Rendered(objectID uint64) (*image.Gray, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.rasters[objectID] == nil {
-		return nil, fmt.Errorf("room %s: no raster registered for object %d", r.Name, objectID)
-	}
-	return r.annotatedLocked(objectID).Render(), nil
 }
 
 // Freeze locks an object against changes by other partners.

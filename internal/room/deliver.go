@@ -25,12 +25,8 @@ func (r *Room) SetPushBudget(n int64) {
 // reconfigure is set) pushes the members their updated presentations.
 // Callers hold r.mu.
 func (r *Room) broadcastLocked(ev Event, reconfigure bool) {
-	r.seq++
-	ev.Seq = r.seq
 	ev.Room = r.Name
-	if displaced := r.buf.push(ev); displaced != 0 {
-		r.trimmed = displaced
-	}
+	r.log.append(&ev)
 	if len(r.triggers) > 0 && !r.closed {
 		select {
 		case r.triggerCh <- ev: // async trigger evaluation
@@ -82,8 +78,7 @@ func (r *Room) reconfigureLocked(actor string) {
 				r.viewSeq++
 				to.id = r.viewSeq
 			}
-			r.seq++
-			classes = append(classes, Event{Seq: r.seq, Room: r.Name, Actor: actor, Kind: EvPresentation})
+			classes = append(classes, Event{Seq: r.log.next(), Room: r.Name, Actor: actor, Kind: EvPresentation})
 			pe = &classes[len(classes)-1]
 			pe.setView(m.held, to)
 			if len(r.members) > 1 {

@@ -29,7 +29,7 @@ func (r *Room) OnSessionExpire(fn func(user string)) {
 	r.expireHook = fn
 }
 
-// Join adds a member, replays the change buffer to them as a catch-up
+// Join adds a member, replays the log's buffer to them as a catch-up
 // snapshot, and announces the join to everyone. The member's first
 // presentation — its whole view, under an id it then holds — is returned,
 // not queued: the join's response carries it, and what is pushed next,
@@ -70,7 +70,7 @@ func (r *Room) Join(ctx context.Context, name string) (*Member, []Event, Event, 
 	}
 	m := &Member{Name: name, room: r, ch: make(chan Event, memberQueueSize)}
 	r.members[name] = m
-	history := r.buf.since(0)
+	history := r.log.AppendSince(nil, 0)
 	first := r.stampLocked(m, view)
 	m.held = viewRef{first.View, first.view}
 	push := obs.StartSpan(ctx, "push")
@@ -220,7 +220,7 @@ func (r *Room) Resume(ctx context.Context, name string, since uint64) (*Member, 
 	}
 	m := &Member{Name: name, room: r, ch: make(chan Event, memberQueueSize)}
 	r.members[name] = m
-	complete := since >= r.trimmed && since <= r.seq
+	complete := since >= r.log.trimmed && since <= r.log.seq
 	// Stamped after the old stream ended: whatever it still had queued is
 	// older than the view the new member starts from.
 	first := r.stampLocked(m, view)
@@ -228,7 +228,7 @@ func (r *Room) Resume(ctx context.Context, name string, since uint64) (*Member, 
 	if r.replicator != nil {
 		r.replicator() // seq-only advance: nothing buffered
 	}
-	return m, r.buf.since(since), first, complete, nil
+	return m, r.log.AppendSince(nil, since), first, complete, nil
 }
 
 // Detached lists the names of currently detached sessions, sorted.

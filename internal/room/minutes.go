@@ -28,14 +28,14 @@ type Minutes struct {
 	Annotations map[uint64][]image.Annotation
 }
 
-// Minutes snapshots the discussion's durable results from the change
-// buffer and annotation state.
+// Minutes snapshots the discussion's durable results from the log and
+// annotation state.
 func (r *Room) Minutes() Minutes {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	m := Minutes{Room: r.Name, Annotations: make(map[uint64][]image.Annotation)}
-	for i := 0; i < r.buf.len(); i++ {
-		switch ev := r.buf.at(i); ev.Kind {
+	for i := 0; i < r.log.n; i++ {
+		switch ev := r.log.at(i); ev.Kind {
 		case EvChat:
 			m.Chat = append(m.Chat, *ev)
 		case EvWordSearch, EvSpeakerSearch:

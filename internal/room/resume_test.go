@@ -92,7 +92,7 @@ func TestResumeReportsGapWhenBufferTrimmed(t *testing.T) {
 	drain(alice)
 	seen := r.Seq()
 	r.Detach(alice)
-	for i := 0; i < changeBufferSize+10; i++ {
+	for i := 0; i < logSize+10; i++ {
 		if err := r.Chat("bob", "flood"); err != nil {
 			t.Fatal(err)
 		}
@@ -104,8 +104,8 @@ func TestResumeReportsGapWhenBufferTrimmed(t *testing.T) {
 	if complete {
 		t.Error("complete = true after the buffer trimmed past the detach point")
 	}
-	if len(missed) != changeBufferSize {
-		t.Errorf("replay = %d events, want the %d still buffered", len(missed), changeBufferSize)
+	if len(missed) != logSize {
+		t.Errorf("replay = %d events, want the %d still buffered", len(missed), logSize)
 	}
 }
 

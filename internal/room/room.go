@@ -4,9 +4,9 @@
 // choice, a media operation, writing text on an image, a keyword search —
 // is immediately propagated to all other partners. The room also enforces
 // the freeze/release discipline of the IP module ("freezing of multimedia
-// objects by one partner from the rest") and keeps the change buffer the
-// paper describes: "a large memory buffer which maintains the changes made
-// on the changed objects", from which late joiners catch up.
+// objects by one partner from the rest") and keeps, as its Log, the change
+// buffer the paper describes: "a large memory buffer which maintains the
+// changes made on the changed objects", from which late joiners catch up.
 package room
 
 import (
@@ -270,13 +270,7 @@ type Room struct {
 	members map[string]*Member
 	frozen  map[uint64]string // object id -> holder
 	anns    map[uint64]*image.Annotated
-	rasters map[uint64]*image.Gray // base rasters for annotation rendering
-	buf     changeBuffer
-	seq     uint64
-	// trimmed is the highest Seq ever discarded from the change buffer;
-	// a resume from at-or-after it can be replayed exactly, one from
-	// before it has an unrecoverable gap.
-	trimmed uint64
+	log     Log
 	closed  bool
 	// viewSeq is the last view id issued: one per distinct solved view
 	// per reconfiguration, so an id names a view, not the event or the
@@ -307,7 +301,7 @@ type Room struct {
 
 	// replicator, when set, is told that the log advanced: an event was
 	// buffered, or a per-member presentation consumed a Seq without
-	// entering the change buffer. It carries nothing — the replicating
+	// entering the buffer. It carries nothing — the replicating
 	// node reads what it lacks with LogSince. Called under r.mu — it must
 	// not block or call back into the room.
 	replicator func()
@@ -343,7 +337,6 @@ func New(name string, doc *document.Document) (*Room, error) {
 		members:  make(map[string]*Member),
 		frozen:   make(map[uint64]string),
 		anns:     make(map[uint64]*image.Annotated),
-		rasters:  make(map[uint64]*image.Gray),
 		detached: make(map[string]*time.Timer),
 	}
 	return r, nil
@@ -376,14 +369,14 @@ func (r *Room) DocSnapshot() (data []byte, hit bool, err error) {
 
 // Gauges is a point-in-time reading of a room's live load: how many
 // members (and parked sessions) it carries, how deep their undrained
-// event queues are, and how much change buffer it retains.
+// event queues are, and how many events its log retains.
 type Gauges struct {
 	Members        int
 	Detached       int
 	QueuedEvents   int   // sum of undrained member-queue depths
 	QueuedBytes    int64 // estimated bytes across undrained member queues
 	MaxQueueDepth  int   // deepest single member queue
-	BufferedEvents int   // change-buffer length (late-join catch-up)
+	BufferedEvents int   // the log's buffered events (late-join catch-up)
 }
 
 // Gauges samples the room's live load for the metrics surface.
@@ -393,7 +386,7 @@ func (r *Room) Gauges() Gauges {
 	g := Gauges{
 		Members:        len(r.members),
 		Detached:       len(r.detached),
-		BufferedEvents: r.buf.len(),
+		BufferedEvents: r.log.n,
 	}
 	for _, m := range r.members {
 		d := len(m.ch)
@@ -476,9 +469,8 @@ func (r *Room) presentLocked(m *Member) error {
 // or resume makes a new member's first this way and returns it for the
 // response to carry, not queued; held is set to it by hand.
 func (r *Room) stampLocked(m *Member, v *document.Solved) Event {
-	r.seq++
 	r.viewSeq++
-	pe := Event{Seq: r.seq, Room: r.Name, Actor: m.Name, Kind: EvPresentation}
+	pe := Event{Seq: r.log.next(), Room: r.Name, Actor: m.Name, Kind: EvPresentation}
 	pe.setView(m.held, viewRef{r.viewSeq, v})
 	return pe
 }

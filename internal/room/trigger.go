@@ -11,7 +11,7 @@ import (
 // switch the voice component to its audio form for everyone", or "when a
 // partner freezes an object, post a chat notice". Trigger actions run
 // through the same room operations as human actions, so they propagate
-// and appear in the change buffer like everything else.
+// and appear in the room's log like everything else.
 
 // TriggerFunc decides whether and how to react to an event. It runs
 // without the room lock held; it may call any room method. Returning an

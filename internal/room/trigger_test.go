@@ -337,8 +337,6 @@ func TestBroadcastEventKindNames(t *testing.T) {
 
 func TestMinutesSnapshotAndComponent(t *testing.T) {
 	r := newRoom(t)
-	base, _ := image.Phantom(32, 32, 1)
-	r.RegisterRaster(11, base)
 	alice, _, _, _ := r.Join(context.Background(), "alice")
 	drain(alice)
 	r.Chat("alice", "suspicious density upper lobe")

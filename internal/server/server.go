@@ -28,6 +28,7 @@ import (
 	"mmconf/internal/obs"
 	"mmconf/internal/proto"
 	"mmconf/internal/qos"
+	"mmconf/internal/room"
 	"mmconf/internal/wire"
 )
 
@@ -108,9 +109,9 @@ type Options struct {
 	// event log (Seq high-water mark, trim watermark, buffered events)
 	// before the first member joins, so Resume replays exactly what the
 	// old owner would have.
-	RoomSeed func(roomName string) (*proto.ReplicateReq, bool)
+	RoomSeed func(roomName string) (room.Log, bool)
 	// RoomTap, when non-nil, is told of every room event-log advance;
-	// the replicating node then reads the log with SnapshotRoom. Called
+	// the replicating node then reads the log with SnapshotRoomInto. Called
 	// under the room lock: it must be cheap, must not block, and must
 	// not call back into the server.
 	RoomTap func(roomName string)
@@ -150,7 +151,7 @@ type Server struct {
 	// Cluster-tier hooks (see the Options fields of the same names).
 	nodeID      string
 	onPeerClose func(*wire.Peer)
-	roomSeed    func(string) (*proto.ReplicateReq, bool)
+	roomSeed    func(string) (room.Log, bool)
 	roomTap     func(string)
 }
 
@@ -329,22 +330,14 @@ func (s *Server) Rooms() []string {
 	return out
 }
 
-// SnapshotRoom reads one live room's event log past since in the frame
-// that replicates it: since is the standby's cursor, 0 for the whole log
-// (handoff, drain, a first or failed send). The events and both marks
-// come from one Room.LogSince, so the frame always restores.
-func (s *Server) SnapshotRoom(name string, since uint64) (*proto.ReplicateReq, bool) {
-	f := new(proto.ReplicateReq)
-	if !s.SnapshotRoomInto(f, name, since) {
-		return nil, false
-	}
-	return f, true
-}
-
-// SnapshotRoomInto is SnapshotRoom into a frame the caller keeps: it sets
-// f's room, document and marks, and appends the events to f.Events[:0],
-// so a replication cursor that reuses its frame reads the log without
-// allocating. f's other fields are left as they are.
+// SnapshotRoomInto reads one live room's event log past since into the
+// frame that replicates it: since is the standby's cursor, 0 for the
+// whole log (handoff, drain, a first or failed send). It sets f's room,
+// document and marks, and appends the events to f.Events[:0], so a
+// replication cursor that reuses its frame reads the log without
+// allocating; f's other fields are left as they are. The events and both
+// marks come from one Room.LogSince, so the standby's Merge takes the
+// frame. It reports false when the room is not live here.
 func (s *Server) SnapshotRoomInto(f *proto.ReplicateReq, name string, since uint64) bool {
 	rs, ok := s.reg.get(name)
 	if !ok {

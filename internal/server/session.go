@@ -85,8 +85,8 @@ func (s *Server) buildRoom(name, docID string) (*roomState, error) {
 	// replicated log before any member joins; the tap reports every
 	// subsequent advance, which the node streams to the room's standby.
 	if s.roomSeed != nil {
-		if snap, ok := s.roomSeed(name); ok {
-			if err := r.Restore(snap.Events, snap.Seq, snap.Trimmed); err != nil {
+		if l, ok := s.roomSeed(name); ok {
+			if err := r.Restore(l); err != nil {
 				return nil, err
 			}
 		}
@@ -98,19 +98,6 @@ func (s *Server) buildRoom(name, docID string) (*roomState, error) {
 	// via member.Consumed.
 	r.SetPushBudget(s.pushBudget)
 	r.OnSessionExpire(func(string) { s.stats.Add(CounterSessionExpired, 1) })
-	// Register base rasters for annotation rendering where available.
-	for _, c := range doc.Components() {
-		for _, pres := range c.Presentations {
-			if pres.ObjectID == 0 || pres.Kind != document.KindImage {
-				continue
-			}
-			if img, err := s.db.GetImage(pres.ObjectID); err == nil {
-				if raster, err := image.Decode(img.Data); err == nil {
-					r.RegisterRaster(pres.ObjectID, raster)
-				}
-			}
-		}
-	}
 	return &roomState{room: r, docID: docID, doc: doc}, nil
 }
 

@@ -3,17 +3,18 @@ package server
 import (
 	"sync"
 	"testing"
+	"time"
 
+	"mmconf/internal/proto"
 	"mmconf/internal/room"
 )
 
-// TestSnapshotRoomIsNeverTorn: a snapshot is what a new owner's first
-// buildRoom restores after a handoff or a drain, and room.Restore refuses
-// a log holding an event past its own Seq — the replica is then dropped.
-// While a member keeps choosing, every snapshot taken must restore: the
+// TestSnapshotRoomIsNeverTorn: a snapshot is the frame a standby merges,
+// and room.Log.Merge refuses a frame holding an event past its own Seq.
+// While a member keeps choosing, every snapshot taken must merge: the
 // events and both marks are one read of the room, not three.
 func TestSnapshotRoomIsNeverTorn(t *testing.T) {
-	srv, addr, rec := testSystem(t)
+	srv, addr, _ := testSystem(t)
 	c := dial(t, addr, "alice")
 	s, _, err := c.Join("consult", "p1", 0)
 	if err != nil {
@@ -46,23 +47,26 @@ func TestSnapshotRoomIsNeverTorn(t *testing.T) {
 			}
 		}
 	}()
-	// Each snapshot reads on from the one before, as flushes do: copying
-	// the whole buffer 20 000 times would be most of the test's time.
-	var since uint64
-	for i := 0; i < 20000 && !t.Failed(); i++ {
-		snap, ok := srv.SnapshotRoom("consult", since)
-		if !ok {
+	// Each snapshot reads on from the one before into the frame it
+	// keeps, as flushes do, and merges into one log, as a standby does,
+	// until the room has issued three thousand Seqs.
+	var (
+		snap  proto.ReplicateReq
+		l     room.Log
+		since uint64
+	)
+	deadline := time.Now().Add(30 * time.Second)
+	for i := 0; l.Seq() < 3000 && !t.Failed(); i++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("the room reached only seq %d", l.Seq())
+		}
+		if !srv.SnapshotRoomInto(&snap, "consult", since) {
 			t.Fatal("the room is gone")
 		}
-		fresh, err := room.New("consult", rec.Doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.Restore(snap.Events, snap.Seq, snap.Trimmed); err != nil {
-			t.Errorf("snapshot %d (seq %d, trimmed %d, %d events) does not restore: %v",
+		if err := l.Merge(snap.Events, snap.Seq, snap.Trimmed); err != nil {
+			t.Errorf("snapshot %d (seq %d, trimmed %d, %d events) does not merge: %v",
 				i, snap.Seq, snap.Trimmed, len(snap.Events), err)
 		}
-		fresh.Close()
 		since = snap.Seq
 	}
 	close(stop)
