@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -27,14 +29,17 @@ func newHarness(t *testing.T, nodes int, forward bool) *Harness {
 }
 
 // startHarness starts a cluster under the suite's common settings (temp
-// dir, harnessSeed, a 5 s session grace, logs to t) plus whatever o sets,
-// waits for its views to converge and closes it with the test.
+// dir, harnessSeed, a 5 s session grace, logs to t unless o logs
+// elsewhere) plus whatever o sets, waits for its views to converge and
+// closes it with the test.
 func startHarness(t *testing.T, o HarnessOptions) *Harness {
 	t.Helper()
 	o.Dir = t.TempDir()
 	o.Seed = harnessSeed
 	o.Server.SessionGrace = 5 * time.Second
-	o.Logf = t.Logf
+	if o.Logf == nil {
+		o.Logf = t.Logf
+	}
 	h, err := NewHarness(o)
 	if err != nil {
 		t.Fatal(err)
@@ -44,6 +49,80 @@ func startHarness(t *testing.T, o HarnessOptions) *Harness {
 		t.Fatal(err)
 	}
 	return h
+}
+
+// programGoroutines returns the stack, by goroutine id, of every
+// goroutine running code of this module.
+func programGoroutines() map[string]string {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	out := make(map[string]string)
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		for _, line := range strings.Split(g, "\n") {
+			if strings.HasPrefix(line, "mmconf/") {
+				out[strings.Fields(g)[1]] = g
+				break
+			}
+		}
+	}
+	return out
+}
+
+// checkSettles is called before a test starts what it is to watch. Once
+// the cleanups registered after the call have run (the clients closed,
+// then the harness), no goroutine of this module started since the call
+// may still run two seconds on.
+func checkSettles(t *testing.T) {
+	t.Helper()
+	before := programGoroutines()
+	t.Cleanup(func() {
+		var left []string
+		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+			left = left[:0]
+			for id, g := range programGoroutines() {
+				if _, ok := before[id]; !ok {
+					left = append(left, g)
+				}
+			}
+			if len(left) == 0 || time.Now().After(deadline) {
+				break
+			}
+		}
+		for _, g := range left {
+			t.Errorf("goroutine outlived the harness:\n%s", g)
+		}
+	})
+}
+
+// TestClosedHarnessLeavesNoGoroutine runs a cluster through a join, a
+// choice, a chat and a leave, then closes the client and the harness:
+// nothing started since the test began may still run.
+func TestClosedHarnessLeavesNoGoroutine(t *testing.T) {
+	checkSettles(t)
+	before := len(programGoroutines())
+	h := newHarness(t, 3, true)
+	c := clusterClient(t, h, "alice")
+	s, _, err := c.Join("lifecycle", "p1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Choice("ct", "segmented"); err != nil {
+		t.Fatal(err)
+	}
+	mustChat(t, s, "bye")
+	if err := s.Leave(); err != nil {
+		t.Fatal(err)
+	}
+	if len(programGoroutines()) <= before {
+		t.Fatal("the cluster runs no goroutine: the check would pass on anything")
+	}
 }
 
 // fastFailover is the client policy for failover tests: aggressive
@@ -78,13 +157,22 @@ type collector struct {
 	evs []room.Event
 }
 
-func collect(c *client.Client) *collector {
+// collect tails c until the test ends: Client.Close leaves the event
+// channel open, so ranging over it would never stop.
+func collect(t *testing.T, c *client.Client) *collector {
 	col := &collector{}
+	done := make(chan struct{})
+	t.Cleanup(func() { close(done) })
 	go func() {
-		for ev := range c.Events() {
-			col.mu.Lock()
-			col.evs = append(col.evs, ev)
-			col.mu.Unlock()
+		for {
+			select {
+			case ev := <-c.Events():
+				col.mu.Lock()
+				col.evs = append(col.evs, ev)
+				col.mu.Unlock()
+			case <-done:
+				return
+			}
 		}
 	}()
 	return col
@@ -265,7 +353,7 @@ func TestOwnerRoutingUnderRedirects(t *testing.T) {
 		if err != nil {
 			t.Fatalf("join %q (owner %s): %v", roomName, hn.ID, err)
 		}
-		col := collect(c)
+		col := collect(t, c)
 		mustChat(t, s, "rounds-"+hn.ID)
 		col.waitChats(t, "rounds-"+hn.ID)
 		if holder := h.waitSoleHolder(t, roomName); holder != hn.ID {
@@ -314,7 +402,7 @@ func TestForwardingServesThroughWrongNode(t *testing.T) {
 	if _, _, err := bob.Join(roomName, "p1", 0); err != nil {
 		t.Fatalf("bob join through relay: %v", err)
 	}
-	colB := collect(bob)
+	colB := collect(t, bob)
 	mustChat(t, sa, "consult-1")
 	mustChat(t, sa, "consult-2")
 	colB.waitChats(t, "consult-1", "consult-2")
@@ -337,6 +425,7 @@ func TestForwardingServesThroughWrongNode(t *testing.T) {
 // transcript exactly once — no duplicate, no gap, sequence numbers
 // strictly increasing across the failover.
 func TestOwnerCrashResumesOnNewOwner(t *testing.T) {
+	checkSettles(t)
 	h := newHarness(t, 3, false)
 	roomName := "tumor-board"
 	owner := h.Owner(roomName)
@@ -350,7 +439,7 @@ func TestOwnerCrashResumesOnNewOwner(t *testing.T) {
 	if _, _, err := bob.Join(roomName, "p1", 0); err != nil {
 		t.Fatal(err)
 	}
-	colA, colB := collect(alice), collect(bob)
+	colA, colB := collect(t, alice), collect(t, bob)
 
 	pre := []string{"m0", "m1", "m2", "m3", "m4"}
 	for _, m := range pre {
@@ -407,7 +496,7 @@ func TestPartitionHealsWithoutDoubleOwnership(t *testing.T) {
 	if _, _, err := bob.Join(roomName, "p1", 0); err != nil {
 		t.Fatal(err)
 	}
-	colB := collect(bob)
+	colB := collect(t, bob)
 	mustChat(t, sa, "before")
 	colB.waitChats(t, "before")
 	h.waitReplicated(t, roomName, h.ownerSeq(t, roomName))
@@ -488,6 +577,7 @@ func TestMinorityRejectsRoomRequests(t *testing.T) {
 // pushes its rooms to their post-drain owners before shutting down, so
 // members reconnect and continue with exact sequence continuity.
 func TestDrainHandsOffOwnership(t *testing.T) {
+	checkSettles(t)
 	h := newHarness(t, 3, false)
 	roomName := "discharge-plan"
 	owner := h.Owner(roomName)
@@ -501,7 +591,7 @@ func TestDrainHandsOffOwnership(t *testing.T) {
 	if _, _, err := bob.Join(roomName, "p1", 0); err != nil {
 		t.Fatal(err)
 	}
-	colB := collect(bob)
+	colB := collect(t, bob)
 	mustChat(t, sa, "d0")
 	mustChat(t, sa, "d1")
 	colB.waitChats(t, "d0", "d1")

@@ -481,7 +481,10 @@ func (n *Node) flushRoom(name string) {
 // is 0, which ships the whole log and forces the dataset. A whole-log
 // read, with or without a cursor, goes into a fresh frame that is not
 // kept.
-func (n *Node) replicate(name, target string, st *repState, pos uint64) {
+//
+// It returns the send's error: nil when the frame landed, or when the
+// room is gone and there is nothing to send.
+func (n *Node) replicate(name, target string, st *repState, pos uint64) error {
 	var since uint64
 	var req *proto.ReplicateReq
 	if st != nil {
@@ -507,7 +510,7 @@ func (n *Node) replicate(name, target string, st *repState, pos uint64) {
 			delete(n.rep, name)
 			n.repMu.Unlock()
 		}
-		return
+		return nil
 	}
 	fp, attached := n.attachDataset(req, st, since == 0, pos)
 	var resp proto.ReplicateResp
@@ -524,7 +527,7 @@ func (n *Node) replicate(name, target string, st *repState, pos uint64) {
 		}
 	}
 	if st == nil {
-		return
+		return err
 	}
 	n.repMu.Lock()
 	if err == nil {
@@ -543,6 +546,7 @@ func (n *Node) replicate(name, target string, st *repState, pos uint64) {
 		st.frame = req
 	}
 	n.repMu.Unlock()
+	return err
 }
 
 // callPeer makes one call on the control link to a configured peer,

@@ -461,11 +461,18 @@ func (n *Node) reconciler() {
 	}
 }
 
+// handOffAttempts bounds how often reconcile sends a moved room's whole
+// log to its new owner before it drops the room anyway. Each attempt is
+// bounded by the link's call timeout, so a dead link holds the room at
+// most that many timeouts.
+const handOffAttempts = 3
+
 // reconcile reacts to a placement change: rooms this node no longer
-// owns are handed off (whole log and dataset to the new owner), dropped
-// locally, and their member connections closed so clients reconnect to
-// the right node. Single-ownership rests on this: a placement-moved
-// room never keeps serving from its old node.
+// owns are handed off (whole log and dataset to the new owner, sent
+// again while a send fails, up to handOffAttempts), dropped locally, and
+// their member connections closed so clients reconnect to the right
+// node. Single-ownership rests on this: a placement-moved room never
+// keeps serving from its old node.
 func (n *Node) reconcile() {
 	place, quorum := n.view()
 	n.mu.Lock()
@@ -483,13 +490,25 @@ func (n *Node) reconcile() {
 			continue
 		}
 		if quorum {
-			n.replicate(name, owner, nil, 0)
+			n.handOff(name, owner)
 		}
 		n.evictRoom(name, "ownership moved to "+owner)
 	}
 	// Standbys may have changed: force the next replication round to
 	// resend every room this node still owns in full.
 	n.markAllDirty()
+}
+
+// handOff sends the room's whole log and dataset to its new owner until
+// a send lands or handOffAttempts have failed.
+func (n *Node) handOff(name, owner string) {
+	var err error
+	for i := 0; i < handOffAttempts; i++ {
+		if err = n.replicate(name, owner, nil, 0); err == nil {
+			return
+		}
+	}
+	n.logf("cluster %s: giving up handing %q off to %s after %d attempts: %v", n.id, name, owner, handOffAttempts, err)
 }
 
 // evictRoom drops a local room and disconnects its members' peers.

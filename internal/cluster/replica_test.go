@@ -35,7 +35,7 @@ func TestReplicationRefusesAnUnservableFrame(t *testing.T) {
 	if _, _, err := bob.Join(roomName, "p1", 0); err != nil {
 		t.Fatal(err)
 	}
-	colB := collect(bob)
+	colB := collect(t, bob)
 	pre := []string{"m0", "m1", "m2"}
 	for _, m := range pre {
 		mustChat(t, sa, m)

@@ -3,10 +3,13 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"mmconf/internal/client"
+	"mmconf/internal/room"
 	"mmconf/internal/workload"
 )
 
@@ -216,7 +219,7 @@ func TestReplicationFailoverServesFromEmptyNode(t *testing.T) {
 	if _, _, err := bob.Join(roomName, "p1", 0); err != nil {
 		t.Fatal(err)
 	}
-	colB := collect(bob)
+	colB := collect(t, bob)
 
 	pre := []string{"m0", "m1", "m2"}
 	for _, m := range pre {
@@ -320,5 +323,108 @@ func TestReplicationHandOffCarriesDataset(t *testing.T) {
 	}
 	if !bytes.Equal(got, want.Data) {
 		t.Errorf("new owner served %d bytes differing from the old owner's image", len(got))
+	}
+}
+
+// TestHandOffSurvivesACutSend: a reconcile hand-off whose first send dies
+// on the wire is sent again before the old owner drops the room. n3 is
+// partitioned away while a room it will own is built on n1. When it
+// heals, n1's connections are kept armed to reset partway through any
+// write of more than a heartbeat's bytes, until one does: the hand-off's
+// frame, whose whole log n3 must then serve all the same.
+func TestHandOffSurvivesACutSend(t *testing.T) {
+	var mu sync.Mutex
+	var logged []string
+	h := startHarness(t, HarnessOptions{Nodes: 3, Logf: func(format string, args ...any) {
+		mu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		mu.Unlock()
+		t.Logf(format, args...)
+	}})
+	owner, heir := h.ByID("n1"), h.ByID("n3")
+	full, pair := NewPlacement([]string{"n1", "n2", "n3"}), NewPlacement([]string{"n1", "n2"})
+	roomName := ""
+	for i := 0; roomName == ""; i++ {
+		if name := fmt.Sprintf("cut-handoff-%d", i); full.Owner(name) == heir.ID && pair.Owner(name) == owner.ID {
+			roomName = name
+		}
+	}
+	pinned := func(hn *HarnessNode, user string) *client.Client {
+		c, err := client.NewOverResolver(h.ClientFaults.DialContext, []string{hn.Addr}, user, fastFailover())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+
+	heir.Partition()
+	if err := h.WaitConverged(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	alice := pinned(owner, "alice")
+	sa, _, err := alice.Join(roomName, "p1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustChat(t, sa, "c0")
+	mustChat(t, sa, "c1")
+	if err := sa.Leave(); err != nil {
+		t.Fatal(err)
+	}
+	alice.Close() // the room stays on n1, empty, until the hand-off
+	h.waitReplicated(t, roomName, h.ownerSeq(t, roomName))
+
+	// Re-armed every millisecond, a connection is cut only by a write of
+	// more than 512 bytes within one. No heartbeat comes near that, and
+	// the room's last flush to its standby has landed: the hand-off is
+	// n1's only such write.
+	_, _, resets := owner.Faults.Stats()
+	armed := make(chan struct{})
+	go func() {
+		defer close(armed)
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if _, _, r := owner.Faults.Stats(); r > resets {
+				return
+			}
+			owner.Faults.CutAfterWrite(512)
+		}
+	}()
+	heir.Heal()
+	if err := h.WaitConverged(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	<-armed
+	for deadline := time.Now().Add(5 * time.Second); fmt.Sprint(h.roomHolders(roomName)) == "[n1]"; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("n1 never dropped the room")
+		}
+	}
+	if _, _, r := owner.Faults.Stats(); r == resets {
+		t.Fatal("no send of n1's was cut")
+	}
+	mu.Lock()
+	cut := false
+	for _, line := range logged {
+		cut = cut || strings.Contains(line, fmt.Sprintf("replicating %q to n3 failed", roomName))
+	}
+	mu.Unlock()
+	if !cut {
+		t.Fatal("the cut did not fail a hand-off send")
+	}
+
+	bob := pinned(heir, "bob")
+	_, history, err := bob.Join(roomName, "p1", 0)
+	if err != nil {
+		t.Fatalf("join on the new owner: %v", err)
+	}
+	var chats []string
+	for _, ev := range history {
+		if ev.Kind == room.EvChat {
+			chats = append(chats, ev.Text)
+		}
+	}
+	if fmt.Sprint(chats) != "[c0 c1]" {
+		t.Errorf("new owner's history holds chats %v, want [c0 c1]", chats)
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
-	"mmconf/internal/media/dsp"
 	"mmconf/internal/media/image"
 )
 
@@ -137,13 +137,19 @@ func Encode(img *image.Gray, opts Options) (*Stream, error) {
 		}
 	}
 
-	// The running reconstruction is folded together by the code Decode
-	// runs, so each layer codes exactly what a decoder of the layers
-	// before it is missing; the residual plane, free meanwhile, is lent to
-	// it for a packet layer's coefficients.
+	// Each layer codes what a decoder of the layers before it is missing:
+	// the image less what reconstruct, the code Decode runs, makes of them
+	// before it clamps. The residual plane, free meanwhile, is lent to it
+	// for packet coefficients; nothing reconstructs after the last layer.
 	residual := make([]float64, len(img.Pix))
 	d := &decoder{s: st, recon: make([]float64, len(img.Pix)), coef: residual}
 	for li, step := range append([]float64{opts.BaseStep}, opts.ResidualSteps...) {
+		if li > 0 {
+			clear(d.recon)
+			if err := d.reconstruct(li, false); err != nil {
+				return nil, err
+			}
+		}
 		for i, v := range img.Pix {
 			residual[i] = v - d.recon[i]
 		}
@@ -163,72 +169,160 @@ func Encode(img *image.Gray, opts Options) (*Stream, error) {
 		}
 		l.Data = entropyEncode(residual, step)
 		st.Layers = append(st.Layers, l)
-		if err := d.addLayer(li); err != nil {
-			return nil, err
-		}
 	}
 	return st, nil
 }
 
-// decoder sums a stream's layers into recon, in the memory one Encode or
-// Decode call works in: recon and a strip of cosine coefficients, or for
-// packet layers, whose synthesis needs every coefficient, a plane of them.
+// decoder is the memory one Encode or Decode call reconstructs in: recon,
+// a band of cosine coefficients, and for packet layers, whose synthesis
+// needs every coefficient, a plane of them.
 type decoder struct {
 	s     *Stream
-	recon []float64 // the layers added so far; all zero before the first
-	coef  []float64 // a packet layer's coefficients, made by the first one
-	strip strip     // Block rows of a cosine layer's nonzero coefficients
-	dct   *blockDCT // made with strip by the first cosine layer
+	recon []float64 // the reconstruction; all zero before each
+	coef  []float64 // packet coefficients, made by the first reconstruction with any
+	strip strip     // a band of the cosine layers' coefficients
+	dct   *blockDCT // made by the first cosine transform
 }
 
 func (d *decoder) cosine() *blockDCT {
 	if d.dct == nil {
-		bh := min(d.s.Block, d.s.H)
 		d.dct = newBlockDCT(d.s.W, d.s.H, d.s.Block)
-		d.strip = strip{nz: make([]nonzero, 0, d.s.W*bh), from: make([]int, bh), to: make([]int, bh)}
 	}
 	return d.dct
 }
 
-// addLayer folds layer li into recon: the payload is entropy-decoded and
-// dequantized straight into what is inverse-transformed — recon itself for
-// the base layer, a strip of tiles at a time for a cosine layer, whose
-// transform reads only the coefficients that are not zero.
-func (d *decoder) addLayer(li int) error {
-	s, l := d.s, d.s.Layers[li]
-	rd := entropyReader{data: l.Data, step: l.Step, total: len(d.recon)}
-	switch {
-	case li == 0:
-		if err := rd.all(d.recon); err != nil {
-			return err
+// reconstruct writes into recon the superposition of the first k layers
+// (§3.3): the base layer, entropy-decoded and inverse-lifted, plus one
+// synthesis of the sum of the cosine layers' coefficients and one of the
+// packet layers'. Each transform is linear, so the sum synthesizes to what
+// the layers would one by one, and a layer costs only its coefficients.
+// With clamp set, the pass that writes the pixels last clamps them to
+// [0, 1]. A fault reported is the first one a decoder taking the layers
+// one at a time would meet.
+func (d *decoder) reconstruct(k int, clamp bool) error {
+	s, n := d.s, len(d.recon)
+	rd := entropyReader{data: s.Layers[0].Data, step: s.Layers[0].Step, total: n}
+	if err := rd.all(d.recon); err != nil {
+		return err
+	}
+	cos, packets := d.strip.rd[:0], false
+	if cap(cos) < k-1 {
+		cos = make([]entropyReader, 0, k-1)
+	}
+	for li, l := range s.Layers[1:k] {
+		switch l.Kind {
+		case CosineLayer:
+			cos = append(cos, entropyReader{data: l.Data, step: l.Step, total: n})
+		case PacketLayer:
+			packets = true
+		default:
+			return s.fault(k, fmt.Errorf("compress: layer %d has unexpected kind %d", li+1, l.Kind))
 		}
-		return waveletInverse2D(d.recon, s.W, s.H, s.Levels)
-	case l.Kind == CosineLayer:
+	}
+	d.strip.rd = cos
+	if packets {
+		if err := checkPacket(s.W, s.H, packetDepth); err != nil {
+			return s.fault(k, err)
+		}
+	}
+	if err := waveletInverse2D(d.recon, s.W, s.H, s.Levels, clamp && !packets && len(cos) == 0); err != nil {
+		return err
+	}
+	if len(cos) > 0 {
 		dct := d.cosine()
+		dct.clamp = clamp && !packets
+		if d.strip.acc == nil {
+			band := s.W * min(s.Block, s.H)
+			d.strip.acc, d.strip.mask = make([]float64, band), make([]uint64, (band+63)/64)
+		}
 		for y0 := 0; y0 < s.H; y0 += s.Block {
 			bh := min(s.Block, s.H-y0)
-			if err := d.strip.read(&rd, s.W, bh); err != nil {
-				return err
+			if err := d.strip.read(s.W, bh); err != nil {
+				return s.fault(k, err)
 			}
 			dct.band(d.recon[y0*s.W:], &d.strip, bh)
 		}
-		return rd.finish()
-	case l.Kind == PacketLayer:
-		if d.coef == nil {
-			d.coef = make([]float64, len(d.recon))
+		for i := range cos {
+			if err := cos[i].finish(); err != nil {
+				return s.fault(k, err)
+			}
 		}
-		if err := rd.all(d.coef); err != nil {
-			return err
-		}
-		if err := packetInverse2D(d.coef, s.W, s.H, packetDepth); err != nil {
-			return err
-		}
-		for i, v := range d.coef {
-			d.recon[i] += v
-		}
+	}
+	if !packets {
 		return nil
 	}
-	return fmt.Errorf("compress: layer %d has unexpected kind %d", li, l.Kind)
+	if d.coef == nil {
+		d.coef = make([]float64, n)
+	} else {
+		clear(d.coef)
+	}
+	for _, l := range s.Layers[1:k] {
+		if l.Kind != PacketLayer {
+			continue
+		}
+		rd := entropyReader{data: l.Data, step: l.Step, total: n}
+		if err := rd.all(d.coef); err != nil {
+			return s.fault(k, err)
+		}
+	}
+	if err := packetInverse2D(d.coef, s.W, s.H, packetDepth); err != nil {
+		return err
+	}
+	if !clamp {
+		axpy(d.recon, 1, d.coef)
+		return nil
+	}
+	for i, v := range d.coef {
+		d.recon[i] = clamp01(d.recon[i] + v)
+	}
+	return nil
+}
+
+// fault is the first fault among the first k layers of a stream whose base
+// layer is sound, in layer order, or met if there is none: reconstruct
+// reads its cosine layers side by side and its packet layers after them,
+// so the fault it met can lie in a later layer than another's.
+func (s *Stream) fault(k int, met error) error {
+	var buf [256]nonzero
+	for li := 1; li < k; li++ {
+		l := s.Layers[li]
+		if l.Kind != CosineLayer && l.Kind != PacketLayer {
+			return fmt.Errorf("compress: layer %d has unexpected kind %d", li, l.Kind)
+		}
+		rd := entropyReader{data: l.Data, step: l.Step, total: s.W * s.H}
+		for rd.pos < rd.total {
+			if _, err := rd.nonzeros(buf[:0], min(len(buf), rd.total-rd.pos)); err != nil {
+				return err
+			}
+		}
+		if err := rd.finish(); err != nil {
+			return err
+		}
+		if l.Kind == PacketLayer {
+			if err := checkPacket(s.W, s.H, packetDepth); err != nil {
+				return err
+			}
+		}
+	}
+	return met
+}
+
+// clamp01 is min(max(v, 0), 1) by the bit pattern: a float64 with its
+// sign bit clear orders as its bits do as an integer, and every one with
+// it set, -0 among them, clamps to 0. A NaN comes out as math.NaN(), as
+// from math.Min(math.Max(v, 0), 1).
+func clamp01(v float64) float64 {
+	if v != v {
+		return math.NaN()
+	}
+	const one = 0x3FF0000000000000 // the bits of 1.0
+	return math.Float64frombits(uint64(min(max(int64(math.Float64bits(v)), 0), one)))
+}
+
+func clampAll(p []float64) {
+	for i, v := range p {
+		p[i] = clamp01(v)
+	}
 }
 
 // Decode reconstructs the image using the first k layers (k=0 or
@@ -248,13 +342,8 @@ func (s *Stream) Decode(k int) (*image.Gray, error) {
 		return nil, err
 	}
 	d := &decoder{s: s, recon: out.Pix}
-	for li := 0; li < k; li++ {
-		if err := d.addLayer(li); err != nil {
-			return nil, err
-		}
-	}
-	for i, v := range out.Pix {
-		out.Pix[i] = min(max(v, 0), 1) // no branch: a black background sits on 0
+	if err := d.reconstruct(k, true); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -275,320 +364,6 @@ func (s *Stream) PrefixBytes(k int) int {
 	return total
 }
 
-// blockDCT is the blocked local-cosine transform of one plane geometry:
-// a separable orthonormal DCT-II over block×block tiles, edge tiles at
-// their actual smaller size. The cosines are tabulated once per plane, for
-// the three tile sides there can be. A tile is transformed in two passes
-// that both run along rows, so that every inner loop is contiguous: a row
-// pass of multiply-adds against the basis, then a column pass that moves
-// whole rows through the even/odd butterfly of dctBasis.
-type blockDCT struct {
-	w, h, block        int
-	full, edgeW, edgeH dctBasis  // sides block, w%block and h%block
-	rows, sums         []float64 // one tile after the row pass, and out of the inverse column pass
-	live               []bool    // which rows of rows hold a nonzero term
-}
-
-func newBlockDCT(w, h, block int) *blockDCT {
-	bw, bh := min(block, w), min(block, h)
-	work := make([]float64, 2*bw*bh)
-	return &blockDCT{w: w, h: h, block: block,
-		full: newDCTBasis(block), edgeW: newDCTBasis(w % block), edgeH: newDCTBasis(h % block),
-		rows: work[:bw*bh], sums: work[bw*bh:], live: make([]bool, bh)}
-}
-
-// bases returns the bases of the two sides of a bw×bh tile.
-func (t *blockDCT) bases(bw, bh int) (bx, by *dctBasis) {
-	bx, by = &t.full, &t.full
-	if bw < t.block {
-		bx = &t.edgeW
-	}
-	if bh < t.block {
-		by = &t.edgeH
-	}
-	return bx, by
-}
-
-// transform runs the forward transform of every tile of src into dst
-// (which may be src itself), or with inverse set adds the inverse
-// transform of every tile of src onto dst. Terms with a zero factor are
-// skipped — all of them in an all-zero tile, most of them in a quantized
-// residual — which leaves every sum what it would have been.
-func (t *blockDCT) transform(dst, src []float64, inverse bool) {
-	for y0 := 0; y0 < t.h; y0 += t.block {
-		bh := min(t.block, t.h-y0)
-		for x0 := 0; x0 < t.w; x0 += t.block {
-			bw := min(t.block, t.w-x0)
-			bx, by := t.bases(bw, bh)
-			for y := 0; y < bh; y++ {
-				row := t.rows[y*bw:][:bw]
-				clear(row)
-				t.live[y] = false
-				for i, c := range src[(y0+y)*t.w+x0:][:bw] {
-					switch {
-					case c == 0:
-						continue
-					case inverse:
-						bx.term(row, i, c)
-					default:
-						axpy(row, c, bx.at[i*bw:])
-					}
-					t.live[y] = true
-				}
-			}
-			if inverse {
-				t.addColumns(dst[y0*t.w+x0:], bx, by, bw, bh)
-			} else {
-				by.analyze(dst[y0*t.w+x0:], t.w, t.rows, t.live, bw, 0, by.cols)
-			}
-		}
-	}
-}
-
-// band adds the inverse transform of one strip of coefficients, bh rows
-// high, onto the w-wide rows of dst that hold it, starting at its first.
-// A tile's row pass takes its rows' nonzero coefficients off the strip in
-// the order the reader listed them, so it makes the multiply-adds
-// transform makes of the same coefficients laid out in a plane.
-func (t *blockDCT) band(dst []float64, s *strip, bh int) {
-	for x0 := 0; x0 < t.w; x0 += t.block {
-		bw := min(t.block, t.w-x0)
-		bx, by := t.bases(bw, bh)
-		for y := 0; y < bh; y++ {
-			row := t.rows[y*bw:][:bw]
-			clear(row)
-			k, to := s.from[y], s.to[y]
-			for ; k < to && int(s.nz[k].col) < x0+bw; k++ {
-				bx.term(row, int(s.nz[k].col)-x0, float64(s.nz[k].q)*s.step)
-			}
-			t.live[y] = k > s.from[y]
-			s.from[y] = k
-		}
-		t.addColumns(dst[x0:], bx, by, bw, bh)
-	}
-}
-
-// addColumns runs the inverse column pass over the row pass's tile and
-// adds the result onto the bh rows of dst, bw wide, that hold the tile,
-// doing on the way the butterfly the row pass left undone.
-func (t *blockDCT) addColumns(dst []float64, bx, by *dctBasis, bw, bh int) {
-	if !by.synth(t.sums, t.rows, t.live, bw, 0, by.cols) {
-		return
-	}
-	for y := 0; y < bh; y++ {
-		out, sum := dst[y*t.w:][:bw], t.sums[y*bw:][:bw]
-		if bx.half == 0 {
-			axpy(out, 1, sum)
-			continue
-		}
-		for x := 0; x < bx.half; x++ {
-			e, o := sum[x], sum[bw-1-x]
-			out[x] += e - o
-			out[bw-1-x] += e + o
-		}
-	}
-}
-
-// dctBasis is the n×n orthonormal DCT-II matrix of one tile side, laid out
-// for the passes of a tile: vec[k*n+i] = at[i*n+k] = b_k(i), basis vector
-// k at sample i.
-//
-// The inverse passes are built on the symmetry b_k(n−1−y) = (−1)^k·b_k(y):
-// at y and n−1−y the terms of even k sum to the same E_y, those of odd k
-// to O_y and −O_y. So for an even n the odd terms are needed at half the
-// samples only, and the even terms are themselves a transform of half the
-// length over every other k.
-//
-// The row pass splits once (term): a term of even k adds into the first
-// half of the row only, making E_y there, one of odd k into the second
-// half only, making −O_y at n−1−y; the add onto the plane combines the
-// two. For an odd n, half is 0 and a term adds into the whole row.
-//
-// The column passes split while the length stays even: level l handles
-// every 2^l-th k over r = n>>l samples. cols holds, level after level,
-// each level's (r/2)² odd terms b_{2^l(2i+1)}(y) (y, i < r/2, y-major),
-// then at the first odd r the r² terms b_{2^l·j}(y) that level multiplies
-// out directly: all n² of them for an odd side. The forward column pass
-// runs the same split transposed; the forward row pass is a plain product
-// against at.
-type dctBasis struct {
-	n, half       int // half is n/2 for an even n, else 0
-	vec, at, cols []float64
-}
-
-// newDCTBasis tabulates dsp's cosines for a tile side of n.
-func newDCTBasis(n int) dctBasis {
-	if n == 0 {
-		return dctBasis{}
-	}
-	b := dctBasis{n: n, vec: dsp.DCTBasis(n), at: make([]float64, n*n)}
-	if n%2 == 0 {
-		b.half = n / 2
-	}
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			b.at[i*n+k] = b.vec[k*n+i]
-		}
-	}
-	size, r := 0, n
-	for ; r%2 == 0; r /= 2 {
-		size += r / 2 * (r / 2)
-	}
-	b.cols = make([]float64, 0, size+r*r)
-	m := 1
-	for r = n; r%2 == 0; r, m = r/2, 2*m {
-		for y := 0; y < r/2; y++ {
-			for i := 0; i < r/2; i++ {
-				b.cols = append(b.cols, b.vec[m*(2*i+1)*n+y])
-			}
-		}
-	}
-	for y := 0; y < r; y++ {
-		for j := 0; j < r; j++ {
-			b.cols = append(b.cols, b.vec[m*j*n+y])
-		}
-	}
-	return b
-}
-
-// term adds c times basis vector k into row as the inverse row pass lays
-// it out: over the half of the row that k's parity makes, or all of it.
-func (b *dctBasis) term(row []float64, k int, c float64) {
-	off := k & 1 * b.half
-	axpy(row[off:][:b.n-b.half], c, b.vec[k*b.n+off:])
-}
-
-// synth is level l of the inverse column pass: into the first r = n>>l
-// rows of out it writes T_y = Σ_j b_{m·j}(y)·in_{m·j} (m = 2^l), the
-// inverse transform of every m-th row of in; tab is cols from level l on.
-// Rows are w wide in both. Rows of in that are not live are zero and are
-// skipped; when all that it would read are, synth leaves out alone and
-// reports false.
-func (b *dctBasis) synth(out, in []float64, live []bool, w, l int, tab []float64) bool {
-	m, r := 1<<l, b.n>>l
-	if r%2 == 1 {
-		if !anyLive(live, 0, m, r) {
-			return false
-		}
-		for y := 0; y < r; y++ {
-			o := out[y*w:][:w]
-			clear(o)
-			mulAdd(o, in, live, 0, m, tab[y*r:], 1, r)
-		}
-		return true
-	}
-	// The even terms E_y land in rows y < h, the odd ones O_y in row
-	// r−1−y, so that the butterfly turns each pair of rows in place into
-	// T_y = E_y + O_y and T_{r−1−y} = E_y − O_y.
-	h := r / 2
-	even, odd := b.synth(out, in, live, w, l+1, tab[h*h:]), anyLive(live, m, 2*m, h)
-	if !even && !odd {
-		return false
-	}
-	if !even {
-		clear(out[:h*w])
-	}
-	for y := 0; y < h; y++ {
-		o := out[(r-1-y)*w:][:w]
-		clear(o)
-		if odd {
-			mulAdd(o, in, live, m, 2*m, tab[y*h:], 1, h)
-		}
-	}
-	for y := 0; y < h; y++ {
-		butterfly(out[y*w:][:w], out[(r-1-y)*w:])
-	}
-	return true
-}
-
-// analyze is synth transposed, level l of the forward column pass: it
-// writes X_{m·j} = Σ_y b_{m·j}(y)·a_y into row m·j of out (rows stride
-// apart) for j < r, the forward transform of the first r rows of a, w
-// wide. The butterfly goes first here, turning a_y and a_{r−1−y} into
-// their sum, which the even terms take, and their difference, which the
-// odd ones take; it overwrites a and live.
-func (b *dctBasis) analyze(out []float64, stride int, a []float64, live []bool, w, l int, tab []float64) {
-	m, r := 1<<l, b.n>>l
-	if r%2 == 1 {
-		for j := 0; j < r; j++ {
-			o := out[j*m*stride:][:w]
-			clear(o)
-			mulAdd(o, a, live, 0, 1, tab[j:], r, r)
-		}
-		return
-	}
-	h := r / 2
-	for y := 0; y < h; y++ {
-		if live[y] || live[r-1-y] {
-			butterfly(a[y*w:][:w], a[(r-1-y)*w:])
-			live[y], live[r-1-y] = true, true
-		}
-	}
-	b.analyze(out, stride, a, live, w, l+1, tab[h*h:])
-	for i := 0; i < h; i++ {
-		o := out[(2*i+1)*m*stride:][:w]
-		clear(o)
-		mulAdd(o, a, live, r-1, -1, tab[i:], h, h)
-	}
-}
-
-// mulAdd is the product both column passes are made of: it adds
-// Σ_{i<n} c[i·cs]·in_{first+i·step} to o, rows of in as wide as o, four
-// terms at a time. A four whose rows are all dead is skipped, as is a dead
-// row of the few left over: a dead row is zero, so skipping it adds what
-// adding it would.
-func mulAdd(o, in []float64, live []bool, first, step int, c []float64, cs, n int) {
-	w, i := len(o), 0
-	for ; i+4 <= n; i += 4 {
-		r := first + i*step
-		if live[r] || live[r+step] || live[r+2*step] || live[r+3*step] {
-			axpy4(o, c[i*cs], c[(i+1)*cs], c[(i+2)*cs], c[(i+3)*cs],
-				in[r*w:], in[(r+step)*w:], in[(r+2*step)*w:], in[(r+3*step)*w:])
-		}
-	}
-	for ; i < n; i++ {
-		if r := first + i*step; live[r] {
-			axpy(o, c[i*cs], in[r*w:])
-		}
-	}
-}
-
-// axpy4 adds a0·x0[i] + a1·x1[i] + a2·x2[i] + a3·x3[i] to every y[i]: four
-// axpys in one pass over y.
-func axpy4(y []float64, a0, a1, a2, a3 float64, x0, x1, x2, x3 []float64) {
-	x0, x1, x2, x3 = x0[:len(y)], x1[:len(y)], x2[:len(y)], x3[:len(y)]
-	for i := range y {
-		y[i] += a0*x0[i] + a1*x1[i] + a2*x2[i] + a3*x3[i]
-	}
-}
-
-// anyLive reports whether any of the n rows first, first+step, … is live.
-func anyLive(live []bool, first, step, n int) bool {
-	for i := 0; i < n; i++ {
-		if live[first+i*step] {
-			return true
-		}
-	}
-	return false
-}
-
-// axpy adds a·x[i] to every y[i]; x must be at least as long as y.
-func axpy(y []float64, a float64, x []float64) {
-	x = x[:len(y)]
-	for i := range y {
-		y[i] += a * x[i]
-	}
-}
-
-// butterfly replaces every x[i], y[i] by x[i]+y[i], x[i]−y[i]; y must be
-// at least as long as x.
-func butterfly(x, y []float64) {
-	y = y[:len(x)]
-	for i, u := range x {
-		x[i], y[i] = u+y[i], u-y[i]
-	}
-}
-
 // entropyEncode quantizes coefficients to integer multiples of step and
 // codes them with zero-run/varint coding: runs of zeros become
 // (0, runLength); non-zero values become zigzag(v)+1. All tokens are
@@ -596,22 +371,20 @@ func butterfly(x, y []float64) {
 func entropyEncode(coeffs []float64, step float64) []byte {
 	var buf []byte
 	var run uint64
-	flush := func() {
-		if run > 0 {
-			buf = binary.AppendUvarint(append(buf, 0), run)
-			run = 0
-		}
-	}
 	for _, c := range coeffs {
 		q := int32(math.Round(c / step))
 		if q == 0 {
 			run++
 			continue
 		}
-		flush()
+		if run > 0 {
+			buf, run = binary.AppendUvarint(append(buf, 0), run), 0
+		}
 		buf = binary.AppendUvarint(buf, zigzag(q)+1)
 	}
-	flush()
+	if run > 0 {
+		buf = binary.AppendUvarint(append(buf, 0), run)
+	}
 	return buf
 }
 
@@ -669,9 +442,10 @@ func (r *entropyReader) nonzeros(nz []nonzero, n int) ([]nonzero, error) {
 	return nz, nil
 }
 
-// next fills dst with the next len(dst) coefficients, dequantized: the
-// nonzero read a piece at a time, scattered over zeros.
-func (r *entropyReader) next(dst []float64) error {
+// add adds the next len(dst) coefficients, dequantized, onto dst: the
+// nonzero read a piece at a time, scattered. The product is rounded before
+// the sum, as in a plane of the coefficients added onto dst.
+func (r *entropyReader) add(dst []float64) error {
 	var buf [256]nonzero
 	for len(dst) > 0 {
 		n := min(len(dst), len(buf))
@@ -679,9 +453,8 @@ func (r *entropyReader) next(dst []float64) error {
 		if err != nil {
 			return err
 		}
-		clear(dst[:n])
 		for _, c := range nz {
-			dst[c.col] = float64(c.q) * r.step
+			dst[c.col] += float64(float64(c.q) * r.step)
 		}
 		dst = dst[n:]
 	}
@@ -700,35 +473,66 @@ func (r *entropyReader) finish() error {
 	return nil
 }
 
-// all reads the whole plane in one piece.
+// all adds the whole plane onto dst.
 func (r *entropyReader) all(dst []float64) error {
-	if err := r.next(dst); err != nil {
+	if err := r.add(dst); err != nil {
 		return err
 	}
 	return r.finish()
 }
 
-// strip is the bh rows of a cosine layer that one blockDCT.band
-// transforms, as the entropy reader delivers them: the nonzero
-// coefficients of row y, each at its column, are nz[from[y]:to[y]].
+// strip is one band of the cosine layers summed in a reconstruction, bh
+// rows of w coefficients, as their entropy readers deliver it: in acc the
+// layers' coefficients summed position by position in layer order, and in
+// mask a bit for every position some layer has one at. fold takes the
+// sums off and leaves acc zero. A band is a float64 and a bit per
+// coefficient, whatever the layer count.
 type strip struct {
-	nz       []nonzero
-	from, to []int
-	step     float64
+	rd   []entropyReader // one per layer, in layer order
+	acc  []float64
+	mask []uint64
 }
 
-// read takes the next bh rows, w coefficients each, off r.
-func (s *strip) read(r *entropyReader, w, bh int) error {
-	s.nz, s.step = s.nz[:0], r.step
-	for y := 0; y < bh; y++ {
-		s.from[y] = len(s.nz)
-		var err error
-		if s.nz, err = r.nonzeros(s.nz, w); err != nil {
-			return err
+// read takes the next bh rows, w coefficients each, off every reader.
+func (s *strip) read(w, bh int) error {
+	var buf [256]nonzero
+	n := w * bh
+	clear(s.mask)
+	for l := range s.rd {
+		r := &s.rd[l]
+		for at := 0; at < n; at += len(buf) {
+			nz, err := r.nonzeros(buf[:0], min(len(buf), n-at))
+			if err != nil {
+				return err
+			}
+			for _, c := range nz {
+				i := at + int(c.col)
+				s.acc[i] += float64(float64(c.q) * r.step)
+				s.mask[i>>6] |= 1 << (i & 63)
+			}
 		}
-		s.to[y] = len(s.nz)
 	}
 	return nil
+}
+
+// fold runs the row pass of the tile row whose first coefficient is acc[at]
+// into row: a term for every position of it mask marks, in column order,
+// which it sets back to zero. It reports whether mask marks any.
+func (s *strip) fold(row []float64, bx *dctBasis, at int) bool {
+	end, live := at+len(row), false
+	for c := at; c < end; c = c&^63 + 64 {
+		m := s.mask[c>>6] >> (c & 63)
+		if end-c < 64 {
+			m &= 1<<(end-c) - 1
+		}
+		live = live || m != 0
+		for ; m != 0; m &= m - 1 {
+			i := c + bits.TrailingZeros64(m)
+			bx.term(row, i-at, s.acc[i])
+			s.acc[i] = 0
+		}
+	}
+	return live
 }
 
 func zigzag(v int32) uint64 {

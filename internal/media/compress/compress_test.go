@@ -45,7 +45,7 @@ func TestWavelet2DRoundTrip(t *testing.T) {
 		if err := waveletForward2D(coeffs, w, h, 3); err != nil {
 			t.Fatalf("%dx%d forward: %v", w, h, err)
 		}
-		if err := waveletInverse2D(coeffs, w, h, 3); err != nil {
+		if err := waveletInverse2D(coeffs, w, h, 3, false); err != nil {
 			t.Fatalf("%dx%d inverse: %v", w, h, err)
 		}
 		for i := range coeffs {
@@ -64,10 +64,10 @@ func TestWaveletDepthValidation(t *testing.T) {
 	if err := waveletForward2D(pix, 8, 8, 10); err == nil {
 		t.Error("overdeep transform accepted")
 	}
-	if err := waveletInverse2D(pix, 8, 8, 10); err == nil {
+	if err := waveletInverse2D(pix, 8, 8, 10, false); err == nil {
 		t.Error("overdeep inverse accepted")
 	}
-	if err := waveletInverse2D(pix, 8, 8, 0x7FFFFFF0); err == nil {
+	if err := waveletInverse2D(pix, 8, 8, 0x7FFFFFF0, false); err == nil {
 		t.Error("absurd depth accepted")
 	}
 }

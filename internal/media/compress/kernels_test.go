@@ -256,13 +256,17 @@ func refEntropyDecode(data []byte, step float64, dst []float64) error {
 	return nil
 }
 
-// refDecoder is the three-plane decoder: the running sum, a layer's
-// coefficients, and the lifting scratch. With matrix set it runs the
-// cosine layers through matrixDCT instead of the codec's blockDCT.
+// refDecoder is the decoder on whole planes. It keeps the base layer
+// decoded and lifted, and each residual basis's coefficients summed, one
+// plane each; after every layer, recon is their superposition: the base
+// plus one synthesis of each sum. With matrix set it is the decoder before
+// superposition instead: it adds each layer onto recon on its own, its
+// cosine layers through matrixDCT.
 type refDecoder struct {
 	s                    *Stream
 	recon, coef, scratch []float64
 	matrix               bool
+	base, cos, pkt       []float64 // nil until a layer of the kind comes
 }
 
 func newRefDecoder(s *Stream) *refDecoder {
@@ -271,33 +275,55 @@ func newRefDecoder(s *Stream) *refDecoder {
 }
 
 func (d *refDecoder) addLayer(li int) error {
-	s, l := d.s, d.s.Layers[li]
-	if li == 0 {
-		if err := refEntropyDecode(l.Data, l.Step, d.recon); err != nil {
-			return err
-		}
-		refWavelet2D(d.recon, d.scratch, s.W, s.H, s.Levels, true)
-		return nil
+	s, l, n := d.s, d.s.Layers[li], d.s.W*d.s.H
+	if li > 0 && l.Kind != CosineLayer && l.Kind != PacketLayer {
+		return fmt.Errorf("compress: layer %d has unexpected kind %d", li, l.Kind)
 	}
 	clear(d.coef)
 	if err := refEntropyDecode(l.Data, l.Step, d.coef); err != nil {
 		return err
 	}
-	switch {
-	case l.Kind == CosineLayer && d.matrix:
-		matrixDCT(d.recon, d.coef, s.W, s.H, s.Block, true)
-	case l.Kind == CosineLayer:
-		newBlockDCT(s.W, s.H, s.Block).transform(d.recon, d.coef, true)
-	case l.Kind == PacketLayer:
+	if l.Kind == PacketLayer {
 		if err := checkPacket(s.W, s.H, packetDepth); err != nil {
 			return err
 		}
+	}
+	sum := func(p *[]float64) {
+		if *p == nil {
+			*p = make([]float64, n)
+		}
+		for i, v := range d.coef {
+			(*p)[i] += v
+		}
+	}
+	switch {
+	case li == 0:
+		refWavelet2D(d.coef, d.scratch, s.W, s.H, s.Levels, true)
+		d.base = append([]float64(nil), d.coef...)
+	case d.matrix && l.Kind == CosineLayer:
+		matrixDCT(d.recon, d.coef, s.W, s.H, s.Block, true)
+		return nil
+	case d.matrix:
 		refPacket2D(d.coef, d.scratch, s.W, s.W, s.H, packetDepth, true)
 		for i, v := range d.coef {
 			d.recon[i] += v
 		}
+		return nil
+	case l.Kind == CosineLayer:
+		sum(&d.cos)
 	default:
-		return fmt.Errorf("compress: layer %d has unexpected kind %d", li, l.Kind)
+		sum(&d.pkt)
+	}
+	copy(d.recon, d.base)
+	if d.cos != nil {
+		newBlockDCT(s.W, s.H, s.Block).transform(d.recon, d.cos, true)
+	}
+	if d.pkt != nil {
+		copy(d.coef, d.pkt)
+		refPacket2D(d.coef, d.scratch, s.W, s.W, s.H, packetDepth, true)
+		for i, v := range d.coef {
+			d.recon[i] += v
+		}
 	}
 	return nil
 }
@@ -516,19 +542,16 @@ func TestBlockDCTMatchesReference(t *testing.T) {
 	}
 }
 
-// stripOf lists rows y0 to y0+bh of a w-wide plane of quantized
-// coefficients the way strip.read does, every nonzero one; with dense set
-// it lists the zeros too, so that nothing is skipped.
+// stripOf holds rows y0 to y0+bh of a w-wide plane of quantized
+// coefficients the way strip.read does, every nonzero one marked; with
+// dense set it marks the zeros too, so that nothing is skipped.
 func stripOf(q []int32, w, y0, bh int, step float64, dense bool) *strip {
-	s := &strip{from: make([]int, bh), to: make([]int, bh), step: step}
-	for y := 0; y < bh; y++ {
-		s.from[y] = len(s.nz)
-		for x, v := range q[(y0+y)*w:][:w] {
-			if v != 0 || dense {
-				s.nz = append(s.nz, nonzero{int32(x), v})
-			}
+	s := &strip{acc: make([]float64, w*bh), mask: make([]uint64, (w*bh+63)/64)}
+	for i, v := range q[y0*w:][:w*bh] {
+		if v != 0 || dense {
+			s.acc[i] = float64(v) * step
+			s.mask[i>>6] |= 1 << (i & 63)
 		}
-		s.to[y] = len(s.nz)
 	}
 	return s
 }
@@ -735,7 +758,7 @@ func TestLevelStaysInsideItsRectangle(t *testing.T) {
 	if !changed {
 		t.Fatal("analysis changed nothing")
 	}
-	synthesize2D(plane[y0*stride+x0:], stride, cw, ch, sc)
+	synthesize2D(plane[y0*stride+x0:], stride, cw, ch, sc, inv53)
 	if d := maxAbsDiff(plane, orig); d > 1e-12 {
 		t.Errorf("round trip drifted by %g", d)
 	}
@@ -764,7 +787,8 @@ func TestLayersCodeWhatTheDecoderMisses(t *testing.T) {
 		}
 		d := &decoder{s: st, recon: make([]float64, c.w*c.h)}
 		for k := 1; k < len(st.Layers); k++ {
-			if err := d.addLayer(k - 1); err != nil {
+			clear(d.recon)
+			if err := d.reconstruct(k, false); err != nil {
 				t.Fatalf("%s: layer %d: %v", name, k-1, err)
 			}
 			dec, err := st.Decode(k)
@@ -890,17 +914,205 @@ func TestCodecMatchesTwoPlaneReference(t *testing.T) {
 	}
 }
 
+// FuzzDecodeMatchesReference encodes a small image the engine chooses,
+// under options it chooses: depth, block 2–32, base and residual steps,
+// and the cosine basis, the packet basis, or a stream that splices the two
+// encodes' layers together. Every Decode(k) must stay within 1e-12 of the
+// matrix transform decoding the layers one at a time, and, of an encoded
+// stream, be bit for bit the clamp of the reconstruction Encode coded
+// layer k+1 against: that reconstruction re-codes to layer k+1's payload.
+func FuzzDecodeMatchesReference(f *testing.F) {
+	f.Add(uint8(22), uint8(18), uint8(3), uint8(14), uint8(0), uint8(25), uint8(90), uint8(30), uint8(10), int64(1))
+	f.Add(uint8(7), uint8(1), uint8(0), uint8(3), uint8(0), uint8(60), uint8(200), uint8(0), uint8(40), int64(2))
+	f.Add(uint8(5), uint8(3), uint8(1), uint8(6), uint8(1), uint8(25), uint8(90), uint8(30), uint8(10), int64(3))
+	f.Add(uint8(3), uint8(4), uint8(2), uint8(30), uint8(2), uint8(25), uint8(90), uint8(30), uint8(10), int64(4))
+	f.Fuzz(func(t *testing.T, w, h, levels, block, basis, base, s1, s2, s3 uint8, seed int64) {
+		W, H := 2+int(w%47), 2+int(h%47)
+		if basis%3 != 0 { // the packet basis tiles the plane by 4×4
+			W, H = 4*(1+int(w%12)), 4*(1+int(h%12))
+		}
+		opts := Options{Levels: 1 + int(levels%4), Block: 2 + int(block%31), BaseStep: 0.01 + float64(base)/255*0.3, ResidualSteps: []float64{}}
+		for _, s := range []uint8{s1, s2, s3} {
+			if s != 0 {
+				opts.ResidualSteps = append(opts.ResidualSteps, 0.001+float64(s)/255*0.1)
+			}
+		}
+		img, err := image.Phantom(W, H, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for i := range img.Pix {
+			img.Pix[i] = math.Min(math.Max(img.Pix[i]+0.1*rng.NormFloat64(), 0), 1)
+		}
+		if basis%3 == 1 {
+			opts.Basis = PacketBasis
+		}
+		st, err := Encode(img, opts)
+		if err != nil {
+			return // levels too deep for the plane
+		}
+		encoded := basis%3 != 2
+		if !encoded {
+			opts.Basis = PacketBasis
+			pkt, err := Encode(img, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for li := 2; li < len(st.Layers); li += 2 {
+				st.Layers[li] = pkt.Layers[li]
+			}
+		}
+		d := &decoder{s: st, recon: make([]float64, W*H)}
+		for k := 1; k <= len(st.Layers); k++ {
+			got, err := st.Decode(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := refDecodeOn(st, k, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := maxAbsDiff(got.Pix, want); diff > 1e-12 {
+				t.Fatalf("%dx%d %+v: Decode(%d) off the matrix transform by %g", W, H, opts, k, diff)
+			}
+			if !encoded {
+				continue
+			}
+			clear(d.recon)
+			if err := d.reconstruct(k, false); err != nil {
+				t.Fatal(err)
+			}
+			residual := make([]float64, W*H)
+			for i, v := range d.recon {
+				if c := math.Min(math.Max(v, 0), 1); math.Float64bits(got.Pix[i]) != math.Float64bits(c) {
+					t.Fatalf("%dx%d %+v: Decode(%d) pixel %d is %v, its reconstruction clamps to %v", W, H, opts, k, i, got.Pix[i], c)
+				}
+				residual[i] = img.Pix[i] - v
+			}
+			if k == len(st.Layers) {
+				continue
+			}
+			if st.Layers[k].Kind == PacketLayer {
+				err = packetForward2D(residual, W, H, packetDepth)
+			} else {
+				newBlockDCT(W, H, st.Block).transform(residual, residual, false)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(entropyEncode(residual, st.Layers[k].Step), st.Layers[k].Data) {
+				t.Fatalf("%dx%d %+v: layer %d does not code the image less Decode(%d)'s reconstruction", W, H, opts, k, k)
+			}
+		}
+	})
+}
+
+// Decode reads a stream's cosine layers side by side and its packet
+// layers after them, but the fault it reports is the one a decoder taking
+// the layers one at a time meets first: the lowest faulty layer's, as the
+// reference reports it. Streams mixing the two bases decode, fault-free,
+// to the reference's pixels bit for bit.
+func TestDecodeReportsTheFirstLayersFault(t *testing.T) {
+	img, _ := image.Phantom(32, 32, 17)
+	steps := []float64{0.04, 0.015, 0.005}
+	cos, err := Encode(img, Options{ResidualSteps: steps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkt, err := Encode(img, Options{ResidualSteps: steps, Basis: PacketBasis})
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrow, _ := image.Phantom(30, 30, 17) // no packet tiling
+	odd, err := Encode(narrow, Options{ResidualSteps: steps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The faults, each as a layer carrying it: a truncated last token
+	// (late in the plane), a zero run of zero (at its start), a trailing
+	// byte (after it), and a kind no decoder knows.
+	late := func(l Layer) Layer { l.Data = l.Data[:len(l.Data)-1]; return l }
+	early := func(l Layer) Layer { l.Data = []byte{0, 0}; return l }
+	after := func(l Layer) Layer { l.Data = append(l.Data[:len(l.Data):len(l.Data)], 2); return l }
+	kind := func(l Layer) Layer { l.Kind = 9; return l }
+	for name, c := range map[string]struct {
+		s     *Stream
+		fault []Layer // the stream's layers
+		first int     // the lowest faulty layer
+	}{
+		"later cosine faulty sooner":  {cos, []Layer{cos.Layers[0], late(cos.Layers[1]), early(cos.Layers[2]), cos.Layers[3]}, 1},
+		"trailing byte, then a fault": {cos, []Layer{cos.Layers[0], cos.Layers[1], after(cos.Layers[2]), early(cos.Layers[3])}, 2},
+		"kind after a fault":          {cos, []Layer{cos.Layers[0], late(cos.Layers[1]), kind(cos.Layers[2]), cos.Layers[3]}, 1},
+		"kind before a fault":         {cos, []Layer{cos.Layers[0], kind(cos.Layers[1]), early(cos.Layers[2]), cos.Layers[3]}, 1},
+		"packet before a cosine":      {cos, []Layer{cos.Layers[0], late(pkt.Layers[1]), early(cos.Layers[2]), cos.Layers[3]}, 1},
+		"cosine before a packet":      {cos, []Layer{cos.Layers[0], cos.Layers[1], early(cos.Layers[2]), late(pkt.Layers[3])}, 2},
+		"packet tiling after a fault": {odd, []Layer{odd.Layers[0], late(odd.Layers[1]), odd.Layers[2], pkt.Layers[3]}, 1},
+		"packet tiling":               {odd, []Layer{odd.Layers[0], odd.Layers[1], pkt.Layers[2], early(odd.Layers[3])}, 2},
+	} {
+		s := *c.s
+		s.Layers = c.fault
+		alone := s
+		alone.Layers = s.Layers[:c.first+1]
+		_, err := s.Decode(0)
+		_, want := alone.Decode(0)
+		_, ref := refDecode(&s, 0)
+		if err == nil || want == nil || ref == nil || err.Error() != want.Error() || err.Error() != ref.Error() {
+			t.Errorf("%s: Decode: %v; layer %d's own fault: %v; the reference: %v", name, err, c.first, want, ref)
+		}
+	}
+	for name, layers := range map[string][]Layer{
+		"cosine, packet, cosine": {cos.Layers[0], cos.Layers[1], pkt.Layers[2], cos.Layers[3]},
+		"packet, cosine, packet": {cos.Layers[0], pkt.Layers[1], cos.Layers[2], pkt.Layers[3]},
+	} {
+		s := *cos
+		s.Layers = layers
+		for k := 1; k <= len(layers); k++ {
+			got, err := s.Decode(k)
+			if err != nil {
+				t.Fatalf("%s: Decode(%d): %v", name, k, err)
+			}
+			want, err := refDecode(&s, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i := sameBits(got.Pix, want); i >= 0 {
+				t.Errorf("%s: Decode(%d) pixel %d is %v, reference %v", name, k, i, got.Pix[i], want[i])
+			}
+			if want, _ := refDecodeOn(&s, k, true); maxAbsDiff(got.Pix, want) > 1e-12 {
+				t.Errorf("%s: Decode(%d) off the matrix transform by %g", name, k, maxAbsDiff(got.Pix, want))
+			}
+		}
+	}
+}
+
+// The clamp by bit pattern is math.Min(math.Max(v, 0), 1) to the bit on
+// every float64: both zeros, both infinities, NaNs of either sign and any
+// payload, subnormals, the neighbours of 0 and 1, and random bit patterns.
+func TestClamp01IsMinMax(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 1, math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Float64frombits(0xFFF8000000000000), math.Float64frombits(0x7FF0000000000123),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64,
+		math.Nextafter(1, 2), math.Nextafter(1, 0), math.Nextafter(0, 1), 0.5, -0.5, 3}
+	rng := rand.New(rand.NewSource(8))
+	for i := 0; i < 10000; i++ {
+		vals = append(vals, math.Float64frombits(rng.Uint64()), rng.NormFloat64())
+	}
+	for _, v := range vals {
+		if got, want := clamp01(v), math.Min(math.Max(v, 0), 1); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("clamp01(%v = %#x) = %#x, want %#x", v, math.Float64bits(v), math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+}
+
 // readPieces reads a plane of total coefficients through one entropyReader
-// in pieces of the given lengths, into memory that starts out as garbage.
+// in pieces of the given lengths, each added onto a zeroed piece.
 func readPieces(data []byte, step float64, total int, pieces []int) ([]float64, error) {
 	out := make([]float64, total)
-	for i := range out {
-		out[i] = math.NaN()
-	}
 	rd := entropyReader{data: data, step: step, total: total}
 	rest := out
 	for _, n := range pieces {
-		if err := rd.next(rest[:n]); err != nil {
+		if err := rd.add(rest[:n]); err != nil {
 			return nil, err
 		}
 		rest = rest[n:]
@@ -1016,7 +1228,7 @@ func TestEntropyReaderEveryCut(t *testing.T) {
 	}
 	// Reading less than the plane is a caller's mistake finish reports.
 	rd := entropyReader{data: intact, step: 1, total: n}
-	if err := rd.next(make([]float64, n-1)); err != nil {
+	if err := rd.add(make([]float64, n-1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := rd.finish(); err == nil {

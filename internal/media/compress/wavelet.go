@@ -38,24 +38,25 @@ func fwd53(src, dst []float64, n int) {
 	}
 }
 
-// inv53 inverts fwd53, src and dst likewise distinct.
+// inv53 inverts fwd53, src and dst likewise distinct. It runs one pass:
+// each even sample is un-updated (even[i] = s[i] − (d[i−1] + d[i])/4) just
+// before the odd sample left of it is un-predicted from it (odd[i] = d[i] +
+// (even[i] + even[i+1])/2), which is the arithmetic of two passes in
+// another order.
 func inv53(src, dst []float64, n int) {
-	half, inner := (n+1)/2, (n-1)/2
+	half := (n + 1) / 2
 	s, d, dst := src[:half], src[half:n], dst[:n]
-	// Un-update: even[i] = s[i] - (d[i-1] + d[i])/4.
 	dst[0] = s[0] - 0.25*(d[0]+d[0])
-	for i := 1; i < len(d); i++ {
-		dst[2*i] = s[i] - 0.25*(d[i-1]+d[i])
-	}
-	if len(d) < half {
-		dst[n-1] = s[half-1] - 0.25*(d[len(d)-1]+d[len(d)-1])
-	}
-	// Un-predict: odd[i] = d[i] + (even[i] + even[i+1])/2.
-	for i := 0; i < inner; i++ {
+	i := 0
+	for ; i+1 < len(d); i++ {
+		dst[2*i+2] = s[i+1] - 0.25*(d[i]+d[i+1])
 		dst[2*i+1] = d[i] + 0.5*(dst[2*i]+dst[2*i+2])
 	}
-	if inner < len(d) {
-		dst[n-1] = d[inner] + 0.5*(dst[n-2]+dst[n-2])
+	if len(d) < half { // odd n: the last even sample has one neighbour
+		dst[n-1] = s[half-1] - 0.25*(d[i]+d[i])
+		dst[n-2] = d[i] + 0.5*(dst[n-3]+dst[n-1])
+	} else { // even n: the last odd sample has one neighbour
+		dst[n-1] = d[i] + 0.5*(dst[n-2]+dst[n-2])
 	}
 }
 
@@ -91,26 +92,28 @@ func fwd53Rows(p []float64, stride, w, n int) {
 	}
 }
 
-// inv53Rows inverts fwd53Rows, likewise inv53 down every column.
+// inv53Rows inverts fwd53Rows, likewise inv53 down every column and in
+// inv53's one pass: even row i+1, then odd row i.
 func inv53Rows(p []float64, stride, w, n int) {
-	half := (n + 1) / 2
-	for i := 0; i < half; i++ {
-		dl := rowOf(p, stride, half+max(i-1, 0), w)
-		dr := rowOf(p, stride, half+min(i, n/2-1), w)
-		even := rowOf(p, stride, i, w)
-		for x := range even {
-			even[x] -= 0.25 * (dl[x] + dr[x])
-		}
+	half, last := (n+1)/2, n/2-1 // last: the last detail row
+	even, d := rowOf(p, stride, 0, w), rowOf(p, stride, half, w)
+	for x := range even {
+		even[x] -= 0.25 * (d[x] + d[x])
 	}
-	for i := 0; i < n/2; i++ {
-		left := rowOf(p, stride, i, w)
-		right := left
-		if 2*i+2 < n {
-			right = rowOf(p, stride, i+1, w)
+	for i := 0; i <= last; i++ {
+		left, odd := rowOf(p, stride, i, w), rowOf(p, stride, half+i, w)
+		if i+1 == half { // even n: the last odd row has one neighbour
+			for x := range odd {
+				odd[x] += 0.5 * (left[x] + left[x])
+			}
+			break
 		}
-		odd := rowOf(p, stride, half+i, w)
+		right, dr := rowOf(p, stride, i+1, w), rowOf(p, stride, half+min(i+1, last), w)
 		for x := range odd {
-			odd[x] += 0.5 * (left[x] + right[x])
+			o := odd[x]
+			r := right[x] - 0.25*(o+dr[x])
+			right[x] = r
+			odd[x] = o + 0.5*(left[x]+r)
 		}
 	}
 }
@@ -160,11 +163,19 @@ func analyze2D(pix []float64, stride, cw, ch int, sc *liftScratch) {
 }
 
 // synthesize2D inverts analyze2D: columns first, then every row into the
-// place it interleaves to.
-func synthesize2D(pix []float64, stride, cw, ch int, sc *liftScratch) {
+// place it interleaves to, by lift: inv53, or inv53Clamp for the final
+// pixels.
+func synthesize2D(pix []float64, stride, cw, ch int, sc *liftScratch, lift func(src, dst []float64, n int)) {
 	inv53Rows(pix, stride, cw, ch)
 	half := (ch + 1) / 2
-	sc.liftRows(pix, stride, cw, ch, inv53, func(y int) int { return (y&1)*half + y/2 })
+	sc.liftRows(pix, stride, cw, ch, lift, func(y int) int { return (y&1)*half + y/2 })
+}
+
+// inv53Clamp is inv53 with every sample it writes then clamped to [0, 1],
+// while the row is still in cache.
+func inv53Clamp(src, dst []float64, n int) {
+	inv53(src, dst, n)
+	clampAll(dst[:n])
 }
 
 // maxLevels bounds the decomposition depth: beyond it no plane that fits
@@ -200,14 +211,19 @@ func waveletForward2D(pix []float64, w, h, levels int) error {
 	return nil
 }
 
-// waveletInverse2D inverts waveletForward2D, deepest level first.
-func waveletInverse2D(pix []float64, w, h, levels int) error {
+// waveletInverse2D inverts waveletForward2D, deepest level first; with
+// clamp set it clamps the pixels to [0, 1] as the last level writes them.
+func waveletInverse2D(pix []float64, w, h, levels int, clamp bool) error {
 	if err := checkLevels(w, h, levels); err != nil {
 		return err
 	}
 	sc := newLiftScratch(w, h)
 	for l := levels - 1; l >= 0; l-- {
-		synthesize2D(pix, w, subband(w, l), subband(h, l), sc)
+		lift := inv53
+		if clamp && l == 0 {
+			lift = inv53Clamp
+		}
+		synthesize2D(pix, w, subband(w, l), subband(h, l), sc, lift)
 	}
 	return nil
 }
@@ -261,6 +277,6 @@ func packet2D(pix []float64, sc *liftScratch, stride, cw, ch, depth int, inverse
 		packet2D(pix[off:], sc, stride, hw, hh, depth-1, inverse)
 	}
 	if inverse {
-		synthesize2D(pix, stride, cw, ch, sc)
+		synthesize2D(pix, stride, cw, ch, sc, inv53)
 	}
 }

@@ -120,8 +120,9 @@ func (f *Faults) CutAfterRead(n int64) {
 }
 
 // CutAfterWrite arms every currently tracked connection to reset itself
-// after it writes n more bytes — a drop mid-call: the request leaves
-// partially framed and the transport dies.
+// once it has written n more bytes — a drop mid-call: the write that
+// reaches the n-th byte leaves only its bytes up to it, so the request
+// leaves partially framed, and the transport dies.
 func (f *Faults) CutAfterWrite(n int64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -227,7 +228,7 @@ type FaultyConn struct {
 
 	cutRead       atomic.Int64 // remaining read bytes before injected reset
 	cutArmed      atomic.Bool
-	cutWrite      atomic.Int64
+	cutWrite      atomic.Int64 // remaining write bytes before injected reset
 	cutWriteArmed atomic.Bool
 }
 
@@ -317,15 +318,22 @@ func (c *FaultyConn) Write(p []byte) (int, error) {
 		return 0, errInjected{op: "connection reset"}
 	default:
 	}
+	armed, left := c.cutWriteArmed.Load(), c.cutWrite.Load()
+	cut := armed && left <= int64(len(p))
+	if cut {
+		p = p[:max(left, 0)]
+	}
 	n, err := c.Conn.Write(p)
 	if err != nil && n == 0 && c.killed() {
 		return 0, errInjected{op: "connection reset"}
 	}
-	if n > 0 && c.cutWriteArmed.Load() {
-		if c.cutWrite.Add(int64(-n)) <= 0 {
-			c.cutWriteArmed.Store(false)
-			c.inject("write cut")
-		}
+	if cut {
+		c.cutWriteArmed.Store(false)
+		c.inject("write cut")
+		return n, errInjected{op: "write cut"}
+	}
+	if n > 0 && armed {
+		c.cutWrite.Add(int64(-n))
 	}
 	return n, err
 }

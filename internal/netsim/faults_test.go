@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"context"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -111,6 +112,34 @@ func TestCutAfterReadResetsAfterBudget(t *testing.T) {
 	}
 	if _, err := fc.Read(buf); !IsInjected(err) {
 		t.Errorf("read after cut = %v, want injected reset", err)
+	}
+	if _, _, resets := f.Stats(); resets != 1 {
+		t.Errorf("resets = %d, want 1", resets)
+	}
+}
+
+func TestCutAfterWriteLeavesOnlyTheBudget(t *testing.T) {
+	f := NewFaults()
+	fc, peer := pipePair(t, f)
+	got := make(chan []byte, 1)
+	go func() {
+		b, _ := io.ReadAll(peer)
+		got <- b
+	}()
+	f.CutAfterWrite(4)
+	if n, err := fc.Write([]byte("ab")); n != 2 || err != nil {
+		t.Fatalf("write under the budget = %d, %v", n, err)
+	}
+	// The write that reaches the budget leaves only its bytes up to it:
+	// the peer never sees the rest of the message.
+	if n, err := fc.Write([]byte("cdefgh")); n != 2 || !IsInjected(err) {
+		t.Fatalf("cut write = %d, %v; want 2 bytes and an injected reset", n, err)
+	}
+	if _, err := fc.Write([]byte("i")); !IsInjected(err) {
+		t.Errorf("write after cut = %v, want injected reset", err)
+	}
+	if b := <-got; string(b) != "abcd" {
+		t.Errorf("peer read %q, want %q", b, "abcd")
 	}
 	if _, _, resets := f.Stats(); resets != 1 {
 		t.Errorf("resets = %d, want 1", resets)
