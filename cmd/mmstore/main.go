@@ -127,9 +127,6 @@ func run(data string, args []string) error {
 		fmt.Printf("blob compactions    %d (%d bytes moved)\n", bs.Compactions, bs.CompactedBytes)
 		fmt.Printf("blob missing refs   %d\n", missing)
 		fmt.Printf("wal appends/fsyncs  %d/%d\n", appends, syncs)
-		if bs.RebuiltFromScan {
-			fmt.Println("note: blob index was rebuilt by segment scan on this open")
-		}
 	case "fsck":
 		rep, err := db.FsckBlobs()
 		if err != nil {
@@ -138,10 +135,10 @@ func run(data string, args []string) error {
 		fmt.Printf("objects %d  referenced %d  bytes-checked %d\n",
 			rep.Objects, rep.Referenced, rep.BytesChecked)
 		for _, d := range rep.Missing {
-			fmt.Printf("MISSING  %x\n", d)
+			fmt.Printf("MISSING  %s\n", d)
 		}
 		for _, d := range rep.Corrupt {
-			fmt.Printf("CORRUPT  %x\n", d)
+			fmt.Printf("CORRUPT  %s\n", d)
 		}
 		if rep.Orphans > 0 {
 			fmt.Printf("orphaned objects: %d (reclaimed at the next open)\n", rep.Orphans)

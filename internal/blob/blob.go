@@ -18,9 +18,10 @@
 //   - Data lives in bounded segment files. Background compaction
 //     migrates live blocks off sparse segments and deletes them, without
 //     blocking readers.
-//   - The in-memory index is snapshotted to disk on flush/close; after a
-//     crash it is rebuilt by scanning the segments (every record is
-//     self-describing: magic, kind, lengths, digest, CRC).
+//   - The segments are the index: every record is self-describing
+//     (magic, kind, lengths, digest, CRC), and Open rebuilds the
+//     in-memory index by scanning them, after a clean close and after a
+//     crash alike.
 //
 // A Handle is the payload's SHA-256 digest plus its length. Handles are
 // stable across compaction — compaction moves bytes, never identities —
@@ -176,13 +177,10 @@ type Stats struct {
 	// Compactions counts segments retired; CompactedBytes is the file
 	// bytes those segments returned to the filesystem.
 	Compactions, CompactedBytes int64
-	// RebuiltFromScan is set when Open could not use the index snapshot
-	// and recovered the index by scanning the segments.
-	RebuiltFromScan bool
 }
 
 // Store is a content-addressed blob store over a directory of segment
-// files plus an index snapshot. Safe for concurrent use.
+// files. Safe for concurrent use.
 type Store struct {
 	mu   sync.Mutex
 	cond *sync.Cond // signaled when a segment's reader count drops
@@ -199,11 +197,6 @@ type Store struct {
 	manifests map[Digest]*manifestEntry
 	free      map[int64][]loc // blockLen -> free blocks
 	freeBytes int64
-
-	// snapValid is set while an on-disk index snapshot matches the
-	// segment files exactly. The first mutating write after a save
-	// removes the snapshot (see invalidateSnapshotLocked) and clears it.
-	snapValid bool
 
 	closed bool
 
@@ -226,10 +219,9 @@ type segment struct {
 	compacting bool  // excluded from allocation while being drained
 }
 
-// Open opens (or creates) a content-addressed store in dir. If the
-// index snapshot is missing, corrupt, or stale against the segment
-// files, the index is rebuilt by scanning the segments; torn tails from
-// a crash mid-append are truncated away.
+// Open opens (or creates) a content-addressed store in dir and builds
+// its index by scanning the segments (rebuildFromScan): a block torn or
+// damaged by a crash is left out, and every block that verifies is kept.
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -255,20 +247,9 @@ func Open(dir string, opts Options) (*Store, error) {
 		s.closeFiles()
 		return nil, err
 	}
-	if s.loadIndex() {
-		s.snapValid = true
-	} else {
-		if err := s.rebuildFromScan(); err != nil {
-			s.closeFiles()
-			return nil, err
-		}
-		// The rejected snapshot must not survive the rebuild: the scan
-		// may have truncated torn tails back to sizes the stale snapshot
-		// matches, so a crash before the next save could resurrect it.
-		if err := s.removeSnapshot(); err != nil {
-			s.closeFiles()
-			return nil, err
-		}
+	if err := s.rebuildFromScan(); err != nil {
+		s.closeFiles()
+		return nil, err
 	}
 	if len(s.segs) == 0 {
 		if _, err := s.addSegment(); err != nil {
@@ -659,18 +640,7 @@ func (s *Store) syncLocked() error {
 	return nil
 }
 
-// Flush syncs the segments and writes the index snapshot, so the next
-// Open can skip the recovery scan.
-func (s *Store) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.syncLocked(); err != nil {
-		return err
-	}
-	return s.saveIndexLocked()
-}
-
-// Close stops background compaction, flushes, and closes the files.
+// Close stops background compaction, syncs, and closes the files.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -686,9 +656,6 @@ func (s *Store) Close() error {
 	defer s.mu.Unlock()
 	var first error
 	if err := s.syncLocked(); err != nil {
-		first = err
-	}
-	if err := s.saveIndexLocked(); err != nil && first == nil {
 		first = err
 	}
 	for _, sg := range s.segs {

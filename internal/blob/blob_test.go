@@ -246,42 +246,6 @@ func TestBuddySplitReusesLargerHoles(t *testing.T) {
 	}
 }
 
-func TestIndexSnapshotRoundTrip(t *testing.T) {
-	s, dir := openTemp(t)
-	var handles []Handle
-	for i := 0; i < 20; i++ {
-		data := bytes.Repeat([]byte{byte(i)}, 2000+137*i)
-		h, err := s.Put(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		handles = append(handles, h)
-	}
-	s.Release(handles[3])
-	s.Release(handles[7])
-
-	s2 := reopen(t, s, dir)
-	if s2.Stats().RebuiltFromScan {
-		t.Error("clean close should reopen from the index snapshot, not a scan")
-	}
-	for i, h := range handles {
-		if i == 3 || i == 7 {
-			continue
-		}
-		got, err := s2.Get(h)
-		if err != nil {
-			t.Fatalf("Get(%d) after reopen: %v", i, err)
-		}
-		if !bytes.Equal(got, bytes.Repeat([]byte{byte(i)}, 2000+137*i)) {
-			t.Errorf("payload %d corrupted across reopen", i)
-		}
-	}
-	// Freed blocks stayed freed across the reopen.
-	if s2.Stats().FreeBytes == 0 {
-		t.Error("free lists lost across reopen")
-	}
-}
-
 func TestScanRebuildAfterCrash(t *testing.T) {
 	s, dir := openTemp(t)
 	var handles []Handle
@@ -299,20 +263,12 @@ func TestScanRebuildAfterCrash(t *testing.T) {
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	// Crash: segments are on disk, index snapshot is not (delete it to
-	// simulate dying before Flush).
-	s.Close()
-	if err := os.Remove(filepath.Join(dir, indexFile)); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(dir, testOpts)
+	// Crash: the segments are on disk, nothing closed the store.
+	s2, err := Open(writeSegFiles(t, readSegFiles(t, dir)), testOpts)
 	if err != nil {
-		t.Fatalf("reopen without index: %v", err)
+		t.Fatalf("reopen after crash: %v", err)
 	}
 	defer s2.Close()
-	if !s2.Stats().RebuiltFromScan {
-		t.Error("expected a scan rebuild with the index snapshot missing")
-	}
 	for i, h := range handles {
 		if i == 5 {
 			continue
@@ -333,43 +289,12 @@ func TestScanRebuildAfterCrash(t *testing.T) {
 	}
 }
 
-// copyDirState clones the on-disk files of a live store into a fresh
-// directory — the state a crash at this instant would leave behind.
-func copyDirState(t *testing.T, src string) string {
-	t.Helper()
-	dst := filepath.Join(t.TempDir(), "crashcopy")
-	if err := os.MkdirAll(dst, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if !e.Type().IsRegular() {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dst
-}
-
-// TestSnapshotInvalidatedByHoleReuse covers the undetectable-staleness
-// hole: hole-reuse writes and free stamps change segment bytes without
-// changing file sizes, so a checkpoint-era snapshot would pass the size
-// check after a crash — dropping post-snapshot puts from the index and
-// handing their blocks out through the stale free list. The store must
-// instead retire the snapshot on the first post-save write, forcing the
-// post-crash Open into a full rebuild.
-func TestSnapshotInvalidatedByHoleReuse(t *testing.T) {
+// TestScanKeepsHoleReuseAcrossCrash covers writes that change segment
+// bytes in place without moving the file end: a free stamp and a put
+// landed entirely in reused holes. After a crash the scan must keep the
+// put and leave the released object gone.
+func TestScanKeepsHoleReuseAcrossCrash(t *testing.T) {
 	s, dir := openTemp(t)
-	idx := filepath.Join(dir, indexFile)
 	mk := func(seed int64) []byte {
 		data := make([]byte, 3000)
 		rand.New(rand.NewSource(seed)).Read(data)
@@ -383,26 +308,13 @@ func TestSnapshotInvalidatedByHoleReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(idx); err != nil {
-		t.Fatalf("no snapshot after Flush: %v", err)
-	}
-
-	// A free stamp mutates segment bytes in place: snapshot must go.
 	if err := s.Release(x); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(idx); !os.IsNotExist(err) {
-		t.Fatalf("snapshot survived a free stamp: %v", err)
-	}
-
-	// Re-snapshot with x's holes on the free list, then land a new
-	// payload of the same size class entirely in those holes.
-	if err := s.Flush(); err != nil {
+	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	// Land a new payload of the same size class entirely in x's holes.
 	sizeBefore := s.Stats().TotalBytes
 	reuseBefore := s.Stats().HoleReuses
 	z, err := s.Put(mk(3))
@@ -414,28 +326,21 @@ func TestSnapshotInvalidatedByHoleReuse(t *testing.T) {
 		t.Fatalf("put did not land in reused holes (reuses %d->%d, bytes %d->%d); test premise broken",
 			reuseBefore, st.HoleReuses, sizeBefore, st.TotalBytes)
 	}
-	if _, err := os.Stat(idx); !os.IsNotExist(err) {
-		t.Fatalf("snapshot survived a hole-reuse write: %v", err)
-	}
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Crash here (payloads durable via Sync, no Close, no new snapshot).
-	crashed := copyDirState(t, dir)
-	s2, err := Open(crashed, testOpts)
+	// Crash here (payloads durable via Sync, no Close).
+	s2, err := Open(writeSegFiles(t, readSegFiles(t, dir)), testOpts)
 	if err != nil {
 		t.Fatalf("reopen after crash: %v", err)
 	}
 	defer s2.Close()
-	if !s2.Stats().RebuiltFromScan {
-		t.Error("post-crash Open trusted a checkpoint-era snapshot")
-	}
 	if got, err := s2.Get(z); err != nil || !bytes.Equal(got, mk(3)) {
-		t.Errorf("post-snapshot put lost after crash: %v", err)
+		t.Errorf("put into reused holes lost after crash: %v", err)
 	}
 	if got, err := s2.Get(y); err != nil || !bytes.Equal(got, mk(2)) {
-		t.Errorf("pre-snapshot put lost after crash: %v", err)
+		t.Errorf("earlier put lost after crash: %v", err)
 	}
 	if _, err := s2.Get(x); !errors.Is(err, ErrNotFound) {
 		t.Errorf("released object resurrected: %v", err)
@@ -447,7 +352,6 @@ func TestScanTruncatesTornAppend(t *testing.T) {
 	h1, _ := s.Put([]byte("first payload"))
 	h2, _ := s.Put(bytes.Repeat([]byte{9}, 6000))
 	s.Close()
-	os.Remove(filepath.Join(dir, indexFile))
 
 	// Simulate a crash mid-chunk-append: a live header claiming more
 	// data than the file holds.
@@ -484,34 +388,6 @@ func TestScanTruncatesTornAppend(t *testing.T) {
 	}
 	if got, _ := s2.Get(h3); string(got) != "post-recovery" {
 		t.Error("post-recovery put broken")
-	}
-}
-
-func TestCorruptIndexFallsBackToScan(t *testing.T) {
-	s, dir := openTemp(t)
-	h, _ := s.Put(bytes.Repeat([]byte{0xEE}, 10_000))
-	s.Close()
-	// Flip bytes in the middle of the index snapshot (crash mid-flush /
-	// silent corruption). Open must reject it by CRC and rescan.
-	path := filepath.Join(dir, indexFile)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0xFF
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(dir, testOpts)
-	if err != nil {
-		t.Fatalf("reopen over corrupt index: %v", err)
-	}
-	defer s2.Close()
-	if !s2.Stats().RebuiltFromScan {
-		t.Error("corrupt index was trusted")
-	}
-	if got, err := s2.Get(h); err != nil || len(got) != 10_000 {
-		t.Errorf("payload after corrupt-index recovery: %d bytes, %v", len(got), err)
 	}
 }
 
@@ -701,7 +577,6 @@ func TestCrashMidCompactionDuplicatesDedupedOnScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	os.Remove(filepath.Join(dir, indexFile))
 
 	// Simulate a crash between compaction's copy and the source delete:
 	// the same chunk block exists in two segments. The copy lands

@@ -124,9 +124,8 @@ func (s *Store) compactSegment(id int) error {
 	sg.compacting = true
 	// Its free blocks will die with the file: stop handing them out. If
 	// the pass aborts with the segment still alive, they must come back
-	// (abort) — otherwise the space is unallocatable, FreeBytes
-	// undercounts, and index snapshots persist the leak until a full
-	// rebuild scan.
+	// (abort) — otherwise the space is unallocatable and FreeBytes
+	// undercounts until the next Open's scan.
 	dropped := s.dropSegmentFree(id)
 	abort := func() {
 		s.restoreFreeLocked(dropped)

@@ -1,292 +1,36 @@
 package blob
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
 	"sort"
 )
 
-// The index snapshot is a cache of the in-memory index written on
-// Flush/Close so the next Open can skip the segment scan. It is never
-// the source of truth: any mismatch against the segment files (missing
-// file, size drift, bad CRC) discards it and triggers a full rebuild.
+// rebuildFromScan builds the index by walking every block of every
+// segment; it is the only way Open learns what the store holds. Live
+// chunks and manifests enter the index, free blocks the free lists, and
+// duplicate digests (the artifact of a crash between a compaction copy
+// and the source delete) keep the first copy and free the rest.
+// Manifest refcounts are set to 1 — the store layer's ResetRefs
+// recomputes the exact counts from the table rows right after Open.
 //
-// Size checks alone cannot catch every post-snapshot write: hole reuse
-// and free stamps rewrite segment bytes in place without moving the file
-// end. The snapshot is therefore also a clean marker — the first
-// mutating write after a save durably removes it (invalidateSnapshot-
-// Locked), so a crash between that write and the next save forces the
-// reopening store into rebuildFromScan instead of trusting stale state.
+// A block that fails verification costs only that block:
 //
-//	magic u32 | version u32 | body ... | crc u32 (of body)
-const (
-	indexFile    = "cas.index"
-	indexMagic   = 0xCA51DE00
-	indexVersion = 1
-)
-
-// saveIndexLocked writes the snapshot through a temp file and atomic
-// rename. Caller holds s.mu.
-func (s *Store) saveIndexLocked() error {
-	var body bytes.Buffer
-	w := func(v any) { binary.Write(&body, binary.LittleEndian, v) }
-
-	segIDs := make([]int, 0, len(s.segs))
-	for id := range s.segs {
-		segIDs = append(segIDs, id)
-	}
-	sort.Ints(segIDs)
-	w(uint32(len(segIDs)))
-	for _, id := range segIDs {
-		sg := s.segs[id]
-		w(uint32(id))
-		w(sg.size)
-		w(sg.live)
-	}
-
-	w(uint32(len(s.chunks)))
-	for d, ce := range s.chunks {
-		body.Write(d[:])
-		w(uint32(ce.seg))
-		w(ce.off)
-		w(ce.blockLen)
-		w(ce.dataLen)
-		w(ce.refs)
-	}
-
-	w(uint32(len(s.manifests)))
-	for d, me := range s.manifests {
-		body.Write(d[:])
-		w(uint32(me.seg))
-		w(me.off)
-		w(me.blockLen)
-		w(me.dataLen)
-		w(me.refs)
-		w(me.length)
-		w(uint32(len(me.chunks)))
-		for _, cd := range me.chunks {
-			body.Write(cd[:])
-		}
-	}
-
-	var nfree uint32
-	for _, list := range s.free {
-		nfree += uint32(len(list))
-	}
-	w(nfree)
-	for _, list := range s.free {
-		for _, l := range list {
-			w(uint32(l.seg))
-			w(l.off)
-			w(l.blockLen)
-		}
-	}
-
-	var out bytes.Buffer
-	binary.Write(&out, binary.LittleEndian, uint32(indexMagic))
-	binary.Write(&out, binary.LittleEndian, uint32(indexVersion))
-	out.Write(body.Bytes())
-	binary.Write(&out, binary.LittleEndian, crc32.ChecksumIEEE(body.Bytes()))
-
-	tmp := filepath.Join(s.dir, indexFile+".tmp")
-	if err := os.WriteFile(tmp, out.Bytes(), 0o644); err != nil {
-		return fmt.Errorf("blob: write index: %w", err)
-	}
-	if f, err := os.Open(tmp); err == nil {
-		_ = f.Sync()
-		_ = f.Close()
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, indexFile)); err != nil {
-		return fmt.Errorf("blob: rename index: %w", err)
-	}
-	if d, err := os.Open(s.dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
-	s.snapValid = true
-	return nil
-}
-
-// invalidateSnapshotLocked durably removes the index snapshot before the
-// first segment-mutating write after it was saved. Were a stale snapshot
-// still present after a crash, Open could trust it — resurrecting
-// released objects, dropping post-snapshot puts that landed in reused
-// holes, and handing their blocks back out through the stale free list.
-// Runs real syscalls once per save/write cycle; while snapValid is
-// false it is free. Caller holds s.mu.
-func (s *Store) invalidateSnapshotLocked() error {
-	if !s.snapValid {
-		return nil
-	}
-	if err := s.removeSnapshot(); err != nil {
-		return err
-	}
-	s.snapValid = false
-	return nil
-}
-
-// removeSnapshot deletes the index snapshot file and syncs the directory
-// so the removal is durable before any subsequent segment write can be.
-func (s *Store) removeSnapshot() error {
-	if err := os.Remove(filepath.Join(s.dir, indexFile)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("blob: remove index snapshot: %w", err)
-	}
-	d, err := os.Open(s.dir)
-	if err != nil {
-		return fmt.Errorf("blob: open dir for sync: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("blob: sync dir: %w", err)
-	}
-	return nil
-}
-
-// loadIndex tries to restore the index from the snapshot. It reports
-// false — leaving the store empty for rebuildFromScan — when the
-// snapshot is missing, corrupt, or disagrees with the segment files.
-func (s *Store) loadIndex() bool {
-	raw, err := os.ReadFile(filepath.Join(s.dir, indexFile))
-	if err != nil || len(raw) < 12 {
-		return false
-	}
-	if binary.LittleEndian.Uint32(raw[0:4]) != indexMagic ||
-		binary.LittleEndian.Uint32(raw[4:8]) != indexVersion {
-		return false
-	}
-	body := raw[8 : len(raw)-4]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(raw[len(raw)-4:]) {
-		return false
-	}
-	rd := bufio.NewReader(bytes.NewReader(body))
-	var fail bool
-	ru32 := func() uint32 {
-		var v uint32
-		if binary.Read(rd, binary.LittleEndian, &v) != nil {
-			fail = true
-		}
-		return v
-	}
-	ri64 := func() int64 {
-		var v int64
-		if binary.Read(rd, binary.LittleEndian, &v) != nil {
-			fail = true
-		}
-		return v
-	}
-	rdig := func() Digest {
-		var d Digest
-		if _, err := io.ReadFull(rd, d[:]); err != nil {
-			fail = true
-		}
-		return d
-	}
-
-	nsegs := ru32()
-	type segMeta struct{ size, live int64 }
-	metas := make(map[int]segMeta, nsegs)
-	for i := uint32(0); i < nsegs && !fail; i++ {
-		id := int(ru32())
-		metas[id] = segMeta{size: ri64(), live: ri64()}
-	}
-	if fail || len(metas) != len(s.segs) {
-		return false
-	}
-	for id, m := range metas {
-		sg := s.segs[id]
-		if sg == nil {
-			return false
-		}
-		info, err := sg.f.Stat()
-		if err != nil {
-			return false
-		}
-		// The final block of a segment is not padded to its size class,
-		// so the file may end short of the logical size — but a file
-		// shorter than the last block's data, longer than the logical
-		// size, or otherwise drifted means writes happened after this
-		// snapshot: rebuild.
-		if info.Size() > m.size || m.size-info.Size() >= m.size/2+minBlock {
-			return false
-		}
-		sg.size = m.size
-		sg.live = m.live
-	}
-
-	nchunks := ru32()
-	chunks := make(map[Digest]*chunkEntry, nchunks)
-	for i := uint32(0); i < nchunks && !fail; i++ {
-		d := rdig()
-		ce := &chunkEntry{}
-		ce.seg = int(ru32())
-		ce.off = ri64()
-		ce.blockLen = ri64()
-		ce.dataLen = ru32()
-		ce.refs = ri64()
-		chunks[d] = ce
-	}
-	nman := ru32()
-	manifests := make(map[Digest]*manifestEntry, nman)
-	for i := uint32(0); i < nman && !fail; i++ {
-		d := rdig()
-		me := &manifestEntry{}
-		me.seg = int(ru32())
-		me.off = ri64()
-		me.blockLen = ri64()
-		me.dataLen = ru32()
-		me.refs = ri64()
-		me.length = ru32()
-		nc := ru32()
-		if fail || nc > 1<<24 {
-			return false
-		}
-		me.chunks = make([]Digest, nc)
-		for j := range me.chunks {
-			me.chunks[j] = rdig()
-		}
-		manifests[d] = me
-	}
-	nfree := ru32()
-	free := make(map[int64][]loc)
-	var freeBytes int64
-	for i := uint32(0); i < nfree && !fail; i++ {
-		l := loc{}
-		l.seg = int(ru32())
-		l.off = ri64()
-		l.blockLen = ri64()
-		free[l.blockLen] = append(free[l.blockLen], l)
-		freeBytes += l.blockLen
-	}
-	if fail {
-		return false
-	}
-	s.chunks = chunks
-	s.manifests = manifests
-	s.free = free
-	s.freeBytes = freeBytes
-	return true
-}
-
-// rebuildFromScan reconstructs the index by walking every block of
-// every segment: live chunks and manifests re-enter the index, free
-// blocks re-enter the free lists, duplicate digests (the artifact of a
-// crash between a compaction copy and the source delete) keep the first
-// copy and free the rest, and a torn tail is truncated. Manifest
-// refcounts are set to 1 — the store layer's ResetRefs recomputes the
-// exact counts from the table rows right after Open.
+//   - a header that parses (live or free magic, a power-of-two blockLen,
+//     a payload that fits the block) but whose payload fails its CRC, or
+//     runs past the file end, is stepped over by its blockLen;
+//   - a header that does not parse is stepped over in minBlock steps,
+//     since every block starts on a multiple of minBlock, until a free
+//     stamp or a live block that verifies is found again. Until then a
+//     live header whose payload fails is not believed about its length.
+//
+// A failed block is never indexed, so no later put dedups against it;
+// its bytes are dead space that compaction of its segment reclaims. The
+// file is truncated after the last block the walk kept.
 func (s *Store) rebuildFromScan() error {
-	s.st.RebuiltFromScan = true
-	s.chunks = make(map[Digest]*chunkEntry)
-	s.manifests = make(map[Digest]*manifestEntry)
-	s.free = make(map[int64][]loc)
-	s.freeBytes = 0
-
 	type rawManifest struct {
 		d    Digest
 		me   *manifestEntry
@@ -299,6 +43,7 @@ func (s *Store) rebuildFromScan() error {
 	}
 	sort.Ints(segIDs)
 
+	var payload []byte // one buffer for every payload the walk verifies
 	for _, id := range segIDs {
 		sg := s.segs[id]
 		info, err := sg.f.Stat()
@@ -306,72 +51,74 @@ func (s *Store) rebuildFromScan() error {
 			return fmt.Errorf("blob: stat segment %d: %w", id, err)
 		}
 		fileSize := info.Size()
-		var off int64
-		var hdr [hdrSize]byte
+		var off, end int64 // end: just past the last block kept
+		synced := true     // off is a block boundary the walk believes
 		for off+12 <= fileSize {
-			if _, err := sg.f.ReadAt(hdr[:12], off); err != nil {
-				break
-			}
+			var hdr [hdrSize]byte
+			n, _ := sg.f.ReadAt(hdr[:min(int64(hdrSize), fileSize-off)], off)
 			magic := binary.LittleEndian.Uint32(hdr[0:4])
 			blockLen := int64(binary.LittleEndian.Uint32(hdr[8:12]))
-			if blockLen < minBlock || blockLen&(blockLen-1) != 0 {
-				break // garbage or torn header
-			}
-			if magic == freeMagic {
-				l := loc{seg: id, off: off, blockLen: blockLen}
-				s.free[blockLen] = append(s.free[blockLen], l)
+			dataLen := int64(binary.LittleEndian.Uint32(hdr[12:16]))
+			parses := n >= 12 && blockLen >= minBlock && blockLen&(blockLen-1) == 0 &&
+				(magic == freeMagic || magic == liveMagic && dataLen <= blockLen-hdrSize)
+			switch {
+			case !parses:
+				synced = false
+				off += minBlock
+				continue
+			case magic == freeMagic:
+				s.free[blockLen] = append(s.free[blockLen], loc{seg: id, off: off, blockLen: blockLen})
 				s.freeBytes += blockLen
+				synced = true
 				off += blockLen
+				end = off
 				continue
 			}
-			if magic != liveMagic || off+hdrSize > fileSize {
-				break
-			}
-			if _, err := sg.f.ReadAt(hdr[:], off); err != nil {
-				break
-			}
 			kind := binary.LittleEndian.Uint32(hdr[4:8])
-			dataLen := binary.LittleEndian.Uint32(hdr[12:16])
-			if int64(dataLen) > blockLen-hdrSize || off+hdrSize+int64(dataLen) > fileSize {
-				break // torn append
+			ok := n == hdrSize && off+hdrSize+dataLen <= fileSize &&
+				(kind == kindChunk || kind == kindManifest)
+			if ok {
+				if int64(cap(payload)) < dataLen {
+					payload = make([]byte, dataLen)
+				}
+				payload = payload[:dataLen]
+				_, err := io.ReadFull(io.NewSectionReader(sg.f, off+hdrSize, dataLen), payload)
+				ok = err == nil && crc32.ChecksumIEEE(payload) == binary.LittleEndian.Uint32(hdr[48:52])
 			}
+			if !ok {
+				// Trust a failed block's length only where its header
+				// starts at a boundary the walk believes.
+				if synced {
+					off += blockLen
+				} else {
+					off += minBlock
+				}
+				continue
+			}
+			synced = true
 			var d Digest
 			copy(d[:], hdr[16:48])
-			data, err := readBlockPayload(sg.f, off, dataLen)
-			if err != nil {
-				break // torn or corrupt: stop at the first bad block
-			}
 			l := loc{seg: id, off: off, blockLen: blockLen}
-			switch kind {
-			case kindChunk:
-				if s.chunks[d] != nil {
-					s.freeBlockLocked(l)
-					sg.live += blockLen // undo freeBlockLocked's decrement: never counted live
-				} else {
-					s.chunks[d] = &chunkEntry{loc: l, dataLen: dataLen}
-					sg.live += blockLen
-				}
-			case kindManifest:
-				if s.manifests[d] != nil {
-					s.freeBlockLocked(l)
-					sg.live += blockLen
-				} else {
-					me := &manifestEntry{loc: l, dataLen: dataLen, refs: 1}
-					s.manifests[d] = me
-					manifests = append(manifests, rawManifest{d: d, me: me, data: data})
-					sg.live += blockLen
-				}
-			default:
-				// Unknown kind: skip the block, leave it unindexed.
+			sg.live += blockLen
+			switch {
+			case kind == kindChunk && s.chunks[d] == nil:
+				s.chunks[d] = &chunkEntry{loc: l, dataLen: uint32(dataLen)}
+			case kind == kindManifest && s.manifests[d] == nil:
+				me := &manifestEntry{loc: l, dataLen: uint32(dataLen), refs: 1}
+				s.manifests[d] = me
+				manifests = append(manifests, rawManifest{d: d, me: me, data: bytes.Clone(payload)})
+			default: // a duplicate digest: the first copy wins
+				s.freeBlockLocked(l)
 			}
 			off += blockLen
+			end = off
 		}
-		if off < fileSize {
-			if err := sg.f.Truncate(off); err != nil {
-				return fmt.Errorf("blob: truncate torn tail of segment %d: %w", id, err)
+		if end < fileSize {
+			if err := sg.f.Truncate(end); err != nil {
+				return fmt.Errorf("blob: truncate segment %d after its last good block: %w", id, err)
 			}
 		}
-		sg.size = off
+		sg.size = end
 	}
 
 	// Decode manifests and drop any whose chunks did not survive (they

@@ -31,7 +31,7 @@ func listSegments(dir string) ([]int, error) {
 }
 
 // openSegments opens the existing segment files. Sizes and live bytes
-// are filled in later by the index load or the recovery scan.
+// are filled in later by the scan.
 func (s *Store) openSegments(ids []int) error {
 	for _, id := range ids {
 		f, err := os.OpenFile(filepath.Join(s.dir, segName(id)), os.O_RDWR, 0o644)
@@ -97,12 +97,6 @@ func writeFreeHeader(f *os.File, off, blockLen int64) error {
 // segment whose free blocks must not be reused (the compaction victim);
 // pass -1 for none. Caller holds s.mu.
 func (s *Store) writeBlock(kind uint32, d Digest, data []byte, excludeSeg int) (loc, error) {
-	// Before the bytes move: retire the index snapshot this write is
-	// about to make stale. Must precede alloc too — buddy splits stamp
-	// free headers into the segment.
-	if err := s.invalidateSnapshotLocked(); err != nil {
-		return loc{}, err
-	}
 	need := int64(hdrSize + len(data))
 	bl := blockLenFor(need)
 	l, reused, err := s.alloc(bl, excludeSeg)
@@ -187,11 +181,6 @@ func (s *Store) freeBlockLocked(l loc) {
 	if sg == nil {
 		return
 	}
-	// Best-effort snapshot invalidation: if it fails, a crash may trust
-	// the stale snapshot and resurrect this block as live — a leak plus
-	// loud read errors, never silent reuse corruption (reuse goes
-	// through writeBlock, which invalidates strictly).
-	_ = s.invalidateSnapshotLocked()
 	// A failed stamp leaves the block live on disk: the recovery scan
 	// would resurrect it as an orphan, which ResetRefs frees again —
 	// a leak until then, never corruption.

@@ -220,9 +220,8 @@ func TestCrashMidChunkAppend(t *testing.T) {
 	db.wal.close()
 	db.blobs.Close()
 
-	// Crash artifacts: no index snapshot, and a torn append at the tail
-	// of the last segment (header promising 1 MiB, payload cut off).
-	os.Remove(filepath.Join(casPath(dir), "cas.index"))
+	// Crash artifact: a torn append at the tail of the last segment
+	// (header promising 1 MiB, payload cut off).
 	segs, _ := filepath.Glob(filepath.Join(casPath(dir), "seg-*.blk"))
 	if len(segs) == 0 {
 		t.Fatal("no segments")
@@ -261,48 +260,6 @@ func TestCrashMidChunkAppend(t *testing.T) {
 	}
 }
 
-// TestCrashMidIndexFlush simulates dying while the blob index snapshot
-// is being written: the snapshot on disk is garbage. Open must reject it
-// by checksum and fall back to the segment scan.
-func TestCrashMidIndexFlush(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(dir, Options{Sync: SyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, _ := db.CreateTable("t", blobSchema)
-	payload := bytes.Repeat([]byte{0x1F}, 12_345)
-	h, _ := db.PutBlob(payload)
-	tbl.Insert(Row{h})
-	db.wal.close()
-	db.blobs.Close() // wrote a valid index snapshot...
-
-	// ...which the simulated crash tore mid-write.
-	idx := filepath.Join(casPath(dir), "cas.index")
-	raw, err := os.ReadFile(idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(idx, raw[:len(raw)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	db2, err := Open(dir, Options{Sync: SyncAlways})
-	if err != nil {
-		t.Fatalf("reopen over torn index: %v", err)
-	}
-	defer db2.Close()
-	st, _ := db2.BlobStats()
-	if !st.RebuiltFromScan {
-		t.Error("torn index snapshot was trusted")
-	}
-	tbl2, _ := db2.Table("t")
-	row, _, _ := tbl2.Get(1)
-	if data, err := db2.GetBlob(row[0].(blob.Handle)); err != nil || !bytes.Equal(data, payload) {
-		t.Fatalf("payload after index rebuild: %v", err)
-	}
-}
-
 // TestCrashMidCompaction simulates dying between a compaction's copy and
 // its delete of the source segment: the same block exists twice. Open's
 // scan must keep one copy, free the other, and read the object clean.
@@ -318,7 +275,6 @@ func TestCrashMidCompaction(t *testing.T) {
 	tbl.Insert(Row{h})
 	db.wal.close()
 	db.blobs.Close()
-	os.Remove(filepath.Join(casPath(dir), "cas.index"))
 
 	// Duplicate the first block of segment 0 into a fresh "compaction
 	// target" segment, block-aligned at offset 0.

@@ -551,9 +551,7 @@ func (db *DB) checkpointLocked() error {
 	if err := syncDir(db.dir); err != nil {
 		return err
 	}
-	// Flush (not just sync) the blob store: the index snapshot it writes
-	// lets the next Open skip the segment recovery scan.
-	if err := db.blobs.Flush(); err != nil {
+	if err := db.blobs.Sync(); err != nil {
 		return err
 	}
 	// truncate fires the WAL's onSync hook: the snapshot now covers
