@@ -51,13 +51,13 @@ var all = []experiment{
 	{"E7", "voice processing accuracy (Fig. 10)",
 		func(string) (*experiments.Table, error) { return experiments.E7Voice() }},
 	{"E8", "preference-based pre-fetching (§4.4)",
-		func(string) (*experiments.Table, error) { return experiments.E8Prefetch() }},
+		experiments.E8Prefetch},
 	{"E9", "online CP-net update cost (§4.2)",
 		func(string) (*experiments.Table, error) { return experiments.E9Update() }},
 	{"E12", "goodput under overload: admission control vs unprotected",
 		experiments.E12Overload},
 	{"E15", "adaptive QoS: bandwidth-tuned degradation vs static-high (§4.4)",
-		func(string) (*experiments.Table, error) { return experiments.E15QoS() }},
+		experiments.E15QoS},
 }
 
 func main() {

@@ -2,7 +2,7 @@
 // presents documents, forwards the viewer's interactions to the
 // interaction server, and receives both direct responses and pushed room
 // events. It also hosts the §4.4 client-side buffer: one media cache that
-// fetches read, server prefetch pushes fill and a session can warm.
+// fetches read and fill, and server prefetch pushes fill.
 package client
 
 import (
@@ -325,7 +325,7 @@ func (c *Client) GetDocumentCtx(ctx context.Context, docID string) (*document.Do
 
 // GetImage fetches an image object and decodes its raster.
 func (c *Client) GetImage(id uint64) (*image.Gray, string, error) {
-	resp, err := c.getImageResp(id, false)
+	resp, err := c.getImageResp(id)
 	if err != nil {
 		return nil, "", err
 	}
@@ -338,18 +338,17 @@ func (c *Client) GetImage(id uint64) (*image.Gray, string, error) {
 
 // GetImageBytes fetches an image object's raw payload.
 func (c *Client) GetImageBytes(id uint64) ([]byte, error) {
-	resp, err := c.getImageResp(id, false)
+	resp, err := c.getImageResp(id)
 	if err != nil {
 		return nil, err
 	}
 	return resp.Data, nil
 }
 
-// getImageResp is the image fetch through the media buffer; a
-// speculative payload (a warm) is offered to it, never put.
-func (c *Client) getImageResp(id uint64, speculative bool) (*proto.GetImageResp, error) {
+// getImageResp is the image fetch through the media buffer.
+func (c *Client) getImageResp(id uint64) (*proto.GetImageResp, error) {
 	var resp proto.GetImageResp
-	data, err := c.buffer.Load().fetch(objectKey{mediadb.ImageTable, id}, speculative, func(known []byte) (bool, []byte, []byte, error) {
+	data, err := c.buffer.Load().fetch(objectKey{mediadb.ImageTable, id}, func(known []byte) (bool, []byte, []byte, error) {
 		err := c.call(context.Background(), proto.MGetImage, &proto.GetImageReq{ID: id, IfDigestAbsent: known}, &resp)
 		return resp.NotModified, resp.Digest, resp.Data, err
 	})
@@ -362,7 +361,7 @@ func (c *Client) getImageResp(id uint64, speculative bool) (*proto.GetImageResp,
 
 // GetAudio fetches an audio object: PCM bytes plus segmentation metadata.
 func (c *Client) GetAudio(id uint64) (pcm, sectors []byte, filename string, err error) {
-	resp, err := c.getAudioResp(id, false)
+	resp, err := c.getAudioResp(id)
 	if err != nil {
 		return nil, nil, "", err
 	}
@@ -370,9 +369,9 @@ func (c *Client) GetAudio(id uint64) (pcm, sectors []byte, filename string, err 
 }
 
 // getAudioResp is the audio fetch through the media buffer.
-func (c *Client) getAudioResp(id uint64, speculative bool) (*proto.GetAudioResp, error) {
+func (c *Client) getAudioResp(id uint64) (*proto.GetAudioResp, error) {
 	var resp proto.GetAudioResp
-	data, err := c.buffer.Load().fetch(objectKey{mediadb.AudioTable, id}, speculative, func(known []byte) (bool, []byte, []byte, error) {
+	data, err := c.buffer.Load().fetch(objectKey{mediadb.AudioTable, id}, func(known []byte) (bool, []byte, []byte, error) {
 		err := c.call(context.Background(), proto.MGetAudio, &proto.GetAudioReq{ID: id, IfDigestAbsent: known}, &resp)
 		return resp.NotModified, resp.Digest, resp.Data, err
 	})
@@ -386,7 +385,7 @@ func (c *Client) getAudioResp(id uint64, speculative bool) (*proto.GetAudioResp,
 // GetCmp fetches a multi-layer stream truncated to maxLayers (0 = all)
 // and decodes it at that fidelity.
 func (c *Client) GetCmp(id uint64, maxLayers int) (*image.Gray, int, error) {
-	resp, err := c.getCmpResp(id, maxLayers, false)
+	resp, err := c.getCmpResp(id, maxLayers)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -403,13 +402,13 @@ func (c *Client) GetCmp(id uint64, maxLayers int) (*image.Gray, int, error) {
 
 // getCmpResp is the stream fetch. Only the untruncated fetch goes through
 // the media buffer: the digest addresses the full stream.
-func (c *Client) getCmpResp(id uint64, maxLayers int, speculative bool) (*proto.GetCmpResp, error) {
+func (c *Client) getCmpResp(id uint64, maxLayers int) (*proto.GetCmpResp, error) {
 	var b *mediaBuffer
 	if maxLayers == 0 {
 		b = c.buffer.Load()
 	}
 	var resp proto.GetCmpResp
-	data, err := b.fetch(objectKey{mediadb.CmpTable, id}, speculative, func(known []byte) (bool, []byte, []byte, error) {
+	data, err := b.fetch(objectKey{mediadb.CmpTable, id}, func(known []byte) (bool, []byte, []byte, error) {
 		err := c.call(context.Background(), proto.MGetCmp, &proto.GetCmpReq{ID: id, MaxLayers: maxLayers, IfDigestAbsent: known}, &resp)
 		return resp.NotModified, resp.Digest, resp.Data, err
 	})

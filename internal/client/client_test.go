@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"maps"
 	"net"
 	"reflect"
 	"slices"
@@ -28,15 +27,7 @@ import (
 // — no TCP, so these tests isolate the client-library logic.
 func pipeSystem(t *testing.T) (*Client, *workload.PopulatedRecord) {
 	t.Helper()
-	c, _, recs := pipeStore(t, "p1")
-	return c, recs[0]
-}
-
-// pipeStore is pipeSystem over a store holding one populated record per
-// name in docs.
-func pipeStore(t *testing.T, docs ...string) (*Client, *mediadb.MediaDB, []*workload.PopulatedRecord) {
-	t.Helper()
-	srv, m, recs := testServer(t, docs...)
+	srv, _, recs := testServer(t, "p1")
 	sc, cc := net.Pipe()
 	go srv.ServeConn(sc)
 	c, err := overConn(cc, "alice")
@@ -44,7 +35,7 @@ func pipeStore(t *testing.T, docs ...string) (*Client, *mediadb.MediaDB, []*work
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return c, m, recs
+	return c, recs[0]
 }
 
 // testServer is a server over a store holding one populated record per
@@ -489,28 +480,29 @@ updated:
 	}
 }
 
-// The first Join with a size gives the client its buffer; a warmed
+// The first Join with a size gives the client its buffer; a fetched
 // object is then a fetch the buffer answers.
 func TestSessionBuffer(t *testing.T) {
 	c, rec := pipeSystem(t)
-	s, _, err := c.Join("r", "p1", 1<<22)
-	if err != nil {
+	if _, _, err := c.Join("r", "p1", 1<<22); err != nil {
 		t.Fatal(err)
 	}
 	b := c.buffer.Load()
 	if b == nil {
 		t.Fatal("buffer not created")
 	}
-	n, err := s.WarmBuffer(nil, 1<<22)
-	if err != nil || n == 0 {
-		t.Fatalf("WarmBuffer: %d %v", n, err)
-	}
-	warmed := c.BufferStats()
 	if _, _, err := c.GetImage(rec.CTID); err != nil {
 		t.Fatal(err)
 	}
-	if st := c.BufferStats(); st.Hits != warmed.Hits+1 || st.Misses != warmed.Misses {
-		t.Errorf("fetch of a warmed image: %+v after %+v, want one more hit", st, warmed)
+	fetched := c.BufferStats()
+	if fetched.Misses != 1 || fetched.Bytes == 0 {
+		t.Fatalf("first fetch: %+v, want one miss and the image held", fetched)
+	}
+	if _, _, err := c.GetImage(rec.CTID); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.BufferStats(); st.Hits != fetched.Hits+1 || st.Misses != fetched.Misses {
+		t.Errorf("fetch of a held image: %+v after %+v, want one more hit", st, fetched)
 	}
 	// A later Join shares the buffer, whatever size it names.
 	if _, _, err := c.Join("r2", "p1", 1<<10); err != nil {
@@ -522,11 +514,10 @@ func TestSessionBuffer(t *testing.T) {
 }
 
 // One buffer serves every goroutine of the client: fetches of the three
-// kinds and a warm running at once each get the object's own bytes.
+// kinds running at once each get the object's own bytes.
 func TestBufferSharedByConcurrentFetches(t *testing.T) {
 	c, rec := pipeSystem(t)
-	s, _, err := c.Join("r", "p1", 1<<22)
-	if err != nil {
+	if _, _, err := c.Join("r", "p1", 1<<22); err != nil {
 		t.Fatal(err)
 	}
 	ct, err := c.GetImageBytes(rec.CTID)
@@ -552,73 +543,12 @@ func TestBufferSharedByConcurrentFetches(t *testing.T) {
 				if _, _, err := c.GetCmp(rec.CmpID, 0); err != nil {
 					t.Errorf("stream: %v", err)
 				}
-				if _, err := s.WarmBuffer(nil, 1<<22); err != nil {
-					t.Errorf("warm: %v", err)
-				}
 			}
 		}()
 	}
 	wg.Wait()
 	if st := c.BufferStats(); st.Hits < 4*5*2 {
 		t.Errorf("stats %+v: the held image and audio were transferred again", st)
-	}
-}
-
-// In a two-record store object ids overlap across tables: patient p1's
-// voice recording is audio 2, and image 2 is p0's X-ray. Warming p1's
-// session fetches each candidate from its own table, so the buffer holds
-// only p1's objects, each under its row's digest.
-func TestWarmBufferHoldsOnlyTheRecordsObjects(t *testing.T) {
-	c, m, recs := pipeStore(t, "p0", "p1")
-	rec := recs[1]
-	s, _, err := c.Join("r", "p1", 1<<22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.WarmBuffer(nil, 1<<22); err != nil {
-		t.Fatal(err)
-	}
-	want := make(map[objectKey]blob.Digest)
-	for _, id := range []uint64{rec.CTID, rec.XrayID} {
-		row, err := m.GetImageRow(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[objectKey{mediadb.ImageTable, id}] = row.Data.Digest
-	}
-	audio, err := m.GetAudioRow(rec.VoiceID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want[objectKey{mediadb.AudioTable, rec.VoiceID}] = audio.Data.Digest
-	stream, err := m.GetCmpRow(rec.CmpID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want[objectKey{mediadb.CmpTable, rec.CmpID}] = stream.Data.Digest
-
-	b := c.buffer.Load()
-	b.mu.Lock()
-	held := maps.Clone(b.byID)
-	b.mu.Unlock()
-	if len(held) == 0 {
-		t.Fatal("warm filed nothing")
-	}
-	for k, d := range held {
-		w, ok := want[k]
-		if !ok {
-			t.Errorf("buffer holds %s object %d, not one of p1's", k.table, k.id)
-			continue
-		}
-		if d != w {
-			t.Errorf("%s object %d held under digest %x, its row holds %x", k.table, k.id, d, w)
-		}
-		if data, ok := b.payloads.Get(d); !ok || blob.Sum(data) != d {
-			t.Errorf("%s object %d: payload resident=%v does not match its digest", k.table, k.id, ok)
-		}
-	}
-	if _, ok := held[objectKey{mediadb.AudioTable, rec.VoiceID}]; !ok {
-		t.Errorf("p1's voice recording (audio %d) was not warmed; held %v", rec.VoiceID, held)
 	}
 }
 

@@ -7,22 +7,19 @@ import (
 
 	"mmconf/internal/blob"
 	"mmconf/internal/bytecache"
-	"mmconf/internal/cpnet"
-	"mmconf/internal/mediadb"
-	"mmconf/internal/prefetch"
 )
 
 // The client's media buffer (§4.4): one byte-bounded cache of media
 // payloads keyed by their content digest, under an object → digest map
 // keyed by (table, id). Every payload the client gets enters it — a
-// fetched response, a server prefetch push, a warmed candidate — and
-// every fetch reads it: GetImage, GetAudio and GetCmp send the digest
-// the buffer holds for the object in IfDigestAbsent; a server whose
-// object still has that digest answers NotModified with no payload, and
-// the client serves the held bytes. A pushed or warmed object costs a
-// round trip, not a transfer; a changed object transfers, because its
-// digest no longer matches. Because payloads are keyed by content, two
-// objects with identical bytes share one entry.
+// fetched response or a server prefetch push — and every fetch reads
+// it: GetImage, GetAudio and GetCmp send the digest the buffer holds for
+// the object in IfDigestAbsent; a server whose object still has that
+// digest answers NotModified with no payload, and the client serves the
+// held bytes. A pushed object costs a round trip, not a transfer; a
+// changed object transfers, because its digest no longer matches.
+// Because payloads are keyed by content, two objects with identical
+// bytes share one entry.
 
 // objectKey names a media object: its table and its id within it (ids
 // are per table, see mediadb.KindTable).
@@ -36,7 +33,6 @@ type objectKey struct {
 // its next lookup. A nil *mediaBuffer is a client with no buffer: every
 // fetch transfers.
 type mediaBuffer struct {
-	capacity int64
 	payloads *bytecache.Cache[blob.Digest]
 
 	mu   sync.Mutex
@@ -47,7 +43,6 @@ type mediaBuffer struct {
 
 func newMediaBuffer(capacity int64) *mediaBuffer {
 	return &mediaBuffer{
-		capacity: capacity,
 		payloads: bytecache.New[blob.Digest](capacity),
 		byID:     make(map[objectKey]blob.Digest),
 	}
@@ -73,26 +68,15 @@ func (b *mediaBuffer) lookup(k objectKey) (digest, data []byte) {
 	return d[:], data
 }
 
-// holds reports whether the object's payload is resident, counting no
-// lookup and leaving the LRU order alone.
-func (b *mediaBuffer) holds(k objectKey) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	d, ok := b.byID[k]
-	return ok && b.payloads.Contains(d)
-}
-
 // filing is how a payload enters the buffer.
 type filing int
 
 const (
 	// fetched: somebody asked for it, so it is put, evicting as needed.
 	fetched filing = iota
-	// warmed: speculative, so it is offered — kept only if it fits
+	// pushed: speculative, so it is offered — kept only if it fits
 	// without evicting anything, because what nobody asked for must
-	// never displace what somebody did.
-	warmed
-	// pushed: offered like a warm, but the bytes are a push body, valid
+	// never displace what somebody did. The bytes are a push body, valid
 	// only during the push handler's call: the buffer keeps a copy, made
 	// only if it accepts the payload.
 	pushed
@@ -109,10 +93,6 @@ func (b *mediaBuffer) file(k objectKey, digest, data []byte, how filing) {
 	switch how {
 	case fetched:
 		b.payloads.Put(d, data)
-	case warmed:
-		if !b.payloads.Offer(d, data) {
-			return
-		}
 	case pushed:
 		if !b.payloads.OfferCopy(d, data) {
 			return
@@ -126,7 +106,7 @@ func (b *mediaBuffer) file(k objectKey, digest, data []byte, how filing) {
 // payload. A NotModified answer is served from the buffer (a hit); a
 // transferred payload is filed in it (a miss). A nil buffer leaves known
 // nil, so every fetch transfers.
-func (b *mediaBuffer) fetch(k objectKey, speculative bool, call func(known []byte) (notModified bool, digest, data []byte, err error)) ([]byte, error) {
+func (b *mediaBuffer) fetch(k objectKey, call func(known []byte) (notModified bool, digest, data []byte, err error)) ([]byte, error) {
 	known, held := b.lookup(k)
 	notModified, digest, data, err := call(known)
 	if err != nil {
@@ -141,11 +121,7 @@ func (b *mediaBuffer) fetch(k objectKey, speculative bool, call func(known []byt
 	}
 	if b != nil {
 		b.misses.Add(1)
-		how := fetched
-		if speculative {
-			how = warmed
-		}
-		b.file(k, digest, data, how)
+		b.file(k, digest, data, fetched)
 	}
 	return data, nil
 }
@@ -171,54 +147,4 @@ func (c *Client) BufferStats() BufferStats {
 		Misses: b.misses.Load(),
 		Bytes:  b.payloads.Stats().Bytes,
 	}
-}
-
-// WarmBuffer fetches the payloads likeliest to be displayed next into the
-// client's media buffer (§4.4), given the current view's choices, up to
-// budget bytes. It returns the number of payloads fetched.
-func (s *Session) WarmBuffer(choices cpnet.Outcome, budget int64) (int, error) {
-	b := s.client.buffer.Load()
-	if b == nil {
-		return 0, fmt.Errorf("client: no media buffer (join with bufferBytes > 0)")
-	}
-	n, _, err := prefetch.Warm(s.Doc, choices, budget, warming{s.client, b})
-	return n, err
-}
-
-// warming is the media buffer as the warm loop fills it: a candidate is
-// fetched the way its table says and offered, never put.
-type warming struct {
-	c *Client
-	b *mediaBuffer
-}
-
-func (w warming) Holds(cand prefetch.Candidate) bool {
-	return w.b.holds(objectKey{mediadb.KindTable(cand.Kind), cand.ObjectID})
-}
-
-func (w warming) Free() int64 { return w.b.capacity - w.b.payloads.Stats().Bytes }
-
-func (w warming) Fetch(cand prefetch.Candidate) (int64, error) {
-	switch mediadb.KindTable(cand.Kind) {
-	case mediadb.ImageTable:
-		r, err := w.c.getImageResp(cand.ObjectID, true)
-		if err != nil {
-			return 0, err
-		}
-		return int64(len(r.Data)), nil
-	case mediadb.AudioTable:
-		r, err := w.c.getAudioResp(cand.ObjectID, true)
-		if err != nil {
-			return 0, err
-		}
-		return int64(len(r.Data)), nil
-	case mediadb.CmpTable:
-		// The full stream: the only stream form the buffer holds.
-		r, err := w.c.getCmpResp(cand.ObjectID, 0, true)
-		if err != nil {
-			return 0, err
-		}
-		return int64(len(r.Data)), nil
-	}
-	return 0, nil // Rank yields no kind without a table
 }

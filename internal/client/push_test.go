@@ -149,6 +149,15 @@ func TestPushDecodeAllocations(t *testing.T) {
 	}
 }
 
+// holds reports whether the buffer holds the object's payload, counting
+// no lookup and leaving the LRU order alone.
+func holds(b *mediaBuffer, k objectKey) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	d, ok := b.byID[k]
+	return ok && b.payloads.Contains(d)
+}
+
 // TestPushedPayloadOutlivesItsFrame: a push body is valid only during
 // the push handler's call — the frame is read where it lies in the
 // connection's read buffer and the next frame overwrites it — so the
@@ -188,7 +197,7 @@ func TestPushedPayloadOutlivesItsFrame(t *testing.T) {
 	if err := p.Push(proto.MPrefetchPush, &proto.PrefetchPush{Room: "r", ObjectID: id, Digest: digest[:], Data: payload}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return c.buffer.Load().holds(objectKey{mediadb.ImageTable, id}) })
+	waitFor(t, func() bool { return holds(c.buffer.Load(), objectKey{mediadb.ImageTable, id}) })
 	// The next frame arrives in a read of its own and lands where the
 	// prefetch push lay.
 	ev := room.Event{Room: "elsewhere", Actor: "bob", Kind: room.EvChat, Text: strings.Repeat("overwrite ", 40)}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -17,7 +16,6 @@ import (
 	"mmconf/internal/obs"
 	"mmconf/internal/proto"
 	"mmconf/internal/server"
-	"mmconf/internal/store"
 	"mmconf/internal/wire"
 	"mmconf/internal/workload"
 )
@@ -105,23 +103,11 @@ func e12Overload(workdir string, p e12Params) (*Table, error) {
 		Title:   "Goodput under overload: admission control vs unprotected baseline",
 		Columns: []string{"series", "offered/s", "completed", "shed", "failed", "dropped", "goodput/s", "vs peak", "ctl p99", "×unloaded"},
 	}
-	dir, err := os.MkdirTemp(workdir, "e12-*")
+	m, _, done, err := recordStore(workdir, "p1")
 	if err != nil {
 		return nil, err
 	}
-	defer os.RemoveAll(dir)
-	db, err := store.Open(dir, store.Options{Sync: store.SyncNever})
-	if err != nil {
-		return nil, err
-	}
-	defer db.Close()
-	m, err := mediadb.Open(db)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := workload.Populate(m, "p1", 1); err != nil {
-		return nil, err
-	}
+	defer done()
 	// The bulk op is an uncached 2-layer prefix fetch of a multi-layer
 	// stream: the server reads and copies the full body per request
 	// (store fetch + compress.Unmarshal), so every admitted op costs

@@ -3,15 +3,11 @@ package experiments
 import (
 	"fmt"
 	"net"
-	"os"
 	"time"
 
 	"mmconf/internal/client"
-	"mmconf/internal/mediadb"
 	"mmconf/internal/netsim"
 	"mmconf/internal/server"
-	"mmconf/internal/store"
-	"mmconf/internal/workload"
 )
 
 // E1Retrieve measures the full architecture of Fig. 1/3/4 end to end: a
@@ -24,24 +20,11 @@ func E1Retrieve(workdir string) (*Table, error) {
 		Title:   "End-to-end document retrieval (Fig. 1, 3, 4)",
 		Columns: []string{"operation", "payload", "LAN-latency", "@128KiB/s", "@1MiB/s"},
 	}
-	dir, err := os.MkdirTemp(workdir, "e1-*")
+	m, rec, done, err := recordStore(workdir, "p1")
 	if err != nil {
 		return nil, err
 	}
-	defer os.RemoveAll(dir)
-	db, err := store.Open(dir, store.Options{Sync: store.SyncNever})
-	if err != nil {
-		return nil, err
-	}
-	defer db.Close()
-	m, err := mediadb.Open(db)
-	if err != nil {
-		return nil, err
-	}
-	rec, err := workload.Populate(m, "p1", 1)
-	if err != nil {
-		return nil, err
-	}
+	defer done()
 	srv := server.New(m)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -10,12 +10,15 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"strings"
 	"time"
 
 	"mmconf/internal/core"
 	"mmconf/internal/cpnet"
 	"mmconf/internal/document"
+	"mmconf/internal/mediadb"
+	"mmconf/internal/store"
 	"mmconf/internal/workload"
 )
 
@@ -427,4 +430,32 @@ func E9Update() (*Table, error) {
 // wideDoc builds the n-component WideRecord E2 solves and E9 mutates.
 func wideDoc(n int) (*document.Document, error) {
 	return workload.WideRecord(fmt.Sprintf("w%d", n), n, int64(n))
+}
+
+// recordStore opens a store in a new directory under workdir holding one
+// record populated through workload.Populate; done closes and removes it.
+func recordStore(workdir, id string) (*mediadb.MediaDB, *workload.PopulatedRecord, func(), error) {
+	dir, err := os.MkdirTemp(workdir, id+"-*")
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	db, err := store.Open(dir, store.Options{Sync: store.SyncNever})
+	if err != nil {
+		os.RemoveAll(dir)
+		return nil, nil, nil, err
+	}
+	done := func() {
+		db.Close()
+		os.RemoveAll(dir)
+	}
+	m, err := mediadb.Open(db)
+	var rec *workload.PopulatedRecord
+	if err == nil {
+		rec, err = workload.Populate(m, id, 1)
+	}
+	if err != nil {
+		done()
+		return nil, nil, nil, err
+	}
+	return m, rec, done, nil
 }

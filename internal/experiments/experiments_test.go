@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"mmconf/internal/cpnet"
+	"mmconf/internal/server"
 )
 
 func TestFig2NetworkMatchesPaper(t *testing.T) {
@@ -174,12 +176,28 @@ func TestE8Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tb, err := E8Prefetch()
+	// Each run has a server of its own, so its counter is the run's delta.
+	var pushed []uint64
+	tb, err := e8Prefetch(t.TempDir(), func(srv *server.Server) {
+		pushed = append(pushed, srv.Stats().Counter(server.CounterQoSPrefetchBytes))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) != 12 {
-		t.Errorf("rows = %d", len(tb.Rows))
+	if len(tb.Rows) != 12 || len(pushed) != len(tb.Rows) {
+		t.Fatalf("rows = %d, runs = %d:\n%s", len(tb.Rows), len(pushed), tb)
+	}
+	for i, row := range tb.Rows {
+		switch row[1] {
+		case "none":
+			if row[2] != "0.000" {
+				t.Errorf("a client without a buffer hit: %v", row)
+			}
+		case "preference":
+			if want := fmt.Sprint(pushed[i] >> 10); pushed[i] == 0 || row[5] != want {
+				t.Errorf("prefetch-KB %s, the run's server pushed %d bytes: %v", row[5], pushed[i], row)
+			}
+		}
 	}
 }
 
@@ -268,7 +286,7 @@ func TestE15Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tb, err := E15QoS()
+	tb, err := E15QoS(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

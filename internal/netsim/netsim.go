@@ -15,15 +15,12 @@ import (
 )
 
 // Link is an analytic model of a network path: fixed propagation latency
-// plus serialization at a bandwidth, with FIFO queueing.
+// plus serialization at a bandwidth.
 type Link struct {
 	// Bandwidth in bytes per second.
 	Bandwidth int64
 	// Latency is the one-way propagation delay.
 	Latency time.Duration
-
-	mu        sync.Mutex
-	busyUntil time.Time
 }
 
 // NewLink returns a link model.
@@ -45,27 +42,6 @@ func (l *Link) TransferTime(n int64) time.Duration {
 	}
 	ser := time.Duration(float64(n) / float64(l.Bandwidth) * float64(time.Second))
 	return l.Latency + ser
-}
-
-// Enqueue models sending n bytes at the given instant over the shared
-// link, honoring earlier queued transfers, and returns the arrival time.
-func (l *Link) Enqueue(now time.Time, n int64) time.Time {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	start := now
-	if l.busyUntil.After(start) {
-		start = l.busyUntil
-	}
-	ser := time.Duration(float64(n) / float64(l.Bandwidth) * float64(time.Second))
-	l.busyUntil = start.Add(ser)
-	return l.busyUntil.Add(l.Latency)
-}
-
-// Reset clears the queueing state.
-func (l *Link) Reset() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.busyUntil = time.Time{}
 }
 
 // ThrottledConn wraps a net.Conn, pacing writes to a byte rate. Reads are

@@ -33,32 +33,6 @@ func TestLinkValidation(t *testing.T) {
 	}
 }
 
-func TestLinkQueueing(t *testing.T) {
-	l, _ := NewLink(1000, 0)
-	now := time.Unix(1000, 0)
-	// Two back-to-back 1000-byte sends: second arrives a second later.
-	a1 := l.Enqueue(now, 1000)
-	a2 := l.Enqueue(now, 1000)
-	if a1.Sub(now) != time.Second {
-		t.Errorf("first arrival after %v", a1.Sub(now))
-	}
-	if a2.Sub(now) != 2*time.Second {
-		t.Errorf("second arrival after %v (no queueing?)", a2.Sub(now))
-	}
-	// After Reset the link is idle again.
-	l.Reset()
-	a3 := l.Enqueue(now, 1000)
-	if a3.Sub(now) != time.Second {
-		t.Errorf("post-reset arrival after %v", a3.Sub(now))
-	}
-	// A send after the queue drained starts fresh.
-	later := now.Add(time.Minute)
-	a4 := l.Enqueue(later, 500)
-	if a4.Sub(later) != 500*time.Millisecond {
-		t.Errorf("idle-link arrival after %v", a4.Sub(later))
-	}
-}
-
 func TestThrottledConnPacesWrites(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()

@@ -1,23 +1,23 @@
-// Package prefetch implements the preference-based pre-fetching of §4.4
-// of the paper (formalized in their TR [12], "Predicting Likely Components
-// in CP-net based Multimedia Systems"): because the whole document cannot
-// be downloaded ahead of time under limited client buffer and bandwidth,
-// the client downloads the components *most likely to be requested*,
-// using the buffer as a cache. Likelihood comes from the preference
-// structure itself: the current optimal configuration is needed now, and
-// the configurations reachable by the viewer's single next choice are
-// ranked by where the author lists that choice in the variable's domain.
+// Package prefetch ranks the components of §4.4 of the paper (formalized
+// in their TR [12], "Predicting Likely Components in CP-net based
+// Multimedia Systems"): because the whole document cannot be downloaded
+// ahead of time under limited client buffer and bandwidth, the client is
+// served the components *most likely to be requested*, using its buffer
+// as a cache. Likelihood comes from the preference structure itself: the
+// current optimal configuration is needed now, and the configurations
+// reachable by the viewer's single next choice are ranked by where the
+// author lists that choice in the variable's domain.
 //
-// The package also provides the demand-only LRU and no-cache baselines
-// the E8 experiment compares against.
+// RankSchema is the one ranking. The server's QoS loop reads it through
+// core.Engine.PrefetchRank and pushes the best candidates into the
+// client's media buffer (internal/server/qos.go); E8 and E15 measure that
+// path.
 package prefetch
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 
-	"mmconf/internal/cpnet"
 	"mmconf/internal/document"
 	"mmconf/internal/mediadb"
 )
@@ -42,25 +42,12 @@ type Candidate struct {
 // certain ones.
 const lookaheadWeight = 0.5
 
-// Rank returns candidate payloads in descending likelihood given the
-// document and the current viewer choices, one per stored object: object
-// ids are per table, so a stream and an image that share an id are two
-// candidates. Payloads with ObjectID 0 (inline or hidden forms) or a kind
-// no table stores are not fetchable and are skipped.
-func Rank(doc *document.Document, choices cpnet.Outcome) ([]Candidate, error) {
-	s, err := doc.Schema()
-	if err != nil {
-		return nil, err
-	}
-	pins, err := s.Network().Evidence(choices, nil)
-	if err != nil {
-		return nil, fmt.Errorf("document %s: %w", doc.ID, err)
-	}
-	return RankSchema(s, pins)
-}
-
-// RankSchema is Rank over a compiled document and an evidence vector
-// under it; it reads nothing else, so it may run while the document it
+// RankSchema returns candidate payloads in descending likelihood, given a
+// compiled document and an evidence vector under it, one per stored
+// object: object ids are per table, so a stream and an image that share
+// an id are two candidates. Payloads with ObjectID 0 (inline or hidden
+// forms) or a kind no table stores are not fetchable and are skipped. It
+// reads nothing but its arguments, so it may run while the document it
 // was compiled from is edited.
 //
 // The payloads of the current optimal view score 1. Then comes a
@@ -147,49 +134,4 @@ func RankSchema(s *document.Schema, pins []uint8) ([]Candidate, error) {
 		return mediadb.KindTable(out[i].Kind) < mediadb.KindTable(out[j].Kind)
 	})
 	return out, nil
-}
-
-// Buffer is the client buffer a warm loop fills: a client's media buffer,
-// or the E8/E15 simulation's.
-type Buffer interface {
-	// Holds reports whether the candidate's payload is resident, counting
-	// no lookup.
-	Holds(Candidate) bool
-	// Free is the byte count the buffer takes without evicting.
-	Free() int64
-	// Fetch transfers the candidate's payload and offers it to the
-	// buffer, which keeps it only if it fits without evicting. It returns
-	// the bytes transferred.
-	Fetch(Candidate) (int64, error)
-}
-
-// Warm is the §4.4 warm loop: it ranks the document's candidates for the
-// viewer's choices and fetches them into buf, best first, until budget
-// bytes have been fetched this call or the ranking is exhausted. Held
-// payloads are skipped. Warming is speculative, so it never evicts: a
-// candidate that does not fit the buffer's free space is skipped (a
-// lower-ranked candidate must not push out a higher-ranked or recently
-// demanded payload) and a smaller one tried. It returns the number of
-// payloads fetched and their bytes.
-func Warm(doc *document.Document, choices cpnet.Outcome, budget int64, buf Buffer) (fetched int, spent int64, err error) {
-	cands, err := Rank(doc, choices)
-	if err != nil {
-		return 0, 0, err
-	}
-	for _, cand := range cands {
-		if spent >= budget {
-			break
-		}
-		if buf.Holds(cand) || cand.Bytes > buf.Free() {
-			continue
-		}
-		n, err := buf.Fetch(cand)
-		if err != nil {
-			return fetched, spent, fmt.Errorf("prefetch: warming %s object %d: %w",
-				mediadb.KindTable(cand.Kind), cand.ObjectID, err)
-		}
-		spent += n
-		fetched++
-	}
-	return fetched, spent, nil
 }

@@ -13,10 +13,10 @@ import (
 	"mmconf/internal/workload"
 )
 
-// referenceRank is Rank as it was before lookaheads re-solved by
+// referenceRank is the ranking as it was before lookaheads re-solved by
 // propagation, kept verbatim: it re-solves the whole document once per
 // variable and alternative and scores every component of every
-// lookahead view. TestRankMatchesReference holds Rank to it.
+// lookahead view. TestRankMatchesReference holds RankSchema to it.
 func referenceRank(doc *document.Document, choices cpnet.Outcome) ([]Candidate, error) {
 	base, err := doc.ReconfigPresentation(choices)
 	if err != nil {
@@ -86,7 +86,7 @@ func referenceRank(doc *document.Document, choices cpnet.Outcome) ([]Candidate, 
 	return out, nil
 }
 
-// TestRankMatchesReference: Rank — one base solve, each lookahead
+// TestRankMatchesReference: RankSchema — one base solve, each lookahead
 // re-solved by propagation from the flipped variable, only the
 // components that differ from the base scored — returns exactly what the
 // whole-document reference returns: the same candidates, scores and
@@ -96,7 +96,7 @@ func referenceRank(doc *document.Document, choices cpnet.Outcome) ([]Candidate, 
 func TestRankMatchesReference(t *testing.T) {
 	check := func(name string, doc *document.Document, choices cpnet.Outcome) {
 		t.Helper()
-		got, err := Rank(doc, choices)
+		got, err := rank(doc, choices)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"mmconf/internal/client"
-	"mmconf/internal/cpnet"
 	"mmconf/internal/media/image"
 	"mmconf/internal/media/voice"
 	"mmconf/internal/mediadb"
@@ -358,40 +357,6 @@ func TestHistoryRPC(t *testing.T) {
 	tail, err := sa.History(lastSeq)
 	if err != nil || len(tail) != 0 {
 		t.Errorf("History(last) = %v, %v", tail, err)
-	}
-}
-
-func TestSessionBufferWarm(t *testing.T) {
-	_, addr, _ := testSystem(t)
-	alice := dial(t, addr, "alice")
-	sa, _, err := alice.Join("consult", "p1", 1<<22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := sa.WarmBuffer(cpnet.Outcome{}, 1<<22)
-	if err != nil {
-		t.Fatalf("WarmBuffer: %v", err)
-	}
-	if n == 0 {
-		t.Error("nothing prefetched")
-	}
-	// The warmed CT image is now a fetch the buffer answers.
-	ct, _ := sa.Doc.Component("ct")
-	full, _ := ct.Presentation("full")
-	if _, _, err := alice.GetImage(full.ObjectID); err != nil {
-		t.Fatal(err)
-	}
-	if alice.BufferStats().Hits == 0 {
-		t.Error("warmed payload missed")
-	}
-	// A client without a buffer refuses warming.
-	bob := dial(t, addr, "bob")
-	sb, _, err := bob.Join("consult", "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sb.WarmBuffer(nil, 1); err == nil {
-		t.Error("bufferless warm accepted")
 	}
 }
 

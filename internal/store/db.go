@@ -532,14 +532,14 @@ func (db *DB) checkpointLocked() error {
 			(&walRecord{Op: opCreateIndex, Table: name, Col: col}).AppendBody(&e)
 		}
 	}
-	tmp := filepath.Join(db.dir, snapshotFile+".tmp")
-	if err := os.WriteFile(tmp, e.Flatten(), 0o644); err != nil {
-		return fmt.Errorf("store: snapshot write: %w", err)
+	// The snapshot's rows name blobs: their blocks reach the disk before
+	// a snapshot that refers to them can.
+	if err := db.blobs.Sync(); err != nil {
+		return err
 	}
-	f, err := os.Open(tmp)
-	if err == nil {
-		_ = f.Sync()
-		_ = f.Close()
+	tmp := filepath.Join(db.dir, snapshotFile+".tmp")
+	if err := writeSynced(tmp, e.Flatten()); err != nil {
+		return fmt.Errorf("store: snapshot write: %w", err)
 	}
 	if err := os.Rename(tmp, filepath.Join(db.dir, snapshotFile)); err != nil {
 		return fmt.Errorf("store: snapshot rename: %w", err)
@@ -551,12 +551,26 @@ func (db *DB) checkpointLocked() error {
 	if err := syncDir(db.dir); err != nil {
 		return err
 	}
-	if err := db.blobs.Sync(); err != nil {
-		return err
-	}
 	// truncate fires the WAL's onSync hook: the snapshot now covers
 	// every logged delete, so queued blob releases drain here too.
 	return db.wal.truncate()
+}
+
+// writeSynced writes data to path through one handle and fsyncs it,
+// returning the first error of the write, the sync and the close.
+func writeSynced(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // syncDir fsyncs a directory, making recent renames in it durable.
