@@ -60,7 +60,7 @@ func main() {
 	prefetchBudget := flag.Int64("prefetch-budget", 0, "per-session byte allowance for QoS push-prefetch (0: default 256KiB, negative: disabled)")
 	nodeID := flag.String("node-id", "", "cluster node id; empty runs a standalone server")
 	peers := flag.String("peers", "", "cluster peers as id=addr,id=addr (requires -node-id); -addr must be reachable by peers and clients, it is advertised in redirects")
-	forward := flag.Bool("forward", false, "cluster: relay wrong-node requests to the owner instead of redirecting (protocol-v2 clients)")
+	forward := flag.Bool("forward", false, "cluster: relay wrong-node requests to the owner instead of redirecting")
 	flag.Parse()
 
 	opts := server.Options{

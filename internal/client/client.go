@@ -524,7 +524,7 @@ func (s *Session) resume(ctx context.Context, call func(context.Context, string,
 	var resp proto.JoinRoomResp
 	if err := call(ctx, proto.MJoinRoom, &proto.JoinRoomReq{
 		Room: s.Room, DocID: s.docID, User: s.client.user,
-		Resume: true, SinceSeq: s.beginResume(),
+		Resume: true, SinceSeq: s.beginResume(), Buffered: s.client.buffer.Load() != nil,
 	}, &resp); err != nil {
 		return err
 	}
@@ -601,7 +601,7 @@ func (c *Client) JoinCtx(ctx context.Context, roomName, docID string, bufferByte
 	c.mu.Unlock()
 	var resp proto.JoinRoomResp
 	err := c.call(ctx, proto.MJoinRoom, &proto.JoinRoomReq{
-		Room: roomName, DocID: docID, User: c.user,
+		Room: roomName, DocID: docID, User: c.user, Buffered: c.buffer.Load() != nil,
 	}, &resp)
 	var doc *document.Document
 	if err == nil {

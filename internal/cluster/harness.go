@@ -46,8 +46,8 @@ type HarnessOptions struct {
 	// milliseconds, slow enough for the race detector's overhead).
 	HeartbeatInterval time.Duration
 	SuspectAfter      time.Duration
-	// Server is the base server configuration; the cluster hook fields
-	// must be nil (the node installs its own).
+	// Server is the base server configuration; each node fills its
+	// Cluster field with itself.
 	Server server.Options
 	// Logf, when set, receives node lifecycle diagnostics from every
 	// node, prefixed with its id (pass t.Logf).

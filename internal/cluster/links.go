@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -118,10 +119,13 @@ func (n *Node) handlePing(ctx context.Context, p *wire.Peer, req *proto.NodePing
 // keyed by owner node id. Each origin client gets its own connection to
 // each owner it reaches through this node, so the owner sees one
 // session scope per client (exactly as if the client had dialed it) and
-// pushes relay back to the right client.
+// pushes relay back to the right client. Once the client is gone
+// (closeAll) the set is closed: it opens no link, and a dial that
+// settles after that closes its own.
 type ingressSet struct {
-	mu    sync.Mutex
-	links map[string]*ingressLink
+	mu     sync.Mutex
+	links  map[string]*ingressLink
+	closed bool
 }
 
 // handleIngress marks the calling connection as a node-link ingress:
@@ -171,13 +175,24 @@ func (n *Node) ingressLinkFor(ctx context.Context, p *wire.Peer, owner string) (
 	set := v.(*ingressSet)
 	for attempt := 0; attempt < 2; attempt++ {
 		set.mu.Lock()
+		if set.closed {
+			set.mu.Unlock()
+			return nil, errClientGone
+		}
 		lk := set.links[owner]
 		if lk == nil {
 			lk = &ingressLink{ready: make(chan struct{})}
 			set.links[owner] = lk
 			set.mu.Unlock()
-			lk.rpc, lk.err = n.dialIngress(ctx, p, owner)
+			rpc, err := n.dialIngress(ctx, p, owner)
+			set.mu.Lock()
+			if set.closed && rpc != nil {
+				rpc.Close()
+				rpc, err = nil, errClientGone
+			}
+			lk.rpc, lk.err = rpc, err
 			close(lk.ready)
+			set.mu.Unlock()
 		} else {
 			set.mu.Unlock()
 			// A settled link is the common case: look before asking ctx
@@ -208,8 +223,13 @@ func (n *Node) ingressLinkFor(ctx context.Context, p *wire.Peer, owner string) (
 	return nil, fmt.Errorf("cluster: relay link to %s will not stay up", owner)
 }
 
+// errClientGone refuses a relay for an origin client whose connection
+// has closed.
+var errClientGone = errors.New("cluster: the relaying client is gone")
+
 // ingressLink is one lazily dialed relay connection; ready closes once
-// the dial (by whichever request got there first) settles.
+// the dial (by whichever request got there first) settles, under the
+// set's lock.
 type ingressLink struct {
 	ready chan struct{}
 	rpc   *wire.Client
@@ -220,19 +240,22 @@ func newIngressSet() *ingressSet {
 	return &ingressSet{links: make(map[string]*ingressLink)}
 }
 
-// closeAll tears down every relay link (the origin client is gone).
+// closeAll closes the set and every relay link that has settled (the
+// origin client is gone); a link still dialing closes itself when its
+// dial settles.
 func (s *ingressSet) closeAll() {
 	s.mu.Lock()
 	links := s.links
-	s.links = make(map[string]*ingressLink)
+	s.links, s.closed = nil, true
 	s.mu.Unlock()
 	for _, lk := range links {
-		go func(lk *ingressLink) {
-			<-lk.ready
+		select {
+		case <-lk.ready:
 			if lk.rpc != nil {
 				lk.rpc.Close()
 			}
-		}(lk)
+		default:
+		}
 	}
 }
 
@@ -348,15 +371,16 @@ func (n *Node) handleReplicate(ctx context.Context, p *wire.Peer, req *proto.Rep
 	return &proto.ReplicateResp{Seq: seq}, nil
 }
 
-// repState is the owner-side replication cursor for one room.
+// repState is the owner-side replication cursor for one room. The
+// replication loop owns it.
 type repState struct {
-	// pending: the log advanced past sent (the tap said so), or the last
-	// send failed; the next wake-up of replLoop flushes the room.
-	pending bool
+	// due: the log advanced past sent (the tap said so), the last send
+	// failed or the placement moved; the loop's next pass flushes the room.
+	due bool
 	// standby is the node the last frame landed on and sent the Seq that
 	// frame carried: the next flush ships LogSince(sent). sent 0 ships
 	// the whole log and forces the dataset with it — a first flush, a
-	// failed send, a standby or placement change.
+	// failed send, a standby or placement change, a hand-off.
 	standby string
 	sent    uint64
 	// dataFP/dataPos are the dataset half of the cursor: the fingerprint
@@ -366,14 +390,18 @@ type repState struct {
 	// the attach (sync.go).
 	dataFP  [32]byte
 	dataPos uint64
-	// frame is the replication frame incremental flushes read the log
-	// into, kept for its event array (replicate).
-	frame *proto.ReplicateReq
+	// handOff, when set, is the room's new owner (reconcile): the passes
+	// send the room there instead of to its standby, up to attempts more
+	// times, and then drop it (handOffRoom).
+	handOff  string
+	attempts int
+	// frame is the replication frame the log is read into, kept for its
+	// event array (replicate).
+	frame proto.ReplicateReq
 }
 
-// repStateLocked returns the room's cursor, creating it. Callers hold
-// n.repMu.
-func (n *Node) repStateLocked(roomName string) *repState {
+// cursor returns the room's replication cursor, creating it.
+func (n *Node) cursor(roomName string) *repState {
 	st := n.rep[roomName]
 	if st == nil {
 		st = &repState{}
@@ -387,166 +415,154 @@ func (n *Node) repStateLocked(roomName string) *repState {
 // reads the log itself.
 func (n *Node) roomTap(roomName string) {
 	n.repMu.Lock()
-	n.repStateLocked(roomName).pending = true
+	n.marked[roomName] = struct{}{}
 	n.repMu.Unlock()
+	n.wake()
+}
+
+// wake starts the replication loop's next pass without blocking.
+func (n *Node) wake() {
 	select {
 	case n.repWake <- struct{}{}:
-	default: // a wake-up is already due, and it will see the mark
+	default: // a pass is already due, and it will see what woke us
 	}
 }
 
-// markDirty makes the room's next flush a full one: the whole log, and
-// the dataset whether or not it changed.
-func (n *Node) markDirty(roomName string) {
-	n.repMu.Lock()
-	st := n.repStateLocked(roomName)
-	st.pending, st.sent = true, 0
-	n.repMu.Unlock()
-}
-
-// markAllDirty forces a full resend of every replicated room — the
-// placement changed, so standbys may have too.
+// markAllDirty makes every room's next flush a full one — the whole log,
+// and the dataset whether or not it changed.
 func (n *Node) markAllDirty() {
-	n.repMu.Lock()
 	for _, st := range n.rep {
-		st.pending, st.sent = true, 0
+		st.due, st.sent = true, 0
 	}
-	n.repMu.Unlock()
 }
 
-// replLoop streams the node's room event logs to each room's standby. A
-// tap wakes it at once; the heartbeat tick retries what a failed send or
-// a lost quorum left pending. Either way it walks the cursors once and
-// flushes the rooms that are marked.
+// replLoop is the one goroutine that sends replication frames, and the
+// owner of every cursor. A wake-up or the heartbeat tick runs one pass;
+// the tick retries what a failed send or a lost quorum left due and
+// notices a peer that went silent. Between passes it runs what onLoop
+// hands it.
 func (n *Node) replLoop() {
 	defer n.wg.Done()
 	t := time.NewTicker(n.cfg.HeartbeatInterval)
 	defer t.Stop()
-	var names []string
 	for {
 		select {
 		case <-n.closed:
 			return
+		case fn := <-n.calls:
+			fn()
 		case <-n.repWake:
+			n.pass()
 		case <-t.C:
+			n.pass()
 		}
-		names = names[:0]
-		n.repMu.Lock()
-		for name, st := range n.rep {
-			if st.pending {
-				st.pending = false
-				names = append(names, name)
-			}
-		}
-		n.repMu.Unlock()
-		for _, name := range names {
-			n.flushRoom(name)
+	}
+}
+
+// onLoop runs fn on the replication loop and returns once it has run, or
+// at once, without running it, when the node has closed.
+func (n *Node) onLoop(fn func()) {
+	done := make(chan struct{})
+	select {
+	case n.calls <- func() { fn(); close(done) }:
+		<-done
+	case <-n.closed:
+	}
+}
+
+// pass reconciles the placement, takes the taps' marks, and sends each
+// room its cursor says is due: a hand-off to its new owner, or a flush to
+// its standby. A hand-off attempt to a dead owner holds the other rooms
+// back by at most one call timeout, as a dead standby does.
+func (n *Node) pass() {
+	place, quorum := n.reconcile()
+	n.repMu.Lock()
+	for name := range n.marked {
+		n.cursor(name).due = true
+	}
+	clear(n.marked)
+	n.repMu.Unlock()
+	for name, st := range n.rep {
+		switch {
+		case st.handOff != "":
+			n.handOffRoom(name, st)
+		case st.due:
+			n.flushRoom(name, st, place, quorum)
 		}
 	}
 }
 
 // flushRoom sends the room's standby what it lacks.
-func (n *Node) flushRoom(name string) {
-	place, quorum := n.view()
+func (n *Node) flushRoom(name string, st *repState, place *Placement, quorum bool) {
 	if !quorum {
 		// A minority node must not replicate: its log may be the stale
-		// side of a healed split.
-		n.markDirty(name)
+		// side of a healed split. The room stays due, in full.
+		st.sent = 0
 		return
 	}
-	standby := place.Standby(name)
-	if standby == "" || standby == n.id {
-		return
+	st.due = false
+	if standby := place.Standby(name); standby != "" && standby != n.id {
+		n.replicate(name, standby, st, n.position())
 	}
-	n.repMu.Lock()
-	st := n.repStateLocked(name)
-	n.repMu.Unlock()
-	n.replicate(name, standby, st, n.position())
 }
 
-// replicate sends target one node.replicate frame for the room: the
-// log past since, read from the room's own log with the marks it was
-// read under, and the room's dataset unless the cursor shows
-// target already holds it (attachDataset). It is the one way a room
-// leaves this node, for a flush and a hand-off alike.
+// handOffRoom sends the room to the new owner its cursor is marked with,
+// and drops it once the frame landed or the last attempt failed.
+func (n *Node) handOffRoom(name string, st *repState) {
+	owner := st.handOff
+	if err := n.replicate(name, owner, st, n.position()); err != nil {
+		if st.attempts--; st.attempts > 0 {
+			return
+		}
+		n.logf("cluster %s: giving up handing %q off to %s after %d attempts: %v", n.id, name, owner, handOffAttempts, err)
+	}
+	n.evictRoom(name, "ownership moved to "+owner)
+	delete(n.rep, name)
+}
+
+// replicate sends target one node.replicate frame for the room: the log
+// past the cursor, read from the room's own log with the marks it was
+// read under into the frame the cursor keeps (callPeer has encoded it by
+// the time it returns, so once that frame has grown to a flush's size it
+// allocates nothing for the events), and the room's dataset unless the
+// cursor shows target already holds it (attachDataset). It is the one way
+// a room leaves this node: a flush, a hand-off and a drain alike. It runs
+// on the replication loop.
 //
-// A flush passes the room's cursor st and pos, the store position read
-// before the call. since is st.sent (0 when target is not the cursor's
-// standby), and the cursor moves only when the frame landed, so a lost
-// frame is read again, not remembered; a failed send marks the room for
-// a full resend. An incremental flush reads the log into the frame the
-// cursor keeps (callPeer has encoded it by the time it returns), so it
-// allocates nothing for the events once that frame has grown to a
-// flush's size. A hand-off (drain, reconcile) passes no cursor: since
-// is 0, which ships the whole log and forces the dataset. A whole-log
-// read, with or without a cursor, goes into a fresh frame that is not
-// kept.
+// pos is the store position read before the call. The log goes from
+// st.sent, or from 0 when target is not the cursor's standby. The cursor
+// moves only when the frame landed, so a lost frame is read again, not
+// remembered; a failed send leaves the room due for a full resend.
 //
 // It returns the send's error: nil when the frame landed, or when the
-// room is gone and there is nothing to send.
+// room is gone (its cursor with it) and there is nothing to send.
 func (n *Node) replicate(name, target string, st *repState, pos uint64) error {
-	var since uint64
-	var req *proto.ReplicateReq
-	if st != nil {
-		n.repMu.Lock()
-		if st.standby != target {
-			st.sent = 0
-		}
-		since = st.sent
-		if since != 0 {
-			// Taken, not shared: a flush of the same room running beside
-			// this one reads into a fresh frame instead.
-			req, st.frame = st.frame, nil
-		}
-		n.repMu.Unlock()
+	if st.standby != target {
+		st.sent = 0
 	}
-	if req == nil {
-		req = new(proto.ReplicateReq)
-	}
-	if !n.srv.SnapshotRoomInto(req, name, since) {
+	req := &st.frame
+	if !n.srv.SnapshotRoomInto(req, name, st.sent) {
 		// The room is gone (evicted or closed): nothing to stream.
-		if st != nil {
-			n.repMu.Lock()
-			delete(n.rep, name)
-			n.repMu.Unlock()
-		}
+		delete(n.rep, name)
 		return nil
 	}
-	fp, attached := n.attachDataset(req, st, since == 0, pos)
+	fp, attached := n.attachDataset(req, st, st.sent == 0, pos)
 	var resp proto.ReplicateResp
 	err := n.callPeer(context.Background(), target, proto.MNodeReplicate, req, &resp)
+	// A dataset that rode the frame is the store's to keep, not the cursor's.
+	req.Node, req.Rows, req.Manifests = "", nil, nil
 	if err != nil {
 		n.logf("cluster %s: replicating %q to %s failed: %v", n.id, name, target, err)
-		if st != nil {
-			n.markDirty(name)
-		}
-	} else {
-		n.replicated.Add(1)
-		if attached {
-			n.manifestSyncs.Add(1)
-		}
-	}
-	if st == nil {
+		st.due, st.sent = true, 0
 		return err
 	}
-	n.repMu.Lock()
-	if err == nil {
-		st.standby = target
-		if st.sent == since { // else marked dirty meanwhile: stay at 0
-			st.sent = req.Seq
-		}
-		if attached {
-			st.dataFP, st.dataPos = fp, pos
-		}
+	n.replicated.Add(1)
+	st.standby, st.sent = target, req.Seq
+	if attached {
+		n.manifestSyncs.Add(1)
+		st.dataFP, st.dataPos = fp, pos
 	}
-	if since != 0 {
-		// Keep the event array for the next flush; the dataset, if one
-		// rode this frame, is the store's to keep, not the cursor's.
-		req.Node, req.Rows, req.Manifests = "", nil, nil
-		st.frame = req
-	}
-	n.repMu.Unlock()
-	return err
+	return nil
 }
 
 // callPeer makes one call on the control link to a configured peer,
@@ -555,9 +571,7 @@ func (n *Node) replicate(name, target string, st *repState, pos uint64) error {
 // has none, and get bounds the dial. The request is encoded before the
 // call returns, so the caller may reuse it at once.
 func (n *Node) callPeer(ctx context.Context, target, method string, req wire.BodyEncoder, resp any) error {
-	n.mu.Lock()
 	ps := n.peers[target]
-	n.mu.Unlock()
 	if ps == nil {
 		return fmt.Errorf("cluster: %s: unknown peer %s", method, target)
 	}

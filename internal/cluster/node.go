@@ -119,6 +119,8 @@ type Node struct {
 	srv *server.Server
 	db  *mediadb.MediaDB
 
+	// peers is every other configured node, fixed in New; mu guards
+	// what each peerState holds, not the map.
 	mu    sync.Mutex
 	peers map[string]*peerState
 	// members is every configured node, this one included, sorted by id
@@ -129,7 +131,6 @@ type Node struct {
 	liveMask uint64
 	place    *Placement
 	placeKey string
-	lastRec  string // live-set key the reconciler last acted on
 	// roomPeers tracks, per locally served room, the connections that
 	// joined it here — the set reconciliation disconnects when ownership
 	// moves away.
@@ -141,15 +142,21 @@ type Node struct {
 	replMu   sync.Mutex
 	replicas map[string]*replica
 
-	// rep holds the owner-side replication cursor of each room; a tap
-	// marks the room's and sends on repWake to start the loop at once.
-	repWake chan struct{}
-	repMu   sync.Mutex
+	// rep holds the owner-side replication cursor of each local room,
+	// and lastRec the live-set key the last reconcile acted on. Only the
+	// replication loop (replLoop) touches either.
 	rep     map[string]*repState
+	lastRec string
+	// marked holds the rooms a tap reported advanced since the loop last
+	// looked. repWake wakes the loop: a tap, a failed ping or a peer that
+	// came back. calls runs a function on the loop (onLoop).
+	repMu   sync.Mutex
+	marked  map[string]struct{}
+	repWake chan struct{}
+	calls   chan func()
 
 	closed    chan struct{}
 	closeOnce sync.Once
-	recNotify chan struct{}
 	wg        sync.WaitGroup
 
 	redirects, forwards, forwardErrs  atomic.Int64
@@ -187,15 +194,11 @@ type peerLink struct {
 }
 
 // New builds a cluster node around a server constructed with opts. The
-// cluster installs its router, room seed/tap hooks and
-// peer-close hook into opts; the caller's own values for those fields
-// must be nil. Call Serve to accept, Close (or Drain) to stop.
+// node fills opts.Cluster with itself (hooks). Call Serve to accept,
+// Close (or Drain) to stop.
 func New(db *mediadb.MediaDB, opts server.Options, cfg Config) (*Node, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
-	}
-	if opts.Route != nil || opts.RoomSeed != nil || opts.RoomTap != nil || opts.OnPeerClose != nil {
-		return nil, fmt.Errorf("cluster: server options already carry cluster hooks")
 	}
 	n := &Node{
 		cfg:       cfg,
@@ -204,10 +207,11 @@ func New(db *mediadb.MediaDB, opts server.Options, cfg Config) (*Node, error) {
 		peers:     make(map[string]*peerState, len(cfg.Peers)),
 		roomPeers: make(map[string]map[*wire.Peer]struct{}),
 		replicas:  make(map[string]*replica),
-		repWake:   make(chan struct{}, 1),
 		rep:       make(map[string]*repState),
+		marked:    make(map[string]struct{}),
+		repWake:   make(chan struct{}, 1),
+		calls:     make(chan func()),
 		closed:    make(chan struct{}),
-		recNotify: make(chan struct{}, 1),
 	}
 	n.members = append(n.members, member{id: n.id})
 	for id, addr := range cfg.Peers {
@@ -216,11 +220,7 @@ func New(db *mediadb.MediaDB, opts server.Options, cfg Config) (*Node, error) {
 		n.members = append(n.members, member{id: id, peer: ps})
 	}
 	sort.Slice(n.members, func(i, j int) bool { return n.members[i].id < n.members[j].id })
-	opts.NodeID = cfg.ID
-	opts.Route = n.route
-	opts.RoomSeed = n.roomSeed
-	opts.RoomTap = n.roomTap
-	opts.OnPeerClose = n.peerClosed
+	opts.Cluster = hooks{n}
 	srv, err := server.NewWith(db, opts)
 	if err != nil {
 		return nil, err
@@ -238,10 +238,19 @@ func New(db *mediadb.MediaDB, opts server.Options, cfg Config) (*Node, error) {
 	}
 	n.wg.Add(1)
 	go n.replLoop()
-	n.wg.Add(1)
-	go n.reconciler()
 	return n, nil
 }
+
+// hooks is the node as its server sees it, through the server.Cluster
+// seam: a type of its own, so those methods stay off Node's API.
+type hooks struct{ n *Node }
+
+func (h hooks) Route(ctx context.Context, p *wire.Peer, method string, payload []byte) (any, bool, error) {
+	return h.n.route(ctx, p, method, payload)
+}
+func (h hooks) PeerClosed(p *wire.Peer)                   { h.n.peerClosed(p) }
+func (h hooks) RoomSeed(roomName string) (room.Log, bool) { return h.n.roomSeed(roomName) }
+func (h hooks) RoomTap(roomName string)                   { h.n.roomTap(roomName) }
 
 // Server exposes the node's interaction server (stats, shutdown seams).
 func (n *Node) Server() *server.Server { return n.srv }
@@ -277,13 +286,7 @@ func (n *Node) Serve(l net.Listener) error { return n.srv.Serve(l) }
 func (n *Node) Close() error {
 	n.closeOnce.Do(func() { close(n.closed) })
 	err := n.srv.Close()
-	n.mu.Lock()
-	peers := make([]*peerState, 0, len(n.peers))
 	for _, ps := range n.peers {
-		peers = append(peers, ps)
-	}
-	n.mu.Unlock()
-	for _, ps := range peers {
 		ps.link.close()
 	}
 	n.wg.Wait()
@@ -299,13 +302,9 @@ func (n *Node) Close() error {
 func (n *Node) Drain(ctx context.Context) error {
 	n.mu.Lock()
 	n.draining = true
-	peers := make([]*peerState, 0, len(n.peers))
-	for _, ps := range n.peers {
-		peers = append(peers, ps)
-	}
 	n.mu.Unlock()
 	// Announce the departure on every live link.
-	for _, ps := range peers {
+	for _, ps := range n.peers {
 		pctx, cancel := context.WithTimeout(ctx, n.cfg.SuspectAfter)
 		if rpc, err := ps.link.get(pctx, n); err == nil {
 			var resp proto.NodePingResp
@@ -313,18 +312,23 @@ func (n *Node) Drain(ctx context.Context) error {
 		}
 		cancel()
 	}
-	// Final flush: the post-drain placement excludes this node.
-	after := n.placementWithout(n.id)
-	for _, name := range n.srv.Rooms() {
-		for _, target := range []string{after.Owner(name), after.Standby(name)} {
-			if target != "" && target != n.id {
-				n.replicate(name, target, nil, 0)
+	// The final pass, on the loop: the post-drain placement excludes
+	// this node, and each room goes whole to its owner and standby there.
+	n.onLoop(func() {
+		after := n.placementWithout(n.id)
+		for _, name := range n.srv.Rooms() {
+			st := n.cursor(name)
+			for _, target := range []string{after.Owner(name), after.Standby(name)} {
+				if target != "" && target != n.id {
+					st.sent = 0
+					n.replicate(name, target, st, n.position())
+				}
 			}
 		}
-	}
+	})
 	n.closeOnce.Do(func() { close(n.closed) })
 	err := n.srv.Shutdown(ctx)
-	for _, ps := range peers {
+	for _, ps := range n.peers {
 		ps.link.close()
 	}
 	n.wg.Wait()
@@ -366,11 +370,15 @@ func (n *Node) view() (*Placement, bool) {
 	now := time.Now()
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	return n.viewLocked(now)
+}
+
+// viewLocked is view for a caller that holds n.mu.
+func (n *Node) viewLocked(now time.Time) (*Placement, bool) {
 	var live uint64
 	count := 0
 	for i, m := range n.members {
-		ps := m.peer
-		if ps == nil || (!ps.draining && !ps.lastSeen.IsZero() && now.Sub(ps.lastSeen) <= n.cfg.SuspectAfter) {
+		if m.peer == nil || n.liveLocked(m.peer, now) {
 			live |= 1 << i
 			count++
 		}
@@ -387,6 +395,13 @@ func (n *Node) view() (*Placement, bool) {
 		n.placeKey = strings.Join(ids, ",")
 	}
 	return n.place, 2*count > len(n.members)
+}
+
+// liveLocked reports whether the peer counts as live at now: it answered
+// (or sent) a ping within SuspectAfter and announced no drain. Callers
+// hold n.mu.
+func (n *Node) liveLocked(ps *peerState, now time.Time) bool {
+	return !ps.draining && !ps.lastSeen.IsZero() && now.Sub(ps.lastSeen) <= n.cfg.SuspectAfter
 }
 
 // Live returns the node's current view of the live member set (itself
@@ -410,19 +425,23 @@ func (n *Node) OwnerOf(room string) (string, bool) {
 	return place.Owner(room), q
 }
 
-// markLive records contact with a peer and nudges the reconciler.
+// markLive records contact with a peer. A peer that was not live wakes
+// the replication loop, whose next pass reconciles the new live set.
 func (n *Node) markLive(id string) {
+	now, back := time.Now(), false
 	n.mu.Lock()
 	if ps, ok := n.peers[id]; ok {
-		ps.lastSeen = time.Now()
-		ps.draining = false
+		back = !n.liveLocked(ps, now)
+		ps.lastSeen, ps.draining = now, false
 	}
 	n.mu.Unlock()
-	n.kickReconcile()
+	if back {
+		n.wake()
+	}
 }
 
 // markDead forgets a peer immediately (failed ping or drain notice) —
-// faster convergence than waiting out SuspectAfter.
+// faster convergence than waiting out SuspectAfter — and wakes the loop.
 func (n *Node) markDead(id string, draining bool) {
 	n.mu.Lock()
 	if ps, ok := n.peers[id]; ok {
@@ -430,85 +449,50 @@ func (n *Node) markDead(id string, draining bool) {
 		ps.draining = draining
 	}
 	n.mu.Unlock()
-	n.kickReconcile()
+	n.wake()
 }
 
-// kickReconcile schedules a reconciliation pass without blocking the
-// caller (ping handlers and pingers call it; the reconciler's hand-off
-// sends must never delay a heartbeat).
-func (n *Node) kickReconcile() {
-	select {
-	case n.recNotify <- struct{}{}:
-	default:
-	}
-}
-
-// reconciler runs placement reconciliation off the heartbeat paths. It
-// also ticks on the suspect interval so silent staleness (a peer that
-// just stopped answering) is acted on without a state-change nudge.
-func (n *Node) reconciler() {
-	defer n.wg.Done()
-	t := time.NewTicker(n.cfg.SuspectAfter)
-	defer t.Stop()
-	for {
-		select {
-		case <-n.closed:
-			return
-		case <-n.recNotify:
-		case <-t.C:
-		}
-		n.reconcile()
-	}
-}
-
-// handOffAttempts bounds how often reconcile sends a moved room's whole
-// log to its new owner before it drops the room anyway. Each attempt is
+// handOffAttempts bounds how many passes send a moved room's whole log to
+// its new owner before the room is dropped anyway. Each attempt is
 // bounded by the link's call timeout, so a dead link holds the room at
 // most that many timeouts.
 const handOffAttempts = 3
 
-// reconcile reacts to a placement change: rooms this node no longer
-// owns are handed off (whole log and dataset to the new owner, sent
-// again while a send fails, up to handOffAttempts), dropped locally, and
-// their member connections closed so clients reconnect to the right
-// node. Single-ownership rests on this: a placement-moved room never
-// keeps serving from its old node.
-func (n *Node) reconcile() {
-	place, quorum := n.view()
+// reconcile runs at the start of each pass of the replication loop and
+// returns the placement the pass sends by. When the live set moved since
+// the last reconcile, a room this node no longer owns is marked for a
+// hand-off to its new owner (without a quorum it is dropped at once), a
+// room marked earlier that is this node's again is unmarked, and every
+// cursor is made dirty, since standbys may have moved too. The pass then
+// sends each marked room its whole log and dataset like any flush, and
+// drops the room once the frame lands or the attempts run out
+// (handOffRoom). Single-ownership rests on this: a placement-moved room
+// never keeps serving from its old node.
+func (n *Node) reconcile() (*Placement, bool) {
 	n.mu.Lock()
+	place, quorum := n.viewLocked(time.Now())
 	key := n.placeKey
+	n.mu.Unlock()
 	if key == n.lastRec {
-		n.mu.Unlock()
-		return
+		return place, quorum
 	}
 	n.lastRec = key
-	n.mu.Unlock()
 	n.logf("cluster %s: live set now {%s} quorum=%v", n.id, key, quorum)
 	for _, name := range n.srv.Rooms() {
+		st := n.cursor(name)
+		st.handOff, st.attempts = "", 0
 		owner := place.Owner(name)
-		if owner == n.id || owner == "" {
-			continue
+		switch {
+		case owner == n.id || owner == "":
+		case quorum:
+			st.handOff, st.attempts = owner, handOffAttempts
+		default:
+			n.evictRoom(name, "ownership moved to "+owner)
+			delete(n.rep, name)
 		}
-		if quorum {
-			n.handOff(name, owner)
-		}
-		n.evictRoom(name, "ownership moved to "+owner)
 	}
-	// Standbys may have changed: force the next replication round to
-	// resend every room this node still owns in full.
 	n.markAllDirty()
-}
-
-// handOff sends the room's whole log and dataset to its new owner until
-// a send lands or handOffAttempts have failed.
-func (n *Node) handOff(name, owner string) {
-	var err error
-	for i := 0; i < handOffAttempts; i++ {
-		if err = n.replicate(name, owner, nil, 0); err == nil {
-			return
-		}
-	}
-	n.logf("cluster %s: giving up handing %q off to %s after %d attempts: %v", n.id, name, owner, handOffAttempts, err)
+	return place, quorum
 }
 
 // evictRoom drops a local room and disconnects its members' peers.

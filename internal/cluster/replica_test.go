@@ -79,7 +79,12 @@ func TestReplicationRefusesAnUnservableFrame(t *testing.T) {
 	// 2. The owner's whole-log frame, which a failed send makes its next
 	// flush, lands.
 	replicated := owner.Node.Metrics().Replicated
-	owner.Node.replicate(roomName, standby.ID, nil, 0)
+	n := owner.Node
+	n.onLoop(func() {
+		st := n.cursor(roomName)
+		st.sent = 0
+		n.replicate(roomName, standby.ID, st, n.position())
+	})
 	if owner.Node.Metrics().Replicated != replicated+1 {
 		t.Fatal("the owner's whole-log frame did not land")
 	}

@@ -59,23 +59,24 @@ func (f *gateFixture) waitSyncs(t *testing.T, n int64) {
 	}
 }
 
-// state returns the owner's live replication cursor for the room.
-func (f *gateFixture) state() *repState {
+// flush sends the room's standby a frame from the owner's replication
+// loop, with the cursor the loop keeps and the store position given.
+func (f *gateFixture) flush(target string, pos uint64) {
 	n := f.owner.Node
-	n.repMu.Lock()
-	defer n.repMu.Unlock()
-	return n.repStateLocked(f.room)
+	n.onLoop(func() { n.replicate(f.room, target, n.cursor(f.room), pos) })
 }
 
-// cursor copies the owner's replication cursor for the room.
+// cursor copies the owner's replication cursor for the room, read on
+// the loop that owns it.
 func (f *gateFixture) cursor() repState {
 	n := f.owner.Node
-	n.repMu.Lock()
-	defer n.repMu.Unlock()
-	if st := n.rep[f.room]; st != nil {
-		return *st
-	}
-	return repState{}
+	var c repState
+	n.onLoop(func() {
+		if st := n.rep[f.room]; st != nil {
+			c = *st
+		}
+	})
+	return c
 }
 
 // drive sends n room events (alternating choices) and waits until the
@@ -208,7 +209,7 @@ func TestReplicationWriteDuringExportIsNotLost(t *testing.T) {
 	f := newGateFixture(t)
 	n := f.owner.Node
 	exports := func() int64 { return n.Metrics().DatasetExports }
-	flush := func(pos uint64) { n.replicate(f.room, f.standby.ID, f.state(), pos) }
+	flush := func(pos uint64) { f.flush(f.standby.ID, pos) }
 	write := func(texts string) {
 		if err := f.owner.media.UpdateImageTexts(f.h.Record.CTID, texts); err != nil {
 			t.Fatal(err)
@@ -250,7 +251,7 @@ func TestReplicationGateBypasses(t *testing.T) {
 		t.Fatalf("converged room: %d exports, %d syncs, want 1 and 1", m.DatasetExports, m.ManifestSyncs)
 	}
 
-	n.markAllDirty()
+	n.onLoop(n.markAllDirty)
 	f.waitSyncs(t, 2)
 	if m := n.Metrics(); m.DatasetExports != 2 {
 		t.Errorf("forced resend: %d exports, want 2", m.DatasetExports)
@@ -261,7 +262,7 @@ func TestReplicationGateBypasses(t *testing.T) {
 
 	// A node this one has no link to: it is not the cursor's standby, so
 	// the frame is a full one and exports, and the send fails.
-	n.replicate(f.room, "ghost", f.state(), f.owner.db.Position())
+	f.flush("ghost", f.owner.db.Position())
 	if m := n.Metrics(); m.DatasetExports != 3 || m.ManifestSyncs != 2 {
 		t.Errorf("failed send: %d exports, %d syncs, want 3 and 2", m.DatasetExports, m.ManifestSyncs)
 	}
@@ -292,7 +293,7 @@ func TestReplicationGateBypasses(t *testing.T) {
 }
 
 // TestReplicationUnchangedFlushAllocatesNothing: the gated check is one
-// atomic load and one short critical section.
+// atomic load and a comparison on the cursor.
 func TestReplicationUnchangedFlushAllocatesNothing(t *testing.T) {
 	f := newGateFixture(t)
 	n := f.owner.Node
@@ -300,11 +301,14 @@ func TestReplicationUnchangedFlushAllocatesNothing(t *testing.T) {
 	if !n.srv.SnapshotRoomInto(req, f.room, f.cursor().sent) {
 		t.Fatalf("owner lost room %q", f.room)
 	}
-	st := f.state()
 	before := n.Metrics()
-	// Averaged over enough runs that a heartbeat allocating on another
-	// goroutine meanwhile rounds away.
-	allocs := testing.AllocsPerRun(2000, func() { n.attachDataset(req, st, false, n.position()) })
+	// On the loop, which owns the cursor; averaged over enough runs that
+	// a heartbeat allocating on another goroutine meanwhile rounds away.
+	var allocs float64
+	n.onLoop(func() {
+		st := n.cursor(f.room)
+		allocs = testing.AllocsPerRun(2000, func() { n.attachDataset(req, st, false, n.position()) })
+	})
 	if allocs != 0 {
 		t.Errorf("the unchanged dataset check allocates %v times per call", allocs)
 	}

@@ -23,6 +23,7 @@ import (
 // newReplHarness is newHarness with the listed nodes left unseeded.
 func newReplHarness(t *testing.T, nodes int, unseeded ...string) *Harness {
 	t.Helper()
+	checkSettles(t)
 	return startHarness(t, HarnessOptions{Nodes: nodes, Unseeded: unseeded})
 }
 
@@ -182,7 +183,7 @@ func TestReplicationRepeatSyncMovesNoChunks(t *testing.T) {
 	syncs := owner.Node.Metrics().ManifestSyncs
 	// A placement wobble or lost tap marks every room dirty; the next
 	// flush then force-resends the manifest even though nothing changed.
-	owner.Node.markAllDirty()
+	owner.Node.onLoop(owner.Node.markAllDirty)
 	waitMetric(t, owner, "manifest re-send", func(m Metrics) bool {
 		return m.ManifestSyncs > syncs
 	})
@@ -426,5 +427,77 @@ func TestHandOffSurvivesACutSend(t *testing.T) {
 	}
 	if fmt.Sprint(chats) != "[c0 c1]" {
 		t.Errorf("new owner's history holds chats %v, want [c0 c1]", chats)
+	}
+}
+
+// TestHandOffToAnUnreachableOwnerStillEvicts: a hand-off whose target
+// never answers is sent on handOffAttempts passes and then given up, and
+// the room is dropped all the same. The passes that try it flush the
+// other rooms as well, so another room's standby is current once the
+// room is dropped. The hand-off is marked through the loop hook: a
+// placement does not keep an unreachable node as a room's owner.
+func TestHandOffToAnUnreachableOwnerStillEvicts(t *testing.T) {
+	checkSettles(t)
+	var mu sync.Mutex
+	var logged []string
+	h := startHarness(t, HarnessOptions{Nodes: 3, Logf: func(format string, args ...any) {
+		mu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		mu.Unlock()
+		t.Logf(format, args...)
+	}})
+	owner, target := h.ByID("n1"), h.ByID("n3")
+	moving := h.RoomOwnedBy("n1", "moving")
+	staying := h.roomPlacedOn("n1", "n2", "staying")
+	if _, _, err := clusterClient(t, h, "alice").Join(moving, "p1", 0); err != nil {
+		t.Fatal(err)
+	}
+	s, _, err := clusterClient(t, h, "bob").Join(staying, "p1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustChat(t, s, "before")
+
+	// n3 black-holes: each attempt waits out the dial's timeout.
+	target.Partition()
+	if err := h.WaitConverged(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	n := owner.Node
+	n.onLoop(func() {
+		// Reconcile the live set without n3 first: a later reconcile of
+		// it would find the room n1's and unmark it.
+		n.reconcile()
+		st := n.cursor(moving)
+		st.handOff, st.attempts = target.ID, handOffAttempts
+	})
+	mustChat(t, s, "during-1")
+	mustChat(t, s, "during-2")
+	for deadline := time.Now().Add(5 * time.Second); fmt.Sprint(h.roomHolders(moving)) == "[n1]"; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("n1 never dropped the room it could not hand off")
+		}
+	}
+	// Between passes: the one that dropped the room has finished.
+	n.onLoop(func() {})
+	mu.Lock()
+	gaveUp := false
+	for _, line := range logged {
+		gaveUp = gaveUp || strings.Contains(line, fmt.Sprintf("giving up handing %q off to n3 after %d attempts", moving, handOffAttempts))
+	}
+	mu.Unlock()
+	if !gaveUp {
+		t.Error("the room was dropped without its hand-off attempts running out")
+	}
+	standby := h.ByID("n2").Node
+	standby.replMu.Lock()
+	r := standby.replicas[staying]
+	var seq uint64
+	if r != nil {
+		seq = r.log.Seq()
+	}
+	standby.replMu.Unlock()
+	if want := h.ownerSeq(t, staying); seq != want {
+		t.Errorf("the other room's standby is at seq %d once the room was dropped, the owner at %d", seq, want)
 	}
 }

@@ -42,7 +42,7 @@ func (n *Node) position() uint64 {
 // so return before making it), then the fingerprint of the exported
 // dataset (the position is store-wide; a write to some other document
 // moves it), then the attach. force — the frame carries the whole log: a
-// first flush, a retry, a standby change, a hand-off (st nil) — bypasses
+// first flush, a retry, a standby change, a hand-off — bypasses
 // both comparisons and always attaches.
 //
 // pos is the position the caller read BEFORE the frame was built, so a
@@ -54,14 +54,9 @@ func (n *Node) attachDataset(req *proto.ReplicateReq, st *repState, force bool, 
 	if req.DocID == "" || n.db == nil {
 		return fp, false
 	}
-	if !force {
-		n.repMu.Lock()
-		unchanged := st.dataPos == pos
-		n.repMu.Unlock()
-		if unchanged {
-			n.datasetUnchanged.Add(1)
-			return fp, false
-		}
+	if !force && st.dataPos == pos {
+		n.datasetUnchanged.Add(1)
+		return fp, false
 	}
 	n.datasetExports.Add(1)
 	ds, err := n.db.ExportDataset(req.DocID)
@@ -75,16 +70,9 @@ func (n *Node) attachDataset(req *proto.ReplicateReq, st *repState, force bool, 
 		return fp, false
 	}
 	fp = sha256.Sum256(wire.MarshalBody(data))
-	if !force {
-		n.repMu.Lock()
-		same := st.dataFP == fp
-		if same {
-			st.dataPos = pos
-		}
-		n.repMu.Unlock()
-		if same {
-			return fp, false
-		}
+	if !force && st.dataFP == fp {
+		st.dataPos = pos
+		return fp, false
 	}
 	req.Node, req.Rows, req.Manifests = data.Node, data.Rows, data.Manifests
 	return fp, true

@@ -72,7 +72,7 @@ func e8Prefetch(workdir string, inspect func(*server.Server)) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"150 scripted choices by 3 viewers, replayed through a real server and client; an observing member fetches every visible stored payload after each presentation",
-		"hits from the client's BufferStats; prefetch-KB is the server's qos.prefetch.bytes, which counts the pushes to the 3 bufferless viewers too",
+		"hits from the client's BufferStats; prefetch-KB is the server's qos.prefetch.bytes: pushes go only to members that joined with a buffer",
 		"time is the 256 KiB/s, 30 ms link model applied to each fetch: its payload if it crossed the wire, the latency alone if the buffer answered; pushes are off the critical path")
 	return t, nil
 }

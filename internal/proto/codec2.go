@@ -212,6 +212,7 @@ func (r *JoinRoomReq) AppendBody(e *wire.BodyEnc) {
 	e.String(r.User)
 	e.Bool(r.Resume)
 	e.Uvarint(r.SinceSeq)
+	e.Bool(r.Buffered)
 }
 
 // DecodeBody implements wire.BodyDecoder.
@@ -221,6 +222,7 @@ func (r *JoinRoomReq) DecodeBody(d *wire.Dec) error {
 	r.User = d.String()
 	r.Resume = d.Bool()
 	r.SinceSeq = d.Uvarint()
+	r.Buffered = d.Bool()
 	return d.Err()
 }
 

@@ -124,7 +124,7 @@ func codecCases() []codecCase {
 			Header: []byte("hdr"), Data: big,
 		}, &GetCmpResp{}},
 		{"JoinRoomReq", &JoinRoomReq{
-			Room: "consult", DocID: "p1", User: "alice", Resume: true, SinceSeq: 41,
+			Room: "consult", DocID: "p1", User: "alice", Resume: true, SinceSeq: 41, Buffered: true,
 		}, &JoinRoomReq{}},
 		{"JoinRoomResp", &JoinRoomResp{
 			DocData: big, History: sampleEvents(),

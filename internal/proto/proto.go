@@ -151,6 +151,8 @@ type PutImageTextsReq struct {
 // With Resume set, the server first tries to revive a detached session
 // for (User, Room), replaying only events with Seq greater than
 // SinceSeq; if no such session survives, it falls back to a fresh join.
+// Buffered says the client holds a media buffer, so the server's QoS
+// loop may push prefetch payloads into it.
 type JoinRoomReq struct {
 	Room  string
 	DocID string
@@ -158,6 +160,7 @@ type JoinRoomReq struct {
 
 	Resume   bool
 	SinceSeq uint64
+	Buffered bool
 }
 
 // JoinRoomResp carries the document, the catch-up history, and the

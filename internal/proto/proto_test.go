@@ -143,16 +143,17 @@ func TestRequestRoundTrips(t *testing.T) {
 }
 
 // TestJoinRoomRoundTripsResumeFields pins the session-resume protocol:
-// the request's Resume/SinceSeq and the response's Resumed/Complete and
-// first presentation must survive the wire exactly — a silently dropped
-// Resume flag would turn every reconnect into a fresh join.
+// the request's Resume/SinceSeq/Buffered and the response's
+// Resumed/Complete and first presentation must survive the wire exactly —
+// a silently dropped Resume flag would turn every reconnect into a fresh
+// join, a dropped Buffered flag a resumed member's prefetch off.
 func TestJoinRoomRoundTripsResumeFields(t *testing.T) {
 	req := JoinRoomReq{
 		Room: "consult", DocID: "patient-001", User: "alice",
-		Resume: true, SinceSeq: 123,
+		Resume: true, SinceSeq: 123, Buffered: true,
 	}
 	got := roundTrip(t, &req)
-	if !got.Resume || got.SinceSeq != 123 {
+	if !got.Resume || got.SinceSeq != 123 || !got.Buffered {
 		t.Fatalf("resume fields lost: %+v", got)
 	}
 	check(t, &req)

@@ -20,7 +20,7 @@ import (
 //     request carries inline (the *wire.Request the wire layer made is
 //     the request's context, its trace and, after admission, its
 //     deadline — one allocation for all three);
-//  2. route: the cluster seam (Options.Route) may answer a room request
+//  2. route: the cluster seam (Cluster.Route) may answer a room request
 //     here — redirect, relay, refusal — before it takes an admission
 //     slot;
 //  3. admit: the peer's token bucket, then a limiter slot, by the
@@ -68,8 +68,8 @@ func (s *Server) dispatch(ctx context.Context, m *method, p *wire.Peer, payload 
 			s.logf("server: slow request %s from peer %d: %v (err=%v)", m.name, p.ID, d, err)
 		}
 	}()
-	if s.route != nil {
-		if result, routed, err := s.route(ctx, p, m.name, payload); routed {
+	if s.cluster != nil {
+		if result, routed, err := s.cluster.Route(ctx, p, m.name, payload); routed {
 			return result, err
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"mmconf/internal/mediadb"
 	"mmconf/internal/obs"
 	"mmconf/internal/proto"
+	"mmconf/internal/room"
 	"mmconf/internal/store"
 	"mmconf/internal/wire"
 )
@@ -497,13 +498,23 @@ func TestAdmissionShedRefundsToken(t *testing.T) {
 	<-done
 }
 
+// routeOnly is a Cluster seam that only routes.
+type routeOnly func(ctx context.Context, p *wire.Peer, method string, payload []byte) (any, bool, error)
+
+func (r routeOnly) Route(ctx context.Context, p *wire.Peer, method string, payload []byte) (any, bool, error) {
+	return r(ctx, p, method, payload)
+}
+func (routeOnly) PeerClosed(*wire.Peer)            {}
+func (routeOnly) RoomSeed(string) (room.Log, bool) { return room.Log{}, false }
+func (routeOnly) RoomTap(string)                   {}
+
 // TestRoutedRequestTakesNoSlot: a request the Route seam answers — an
 // error like a redirect, or a result like a relayed response — is done
 // before admission, so it needs no slot even when none is free.
 func TestRoutedRequestTakesNoSlot(t *testing.T) {
 	release := make(chan struct{})
 	redirect := &wire.RedirectError{Node: "n2", Addr: "127.0.0.1:1"}
-	route := func(ctx context.Context, p *wire.Peer, method string, payload []byte) (any, bool, error) {
+	route := routeOnly(func(ctx context.Context, p *wire.Peer, method string, payload []byte) (any, bool, error) {
 		switch method {
 		case "redirected":
 			return nil, true, redirect
@@ -511,8 +522,8 @@ func TestRoutedRequestTakesNoSlot(t *testing.T) {
 			return wire.RawResult(nil), true, nil
 		}
 		return nil, false, nil
-	}
-	srv, dial := stepSystem(t, Options{MaxInflight: 1, QueueDepth: 1, QueueTimeout: 5 * time.Second, Route: route},
+	})
+	srv, dial := stepSystem(t, Options{MaxInflight: 1, QueueDepth: 1, QueueTimeout: 5 * time.Second, Cluster: route},
 		map[string]wire.Handler{proto.MGetImage: blocking(release), "redirected": answer, "relayed": answer})
 	ctx := context.Background()
 	holder := dial()

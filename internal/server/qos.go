@@ -46,8 +46,9 @@ type qosController struct {
 	done     chan struct{}
 }
 
-// qosClient is one room membership under QoS control. The pushed set
-// and pushedBytes are touched only by the controller goroutine.
+// qosClient is one room membership under QoS control. buffered says
+// its client holds a media buffer to prefetch into. The pushed set and
+// pushedBytes are touched only by the controller goroutine.
 type qosClient struct {
 	peer     *wire.Peer
 	rs       *roomState
@@ -55,6 +56,7 @@ type qosClient struct {
 	user     string
 	member   *room.Member
 	ctrl     *qos.Controller
+	buffered bool
 
 	pushed      map[uint64]bool
 	pushedBytes int64
@@ -96,7 +98,7 @@ func (q *qosController) stopLoop() {
 // register places a new room membership under QoS control. Controllers
 // start optimistic (high) like the tuning variable's unconditional
 // preference, so nothing changes until the meter has real samples.
-func (q *qosController) register(p *wire.Peer, rs *roomState, roomName, user string, member *room.Member) {
+func (q *qosController) register(p *wire.Peer, rs *roomState, roomName, user string, member *room.Member, buffered bool) {
 	ctrl, err := qos.NewController(q.bands)
 	if err != nil {
 		return // bands were validated at construction; unreachable
@@ -104,7 +106,7 @@ func (q *qosController) register(p *wire.Peer, rs *roomState, roomName, user str
 	q.mu.Lock()
 	q.clients[member] = &qosClient{
 		peer: p, rs: rs, roomName: roomName, user: user,
-		member: member, ctrl: ctrl, pushed: make(map[uint64]bool),
+		member: member, ctrl: ctrl, buffered: buffered, pushed: make(map[uint64]bool),
 	}
 	q.mu.Unlock()
 }
@@ -143,14 +145,14 @@ func (q *qosController) tick() {
 }
 
 // prefetch pre-pushes the member's likeliest next payloads, best-ranked
-// first, within two budgets: the per-session prefetch allowance and the
+// first, if its client holds a media buffer, within two budgets: the per-session prefetch allowance and the
 // member's live push-budget headroom (speculative bytes must never
 // starve real event delivery). Only candidates whose ObjectID indexes
 // IMAGE_OBJECTS_TABLE are pushed — object ids are per table, and a
 // PrefetchPush carries one image, which the client files in its media
 // buffer under that image's id, where its next GetImage finds it.
 func (q *qosController) prefetch(c *qosClient) {
-	if q.prefetchBudget <= 0 || c.pushedBytes >= q.prefetchBudget {
+	if !c.buffered || q.prefetchBudget <= 0 || c.pushedBytes >= q.prefetchBudget {
 		return
 	}
 	cands, err := c.rs.room.Engine().PrefetchRank(c.user)

@@ -407,7 +407,7 @@ func TestQoSPrefetchPushesOnlyTheRecordsOwnImages(t *testing.T) {
 		}
 	})
 	var join proto.JoinRoomResp
-	if err := rpc.Call(proto.MJoinRoom, &proto.JoinRoomReq{Room: "consult", DocID: "p2", User: "alice"}, &join); err != nil {
+	if err := rpc.Call(proto.MJoinRoom, &proto.JoinRoomReq{Room: "consult", DocID: "p2", User: "alice", Buffered: true}, &join); err != nil {
 		t.Fatal(err)
 	}
 	// Enough response writes for the meter's confidence gate; the member
@@ -432,4 +432,76 @@ func TestQoSPrefetchPushesOnlyTheRecordsOwnImages(t *testing.T) {
 	}
 	// Let the ticks that follow rank again: nothing else may arrive.
 	time.Sleep(100 * time.Millisecond)
+}
+
+// The loop pushes prefetch payloads only to members whose client said on
+// joining that it holds a media buffer: of two members of one room,
+// measured alike, only the buffered one is pushed to, and
+// qos.prefetch.bytes counts exactly what it received.
+func TestQoSPrefetchPushesOnlyToBufferedMembers(t *testing.T) {
+	srv, _, cc, recs := qosServer(t, "p1")
+	rec := recs[0]
+	sc2, cc2 := net.Pipe()
+	go srv.ServeConn(sc2)
+	var mu sync.Mutex
+	received := make(map[string]int64)
+	pushed := make(map[uint64]bool)
+	for _, m := range []struct {
+		conn     net.Conn
+		user     string
+		buffered bool
+	}{{cc, "alice", true}, {cc2, "bob", false}} {
+		rpc := wire.NewClient(m.conn)
+		t.Cleanup(func() { rpc.Close() })
+		user := m.user
+		rpc.OnPush(func(method string, body wire.Body) {
+			if method != proto.MPrefetchPush {
+				return
+			}
+			var pp proto.PrefetchPush
+			if err := body.Decode(&pp); err != nil {
+				t.Errorf("prefetch push to %s: %v", user, err)
+				return
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			received[user] += int64(len(pp.Data))
+			if user == "alice" {
+				pushed[pp.ObjectID] = true
+			}
+		})
+		var join proto.JoinRoomResp
+		if err := rpc.Call(proto.MJoinRoom, &proto.JoinRoomReq{Room: "consult", DocID: "p1", User: user, Buffered: m.buffered}, &join); err != nil {
+			t.Fatal(err)
+		}
+		// Enough response writes for the meter's confidence gate.
+		for i := 0; i < 6; i++ {
+			if err := rpc.Call(proto.MListDocuments, &proto.ListDocumentsReq{}, &proto.ListDocumentsResp{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		mu.Lock()
+		done := pushed[rec.CTID] && pushed[rec.XrayID]
+		mu.Unlock()
+		if done {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("pushed %v to the buffered member, want both of the record's images", pushed)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	// Let the ticks that follow rank again: nothing may reach bob.
+	time.Sleep(100 * time.Millisecond)
+	mu.Lock()
+	defer mu.Unlock()
+	if received["bob"] != 0 {
+		t.Errorf("the member without a buffer was pushed %d bytes", received["bob"])
+	}
+	if got := srv.Stats().Counter(CounterQoSPrefetchBytes); got != uint64(received["alice"]) {
+		t.Errorf("qos.prefetch.bytes = %d, the buffered member received %d", got, received["alice"])
+	}
 }

@@ -90,31 +90,33 @@ type Options struct {
 	// member's client buffer over its session (default 256 KiB; negative
 	// disables push-prefetch while keeping adaptive tuning).
 	PrefetchBudget int64
-	// NodeID names this server process in a room-sharded cluster (""
-	// — the default — runs standalone). The cluster tier sets it; the
-	// id appears in stats gauges and redirect errors.
-	NodeID string
-	// Route, when non-nil, is the cluster seam: the request step hands
-	// it every request after the trace starts and before admission. It
-	// either answers the request (routed true: a redirect, a relay to
-	// the owner, a refusal), which then takes no admission slot, or
-	// leaves it to be served here.
-	Route func(ctx context.Context, p *wire.Peer, method string, payload []byte) (result any, routed bool, err error)
-	// OnPeerClose, when non-nil, observes every disconnected peer after
-	// the server's own session eviction ran (the cluster tier tears
-	// down the peer's forwarding links here).
-	OnPeerClose func(*wire.Peer)
-	// RoomSeed, when non-nil, is consulted once per room construction:
-	// a node taking ownership after a failover restores the replicated
-	// event log (Seq high-water mark, trim watermark, buffered events)
-	// before the first member joins, so Resume replays exactly what the
-	// old owner would have.
-	RoomSeed func(roomName string) (room.Log, bool)
-	// RoomTap, when non-nil, is told of every room event-log advance;
-	// the replicating node then reads the log with SnapshotRoomInto. Called
-	// under the room lock: it must be cheap, must not block, and must
-	// not call back into the server.
-	RoomTap func(roomName string)
+	// Cluster, when non-nil, is the cluster tier's seam (cluster.New
+	// fills it); nil serves standalone.
+	Cluster Cluster
+}
+
+// Cluster is what a cluster tier tells the server, and is told by it.
+type Cluster interface {
+	// Route sees every request after the trace starts and before
+	// admission. It either answers the request (routed true: a redirect,
+	// a relay to the owner, a refusal), which then takes no admission
+	// slot, or leaves it to be served here.
+	Route(ctx context.Context, p *wire.Peer, method string, payload []byte) (result any, routed bool, err error)
+	// PeerClosed observes every disconnected peer after the server's own
+	// session eviction ran (the cluster tier tears down the peer's
+	// forwarding links here).
+	PeerClosed(p *wire.Peer)
+	// RoomSeed is consulted once per room construction: a node taking
+	// ownership after a failover restores the replicated event log (Seq
+	// high-water mark, trim watermark, buffered events) before the first
+	// member joins, so Resume replays exactly what the old owner would
+	// have.
+	RoomSeed(roomName string) (room.Log, bool)
+	// RoomTap is told of every room event-log advance; the replicating
+	// node then reads the log with SnapshotRoomInto. Called under the
+	// room lock: it must be cheap, must not block, and must not call back
+	// into the server.
+	RoomTap(roomName string)
 }
 
 // Server is the interaction server.
@@ -129,7 +131,6 @@ type Server struct {
 	// The request step's settings (see the Options fields of the same
 	// names): limiter is nil when MaxInflight is negative, timeout 0 when
 	// RequestTimeout is.
-	route        func(context.Context, *wire.Peer, string, []byte) (any, bool, error)
 	limiter      *wire.Limiter
 	queueTimeout time.Duration
 	perPeerRate  float64
@@ -148,11 +149,8 @@ type Server struct {
 	// per-member throughput drives the CP-net tuning level and spends
 	// idle push budget on prefetch pushes.
 	qos *qosController
-	// Cluster-tier hooks (see the Options fields of the same names).
-	nodeID      string
-	onPeerClose func(*wire.Peer)
-	roomSeed    func(string) (room.Log, bool)
-	roomTap     func(string)
+	// cluster is Options.Cluster: nil standalone.
+	cluster Cluster
 }
 
 // New builds a server over an opened multimedia database with default
@@ -264,7 +262,6 @@ func NewWith(db *mediadb.MediaDB, o Options) (*Server, error) {
 		stats:        wire.NewStats(),
 		tracer:       obs.NewRecorder(obs.DefaultTraceRing, o.SlowThreshold),
 		grace:        o.SessionGrace,
-		route:        o.Route,
 		queueTimeout: o.QueueTimeout,
 		perPeerRate:  o.PerPeerRate,
 		perPeerBurst: o.PerPeerBurst,
@@ -272,10 +269,7 @@ func NewWith(db *mediadb.MediaDB, o Options) (*Server, error) {
 		slow:         o.SlowThreshold,
 		logf:         o.Logf,
 		pushBudget:   o.MemberPushBudget,
-		nodeID:       o.NodeID,
-		onPeerClose:  o.OnPeerClose,
-		roomSeed:     o.RoomSeed,
-		roomTap:      o.RoomTap,
+		cluster:      o.Cluster,
 	}
 	if o.CacheBytes > 0 {
 		s.objects = bytecache.New[blob.Digest](o.CacheBytes)
@@ -300,9 +294,6 @@ func NewWith(db *mediadb.MediaDB, o Options) (*Server, error) {
 // push-path/cache named counters (see the Counter* constants in
 // cache.go and package wire's CounterWriter*).
 func (s *Server) Stats() *wire.Stats { return s.stats }
-
-// NodeID reports this server's cluster node id ("" standalone).
-func (s *Server) NodeID() string { return s.nodeID }
 
 // Register installs an RPC handler behind the request step, with the
 // admission class methodClasses gives its name — the seam the cluster

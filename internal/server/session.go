@@ -84,15 +84,13 @@ func (s *Server) buildRoom(name, docID string) (*roomState, error) {
 	// Cluster wiring: a room moving here after failover restores the
 	// replicated log before any member joins; the tap reports every
 	// subsequent advance, which the node streams to the room's standby.
-	if s.roomSeed != nil {
-		if l, ok := s.roomSeed(name); ok {
+	if s.cluster != nil {
+		if l, ok := s.cluster.RoomSeed(name); ok {
 			if err := r.Restore(l); err != nil {
 				return nil, err
 			}
 		}
-	}
-	if s.roomTap != nil {
-		r.SetReplicator(func() { s.roomTap(name) })
+		r.SetReplicator(func() { s.cluster.RoomTap(name) })
 	}
 	// Safe to enable: memberSource.Drain refunds every delivered event
 	// via member.Consumed.
@@ -208,7 +206,7 @@ func (s *Server) handleJoinRoom(ctx context.Context, p *wire.Peer, req *proto.Jo
 		}
 	}
 	sessions.bind(mb, member)
-	s.attachMember(p, sessions, rs, member)
+	s.attachMember(p, sessions, rs, member, req.Buffered)
 	resp := &proto.JoinRoomResp{History: history, View: view, Resumed: resumed, Complete: complete}
 	// A complete resume needs no document: the client's copy is still
 	// current and the missed events carry every change. Fresh joins and
@@ -252,11 +250,12 @@ type memberSource struct {
 
 // attachMember puts the member's event stream on p's writer, which
 // pushes it to the client until the stream closes or the connection
-// stops taking it.
-func (s *Server) attachMember(p *wire.Peer, sessions *peerSessions, rs *roomState, member *room.Member) {
+// stops taking it. buffered says the client holds a media buffer for
+// the QoS loop's prefetch pushes.
+func (s *Server) attachMember(p *wire.Peer, sessions *peerSessions, rs *roomState, member *room.Member, buffered bool) {
 	s.sources.Add(1)
 	if s.qos != nil {
-		s.qos.register(p, rs, rs.room.Name, member.Name, member)
+		s.qos.register(p, rs, rs.room.Name, member.Name, member, buffered)
 	}
 	member.SetNotify(p.Kick)
 	p.Attach(&memberSource{s: s, peer: p, sessions: sessions, rs: rs, member: member})
@@ -351,8 +350,8 @@ func (s *Server) evictPeer(p *wire.Peer) {
 			}
 		}
 	}
-	if s.onPeerClose != nil {
-		s.onPeerClose(p)
+	if s.cluster != nil {
+		s.cluster.PeerClosed(p)
 	}
 }
 
