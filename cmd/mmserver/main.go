@@ -45,46 +45,51 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7070", "listen address")
-	data := flag.String("data", "./mmdata", "database directory")
-	seed := flag.Int("seed", 2, "synthetic records to create if the database is empty")
-	sync := flag.String("sync", "group", "WAL durability: always | group | never")
-	debugAddr := flag.String("debug-addr", "", "debug HTTP listen address (metrics, traces, pprof); empty disables")
-	maxInflight := flag.Int("max-inflight", 0, "admission control: concurrent request cap (0: default 1024, negative: disabled)")
-	queueDepth := flag.Int("queue-depth", 0, "admission control: wait-queue bound once the cap is reached (0: default 128)")
-	queueTimeout := flag.Duration("queue-timeout", 0, "admission control: max time a request waits for a slot before being shed (0: default 1s, negative: wait as long as the request allows)")
-	peerRate := flag.Float64("peer-rate", 0, "per-connection sustained request rate limit in req/s (0: unlimited)")
-	peerBurst := flag.Int("peer-burst", 0, "per-connection burst allowance on top of -peer-rate (0: derived from the rate)")
-	pushBudget := flag.Int64("push-budget", 0, "per-member event-queue byte budget; slow consumers over it get a Resync hint (0: default 1MiB, negative: unbounded)")
-	qosInterval := flag.Duration("qos-interval", 0, "adaptive QoS control period: per-member bandwidth estimation, CP-net tuning and push-prefetch (0: default 500ms, negative: disabled)")
-	prefetchBudget := flag.Int64("prefetch-budget", 0, "per-session byte allowance for QoS push-prefetch (0: default 256KiB, negative: disabled)")
-	nodeID := flag.String("node-id", "", "cluster node id; empty runs a standalone server")
-	peers := flag.String("peers", "", "cluster peers as id=addr,id=addr (requires -node-id); -addr must be reachable by peers and clients, it is advertised in redirects")
-	forward := flag.Bool("forward", false, "cluster: relay wrong-node requests to the owner instead of redirecting")
-	flag.Parse()
-
-	opts := server.Options{
-		MaxInflight:      *maxInflight,
-		QueueDepth:       *queueDepth,
-		QueueTimeout:     *queueTimeout,
-		PerPeerRate:      *peerRate,
-		PerPeerBurst:     *peerBurst,
-		MemberPushBudget: *pushBudget,
-		QoSInterval:      *qosInterval,
-		PrefetchBudget:   *prefetchBudget,
-	}
-	cl := clusterConfig{id: *nodeID, forward: *forward}
-	if *nodeID != "" {
+	var c config
+	c.flags().Parse(os.Args[1:])
+	if c.cl.id != "" {
 		var err error
-		if cl.peers, err = parsePeers(*peers); err != nil {
+		if c.cl.peers, err = parsePeers(c.peers); err != nil {
 			log.Fatalf("mmserver: %v", err)
 		}
-	} else if *peers != "" {
+	} else if c.peers != "" {
 		log.Fatalf("mmserver: -peers requires -node-id")
 	}
-	if err := run(*addr, *data, *seed, *sync, *debugAddr, opts, cl); err != nil {
+	if err := run(c.addr, c.data, c.seed, c.sync, c.debugAddr, c.opts, c.cl); err != nil {
 		log.Fatalf("mmserver: %v", err)
 	}
+}
+
+// config is the command line: every flag sets one field, the
+// server.Options flags their field of opts. -peers is parsed into
+// cl.peers.
+type config struct {
+	addr, data, sync, debugAddr, peers string
+	seed                               int
+	opts                               server.Options
+	cl                                 clusterConfig
+}
+
+// flags defines the command's flags over c's fields; Parse exits on a
+// bad or unknown flag.
+func (c *config) flags() *flag.FlagSet {
+	fs := flag.NewFlagSet("mmserver", flag.ExitOnError)
+	fs.StringVar(&c.addr, "addr", "127.0.0.1:7070", "listen address")
+	fs.StringVar(&c.data, "data", "./mmdata", "database directory")
+	fs.IntVar(&c.seed, "seed", 2, "synthetic records to create if the database is empty")
+	fs.StringVar(&c.sync, "sync", "group", "WAL durability: always | group | never")
+	fs.StringVar(&c.debugAddr, "debug-addr", "", "debug HTTP listen address (metrics, traces, pprof); empty disables")
+	fs.IntVar(&c.opts.MaxInflight, "max-inflight", 0, "admission control: concurrent request cap (0: default 1024, negative: disabled)")
+	fs.IntVar(&c.opts.QueueDepth, "queue-depth", 0, "admission control: wait-queue bound once the cap is reached (0: default 128)")
+	fs.DurationVar(&c.opts.QueueTimeout, "queue-timeout", 0, "admission control: max time a request waits for a slot before being shed (0: default 1s)")
+	fs.Float64Var(&c.opts.PerPeerRate, "peer-rate", 0, "per-connection sustained request rate limit in req/s (0: unlimited)")
+	fs.IntVar(&c.opts.PerPeerBurst, "peer-burst", 0, "per-connection burst allowance on top of -peer-rate (0: derived from the rate)")
+	fs.DurationVar(&c.opts.QoSInterval, "qos-interval", 0, "adaptive QoS control period: per-member bandwidth estimation, CP-net tuning and push-prefetch (0: default 500ms)")
+	fs.Int64Var(&c.opts.PrefetchBudget, "prefetch-budget", 0, "per-session byte allowance for QoS push-prefetch (0: default 256KiB, negative: disabled)")
+	fs.StringVar(&c.cl.id, "node-id", "", "cluster node id; empty runs a standalone server")
+	fs.StringVar(&c.peers, "peers", "", "cluster peers as id=addr,id=addr (requires -node-id); -addr must be reachable by peers and clients, it is advertised in redirects")
+	fs.BoolVar(&c.cl.forward, "forward", false, "cluster: relay wrong-node requests to the owner instead of redirecting")
+	return fs
 }
 
 // clusterConfig is the parsed cluster flag set; a zero id means

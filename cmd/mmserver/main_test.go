@@ -1,6 +1,9 @@
 package main
 
 import (
+	"flag"
+	"io"
+	"strings"
 	"testing"
 
 	"mmconf/internal/mediadb"
@@ -22,11 +25,50 @@ func TestRunRejectsBadDebugAddr(t *testing.T) {
 	}
 }
 
+// parse reads a command line as main does, but returns the flag
+// package's error instead of exiting.
+func parse(args ...string) (config, error) {
+	var c config
+	fs := c.flags()
+	fs.Init("mmserver", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	return c, fs.Parse(args)
+}
+
 func TestRunRejectsBadOptions(t *testing.T) {
 	// Flag values flow into server.Options; nonsense must fail run with
-	// the validation error, not start a misconfigured server.
-	if err := run("127.0.0.1:0", t.TempDir(), 0, "never", "", server.Options{PerPeerRate: -1}, clusterConfig{}); err == nil {
-		t.Fatal("negative per-peer rate accepted")
+	// the validation error naming the field, not start a misconfigured
+	// server.
+	for _, tc := range []struct {
+		args  []string
+		field string
+	}{
+		{[]string{"-peer-rate", "-1"}, "PerPeerRate"},
+		{[]string{"-queue-timeout", "-1s"}, "QueueTimeout"},
+		{[]string{"-qos-interval", "-1s"}, "QoSInterval"},
+	} {
+		c, err := parse(tc.args...)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		err = run("127.0.0.1:0", t.TempDir(), 0, "never", "", c.opts, clusterConfig{})
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%v: run = %v, want a refusal naming %s", tc.args, err, tc.field)
+		}
+	}
+	// The member queue budget is a constant: its flag is gone.
+	if _, err := parse("-push-budget", "1"); err == nil || !strings.Contains(err.Error(), "push-budget") {
+		t.Errorf("-push-budget: %v, want an unknown flag", err)
+	}
+}
+
+// TestFlagSet pins the command line: fifteen flags, each with a caller.
+func TestFlagSet(t *testing.T) {
+	var c config
+	n := 0
+	c.flags().VisitAll(func(*flag.Flag) { n++ })
+	if n != 15 {
+		t.Fatalf("mmserver defines %d flags, want 15", n)
 	}
 }
 

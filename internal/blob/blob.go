@@ -483,13 +483,6 @@ func (s *Store) tryRead(h Handle, object bool) ([]byte, error) {
 	return buf, nil
 }
 
-// Contains reports whether an object with h's digest is stored.
-func (s *Store) Contains(h Handle) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.manifests[h.Digest] != nil
-}
-
 // Retain takes one more reference to the stored object h — for the store
 // layer, the reference a row cell holds. The zero handle returns
 // ErrNoBlob; a handle whose object the store does not hold, or holds at

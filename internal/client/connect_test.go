@@ -16,7 +16,7 @@ import (
 )
 
 // clientGoroutines lists the live goroutines, by id, that run a frame of
-// this package or of wire's client.
+// this package.
 func clientGoroutines() map[string]string {
 	buf := make([]byte, 1<<16)
 	for {
@@ -30,7 +30,7 @@ func clientGoroutines() map[string]string {
 	out := make(map[string]string)
 	for _, g := range strings.Split(string(buf), "\n\n") {
 		for _, line := range strings.Split(g, "\n") {
-			if strings.HasPrefix(line, "mmconf/internal/client.") || strings.HasPrefix(line, "mmconf/internal/wire.(*Client)") {
+			if strings.HasPrefix(line, "mmconf/internal/client.") {
 				out[strings.Fields(g)[1]] = g
 				break
 			}
@@ -39,13 +39,23 @@ func clientGoroutines() map[string]string {
 	return out
 }
 
-// settleClosed closes c and fails the test if, one second on, a goroutine
-// that was not running before the client was built still runs client
-// code.
-func settleClosed(t *testing.T, before map[string]string, c *Client) {
+// transport returns the connection c runs on now.
+func transport(c *Client) *wire.Client {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.rpc
+}
+
+// settleClosed closes c and fails the test if, one second on, the read
+// loop of one of its transports still runs, or a goroutine that was not
+// running before the client was built still runs client code. Only what
+// the client started counts: other wire.Clients in the process, such as
+// a cluster harness's node links, are not its.
+func settleClosed(t *testing.T, before map[string]string, c *Client, transports ...*wire.Client) {
 	t.Helper()
 	c.Close()
 	var left []string
+	var reading int
 	for deadline := time.Now().Add(time.Second); ; time.Sleep(10 * time.Millisecond) {
 		left = left[:0]
 		for id, g := range clientGoroutines() {
@@ -53,9 +63,20 @@ func settleClosed(t *testing.T, before map[string]string, c *Client) {
 				left = append(left, g)
 			}
 		}
-		if len(left) == 0 || time.Now().After(deadline) {
+		reading = 0
+		for _, rpc := range transports {
+			select {
+			case <-rpc.Done():
+			default:
+				reading++
+			}
+		}
+		if len(left) == 0 && reading == 0 || time.Now().After(deadline) {
 			break
 		}
+	}
+	if reading > 0 {
+		t.Errorf("%d of the client's %d transports still read after Close", reading, len(transports))
 	}
 	for _, g := range left {
 		t.Errorf("goroutine outlived Close:\n%s", g)
@@ -96,7 +117,7 @@ func TestClosedClientLeavesNoGoroutine(t *testing.T) {
 		if _, _, err := c.Join("r", "p1", 0); err != nil {
 			t.Fatal(err)
 		}
-		settleClosed(t, before, c)
+		settleClosed(t, before, c, transport(c))
 	})
 
 	t.Run("mid-outage", func(t *testing.T) {
@@ -120,9 +141,10 @@ func TestClosedClientLeavesNoGoroutine(t *testing.T) {
 		if _, _, err := c.Join("r", "p1", 0); err != nil {
 			t.Fatal(err)
 		}
+		first := transport(c)
 		(<-conns).Close()
 		waitFor(t, func() bool { return c.ReconnectStats().Failures > 0 })
-		settleClosed(t, before, c) // the redial loop sits in its backoff
+		settleClosed(t, before, c, first) // the redial loop sits in its backoff
 	})
 
 	t.Run("after-redirect", func(t *testing.T) {
@@ -132,13 +154,14 @@ func TestClosedClientLeavesNoGoroutine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		first := transport(c)
 		if _, _, err := c.Join(h.RoomOwnedBy(h.Nodes[1].ID, "ward"), "p1", 0); err != nil {
 			t.Fatal(err)
 		}
 		if c.ReconnectStats().Redirects == 0 {
 			t.Fatal("the join reached its room without a redirect")
 		}
-		settleClosed(t, before, c)
+		settleClosed(t, before, c, first, transport(c))
 	})
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"mmconf/internal/client"
 	"mmconf/internal/proto"
-	"mmconf/internal/server"
 	"mmconf/internal/wire"
 )
 
@@ -130,10 +129,12 @@ func TestLiveSetHoldsAtMost64Nodes(t *testing.T) {
 // crosses with the ingress request's trace id, so the owner's trace and
 // the ingress node's share one id in sys.traces.
 func TestRelayKeepsTheTraceID(t *testing.T) {
-	// A negative slow bar keeps every request in the trace ring.
-	h, sess := forwardedRoom(t, HarnessOptions{Server: server.Options{SlowThreshold: -1, Logf: func(string, ...any) {}}})
-	if err := sess.Choice("ct", "segmented"); err != nil {
-		t.Fatal(err)
+	h, sess := forwardedRoom(t, HarnessOptions{})
+	// The owner refuses a value the variable does not have, and the trace
+	// ring keeps every errored request: on the owner, and on the ingress
+	// node that relayed the refusal back.
+	if err := sess.Choice("ct", "no-such-value"); err == nil {
+		t.Fatal("the owner accepted a value ct does not have")
 	}
 	// choices lists the room.choice traces a node's sys.traces returns,
 	// all of them or those of one trace id.

@@ -418,13 +418,6 @@ func (n *Node) HasQuorum() bool {
 	return q
 }
 
-// OwnerOf returns which node this one believes owns room, and whether
-// that belief is backed by a majority view.
-func (n *Node) OwnerOf(room string) (string, bool) {
-	place, q := n.view()
-	return place.Owner(room), q
-}
-
 // markLive records contact with a peer. A peer that was not live wakes
 // the replication loop, whose next pass reconciles the new live set.
 func (n *Node) markLive(id string) {

@@ -24,7 +24,7 @@ func E4Store(workdir string) (*Table, error) {
 		opts store.Options
 	}{
 		{"always", store.Options{Sync: store.SyncAlways}},
-		{"group-64", store.Options{Sync: store.SyncGroup, GroupSize: 64}},
+		{"group-64", store.Options{Sync: store.SyncGroup}},
 		{"never", store.Options{Sync: store.SyncNever}},
 	}
 	const ops = 200

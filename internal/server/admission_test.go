@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -53,26 +54,33 @@ func TestOptionsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// refused names the field a refusal must name; empty for accepted
+	// options.
 	cases := []struct {
-		name string
-		o    Options
-		ok   bool
+		name    string
+		o       Options
+		refused string
 	}{
-		{"zero value", Options{}, true},
-		{"admission disabled", Options{MaxInflight: -1}, true},
-		{"negative queue depth", Options{QueueDepth: -1}, false},
-		{"negative per-peer rate", Options{PerPeerRate: -1}, false},
-		{"negative per-peer burst", Options{PerPeerBurst: -1}, false},
+		{"zero value", Options{}, ""},
+		{"admission disabled", Options{MaxInflight: -1}, ""},
+		{"push-prefetch disabled", Options{PrefetchBudget: -1}, ""},
+		{"negative queue depth", Options{QueueDepth: -1}, "QueueDepth"},
+		{"negative queue timeout", Options{QueueTimeout: -1}, "QueueTimeout"},
+		{"negative per-peer rate", Options{PerPeerRate: -1}, "PerPeerRate"},
+		{"negative per-peer burst", Options{PerPeerBurst: -1}, "PerPeerBurst"},
+		{"negative QoS interval", Options{QoSInterval: -1}, "QoSInterval"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, err := NewWith(m, tc.o)
-			if tc.ok && err != nil {
+			if tc.refused == "" && err != nil {
 				t.Fatalf("NewWith(%+v) = %v, want success", tc.o, err)
 			}
-			if !tc.ok && err == nil {
-				srv.Close()
-				t.Fatalf("NewWith(%+v) succeeded, want validation error", tc.o)
+			if tc.refused != "" && (err == nil || !strings.Contains(err.Error(), tc.refused)) {
+				if srv != nil {
+					srv.Close()
+				}
+				t.Fatalf("NewWith(%+v) = %v, want a refusal naming %s", tc.o, err, tc.refused)
 			}
 			if srv != nil {
 				srv.Close()

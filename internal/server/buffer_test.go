@@ -18,11 +18,11 @@ import (
 // transparently to callers.
 
 // dialBuffered dials a client whose media buffer comes from a Join, on a
-// server with the QoS loop off: no prefetch push fills the buffer behind
-// the test's back.
+// server with push-prefetch off: no prefetch push fills the buffer
+// behind the test's back.
 func dialBuffered(t *testing.T) (*client.Client, *workload.PopulatedRecord) {
 	t.Helper()
-	_, addr, rec := testSystemOpts(t, Options{QoSInterval: -1})
+	_, addr, rec := testSystemOpts(t, Options{PrefetchBudget: -1})
 	c := dial(t, addr, "alice")
 	if _, _, err := c.Join("consult", "p1", 8<<20); err != nil {
 		t.Fatal(err)

@@ -76,13 +76,11 @@ func (s *Server) dispatch(ctx context.Context, m *method, p *wire.Peer, payload 
 	if admitted, err = s.admit(ctx, p, m.class, tr); err != nil {
 		return nil, err
 	}
-	if s.timeout > 0 {
-		from := admitted
-		if from.IsZero() {
-			from = start // no slot to wait for: admission took no time
-		}
-		req.SetDeadline(from.Add(s.timeout))
+	from := admitted
+	if from.IsZero() {
+		from = start // no slot to wait for: admission took no time
 	}
+	req.SetDeadline(from.Add(s.timeout))
 	return m.h(req, p, payload)
 }
 

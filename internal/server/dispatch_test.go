@@ -23,7 +23,7 @@ import (
 // behind its request step (a name already registered is replaced, so
 // a test can give a real method's admission class a handler it
 // controls), and a dial func for bare wire clients to it.
-func stepSystem(t *testing.T, o Options, handlers map[string]wire.Handler) (*Server, func() *wire.Client) {
+func stepSystem(t *testing.T, o Options, handlers map[string]wire.Handler, tune ...func(*Server)) (*Server, func() *wire.Client) {
 	t.Helper()
 	db, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncNever})
 	if err != nil {
@@ -41,6 +41,9 @@ func stepSystem(t *testing.T, o Options, handlers map[string]wire.Handler) (*Ser
 	for name, h := range handlers {
 		srv.Register(name, h)
 	}
+	for _, f := range tune {
+		f(srv)
+	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -55,6 +58,21 @@ func stepSystem(t *testing.T, o Options, handlers map[string]wire.Handler) (*Ser
 		}
 		t.Cleanup(func() { c.Close() })
 		return c
+	}
+}
+
+// deadline tunes a server's request deadline (requestTimeout).
+func deadline(d time.Duration) func(*Server) {
+	return func(s *Server) { s.timeout = d }
+}
+
+// slowBar tunes a server's slow bar (slowRequest), for the slow log and
+// the trace ring alike; 0 makes every request slow, so the ring keeps
+// it and the slow log prints it (mute Logf).
+func slowBar(d time.Duration) func(*Server) {
+	return func(s *Server) {
+		s.slow = d
+		s.tracer = obs.NewRecorder(obs.DefaultTraceRing, d)
 	}
 }
 
@@ -112,7 +130,7 @@ func TestOneDurationPerRequest(t *testing.T) {
 			}
 		}
 	}
-	srv, dial := stepSystem(t, Options{SlowThreshold: -1, Logf: logf}, nil)
+	srv, dial := stepSystem(t, Options{Logf: logf}, nil, slowBar(0))
 	const pinned = uint64(0x5106)
 	ctx := wire.WithTraceID(context.Background(), pinned)
 	var resp proto.ListDocumentsResp
@@ -191,8 +209,9 @@ func TestRequestTimeoutAbortsSlowHandler(t *testing.T) {
 			}
 		}
 	}
-	_, dial := stepSystem(t, Options{RequestTimeout: 200 * time.Millisecond, Logf: func(string, ...any) {}},
-		map[string]wire.Handler{"slow": sleeper(5 * time.Second), "quick": sleeper(5 * time.Millisecond)})
+	_, dial := stepSystem(t, Options{Logf: func(string, ...any) {}},
+		map[string]wire.Handler{"slow": sleeper(5 * time.Second), "quick": sleeper(5 * time.Millisecond)},
+		deadline(200*time.Millisecond))
 	c := dial()
 	start := time.Now()
 	err := call(context.Background(), c, "slow")
@@ -220,7 +239,7 @@ func TestSlowLogReportsOverThreshold(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		return nil, nil
 	}
-	_, dial := stepSystem(t, Options{SlowThreshold: time.Millisecond, Logf: logf}, map[string]wire.Handler{"slow": slow})
+	_, dial := stepSystem(t, Options{Logf: logf}, map[string]wire.Handler{"slow": slow}, slowBar(time.Millisecond))
 	if err := call(context.Background(), dial(), "slow"); err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +271,7 @@ func TestHandlerSeesRequestTrace(t *testing.T) {
 }
 
 // TestDerivedContextEndsAtDeadlineAndOnDrop: a context a handler derives
-// from its request context is cancelled at RequestTimeout and when the
+// from its request context is cancelled at the request deadline and when the
 // connection drops, although the request context makes its timer only
 // when something first asks for Done.
 func TestDerivedContextEndsAtDeadlineAndOnDrop(t *testing.T) {
@@ -275,8 +294,8 @@ func TestDerivedContextEndsAtDeadlineAndOnDrop(t *testing.T) {
 	}
 	t.Run("deadline", func(t *testing.T) {
 		ended := make(chan error, 1)
-		_, dial := stepSystem(t, Options{RequestTimeout: 100 * time.Millisecond, Logf: func(string, ...any) {}},
-			map[string]wire.Handler{"wait": waiter(make(chan struct{}, 1), ended)})
+		_, dial := stepSystem(t, Options{Logf: func(string, ...any) {}},
+			map[string]wire.Handler{"wait": waiter(make(chan struct{}, 1), ended)}, deadline(100*time.Millisecond))
 		start := time.Now()
 		err := call(context.Background(), dial(), "wait")
 		if err == nil || !strings.Contains(err.Error(), context.DeadlineExceeded.Error()) {
@@ -291,7 +310,7 @@ func TestDerivedContextEndsAtDeadlineAndOnDrop(t *testing.T) {
 	})
 	t.Run("drop", func(t *testing.T) {
 		waiting, ended := make(chan struct{}, 1), make(chan error, 1)
-		_, dial := stepSystem(t, Options{RequestTimeout: time.Minute}, map[string]wire.Handler{"wait": waiter(waiting, ended)})
+		_, dial := stepSystem(t, Options{}, map[string]wire.Handler{"wait": waiter(waiting, ended)})
 		c := dial()
 		go call(context.Background(), c, "wait")
 		<-waiting
@@ -329,7 +348,7 @@ func TestErrReportsDeadlineWithoutDone(t *testing.T) {
 		}
 		return nil, nil
 	}
-	_, dial := stepSystem(t, Options{RequestTimeout: timeout, Logf: func(string, ...any) {}}, map[string]wire.Handler{"late": late})
+	_, dial := stepSystem(t, Options{Logf: func(string, ...any) {}}, map[string]wire.Handler{"late": late}, deadline(timeout))
 	if err := call(context.Background(), dial(), "late"); err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +370,7 @@ func TestHandlerThatNeverWaitsMakesNoTimer(t *testing.T) {
 			return nil, nil
 		}
 	}
-	_, dial := stepSystem(t, Options{RequestTimeout: time.Minute}, map[string]wire.Handler{"never": answer, "looks": looks})
+	_, dial := stepSystem(t, Options{}, map[string]wire.Handler{"never": answer, "looks": looks})
 	c := dial()
 	count := func(method string) float64 {
 		run := func() {

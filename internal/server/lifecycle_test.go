@@ -15,9 +15,9 @@ import (
 )
 
 // testSystemWith is testSystem with explicit pipeline options.
-func testSystemWith(t *testing.T, o Options) (*Server, string) {
+func testSystemWith(t *testing.T, o Options, tune ...func(*Server)) (*Server, string) {
 	t.Helper()
-	srv, addr, _ := testSystemOpts(t, o)
+	srv, addr, _ := testSystemOpts(t, o, tune...)
 	return srv, addr
 }
 
@@ -97,10 +97,7 @@ func TestConcurrentRoomLifecycle(t *testing.T) {
 // deadline, Room.Join aborts before touching any state, the client sees
 // the context error over the wire, and the room gains no member.
 func TestMethodTimeoutAbortsRoomWork(t *testing.T) {
-	srv, addr := testSystemWith(t, Options{
-		RequestTimeout: time.Nanosecond,
-		Logf:           func(string, ...any) {},
-	})
+	srv, addr := testSystemWith(t, Options{Logf: func(string, ...any) {}}, deadline(time.Nanosecond))
 	// The room exists before the join, so an abort inside Room.Join is
 	// what keeps the member out, not a failure to build the room.
 	rs, err := srv.roomFor("consult", "p1")

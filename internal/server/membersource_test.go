@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"testing"
+	"time"
 
 	"mmconf/internal/proto"
 	"mmconf/internal/room"
@@ -35,6 +36,7 @@ func TestMemberSourceAllocatesOnlyThePayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := &Server{stats: wire.NewStats()}
+	s.qos = newQoSController(s, time.Second, 0) // never runs: detach only unregisters
 	s.sources.Add(1)
 	src := &memberSource{s: s, member: member}
 	kicks := 0

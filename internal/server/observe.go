@@ -116,9 +116,7 @@ func (s *Server) MetricsSnapshot() *proto.StatsResp {
 	resp.Gauges["cache.obj.entries"] = int64(cache.Entries)
 	resp.Gauges["go.goroutines"] = int64(runtime.NumGoroutine())
 	// Adaptive QoS loop: members under control and their level split.
-	if s.qos != nil {
-		s.qos.addGauges(resp.Gauges)
-	}
+	s.qos.addGauges(resp.Gauges)
 	if s.limiter != nil {
 		resp.Gauges["admission.inflight"] = int64(s.limiter.Inflight())
 		resp.Gauges["admission.queued"] = int64(s.limiter.Queued())

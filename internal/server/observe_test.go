@@ -30,10 +30,11 @@ func traceSystem(t *testing.T) (*Server, string) {
 	if _, err := workload.Populate(m, "p1", 1); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewWith(m, Options{SlowThreshold: -1, Logf: func(string, ...any) {}})
+	srv, err := NewWith(m, Options{Logf: func(string, ...any) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	slowBar(0)(srv)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -142,10 +143,11 @@ func TestErroredRequestAlwaysTraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewWith(m, Options{SlowThreshold: time.Hour}) // nothing is "slow"
+	srv, err := NewWith(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	slowBar(time.Hour)(srv) // nothing is "slow"
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -62,12 +62,13 @@ type qosClient struct {
 	pushedBytes int64
 }
 
-// newQoSController wires the loop; bands were validated with Options.
-func newQoSController(s *Server, interval time.Duration, bands qos.Bands, prefetchBudget int64) *qosController {
+// newQoSController wires the loop with qos.DefaultBands; in-package
+// tests may set other bands before serving.
+func newQoSController(s *Server, interval time.Duration, prefetchBudget int64) *qosController {
 	return &qosController{
 		s:              s,
 		interval:       interval,
-		bands:          bands,
+		bands:          qos.DefaultBands(),
 		prefetchBudget: prefetchBudget,
 		clients:        make(map[*room.Member]*qosClient),
 		stop:           make(chan struct{}),
@@ -101,7 +102,7 @@ func (q *qosController) stopLoop() {
 func (q *qosController) register(p *wire.Peer, rs *roomState, roomName, user string, member *room.Member, buffered bool) {
 	ctrl, err := qos.NewController(q.bands)
 	if err != nil {
-		return // bands were validated at construction; unreachable
+		return // the bands are qos.DefaultBands or a test's valid ones; unreachable
 	}
 	q.mu.Lock()
 	q.clients[member] = &qosClient{
@@ -128,10 +129,7 @@ func (q *qosController) tick() {
 	q.mu.Unlock()
 	for _, c := range clients {
 		m := c.peer.Meter()
-		var pressure float64
-		if q.s.pushBudget > 0 {
-			pressure = float64(c.member.QueuedBytes()) / float64(q.s.pushBudget)
-		}
+		pressure := float64(c.member.QueuedBytes()) / float64(q.s.pushBudget)
 		level, changed := c.ctrl.Update(m.Rate(), m.Samples(), pressure)
 		if changed {
 			// The member may have left or the document may carry no tuning
@@ -174,7 +172,7 @@ func (q *qosController) prefetch(c *qosClient) {
 		if c.pushedBytes+n > q.prefetchBudget {
 			continue // over allowance; a smaller candidate may still fit
 		}
-		if q.s.pushBudget > 0 && c.member.QueuedBytes()+n > q.s.pushBudget {
+		if c.member.QueuedBytes()+n > q.s.pushBudget {
 			return // no headroom this tick; retry when the queue drains
 		}
 		err = c.peer.Push(proto.MPrefetchPush, &proto.PrefetchPush{

@@ -45,13 +45,11 @@ func qosServer(t *testing.T, docs ...string) (srv *Server, m *mediadb.MediaDB, c
 		}
 		recs = append(recs, rec)
 	}
-	srv, err = NewWith(m, Options{
-		QoSInterval: 10 * time.Millisecond,
-		QoSBands:    qos.Bands{LowMedium: 1 << 40, MediumHigh: 1 << 41, Hysteresis: 0.25},
-	})
+	srv, err = NewWith(m, Options{QoSInterval: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.qos.bands = qos.Bands{LowMedium: 1 << 40, MediumHigh: 1 << 41, Hysteresis: 0.25}
 	t.Cleanup(func() { srv.Close() })
 	sc, cc := net.Pipe()
 	go srv.ServeConn(sc)

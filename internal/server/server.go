@@ -27,22 +27,16 @@ import (
 	"mmconf/internal/mediadb"
 	"mmconf/internal/obs"
 	"mmconf/internal/proto"
-	"mmconf/internal/qos"
 	"mmconf/internal/room"
 	"mmconf/internal/wire"
 )
 
 // Options tunes the request pipeline. The zero value selects the
-// defaults noted on each field.
+// defaults noted on each field; DESIGN.md §14 says which program sets
+// what. What no program tunes is a constant: the request deadline
+// (requestTimeout), the slow bar (slowRequest), the member queue budget
+// (memberPushBudget) and the QoS bands (qos.DefaultBands).
 type Options struct {
-	// RequestTimeout bounds every handler (default 30s; negative
-	// disables the deadline entirely).
-	RequestTimeout time.Duration
-	// SlowThreshold is the one bar for a slow request (default 250ms): a
-	// request that takes at least this long is logged through Logf and
-	// kept in the trace ring, which also keeps every errored request.
-	// Negative counts every request as slow (tests, live debugging).
-	SlowThreshold time.Duration
 	// Logf receives slow-request reports (default log.Printf).
 	Logf func(format string, args ...any)
 	// CacheBytes bounds the cache of store-backed media payloads, keyed
@@ -54,15 +48,14 @@ type Options struct {
 	SessionGrace time.Duration
 	// MaxInflight caps concurrently executing requests across the server
 	// (default 1024; negative disables admission control entirely —
-	// every request is admitted immediately, the pre-PR-5 behavior).
+	// every request is admitted immediately).
 	MaxInflight int
 	// QueueDepth bounds how many requests may wait for an execution slot
-	// once MaxInflight are running (default 128; 0 keeps the default,
-	// negative is invalid). Arrivals beyond it are shed with
-	// proto.ErrOverloaded.
+	// once MaxInflight are running (default 128; negative is invalid).
+	// Arrivals beyond it are shed with proto.ErrOverloaded.
 	QueueDepth int
 	// QueueTimeout sheds a queued request that cannot get a slot in time
-	// (default 1s; negative waits as long as the request context allows).
+	// (default 1s; negative is invalid).
 	QueueTimeout time.Duration
 	// PerPeerRate limits each connection to a sustained request rate in
 	// requests/second (default 0: unlimited; negative is invalid).
@@ -70,22 +63,12 @@ type Options struct {
 	// rounded up, minimum 1).
 	PerPeerRate  float64
 	PerPeerBurst int
-	// MemberPushBudget caps the estimated bytes of undrained events
-	// queued per room member (default 1 MiB; negative disables). Slow
-	// consumers over budget lose their oldest queued events and get a
-	// Resync hint instead of buffering without bound.
-	MemberPushBudget int64
 	// QoSInterval is the adaptive-QoS control period: every tick the
 	// server re-estimates each member connection's throughput from its
 	// socket writes and adjusts that member's bandwidth tuning level,
 	// degrading resolution before components (default 500ms; negative
-	// disables the adaptive loop — and push-prefetch with it).
+	// is invalid).
 	QoSInterval time.Duration
-	// QoSBands sets the throughput thresholds (bytes/second) separating
-	// the low/medium/high tuning levels and the hysteresis fraction that
-	// prevents flapping at a band edge (zero value selects
-	// qos.DefaultBands()).
-	QoSBands qos.Bands
 	// PrefetchBudget caps the speculative bytes push-prefetched into one
 	// member's client buffer over its session (default 256 KiB; negative
 	// disables push-prefetch while keeping adaptive tuning).
@@ -94,6 +77,21 @@ type Options struct {
 	// fills it); nil serves standalone.
 	Cluster Cluster
 }
+
+// The settings no program tunes.
+const (
+	// requestTimeout bounds every handler, counted from its admission.
+	requestTimeout = 30 * time.Second
+	// slowRequest is the one bar for a slow request: a request that takes
+	// at least this long is logged through Options.Logf and kept in the
+	// trace ring, which also keeps every errored request.
+	slowRequest = 250 * time.Millisecond
+	// memberPushBudget caps the estimated bytes of undrained events
+	// queued per room member. Slow consumers over budget lose their
+	// oldest queued events and get a Resync hint instead of buffering
+	// without bound.
+	memberPushBudget = 1 << 20
+)
 
 // Cluster is what a cluster tier tells the server, and is told by it.
 type Cluster interface {
@@ -128,9 +126,9 @@ type Server struct {
 	tracer  *obs.Recorder
 	objects *bytecache.Cache[blob.Digest] // nil when caching is off
 	grace   time.Duration
-	// The request step's settings (see the Options fields of the same
-	// names): limiter is nil when MaxInflight is negative, timeout 0 when
-	// RequestTimeout is.
+	// The request step's settings: limiter is nil when MaxInflight is
+	// negative; timeout and slow are requestTimeout and slowRequest, which
+	// in-package tests may change before serving.
 	limiter      *wire.Limiter
 	queueTimeout time.Duration
 	perPeerRate  float64
@@ -139,15 +137,15 @@ type Server struct {
 	slow         time.Duration
 	logf         func(format string, args ...any)
 	// pushBudget is the per-member event-queue byte cap handed to every
-	// room.
+	// room (memberPushBudget).
 	pushBudget int64
 	// sources counts the member event streams attached to connection
 	// writers (one per room membership) so Shutdown can wait for the
 	// writers to take what the rooms queued before it closes connections.
 	sources sync.WaitGroup
-	// qos is the adaptive bandwidth-estimation loop (nil when disabled):
-	// per-member throughput drives the CP-net tuning level and spends
-	// idle push budget on prefetch pushes.
+	// qos is the adaptive bandwidth-estimation loop: per-member
+	// throughput drives the CP-net tuning level and spends idle push
+	// budget on prefetch pushes.
 	qos *qosController
 	// cluster is Options.Cluster: nil standalone.
 	cluster Cluster
@@ -167,15 +165,6 @@ func New(db *mediadb.MediaDB) *Server {
 
 // normalize applies the documented defaults in place.
 func (o *Options) normalize() {
-	if o.RequestTimeout == 0 {
-		o.RequestTimeout = 30 * time.Second
-	}
-	if o.RequestTimeout < 0 {
-		o.RequestTimeout = 0 // dispatch treats 0 as unbounded
-	}
-	if o.SlowThreshold == 0 {
-		o.SlowThreshold = 250 * time.Millisecond
-	}
 	if o.Logf == nil {
 		o.Logf = log.Printf
 	}
@@ -200,23 +189,8 @@ func (o *Options) normalize() {
 	if o.QueueTimeout == 0 {
 		o.QueueTimeout = time.Second
 	}
-	if o.QueueTimeout < 0 {
-		o.QueueTimeout = 0 // wire.Limiter treats 0 as wait-for-context
-	}
-	if o.MemberPushBudget == 0 {
-		o.MemberPushBudget = 1 << 20
-	}
-	if o.MemberPushBudget < 0 {
-		o.MemberPushBudget = 0 // room.SetPushBudget treats 0 as disabled
-	}
 	if o.QoSInterval == 0 {
 		o.QoSInterval = 500 * time.Millisecond
-	}
-	if o.QoSInterval < 0 {
-		o.QoSInterval = 0 // adaptive loop disabled
-	}
-	if o.QoSBands == (qos.Bands{}) {
-		o.QoSBands = qos.DefaultBands()
 	}
 	if o.PrefetchBudget == 0 {
 		o.PrefetchBudget = 256 << 10
@@ -227,12 +201,15 @@ func (o *Options) normalize() {
 }
 
 // validate rejects nonsensical option values after normalize ran.
-// Fields with a documented negative-disables contract (RequestTimeout,
-// CacheBytes, SessionGrace, MaxInflight, QueueTimeout, MemberPushBudget)
-// were already folded by normalize and are not re-checked here.
+// Fields with a documented negative-disables contract (CacheBytes,
+// SessionGrace, MaxInflight, PrefetchBudget) were already folded by
+// normalize and are not re-checked here.
 func (o *Options) validate() error {
 	if o.QueueDepth < 0 {
 		return fmt.Errorf("server: QueueDepth must be >= 0 (0 selects the default), got %d", o.QueueDepth)
+	}
+	if o.QueueTimeout < 0 {
+		return fmt.Errorf("server: QueueTimeout must be >= 0 (0 selects the default), got %v", o.QueueTimeout)
 	}
 	if o.PerPeerRate < 0 {
 		return fmt.Errorf("server: PerPeerRate must be >= 0 (0 disables), got %g", o.PerPeerRate)
@@ -240,10 +217,8 @@ func (o *Options) validate() error {
 	if o.PerPeerBurst < 0 {
 		return fmt.Errorf("server: PerPeerBurst must be >= 0 (0 derives from the rate), got %d", o.PerPeerBurst)
 	}
-	if o.QoSInterval > 0 {
-		if err := o.QoSBands.Valid(); err != nil {
-			return fmt.Errorf("server: QoSBands: %w", err)
-		}
+	if o.QoSInterval < 0 {
+		return fmt.Errorf("server: QoSInterval must be >= 0 (0 selects the default), got %v", o.QoSInterval)
 	}
 	return nil
 }
@@ -260,15 +235,15 @@ func NewWith(db *mediadb.MediaDB, o Options) (*Server, error) {
 		rpc:          wire.NewServer(),
 		reg:          newRegistry(defaultRegistryShards),
 		stats:        wire.NewStats(),
-		tracer:       obs.NewRecorder(obs.DefaultTraceRing, o.SlowThreshold),
+		tracer:       obs.NewRecorder(obs.DefaultTraceRing, slowRequest),
 		grace:        o.SessionGrace,
 		queueTimeout: o.QueueTimeout,
 		perPeerRate:  o.PerPeerRate,
 		perPeerBurst: o.PerPeerBurst,
-		timeout:      o.RequestTimeout,
-		slow:         o.SlowThreshold,
+		timeout:      requestTimeout,
+		slow:         slowRequest,
 		logf:         o.Logf,
-		pushBudget:   o.MemberPushBudget,
+		pushBudget:   memberPushBudget,
 		cluster:      o.Cluster,
 	}
 	if o.CacheBytes > 0 {
@@ -283,10 +258,8 @@ func NewWith(db *mediadb.MediaDB, o Options) (*Server, error) {
 	}
 	s.register()
 	s.rpc.OnPeerClose(s.evictPeer)
-	if o.QoSInterval > 0 {
-		s.qos = newQoSController(s, o.QoSInterval, o.QoSBands, o.PrefetchBudget)
-		go s.qos.run()
-	}
+	s.qos = newQoSController(s, o.QoSInterval, o.PrefetchBudget)
+	go s.qos.run()
 	return s, nil
 }
 
@@ -372,9 +345,7 @@ func (s *Server) ServeConn(conn net.Conn) { s.rpc.ServeConn(conn) }
 // for in-flight handlers until ctx expires, then close rooms and tear
 // down the remaining connections.
 func (s *Server) Shutdown(ctx context.Context) error {
-	if s.qos != nil {
-		s.qos.stopLoop()
-	}
+	s.qos.stopLoop()
 	s.rpc.Drain()
 	s.reg.forEach(func(name string, rs *roomState) { rs.room.AnnounceShutdown() })
 	err := s.rpc.AwaitIdle(ctx)

@@ -27,8 +27,9 @@ func testSystem(t *testing.T) (*Server, string, *workload.PopulatedRecord) {
 	return testSystemOpts(t, Options{SessionGrace: 75 * time.Millisecond})
 }
 
-// testSystemOpts is testSystem with the caller's server options.
-func testSystemOpts(t *testing.T, o Options) (*Server, string, *workload.PopulatedRecord) {
+// testSystemOpts is testSystem with the caller's server options; each
+// tune sets an unexported setting before the server serves.
+func testSystemOpts(t *testing.T, o Options, tune ...func(*Server)) (*Server, string, *workload.PopulatedRecord) {
 	t.Helper()
 	db, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncNever})
 	if err != nil {
@@ -46,6 +47,9 @@ func testSystemOpts(t *testing.T, o Options) (*Server, string, *workload.Populat
 	srv, err := NewWith(m, o)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, f := range tune {
+		f(srv)
 	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

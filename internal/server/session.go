@@ -63,12 +63,12 @@ func (s *Server) buildRoom(name, docID string) (*roomState, error) {
 	if err != nil {
 		return nil, err
 	}
-	// With the adaptive loop on, extend the document's preference network
-	// with the bandwidth tuning variable (§4.4's automatic template
-	// extension) so per-member measured levels can re-rank resolutions.
-	// Documents with nothing to degrade (no component offers at least two
-	// visible forms) are left untouched.
-	if s.qos != nil && !doc.Prefs.HasVariable(core.BandwidthVariable) {
+	// Extend the document's preference network with the bandwidth tuning
+	// variable (§4.4's automatic template extension) so per-member
+	// measured levels can re-rank resolutions. Documents with nothing to
+	// degrade (no component offers at least two visible forms) are left
+	// untouched.
+	if !doc.Prefs.HasVariable(core.BandwidthVariable) {
 		if tpl := core.AutoBandwidthTemplates(doc, 0); len(tpl) > 0 {
 			if err := core.AddBandwidthTuning(doc, tpl); err != nil {
 				return nil, fmt.Errorf("server: bandwidth tuning for %s: %w", docID, err)
@@ -254,9 +254,7 @@ type memberSource struct {
 // the QoS loop's prefetch pushes.
 func (s *Server) attachMember(p *wire.Peer, sessions *peerSessions, rs *roomState, member *room.Member, buffered bool) {
 	s.sources.Add(1)
-	if s.qos != nil {
-		s.qos.register(p, rs, rs.room.Name, member.Name, member, buffered)
-	}
+	s.qos.register(p, rs, rs.room.Name, member.Name, member, buffered)
 	member.SetNotify(p.Kick)
 	p.Attach(&memberSource{s: s, peer: p, sessions: sessions, rs: rs, member: member})
 	p.Kick() // the join's own events were queued before the hook was set
@@ -319,9 +317,7 @@ func (src *memberSource) Abandon() {
 // detach ends the source's accounting; it runs once, from whichever of
 // Drain and Abandon ended it.
 func (src *memberSource) detach() {
-	if src.s.qos != nil {
-		src.s.qos.unregister(src.member)
-	}
+	src.s.qos.unregister(src.member)
 	src.s.sources.Done()
 }
 

@@ -136,7 +136,8 @@ func TestCompactBlobsFootprint(t *testing.T) {
 // payload stays readable (and its space unreused) in the window where a
 // crash would resurrect the row.
 func TestReleaseBlobDeferredUntilWALSync(t *testing.T) {
-	db, _ := openTestDB(t, Options{Sync: SyncGroup, GroupSize: 1024})
+	db, _ := openTestDB(t, Options{Sync: SyncGroup})
+	db.wal.groupSize = 1024 // no group sync: only Flush makes records durable
 	tbl, _ := db.CreateTable("t", blobSchema)
 	payload := bytes.Repeat([]byte{0x42}, 10_000)
 	h, err := db.PutBlob(payload)

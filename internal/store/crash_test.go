@@ -247,7 +247,8 @@ func TestBlobSyncedBeforeWALSync(t *testing.T) {
 // Flush with nothing pending must not touch the disk or inflate the sync
 // counter the E4 ablation reports.
 func TestNoopFlushIsFree(t *testing.T) {
-	db, _ := openTestDB(t, Options{Sync: SyncGroup, GroupSize: 4})
+	db, _ := openTestDB(t, Options{Sync: SyncGroup})
+	db.wal.groupSize = 4
 	tbl, _ := db.CreateTable("t", []Column{{Name: "v", Type: TInt}})
 	if _, err := tbl.Insert(Row{int64(1)}); err != nil {
 		t.Fatal(err)

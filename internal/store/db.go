@@ -17,8 +17,6 @@ import (
 type Options struct {
 	// Sync selects the WAL durability mode. The zero value is SyncAlways.
 	Sync SyncMode
-	// GroupSize is the group-commit batch for SyncGroup (default 64).
-	GroupSize int
 	// Blob tunes the content-addressed blob store (chunk size, segment
 	// size, background compaction threshold). Zero values select the
 	// blob package defaults.
@@ -95,7 +93,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err := db.loadSnapshot(); err != nil {
 		return nil, err
 	}
-	w, skipped, err := openWAL(filepath.Join(dir, walFile), opts.Sync, opts.GroupSize, db.apply)
+	w, skipped, err := openWAL(filepath.Join(dir, walFile), opts.Sync, db.apply)
 	if err != nil {
 		return nil, err
 	}
@@ -446,12 +444,6 @@ func (db *DB) GetBlob(h blob.Handle) ([]byte, error) {
 // The zero handle returns blob.ErrNoBlob.
 func (db *DB) ReleaseBlob(h blob.Handle) error {
 	return db.blobs.Release(h)
-}
-
-// ContainsBlob reports whether the local store already holds the
-// payload h names — the whole-object fast path of digest replication.
-func (db *DB) ContainsBlob(h blob.Handle) bool {
-	return db.blobs.Contains(h)
 }
 
 // BlobManifest returns the ordered chunk digest list of the stored

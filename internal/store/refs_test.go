@@ -67,7 +67,8 @@ func TestWriteReleasesDisplacedBlob(t *testing.T) {
 	}
 	for name, write := range writes {
 		t.Run(name, func(t *testing.T) {
-			db, _ := openTestDB(t, Options{Sync: SyncGroup, GroupSize: 1024})
+			db, _ := openTestDB(t, Options{Sync: SyncGroup})
+			db.wal.groupSize = 1024 // no group sync: only Flush makes records durable
 			tbl, _ := db.CreateTable("t", blobSchema)
 			id, h := putRow(t, db, tbl, bytes.Repeat([]byte{0x6D}, 10_000))
 			if err := db.Flush(); err != nil {
@@ -359,6 +360,10 @@ func (w *refWalk) step() {
 	}
 }
 
+// walkGroup is the walks' group-commit batch: small, so SyncGroup
+// walks sync (and drain releases) every few writes.
+const walkGroup = 8
+
 // reopen closes and reopens the store. The put references the walk held
 // die with the process that held them.
 func (w *refWalk) reopen() {
@@ -369,6 +374,7 @@ func (w *refWalk) reopen() {
 	if err != nil {
 		w.fail("reopen: %v", err)
 	}
+	db.wal.groupSize = walkGroup
 	w.db, w.held = db, nil
 }
 
@@ -434,12 +440,13 @@ func TestBlobRefsFollowRows(t *testing.T) {
 	for _, mode := range []SyncMode{SyncAlways, SyncGroup} {
 		for seed := int64(1); seed <= 16; seed++ {
 			t.Run(fmt.Sprintf("mode=%d/seed=%d", mode, seed), func(t *testing.T) {
-				opts := Options{Sync: mode, GroupSize: 8, Blob: blob.Options{ChunkSize: 512, SegmentSize: 16 << 10}}
+				opts := Options{Sync: mode, Blob: blob.Options{ChunkSize: 512, SegmentSize: 16 << 10}}
 				dir := t.TempDir()
 				db, err := Open(dir, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
+				db.wal.groupSize = walkGroup
 				w := &refWalk{t: t, rng: rand.New(rand.NewSource(seed)), dir: dir, opts: opts, db: db, pool: pool, rows: map[string]map[uint64][2]int64{}}
 				t.Cleanup(func() { w.db.Close() })
 				for i := 0; i < 200; i++ {
@@ -459,7 +466,8 @@ func TestBlobRefsFollowRows(t *testing.T) {
 // so releases queue and drain under every interleaving; once the writers
 // are done and a flush has run, the counts are the cells again.
 func TestBlobRefsUnderConcurrentWriters(t *testing.T) {
-	db, _ := openTestDB(t, Options{Sync: SyncGroup, GroupSize: 4, Blob: blob.Options{ChunkSize: 512, SegmentSize: 16 << 10}})
+	db, _ := openTestDB(t, Options{Sync: SyncGroup, Blob: blob.Options{ChunkSize: 512, SegmentSize: 16 << 10}})
+	db.wal.groupSize = 4
 	pool := make([][]byte, 6)
 	for i := range pool {
 		pool[i] = bytes.Repeat([]byte{byte(i + 1)}, 700+100*i)

@@ -361,7 +361,8 @@ func TestTornWALTailIgnored(t *testing.T) {
 }
 
 func TestGroupCommitStats(t *testing.T) {
-	db, _ := openTestDB(t, Options{Sync: SyncGroup, GroupSize: 10})
+	db, _ := openTestDB(t, Options{Sync: SyncGroup})
+	db.wal.groupSize = 10
 	tbl, _ := db.CreateTable("t", []Column{{Name: "v", Type: TInt}})
 	for i := 0; i < 25; i++ {
 		tbl.Insert(Row{int64(i)})
@@ -386,7 +387,7 @@ func TestSyncModesDurability(t *testing.T) {
 	for _, mode := range []SyncMode{SyncAlways, SyncGroup, SyncNever} {
 		t.Run(fmt.Sprint(mode), func(t *testing.T) {
 			dir := t.TempDir()
-			db, err := Open(dir, Options{Sync: mode, GroupSize: 4})
+			db, err := Open(dir, Options{Sync: mode})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -102,8 +102,8 @@ const (
 	// one fsync per operation.
 	SyncAlways SyncMode = iota
 	// SyncGroup batches records and fsyncs when the batch reaches
-	// GroupSize records or an explicit Flush — the group-commit mode the
-	// E4 ablation measures.
+	// defaultGroupSize records or an explicit Flush — the group-commit
+	// mode the E4 ablation measures.
 	SyncGroup
 	// SyncNever leaves flushing to the OS — fastest, durable only up to
 	// the last checkpoint. Appropriate for caches and test fixtures.
@@ -140,11 +140,13 @@ type wal struct {
 	onBeforeSync func() error
 }
 
+// defaultGroupSize is SyncGroup's batch: a group fsync every 64
+// records. In-package tests set wal.groupSize for another batch.
 const defaultGroupSize = 64
 
 // openWAL opens (or creates) the log at path and folds every record it
 // holds into apply (see replay), leaving it ready for appends.
-func openWAL(path string, mode SyncMode, groupSize int, apply func(walRecord) error) (w *wal, skipped int, err error) {
+func openWAL(path string, mode SyncMode, apply func(walRecord) error) (w *wal, skipped int, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, 0, fmt.Errorf("store: open wal %s: %w", path, err)
@@ -153,10 +155,7 @@ func openWAL(path string, mode SyncMode, groupSize int, apply func(walRecord) er
 		f.Close()
 		return nil, 0, err
 	}
-	if groupSize <= 0 {
-		groupSize = defaultGroupSize
-	}
-	return &wal{f: f, mode: mode, groupSize: groupSize}, skipped, nil
+	return &wal{f: f, mode: mode, groupSize: defaultGroupSize}, skipped, nil
 }
 
 // append logs one record, honoring the sync mode.
