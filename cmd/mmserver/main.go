@@ -131,6 +131,10 @@ func run(addr, data string, seed int, syncMode, debugAddr string, opts server.Op
 	default:
 		return fmt.Errorf("unknown sync mode %q", syncMode)
 	}
+	// Refuse bad flags before the database is opened or seeded.
+	if err := opts.Validate(); err != nil {
+		return err
+	}
 	db, err := store.Open(data, store.Options{Sync: mode})
 	if err != nil {
 		return err

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"io"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -38,7 +42,7 @@ func parse(args ...string) (config, error) {
 func TestRunRejectsBadOptions(t *testing.T) {
 	// Flag values flow into server.Options; nonsense must fail run with
 	// the validation error naming the field, not start a misconfigured
-	// server.
+	// server, and before run opens (or seeds) the database.
 	for _, tc := range []struct {
 		args  []string
 		field string
@@ -51,9 +55,13 @@ func TestRunRejectsBadOptions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", tc.args, err)
 		}
-		err = run("127.0.0.1:0", t.TempDir(), 0, "never", "", c.opts, clusterConfig{})
+		data := filepath.Join(t.TempDir(), "D")
+		err = run("127.0.0.1:0", data, 2, "never", "", c.opts, clusterConfig{})
 		if err == nil || !strings.Contains(err.Error(), tc.field) {
 			t.Errorf("%v: run = %v, want a refusal naming %s", tc.args, err, tc.field)
+		}
+		if _, err := os.Stat(data); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%v: the refused run left %s behind (stat: %v), want no database", tc.args, data, err)
 		}
 	}
 	// The member queue budget is a constant: its flag is gone.

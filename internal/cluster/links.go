@@ -308,9 +308,8 @@ func (n *Node) dialIngress(ctx context.Context, p *wire.Peer, owner string) (*wi
 		return nil, err
 	}
 	rpc.OnPush(func(method string, body wire.Body) {
-		// The body is valid only during this call, and PushRaw keeps
-		// the bytes until the origin's writer has sent them.
-		_ = p.PushRaw(method, wire.EncBinary, append([]byte(nil), body.Data...))
+		// The body is valid only during this call; PushRaw copies it.
+		_ = p.PushRaw(method, wire.EncBinary, body.Data)
 	})
 	n.wg.Add(1)
 	go func() {

@@ -62,6 +62,16 @@ func (t *Trace) AddSpan(name string, start time.Time, dur time.Duration) {
 	t.mu.Unlock()
 }
 
+// Reset makes t the empty trace of a new request: its id, method and
+// peer set, no spans, nothing dropped and no begin time. The server's
+// request worker reuses one trace this way from request to request.
+func (t *Trace) Reset(id uint64, method string, peer uint64) {
+	t.mu.Lock()
+	t.ID, t.Method, t.Peer, t.Begin = id, method, peer, time.Time{}
+	t.n, t.dropped = 0, 0
+	t.mu.Unlock()
+}
+
 // Spans returns a copy of the recorded sections, in recording order.
 func (t *Trace) Spans() []Span {
 	t.mu.Lock()

@@ -11,15 +11,17 @@ import (
 // TestListDocumentsRoundTripAllocations pins what the smallest RPC costs
 // the process end to end — client encode, both frame reads, admission,
 // the typed handler, the response's strings — over loopback against an
-// admission-enabled server. Measured 19, client and server together,
-// since one wire.Request carries the request's trace, trace id and
-// deadline, spans are values, the client reads a frame where it lies in
-// its reader and reuses reply channels (34 with a trace, a value context
-// per layer, a deadline timer, a reply channel and a frame buffer per
-// call; 36 through the interceptor chain, which made a token bucket and
-// an admission-span closure per request; 48 while every request composed
-// its six interceptors anew and started a goroutine of its own); the gob
-// stack this protocol replaced took 581.
+// admission-enabled server. Measured 16, client and server together,
+// since the request worker keeps its wire.Request from request to
+// request and a flush's segment list belongs to the writer (19 with a
+// wire.Request per request and a segment-list header per flush on each
+// side; 34 before one wire.Request carried the request's trace, trace id
+// and deadline, spans were values, the client read a frame where it lies
+// in its reader and reused reply channels; 36 through the interceptor
+// chain, which made a token bucket and an admission-span closure per
+// request; 48 while every request composed its six interceptors anew and
+// started a goroutine of its own); the gob stack this protocol replaced
+// took 581.
 func TestListDocumentsRoundTripAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are measured without the race detector")
@@ -43,7 +45,7 @@ func TestListDocumentsRoundTripAllocations(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		call() // fill the codec scratch pools and the writers' buffers
 	}
-	if got := testing.AllocsPerRun(500, call); got > 19 {
-		t.Errorf("%v allocations per ListDocuments round trip, client and server together, want at most 19", got)
+	if got := testing.AllocsPerRun(500, call); got > 16 {
+		t.Errorf("%v allocations per ListDocuments round trip, client and server together, want at most 16", got)
 	}
 }

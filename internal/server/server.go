@@ -200,11 +200,13 @@ func (o *Options) normalize() {
 	}
 }
 
-// validate rejects nonsensical option values after normalize ran.
-// Fields with a documented negative-disables contract (CacheBytes,
-// SessionGrace, MaxInflight, PrefetchBudget) were already folded by
-// normalize and are not re-checked here.
-func (o *Options) validate() error {
+// Validate reports the first option value NewWith refuses, naming the
+// field, without building anything: a command checks its flags with it
+// before it opens or seeds a database. Zero selects a field's default,
+// and the fields with a documented negative-disables contract
+// (CacheBytes, SessionGrace, MaxInflight, PrefetchBudget) accept any
+// value.
+func (o Options) Validate() error {
 	if o.QueueDepth < 0 {
 		return fmt.Errorf("server: QueueDepth must be >= 0 (0 selects the default), got %d", o.QueueDepth)
 	}
@@ -226,10 +228,10 @@ func (o *Options) validate() error {
 // NewWith builds a server with explicit pipeline options, rejecting
 // nonsensical values with an error rather than silently misbehaving.
 func NewWith(db *mediadb.MediaDB, o Options) (*Server, error) {
-	o.normalize()
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
+	o.normalize()
 	s := &Server{
 		db:           db,
 		rpc:          wire.NewServer(),

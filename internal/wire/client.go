@@ -210,12 +210,13 @@ type callTimer struct {
 	fired bool // its value was received: the channel is empty
 }
 
-// start arms the timer when ctx has no deadline of its own.
-func (ct *callTimer) start(ctx context.Context, timeout time.Duration) {
-	if timeout <= 0 {
-		return
-	}
-	if _, bounded := ctx.Deadline(); bounded {
+// start arms the timer for deadline when it is set: the deadline of a
+// Request the call waits on without its Done (wait). Otherwise it arms
+// the default timeout when ctx has no deadline of its own.
+func (ct *callTimer) start(ctx context.Context, deadline time.Time, timeout time.Duration) {
+	if !deadline.IsZero() {
+		timeout = time.Until(deadline)
+	} else if _, bounded := ctx.Deadline(); bounded || timeout <= 0 {
 		return
 	}
 	ct.t = callTimers.Get().(*time.Timer)
@@ -267,15 +268,16 @@ func (c *Client) closedErr() error {
 // bottom of its request step's routing, and one more frame there cost
 // the forwarded choice 5% in goroutine stack growth.
 func (c *Client) roundTrip(ctx context.Context, method string, payload []byte, args BodyEncoder) (reply []byte, err error) {
+	// A call made under a *Request (a relayed one) waits on the
+	// Request's connection and deadline, not on a Done child made for it.
 	// The default deadline covers the handshake wait too: a peer that
 	// accepts the connection but never answers the preamble must fail the
 	// call, not wedge it.
+	done, deadline := wait(ctx)
 	var timer callTimer
-	timer.start(ctx, time.Duration(c.callTimeout.Load()))
+	timer.start(ctx, deadline, time.Duration(c.callTimeout.Load()))
 	defer timer.release()
 	// The handshake settles before the first byte of any call goes out.
-	// It has almost always settled already: look before asking ctx for
-	// Done, which may build a context to wait on.
 	select {
 	case <-c.ready:
 	default:
@@ -283,7 +285,7 @@ func (c *Client) roundTrip(ctx context.Context, method string, payload []byte, a
 		case <-c.ready:
 		case <-c.done:
 			return nil, fmt.Errorf("wire: call %s: %w", method, c.closedErr())
-		case <-ctx.Done():
+		case <-done:
 			return nil, fmt.Errorf("wire: call %s: %w", method, ctx.Err())
 		case <-timer.C():
 			return nil, timer.expired(method)
@@ -340,7 +342,7 @@ func (c *Client) roundTrip(ctx context.Context, method string, payload []byte, a
 			return nil, &RemoteError{Msg: resp.Err}
 		}
 		return resp.Payload, nil
-	case <-ctx.Done():
+	case <-done:
 		c.abandon(id)
 		return nil, fmt.Errorf("wire: call %s: %w", method, ctx.Err())
 	case <-timer.C():

@@ -174,8 +174,7 @@ type span struct {
 // scratch bytes plus zero-copy references to large payload slices.
 // Encoders come from a pool; the writer returns them after the frame is
 // on the wire. Callers must not mutate a slice passed to RawBytes until
-// the message has been written (the same contract PushRaw already
-// imposes).
+// the message has been written.
 type BodyEnc struct {
 	buf   []byte
 	spans []span

@@ -29,7 +29,8 @@ type vecWriter struct {
 	meter *qos.Meter // optional per-peer throughput estimator
 	buf   []byte
 	spans []span
-	vec   net.Buffers // reusable backing for flush
+	iov   [][]byte    // flush's segment list, kept from flush to flush
+	vec   net.Buffers // what WriteTo consumes: iov, resliced each flush
 	total int
 }
 
@@ -110,17 +111,20 @@ func (w *vecWriter) flush() error {
 	if w.total == 0 {
 		return nil
 	}
-	w.vec = w.vec[:0]
+	w.iov = w.iov[:0]
 	for _, s := range w.spans {
 		if s.ext != nil {
-			w.vec = append(w.vec, s.ext)
+			w.iov = append(w.iov, s.ext)
 		} else {
-			w.vec = append(w.vec, w.buf[s.off:s.off+s.n])
+			w.iov = append(w.iov, w.buf[s.off:s.off+s.n])
 		}
 	}
-	v := w.vec
+	// WriteTo has a pointer receiver and consumes what it writes: called
+	// on a field, no header escapes per flush, and iov keeps the backing
+	// array whole for the next one.
+	w.vec = w.iov
 	start := time.Now()
-	n, err := v.WriteTo(w.conn)
+	n, err := w.vec.WriteTo(w.conn)
 	if w.meter != nil && err == nil {
 		// A writev that blocked did so for the time the bottleneck link
 		// (kernel buffer, throttled shim) needed to absorb n bytes — the

@@ -206,14 +206,16 @@ func (p *Peer) Push(method string, body BodyEncoder) error {
 }
 
 // PushRaw sends an unsolicited message whose payload is already encoded
-// (the cluster's ingress relay hands on the owner's bytes); it rides
-// the frame's writev batch by reference, so the caller must not modify
-// payload afterwards. The
-// second parameter once named the payload encoding; there is only
-// EncBinary now and the value is ignored (kept for benchmark/, which
-// this signature is source-compatible with).
+// (the cluster's ingress relay hands on the owner's bytes). It copies
+// payload into a pooled encoder, which the writer returns once the
+// frame is in its batch, so the caller may reuse payload as soon as
+// PushRaw returns. The second parameter once named the payload encoding;
+// there is only EncBinary now and the value is ignored (kept for
+// benchmark/, which this signature is source-compatible with).
 func (p *Peer) PushRaw(method string, _ uint8, payload []byte) error {
-	return p.send(envelope{Kind: kindPush, Method: method, Payload: payload})
+	e := getBodyEnc()
+	e.Fixed(payload)
+	return p.send(envelope{Kind: kindPush, Method: method, body: e})
 }
 
 // Flush blocks until every message enqueued before the call — in writeQ

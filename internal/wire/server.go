@@ -336,8 +336,9 @@ func (s *Server) ServeConn(conn net.Conn) {
 func (s *Server) worker(j job) {
 	idle := time.NewTimer(workerIdle)
 	defer idle.Stop()
+	var req *Request // kept from request to request while it stays reusable
 	for {
-		s.run(j)
+		req = s.run(j, req)
 		if !idle.Stop() {
 			select {
 			case <-idle.C:
@@ -355,9 +356,11 @@ func (s *Server) worker(j job) {
 	}
 }
 
-// run dispatches one request to its method's handler, under the one
-// Request it makes for it, and queues the response.
-func (s *Server) run(j job) {
+// run dispatches one request to its method's handler, under req (a new
+// Request when req is nil), and queues the response. It returns the
+// Request for the worker's next request: req again, or nil when the
+// handler made it a child (Request.end).
+func (s *Server) run(j job, req *Request) *Request {
 	defer s.inflight.Done()
 	env, peer := &j.env, j.peer
 	resp := envelope{Kind: kindResponse, ID: env.ID, Method: env.Method}
@@ -368,9 +371,14 @@ func (s *Server) run(j job) {
 		if tid == 0 {
 			tid = obs.MintID() // foreign client sent no id: mint at ingress
 		}
-		req := &Request{conn: j.ctx, trace: obs.Trace{ID: tid, Method: env.Method, Peer: peer.ID}}
+		if req == nil {
+			req = &Request{}
+		}
+		req.reset(j.ctx, tid, env.Method, peer.ID)
 		result, err := j.h(req, peer, env.Payload)
-		req.end()
+		if !req.end() {
+			req = nil
+		}
 		if err != nil {
 			resp.Err = err.Error()
 		} else if be, hasCodec := result.(BodyEncoder); hasCodec {
@@ -381,4 +389,5 @@ func (s *Server) run(j job) {
 		}
 	}
 	_ = peer.send(resp)
+	return req
 }

@@ -6,6 +6,7 @@ import (
 	"context"
 	"io"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -221,36 +222,7 @@ func TestWriterCounters(t *testing.T) {
 func TestWriterCoalescesBursts(t *testing.T) {
 	const k = 48
 	st := NewStats()
-	s := NewServer()
-	s.SetStats(st)
-	peerCh := make(chan *Peer, 1)
-	s.Register("hello", func(ctx context.Context, p *Peer, payload []byte) (any, error) {
-		peerCh <- p
-		return nil, nil
-	})
-	sc, cc := net.Pipe()
-	go s.ServeConn(sc)
-	defer s.Close()
-	defer cc.Close()
-
-	// Drive the client end by hand so reads can be withheld.
-	br := bufio.NewReader(cc)
-	var rep [preambleLen]byte
-	if _, err := cc.Write(appendPreamble(nil, ProtoV2)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := io.ReadFull(br, rep[:]); err != nil {
-		t.Fatal(err)
-	}
-	fw := newVecWriter(cc, nil)
-	fw.encodeFrame(&envelope{Kind: kindRequest, ID: 1, Method: "hello"})
-	if err := fw.flush(); err != nil {
-		t.Fatal(err)
-	}
-	if resp, err := readFrame(br); err != nil || resp.Err != "" {
-		t.Fatalf("hello response: %+v, %v", resp, err)
-	}
-	peer := <-peerCh
+	peer, br := handDriven(t, st)
 
 	// With no reader, the writer's first flush wedges on the pipe while
 	// every subsequent push queues behind it (queue cap 256 > k).
@@ -273,5 +245,117 @@ func TestWriterCoalescesBursts(t *testing.T) {
 	}
 	if flushes := st.Counter(CounterWriterFlushes) - base; flushes > k/4 {
 		t.Errorf("burst of %d messages took %d flushes, want coalescing", k, flushes)
+	}
+}
+
+// handDriven serves one net.Pipe connection whose client end the test
+// drives by hand, so it can withhold reads and wedge the peer's writer.
+// It returns the server's peer, once a first request has come back, and
+// the reader of the client end.
+func handDriven(t *testing.T, st *Stats) (*Peer, *bufio.Reader) {
+	t.Helper()
+	s := NewServer()
+	if st != nil {
+		s.SetStats(st)
+	}
+	peerCh := make(chan *Peer, 1)
+	s.Register("hello", func(ctx context.Context, p *Peer, payload []byte) (any, error) {
+		peerCh <- p
+		return nil, nil
+	})
+	sc, cc := net.Pipe()
+	go s.ServeConn(sc)
+	t.Cleanup(func() {
+		cc.Close()
+		s.Close()
+	})
+	br := bufio.NewReader(cc)
+	var rep [preambleLen]byte
+	if _, err := cc.Write(appendPreamble(nil, ProtoV2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(br, rep[:]); err != nil {
+		t.Fatal(err)
+	}
+	fw := newVecWriter(cc, nil)
+	fw.encodeFrame(&envelope{Kind: kindRequest, ID: 1, Method: "hello"})
+	if err := fw.flush(); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := readFrame(br); err != nil || resp.Err != "" {
+		t.Fatalf("hello response: %+v, %v", resp, err)
+	}
+	return <-peerCh, br
+}
+
+// TestPushRawCopiesThePayload: PushRaw copies what it is handed, so the
+// caller may overwrite its slice as soon as the call returns — here while
+// the push still waits behind a writer wedged on a pipe nobody reads,
+// with a payload large enough that the writer would otherwise send it by
+// reference.
+func TestPushRawCopiesThePayload(t *testing.T) {
+	peer, br := handDriven(t, nil)
+	payload := MarshalBody(&echoReply{Text: strings.Repeat("k", 2*externThreshold), N: 3})
+	want := bytes.Clone(payload)
+	for _, m := range []string{"first", "second"} {
+		if err := peer.PushRaw(m, EncBinary, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range payload {
+		payload[i] = 0xFF
+	}
+	for got := 0; got < 2; {
+		env, err := readFrame(br)
+		if err != nil {
+			t.Fatalf("after %d pushes: %v", got, err)
+		}
+		if env.Kind != kindPush {
+			continue
+		}
+		got++
+		if !bytes.Equal(env.Payload, want) {
+			t.Errorf("push %q carried the caller's later bytes, not the ones it was handed", env.Method)
+		}
+	}
+}
+
+// TestFlushAllocatesNothing: once the writer's buffers have grown,
+// encoding frames — one copied into the batch, one riding by reference —
+// and flushing them on a live TCP connection allocates nothing.
+func TestFlushAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			return
+		}
+		_, _ = io.Copy(io.Discard, c)
+		c.Close()
+	}()
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	w := newVecWriter(conn, nil)
+	small, large := []byte("event"), make([]byte, externThreshold)
+	batch := func() {
+		w.encodeFrame(&envelope{Kind: kindPush, Method: "small", Payload: small})
+		w.encodeFrame(&envelope{Kind: kindPush, Method: "large", Payload: large})
+		if err := w.flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch()
+	if a := testing.AllocsPerRun(1000, batch); a != 0 {
+		t.Errorf("an encode and flush allocates %v times, want 0", a)
 	}
 }
