@@ -3,12 +3,14 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"mmconf/internal/client"
 	"mmconf/internal/proto"
+	"mmconf/internal/room"
 	"mmconf/internal/wire"
 )
 
@@ -55,7 +57,11 @@ func forwardedRoom(t *testing.T, o HarnessOptions) (*Harness, *client.Session) {
 // choice re-solved one Solved view by propagation and built no map; 46
 // and about 2.2 KiB once each request worker kept its wire.Request, the
 // relay's reply wait made no child context, a relayed push rode a pooled
-// encoder instead of a copy, and a flush's segment list stopped escaping.
+// encoder instead of a copy, and a flush's segment list stopped escaping;
+// 32 and about 1.25 KiB once each server read a request into a pooled
+// frame and decoded it with a pooled decoder into the typed adapter's
+// pooled value, and the standby decoded its frames' events into the
+// array that value keeps.
 func TestForwardedChoiceAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -79,11 +85,11 @@ func TestForwardedChoiceAllocations(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
 	t.Logf("%v allocations, %.0f bytes per forwarded choice", allocs, bytes)
-	if allocs > 46 {
-		t.Errorf("a forwarded choice allocates %v times, want at most 46", allocs)
+	if allocs > 32 {
+		t.Errorf("a forwarded choice allocates %v times, want at most 32", allocs)
 	}
-	if bytes > 2.5*1024 {
-		t.Errorf("a forwarded choice allocates %.0f bytes, want at most 2.5 KiB", bytes)
+	if bytes > 1.5*1024 {
+		t.Errorf("a forwarded choice allocates %.0f bytes, want at most 1.5 KiB", bytes)
 	}
 	if m := h.ByID("n2").Node.Metrics(); m.Forwards < runs {
 		t.Errorf("the choices were not relayed: %+v", m)
@@ -176,5 +182,84 @@ func TestRelayKeepsTheTraceID(t *testing.T) {
 			t.Fatalf("owner traced choices %v, none under the ingress request's id %d", choices("n1", 0), ingress[0])
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestStandbyFrameAllocatesOnlyItsEventStrings: a standby applies a
+// one-event incremental replication frame allocating nothing but the
+// event's non-empty strings. The decode runs over the ReplicateReq the
+// last frame decoded into (wire.Typed's pool), so the event lands in the
+// array that value keeps and the room and document names it repeats cost
+// nothing; the merge into a full replica log overwrites in place. The
+// frame itself is the server's pooled buffer. Through the node's own
+// handler, the only allocation more is the ReplicateResp it answers with.
+func TestStandbyFrameAllocatesOnlyItsEventStrings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const name, runs = "standby-counted", 1000
+	values := []string{"segmented", "full"}
+	event := func(seq uint64) room.Event {
+		return room.Event{Seq: seq, Room: name, Actor: "alice", Kind: room.EvChoice, Variable: "ct", Value: values[seq%2]}
+	}
+	strs := 0
+	ev := reflect.ValueOf(event(1))
+	for i := range ev.NumField() {
+		if f := ev.Field(i); f.Kind() == reflect.String && f.Len() > 0 {
+			strs++
+		}
+	}
+	// Enough frames to fill a log's ring (1 024 events) and then count;
+	// each of the two measurements below replays them from the first.
+	frames := make([][]byte, 1100+runs+1)
+	for i := range frames {
+		seq := uint64(i + 1)
+		frames[i] = wire.MarshalBody(&proto.ReplicateReq{Room: name, DocID: "p1", Seq: seq, Events: []room.Event{event(seq)}})
+	}
+	next := 0
+
+	var kept proto.ReplicateReq
+	var log room.Log
+	apply := func() {
+		if err := wire.DecodeBodyBytes(frames[next], &kept); err != nil {
+			t.Fatal(err)
+		}
+		if err := log.Merge(kept.Events, kept.Seq, kept.Trimmed); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for range 1100 {
+		apply()
+	}
+	a := testing.AllocsPerRun(runs, apply)
+	t.Logf("%v allocations per applied frame (%d strings in its event)", a, strs)
+	if a > float64(strs) {
+		t.Errorf("decoding and merging a one-event frame allocates %v times, want at most the event's %d strings", a, strs)
+	}
+
+	h := startHarness(t, HarnessOptions{Nodes: 1})
+	n := h.ByID("n1").Node
+	handle := wire.Typed(n.handleReplicate)
+	next = 0
+	replicate := func() {
+		if _, err := handle(context.Background(), nil, frames[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for range 1100 {
+		replicate()
+	}
+	a = testing.AllocsPerRun(runs, replicate)
+	t.Logf("%v allocations per frame through the node's handler", a)
+	if a > float64(strs+1) {
+		t.Errorf("the standby's handler allocates %v times per one-event frame, want at most %d: the event's strings and its answer", a, strs+1)
+	}
+	n.replMu.Lock()
+	seq := n.replicas[name].log.Seq()
+	n.replMu.Unlock()
+	if want := uint64(next); seq != want {
+		t.Errorf("the standby's replica is at seq %d, want %d", seq, want)
 	}
 }

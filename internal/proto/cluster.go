@@ -146,14 +146,17 @@ func (r *ReplicateReq) AppendBody(e *wire.BodyEnc) {
 	appendManifests(e, r.Manifests)
 }
 
-// DecodeBody implements wire.BodyDecoder.
+// DecodeBody implements wire.BodyDecoder. The standby decodes each frame
+// over the value its last frame of the method decoded into (wire.Typed),
+// so a room and document it names again cost nothing and the events land
+// in the array the last frame's did.
 func (r *ReplicateReq) DecodeBody(d *wire.Dec) error {
-	r.Room = d.String()
-	r.DocID = d.String()
+	r.Room = d.StringOver(r.Room)
+	r.DocID = d.StringOver(r.DocID)
 	r.Seq = d.Uvarint()
 	r.Trimmed = d.Uvarint()
 	var err error
-	if r.Events, err = decodeEvents(d); err != nil {
+	if r.Events, err = decodeEvents(d, r.Events); err != nil {
 		return err
 	}
 	r.Node = d.String()

@@ -15,6 +15,7 @@ package proto
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"mmconf/internal/room"
 	"mmconf/internal/wire"
@@ -242,7 +243,7 @@ func (r *JoinRoomResp) AppendBody(e *wire.BodyEnc) {
 func (r *JoinRoomResp) DecodeBody(d *wire.Dec) error {
 	r.DocData = d.Bytes()
 	var err error
-	if r.History, err = decodeEvents(d); err != nil {
+	if r.History, err = decodeEvents(d, nil); err != nil {
 		return err
 	}
 	if err := r.View.DecodeBody(d); err != nil {
@@ -323,7 +324,7 @@ func (r *HistoryResp) AppendBody(e *wire.BodyEnc) {
 // DecodeBody implements wire.BodyDecoder.
 func (r *HistoryResp) DecodeBody(d *wire.Dec) error {
 	var err error
-	r.Events, err = decodeEvents(d)
+	r.Events, err = decodeEvents(d, nil)
 	return err
 }
 
@@ -543,20 +544,24 @@ func decodeStrings(d *wire.Dec) []string {
 }
 
 // decodeEvents reads a count-prefixed run of Event bodies (the Event
-// codec is self-delimiting, so no per-event length prefix is needed). The
-// error is d's, or the first event's own refusal.
-func decodeEvents(d *wire.Dec) ([]room.Event, error) {
+// codec is self-delimiting, so no per-event length prefix is needed) into
+// dst's capacity, decoding each event in its slot. dst is nil for a run
+// its reader keeps (a history, a join's); ReplicateReq passes the array
+// its last frame decoded into, because the standby's merge copies the
+// events out, so a frame no longer than the last decodes into no new
+// array. The error is d's, or the first event's own refusal.
+func decodeEvents(d *wire.Dec, dst []room.Event) ([]room.Event, error) {
+	dst = dst[:0]
 	n := d.Count()
 	if n == 0 || d.Err() != nil {
-		return nil, d.Err()
+		return dst, d.Err()
 	}
-	out := make([]room.Event, 0, min(n, 4096))
+	dst = slices.Grow(dst, int(min(n, 4096)))
 	for i := uint64(0); i < n; i++ {
-		var ev room.Event
-		if err := ev.DecodeBody(d); err != nil {
-			return nil, err
+		dst = append(dst, room.Event{})
+		if err := dst[i].DecodeBody(d); err != nil {
+			return dst[:0], err
 		}
-		out = append(out, ev)
 	}
-	return out, nil
+	return dst, nil
 }

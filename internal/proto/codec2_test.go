@@ -219,6 +219,9 @@ func codecCases() []codecCase {
 		{"ReplicateReq/nodataset", &ReplicateReq{
 			Room: "consult", DocID: "p1", Seq: 19, Trimmed: 2,
 		}, &ReplicateReq{}},
+		{"ReplicateReq/events", &ReplicateReq{
+			Room: "consult", DocID: "p1", Seq: 19, Trimmed: 2, Events: sampleEvents(),
+		}, &ReplicateReq{}},
 		{"ReplicateResp", &ReplicateResp{Seq: 19}, &ReplicateResp{}},
 		{"FetchChunksReq", &FetchChunksReq{
 			Node: "n2", Digests: []blob.Digest{{1, 2}, {3, 4}},

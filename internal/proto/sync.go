@@ -145,6 +145,7 @@ func (r *FetchChunksResp) AppendBody(e *wire.BodyEnc) {
 
 // DecodeBody implements wire.BodyDecoder.
 func (r *FetchChunksResp) DecodeBody(d *wire.Dec) error {
+	r.Chunks = nil
 	if n := d.Count(); n > 0 && d.Err() == nil {
 		r.Chunks = make([][]byte, 0, min(n, 4096))
 		for i := uint64(0); i < n && d.Err() == nil; i++ {

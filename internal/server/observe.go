@@ -83,12 +83,16 @@ func (s *Server) MetricsSnapshot() *proto.StatsResp {
 	resp.Gauges["wire.peers"] = int64(peers)
 	resp.Gauges["wire.write_backlog"] = int64(backlog)
 
-	// The protocol version this server speaks, and codec scratch-pool
-	// effectiveness (gets vs misses = hit rate).
+	// The protocol version this server speaks, and the effectiveness
+	// (gets vs misses = hit rate) of the codec scratch pool and of the
+	// request-frame pool.
 	resp.Gauges["wire.proto_version"] = wire.ProtoV2
 	gets, misses := wire.PoolStats()
 	resp.Counters["wire.pool_gets"] = gets
 	resp.Counters["wire.pool_misses"] = misses
+	gets, misses = wire.FramePoolStats()
+	resp.Counters["wire.frame_pool_gets"] = gets
+	resp.Counters["wire.frame_pool_misses"] = misses
 
 	// Content-addressed blob store: dedup and space-reclamation health.
 	bs, missing := s.db.DB().BlobStats()

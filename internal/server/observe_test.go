@@ -207,6 +207,11 @@ func TestStatsRPCAndMetricsSnapshot(t *testing.T) {
 	if got := stats.Gauges["wire.proto_version"]; got != wire.ProtoV2 {
 		t.Fatalf("wire.proto_version = %d", got)
 	}
+	// Every request so far fit the frame pool's size class: the join, the
+	// twenty choices and the stats call itself each took a frame.
+	if gets, misses := stats.Counters["wire.frame_pool_gets"], stats.Counters["wire.frame_pool_misses"]; gets < 22 || misses > gets {
+		t.Fatalf("wire.frame_pool_gets = %d, wire.frame_pool_misses = %d", gets, misses)
+	}
 
 	// The in-process snapshot behind -debug-addr agrees on structure.
 	snap := srv.MetricsSnapshot()

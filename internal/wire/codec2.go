@@ -353,10 +353,11 @@ func MarshalBody(v BodyEncoder) []byte {
 // Dec is the binary decoder over one frame payload. Errors latch: after
 // the first failure every read returns zero values and Err reports the
 // failure, so codecs chain reads without per-field checks. Byte-slice
-// reads alias the input buffer, which saves the copy: a request and a
-// response payload own an exact-size buffer, and a push body is valid
-// only during the push handler's call (see Body), so whatever aliases
-// it must be copied by whoever keeps it.
+// reads alias the input buffer, which saves the copy: a response payload
+// owns an exact-size buffer, a request payload is valid until its
+// handler returns (the server reads it into a pooled frame) and a push
+// body only during the push handler's call (see Body), so whatever
+// aliases either must be copied by whoever keeps it.
 type Dec struct {
 	b   []byte
 	off int
@@ -474,6 +475,18 @@ func (d *Dec) Fixed(out []byte) {
 // String reads a length-prefixed string (a copy, by string semantics).
 func (d *Dec) String() string { return string(d.Bytes()) }
 
+// StringOver reads a length-prefixed string as String does, but returns
+// prev itself, with nothing allocated, when the bytes spell it: a decode
+// over a used value (Typed's pooled request) keeps a field its last
+// request had too.
+func (d *Dec) StringOver(prev string) string {
+	b := d.Bytes()
+	if string(b) == prev {
+		return prev
+	}
+	return string(b)
+}
+
 // BodyDecoder is implemented by bodies with a binary codec. DecodeBody
 // reads the fields AppendBody wrote, in the same order, and returns
 // d.Err() (plus any semantic validation of its own).
@@ -481,15 +494,26 @@ type BodyDecoder interface {
 	DecodeBody(d *Dec) error
 }
 
+// decs recycles DecodeBodyBytes' decoders: a Dec handed to DecodeBody
+// through the interface escapes, so a fresh one would be an allocation
+// per request and per reply.
+var decs = sync.Pool{New: func() any { return new(Dec) }}
+
 // DecodeBodyBytes decodes a binary-encoded payload into v and verifies
-// the payload was consumed exactly.
+// the payload was consumed exactly. DecodeBody must not keep its
+// decoder: it goes back to a pool when the call returns.
 func DecodeBodyBytes(data []byte, v BodyDecoder) error {
-	d := NewDec(data)
-	if err := v.DecodeBody(d); err != nil {
+	d := decs.Get().(*Dec)
+	*d = Dec{b: data}
+	err := v.DecodeBody(d)
+	rest := d.Len()
+	*d = Dec{}
+	decs.Put(d)
+	if err != nil {
 		return fmt.Errorf("wire: decode body %T: %w", v, err)
 	}
-	if d.Len() != 0 {
-		return fmt.Errorf("wire: decode body %T: %d trailing bytes", v, d.Len())
+	if rest != 0 {
+		return fmt.Errorf("wire: decode body %T: %d trailing bytes", v, rest)
 	}
 	return nil
 }
@@ -528,7 +552,8 @@ func appendFrameHeader(dst []byte, env *envelope) []byte {
 
 // parseFrame decodes one frame body (the bytes after the length prefix)
 // into env. The payload aliases buf: readFrame hands over an exact-size
-// buffer it allocated, peekFrame the reader's own buffer.
+// buffer it allocated, readRequest a pooled frame, peekFrame the
+// reader's own buffer.
 func parseFrame(buf []byte) (envelope, error) {
 	var env envelope
 	d := NewDec(buf)

@@ -51,10 +51,12 @@ func FuzzParseFrame(f *testing.F) {
 // — with arbitrary streams: malformed lengths, truncated bodies, and
 // mutations of valid frames. It must never panic and must reject any
 // length prefix past maxFrameSize before allocating. The same stream
-// then goes through the client's reader, peekFrame over a small
-// bufio.Reader, which parses a frame that fits its buffer in place and
-// reads a larger one into an exact buffer: frame by frame, it must
-// decode what readFrame decodes and stop where and how readFrame stops.
+// then goes through the server's reader, readRequest, which reads a frame
+// up to frameClass into a pooled buffer, and through the client's,
+// peekFrame over a small bufio.Reader, which parses a frame that fits its
+// buffer in place and reads a larger one into an exact buffer: frame by
+// frame, each must decode what readFrame decodes and stop where and how
+// readFrame stops.
 func FuzzReadFrame(f *testing.F) {
 	frame := func(payload int) []byte {
 		env := envelope{Kind: kindPush, ID: 5, Method: "inline.name", Payload: bytes.Repeat([]byte{7}, payload)}
@@ -90,6 +92,26 @@ func FuzzReadFrame(f *testing.F) {
 			}
 			want = append(want, env)
 		}
+		same := func(how string, i int, env, w envelope) {
+			if env.Kind != w.Kind || env.ID != w.ID || env.Trace != w.Trace || env.Method != w.Method || env.Err != w.Err || !bytes.Equal(env.Payload, w.Payload) {
+				t.Fatalf("frame %d %s %+v, in an exact buffer %+v", i, how, env, w)
+			}
+		}
+		sr := bufio.NewReaderSize(bytes.NewReader(data), fuzzReaderSize)
+		for i := 0; ; i++ {
+			env, frame, err := readRequest(sr)
+			if err != nil {
+				if i != len(want) || err.Error() != wantErr.Error() {
+					t.Fatalf("server reader: frame %d failed with %v; exact buffers: %d frames, then %v", i, err, len(want), wantErr)
+				}
+				break
+			}
+			if i == len(want) {
+				t.Fatalf("server reader: frame %d decoded; exact buffers stopped there with %v", i, wantErr)
+			}
+			same("from the server's reader", i, env, want[i])
+			putFrame(frame)
+		}
 		br := bufio.NewReaderSize(bytes.NewReader(data), fuzzReaderSize)
 		for i := 0; ; i++ {
 			env, inPlace, err := peekFrame(br)
@@ -102,10 +124,7 @@ func FuzzReadFrame(f *testing.F) {
 			if i == len(want) {
 				t.Fatalf("in place: frame %d decoded; exact buffers stopped there with %v", i, wantErr)
 			}
-			w := want[i]
-			if env.Kind != w.Kind || env.ID != w.ID || env.Trace != w.Trace || env.Method != w.Method || env.Err != w.Err || !bytes.Equal(env.Payload, w.Payload) {
-				t.Fatalf("frame %d in place %+v, in an exact buffer %+v", i, env, w)
-			}
+			same("in place", i, env, want[i])
 			if _, err := br.Discard(inPlace); err != nil {
 				t.Fatalf("discard frame %d: %v", i, err)
 			}

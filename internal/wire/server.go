@@ -49,7 +49,10 @@ type job struct {
 	peer *Peer
 	ctx  context.Context // the connection's: parent of the request context
 	env  envelope
-	h    Handler // the method's handler; nil for an unknown method
+	// frame is the pooled buffer env's payload aliases (nil for a frame
+	// too large for the pool): run returns it once the response is encoded.
+	frame *frameBuf
+	h     Handler // the method's handler; nil for an unknown method
 }
 
 // NewServer returns an empty server.
@@ -295,11 +298,12 @@ func (s *Server) ServeConn(conn net.Conn) {
 		}
 	}()
 	for {
-		env, err := readFrame(br)
+		env, frame, err := readRequest(br)
 		if err != nil {
 			return // EOF or broken peer: drop the connection
 		}
 		if env.Kind != kindRequest {
+			putFrame(frame)
 			continue // clients must not send responses/pushes
 		}
 		s.mu.RLock()
@@ -313,10 +317,11 @@ func (s *Server) ServeConn(conn net.Conn) {
 		}
 		s.mu.RUnlock()
 		if draining {
+			putFrame(frame)
 			_ = peer.send(envelope{Kind: kindResponse, ID: env.ID, Method: env.Method, Err: ErrDraining.Error()})
 			continue
 		}
-		j := job{peer: peer, ctx: connCtx, env: env, h: h}
+		j := job{peer: peer, ctx: connCtx, env: env, frame: frame, h: h}
 		select {
 		case s.work <- j:
 		default:
@@ -359,7 +364,9 @@ func (s *Server) worker(j job) {
 // run dispatches one request to its method's handler, under req (a new
 // Request when req is nil), and queues the response. It returns the
 // Request for the worker's next request: req again, or nil when the
-// handler made it a child (Request.end).
+// handler made it a child (Request.end). The request's frame goes back
+// to the pool once the response body is encoded — unless the body refers
+// into it by reference, which the writer reads later.
 func (s *Server) run(j job, req *Request) *Request {
 	defer s.inflight.Done()
 	env, peer := &j.env, j.peer
@@ -387,6 +394,9 @@ func (s *Server) run(j job, req *Request) *Request {
 		} else if result != nil {
 			resp.Err = fmt.Sprintf("wire: %s: result %T implements no BodyEncoder", env.Method, result)
 		}
+	}
+	if resp.body == nil || !resp.body.refersInto(j.frame) {
+		putFrame(j.frame)
 	}
 	_ = peer.send(resp)
 	return req

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"context"
+	"sync"
 
 	"mmconf/internal/obs"
 )
@@ -25,6 +26,15 @@ func (*None) DecodeBody(d *Dec) error { return d.Err() }
 // Request does), the adapter times the decode and the handler body as
 // "decode" and "handle" spans.
 //
+// The request value comes from a pool the adapter keeps and goes back to
+// it when the handler returns: like the context and the frame, a *Req is
+// valid until the handler returns. Its strings are copies and outlive
+// it; a byte slice a codec aliases (Dec.Bytes) and a slice a codec
+// decodes into the capacity the value already holds
+// (proto.ReplicateReq.Events) do not, so a handler that keeps one copies
+// it, and a response must not share one. DecodeBody assigns every field,
+// so nothing of the value's previous request shows through.
+//
 // This is the seam every interaction-server method registers through:
 //
 //	s.Register(proto.MChat, wire.Typed(func(ctx context.Context, p *wire.Peer, req *proto.ChatReq) (*wire.None, error) {
@@ -37,8 +47,10 @@ func Typed[Req, Resp any, PReq interface {
 	*Resp
 	BodyEncoder
 }](h func(ctx context.Context, p *Peer, req *Req) (*Resp, error)) Handler {
+	reqs := sync.Pool{New: func() any { return new(Req) }}
 	return func(ctx context.Context, p *Peer, payload []byte) (any, error) {
-		req := new(Req)
+		req := reqs.Get().(*Req)
+		defer reqs.Put(req)
 		decode := obs.StartSpan(ctx, "decode")
 		err := DecodeBodyBytes(payload, PReq(req))
 		decode.End()

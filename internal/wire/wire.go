@@ -51,9 +51,11 @@ type envelope struct {
 }
 
 // Handler processes one request on the server. payload is the request
-// body's binary encoding; a non-nil result must implement BodyEncoder
-// and becomes the response payload. Most handlers are built with Typed,
-// which owns the decode and pins both codecs at compile time.
+// body's binary encoding, valid until the handler returns (it lies in a
+// pooled frame, as net/http's request body is the handler's only while
+// it runs); a non-nil result must implement BodyEncoder and becomes the
+// response payload. Most handlers are built with Typed, which owns the
+// decode and pins both codecs at compile time.
 type Handler func(ctx context.Context, p *Peer, payload []byte) (any, error)
 
 // ContextTraceID returns the request's trace id (0 outside a dispatch).
