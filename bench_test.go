@@ -182,7 +182,7 @@ func BenchmarkE5FanOut(b *testing.B) {
 						delivered.Add(1)
 					}
 				})
-				if err := c.Call(proto.MJoinRoom, &proto.JoinRoomReq{
+				if err := c.CallCtx(context.Background(), proto.MJoinRoom, &proto.JoinRoomReq{
 					Room: "fanout", DocID: "p1", User: fmt.Sprintf("m%02d", i),
 				}, nil); err != nil {
 					b.Fatal(err)
@@ -203,7 +203,7 @@ func BenchmarkE5FanOut(b *testing.B) {
 					defer swg.Done()
 					req := proto.ChatReq{Room: "fanout", User: "m00", Text: "x"}
 					for j := 0; j < iters; j++ {
-						if err := conns[0].Call(proto.MChat, &req, nil); err != nil {
+						if err := conns[0].CallCtx(context.Background(), proto.MChat, &req, nil); err != nil {
 							b.Error(err)
 							return
 						}
@@ -311,7 +311,7 @@ func BenchmarkE6GetCmpCached(b *testing.B) {
 			defer c.Close()
 			req := proto.GetCmpReq{ID: rec.CmpID, MaxLayers: 1}
 			var resp proto.GetCmpResp
-			if err := c.Call(proto.MGetCmp, &req, &resp); err != nil {
+			if err := c.CallCtx(context.Background(), proto.MGetCmp, &req, &resp); err != nil {
 				b.Fatal(err)
 			}
 			b.SetBytes(int64(len(resp.Data)))
@@ -319,7 +319,7 @@ func BenchmarkE6GetCmpCached(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var resp proto.GetCmpResp
-				if err := c.Call(proto.MGetCmp, &req, &resp); err != nil {
+				if err := c.CallCtx(context.Background(), proto.MGetCmp, &req, &resp); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,9 +1,9 @@
 // Package bytecache is the tree's one byte-bounded LRU: §4.4 of the
 // paper rests on holding payloads in a bounded buffer because transfer
-// cost dominates, and the server's payload cache, the client's media
-// buffer and the E8/E15 simulation's buffer are all instantiations of
-// the Cache below. Payloads are shared by reference and must be treated as
-// immutable by everyone who holds one.
+// cost dominates, and the server's payload cache and the client's media
+// buffer are both instantiations of the Cache below. Payloads are shared
+// by reference and must be treated as immutable by everyone who holds
+// one.
 package bytecache
 
 import (
@@ -91,38 +91,31 @@ func (c *Cache[K]) Contains(k K) bool {
 func (c *Cache[K]) Put(k K, data []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.store(k, data, true, false)
+	c.store(k, data, false)
 }
 
-// Offer caches data under k only if it fits without evicting anything —
-// the §4.4 rule for speculative payloads: what nobody asked for must
-// never displace what somebody did. Replacing k's own entry reclaims
-// that entry's bytes first. It reports whether the payload was stored.
-func (c *Cache[K]) Offer(k K, data []byte) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.store(k, data, false, false)
-}
-
-// OfferCopy is Offer for bytes the caller does not own (a push body the
-// next frame overwrites): the cache keeps a copy, made only when it
-// accepts the payload.
+// OfferCopy caches a copy of data under k only if it fits without
+// evicting anything — the §4.4 rule for speculative payloads: what
+// nobody asked for must never displace what somebody did. Replacing k's
+// own entry reclaims that entry's bytes first. The caller does not own
+// data (a push body the next frame overwrites), so the cache keeps a
+// copy, made only when it accepts the payload. It reports whether the
+// payload was stored.
 func (c *Cache[K]) OfferCopy(k K, data []byte) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.store(k, data, false, true)
+	return c.store(k, data, true)
 }
 
-// store is Put (mayEvict) or Offer (!mayEvict) under c.mu; clone stores
-// a copy of data instead of data.
-func (c *Cache[K]) store(k K, data []byte, mayEvict, clone bool) bool {
+// store is Put (!offer) or OfferCopy (offer) under c.mu.
+func (c *Cache[K]) store(k K, data []byte, offer bool) bool {
 	need := int64(len(data))
 	el, resident := c.items[k]
 	var old int64
 	if resident {
 		old = int64(len(el.Value.(*entry[K]).data))
 	}
-	if !mayEvict && need > c.cap-c.size+old {
+	if offer && need > c.cap-c.size+old {
 		return false
 	}
 	if need > c.cap {
@@ -131,7 +124,7 @@ func (c *Cache[K]) store(k K, data []byte, mayEvict, clone bool) bool {
 		}
 		return false
 	}
-	if clone {
+	if offer {
 		data = append(make([]byte, 0, len(data)), data...)
 	}
 	if resident {
@@ -178,7 +171,7 @@ func (c *Cache[K]) Fill(k K, load func() ([]byte, error)) ([]byte, error) {
 	c.mu.Lock()
 	delete(c.fills, k)
 	if f.err == nil {
-		c.store(k, f.data, true, false)
+		c.store(k, f.data, false)
 	}
 	c.mu.Unlock()
 	return f.data, f.err

@@ -148,7 +148,7 @@ func TestCacheHistories(t *testing.T) {
 					c.Put(o.key, make([]byte, o.size))
 					got = o.want
 				case "offer":
-					got = c.Offer(o.key, make([]byte, o.size))
+					got = c.OfferCopy(o.key, make([]byte, o.size))
 				case "get":
 					_, got = c.Get(o.key)
 					if got {
@@ -187,11 +187,11 @@ func TestGetReturnsWhatWasPut(t *testing.T) {
 	if got, ok := c.Get("a"); !ok || string(got) != "second" {
 		t.Errorf("Get = %q, %v; want the replacing payload", got, ok)
 	}
-	if !c.Offer("a", []byte("third")) {
+	if !c.OfferCopy("a", []byte("third")) {
 		t.Fatal("offer that fits was refused")
 	}
 	if got, _ := c.Get("a"); string(got) != "third" {
-		t.Errorf("Get after Offer = %q", got)
+		t.Errorf("Get after OfferCopy = %q", got)
 	}
 }
 
@@ -309,7 +309,7 @@ func TestConcurrentAccess(t *testing.T) {
 				case 0:
 					c.Put(id, make([]byte, 128+i%512))
 				case 1:
-					c.Offer(id, make([]byte, 64))
+					c.OfferCopy(id, make([]byte, 64))
 				case 2:
 					c.Get(id)
 				case 3:

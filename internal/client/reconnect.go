@@ -76,11 +76,6 @@ type Options struct {
 	// (default 0: unbounded) — without it a silent partition hangs
 	// calls forever.
 	CallTimeout time.Duration
-	// RetryOverloaded retries a call shed by the server's admission
-	// control up to this many times, sleeping the server's retry-after
-	// hint between attempts (default 0: overload errors surface to the
-	// caller immediately; negative is treated as 0).
-	RetryOverloaded int
 }
 
 // normalize fills defaulted fields in place.
@@ -105,9 +100,6 @@ func (o *Options) normalize() {
 	}
 	if o.ConnectTimeout <= 0 {
 		o.ConnectTimeout = 5 * time.Second
-	}
-	if o.RetryOverloaded < 0 {
-		o.RetryOverloaded = 0
 	}
 }
 
@@ -139,49 +131,19 @@ func (c *Client) ReconnectStats() ReconnectStats {
 
 // call is the single RPC entry point for every client method: it fails
 // fast while the connection is down, maps transport death to the typed
-// reconnect errors, follows cluster redirects by migrating the
-// connection to the owning node, and (with Options.RetryOverloaded)
-// backs off per the server's retry-after hint when a request is shed
-// by admission control, then retries.
+// reconnect errors, and follows cluster redirects by migrating the
+// connection to the owning node. A call shed by admission control
+// surfaces as the server's *wire.OverloadError, retry-after hint intact.
 func (c *Client) call(ctx context.Context, method string, req wire.BodyEncoder, resp any) error {
 	hops := 0
-	for retried := 0; ; {
+	for {
 		c.mu.Lock()
 		gen := c.gen
 		c.mu.Unlock()
 		err := c.callOnce(ctx, method, req, resp)
-		if err == nil {
-			return nil
-		}
-		if c.followRedirect(ctx, gen, err, &hops) {
-			continue
-		}
-		var oe *wire.OverloadError
-		if !errors.As(err, &oe) || retried >= c.opts.RetryOverloaded {
+		if err == nil || !c.followRedirect(ctx, gen, err, &hops) {
 			return err
 		}
-		retried++
-		if werr := c.waitRetry(ctx, oe.RetryAfter); werr != nil {
-			return fmt.Errorf("client: call %s: %w (while backing off from %v)", method, werr, err)
-		}
-	}
-}
-
-// waitRetry sleeps an overload backoff, aborting early when the caller
-// gives up or the client closes.
-func (c *Client) waitRetry(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		d = time.Millisecond
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-c.closeCh:
-		return ErrClosed
 	}
 }
 

@@ -61,7 +61,9 @@ func forwardedRoom(t *testing.T, o HarnessOptions) (*Harness, *client.Session) {
 // 32 and about 1.25 KiB once each server read a request into a pooled
 // frame and decoded it with a pooled decoder into the typed adapter's
 // pooled value, and the standby decoded its frames' events into the
-// array that value keeps.
+// array that value keeps; 30 once a room request on a joined connection
+// stopped building a membership table and its map to find the one it
+// has (the owner's handler).
 func TestForwardedChoiceAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -85,8 +87,8 @@ func TestForwardedChoiceAllocations(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
 	t.Logf("%v allocations, %.0f bytes per forwarded choice", allocs, bytes)
-	if allocs > 32 {
-		t.Errorf("a forwarded choice allocates %v times, want at most 32", allocs)
+	if allocs > 30 {
+		t.Errorf("a forwarded choice allocates %v times, want at most 30", allocs)
 	}
 	if bytes > 1.5*1024 {
 		t.Errorf("a forwarded choice allocates %.0f bytes, want at most 1.5 KiB", bytes)
@@ -159,7 +161,7 @@ func TestRelayKeepsTheTraceID(t *testing.T) {
 		c := wire.NewClient(conn)
 		defer c.Close()
 		var resp proto.TracesResp
-		if err := c.Call(proto.MTraces, &proto.TracesReq{ID: id}, &resp); err != nil {
+		if err := c.CallCtx(context.Background(), proto.MTraces, &proto.TracesReq{ID: id}, &resp); err != nil {
 			t.Fatal(err)
 		}
 		var ids []uint64

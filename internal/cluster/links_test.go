@@ -15,10 +15,10 @@ import (
 	"mmconf/internal/wire"
 )
 
-// TestNodeLinkServesExactlyTheNodeMethods: the node link is the methods
-// proto numbers for it — ping, ingress, replicate, fetchchunks — and a
-// cluster node's server has a handler for each and for no other node.*
-// method.
+// TestNodeLinkServesExactlyTheNodeMethods: the node link is the node
+// rows of proto's method table — ping, ingress, replicate, fetchchunks —
+// and a cluster node's server has a handler for each and for no other
+// node.* method.
 func TestNodeLinkServesExactlyTheNodeMethods(t *testing.T) {
 	n, err := New(openTestMedia(t), server.Options{}, Config{ID: "n1"})
 	if err != nil {
@@ -26,8 +26,10 @@ func TestNodeLinkServesExactlyTheNodeMethods(t *testing.T) {
 	}
 	defer n.Close()
 	var want []string
-	for _, m := range proto.NodeMethods() {
-		want = append(want, m)
+	for _, m := range proto.Methods() {
+		if m.Plane == proto.PlaneNode {
+			want = append(want, m.Name)
+		}
 	}
 	slices.Sort(want)
 	if four := []string{proto.MNodeFetchChunks, proto.MNodeIngress, proto.MNodePing, proto.MNodeReplicate}; !slices.Equal(want, four) {
@@ -108,7 +110,7 @@ func TestIngressRelayCopiesThePush(t *testing.T) {
 	defer origin.Close()
 	got := make(chan []byte, 2)
 	origin.OnPush(func(_ string, body wire.Body) { got <- append([]byte(nil), body.Data...) })
-	if err := origin.Call("hello", &wire.None{}, nil); err != nil {
+	if err := origin.CallCtx(context.Background(), "hello", &wire.None{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	originPeer := <-peers

@@ -552,12 +552,10 @@ const (
 // stats) serve anywhere. A join served here tracks its peer first, so
 // that the peer is disconnected should the room move away.
 func (n *Node) route(ctx context.Context, p *wire.Peer, method string, payload []byte) (any, bool, error) {
-	if !proto.RoomScoped(method) {
-		return nil, false, nil
-	}
 	roomName, ok := proto.RoomOf(method, payload)
 	if !ok {
-		// Undecodable: let the handler produce the real error.
+		// No room scope, or undecodable: serve here and let the handler
+		// produce the real error.
 		return nil, false, nil
 	}
 	if n.isDraining() {

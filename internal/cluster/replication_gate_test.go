@@ -101,7 +101,7 @@ func (f *gateFixture) putTexts(t *testing.T, id uint64, texts string) {
 	}
 	c := wire.NewClient(conn)
 	defer c.Close()
-	if err := c.Call(proto.MPutImageTexts, &proto.PutImageTextsReq{ID: id, Texts: texts}, nil); err != nil {
+	if err := c.CallCtx(context.Background(), proto.MPutImageTexts, &proto.PutImageTextsReq{ID: id, Texts: texts}, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -3,13 +3,11 @@
 // identifies a fresh link), forwarded-client ingress marking, room
 // replication to the failover standby, and the chunk pull behind it
 // (sync.go). These ride the same frame format as client traffic, with
-// hand-written binary codecs and stable method codes (25+; the client
-// plane owns 1–24).
+// hand-written binary codecs; their codes and class are rows of the
+// method table (methods.go).
 package proto
 
 import (
-	"maps"
-
 	"mmconf/internal/mediadb"
 	"mmconf/internal/room"
 	"mmconf/internal/wire"
@@ -30,27 +28,6 @@ const (
 	// when it may have changed, the room's dataset.
 	MNodeReplicate = "node.replicate"
 )
-
-// Method codes for v2 framing, continuing the append-only space started
-// in codec2.go (1–24). Retired codes stay holes, never reused: 25 was
-// node.hello (the first ping identifies a link now) and 29
-// node.syncmanifest (the dataset rides ReplicateReq).
-var nodeMethodCodes = map[uint16]string{
-	26: MNodePing,
-	27: MNodeIngress,
-	28: MNodeReplicate,
-	30: MNodeFetchChunks,
-}
-
-func init() {
-	for code, method := range nodeMethodCodes {
-		wire.RegisterMethodCode(code, method)
-	}
-}
-
-// NodeMethods returns every node-link method keyed by its method code:
-// all a cluster node serves its peers.
-func NodeMethods() map[uint16]string { return maps.Clone(nodeMethodCodes) }
 
 // NodePingReq is one liveness heartbeat.
 type NodePingReq struct {

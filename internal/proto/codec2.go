@@ -4,12 +4,9 @@
 // from the CAS is referenced — never copied — all the way to the
 // socket's writev. Every room-scoped request encodes Room first, which
 // is what lets a routing tier read the room name without decoding the
-// body (route.go). The operator-facing sys.stats and sys.traces
-// responses are cold and map-heavy: they carry their body as one JSON
-// blob.
-//
-// Every method also gets a stable u16 code so v2 frames carry 2 bytes
-// instead of the method-name string.
+// body (RoomOf, methods.go). The operator-facing sys.stats and
+// sys.traces responses are cold and map-heavy: they carry their body as
+// one JSON blob.
 package proto
 
 import (
@@ -20,41 +17,6 @@ import (
 	"mmconf/internal/room"
 	"mmconf/internal/wire"
 )
-
-// Method codes for v2 framing. Append-only: codes are protocol surface
-// shared by every binary speaking v2, so renumbering is a wire break.
-var clientMethodCodes = map[uint16]string{
-	1:  MListDocuments,
-	2:  MGetDocument,
-	3:  MGetImage,
-	4:  MGetAudio,
-	5:  MGetCmp,
-	6:  MPutImageTexts,
-	7:  MJoinRoom,
-	8:  MLeaveRoom,
-	9:  MChoice,
-	10: MOperation,
-	11: MAnnotate,
-	12: MDeleteAnnotation,
-	13: MFreeze,
-	14: MRelease,
-	15: MShareSearch,
-	16: MChat,
-	17: MHistory,
-	18: MBroadcastStart,
-	19: MBroadcastStop,
-	20: MSaveMinutes,
-	21: MStats,
-	22: MTraces,
-	23: MEvent,
-	24: MPrefetchPush,
-}
-
-func init() {
-	for code, method := range clientMethodCodes {
-		wire.RegisterMethodCode(code, method)
-	}
-}
 
 // --- catalog --------------------------------------------------------------
 

@@ -13,16 +13,6 @@ import (
 	"mmconf/internal/wire"
 )
 
-// ErrOverloaded is the sentinel a request shed by the server's
-// admission-control layer matches (errors.Is). The concrete error is an
-// *OverloadedError carrying the server's retry-after hint; clients
-// should back off at least that long before retrying.
-var ErrOverloaded = wire.ErrOverloaded
-
-// OverloadedError is the typed overload rejection (alias of the wire
-// layer's error so both packages match the same values).
-type OverloadedError = wire.OverloadError
-
 // Method names.
 const (
 	MListDocuments    = "db.listDocuments"

@@ -86,33 +86,110 @@ func freshBody(b body) body {
 	return reflect.New(reflect.TypeOf(b).Elem()).Interface().(body)
 }
 
-// TestEveryMethodHasCodecs: every body of methodBodies round-trips its
-// empty value, and no registered method may be missing from the table.
+// TestEveryMethodHasCodecs: every row of the method table has a body
+// pair in methodBodies, and nothing else does; every body round-trips
+// its empty value; and every room-scoped request leads with Room.
 func TestEveryMethodHasCodecs(t *testing.T) {
-	methods := methodBodies
-	for _, codes := range []map[uint16]string{clientMethodCodes, nodeMethodCodes} {
-		for code, m := range codes {
-			if _, ok := methods[m]; !ok {
-				t.Errorf("method %s (code %d) is registered but missing from the table", m, code)
+	rows := Methods()
+	if len(rows) != len(methodBodies) {
+		t.Errorf("the method table has %d rows, methodBodies %d entries", len(rows), len(methodBodies))
+	}
+	for _, m := range rows {
+		p, ok := methodBodies[m.Name]
+		if !ok {
+			t.Errorf("method %s (code %d) is in the table but has no bodies in methodBodies", m.Name, m.Code)
+			continue
+		}
+		for _, b := range []body{p.req, p.resp} {
+			if err := wire.DecodeBodyBytes(wire.MarshalBody(b), freshBody(b)); err != nil {
+				t.Errorf("%s: %T: %v", m.Name, b, err)
+			}
+		}
+		// The routing tier reads the room without knowing the body.
+		if m.Room {
+			v := reflect.New(reflect.TypeOf(p.req).Elem())
+			f := v.Elem().FieldByName("Room")
+			if f.Kind() != reflect.String {
+				t.Errorf("%s is room-scoped, but %T has no Room string", m.Name, p.req)
+				continue
+			}
+			f.SetString("tumor-board")
+			got, ok := RoomOf(m.Name, wire.MarshalBody(v.Interface().(body)))
+			if !ok || got != "tumor-board" {
+				t.Errorf("%s: RoomOf = %q, %v", m.Name, got, ok)
 			}
 		}
 	}
-	for m, p := range methods {
-		for _, b := range []body{p.req, p.resp} {
-			if err := wire.DecodeBodyBytes(wire.MarshalBody(b), freshBody(b)); err != nil {
-				t.Errorf("%s: %T: %v", m, b, err)
+}
+
+// TestMethodTable holds the method table to the protocol as it is
+// spoken: a code is wire surface (renumbering one breaks every peer), a
+// class decides what overload sheds first, and a room scope decides
+// where a cluster runs the request.
+func TestMethodTable(t *testing.T) {
+	const c, i, b = wire.PriorityControl, wire.PriorityInteractive, wire.PriorityBulk
+	want := []Method{
+		{"db.listDocuments", 1, PlaneClient, b, false},
+		{"db.getDocument", 2, PlaneClient, b, false},
+		{"db.getImage", 3, PlaneClient, b, false},
+		{"db.getAudio", 4, PlaneClient, b, false},
+		{"db.getCmp", 5, PlaneClient, b, false},
+		{"db.putImageTexts", 6, PlaneClient, b, false},
+		{"room.join", 7, PlaneClient, c, true},
+		{"room.leave", 8, PlaneClient, c, true},
+		{"room.choice", 9, PlaneClient, i, true},
+		{"room.operation", 10, PlaneClient, i, true},
+		{"room.annotate", 11, PlaneClient, i, true},
+		{"room.deleteAnnotation", 12, PlaneClient, i, true},
+		{"room.freeze", 13, PlaneClient, i, true},
+		{"room.release", 14, PlaneClient, i, true},
+		{"room.shareSearch", 15, PlaneClient, i, true},
+		{"room.chat", 16, PlaneClient, i, true},
+		{"room.history", 17, PlaneClient, c, true},
+		{"room.broadcastStart", 18, PlaneClient, i, true},
+		{"room.broadcastStop", 19, PlaneClient, i, true},
+		{"room.saveMinutes", 20, PlaneClient, b, true},
+		{"sys.stats", 21, PlaneClient, c, false},
+		{"sys.traces", 22, PlaneClient, c, false},
+		{"room.event", 23, PlanePush, i, false},
+		{"room.prefetch", 24, PlanePush, i, false},
+		{"node.ping", 26, PlaneNode, c, false},
+		{"node.ingress", 27, PlaneNode, c, false},
+		{"node.replicate", 28, PlaneNode, c, false},
+		{"node.fetchchunks", 30, PlaneNode, c, false},
+	}
+	got := Methods()
+	if !reflect.DeepEqual(got, want) {
+		for k := 0; k < max(len(got), len(want)); k++ {
+			var g, w Method
+			if k < len(got) {
+				g = got[k]
+			}
+			if k < len(want) {
+				w = want[k]
+			}
+			if g != w {
+				t.Errorf("row %d = %+v, want %+v", k, g, w)
 			}
 		}
-		// Every room-scoped request leads with Room, so the routing tier
-		// can read it without knowing the body.
-		if RoomScoped(m) {
-			v := reflect.New(reflect.TypeOf(p.req).Elem())
-			v.Elem().FieldByName("Room").SetString("tumor-board")
-			got, ok := RoomOf(m, wire.MarshalBody(v.Interface().(body)))
-			if !ok || got != "tumor-board" {
-				t.Errorf("%s: RoomOf = %q, %v", m, got, ok)
-			}
+	}
+	rooms := 0
+	for _, m := range got {
+		if m.Code == 25 || m.Code == 29 {
+			t.Errorf("%s took retired code %d", m.Name, m.Code)
 		}
+		if m.Room {
+			rooms++
+		}
+		if row, ok := Lookup(m.Name); !ok || row != m {
+			t.Errorf("Lookup(%q) = %+v, %v", m.Name, row, ok)
+		}
+	}
+	if rooms != 14 {
+		t.Errorf("%d room-scoped methods, want 14", rooms)
+	}
+	if _, ok := Lookup("room.nosuch"); ok {
+		t.Error("Lookup found a method the table does not list")
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 )
 
 // MNodeFetchChunks pulls a batch of CAS chunks by digest from the node
-// that advertised them (code 30, cluster.go).
+// that advertised them.
 const MNodeFetchChunks = "node.fetchchunks"
 
 // BlobManifest is one object's chunk recipe: the ordered chunk digests

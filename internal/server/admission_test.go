@@ -7,9 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"mmconf/internal/client"
 	"mmconf/internal/mediadb"
-	"mmconf/internal/proto"
 	"mmconf/internal/store"
 	"mmconf/internal/wire"
 	"mmconf/internal/workload"
@@ -99,10 +97,10 @@ func TestPerPeerRateLimitE2E(t *testing.T) {
 		t.Fatalf("first call: %v", err)
 	}
 	_, _, err := c.ListDocuments()
-	if !errors.Is(err, proto.ErrOverloaded) {
+	if !errors.Is(err, wire.ErrOverloaded) {
 		t.Fatalf("second call err = %v, want ErrOverloaded", err)
 	}
-	var oe *proto.OverloadedError
+	var oe *wire.OverloadError
 	if !errors.As(err, &oe) {
 		t.Fatalf("err %v does not carry the typed overload", err)
 	}
@@ -122,27 +120,30 @@ func TestPerPeerRateLimitE2E(t *testing.T) {
 	}
 }
 
+// TestShedClientRetriesPerHint: a call the server sheds reaches the
+// client's caller as a *wire.OverloadError carrying the retry-after
+// hint, and a caller that sleeps the hint and retries lands in a
+// refilled bucket.
 func TestShedClientRetriesPerHint(t *testing.T) {
 	addr, rec := admissionSystem(t, Options{
 		PerPeerRate:  4, // empty bucket refills a token in 250ms
 		PerPeerBurst: 1,
 	})
-	c, err := client.NewOverResolver(client.NetDial, []string{addr}, "alice", client.Options{RetryOverloaded: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
+	c := dial(t, addr, "alice")
 	if _, _, err := c.GetCmp(rec.CmpID, 1); err != nil {
 		t.Fatalf("first call: %v", err)
 	}
-	// The bucket is now empty: the call is shed, the client sleeps the
-	// server's hint and retries into a refilled bucket.
-	start := time.Now()
-	if _, _, err := c.GetCmp(rec.CmpID, 1); err != nil {
-		t.Fatalf("retried call: %v", err)
+	_, _, err := c.GetCmp(rec.CmpID, 1)
+	var oe *wire.OverloadError
+	if !errors.As(err, &oe) {
+		t.Fatalf("call into an empty bucket = %v, want a *wire.OverloadError", err)
 	}
-	if elapsed := time.Since(start); elapsed < 100*time.Millisecond {
-		t.Fatalf("retried call returned in %v, want >= 100ms (a retry-after backoff)", elapsed)
+	if oe.RetryAfter <= 0 || oe.RetryAfter > 250*time.Millisecond {
+		t.Fatalf("retry-after %v, want (0, 250ms]: the bucket's refill time", oe.RetryAfter)
+	}
+	time.Sleep(oe.RetryAfter)
+	if _, _, err := c.GetCmp(rec.CmpID, 1); err != nil {
+		t.Fatalf("call after sleeping the hint: %v", err)
 	}
 }
 

@@ -55,3 +55,33 @@ func TestListDocumentsRoundTripAllocations(t *testing.T) {
 		t.Errorf("%v allocations per ListDocuments round trip, client and server together, want at most 12", got)
 	}
 }
+
+// TestSessionsLookupAllocatesNothing: a room request on a connection that
+// has its membership table finds it without building another (a table
+// and its map per request while sessionsOf built one for MetaSetDefault
+// to discard).
+func TestSessionsLookupAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are measured without the race detector")
+	}
+	peers := make(chan *wire.Peer, 1)
+	_, dial := stepSystem(t, Options{}, map[string]wire.Handler{
+		"peer": func(_ context.Context, p *wire.Peer, _ []byte) (any, error) {
+			peers <- p
+			return nil, nil
+		},
+	})
+	if err := call(context.Background(), dial(), "peer"); err != nil {
+		t.Fatal(err)
+	}
+	p := <-peers
+	first := sessionsOf(p)
+	got := testing.AllocsPerRun(100, func() {
+		if sessionsOf(p) != first {
+			t.Fatal("sessionsOf returned a second table")
+		}
+	})
+	if got != 0 {
+		t.Errorf("%v allocations per sessionsOf on a connection that has its table, want 0", got)
+	}
+}

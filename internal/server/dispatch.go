@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"mmconf/internal/obs"
-	"mmconf/internal/proto"
 	"mmconf/internal/wire"
 )
 
@@ -134,43 +133,4 @@ func (s *Server) bucket(p *wire.Peer) *wire.TokenBucket {
 		return b.(*wire.TokenBucket)
 	}
 	return p.MetaSetDefault(peerBucketKey, wire.NewTokenBucket(s.perPeerRate, s.perPeerBurst)).(*wire.TokenBucket)
-}
-
-// methodClasses assigns every RPC an admission priority: control RPCs
-// (join/resume/leave and the metrics surface) keep sessions alive and
-// shed last; bulk media fetches are individually expensive, retryable,
-// and shed first; everything else — the conference hot path — sits in
-// between, as does any method not listed here.
-var methodClasses = map[string]wire.Priority{
-	proto.MJoinRoom:  wire.PriorityControl,
-	proto.MLeaveRoom: wire.PriorityControl,
-	proto.MStats:     wire.PriorityControl,
-	proto.MTraces:    wire.PriorityControl,
-	proto.MHistory:   wire.PriorityControl,
-
-	proto.MChoice:           wire.PriorityInteractive,
-	proto.MOperation:        wire.PriorityInteractive,
-	proto.MAnnotate:         wire.PriorityInteractive,
-	proto.MDeleteAnnotation: wire.PriorityInteractive,
-	proto.MFreeze:           wire.PriorityInteractive,
-	proto.MRelease:          wire.PriorityInteractive,
-	proto.MShareSearch:      wire.PriorityInteractive,
-	proto.MChat:             wire.PriorityInteractive,
-	proto.MBroadcastStart:   wire.PriorityInteractive,
-	proto.MBroadcastStop:    wire.PriorityInteractive,
-
-	proto.MListDocuments: wire.PriorityBulk,
-	proto.MGetDocument:   wire.PriorityBulk,
-	proto.MGetImage:      wire.PriorityBulk,
-	proto.MGetAudio:      wire.PriorityBulk,
-	proto.MGetCmp:        wire.PriorityBulk,
-	proto.MPutImageTexts: wire.PriorityBulk,
-	proto.MSaveMinutes:   wire.PriorityBulk,
-
-	// Node-link plane: liveness and replication keep the cluster
-	// coherent and must survive overload like session control does.
-	proto.MNodePing:        wire.PriorityControl,
-	proto.MNodeIngress:     wire.PriorityControl,
-	proto.MNodeReplicate:   wire.PriorityControl,
-	proto.MNodeFetchChunks: wire.PriorityControl,
 }

@@ -34,7 +34,7 @@ func TestJoinSendsTheViewOnce(t *testing.T) {
 		}
 	})
 	var resp proto.JoinRoomResp
-	if err := carol.Call(proto.MJoinRoom, &proto.JoinRoomReq{Room: "consult", User: "carol"}, &resp); err != nil {
+	if err := carol.CallCtx(context.Background(), proto.MJoinRoom, &proto.JoinRoomReq{Room: "consult", User: "carol"}, &resp); err != nil {
 		t.Fatal(err)
 	}
 	v := resp.View
@@ -123,7 +123,7 @@ func TestConcurrentJoinsOnOneConnection(t *testing.T) {
 	for i := 0; i < joins; i++ {
 		go func() {
 			var resp proto.JoinRoomResp
-			errs <- c.Call(proto.MJoinRoom, &proto.JoinRoomReq{Room: "consult", DocID: "p1", User: fmt.Sprintf("u%d", i)}, &resp)
+			errs <- c.CallCtx(context.Background(), proto.MJoinRoom, &proto.JoinRoomReq{Room: "consult", DocID: "p1", User: fmt.Sprintf("u%d", i)}, &resp)
 		}()
 	}
 	ok := 0

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net"
 	"sync"
@@ -174,7 +175,7 @@ func TestGetImageReadsItsWrites(t *testing.T) {
 			_, addr, rec := testSystemOpts(t, Options{CacheBytes: cacheBytes})
 			getImage := func(c *wire.Client) (string, error) {
 				var resp proto.GetImageResp
-				err := c.Call(proto.MGetImage, &proto.GetImageReq{ID: rec.CTID}, &resp)
+				err := c.CallCtx(context.Background(), proto.MGetImage, &proto.GetImageReq{ID: rec.CTID}, &resp)
 				return resp.Texts, err
 			}
 			dialRaw := func() *wire.Client {
@@ -210,7 +211,7 @@ func TestGetImageReadsItsWrites(t *testing.T) {
 			w := dialRaw()
 			for i := 0; i < writes; i++ {
 				want := fmt.Sprintf("findings %d", i)
-				if err := w.Call(proto.MPutImageTexts, &proto.PutImageTextsReq{ID: rec.CTID, Texts: want}, nil); err != nil {
+				if err := w.CallCtx(context.Background(), proto.MPutImageTexts, &proto.PutImageTextsReq{ID: rec.CTID, Texts: want}, nil); err != nil {
 					t.Fatal(err)
 				}
 				if got, err := getImage(w); err != nil || got != want {
@@ -337,7 +338,7 @@ func TestPushFailureLeavesRoom(t *testing.T) {
 	defer mallory.Close()
 	mallory.OnPush(func(string, wire.Body) {})
 	var joinResp proto.JoinRoomResp
-	if err := mallory.Call(proto.MJoinRoom, &proto.JoinRoomReq{Room: "consult", User: "mallory"}, &joinResp); err != nil {
+	if err := mallory.CallCtx(context.Background(), proto.MJoinRoom, &proto.JoinRoomReq{Room: "consult", User: "mallory"}, &joinResp); err != nil {
 		t.Fatal(err)
 	}
 	waitEvent(t, bob, func(ev room.Event) bool {

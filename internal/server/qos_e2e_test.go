@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"net"
 	"reflect"
 	"slices"
@@ -240,7 +241,7 @@ func TestQoSChangedPushedImageTransfers(t *testing.T) {
 
 	rpc := wire.NewClient(r.pipe())
 	t.Cleanup(func() { rpc.Close() })
-	if err := rpc.Call(proto.MPutImageTexts, &proto.PutImageTextsReq{ID: id, Texts: "lesion 8mm"}, nil); err != nil {
+	if err := rpc.CallCtx(context.Background(), proto.MPutImageTexts, &proto.PutImageTextsReq{ID: id, Texts: "lesion 8mm"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	pushed, texts, err := r.c.GetImage(id)
@@ -405,13 +406,13 @@ func TestQoSPrefetchPushesOnlyTheRecordsOwnImages(t *testing.T) {
 		}
 	})
 	var join proto.JoinRoomResp
-	if err := rpc.Call(proto.MJoinRoom, &proto.JoinRoomReq{Room: "consult", DocID: "p2", User: "alice", Buffered: true}, &join); err != nil {
+	if err := rpc.CallCtx(context.Background(), proto.MJoinRoom, &proto.JoinRoomReq{Room: "consult", DocID: "p2", User: "alice", Buffered: true}, &join); err != nil {
 		t.Fatal(err)
 	}
 	// Enough response writes for the meter's confidence gate; the member
 	// then degrades to ct=lowres and the loop ranks its candidates.
 	for i := 0; i < 6; i++ {
-		if err := rpc.Call(proto.MListDocuments, &proto.ListDocumentsReq{}, &proto.ListDocumentsResp{}); err != nil {
+		if err := rpc.CallCtx(context.Background(), proto.MListDocuments, &proto.ListDocumentsReq{}, &proto.ListDocumentsResp{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -469,12 +470,12 @@ func TestQoSPrefetchPushesOnlyToBufferedMembers(t *testing.T) {
 			}
 		})
 		var join proto.JoinRoomResp
-		if err := rpc.Call(proto.MJoinRoom, &proto.JoinRoomReq{Room: "consult", DocID: "p1", User: user, Buffered: m.buffered}, &join); err != nil {
+		if err := rpc.CallCtx(context.Background(), proto.MJoinRoom, &proto.JoinRoomReq{Room: "consult", DocID: "p1", User: user, Buffered: m.buffered}, &join); err != nil {
 			t.Fatal(err)
 		}
 		// Enough response writes for the meter's confidence gate.
 		for i := 0; i < 6; i++ {
-			if err := rpc.Call(proto.MListDocuments, &proto.ListDocumentsReq{}, &proto.ListDocumentsResp{}); err != nil {
+			if err := rpc.CallCtx(context.Background(), proto.MListDocuments, &proto.ListDocumentsReq{}, &proto.ListDocumentsResp{}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -450,7 +450,7 @@ func BenchmarkE10ResumeVsRejoin(b *testing.B) {
 		}
 		seed.OnPush(func(string, wire.Body) {})
 		var resp proto.JoinRoomResp
-		if err := seed.Call(proto.MJoinRoom, &proto.JoinRoomReq{Room: "consult", DocID: "p1", User: "alice"}, &resp); err != nil {
+		if err := seed.CallCtx(context.Background(), proto.MJoinRoom, &proto.JoinRoomReq{Room: "consult", DocID: "p1", User: "alice"}, &resp); err != nil {
 			b.Fatal(err)
 		}
 		seed.Close()
@@ -472,7 +472,7 @@ func BenchmarkE10ResumeVsRejoin(b *testing.B) {
 				req.User = fmt.Sprintf("alice-%d", i)
 			}
 			var r proto.JoinRoomResp
-			if err := c.Call(proto.MJoinRoom, &req, &r); err != nil {
+			if err := c.CallCtx(context.Background(), proto.MJoinRoom, &req, &r); err != nil {
 				b.Fatal(err)
 			}
 			if resume && len(r.DocData) != 0 {

@@ -52,7 +52,7 @@ type Options struct {
 	MaxInflight int
 	// QueueDepth bounds how many requests may wait for an execution slot
 	// once MaxInflight are running (default 128; negative is invalid).
-	// Arrivals beyond it are shed with proto.ErrOverloaded.
+	// Arrivals beyond it are shed with wire.ErrOverloaded.
 	QueueDepth int
 	// QueueTimeout sheds a queued request that cannot get a slot in time
 	// (default 1s; negative is invalid).
@@ -271,13 +271,14 @@ func NewWith(db *mediadb.MediaDB, o Options) (*Server, error) {
 func (s *Server) Stats() *wire.Stats { return s.stats }
 
 // Register installs an RPC handler behind the request step, with the
-// admission class methodClasses gives its name — the seam the cluster
-// tier also uses to mount its node-link methods on the same path as
-// client traffic. Call before Serve.
+// admission class proto's method table gives its name (interactive for
+// a name the table does not list) — the seam the cluster tier also uses
+// to mount its node-link methods on the same path as client traffic.
+// Call before Serve.
 func (s *Server) Register(name string, h wire.Handler) {
-	class, ok := methodClasses[name]
-	if !ok {
-		class = wire.PriorityInteractive
+	class := wire.PriorityInteractive
+	if row, ok := proto.Lookup(name); ok {
+		class = row.Class
 	}
 	m := &method{name: name, class: class, h: h}
 	s.rpc.Register(name, func(ctx context.Context, p *wire.Peer, payload []byte) (any, error) {

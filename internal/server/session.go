@@ -107,9 +107,18 @@ type peerSessions struct {
 	rooms map[string]*membership
 }
 
-// sessionsOf returns the peer's membership table, creating it if needed.
+// peerSessionsKey stores a connection's membership table in its peer
+// meta.
+const peerSessionsKey = "sessions"
+
+// sessionsOf returns the peer's membership table, making it on the
+// peer's first room request.
 func sessionsOf(p *wire.Peer) *peerSessions {
-	return p.MetaSetDefault("sessions", &peerSessions{rooms: make(map[string]*membership)}).(*peerSessions)
+	if ps, ok := p.Meta(peerSessionsKey); ok {
+		return ps.(*peerSessions)
+	}
+	ps := &peerSessions{rooms: make(map[string]*membership)}
+	return p.MetaSetDefault(peerSessionsKey, ps).(*peerSessions)
 }
 
 // reserve takes the connection's slot for a room before the room is

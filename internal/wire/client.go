@@ -359,17 +359,13 @@ func (c *Client) abandon(id uint64) {
 	c.mu.Unlock()
 }
 
-// Call invokes a server method, decoding the response into reply (pass
-// nil to discard the result).
-func (c *Client) Call(method string, args BodyEncoder, reply any) error {
-	return c.CallCtx(context.Background(), method, args, reply)
-}
-
-// CallCtx invokes a server method, abandoning the wait when ctx ends. A
-// non-nil reply must implement BodyDecoder (it is typed any only because
+// CallCtx invokes a server method, decoding the response into reply
+// (nil discards it), and abandons the wait when ctx ends. A non-nil
+// reply must implement BodyDecoder (it is typed any only because
 // benchmark/ hands one through an any). An abandoned call's response is
 // discarded if it arrives later; the server side may still run to
-// completion unless its own timeout or the connection's death cancels it.
+// completion unless its own timeout or the connection's death cancels
+// it.
 func (c *Client) CallCtx(ctx context.Context, method string, args BodyEncoder, reply any) error {
 	bd, ok := reply.(BodyDecoder)
 	if reply != nil && !ok {
@@ -394,10 +390,3 @@ func (c *Client) CallCtx(ctx context.Context, method string, args BodyEncoder, r
 
 // Close terminates the connection.
 func (c *Client) Close() error { return c.conn.Close() }
-
-// CallTimeout is a convenience CallCtx with a fresh deadline.
-func (c *Client) CallTimeout(d time.Duration, method string, args BodyEncoder, reply any) error {
-	ctx, cancel := context.WithTimeout(context.Background(), d)
-	defer cancel()
-	return c.CallCtx(ctx, method, args, reply)
-}

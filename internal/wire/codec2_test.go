@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"net"
@@ -321,7 +322,7 @@ func TestVersionNegotiationEndToEnd(t *testing.T) {
 	t.Run("v2-v2", func(t *testing.T) {
 		c := NewClient(dial(t))
 		var r echoReply
-		if err := c.Call("echo", &echoArgs{Text: "ping", N: 3}, &r); err != nil || r.Text != "ping" || r.N != 6 {
+		if err := c.CallCtx(context.Background(), "echo", &echoArgs{Text: "ping", N: 3}, &r); err != nil || r.Text != "ping" || r.N != 6 {
 			t.Fatalf("echo = %+v, %v", r, err)
 		}
 	})
@@ -368,7 +369,9 @@ func TestVersionNegotiationEndToEnd(t *testing.T) {
 				_, _ = io.Copy(io.Discard, sc)
 			}()
 			c := NewClient(cc)
-			err := c.CallTimeout(5*time.Second, "echo", &echoArgs{}, nil)
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			err := c.CallCtx(ctx, "echo", &echoArgs{}, nil)
+			cancel()
 			if !errors.Is(err, ErrProtoVersion) || !errors.Is(err, ErrClosed) {
 				t.Errorf("server chose %d: call error = %v, want ErrProtoVersion and ErrClosed", ver, err)
 			}

@@ -92,7 +92,9 @@ func TestServerVersionSurface(t *testing.T) {
 	}
 	defer c.Close()
 	var rep echoReply
-	if err := c.CallTimeout(5*time.Second, "echo", &echoArgs{Text: "t", N: 2}, &rep); err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := c.CallCtx(ctx, "echo", &echoArgs{Text: "t", N: 2}, &rep); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Err(); err != nil {
@@ -193,7 +195,9 @@ func TestClientProtoVersionDeadConn(t *testing.T) {
 	server.Close() // handshake can never complete
 	c := NewClient(client)
 	defer c.Close()
-	if err := c.CallTimeout(5*time.Second, "echo", &echoArgs{}, nil); !errors.Is(err, ErrClosed) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := c.CallCtx(ctx, "echo", &echoArgs{}, nil); !errors.Is(err, ErrClosed) {
 		t.Errorf("call on a conn that died mid-handshake = %v, want ErrClosed", err)
 	}
 }

@@ -46,7 +46,7 @@ func TestClientDoneSignalsTransportDeath(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Done never fired after Close")
 	}
-	if err := c.Call("echo", &echoArgs{Text: "x"}, nil); !errors.Is(err, ErrClosed) {
+	if err := c.CallCtx(context.Background(), "echo", &echoArgs{Text: "x"}, nil); !errors.Is(err, ErrClosed) {
 		t.Errorf("call after death = %v, want ErrClosed", err)
 	}
 }
@@ -78,7 +78,7 @@ func TestDefaultCallTimeout(t *testing.T) {
 	defer c.Close()
 	c.SetCallTimeout(150 * time.Millisecond)
 	start := time.Now()
-	err = c.Call("hang", &echoArgs{}, nil)
+	err = c.CallCtx(context.Background(), "hang", &echoArgs{}, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("hung call returned %v, want deadline exceeded", err)
 	}
@@ -99,7 +99,7 @@ func TestDefaultCallTimeout(t *testing.T) {
 
 // TestCallTimeoutCoversHandshake pins the default deadline to the whole
 // call, handshake wait included: a peer that accepts the connection but
-// never reads (a net.Pipe end nobody serves) must fail Call and CallRaw
+// never reads (a net.Pipe end nobody serves) must fail CallCtx and CallRaw
 // with DeadlineExceeded instead of wedging them.
 func TestCallTimeoutCoversHandshake(t *testing.T) {
 	far, near := net.Pipe()
@@ -108,7 +108,7 @@ func TestCallTimeoutCoversHandshake(t *testing.T) {
 	defer c.Close()
 	c.SetCallTimeout(100 * time.Millisecond)
 	for name, call := range map[string]func() error{
-		"Call": func() error { return c.Call("echo", &echoArgs{}, nil) },
+		"CallCtx": func() error { return c.CallCtx(context.Background(), "echo", &echoArgs{}, nil) },
 		"CallRaw": func() error {
 			_, err := c.CallRaw(context.Background(), "echo", nil)
 			return err
@@ -142,7 +142,7 @@ func TestBoundedCallAllocatesNoMore(t *testing.T) {
 	defer c.Close()
 	var reply echoReply
 	call := func() {
-		if err := c.Call("double", &echoArgs{Text: "x", N: 1}, &reply); err != nil {
+		if err := c.CallCtx(context.Background(), "double", &echoArgs{Text: "x", N: 1}, &reply); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,7 +184,7 @@ func TestTimedOutCallLeavesNoStaleTimer(t *testing.T) {
 	defer c.Close()
 	var reply echoReply
 	c.SetCallTimeout(5 * time.Millisecond)
-	if err := c.Call("slow", &echoArgs{N: 500}, &reply); !errors.Is(err, context.DeadlineExceeded) {
+	if err := c.CallCtx(context.Background(), "slow", &echoArgs{N: 500}, &reply); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("a call past its deadline returned %v, want deadline exceeded", err)
 	}
 	// Each racing call is followed by a fast one, which takes the timer
@@ -193,14 +193,14 @@ func TestTimedOutCallLeavesNoStaleTimer(t *testing.T) {
 		t.Helper()
 		pc.pause.Store(0)
 		c.SetCallTimeout(time.Minute)
-		if err := c.Call("double", &echoArgs{N: i}, &reply); err != nil {
+		if err := c.CallCtx(context.Background(), "double", &echoArgs{N: i}, &reply); err != nil {
 			t.Fatalf("fast call %d after a timeout: %v", i, err)
 		}
 	}
 	for i := 0; i < 20; i++ {
 		pc.pause.Store(int64(25 * time.Millisecond))
 		c.SetCallTimeout(5 * time.Millisecond)
-		if err := c.Call("double", &echoArgs{N: i}, &reply); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+		if err := c.CallCtx(context.Background(), "double", &echoArgs{N: i}, &reply); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("call %d with its reply and its deadline both in: %v", i, err)
 		}
 		fast(i)

@@ -237,7 +237,7 @@ func relayed(t *testing.T, arm func(*Request)) (origin *Client, blocked <-chan s
 // and still ends when the origin client's connection drops.
 func TestRelayedCallEndsWithTheOrigin(t *testing.T) {
 	origin, blocked, out := relayed(t, nil)
-	go func() { _ = origin.Call("relay", &echoArgs{}, nil) }()
+	go func() { _ = origin.CallCtx(context.Background(), "relay", &echoArgs{}, nil) }()
 	<-blocked
 	origin.Close()
 	select {
@@ -258,7 +258,7 @@ func TestRelayedCallEndsWithTheOrigin(t *testing.T) {
 // making the Request a child.
 func TestRelayedCallEndsAtTheDeadline(t *testing.T) {
 	origin, _, out := relayed(t, func(r *Request) { r.SetDeadline(time.Now().Add(50 * time.Millisecond)) })
-	go func() { _ = origin.Call("relay", &echoArgs{}, nil) }()
+	go func() { _ = origin.CallCtx(context.Background(), "relay", &echoArgs{}, nil) }()
 	select {
 	case p := <-out:
 		if !errors.Is(p.err, context.DeadlineExceeded) {

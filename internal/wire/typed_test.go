@@ -47,13 +47,13 @@ func TestTypedHandlerRoundTrip(t *testing.T) {
 	}
 	defer c.Close()
 	var reply echoReply
-	if err := c.Call("double", &echoArgs{Text: "hi", N: 21}, &reply); err != nil {
+	if err := c.CallCtx(context.Background(), "double", &echoArgs{Text: "hi", N: 21}, &reply); err != nil {
 		t.Fatalf("Call: %v", err)
 	}
 	if reply.Text != "hi" || reply.N != 42 {
 		t.Errorf("reply = %+v", reply)
 	}
-	if err := c.Call("void", &echoArgs{}, nil); err != nil {
+	if err := c.CallCtx(context.Background(), "void", &echoArgs{}, nil); err != nil {
 		t.Fatalf("void: %v", err)
 	}
 	// Garbage payload fails cleanly in the adapter.
@@ -87,7 +87,7 @@ func TestCallCtxCancellationAbandonsWait(t *testing.T) {
 	}
 	// The connection is still usable for new calls.
 	var reply echoReply
-	if err := c.Call("double", &echoArgs{N: 3}, &reply); err != nil || reply.N != 6 {
+	if err := c.CallCtx(context.Background(), "double", &echoArgs{N: 3}, &reply); err != nil || reply.N != 6 {
 		t.Fatalf("connection unusable after abandoned call: %+v, %v", reply, err)
 	}
 }
@@ -115,8 +115,10 @@ func TestPeerDisconnectCancelsHandlerContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go c.Call("hang", &echoArgs{}, nil) // will fail when we close the conn
-	time.Sleep(50 * time.Millisecond)   // let the request reach the handler
+	// The call fails when the conn closes; the sleep lets the request
+	// reach the handler first.
+	go c.CallCtx(context.Background(), "hang", &echoArgs{}, nil)
+	time.Sleep(50 * time.Millisecond)
 	c.Close()
 	select {
 	case err := <-handlerDone:
@@ -140,7 +142,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	result := make(chan error, 1)
 	go func() {
 		var reply echoReply
-		err := c.Call("slow", &echoArgs{N: 80}, &reply)
+		err := c.CallCtx(context.Background(), "slow", &echoArgs{N: 80}, &reply)
 		if err == nil && reply.Text != "finished" {
 			err = errors.New("wrong reply: " + reply.Text)
 		}
@@ -161,7 +163,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 		t.Fatal("in-flight call never completed")
 	}
 	// New requests are rejected after drain.
-	if err := c.Call("double", &echoArgs{}, nil); err == nil {
+	if err := c.CallCtx(context.Background(), "double", &echoArgs{}, nil); err == nil {
 		t.Error("call accepted after shutdown")
 	}
 }
@@ -173,11 +175,11 @@ func TestDrainRejectsNewRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Call("double", &echoArgs{N: 1}, nil); err != nil {
+	if err := c.CallCtx(context.Background(), "double", &echoArgs{N: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.Drain()
-	err = c.Call("double", &echoArgs{N: 1}, nil)
+	err = c.CallCtx(context.Background(), "double", &echoArgs{N: 1}, nil)
 	if err == nil || !strings.Contains(err.Error(), "draining") {
 		t.Fatalf("request during drain: %v", err)
 	}

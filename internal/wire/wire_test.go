@@ -65,18 +65,18 @@ func TestCallRoundTrip(t *testing.T) {
 	}
 	defer c.Close()
 	var reply echoReply
-	if err := c.Call("echo", &echoArgs{Text: "hi", N: 21}, &reply); err != nil {
+	if err := c.CallCtx(context.Background(), "echo", &echoArgs{Text: "hi", N: 21}, &reply); err != nil {
 		t.Fatalf("Call: %v", err)
 	}
 	if reply.Text != "hi" || reply.N != 42 {
 		t.Errorf("reply = %+v", reply)
 	}
 	// nil reply discards.
-	if err := c.Call("echo", &echoArgs{Text: "x"}, nil); err != nil {
+	if err := c.CallCtx(context.Background(), "echo", &echoArgs{Text: "x"}, nil); err != nil {
 		t.Fatalf("Call with nil reply: %v", err)
 	}
 	// void handler.
-	if err := c.Call("void", &echoArgs{}, nil); err != nil {
+	if err := c.CallCtx(context.Background(), "void", &echoArgs{}, nil); err != nil {
 		t.Fatalf("void: %v", err)
 	}
 }
@@ -88,10 +88,10 @@ func TestCallErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Call("fail", &echoArgs{}, nil); err == nil || err.Error() != "deliberate failure" {
+	if err := c.CallCtx(context.Background(), "fail", &echoArgs{}, nil); err == nil || err.Error() != "deliberate failure" {
 		t.Errorf("fail call: %v", err)
 	}
-	if err := c.Call("nosuch", &echoArgs{}, nil); err == nil {
+	if err := c.CallCtx(context.Background(), "nosuch", &echoArgs{}, nil); err == nil {
 		t.Error("unknown method accepted")
 	}
 }
@@ -110,7 +110,7 @@ func TestConcurrentCalls(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			var reply echoReply
-			if err := c.Call("echo", &echoArgs{N: i}, &reply); err != nil {
+			if err := c.CallCtx(context.Background(), "echo", &echoArgs{N: i}, &reply); err != nil {
 				errs <- err
 				return
 			}
@@ -161,7 +161,7 @@ func TestServerPush(t *testing.T) {
 		}
 		got <- r.N
 	})
-	if err := c.Call("subscribe", &echoArgs{}, nil); err != nil {
+	if err := c.CallCtx(context.Background(), "subscribe", &echoArgs{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	seen := map[int]bool{}
@@ -215,13 +215,13 @@ func TestPeerMetaAndCloseCallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	var r echoReply
-	if err := c.Call("whoami", &echoArgs{}, &r); err == nil {
+	if err := c.CallCtx(context.Background(), "whoami", &echoArgs{}, &r); err == nil {
 		t.Error("whoami before login succeeded")
 	}
-	if err := c.Call("login", &echoArgs{Text: "dr-adams"}, nil); err != nil {
+	if err := c.CallCtx(context.Background(), "login", &echoArgs{Text: "dr-adams"}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Call("whoami", &echoArgs{}, &r); err != nil || r.Text != "dr-adams" {
+	if err := c.CallCtx(context.Background(), "whoami", &echoArgs{}, &r); err != nil || r.Text != "dr-adams" {
 		t.Errorf("whoami = %+v, %v", r, err)
 	}
 	c.Close()
@@ -243,7 +243,7 @@ func TestCallAfterClose(t *testing.T) {
 	}
 	c.Close()
 	time.Sleep(50 * time.Millisecond) // let the read loop observe the close
-	if err := c.Call("echo", &echoArgs{}, nil); err == nil {
+	if err := c.CallCtx(context.Background(), "echo", &echoArgs{}, nil); err == nil {
 		t.Error("call on closed connection succeeded")
 	}
 }
@@ -263,7 +263,7 @@ func TestInProcessPipe(t *testing.T) {
 	c := NewClient(cc)
 	defer c.Close()
 	var r echoReply
-	if err := c.Call("echo", &echoArgs{Text: "pipe"}, &r); err != nil || r.Text != "pipe" {
+	if err := c.CallCtx(context.Background(), "echo", &echoArgs{Text: "pipe"}, &r); err != nil || r.Text != "pipe" {
 		t.Fatalf("pipe call: %+v, %v", r, err)
 	}
 }
@@ -284,10 +284,10 @@ func TestMarshalUnmarshalErrors(t *testing.T) {
 	}
 	defer c.Close()
 	var plain struct{ X int }
-	if err := c.Call("echo", &echoArgs{}, &plain); err == nil {
+	if err := c.CallCtx(context.Background(), "echo", &echoArgs{}, &plain); err == nil {
 		t.Error("reply without a BodyDecoder accepted")
 	}
-	if err := c.Call("nocodec", &echoArgs{}, nil); err == nil {
+	if err := c.CallCtx(context.Background(), "nocodec", &echoArgs{}, nil); err == nil {
 		t.Error("handler result without a BodyEncoder reached the client as success")
 	}
 	var x echoArgs

@@ -96,7 +96,7 @@ func TestRequestWorkersAreResident(t *testing.T) {
 	gid := func(c *Client) int {
 		t.Helper()
 		var r echoReply
-		if err := c.Call("gid", &echoArgs{}, &r); err != nil {
+		if err := c.CallCtx(context.Background(), "gid", &echoArgs{}, &r); err != nil {
 			t.Fatal(err)
 		}
 		return r.N
@@ -126,7 +126,7 @@ func TestRequestWorkersAreResident(t *testing.T) {
 
 	// Block that worker: the next request must run at once, elsewhere.
 	blocked := make(chan error, 1)
-	go func() { blocked <- c.Call("block", &echoArgs{}, nil) }()
+	go func() { blocked <- c.CallCtx(context.Background(), "block", &echoArgs{}, nil) }()
 	if held := <-entered; held != first {
 		t.Errorf("the blocking request ran on goroutine %d, not on the parked worker %d", held, first)
 	}

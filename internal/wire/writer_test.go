@@ -41,7 +41,7 @@ func TestPushRawRoundTrip(t *testing.T) {
 			got <- append([]byte(nil), body.Data...) // valid only during the call
 		}
 	})
-	if err := c.Call("kick", &echoArgs{}, nil); err != nil {
+	if err := c.CallCtx(context.Background(), "kick", &echoArgs{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -102,7 +102,7 @@ func TestPushResponseFIFO(t *testing.T) {
 	for round := 0; round < 8; round++ {
 		seen.Store(0)
 		var r echoReply
-		if err := c.Call("burst", &echoArgs{}, &r); err != nil {
+		if err := c.CallCtx(context.Background(), "burst", &echoArgs{}, &r); err != nil {
 			t.Fatal(err)
 		}
 		if got := seen.Load(); got != k {
@@ -139,7 +139,7 @@ func TestFlushDrainsQueuedPushes(t *testing.T) {
 	defer c.Close()
 	var got atomic.Int64
 	c.OnPush(func(method string, body Body) { got.Add(1) })
-	if err := c.Call("hello", &echoArgs{}, nil); err != nil {
+	if err := c.CallCtx(context.Background(), "hello", &echoArgs{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	peer := <-peerCh
@@ -194,7 +194,7 @@ func TestWriterCounters(t *testing.T) {
 	defer c.Close()
 	var got atomic.Int64
 	c.OnPush(func(method string, body Body) { got.Add(1) })
-	if err := c.Call("burst", &echoArgs{}, nil); err != nil {
+	if err := c.CallCtx(context.Background(), "burst", &echoArgs{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// The writer counts a flush after the socket write returns, so the
