@@ -73,9 +73,8 @@ func BenchmarkE5Propagation(b *testing.B) {
 
 // BenchmarkE5MultiRoom measures cross-room choice throughput through the
 // whole pipeline (client → wire → typed handler → room → push fan-out)
-// with one concurrent session per room, against the shipped 32-shard room
-// table; the isolated lock cost, one shard against 32, is in
-// BenchmarkRegistryLookup (internal/server).
+// with one concurrent session per room. A member's request reaches its
+// room through its connection's membership and takes no room-table lock.
 func BenchmarkE5MultiRoom(b *testing.B) {
 	const roomN = 8
 	b.Run(fmt.Sprintf("rooms=%d", roomN), func(b *testing.B) {

@@ -618,3 +618,54 @@ func TestDrainHandsOffOwnership(t *testing.T) {
 		t.Errorf("room held by %s, want post-drain owner %s", holder, want)
 	}
 }
+
+// TestEvictionDisconnectsOnlyCurrentMembers: evicting a room (a hand-off
+// or a newer replicated log drops it the same way) disconnects the
+// connections that are its members at that moment, so their clients
+// reconnect to the new owner. A connection that joined the room and left
+// it, and is still a member of another room on the node, keeps its
+// connection and that room.
+func TestEvictionDisconnectsOnlyCurrentMembers(t *testing.T) {
+	h := newHarness(t, 3, false)
+	owner := h.ByID("n1")
+	evicted, kept := h.RoomOwnedBy("n1", "evicted"), h.RoomOwnedBy("n1", "kept")
+	ctx := context.Background()
+	connect := func() *wire.Client {
+		conn, err := h.ClientFaults.DialContext(ctx, owner.Addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := wire.NewClient(conn)
+		c.OnPush(func(string, wire.Body) {})
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	join := func(c *wire.Client, roomName, user string) {
+		var resp proto.JoinRoomResp
+		if err := c.CallCtx(ctx, proto.MJoinRoom, &proto.JoinRoomReq{Room: roomName, DocID: "p1", User: user}, &resp); err != nil {
+			t.Fatalf("%s joining %s: %v", user, roomName, err)
+		}
+	}
+	member, former := connect(), connect()
+	join(member, evicted, "alice")
+	join(former, evicted, "bob")
+	join(former, kept, "bob")
+	if err := former.CallCtx(ctx, proto.MLeaveRoom, &proto.LeaveRoomReq{Room: evicted, User: "bob"}, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	owner.Node.evictRoom(evicted, "test eviction")
+	select {
+	case <-member.Done():
+	case <-time.After(3 * time.Second):
+		t.Fatal("the evicted room's member keeps its connection")
+	}
+	if err := former.CallCtx(ctx, proto.MChat, &proto.ChatReq{Room: kept, User: "bob", Text: "still here"}, nil); err != nil {
+		t.Fatalf("a connection that had left the evicted room lost its other room: %v", err)
+	}
+	select {
+	case <-former.Done():
+		t.Fatal("a connection that had left the evicted room was disconnected")
+	default:
+	}
+}

@@ -131,11 +131,7 @@ type Node struct {
 	liveMask uint64
 	place    *Placement
 	placeKey string
-	// roomPeers tracks, per locally served room, the connections that
-	// joined it here — the set reconciliation disconnects when ownership
-	// moves away.
-	roomPeers map[string]map[*wire.Peer]struct{}
-	draining  bool
+	draining bool
 
 	// replicas holds event logs replicated here for rooms this node
 	// stands by for; becoming owner consumes them as room seeds.
@@ -201,17 +197,16 @@ func New(db *mediadb.MediaDB, opts server.Options, cfg Config) (*Node, error) {
 		return nil, err
 	}
 	n := &Node{
-		cfg:       cfg,
-		id:        cfg.ID,
-		db:        db,
-		peers:     make(map[string]*peerState, len(cfg.Peers)),
-		roomPeers: make(map[string]map[*wire.Peer]struct{}),
-		replicas:  make(map[string]*replica),
-		rep:       make(map[string]*repState),
-		marked:    make(map[string]struct{}),
-		repWake:   make(chan struct{}, 1),
-		calls:     make(chan func()),
-		closed:    make(chan struct{}),
+		cfg:      cfg,
+		id:       cfg.ID,
+		db:       db,
+		peers:    make(map[string]*peerState, len(cfg.Peers)),
+		replicas: make(map[string]*replica),
+		rep:      make(map[string]*repState),
+		marked:   make(map[string]struct{}),
+		repWake:  make(chan struct{}, 1),
+		calls:    make(chan func()),
+		closed:   make(chan struct{}),
 	}
 	n.members = append(n.members, member{id: n.id})
 	for id, addr := range cfg.Peers {
@@ -488,47 +483,21 @@ func (n *Node) reconcile() (*Placement, bool) {
 	return place, quorum
 }
 
-// evictRoom drops a local room and disconnects its members' peers.
+// evictRoom drops a local room; the server disconnects the connections
+// that are its members, so their clients reconnect to the new owner.
 func (n *Node) evictRoom(name, why string) {
 	if !n.srv.DropRoom(name) {
 		return
 	}
 	n.evictions.Add(1)
 	n.logf("cluster %s: evicting room %q (%s)", n.id, name, why)
-	n.mu.Lock()
-	peers := n.roomPeers[name]
-	delete(n.roomPeers, name)
-	n.mu.Unlock()
-	for p := range peers {
-		_ = p.Close()
-	}
 }
 
-// trackRoomPeer records that peer has a member in a locally served room.
-func (n *Node) trackRoomPeer(name string, p *wire.Peer) {
-	n.mu.Lock()
-	set := n.roomPeers[name]
-	if set == nil {
-		set = make(map[*wire.Peer]struct{})
-		n.roomPeers[name] = set
-	}
-	set[p] = struct{}{}
-	n.mu.Unlock()
-}
-
-// peerClosed is the server's peer-teardown hook: forget the peer's room
-// tracking and tear down any ingress links relaying for it (the owner
-// node sees those conns die and detaches the forwarded sessions, which
-// stay resumable for the grace period).
+// peerClosed is the server's peer-teardown hook: tear down any ingress
+// links relaying for the peer (the owner node sees those conns die and
+// detaches the forwarded sessions, which stay resumable for the grace
+// period).
 func (n *Node) peerClosed(p *wire.Peer) {
-	n.mu.Lock()
-	for name, set := range n.roomPeers {
-		delete(set, p)
-		if len(set) == 0 {
-			delete(n.roomPeers, name)
-		}
-	}
-	n.mu.Unlock()
 	if v, ok := p.Meta(metaIngressLinks); ok {
 		v.(*ingressSet).closeAll()
 	}
@@ -549,8 +518,7 @@ const (
 // consumes an admission slot. Room-scoped requests are steered to the
 // room's owner: served here, redirected, or — on a forwarding node —
 // relayed transparently. Requests with no room scope (object fetches,
-// stats) serve anywhere. A join served here tracks its peer first, so
-// that the peer is disconnected should the room move away.
+// stats) serve anywhere.
 func (n *Node) route(ctx context.Context, p *wire.Peer, method string, payload []byte) (any, bool, error) {
 	roomName, ok := proto.RoomOf(method, payload)
 	if !ok {
@@ -570,11 +538,8 @@ func (n *Node) route(ctx context.Context, p *wire.Peer, method string, payload [
 		n.unavailable.Add(1)
 		return nil, true, &wire.UnavailableError{Node: n.id, Reason: "no cluster majority"}
 	}
-	owner := place.Owner(roomName)
+	owner, _ := top2(place, roomName)
 	if owner == n.id || owner == "" {
-		if method == proto.MJoinRoom {
-			n.trackRoomPeer(roomName, p)
-		}
 		return nil, false, nil
 	}
 	if _, ingress := p.Meta(metaIngress); ingress {

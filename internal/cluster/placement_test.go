@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"sort"
 	"testing"
@@ -92,6 +93,38 @@ func weightOrder(nodes []string, room string) []string {
 		return order[i] < order[j]
 	})
 	return order
+}
+
+// TestWeightIsFNV1aOverNodeAndRoom holds weight to hash/fnv's FNV-1a
+// over node‖0x00‖room and the splitmix64 finalizer, for a room given as
+// a string or as bytes: every node places a room alike, whichever form
+// its caller holds the name in.
+func TestWeightIsFNV1aOverNodeAndRoom(t *testing.T) {
+	ref := func(node, room string) uint64 {
+		h := fnv.New64a()
+		h.Write([]byte(node))
+		h.Write([]byte{0})
+		h.Write([]byte(room))
+		x := h.Sum64()
+		x ^= x >> 30
+		x *= 0xbf58476d1ce4e5b9
+		x ^= x >> 27
+		x *= 0x94d049bb133111eb
+		x ^= x >> 31
+		return x
+	}
+	check := func(node, room string) bool {
+		want := ref(node, room)
+		return weight(node, room) == want && weight(node, []byte(room)) == want
+	}
+	if err := quick.Check(check, nil); err != nil {
+		t.Error(err)
+	}
+	for _, room := range append(roomNames(50), "", "consult") {
+		if !check("n1", room) {
+			t.Errorf("weight(n1, %q) differs from FNV-1a", room)
+		}
+	}
 }
 
 // TestPlacementProperties quick-checks the structural invariants on

@@ -95,17 +95,18 @@ func Lookup(name string) (Method, bool) {
 
 // RoomOf is the routing tier's view of a request: the room a
 // room-scoped request addresses, read as its leading length-prefixed
-// string without decoding the body. ok is false for non-room methods
-// and undecodable payloads — the router should pass those through and
-// let the handler produce the real error.
-func RoomOf(method string, payload []byte) (room string, ok bool) {
+// string without decoding the body. The name aliases payload, so it is
+// valid only as long as payload is; nothing is copied. ok is false for
+// non-room methods and undecodable payloads — the router should pass
+// those through and let the handler produce the real error.
+func RoomOf(method string, payload []byte) (room []byte, ok bool) {
 	if m, ok := byName[method]; !ok || !m.Room {
-		return "", false
+		return nil, false
 	}
 	d := wire.NewDec(payload)
-	name := d.String()
+	name := d.Bytes()
 	if d.Err() != nil {
-		return "", false
+		return nil, false
 	}
-	return name, name != ""
+	return name, len(name) > 0
 }

@@ -115,7 +115,7 @@ func TestEveryMethodHasCodecs(t *testing.T) {
 			}
 			f.SetString("tumor-board")
 			got, ok := RoomOf(m.Name, wire.MarshalBody(v.Interface().(body)))
-			if !ok || got != "tumor-board" {
+			if !ok || string(got) != "tumor-board" {
 				t.Errorf("%s: RoomOf = %q, %v", m.Name, got, ok)
 			}
 		}

@@ -80,7 +80,7 @@ func TestRefusedResumeLeavesTheRoom(t *testing.T) {
 		t.Fatal("a second join on the connection that holds the room was accepted")
 	}
 
-	rs, ok := srv.reg.get("consult")
+	rs, ok := srv.lookupRoom("consult")
 	if !ok {
 		t.Fatal("the room is gone")
 	}
@@ -132,11 +132,88 @@ func TestConcurrentJoinsOnOneConnection(t *testing.T) {
 			ok++
 		}
 	}
-	rs, found := srv.reg.get("consult")
+	rs, found := srv.lookupRoom("consult")
 	if ok != 1 || !found {
 		t.Fatalf("%d of %d racing joins on one connection succeeded (room built: %v)", ok, joins, found)
 	}
 	if got := rs.room.Members(); len(got) != 1 {
 		t.Errorf("members after the race: %v", got)
 	}
+}
+
+// TestDroppedRoomRefusesItsMembersRequests: a connection's membership
+// holds the room it joined. After DropRoom the connection is closed, and
+// a request that still arrives on its membership reaches the dropped
+// room, which has no members and refuses it: the room rebuilt under the
+// same name — here joined by the same user on another connection — sees
+// none of it, no event and no evidence, and no minutes are saved.
+func TestDroppedRoomRefusesItsMembersRequests(t *testing.T) {
+	peers := make(chan *wire.Peer, 1)
+	srv, addr, _ := testSystemOpts(t, Options{SessionGrace: 75 * time.Millisecond}, func(s *Server) {
+		s.Register("test.peer", func(_ context.Context, p *wire.Peer, _ []byte) (any, error) {
+			peers <- p
+			return nil, nil
+		})
+	})
+	ctx := context.Background()
+	sc, cc := net.Pipe()
+	go srv.ServeConn(sc)
+	old := wire.NewClient(cc)
+	defer old.Close()
+	old.OnPush(func(string, wire.Body) {})
+	var resp proto.JoinRoomResp
+	if err := old.CallCtx(ctx, proto.MJoinRoom, &proto.JoinRoomReq{Room: "consult", DocID: "p1", User: "alice"}, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if err := call(ctx, old, "test.peer"); err != nil {
+		t.Fatal(err)
+	}
+	p := <-peers
+	if !srv.DropRoom("consult") {
+		t.Fatal("DropRoom found no room")
+	}
+	select {
+	case <-old.Done():
+	case <-time.After(3 * time.Second):
+		t.Fatal("the dropped room's member keeps its connection")
+	}
+
+	alice := dial(t, addr, "alice")
+	sa, _, err := alice.Join("consult", "p1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, ok := srv.lookupRoom("consult")
+	if !ok {
+		t.Fatal("the rebuilt room is not in the table")
+	}
+	// The old connection's requests, as its handlers would run them.
+	if _, err := srv.handleChoice(ctx, p, &proto.ChoiceReq{Room: "consult", User: "alice", Variable: "ct", Value: "segmented"}); err == nil {
+		t.Error("a choice on the dropped room's membership was accepted")
+	}
+	if _, err := srv.handleChat(ctx, p, &proto.ChatReq{Room: "consult", User: "alice", Text: "stale"}); err == nil {
+		t.Error("a chat on the dropped room's membership was accepted")
+	}
+	if _, err := srv.handleSaveMinutes(ctx, p, &proto.SaveMinutesReq{Room: "consult", User: "alice"}); err == nil {
+		t.Error("minutes were saved on the dropped room's membership")
+	}
+	if got := rs.room.Engine().Choices(); len(got) != 0 {
+		t.Errorf("the rebuilt room holds evidence %v", got)
+	}
+	doc, err := srv.db.GetDocument("p1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := doc.Component("minutes-1"); err == nil {
+		t.Error("the document gained a minutes component")
+	}
+	if err := sa.Chat("fresh"); err != nil {
+		t.Fatal(err)
+	}
+	waitEvent(t, alice, func(ev room.Event) bool {
+		if ev.Kind == room.EvChoice || ev.Kind == room.EvChat && ev.Text == "stale" {
+			t.Fatalf("the rebuilt room announced the old connection's %v", ev.Kind)
+		}
+		return ev.Kind == room.EvChat && ev.Text == "fresh"
+	})
 }

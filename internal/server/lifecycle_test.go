@@ -23,9 +23,9 @@ func testSystemWith(t *testing.T, o Options, tune ...func(*Server)) (*Server, st
 
 // TestConcurrentRoomLifecycle churns many peers through many rooms at
 // once — joining, acting, leaving cleanly or dropping the connection —
-// so the race detector can check the sharded registry, the per-peer
+// so the race detector can check the room table, the per-peer
 // session table, and eviction against each other. All rooms bind the
-// same document, so room creation also races within and across shards.
+// same document, so room creation also races across rooms.
 func TestConcurrentRoomLifecycle(t *testing.T) {
 	srv, addr := testSystemWith(t, Options{})
 	const (

@@ -38,7 +38,7 @@ func TestMemberSourceAllocatesOnlyThePayload(t *testing.T) {
 	s := &Server{stats: wire.NewStats()}
 	s.qos = newQoSController(s, time.Second, 0) // never runs: detach only unregisters
 	s.sources.Add(1)
-	src := &memberSource{s: s, member: member}
+	src := &memberSource{s: s, rs: &roomState{room: r}, member: member}
 	kicks := 0
 	member.SetNotify(func() { kicks++ }) // under the room lock, on this goroutine
 	var last []byte

@@ -127,10 +127,10 @@ func (s *Server) MetricsSnapshot() *proto.StatsResp {
 	}
 
 	var members, detached, queued, buffered, queuedBytes int64
-	s.reg.forEach(func(name string, rs *roomState) {
+	for _, rs := range s.liveRooms() {
 		g := rs.room.Gauges()
 		resp.Rooms = append(resp.Rooms, proto.RoomStatus{
-			Name:           name,
+			Name:           rs.room.Name,
 			Members:        g.Members,
 			Detached:       g.Detached,
 			QueuedEvents:   g.QueuedEvents,
@@ -143,7 +143,7 @@ func (s *Server) MetricsSnapshot() *proto.StatsResp {
 		queued += int64(g.QueuedEvents)
 		buffered += int64(g.BufferedEvents)
 		queuedBytes += g.QueuedBytes
-	})
+	}
 	sort.Slice(resp.Rooms, func(i, j int) bool { return resp.Rooms[i].Name < resp.Rooms[j].Name })
 	resp.Gauges["rooms.live"] = int64(len(resp.Rooms))
 	resp.Gauges["rooms.members"] = members

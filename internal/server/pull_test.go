@@ -80,7 +80,7 @@ func heldMember(t *testing.T) (*Server, *holdConn, *client.Client, *room.Room, *
 	if _, _, err := alice.Join("consult", "p1", 0); err != nil {
 		t.Fatal(err)
 	}
-	rs, ok := srv.reg.get("consult")
+	rs, ok := srv.lookupRoom("consult")
 	if !ok {
 		t.Fatal("no room after a join")
 	}

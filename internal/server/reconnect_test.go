@@ -659,7 +659,7 @@ func leaveDuringOutage(t *testing.T, duringResume bool) {
 		t.Fatal(err)
 	}
 	waitEvent(t, bob, func(ev room.Event) bool { return ev.Kind == room.EvChat && ev.Text == "after the leave" })
-	rs, ok := srv.reg.get("consult")
+	rs, ok := srv.lookupRoom("consult")
 	if !ok {
 		t.Fatal("the room is gone")
 	}

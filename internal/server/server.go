@@ -10,8 +10,9 @@
 // recovery, then one end time for stats, the trace ring and the slow
 // log. The per-request context reaches the room entry points so work
 // for a dead or impatient client is abandoned.
-// Rooms live in a sharded registry so traffic in different rooms never
-// contends on a single lock.
+// A member's room request reaches its room through the connection's
+// membership table, so it takes no room-table lock; the table (one map)
+// serves joins, history, replication snapshots and eviction.
 package server
 
 import (
@@ -121,11 +122,13 @@ type Cluster interface {
 type Server struct {
 	db      *mediadb.MediaDB
 	rpc     *wire.Server
-	reg     *registry
 	stats   *wire.Stats
 	tracer  *obs.Recorder
 	objects *bytecache.Cache[blob.Digest] // nil when caching is off
 	grace   time.Duration
+	// rooms is the live room table, by name.
+	roomsMu sync.RWMutex
+	rooms   map[string]*roomState
 	// The request step's settings: limiter is nil when MaxInflight is
 	// negative; timeout and slow are requestTimeout and slowRequest, which
 	// in-package tests may change before serving.
@@ -235,7 +238,7 @@ func NewWith(db *mediadb.MediaDB, o Options) (*Server, error) {
 	s := &Server{
 		db:           db,
 		rpc:          wire.NewServer(),
-		reg:          newRegistry(defaultRegistryShards),
+		rooms:        make(map[string]*roomState),
 		stats:        wire.NewStats(),
 		tracer:       obs.NewRecorder(obs.DefaultTraceRing, slowRequest),
 		grace:        o.SessionGrace,
@@ -293,7 +296,9 @@ func (s *Server) Methods() []string { return s.rpc.Methods() }
 // reconciliation view (no event logs are copied).
 func (s *Server) Rooms() []string {
 	var out []string
-	s.reg.forEach(func(name string, rs *roomState) { out = append(out, name) })
+	for _, rs := range s.liveRooms() {
+		out = append(out, rs.room.Name)
+	}
 	return out
 }
 
@@ -306,7 +311,7 @@ func (s *Server) Rooms() []string {
 // marks come from one Room.LogSince, so the standby's Merge takes the
 // frame. It reports false when the room is not live here.
 func (s *Server) SnapshotRoomInto(f *proto.ReplicateReq, name string, since uint64) bool {
-	rs, ok := s.reg.get(name)
+	rs, ok := s.lookupRoom(name)
 	if !ok {
 		return false
 	}
@@ -315,19 +320,23 @@ func (s *Server) SnapshotRoomInto(f *proto.ReplicateReq, name string, since uint
 	return true
 }
 
-// DropRoom closes the named room and removes it from the registry —
+// DropRoom closes the named room and removes it from the room table —
 // the cluster tier's ownership-loss eviction: when placement moves a
 // room to another node, the old owner drops its live copy so a stale
 // room can never shadow the new owner's (the next local build starts
-// from the replicated log instead). Members' event channels close;
-// callers are expected to also disconnect the affected peers so their
-// clients reconnect and land on the new owner.
+// from the replicated log instead). Each connection that is a member
+// of the room at that moment is disconnected, so its client reconnects
+// and lands on the new owner; a request still in flight on one finds the
+// dropped room empty and is refused.
 func (s *Server) DropRoom(name string) bool {
-	rs, ok := s.reg.get(name)
+	s.roomsMu.Lock()
+	rs, ok := s.rooms[name]
+	delete(s.rooms, name)
+	s.roomsMu.Unlock()
 	if !ok {
 		return false
 	}
-	s.reg.remove(name)
+	rs.dropped.Store(true)
 	rs.room.Close()
 	return true
 }
@@ -350,9 +359,17 @@ func (s *Server) ServeConn(conn net.Conn) { s.rpc.ServeConn(conn) }
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.qos.stopLoop()
 	s.rpc.Drain()
-	s.reg.forEach(func(name string, rs *roomState) { rs.room.AnnounceShutdown() })
+	for _, rs := range s.liveRooms() {
+		rs.room.AnnounceShutdown()
+	}
 	err := s.rpc.AwaitIdle(ctx)
-	s.reg.closeAll()
+	s.roomsMu.Lock()
+	rooms := s.rooms
+	s.rooms = make(map[string]*roomState)
+	s.roomsMu.Unlock()
+	for _, rs := range rooms {
+		rs.room.Close()
+	}
 	// Closing the rooms ended every member event stream and kicked its
 	// connection's writer; wait (bounded by ctx) for the writers to take
 	// what is queued — the shutdown announcement among it — while the

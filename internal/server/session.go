@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"mmconf/internal/core"
 	"mmconf/internal/document"
@@ -20,11 +21,17 @@ type roomState struct {
 	room  *room.Room
 	docID string
 	doc   *document.Document
+	// dropped is set by DropRoom before it closes the room: a member
+	// stream that ends on a dropped room disconnects its connection, so
+	// the client reconnects and lands on the room's new owner.
+	dropped atomic.Bool
 }
 
-// membership tracks one peer's presence in one room.
+// membership tracks one peer's presence in one room. It holds the room
+// it joined, so a request on the membership reaches that room without
+// the room table, and never a later room built under the same name.
 type membership struct {
-	room   string
+	rs     *roomState
 	user   string
 	member *room.Member
 }
@@ -32,22 +39,23 @@ type membership struct {
 // --- room lookup and membership ---
 
 // roomFor returns (creating on demand) the named room bound to docID.
+// The table's write lock is held across the build, so concurrent first
+// joiners race to a single room and a restored log is consumed once.
 func (s *Server) roomFor(name, docID string) (*roomState, error) {
-	rs, ok := s.reg.get(name)
+	rs, ok := s.lookupRoom(name)
 	if !ok {
 		if docID == "" {
 			return nil, fmt.Errorf("server: room %q does not exist; first joiner must name a document", name)
 		}
-		var created bool
-		var err error
-		rs, created, err = s.reg.getOrCreate(name, func() (*roomState, error) {
-			return s.buildRoom(name, docID)
-		})
-		if err != nil {
-			return nil, err
-		}
-		if created {
-			return rs, nil
+		s.roomsMu.Lock()
+		defer s.roomsMu.Unlock()
+		if rs, ok = s.rooms[name]; !ok {
+			built, err := s.buildRoom(name, docID)
+			if err != nil {
+				return nil, err
+			}
+			s.rooms[name] = built
+			return built, nil
 		}
 		// Another joiner won the race; fall through to the binding check.
 	}
@@ -55,6 +63,26 @@ func (s *Server) roomFor(name, docID string) (*roomState, error) {
 		return nil, fmt.Errorf("server: room %q is bound to document %q, not %q", name, rs.docID, docID)
 	}
 	return rs, nil
+}
+
+// lookupRoom returns the named room, if live.
+func (s *Server) lookupRoom(name string) (*roomState, bool) {
+	s.roomsMu.RLock()
+	rs, ok := s.rooms[name]
+	s.roomsMu.RUnlock()
+	return rs, ok
+}
+
+// liveRooms snapshots the room table, so a caller ranges over it without
+// the lock held and may block on room locks.
+func (s *Server) liveRooms() []*roomState {
+	s.roomsMu.RLock()
+	defer s.roomsMu.RUnlock()
+	out := make([]*roomState, 0, len(s.rooms))
+	for _, rs := range s.rooms {
+		out = append(out, rs)
+	}
+	return out
 }
 
 // buildRoom fetches the document and constructs a live room around it.
@@ -124,14 +152,14 @@ func sessionsOf(p *wire.Peer) *peerSessions {
 // reserve takes the connection's slot for a room before the room is
 // touched, so a connection that already holds it is refused (nil) with the
 // room unchanged. The slot carries no member until bind.
-func (ps *peerSessions) reserve(room, user string) *membership {
+func (ps *peerSessions) reserve(rs *roomState, user string) *membership {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	if _, dup := ps.rooms[room]; dup {
+	if _, dup := ps.rooms[rs.room.Name]; dup {
 		return nil
 	}
-	mb := &membership{room: room, user: user}
-	ps.rooms[room] = mb
+	mb := &membership{rs: rs, user: user}
+	ps.rooms[rs.room.Name] = mb
 	return mb
 }
 
@@ -178,7 +206,7 @@ func (s *Server) handleJoinRoom(ctx context.Context, p *wire.Peer, req *proto.Jo
 		return nil, err
 	}
 	sessions := sessionsOf(p)
-	mb := sessions.reserve(req.Room, req.User)
+	mb := sessions.reserve(rs, req.User)
 	if mb == nil {
 		return nil, fmt.Errorf("server: this connection already joined room %q", req.Room)
 	}
@@ -287,6 +315,16 @@ func (src *memberSource) Drain(push func(method string, payload []byte)) (open b
 			return true
 		}
 		if !open {
+			// A stream that DropRoom ended disconnects the connection, so
+			// its client reconnects and finds the room's new owner. A
+			// member that left first, or whose session moved to another
+			// connection, is no longer the connection's membership and
+			// keeps its connection.
+			if src.rs.dropped.Load() {
+				if mb, ok := src.sessions.lookup(src.rs.room.Name); ok && mb.member == src.member {
+					_ = src.peer.Close()
+				}
+			}
 			src.detach()
 			return false
 		}
@@ -331,16 +369,11 @@ func (src *memberSource) detach() {
 }
 
 func (s *Server) handleLeaveRoom(ctx context.Context, p *wire.Peer, req *proto.LeaveRoomReq) (*wire.None, error) {
-	sessions := sessionsOf(p)
-	mb, ok := sessions.lookup(req.Room)
-	if !ok || mb.user != req.User {
-		return nil, fmt.Errorf("server: this connection is not %q in room %q", req.User, req.Room)
+	rs, err := memberRoom(p, req.Room, req.User)
+	if err != nil {
+		return nil, err
 	}
-	sessions.drop(req.Room)
-	rs, ok := s.reg.get(req.Room)
-	if !ok {
-		return nil, fmt.Errorf("server: no room %q", req.Room)
-	}
+	sessionsOf(p).drop(req.Room)
 	return nil, rs.room.Leave(req.User)
 }
 
@@ -349,10 +382,8 @@ func (s *Server) handleLeaveRoom(ctx context.Context, p *wire.Peer, req *proto.L
 // into a real leave.
 func (s *Server) evictPeer(p *wire.Peer) {
 	for _, mb := range sessionsOf(p).snapshot() {
-		if rs, ok := s.reg.get(mb.room); ok {
-			if rs.room.Detach(mb.member) {
-				s.stats.Add(CounterSessionDetached, 1)
-			}
+		if mb.rs.room.Detach(mb.member) {
+			s.stats.Add(CounterSessionDetached, 1)
 		}
 	}
 	if s.cluster != nil {
@@ -360,35 +391,34 @@ func (s *Server) evictPeer(p *wire.Peer) {
 	}
 }
 
-// withMembership validates that the calling connection owns the claimed
-// (room, user) pair, then runs fn on the live room.
-func (s *Server) withMembership(p *wire.Peer, roomName, user string, fn func(*room.Room) error) error {
+// memberRoom returns the room the calling connection joined as user
+// under roomName. It reads the connection's own membership table only: a
+// room dropped since refuses the request itself (it has no members), so
+// a room rebuilt under the same name never sees it.
+func memberRoom(p *wire.Peer, roomName, user string) (*roomState, error) {
 	mb, ok := sessionsOf(p).lookup(roomName)
 	if !ok || mb.user != user {
-		return fmt.Errorf("server: this connection is not %q in room %q", user, roomName)
+		return nil, fmt.Errorf("server: this connection is not %q in room %q", user, roomName)
 	}
-	rs, ok := s.reg.get(roomName)
-	if !ok {
-		return fmt.Errorf("server: no room %q", roomName)
-	}
-	return fn(rs.room)
+	return mb.rs, nil
 }
 
 // --- room methods ---
 
 func (s *Server) handleChoice(ctx context.Context, p *wire.Peer, req *proto.ChoiceReq) (*wire.None, error) {
-	return nil, s.withMembership(p, req.Room, req.User, func(r *room.Room) error {
-		return r.Choice(ctx, req.User, req.Variable, req.Value)
-	})
+	rs, err := memberRoom(p, req.Room, req.User)
+	if err != nil {
+		return nil, err
+	}
+	return nil, rs.room.Choice(ctx, req.User, req.Variable, req.Value)
 }
 
 func (s *Server) handleOperation(ctx context.Context, p *wire.Peer, req *proto.OperationReq) (*proto.OperationResp, error) {
-	var derived string
-	err := s.withMembership(p, req.Room, req.User, func(r *room.Room) error {
-		var err error
-		derived, err = r.Operation(ctx, req.User, req.Component, req.Op, req.ActiveWhen, req.Private)
-		return err
-	})
+	rs, err := memberRoom(p, req.Room, req.User)
+	if err != nil {
+		return nil, err
+	}
+	derived, err := rs.room.Operation(ctx, req.User, req.Component, req.Op, req.ActiveWhen, req.Private)
 	if err != nil {
 		return nil, err
 	}
@@ -396,13 +426,12 @@ func (s *Server) handleOperation(ctx context.Context, p *wire.Peer, req *proto.O
 }
 
 func (s *Server) handleAnnotate(ctx context.Context, p *wire.Peer, req *proto.AnnotateReq) (*proto.AnnotateResp, error) {
-	var id int
-	err := s.withMembership(p, req.Room, req.User, func(r *room.Room) error {
-		var err error
-		id, err = r.Annotate(req.User, req.ObjectID, image.AnnotationKind(req.Kind),
-			req.X1, req.Y1, req.X2, req.Y2, req.Text, req.Intensity)
-		return err
-	})
+	rs, err := memberRoom(p, req.Room, req.User)
+	if err != nil {
+		return nil, err
+	}
+	id, err := rs.room.Annotate(req.User, req.ObjectID, image.AnnotationKind(req.Kind),
+		req.X1, req.Y1, req.X2, req.Y2, req.Text, req.Intensity)
 	if err != nil {
 		return nil, err
 	}
@@ -410,41 +439,51 @@ func (s *Server) handleAnnotate(ctx context.Context, p *wire.Peer, req *proto.An
 }
 
 func (s *Server) handleDeleteAnnotation(ctx context.Context, p *wire.Peer, req *proto.DeleteAnnotationReq) (*wire.None, error) {
-	return nil, s.withMembership(p, req.Room, req.User, func(r *room.Room) error {
-		return r.DeleteAnnotation(req.User, req.ObjectID, req.AnnotationID)
-	})
+	rs, err := memberRoom(p, req.Room, req.User)
+	if err != nil {
+		return nil, err
+	}
+	return nil, rs.room.DeleteAnnotation(req.User, req.ObjectID, req.AnnotationID)
 }
 
 func (s *Server) handleFreeze(ctx context.Context, p *wire.Peer, req *proto.FreezeReq) (*wire.None, error) {
-	return nil, s.withMembership(p, req.Room, req.User, func(r *room.Room) error {
-		return r.Freeze(req.User, req.ObjectID)
-	})
+	rs, err := memberRoom(p, req.Room, req.User)
+	if err != nil {
+		return nil, err
+	}
+	return nil, rs.room.Freeze(req.User, req.ObjectID)
 }
 
 func (s *Server) handleRelease(ctx context.Context, p *wire.Peer, req *proto.ReleaseReq) (*wire.None, error) {
-	return nil, s.withMembership(p, req.Room, req.User, func(r *room.Room) error {
-		return r.Release(req.User, req.ObjectID)
-	})
+	rs, err := memberRoom(p, req.Room, req.User)
+	if err != nil {
+		return nil, err
+	}
+	return nil, rs.room.Release(req.User, req.ObjectID)
 }
 
 func (s *Server) handleShareSearch(ctx context.Context, p *wire.Peer, req *proto.ShareSearchReq) (*wire.None, error) {
+	rs, err := memberRoom(p, req.Room, req.User)
+	if err != nil {
+		return nil, err
+	}
 	kind := room.EvWordSearch
 	if req.Speaker {
 		kind = room.EvSpeakerSearch
 	}
-	return nil, s.withMembership(p, req.Room, req.User, func(r *room.Room) error {
-		return r.ShareSearch(req.User, kind, req.Keyword, req.Hits)
-	})
+	return nil, rs.room.ShareSearch(req.User, kind, req.Keyword, req.Hits)
 }
 
 func (s *Server) handleChat(ctx context.Context, p *wire.Peer, req *proto.ChatReq) (*wire.None, error) {
-	return nil, s.withMembership(p, req.Room, req.User, func(r *room.Room) error {
-		return r.Chat(req.User, req.Text)
-	})
+	rs, err := memberRoom(p, req.Room, req.User)
+	if err != nil {
+		return nil, err
+	}
+	return nil, rs.room.Chat(req.User, req.Text)
 }
 
 func (s *Server) handleHistory(ctx context.Context, p *wire.Peer, req *proto.HistoryReq) (*proto.HistoryResp, error) {
-	rs, ok := s.reg.get(req.Room)
+	rs, ok := s.lookupRoom(req.Room)
 	if !ok {
 		return nil, fmt.Errorf("server: no room %q", req.Room)
 	}
@@ -452,15 +491,19 @@ func (s *Server) handleHistory(ctx context.Context, p *wire.Peer, req *proto.His
 }
 
 func (s *Server) handleBroadcastStart(ctx context.Context, p *wire.Peer, req *proto.BroadcastReq) (*wire.None, error) {
-	return nil, s.withMembership(p, req.Room, req.User, func(r *room.Room) error {
-		return r.StartBroadcast(req.User)
-	})
+	rs, err := memberRoom(p, req.Room, req.User)
+	if err != nil {
+		return nil, err
+	}
+	return nil, rs.room.StartBroadcast(req.User)
 }
 
 func (s *Server) handleBroadcastStop(ctx context.Context, p *wire.Peer, req *proto.BroadcastReq) (*wire.None, error) {
-	return nil, s.withMembership(p, req.Room, req.User, func(r *room.Room) error {
-		return r.StopBroadcast(req.User)
-	})
+	rs, err := memberRoom(p, req.Room, req.User)
+	if err != nil {
+		return nil, err
+	}
+	return nil, rs.room.StopBroadcast(req.User)
 }
 
 // handleSaveMinutes persists the discussion's durable results: the
@@ -468,34 +511,26 @@ func (s *Server) handleBroadcastStop(ctx context.Context, p *wire.Peer, req *pro
 // and each image object's current annotation overlay is written into its
 // FLD_TEXTS column.
 func (s *Server) handleSaveMinutes(ctx context.Context, p *wire.Peer, req *proto.SaveMinutesReq) (*proto.SaveMinutesResp, error) {
-	var component string
-	err := s.withMembership(p, req.Room, req.User, func(r *room.Room) error {
-		minutes := r.Minutes()
-		name, err := r.AddMinutesComponent(req.User, minutes.Transcript())
-		if err != nil {
-			return err
-		}
-		component = name
-		for objectID, anns := range minutes.Annotations {
-			data, err := image.MarshalAnnotations(anns)
-			if err != nil {
-				return err
-			}
-			// Only image objects carry a FLD_TEXTS column: marks on any
-			// other kind of object are not persisted. A failed write is
-			// not that case and must not read as a successful save.
-			if err := s.db.UpdateImageTexts(objectID, string(data)); err != nil && !errors.Is(err, mediadb.ErrNoObject) {
-				return err
-			}
-		}
-		return nil
-	})
+	rs, err := memberRoom(p, req.Room, req.User)
 	if err != nil {
 		return nil, err
 	}
-	rs, ok := s.reg.get(req.Room)
-	if !ok {
-		return nil, fmt.Errorf("server: no room %q", req.Room)
+	minutes := rs.room.Minutes()
+	component, err := rs.room.AddMinutesComponent(req.User, minutes.Transcript())
+	if err != nil {
+		return nil, err
+	}
+	for objectID, anns := range minutes.Annotations {
+		data, err := image.MarshalAnnotations(anns)
+		if err != nil {
+			return nil, err
+		}
+		// Only image objects carry a FLD_TEXTS column: marks on any
+		// other kind of object are not persisted. A failed write is
+		// not that case and must not read as a successful save.
+		if err := s.db.UpdateImageTexts(objectID, string(data)); err != nil && !errors.Is(err, mediadb.ErrNoObject) {
+			return nil, err
+		}
 	}
 	if err := s.db.PutDocument(rs.doc); err != nil {
 		return nil, err
