@@ -330,9 +330,9 @@ func TestReplicationHandOffCarriesDataset(t *testing.T) {
 // TestHandOffSurvivesACutSend: a reconcile hand-off whose first send dies
 // on the wire is sent again before the old owner drops the room. n3 is
 // partitioned away while a room it will own is built on n1. When it
-// heals, n1's connections are kept armed to reset partway through any
-// write of more than a heartbeat's bytes, until one does: the hand-off's
-// frame, whose whole log n3 must then serve all the same.
+// heals, the first write on n1's connections of more than a heartbeat's
+// bytes resets partway through: the hand-off's frame, whose whole log n3
+// must then serve all the same.
 func TestHandOffSurvivesACutSend(t *testing.T) {
 	var mu sync.Mutex
 	var logged []string
@@ -376,26 +376,16 @@ func TestHandOffSurvivesACutSend(t *testing.T) {
 	alice.Close() // the room stays on n1, empty, until the hand-off
 	h.waitReplicated(t, roomName, h.ownerSeq(t, roomName))
 
-	// Re-armed every millisecond, a connection is cut only by a write of
-	// more than 512 bytes within one. No heartbeat comes near that, and
-	// the room's last flush to its standby has landed: the hand-off is
-	// n1's only such write.
+	// The first write of more than 512 bytes on any of n1's connections,
+	// including those dialed after the heal, is cut. No heartbeat comes
+	// near that, and the room's last flush to its standby has landed: the
+	// hand-off is n1's only such write.
 	_, _, resets := owner.Faults.Stats()
-	armed := make(chan struct{})
-	go func() {
-		defer close(armed)
-		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-			if _, _, r := owner.Faults.Stats(); r > resets {
-				return
-			}
-			owner.Faults.CutAfterWrite(512)
-		}
-	}()
+	owner.Faults.CutWriteOver(512)
 	heir.Heal()
 	if err := h.WaitConverged(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	<-armed
 	for deadline := time.Now().Add(5 * time.Second); fmt.Sprint(h.roomHolders(roomName)) == "[n1]"; time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("n1 never dropped the room")

@@ -7,6 +7,7 @@ import (
 
 	"mmconf/internal/cpnet"
 	"mmconf/internal/document"
+	"mmconf/internal/qos"
 )
 
 // This file implements the first §4.4 strategy for handling communication
@@ -21,11 +22,12 @@ import (
 // so document.SetNetwork treats it as a derived (non-component) variable.
 const BandwidthVariable = "net/bandwidth"
 
-// Bandwidth levels, ordered worst to best.
+// Bandwidth levels, ordered worst to best: the names of the QoS loop's
+// measured levels, which it pins on the variable as they are.
 const (
-	BandwidthLow    = "low"
-	BandwidthMedium = "medium"
-	BandwidthHigh   = "high"
+	BandwidthLow    = qos.LowName
+	BandwidthMedium = qos.MediumName
+	BandwidthHigh   = qos.HighName
 )
 
 // BandwidthTemplate gives, for one component, the preference order over

@@ -39,6 +39,9 @@ type Faults struct {
 	// failDials: >0 fail that many upcoming dials, <0 fail all dials
 	// until reset, 0 dial normally.
 	failDials int
+	// cutOver, when positive, cuts the first write of more than that
+	// many bytes on any connection; CutWriteOver arms it.
+	cutOver atomic.Int64
 
 	dials, dialFails, resets atomic.Int64
 }
@@ -119,17 +122,13 @@ func (f *Faults) CutAfterRead(n int64) {
 	}
 }
 
-// CutAfterWrite arms every currently tracked connection to reset itself
-// once it has written n more bytes — a drop mid-call: the write that
-// reaches the n-th byte leaves only its bytes up to it, so the request
-// leaves partially framed, and the transport dies.
-func (f *Faults) CutAfterWrite(n int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for c := range f.conns {
-		c.cutWrite.Store(n)
-		c.cutWriteArmed.Store(true)
-	}
+// CutWriteOver arms one cut for the controller's connections, those
+// tracked now and those dialed or accepted later: the first single write
+// of more than n bytes leaves only its first n, so the message leaves
+// partially framed, and its transport dies — a drop mid-send. The cut
+// then disarms (n <= 0 disarms it unfired).
+func (f *Faults) CutWriteOver(n int64) {
+	f.cutOver.Store(n)
 }
 
 // Stats reports cumulative dial attempts, injected dial failures, and
@@ -226,10 +225,8 @@ type FaultyConn struct {
 	closeCh   chan struct{}
 	closeOnce sync.Once
 
-	cutRead       atomic.Int64 // remaining read bytes before injected reset
-	cutArmed      atomic.Bool
-	cutWrite      atomic.Int64 // remaining write bytes before injected reset
-	cutWriteArmed atomic.Bool
+	cutRead  atomic.Int64 // remaining read bytes before injected reset
+	cutArmed atomic.Bool
 }
 
 // killed reports whether an injected reset has fired on this connection.
@@ -318,22 +315,18 @@ func (c *FaultyConn) Write(p []byte) (int, error) {
 		return 0, errInjected{op: "connection reset"}
 	default:
 	}
-	armed, left := c.cutWriteArmed.Load(), c.cutWrite.Load()
-	cut := armed && left <= int64(len(p))
+	over := c.f.cutOver.Load()
+	cut := over > 0 && int64(len(p)) > over && c.f.cutOver.CompareAndSwap(over, 0)
 	if cut {
-		p = p[:max(left, 0)]
+		p = p[:over]
 	}
 	n, err := c.Conn.Write(p)
 	if err != nil && n == 0 && c.killed() {
 		return 0, errInjected{op: "connection reset"}
 	}
 	if cut {
-		c.cutWriteArmed.Store(false)
 		c.inject("write cut")
 		return n, errInjected{op: "write cut"}
-	}
-	if n > 0 && armed {
-		c.cutWrite.Add(int64(-n))
 	}
 	return n, err
 }

@@ -118,28 +118,37 @@ func TestCutAfterReadResetsAfterBudget(t *testing.T) {
 	}
 }
 
-func TestCutAfterWriteLeavesOnlyTheBudget(t *testing.T) {
+// TestCutWriteOverCutsTheFirstLargeWriteOnce: an armed cut passes
+// writes of up to n bytes, cuts the first longer one to its first n on
+// whichever connection makes it — here one wrapped after arming — and
+// then disarms, so the next long write on another connection goes whole.
+func TestCutWriteOverCutsTheFirstLargeWriteOnce(t *testing.T) {
 	f := NewFaults()
+	f.CutWriteOver(4)
 	fc, peer := pipePair(t, f)
+	other, otherPeer := pipePair(t, f)
 	got := make(chan []byte, 1)
 	go func() {
 		b, _ := io.ReadAll(peer)
 		got <- b
 	}()
-	f.CutAfterWrite(4)
-	if n, err := fc.Write([]byte("ab")); n != 2 || err != nil {
-		t.Fatalf("write under the budget = %d, %v", n, err)
+	go io.Copy(io.Discard, otherPeer) //nolint:errcheck — drain until close
+	if n, err := fc.Write([]byte("abcd")); n != 4 || err != nil {
+		t.Fatalf("write of n bytes = %d, %v", n, err)
 	}
-	// The write that reaches the budget leaves only its bytes up to it:
-	// the peer never sees the rest of the message.
-	if n, err := fc.Write([]byte("cdefgh")); n != 2 || !IsInjected(err) {
-		t.Fatalf("cut write = %d, %v; want 2 bytes and an injected reset", n, err)
+	// The longer write leaves only its first n bytes: the peer never sees
+	// the rest of the message.
+	if n, err := fc.Write([]byte("efghij")); n != 4 || !IsInjected(err) {
+		t.Fatalf("cut write = %d, %v; want 4 bytes and an injected reset", n, err)
 	}
-	if _, err := fc.Write([]byte("i")); !IsInjected(err) {
+	if _, err := fc.Write([]byte("k")); !IsInjected(err) {
 		t.Errorf("write after cut = %v, want injected reset", err)
 	}
-	if b := <-got; string(b) != "abcd" {
-		t.Errorf("peer read %q, want %q", b, "abcd")
+	if b := <-got; string(b) != "abcdefgh" {
+		t.Errorf("peer read %q, want %q", b, "abcdefgh")
+	}
+	if n, err := other.Write([]byte("0123456789")); n != 10 || err != nil {
+		t.Errorf("long write after the cut fired = %d, %v; want it whole", n, err)
 	}
 	if _, _, resets := f.Stats(); resets != 1 {
 		t.Errorf("resets = %d, want 1", resets)

@@ -43,7 +43,7 @@ func TestMeterConvergesOverThrottledProfiles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := qos.NewMeter(0)
+			m := qos.NewMeter()
 			buf := make([]byte, tc.chunk)
 			for i := 0; i < tc.writes; i++ {
 				start := time.Now()

@@ -33,31 +33,26 @@ const (
 	High
 )
 
+// The level names: the CP-net bandwidth tuning variable's domain values
+// (core.BandwidthLow, BandwidthMedium and BandwidthHigh are these).
+const (
+	LowName    = "low"
+	MediumName = "medium"
+	HighName   = "high"
+)
+
 // String names the level with the tuning-variable domain value.
 func (l Level) String() string {
 	switch l {
 	case Low:
-		return "low"
+		return LowName
 	case Medium:
-		return "medium"
+		return MediumName
 	case High:
-		return "high"
+		return HighName
 	default:
 		return fmt.Sprintf("Level(%d)", int(l))
 	}
-}
-
-// ParseLevel maps a tuning-variable domain value back to a Level.
-func ParseLevel(s string) (Level, error) {
-	switch s {
-	case "low":
-		return Low, nil
-	case "medium":
-		return Medium, nil
-	case "high":
-		return High, nil
-	}
-	return Low, fmt.Errorf("qos: unknown level %q", s)
 }
 
 // Meter is an exponentially weighted moving average over socket-write
@@ -66,17 +61,15 @@ func ParseLevel(s string) (Level, error) {
 // into the average with a weight proportional to d, so a millisecond
 // blip cannot displace seconds of steady evidence:
 //
-//	w = 1 − exp(−d/τ)
+//	w = 1 − exp(−d/τ), τ = DefaultTau
 //	rate ← rate + w·(n/d − rate)
 //
 // Meters are safe for concurrent use; the writer goroutine feeds them
 // while the QoS control loop reads them.
 type Meter struct {
 	mu      sync.Mutex
-	tau     float64 // smoothing time constant, seconds
 	rate    float64 // bytes/second
 	samples int64
-	bytes   int64
 }
 
 // DefaultTau is the meter time constant: long enough to ride out a
@@ -84,14 +77,8 @@ type Meter struct {
 // control-loop ticks.
 const DefaultTau = 2 * time.Second
 
-// NewMeter returns a meter with the given time constant (DefaultTau if
-// tau <= 0).
-func NewMeter(tau time.Duration) *Meter {
-	if tau <= 0 {
-		tau = DefaultTau
-	}
-	return &Meter{tau: tau.Seconds()}
-}
+// NewMeter returns a meter with no observations.
+func NewMeter() *Meter { return &Meter{} }
 
 // Observe folds one write of n bytes that took d. Non-positive sizes or
 // durations carry no rate information and are ignored.
@@ -101,7 +88,7 @@ func (m *Meter) Observe(n int, d time.Duration) {
 	}
 	sec := d.Seconds()
 	inst := float64(n) / sec
-	w := 1 - math.Exp(-sec/m.tau)
+	w := 1 - math.Exp(-sec/DefaultTau.Seconds())
 	m.mu.Lock()
 	if m.samples == 0 {
 		m.rate = inst
@@ -109,7 +96,6 @@ func (m *Meter) Observe(n int, d time.Duration) {
 		m.rate += w * (inst - m.rate)
 	}
 	m.samples++
-	m.bytes += int64(n)
 	m.mu.Unlock()
 }
 
@@ -128,13 +114,6 @@ func (m *Meter) Samples() int64 {
 	return m.samples
 }
 
-// Bytes returns the cumulative observed payload bytes.
-func (m *Meter) Bytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.bytes
-}
-
 // Bands maps a measured rate onto a Level with hysteresis. The two edges
 // split bytes/second into low | medium | high; Hysteresis widens each
 // edge into a guard band so a rate hovering exactly at an edge cannot
@@ -151,18 +130,6 @@ type Bands struct {
 // (~48 KB/s) in medium, and LAN-class in high.
 func DefaultBands() Bands {
 	return Bands{LowMedium: 16e3, MediumHigh: 1e6, Hysteresis: 0.25}
-}
-
-// Valid reports whether the edges are ordered and the guard sane.
-func (b Bands) Valid() error {
-	if b.LowMedium <= 0 || b.MediumHigh <= b.LowMedium {
-		return fmt.Errorf("qos: band edges must satisfy 0 < low/medium (%g) < medium/high (%g)",
-			b.LowMedium, b.MediumHigh)
-	}
-	if b.Hysteresis < 0 || b.Hysteresis >= 1 {
-		return fmt.Errorf("qos: hysteresis %g must be in [0, 1)", b.Hysteresis)
-	}
-	return nil
 }
 
 // edgeAbove returns the edge between l and l+1.
@@ -189,70 +156,33 @@ func (b Bands) Classify(rate float64, current Level) Level {
 	return l
 }
 
-// Controller folds the throughput estimate and the push-budget pressure
-// into one tuning decision per client. It starts at High — the same
-// assume-the-best prior as the tuning variable's unconditional ordering
-// — and only moves on evidence.
-type Controller struct {
-	bands Bands
-	// minSamples gates the estimate: with fewer observations the meter
-	// is noise and the controller holds its current level.
-	minSamples int64
-	// demotePressure is the queued/budget ratio above which the client
-	// is demonstrably not draining what we send, which forces a one-step
-	// demotion even if the writes that did complete looked fast.
-	demotePressure float64
+// minSamples gates the estimate: with fewer observations the meter is
+// noise and Step holds the current level.
+const minSamples = 4
 
-	mu    sync.Mutex
-	level Level
-}
+// demotePressure is the queued/budget ratio above which a client is
+// demonstrably not draining what it is sent, which forces a one-step
+// demotion even if the writes that did complete looked fast.
+const demotePressure = 0.75
 
-// DefaultMinSamples is the default estimate-confidence gate.
-const DefaultMinSamples = 4
-
-// DefaultDemotePressure is the default queued/budget demotion threshold.
-const DefaultDemotePressure = 0.75
-
-// NewController builds a controller over the given bands.
-func NewController(bands Bands) (*Controller, error) {
-	if err := bands.Valid(); err != nil {
-		return nil, err
-	}
-	return &Controller{
-		bands:          bands,
-		minSamples:     DefaultMinSamples,
-		demotePressure: DefaultDemotePressure,
-		level:          High,
-	}, nil
-}
-
-// Level returns the controller's current decision.
-func (c *Controller) Level() Level {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.level
-}
-
-// Update folds one control tick: the meter's rate and sample count plus
-// the client's push-budget pressure (queued bytes / budget, 0 when the
-// budget is unlimited). It returns the possibly-new level and whether it
-// changed this tick.
-func (c *Controller) Update(rate float64, samples int64, pressure float64) (Level, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	next := c.level
-	if pressure > c.demotePressure {
+// Step folds one control tick into a client's level: the meter's rate
+// and sample count plus the client's push-budget pressure (queued bytes /
+// budget). A client starts at High — the same assume-the-best prior as
+// the tuning variable's unconditional ordering — and only moves on
+// evidence.
+func (b Bands) Step(level Level, rate float64, samples int64, pressure float64) Level {
+	if pressure > demotePressure {
 		// The queue is backing up faster than the budget refunds: the
 		// client cannot keep up at this level no matter what the write
 		// timings said (they may have drained into a deep kernel
 		// buffer). Pressure overrides the rate signal and steps down.
-		if next > Low {
-			next--
+		if level > Low {
+			level--
 		}
-	} else if samples >= c.minSamples {
-		next = c.bands.Classify(rate, c.level)
+		return level
 	}
-	changed := next != c.level
-	c.level = next
-	return next, changed
+	if samples >= minSamples {
+		return b.Classify(rate, level)
+	}
+	return level
 }

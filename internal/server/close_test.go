@@ -37,6 +37,32 @@ func programGoroutines() map[string]string {
 	return out
 }
 
+// checkSettles fails the test if, once its cleanups have run, a
+// goroutine of this module started since the call is still running two
+// seconds on. Call it first, so its check runs after every cleanup
+// registered later: the clients', the servers' and the stores' closes.
+func checkSettles(t *testing.T) {
+	t.Helper()
+	before := programGoroutines()
+	t.Cleanup(func() {
+		var left []string
+		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+			left = left[:0]
+			for id, g := range programGoroutines() {
+				if _, ok := before[id]; !ok {
+					left = append(left, g)
+				}
+			}
+			if len(left) == 0 || time.Now().After(deadline) {
+				break
+			}
+		}
+		for _, g := range left {
+			t.Errorf("goroutine outlived the test:\n%s", g)
+		}
+	})
+}
+
 // TestClosedServerLeavesNoGoroutine serves a join, a choice and a leave,
 // then closes the client, the server and the store, and checks that, a
 // second on, nothing started since the test began still runs.

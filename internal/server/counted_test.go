@@ -3,8 +3,11 @@ package server
 import (
 	"context"
 	"testing"
+	"time"
 
+	"mmconf/internal/client"
 	"mmconf/internal/proto"
+	"mmconf/internal/qos"
 	"mmconf/internal/wire"
 )
 
@@ -83,5 +86,42 @@ func TestSessionsLookupAllocatesNothing(t *testing.T) {
 	})
 	if got != 0 {
 		t.Errorf("%v allocations per sessionsOf on a connection that has its table, want 0", got)
+	}
+}
+
+// TestQoSTickAllocatesNothing: a control tick over members that hold no
+// media buffer and whose level does not change allocates nothing (one
+// list of the members per tick, every 500 ms on every server, while the
+// loop built it anew each time). The bands put any measured rate in
+// high, the level a member starts at, so no tick re-pins one.
+func TestQoSTickAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are measured without the race detector")
+	}
+	srv, addr, _ := testSystemOpts(t, Options{QoSInterval: time.Hour}, func(s *Server) {
+		s.qos.bands = qos.Bands{LowMedium: 1, MediumHigh: 2, Hysteresis: 0.25}
+	})
+	for _, user := range []string{"alice", "bob", "carol"} {
+		c, err := client.Dial(addr, user)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		if _, _, err := c.Join("consult", "p1", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.qos.tick() // the loop's own ticker waits an hour: these ticks are the only ones
+	got := testing.AllocsPerRun(100, srv.qos.tick)
+	if got != 0 {
+		t.Errorf("%v allocations per QoS tick over three idle unbuffered members, want 0", got)
+	}
+	g := map[string]int64{}
+	srv.qos.addGauges(g)
+	if g["qos.clients"] != 3 || g["qos.level_high"] != 3 {
+		t.Errorf("gauges %v, want three members, all high", g)
+	}
+	if n := srv.stats.Counter(CounterQoSTuneChanges); n != 0 {
+		t.Errorf("%d tune changes, want none", n)
 	}
 }

@@ -17,7 +17,7 @@ import (
 // it, encoding it and pushing it allocates the encoded payload and nothing
 // else. The event the drain receives into lives on the heap (its address
 // goes behind an interface in EncodeShared) — once per membership, in the
-// source; as a local of Drain that is once per wake-up, and this count 2.
+// record; as a local of Drain that is once per wake-up, and this count 2.
 func TestMemberSourceAllocatesOnlyThePayload(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are measured without the race detector")
@@ -36,9 +36,9 @@ func TestMemberSourceAllocatesOnlyThePayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := &Server{stats: wire.NewStats()}
-	s.qos = newQoSController(s, time.Second, 0) // never runs: detach only unregisters
+	s.qos = newQoSController(s, time.Second, 0) // never runs: detach only removes the membership
 	s.sources.Add(1)
-	src := &memberSource{s: s, rs: &roomState{room: r}, member: member}
+	src := &membership{s: s, rs: &roomState{room: r}, member: member}
 	kicks := 0
 	member.SetNotify(func() { kicks++ }) // under the room lock, on this goroutine
 	var last []byte

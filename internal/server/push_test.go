@@ -301,9 +301,9 @@ func TestPushResponseOrderUnderLoad(t *testing.T) {
 }
 
 // failConn wraps a net.Conn so writes can be made to fail on demand
-// while Close is a no-op: the read loop stays alive, so only the
-// writer's failure path (memberSource.Abandon) — not disconnect
-// eviction — can remove the member from its room.
+// while Close is a no-op: the read loop stays alive, so the connection
+// never closes and the member leaves its room by the writer's failure
+// path (membership.Abandon) alone.
 type failConn struct {
 	net.Conn
 	fail *atomic.Bool

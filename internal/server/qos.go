@@ -8,8 +8,6 @@ import (
 	"mmconf/internal/mediadb"
 	"mmconf/internal/proto"
 	"mmconf/internal/qos"
-	"mmconf/internal/room"
-	"mmconf/internal/wire"
 )
 
 // Counter names for the adaptive QoS loop, surfaced through
@@ -26,12 +24,12 @@ const (
 )
 
 // qosController closes the paper's §4.4 loop at runtime: every interval
-// it reads each member connection's measured write throughput (the wire
-// layer's per-peer meter) and queue pressure, classifies them into a
-// bandwidth level with hysteresis, pins the level on the member's
-// CP-net tuning variable (degrading resolution before components), and
-// spends idle push-budget headroom pre-pushing the member's likeliest
-// next payloads into their client-side buffer.
+// it reads each membership's measured write throughput (the wire layer's
+// per-connection meter) and queue pressure, steps its bandwidth level
+// with hysteresis, pins the level on the member's CP-net tuning variable
+// (degrading resolution before components), and spends idle push-budget
+// headroom pre-pushing the member's likeliest next payloads into their
+// client-side buffer.
 type qosController struct {
 	s              *Server
 	interval       time.Duration
@@ -39,27 +37,14 @@ type qosController struct {
 	prefetchBudget int64
 
 	mu      sync.Mutex
-	clients map[*room.Member]*qosClient
+	members map[*membership]struct{}
+	// ticked is the list tick steps, kept from tick to tick so an idle
+	// tick allocates nothing. Loop goroutine only.
+	ticked []*membership
 
 	stopOnce sync.Once
 	stop     chan struct{}
 	done     chan struct{}
-}
-
-// qosClient is one room membership under QoS control. buffered says
-// its client holds a media buffer to prefetch into. The pushed set and
-// pushedBytes are touched only by the controller goroutine.
-type qosClient struct {
-	peer     *wire.Peer
-	rs       *roomState
-	roomName string
-	user     string
-	member   *room.Member
-	ctrl     *qos.Controller
-	buffered bool
-
-	pushed      map[uint64]bool
-	pushedBytes int64
 }
 
 // newQoSController wires the loop with qos.DefaultBands; in-package
@@ -70,7 +55,7 @@ func newQoSController(s *Server, interval time.Duration, prefetchBudget int64) *
 		interval:       interval,
 		bands:          qos.DefaultBands(),
 		prefetchBudget: prefetchBudget,
-		clients:        make(map[*room.Member]*qosClient),
+		members:        make(map[*membership]struct{}),
 		stop:           make(chan struct{}),
 		done:           make(chan struct{}),
 	}
@@ -96,50 +81,44 @@ func (q *qosController) stopLoop() {
 	<-q.done
 }
 
-// register places a new room membership under QoS control. Controllers
-// start optimistic (high) like the tuning variable's unconditional
-// preference, so nothing changes until the meter has real samples.
-func (q *qosController) register(p *wire.Peer, rs *roomState, roomName, user string, member *room.Member, buffered bool) {
-	ctrl, err := qos.NewController(q.bands)
-	if err != nil {
-		return // the bands are qos.DefaultBands or a test's valid ones; unreachable
-	}
+// add places a bound membership under QoS control.
+func (q *qosController) add(mb *membership) {
 	q.mu.Lock()
-	q.clients[member] = &qosClient{
-		peer: p, rs: rs, roomName: roomName, user: user,
-		member: member, ctrl: ctrl, buffered: buffered, pushed: make(map[uint64]bool),
-	}
+	q.members[mb] = struct{}{}
 	q.mu.Unlock()
 }
 
-// unregister drops a membership when its event stream ends.
-func (q *qosController) unregister(member *room.Member) {
+// remove drops a membership when its event stream ends.
+func (q *qosController) remove(mb *membership) {
 	q.mu.Lock()
-	delete(q.clients, member)
+	delete(q.members, mb)
 	q.mu.Unlock()
 }
 
-// tick runs one control period over a snapshot of the live clients.
+// tick runs one control period over the memberships live at its start.
 func (q *qosController) tick() {
 	q.mu.Lock()
-	clients := make([]*qosClient, 0, len(q.clients))
-	for _, c := range q.clients {
-		clients = append(clients, c)
+	for mb := range q.members {
+		q.ticked = append(q.ticked, mb)
 	}
 	q.mu.Unlock()
-	for _, c := range clients {
-		m := c.peer.Meter()
-		pressure := float64(c.member.QueuedBytes()) / float64(q.s.pushBudget)
-		level, changed := c.ctrl.Update(m.Rate(), m.Samples(), pressure)
-		if changed {
+	for _, mb := range q.ticked {
+		m := mb.peer.Meter()
+		pressure := float64(mb.member.QueuedBytes()) / float64(q.s.pushBudget)
+		if level := q.bands.Step(mb.level, m.Rate(), m.Samples(), pressure); level != mb.level {
+			q.mu.Lock()
+			mb.level = level
+			q.mu.Unlock()
 			// The member may have left or the document may carry no tuning
 			// variable (no degradable components); both are benign.
-			if _, err := c.rs.room.SetMemberEnvironment(c.user, core.BandwidthVariable, level.String()); err == nil {
+			if _, err := mb.rs.room.SetMemberEnvironment(mb.user, core.BandwidthVariable, level.String()); err == nil {
 				q.s.stats.Add(CounterQoSTuneChanges, 1)
 			}
 		}
-		q.prefetch(c)
+		q.prefetch(mb)
 	}
+	clear(q.ticked) // hold no membership past its stream's end
+	q.ticked = q.ticked[:0]
 }
 
 // prefetch pre-pushes the member's likeliest next payloads, best-ranked
@@ -149,19 +128,22 @@ func (q *qosController) tick() {
 // IMAGE_OBJECTS_TABLE are pushed — object ids are per table, and a
 // PrefetchPush carries one image, which the client files in its media
 // buffer under that image's id, where its next GetImage finds it.
-func (q *qosController) prefetch(c *qosClient) {
-	if !c.buffered || q.prefetchBudget <= 0 || c.pushedBytes >= q.prefetchBudget {
+func (q *qosController) prefetch(mb *membership) {
+	if !mb.buffered || q.prefetchBudget <= 0 || mb.pushedBytes >= q.prefetchBudget {
 		return
 	}
-	cands, err := c.rs.room.Engine().PrefetchRank(c.user)
+	cands, err := mb.rs.room.Engine().PrefetchRank(mb.user)
 	if err != nil {
 		return
 	}
+	if mb.pushed == nil {
+		mb.pushed = make(map[uint64]bool)
+	}
 	for _, cand := range cands {
-		if c.pushedBytes >= q.prefetchBudget {
+		if mb.pushedBytes >= q.prefetchBudget {
 			return
 		}
-		if c.pushed[cand.ObjectID] || mediadb.KindTable(cand.Kind) != mediadb.ImageTable {
+		if mb.pushed[cand.ObjectID] || mediadb.KindTable(cand.Kind) != mediadb.ImageTable {
 			continue
 		}
 		resp, err := q.s.getImage(cand.ObjectID, nil)
@@ -169,21 +151,21 @@ func (q *qosController) prefetch(c *qosClient) {
 			continue
 		}
 		n := int64(len(resp.Data))
-		if c.pushedBytes+n > q.prefetchBudget {
+		if mb.pushedBytes+n > q.prefetchBudget {
 			continue // over allowance; a smaller candidate may still fit
 		}
-		if c.member.QueuedBytes()+n > q.s.pushBudget {
+		if mb.member.QueuedBytes()+n > q.s.pushBudget {
 			return // no headroom this tick; retry when the queue drains
 		}
-		err = c.peer.Push(proto.MPrefetchPush, &proto.PrefetchPush{
-			Room: c.roomName, ObjectID: cand.ObjectID,
+		err = mb.peer.Push(proto.MPrefetchPush, &proto.PrefetchPush{
+			Room: mb.rs.room.Name, ObjectID: cand.ObjectID,
 			Digest: resp.Digest, Data: resp.Data,
 		})
 		if err != nil {
-			return // connection is going away; its writer's exit unregisters us
+			return // connection is going away; its writer's exit removes the membership
 		}
-		c.pushed[cand.ObjectID] = true
-		c.pushedBytes += n
+		mb.pushed[cand.ObjectID] = true
+		mb.pushedBytes += n
 		q.s.stats.Add(CounterQoSPrefetchPushes, 1)
 		q.s.stats.Add(CounterQoSPrefetchBytes, uint64(n))
 	}
@@ -195,8 +177,8 @@ func (q *qosController) addGauges(g map[string]int64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	var low, med, high int64
-	for _, c := range q.clients {
-		switch c.ctrl.Level() {
+	for mb := range q.members {
+		switch mb.level {
 		case qos.Low:
 			low++
 		case qos.Medium:
@@ -205,7 +187,7 @@ func (q *qosController) addGauges(g map[string]int64) {
 			high++
 		}
 	}
-	g["qos.clients"] = int64(len(q.clients))
+	g["qos.clients"] = int64(len(q.members))
 	g["qos.level_low"] = low
 	g["qos.level_medium"] = med
 	g["qos.level_high"] = high

@@ -52,13 +52,22 @@ type collector struct {
 	evs []room.Event
 }
 
-func collect(c *client.Client) *collector {
+// collect tails c until the test ends: Client.Close leaves the event
+// channel open, so ranging over it would never stop.
+func collect(t *testing.T, c *client.Client) *collector {
 	col := &collector{}
+	done := make(chan struct{})
+	t.Cleanup(func() { close(done) })
 	go func() {
-		for ev := range c.Events() {
-			col.mu.Lock()
-			col.evs = append(col.evs, ev)
-			col.mu.Unlock()
+		for {
+			select {
+			case ev := <-c.Events():
+				col.mu.Lock()
+				col.evs = append(col.evs, ev)
+				col.mu.Unlock()
+			case <-done:
+				return
+			}
 		}
 	}()
 	return col
@@ -95,6 +104,7 @@ func (col *collector) waitFor(t *testing.T, what string, pred func([]room.Event)
 // the grace TTL, and replay exactly the missed events — verified by
 // sequence numbers, with zero duplicates.
 func TestReconnectResumesAndReplaysExactlyMissedEvents(t *testing.T) {
+	checkSettles(t)
 	srv, addr := testSystemWith(t, Options{SessionGrace: 5 * time.Second})
 	faults := netsim.NewFaults()
 	alice := faultyClient(t, faults, addr, "alice", fastRetry())
@@ -102,7 +112,7 @@ func TestReconnectResumesAndReplaysExactlyMissedEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := collect(alice)
+	col := collect(t, alice)
 	bob := dial(t, addr, "bob")
 	sb, _, err := bob.Join("consult", "p1", 0)
 	if err != nil {
@@ -199,6 +209,7 @@ func TestReconnectResumesAndReplaysExactlyMissedEvents(t *testing.T) {
 // outage returns the typed ErrReconnecting immediately instead of
 // hanging, and works again once the connection is restored.
 func TestCallsFailFastWhileReconnecting(t *testing.T) {
+	checkSettles(t)
 	_, addr := testSystemWith(t, Options{SessionGrace: 5 * time.Second})
 	faults := netsim.NewFaults()
 	alice := faultyClient(t, faults, addr, "alice", fastRetry())
@@ -242,6 +253,7 @@ func TestCallsFailFastWhileReconnecting(t *testing.T) {
 // after MaxAttempts failed redials the client gives up, closes, and
 // reports the terminal state through typed errors and stats.
 func TestReconnectBudgetExhaustionClosesClient(t *testing.T) {
+	checkSettles(t)
 	_, addr := testSystemWith(t, Options{SessionGrace: time.Second})
 	faults := netsim.NewFaults()
 	opts := fastRetry()
@@ -277,6 +289,7 @@ func TestReconnectBudgetExhaustionClosesClient(t *testing.T) {
 // grace TTL: the session expires server-side, so the reconnect resumes
 // as a fresh join and the client flags the session for resync.
 func TestGraceExpiryFallsBackToFreshJoin(t *testing.T) {
+	checkSettles(t)
 	srv, addr := testSystemWith(t, Options{SessionGrace: 75 * time.Millisecond})
 	faults := netsim.NewFaults()
 	alice := faultyClient(t, faults, addr, "alice", fastRetry())
@@ -332,6 +345,7 @@ func TestGraceExpiryFallsBackToFreshJoin(t *testing.T) {
 // the hang into an error; after the partition heals the same connection
 // keeps working.
 func TestPartitionDeadlinesCallThenRecovers(t *testing.T) {
+	checkSettles(t)
 	_, addr := testSystemWith(t, Options{SessionGrace: 5 * time.Second})
 	faults := netsim.NewFaults()
 	opts := fastRetry()
@@ -369,13 +383,14 @@ func TestPartitionDeadlinesCallThenRecovers(t *testing.T) {
 // partial frame and dies. The reconnect must replay the interrupted
 // event — exactly once.
 func TestDropMidPushResumesWithoutLoss(t *testing.T) {
+	checkSettles(t)
 	_, addr := testSystemWith(t, Options{SessionGrace: 5 * time.Second})
 	faults := netsim.NewFaults()
 	alice := faultyClient(t, faults, addr, "alice", fastRetry())
 	if _, _, err := alice.Join("consult", "p1", 0); err != nil {
 		t.Fatal(err)
 	}
-	col := collect(alice)
+	col := collect(t, alice)
 	bob := dial(t, addr, "bob")
 	sb, _, err := bob.Join("consult", "p1", 0)
 	if err != nil {
@@ -494,6 +509,7 @@ func BenchmarkE10ResumeVsRejoin(b *testing.B) {
 // live one, and when its connection dies mid-session the supervisor
 // must resume there, replaying missed events exactly once.
 func TestReconnectRotatesAcrossClusterEndpoints(t *testing.T) {
+	checkSettles(t)
 	_, addr := testSystemWith(t, Options{SessionGrace: 5 * time.Second})
 	// A dead endpoint: bound once so the port is real, then closed.
 	deadL, err := net.Listen("tcp", "127.0.0.1:0")
@@ -513,7 +529,7 @@ func TestReconnectRotatesAcrossClusterEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := collect(alice)
+	col := collect(t, alice)
 	bob := dial(t, addr, "bob")
 	sb, _, err := bob.Join("consult", "p1", 0)
 	if err != nil {
@@ -576,6 +592,7 @@ func TestReconnectRotatesAcrossClusterEndpoints(t *testing.T) {
 // is sent again over the new connection. The server expires a detached
 // member after its grace period, as for any dropped session.
 func TestLeaveDuringOutageIsNotResumed(t *testing.T) {
+	checkSettles(t)
 	t.Run("before the redial", func(t *testing.T) { leaveDuringOutage(t, false) })
 	t.Run("during the resume", func(t *testing.T) { leaveDuringOutage(t, true) })
 }
@@ -642,7 +659,7 @@ func leaveDuringOutage(t *testing.T, duringResume bool) {
 	} else {
 		leaveCh <- sa.Leave()
 	}
-	col := collect(alice)
+	col := collect(t, alice)
 	faults.FailDials(0)
 	for alice.ReconnectStats().Successes == 0 {
 		select {

@@ -101,9 +101,8 @@ type Cluster interface {
 	// a relay to the owner, a refusal), which then takes no admission
 	// slot, or leaves it to be served here.
 	Route(ctx context.Context, p *wire.Peer, method string, payload []byte) (result any, routed bool, err error)
-	// PeerClosed observes every disconnected peer after the server's own
-	// session eviction ran (the cluster tier tears down the peer's
-	// forwarding links here).
+	// PeerClosed observes every disconnected peer (the cluster tier
+	// tears down the peer's forwarding links here).
 	PeerClosed(p *wire.Peer)
 	// RoomSeed is consulted once per room construction: a node taking
 	// ownership after a failover restores the replicated event log (Seq
@@ -262,7 +261,12 @@ func NewWith(db *mediadb.MediaDB, o Options) (*Server, error) {
 		s.limiter = wire.NewLimiter(o.MaxInflight, o.QueueDepth)
 	}
 	s.register()
-	s.rpc.OnPeerClose(s.evictPeer)
+	// A closed connection's room sessions detach as its writer abandons
+	// their streams (membership.Abandon); the cluster tier tears down its
+	// forwarding links.
+	if s.cluster != nil {
+		s.rpc.OnPeerClose(s.cluster.PeerClosed)
+	}
 	s.qos = newQoSController(s, o.QoSInterval, o.PrefetchBudget)
 	go s.qos.run()
 	return s, nil

@@ -12,6 +12,7 @@ import (
 	"mmconf/internal/media/image"
 	"mmconf/internal/mediadb"
 	"mmconf/internal/proto"
+	"mmconf/internal/qos"
 	"mmconf/internal/room"
 	"mmconf/internal/wire"
 )
@@ -27,13 +28,43 @@ type roomState struct {
 	dropped atomic.Bool
 }
 
-// membership tracks one peer's presence in one room. It holds the room
-// it joined, so a request on the membership reaches that room without
-// the room table, and never a later room built under the same name.
+// membership is one connection's presence in one room, and the one
+// record the server keeps of it. It is the connection's slot for the
+// room (peerSessions), so a request on it reaches the room it joined
+// without the room table, and never a later room built under the same
+// name. Once bound to the member the room admitted, it is the queue the
+// connection's writer drains (wire.Source) and the unit the QoS loop
+// measures and tunes.
+//
+// A membership owns no goroutine: an event goes from the member's queue
+// to the socket's batch on the writer's, and the member queue is the one
+// place its backlog sits. A writer blocked in a socket write stops
+// draining, the queue fills, and the room sheds its oldest and flags
+// Resync.
 type membership struct {
-	rs     *roomState
-	user   string
+	s        *Server
+	peer     *wire.Peer
+	sessions *peerSessions
+	rs       *roomState
+	user     string
+	// buffered says the client holds a media buffer for the QoS loop's
+	// prefetch pushes.
+	buffered bool
+	// member is the member the room admitted: nil in a slot whose join
+	// is in flight, set by attach before its stream has a reader.
 	member *room.Member
+	// ev is received into again and again. EncodeShared hands its address
+	// to an interface, which puts it on the heap: here that is once per
+	// membership, as a local of Drain it would be once per wake-up.
+	ev room.Event
+
+	// The QoS loop's state, written by its goroutine only: level (under
+	// the loop's lock, which its gauges read under) starts at High, the
+	// tuning variable's unconditional preference; pushed and pushedBytes
+	// are the images prefetched into the client's buffer so far.
+	level       qos.Level
+	pushed      map[uint64]bool
+	pushedBytes int64
 }
 
 // --- room lookup and membership ---
@@ -120,7 +151,7 @@ func (s *Server) buildRoom(name, docID string) (*roomState, error) {
 		}
 		r.SetReplicator(func() { s.cluster.RoomTap(name) })
 	}
-	// Safe to enable: memberSource.Drain refunds every delivered event
+	// Safe to enable: membership.Drain refunds every delivered event
 	// via member.Consumed.
 	r.SetPushBudget(s.pushBudget)
 	r.OnSessionExpire(func(string) { s.stats.Add(CounterSessionExpired, 1) })
@@ -149,25 +180,17 @@ func sessionsOf(p *wire.Peer) *peerSessions {
 	return p.MetaSetDefault(peerSessionsKey, ps).(*peerSessions)
 }
 
-// reserve takes the connection's slot for a room before the room is
-// touched, so a connection that already holds it is refused (nil) with the
-// room unchanged. The slot carries no member until bind.
-func (ps *peerSessions) reserve(rs *roomState, user string) *membership {
+// reserve takes the connection's slot for mb's room before the room is
+// touched, so a connection that already holds it is refused (false) with
+// the room unchanged. The slot carries no member until attach.
+func (ps *peerSessions) reserve(mb *membership) bool {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	if _, dup := ps.rooms[rs.room.Name]; dup {
-		return nil
+	if _, dup := ps.rooms[mb.rs.room.Name]; dup {
+		return false
 	}
-	mb := &membership{rs: rs, user: user}
-	ps.rooms[rs.room.Name] = mb
-	return mb
-}
-
-// bind fills a reserved slot with the member the room admitted.
-func (ps *peerSessions) bind(mb *membership, member *room.Member) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	mb.member = member
+	ps.rooms[mb.rs.room.Name] = mb
+	return true
 }
 
 func (ps *peerSessions) lookup(room string) (*membership, bool) {
@@ -183,20 +206,6 @@ func (ps *peerSessions) drop(room string) {
 	delete(ps.rooms, room)
 }
 
-// snapshot copies the bound memberships; a slot whose join is still in
-// flight has no member yet and is left out.
-func (ps *peerSessions) snapshot() []membership {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	out := make([]membership, 0, len(ps.rooms))
-	for _, mb := range ps.rooms {
-		if mb.member != nil {
-			out = append(out, *mb)
-		}
-	}
-	return out
-}
-
 func (s *Server) handleJoinRoom(ctx context.Context, p *wire.Peer, req *proto.JoinRoomReq) (*proto.JoinRoomResp, error) {
 	if req.User == "" {
 		return nil, fmt.Errorf("server: join needs a user name")
@@ -206,8 +215,8 @@ func (s *Server) handleJoinRoom(ctx context.Context, p *wire.Peer, req *proto.Jo
 		return nil, err
 	}
 	sessions := sessionsOf(p)
-	mb := sessions.reserve(rs, req.User)
-	if mb == nil {
+	mb := &membership{s: s, peer: p, sessions: sessions, rs: rs, user: req.User, buffered: req.Buffered, level: qos.High}
+	if !sessions.reserve(mb) {
 		return nil, fmt.Errorf("server: this connection already joined room %q", req.Room)
 	}
 	var (
@@ -242,8 +251,7 @@ func (s *Server) handleJoinRoom(ctx context.Context, p *wire.Peer, req *proto.Jo
 			return nil, err
 		}
 	}
-	sessions.bind(mb, member)
-	s.attachMember(p, sessions, rs, member, req.Buffered)
+	mb.attach(member)
 	resp := &proto.JoinRoomResp{History: history, View: view, Resumed: resumed, Complete: complete}
 	// A complete resume needs no document: the client's copy is still
 	// current and the missed events carry every change. Fresh joins and
@@ -267,34 +275,17 @@ func (s *Server) handleJoinRoom(ctx context.Context, p *wire.Peer, req *proto.Jo
 	return resp, nil
 }
 
-// memberSource is one membership on its connection's writer: the queue
-// the writer drains (wire.Source) when the room kicks it. A membership
-// owns no goroutine — an event goes from the member's queue to the
-// socket's batch on the writer's — and the member queue is the one place
-// its backlog sits: a writer blocked in a socket write stops draining,
-// the queue fills, and the room sheds its oldest and flags Resync.
-type memberSource struct {
-	s        *Server
-	peer     *wire.Peer
-	sessions *peerSessions
-	rs       *roomState
-	member   *room.Member
-	// ev is received into again and again. EncodeShared hands its address
-	// to an interface, which puts it on the heap: here that is once per
-	// membership, as a local of Drain it would be once per wake-up.
-	ev room.Event
-}
-
-// attachMember puts the member's event stream on p's writer, which
-// pushes it to the client until the stream closes or the connection
-// stops taking it. buffered says the client holds a media buffer for
-// the QoS loop's prefetch pushes.
-func (s *Server) attachMember(p *wire.Peer, sessions *peerSessions, rs *roomState, member *room.Member, buffered bool) {
-	s.sources.Add(1)
-	s.qos.register(p, rs, rs.room.Name, member.Name, member, buffered)
-	member.SetNotify(p.Kick)
-	p.Attach(&memberSource{s: s, peer: p, sessions: sessions, rs: rs, member: member})
-	p.Kick() // the join's own events were queued before the hook was set
+// attach binds the slot to the member the room admitted and puts its
+// event stream on the connection's writer, which pushes it to the client
+// until the stream closes or the connection stops taking it, and the
+// membership under QoS control.
+func (mb *membership) attach(member *room.Member) {
+	mb.member = member
+	mb.s.sources.Add(1)
+	mb.s.qos.add(mb)
+	mb.member.SetNotify(mb.peer.Kick)
+	mb.peer.Attach(mb)
+	mb.peer.Kick() // the join's own events were queued before the hook was set
 }
 
 // Drain pushes what the member's queue holds, at most one queue's worth
@@ -306,11 +297,11 @@ func (s *Server) attachMember(p *wire.Peer, sessions *peerSessions, rs *roomStat
 // member's own whole view or resync copy still encodes individually).
 // The shared payload rides the writev batch by reference: zero copies
 // between the encode and the socket.
-func (src *memberSource) Drain(push func(method string, payload []byte)) (open bool) {
-	events := src.member.Events()
+func (mb *membership) Drain(push func(method string, payload []byte)) (open bool) {
+	events := mb.member.Events()
 	for n := cap(events); n > 0; n-- {
 		select {
-		case src.ev, open = <-events:
+		case mb.ev, open = <-events:
 		default:
 			return true
 		}
@@ -320,27 +311,27 @@ func (src *memberSource) Drain(push func(method string, payload []byte)) (open b
 			// member that left first, or whose session moved to another
 			// connection, is no longer the connection's membership and
 			// keeps its connection.
-			if src.rs.dropped.Load() {
-				if mb, ok := src.sessions.lookup(src.rs.room.Name); ok && mb.member == src.member {
-					_ = src.peer.Close()
+			if mb.rs.dropped.Load() {
+				if cur, ok := mb.sessions.lookup(mb.rs.room.Name); ok && cur == mb {
+					_ = mb.peer.Close()
 				}
 			}
-			src.detach()
+			mb.detach()
 			return false
 		}
 		// Refund the event's push-budget charge: once it is off the
 		// queue the room no longer holds it for this member.
-		src.member.Consumed(src.ev)
-		payload, encoded := src.ev.EncodeShared()
-		src.s.stats.Add(CounterFanoutEvents, 1)
+		mb.member.Consumed(mb.ev)
+		payload, encoded := mb.ev.EncodeShared()
+		mb.s.stats.Add(CounterFanoutEvents, 1)
 		if encoded {
-			src.s.stats.Add(CounterFanoutEncodes, 1)
+			mb.s.stats.Add(CounterFanoutEncodes, 1)
 		} else {
-			src.s.stats.Add(CounterEncodesSaved, 1)
+			mb.s.stats.Add(CounterEncodesSaved, 1)
 		}
 		push(proto.MEvent, payload)
 	}
-	src.peer.Kick() // stopped at the bound, not at an empty queue
+	mb.peer.Kick() // stopped at the bound, not at an empty queue
 	return true
 }
 
@@ -348,24 +339,24 @@ func (src *memberSource) Drain(push func(method string, payload []byte)) (open b
 // client is unreachable, so detach the session — a reconnecting client
 // can resume it within the grace period, after which it expires into a
 // real leave.
-func (src *memberSource) Abandon() {
-	src.sessions.drop(src.rs.room.Name)
-	if src.rs.room.Detach(src.member) {
-		src.s.stats.Add(CounterSessionDetached, 1)
+func (mb *membership) Abandon() {
+	mb.sessions.drop(mb.rs.room.Name)
+	if mb.rs.room.Detach(mb.member) {
+		mb.s.stats.Add(CounterSessionDetached, 1)
 	}
 	// Detach closed the channel with events possibly still queued; drain
 	// them so their push-budget charges are refunded — otherwise the
 	// abandoned member reads as phantom queue pressure to the QoS loop
 	// and the gauges.
-	src.member.DrainRefund()
-	src.detach()
+	mb.member.DrainRefund()
+	mb.detach()
 }
 
-// detach ends the source's accounting; it runs once, from whichever of
-// Drain and Abandon ended it.
-func (src *memberSource) detach() {
-	src.s.qos.unregister(src.member)
-	src.s.sources.Done()
+// detach ends the membership's accounting; it runs once, from whichever
+// of Drain and Abandon ended its stream.
+func (mb *membership) detach() {
+	mb.s.qos.remove(mb)
+	mb.s.sources.Done()
 }
 
 func (s *Server) handleLeaveRoom(ctx context.Context, p *wire.Peer, req *proto.LeaveRoomReq) (*wire.None, error) {
@@ -375,20 +366,6 @@ func (s *Server) handleLeaveRoom(ctx context.Context, p *wire.Peer, req *proto.L
 	}
 	sessionsOf(p).drop(req.Room)
 	return nil, rs.room.Leave(req.User)
-}
-
-// evictPeer detaches a disconnected client's sessions in every room it
-// had joined: each stays resumable for the grace period, then expires
-// into a real leave.
-func (s *Server) evictPeer(p *wire.Peer) {
-	for _, mb := range sessionsOf(p).snapshot() {
-		if mb.rs.room.Detach(mb.member) {
-			s.stats.Add(CounterSessionDetached, 1)
-		}
-	}
-	if s.cluster != nil {
-		s.cluster.PeerClosed(p)
-	}
 }
 
 // memberRoom returns the room the calling connection joined as user

@@ -274,7 +274,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 		stop:   make(chan struct{}),
 		dead:   make(chan struct{}),
 		stats:  st,
-		qmeter: qos.NewMeter(0),
+		qmeter: qos.NewMeter(),
 		meta:   make(map[string]any),
 	}
 	go peer.writeLoop()
