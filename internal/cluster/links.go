@@ -139,10 +139,11 @@ func (n *Node) handleIngress(ctx context.Context, p *wire.Peer, req *proto.NodeI
 
 // forward relays a room-scoped request to its owner over the origin
 // client's ingress link and returns the owner's response payload
-// verbatim. Owner-side handler errors relay as RemoteError (typed
-// errors like redirects survive — the strings cross unmodified);
-// transport failures surface as cluster-unavailable, and the dead link
-// is dropped so the next request redials.
+// verbatim. An owner-side handler error comes back as a *RemoteError
+// and is returned as it is, so the origin's response carries the
+// owner's status and fields; transport failures surface as
+// cluster-unavailable, and the dead link is dropped so the next request
+// redials.
 func (n *Node) forward(ctx context.Context, p *wire.Peer, owner, method string, payload []byte) (any, error) {
 	rpc, err := n.ingressLinkFor(ctx, p, owner)
 	if err != nil {
@@ -153,7 +154,7 @@ func (n *Node) forward(ctx context.Context, p *wire.Peer, owner, method string, 
 	if err != nil {
 		if re, ok := err.(*wire.RemoteError); ok {
 			// The relay worked; the owner's handler said no. Pass its
-			// message through untouched.
+			// error on.
 			n.forwards.Add(1)
 			return nil, re
 		}

@@ -21,8 +21,9 @@
 //
 // The package also provides the online-update operations of §4.2 of the
 // paper (adding/removing components, deriving operation variables such as
-// "segmented view of image ci"), per-viewer overlays, dominance
-// testing through improving-flip search, and text/binary serialization.
+// "segmented view of image ci"), per-viewer overlays, and text/binary
+// serialization. Dominance testing by improving-flip search lives in the
+// package's tests, as the reference the optimal sweep is checked against.
 package cpnet
 
 import (

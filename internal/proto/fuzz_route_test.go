@@ -14,11 +14,11 @@ import (
 // FuzzRouteFrame throws arbitrary payload bytes at what a routing node
 // reads first: the cluster-plane body codecs (node ping, forwarded
 // ingress, event-log replication), the room-scoped client
-// requests it steers by their leading Room field, and the routing error
-// parsers. Decoders and RoomOf must never panic, whatever lengths or
-// truncations arrive; any accepted body must re-encode and re-decode
-// identically (the codec is its own inverse); any accepted routing
-// error string must round-trip through Error().
+// requests it steers by their leading Room field. Decoders and RoomOf
+// must never panic, whatever lengths or truncations arrive; any accepted
+// body must re-encode and re-decode identically (the codec is its own
+// inverse). The routing errors travel as a response's status and fields,
+// which internal/wire's FuzzParseFrame round-trips.
 func FuzzRouteFrame(f *testing.F) {
 	seeds := []wire.BodyEncoder{
 		&NodePingReq{Node: "n1", Draining: true},
@@ -99,21 +99,6 @@ func FuzzRouteFrame(f *testing.F) {
 			var req FreezeReq
 			if err := wire.DecodeBodyBytes(data, &req); err == nil && req.Room != string(name) {
 				t.Fatalf("RoomOf = %q but the body decodes to room %q", name, req.Room)
-			}
-		}
-		// The routing errors cross the wire as strings (twice, through a
-		// forwarding relay): parsing arbitrary strings must never panic,
-		// and an accepted parse must survive Error() → parse unchanged.
-		if re, ok := wire.ParseRedirect(string(data)); ok {
-			re2, ok2 := wire.ParseRedirect(re.Error())
-			if !ok2 || re2.Node != re.Node || re2.Addr != re.Addr {
-				t.Fatalf("redirect round trip: %#v vs %#v (ok=%v)", re, re2, ok2)
-			}
-		}
-		if ue, ok := wire.ParseUnavailable(string(data)); ok {
-			ue2, ok2 := wire.ParseUnavailable(ue.Error())
-			if !ok2 || ue2.Node != ue.Node || ue2.Reason != ue.Reason {
-				t.Fatalf("unavailable round trip: %#v vs %#v (ok=%v)", ue, ue2, ok2)
 			}
 		}
 	})

@@ -86,7 +86,7 @@ func (s *Server) MetricsSnapshot() *proto.StatsResp {
 	// The protocol version this server speaks, and the effectiveness
 	// (gets vs misses = hit rate) of the codec scratch pool and of the
 	// request-frame pool.
-	resp.Gauges["wire.proto_version"] = wire.ProtoV2
+	resp.Gauges["wire.proto_version"] = wire.ProtoV3
 	gets, misses := wire.PoolStats()
 	resp.Counters["wire.pool_gets"] = gets
 	resp.Counters["wire.pool_misses"] = misses

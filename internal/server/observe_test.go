@@ -204,7 +204,7 @@ func TestStatsRPCAndMetricsSnapshot(t *testing.T) {
 	if stats.Counters["push.events"] == 0 {
 		t.Fatalf("push.events counter missing: %+v", stats.Counters)
 	}
-	if got := stats.Gauges["wire.proto_version"]; got != wire.ProtoV2 {
+	if got := stats.Gauges["wire.proto_version"]; got != wire.ProtoV3 {
 		t.Fatalf("wire.proto_version = %d", got)
 	}
 	// Every request so far fit the frame pool's size class: the join, the

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 	"sync"
 	"time"
 )
@@ -71,39 +70,13 @@ type OverloadError struct {
 	RetryAfter time.Duration
 }
 
-// overloadSep joins reason and hint in the wire string form.
-const (
-	overloadPrefix = "wire: overloaded: "
-	overloadSep    = "; retry after "
-)
-
-// Error renders the deterministic wire form ParseOverload inverts.
+// Error states the reason and the retry-after hint.
 func (e *OverloadError) Error() string {
-	return overloadPrefix + e.Reason + overloadSep + e.RetryAfter.String()
+	return "wire: overloaded: " + e.Reason + "; retry after " + e.RetryAfter.String()
 }
 
 // Is makes errors.Is(err, ErrOverloaded) match.
 func (e *OverloadError) Is(target error) bool { return target == ErrOverloaded }
-
-// ParseOverload recovers a typed overload error from its string form —
-// the shape a response error takes after crossing the wire as a plain
-// message. The client side uses it to hand callers back the typed
-// *OverloadError with the server's retry-after hint intact.
-func ParseOverload(msg string) (*OverloadError, bool) {
-	rest, ok := strings.CutPrefix(msg, overloadPrefix)
-	if !ok {
-		return nil, false
-	}
-	i := strings.LastIndex(rest, overloadSep)
-	if i < 0 {
-		return nil, false
-	}
-	d, err := time.ParseDuration(rest[i+len(overloadSep):])
-	if err != nil {
-		return nil, false
-	}
-	return &OverloadError{Reason: rest[:i], RetryAfter: d}, true
-}
 
 // waiter is one queued request waiting for an execution slot. Exactly
 // one value is ever delivered on ch: nil (slot granted) or an

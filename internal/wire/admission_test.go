@@ -347,24 +347,6 @@ func TestLimiterConcurrent(t *testing.T) {
 	}
 }
 
-func TestParseOverloadRoundTrip(t *testing.T) {
-	for _, reason := range []string{ShedReasonQueueFull, ShedReasonDeadline, ShedReasonDisplaced, ShedReasonRate} {
-		in := &OverloadError{Reason: reason, RetryAfter: 1250 * time.Millisecond}
-		out, ok := ParseOverload(in.Error())
-		if !ok {
-			t.Fatalf("ParseOverload(%q) failed", in.Error())
-		}
-		if out.Reason != in.Reason || out.RetryAfter != in.RetryAfter {
-			t.Fatalf("round trip %+v -> %+v", in, out)
-		}
-	}
-	for _, bad := range []string{"", "wire: overloaded", "some other error", "wire: overloaded: x", "wire: overloaded: x; retry after soon"} {
-		if _, ok := ParseOverload(bad); ok {
-			t.Fatalf("ParseOverload(%q) accepted", bad)
-		}
-	}
-}
-
 // waitFor polls cond for up to a second — cheap synchronization with
 // goroutines that enter a queue at an unknown moment.
 func waitFor(t *testing.T, cond func() bool) {

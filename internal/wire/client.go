@@ -132,7 +132,7 @@ func (c *Client) readLoop() {
 	// transport (net.Pipe) cannot deadlock the constructor; calls block on
 	// c.ready until it settles. No other goroutine writes before ready
 	// closes, so the preamble write needs no lock.
-	if _, err := c.conn.Write(appendPreamble(nil, ProtoV2)); err != nil {
+	if _, err := c.conn.Write(appendPreamble(nil, ProtoV3)); err != nil {
 		fail(err)
 		return
 	}
@@ -338,8 +338,8 @@ func (c *Client) roundTrip(ctx context.Context, method string, payload []byte, a
 			return nil, fmt.Errorf("wire: %w during %s", c.closedErr(), method)
 		}
 		replyChans.Put(ch)
-		if resp.Err != "" {
-			return nil, &RemoteError{Msg: resp.Err}
+		if resp.Status != statusOK {
+			return nil, &RemoteError{Err: failure(resp.Status, resp.Payload)}
 		}
 		return resp.Payload, nil
 	case <-done:
@@ -362,23 +362,19 @@ func (c *Client) abandon(id uint64) {
 // CallCtx invokes a server method, decoding the response into reply
 // (nil discards it), and abandons the wait when ctx ends. A non-nil
 // reply must implement BodyDecoder (it is typed any only because
-// benchmark/ hands one through an any). An abandoned call's response is
-// discarded if it arrives later; the server side may still run to
-// completion unless its own timeout or the connection's death cancels
-// it.
+// benchmark/ hands one through an any). A far handler's failure comes
+// back as a *RemoteError wrapping the error the response names:
+// errors.As finds an *OverloadError with its retry-after hint, a
+// *RedirectError with its target, an *UnavailableError. An abandoned
+// call's response is discarded if it arrives later; the server side may
+// still run to completion unless its own timeout or the connection's
+// death cancels it.
 func (c *Client) CallCtx(ctx context.Context, method string, args BodyEncoder, reply any) error {
 	bd, ok := reply.(BodyDecoder)
 	if reply != nil && !ok {
 		return fmt.Errorf("wire: call %s: reply %T implements no BodyDecoder", method, reply)
 	}
 	payload, err := c.roundTrip(ctx, method, nil, args)
-	if re, remote := err.(*RemoteError); remote {
-		// Errors cross the wire as strings; re-type the ones callers
-		// dispatch on: overload rejections come back as *OverloadError
-		// (retry-after hint intact), routing redirects as *RedirectError
-		// (target node intact), quorum refusals as *UnavailableError.
-		return retypeError(re.Msg)
-	}
 	if err != nil {
 		return err
 	}

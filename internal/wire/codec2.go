@@ -1,21 +1,23 @@
-// Wire protocol v2: a hand-rolled length-prefixed binary framing. Every
+// Wire protocol v3: a hand-rolled length-prefixed binary framing. Every
 // frame is
 //
 //	u32be body length | body
-//	body := kind u8 | enc u8 | id uvarint | trace uvarint
+//	body := kind u8 | id uvarint | trace uvarint
 //	        | method u16be code (0xFFFF → uvarint len + name bytes)
-//	        | err uvarint len + bytes | payload (rest of frame)
+//	        | status u8 (responses only) | payload (rest of frame)
 //
-// enc tags the payload format and has exactly one value, EncBinary (a
-// BodyEncoder/BodyDecoder codec from internal/proto); any other value
-// is a protocol error.
+// The payload is a body in the BodyEncoder/BodyDecoder codec: a
+// request's arguments, a push's event, or a response's result. A
+// response whose status is not ok carries its error's fields instead
+// (route.go), so a typed error reaches the caller typed.
 //
 // A connection opens with a version preamble: the client sends
 // [0x00 'M' 'M' '2' maxVer], the server replies with the same shape
-// carrying the chosen version. Version 2 is the only one spoken: a
-// client that opens with anything else, or offers less, is disconnected,
-// and a client whose server chooses less fails its calls with
-// ErrProtoVersion.
+// carrying the chosen version. Version 3 is the only one spoken: a
+// client that opens with anything else is disconnected — after a reply
+// naming version 0, which no version agrees to, when its preamble
+// offered less — and a client whose server chooses less fails its calls
+// with ErrProtoVersion.
 //
 // Zero-copy: the encoder builds frames as segments — pooled scratch
 // ranges for headers and small fields, plus direct references to large
@@ -37,15 +39,17 @@ import (
 	"sync/atomic"
 )
 
-// ProtoV2 is the protocol version this package speaks — the binary
-// framing above. (0 was a gob stream, retired; 1 was never shipped.)
-const ProtoV2 = 2
+// ProtoV3 is the protocol version this package speaks — the binary
+// framing above. (0 was a gob stream, retired; 1 was never shipped; 2
+// carried an enc byte and errors as text.)
+const ProtoV3 = 3
 
-// EncBinary is the one payload format a frame's enc byte may name.
+// EncBinary names the one payload format. No frame carries it: it is
+// the value Peer.PushRaw's ignored enc argument takes.
 const EncBinary uint8 = 1
 
-// ErrProtoVersion reports a handshake that could not agree on ProtoV2.
-var ErrProtoVersion = errors.New("wire: peer does not speak protocol v2")
+// ErrProtoVersion reports a handshake that could not agree on ProtoV3.
+var ErrProtoVersion = errors.New("wire: peer does not speak protocol v3")
 
 // preambleLen is the size of the negotiation preamble and its reply.
 const preambleLen = 5
@@ -82,7 +86,7 @@ var (
 	methodByCode = make(map[uint16]string)
 )
 
-// RegisterMethodCode assigns a stable u16 code to a method name so v2
+// RegisterMethodCode assigns a stable u16 code to a method name so
 // frames carry 2 bytes instead of the string. Both sides of a
 // connection share the table (it is populated by package init in
 // internal/proto). Codes 0xFFFF and duplicates panic: the table is
@@ -137,13 +141,13 @@ func parsePreamble(b []byte) (ver uint8, ok bool) {
 
 // negotiate picks the connection version given the version the other
 // side offered (server: the client's maximum; client: the server's
-// choice). A peer from the future degrades to ProtoV2; one that cannot
-// reach it is refused.
+// choice). A peer from the future degrades to ProtoV3; one that cannot
+// reach it is refused, with version 0.
 func negotiate(peer uint8) (ver uint8, ok bool) {
-	if peer < ProtoV2 {
+	if peer < ProtoV3 {
 		return 0, false
 	}
-	return ProtoV2, true
+	return ProtoV3, true
 }
 
 // --- pooled-buffer metrics ------------------------------------------------
@@ -535,7 +539,7 @@ func (b Body) Decode(v BodyDecoder) error { return DecodeBodyBytes(b.Data, v) }
 // appendFrameHeader renders the frame body header (everything before
 // the payload) for env into dst.
 func appendFrameHeader(dst []byte, env *envelope) []byte {
-	dst = append(dst, byte(env.Kind), EncBinary)
+	dst = append(dst, byte(env.Kind))
 	dst = binary.AppendUvarint(dst, env.ID)
 	dst = binary.AppendUvarint(dst, env.Trace)
 	if code, ok := methodCode(env.Method); ok {
@@ -545,8 +549,9 @@ func appendFrameHeader(dst []byte, env *envelope) []byte {
 		dst = binary.AppendUvarint(dst, uint64(len(env.Method)))
 		dst = append(dst, env.Method...)
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(env.Err)))
-	dst = append(dst, env.Err...)
+	if env.Kind == kindResponse {
+		dst = append(dst, byte(env.Status))
+	}
 	return dst
 }
 
@@ -558,7 +563,6 @@ func parseFrame(buf []byte) (envelope, error) {
 	var env envelope
 	d := NewDec(buf)
 	env.Kind = msgKind(d.Byte())
-	enc := d.Byte()
 	env.ID = d.Uvarint()
 	env.Trace = d.Uvarint()
 	hi, lo := d.Byte(), d.Byte()
@@ -572,15 +576,17 @@ func parseFrame(buf []byte) (envelope, error) {
 		}
 		env.Method = m
 	}
-	env.Err = d.String()
+	if env.Kind == kindResponse {
+		env.Status = status(d.Byte())
+	}
 	if err := d.Err(); err != nil {
 		return env, err
 	}
 	if env.Kind > kindPush {
 		return env, fmt.Errorf("wire: bad frame kind %d", env.Kind)
 	}
-	if enc != EncBinary {
-		return env, fmt.Errorf("wire: bad payload encoding %d", enc)
+	if env.Status > statusUnavailable {
+		return env, fmt.Errorf("wire: bad response status %d", env.Status)
 	}
 	env.Payload = buf[len(buf)-d.Len():]
 	return env, nil
@@ -612,9 +618,6 @@ func frameLen(hdr []byte) (int, error) {
 	n := binary.BigEndian.Uint32(hdr)
 	if n > maxFrameSize {
 		return 0, ErrFrameTooLarge
-	}
-	if n < 2 {
-		return 0, errFrameTruncated
 	}
 	return int(n), nil
 }

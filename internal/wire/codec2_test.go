@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 )
@@ -25,7 +26,7 @@ func (*fakeConn) SetReadDeadline(time.Time) error  { return nil }
 func (*fakeConn) SetWriteDeadline(time.Time) error { return nil }
 
 func TestPreambleRoundTrip(t *testing.T) {
-	for _, ver := range []uint8{0, ProtoV2, 7} {
+	for _, ver := range []uint8{0, ProtoV3, 7} {
 		b := appendPreamble(nil, ver)
 		if len(b) != preambleLen {
 			t.Fatalf("preamble length %d, want %d", len(b), preambleLen)
@@ -56,7 +57,7 @@ func TestPreambleRoundTrip(t *testing.T) {
 func TestNegotiate(t *testing.T) {
 	for peer := 0; peer <= 255; peer++ {
 		ver, ok := negotiate(uint8(peer))
-		if peer < ProtoV2 {
+		if peer < ProtoV3 {
 			// 0 was the gob stream, 1 never shipped: both are refused.
 			if ok {
 				t.Errorf("negotiate(%d) accepted version %d", peer, ver)
@@ -64,8 +65,8 @@ func TestNegotiate(t *testing.T) {
 			continue
 		}
 		// A peer from the future degrades to the version we implement.
-		if !ok || ver != ProtoV2 {
-			t.Errorf("negotiate(%d) = %d, %v, want %d", peer, ver, ok, ProtoV2)
+		if !ok || ver != ProtoV3 {
+			t.Errorf("negotiate(%d) = %d, %v, want %d", peer, ver, ok, ProtoV3)
 		}
 	}
 }
@@ -210,14 +211,15 @@ func TestFrameRoundTrip(t *testing.T) {
 	big := bytes.Repeat([]byte{0xCD}, externThreshold*2)
 	cases := []envelope{
 		{Kind: kindRequest, ID: 1, Method: "codec2test.coded", Payload: []byte("small")},
-		{Kind: kindResponse, ID: 1 << 40, Trace: 77, Method: "codec2test.coded", Err: "boom", Payload: nil},
+		{Kind: kindResponse, ID: 1 << 40, Trace: 77, Method: "codec2test.coded", Status: statusError, Payload: []byte{4, 'b', 'o', 'o', 'm'}},
+		{Kind: kindResponse, ID: 2, Method: "codec2test.coded", Payload: nil},
 		{Kind: kindPush, Method: "no.such.code", Payload: big},
 		{Kind: kindRequest, ID: 3, Method: "", Payload: []byte{0}},
 	}
 	for i, env := range cases {
 		got := roundTripFrame(t, env)
 		if got.Kind != env.Kind || got.ID != env.ID || got.Trace != env.Trace ||
-			got.Method != env.Method || got.Err != env.Err {
+			got.Method != env.Method || got.Status != env.Status {
 			t.Errorf("case %d: %+v -> %+v", i, env, got)
 		}
 		if !bytes.Equal(got.Payload, env.Payload) {
@@ -264,7 +266,7 @@ func TestReadFrameRejectsBadLengths(t *testing.T) {
 	if _, err := readFrame(bytes.NewReader(huge)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("oversized frame: %v", err)
 	}
-	// A frame too short to hold kind+enc.
+	// A frame too short to hold its header.
 	tiny := []byte{0, 0, 0, 1, 0}
 	if _, err := readFrame(bytes.NewReader(tiny)); err == nil {
 		t.Error("1-byte frame accepted")
@@ -277,29 +279,35 @@ func TestReadFrameRejectsBadLengths(t *testing.T) {
 }
 
 func TestParseFrameRejectsGarbage(t *testing.T) {
-	if _, err := parseFrame([]byte{200, 0, 0, 0, 0, 0}); err == nil {
+	if _, err := parseFrame([]byte{200, 0, 0, 0, 0}); err == nil {
 		t.Error("bad kind accepted")
 	}
-	// The enc byte has one legal value; 0 was the retired gob escape.
-	for _, enc := range []byte{0, 2, 9} {
-		if _, err := parseFrame([]byte{0, enc, 0, 0, 0xFF, 0xFF, 0, 0}); err == nil {
-			t.Errorf("payload encoding %d accepted", enc)
-		}
-	}
-	if _, err := parseFrame([]byte{0, EncBinary, 0, 0, 0xFF, 0xFF, 0, 0}); err != nil {
+	if _, err := parseFrame([]byte{0, 0, 0, 0xFF, 0xFF, 0}); err != nil {
 		t.Errorf("well-formed frame rejected: %v", err)
 	}
 	// Unknown method code.
-	if _, err := parseFrame([]byte{0, EncBinary, 0, 0, 0xEE, 0xEE, 0}); err == nil {
+	if _, err := parseFrame([]byte{0, 0, 0, 0xEE, 0xEE}); err == nil {
 		t.Error("unknown method code accepted")
+	}
+	// A response carries a status byte, and only the five it may name.
+	if _, err := parseFrame([]byte{byte(kindResponse), 0, 0, 0xFF, 0xFF, 0}); err == nil {
+		t.Error("response without a status accepted")
+	}
+	for st := range 256 {
+		_, err := parseFrame([]byte{byte(kindResponse), 0, 0, 0xFF, 0xFF, 0, byte(st)})
+		if ok := st <= int(statusUnavailable); ok != (err == nil) {
+			t.Errorf("status %d: err = %v", st, err)
+		}
 	}
 }
 
 // TestVersionNegotiationEndToEnd covers the live handshake over real
-// connections: the one agreement (v2, also for a client from the
-// future) and the two refusals — a client that opens without the
-// preamble or offers less than v2 is disconnected, and a client whose
-// server chooses less than v2 fails its calls with ErrProtoVersion.
+// connections: the one agreement (v3, also for a client from the
+// future) and the refusals — a client that opens without the preamble is
+// disconnected; one that offers less than v3 is told version 0, which a
+// v2 client refuses with its ErrProtoVersion, and disconnected; and a
+// client whose server chooses less than v3 fails its calls with
+// ErrProtoVersion.
 func TestVersionNegotiationEndToEnd(t *testing.T) {
 	_, addr := startServer(t)
 	dial := func(t *testing.T) net.Conn {
@@ -315,11 +323,46 @@ func TestVersionNegotiationEndToEnd(t *testing.T) {
 	expectClosed := func(t *testing.T, conn net.Conn) {
 		t.Helper()
 		if n, err := conn.Read(make([]byte, 1)); n != 0 || !errors.Is(err, io.EOF) {
-			t.Fatalf("server answered a refused handshake: %d bytes, %v", n, err)
+			t.Fatalf("server sent more on a refused handshake: %d bytes, %v", n, err)
 		}
 	}
+	// expectRefused requires a preamble offering ver to be answered with
+	// version 0 and a hang-up.
+	expectRefused := func(t *testing.T, ver uint8) {
+		t.Helper()
+		conn := dial(t)
+		if _, err := conn.Write(appendPreamble(nil, ver)); err != nil {
+			t.Fatal(err)
+		}
+		var rep [preambleLen]byte
+		if _, err := io.ReadFull(conn, rep[:]); err != nil {
+			t.Fatalf("offer %d: no refusal reply: %v", ver, err)
+		}
+		if got, ok := parsePreamble(rep[:]); !ok || got != 0 {
+			t.Fatalf("offer %d: reply = %v, want version 0", ver, rep)
+		}
+		expectClosed(t, conn)
+	}
+	// skewedCall calls a server that answers the preamble with ver.
+	skewedCall := func(t *testing.T, ver uint8) (*Client, error) {
+		sc, cc := net.Pipe()
+		go func() {
+			defer sc.Close()
+			var pre [preambleLen]byte
+			if _, err := io.ReadFull(sc, pre[:]); err != nil {
+				return
+			}
+			_, _ = sc.Write(appendPreamble(nil, ver))
+			_, _ = io.Copy(io.Discard, sc)
+		}()
+		c := NewClient(cc)
+		t.Cleanup(func() { c.Close() })
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		return c, c.CallCtx(ctx, "echo", &echoArgs{}, nil)
+	}
 
-	t.Run("v2-v2", func(t *testing.T) {
+	t.Run("v3-v3", func(t *testing.T) {
 		c := NewClient(dial(t))
 		var r echoReply
 		if err := c.CallCtx(context.Background(), "echo", &echoArgs{Text: "ping", N: 3}, &r); err != nil || r.Text != "ping" || r.N != 6 {
@@ -335,8 +378,8 @@ func TestVersionNegotiationEndToEnd(t *testing.T) {
 		if _, err := io.ReadFull(conn, rep[:]); err != nil {
 			t.Fatal(err)
 		}
-		if ver, ok := parsePreamble(rep[:]); !ok || ver != ProtoV2 {
-			t.Fatalf("reply = %v (%d, %v), want version %d", rep, ver, ok, ProtoV2)
+		if ver, ok := parsePreamble(rep[:]); !ok || ver != ProtoV3 {
+			t.Fatalf("reply = %v (%d, %v), want version %d", rep, ver, ok, ProtoV3)
 		}
 	})
 	t.Run("gob-client", func(t *testing.T) {
@@ -346,39 +389,35 @@ func TestVersionNegotiationEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		expectClosed(t, conn)
-		// A preamble offering less than v2 is refused the same way.
+		// A preamble offering less than v2 is refused like a v2 one.
 		for _, ver := range []uint8{0, 1} {
-			conn := dial(t)
-			if _, err := conn.Write(appendPreamble(nil, ver)); err != nil {
-				t.Fatal(err)
-			}
-			expectClosed(t, conn)
+			expectRefused(t, ver)
 		}
 	})
+	t.Run("v2-client", func(t *testing.T) {
+		// Version 0 is below every version: a v2 client's negotiate
+		// refuses it, exactly as this client's does (gob-server).
+		expectRefused(t, 2)
+	})
 	t.Run("gob-server", func(t *testing.T) {
-		// A server that answers the preamble with a version below 2.
 		for _, ver := range []uint8{0, 1} {
-			sc, cc := net.Pipe()
-			go func() {
-				defer sc.Close()
-				var pre [preambleLen]byte
-				if _, err := io.ReadFull(sc, pre[:]); err != nil {
-					return
-				}
-				_, _ = sc.Write(appendPreamble(nil, ver))
-				_, _ = io.Copy(io.Discard, sc)
-			}()
-			c := NewClient(cc)
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			err := c.CallCtx(ctx, "echo", &echoArgs{}, nil)
-			cancel()
+			c, err := skewedCall(t, ver)
 			if !errors.Is(err, ErrProtoVersion) || !errors.Is(err, ErrClosed) {
 				t.Errorf("server chose %d: call error = %v, want ErrProtoVersion and ErrClosed", ver, err)
 			}
 			if !errors.Is(c.Err(), ErrProtoVersion) {
 				t.Errorf("server chose %d: Err = %v", ver, c.Err())
 			}
-			c.Close()
+		}
+	})
+	t.Run("v2-server", func(t *testing.T) {
+		_, err := skewedCall(t, 2)
+		if !errors.Is(err, ErrProtoVersion) || !errors.Is(err, ErrClosed) {
+			t.Fatalf("call error = %v, want ErrProtoVersion and ErrClosed", err)
+		}
+		// The refusal names both versions.
+		if msg := err.Error(); !strings.Contains(msg, "protocol v3") || !strings.Contains(msg, "version 2") {
+			t.Errorf("refusal %q does not name v3 and 2", msg)
 		}
 	})
 }

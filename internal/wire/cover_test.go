@@ -103,8 +103,8 @@ func TestServerVersionSurface(t *testing.T) {
 	if rep.N != 4 {
 		t.Fatalf("echo reply N = %d", rep.N)
 	}
-	if got := st.Counter(CounterConnsV2); got != 1 {
-		t.Errorf("%s = %d, want 1", CounterConnsV2, got)
+	if got := st.Counter(CounterConns); got != 1 {
+		t.Errorf("%s = %d, want 1", CounterConns, got)
 	}
 	if peers, queued := s.WriteBacklog(); peers != 1 || queued != 0 {
 		t.Errorf("WriteBacklog = %d peers, %d queued", peers, queued)
@@ -205,7 +205,7 @@ func TestClientProtoVersionDeadConn(t *testing.T) {
 func TestStatsSurface(t *testing.T) {
 	st := NewStats()
 	st.Observe("m", 10*time.Millisecond, nil)
-	st.Observe("m", 30*time.Millisecond, ErrDraining)
+	st.Observe("m", 30*time.Millisecond, errors.New("deliberate failure"))
 	ms := st.Method("m")
 	if ms.Requests != 2 || ms.Errors != 1 {
 		t.Fatalf("Method = %+v", ms)

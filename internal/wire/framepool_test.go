@@ -44,7 +44,7 @@ func rawConn(t *testing.T, s *Server) net.Conn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	if _, err := conn.Write(appendPreamble(nil, ProtoV2)); err != nil {
+	if _, err := conn.Write(appendPreamble(nil, ProtoV3)); err != nil {
 		t.Fatal(err)
 	}
 	var rep [preambleLen]byte

@@ -4,18 +4,24 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"reflect"
 	"testing"
+	"time"
 )
 
-// FuzzParseFrame throws arbitrary frame bodies at the v2 frame parser.
+// FuzzParseFrame throws arbitrary frame bodies at the frame parser.
 // The parser must never panic, and an accepted frame must satisfy its
-// structural invariants (valid kind/encoding, payload inside the input).
+// structural invariants (valid kind, a status only on a response,
+// payload inside the input) and parse back to itself once re-encoded. A
+// failed response whose payload decodes keeps its status and its
+// error's fields through a re-encode of that error and a second parse.
 func FuzzParseFrame(f *testing.F) {
 	RegisterMethodCode(901, "fuzz.coded")
 	// Seed with well-formed frames of each shape plus truncations.
 	for _, env := range []envelope{
 		{Kind: kindRequest, ID: 1, Method: "fuzz.coded", Payload: []byte("hi")},
-		{Kind: kindResponse, ID: 9, Trace: 4, Method: "fuzz.coded", Err: "nope"},
+		failedResponse(errors.New("nope")),
 		{Kind: kindPush, Method: "inline.name", Payload: bytes.Repeat([]byte{3}, 600)},
 	} {
 		buf := appendFrameHeader(nil, &env)
@@ -26,10 +32,13 @@ func FuzzParseFrame(f *testing.F) {
 			f.Add(buf[:len(buf)-1])
 		}
 	}
-	f.Add([]byte{0, 0, 0xEE, 0xEE})             // unknown method code
-	f.Add([]byte{200, 0, 0, 0})                 // bad kind
-	f.Add([]byte{0, 9, 0, 0})                   // bad encoding
-	f.Add([]byte{0, 0, 0, 0, 0xFF, 0xFF, 0, 0}) // the retired gob encoding byte
+	f.Add([]byte{0, 0, 0, 0xEE, 0xEE})                        // unknown method code
+	f.Add([]byte{200, 0, 0, 0})                               // bad kind
+	f.Add([]byte{byte(kindResponse), 0, 0, 0xFF, 0xFF, 0, 9}) // bad status
+	f.Add([]byte{0, 1, 0, 0, 0xFF, 0xFF, 0, 0})               // a v2 frame, enc byte and all
+	for _, env := range statusSeeds() {
+		f.Add(append(appendFrameHeader(nil, &env), env.Payload...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := parseFrame(data)
 		if err != nil {
@@ -38,13 +47,59 @@ func FuzzParseFrame(f *testing.F) {
 		if env.Kind > kindPush {
 			t.Fatalf("accepted frame with kind %d", env.Kind)
 		}
-		if data[1] != EncBinary {
-			t.Fatalf("accepted frame with encoding %d", data[1])
+		if env.Status > statusUnavailable || env.Kind != kindResponse && env.Status != statusOK {
+			t.Fatalf("accepted frame of kind %d with status %d", env.Kind, env.Status)
 		}
 		if len(env.Payload) > len(data) {
 			t.Fatalf("payload %d bytes from a %d-byte frame", len(env.Payload), len(data))
 		}
+		again, err := parseFrame(append(appendFrameHeader(nil, &env), env.Payload...))
+		if err != nil || !sameFrame(again, env) {
+			t.Fatalf("%+v re-encoded parses as %+v, %v", env, again, err)
+		}
+		if env.Status == statusOK {
+			return
+		}
+		cause := failure(env.Status, env.Payload)
+		if errors.Is(cause, errFrameTruncated) {
+			return // the payload is not the error its status names
+		}
+		resp := failedResponse(cause)
+		again, err = parseFrame(append(appendFrameHeader(nil, &resp), resp.Payload...))
+		if err != nil || again.Status != env.Status {
+			t.Fatalf("%#v (status %d) re-encoded parses with status %d, %v", cause, env.Status, again.Status, err)
+		}
+		if got := failure(again.Status, again.Payload); !reflect.DeepEqual(got, cause) {
+			t.Fatalf("%#v re-encoded decodes as %#v", cause, got)
+		}
 	})
+}
+
+// failedResponse is a response failing with err, its payload flat.
+func failedResponse(err error) envelope {
+	env := envelope{Kind: kindResponse, ID: 9, Trace: 4, Method: "fuzz.coded"}
+	env.fail(err)
+	env.Payload = env.body.Flatten()
+	putBodyEnc(env.body)
+	env.body = nil
+	return env
+}
+
+// statusSeeds is one response per status, each with its fields.
+func statusSeeds() []envelope {
+	return []envelope{
+		{Kind: kindResponse, ID: 3, Trace: 4, Method: "fuzz.coded", Payload: []byte{2, 'o', 'k'}},
+		failedResponse(errors.New("wire: redirect to node x at y")),
+		failedResponse(&OverloadError{Reason: ShedReasonDeadline, RetryAfter: 1500 * time.Microsecond}),
+		failedResponse(&RedirectError{Node: "n2", Addr: "127.0.0.1:7002"}),
+		failedResponse(&UnavailableError{Node: "n1", Reason: "no cluster majority"}),
+	}
+}
+
+// sameFrame reports whether two parsed frames carry the same fields.
+func sameFrame(a, b envelope) bool {
+	return a.Kind == b.Kind && a.ID == b.ID && a.Trace == b.Trace && a.Method == b.Method &&
+		a.Status == b.Status && bytes.Equal(a.Payload, b.Payload)
 }
 
 // FuzzReadFrame drives the full framed reader — length prefix included
@@ -69,7 +124,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(valid[:5])
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0}) // hostile length
 	f.Add([]byte{0, 0, 0, 0})                // zero length
-	f.Add(appendPreamble(nil, ProtoV2))      // a preamble is not a frame
+	f.Add(appendPreamble(nil, ProtoV3))      // a preamble is not a frame
 	// Frames on both sides of fuzzReaderSize, back to back, then cut.
 	var stream []byte
 	for _, n := range []int{7, fuzzReaderSize - len(frame(0)), fuzzReaderSize - len(frame(0)) + 1, 3 * fuzzReaderSize, 0} {
@@ -77,6 +132,10 @@ func FuzzReadFrame(f *testing.F) {
 	}
 	f.Add(stream)
 	f.Add(stream[:len(stream)-3])
+	for _, env := range statusSeeds() {
+		body := append(appendFrameHeader(nil, &env), env.Payload...)
+		f.Add(append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var want []envelope
 		var wantErr error
@@ -93,7 +152,7 @@ func FuzzReadFrame(f *testing.F) {
 			want = append(want, env)
 		}
 		same := func(how string, i int, env, w envelope) {
-			if env.Kind != w.Kind || env.ID != w.ID || env.Trace != w.Trace || env.Method != w.Method || env.Err != w.Err || !bytes.Equal(env.Payload, w.Payload) {
+			if !sameFrame(env, w) {
 				t.Fatalf("frame %d %s %+v, in an exact buffer %+v", i, how, env, w)
 			}
 		}
@@ -138,26 +197,27 @@ const fuzzReaderSize = 64
 
 // FuzzHandshake exercises the negotiation preamble parser and version
 // pick under arbitrary bytes and version skew: parsing must never
-// panic, and negotiation can only yield ProtoV2 or a refusal — on the
+// panic, and negotiation can only yield ProtoV3 or a refusal — on the
 // server (fed the client's offer) and on the client (fed the server's
-// reply) alike. The second argument is the version a skewed server
-// answers with.
+// reply) alike; a v2 peer is refused on either side. The second argument
+// is the version a skewed server answers with.
 func FuzzHandshake(f *testing.F) {
-	f.Add(appendPreamble(nil, ProtoV2), uint8(ProtoV2))
-	f.Add(appendPreamble(nil, 0), uint8(ProtoV2))
+	f.Add(appendPreamble(nil, ProtoV3), uint8(ProtoV3))
+	f.Add(appendPreamble(nil, 0), uint8(ProtoV3))
 	f.Add(appendPreamble(nil, 9), uint8(0))
-	f.Add([]byte{0x00, 'M', 'M', '3', 2}, uint8(ProtoV2))
-	f.Add([]byte("gob..."), uint8(ProtoV2))
+	f.Add([]byte{0x00, 'M', 'M', '3', 2}, uint8(ProtoV3))
+	f.Add([]byte("gob..."), uint8(ProtoV3))
 	f.Add(appendPreamble(nil, 1), uint8(1))
+	f.Add(appendPreamble(nil, 2), uint8(2)) // a v2 peer on both sides
 	f.Fuzz(func(t *testing.T, preamble []byte, serverReply uint8) {
 		check := func(side string, offered uint8) {
 			got, ok := negotiate(offered)
 			switch {
-			case ok && got != ProtoV2:
+			case ok && got != ProtoV3:
 				t.Fatalf("%s: negotiate(%d) = %d: not the version we implement", side, offered, got)
-			case ok && offered < ProtoV2:
+			case ok && offered < ProtoV3:
 				t.Fatalf("%s: negotiate(%d) agreed above the peer's maximum", side, offered)
-			case !ok && offered >= ProtoV2:
+			case !ok && offered >= ProtoV3:
 				t.Fatalf("%s: negotiate(%d) refused a capable peer", side, offered)
 			}
 		}

@@ -34,9 +34,9 @@ const (
 	CounterWriterWrites = "wire.writer_writes"
 	// CounterWriterBytes totals bytes written to sockets.
 	CounterWriterBytes = "wire.writer_bytes"
-	// CounterConnsV2 counts accepted connections that completed the
+	// CounterConns counts accepted connections that completed the
 	// version handshake.
-	CounterConnsV2 = "wire.conns_v2"
+	CounterConns = "wire.conns"
 )
 
 // errPeerClosed reports a send on a peer whose connection ended.
@@ -209,9 +209,9 @@ func (p *Peer) Push(method string, body BodyEncoder) error {
 // (the cluster's ingress relay hands on the owner's bytes). It copies
 // payload into a pooled encoder, which the writer returns once the
 // frame is in its batch, so the caller may reuse payload as soon as
-// PushRaw returns. The second parameter once named the payload encoding;
-// there is only EncBinary now and the value is ignored (kept for
-// benchmark/, which this signature is source-compatible with).
+// PushRaw returns. The second parameter once named the payload encoding
+// a frame carried; frames carry none now and the value is ignored (kept
+// for benchmark/, which this signature is source-compatible with).
 func (p *Peer) PushRaw(method string, _ uint8, payload []byte) error {
 	e := getBodyEnc()
 	e.Fixed(payload)

@@ -16,10 +16,6 @@ import (
 	"mmconf/internal/qos"
 )
 
-// ErrDraining is returned to clients whose request arrives after the
-// server began a graceful shutdown.
-var ErrDraining = errors.New("wire: server draining")
-
 // Server dispatches requests to registered handlers.
 type Server struct {
 	mu        sync.RWMutex
@@ -120,7 +116,8 @@ func (s *Server) Serve(l net.Listener) error {
 }
 
 // Drain stops accepting new connections and begins rejecting new
-// requests with ErrDraining. In-flight handlers keep running; wait for
+// requests with an *UnavailableError, reason "draining", so a client
+// rotates to another endpoint. In-flight handlers keep running; wait for
 // them with AwaitIdle.
 func (s *Server) Drain() {
 	s.mu.Lock()
@@ -244,7 +241,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 	s.mu.Unlock()
 	// Version handshake: the client opens with a preamble carrying the
 	// highest version it speaks. Anything else — no preamble, or a client
-	// that cannot speak v2 — is refused by closing the connection.
+	// that cannot speak v3 — is refused by closing the connection.
 	br := bufio.NewReaderSize(conn, readBufferSize)
 	var pre [preambleLen]byte
 	if _, err := io.ReadFull(br, pre[:]); err != nil {
@@ -252,19 +249,20 @@ func (s *Server) ServeConn(conn net.Conn) {
 		return
 	}
 	clientMax, okPre := parsePreamble(pre[:])
-	ver, okVer := negotiate(clientMax)
-	if !okPre || !okVer {
+	if !okPre {
 		conn.Close()
 		return
 	}
 	// Reply before the writer goroutine exists: nothing else can be
-	// writing this connection yet.
-	if _, err := conn.Write(appendPreamble(nil, ver)); err != nil {
+	// writing this connection yet. A client that cannot speak v3 is told
+	// version 0, which it refuses with its own ErrProtoVersion.
+	ver, okVer := negotiate(clientMax)
+	if _, err := conn.Write(appendPreamble(nil, ver)); err != nil || !okVer {
 		conn.Close()
 		return
 	}
 	if st != nil {
-		st.Add(CounterConnsV2, 1)
+		st.Add(CounterConns, 1)
 	}
 	peer := &Peer{
 		ID:     atomic.AddUint64(&s.nextPeer, 1),
@@ -318,7 +316,9 @@ func (s *Server) ServeConn(conn net.Conn) {
 		s.mu.RUnlock()
 		if draining {
 			putFrame(frame)
-			_ = peer.send(envelope{Kind: kindResponse, ID: env.ID, Method: env.Method, Err: ErrDraining.Error()})
+			resp := envelope{Kind: kindResponse, ID: env.ID, Method: env.Method}
+			resp.fail(&UnavailableError{Reason: "draining"})
+			_ = peer.send(resp)
 			continue
 		}
 		j := job{peer: peer, ctx: connCtx, env: env, frame: frame, h: h}
@@ -372,7 +372,7 @@ func (s *Server) run(j job, req *Request) *Request {
 	env, peer := &j.env, j.peer
 	resp := envelope{Kind: kindResponse, ID: env.ID, Method: env.Method}
 	if j.h == nil {
-		resp.Err = fmt.Sprintf("wire: unknown method %q", env.Method)
+		resp.fail(fmt.Errorf("wire: unknown method %q", env.Method))
 	} else {
 		tid := env.Trace
 		if tid == 0 {
@@ -387,12 +387,12 @@ func (s *Server) run(j job, req *Request) *Request {
 			req = nil
 		}
 		if err != nil {
-			resp.Err = err.Error()
+			resp.fail(err)
 		} else if be, hasCodec := result.(BodyEncoder); hasCodec {
 			resp.body = getBodyEnc()
 			be.AppendBody(resp.body)
 		} else if result != nil {
-			resp.Err = fmt.Sprintf("wire: %s: result %T implements no BodyEncoder", env.Method, result)
+			resp.fail(fmt.Errorf("wire: %s: result %T implements no BodyEncoder", env.Method, result))
 		}
 	}
 	if resp.body == nil || !resp.body.refersInto(j.frame) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net"
-	"strings"
 	"testing"
 	"time"
 )
@@ -179,9 +178,12 @@ func TestDrainRejectsNewRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Drain()
+	// The refusal is typed, so a client rotates to another endpoint
+	// instead of giving its sessions up.
 	err = c.CallCtx(context.Background(), "double", &echoArgs{N: 1}, nil)
-	if err == nil || !strings.Contains(err.Error(), "draining") {
-		t.Fatalf("request during drain: %v", err)
+	var ue *UnavailableError
+	if !errors.Is(err, ErrUnavailable) || !errors.As(err, &ue) || ue.Reason != "draining" {
+		t.Fatalf("request during drain: %#v, want an *UnavailableError for draining", err)
 	}
 	if err := s.AwaitIdle(context.Background()); err != nil {
 		t.Fatalf("AwaitIdle on idle server: %v", err)

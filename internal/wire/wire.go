@@ -4,8 +4,9 @@
 // back over the same connection. There is one protocol: after a 5-byte
 // version preamble, every message is a length-prefixed binary frame
 // (codec2.go) carrying a kind, a correlation id, a trace id, a method
-// code, an error string and a payload encoded by the body's hand-written
-// BodyEncoder/BodyDecoder codec.
+// code, a response's status and a payload encoded by the body's
+// hand-written BodyEncoder/BodyDecoder codec — a failed response's
+// payload is its error (route.go).
 //
 // A request reaches its registered Handler under one *Request, the
 // request's context: it carries the frame's trace id, the request's
@@ -38,7 +39,7 @@ type envelope struct {
 	ID      uint64 // request/response correlation
 	Method  string
 	Payload []byte // encoded body, already flat (received frames, PushRaw, CallRaw)
-	Err     string // response only
+	Status  status // response only: ok, or the error Payload carries
 	// Trace carries the request's trace id (requests only; minted by the
 	// client, or at ingress when a foreign client sends none), so one id
 	// follows the call from client log to server trace ring.

@@ -271,7 +271,7 @@ func handDriven(t *testing.T, st *Stats) (*Peer, *bufio.Reader) {
 	})
 	br := bufio.NewReader(cc)
 	var rep [preambleLen]byte
-	if _, err := cc.Write(appendPreamble(nil, ProtoV2)); err != nil {
+	if _, err := cc.Write(appendPreamble(nil, ProtoV3)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := io.ReadFull(br, rep[:]); err != nil {
@@ -282,7 +282,7 @@ func handDriven(t *testing.T, st *Stats) (*Peer, *bufio.Reader) {
 	if err := fw.flush(); err != nil {
 		t.Fatal(err)
 	}
-	if resp, err := readFrame(br); err != nil || resp.Err != "" {
+	if resp, err := readFrame(br); err != nil || resp.Status != statusOK {
 		t.Fatalf("hello response: %+v, %v", resp, err)
 	}
 	return <-peerCh, br
