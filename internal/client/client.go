@@ -323,32 +323,43 @@ func (c *Client) GetDocumentCtx(ctx context.Context, docID string) (*document.Do
 	return document.Unmarshal(resp.DocData)
 }
 
-// GetImage fetches an image object and decodes its raster.
+// GetImage fetches an image object and decodes its raster. The raster
+// is the decode's own, so the payload's frame goes back to the pool once
+// it is decoded.
 func (c *Client) GetImage(id uint64) (*image.Gray, string, error) {
-	resp, err := c.getImageResp(id)
+	resp, err := c.getImageResp(id, true)
 	if err != nil {
 		return nil, "", err
 	}
 	g, err := image.Decode(resp.Data)
+	resp.Release()
 	if err != nil {
 		return nil, "", err
 	}
 	return g, resp.Texts, nil
 }
 
-// GetImageBytes fetches an image object's raw payload.
+// GetImageBytes fetches an image object's raw payload, which is the
+// caller's to keep.
 func (c *Client) GetImageBytes(id uint64) ([]byte, error) {
-	resp, err := c.getImageResp(id)
+	resp, err := c.getImageResp(id, false)
 	if err != nil {
 		return nil, err
 	}
 	return resp.Data, nil
 }
 
-// getImageResp is the image fetch through the media buffer.
-func (c *Client) getImageResp(id uint64) (*proto.GetImageResp, error) {
+// getImageResp is the image fetch through the media buffer. With
+// transient set the caller reads the payload only until it releases the
+// response, so when no buffer files the payload the response takes a
+// pooled frame (proto.GetImageResp's ReplyFrame).
+func (c *Client) getImageResp(id uint64, transient bool) (*proto.GetImageResp, error) {
 	var resp proto.GetImageResp
-	data, err := c.buffer.Load().fetch(objectKey{mediadb.ImageTable, id}, func(known []byte) (bool, []byte, []byte, error) {
+	b := c.buffer.Load()
+	if transient && b == nil {
+		resp.Pool()
+	}
+	data, err := b.fetch(objectKey{mediadb.ImageTable, id}, func(known []byte) (bool, []byte, []byte, error) {
 		err := c.call(context.Background(), proto.MGetImage, &proto.GetImageReq{ID: id, IfDigestAbsent: known}, &resp)
 		return resp.NotModified, resp.Digest, resp.Data, err
 	})
@@ -383,12 +394,14 @@ func (c *Client) getAudioResp(id uint64) (*proto.GetAudioResp, error) {
 }
 
 // GetCmp fetches a multi-layer stream truncated to maxLayers (0 = all)
-// and decodes it at that fidelity.
+// and decodes it at that fidelity. The stream aliases the payload, and
+// the payload's frame goes back to the pool once the stream is decoded.
 func (c *Client) GetCmp(id uint64, maxLayers int) (*image.Gray, int, error) {
 	resp, err := c.getCmpResp(id, maxLayers)
 	if err != nil {
 		return nil, 0, err
 	}
+	defer resp.Release()
 	stream, err := compress.Unmarshal(resp.Header, resp.Data)
 	if err != nil {
 		return nil, 0, err
@@ -401,13 +414,18 @@ func (c *Client) GetCmp(id uint64, maxLayers int) (*image.Gray, int, error) {
 }
 
 // getCmpResp is the stream fetch. Only the untruncated fetch goes through
-// the media buffer: the digest addresses the full stream.
+// the media buffer: the digest addresses the full stream. Its one caller
+// decodes the payload and releases the response, so a payload no buffer
+// files takes a pooled frame, as in getImageResp.
 func (c *Client) getCmpResp(id uint64, maxLayers int) (*proto.GetCmpResp, error) {
 	var b *mediaBuffer
 	if maxLayers == 0 {
 		b = c.buffer.Load()
 	}
 	var resp proto.GetCmpResp
+	if b == nil {
+		resp.Pool()
+	}
 	data, err := b.fetch(objectKey{mediadb.CmpTable, id}, func(known []byte) (bool, []byte, []byte, error) {
 		err := c.call(context.Background(), proto.MGetCmp, &proto.GetCmpReq{ID: id, MaxLayers: maxLayers, IfDigestAbsent: known}, &resp)
 		return resp.NotModified, resp.Digest, resp.Data, err

@@ -28,14 +28,20 @@ import (
 func pipeSystem(t *testing.T) (*Client, *workload.PopulatedRecord) {
 	t.Helper()
 	srv, _, recs := testServer(t, "p1")
+	return pipeClient(t, srv, "alice"), recs[0]
+}
+
+// pipeClient is a client of srv over net.Pipe, closed with the test.
+func pipeClient(t *testing.T, srv interface{ ServeConn(net.Conn) }, user string) *Client {
+	t.Helper()
 	sc, cc := net.Pipe()
 	go srv.ServeConn(sc)
-	c, err := overConn(cc, "alice")
+	c, err := overConn(cc, user)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return c, recs[0]
+	return c
 }
 
 // testServer is a server over a store holding one populated record per

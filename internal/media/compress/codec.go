@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 
 	"mmconf/internal/media/image"
 )
@@ -175,21 +176,24 @@ func Encode(img *image.Gray, opts Options) (*Stream, error) {
 
 // decoder is the memory one Encode or Decode call reconstructs in: recon,
 // a band of cosine coefficients, and for packet layers, whose synthesis
-// needs every coefficient, a plane of them.
+// needs every coefficient, a plane of them; beside them the scratch the
+// transforms work in, each part fitted to the stream when it is used.
+// Decode takes its decoder from decoders, so the scratch outlives it.
 type decoder struct {
 	s     *Stream
 	recon []float64 // the reconstruction; all zero before each
 	coef  []float64 // packet coefficients, made by the first reconstruction with any
 	strip strip     // a band of the cosine layers' coefficients
-	dct   *blockDCT // made by the first cosine transform
+	dct   blockDCT
+	lift  liftScratch
 }
 
-func (d *decoder) cosine() *blockDCT {
-	if d.dct == nil {
-		d.dct = newBlockDCT(d.s.W, d.s.H, d.s.Block)
-	}
-	return d.dct
-}
+// decoders recycles Decode's decoders without their planes and stream:
+// what one keeps is scratch a reconstruction overwrites before it reads,
+// and a strip whose sums a reconstruction that succeeded has left zero.
+var decoders = sync.Pool{New: func() any { return new(decoder) }}
+
+func (d *decoder) cosine() *blockDCT { return d.dct.fit(d.s.W, d.s.H, d.s.Block) }
 
 // reconstruct writes into recon the superposition of the first k layers
 // (§3.3): the base layer, entropy-decoded and inverse-lifted, plus one
@@ -225,16 +229,13 @@ func (d *decoder) reconstruct(k int, clamp bool) error {
 			return s.fault(k, err)
 		}
 	}
-	if err := waveletInverse2D(d.recon, s.W, s.H, s.Levels, clamp && !packets && len(cos) == 0); err != nil {
+	if err := waveletInverse2D(d.recon, s.W, s.H, s.Levels, clamp && !packets && len(cos) == 0, &d.lift); err != nil {
 		return err
 	}
 	if len(cos) > 0 {
 		dct := d.cosine()
 		dct.clamp = clamp && !packets
-		if d.strip.acc == nil {
-			band := s.W * min(s.Block, s.H)
-			d.strip.acc, d.strip.mask = make([]float64, band), make([]uint64, (band+63)/64)
-		}
+		d.strip.fit(s.W * min(s.Block, s.H))
 		for y0 := 0; y0 < s.H; y0 += s.Block {
 			bh := min(s.Block, s.H-y0)
 			if err := d.strip.read(s.W, bh); err != nil {
@@ -265,7 +266,7 @@ func (d *decoder) reconstruct(k int, clamp bool) error {
 			return s.fault(k, err)
 		}
 	}
-	if err := packetInverse2D(d.coef, s.W, s.H, packetDepth); err != nil {
+	if err := packetInverse2D(d.coef, s.W, s.H, packetDepth, &d.lift); err != nil {
 		return err
 	}
 	if !clamp {
@@ -341,10 +342,18 @@ func (s *Stream) Decode(k int) (*image.Gray, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &decoder{s: s, recon: out.Pix}
-	if err := d.reconstruct(k, true); err != nil {
+	d := decoders.Get().(*decoder)
+	d.s, d.recon = s, out.Pix
+	err = d.reconstruct(k, true)
+	// What goes back holds nothing of this call: no plane, and no
+	// reader of the stream's payload.
+	d.s, d.recon, d.coef = nil, nil, nil
+	clear(d.strip.rd[:cap(d.strip.rd)])
+	if err != nil {
+		// A reconstruction that failed may have left sums in the strip.
 		return nil, err
 	}
+	decoders.Put(d)
 	return out, nil
 }
 
@@ -491,6 +500,15 @@ type strip struct {
 	rd   []entropyReader // one per layer, in layer order
 	acc  []float64
 	mask []uint64
+}
+
+// fit makes the strip a band of n coefficients, growing it only when it
+// is short: a band a reconstruction has folded is all zero.
+func (s *strip) fit(n int) {
+	if cap(s.acc) < n {
+		s.acc, s.mask = make([]float64, n), make([]uint64, (n+63)/64)
+	}
+	s.acc, s.mask = s.acc[:n], s.mask[:(n+63)/64]
 }
 
 // read takes the next bh rows, w coefficients each, off every reader.

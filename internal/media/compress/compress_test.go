@@ -45,7 +45,7 @@ func TestWavelet2DRoundTrip(t *testing.T) {
 		if err := waveletForward2D(coeffs, w, h, 3); err != nil {
 			t.Fatalf("%dx%d forward: %v", w, h, err)
 		}
-		if err := waveletInverse2D(coeffs, w, h, 3, false); err != nil {
+		if err := waveletInverse2D(coeffs, w, h, 3, false, new(liftScratch)); err != nil {
 			t.Fatalf("%dx%d inverse: %v", w, h, err)
 		}
 		for i := range coeffs {
@@ -64,10 +64,10 @@ func TestWaveletDepthValidation(t *testing.T) {
 	if err := waveletForward2D(pix, 8, 8, 10); err == nil {
 		t.Error("overdeep transform accepted")
 	}
-	if err := waveletInverse2D(pix, 8, 8, 10, false); err == nil {
+	if err := waveletInverse2D(pix, 8, 8, 10, false, new(liftScratch)); err == nil {
 		t.Error("overdeep inverse accepted")
 	}
-	if err := waveletInverse2D(pix, 8, 8, 0x7FFFFFF0, false); err == nil {
+	if err := waveletInverse2D(pix, 8, 8, 0x7FFFFFF0, false, new(liftScratch)); err == nil {
 		t.Error("absurd depth accepted")
 	}
 }
@@ -391,7 +391,7 @@ func TestPacketTransformRoundTrip(t *testing.T) {
 	if err := packetForward2D(coeffs, 64, 64, 2); err != nil {
 		t.Fatalf("forward: %v", err)
 	}
-	if err := packetInverse2D(coeffs, 64, 64, 2); err != nil {
+	if err := packetInverse2D(coeffs, 64, 64, 2, new(liftScratch)); err != nil {
 		t.Fatalf("inverse: %v", err)
 	}
 	for i := range coeffs {
@@ -404,7 +404,7 @@ func TestPacketTransformRoundTrip(t *testing.T) {
 	if err := packetForward2D(bad, 30, 30, 2); err == nil {
 		t.Error("non-divisible size accepted")
 	}
-	if err := packetInverse2D(bad, 30, 30, 2); err == nil {
+	if err := packetInverse2D(bad, 30, 30, 2, new(liftScratch)); err == nil {
 		t.Error("non-divisible size accepted by inverse")
 	}
 	if err := packetForward2D(coeffs, 64, 64, 0); err == nil {

@@ -1,38 +1,84 @@
 package compress
 
-import "mmconf/internal/media/dsp"
+import (
+	"sync/atomic"
+
+	"mmconf/internal/media/dsp"
+)
 
 // blockDCT is the blocked local-cosine transform of one plane geometry:
 // a separable orthonormal DCT-II over block×block tiles, edge tiles at
-// their actual smaller size. The cosines are tabulated once per plane, for
-// the three tile sides there can be. A tile is transformed in two passes
-// that both run along rows, so that every inner loop is contiguous: a row
-// pass of multiply-adds against the basis, then a column pass that moves
-// whole rows through the even/odd butterfly of dctBasis.
+// their actual smaller size, against the cosines of the three tile sides
+// there can be (basisFor). A tile is transformed in two passes that both
+// run along rows, so that every inner loop is contiguous: a row pass of
+// multiply-adds against the basis, then a column pass that moves whole
+// rows through the even/odd butterfly of dctBasis.
 type blockDCT struct {
 	w, h, block        int
-	full, edgeW, edgeH dctBasis  // sides block, w%block and h%block
+	full, edgeW, edgeH *dctBasis // sides block, w%block and h%block (nil for 0)
 	rows, sums         []float64 // one tile after the row pass, and out of the inverse column pass
 	live               []bool    // which rows of rows hold a nonzero term
 	clamp              bool      // the inverse writes the final pixels: clamp them to [0, 1]
 }
 
-func newBlockDCT(w, h, block int) *blockDCT {
+func newBlockDCT(w, h, block int) *blockDCT { return new(blockDCT).fit(w, h, block) }
+
+// fit shapes t to the tiles of a w×h plane, block on a side, and returns
+// it. The tile scratch t already has is kept when it holds a tile, so a
+// pooled decoder makes none for a geometry it has decoded before.
+func (t *blockDCT) fit(w, h, block int) *blockDCT {
+	t.w, t.h, t.block = w, h, block
+	t.full, t.edgeW, t.edgeH = basisFor(block), basisFor(w%block), basisFor(h%block)
 	bw, bh := min(block, w), min(block, h)
-	work := make([]float64, 2*bw*bh)
-	return &blockDCT{w: w, h: h, block: block,
-		full: newDCTBasis(block), edgeW: newDCTBasis(w % block), edgeH: newDCTBasis(h % block),
-		rows: work[:bw*bh], sums: work[bw*bh:], live: make([]bool, bh)}
+	if n := bw * bh; cap(t.rows) < 2*n {
+		work := make([]float64, 2*n)
+		t.rows, t.sums = work[:n], work[n:]
+	} else {
+		t.rows, t.sums = t.rows[:n], t.rows[n:2*n]
+	}
+	if cap(t.live) < bh {
+		t.live = make([]bool, bh)
+	}
+	t.live = t.live[:bh]
+	return t
+}
+
+// maxSharedSide is the largest tile side whose cosines are tabulated once
+// for the process: every side the default block of 16 can give, and those
+// of blocks up to 64, at 1.7 MiB for all of them. A larger side, up to
+// maxBlock, is tabulated for each transform: the tables of them all come
+// to about 100 MiB.
+const maxSharedSide = 64
+
+// sharedBases holds the tables of each side up to maxSharedSide, made by
+// the first transform that needs them and only read after.
+var sharedBases [maxSharedSide + 1]atomic.Pointer[dctBasis]
+
+// basisFor returns the cosines of a tile side of n, nil for 0.
+func basisFor(n int) *dctBasis {
+	if n == 0 {
+		return nil
+	}
+	if n > maxSharedSide {
+		b := newDCTBasis(n)
+		return &b
+	}
+	if b := sharedBases[n].Load(); b != nil {
+		return b
+	}
+	b := newDCTBasis(n)
+	sharedBases[n].CompareAndSwap(nil, &b) // a racing tabulation made the same tables
+	return sharedBases[n].Load()
 }
 
 // bases returns the bases of the two sides of a bw×bh tile.
 func (t *blockDCT) bases(bw, bh int) (bx, by *dctBasis) {
-	bx, by = &t.full, &t.full
+	bx, by = t.full, t.full
 	if bw < t.block {
-		bx = &t.edgeW
+		bx = t.edgeW
 	}
 	if bh < t.block {
-		by = &t.edgeH
+		by = t.edgeH
 	}
 	return bx, by
 }
@@ -151,11 +197,8 @@ type dctBasis struct {
 	vec, at, cols []float64
 }
 
-// newDCTBasis tabulates dsp's cosines for a tile side of n.
+// newDCTBasis tabulates dsp's cosines for a tile side of n ≥ 1.
 func newDCTBasis(n int) dctBasis {
-	if n == 0 {
-		return dctBasis{}
-	}
 	b := dctBasis{n: n, vec: dsp.DCTBasis(n), at: make([]float64, n*n)}
 	if n%2 == 0 {
 		b.half = n / 2

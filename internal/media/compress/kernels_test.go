@@ -1268,10 +1268,12 @@ func bytesAllocated(f func()) uint64 {
 	return least
 }
 
-// A decode works in the plane it returns: that plane, one strip of cosine
-// coefficients and small change, whatever the layer count — a second W×H
-// plane, from anywhere, fails this. An encode works in two: the running
-// reconstruction and the residual.
+// A decode allocates the plane it returns and nothing else, whatever the
+// layer count: the strip of cosine coefficients, the tile and lifting
+// scratch and the decoder come back from a pool warmed by the decode
+// before, and the cosine tables are tabulated once for the process — a
+// second W×H plane, a strip or a table per decode fails this. An encode
+// works in two planes: the running reconstruction and the residual.
 func TestDecodeAllocatesOnePlane(t *testing.T) {
 	const w, h = 256, 256
 	img, _ := image.Phantom(w, h, 15)
@@ -1280,25 +1282,20 @@ func TestDecodeAllocatesOnePlane(t *testing.T) {
 		t.Fatal(err)
 	}
 	const plane = 8 * w * h
-	for k := 1; k <= len(st.Layers); k++ {
+	// Under the race detector a sync.Pool drops a quarter of what it is
+	// handed, so the decode is counted only without it.
+	for k := 1; k <= len(st.Layers) && !raceEnabled; k++ {
 		got := bytesAllocated(func() {
 			if _, err := st.Decode(k); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if limit := uint64(plane + 8*w*st.Block + 16<<10); got > limit {
-			t.Errorf("Decode(%d) allocated %d bytes, more than one plane and a strip (%d)", k, got, limit)
+		if limit := uint64(plane + 1<<10); got > limit {
+			t.Errorf("Decode(%d) allocated %d bytes, more than one plane (%d)", k, got, limit)
 		}
-		// The image and its plane, the decoder and the lifting scratch;
-		// from the first cosine layer on also the transform, its tile and
-		// row flags, the tables of one basis (dsp's rows among them), and
-		// the strip's three slices.
-		limit := 4.0
-		if k >= 2 {
-			limit = 13
-		}
-		if n := testing.AllocsPerRun(3, func() { st.Decode(k) }); n > limit {
-			t.Errorf("Decode(%d) made %v allocations, more than %v", k, n, limit)
+		// The image and its plane.
+		if n := testing.AllocsPerRun(3, func() { st.Decode(k) }); n > 2 {
+			t.Errorf("Decode(%d) made %v allocations, more than 2", k, n)
 		}
 	}
 	// Coarse steps keep the payloads, and the slices they grew in, well

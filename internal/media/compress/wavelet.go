@@ -125,8 +125,19 @@ type liftScratch struct {
 	seen []bool
 }
 
-func newLiftScratch(w, h int) *liftScratch {
-	return &liftScratch{row: make([]float64, w), seen: make([]bool, h)}
+func newLiftScratch(w, h int) *liftScratch { return new(liftScratch).fit(w, h) }
+
+// fit makes sc hold a row of w and a mark for each of h rows, growing
+// only what falls short, and returns it.
+func (sc *liftScratch) fit(w, h int) *liftScratch {
+	if cap(sc.row) < w {
+		sc.row = make([]float64, w)
+	}
+	if cap(sc.seen) < h {
+		sc.seen = make([]bool, h)
+	}
+	sc.row, sc.seen = sc.row[:w], sc.seen[:h]
+	return sc
 }
 
 // liftRows replaces every row y of the cw×ch rectangle at the head of pix
@@ -211,13 +222,14 @@ func waveletForward2D(pix []float64, w, h, levels int) error {
 	return nil
 }
 
-// waveletInverse2D inverts waveletForward2D, deepest level first; with
-// clamp set it clamps the pixels to [0, 1] as the last level writes them.
-func waveletInverse2D(pix []float64, w, h, levels int, clamp bool) error {
+// waveletInverse2D inverts waveletForward2D, deepest level first, in
+// sc, which it fits to the plane; with clamp set it clamps the pixels to
+// [0, 1] as the last level writes them.
+func waveletInverse2D(pix []float64, w, h, levels int, clamp bool, sc *liftScratch) error {
 	if err := checkLevels(w, h, levels); err != nil {
 		return err
 	}
-	sc := newLiftScratch(w, h)
+	sc.fit(w, h)
 	for l := levels - 1; l >= 0; l-- {
 		lift := inv53
 		if clamp && l == 0 {
@@ -243,12 +255,13 @@ func packetForward2D(pix []float64, w, h, levels int) error {
 	return nil
 }
 
-// packetInverse2D inverts packetForward2D.
-func packetInverse2D(pix []float64, w, h, levels int) error {
+// packetInverse2D inverts packetForward2D in sc, which it fits to the
+// plane.
+func packetInverse2D(pix []float64, w, h, levels int, sc *liftScratch) error {
 	if err := checkPacket(w, h, levels); err != nil {
 		return err
 	}
-	packet2D(pix, newLiftScratch(w, h), w, w, h, levels, true)
+	packet2D(pix, sc.fit(w, h), w, w, h, levels, true)
 	return nil
 }
 

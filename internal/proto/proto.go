@@ -75,8 +75,11 @@ type GetImageReq struct {
 // GetImageResp carries one IMAGE_OBJECTS_TABLE row with payload. Digest
 // is the payload's SHA-256 content address in the server's blob store —
 // a client (or replica) holding a payload with the same digest already
-// has these bytes and can serve them from its cache.
+// has these bytes and can serve them from its cache. After its Pool, a
+// client call reads it into a pooled frame that Digest and Data alias
+// until its Release (replyFrame).
 type GetImageResp struct {
+	replyFrame
 	Quality int64
 	Texts   string
 	CM      float64
@@ -86,6 +89,12 @@ type GetImageResp struct {
 	// Data is empty and the client serves the payload from its cache.
 	NotModified bool
 }
+
+// replyFrame is wire.ReplyFrame under a name of this package, so that a
+// reply embeds it as an unexported field: the frame is no part of the
+// message, and reflection (gob among it) passes it by. Pool and Release
+// are promoted all the same.
+type replyFrame = wire.ReplyFrame
 
 // GetAudioReq fetches an audio object. IfDigestAbsent as in GetImageReq.
 type GetAudioReq struct {
@@ -120,7 +129,9 @@ type GetCmpReq struct {
 // GetCmpResp carries the stream header and the (possibly truncated)
 // body. Digest is the content address of the FULL stored stream, not of
 // the truncated body (a layer-truncated transfer has no stored digest).
+// Digest, Header and Data may alias a pooled frame, as in GetImageResp.
 type GetCmpResp struct {
+	replyFrame
 	Filename string
 	Digest   []byte
 	Header   []byte

@@ -84,8 +84,10 @@ func (s *Server) MetricsSnapshot() *proto.StatsResp {
 	resp.Gauges["wire.write_backlog"] = int64(backlog)
 
 	// The protocol version this server speaks, and the effectiveness
-	// (gets vs misses = hit rate) of the codec scratch pool and of the
-	// request-frame pool.
+	// (gets vs misses = hit rate) of the codec scratch pool, of the
+	// request-frame pool and of the reply-frame pool (the media replies
+	// the process's own wire clients read: a relay's, a client's run in
+	// the same process).
 	resp.Gauges["wire.proto_version"] = wire.ProtoV3
 	gets, misses := wire.PoolStats()
 	resp.Counters["wire.pool_gets"] = gets
@@ -93,6 +95,9 @@ func (s *Server) MetricsSnapshot() *proto.StatsResp {
 	gets, misses = wire.FramePoolStats()
 	resp.Counters["wire.frame_pool_gets"] = gets
 	resp.Counters["wire.frame_pool_misses"] = misses
+	gets, misses = wire.ReplyPoolStats()
+	resp.Counters["wire.reply_pool_gets"] = gets
+	resp.Counters["wire.reply_pool_misses"] = misses
 
 	// Content-addressed blob store: dedup and space-reclamation health.
 	bs, missing := s.db.DB().BlobStats()

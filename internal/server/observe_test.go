@@ -222,3 +222,25 @@ func TestStatsRPCAndMetricsSnapshot(t *testing.T) {
 		t.Fatal("go.goroutines gauge missing")
 	}
 }
+
+// sys.stats reports the reply-frame pool beside the request-frame pool:
+// a client in this process that fetches an image reads it into a pooled
+// frame, and a warm pool serves the next fetch of the same size.
+func TestStatsReportReplyPool(t *testing.T) {
+	_, addr, rec := testSystemOpts(t, Options{})
+	c := dial(t, addr, "alice")
+	for range 3 {
+		if _, _, err := c.GetImage(rec.CTID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gets, ok := stats.Counters["wire.reply_pool_gets"]
+	misses, ok2 := stats.Counters["wire.reply_pool_misses"]
+	if !ok || !ok2 || gets < 3 || misses > gets {
+		t.Fatalf("wire.reply_pool_gets = %d (%v), wire.reply_pool_misses = %d (%v)", gets, ok, misses, ok2)
+	}
+}

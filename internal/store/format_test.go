@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -54,7 +56,10 @@ func fileSize(t *testing.T, path string) int64 {
 // TestImageRowUpdateRecord pins what one row update costs the log: an
 // image-table update — the text write of the fetch_cold_rw workload — is
 // a record body of at most 160 bytes, and the append is one write(2),
-// frame header and body together.
+// frame header and body together. The write count is the whole
+// process's, which other goroutines of the test binary add to; they
+// never take from it, so the least count over five updates is the
+// append's own, and an append of two writes still shows.
 func TestImageRowUpdateRecord(t *testing.T) {
 	db, dir := openTestDB(t, Options{Sync: SyncNever})
 	tbl, err := db.CreateTable("IMAGE_OBJECTS_TABLE", mediaImageSchema)
@@ -73,21 +78,26 @@ func TestImageRowUpdateRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	walPath := filepath.Join(dir, walFile)
-	size := fileSize(t, walPath)
-	writes, counted := writeSyscalls()
-	if err := tbl.Update(id, Row{int64(2), "d0-0000001", 0.05, h}); err != nil {
-		t.Fatal(err)
-	}
-	if counted {
-		after, _ := writeSyscalls()
-		if after-writes != 1 {
-			t.Errorf("one WAL append made %d write calls, want 1", after-writes)
+	least := int64(math.MaxInt64)
+	for i := 1; i <= 5; i++ {
+		size := fileSize(t, walPath)
+		writes, counted := writeSyscalls()
+		if err := tbl.Update(id, Row{int64(2), fmt.Sprintf("d0-%07d", i), 0.05, h}); err != nil {
+			t.Fatal(err)
 		}
-	} else {
-		t.Log("no /proc/self/io: write calls not counted")
+		if after, ok := writeSyscalls(); counted && ok {
+			least = min(least, after-writes)
+		}
+		if body := fileSize(t, walPath) - size - frameHeader; body > 160 {
+			t.Errorf("image-row update record body is %d bytes, want at most 160", body)
+		}
 	}
-	if body := fileSize(t, walPath) - size - frameHeader; body > 160 {
-		t.Errorf("image-row update record body is %d bytes, want at most 160", body)
+	switch least {
+	case math.MaxInt64:
+		t.Log("no /proc/self/io: write calls not counted")
+	case 1:
+	default:
+		t.Errorf("one WAL append made at least %d write calls, want 1", least)
 	}
 }
 

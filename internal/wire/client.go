@@ -25,6 +25,14 @@ type PushHandler func(method string, body Body)
 // application error test with errors.Is.
 var ErrClosed = errors.New("wire: connection closed")
 
+// pendingCall is a call waiting for its response: the channel the
+// response goes to, and whether the caller's reply takes a pooled frame
+// (a ReplyFrame after its Pool).
+type pendingCall struct {
+	ch     chan envelope
+	pooled bool
+}
+
 // DefaultDialTimeout bounds Dial's TCP connect so a black-holed address
 // fails instead of hanging indefinitely.
 const DefaultDialTimeout = 10 * time.Second
@@ -42,7 +50,7 @@ type Client struct {
 	callTimeout atomic.Int64 // default per-call deadline in ns (0 = none)
 
 	mu      sync.Mutex
-	pending map[uint64]chan envelope
+	pending map[uint64]pendingCall
 	onPush  PushHandler
 	closed  bool
 	readErr error
@@ -77,7 +85,7 @@ func NewClient(conn net.Conn) *Client {
 	c := &Client{
 		conn:    conn,
 		fw:      newVecWriter(conn, nil),
-		pending: make(map[uint64]chan envelope),
+		pending: make(map[uint64]pendingCall),
 		ready:   make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -122,8 +130,8 @@ func (c *Client) readLoop() {
 		if err != nil && err != io.EOF {
 			c.readErr = err
 		}
-		for id, ch := range c.pending {
-			close(ch)
+		for id, call := range c.pending {
+			close(call.ch)
 			delete(c.pending, id)
 		}
 		c.mu.Unlock()
@@ -155,8 +163,10 @@ func (c *Client) readLoop() {
 		// A frame that fits the reader's buffer is read where it lies
 		// (inPlace > 0): a push body is handed to the handler from there
 		// and dropped after it returns; a response payload, which leaves
-		// this goroutine, is copied out first.
-		env, inPlace, err := peekFrame(br)
+		// this goroutine, is copied out first. A response that takes a
+		// pooled frame (pendingCall.pooled) is copied, or read whole when
+		// it is larger than the reader, into one.
+		env, inPlace, err := c.nextFrame(br)
 		if err != nil {
 			fail(err)
 			return
@@ -164,15 +174,17 @@ func (c *Client) readLoop() {
 		switch env.Kind {
 		case kindResponse:
 			c.mu.Lock()
-			ch := c.pending[env.ID]
+			call := c.pending[env.ID]
 			delete(c.pending, env.ID)
 			c.mu.Unlock()
-			if ch != nil {
-				if inPlace > 0 && len(env.Payload) > 0 {
-					env.Payload = append(make([]byte, 0, len(env.Payload)), env.Payload...)
-				}
-				ch <- env
+			if call.ch == nil {
+				putReply(env.frame) // the call was abandoned: nobody reads it
+				break
 			}
+			if inPlace > 0 && len(env.Payload) > 0 {
+				env.Payload, env.frame = copyReply(env.Payload, call.pooled)
+			}
+			call.ch <- env
 		case kindPush:
 			c.mu.Lock()
 			h := c.onPush
@@ -183,6 +195,22 @@ func (c *Client) readLoop() {
 		}
 		_, _ = br.Discard(inPlace) // cannot fail: Peek has buffered the frame
 	}
+}
+
+// nextFrame reads the next frame from br as peekFrame does, except that
+// a response too large for br's buffer whose caller takes a pooled frame
+// is read into one.
+func (c *Client) nextFrame(br *bufio.Reader) (envelope, int, error) {
+	if id, size, ok := largeReply(br); ok {
+		c.mu.Lock()
+		pooled := c.pending[id].pooled
+		c.mu.Unlock()
+		if pooled {
+			env, err := readReply(br, size)
+			return env, 0, err
+		}
+	}
+	return peekFrame(br)
 }
 
 // replyChans recycles the channels calls wait for their response on. A
@@ -261,13 +289,14 @@ func (c *Client) closedErr() error {
 }
 
 // roundTrip sends one request — payload if already encoded, args
-// otherwise — and waits for the reply payload. A non-nil error is either
-// a *RemoteError (the far handler failed) or a transport error
-// (errors.Is ErrClosed / context errors). The results are exactly
+// otherwise — and waits for the reply payload. With own set, the reply
+// may be read into a pooled frame, which own then holds. A non-nil
+// error is either a *RemoteError (the far handler failed) or a
+// transport error (errors.Is ErrClosed / context errors). The results are exactly
 // CallRaw's so that it inlines: a forwarding node runs this frame at the
 // bottom of its request step's routing, and one more frame there cost
 // the forwarded choice 5% in goroutine stack growth.
-func (c *Client) roundTrip(ctx context.Context, method string, payload []byte, args BodyEncoder) (reply []byte, err error) {
+func (c *Client) roundTrip(ctx context.Context, method string, payload []byte, args BodyEncoder, own *ReplyFrame) (reply []byte, err error) {
 	// A call made under a *Request (a relayed one) waits on the
 	// Request's connection and deadline, not on a Done child made for it.
 	// The default deadline covers the handshake wait too: a peer that
@@ -298,7 +327,7 @@ func (c *Client) roundTrip(ctx context.Context, method string, payload []byte, a
 		c.mu.Unlock()
 		return nil, fmt.Errorf("wire: call %s: %w", method, c.closedErr())
 	}
-	c.pending[id] = ch
+	c.pending[id] = pendingCall{ch: ch, pooled: own != nil}
 	c.mu.Unlock()
 
 	// Every call carries a trace id: the caller's (WithTraceID) when it
@@ -339,7 +368,12 @@ func (c *Client) roundTrip(ctx context.Context, method string, payload []byte, a
 		}
 		replyChans.Put(ch)
 		if resp.Status != statusOK {
-			return nil, &RemoteError{Err: failure(resp.Status, resp.Payload)}
+			err := failure(resp.Status, resp.Payload) // copies what it keeps
+			putReply(resp.frame)
+			return nil, &RemoteError{Err: err}
+		}
+		if resp.frame != nil {
+			own.f = resp.frame
 		}
 		return resp.Payload, nil
 	case <-done:
@@ -365,7 +399,10 @@ func (c *Client) abandon(id uint64) {
 // benchmark/ hands one through an any). A far handler's failure comes
 // back as a *RemoteError wrapping the error the response names:
 // errors.As finds an *OverloadError with its retry-after hint, a
-// *RedirectError with its target, an *UnavailableError. An abandoned
+// *RedirectError with its target, an *UnavailableError. A reply that
+// embeds ReplyFrame, after its Pool, may come back holding a pooled
+// frame its byte fields alias; the caller releases it when done with
+// them, or leaves it to the collector. An abandoned
 // call's response is discarded if it arrives later; the server side may
 // still run to completion unless its own timeout or the connection's
 // death cancels it.
@@ -374,7 +411,11 @@ func (c *Client) CallCtx(ctx context.Context, method string, args BodyEncoder, r
 	if reply != nil && !ok {
 		return fmt.Errorf("wire: call %s: reply %T implements no BodyDecoder", method, reply)
 	}
-	payload, err := c.roundTrip(ctx, method, nil, args)
+	var own *ReplyFrame
+	if h, ok := reply.(frameHolder); ok && h.replyFrame().pool {
+		own = h.replyFrame()
+	}
+	payload, err := c.roundTrip(ctx, method, nil, args, own)
 	if err != nil {
 		return err
 	}

@@ -557,8 +557,8 @@ func appendFrameHeader(dst []byte, env *envelope) []byte {
 
 // parseFrame decodes one frame body (the bytes after the length prefix)
 // into env. The payload aliases buf: readFrame hands over an exact-size
-// buffer it allocated, readRequest a pooled frame, peekFrame the
-// reader's own buffer.
+// buffer it allocated, readRequest a pooled frame, readReply a pooled
+// reply buffer, peekFrame the reader's own buffer.
 func parseFrame(buf []byte) (envelope, error) {
 	var env envelope
 	d := NewDec(buf)
@@ -603,7 +603,12 @@ func readFrame(r io.Reader) (envelope, error) {
 	if err != nil {
 		return envelope{}, err
 	}
-	buf := make([]byte, n)
+	return readBody(r, make([]byte, n))
+}
+
+// readBody reads a frame body, its length prefix already consumed, into
+// buf, which is exactly its length, and parses it there.
+func readBody(r io.Reader, buf []byte) (envelope, error) {
 	if _, err := io.ReadFull(r, buf); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
@@ -611,6 +616,19 @@ func readFrame(r io.Reader) (envelope, error) {
 		return envelope{}, err
 	}
 	return parseFrame(buf)
+}
+
+// peekLen returns the length of br's next frame, from its prefix, which
+// it leaves in br.
+func peekLen(br *bufio.Reader) (int, error) {
+	hdr, err := br.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return 0, err
+	}
+	return frameLen(hdr)
 }
 
 // frameLen checks a frame's length prefix.
@@ -628,14 +646,7 @@ func frameLen(hdr []byte) (int, error) {
 // larger frame takes readFrame's exact-size buffer and comes back with n
 // 0, already consumed.
 func peekFrame(br *bufio.Reader) (env envelope, n int, err error) {
-	hdr, err := br.Peek(4)
-	if err != nil {
-		if err == io.EOF && len(hdr) > 0 {
-			err = io.ErrUnexpectedEOF
-		}
-		return envelope{}, 0, err
-	}
-	size, err := frameLen(hdr)
+	size, err := peekLen(br)
 	if err != nil {
 		return envelope{}, 0, err
 	}

@@ -109,9 +109,10 @@ func sameFrame(a, b envelope) bool {
 // then goes through the server's reader, readRequest, which reads a frame
 // up to frameClass into a pooled buffer, and through the client's,
 // peekFrame over a small bufio.Reader, which parses a frame that fits its
-// buffer in place and reads a larger one into an exact buffer: frame by
-// frame, each must decode what readFrame decodes and stop where and how
-// readFrame stops.
+// buffer in place and reads a larger one into an exact buffer, or, for a
+// response whose caller takes a pooled frame, into a reply buffer
+// (largeReply, readReply): frame by frame, each must decode what
+// readFrame decodes and stop where and how readFrame stops.
 func FuzzReadFrame(f *testing.F) {
 	frame := func(payload int) []byte {
 		env := envelope{Kind: kindPush, ID: 5, Method: "inline.name", Payload: bytes.Repeat([]byte{7}, payload)}
@@ -170,6 +171,33 @@ func FuzzReadFrame(f *testing.F) {
 			}
 			same("from the server's reader", i, env, want[i])
 			putFrame(frame)
+		}
+		// The client's read of responses whose callers all take pooled
+		// frames (Client.nextFrame, every call pooled).
+		cr := bufio.NewReaderSize(bytes.NewReader(data), fuzzReaderSize)
+		for i := 0; ; i++ {
+			var env envelope
+			var inPlace int
+			var err error
+			if _, size, ok := largeReply(cr); ok {
+				env, err = readReply(cr, size)
+			} else {
+				env, inPlace, err = peekFrame(cr)
+			}
+			if err != nil {
+				if i != len(want) || err.Error() != wantErr.Error() {
+					t.Fatalf("pooled replies: frame %d failed with %v; exact buffers: %d frames, then %v", i, err, len(want), wantErr)
+				}
+				break
+			}
+			if i == len(want) {
+				t.Fatalf("pooled replies: frame %d decoded; exact buffers stopped there with %v", i, wantErr)
+			}
+			same("into a pooled reply", i, env, want[i])
+			putReply(env.frame)
+			if _, err := cr.Discard(inPlace); err != nil {
+				t.Fatalf("discard frame %d: %v", i, err)
+			}
 		}
 		br := bufio.NewReaderSize(bytes.NewReader(data), fuzzReaderSize)
 		for i := 0; ; i++ {

@@ -155,5 +155,5 @@ func (e *RemoteError) Unwrap() error { return e.Err }
 // handler failed; return it to relay its status) or a transport error
 // (errors.Is ErrClosed / context errors — the relay link itself died).
 func (c *Client) CallRaw(ctx context.Context, method string, payload []byte) ([]byte, error) {
-	return c.roundTrip(ctx, method, payload, nil)
+	return c.roundTrip(ctx, method, payload, nil, nil)
 }

@@ -49,6 +49,9 @@ type envelope struct {
 	// (exclusive with Payload). Consumed — and returned to the pool — by
 	// the frame writer.
 	body *BodyEnc
+	// frame is the pooled buffer a received response's payload aliases,
+	// when its caller takes one (framepool.go); nil otherwise.
+	frame *replyBuf
 }
 
 // Handler processes one request on the server. payload is the request
