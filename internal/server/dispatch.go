@@ -32,11 +32,13 @@ import (
 //     learns its service time from the same end time.
 
 // method is one registered RPC as dispatch sees it: its name, its
-// admission class (looked up once, at Register) and its handler.
+// admission class and its statistics recorder (both resolved once, at
+// Register) and its handler.
 type method struct {
 	name  string
 	class wire.Priority
 	h     wire.Handler
+	stats *wire.MethodRecorder
 }
 
 // peerBucketKey stores a connection's token bucket in its peer meta.
@@ -61,7 +63,7 @@ func (s *Server) dispatch(ctx context.Context, m *method, p *wire.Peer, payload 
 			s.limiter.Release(end.Sub(admitted))
 		}
 		d := end.Sub(start)
-		s.stats.Observe(m.name, d, err)
+		m.stats.Observe(d, err)
 		s.tracer.Observe(tr, d, err)
 		if d >= s.slow {
 			s.logf("server: slow request %s from peer %d: %v (err=%v)", m.name, p.ID, d, err)
@@ -99,7 +101,7 @@ func (s *Server) admit(ctx context.Context, p *wire.Peer, class wire.Priority, t
 	if s.perPeerRate > 0 && class != wire.PriorityControl {
 		bucket = s.bucket(p)
 		if ok, ra := bucket.Take(tr.Begin); !ok {
-			s.stats.Add(wire.CounterShedRate, 1)
+			s.ctr.admission.Shed(wire.ShedReasonRate)
 			return time.Time{}, &wire.OverloadError{Reason: wire.ShedReasonRate, RetryAfter: ra}
 		}
 	}
@@ -118,11 +120,11 @@ func (s *Server) admit(ctx context.Context, p *wire.Peer, class wire.Priority, t
 		}
 		var oe *wire.OverloadError
 		if errors.As(err, &oe) {
-			s.stats.Add(oe.Counter(), 1)
+			s.ctr.admission.Shed(oe.Reason)
 		}
 		return time.Time{}, err
 	}
-	s.stats.Add(wire.CounterAdmitted, 1)
+	s.ctr.admission.Admitted()
 	return now, nil
 }
 

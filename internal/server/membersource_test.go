@@ -36,6 +36,7 @@ func TestMemberSourceAllocatesOnlyThePayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := &Server{stats: wire.NewStats()}
+	s.ctr = newCounters(s.stats)
 	s.qos = newQoSController(s, time.Second, 0) // never runs: detach only removes the membership
 	s.sources.Add(1)
 	src := &membership{s: s, rs: &roomState{room: r}, member: member}

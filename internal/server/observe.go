@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"sort"
+	"sync/atomic"
 
 	"mmconf/internal/bytecache"
 	"mmconf/internal/obs"
@@ -52,6 +53,38 @@ const (
 	CounterReconnectResumes = "reconnect.resumes"
 	CounterReconnectRejoins = "reconnect.rejoins"
 )
+
+// counters are the server's own named counters, each resolved from its
+// Stats once, in NewWith: whatever counts adds to the handle, and a
+// fresh server reports every one of them at zero.
+type counters struct {
+	fanoutEvents, fanoutEncodes, encodesSaved, queueDrops *atomic.Uint64
+	docCacheHits, docCacheMisses                          *atomic.Uint64
+	sessionDetached, sessionResumed, sessionExpired       *atomic.Uint64
+	reconnectResumes, reconnectRejoins                    *atomic.Uint64
+	qosTuneChanges, qosPrefetchPushes, qosPrefetchBytes   *atomic.Uint64
+	admission                                             wire.AdmissionCounters
+}
+
+func newCounters(st *wire.Stats) counters {
+	return counters{
+		fanoutEvents:      st.Handle(CounterFanoutEvents),
+		fanoutEncodes:     st.Handle(CounterFanoutEncodes),
+		encodesSaved:      st.Handle(CounterEncodesSaved),
+		queueDrops:        st.Handle(CounterQueueDrops),
+		docCacheHits:      st.Handle(CounterDocCacheHits),
+		docCacheMisses:    st.Handle(CounterDocCacheMisses),
+		sessionDetached:   st.Handle(CounterSessionDetached),
+		sessionResumed:    st.Handle(CounterSessionResumed),
+		sessionExpired:    st.Handle(CounterSessionExpired),
+		reconnectResumes:  st.Handle(CounterReconnectResumes),
+		reconnectRejoins:  st.Handle(CounterReconnectRejoins),
+		qosTuneChanges:    st.Handle(CounterQoSTuneChanges),
+		qosPrefetchPushes: st.Handle(CounterQoSPrefetchPushes),
+		qosPrefetchBytes:  st.Handle(CounterQoSPrefetchBytes),
+		admission:         wire.NewAdmissionCounters(st),
+	}
+}
 
 // MetricsSnapshot assembles the server's full observability view: every
 // method's latency summary (mean plus log-bucketed tail percentiles),

@@ -3,6 +3,9 @@ package server
 import (
 	"context"
 	"net"
+	"os"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -242,5 +245,65 @@ func TestStatsReportReplyPool(t *testing.T) {
 	misses, ok2 := stats.Counters["wire.reply_pool_misses"]
 	if !ok || !ok2 || gets < 3 || misses > gets {
 		t.Fatalf("wire.reply_pool_gets = %d (%v), wire.reply_pool_misses = %d (%v)", gets, ok, misses, ok2)
+	}
+}
+
+// designCounters reads DESIGN.md's table of counters ("### Counters",
+// §7): counter name → owning package.
+func designCounters(t *testing.T) map[string]string {
+	t.Helper()
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n### Counters\n")
+	if !ok {
+		t.Fatal("DESIGN.md has no \"### Counters\" section")
+	}
+	section, _, _ = strings.Cut(section, "\n#")
+	row := regexp.MustCompile("(?m)^\\| `([a-z0-9_.]+)` \\| `(internal/[a-z]+)` \\|")
+	out := make(map[string]string)
+	for _, m := range row.FindAllStringSubmatch(section, -1) {
+		out[m[1]] = m[2]
+	}
+	if len(out) == 0 {
+		t.Fatal("DESIGN.md's counter table has no rows")
+	}
+	return out
+}
+
+// TestCountersAreTheDesignTable: a fresh server reports exactly the
+// counters DESIGN.md's table lists (less the cluster node's), each at
+// zero — every handle is made when the server is built, so no counter
+// appears only once something has counted.
+func TestCountersAreTheDesignTable(t *testing.T) {
+	db, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	m, err := mediadb.Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewWith(m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	got := srv.MetricsSnapshot().Counters
+	want := designCounters(t)
+	for name, owner := range want {
+		if _, ok := got[name]; !ok && owner != "internal/cluster" {
+			t.Errorf("DESIGN.md lists %s (%s); a fresh server does not report it", name, owner)
+		}
+	}
+	for name, v := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("a fresh server reports %s; DESIGN.md's counter table does not list it", name)
+		}
+		if v != 0 && !strings.Contains(name, "pool_") { // the frame and codec pools are the process's
+			t.Errorf("a fresh server's %s = %d, want 0", name, v)
+		}
 	}
 }

@@ -112,7 +112,7 @@ func (q *qosController) tick() {
 			// The member may have left or the document may carry no tuning
 			// variable (no degradable components); both are benign.
 			if _, err := mb.rs.room.SetMemberEnvironment(mb.user, core.BandwidthVariable, level.String()); err == nil {
-				q.s.stats.Add(CounterQoSTuneChanges, 1)
+				q.s.ctr.qosTuneChanges.Add(1)
 			}
 		}
 		q.prefetch(mb)
@@ -166,8 +166,8 @@ func (q *qosController) prefetch(mb *membership) {
 		}
 		mb.pushed[cand.ObjectID] = true
 		mb.pushedBytes += n
-		q.s.stats.Add(CounterQoSPrefetchPushes, 1)
-		q.s.stats.Add(CounterQoSPrefetchBytes, uint64(n))
+		q.s.ctr.qosPrefetchPushes.Add(1)
+		q.s.ctr.qosPrefetchBytes.Add(uint64(n))
 	}
 }
 

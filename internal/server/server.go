@@ -122,6 +122,7 @@ type Server struct {
 	db      *mediadb.MediaDB
 	rpc     *wire.Server
 	stats   *wire.Stats
+	ctr     counters // stats' counters, resolved once
 	tracer  *obs.Recorder
 	objects *bytecache.Cache[blob.Digest] // nil when caching is off
 	grace   time.Duration
@@ -250,6 +251,7 @@ func NewWith(db *mediadb.MediaDB, o Options) (*Server, error) {
 		pushBudget:   memberPushBudget,
 		cluster:      o.Cluster,
 	}
+	s.ctr = newCounters(s.stats)
 	if o.CacheBytes > 0 {
 		s.objects = bytecache.New[blob.Digest](o.CacheBytes)
 		s.stats.Bind(CounterObjCacheHits, &s.objects.Hits)
@@ -273,8 +275,8 @@ func NewWith(db *mediadb.MediaDB, o Options) (*Server, error) {
 }
 
 // Stats exposes the pipeline's per-method request counters plus the
-// push-path/cache named counters (see the Counter* constants in
-// cache.go and package wire's CounterWriter*).
+// named counters (the Counter* constants here and in package wire;
+// DESIGN.md §7 lists every one).
 func (s *Server) Stats() *wire.Stats { return s.stats }
 
 // Register installs an RPC handler behind the request step, with the
@@ -287,7 +289,7 @@ func (s *Server) Register(name string, h wire.Handler) {
 	if row, ok := proto.Lookup(name); ok {
 		class = row.Class
 	}
-	m := &method{name: name, class: class, h: h}
+	m := &method{name: name, class: class, h: h, stats: s.stats.Recorder(name)}
 	s.rpc.Register(name, func(ctx context.Context, p *wire.Peer, payload []byte) (any, error) {
 		return s.dispatch(ctx, m, p, payload)
 	})

@@ -138,7 +138,7 @@ func (s *Server) buildRoom(name, docID string) (*roomState, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.OnQueueDrop(func(string) { s.stats.Add(CounterQueueDrops, 1) })
+	r.OnQueueDrop(func(string) { s.ctr.queueDrops.Add(1) })
 	r.SetGrace(s.grace)
 	// Cluster wiring: a room moving here after failover restores the
 	// replicated log before any member joins; the tap reports every
@@ -154,7 +154,7 @@ func (s *Server) buildRoom(name, docID string) (*roomState, error) {
 	// Safe to enable: membership.Drain refunds every delivered event
 	// via member.Consumed.
 	r.SetPushBudget(s.pushBudget)
-	r.OnSessionExpire(func(string) { s.stats.Add(CounterSessionExpired, 1) })
+	r.OnSessionExpire(func(string) { s.ctr.sessionExpired.Add(1) })
 	return &roomState{room: r, docID: docID, doc: doc}, nil
 }
 
@@ -232,13 +232,13 @@ func (s *Server) handleJoinRoom(ctx context.Context, p *wire.Peer, req *proto.Jo
 		case rerr == nil:
 			member, history, view = m, missed, v
 			resumed, complete = true, comp
-			s.stats.Add(CounterSessionResumed, 1)
-			s.stats.Add(CounterReconnectResumes, 1)
+			s.ctr.sessionResumed.Add(1)
+			s.ctr.reconnectResumes.Add(1)
 		case errors.Is(rerr, room.ErrNoSession):
 			// The detached session expired (or never existed): fall back
 			// to a fresh join so the reconnecting client still lands in
 			// the room, just without replay continuity.
-			s.stats.Add(CounterReconnectRejoins, 1)
+			s.ctr.reconnectRejoins.Add(1)
 		default:
 			sessions.drop(req.Room)
 			return nil, rerr
@@ -266,9 +266,9 @@ func (s *Server) handleJoinRoom(ctx context.Context, p *wire.Peer, req *proto.Jo
 			return nil, err
 		}
 		if hit {
-			s.stats.Add(CounterDocCacheHits, 1)
+			s.ctr.docCacheHits.Add(1)
 		} else {
-			s.stats.Add(CounterDocCacheMisses, 1)
+			s.ctr.docCacheMisses.Add(1)
 		}
 		resp.DocData = docData
 	}
@@ -323,11 +323,11 @@ func (mb *membership) Drain(push func(method string, payload []byte)) (open bool
 		// queue the room no longer holds it for this member.
 		mb.member.Consumed(mb.ev)
 		payload, encoded := mb.ev.EncodeShared()
-		mb.s.stats.Add(CounterFanoutEvents, 1)
+		mb.s.ctr.fanoutEvents.Add(1)
 		if encoded {
-			mb.s.stats.Add(CounterFanoutEncodes, 1)
+			mb.s.ctr.fanoutEncodes.Add(1)
 		} else {
-			mb.s.stats.Add(CounterEncodesSaved, 1)
+			mb.s.ctr.encodesSaved.Add(1)
 		}
 		push(proto.MEvent, payload)
 	}
@@ -342,7 +342,7 @@ func (mb *membership) Drain(push func(method string, payload []byte)) (open bool
 func (mb *membership) Abandon() {
 	mb.sessions.drop(mb.rs.room.Name)
 	if mb.rs.room.Detach(mb.member) {
-		mb.s.stats.Add(CounterSessionDetached, 1)
+		mb.s.ctr.sessionDetached.Add(1)
 	}
 	// Detach closed the channel with events possibly still queued; drain
 	// them so their push-budget charges are refunded — otherwise the

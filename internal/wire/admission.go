@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -383,17 +384,37 @@ const (
 	CounterShedRate      = "admission.shed.rate"
 )
 
-// Counter names the admission counter this shed is counted under.
-func (e *OverloadError) Counter() string {
-	switch e.Reason {
-	case ShedReasonQueueFull:
-		return CounterShedQueueFull
-	case ShedReasonDeadline:
-		return CounterShedDeadline
-	case ShedReasonDisplaced:
-		return CounterShedDisplaced
-	case ShedReasonRate:
-		return CounterShedRate
+// AdmissionCounters are the admission counters a request step adds
+// to, resolved from its Stats once.
+type AdmissionCounters struct {
+	admitted, queueFull, deadline, displaced, rate *atomic.Uint64
+}
+
+// NewAdmissionCounters resolves the admission counters in st.
+func NewAdmissionCounters(st *Stats) AdmissionCounters {
+	return AdmissionCounters{
+		admitted:  st.Handle(CounterAdmitted),
+		queueFull: st.Handle(CounterShedQueueFull),
+		deadline:  st.Handle(CounterShedDeadline),
+		displaced: st.Handle(CounterShedDisplaced),
+		rate:      st.Handle(CounterShedRate),
 	}
-	return "admission.shed.other"
+}
+
+// Admitted counts one request that passed admission.
+func (c AdmissionCounters) Admitted() { c.admitted.Add(1) }
+
+// Shed counts one request shed for reason, a ShedReason* constant (the
+// only reasons an OverloadError of this package carries).
+func (c AdmissionCounters) Shed(reason string) {
+	switch reason {
+	case ShedReasonQueueFull:
+		c.queueFull.Add(1)
+	case ShedReasonDeadline:
+		c.deadline.Add(1)
+	case ShedReasonDisplaced:
+		c.displaced.Add(1)
+	case ShedReasonRate:
+		c.rate.Add(1)
+	}
 }

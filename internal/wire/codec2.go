@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -80,44 +81,58 @@ var errFrameTruncated = errors.New("wire: truncated frame")
 
 // --- method-code registry -------------------------------------------------
 
+// methodTable is one immutable version of the code table: a frame's
+// encode and parse read the current one with one atomic load, and
+// RegisterMethodCode replaces it whole.
+type methodTable struct {
+	codeByMethod map[string]uint16
+	methodByCode map[uint16]string
+}
+
 var (
-	methodMu     sync.RWMutex
-	codeByMethod = make(map[string]uint16)
-	methodByCode = make(map[uint16]string)
+	methodMu sync.Mutex // serializes RegisterMethodCode's copy and swap
+	methods  atomic.Pointer[methodTable]
 )
+
+func init() {
+	methods.Store(&methodTable{codeByMethod: make(map[string]uint16), methodByCode: make(map[uint16]string)})
+}
 
 // RegisterMethodCode assigns a stable u16 code to a method name so
 // frames carry 2 bytes instead of the string. Both sides of a
 // connection share the table (it is populated by package init in
 // internal/proto). Codes 0xFFFF and duplicates panic: the table is
 // program-wide protocol surface, and a collision is a build bug.
+// Registering copies the table, so it is cheap only at start-up.
 func RegisterMethodCode(code uint16, method string) {
 	if code == methodNoCode {
 		panic("wire: method code 0xFFFF is reserved")
 	}
 	methodMu.Lock()
 	defer methodMu.Unlock()
-	if prev, ok := methodByCode[code]; ok && prev != method {
+	cur := methods.Load()
+	if prev, ok := cur.methodByCode[code]; ok && prev != method {
 		panic(fmt.Sprintf("wire: method code %d already bound to %q", code, prev))
 	}
-	if prev, ok := codeByMethod[method]; ok && prev != code {
+	if prev, ok := cur.codeByMethod[method]; ok && prev != code {
 		panic(fmt.Sprintf("wire: method %q already bound to code %d", method, prev))
 	}
-	methodByCode[code] = method
-	codeByMethod[method] = code
+	next := &methodTable{
+		codeByMethod: maps.Clone(cur.codeByMethod),
+		methodByCode: maps.Clone(cur.methodByCode),
+	}
+	next.methodByCode[code] = method
+	next.codeByMethod[method] = code
+	methods.Store(next)
 }
 
 func methodCode(method string) (uint16, bool) {
-	methodMu.RLock()
-	c, ok := codeByMethod[method]
-	methodMu.RUnlock()
+	c, ok := methods.Load().codeByMethod[method]
 	return c, ok
 }
 
 func methodName(code uint16) (string, bool) {
-	methodMu.RLock()
-	m, ok := methodByCode[code]
-	methodMu.RUnlock()
+	m, ok := methods.Load().methodByCode[code]
 	return m, ok
 }
 

@@ -233,7 +233,7 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameBatchCoalesces(t *testing.T) {
 	st := NewStats()
 	var conn fakeConn
-	w := newVecWriter(&conn, st)
+	w := newVecWriter(&conn, newPeerCounters(st))
 	const k = 10
 	payload := bytes.Repeat([]byte{9}, externThreshold+1)
 	for i := 0; i < k; i++ {

@@ -204,8 +204,12 @@ func TestClientProtoVersionDeadConn(t *testing.T) {
 
 func TestStatsSurface(t *testing.T) {
 	st := NewStats()
-	st.Observe("m", 10*time.Millisecond, nil)
-	st.Observe("m", 30*time.Millisecond, errors.New("deliberate failure"))
+	if st.Method("m") != (MethodStats{}) || len(st.Snapshot()) != 0 {
+		t.Error("a method with no request has a record")
+	}
+	rec := st.Recorder("m")
+	rec.Observe(10*time.Millisecond, nil)
+	rec.Observe(30*time.Millisecond, errors.New("deliberate failure"))
 	ms := st.Method("m")
 	if ms.Requests != 2 || ms.Errors != 1 {
 		t.Fatalf("Method = %+v", ms)
@@ -219,9 +223,16 @@ func TestStatsSurface(t *testing.T) {
 	if st.Histogram("m") == nil || st.Histogram("absent") != nil {
 		t.Error("Histogram lookup wrong")
 	}
-	st.Add("c", 2)
-	st.Add("c", 3)
-	if all := st.Counters(); all["c"] != 5 {
+	if all := st.Counters(); len(all) != 0 {
+		t.Errorf("fresh Counters = %v", all)
+	}
+	c := st.Handle("c")
+	if all := st.Counters(); len(all) != 1 || all["c"] != 0 {
+		t.Errorf("Counters of a resolved, unused handle = %v", all)
+	}
+	c.Add(2)
+	st.Handle("c").Add(3) // the same counter
+	if all := st.Counters(); all["c"] != 5 || st.Counter("c") != 5 || st.Counter("absent") != 0 {
 		t.Errorf("Counters = %v", all)
 	}
 }

@@ -25,8 +25,8 @@ const writeFlushBytes = 1 << 20
 // writer goroutine, the client guards it with its write mutex.
 type vecWriter struct {
 	conn  net.Conn
-	stats *Stats
-	meter *qos.Meter // optional per-peer throughput estimator
+	ctr   *peerCounters // optional: a server's writers count, a client's do not
+	meter *qos.Meter    // optional per-peer throughput estimator
 	buf   []byte
 	spans []span
 	iov   [][]byte    // flush's segment list, kept from flush to flush
@@ -34,8 +34,8 @@ type vecWriter struct {
 	total int
 }
 
-func newVecWriter(conn net.Conn, stats *Stats) *vecWriter {
-	return &vecWriter{conn: conn, stats: stats, buf: make([]byte, 0, 4096)}
+func newVecWriter(conn net.Conn, ctr *peerCounters) *vecWriter {
+	return &vecWriter{conn: conn, ctr: ctr, buf: make([]byte, 0, 4096)}
 }
 
 // addScratch records [off,off+n) of w.buf as frame bytes, merging with
@@ -131,10 +131,9 @@ func (w *vecWriter) flush() error {
 		// QoS estimator's raw signal.
 		w.meter.Observe(int(n), time.Since(start))
 	}
-	if w.stats != nil {
-		w.stats.Add(CounterWriterFlushes, 1)
-		w.stats.Add(CounterWriterWrites, 1)
-		w.stats.Add(CounterWriterBytes, uint64(n))
+	if w.ctr != nil {
+		w.ctr.flushes.Add(1)
+		w.ctr.bytes.Add(uint64(n))
 	}
 	w.spans = w.spans[:0]
 	w.total = 0

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"mmconf/internal/qos"
 )
@@ -39,6 +40,29 @@ const (
 	CounterConns = "wire.conns"
 )
 
+// peerCounters are the counters a server's connections and their
+// writers add to, resolved from its Stats once, when the Stats is
+// installed.
+type peerCounters struct {
+	conns    *atomic.Uint64
+	messages *atomic.Uint64
+	// flushes counts CounterWriterFlushes and CounterWriterWrites: a
+	// flush is one net.Buffers write, so the two names read one counter.
+	flushes *atomic.Uint64
+	bytes   *atomic.Uint64
+}
+
+func newPeerCounters(st *Stats) *peerCounters {
+	c := &peerCounters{
+		conns:    st.Handle(CounterConns),
+		messages: st.Handle(CounterWriterMessages),
+		flushes:  st.Handle(CounterWriterFlushes),
+		bytes:    st.Handle(CounterWriterBytes),
+	}
+	st.Bind(CounterWriterWrites, c.flushes)
+	return c
+}
+
 // errPeerClosed reports a send on a peer whose connection ended.
 var errPeerClosed = errors.New("wire: peer connection closed")
 
@@ -67,8 +91,8 @@ type Peer struct {
 	stop   chan struct{} // closed by ServeConn teardown
 	dead   chan struct{} // closed when the writer exits; werr is valid after
 	werr   error
-	stats  *Stats     // optional counter sink
-	qmeter *qos.Meter // per-connection write-throughput estimator
+	ctr    *peerCounters // nil when the server has no Stats
+	qmeter *qos.Meter    // per-connection write-throughput estimator
 
 	srcMu   sync.Mutex
 	sources []Source // appended to or replaced, never edited in place: the writer ranges over a snapshot
@@ -243,10 +267,30 @@ func (p *Peer) Close() error { return p.conn.Close() }
 
 // send enqueues one envelope for the writer goroutine. A nil return
 // means the message is queued in FIFO order, not yet on the wire; a
-// peer whose writer has died (broken connection) fails fast.
+// peer whose writer has died (broken connection) or whose connection
+// is being torn down fails, every time. With room in the queue the send
+// is one non-blocking channel operation (after the two checks, which
+// take no lock on an open channel); a full queue waits for room, the
+// writer's exit or the teardown, whichever comes first.
 func (p *Peer) send(env envelope) error {
 	select {
-	case p.writeQ <- writeItem{env: env}:
+	case <-p.dead:
+		return p.deadErr()
+	default:
+	}
+	select {
+	case <-p.stop:
+		return errPeerClosed
+	default:
+	}
+	it := writeItem{env: env}
+	select {
+	case p.writeQ <- it:
+		return nil
+	default:
+	}
+	select {
+	case p.writeQ <- it:
 		return nil
 	case <-p.dead:
 		return p.deadErr()
@@ -277,13 +321,13 @@ func (p *Peer) writeLoop() {
 	// session, and nothing it does may wait on this writer.
 	defer p.abandonSources()
 	defer close(p.dead)
-	w := newVecWriter(p.conn, p.stats)
+	w := newVecWriter(p.conn, p.ctr)
 	w.meter = p.qmeter
 	var werr error // the first failed socket write; the loop ends on it
 	encode := func(env *envelope) {
 		w.encodeFrame(env)
-		if p.stats != nil {
-			p.stats.Add(CounterWriterMessages, 1)
+		if p.ctr != nil {
+			p.ctr.messages.Add(1)
 		}
 		if w.pending() >= writeFlushBytes {
 			werr = w.flush()

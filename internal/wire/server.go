@@ -25,7 +25,7 @@ type Server struct {
 	listeners []net.Listener
 	peers     map[uint64]*Peer
 	draining  bool
-	stats     *Stats // optional counter sink handed to every peer writer
+	ctr       *peerCounters // an installed Stats' counters, resolved by SetStats
 
 	inflight sync.WaitGroup
 	baseCtx  context.Context
@@ -91,11 +91,13 @@ func (s *Server) OnPeerClose(fn func(*Peer)) {
 }
 
 // SetStats installs the counter sink peer writers record into (writer
-// flushes, bytes, messages). Install before serving.
+// flushes, bytes, messages) and connections are counted in, resolving
+// each counter once. Install before serving.
 func (s *Server) SetStats(st *Stats) {
+	ctr := newPeerCounters(st)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.stats = st
+	s.ctr = ctr
 }
 
 // Serve accepts connections until the listener closes.
@@ -237,7 +239,7 @@ func (s *Server) Close() error {
 // and in-process setups can serve a net.Pipe end directly).
 func (s *Server) ServeConn(conn net.Conn) {
 	s.mu.Lock()
-	st := s.stats
+	ctr := s.ctr
 	s.mu.Unlock()
 	// Version handshake: the client opens with a preamble carrying the
 	// highest version it speaks. Anything else — no preamble, or a client
@@ -261,8 +263,8 @@ func (s *Server) ServeConn(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	if st != nil {
-		st.Add(CounterConns, 1)
+	if ctr != nil {
+		ctr.conns.Add(1)
 	}
 	peer := &Peer{
 		ID:     atomic.AddUint64(&s.nextPeer, 1),
@@ -271,7 +273,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 		kick:   make(chan struct{}, 1),
 		stop:   make(chan struct{}),
 		dead:   make(chan struct{}),
-		stats:  st,
+		ctr:    ctr,
 		qmeter: qos.NewMeter(),
 		meta:   make(map[string]any),
 	}

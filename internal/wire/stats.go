@@ -29,11 +29,14 @@ func (ms MethodStats) Mean() time.Duration {
 	return ms.TotalLatency / time.Duration(ms.Requests)
 }
 
-// methodRec is the live per-method accumulator behind MethodStats.
+// methodRec is the live per-method accumulator behind MethodStats. Its
+// fields are atomics, so a request records into it without a lock; a
+// snapshot taken meanwhile may count a request in one field and not yet
+// in another.
 type methodRec struct {
-	requests uint64
-	errors   uint64
-	total    time.Duration
+	requests atomic.Uint64
+	errors   atomic.Uint64
+	total    atomic.Int64 // nanoseconds
 	hist     *obs.Histogram
 }
 
@@ -41,9 +44,9 @@ type methodRec struct {
 func (r *methodRec) snapshot() MethodStats {
 	hs := r.hist.Snapshot()
 	return MethodStats{
-		Requests:     r.requests,
-		Errors:       r.errors,
-		TotalLatency: r.total,
+		Requests:     r.requests.Load(),
+		Errors:       r.errors.Load(),
+		TotalLatency: time.Duration(r.total.Load()),
 		MaxLatency:   hs.Max,
 		P50:          hs.Quantile(0.50),
 		P90:          hs.Quantile(0.90),
@@ -58,67 +61,111 @@ func (r *methodRec) snapshot() MethodStats {
 // histograms, so snapshots report tail percentiles, not just means. A
 // single Stats may be shared across servers; all methods are safe for
 // concurrent use.
+//
+// Nothing that counts names what it counts as it goes: a counter's owner
+// resolves it to a handle (Handle) and a method's request step to a
+// recorder (Recorder) once, when it is built, and the message path pays
+// one atomic add per count. The lock below guards only the tables those
+// resolutions and the snapshots read.
 type Stats struct {
-	mu      sync.Mutex
-	methods map[string]*methodRec
-	// counters maps name -> *atomic.Uint64; sync.Map keeps Add
-	// lock-free on the push/write hot paths.
-	counters sync.Map
+	mu       sync.Mutex
+	methods  map[string]*methodRec
+	counters map[string]*atomic.Uint64
 }
 
 // NewStats returns an empty collector.
-func NewStats() *Stats { return &Stats{methods: make(map[string]*methodRec)} }
+func NewStats() *Stats {
+	return &Stats{methods: make(map[string]*methodRec), counters: make(map[string]*atomic.Uint64)}
+}
 
-// Add increments the named monotonic counter by delta, creating it on
-// first use. Safe for concurrent use; hot paths pay one sync.Map load.
-func (st *Stats) Add(name string, delta uint64) {
-	c, ok := st.counters.Load(name)
-	if !ok {
-		c, _ = st.counters.LoadOrStore(name, new(atomic.Uint64))
+// Handle returns the counter named name, made at zero on the first call
+// and the same counter on every later one: its owner keeps it and adds
+// to it directly. A counter exists, and Counters reports it, from the
+// moment it is resolved.
+func (st *Stats) Handle(name string) *atomic.Uint64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	c := st.counters[name]
+	if c == nil {
+		c = new(atomic.Uint64)
+		st.counters[name] = c
 	}
-	c.(*atomic.Uint64).Add(delta)
+	return c
 }
 
 // Bind publishes a counter its owner increments itself under name, so
 // a component that already counts (the payload cache) is read live
 // without a second tally. Bind before serving; it replaces any counter
 // already stored under name.
-func (st *Stats) Bind(name string, c *atomic.Uint64) { st.counters.Store(name, c) }
+func (st *Stats) Bind(name string, c *atomic.Uint64) {
+	st.mu.Lock()
+	st.counters[name] = c
+	st.mu.Unlock()
+}
 
-// Counter returns the named counter's value (0 if never incremented).
+// Counter returns the named counter's value (0 if it does not exist).
 func (st *Stats) Counter(name string) uint64 {
-	if c, ok := st.counters.Load(name); ok {
-		return c.(*atomic.Uint64).Load()
+	st.mu.Lock()
+	c := st.counters[name]
+	st.mu.Unlock()
+	if c == nil {
+		return 0
 	}
-	return 0
+	return c.Load()
 }
 
 // Counters snapshots every named counter.
 func (st *Stats) Counters() map[string]uint64 {
-	out := make(map[string]uint64)
-	st.counters.Range(func(k, v any) bool {
-		out[k.(string)] = v.(*atomic.Uint64).Load()
-		return true
-	})
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	out := make(map[string]uint64, len(st.counters))
+	for name, c := range st.counters {
+		out[name] = c.Load()
+	}
 	return out
 }
 
-// Observe records one request of method that took d and ended in err.
-func (st *Stats) Observe(method string, d time.Duration, err error) {
+// MethodRecorder records one method's requests into its Stats. The
+// method's record — a histogram is 8 KiB — is made on its first
+// request, so a method never called costs nothing and reads as absent;
+// from then on the recorder holds it and Observe takes no lock.
+type MethodRecorder struct {
+	st   *Stats
+	name string
+	rec  atomic.Pointer[methodRec]
+}
+
+// Recorder returns the recorder for method name. Resolve it once, when
+// the method is registered.
+func (st *Stats) Recorder(name string) *MethodRecorder {
+	return &MethodRecorder{st: st, name: name}
+}
+
+// Observe records one request that took d and ended in err.
+func (m *MethodRecorder) Observe(d time.Duration, err error) {
+	rec := m.rec.Load()
+	if rec == nil {
+		rec = m.st.method(m.name)
+		m.rec.Store(rec)
+	}
+	rec.requests.Add(1)
+	if err != nil {
+		rec.errors.Add(1)
+	}
+	rec.total.Add(int64(d))
+	rec.hist.Observe(d)
+}
+
+// method returns name's record, making it on the first call.
+func (st *Stats) method(name string) *methodRec {
 	st.mu.Lock()
-	rec := st.methods[method]
+	defer st.mu.Unlock()
+	rec := st.methods[name]
 	if rec == nil {
 		rec = &methodRec{hist: obs.NewHistogram()}
-		st.methods[method] = rec
+		st.methods[name] = rec
 	}
-	rec.requests++
-	if err != nil {
-		rec.errors++
-	}
-	rec.total += d
-	st.mu.Unlock()
-	// The histogram is internally atomic; keep it off the map lock.
-	rec.hist.Observe(d)
+	return rec
 }
 
 // Method returns a snapshot of one method's counters and percentiles

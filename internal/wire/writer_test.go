@@ -359,3 +359,26 @@ func TestFlushAllocatesNothing(t *testing.T) {
 		t.Errorf("an encode and flush allocates %v times, want 0", a)
 	}
 }
+
+// TestPushAfterWriterExitAlwaysFails: once a peer's writer has exited,
+// every send fails. A send that could still land in the queue's free room
+// would report a push nobody will write as delivered, and a caller that
+// trusts it (the QoS loop's prefetch) counts it and carries on pushing.
+func TestPushAfterWriterExitAlwaysFails(t *testing.T) {
+	peer, _ := handDriven(t, nil)
+	peer.Close()
+	<-peer.dead
+	payload := MarshalBody(&echoReply{Text: "late"})
+	failed := 0
+	for i := 0; i < 100; i++ {
+		if peer.Push("late", &echoReply{N: i}) != nil {
+			failed++
+		}
+		if peer.PushRaw("late", EncBinary, payload) != nil {
+			failed++
+		}
+	}
+	if failed != 200 {
+		t.Fatalf("%d of 200 pushes after the writer exited failed, want all", failed)
+	}
+}
