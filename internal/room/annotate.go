@@ -16,7 +16,7 @@ import (
 func (r *Room) Annotate(actor string, objectID uint64, kind image.AnnotationKind,
 	x1, y1, x2, y2 int, text string, intensity float64) (int, error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	if _, ok := r.members[actor]; !ok {
 		return 0, fmt.Errorf("room %s: no member %q", r.Name, actor)
 	}
@@ -60,7 +60,7 @@ func (r *Room) annotatedLocked(objectID uint64) *image.Annotated {
 // DeleteAnnotation removes an overlay element and propagates the removal.
 func (r *Room) DeleteAnnotation(actor string, objectID uint64, annotationID int) error {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	if _, ok := r.members[actor]; !ok {
 		return fmt.Errorf("room %s: no member %q", r.Name, actor)
 	}
@@ -84,7 +84,7 @@ func (r *Room) DeleteAnnotation(actor string, objectID uint64, annotationID int)
 // Annotations returns a copy of an object's current overlay.
 func (r *Room) Annotations(objectID uint64) []image.Annotation {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	ann, ok := r.anns[objectID]
 	if !ok {
 		return nil
@@ -95,7 +95,7 @@ func (r *Room) Annotations(objectID uint64) []image.Annotation {
 // Freeze locks an object against changes by other partners.
 func (r *Room) Freeze(actor string, objectID uint64) error {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	if _, ok := r.members[actor]; !ok {
 		return fmt.Errorf("room %s: no member %q", r.Name, actor)
 	}
@@ -110,7 +110,7 @@ func (r *Room) Freeze(actor string, objectID uint64) error {
 // Release lifts a freeze; only the holder may release.
 func (r *Room) Release(actor string, objectID uint64) error {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	holder, ok := r.frozen[objectID]
 	if !ok {
 		return fmt.Errorf("room %s: object %d is not frozen", r.Name, objectID)
@@ -126,6 +126,6 @@ func (r *Room) Release(actor string, objectID uint64) error {
 // FrozenBy reports who holds the freeze on an object ("" if unfrozen).
 func (r *Room) FrozenBy(objectID uint64) string {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	return r.frozen[objectID]
 }

@@ -27,7 +27,7 @@ const serverActor = "system/server"
 // while their connections are still up.
 func (r *Room) AnnounceShutdown() {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	if r.closed {
 		return
 	}
@@ -38,7 +38,7 @@ func (r *Room) AnnounceShutdown() {
 // broadcast is already running.
 func (r *Room) StartBroadcast(presenter string) error {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	if _, ok := r.members[presenter]; !ok {
 		return fmt.Errorf("room %s: no member %q", r.Name, presenter)
 	}
@@ -54,7 +54,7 @@ func (r *Room) StartBroadcast(presenter string) error {
 // the presenter leaves the room the broadcast ends automatically.
 func (r *Room) StopBroadcast(presenter string) error {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	if r.broadcaster == "" {
 		return fmt.Errorf("room %s: no broadcast running", r.Name)
 	}
@@ -69,7 +69,7 @@ func (r *Room) StopBroadcast(presenter string) error {
 // Broadcaster returns the current presenter ("" when no broadcast runs).
 func (r *Room) Broadcaster() string {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	return r.broadcaster
 }
 

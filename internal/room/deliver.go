@@ -2,13 +2,14 @@ package room
 
 // This file is delivery: stamping an event into the log and fanning it
 // out to every member's bounded queue, shedding the oldest when a slow
-// consumer overruns its budget.
+// consumer overruns its budget, and telling each consumer once per
+// operation, as the room lock is released.
 
 // OnQueueDrop installs a hook observing every discarded member-queue
 // event. The hook runs under the room lock — keep it cheap.
 func (r *Room) OnQueueDrop(fn func(member string)) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	r.dropHook = fn
 }
 
@@ -17,7 +18,7 @@ func (r *Room) OnQueueDrop(fn func(member string)) {
 // delivered events via Member.Consumed — the server's push path does.
 func (r *Room) SetPushBudget(n int64) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	r.pushBudget = n
 }
 
@@ -126,6 +127,9 @@ func (r *Room) fanOutLocked(ev Event, makeUp bool) {
 // is delivered is therefore whole and its own, like the Resync copy.
 // deliverLocked reports whether that presentation is still owed: one was
 // shed and ev is not one.
+// It does not wake the member's consumer: it marks the member owed, and
+// the unlock that ends the operation tells it once, with everything the
+// operation queued for it already in the queue.
 func (r *Room) deliverLocked(m *Member, ev Event) (owed bool) {
 	sz := ev.approxSize()
 	shedView := false // a presentation was shed to make room for ev
@@ -152,9 +156,7 @@ func (r *Room) deliverLocked(m *Member, ev Event) (owed bool) {
 		case m.ch <- ev:
 			m.queuedBytes.Add(sz)
 			m.needResync = false
-			if m.notify != nil {
-				m.notify()
-			}
+			r.oweLocked(m)
 			if ev.Kind == EvPresentation {
 				m.held = viewRef{ev.View, ev.view}
 				return false
@@ -164,6 +166,33 @@ func (r *Room) deliverLocked(m *Member, ev Event) (owed bool) {
 			shedView = r.dropOldestLocked(m) || shedView
 		}
 	}
+}
+
+// oweLocked marks that m's consumer has something new to be told of
+// when the room lock is released. Callers hold r.mu.
+func (r *Room) oweLocked(m *Member) {
+	if !m.owed {
+		m.owed = true
+		r.owed = append(r.owed, m)
+	}
+}
+
+// unlock releases r.mu, first telling each member the operation queued
+// for or ended that it did, once however many events it queued. Every
+// method that takes r.mu releases it here, so a path that queues — a
+// choice's fan-out and re-solve, a QoS re-tune's lone presentation, a
+// grace expiry, Close — cannot leave an event its consumer was not told
+// of, nor wake a consumer before its last event is in.
+func (r *Room) unlock() {
+	for _, m := range r.owed {
+		m.owed = false
+		if m.notify != nil {
+			m.notify()
+		}
+	}
+	clear(r.owed) // hold no member past its operation
+	r.owed = r.owed[:0]
+	r.mu.Unlock()
 }
 
 // dropOldestLocked discards the member's oldest queued event (if any),

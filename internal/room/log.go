@@ -147,7 +147,7 @@ func (l *Log) Merge(events []Event, seq, trimmed uint64) error {
 // block, and must not call back into the room.
 func (r *Room) SetReplicator(fn func()) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	r.replicator = fn
 }
 
@@ -159,7 +159,7 @@ func (r *Room) SetReplicator(fn func()) {
 // grown to what one read carries. LogSince(nil, 0) is the whole log.
 func (r *Room) LogSince(dst []Event, since uint64) (events []Event, seq, trimmed uint64) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	return r.log.AppendSince(dst, since), r.log.seq, r.log.trimmed
 }
 
@@ -171,7 +171,7 @@ func (r *Room) LogSince(dst []Event, since uint64) (events []Event, seq, trimmed
 // refuses on a room that has already issued events or admitted members.
 func (r *Room) Restore(l Log) error {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	if r.log.seq != 0 || r.log.n != 0 || len(r.members) != 0 {
 		return fmt.Errorf("room %s: restore into a live room", r.Name)
 	}
@@ -182,20 +182,20 @@ func (r *Room) Restore(l Log) error {
 // Seq returns the latest issued event sequence number.
 func (r *Room) Seq() uint64 {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	return r.log.seq
 }
 
 // Trimmed returns the room log's replay floor (Log.Trimmed).
 func (r *Room) Trimmed() uint64 {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	return r.log.trimmed
 }
 
 // History returns buffered events with Seq greater than since.
 func (r *Room) History(since uint64) []Event {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	return r.log.AppendSince(nil, since)
 }

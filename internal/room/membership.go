@@ -17,7 +17,7 @@ import (
 // into a full leave. With d <= 0, Detach degrades to an immediate leave.
 func (r *Room) SetGrace(d time.Duration) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	r.grace = d
 }
 
@@ -25,7 +25,7 @@ func (r *Room) SetGrace(d time.Duration) {
 // out their grace period. The hook runs outside the room lock.
 func (r *Room) OnSessionExpire(fn func(user string)) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	r.expireHook = fn
 }
 
@@ -38,7 +38,7 @@ func (r *Room) OnSessionExpire(fn func(user string)) {
 // already gone, so admitting it would strand a membership nobody drains.
 func (r *Room) Join(ctx context.Context, name string) (*Member, []Event, Event, error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	if err := ctx.Err(); err != nil {
 		return nil, nil, Event{}, fmt.Errorf("room %s: join %s: %w", r.Name, name, err)
 	}
@@ -84,7 +84,7 @@ func (r *Room) Join(ctx context.Context, name string) (*Member, []Event, Event, 
 // also Leave, ending its grace period early.
 func (r *Room) Leave(name string) error {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	if t, ok := r.detached[name]; ok {
 		t.Stop()
 		delete(r.detached, name)
@@ -142,7 +142,7 @@ var ErrNoSession = errors.New("room: no detached session")
 // the grace period is disabled and the membership was fully removed.
 func (r *Room) Detach(m *Member) bool {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	name := m.Name
 	cur, ok := r.members[name]
 	if !ok || cur != m {
@@ -164,17 +164,17 @@ func (r *Room) Detach(m *Member) bool {
 func (r *Room) expireSession(name string) {
 	r.mu.Lock()
 	if r.closed {
-		r.mu.Unlock()
+		r.unlock()
 		return
 	}
 	if _, ok := r.detached[name]; !ok {
-		r.mu.Unlock()
+		r.unlock()
 		return // resumed, superseded, or left while the timer fired
 	}
 	delete(r.detached, name)
 	r.removeLocked(name)
 	hook := r.expireHook
-	r.mu.Unlock()
+	r.unlock()
 	if hook != nil {
 		hook(name)
 	}
@@ -190,7 +190,7 @@ func (r *Room) expireSession(name string) {
 // stale and do a full catch-up.
 func (r *Room) Resume(ctx context.Context, name string, since uint64) (*Member, []Event, Event, bool, error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	if err := ctx.Err(); err != nil {
 		return nil, nil, Event{}, false, fmt.Errorf("room %s: resume %s: %w", r.Name, name, err)
 	}
@@ -234,7 +234,7 @@ func (r *Room) Resume(ctx context.Context, name string, since uint64) (*Member, 
 // Detached lists the names of currently detached sessions, sorted.
 func (r *Room) Detached() []string {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	out := make([]string, 0, len(r.detached))
 	for n := range r.detached {
 		out = append(out, n)
@@ -246,7 +246,7 @@ func (r *Room) Detached() []string {
 // Members lists current member names, sorted.
 func (r *Room) Members() []string {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	out := make([]string, 0, len(r.members))
 	for n := range r.members {
 		out = append(out, n)

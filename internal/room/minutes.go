@@ -32,7 +32,7 @@ type Minutes struct {
 // annotation state.
 func (r *Room) Minutes() Minutes {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	m := Minutes{Room: r.Name, Annotations: make(map[uint64][]image.Annotation)}
 	for i := 0; i < r.log.n; i++ {
 		switch ev := r.log.at(i); ev.Kind {
@@ -82,7 +82,7 @@ func (m Minutes) Transcript() string {
 // name is returned; it is unique per call.
 func (r *Room) AddMinutesComponent(actor, transcript string) (string, error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	if _, ok := r.members[actor]; !ok {
 		return "", fmt.Errorf("room %s: no member %q", r.Name, actor)
 	}

@@ -193,8 +193,11 @@ type Member struct {
 	held viewRef
 	// notify (guarded by room.mu), when set, is told that Events has
 	// something new for its consumer: an event was enqueued, or the
-	// stream closed.
+	// stream closed. owed (guarded by room.mu) says the operation holding
+	// the room lock did one of those and has m in Room.owed, so the
+	// unlock that ends it tells notify once.
 	notify func()
+	owed   bool
 }
 
 // Events returns the member's event stream. The channel closes when the
@@ -203,23 +206,25 @@ func (m *Member) Events() <-chan Event { return m.ch }
 
 // SetNotify installs the hook a consumer that polls Events (the server's
 // push path: a connection's writer drains its members' queues itself)
-// is woken by. The room calls it after every event it enqueues for this
-// member and once when it closes the stream — under the room lock, so fn
-// must not block or call back into the room. What was enqueued before
-// the hook was set is not reported: poll once after setting it.
+// is woken by. The room calls it once per room operation that queued
+// for this member or closed its stream, however many events that
+// operation queued (a choice queues its EvChoice and the presentation
+// it causes, and both are in the queue when fn runs), just before the
+// operation releases the room lock — so fn must not block or call back
+// into the room. What was enqueued before the hook was set is not
+// reported: poll once after setting it.
 func (m *Member) SetNotify(fn func()) {
 	m.room.mu.Lock()
-	defer m.room.mu.Unlock()
+	defer m.room.unlock()
 	m.notify = fn
 }
 
-// endLocked closes the member's stream and tells its consumer. Callers
-// hold r.mu and have taken m out of r.members.
+// endLocked closes the member's stream; its consumer is told when the
+// room lock is released. Callers hold r.mu and have taken m out of
+// r.members.
 func (m *Member) endLocked() {
 	close(m.ch)
-	if m.notify != nil {
-		m.notify()
-	}
+	m.room.oweLocked(m)
 }
 
 // Drops reports how many queued events were discarded for this member
@@ -320,6 +325,11 @@ type Room struct {
 	triggerSeq  uint64
 	triggerCh   chan Event
 	triggerDone chan struct{} // closed when the dispatch goroutine exits
+
+	// owed lists, once each, the members the operation holding r.mu has
+	// queued for or ended; unlock tells them and empties it, keeping its
+	// capacity, so owing allocates nothing per operation.
+	owed []*Member
 }
 
 // New creates a room around a document.
@@ -355,7 +365,7 @@ func (r *Room) bumpDocLocked() { r.docVer++ }
 // Callers must not modify the returned slice.
 func (r *Room) DocSnapshot() (data []byte, hit bool, err error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	if r.docSnap != nil && r.docSnapVer == r.docVer {
 		return r.docSnap, true, nil
 	}
@@ -382,7 +392,7 @@ type Gauges struct {
 // Gauges samples the room's live load for the metrics surface.
 func (r *Room) Gauges() Gauges {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	g := Gauges{
 		Members:        len(r.members),
 		Detached:       len(r.detached),
@@ -403,7 +413,7 @@ func (r *Room) Gauges() Gauges {
 func (r *Room) Close() {
 	r.mu.Lock()
 	if r.closed {
-		r.mu.Unlock()
+		r.unlock()
 		return
 	}
 	for name, m := range r.members {
@@ -416,7 +426,7 @@ func (r *Room) Close() {
 	}
 	r.closed = true
 	ch, done := r.triggerCh, r.triggerDone
-	r.mu.Unlock()
+	r.unlock()
 	if ch != nil {
 		close(ch)
 		<-done
@@ -432,7 +442,7 @@ func (r *Room) Close() {
 // changed.
 func (r *Room) SetMemberEnvironment(name, variable, value string) (bool, error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	m, ok := r.members[name]
 	if !ok {
 		return false, fmt.Errorf("room %s: no member %q", r.Name, name)
@@ -480,7 +490,7 @@ func (r *Room) stampLocked(m *Member, v *document.Solved) Event {
 // a request whose client stopped waiting.
 func (r *Room) Choice(ctx context.Context, actor, variable, value string) error {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("room %s: choice by %s: %w", r.Name, actor, err)
 	}
@@ -504,7 +514,7 @@ func (r *Room) Choice(ctx context.Context, actor, variable, value string) error 
 // overlay — but the event is still announced so partners see the action.
 func (r *Room) Operation(ctx context.Context, actor, component, op, activeWhen string, private bool) (string, error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	if err := ctx.Err(); err != nil {
 		return "", fmt.Errorf("room %s: operation by %s: %w", r.Name, actor, err)
 	}
@@ -561,7 +571,7 @@ func (r *Room) ShareSearch(actor string, kind EventKind, keyword string, hits []
 		return fmt.Errorf("room %s: %v is not a search kind", r.Name, kind)
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	if _, ok := r.members[actor]; !ok {
 		return fmt.Errorf("room %s: no member %q", r.Name, actor)
 	}
@@ -572,7 +582,7 @@ func (r *Room) ShareSearch(actor string, kind EventKind, keyword string, hits []
 // Chat propagates a free-text message.
 func (r *Room) Chat(actor, text string) error {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	if _, ok := r.members[actor]; !ok {
 		return fmt.Errorf("room %s: no member %q", r.Name, actor)
 	}

@@ -54,7 +54,7 @@ func (r *Room) AddTrigger(name string, kinds []EventKind, fn TriggerFunc) (*Trig
 		return nil, fmt.Errorf("room %s: nil trigger function", r.Name)
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	r.triggerSeq++
 	t := &Trigger{ID: r.triggerSeq, Name: name, Kinds: append([]EventKind(nil), kinds...), fn: fn}
 	t.active.Store(true)
@@ -80,7 +80,7 @@ func (r *Room) triggerLoop(ch <-chan Event, done chan<- struct{}) {
 // RemoveTrigger uninstalls a rule by id.
 func (r *Room) RemoveTrigger(id uint64) error {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	for i, t := range r.triggers {
 		if t.ID == id {
 			r.triggers = append(r.triggers[:i], r.triggers[i+1:]...)
@@ -93,7 +93,7 @@ func (r *Room) RemoveTrigger(id uint64) error {
 // Triggers lists installed triggers in installation order.
 func (r *Room) Triggers() []*Trigger {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	return append([]*Trigger(nil), r.triggers...)
 }
 
@@ -106,7 +106,7 @@ func (r *Room) runTriggers(ev Event) {
 	}
 	r.mu.Lock()
 	rules := append([]*Trigger(nil), r.triggers...)
-	r.mu.Unlock()
+	r.unlock()
 	for _, t := range rules {
 		if !t.active.Load() {
 			continue
@@ -135,7 +135,7 @@ func (r *Room) runTriggers(ev Event) {
 // interaction server can use for measured environment changes.
 func (r *Room) SystemChoice(variable, value string) error {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	if len(r.members) == 0 {
 		return fmt.Errorf("room %s: no members to present to", r.Name)
 	}
@@ -151,7 +151,7 @@ func (r *Room) SystemChoice(variable, value string) error {
 // SystemChat posts a notice on behalf of the trigger system.
 func (r *Room) SystemChat(text string) error {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	r.broadcastLocked(Event{Actor: triggerActor, Kind: EvChat, Text: text}, false)
 	return nil
 }

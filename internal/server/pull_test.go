@@ -72,7 +72,13 @@ func (h *holdConn) Write(b []byte) (int, error) {
 // holds the presentation bob's join caused.
 func heldMember(t *testing.T) (*Server, *holdConn, *client.Client, *room.Room, *room.Member) {
 	t.Helper()
-	srv, _, _ := testSystem(t)
+	return heldMemberWith(t, Options{SessionGrace: 75 * time.Millisecond})
+}
+
+// heldMemberWith is heldMember on a server with the caller's options.
+func heldMemberWith(t *testing.T, o Options) (*Server, *holdConn, *client.Client, *room.Room, *room.Member) {
+	t.Helper()
+	srv, _, _ := testSystemOpts(t, o)
 	sc, cc := net.Pipe()
 	hc := newHoldConn(sc)
 	go srv.ServeConn(hc)
@@ -141,6 +147,28 @@ func TestChoiceLeavesInOneFlushPerMember(t *testing.T) {
 	}
 	if f, m := srv.Stats().Counter(wire.CounterWriterFlushes)-flushes, srv.Stats().Counter(wire.CounterWriterMessages)-messages; f != 2 || m != 2 {
 		t.Errorf("%s +%d for %s +%d, want the wedged flush and one more for the choice's 2 messages", wire.CounterWriterFlushes, f, wire.CounterWriterMessages, m)
+	}
+}
+
+// TestChoiceReachesAParkedWriterInOneWrite is the wake-up half of the
+// test above, with nothing held: alice's writer is parked, waiting for a
+// kick, when bob makes a choice, and the choice's EvChoice and the
+// presentation it causes reach her in one socket write. The room kicks
+// her connection once, as the choice releases the room lock, with both
+// events queued. While it kicked per event, a writer woken by the
+// EvChoice could write it alone before the presentation was queued, and
+// then write again. The QoS loop is off so that no re-tune writes to her
+// meanwhile.
+func TestChoiceReachesAParkedWriterInOneWrite(t *testing.T) {
+	_, hc, alice, r, _ := heldMemberWith(t, Options{SessionGrace: 75 * time.Millisecond, QoSInterval: time.Hour})
+	writes := hc.count()
+	if err := r.Choice(context.Background(), "bob", "ct", "segmented"); err != nil {
+		t.Fatal(err)
+	}
+	waitEvent(t, alice, func(ev room.Event) bool { return ev.Kind == room.EvChoice && ev.Actor == "bob" })
+	waitEvent(t, alice, func(ev room.Event) bool { return ev.Kind == room.EvPresentation })
+	if got := hc.count() - writes; got != 1 {
+		t.Errorf("the choice's two events took %d socket writes to a parked writer, want 1", got)
 	}
 }
 

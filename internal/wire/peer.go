@@ -139,7 +139,9 @@ func (p *Peer) Attach(src Source) {
 
 // Kick tells the writer an attached source has something queued. It
 // never blocks (a kick already pending covers this one), so a room may
-// call it under its lock.
+// call it under its lock; the room calls it once per operation that
+// queued for the member, as the operation releases that lock, so the
+// writer wakes to everything the operation queued.
 func (p *Peer) Kick() {
 	select {
 	case p.kick <- struct{}{}:
