@@ -240,9 +240,6 @@ func (c *Client) drainBacklog() {
 	}
 }
 
-// User returns the client's user name.
-func (c *Client) User() string { return c.user }
-
 // Events returns the pushed room-event stream.
 func (c *Client) Events() <-chan room.Event { return c.events }
 
@@ -291,22 +288,6 @@ func (c *Client) StatsCtx(ctx context.Context) (*proto.StatsResp, error) {
 		return nil, err
 	}
 	return &resp, nil
-}
-
-// Traces fetches recent slow/errored request traces from the server's
-// ring, newest first. A non-zero id filters to that trace; limit <= 0
-// returns all retained.
-func (c *Client) Traces(id uint64, limit int) ([]proto.TraceInfo, error) {
-	return c.TracesCtx(context.Background(), id, limit)
-}
-
-// TracesCtx is Traces bounded by ctx.
-func (c *Client) TracesCtx(ctx context.Context, id uint64, limit int) ([]proto.TraceInfo, error) {
-	var resp proto.TracesResp
-	if err := c.call(ctx, proto.MTraces, &proto.TracesReq{ID: id, Limit: limit}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Traces, nil
 }
 
 // GetDocument fetches and decodes a document.
@@ -586,14 +567,6 @@ func (s *Session) settleLocked(resp *proto.JoinRoomResp) {
 	s.releaseLocked(pending...)
 }
 
-// LastSeq reports the highest event sequence delivered to this session's
-// stream — the resume cursor a reconnect replays from.
-func (s *Session) LastSeq() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastSeq
-}
-
 // Join enters a room around a document. The first Join with
 // bufferBytes > 0 gives the client its media buffer of that size (see
 // mediabuffer.go); every later session and fetch of the client shares it, and
@@ -650,9 +623,6 @@ func (c *Client) JoinCtx(ctx context.Context, roomName, docID string, bufferByte
 	return s, resp.History, nil
 }
 
-// User returns the user this session belongs to.
-func (s *Session) User() string { return s.client.user }
-
 // Choice sends a presentation selection for this user.
 func (s *Session) Choice(variable, value string) error {
 	return s.ChoiceCtx(context.Background(), variable, value)
@@ -665,13 +635,8 @@ func (s *Session) ChoiceCtx(ctx context.Context, variable, value string) error {
 	}, nil)
 }
 
-// Operation applies a media operation (§4.2) and returns the derived
-// variable name.
-func (s *Session) Operation(component, op, activeWhen string, private bool) (string, error) {
-	return s.OperationCtx(context.Background(), component, op, activeWhen, private)
-}
-
-// OperationCtx is Operation bounded by ctx.
+// OperationCtx applies a media operation (§4.2), bounded by ctx, and
+// returns the derived variable name.
 func (s *Session) OperationCtx(ctx context.Context, component, op, activeWhen string, private bool) (string, error) {
 	var resp proto.OperationResp
 	err := s.client.call(ctx, proto.MOperation, &proto.OperationReq{
@@ -767,14 +732,9 @@ func (s *Session) SaveMinutes() (string, error) {
 	return resp.Component, err
 }
 
-// History replays room events newer than since.
-func (s *Session) History(since uint64) ([]room.Event, error) {
-	return s.HistoryCtx(context.Background(), since)
-}
-
-// HistoryCtx is History bounded by ctx. A successful replay clears the
-// session's resync flag: the returned events cover any gap the server's
-// queue overflow opened.
+// HistoryCtx replays room events newer than since, bounded by ctx. A
+// successful replay clears the session's resync flag: the returned
+// events cover any gap the server's queue overflow opened.
 func (s *Session) HistoryCtx(ctx context.Context, since uint64) ([]room.Event, error) {
 	var resp proto.HistoryResp
 	if err := s.client.call(ctx, proto.MHistory, &proto.HistoryReq{Room: s.Room, Since: since}, &resp); err != nil {
@@ -786,13 +746,8 @@ func (s *Session) HistoryCtx(ctx context.Context, since uint64) ([]room.Event, e
 	return resp.Events, nil
 }
 
-// Leave exits the room.
-func (s *Session) Leave() error {
-	return s.LeaveCtx(context.Background())
-}
-
-// LeaveCtx is Leave bounded by ctx. The session stops being resumed on
-// reconnect whether or not the server acknowledged the leave.
+// LeaveCtx exits the room, bounded by ctx. The session stops being
+// resumed on reconnect whether or not the server acknowledged the leave.
 func (s *Session) LeaveCtx(ctx context.Context) error {
 	c := s.client
 	c.mu.Lock()

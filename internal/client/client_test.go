@@ -98,8 +98,8 @@ func TestConstructorValidation(t *testing.T) {
 
 func TestClientAccessors(t *testing.T) {
 	c, _ := pipeSystem(t)
-	if c.User() != "alice" {
-		t.Errorf("User = %s", c.User())
+	if c.user != "alice" {
+		t.Errorf("User = %s", c.user)
 	}
 	ids, titles, err := c.ListDocuments()
 	if err != nil || len(ids) != 1 || len(titles) != 1 {
@@ -451,7 +451,7 @@ updated:
 		t.Errorf("view after choice: %v", s.View().Outcome)
 	}
 	// Operation + annotation + history over the pipe.
-	derived, err := s.Operation("ct", "zoom", "segmented", false)
+	derived, err := s.OperationCtx(context.Background(), "ct", "zoom", "segmented", false)
 	if err != nil || derived == "" {
 		t.Fatalf("Operation: %q %v", derived, err)
 	}
@@ -477,11 +477,11 @@ updated:
 	if err := s.Chat("hello"); err != nil {
 		t.Fatalf("Chat: %v", err)
 	}
-	evs, err := s.History(0)
+	evs, err := s.HistoryCtx(context.Background(), 0)
 	if err != nil || len(evs) == 0 {
 		t.Fatalf("History: %d %v", len(evs), err)
 	}
-	if err := s.Leave(); err != nil {
+	if err := s.LeaveCtx(context.Background()); err != nil {
 		t.Fatalf("Leave: %v", err)
 	}
 }

@@ -151,14 +151,3 @@ func (c *Client) followRedirect(ctx context.Context, genBefore uint64, err error
 	c.redirectsFollowed.Add(1)
 	return true
 }
-
-// Resume asks the server to re-admit this client's detached sessions —
-// exposed for tests that drive resumes explicitly; normal resumes run
-// inside the reconnect supervisor.
-func (c *Client) ResumeSession(ctx context.Context, s *Session) error {
-	if err := s.resume(ctx, c.call); err != nil {
-		s.abortResume()
-		return err
-	}
-	return nil
-}

@@ -117,7 +117,7 @@ func TestClosedHarnessLeavesNoGoroutine(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustChat(t, s, "bye")
-	if err := s.Leave(); err != nil {
+	if err := s.LeaveCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if len(programGoroutines()) <= before {

@@ -250,9 +250,6 @@ func (h hooks) RoomTap(roomName string)                   { h.n.roomTap(roomName
 // Server exposes the node's interaction server (stats, shutdown seams).
 func (n *Node) Server() *server.Server { return n.srv }
 
-// ID returns the node's cluster id.
-func (n *Node) ID() string { return n.id }
-
 // Metrics returns a snapshot of the node's routing counters.
 func (n *Node) Metrics() Metrics {
 	return Metrics{

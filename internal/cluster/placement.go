@@ -49,16 +49,6 @@ func (p *Placement) Nodes() []string { return append([]string(nil), p.nodes...) 
 // Len reports the number of member nodes.
 func (p *Placement) Len() int { return len(p.nodes) }
 
-// Has reports whether node is a member.
-func (p *Placement) Has(node string) bool {
-	for _, n := range p.nodes {
-		if n == node {
-			return true
-		}
-	}
-	return false
-}
-
 // roomName is a room's name as a string, or as the bytes of a routed
 // request that spell it: the router hashes a name it reads in place, and
 // copies nothing.

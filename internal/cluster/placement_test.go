@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -151,7 +152,7 @@ func TestPlacementProperties(t *testing.T) {
 			seen[n] = struct{}{}
 		}
 		for _, n := range nodes {
-			if _, ok := seen[n]; !ok || !p.Has(n) {
+			if _, ok := seen[n]; !ok || !slices.Contains(p.nodes, n) {
 				return false
 			}
 		}

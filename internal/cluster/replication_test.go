@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -370,7 +371,7 @@ func TestHandOffSurvivesACutSend(t *testing.T) {
 	}
 	mustChat(t, sa, "c0")
 	mustChat(t, sa, "c1")
-	if err := sa.Leave(); err != nil {
+	if err := sa.LeaveCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	alice.Close() // the room stays on n1, empty, until the hand-off

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"sort"
 
 	"mmconf/internal/cpnet"
@@ -330,15 +329,4 @@ func (e *Engine) SetViewerEnvironment(viewer, variable, value string) (bool, err
 	vw.env[variable] = value
 	e.gen++
 	return true, nil
-}
-
-// ViewerEnvironment returns a copy of one viewer's environment evidence.
-func (e *Engine) ViewerEnvironment(viewer string) cpnet.Outcome {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := cpnet.Outcome{}
-	if vw := e.viewers[viewer]; vw != nil {
-		maps.Copy(out, vw.env)
-	}
-	return out
 }

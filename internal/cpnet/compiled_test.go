@@ -1,6 +1,7 @@
 package cpnet
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -178,8 +179,9 @@ func TestConcurrentCompile(t *testing.T) {
 				case 1:
 					errs <- n.Validate()
 				case 2:
-					_, err := n.Children("c3")
-					errs <- err
+					if len(n.childAdj()) != len(n.nodes) {
+						errs <- errors.New("child adjacency of the wrong size")
+					}
 				case 3:
 					_, err := n.OptimalCompletion(Outcome{"c1": "c21"})
 					errs <- err

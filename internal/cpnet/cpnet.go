@@ -317,16 +317,6 @@ func (n *Network) ctxKey(nd *node, ctx Outcome) (uint64, error) {
 	return key, nil
 }
 
-// ctxKeyFromAssign encodes the parent context of nd taken from a complete
-// internal assignment (one value index per node).
-func (n *Network) ctxKeyFromAssign(nd *node, assign []uint8) uint64 {
-	var key uint64
-	for _, pi := range nd.parents {
-		key = key*uint64(len(n.nodes[pi].v.Domain)) + uint64(assign[pi])
-	}
-	return key
-}
-
 // rowCount returns the number of CPT rows variable i must define: the
 // product of its parents' domain sizes, or MaxUint64 when that product
 // does not fit (no CPT can be that complete).
@@ -412,20 +402,6 @@ func (n *Network) childAdj() [][]int {
 	return ch
 }
 
-// Children returns the names of the variables whose CPT depends on name.
-func (n *Network) Children(name string) ([]string, error) {
-	i, ok := n.index[name]
-	if !ok {
-		return nil, fmt.Errorf("cpnet: unknown variable %q", name)
-	}
-	ch := n.childAdj()[i]
-	names := make([]string, len(ch))
-	for j, c := range ch {
-		names[j] = n.nodes[c].v.Name
-	}
-	return names, nil
-}
-
 // Clone returns a deep copy of the network.
 func (n *Network) Clone() *Network {
 	c := New()
@@ -448,27 +424,6 @@ func (n *Network) Clone() *Network {
 	return c
 }
 
-// toAssign converts an Outcome to an internal assignment vector, verifying
-// that it is complete and well-typed.
-func (n *Network) toAssign(o Outcome) ([]uint8, error) {
-	if len(o) != len(n.nodes) {
-		return nil, fmt.Errorf("cpnet: outcome assigns %d of %d variables", len(o), len(n.nodes))
-	}
-	assign := make([]uint8, len(n.nodes))
-	for i, nd := range n.nodes {
-		val, ok := o[nd.v.Name]
-		if !ok {
-			return nil, fmt.Errorf("cpnet: outcome missing variable %q", nd.v.Name)
-		}
-		vi, ok := nd.valIdx[val]
-		if !ok {
-			return nil, fmt.Errorf("cpnet: variable %q has no value %q", nd.v.Name, val)
-		}
-		assign[i] = uint8(vi)
-	}
-	return assign, nil
-}
-
 // fromAssign converts an internal assignment vector to an Outcome.
 func (n *Network) fromAssign(assign []uint8) Outcome {
 	o := make(Outcome, len(n.nodes))
@@ -476,22 +431,6 @@ func (n *Network) fromAssign(assign []uint8) Outcome {
 		o[nd.v.Name] = nd.v.Domain[assign[i]]
 	}
 	return o
-}
-
-// prefRank returns the position (0 = most preferred) of value index vi of
-// node i under the parent context encoded in assign.
-func (n *Network) prefRank(i int, assign []uint8, vi uint8) (int, error) {
-	nd := n.nodes[i]
-	row, ok := nd.cpt[n.ctxKeyFromAssign(nd, assign)]
-	if !ok {
-		return 0, fmt.Errorf("cpnet: variable %q missing CPT row", nd.v.Name)
-	}
-	for r, v := range row {
-		if v == vi {
-			return r, nil
-		}
-	}
-	return 0, fmt.Errorf("cpnet: variable %q CPT row lacks value index %d", nd.v.Name, vi)
 }
 
 // Preference returns the preference order (most preferred first) of the

@@ -131,20 +131,6 @@ func isPermutation(row []uint8, size int) bool {
 	return true
 }
 
-// MarshalBinary encodes the network in its binary form (AppendBody).
-func (n *Network) MarshalBinary() ([]byte, error) {
-	return wire.MarshalBody(n), nil
-}
-
-// UnmarshalNetwork decodes a network previously encoded by MarshalBinary.
-func UnmarshalNetwork(data []byte) (*Network, error) {
-	n := New()
-	if err := wire.DecodeBodyBytes(data, n); err != nil {
-		return nil, fmt.Errorf("cpnet: decode: %w", err)
-	}
-	return n, nil
-}
-
 // WriteText renders the network in the authoring text format.
 func (n *Network) WriteText(w io.Writer) error {
 	bw := bufio.NewWriter(w)

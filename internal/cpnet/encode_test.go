@@ -4,17 +4,15 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"mmconf/internal/wire"
 )
 
 func TestBinaryRoundTrip(t *testing.T) {
 	n := fig2Network(t)
-	data, err := n.MarshalBinary()
+	back, err := decodeNetwork(wire.MarshalBody(n))
 	if err != nil {
-		t.Fatalf("MarshalBinary: %v", err)
-	}
-	back, err := UnmarshalNetwork(data)
-	if err != nil {
-		t.Fatalf("UnmarshalNetwork: %v", err)
+		t.Fatalf("decode: %v", err)
 	}
 	if back.Text() != n.Text() {
 		t.Fatalf("round trip changed network:\n%s\nvs\n%s", back.Text(), n.Text())
@@ -30,10 +28,10 @@ func TestBinaryRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalGarbage(t *testing.T) {
-	if _, err := UnmarshalNetwork([]byte("not a network at all")); err == nil {
+	if _, err := decodeNetwork([]byte("not a network at all")); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := UnmarshalNetwork(nil); err == nil {
+	if _, err := decodeNetwork(nil); err == nil {
 		t.Fatal("empty input accepted")
 	}
 }
@@ -62,11 +60,7 @@ func TestCPTKeyOutsideAssignmentSpace(t *testing.T) {
 	if err := n.Validate(); err == nil {
 		t.Error("Validate accepted a CPT keyed outside its parents' assignments")
 	}
-	data, err := n.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back, err := UnmarshalNetwork(data); err == nil {
+	if back, err := decodeNetwork(wire.MarshalBody(n)); err == nil {
 		t.Errorf("decoder accepted a CPT keyed outside its parents' assignments:\n%s", back.Text())
 	}
 }
@@ -77,24 +71,23 @@ func TestCPTKeyOutsideAssignmentSpace(t *testing.T) {
 // one that also validates must solve.
 func FuzzNetworkDecode(f *testing.F) {
 	for _, n := range []*Network{fig2Network(f), New()} {
-		data, _ := n.MarshalBinary()
-		f.Add(data)
+		f.Add(wire.MarshalBody(n))
 	}
 	f.Add([]byte{1, 1, 'a', 1, 1, 'x', 1, 0, 1, 0, 1, 0})         // its own parent
 	f.Add([]byte{1, 1, 'a', 1, 1, 'x', 0, 1, 7, 1, 0})            // a key outside the space
 	f.Add([]byte{1, 1, 'a', 2, 1, 'x', 1, 'y', 0, 1, 0, 2, 0, 0}) // not a permutation
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		n, err := UnmarshalNetwork(data)
+		n, err := decodeNetwork(data)
 		if err != nil {
 			return
 		}
-		out, _ := n.MarshalBinary()
-		back, err := UnmarshalNetwork(out)
+		out := wire.MarshalBody(n)
+		back, err := decodeNetwork(out)
 		if err != nil {
 			t.Fatalf("re-encoded network does not decode: %v", err)
 		}
-		if again, _ := back.MarshalBinary(); !bytes.Equal(again, out) {
+		if again := wire.MarshalBody(back); !bytes.Equal(again, out) {
 			t.Fatalf("re-encode is not a fixed point:\n%s\nvs\n%s", n.Text(), back.Text())
 		}
 		if n.Validate() == nil {
@@ -188,4 +181,13 @@ func TestParseTextCommentsAndBlank(t *testing.T) {
 	if n.Len() != 1 {
 		t.Errorf("Len = %d", n.Len())
 	}
+}
+
+// decodeNetwork decodes a network encoded by its AppendBody.
+func decodeNetwork(data []byte) (*Network, error) {
+	n := New()
+	if err := wire.DecodeBodyBytes(data, n); err != nil {
+		return nil, err
+	}
+	return n, nil
 }

@@ -71,12 +71,3 @@ func (n *Network) ForEachOutcome(fn func(Outcome) bool) {
 		}
 	}
 }
-
-// Consistent reports whether the outcome violates no CPT row pinning —
-// that is, whether it is a member of the configuration space and assigns a
-// legal value to every variable. It is a structural check, not a
-// preference check.
-func (n *Network) Consistent(o Outcome) error {
-	_, err := n.toAssign(o)
-	return err
-}

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"mmconf/internal/wire"
 )
 
 // randomNetwork builds a random valid CP-network: up to maxVars variables
@@ -243,12 +245,7 @@ func TestQuickEncodeRoundTrips(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := randomNetwork(rng, 8)
-		data, err := n.MarshalBinary()
-		if err != nil {
-			t.Logf("seed %d: marshal: %v", seed, err)
-			return false
-		}
-		back, err := UnmarshalNetwork(data)
+		back, err := decodeNetwork(wire.MarshalBody(n))
 		if err != nil {
 			t.Logf("seed %d: unmarshal: %v", seed, err)
 			return false

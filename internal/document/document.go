@@ -15,7 +15,6 @@ package document
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"strings"
 
 	"mmconf/internal/cpnet"
@@ -340,19 +339,6 @@ func (d *Document) ReconfigPresentation(choices cpnet.Outcome) (View, error) {
 		return View{}, fmt.Errorf("document %s: %w", d.ID, err)
 	}
 	return v.View(), nil
-}
-
-// VisibleComponents lists the names of effectively visible components of a
-// view, sorted for deterministic output.
-func (v View) VisibleComponents() []string {
-	var names []string
-	for n, vis := range v.Visible {
-		if vis {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	return names
 }
 
 // TransferBytes sums the estimated payload size of a view: for each

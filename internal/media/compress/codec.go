@@ -357,9 +357,6 @@ func (s *Stream) Decode(k int) (*image.Gray, error) {
 	return out, nil
 }
 
-// LayerBytes returns the payload size of layer i.
-func (s *Stream) LayerBytes(i int) int { return len(s.Layers[i].Data) }
-
 // PrefixBytes returns the total payload of the first k layers — the
 // transfer cost of showing the image at resolution level k.
 func (s *Stream) PrefixBytes(k int) int {

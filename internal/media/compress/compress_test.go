@@ -188,8 +188,8 @@ func TestEncodeDecodeFidelityLadder(t *testing.T) {
 		t.Errorf("full-fidelity PSNR %.2f dB, want ≥ 40", prevPSNR)
 	}
 	// The base layer must be much smaller than the total.
-	if st.LayerBytes(0)*2 > st.PrefixBytes(0) {
-		t.Errorf("base layer %d of %d bytes — no progressiveness", st.LayerBytes(0), st.PrefixBytes(0))
+	if len(st.Layers[0].Data)*2 > st.PrefixBytes(0) {
+		t.Errorf("base layer %d of %d bytes — no progressiveness", len(st.Layers[0].Data), st.PrefixBytes(0))
 	}
 	// The progressive point of the scheme: the base layer must cost well
 	// under half the raw 8-bit image. (The full-fidelity total exceeds raw
@@ -380,8 +380,8 @@ func TestHybridBeatsWaveletOnlyAtBase(t *testing.T) {
 	// smaller than the single-shot fine wavelet stream, so a viewer sees a
 	// usable image sooner. (At full fidelity the single wavelet basis wins
 	// rate-distortion — the honest ablation outcome EXPERIMENTS.md reports.)
-	if hybrid.LayerBytes(0) >= fine.PrefixBytes(0) {
-		t.Errorf("hybrid base %d not below fine wavelet %d", hybrid.LayerBytes(0), fine.PrefixBytes(0))
+	if len(hybrid.Layers[0].Data) >= fine.PrefixBytes(0) {
+		t.Errorf("hybrid base %d not below fine wavelet %d", len(hybrid.Layers[0].Data), fine.PrefixBytes(0))
 	}
 }
 

@@ -21,8 +21,6 @@ type blockDCT struct {
 	clamp              bool      // the inverse writes the final pixels: clamp them to [0, 1]
 }
 
-func newBlockDCT(w, h, block int) *blockDCT { return new(blockDCT).fit(w, h, block) }
-
 // fit shapes t to the tiles of a w×h plane, block on a side, and returns
 // it. The tile scratch t already has is kept when it holds a tile, so a
 // pooled decoder makes none for a geometry it has decoded before.

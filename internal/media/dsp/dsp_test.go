@@ -80,7 +80,7 @@ func TestFFTIFFTRoundTrip(t *testing.T) {
 		if err := FFT(x); err != nil {
 			return false
 		}
-		if err := IFFT(x); err != nil {
+		if err := ifft(x); err != nil {
 			return false
 		}
 		for i := range x {
@@ -126,7 +126,7 @@ func TestDCTRoundTrip(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		y := IDCT2(DCT2(x))
+		y := idct2(dct2(x))
 		for i := range x {
 			if math.Abs(x[i]-y[i]) > 1e-9 {
 				return false
@@ -142,7 +142,7 @@ func TestDCTRoundTrip(t *testing.T) {
 func TestDCTOrthonormal(t *testing.T) {
 	// DCT of a constant vector concentrates all energy in coefficient 0.
 	x := []float64{2, 2, 2, 2}
-	y := DCT2(x)
+	y := dct2(x)
 	if math.Abs(y[0]-4) > 1e-12 { // sqrt(1/4)*sum = 0.5*8 = 4
 		t.Errorf("DC coeff = %v", y[0])
 	}
@@ -151,16 +151,17 @@ func TestDCTOrthonormal(t *testing.T) {
 			t.Errorf("coeff %d = %v, want 0", i, y[i])
 		}
 	}
-	if out := DCT2(nil); len(out) != 0 {
-		t.Error("DCT2(nil) not empty")
+	if out := dct2(nil); len(out) != 0 {
+		t.Error("dct2(nil) not empty")
 	}
-	if out := IDCT2(nil); len(out) != 0 {
-		t.Error("IDCT2(nil) not empty")
+	if out := idct2(nil); len(out) != 0 {
+		t.Error("idct2(nil) not empty")
 	}
 }
 
-// The table-driven transforms against the definition, one cosine per
-// term, for every length up to 40: the two agree to rounding.
+// The table-driven transforms (the DCTBasis rows, forward and transposed)
+// against the definition, one cosine per term, for every length up to
+// 40: the two agree to rounding.
 func TestDCTMatchesDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for n := 1; n <= 40; n++ {
@@ -174,7 +175,7 @@ func TestDCTMatchesDefinition(t *testing.T) {
 			}
 			return math.Sqrt(2 / float64(n))
 		}
-		fwd, inv := DCT2(x), IDCT2(x)
+		fwd, inv := dct2(x), idct2(x)
 		for k := 0; k < n; k++ {
 			var want2, want3 float64 // DCT-II coefficient k, DCT-III sample k
 			for i := 0; i < n; i++ {
@@ -182,7 +183,7 @@ func TestDCTMatchesDefinition(t *testing.T) {
 				want3 += x[i] * scale(i) * math.Cos(math.Pi*float64(i)*(float64(k)+0.5)/float64(n))
 			}
 			if math.Abs(fwd[k]-want2) > 1e-12 || math.Abs(inv[k]-want3) > 1e-12 {
-				t.Fatalf("n=%d k=%d: DCT2 %v want %v, IDCT2 %v want %v", n, k, fwd[k], want2, inv[k], want3)
+				t.Fatalf("n=%d k=%d: DCT-II %v want %v, DCT-III %v want %v", n, k, fwd[k], want2, inv[k], want3)
 			}
 		}
 	}
@@ -201,9 +202,18 @@ func TestExtractorCepstraAreDCTPrefix(t *testing.T) {
 	}
 	got := make([]float64, e.NumCoeffs)
 	dctInto(got, e.dct, logMel)
-	for k, want := range DCT2(logMel)[:e.NumCoeffs] {
-		if got[k] != want {
-			t.Errorf("cepstrum %d = %v, DCT2 gives %v", k, got[k], want)
+	n := float64(len(logMel))
+	for k := range got {
+		scale := math.Sqrt(2 / n)
+		if k == 0 {
+			scale = math.Sqrt(1 / n)
+		}
+		var want float64
+		for i, v := range logMel {
+			want += v * scale * math.Cos(math.Pi*float64(k)*(float64(i)+0.5)/n)
+		}
+		if math.Abs(got[k]-want) > 1e-12 {
+			t.Errorf("cepstrum %d = %v, the DCT-II gives %v", k, got[k], want)
 		}
 	}
 }
@@ -272,19 +282,6 @@ func TestEnergyAndZCR(t *testing.T) {
 	}
 	if ZeroCrossingRate([]float64{1}) != 0 {
 		t.Error("single-sample ZCR not 0")
-	}
-}
-
-func TestSpectralCentroid(t *testing.T) {
-	// A spectrum with all power in the top bin has centroid near Nyquist.
-	spec := make([]float64, 129)
-	spec[128] = 1
-	c := SpectralCentroid(spec, 8000)
-	if math.Abs(c-4000) > 1 {
-		t.Errorf("centroid = %v, want 4000", c)
-	}
-	if SpectralCentroid(make([]float64, 10), 8000) != 0 {
-		t.Error("zero spectrum centroid not 0")
 	}
 }
 
@@ -385,4 +382,41 @@ func TestHammingWindow(t *testing.T) {
 	if w1 := HammingWindow(1); w1[0] != 1 {
 		t.Errorf("HammingWindow(1) = %v", w1)
 	}
+}
+
+// ifft inverts FFT in place: the conjugate of the transform of the
+// conjugate, scaled by 1/n.
+func ifft(x []complex128) error {
+	for i := range x {
+		x[i] = cmplx.Conj(x[i])
+	}
+	if err := FFT(x); err != nil {
+		return err
+	}
+	inv := complex(1/float64(len(x)), 0)
+	for i := range x {
+		x[i] = cmplx.Conj(x[i]) * inv
+	}
+	return nil
+}
+
+// dct2 is the orthonormal DCT-II of x against DCTBasis.
+func dct2(x []float64) []float64 {
+	out := make([]float64, len(x))
+	dctInto(out, DCTBasis(len(x)), x)
+	return out
+}
+
+// idct2 inverts dct2 (the orthonormal DCT-III): the DCTBasis rows summed
+// with the weights in x.
+func idct2(x []float64) []float64 {
+	n := len(x)
+	basis := DCTBasis(n)
+	out := make([]float64, n)
+	for k, c := range x {
+		for i, b := range basis[k*n : (k+1)*n] {
+			out[i] += c * b
+		}
+	}
+	return out
 }

@@ -57,21 +57,6 @@ func ZeroCrossingRate(frame []float64) float64 {
 	return float64(crossings) / float64(len(frame)-1)
 }
 
-// SpectralCentroid returns the power-weighted mean frequency of spec,
-// whose bins span [0, sampleRate/2].
-func SpectralCentroid(spec []float64, sampleRate float64) float64 {
-	var num, den float64
-	for i, p := range spec {
-		f := float64(i) * sampleRate / float64(2*(len(spec)-1))
-		num += f * p
-		den += p
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
 // Extractor computes MFCC-style feature vectors, the observation sequence
 // the CD-HMMs of the voice module are trained on.
 type Extractor struct {
@@ -193,13 +178,4 @@ func (e *Extractor) Features(signal []float64) ([][]float64, error) {
 // FrameTime returns the center time in seconds of frame index i.
 func (e *Extractor) FrameTime(i int) float64 {
 	return (float64(i)*float64(e.Hop) + float64(e.FrameLen)/2) / e.SampleRate
-}
-
-// FrameIndex returns the frame whose span contains the given second.
-func (e *Extractor) FrameIndex(sec float64) int {
-	i := int((sec*e.SampleRate - float64(e.FrameLen)/2) / float64(e.Hop))
-	if i < 0 {
-		return 0
-	}
-	return i
 }

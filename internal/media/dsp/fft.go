@@ -48,21 +48,6 @@ func FFT(x []complex128) error {
 	return nil
 }
 
-// IFFT computes the inverse FFT of x in place.
-func IFFT(x []complex128) error {
-	for i := range x {
-		x[i] = cmplx.Conj(x[i])
-	}
-	if err := FFT(x); err != nil {
-		return err
-	}
-	inv := complex(1/float64(len(x)), 0)
-	for i := range x {
-		x[i] = cmplx.Conj(x[i]) * inv
-	}
-	return nil
-}
-
 // PowerSpectrum returns |FFT(frame)|^2 for the first n/2+1 bins of a real
 // frame zero-padded to the next power of two ≥ len(frame).
 func PowerSpectrum(frame []float64) ([]float64, error) {
@@ -106,7 +91,7 @@ func HammingWindow(n int) []float64 {
 
 // dctRow fills row with DCT-II basis vector k of length n = len(row):
 // row[i] = s_k·cos(π·k·(i+½)/n), s_0 = √(1/n), s_k = √(2/n). Every
-// transcendental call of a DCT is in here; the transforms below are
+// transcendental call of a DCT is in here; the transform below is
 // multiply-adds against the rows.
 func dctRow(row []float64, k int) {
 	n := float64(len(row))
@@ -141,30 +126,4 @@ func dctInto(out, basis, x []float64) {
 		}
 		out[k] = sum
 	}
-}
-
-// DCT2 computes the orthonormal DCT-II of x (used to decorrelate log
-// filterbank energies into cepstral coefficients).
-func DCT2(x []float64) []float64 {
-	out := make([]float64, len(x))
-	dctInto(out, DCTBasis(len(x)), x)
-	return out
-}
-
-// IDCT2 inverts DCT2 (orthonormal DCT-III): the basis vectors summed with
-// the weights in x, zero weights skipped, so the inverse of a unit vector
-// costs one row of cosines.
-func IDCT2(x []float64) []float64 {
-	out := make([]float64, len(x))
-	row := make([]float64, len(x))
-	for k, c := range x {
-		if c == 0 {
-			continue
-		}
-		dctRow(row, k)
-		for i, b := range row {
-			out[i] += c * b
-		}
-	}
-	return out
 }

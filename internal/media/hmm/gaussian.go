@@ -134,20 +134,6 @@ func logSumExp(xs []float64) float64 {
 	return max + math.Log(sum)
 }
 
-// logAdd returns log(exp(a)+exp(b)) stably.
-func logAdd(a, b float64) float64 {
-	if math.IsInf(a, -1) {
-		return b
-	}
-	if math.IsInf(b, -1) {
-		return a
-	}
-	if a < b {
-		a, b = b, a
-	}
-	return a + math.Log1p(math.Exp(b-a))
-}
-
 // kMeans clusters data into k centroids (Lloyd's algorithm with random
 // initialization from rng), returning centroids and assignments. Used to
 // seed GMM and HMM emission parameters.

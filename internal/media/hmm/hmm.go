@@ -3,7 +3,6 @@ package hmm
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // HMM is a continuous-density hidden Markov model with one diagonal
@@ -39,45 +38,6 @@ func (h *HMM) validate() error {
 		}
 	}
 	return nil
-}
-
-// NewErgodic builds a fully connected HMM with uniform initial and
-// transition probabilities and emissions seeded by k-means over data.
-func NewErgodic(numStates int, data [][]float64, rng *rand.Rand) (*HMM, error) {
-	if numStates <= 0 {
-		return nil, fmt.Errorf("hmm: state count %d must be positive", numStates)
-	}
-	if len(data) < numStates {
-		return nil, fmt.Errorf("hmm: %d samples cannot seed %d states", len(data), numStates)
-	}
-	dim := len(data[0])
-	_, assign := kMeans(data, numStates, rng, 20)
-	h := &HMM{
-		LogInit:  make([]float64, numStates),
-		LogTrans: make([][]float64, numStates),
-		States:   make([]*DiagGaussian, numStates),
-	}
-	logU := -math.Log(float64(numStates))
-	for i := 0; i < numStates; i++ {
-		h.LogInit[i] = logU
-		h.LogTrans[i] = make([]float64, numStates)
-		for j := range h.LogTrans[i] {
-			h.LogTrans[i][j] = logU
-		}
-		w := make([]float64, len(data))
-		for t := range data {
-			if assign[t] == i {
-				w[t] = 1
-			}
-		}
-		if g := estimateGaussian(data, w, dim); g != nil {
-			h.States[i] = g
-		} else {
-			g, _ := NewDiagGaussian(data[rng.Intn(len(data))], ones(dim))
-			h.States[i] = g
-		}
-	}
-	return h, nil
 }
 
 // NewLeftRight builds a Bakis (left-to-right) HMM of numStates states —

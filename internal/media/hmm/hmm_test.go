@@ -78,22 +78,22 @@ func TestLogSumExpAndLogAdd(t *testing.T) {
 	if v := logSumExp([]float64{negInf, negInf}); !math.IsInf(v, -1) {
 		t.Errorf("logSumExp(-inf) = %v", v)
 	}
-	if v := logAdd(negInf, math.Log(2)); math.Abs(v-math.Log(2)) > 1e-12 {
-		t.Errorf("logAdd(-inf, log2) = %v", v)
+	if v := logSumExp([]float64{negInf, math.Log(2)}); math.Abs(v-math.Log(2)) > 1e-12 {
+		t.Errorf("logSumExp(-inf, log2) = %v", v)
 	}
-	if v := logAdd(math.Log(2), negInf); math.Abs(v-math.Log(2)) > 1e-12 {
-		t.Errorf("logAdd(log2, -inf) = %v", v)
+	if v := logSumExp([]float64{math.Log(2), negInf}); math.Abs(v-math.Log(2)) > 1e-12 {
+		t.Errorf("logSumExp(log2, -inf) = %v", v)
 	}
 	// Huge magnitudes must not overflow.
-	if v := logAdd(1000, 1000); math.Abs(v-(1000+math.Log(2))) > 1e-9 {
-		t.Errorf("logAdd(1000,1000) = %v", v)
+	if v := logSumExp([]float64{1000, 1000}); math.Abs(v-(1000+math.Log(2))) > 1e-9 {
+		t.Errorf("logSumExp(1000, 1000) = %v", v)
 	}
 	f := func(a, b float64) bool {
 		if math.IsNaN(a) || math.IsNaN(b) || math.Abs(a) > 500 || math.Abs(b) > 500 {
 			return true
 		}
 		want := math.Log(math.Exp(a) + math.Exp(b))
-		return math.Abs(logAdd(a, b)-want) < 1e-9*(1+math.Abs(want))
+		return math.Abs(logSumExp([]float64{a, b})-want) < 1e-9*(1+math.Abs(want))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -302,13 +302,19 @@ func TestBaumWelchImprovesLikelihood(t *testing.T) {
 		}
 		seqs = append(seqs, seq)
 	}
-	var flat [][]float64
-	for _, s := range seqs {
-		flat = append(flat, s...)
+	// A fully connected start: uniform initial and transition
+	// probabilities, emissions near the middle of the data.
+	half := math.Log(0.5)
+	h := &HMM{
+		LogInit:  []float64{half, half},
+		LogTrans: [][]float64{{half, half}, {half, half}},
 	}
-	h, err := NewErgodic(2, flat, rng)
-	if err != nil {
-		t.Fatal(err)
+	for _, mean := range []float64{-1, 1} {
+		g, err := NewDiagGaussian([]float64{mean}, []float64{4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.States = append(h.States, g)
 	}
 	before := 0.0
 	for _, s := range seqs {
@@ -404,13 +410,6 @@ func TestHMMValidation(t *testing.T) {
 	}
 	if err := good.Train([][][]float64{{}}, 5); err == nil {
 		t.Error("empty training sequence accepted")
-	}
-	rng := rand.New(rand.NewSource(1))
-	if _, err := NewErgodic(0, [][]float64{{1}}, rng); err == nil {
-		t.Error("zero states accepted")
-	}
-	if _, err := NewErgodic(5, [][]float64{{1}}, rng); err == nil {
-		t.Error("more states than samples accepted")
 	}
 	if _, err := NewLeftRight(0, [][]float64{{1}}); err == nil {
 		t.Error("zero states accepted by left-right")

@@ -32,14 +32,6 @@ func New(w, h int) (*Gray, error) {
 	return &Gray{W: w, H: h, Pix: make([]float64, w*h)}, nil
 }
 
-// At returns the pixel at (x, y); out-of-range coordinates read as 0.
-func (g *Gray) At(x, y int) float64 {
-	if x < 0 || y < 0 || x >= g.W || y >= g.H {
-		return 0
-	}
-	return g.Pix[y*g.W+x]
-}
-
 // Set writes the pixel at (x, y), clamping the value to [0, 1];
 // out-of-range coordinates are ignored.
 func (g *Gray) Set(x, y int, v float64) {
@@ -269,30 +261,4 @@ func (g *Gray) atClamped(x, y int) float64 {
 		y = g.H - 1
 	}
 	return g.Pix[y*g.W+x]
-}
-
-// Downscale returns the raster reduced by an integer factor with box
-// filtering — the "icon" and low-resolution presentation forms.
-func Downscale(g *Gray, factor int) (*Gray, error) {
-	if factor <= 0 {
-		return nil, fmt.Errorf("image: downscale factor %d must be positive", factor)
-	}
-	w := g.W / factor
-	h := g.H / factor
-	if w == 0 || h == 0 {
-		return nil, fmt.Errorf("image: %dx%d too small for factor %d", g.W, g.H, factor)
-	}
-	out, _ := New(w, h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			var sum float64
-			for dy := 0; dy < factor; dy++ {
-				for dx := 0; dx < factor; dx++ {
-					sum += g.Pix[(y*factor+dy)*g.W+x*factor+dx]
-				}
-			}
-			out.Pix[y*w+x] = sum / float64(factor*factor)
-		}
-	}
-	return out, nil
 }

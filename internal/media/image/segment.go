@@ -123,11 +123,3 @@ func GridOverlay(g *Gray, s *Segmentation, intensity float64) (*Gray, error) {
 	}
 	return out, nil
 }
-
-// SegmentAt returns the segment id containing pixel (x, y).
-func (s *Segmentation) SegmentAt(x, y int) (int, error) {
-	if x < 0 || y < 0 || x >= s.W || y >= s.H {
-		return 0, fmt.Errorf("image: (%d,%d) outside %dx%d", x, y, s.W, s.H)
-	}
-	return s.Labels[y*s.W+x], nil
-}

@@ -463,33 +463,6 @@ func (m *MediaDB) objectRow(table, kind string, id uint64) (store.Row, error) {
 	return row, nil
 }
 
-// deleteRow deletes one row of tableName. The store releases the blob
-// references the row held once the delete is durable, so a crash can
-// never free a payload a surviving row needs.
-func (m *MediaDB) deleteRow(tableName string, id uint64) error {
-	tbl, err := m.db.Table(tableName)
-	if err != nil {
-		return err
-	}
-	return tbl.Delete(id)
-}
-
-// DeleteImage removes an image object's row; once the delete is durable
-// unshared payload bytes become reusable free space.
-func (m *MediaDB) DeleteImage(id uint64) error {
-	return m.deleteRow(ImageTable, id)
-}
-
-// DeleteAudio removes an audio object's row.
-func (m *MediaDB) DeleteAudio(id uint64) error {
-	return m.deleteRow(AudioTable, id)
-}
-
-// DeleteCmp removes a compressed stream's row, header and bitstream.
-func (m *MediaDB) DeleteCmp(id uint64) error {
-	return m.deleteRow(CmpTable, id)
-}
-
 // documentRow finds docID's row of DOCUMENT_OBJECTS_TABLE, which is keyed
 // by FLD_DOCID: the row's id in the table and its cells. A document that
 // is not stored is an ErrNoObject error; the table comes back with it,
@@ -511,15 +484,6 @@ func (m *MediaDB) documentRow(docID string) (*store.Table, uint64, store.Row, er
 		return nil, 0, nil, fmt.Errorf("mediadb: document row vanished: %v", err)
 	}
 	return tbl, ids[0], row, nil
-}
-
-// DeleteDocument removes a stored document by document id.
-func (m *MediaDB) DeleteDocument(docID string) error {
-	_, id, _, err := m.documentRow(docID)
-	if err != nil {
-		return err
-	}
-	return m.deleteRow(DocumentTable, id)
 }
 
 // PutDocument stores (or replaces) a multimedia document. Replacing a

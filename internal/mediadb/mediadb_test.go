@@ -242,8 +242,7 @@ func TestDocumentReplace(t *testing.T) {
 // same docID. Each displaced payload must be released exactly once: a
 // double release would free a (possibly dedup-shared) payload another
 // row still references, a missed release would leak the loser's new
-// payload. Afterwards exactly one manifest must remain live, and a
-// delete must take the count to zero.
+// payload. Afterwards exactly one manifest must remain live.
 func TestConcurrentDocumentReplaceKeepsRefcounts(t *testing.T) {
 	m := openMedia(t)
 	if err := m.PutDocument(testDoc(t)); err != nil {
@@ -288,15 +287,6 @@ func TestConcurrentDocumentReplaceKeepsRefcounts(t *testing.T) {
 	st, _ := m.DB().BlobStats()
 	if st.Manifests != 1 {
 		t.Errorf("live manifests after race = %d, want 1 (leak or double free)", st.Manifests)
-	}
-	if err := m.DeleteDocument("doc-1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.DB().Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if st, _ := m.DB().BlobStats(); st.Manifests != 0 {
-		t.Errorf("live manifests after delete = %d, want 0", st.Manifests)
 	}
 }
 
@@ -401,76 +391,5 @@ func TestOverwriteBoundsStoreSize(t *testing.T) {
 	back, err := m.GetDocument("doc-1")
 	if err != nil || back.Title != d.Title {
 		t.Errorf("final revision: %+v, %v", back, err)
-	}
-}
-
-func TestDeleteObjectsAndCompaction(t *testing.T) {
-	dir := t.TempDir()
-	db, err := store.Open(dir, store.Options{Sync: store.SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	m, err := Open(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Distinct payloads per object: identical ones would be shared by the
-	// content-addressed store and deleting the copies would reclaim
-	// nothing (that sharing is tested separately).
-	big := bytes.Repeat([]byte{1}, 50_000)
-	mk := func(b byte) []byte { return bytes.Repeat([]byte{b}, 50_000) }
-	keep, err := m.PutImage(1, "keep", 1, big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doomed, err := m.PutImage(1, "doomed", 1, mk(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	aud, err := m.PutAudio("a.pcm", nil, mk(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmpID, err := m.PutCmp("c.mml", []byte{1}, mk(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.DeleteImage(doomed); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.DeleteImage(doomed); err == nil {
-		t.Error("double delete accepted")
-	}
-	if err := m.DeleteAudio(aud); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.DeleteCmp(cmpID); err != nil {
-		t.Fatal(err)
-	}
-	d := testDoc(t)
-	if err := m.PutDocument(d); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.DeleteDocument("doc-1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.DeleteDocument("doc-1"); err == nil {
-		t.Error("double document delete accepted")
-	}
-	reclaimed, err := db.CompactBlobs()
-	if err != nil {
-		t.Fatalf("CompactBlobs: %v", err)
-	}
-	if reclaimed < 3*50_000 {
-		t.Errorf("reclaimed %d", reclaimed)
-	}
-	img, err := m.GetImage(keep)
-	if err != nil || img.Texts != "keep" || !bytes.Equal(img.Data, big) {
-		t.Fatalf("surviving image broken: %v", err)
-	}
-	// What is left is the surviving image, counted once, by its row.
-	if rep, err := db.FsckBlobs(); err != nil || !rep.Clean() || rep.Objects != 1 {
-		t.Errorf("fsck after deletes: %+v, %v", rep, err)
 	}
 }

@@ -21,12 +21,6 @@ type errInjected struct{ op string }
 
 func (e errInjected) Error() string { return "netsim: injected " + e.op }
 
-// IsInjected reports whether err came from a netsim fault injection.
-func IsInjected(err error) bool {
-	_, ok := err.(errInjected)
-	return ok
-}
-
 // Faults is a shared fault controller for a set of connections. The zero
 // value is unusable; construct with NewFaults. All methods are safe for
 // concurrent use.

@@ -1,9 +1,6 @@
 package netsim
 
-import (
-	"net"
-	"time"
-)
+import "time"
 
 // Profile is a named bundle of link conditions — the bandwidth, one-way
 // latency, and packet-loss rate of a client class. Profiles parameterize
@@ -31,16 +28,6 @@ var (
 // Profiles lists the presets worst-first.
 func Profiles() []Profile { return []Profile{Dialup, ThreeG, LAN} }
 
-// ProfileByName returns the preset with the given name, or false.
-func ProfileByName(name string) (Profile, bool) {
-	for _, p := range Profiles() {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return Profile{}, false
-}
-
 // EffectiveBandwidth is the goodput after loss: every lost packet is
 // retransmitted, so a loss rate of f costs a 1−f factor of the raw rate.
 func (p Profile) EffectiveBandwidth() int64 {
@@ -54,10 +41,4 @@ func (p Profile) EffectiveBandwidth() int64 {
 // Link builds the analytic model for the profile.
 func (p Profile) Link() (*Link, error) {
 	return NewLink(p.EffectiveBandwidth(), p.Latency)
-}
-
-// Throttle wraps conn with the profile's effective write bandwidth.
-// Throttle one direction by wrapping one end; both by wrapping both.
-func (p Profile) Throttle(conn net.Conn) (*ThrottledConn, error) {
-	return Throttle(conn, p.EffectiveBandwidth())
 }

@@ -57,7 +57,7 @@ func TestProfileThrottlePacesWrites(t *testing.T) {
 	defer client.Close()
 	// 64 KB/s: 16 KB should take ~250 ms.
 	p := Profile{Name: "t", Bandwidth: 64_000}
-	tc, err := p.Throttle(client)
+	tc, err := Throttle(client, p.EffectiveBandwidth())
 	if err != nil {
 		t.Fatal(err)
 	}

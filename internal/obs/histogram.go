@@ -83,9 +83,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 }
 
-// Count returns how many observations the histogram holds.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // Snapshot copies the histogram's state for offline quantile queries.
 // Concurrent Observes may straddle the copy; the snapshot is a consistent
 // enough view for monitoring (counts never decrease).

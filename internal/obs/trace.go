@@ -180,13 +180,6 @@ func NewRecorder(size int, threshold time.Duration) *Recorder {
 	return &Recorder{threshold: threshold, ring: make([]TraceRecord, size)}
 }
 
-// Threshold returns the recorder's slow bar.
-func (r *Recorder) Threshold() time.Duration { return r.threshold }
-
-// Recorded returns how many traces have entered the ring (monotonic;
-// the ring itself holds only the most recent).
-func (r *Recorder) Recorded() uint64 { return r.recorded.Load() }
-
 // Observe completes a trace: if it qualifies (slow or errored) its spans
 // are copied into the ring, overwriting the oldest entry; a trace that
 // does not qualify is not copied at all.

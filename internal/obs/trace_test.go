@@ -115,8 +115,8 @@ func TestSpanAllocatesNothing(t *testing.T) {
 
 func TestRecorderThreshold(t *testing.T) {
 	rec := NewRecorder(8, 10*time.Millisecond)
-	if rec.Threshold() != 10*time.Millisecond {
-		t.Fatalf("Threshold = %v", rec.Threshold())
+	if rec.threshold != 10*time.Millisecond {
+		t.Fatalf("Threshold = %v", rec.threshold)
 	}
 	// Fast and clean: skipped.
 	rec.Observe(&Trace{ID: 1, Method: "fast", Begin: time.Now()}, time.Millisecond, nil)
@@ -124,7 +124,7 @@ func TestRecorderThreshold(t *testing.T) {
 	rec.Observe(&Trace{ID: 2, Method: "slow", Begin: time.Now()}, 20*time.Millisecond, nil)
 	// Fast but errored: recorded.
 	rec.Observe(&Trace{ID: 3, Method: "bad", Begin: time.Now()}, time.Millisecond, errors.New("boom"))
-	if got := rec.Recorded(); got != 2 {
+	if got := rec.recorded.Load(); got != 2 {
 		t.Fatalf("Recorded = %d, want 2", got)
 	}
 	recent := rec.Recent(0)
@@ -143,7 +143,7 @@ func TestRecorderThreshold(t *testing.T) {
 func TestRecorderRecordEverything(t *testing.T) {
 	rec := NewRecorder(8, -1)
 	rec.Observe(&Trace{ID: 1, Method: "m", Begin: time.Now()}, 0, nil)
-	if rec.Recorded() != 1 {
+	if rec.recorded.Load() != 1 {
 		t.Fatal("negative threshold did not record a zero-latency request")
 	}
 }

@@ -39,7 +39,7 @@ func TestMeterConvergesOverThrottledProfiles(t *testing.T) {
 			defer server.Close()
 			go io.Copy(io.Discard, client) //nolint:errcheck — drain until close
 			defer client.Close()
-			tconn, err := tc.profile.Throttle(server)
+			tconn, err := netsim.Throttle(server, tc.profile.EffectiveBandwidth())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -81,17 +81,6 @@ func (r *Room) DeleteAnnotation(actor string, objectID uint64, annotationID int)
 	return nil
 }
 
-// Annotations returns a copy of an object's current overlay.
-func (r *Room) Annotations(objectID uint64) []image.Annotation {
-	r.mu.Lock()
-	defer r.unlock()
-	ann, ok := r.anns[objectID]
-	if !ok {
-		return nil
-	}
-	return append([]image.Annotation(nil), ann.Annotations...)
-}
-
 // Freeze locks an object against changes by other partners.
 func (r *Room) Freeze(actor string, objectID uint64) error {
 	r.mu.Lock()
@@ -121,11 +110,4 @@ func (r *Room) Release(actor string, objectID uint64) error {
 	delete(r.frozen, objectID)
 	r.broadcastLocked(Event{Actor: actor, Kind: EvRelease, ObjectID: objectID}, false)
 	return nil
-}
-
-// FrozenBy reports who holds the freeze on an object ("" if unfrozen).
-func (r *Room) FrozenBy(objectID uint64) string {
-	r.mu.Lock()
-	defer r.unlock()
-	return r.frozen[objectID]
 }

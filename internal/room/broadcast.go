@@ -66,13 +66,6 @@ func (r *Room) StopBroadcast(presenter string) error {
 	return nil
 }
 
-// Broadcaster returns the current presenter ("" when no broadcast runs).
-func (r *Room) Broadcaster() string {
-	r.mu.Lock()
-	defer r.unlock()
-	return r.broadcaster
-}
-
 // viewerLocked names whose view a member is shown: the presenter's while
 // a broadcast runs, its own otherwise. Caller holds r.mu.
 func (r *Room) viewerLocked(member string) string {

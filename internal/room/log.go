@@ -179,20 +179,6 @@ func (r *Room) Restore(l Log) error {
 	return nil
 }
 
-// Seq returns the latest issued event sequence number.
-func (r *Room) Seq() uint64 {
-	r.mu.Lock()
-	defer r.unlock()
-	return r.log.seq
-}
-
-// Trimmed returns the room log's replay floor (Log.Trimmed).
-func (r *Room) Trimmed() uint64 {
-	r.mu.Lock()
-	defer r.unlock()
-	return r.log.trimmed
-}
-
 // History returns buffered events with Seq greater than since.
 func (r *Room) History(since uint64) []Event {
 	r.mu.Lock()

@@ -231,18 +231,6 @@ func (r *Room) Resume(ctx context.Context, name string, since uint64) (*Member, 
 	return m, r.log.AppendSince(nil, since), first, complete, nil
 }
 
-// Detached lists the names of currently detached sessions, sorted.
-func (r *Room) Detached() []string {
-	r.mu.Lock()
-	defer r.unlock()
-	out := make([]string, 0, len(r.detached))
-	for n := range r.detached {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Members lists current member names, sorted.
 func (r *Room) Members() []string {
 	r.mu.Lock()

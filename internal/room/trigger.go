@@ -35,9 +35,6 @@ type Trigger struct {
 // Fired returns how many times the trigger has run.
 func (t *Trigger) Fired() int64 { return t.fired.Load() }
 
-// Active reports whether the trigger is still enabled.
-func (t *Trigger) Active() bool { return t.active.Load() }
-
 // triggerActor is the synthetic actor name trigger-initiated events carry.
 const triggerActor = "system/trigger"
 
@@ -75,26 +72,6 @@ func (r *Room) triggerLoop(ch <-chan Event, done chan<- struct{}) {
 	for ev := range ch {
 		r.runTriggers(ev)
 	}
-}
-
-// RemoveTrigger uninstalls a rule by id.
-func (r *Room) RemoveTrigger(id uint64) error {
-	r.mu.Lock()
-	defer r.unlock()
-	for i, t := range r.triggers {
-		if t.ID == id {
-			r.triggers = append(r.triggers[:i], r.triggers[i+1:]...)
-			return nil
-		}
-	}
-	return fmt.Errorf("room %s: no trigger %d", r.Name, id)
-}
-
-// Triggers lists installed triggers in installation order.
-func (r *Room) Triggers() []*Trigger {
-	r.mu.Lock()
-	defer r.unlock()
-	return append([]*Trigger(nil), r.triggers...)
 }
 
 // runTriggers evaluates rules against an event. Called WITHOUT the room

@@ -196,7 +196,7 @@ func TestTriggerDeactivatesOnError(t *testing.T) {
 	}
 	r.Chat("alice", "one")
 	waitFor(t, "first firing", func() bool { return trig.Fired() == 1 })
-	waitFor(t, "deactivation", func() bool { return !trig.Active() })
+	waitFor(t, "deactivation", func() bool { return !trig.active.Load() })
 	r.Chat("alice", "two")
 	time.Sleep(50 * time.Millisecond)
 	if trig.Fired() != 1 {
@@ -216,15 +216,6 @@ func TestTriggerManagement(t *testing.T) {
 	t2, _ := r.AddTrigger("b", nil, func(*Room, Event) error { return nil })
 	if got := r.Triggers(); len(got) != 2 || got[0].ID != t1.ID || got[1].ID != t2.ID {
 		t.Errorf("Triggers = %v", got)
-	}
-	if err := r.RemoveTrigger(t1.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.RemoveTrigger(t1.ID); err == nil {
-		t.Error("double remove accepted")
-	}
-	if got := r.Triggers(); len(got) != 1 || got[0].ID != t2.ID {
-		t.Errorf("Triggers after remove = %v", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"net"
 	"runtime"
 	"strings"
@@ -99,7 +100,7 @@ func TestClosedServerLeavesNoGoroutine(t *testing.T) {
 	if err := s.Choice("ct", "segmented"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Leave(); err != nil {
+	if err := s.LeaveCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if len(programGoroutines()) <= len(before) {

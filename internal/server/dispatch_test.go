@@ -132,7 +132,7 @@ func TestOneDurationPerRequest(t *testing.T) {
 	}
 	srv, dial := stepSystem(t, Options{Logf: logf}, nil, slowBar(0))
 	const pinned = uint64(0x5106)
-	ctx := wire.WithTraceID(context.Background(), pinned)
+	ctx := obs.ContextWithID(context.Background(), pinned)
 	var resp proto.ListDocumentsResp
 	if err := dial().CallCtx(ctx, proto.MListDocuments, &proto.ListDocumentsReq{}, &resp); err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func TestPanicBecomesErrorResponse(t *testing.T) {
 	srv, dial := stepSystem(t, Options{}, map[string]wire.Handler{"boom": boom, "ok": answer})
 	c := dial()
 	const pinned = uint64(0xb00)
-	err := call(wire.WithTraceID(context.Background(), pinned), c, "boom")
+	err := call(obs.ContextWithID(context.Background(), pinned), c, "boom")
 	if err == nil || !strings.Contains(err.Error(), "internal error in boom") {
 		t.Fatalf("panic not converted to error: %v", err)
 	}
@@ -265,7 +265,7 @@ func TestHandlerSeesRequestTrace(t *testing.T) {
 		return nil, nil
 	}
 	_, dial := stepSystem(t, Options{}, map[string]wire.Handler{"seen": seen})
-	if err := call(wire.WithTraceID(context.Background(), pinned), dial(), "seen"); err != nil {
+	if err := call(obs.ContextWithID(context.Background(), pinned), dial(), "seen"); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -57,12 +58,30 @@ func TestJoinSendsTheViewOnce(t *testing.T) {
 // TestRefusedResumeLeavesTheRoom: a resume (or a join) on a connection
 // that already holds the room is refused before the room is touched. The
 // member keeps its place and its choices, nobody is told it left, and its
-// next request works.
+// next request works. Alice speaks raw protocol: a client sends a resume
+// only from a fresh connection after a reconnect.
 func TestRefusedResumeLeavesTheRoom(t *testing.T) {
 	srv, addr, _ := testSystem(t)
-	alice := dial(t, addr, "alice")
-	sa, _, err := alice.Join("consult", "p1", 0)
-	if err != nil {
+	ctx := context.Background()
+	sc, cc := net.Pipe()
+	go srv.ServeConn(sc)
+	alice := wire.NewClient(cc)
+	defer alice.Close()
+	var resynced, sawLast atomic.Bool
+	alice.OnPush(func(method string, body wire.Body) {
+		var ev room.Event
+		if method != proto.MEvent || body.Decode(&ev) != nil {
+			return
+		}
+		if ev.Resync {
+			resynced.Store(true)
+		}
+		if ev.Kind == room.EvChoice && ev.Actor == "alice" && ev.Variable == "xray" {
+			sawLast.Store(true)
+		}
+	})
+	var joined proto.JoinRoomResp
+	if err := alice.CallCtx(ctx, proto.MJoinRoom, &proto.JoinRoomReq{Room: "consult", DocID: "p1", User: "alice"}, &joined); err != nil {
 		t.Fatal(err)
 	}
 	bob := dial(t, addr, "bob")
@@ -70,13 +89,17 @@ func TestRefusedResumeLeavesTheRoom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sa.Choice("ct", "segmented"); err != nil {
+	choice := func(variable, value string) error {
+		return alice.CallCtx(ctx, proto.MChoice, &proto.ChoiceReq{Room: "consult", User: "alice", Variable: variable, Value: value}, nil)
+	}
+	if err := choice("ct", "segmented"); err != nil {
 		t.Fatal(err)
 	}
-	if err := alice.ResumeSession(context.Background(), sa); err == nil {
+	var resp proto.JoinRoomResp
+	if err := alice.CallCtx(ctx, proto.MJoinRoom, &proto.JoinRoomReq{Room: "consult", DocID: "p1", User: "alice", Resume: true, SinceSeq: joined.View.Seq}, &resp); err == nil {
 		t.Fatal("a resume on the connection that holds the room was accepted")
 	}
-	if _, _, err := alice.Join("consult", "p1", 0); err == nil {
+	if err := alice.CallCtx(ctx, proto.MJoinRoom, &proto.JoinRoomReq{Room: "consult", DocID: "p1", User: "alice"}, &resp); err == nil {
 		t.Fatal("a second join on the connection that holds the room was accepted")
 	}
 
@@ -100,11 +123,12 @@ func TestRefusedResumeLeavesTheRoom(t *testing.T) {
 		}
 		return ev.Kind == room.EvChat && ev.Actor == "bob"
 	})
-	if err := sa.Choice("xray", "full"); err != nil {
+	if err := choice("xray", "full"); err != nil {
 		t.Fatalf("alice's next choice: %v", err)
 	}
-	if sa.NeedsResync() {
-		t.Error("alice's session is flagged, and it lost nothing")
+	waitFor(t, sawLast.Load)
+	if resynced.Load() {
+		t.Error("alice's stream is flagged for a resync, and she lost nothing")
 	}
 }
 

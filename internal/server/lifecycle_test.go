@@ -61,7 +61,7 @@ func TestConcurrentRoomLifecycle(t *testing.T) {
 					case 1:
 						err = s.Chat(fmt.Sprintf("note %d from %s", i, user))
 					case 2:
-						_, err = s.History(0)
+						_, err = s.HistoryCtx(context.Background(), 0)
 					}
 					if err != nil {
 						errs <- fmt.Errorf("%s act: %w", user, err)
@@ -71,7 +71,7 @@ func TestConcurrentRoomLifecycle(t *testing.T) {
 				// Half the peers leave politely; the rest just hang up and
 				// exercise the eviction path.
 				if pi%2 == 0 {
-					if err := s.Leave(); err != nil {
+					if err := s.LeaveCtx(context.Background()); err != nil {
 						errs <- fmt.Errorf("%s leave: %w", user, err)
 					}
 				}

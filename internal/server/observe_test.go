@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mmconf/internal/mediadb"
+	"mmconf/internal/obs"
 	"mmconf/internal/proto"
 	"mmconf/internal/store"
 	"mmconf/internal/wire"
@@ -61,7 +62,7 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 	}
 
 	const pinned = uint64(0xabcdef01)
-	ctx := wire.WithTraceID(context.Background(), pinned)
+	ctx := obs.ContextWithID(context.Background(), pinned)
 	if err := s.ChoiceCtx(ctx, "ct", "segmented"); err != nil {
 		t.Fatal(err)
 	}
@@ -91,10 +92,16 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 	}
 
 	// The same trace must come back over the wire.
-	infos, err := c.Traces(pinned, 0)
+	rpc, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rpc.Close()
+	var resp proto.TracesResp
+	if err := rpc.CallCtx(context.Background(), proto.MTraces, &proto.TracesReq{ID: pinned}, &resp); err != nil {
+		t.Fatal(err)
+	}
+	infos := resp.Traces
 	if len(infos) != 1 || infos[0].ID != pinned || infos[0].Method != proto.MChoice {
 		t.Fatalf("sys.traces = %+v", infos)
 	}

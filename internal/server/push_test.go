@@ -283,7 +283,7 @@ func TestPushResponseOrderUnderLoad(t *testing.T) {
 		errs <- sb.Chat("fin")
 	}()
 	for i := 0; i < 50; i++ {
-		if _, err := sa.History(0); err != nil {
+		if _, err := sa.HistoryCtx(context.Background(), 0); err != nil {
 			t.Fatal(err)
 		}
 	}

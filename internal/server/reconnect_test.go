@@ -628,7 +628,7 @@ func leaveDuringOutage(t *testing.T, duringResume bool) {
 		fr := &firstRequest{Conn: conn}
 		if armed.CompareAndSwap(true, false) {
 			// The redial's first request is the resume.
-			fr.onRequest = func() { leaveCh <- sa.Leave() }
+			fr.onRequest = func() { leaveCh <- sa.LeaveCtx(context.Background()) }
 		}
 		return fr, nil
 	}, "alice", fastRetry())
@@ -657,7 +657,7 @@ func leaveDuringOutage(t *testing.T, duringResume bool) {
 	if duringResume {
 		armed.Store(true)
 	} else {
-		leaveCh <- sa.Leave()
+		leaveCh <- sa.LeaveCtx(context.Background())
 	}
 	col := collect(t, alice)
 	faults.FailDials(0)

@@ -228,7 +228,7 @@ func TestOperationAnnotationFreezeOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Shared operation.
-	derived, err := sa.Operation("ct", "segmentation", "segmented", false)
+	derived, err := sa.OperationCtx(context.Background(), "ct", "segmentation", "segmented", false)
 	if err != nil {
 		t.Fatalf("operation: %v", err)
 	}
@@ -323,13 +323,13 @@ func TestLeaveAndMembershipEnforcement(t *testing.T) {
 	_ = sm
 	// mallory cannot impersonate alice: the proto carries the user, but
 	// the server checks the connection's own membership record.
-	if err := sa.Leave(); err != nil {
+	if err := sa.LeaveCtx(context.Background()); err != nil {
 		t.Fatalf("leave: %v", err)
 	}
 	if err := sa.Choice("ct", "hidden"); err == nil {
 		t.Error("choice after leave accepted")
 	}
-	if err := sa.Leave(); err == nil {
+	if err := sa.LeaveCtx(context.Background()); err == nil {
 		t.Error("double leave accepted")
 	}
 }
@@ -343,7 +343,7 @@ func TestHistoryRPC(t *testing.T) {
 	}
 	sa.Chat("one")
 	sa.Chat("two")
-	evs, err := sa.History(0)
+	evs, err := sa.HistoryCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatalf("History: %v", err)
 	}
@@ -358,7 +358,7 @@ func TestHistoryRPC(t *testing.T) {
 	if chats != 2 {
 		t.Errorf("chats in history = %d", chats)
 	}
-	tail, err := sa.History(lastSeq)
+	tail, err := sa.HistoryCtx(context.Background(), lastSeq)
 	if err != nil || len(tail) != 0 {
 		t.Errorf("History(last) = %v, %v", tail, err)
 	}

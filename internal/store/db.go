@@ -489,15 +489,6 @@ func (db *DB) WALStats() (appends, syncs int64) {
 	return db.wal.stats()
 }
 
-// ReplaySkipped reports how many WAL records the last Open skipped
-// because they did not decode or no longer applied (see replay). Zero
-// in normal operation.
-func (db *DB) ReplaySkipped() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.replaySkipped
-}
-
 // Checkpoint writes the current state as a snapshot and truncates the WAL.
 // The snapshot goes through a temp file and atomic rename, so a crash
 // mid-checkpoint recovers from the previous snapshot plus the intact WAL.

@@ -63,7 +63,7 @@ func TestWriteReleasesDisplacedBlob(t *testing.T) {
 			defer db.ReleaseBlob(h)
 			return tbl.Update(id, Row{h})
 		},
-		"drop table": func(db *DB, tbl *Table, _ uint64) error { return db.DropTable(tbl.Name()) },
+		"drop table": func(db *DB, tbl *Table, _ uint64) error { return db.DropTable(tbl.name) },
 	}
 	for name, write := range writes {
 		t.Run(name, func(t *testing.T) {

@@ -168,9 +168,9 @@ func TestTableLookupOperations(t *testing.T) {
 	if err := tbl.CreateIndex("size"); err != nil {
 		t.Fatal(err)
 	}
-	ids3, err := tbl.LookupInt("size", 999)
+	ids3, err := tbl.lookup("size", int64(999))
 	if err != nil || len(ids3) != 1 {
-		t.Errorf("LookupInt = %v, %v", ids3, err)
+		t.Errorf("lookup(size, 999) = %v, %v", ids3, err)
 	}
 }
 

@@ -143,9 +143,6 @@ type Table struct {
 	name string
 }
 
-// Name returns the table's name.
-func (t *Table) Name() string { return t.name }
-
 // Schema returns a copy of the table's column definitions.
 func (t *Table) Schema() ([]Column, error) {
 	t.db.mu.RLock()
@@ -238,13 +235,6 @@ func (t *Table) UpdateReturningOld(id uint64, row Row) (Row, error) {
 	return old, nil
 }
 
-// Delete removes the row with the given id.
-func (t *Table) Delete(id uint64) error {
-	t.db.mu.Lock()
-	defer t.db.mu.Unlock()
-	return t.db.logAndApply(walRecord{Op: opDelete, Table: t.name, ID: id})
-}
-
 // Len returns the number of rows.
 func (t *Table) Len() (int, error) {
 	t.db.mu.RLock()
@@ -289,11 +279,6 @@ func (t *Table) CreateIndex(col string) error {
 	t.db.mu.Lock()
 	defer t.db.mu.Unlock()
 	return t.db.logAndApply(walRecord{Op: opCreateIndex, Table: t.name, Col: col})
-}
-
-// LookupInt returns the ids of rows whose indexed int column equals v.
-func (t *Table) LookupInt(col string, v int64) ([]uint64, error) {
-	return t.lookup(col, v)
 }
 
 // LookupString returns the ids of rows whose indexed string column equals v.

@@ -323,21 +323,6 @@ func (e *BodyEnc) size() int {
 	return n
 }
 
-// segments materializes the span list against the (now final) scratch
-// buffer. The returned slices alias e.buf — valid until the encoder is
-// pooled again.
-func (e *BodyEnc) segments() [][]byte {
-	out := make([][]byte, 0, len(e.spans))
-	for _, s := range e.spans {
-		if s.ext != nil {
-			out = append(out, s.ext)
-		} else {
-			out = append(out, e.buf[s.off:s.off+s.n])
-		}
-	}
-	return out
-}
-
 // Flatten copies the encoding into one newly-owned []byte — the shape a
 // shared push encoding needs (long-lived, fanned out to N peers).
 func (e *BodyEnc) Flatten() []byte {

@@ -6,6 +6,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"mmconf/internal/obs"
 )
 
 // coverBody is a minimal BodyEncoder/BodyDecoder pair for exercising
@@ -128,7 +130,7 @@ func TestTraceIDRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	ctx := WithTraceID(context.Background(), 424242)
+	ctx := obs.ContextWithID(context.Background(), 424242)
 	var rep echoReply
 	if err := c.CallCtx(ctx, "trace", &echoArgs{}, &rep); err != nil {
 		t.Fatal(err)

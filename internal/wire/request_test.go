@@ -118,7 +118,7 @@ func probeServer(t *testing.T) (*Client, <-chan probe) {
 func probeCall(t *testing.T, c *Client, seen <-chan probe, method string, tid uint64) probe {
 	t.Helper()
 	time.Sleep(2 * time.Millisecond)
-	if err := c.CallCtx(WithTraceID(context.Background(), tid), method, &echoArgs{}, nil); err != nil {
+	if err := c.CallCtx(obs.ContextWithID(context.Background(), tid), method, &echoArgs{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	return <-seen

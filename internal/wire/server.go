@@ -148,19 +148,6 @@ func (s *Server) AwaitIdle(ctx context.Context) error {
 	}
 }
 
-// Shutdown drains the server gracefully: stop accepting, wait for
-// in-flight handlers up to ctx's deadline, flush every peer's queued
-// writes, then cancel any stragglers and tear down every connection.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.Drain()
-	err := s.AwaitIdle(ctx)
-	_ = s.FlushPeers(ctx)
-	if cerr := s.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // FlushPeers blocks (bounded by ctx) until every live peer's queued
 // writes, its attached sources' included, have been handed to the
 // operating system — the graceful-drain step that keeps batched pushes
@@ -212,7 +199,7 @@ func (s *Server) WriteBacklog() (peers, queued int) {
 
 // Close tears everything down immediately: listeners stop, every
 // in-flight request context is cancelled, and peer connections close.
-// For a graceful stop use Shutdown.
+// For a graceful stop, run Drain, AwaitIdle and FlushPeers first.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	var first error

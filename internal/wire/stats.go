@@ -179,18 +179,6 @@ func (st *Stats) Method(name string) MethodStats {
 	return MethodStats{}
 }
 
-// Histogram returns the named method's live latency histogram (nil if
-// the method has never been called) for callers needing quantiles
-// beyond the snapshot's p50/p90/p99.
-func (st *Stats) Histogram(name string) *obs.Histogram {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if rec := st.methods[name]; rec != nil {
-		return rec.hist
-	}
-	return nil
-}
-
 // Snapshot copies every method's counters and derives percentiles.
 func (st *Stats) Snapshot() map[string]MethodStats {
 	st.mu.Lock()

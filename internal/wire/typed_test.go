@@ -150,7 +150,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	time.Sleep(20 * time.Millisecond) // let the request get in flight
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
+	if err := shutdown(ctx, s); err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
 	select {

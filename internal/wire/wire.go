@@ -17,11 +17,7 @@
 // its own in-flight work instead of leaving it running.
 package wire
 
-import (
-	"context"
-
-	"mmconf/internal/obs"
-)
+import "context"
 
 // msgKind distinguishes envelope roles.
 type msgKind uint8
@@ -61,18 +57,3 @@ type envelope struct {
 // response payload. Most handlers are built with Typed, which owns the
 // decode and pins both codecs at compile time.
 type Handler func(ctx context.Context, p *Peer, payload []byte) (any, error)
-
-// ContextTraceID returns the request's trace id (0 outside a dispatch).
-func ContextTraceID(ctx context.Context) uint64 {
-	if t, ok := obs.TraceFrom(ctx); ok {
-		return t.ID
-	}
-	return 0
-}
-
-// WithTraceID pins the trace id an outgoing call will carry (an alias
-// for obs.ContextWithID, re-exported so callers of the wire client need
-// not import obs directly).
-func WithTraceID(ctx context.Context, id uint64) context.Context {
-	return obs.ContextWithID(ctx, id)
-}

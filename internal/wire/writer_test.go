@@ -116,7 +116,7 @@ func TestPushResponseFIFO(t *testing.T) {
 
 // TestFlushDrainsQueuedPushes checks the drain barrier: after a burst
 // of pushes, Peer.Flush must not return before the queued envelopes
-// have been handed to the socket, so a Shutdown immediately after the
+// have been handed to the socket, so a drain immediately after the
 // burst loses nothing.
 func TestFlushDrainsQueuedPushes(t *testing.T) {
 	const k = 50
@@ -148,11 +148,11 @@ func TestFlushDrainsQueuedPushes(t *testing.T) {
 			t.Fatalf("push %d: %v", i, err)
 		}
 	}
-	// Shutdown flushes every peer before closing connections; all k
+	// The drain flushes every peer before closing connections; all k
 	// pushes must survive the immediate teardown.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
+	if err := shutdown(ctx, s); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
